@@ -7,8 +7,13 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# bench/ is a module of its own (BENCHMARK.json's program) that imports
+# internal/ packages, so `./...` does not reach it: vet and test it here, or
+# an internal API change breaks the benchmark with everything else green.
 test:
 	$(GO) test ./...
+	$(GO) vet -C bench .
+	$(GO) test -C bench ./...
 
 # Full-module race run; -short trims the heavyweight property sweeps so the
 # 10x race-detector slowdown stays tolerable (CI runs this as its own job).

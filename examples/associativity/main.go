@@ -43,7 +43,7 @@ func main() {
 func measure(scheme core.Scheme, n int) float64 {
 	cache := core.New(core.Config{
 		Array:  cachearray.NewRandom(lines, r, 5),
-		Ranker: futility.NewExactLRU(lines, n, 6),
+		Ranker: futility.NewExactLRU(lines, n),
 		Scheme: scheme,
 		Parts:  n,
 	})

@@ -29,7 +29,7 @@ func main() {
 
 	// An exact-LRU reference ranker measures true eviction futility (AEF)
 	// while the scheme decides with 8-bit timestamps.
-	ref := futility.NewExactLRU(lines, parts, 2)
+	ref := futility.NewExactLRU(lines, parts)
 
 	cache := core.New(core.Config{
 		Array:     array,

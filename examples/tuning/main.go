@@ -48,7 +48,7 @@ func run(cfg core.FSFeedbackConfig) row {
 	cache := core.New(core.Config{
 		Array:          cachearray.NewRandom(lines, 16, 1),
 		Ranker:         futility.NewCoarseTS(lines, parts),
-		Reference:      futility.NewExactLRU(lines, parts, 2),
+		Reference:      futility.NewExactLRU(lines, parts),
 		Scheme:         scheme,
 		Parts:          parts,
 		TrackDeviation: true,

@@ -44,7 +44,7 @@ func (d *streamDriver) step(c *core.Cache) {
 func build(scheme core.Scheme, parts, lines, r int, seed uint64) *core.Cache {
 	return core.New(core.Config{
 		Array:  cachearray.NewRandom(lines, r, seed),
-		Ranker: futility.NewExactLRU(lines, parts, seed+1),
+		Ranker: futility.NewExactLRU(lines, parts),
 		Scheme: scheme,
 		Parts:  parts,
 	})
@@ -139,7 +139,7 @@ func TestVantageOccupancyAndForcedEvictions(t *testing.T) {
 	v := NewVantage(parts, 2, DefaultVantageConfig())
 	c := core.New(core.Config{
 		Array:  cachearray.NewRandom(lines, 16, 9),
-		Ranker: futility.NewExactLRU(lines, parts, 10),
+		Ranker: futility.NewExactLRU(lines, parts),
 		Scheme: v,
 		Parts:  parts,
 	})
@@ -182,7 +182,7 @@ func TestVantageZeroTargetPartitionIsEvictable(t *testing.T) {
 	v := NewVantage(parts, 2, DefaultVantageConfig())
 	c := core.New(core.Config{
 		Array:  cachearray.NewRandom(lines, 16, 19),
-		Ranker: futility.NewExactLRU(lines, parts, 20),
+		Ranker: futility.NewExactLRU(lines, parts),
 		Scheme: v,
 		Parts:  parts,
 	})
@@ -194,6 +194,58 @@ func TestVantageZeroTargetPartitionIsEvictable(t *testing.T) {
 	// Partition 1 has no allocation; it must not squat on the cache.
 	if frac := float64(c.Sizes()[1]) / lines; frac > 0.25 {
 		t.Fatalf("zero-target partition holds %.2f of cache", frac)
+	}
+}
+
+// The controller accumulates occupancy lazily (size × accesses since the
+// size last changed). Over a run where one access moves several partitions
+// at once — Vantage demotions on top of the eviction and the insertion —
+// the sums must equal the eager definition: every partition's size, taken
+// after every access, whenever they are read and across a ResetStats.
+func TestVantageOccupancySumMatchesEagerSampling(t *testing.T) {
+	const lines = 512
+	const parts = 3
+	c := core.New(core.Config{
+		Array:  cachearray.NewRandom(lines, 16, 27),
+		Ranker: futility.NewExactLRU(lines, parts),
+		Scheme: NewVantage(parts, 2, DefaultVantageConfig()),
+		Parts:  parts,
+	})
+	c.SetTargets([]int{300, 160, 0})
+	rng := xrand.New(28)
+	eager := make([]uint64, parts)
+	var accesses uint64
+	check := func(when string) {
+		t.Helper()
+		snap := c.StatsSnapshot()
+		for p := 0; p < parts; p++ {
+			if got := snap.Parts[p].OccupancySum; got != eager[p] {
+				t.Fatalf("%s: partition %d OccupancySum = %d, eager sum %d", when, p, got, eager[p])
+			}
+			if got, want := c.MeanOccupancy(p), float64(eager[p])/float64(accesses); got != want {
+				t.Fatalf("%s: partition %d MeanOccupancy = %v, want %v", when, p, got, want)
+			}
+		}
+	}
+	for i := 0; i < 40*lines; i++ {
+		// Reuse within 1.5× each share so hits, misses and demotions mix.
+		p := rng.Intn(2)
+		c.Access(uint64(p)<<40|uint64(rng.Intn(450)), p, trace.NoNextUse)
+		accesses++
+		for q, s := range c.Sizes() {
+			eager[q] += uint64(s)
+		}
+		switch {
+		case i == 10*lines:
+			c.ResetStats()
+			eager, accesses = make([]uint64, parts), 0
+		case i%997 == 0:
+			check("mid-run")
+		}
+	}
+	check("end")
+	if c.Stats(0).Demotions+c.Stats(1).Demotions == 0 {
+		t.Fatal("run produced no demotions")
 	}
 }
 
@@ -282,7 +334,7 @@ func TestFullAssocIdeal(t *testing.T) {
 	pf := NewPF(2)
 	c := core.New(core.Config{
 		Array:  cachearray.NewFullyAssoc(lines),
-		Ranker: futility.NewExactLRU(lines, 2, 23),
+		Ranker: futility.NewExactLRU(lines, 2),
 		Scheme: pf,
 		Parts:  2,
 	})
@@ -324,7 +376,7 @@ func BenchmarkVantageDecide(b *testing.B) {
 	v := NewVantage(9, 8, DefaultVantageConfig())
 	c := core.New(core.Config{
 		Array:  cachearray.NewRandom(lines, 16, 1),
-		Ranker: futility.NewExactLRU(lines, 9, 2),
+		Ranker: futility.NewExactLRU(lines, 9),
 		Scheme: v,
 		Parts:  9,
 	})
@@ -360,7 +412,7 @@ func TestWayPartEnforcesAndDegradesAssociativity(t *testing.T) {
 	w := NewWayPart(parts, 16)
 	c := core.New(core.Config{
 		Array:  cachearray.NewSetAssoc(lines, 16, cachearray.IndexH3, 31),
-		Ranker: futility.NewExactLRU(lines, parts, 32),
+		Ranker: futility.NewExactLRU(lines, parts),
 		Scheme: w,
 		Parts:  parts,
 	})

@@ -45,8 +45,12 @@ type PartStats struct {
 	EvictFutility *stats.Histogram
 	// Deviation samples actual−target after every replacement when enabled.
 	Deviation *stats.IntDist
-	// occupancySum accumulates the partition's size at every access.
+	// occupancySum is the partition's size summed over the first
+	// occSampled accesses. It is brought up to date only when the size is
+	// about to change (resize) or the sum is read (creditOccupancy), so the
+	// per-access cost does not grow with the partition count.
 	occupancySum uint64
+	occSampled   uint64
 }
 
 // AEF returns the partition's average eviction futility.
@@ -113,13 +117,13 @@ type Cache struct {
 	refWorst futility.WorstTracker
 
 	// Hot-path devirtualization. The two rankers every large experiment runs
-	// (§V's coarse timestamps and the exact order-statistic LRU) are pinned
+	// (§V's coarse timestamps and the exact LRU recency index) are pinned
 	// as concrete types so the per-access OnHit call skips interface dispatch
 	// and can inline; other rankers fall back to the interface.
 	coarse *futility.CoarseTS
 	lru    *futility.ExactLRU
 	// fast is non-nil when the decision ranker supports the combined
-	// Futility+Raw candidate query (one tree traversal instead of two).
+	// Futility+Raw candidate query (one rank computation instead of two).
 	fast futility.FastRanker
 	// refHit/refInsert/refEvict/refMove are bound to the reference ranker's
 	// methods when a separate reference exists, and nil when the decision
@@ -236,6 +240,7 @@ func (c *Cache) MeanOccupancy(part int) float64 {
 	if c.accesses == 0 {
 		return 0
 	}
+	c.creditOccupancy(part, c.accesses)
 	return float64(c.pstats[part].occupancySum) / float64(c.accesses)
 }
 
@@ -335,7 +340,6 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 		if c.refHit != nil {
 			c.refHit(line, c.lineOwner[line], ctx)
 		}
-		c.sampleOccupancy()
 		return AccessResult{Hit: true}
 	}
 
@@ -380,7 +384,7 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 		if c.refEvict != nil {
 			c.refEvict(victim, owner)
 		}
-		c.sizes[dp]--
+		c.resize(dp, -1)
 		c.owned[owner]--
 		c.scheme.OnEviction(dp)
 		res.Evicted = true
@@ -416,7 +420,7 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 	if c.refInsert != nil {
 		c.refInsert(line, part, ctx)
 	}
-	c.sizes[part]++
+	c.resize(part, 1)
 	c.owned[part]++
 	c.pstats[part].Insertions++
 	c.scheme.OnInsert(part)
@@ -426,7 +430,6 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 			c.pstats[p].Deviation.Add(c.sizes[p] - c.targets[p])
 		}
 	}
-	c.sampleOccupancy()
 	return res
 }
 
@@ -539,19 +542,32 @@ func (c *Cache) demote(line, to int) {
 	}
 	c.ranker.OnEvict(line, from)
 	c.ranker.OnInsert(line, to, futility.Context{Seq: c.seq, NextUse: trace.NoNextUse})
-	c.sizes[from]--
-	c.sizes[to]++
+	c.resize(from, -1)
+	c.resize(to, 1)
 	c.linePart[line] = to
 	c.pstats[c.lineOwner[line]].Demotions++
 	c.scheme.OnEviction(from) // a demotion drains the source like an eviction...
 	c.scheme.OnInsert(to)     // ...and fills the destination like an insertion
 }
 
+// creditOccupancy brings partition p's occupancy sum up to access number
+// through, at its current size.
+//
 //fs:allocfree
-func (c *Cache) sampleOccupancy() {
-	for p := 0; p < c.parts; p++ {
-		c.pstats[p].occupancySum += uint64(c.sizes[p])
-	}
+func (c *Cache) creditOccupancy(p int, through uint64) {
+	ps := &c.pstats[p]
+	ps.occupancySum += uint64(c.sizes[p]) * (through - ps.occSampled)
+	ps.occSampled = through
+}
+
+// resize changes partition p's size by d in the middle of an access. The
+// occupancy sample of an access is the size it leaves behind, so the
+// accesses before the current one are credited at the old size first.
+//
+//fs:allocfree
+func (c *Cache) resize(p, d int) {
+	c.creditOccupancy(p, c.accesses-1)
+	c.sizes[p] += d
 }
 
 // panicPartRange keeps the bounds-check failure formatting out of Access:

@@ -46,7 +46,7 @@ func newTestCache(t *testing.T, scheme Scheme, parts, lines, r int) *Cache {
 	t.Helper()
 	return New(Config{
 		Array:  cachearray.NewRandom(lines, r, 42),
-		Ranker: futility.NewExactLRU(lines, parts, 43),
+		Ranker: futility.NewExactLRU(lines, parts),
 		Scheme: scheme,
 		Parts:  parts,
 	})
@@ -160,7 +160,7 @@ func TestFSFeedbackSizingConvergence(t *testing.T) {
 	c := New(Config{
 		Array:     cachearray.NewRandom(lines, 16, 1),
 		Ranker:    futility.NewCoarseTS(lines, 2),
-		Reference: futility.NewExactLRU(lines, 2, 2),
+		Reference: futility.NewExactLRU(lines, 2),
 		Scheme:    fs,
 		Parts:     2,
 	})
@@ -201,7 +201,7 @@ func TestFSFixedEquation1HoldsSizes(t *testing.T) {
 		fs.SetAlphas([]float64{1, a2})
 		c := New(Config{
 			Array:  cachearray.NewRandom(lines, 16, 11),
-			Ranker: futility.NewExactLRU(lines, 2, 12),
+			Ranker: futility.NewExactLRU(lines, 2),
 			Scheme: fs,
 			Parts:  2,
 		})
@@ -235,7 +235,7 @@ func TestFSUnitAlphaAEF(t *testing.T) {
 	fs := NewFSFixed(parts)
 	c := New(Config{
 		Array:  cachearray.NewRandom(lines, r, 21),
-		Ranker: futility.NewExactLRU(lines, parts, 22),
+		Ranker: futility.NewExactLRU(lines, parts),
 		Scheme: fs,
 		Parts:  parts,
 	})
@@ -257,7 +257,7 @@ func TestFullyAssociativeFastPath(t *testing.T) {
 	fs := NewFSFixed(2)
 	c := New(Config{
 		Array:  cachearray.NewFullyAssoc(lines),
-		Ranker: futility.NewExactLRU(lines, 2, 31),
+		Ranker: futility.NewExactLRU(lines, 2),
 		Scheme: fs,
 		Parts:  2,
 	})
@@ -286,7 +286,7 @@ func TestZCacheMetadataConsistency(t *testing.T) {
 	arr := cachearray.NewZCache(lines, 4, 3, 41)
 	c := New(Config{
 		Array:  arr,
-		Ranker: futility.NewExactLRU(lines, 2, 42),
+		Ranker: futility.NewExactLRU(lines, 2),
 		Scheme: fs,
 		Parts:  2,
 	})
@@ -392,7 +392,7 @@ func TestDemotionAccounting(t *testing.T) {
 	const lines = 128
 	c := New(Config{
 		Array:  cachearray.NewRandom(lines, 8, 61),
-		Ranker: futility.NewExactLRU(lines, 3, 62),
+		Ranker: futility.NewExactLRU(lines, 3),
 		Scheme: &demoteScheme{to: 2},
 		Parts:  3, // 0,1 apps; 2 pseudo-unmanaged
 	})
@@ -422,7 +422,7 @@ func TestDeviationTracking(t *testing.T) {
 	fs := NewFSFixed(2)
 	c := New(Config{
 		Array:          cachearray.NewRandom(lines, 16, 71),
-		Ranker:         futility.NewExactLRU(lines, 2, 72),
+		Ranker:         futility.NewExactLRU(lines, 2),
 		Scheme:         fs,
 		Parts:          2,
 		TrackDeviation: true,
@@ -443,7 +443,7 @@ func TestDeviationTracking(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	arr := cachearray.NewRandom(16, 4, 1)
-	rk := futility.NewExactLRU(16, 1, 1)
+	rk := futility.NewExactLRU(16, 1)
 	sch := NewFSFixed(1)
 	cases := []func(){
 		func() { New(Config{Ranker: rk, Scheme: sch, Parts: 1}) },
@@ -523,7 +523,7 @@ func BenchmarkAccessRandomExactFS(b *testing.B) {
 	fs := NewFSFixed(2)
 	c := New(Config{
 		Array:  cachearray.NewRandom(lines, 16, 1),
-		Ranker: futility.NewExactLRU(lines, 2, 2),
+		Ranker: futility.NewExactLRU(lines, 2),
 		Scheme: fs,
 		Parts:  2,
 	})

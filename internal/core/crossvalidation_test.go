@@ -41,7 +41,7 @@ func TestFrameworkMatchesSimulation(t *testing.T) {
 		fs.SetAlphas(alphas)
 		c := New(Config{
 			Array:  cachearray.NewRandom(lines, r, 77),
-			Ranker: futility.NewExactLRU(lines, 2, 78),
+			Ranker: futility.NewExactLRU(lines, 2),
 			Scheme: fs,
 			Parts:  2,
 			// 64 histogram buckets → CDF comparable at 1/64 resolution.
@@ -160,7 +160,7 @@ func TestControllerChaos(t *testing.T) {
 			c := New(Config{
 				Array:     arr,
 				Ranker:    futility.NewCoarseTS(lines, parts),
-				Reference: futility.NewExactLRU(lines, parts, 5),
+				Reference: futility.NewExactLRU(lines, parts),
 				Scheme:    &chaosScheme{rng: xrand.New(6), parts: parts},
 				Parts:     parts,
 			})

@@ -59,6 +59,7 @@ func (c *Cache) StatsSnapshot() Snapshot {
 		Parts:    make([]PartSnapshot, c.parts),
 	}
 	for p := 0; p < c.parts; p++ {
+		c.creditOccupancy(p, c.accesses)
 		ps := &c.pstats[p]
 		s.Parts[p] = PartSnapshot{
 			Hits:          ps.Hits,

@@ -479,7 +479,7 @@ func buildFast(s *Scenario, wrap func(futility.Ranker) futility.Ranker) (*core.C
 	}
 	var ref futility.Ranker
 	if s.Ranking == oracle.CoarseLRU {
-		ref = futility.NewExactLRU(lines, parts, xrand.Mix64(0x0f5eed^uint64(s.ArraySeed)))
+		ref = futility.NewExactLRU(lines, parts)
 	}
 	cfg := core.Config{
 		Array:     buildArray(s),

@@ -148,35 +148,6 @@ func (r *ostRanker) Worst(part int) int {
 	return int(line)
 }
 
-// ExactLRU ranks lines by recency of last access: the least recently used
-// line is most useless. Keys are the bitwise complement of the access
-// sequence number so that older accesses order later (more useless).
-type ExactLRU struct {
-	*ostRanker
-}
-
-// NewExactLRU returns an exact LRU ranker.
-func NewExactLRU(lines, parts int, seed uint64) *ExactLRU {
-	return &ExactLRU{newOSTRanker("exact-lru", lines, parts, seed)}
-}
-
-// OnInsert implements Ranker.
-//
-//fs:allocfree
-func (r *ExactLRU) OnInsert(line, part int, ctx Context) {
-	if r.present[line] {
-		panic("futility: OnInsert of tracked line")
-	}
-	r.set(line, part, ^ctx.Seq)
-}
-
-// OnHit implements Ranker.
-//
-//fs:allocfree
-func (r *ExactLRU) OnHit(line, part int, ctx Context) {
-	r.set(line, part, ^ctx.Seq)
-}
-
 // ExactLFU ranks lines by access frequency: the least frequently used line
 // is most useless. Keys are the complement of the hit count; ties are
 // broken by line index (stable, arbitrary), preserving a strict order.

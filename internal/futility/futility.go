@@ -3,9 +3,10 @@
 // partition, normalized so that the line ranked r-th of M has futility
 // f = r/M ∈ (0,1], larger meaning more useless.
 //
-// Exact rankers (LRU, LFU, OPT) keep an order-statistic tree per partition
-// and answer true normalized ranks; they serve both as decision rankers for
-// the analytical schemes and as measurement references for AEF statistics.
+// Exact rankers answer true normalized ranks — LRU from a per-partition
+// Fenwick recency index, LFU, OPT and SLRU from an order-statistic tree per
+// partition; they serve both as decision rankers for the analytical schemes
+// and as measurement references for AEF statistics.
 // CoarseTS is the hardware design of §V: an 8-bit per-partition timestamp
 // whose distance to a line's tag estimates recency; it exposes the raw
 // distance for the feedback FS controller's shift-based scaling and a
@@ -16,7 +17,9 @@ import "fmt"
 
 // Context carries per-access information a ranker may need.
 type Context struct {
-	// Seq is a globally increasing access sequence number.
+	// Seq is the access sequence number. It never decreases from one call
+	// to the next within a partition (ExactLRU panics if it does); accesses
+	// that share a Seq are ordered as ExactLRU documents.
 	Seq uint64
 	// NextUse is the trace index of the next access to the same line
 	// (trace.NoNextUse if never), used by the OPT ranker.
@@ -119,11 +122,11 @@ func (k Kind) String() string {
 }
 
 // New builds a ranker of the given kind for a cache of lines lines and
-// parts partitions. seed feeds internal tree priorities.
+// parts partitions. seed feeds the tree-backed rankers' treap priorities.
 func New(kind Kind, lines, parts int, seed uint64) Ranker {
 	switch kind {
 	case LRU:
-		return NewExactLRU(lines, parts, seed)
+		return NewExactLRU(lines, parts)
 	case LFU:
 		return NewExactLFU(lines, parts, seed)
 	case OPT:

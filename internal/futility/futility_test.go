@@ -2,6 +2,7 @@ package futility
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -51,7 +52,7 @@ func TestNewFactory(t *testing.T) {
 }
 
 func TestExactLRUOrdering(t *testing.T) {
-	r := NewExactLRU(8, 1, 1)
+	r := NewExactLRU(8, 1)
 	seq := uint64(0)
 	// Insert lines 0,1,2 in order: 0 is oldest → most useless.
 	for line := 0; line < 3; line++ {
@@ -116,7 +117,7 @@ func TestExactOPTOrdering(t *testing.T) {
 }
 
 func TestPartitionIsolation(t *testing.T) {
-	r := NewExactLRU(8, 2, 1)
+	r := NewExactLRU(8, 2)
 	r.OnInsert(0, 0, Context{Seq: 0})
 	r.OnInsert(1, 1, Context{Seq: 1})
 	r.OnInsert(2, 1, Context{Seq: 2})
@@ -134,7 +135,7 @@ func TestPartitionIsolation(t *testing.T) {
 
 func TestOnMovePreservesRank(t *testing.T) {
 	for _, mk := range []func() Ranker{
-		func() Ranker { return NewExactLRU(8, 1, 1) },
+		func() Ranker { return NewExactLRU(8, 1) },
 		func() Ranker { return NewExactLFU(8, 1, 1) },
 		func() Ranker { return NewCoarseTS(8, 1) },
 	} {
@@ -158,14 +159,26 @@ func TestLifecyclePanics(t *testing.T) {
 		name string
 		fn   func()
 	}{
+		{"seq decreased on insert", func() {
+			r := NewExactLRU(4, 2)
+			r.OnInsert(0, 0, Context{Seq: 7})
+			r.OnInsert(1, 1, Context{Seq: 3}) // another partition: its own clock
+			r.OnInsert(2, 0, Context{Seq: 6})
+		}},
+		{"seq decreased on hit", func() {
+			r := NewExactLRU(4, 1)
+			r.OnInsert(0, 0, Context{Seq: 7})
+			r.OnHit(0, 0, Context{Seq: 6})
+		}},
+		{"hit untracked", func() { NewExactLRU(4, 1).OnHit(0, 0, Context{}) }},
 		{"double insert lru", func() {
-			r := NewExactLRU(4, 1, 1)
+			r := NewExactLRU(4, 1)
 			r.OnInsert(0, 0, Context{})
 			r.OnInsert(0, 0, Context{})
 		}},
-		{"evict untracked", func() { NewExactLRU(4, 1, 1).OnEvict(0, 0) }},
-		{"futility untracked", func() { NewExactLRU(4, 1, 1).Futility(0, 0) }},
-		{"move untracked", func() { NewExactLRU(4, 1, 1).OnMove(0, 1, 0) }},
+		{"evict untracked", func() { NewExactLRU(4, 1).OnEvict(0, 0) }},
+		{"futility untracked", func() { NewExactLRU(4, 1).Futility(0, 0) }},
+		{"move untracked", func() { NewExactLRU(4, 1).OnMove(0, 1, 0) }},
 		{"coarse double insert", func() {
 			r := NewCoarseTS(4, 1)
 			r.OnInsert(0, 0, Context{})
@@ -173,14 +186,15 @@ func TestLifecyclePanics(t *testing.T) {
 		}},
 		{"coarse hit untracked", func() { NewCoarseTS(4, 1).OnHit(0, 0, Context{}) }},
 		{"coarse raw untracked", func() { NewCoarseTS(4, 1).Raw(0, 0) }},
-		{"bad sizes", func() { NewExactLRU(0, 1, 1) }},
+		{"bad sizes", func() { NewExactLRU(0, 1) }},
 		{"coarse bad sizes", func() { NewCoarseTS(4, 0) }},
 	}
 	for _, c := range cases {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", c.name)
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "futility: ") {
+					t.Errorf("%s: panic value %q, want a futility: message", c.name, msg)
 				}
 			}()
 			c.fn()
@@ -267,7 +281,7 @@ func TestCoarseTSFutilityCDF(t *testing.T) {
 func TestQuickFutilityIsPermutationOfRanks(t *testing.T) {
 	f := func(seed uint64, nLines uint8) bool {
 		n := int(nLines%30) + 2
-		r := NewExactLRU(64, 1, seed)
+		r := NewExactLRU(64, 1)
 		rng := xrand.New(seed)
 		seq := uint64(0)
 		for i := 0; i < n; i++ {
@@ -319,18 +333,6 @@ func TestQuickRawMatchesFutilityOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkExactLRUHit(b *testing.B) {
-	r := NewExactLRU(1<<14, 1, 1)
-	for i := 0; i < 1<<14; i++ {
-		r.OnInsert(i, 0, Context{Seq: uint64(i)})
-	}
-	rng := xrand.New(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.OnHit(rng.Intn(1<<14), 0, Context{Seq: uint64(i + 1<<14)})
 	}
 }
 

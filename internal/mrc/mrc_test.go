@@ -76,7 +76,7 @@ func TestPredictsFullyAssociativeLRU(t *testing.T) {
 	for _, lines := range []int{64, 256, 1024} {
 		c := core.New(core.Config{
 			Array:  cachearray.NewFullyAssoc(lines),
-			Ranker: futility.NewExactLRU(lines, 1, 9),
+			Ranker: futility.NewExactLRU(lines, 1),
 			Scheme: baselines.NewUnmanaged(),
 			Parts:  1,
 		})

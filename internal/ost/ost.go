@@ -3,10 +3,12 @@
 // The futility of a cache line is its uselessness rank within its partition
 // normalized to [0,1]: for the line ranked r-th of M, f = r/M (§III-A of the
 // paper). Exact futility ranking therefore needs order statistics over a
-// dynamically changing set of keys — recency sequence numbers for LRU,
-// access frequencies for LFU, next-use times for OPT. The treap supports
-// Insert, Delete, Rank, Select, Min and Max in O(log n) expected time with
-// deterministic behaviour given a seed.
+// dynamically changing set of keys — access frequencies for LFU, next-use
+// times for OPT, segment plus recency for SLRU; the MRC profilers need the
+// same for stack distances. (Exact LRU's keys only ever grow, which lets
+// futility.ExactLRU use a Fenwick tree over access order instead.) The treap
+// supports Insert, Delete, Rank, Select, Min and Max in O(log n) expected
+// time with deterministic behaviour given a seed.
 //
 // Keys are (uint64 primary, uint64 tiebreak) pairs; the tiebreak makes every
 // stored key unique so ranks are a strict total order, as the paper requires

@@ -1,8 +1,9 @@
 // Package perfbench is the repository's performance-measurement harness: a
 // registry of named micro- and macro-benchmarks over the hot replacement
-// pipeline (ost tree operations, coarse-timestamp ranking, core.Cache.Access
-// hit/miss paths, whole experiment cells) plus a machine-readable report
-// format (BENCH_<date>.json) that records the repo's performance trajectory.
+// pipeline (ost tree and recency-index operations, coarse-timestamp ranking,
+// core.Cache.Access hit/miss paths, whole experiment cells) plus a
+// machine-readable report format (BENCH_<date>.json) that records the repo's
+// performance trajectory.
 //
 // The same benchmark bodies back two consumers:
 //
@@ -69,12 +70,16 @@ const benchSeed = 0xbe7c4
 // Registry returns every registered benchmark, in stable order.
 func Registry() []Benchmark {
 	return []Benchmark{
-		{Name: "ost/insert-delete", Doc: "treap steady-state Insert+Delete pair at 4096 keys",
+		{Name: "ost/insert-delete", Doc: "treap steady-state Insert+Delete pair at 4096 keys (a hit under LFU/OPT/SLRU, an mrc/alloc profiler observation)",
 			ZeroAlloc: true, Fn: OSTInsertDelete},
-		{Name: "ost/rank", Doc: "treap Rank query at 4096 keys",
+		{Name: "ost/rank", Doc: "treap Rank query at 4096 keys (one candidate's futility under LFU/OPT/SLRU, a profiler's stack distance)",
 			ZeroAlloc: true, Fn: OSTRank},
-		{Name: "ost/select", Doc: "treap Select query at 4096 keys",
+		{Name: "ost/select", Doc: "treap Select query at 4096 keys (SLRU's protected-segment demotion)",
 			ZeroAlloc: true, Fn: OSTSelect},
+		{Name: "futility/exact-lru-hit", Doc: "ExactLRU OnHit at 4096 lines: two Fenwick point updates, compaction amortised in",
+			ZeroAlloc: true, Fn: ExactLRUHit},
+		{Name: "futility/exact-lru-rank", Doc: "ExactLRU FutilityRaw at 4096 lines: one Fenwick prefix sum",
+			ZeroAlloc: true, Fn: ExactLRURank},
 		{Name: "coarsets/onhit", Doc: "CoarseTS OnHit (tick + retag)",
 			ZeroAlloc: true, Fn: CoarseOnHit},
 		{Name: "coarsets/raw", Doc: "CoarseTS Raw timestamp distance + histogram observe",
@@ -178,6 +183,57 @@ func OSTSelect(b *testing.B) {
 		t.Select(i%treeKeys + 1)
 	}
 }
+
+// ---- futility.ExactLRU ----
+
+const exactLines = 4096
+
+// filledExactLRU returns a one-partition ranker that has been through enough
+// hits in a fixed pseudo-random order to reach its final capacity, so the
+// timed loops below compact but never grow.
+func filledExactLRU() (*futility.ExactLRU, uint64) {
+	r := futility.NewExactLRU(exactLines, 1)
+	seq := uint64(0)
+	for l := 0; l < exactLines; l++ {
+		seq++
+		r.OnInsert(l, 0, futility.Context{Seq: seq})
+	}
+	rng := xrand.New(benchSeed ^ 0x1a0)
+	for i := 0; i < 4*exactLines; i++ {
+		seq++
+		r.OnHit(rng.Intn(exactLines), 0, futility.Context{Seq: seq})
+	}
+	return r, seq
+}
+
+// ExactLRUHit measures the recency index's hit path: retire the line's slot,
+// take the next one, and every cap−4096 hits renumber the partition.
+func ExactLRUHit(b *testing.B) {
+	r, seq := filledExactLRU()
+	rng := xrand.New(benchSeed ^ 0x1a1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seq++
+		r.OnHit(rng.Intn(exactLines), 0, futility.Context{Seq: seq})
+	}
+}
+
+// ExactLRURank measures the per-candidate rank query of the miss path.
+func ExactLRURank(b *testing.B) {
+	r, _ := filledExactLRU()
+	var sink uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, raw := r.FutilityRaw(i%exactLines, 0)
+		sink += raw
+	}
+	benchSink = sink
+}
+
+// benchSink keeps results the timed loops compute from being optimised away.
+var benchSink uint64
 
 // ---- futility.CoarseTS ----
 
@@ -305,8 +361,8 @@ func accessMiss(b *testing.B, kind futility.Kind) {
 	}
 }
 
-// AccessHitLRU measures the hit path with the exact order-statistic LRU
-// ranker (tree delete+insert per hit).
+// AccessHitLRU measures the hit path with the exact LRU ranker (two Fenwick
+// point updates per hit).
 func AccessHitLRU(b *testing.B) { accessHit(b, futility.LRU) }
 
 // AccessMissLRU measures the miss path with the exact LRU ranker: candidate

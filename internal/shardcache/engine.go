@@ -318,6 +318,14 @@ func (e *Engine) Targets() []int {
 // stripe's target collapses to zero on a quiet interval (which would force
 // its local controller to evict the partition entirely and then refill on
 // the next interval).
+//
+// Demand is a count per pass, so its raw size grows with the pass interval
+// and with the engine's speed while occupancy does not. It enters the
+// weights as a share instead: a partition's demand is scaled so that it
+// sums to demandShare of what the partition holds, whatever the pass saw.
+// Added raw it swamped occupancy as passes got longer: per-stripe targets
+// chased each pass's insertion split and cache-wide sizes fell behind their
+// targets (DESIGN.md §12).
 func (e *Engine) Rebalance() {
 	e.rmu.Lock()
 	defer e.rmu.Unlock()
@@ -338,8 +346,17 @@ func (e *Engine) Rebalance() {
 	// Weigh and apportion outside every stripe lock.
 	nP := e.cfg.Parts
 	for p := 0; p < nP; p++ {
+		var demand, held float64
 		for g := range e.stripes {
-			e.weightScratch[g] = float64(e.spare[g][p]) + float64(e.sizeScratch[g][p]) + 1
+			demand += float64(e.spare[g][p])
+			held += float64(e.sizeScratch[g][p]) + 1
+		}
+		scale := 0.0
+		if demand > 0 {
+			scale = demandShare * held / demand
+		}
+		for g := range e.stripes {
+			e.weightScratch[g] = float64(e.spare[g][p])*scale + float64(e.sizeScratch[g][p]) + 1
 		}
 		e.apportionPart(p)
 	}
@@ -352,6 +369,10 @@ func (e *Engine) Rebalance() {
 	}
 	e.applyTargets()
 }
+
+// demandShare is the weight of a pass's insertion split relative to current
+// occupancy when a partition's target is re-apportioned across stripes.
+const demandShare = 0.25
 
 // apportionAll splits every partition's goal across stripes with the
 // current weightScratch (callers hold rmu).
@@ -437,12 +458,16 @@ func apportionInto(total int, weights []float64, shares []int, rems []float64) {
 // Snapshot returns the cache-wide measurement state: every stripe's
 // StatsSnapshot (taken one stripe lock at a time, in stripe index order)
 // merged into one core.Snapshot. Counters, histograms and Size/Target
-// columns add into cache-wide totals. Note that the merged
+// columns add into cache-wide totals. It holds rmu, so no distribution pass
+// is half applied underneath it and every Target column is the cache-wide
+// target in force. Note that the merged
 // Snapshot.MeanOccupancy is a per-access average over stripe-local samples
 // (each stripe only samples its own slice), so it reports the loaded-stripe
 // average, not the cache-wide resident total; use Engine.MeanOccupancy for
 // the cache-wide per-partition occupancy.
 func (e *Engine) Snapshot() core.Snapshot {
+	e.rmu.Lock()
+	defer e.rmu.Unlock()
 	var merged core.Snapshot
 	for g, st := range e.stripes {
 		st.mu.Lock()

@@ -197,6 +197,39 @@ func TestRebalanceRedistributes(t *testing.T) {
 	}
 }
 
+// Demand enters the distributor as a share of the pass, not as a count: two
+// engines in the same state whose passes saw the same insertion split, one
+// ten times as many insertions as the other (a longer interval, a faster
+// engine), must apportion every partition identically.
+func TestRebalanceIgnoresPassLength(t *testing.T) {
+	build := func(scale uint64) *Engine {
+		e := New(testConfig(4))
+		e.SetTargets(testTargets())
+		rng := xrand.New(43)
+		for i := 0; i < 3*e.Lines(); i++ {
+			e.Access(rng.Uint64()%(1<<13), i%3)
+		}
+		e.Rebalance()
+		for g, st := range e.stripes {
+			st.mu.Lock()
+			for p := range st.demand {
+				st.demand[p] = scale * uint64(1+(g+p)%5)
+			}
+			st.mu.Unlock()
+		}
+		e.Rebalance()
+		return e
+	}
+	short, long := build(7).ShardSnapshots(), build(70).ShardSnapshots()
+	for sh := range short {
+		for p := range short[sh].Parts {
+			if got, want := long[sh].Parts[p].Target, short[sh].Parts[p].Target; got != want {
+				t.Errorf("shard %d partition %d: target %d after the long pass, %d after the short one", sh, p, got, want)
+			}
+		}
+	}
+}
+
 // TestLockDisciplineSmoke is the runtime counterpart of the fslint lockcheck
 // annotations on Engine and shard (//fs:guardedby, //fs:lockorder): a seeded
 // free-running mix of access workers, snapshot readers and rebalances hammers
