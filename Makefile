@@ -34,14 +34,16 @@ fmt:
 
 # Short fuzz sessions (seed corpus + 10s of mutation each): the trace
 # decoder, the differential oracle over scenario programs, the serving
-# layer's wire codec at both the payload and framed-stream level, and the
-# FSD1 decision-trace codec.
+# layer's wire codec at both the payload and framed-stream level, the
+# FSD1 decision-trace codec, and the H3 table kernel against its bit-serial
+# definition.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrom -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzAccess -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzFrame$$' -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzFrameStream -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzDecisionTrace -fuzztime=10s ./internal/scenario
+	$(GO) test -run='^$$' -fuzz=FuzzH3 -fuzztime=10s ./internal/hashing
 
 # End-to-end smoke: the full quick-scale sweep must exit 0.
 smoke:

@@ -24,6 +24,7 @@ package cachearray
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fscache/internal/hashing"
 	"fscache/internal/xrand"
@@ -102,12 +103,13 @@ const (
 
 // SetAssoc is a conventional set-associative array.
 type SetAssoc struct {
-	ways  int
-	sets  int
-	addrs []uint64
-	valid []bool
-	kind  IndexKind
-	h3    *hashing.H3
+	ways    int
+	sets    int
+	setBits uint // log2(sets), what IndexXOR folds to
+	addrs   []uint64
+	valid   []bool
+	kind    IndexKind
+	h3      *hashing.H3
 }
 
 // NewSetAssoc builds an array of lines = sets×ways lines. lines and ways
@@ -120,11 +122,12 @@ func NewSetAssoc(lines, ways int, kind IndexKind, seed uint64) *SetAssoc {
 	}
 	sets := lines / ways
 	a := &SetAssoc{
-		ways:  ways,
-		sets:  sets,
-		addrs: make([]uint64, lines),
-		valid: make([]bool, lines),
-		kind:  kind,
+		ways:    ways,
+		sets:    sets,
+		setBits: uint(bits.TrailingZeros(uint(sets))),
+		addrs:   make([]uint64, lines),
+		valid:   make([]bool, lines),
+		kind:    kind,
 	}
 	if kind == IndexH3 {
 		a.h3 = hashing.NewH3(seed, sets)
@@ -152,7 +155,7 @@ func (a *SetAssoc) set(addr uint64) int {
 	if a.kind == IndexH3 {
 		return int(a.h3.Hash(addr))
 	}
-	return int(hashing.Fold(addr, a.sets))
+	return int(hashing.FoldBits(addr, a.setBits))
 }
 
 // Lookup implements Array.

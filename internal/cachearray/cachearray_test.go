@@ -309,6 +309,106 @@ func TestZCacheRelocationPreservesContents(t *testing.T) {
 	}
 }
 
+// quadraticWalk is the replacement walk as Candidates performed it before the
+// line bitmap: a position is skipped when a scan of the nodes so far finds
+// it. It reads z and leaves it alone.
+func quadraticWalk(z *ZCache, addr uint64) []walkNode {
+	var nodes []walkNode
+	seen := func(line int) bool {
+		for _, n := range nodes {
+			if n.line == line {
+				return true
+			}
+		}
+		return false
+	}
+	for w := 0; w < z.ways; w++ {
+		if p := z.pos(w, addr); !seen(p) {
+			nodes = append(nodes, walkNode{line: p, parent: -1})
+		}
+	}
+	levelStart, levelEnd := 0, len(nodes)
+	for l := 1; l < z.levels; l++ {
+		for i := levelStart; i < levelEnd; i++ {
+			line := nodes[i].line
+			if !z.valid[line] {
+				continue
+			}
+			for w := 0; w < z.ways; w++ {
+				if p := z.pos(w, z.addrs[line]); p != line && !seen(p) {
+					nodes = append(nodes, walkNode{line: p, parent: i})
+				}
+			}
+		}
+		levelStart, levelEnd = levelEnd, len(nodes)
+	}
+	return nodes
+}
+
+func TestZCacheWalkMatchesQuadraticDedup(t *testing.T) {
+	for _, cfg := range []struct{ lines, ways, levels int }{
+		{1024, 4, 3}, // Z4/52
+		{64, 4, 3},   // Z4/52 where most walks meet themselves
+		{256, 2, 2},
+		{512, 8, 2},
+	} {
+		for _, fillTo := range []float64{0, 0.3, 0.9, 1} {
+			z := NewZCache(cfg.lines, cfg.ways, cfg.levels, 31)
+			rng := xrand.New(37)
+			fill(z, int(fillTo*float64(cfg.lines)), rng)
+			free, short := 0, 0
+			for i := 0; i < 400; i++ {
+				addr := rng.Uint64()
+				if z.Lookup(addr) >= 0 {
+					continue
+				}
+				want := quadraticWalk(z, addr)
+				cands := z.Candidates(addr, nil)
+				if len(z.nodes) != len(want) || len(cands) != len(want) {
+					t.Fatalf("%s fill %v: walk of %d nodes, %d candidates, want %d", z.Name(), fillTo, len(z.nodes), len(cands), len(want))
+				}
+				for j, n := range want {
+					if z.nodes[j] != n || cands[j] != n.line {
+						t.Fatalf("%s fill %v: node %d = %+v (candidate %d), want %+v", z.Name(), fillTo, j, z.nodes[j], cands[j], n)
+					}
+					if !z.valid[n.line] {
+						free++
+					}
+				}
+				if len(want) < z.MaxCandidates() {
+					short++
+				}
+				for w, word := range z.seen {
+					if word != 0 {
+						t.Fatalf("%s fill %v: bitmap word %d = %#x after the walk", z.Name(), fillTo, w, word)
+					}
+				}
+				// The relocations follow the parents back to a root.
+				v := rng.Intn(len(want))
+				var moves []Move
+				for cur := v; want[cur].parent >= 0; cur = want[cur].parent {
+					moves = append(moves, Move{From: want[want[cur].parent].line, To: want[cur].line})
+				}
+				got := z.Install(addr, want[v].line, nil)
+				if len(got) != len(moves) {
+					t.Fatalf("%s fill %v: %d moves, want %d", z.Name(), fillTo, len(got), len(moves))
+				}
+				for j := range moves {
+					if got[j] != moves[j] {
+						t.Fatalf("%s fill %v: move %d = %+v, want %+v", z.Name(), fillTo, j, got[j], moves[j])
+					}
+				}
+			}
+			if fillTo < 1 && free == 0 {
+				t.Errorf("%s fill %v: no walk met a free line", z.Name(), fillTo)
+			}
+			if short == 0 {
+				t.Errorf("%s fill %v: no walk was cut short by a duplicate or a free line", z.Name(), fillTo)
+			}
+		}
+	}
+}
+
 func TestZCacheInstallWithoutWalkPanics(t *testing.T) {
 	z := NewZCache(64, 4, 2, 1)
 	defer func() {

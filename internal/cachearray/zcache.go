@@ -29,6 +29,9 @@ type ZCache struct {
 	walkAddr  uint64
 	walkValid bool
 	nodes     []walkNode
+	// seen has one bit per line, set while a walk holds the line as a node
+	// and all-zero between walks.
+	seen []uint64
 }
 
 type walkNode struct {
@@ -58,6 +61,7 @@ func NewZCache(lines, ways, levels int, seed uint64) *ZCache {
 		family: hashing.NewFamily(seed, ways, sets),
 		addrs:  make([]uint64, lines),
 		valid:  make([]bool, lines),
+		seen:   make([]uint64, (lines+63)/64),
 	}
 }
 
@@ -105,47 +109,44 @@ func (z *ZCache) Lookup(addr uint64) int {
 //
 //fs:allocfree
 func (z *ZCache) Candidates(addr uint64, dst []int) []int {
-	z.nodes = z.nodes[:0]
 	z.walkAddr = addr
 	z.walkValid = true
 
-	seen := func(line int) bool {
-		for _, n := range z.nodes {
-			if n.line == line {
-				return true
-			}
-		}
-		return false
-	}
 	// Level 0: the incoming address's own positions.
-	for w := 0; w < z.ways; w++ {
-		p := z.pos(w, addr)
-		if !seen(p) {
-			z.nodes = append(z.nodes, walkNode{line: p, parent: -1})
-		}
-	}
-	levelStart, levelEnd := 0, len(z.nodes)
+	nodes := z.expand(z.nodes[:0], addr, -1)
+	levelStart, levelEnd := 0, len(nodes)
 	for l := 1; l < z.levels; l++ {
 		for i := levelStart; i < levelEnd; i++ {
-			line := z.nodes[i].line
-			if !z.valid[line] {
-				continue // free line: terminal candidate
-			}
-			resident := z.addrs[line]
-			for w := 0; w < z.ways; w++ {
-				p := z.pos(w, resident)
-				if p == line || seen(p) {
-					continue
-				}
-				z.nodes = append(z.nodes, walkNode{line: p, parent: i})
+			// A free line is a terminal candidate.
+			if line := nodes[i].line; z.valid[line] {
+				nodes = z.expand(nodes, z.addrs[line], i)
 			}
 		}
-		levelStart, levelEnd = levelEnd, len(z.nodes)
+		levelStart, levelEnd = levelEnd, len(nodes)
 	}
-	for _, n := range z.nodes {
+	for _, n := range nodes {
 		dst = append(dst, n.line)
+		z.seen[n.line>>6] = 0
 	}
+	z.nodes = nodes
 	return dst
+}
+
+// expand appends the positions of resident — the address held by node
+// parent, or the incoming address for parent -1 — that the walk does not
+// hold yet, which rules out the parent's own line.
+//
+//fs:allocfree
+func (z *ZCache) expand(nodes []walkNode, resident uint64, parent int) []walkNode {
+	for w := 0; w < z.ways; w++ {
+		line := z.pos(w, resident)
+		word, bit := &z.seen[line>>6], uint64(1)<<(uint(line)&63)
+		if *word&bit == 0 {
+			*word |= bit
+			nodes = append(nodes, walkNode{line: line, parent: parent})
+		}
+	}
+	return nodes
 }
 
 // AddrOf implements Array.

@@ -17,3 +17,4 @@ func BenchmarkAccessHit(b *testing.B)        { perfbench.AccessHitLRU(b) }
 func BenchmarkAccessMiss(b *testing.B)       { perfbench.AccessMissLRU(b) }
 func BenchmarkAccessHitCoarse(b *testing.B)  { perfbench.AccessHitCoarse(b) }
 func BenchmarkAccessMissCoarse(b *testing.B) { perfbench.AccessMissCoarse(b) }
+func BenchmarkAccessMissZ52(b *testing.B)    { perfbench.AccessMissZ52(b) }

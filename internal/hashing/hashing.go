@@ -11,75 +11,100 @@
 //   - Fold: simple XOR folding of a line address into an index, the
 //     "XOR-based indexing" baseline.
 //   - Mix: a multiply-xorshift finalizer usable as a cheap strong hash.
+//
+// H3 is defined by its masks (h3Masks) — output bit i is the parity of key
+// AND masks[i] — and evaluated from byte-sliced tables built from them once,
+// at construction: the map is linear over GF(2), so the hash of a key is the
+// XOR of the hashes of its eight bytes in place. A function keeps only the
+// tables; the bit-serial parity loop is kept in this package's tests as the
+// reference the tables are checked against (DESIGN.md §10).
 package hashing
 
-import "fscache/internal/xrand"
+import (
+	"math/bits"
+
+	"fscache/internal/xrand"
+)
 
 // H3 is one member of the H3 universal hash family mapping 64-bit keys to
 // indices in [0, buckets). Each output bit is the parity of the key ANDed
 // with a random mask, which makes any two distinct keys collide with
 // probability 1/buckets over the random choice of masks.
+//
+// The struct is the tables and nothing else: 8 KB, which the allocator hands
+// out without rounding, live for as long as the function is.
 type H3 struct {
-	masks   []uint64
-	buckets uint64 // power of two
-	bits    uint
+	// tab[j][b] is the hash of the key whose byte j is b and whose other
+	// bytes are zero.
+	tab [8][256]uint32
 }
 
 // NewH3 builds an H3 hash onto [0, buckets) seeded by seed.
-// buckets must be a power of two and at least 1.
+// buckets must be a power of two, at least 1 and at most 2^32 (the width of
+// a table entry).
 func NewH3(seed uint64, buckets int) *H3 {
-	if buckets <= 0 || buckets&(buckets-1) != 0 {
-		panic("hashing: H3 buckets must be a positive power of two")
-	}
-	bits := uint(0)
-	for 1<<bits < buckets {
-		bits++
-	}
+	h := new(H3)
+	h.init(seed, buckets)
+	return h
+}
+
+// h3Masks draws the definition of the function NewH3(seed, 1<<n) builds: one
+// row mask per output bit.
+func h3Masks(seed uint64, n uint) []uint64 {
 	rng := xrand.New(seed)
-	masks := make([]uint64, bits)
+	masks := make([]uint64, n)
 	for i := range masks {
 		// Reject all-zero masks: a zero mask would pin that output bit.
 		for masks[i] == 0 {
 			masks[i] = rng.Uint64()
 		}
 	}
-	return &H3{masks: masks, buckets: uint64(buckets), bits: bits}
+	return masks
 }
 
-// Buckets returns the output range size.
-func (h *H3) Buckets() int { return int(h.buckets) }
+func (h *H3) init(seed uint64, buckets int) {
+	n := log2(buckets, "H3 buckets")
+	if n > 32 {
+		panic("hashing: H3 buckets must not exceed 2^32")
+	}
+	masks := h3Masks(seed, n)
+	for j := range h.tab {
+		t := &h.tab[j]
+		for b := 1; b < len(t); b++ {
+			low := b & -b
+			if low != b {
+				t[b] = t[b^low] ^ t[low] // linearity
+				continue
+			}
+			// A single key bit hashes to its column of the mask matrix.
+			k := uint(8*j + bits.TrailingZeros(uint(b)))
+			var col uint32
+			for i, m := range masks {
+				col |= uint32(m>>k&1) << uint(i)
+			}
+			t[b] = col
+		}
+	}
+}
 
 // Hash maps key to an index in [0, buckets).
 func (h *H3) Hash(key uint64) uint64 {
-	var out uint64
-	for i, m := range h.masks {
-		out |= parity(key&m) << uint(i)
-	}
-	return out
-}
-
-// parity returns the XOR of all bits of x (0 or 1).
-func parity(x uint64) uint64 {
-	x ^= x >> 32
-	x ^= x >> 16
-	x ^= x >> 8
-	x ^= x >> 4
-	x ^= x >> 2
-	x ^= x >> 1
-	return x & 1
+	return uint64(h.tab[0][byte(key)] ^ h.tab[1][byte(key>>8)] ^ h.tab[2][byte(key>>16)] ^ h.tab[3][byte(key>>24)] ^
+		h.tab[4][byte(key>>32)] ^ h.tab[5][byte(key>>40)] ^ h.tab[6][byte(key>>48)] ^ h.tab[7][key>>56])
 }
 
 // Family is a set of independent H3 functions (one per cache way), as needed
-// by skew-associative caches and zcaches.
+// by skew-associative caches and zcaches. The functions sit back to back in
+// one allocation.
 type Family struct {
-	fns []*H3
+	fns []H3
 }
 
 // NewFamily builds n independent H3 functions onto [0, buckets).
 func NewFamily(seed uint64, n, buckets int) *Family {
-	fns := make([]*H3, n)
+	fns := make([]H3, n)
 	for i := range fns {
-		fns[i] = NewH3(xrand.Mix64(seed^uint64(i+1)), buckets)
+		fns[i].init(xrand.Mix64(seed^uint64(i+1)), buckets)
 	}
 	return &Family{fns: fns}
 }
@@ -90,24 +115,32 @@ func (f *Family) Len() int { return len(f.fns) }
 // Hash applies the i-th function to key.
 func (f *Family) Hash(i int, key uint64) uint64 { return f.fns[i].Hash(key) }
 
+// log2 returns the exponent of n, which must be a positive power of two;
+// what names the argument in the panic otherwise.
+func log2(n int, what string) uint {
+	if n <= 0 || n&(n-1) != 0 {
+		panic("hashing: " + what + " must be a positive power of two")
+	}
+	return uint(bits.TrailingZeros(uint(n)))
+}
+
 // Fold XOR-folds a 64-bit line address into [0, buckets); buckets must be a
 // power of two. This models conventional XOR-based set indexing: cheap, and
 // good enough to spread strided access patterns across sets.
 func Fold(key uint64, buckets int) uint64 {
-	if buckets <= 0 || buckets&(buckets-1) != 0 {
-		panic("hashing: Fold buckets must be a positive power of two")
-	}
-	bits := uint(0)
-	for 1<<bits < buckets {
-		bits++
-	}
-	if bits == 0 {
+	return FoldBits(key, log2(buckets, "Fold buckets"))
+}
+
+// FoldBits is Fold onto [0, 1<<width): the form for callers that index with
+// one bucket count throughout and derive its width once.
+func FoldBits(key uint64, width uint) uint64 {
+	if width == 0 {
 		return 0
 	}
 	var out uint64
 	for key != 0 {
-		out ^= key & (uint64(buckets) - 1)
-		key >>= bits
+		out ^= key & (1<<width - 1)
+		key >>= width
 	}
 	return out
 }
@@ -119,20 +152,22 @@ func Fold(key uint64, buckets int) uint64 {
 // shard, which is how internal/shardcache carves one logical set-associative
 // array into independent sub-arrays of sets/shards sets each.
 func ShardOf(setIndex uint64, sets, shards int) uint64 {
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic("hashing: ShardOf sets must be a positive power of two")
-	}
-	if shards <= 0 || shards&(shards-1) != 0 || shards > sets {
-		panic("hashing: ShardOf shards must be a positive power of two no larger than sets")
-	}
+	shift := ShardShift(sets, shards)
 	if setIndex >= uint64(sets) {
 		panic("hashing: ShardOf set index out of range")
 	}
-	shift := uint(0)
-	for 1<<shift < sets/shards {
-		shift++
-	}
 	return setIndex >> shift
+}
+
+// ShardShift returns the shift that takes a set index to its shard,
+// ShardOf(i, sets, shards) == i >> ShardShift(sets, shards), for callers
+// that route every index with one split and derive the shift once.
+func ShardShift(sets, shards int) uint {
+	all, top := log2(sets, "ShardOf sets"), log2(shards, "ShardOf shards")
+	if top > all {
+		panic("hashing: ShardOf shards must be no larger than sets")
+	}
+	return all - top
 }
 
 // Mix applies a strong 64-bit finalizer (SplitMix64's mixer) and reduces to

@@ -1,17 +1,16 @@
 package hashing
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"fscache/internal/xrand"
 )
 
 func TestH3Range(t *testing.T) {
 	h := NewH3(1, 256)
-	if h.Buckets() != 256 {
-		t.Fatalf("Buckets = %d", h.Buckets())
-	}
 	rng := xrand.New(2)
 	for i := 0; i < 10000; i++ {
 		v := h.Hash(rng.Uint64())
@@ -80,6 +79,86 @@ func TestH3Linearity(t *testing.T) {
 	}
 }
 
+// bitSerial is H3 as it is defined: output bit i is the parity of the key
+// ANDed with masks[i]. It is the reference Hash's tables are checked against.
+func bitSerial(masks []uint64, key uint64) uint64 {
+	var out uint64
+	for i, m := range masks {
+		out |= parity(key&m) << uint(i)
+	}
+	return out
+}
+
+// parity returns the XOR of all bits of x (0 or 1).
+func parity(x uint64) uint64 {
+	x ^= x >> 32
+	x ^= x >> 16
+	x ^= x >> 8
+	x ^= x >> 4
+	x ^= x >> 2
+	x ^= x >> 1
+	return x & 1
+}
+
+// The 64 single-bit keys are a basis of the key space, so agreement on them
+// plus linearity (TestH3Linearity) is agreement on every key; the random
+// keys check the same thing without the argument.
+func TestH3TableMatchesBitSerial(t *testing.T) {
+	rng := xrand.New(23)
+	// check holds h, built from seed onto 2^exp buckets, to the definition.
+	check := func(h *H3, seed uint64, exp uint, label string, keys int) {
+		t.Helper()
+		masks := h3Masks(seed, exp)
+		if len(masks) != int(exp) {
+			t.Fatalf("%s: %d masks", label, len(masks))
+		}
+		one := func(k uint64) {
+			t.Helper()
+			if got, want := h.Hash(k), bitSerial(masks, k); got != want {
+				t.Fatalf("%s: Hash(%#x) = %#x, bit-serial %#x", label, k, got, want)
+			}
+		}
+		one(0)
+		for b := uint(0); b < 64; b++ {
+			one(1 << b)
+		}
+		for i := 0; i < keys; i++ {
+			one(rng.Uint64())
+		}
+	}
+	for exp := uint(0); exp <= 20; exp++ {
+		for _, seed := range []uint64{0, 1, 0xa77a, ^uint64(0)} {
+			check(NewH3(seed, 1<<exp), seed, exp, fmt.Sprintf("buckets 2^%d seed %#x", exp, seed), 25000)
+		}
+	}
+	// A family member is the function NewH3 builds from the member's seed.
+	for _, n := range []int{1, 2, 4, 8} {
+		f := NewFamily(5, n, 4096)
+		for i := 0; i < n; i++ {
+			check(&f.fns[i], xrand.Mix64(5^uint64(i+1)), 12, fmt.Sprintf("family of %d, member %d", n, i), 1000)
+		}
+	}
+	if unsafe.Sizeof(H3{}) != 8192 {
+		t.Fatalf("H3 is %d bytes: past 8192 the allocator rounds every function up a size class", unsafe.Sizeof(H3{}))
+	}
+}
+
+func FuzzH3(f *testing.F) {
+	f.Add(uint64(0), uint8(0), uint64(0))
+	f.Add(uint64(1), uint8(12), uint64(0x9e3779b97f4a7c15))
+	f.Add(^uint64(0), uint8(32), ^uint64(0))
+	f.Fuzz(func(t *testing.T, seed uint64, exp uint8, key uint64) {
+		n := uint(exp % 21)
+		got := NewH3(seed, 1<<n).Hash(key)
+		if want := bitSerial(h3Masks(seed, n), key); got != want {
+			t.Fatalf("seed %#x buckets 2^%d: Hash(%#x) = %#x, bit-serial %#x", seed, n, key, got, want)
+		}
+		if got >= 1<<n {
+			t.Fatalf("Hash(%#x) = %d out of [0, 2^%d)", key, got, n)
+		}
+	})
+}
+
 func TestFamilyIndependence(t *testing.T) {
 	f := NewFamily(5, 4, 256)
 	if f.Len() != 4 {
@@ -112,6 +191,25 @@ func TestFoldRangeAndDeterminism(t *testing.T) {
 	}
 }
 
+func TestFoldBitsAndShardShiftMatchCheckedForms(t *testing.T) {
+	rng := xrand.New(41)
+	for width := uint(0); width <= 20; width++ {
+		for i := 0; i < 200; i++ {
+			k := rng.Uint64()
+			if FoldBits(k, width) != Fold(k, 1<<width) {
+				t.Fatalf("FoldBits(%#x, %d) != Fold(%#x, 2^%d)", k, width, k, width)
+			}
+		}
+		for s := uint(0); s <= width; s++ {
+			shift := ShardShift(1<<width, 1<<s)
+			idx := rng.Uint64() & (1<<width - 1)
+			if idx>>shift != ShardOf(idx, 1<<width, 1<<s) {
+				t.Fatalf("ShardShift(2^%d, 2^%d) = %d disagrees with ShardOf at %d", width, s, shift, idx)
+			}
+		}
+	}
+}
+
 func TestFoldSpreadsSequential(t *testing.T) {
 	// Sequential line addresses must hit distinct sets until wraparound —
 	// folding preserves low bits for keys < buckets.
@@ -132,17 +230,22 @@ func TestMixRange(t *testing.T) {
 	}
 }
 
+// tooManyBuckets is 2^33 where int holds it: one past the width of a table
+// entry (and 0, as invalid, where it does not).
+var tooManyBuckets = func() int { n := 1; return n << 33 }()
+
 func TestBadBucketsPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewH3(1, 0) },
 		func() { NewH3(1, 3) },
+		func() { NewH3(1, tooManyBuckets) },
 		func() { Fold(1, 12) },
 		func() { Mix(1, -2) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("non-power-of-two buckets did not panic")
+					t.Error("invalid buckets did not panic")
 				}
 			}()
 			fn()
@@ -207,13 +310,17 @@ func TestH3SingleBucket(t *testing.T) {
 	}
 }
 
+// benchSink keeps the timed loops' results live: Hash is inlined and, its
+// result unused, would be removed.
+var benchSink uint64
+
 func BenchmarkH3(b *testing.B) {
 	h := NewH3(1, 8192)
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink += h.Hash(uint64(i) * 0x9e3779b97f4a7c15)
 	}
-	_ = sink
+	benchSink = sink
 }
 
 func BenchmarkFold(b *testing.B) {
@@ -221,5 +328,5 @@ func BenchmarkFold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sink += Fold(uint64(i)*0x9e3779b97f4a7c15, 8192)
 	}
-	_ = sink
+	benchSink = sink
 }

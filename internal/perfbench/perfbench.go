@@ -1,7 +1,8 @@
 // Package perfbench is the repository's performance-measurement harness: a
 // registry of named micro- and macro-benchmarks over the hot replacement
-// pipeline (ost tree and recency-index operations, coarse-timestamp ranking,
-// core.Cache.Access hit/miss paths, whole experiment cells) plus a
+// pipeline (H3 hashing, array lookups and zcache walks, ost tree and
+// recency-index operations, coarse-timestamp ranking, core.Cache.Access
+// hit/miss paths, whole experiment cells) plus a
 // machine-readable report format (BENCH_<date>.json) that records the repo's
 // performance trajectory.
 //
@@ -24,6 +25,7 @@ import (
 	"fscache/internal/cachearray"
 	"fscache/internal/core"
 	"fscache/internal/futility"
+	"fscache/internal/hashing"
 	"fscache/internal/ost"
 	"fscache/internal/server"
 	"fscache/internal/trace"
@@ -70,6 +72,12 @@ const benchSeed = 0xbe7c4
 // Registry returns every registered benchmark, in stable order.
 func Registry() []Benchmark {
 	return []Benchmark{
+		{Name: "hashing/h3", Doc: "H3.Hash onto 4096 buckets: eight byte-sliced table lookups XORed together",
+			ZeroAlloc: true, Fn: H3Hash},
+		{Name: "cachearray/setassoc-lookup", Doc: "SetAssoc.Lookup, 4096 lines 16-way H3-indexed, resident and absent addresses alternating",
+			ZeroAlloc: true, Fn: SetAssocLookup},
+		{Name: "cachearray/zcache-walk", Doc: "ZCache.Candidates on a full Z4/52 of 4096 lines: up to 52 nodes, ~76 H3 hashes, bitmap dedup",
+			ZeroAlloc: true, Fn: ZCacheWalk},
 		{Name: "ost/insert-delete", Doc: "treap steady-state Insert+Delete pair at 4096 keys (a hit under LFU/OPT/SLRU, an mrc/alloc profiler observation)",
 			ZeroAlloc: true, Fn: OSTInsertDelete},
 		{Name: "ost/rank", Doc: "treap Rank query at 4096 keys (one candidate's futility under LFU/OPT/SLRU, a profiler's stack distance)",
@@ -90,6 +98,8 @@ func Registry() []Benchmark {
 			PerAccess: true, ZeroAlloc: true, Fn: AccessHitLRU},
 		{Name: "core/access-miss-lru", Doc: "Cache.Access miss path (evict+install), exact-LRU FS config",
 			PerAccess: true, ZeroAlloc: true, Fn: AccessMissLRU},
+		{Name: "core/access-miss-z52", Doc: "Cache.Access miss path over a Z4/52 zcache, exact-LRU FS config: walk, 52 ranks, relocations",
+			PerAccess: true, ZeroAlloc: true, Fn: AccessMissZ52},
 		{Name: "core/access-hit-coarse", Doc: "Cache.Access hit path, coarse-TS FS config (§V hardware)",
 			PerAccess: true, ZeroAlloc: true, Fn: AccessHitCoarse},
 		{Name: "core/access-miss-coarse", Doc: "Cache.Access miss path, coarse-TS FS config (§V hardware)",
@@ -128,6 +138,64 @@ func ByName(name string) (Benchmark, bool) {
 		}
 	}
 	return Benchmark{}, false
+}
+
+// ---- hashing, cachearray ----
+
+// H3Hash measures one H3 evaluation over well-spread keys.
+func H3Hash(b *testing.B) {
+	h := hashing.NewH3(benchSeed, cacheLines)
+	var sink uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += h.Hash(uint64(i) * 0x9e3779b97f4a7c15)
+	}
+	benchSink = sink
+}
+
+// SetAssocLookup measures the array's share of a hit (even i: one of the
+// resident addresses) and of a miss's first step (odd i: an absent one).
+func SetAssocLookup(b *testing.B) {
+	arr := setAssoc16()
+	// Even addresses go in while their set has a free way, to half the
+	// capacity; the odd neighbour of each stays absent.
+	var addrs []uint64
+	for addr := uint64(2); len(addrs) < cacheLines/2; addr += 2 {
+		for _, line := range arr.Candidates(addr, nil) {
+			if _, valid := arr.AddrOf(line); !valid {
+				arr.Install(addr, line, nil)
+				addrs = append(addrs, addr)
+				break
+			}
+		}
+	}
+	var sink int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += arr.Lookup(addrs[i%len(addrs)] | uint64(i&1))
+	}
+	benchSink = uint64(sink)
+}
+
+// ZCacheWalk measures the replacement walk alone on a full array; nothing is
+// installed, so every iteration walks the same contents.
+func ZCacheWalk(b *testing.B) {
+	z := cachearray.NewZCache(cacheLines, 4, 3, benchSeed)
+	cands := make([]int, 0, z.MaxCandidates())
+	for addr := uint64(1); addr <= 4*cacheLines; addr++ {
+		if z.Lookup(addr) < 0 {
+			cands = z.Candidates(addr, cands[:0])
+			z.Install(addr, cands[int(addr)%len(cands)], nil)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cands = z.Candidates(uint64(i)|1<<40, cands[:0])
+	}
+	benchSink = uint64(len(cands))
 }
 
 // ---- ost.Tree ----
@@ -287,10 +355,14 @@ const (
 	cacheParts = 2
 )
 
-// benchCache assembles the acceptance configuration: a 16-way set-associative
-// array under feedback Futility Scaling, ranked by kind.
-func benchCache(kind futility.Kind) *core.Cache {
-	arr := cachearray.NewSetAssoc(cacheLines, 16, cachearray.IndexH3, benchSeed)
+// setAssoc16 is the acceptance configuration's array: 16-way, H3-indexed.
+func setAssoc16() *cachearray.SetAssoc {
+	return cachearray.NewSetAssoc(cacheLines, 16, cachearray.IndexH3, benchSeed)
+}
+
+// benchCache assembles arr under feedback Futility Scaling, ranked by kind;
+// over setAssoc16 that is the acceptance configuration.
+func benchCache(arr cachearray.Array, kind futility.Kind) *core.Cache {
 	ranker := futility.New(kind, cacheLines, cacheParts, benchSeed^0x9a)
 	var ref futility.Ranker
 	if rk := futility.Reference(kind); rk != kind {
@@ -335,7 +407,7 @@ func residentSet(c *core.Cache) []uint64 {
 }
 
 func accessHit(b *testing.B, kind futility.Kind) {
-	c := benchCache(kind)
+	c := benchCache(setAssoc16(), kind)
 	addrs := residentSet(c)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -347,8 +419,8 @@ func accessHit(b *testing.B, kind futility.Kind) {
 	}
 }
 
-func accessMiss(b *testing.B, kind futility.Kind) {
-	c := benchCache(kind)
+func accessMiss(b *testing.B, arr cachearray.Array, kind futility.Kind) {
+	c := benchCache(arr, kind)
 	addr := fillCache(c)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -368,11 +440,17 @@ func AccessHitLRU(b *testing.B) { accessHit(b, futility.LRU) }
 // AccessMissLRU measures the miss path with the exact LRU ranker: candidate
 // ranking, FS decision, eviction and install. This is the acceptance
 // benchmark for the zero-allocation replacement pipeline.
-func AccessMissLRU(b *testing.B) { accessMiss(b, futility.LRU) }
+func AccessMissLRU(b *testing.B) { accessMiss(b, setAssoc16(), futility.LRU) }
+
+// AccessMissZ52 measures the miss path at the paper's high-associativity
+// point: a Z4/52 zcache under the exact LRU ranker.
+func AccessMissZ52(b *testing.B) {
+	accessMiss(b, cachearray.NewZCache(cacheLines, 4, 3, benchSeed), futility.LRU)
+}
 
 // AccessHitCoarse measures the hit path in the paper's hardware
 // configuration (coarse timestamps + exact-LRU reference).
 func AccessHitCoarse(b *testing.B) { accessHit(b, futility.CoarseLRU) }
 
 // AccessMissCoarse measures the miss path in the hardware configuration.
-func AccessMissCoarse(b *testing.B) { accessMiss(b, futility.CoarseLRU) }
+func AccessMissCoarse(b *testing.B) { accessMiss(b, setAssoc16(), futility.CoarseLRU) }

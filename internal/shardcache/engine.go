@@ -109,11 +109,11 @@ type stripe struct {
 //fs:lockorder Engine.rmu stripe.mu
 //fs:lockorder Engine.tmu stripe.mu
 type Engine struct {
-	cfg      Config
-	sets     int // global set count = Lines/Ways
-	perShard int // stripes per shard (cfg.Stripes normalized, ≥1)
-	router   *hashing.H3
-	stripes  []*stripe // flat, global stripe index g = shard*perShard + stripe
+	cfg         Config
+	perShard    int // stripes per shard (cfg.Stripes normalized, ≥1)
+	router      *hashing.H3
+	stripeShift uint      // hashing.ShardShift(sets, len(stripes)): set index → stripe
+	stripes     []*stripe // flat, global stripe index g = shard*perShard + stripe
 
 	// tmu guards the cache-wide per-partition goals. It is held only to
 	// read or overwrite the vector, never across stripe locks, so target
@@ -204,9 +204,9 @@ func New(cfg Config) *Engine {
 	}
 	return &Engine{
 		cfg:           cfg,
-		sets:          sets,
 		perShard:      cfg.Stripes,
 		router:        hashing.NewH3(cfg.Seed, sets),
+		stripeShift:   hashing.ShardShift(sets, nStripes),
 		stripes:       stripes,
 		targets:       make([]int, cfg.Parts),
 		spare:         spare,
@@ -249,7 +249,7 @@ func (e *Engine) ShardOf(addr uint64) int {
 // log2(Shards·Stripes)-bit slice of its H3 set index. Because the slice is
 // a prefix, the top log2(Shards) bits are exactly ShardOf.
 func (e *Engine) stripeOf(addr uint64) int {
-	return int(hashing.ShardOf(e.router.Hash(addr), e.sets, len(e.stripes)))
+	return int(e.router.Hash(addr) >> e.stripeShift)
 }
 
 // Access performs one cache access for partition part on the stripe the

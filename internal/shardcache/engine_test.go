@@ -8,6 +8,7 @@ import (
 	"fscache/internal/cachearray"
 	"fscache/internal/core"
 	"fscache/internal/futility"
+	"fscache/internal/hashing"
 	"fscache/internal/trace"
 	"fscache/internal/xrand"
 )
@@ -128,10 +129,14 @@ func runShardedVsMonolithic(t *testing.T, cfg Config) {
 }
 
 // TestShardRouting pins the router: every address lands on a valid shard,
-// the mapping is stable, and with a power-of-two split all shards receive
-// a reasonable fraction of a uniform address stream.
+// the mapping is stable, the stripe is the one hashing.ShardOf defines (the
+// engine shifts by a precomputed amount instead of calling it), and with a
+// power-of-two split all shards receive a reasonable fraction of a uniform
+// address stream.
 func TestShardRouting(t *testing.T) {
-	e := New(testConfig(4))
+	cfg := testConfig(4)
+	cfg.Stripes = 4
+	e := New(cfg)
 	counts := make([]int, e.Shards())
 	rng := xrand.New(7)
 	const n = 1 << 14
@@ -143,6 +148,10 @@ func TestShardRouting(t *testing.T) {
 		}
 		if s2 := e.ShardOf(addr); s2 != s {
 			t.Fatalf("ShardOf(%#x) unstable: %d then %d", addr, s, s2)
+		}
+		want := hashing.ShardOf(e.router.Hash(addr), cfg.Lines/cfg.Ways, cfg.Shards*cfg.Stripes)
+		if g := e.stripeOf(addr); g != int(want) {
+			t.Fatalf("stripeOf(%#x) = %d, hashing.ShardOf says %d", addr, g, want)
 		}
 		counts[s]++
 	}

@@ -8,7 +8,10 @@
 // independent subsystems can own independent, cheaply-created streams.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // SplitMix64 is a tiny splittable generator. It is primarily used to seed
 // other generators and to derive independent streams from a single
@@ -134,7 +137,12 @@ func (r *Rand) Perm(n int) []int {
 // synthetic workloads we want a heavy head (hot lines) and long tail.
 type Zipf struct {
 	cdf []float64
-	r   *Rand
+	// guide[k] is the first rank whose cdf is at least k/G, for G =
+	// len(guide)-1, a power of two no smaller than n: a draw u in
+	// [k/G, (k+1)/G) lands in [guide[k], guide[k+1]], which is all Next
+	// searches.
+	guide []int32
+	r     *Rand
 }
 
 // NewZipf builds a sampler over [0, n) with exponent s > 0 drawing from r.
@@ -152,14 +160,30 @@ func NewZipf(r *Rand, s float64, n int) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf, r: r}
+	g := 1 << bits.Len(uint(n-1))
+	guide := make([]int32, g+1)
+	i := 0
+	for k := range guide {
+		// k/g is exact (g is a power of two); the last rank closes the
+		// search whatever its cdf rounds to.
+		for i < n-1 && cdf[i] < float64(k)/float64(g) {
+			i++
+		}
+		guide[k] = int32(i)
+	}
+	return &Zipf{cdf: cdf, guide: guide, r: r}
 }
 
 // Next draws a rank in [0, n).
-func (z *Zipf) Next() int {
-	u := z.r.Float64()
-	// Binary search for the first index with cdf >= u.
-	lo, hi := 0, len(z.cdf)-1
+func (z *Zipf) Next() int { return z.rank(z.r.Float64()) }
+
+// rank inverts the cdf at u in [0, 1): the first rank whose cdf is at least
+// u, or the last rank.
+func (z *Zipf) rank(u float64) int {
+	// u·G is exact and below G, so k/G <= u < (k+1)/G and the answer of a
+	// search over the whole cdf lies between the two guide entries.
+	k := int(u * float64(len(z.guide)-1))
+	lo, hi := int(z.guide[k]), int(z.guide[k+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if z.cdf[mid] < u {

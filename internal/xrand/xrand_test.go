@@ -148,6 +148,61 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
+// plainSearch is Zipf.rank as it was before the guide table: a binary search
+// over the whole cdf.
+func plainSearch(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+func TestZipfGuideMatchesPlainSearch(t *testing.T) {
+	for _, theta := range []float64{0.8, 0.9, 1.1} {
+		for _, n := range []int{1, 2, 3, 4096, 12288, 65536} {
+			z := NewZipf(New(29), theta, n)
+			g := len(z.guide) - 1
+			if g < n || g&(g-1) != 0 || (g > 1 && g/2 >= n) {
+				t.Fatalf("theta %v n %d: guide has %d intervals", theta, n, g)
+			}
+			check := func(u float64) {
+				t.Helper()
+				if u < 0 || u >= 1 {
+					return
+				}
+				if got, want := z.rank(u), plainSearch(z.cdf, u); got != want {
+					t.Fatalf("theta %v n %d: rank(%v) = %d, plain search %d", theta, n, u, got, want)
+				}
+			}
+			// Where the guided range changes, and where the answer does.
+			for k := 0; k <= g; k++ {
+				b := float64(k) / float64(g)
+				check(math.Nextafter(b, -1))
+				check(b)
+				check(math.Nextafter(b, 2))
+			}
+			for _, c := range z.cdf {
+				check(math.Nextafter(c, -1))
+				check(c)
+				check(math.Nextafter(c, 2))
+			}
+			// Next itself, against a twin stream.
+			twin := New(29)
+			for i := 0; i < 100000; i++ {
+				if got, want := z.Next(), plainSearch(z.cdf, twin.Float64()); got != want {
+					t.Fatalf("theta %v n %d: draw %d = %d, plain search %d", theta, n, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestZipfHigherSMoreSkewed(t *testing.T) {
 	r1, r2 := New(19), New(19)
 	z1 := NewZipf(r1, 0.5, 100)
