@@ -18,11 +18,11 @@ var ErrInjectedReset = errors.New("faultinject: injected connection reset")
 // NetInjector. All probabilities are per Write (or per Read for StallRead)
 // and must be in [0, 1).
 //
-// The write-side faults assume the wrapped connection carries one protocol
-// frame per Write call — which is how both internal/server and the fsload
-// network client write — so "flip a bit in the first four bytes" is
-// precisely "corrupt the length prefix" without the injector having to
-// parse the stream.
+// The write-side faults assume every Write call starts on a protocol frame
+// boundary — the fsload network client writes one frame per call,
+// internal/server one batch of whole frames — so "flip a bit in the first
+// four bytes" is precisely "corrupt a length prefix" without the injector
+// having to parse the stream.
 type NetFaults struct {
 	// Reset closes the connection instead of writing the frame.
 	Reset float64

@@ -126,7 +126,11 @@ func Registry() []Benchmark {
 		{Name: "server/admission-decide", Doc: "degradation-ladder walk, calm regime (per-request admission overhead)",
 			ZeroAlloc: true, Fn: server.BenchAdmissionDecide},
 		{Name: "server/loopback-rpc", Doc: "synchronous GET round trip over TCP loopback against a live server",
-			Fn: server.BenchLoopbackRPC},
+			ZeroAlloc: true, Fn: server.BenchLoopbackRPC},
+		{Name: "server/loopback-pipelined", Doc: "loopback-rpc with 16 GETs per client write, per request: one engine batch, one response write",
+			ZeroAlloc: true, Fn: server.BenchLoopbackPipelined},
+		{Name: "server/store-set-get", Doc: "byte store overwrite + read of a 1 KiB value: in-place Put, Get copying out under the shard lock",
+			ZeroAlloc: true, Fn: server.BenchStoreSetGet},
 	}
 }
 

@@ -118,20 +118,20 @@ func TestStoreBasics(t *testing.T) {
 	s := newStore(4)
 	k := []byte("alpha")
 	addr := hashKey(k)
-	if _, ok := s.Get(addr, k); ok {
+	if _, ok := s.Get(addr, k, nil); ok {
 		t.Fatal("empty store returned a value")
 	}
 	s.Put(addr, k, []byte("v1"))
-	if v, ok := s.Get(addr, k); !ok || string(v) != "v1" {
+	if v, ok := s.Get(addr, k, nil); !ok || string(v) != "v1" {
 		t.Fatalf("got %q,%v", v, ok)
 	}
 	// Same address, different key (simulated hash collision): the store
 	// must refuse to serve another key's bytes.
-	if _, ok := s.Get(addr, []byte("beta")); ok {
+	if _, ok := s.Get(addr, []byte("beta"), nil); ok {
 		t.Fatal("collision returned wrong key's bytes")
 	}
 	s.Put(addr, k, []byte("v2-longer"))
-	if v, _ := s.Get(addr, k); string(v) != "v2-longer" {
+	if v, _ := s.Get(addr, k, nil); string(v) != "v2-longer" {
 		t.Fatalf("overwrite lost: %q", v)
 	}
 	entries, bytes := s.Stats()

@@ -19,8 +19,12 @@ package server
 // Semantics: within a run, every byte-store read happens before the engine
 // pass. Request j can therefore read bytes for a key that request i<j's
 // engine access then evicts — the same window the per-request path already
-// tolerates for concurrent connections (see the OpGet comment in handle);
-// the eviction's store.Delete still runs before any response is sent.
+// tolerates for concurrent connections: if the engine evicted the line since
+// the bytes were read, the access re-installs it (a refetch) and may
+// victimize another line, whose bytes must go. The eviction's store.Delete
+// still runs before any response is sent. The bytes themselves are copied
+// out under the store's lock (see store.go), so a run's values stay intact
+// whatever happens to their entries during the engine pass.
 
 import (
 	"encoding/binary"
@@ -45,7 +49,8 @@ type getBatch struct {
 	frames  [][]byte   // arena: frame buffer per slot (slot 0 unused; the head frame is the readLoop's)
 	reqs    []Request  // parsed requests, submission order
 	resps   []Response // responses, same order
-	vals    [][]byte   // byte-store value per request (nil until found)
+	vals    [][]byte   // byte-store value per request (nil until found), a slice of arena
+	arena   []byte     // the run's value bytes, copied out of the store
 	accs    []shardcache.Access
 	accIdx  []int32 // accs[j] drives reqs[accIdx[j]]
 	results []core.AccessResult
@@ -65,32 +70,40 @@ func newGetBatch(e *shardcache.Engine) *getBatch {
 	}
 }
 
-// nextPipelinedGet reports whether the connection's next frame is already
-// fully buffered and is a GET, peeking the length prefix, version and op
-// without consuming anything.
-func (c *conn) nextPipelinedGet() bool {
+// nextBuffered reports whether the connection's next frame is already fully
+// buffered — reading it cannot block — and whether it is also a GET,
+// peeking the length prefix, version and op without consuming anything.
+func (c *conn) nextBuffered() (whole, get bool) {
 	const peekLen = lenPrefixSize + 2 // prefix + version + op
 	if c.br.Buffered() < peekLen {
-		return false
+		return false, false
 	}
 	pfx, err := c.br.Peek(peekLen)
 	if err != nil {
-		return false
+		return false, false
 	}
 	n := int(binary.LittleEndian.Uint32(pfx))
 	if n < reqHeaderSize || n > MaxFrame {
-		return false // damaged prefix: let the normal path classify it
+		return false, false // damaged prefix: let the normal path classify it
 	}
 	if c.br.Buffered() < lenPrefixSize+n {
-		return false // frame still arriving; do not block on it
+		return false, false // frame still arriving; do not block on it
 	}
-	return pfx[lenPrefixSize] == Version && Op(pfx[lenPrefixSize+1]) == OpGet
+	return true, pfx[lenPrefixSize] == Version && Op(pfx[lenPrefixSize+1]) == OpGet
+}
+
+// get copies key's value out of the store onto the run's arena. A slice
+// returned earlier stays valid when the arena grows: it keeps the old array.
+func (b *getBatch) get(st *store, addr uint64, key []byte) (val []byte, found bool) {
+	start := len(b.arena)
+	b.arena, found = st.Get(addr, key, b.arena)
+	return b.arena[start:], found
 }
 
 // handleGetRun executes head plus every immediately-following fully-buffered
 // pipelined GET as one batched engine submission, sending all responses in
 // order. It returns false when the connection must drop (slow client).
-func (c *conn) handleGetRun(head *Request, respBuf *[]byte) bool {
+func (c *conn) handleGetRun(head *Request) bool {
 	s := c.srv
 	b := c.gb
 	if b == nil {
@@ -101,7 +114,10 @@ func (c *conn) handleGetRun(head *Request, respBuf *[]byte) bool {
 	// Collect: head, then the run of buffered GETs.
 	b.reqs = b.reqs[:0]
 	b.reqs = append(b.reqs, *head)
-	for len(b.reqs) < batchMax && c.nextPipelinedGet() {
+	for len(b.reqs) < batchMax {
+		if _, get := c.nextBuffered(); !get {
+			break
+		}
 		i := len(b.reqs)
 		frame, err := ReadFrame(c.br, b.frames[i])
 		b.frames[i] = frame
@@ -122,6 +138,7 @@ func (c *conn) handleGetRun(head *Request, respBuf *[]byte) bool {
 	b.resps = b.resps[:len(b.reqs)]
 	b.accs = b.accs[:0]
 	b.accIdx = b.accIdx[:0]
+	b.arena = b.arena[:0]
 
 	// Decide: admission, deadlines and byte-store reads, no engine locks.
 	for i := range b.reqs {
@@ -150,8 +167,10 @@ func (c *conn) handleGetRun(head *Request, respBuf *[]byte) bool {
 			resp.Status = StatusShed
 			continue
 		case vStale:
-			addr := hashKey(req.Key)
-			if val, found := s.store.Get(addr, req.Key); found {
+			// Degraded fast path: bytes only, no engine locks, no recency
+			// update. Guaranteed tenants keep answering while the engine is
+			// the bottleneck.
+			if val, found := b.get(s.store, hashKey(req.Key), req.Key); found {
 				resp.Flags |= FlagStale
 				resp.Value = val
 			} else {
@@ -168,7 +187,7 @@ func (c *conn) handleGetRun(head *Request, respBuf *[]byte) bool {
 			continue
 		}
 		addr := hashKey(req.Key)
-		val, found := s.store.Get(addr, req.Key)
+		val, found := b.get(s.store, addr, req.Key)
 		if !found {
 			t.misses.Add(1)
 			resp.Status = StatusNotFound
@@ -223,9 +242,12 @@ func (c *conn) handleGetRun(head *Request, respBuf *[]byte) bool {
 	c.hmu.Unlock()
 
 	for i := range b.resps {
-		if !c.send(&b.resps[i], respBuf) {
+		if !c.send(&b.resps[i]) {
 			return false
 		}
+	}
+	if cap(b.arena) > bufKeep {
+		b.arena = nil // grew for large values; do not hold on to it
 	}
 	return true
 }

@@ -8,6 +8,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -66,7 +67,14 @@ func BenchAdmissionDecide(b *testing.B) {
 // loopback against a live server — codec, admission, store, engine and
 // both connection goroutines included. This is RPC latency, not engine
 // throughput; loopback scheduling dominates.
-func BenchLoopbackRPC(b *testing.B) {
+func BenchLoopbackRPC(b *testing.B) { benchLoopback(b, 1) }
+
+// BenchLoopbackPipelined is BenchLoopbackRPC with 16 GETs per client write,
+// reported per request: one engine batch and one response write per round
+// trip, so the server's per-request code is what is left.
+func BenchLoopbackPipelined(b *testing.B) { benchLoopback(b, 16) }
+
+func benchLoopback(b *testing.B, depth int) {
 	srv, err := New(Config{
 		Addr: "127.0.0.1:0",
 		Tenants: []TenantConfig{
@@ -92,34 +100,64 @@ func BenchLoopbackRPC(b *testing.B) {
 	defer nc.Close()
 	br := bufio.NewReader(nc)
 
+	// trip writes n copies of req in one write and checks the n replies.
 	var frame, payload []byte
-	rpc := func(req *Request) Response {
-		frame = AppendRequest(frame[:0], req)
+	var seq uint32
+	trip := func(req *Request, n int) {
+		frame = frame[:0]
+		for i := 0; i < n; i++ {
+			req.Seq = seq + uint32(i)
+			frame = AppendRequest(frame, req)
+		}
 		if _, err := nc.Write(frame); err != nil {
 			b.Fatal(err)
 		}
-		var err error
-		payload, err = ReadFrame(br, payload)
-		if err != nil {
-			b.Fatal(err)
+		for i := 0; i < n; i++ {
+			var err error
+			if payload, err = ReadFrame(br, payload); err != nil {
+				b.Fatal(err)
+			}
+			resp, err := ParseResponse(payload)
+			if err != nil || resp.Status != StatusOK || resp.Seq != seq+uint32(i) {
+				b.Fatalf("%v: status %v seq %d (want %d): %v", req.Op, resp.Status, resp.Seq, seq+uint32(i), err)
+			}
 		}
-		resp, err := ParseResponse(payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return resp
+		seq += uint32(n)
 	}
-	set := Request{Op: OpSet, Tenant: 0, Seq: 1, Key: []byte("bench"), Value: []byte("payload")}
-	if resp := rpc(&set); resp.Status != StatusOK {
-		b.Fatalf("prime set: %v", resp.Status)
-	}
+	trip(&Request{Op: OpSet, Tenant: 0, Key: []byte("bench"), Value: []byte("payload")}, 1)
 	get := Request{Op: OpGet, Tenant: 0, Key: []byte("bench")}
+	trip(&get, depth) // sizes every reused buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += depth {
+		trip(&get, depth)
+	}
+}
+
+// BenchStoreSetGet measures the byte store alone: one overwrite and one
+// read of a 1 KiB value per op over a resident key set. Overwrites land in
+// place and reads copy into caller scratch, so nothing is allocated.
+func BenchStoreSetGet(b *testing.B) {
+	const keys = 1024
+	s := newStore(16)
+	val := bytes.Repeat([]byte{0xA5}, 1024)
+	var key [keys][]byte
+	var addr [keys]uint64
+	for i := range key {
+		key[i] = []byte(fmt.Sprintf("store-key-%04d", i))
+		addr[i] = hashKey(key[i])
+		s.Put(addr[i], key[i], val)
+	}
+	dst := make([]byte, 0, len(val))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		get.Seq = uint32(i + 2)
-		if resp := rpc(&get); resp.Status != StatusOK {
-			b.Fatalf("get: %v", resp.Status)
+		k := i % keys
+		val[0] = byte(i)
+		s.Put(addr[k], key[k], val)
+		got, ok := s.Get(addr[k], key[k], dst[:0])
+		if !ok || got[0] != byte(i) {
+			b.Fatalf("key %d: found %v", k, ok)
 		}
 	}
 }

@@ -101,21 +101,23 @@ func (m *serverModel) diff(s *Server) string {
 	return ""
 }
 
-// waitQuiet waits until no response is in flight and at most live
-// connections remain, i.e. until the server has applied everything it will
-// apply of what was sent so far.
-func waitQuiet(t *testing.T, s *Server, live int) {
+// waitQuiet waits until the server has accepted all dials connections made
+// so far, no response is in flight and at most live connections remain, i.e.
+// until it has applied everything it will apply of what was sent so far.
+func waitQuiet(t *testing.T, s *Server, dials uint64, live int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
+		accepted := s.accepted.Load()
 		s.mu.Lock()
 		n := len(s.conns)
 		s.mu.Unlock()
-		if n <= live && s.adm.inflight.Load() == 0 {
+		if accepted == dials && n <= live && s.adm.inflight.Load() == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("server not quiet: %d live conns, inflight %d", n, s.adm.inflight.Load())
+			t.Fatalf("server not quiet: %d of %d dials accepted, %d live conns, inflight %d",
+				accepted, dials, n, s.adm.inflight.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -162,8 +164,10 @@ func runModel(t *testing.T, s *Server, dial func() net.Conn, seed uint64, rounds
 	var br *bufio.Reader
 	var payload []byte
 	broken := 0
+	var dials uint64
 	for round := 0; round < rounds; round++ {
 		if nc == nil {
+			dials++
 			nc = dial()
 			br = bufio.NewReader(nc)
 		}
@@ -216,7 +220,7 @@ func runModel(t *testing.T, s *Server, dial func() net.Conn, seed uint64, rounds
 		broken++
 		_ = nc.Close()
 		nc = nil
-		waitQuiet(t, s, 0)
+		waitQuiet(t, s, dials, 0)
 		j := answered
 		for model.diff(s) != "" {
 			if j == len(reqs) {
@@ -236,7 +240,7 @@ func runModel(t *testing.T, s *Server, dial func() net.Conn, seed uint64, rounds
 	if nc != nil {
 		live = 1
 	}
-	waitQuiet(t, s, live)
+	waitQuiet(t, s, dials, live)
 	s.mu.Lock()
 	for c := range s.conns {
 		if p := c.pending.Load(); p != 0 {

@@ -43,7 +43,8 @@ type Config struct {
 	// HardInflight is the reject watermark: at or above it, every request
 	// gets StatusOverload. Default 4×SoftInflight.
 	HardInflight int
-	// WriteQueue bounds each connection's queued response frames; a full
+	// WriteQueue bounds each connection's queued response batches (one
+	// batch is one socket write of up to outMaxResps responses); a full
 	// queue is backpressure from a slow client. Default 64.
 	WriteQueue int
 	// EnqueueTimeout is how long a handler blocks on a full write queue
@@ -53,7 +54,7 @@ type Config struct {
 	// ReadTimeout bounds how long the server waits for a complete frame
 	// (idle time and slow-loris partial frames both count). Default 60s.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds one response frame write. Default 10s.
+	// WriteTimeout bounds one response batch write. Default 10s.
 	WriteTimeout time.Duration
 	// Rebalance is the engine target-redistribution cadence; 0 disables
 	// the background rebalancer.
@@ -144,21 +145,31 @@ type Server struct {
 	forcedConns atomic.Uint64
 }
 
-// conn is one client connection: a reader goroutine that parses frames and
-// runs handlers synchronously, and a writer goroutine draining the bounded
-// response queue. The reader is the only producer on writeQ, so closing it
-// after the last enqueue is race-free.
+// conn is one client connection: a reader goroutine that parses frames,
+// runs handlers synchronously and batches their responses, and a writer
+// goroutine draining the bounded batch queue, one socket write per batch.
+// The reader is the only producer on writeQ, so closing it after the last
+// enqueue is race-free.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 	// br buffers nc for the reader; buffered bytes are what make pipelined
-	// GET runs visible (see batch.go). Reader-goroutine-owned, like gb.
+	// GET runs visible (see batch.go) and what tell the reader it is about
+	// to block. Reader-goroutine-owned, like gb, req, out and outN.
 	br *bufio.Reader
 	// gb is the pipelined-GET batching scratch, allocated on first use.
 	gb *getBatch
+	// req is the request being handled; one per connection because its
+	// address reaches cfg.testHook, which would move a local to the heap.
+	req Request
+	// out holds the outN responses encoded since the last flush.
+	out  []byte
+	outN int
 
-	writeQ  chan []byte
-	pending atomic.Int64 // responses enqueued but not yet written
+	writeQ chan outBatch
+	// free returns written buffers from the writer to the reader.
+	free    chan []byte
+	pending atomic.Int64 // responses sent but not yet written
 
 	hmu sync.Mutex
 	//fs:guardedby hmu
@@ -271,13 +282,6 @@ func (s *Server) installCount() uint64 {
 	return s.rb.Installs()
 }
 
-// observe feeds one engine access to the configured allocator hook.
-func (s *Server) observe(part int, addr uint64) {
-	if s.cfg.Observe != nil {
-		s.cfg.Observe(part, addr)
-	}
-}
-
 func (s *Server) logf(format string, args ...interface{}) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
@@ -298,17 +302,20 @@ func (s *Server) acceptLoop() {
 			_ = nc.Close()
 			continue
 		}
-		s.accepted.Add(1)
 		c := &conn{
 			srv:    s,
 			nc:     nc,
 			br:     bufio.NewReaderSize(nc, 1<<14),
-			writeQ: make(chan []byte, s.cfg.WriteQueue),
+			writeQ: make(chan outBatch, s.cfg.WriteQueue),
+			free:   make(chan []byte, freeRing),
 			hist:   stats.NewHistogram(latBuckets),
 		}
 		s.mu.Lock()
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
+		// Counted once registered: accepted == n means n connections are,
+		// or have been, in conns.
+		s.accepted.Add(1)
 		s.connWG.Add(2)
 		go c.readLoop()
 		go c.writeLoop()
@@ -332,28 +339,58 @@ func (s *Server) removeConn(c *conn) {
 	s.mu.Unlock()
 }
 
-// readLoop parses frames and runs handlers synchronously. Any panic in a
-// handler is contained to this connection: it is counted, logged, and the
-// connection dies, while the server and every other connection keep going.
+// Response batching. The reader flushes out when it is about to block on
+// the socket, so an unpipelined client is answered at once; outMaxBytes and
+// outMaxResps keep a head response from waiting behind an unbounded burst.
+// freeRing sizes the writer-to-reader buffer ring, and a buffer that grew
+// past bufKeep for one large value is dropped instead of recycled.
+const (
+	outMaxBytes = 32 << 10
+	outMaxResps = 64
+	freeRing    = 4
+	bufKeep     = 64 << 10
+)
+
+// outBatch is one queue item and one socket write: n encoded responses.
+type outBatch struct {
+	buf []byte
+	n   int
+}
+
+// readLoop parses frames, runs handlers synchronously and flushes their
+// responses before it blocks. Any panic in a handler is contained to this
+// connection: it is counted, logged, and the connection dies, while the
+// server and every other connection keep going.
 func (c *conn) readLoop() {
 	defer c.srv.connWG.Done()
 	defer func() {
 		if r := recover(); r != nil {
-			c.srv.panics.Add(1)
+			// Logged before counted: whoever observes the count may read
+			// what Logf wrote.
 			c.srv.logf("server: panic on %s (connection dropped): %v", c.nc.RemoteAddr(), r)
+			c.srv.panics.Add(1)
 		}
-		// Reader is the sole producer: once it returns, closing writeQ
-		// lets the writer flush what is queued and exit.
+		// Reader is the sole producer: once it has flushed and returns,
+		// closing writeQ lets the writer write what is queued and exit.
+		c.flush()
 		close(c.writeQ)
 		c.srv.removeConn(c)
 	}()
 	var frame []byte
-	var respBuf []byte
+	req := &c.req
 	for {
+		if whole, _ := c.nextBuffered(); !whole {
+			// About to block. The deadline is armed before draining is
+			// read so that Shutdown's wake-up (flag, then an expired
+			// deadline) cannot be overwritten unseen.
+			if !c.flush() {
+				return
+			}
+			_ = c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.ReadTimeout))
+		}
 		if c.srv.draining.Load() {
 			return
 		}
-		_ = c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.ReadTimeout))
 		var err error
 		frame, err = ReadFrame(c.br, frame)
 		if err != nil {
@@ -366,49 +403,64 @@ func (c *conn) readLoop() {
 			}
 			return
 		}
-		req, err := ParseRequest(frame)
+		*req, err = ParseRequest(frame)
 		if err != nil {
 			// The frame boundary was intact (length prefix consumed the
 			// right bytes), so the stream is still framed: answer
 			// bad-request and keep the connection.
 			c.srv.badFrames.Add(1)
-			if !c.send(&Response{Status: StatusBadRequest, Seq: req.Seq}, &respBuf) {
+			if !c.send(&Response{Status: StatusBadRequest, Seq: req.Seq}) {
 				return
 			}
 			continue
 		}
 		if c.srv.draining.Load() {
-			_ = c.send(&Response{Status: StatusDraining, Tenant: req.Tenant, Seq: req.Seq}, &respBuf)
+			_ = c.send(&Response{Status: StatusDraining, Tenant: req.Tenant, Seq: req.Seq})
 			return
 		}
 		if req.Op == OpGet {
 			// GETs take the batched path: this request plus any pipelined
 			// GET frames already buffered become one engine submission.
-			if !c.handleGetRun(&req, &respBuf) {
+			if !c.handleGetRun(req) {
 				return
 			}
 			continue
 		}
-		resp, ok := c.handle(&req)
-		if !c.send(&resp, &respBuf) {
-			return
-		}
-		if !ok {
+		resp, ok := c.handle(req)
+		if !c.send(&resp) || !ok {
 			return
 		}
 	}
 }
 
-// send encodes resp and enqueues it with bounded backpressure. It returns
-// false when the connection must drop (slow client). The frame buffer is
-// handed to the writer, so *bufp is reset to a fresh slice.
-func (c *conn) send(resp *Response, bufp *[]byte) bool {
-	buf := AppendResponse((*bufp)[:0], resp)
-	*bufp = nil // buffer ownership moves to the writer
+// send encodes resp onto the pending batch, flushing when the batch is
+// full. It returns false when the connection must drop (slow client).
+func (c *conn) send(resp *Response) bool {
+	c.out = AppendResponse(c.out, resp)
+	c.outN++
 	c.srv.adm.inflight.Add(1)
 	c.pending.Add(1)
+	if len(c.out) < outMaxBytes && c.outN < outMaxResps {
+		return true
+	}
+	return c.flush()
+}
+
+// flush hands the pending batch to the writer with bounded backpressure
+// and takes a recycled buffer for the next one. It returns false when the
+// connection must drop (slow client).
+func (c *conn) flush() bool {
+	if c.outN == 0 {
+		return true
+	}
+	b := outBatch{c.out, c.outN}
+	c.out, c.outN = nil, 0
 	select {
-	case c.writeQ <- buf:
+	case c.out = <-c.free:
+	default:
+	}
+	select {
+	case c.writeQ <- b:
 		return true
 	default:
 	}
@@ -418,34 +470,40 @@ func (c *conn) send(resp *Response, bufp *[]byte) bool {
 	t := time.NewTimer(c.srv.cfg.EnqueueTimeout)
 	defer t.Stop()
 	select {
-	case c.writeQ <- buf:
+	case c.writeQ <- b:
 		return true
 	case <-t.C:
+		c.srv.adm.inflight.Add(int64(-b.n))
+		c.pending.Add(int64(-b.n))
 		c.srv.slowClients.Add(1)
-		c.srv.adm.inflight.Add(-1)
-		c.pending.Add(-1)
 		c.srv.logf("server: slow client %s (write queue full for %v), dropping",
 			c.nc.RemoteAddr(), c.srv.cfg.EnqueueTimeout)
 		return false
 	}
 }
 
-// writeLoop drains the response queue. After a write error it keeps
-// draining so in-flight accounting still reaches zero, it just stops
-// touching the dead socket.
+// writeLoop drains the batch queue. After a write error it keeps draining
+// so in-flight accounting still reaches zero, it just stops touching the
+// dead socket.
 func (c *conn) writeLoop() {
 	defer c.srv.connWG.Done()
 	defer func() { _ = c.nc.Close() }()
 	dead := false
-	for buf := range c.writeQ {
+	for b := range c.writeQ {
 		if !dead {
 			_ = c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
-			if _, err := c.nc.Write(buf); err != nil {
+			if _, err := c.nc.Write(b.buf); err != nil {
 				dead = true
 			}
 		}
-		c.srv.adm.inflight.Add(-1)
-		c.pending.Add(-1)
+		c.srv.adm.inflight.Add(int64(-b.n))
+		c.pending.Add(int64(-b.n))
+		if cap(b.buf) <= bufKeep {
+			select {
+			case c.free <- b.buf[:0]:
+			default:
+			}
+		}
 	}
 }
 
@@ -503,18 +561,6 @@ func (c *conn) handle(req *Request) (resp Response, ok bool) {
 	case vShed:
 		resp.Status = StatusShed
 		return resp, true
-	case vStale:
-		// Degraded fast path: bytes only, no engine locks, no recency
-		// update. Guaranteed tenants keep answering while the engine is
-		// the bottleneck.
-		addr := hashKey(req.Key)
-		if val, found := s.store.Get(addr, req.Key); found {
-			resp.Flags |= FlagStale
-			resp.Value = val
-		} else {
-			resp.Status = StatusNotFound
-		}
-		return resp, true
 	}
 
 	if s.cfg.testHook != nil {
@@ -529,30 +575,11 @@ func (c *conn) handle(req *Request) (resp Response, ok bool) {
 	addr := hashKey(req.Key)
 	part := int(req.Tenant)
 	switch req.Op {
-	case OpGet:
-		val, found := s.store.Get(addr, req.Key)
-		if !found {
-			t.misses.Add(1)
-			resp.Status = StatusNotFound
-			return resp, true
-		}
-		// Drive the simulated replacement decision for the hit; if the
-		// engine evicted the line since the bytes were read this access
-		// re-installs it (a refetch) and may victimize another line,
-		// whose bytes must go.
-		res := s.engine.Access(addr, part)
-		s.observe(part, addr)
-		if res.Evicted {
-			s.store.Delete(res.EvictedAddr)
-		}
-		if res.Hit {
-			resp.Flags |= FlagHit
-		}
-		t.hits.Add(1)
-		resp.Value = val
 	case OpSet:
 		res := s.engine.Access(addr, part)
-		s.observe(part, addr)
+		if s.cfg.Observe != nil {
+			s.cfg.Observe(part, addr)
+		}
 		if res.Evicted {
 			s.store.Delete(res.EvictedAddr)
 		}
@@ -574,8 +601,6 @@ func (c *conn) handle(req *Request) (resp Response, ok bool) {
 		// success as fresh.
 		t.deadlined.Add(1)
 		resp.Status = StatusDeadline
-		resp.Flags = 0
-		resp.Value = nil
 	}
 	return resp, true
 }

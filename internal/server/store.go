@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math/bits"
 	"sync"
 
 	"fscache/internal/xrand"
@@ -23,6 +24,13 @@ import (
 //
 // The store is sharded by address so connection goroutines do not fight
 // over one map lock; shard count is fixed at construction (power of two).
+//
+// Ownership: a value's bytes are valid only under its shard's lock. Put
+// overwrites them in place, and a deleted or replaced entry's buffer is
+// parked on the shard's free list for the next Put to fill, so Get copies
+// out under the lock and nothing outside the store ever aliases an entry.
+// A churning store therefore produces no garbage; the free list is bounded
+// by 1/freeFrac of the shard's live bytes.
 type store struct {
 	shards []storeShard
 	mask   uint64
@@ -34,6 +42,65 @@ type storeShard struct {
 	m map[uint64]storeEntry
 	//fs:guardedby mu
 	bytes int64
+	// free[c] holds the parked buffers of capacity class c, freeBytes their
+	// total capacity.
+	//fs:guardedby mu
+	free [valClasses][][]byte
+	//fs:guardedby mu
+	freeBytes int64
+}
+
+// freeFrac bounds a shard's parked capacity to bytes/freeFrac; valClasses
+// covers values up to MaxFrame.
+const (
+	freeFrac   = 8
+	valClasses = 4*(20-4) + 1
+)
+
+// valClass maps a value length to its buffer's capacity class and
+// capacity: four steps per power of two from 16 B up, so a buffer wastes
+// under a fifth of itself and any buffer of a class holds any value of it.
+func valClass(n int) (class, size int) {
+	if n <= 16 {
+		return 0, 16
+	}
+	k := bits.Len(uint(n - 1)) // 2^(k-1) < n ≤ 2^k
+	step := 1 << (k - 3)
+	size = (n + step - 1) &^ (step - 1)
+	return 4*(k-5) + size>>(k-3) - 4, size
+}
+
+// pop takes a parked buffer of the class, or returns nil.
+//
+//fs:callerholds mu
+func (sh *storeShard) pop(class int) []byte {
+	l := sh.free[class]
+	if len(l) == 0 {
+		return nil
+	}
+	buf := l[len(l)-1]
+	l[len(l)-1] = nil
+	sh.free[class] = l[:len(l)-1]
+	sh.freeBytes -= int64(cap(buf))
+	return buf
+}
+
+// park puts buf (nil: nothing) on the free list, then drops parked buffers,
+// largest class first, until the list is back within its bound. Every
+// change to sh.bytes is followed by a park, which is what keeps the bound.
+//
+//fs:callerholds mu
+func (sh *storeShard) park(buf []byte) {
+	if buf != nil {
+		class, _ := valClass(cap(buf))
+		sh.free[class] = append(sh.free[class], buf)
+		sh.freeBytes += int64(cap(buf))
+	}
+	for class := valClasses - 1; sh.freeBytes > sh.bytes/freeFrac; {
+		if sh.pop(class) == nil {
+			class--
+		}
+	}
 }
 
 type storeEntry struct {
@@ -73,29 +140,42 @@ func (s *store) shard(addr uint64) *storeShard {
 	return &s.shards[addr&s.mask]
 }
 
-// Get returns the value stored for addr if its key matches.
-func (s *store) Get(addr uint64, key []byte) ([]byte, bool) {
+// Get appends the value stored for addr to dst if its key matches, and
+// returns the extended slice.
+func (s *store) Get(addr uint64, key, dst []byte) ([]byte, bool) {
 	sh := s.shard(addr)
 	sh.mu.RLock()
 	e, ok := sh.m[addr]
-	sh.mu.RUnlock()
-	if !ok || e.key != string(key) {
-		return nil, false
+	ok = ok && e.key == string(key)
+	if ok {
+		dst = append(dst, e.val...)
 	}
-	return e.val, true
+	sh.mu.RUnlock()
+	return dst, ok
 }
 
-// Put stores value bytes for addr (copying both key and value out of the
-// frame buffer) and returns the store's byte-count delta.
+// Put stores value bytes for addr, copying both key and value out of the
+// frame buffer: into the entry's own buffer when that is of the right
+// class, else into a parked or new one.
 func (s *store) Put(addr uint64, key, val []byte) {
-	e := storeEntry{key: string(key), val: append([]byte(nil), val...)}
+	class, size := valClass(len(val))
 	sh := s.shard(addr)
 	sh.mu.Lock()
-	if old, ok := sh.m[addr]; ok {
-		sh.bytes -= int64(len(old.key) + len(old.val))
+	e := sh.m[addr] // the zero entry when absent
+	sh.bytes += int64(len(key) + len(val) - len(e.key) - len(e.val))
+	if e.key != string(key) { // new entry, or a colliding key's
+		e.key = string(key)
 	}
+	var old []byte
+	if cap(e.val) != size {
+		old, e.val = e.val, sh.pop(class)
+		if e.val == nil {
+			e.val = make([]byte, 0, size)
+		}
+	}
+	e.val = append(e.val[:0], val...)
 	sh.m[addr] = e
-	sh.bytes += int64(len(e.key) + len(e.val))
+	sh.park(old)
 	sh.mu.Unlock()
 }
 
@@ -107,6 +187,7 @@ func (s *store) Delete(addr uint64) bool {
 	if ok {
 		sh.bytes -= int64(len(e.key) + len(e.val))
 		delete(sh.m, addr)
+		sh.park(e.val)
 	}
 	sh.mu.Unlock()
 	return ok
