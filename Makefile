@@ -114,19 +114,21 @@ serve:
 # End-to-end serving-layer soak under the race detector: a race-built
 # fsserve with listener-side fault injection, a faulty closed-loop fsload
 # fleet with error-rate and occupancy gates (DESIGN.md §14), then a SIGTERM
-# drain that must come back clean (fsserve exits 1 on a forced drain). CI's
-# server job runs the same shape with a shorter duration.
+# drain that must come back clean (fsserve exits 1 on a forced drain). The
+# EXIT trap kills the server on any earlier failure, so a failed gate does not
+# leave it running. CI's server job runs the same shape with a shorter duration.
 netsoak:
 	@set -e; \
-	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	tmp=$$(mktemp -d); pid=; \
+	trap '[ -z "$$pid" ] || kill $$pid 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
 	$(GO) build -race -o "$$tmp/fsserve" ./cmd/fsserve; \
 	$(GO) build -race -o "$$tmp/fsload" ./cmd/fsload; \
 	"$$tmp/fsserve" -addr 127.0.0.1:0 -addrfile "$$tmp/addr" -lines 512 \
 		-tenants g:0,b:0 -targets 342,170 -faults & pid=$$!; \
 	for i in $$(seq 1 50); do [ -s "$$tmp/addr" ] && break; sleep 0.1; done; \
-	[ -s "$$tmp/addr" ] || { echo "fsserve never wrote its address" >&2; kill $$pid; exit 1; }; \
+	[ -s "$$tmp/addr" ] || { echo "fsserve never wrote its address" >&2; exit 1; }; \
 	"$$tmp/fsload" -net "$$(cat "$$tmp/addr")" -workers 4 -keys 4096 -duration 3s \
 		-deadline 50ms -hedge 20ms -faults -maxerr 0.05 -maxocc 0.25; \
-	kill -TERM $$pid; wait $$pid
+	kill -TERM $$pid; wait $$pid; pid=
 
 check: build lint test race

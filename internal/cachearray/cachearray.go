@@ -65,7 +65,10 @@ type Array interface {
 	//fs:allocfree
 	AddrOf(line int) (addr uint64, valid bool)
 	// Install stores addr in victim (evicting its content), appends any
-	// relocations performed to moves and returns the extended slice.
+	// relocations performed to moves and returns the extended slice. The
+	// controller does not look addr up again: it lands in victim when no
+	// relocation is appended, and otherwise in the From line of the last one
+	// (the root a zcache walk vacated).
 	//fs:allocfree
 	Install(addr uint64, victim int, moves []Move) []Move
 }

@@ -105,6 +105,50 @@ func TestLookupAfterInstall(t *testing.T) {
 	}
 }
 
+// TestInstallLandingLine pins the rule the controller uses in place of a
+// second Lookup (Array.Install): the installed address sits in the victim
+// when Install reports no move and in the last move's From line otherwise.
+// Victims rotate through the candidate list so a zcache is driven both
+// through its roots (no relocation) and down its walk (one or two moves).
+func TestInstallLandingLine(t *testing.T) {
+	as := arrays(64)
+	as = append(as, namedArray{"zcache-3level", NewZCache(64, 4, 3, 8)})
+	for _, na := range as {
+		name, a := na.name, na.a
+		t.Run(name, func(t *testing.T) {
+			rng := xrand.New(9)
+			var cands []int
+			var moves []Move
+			relocated, direct := 0, 0
+			for i := 0; i < 2000; i++ {
+				addr := rng.Uint64()
+				if a.Lookup(addr) >= 0 {
+					continue
+				}
+				cands = a.Candidates(addr, cands[:0])
+				victim := cands[i%len(cands)]
+				moves = a.Install(addr, victim, moves[:0])
+				landing := victim
+				if n := len(moves); n > 0 {
+					landing = moves[n-1].From
+					relocated++
+				} else {
+					direct++
+				}
+				if got := a.Lookup(addr); got != landing {
+					t.Fatalf("install %d: victim %d with %d moves: rule says line %d, Lookup %d",
+						i, victim, len(moves), landing, got)
+				}
+			}
+			if _, isZ := a.(*ZCache); isZ && (relocated == 0 || direct == 0) {
+				t.Fatalf("zcache installs: %d relocating, %d direct; want both", relocated, direct)
+			} else if !isZ && relocated != 0 {
+				t.Fatalf("%d installs reported moves on an array that never relocates", relocated)
+			}
+		})
+	}
+}
+
 func TestLookupMissing(t *testing.T) {
 	for _, na := range arrays(64) {
 		if got := na.a.Lookup(0xdeadbeef); got != -1 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"fscache/internal/cachearray"
 	"fscache/internal/futility"
@@ -65,6 +66,18 @@ func (p *PartStats) MissRate() float64 {
 	return float64(p.Misses) / float64(t)
 }
 
+// lineMeta is the paper's per-line partition id, 8 bytes a line: part is the
+// partition the line counts against for sizing decisions, owner the partition
+// whose application inserted it. They differ only after a demotion (Vantage):
+// the demoted line belongs to the unmanaged pseudo-partition for sizing but
+// its eviction futility is still measured within its owner's working set.
+type lineMeta struct {
+	part, owner int32
+}
+
+// noLine is the metadata of a line that holds nothing.
+var noLine = lineMeta{part: -1, owner: -1}
+
 // Cache is the partitioned-cache controller: the paper's three-component
 // cache model wired together.
 //
@@ -74,21 +87,16 @@ func (p *PartStats) MissRate() float64 {
 // concurrent engine out of single-threaded Caches by giving each shard its
 // own Cache and mutex, never by sharing one Cache across goroutines.
 type Cache struct {
-	array    cachearray.Array
-	ranker   futility.Ranker
-	ref      futility.Ranker // == ranker when no separate reference
-	sameRef  bool
-	scheme   Scheme
-	parts    int
-	devTrack bool
+	array       cachearray.Array
+	ranker      futility.Ranker
+	ref         futility.Ranker // == ranker when no separate reference
+	sameRef     bool
+	scheme      Scheme
+	parts       int
+	devTrack    bool
+	histBuckets int // eviction-futility histogram width, for ResetStats
 
-	// linePart is the partition a line counts against for sizing decisions;
-	// lineOwner is the partition whose application inserted the line. They
-	// differ only after a demotion (Vantage): the demoted line belongs to
-	// the unmanaged pseudo-partition for sizing but its eviction futility is
-	// still measured within its owner's working set.
-	linePart  []int
-	lineOwner []int
+	meta []lineMeta // indexed by line; noLine for an invalid line
 
 	sizes   []int // decision sizes, indexed by partition
 	owned   []int // owner sizes (reference-ranker populations)
@@ -125,6 +133,10 @@ type Cache struct {
 	// fast is non-nil when the decision ranker supports the combined
 	// Futility+Raw candidate query (one rank computation instead of two).
 	fast futility.FastRanker
+	// rawOnly is set when the pipeline itself never reads Candidate.Futility:
+	// a rawDecider scheme over the coarse ranker, with eviction futility taken
+	// from a separate reference. Only an observer or a filter could read it.
+	rawOnly bool
 	// refHit/refInsert/refEvict/refMove are bound to the reference ranker's
 	// methods when a separate reference exists, and nil when the decision
 	// ranker doubles as reference — hoisting the sameRef branch out of the
@@ -151,32 +163,33 @@ func New(cfg Config) *Cache {
 	if cfg.Parts <= 0 {
 		panic("core: Parts must be positive")
 	}
+	if cfg.Parts > math.MaxInt32 {
+		panic("core: Parts exceeds the 32-bit per-line partition id")
+	}
 	hb := cfg.HistBuckets
 	if hb == 0 {
 		hb = 64
 	}
-	n := cfg.Array.Lines()
 	c := &Cache{
-		array:     cfg.Array,
-		ranker:    cfg.Ranker,
-		ref:       cfg.Reference,
-		scheme:    cfg.Scheme,
-		parts:     cfg.Parts,
-		devTrack:  cfg.TrackDeviation,
-		linePart:  make([]int, n),
-		lineOwner: make([]int, n),
-		sizes:     make([]int, cfg.Parts),
-		owned:     make([]int, cfg.Parts),
-		targets:   make([]int, cfg.Parts),
-		pstats:    make([]PartStats, cfg.Parts),
+		array:       cfg.Array,
+		ranker:      cfg.Ranker,
+		ref:         cfg.Reference,
+		scheme:      cfg.Scheme,
+		parts:       cfg.Parts,
+		devTrack:    cfg.TrackDeviation,
+		histBuckets: hb,
+		meta:        make([]lineMeta, cfg.Array.Lines()),
+		sizes:       make([]int, cfg.Parts),
+		owned:       make([]int, cfg.Parts),
+		targets:     make([]int, cfg.Parts),
+		pstats:      make([]PartStats, cfg.Parts),
 	}
 	if c.ref == nil {
 		c.ref = cfg.Ranker
 		c.sameRef = true
 	}
-	for i := range c.linePart {
-		c.linePart[i] = -1
-		c.lineOwner[i] = -1
+	for i := range c.meta {
+		c.meta[i] = noLine
 	}
 	for i := range c.pstats {
 		c.pstats[i].EvictFutility = stats.NewHistogram(hb)
@@ -196,6 +209,8 @@ func New(cfg Config) *Cache {
 		c.lru = r
 	}
 	c.fast, _ = cfg.Ranker.(futility.FastRanker)
+	_, decidesOnRaw := cfg.Scheme.(rawDecider)
+	c.rawOnly = decidesOnRaw && c.coarse != nil && !c.sameRef
 	if !c.sameRef {
 		c.refHit = c.ref.OnHit
 		c.refInsert = c.ref.OnInsert
@@ -249,10 +264,9 @@ func (c *Cache) MeanOccupancy(part int) float64 {
 // touching cache contents. Experiments call it after warmup so reported
 // distributions exclude the fill phase.
 func (c *Cache) ResetStats() {
-	hb := len(c.pstats[0].EvictFutility.CDF())
 	for i := range c.pstats {
 		c.pstats[i] = PartStats{
-			EvictFutility: stats.NewHistogram(hb),
+			EvictFutility: stats.NewHistogram(c.histBuckets),
 			Deviation:     stats.NewIntDist(),
 		}
 	}
@@ -266,6 +280,8 @@ func (c *Cache) ResetStats() {
 // access. The fully-associative fast path is not filtered — its candidates
 // are a scheme invariant (one per non-empty partition), not an array
 // artifact.
+// While a filter is installed every candidate carries Futility, whatever the
+// scheme reads (see DecisionObserver).
 type CandidateFilter func(cands []Candidate) []Candidate
 
 // SetCandidateFilter installs f (nil removes any installed filter).
@@ -280,6 +296,13 @@ func (c *Cache) SetCandidateFilter(f CandidateFilter) { c.candFilter = f }
 // path, so it must honor the pipeline's steady-state no-allocation contract
 // (append into retained, geometrically grown buffers, as the scenario
 // decision recorder does).
+//
+// Candidate.Futility is populated whenever an observer or a filter is
+// installed; without one, FSFeedback over CoarseTS with a separate Reference
+// computes Raw alone and leaves the coarse CDF uncalibrated. An observer
+// installed mid-run therefore sees a CDF calibrated from its installation,
+// not from the start of the run; install it before the first access when the
+// values must not depend on when observation began (the scenario recorder).
 type DecisionObserver func(cands []Candidate, insertPart, victim int, forced bool)
 
 // SetDecisionObserver installs f (nil removes any installed observer).
@@ -328,17 +351,18 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 	ctx := futility.Context{Seq: c.seq, NextUse: nextUse}
 
 	if line := c.array.Lookup(addr); line >= 0 {
-		c.pstats[c.lineOwner[line]].Hits++
+		m := c.meta[line]
+		c.pstats[m.owner].Hits++
 		switch {
 		case c.coarse != nil:
-			c.coarse.OnHit(line, c.linePart[line], ctx)
+			c.coarse.OnHit(line, int(m.part), ctx)
 		case c.lru != nil:
-			c.lru.OnHit(line, c.linePart[line], ctx)
+			c.lru.OnHit(line, int(m.part), ctx)
 		default:
-			c.ranker.OnHit(line, c.linePart[line], ctx)
+			c.ranker.OnHit(line, int(m.part), ctx)
 		}
 		if c.refHit != nil {
-			c.refHit(line, c.lineOwner[line], ctx)
+			c.refHit(line, int(m.owner), ctx)
 		}
 		return AccessResult{Hit: true}
 	}
@@ -353,8 +377,10 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 	if victim < 0 {
 		cands := c.array.Candidates(addr, c.candLines[:0])
 		c.candLines = cands
+		// A line is invalid exactly when it carries no partition
+		// (CheckInvariants), which saves asking the array about each way.
 		for _, l := range cands {
-			if _, valid := c.array.AddrOf(l); !valid {
+			if c.meta[l].part < 0 {
 				victim = l
 				break
 			}
@@ -366,8 +392,7 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 
 	// Evict the victim if it holds a valid line.
 	if vaddr, valid := c.array.AddrOf(victim); valid {
-		dp := c.linePart[victim]
-		owner := c.lineOwner[victim]
+		dp, owner := int(c.meta[victim].part), int(c.meta[victim].owner)
 		// With a dedicated reference ranker, futility is measured within the
 		// owner's working set (demotions do not move reference state); when
 		// the decision ranker doubles as reference, it tracks the line under
@@ -392,30 +417,27 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 		res.EvictedPart = owner
 		res.EvictedAddr = vaddr
 		res.EvictedFutility = ef
-		c.linePart[victim] = -1
-		c.lineOwner[victim] = -1
+		c.meta[victim] = noLine
 	}
 
+	// addr lands in the victim, or in the line the last relocation vacated
+	// (Array.Install), so it is checked there instead of looked up again.
+	line := victim
 	c.moveBuf = c.array.Install(addr, victim, c.moveBuf[:0])
 	for _, m := range c.moveBuf {
-		dp := c.linePart[m.From]
-		owner := c.lineOwner[m.From]
-		c.ranker.OnMove(m.From, m.To, dp)
+		lm := c.meta[m.From]
+		c.ranker.OnMove(m.From, m.To, int(lm.part))
 		if c.refMove != nil {
-			c.refMove(m.From, m.To, owner)
+			c.refMove(m.From, m.To, int(lm.owner))
 		}
-		c.linePart[m.To] = dp
-		c.lineOwner[m.To] = owner
-		c.linePart[m.From] = -1
-		c.lineOwner[m.From] = -1
+		c.meta[m.To] = lm
+		c.meta[m.From] = noLine
+		line = m.From
 	}
-
-	line := c.array.Lookup(addr)
-	if line < 0 {
+	if got, valid := c.array.AddrOf(line); !valid || got != addr {
 		panic("core: address not resident after Install")
 	}
-	c.linePart[line] = part
-	c.lineOwner[line] = part
+	c.meta[line] = lineMeta{part: int32(part), owner: int32(part)}
 	c.ranker.OnInsert(line, part, ctx)
 	if c.refInsert != nil {
 		c.refInsert(line, part, ctx)
@@ -441,15 +463,22 @@ func (c *Cache) choose(cands []int, insertPart int) int {
 		return c.chooseFull(insertPart)
 	}
 	c.candBuf = c.candBuf[:0]
-	if fr := c.fast; fr != nil {
+	if c.rawOnly && c.decObs == nil && c.candFilter == nil {
+		// Nobody downstream reads Candidate.Futility: the decision costs one
+		// timestamp subtraction per candidate and leaves the CDF alone.
 		for _, l := range cands {
-			p := c.linePart[l]
+			p := int(c.meta[l].part)
+			c.candBuf = append(c.candBuf, Candidate{Line: l, Part: p, Raw: c.coarse.Distance(l, p)})
+		}
+	} else if fr := c.fast; fr != nil {
+		for _, l := range cands {
+			p := int(c.meta[l].part)
 			f, raw := fr.FutilityRaw(l, p)
 			c.candBuf = append(c.candBuf, Candidate{Line: l, Part: p, Futility: f, Raw: raw})
 		}
 	} else {
 		for _, l := range cands {
-			p := c.linePart[l]
+			p := int(c.meta[l].part)
 			c.candBuf = append(c.candBuf, Candidate{
 				Line:     l,
 				Part:     p,
@@ -479,7 +508,7 @@ func (c *Cache) choose(cands []int, insertPart int) int {
 		c.demote(pool[di].Line, d.DemoteTo)
 	}
 	if d.Forced {
-		c.pstats[c.lineOwner[pool[d.Victim].Line]].ForcedEvict++
+		c.pstats[c.meta[pool[d.Victim].Line].owner].ForcedEvict++
 	}
 	return pool[d.Victim].Line
 }
@@ -536,7 +565,7 @@ func (c *Cache) chooseFull(insertPart int) int {
 //
 //fs:allocfree
 func (c *Cache) demote(line, to int) {
-	from := c.linePart[line]
+	from := int(c.meta[line].part)
 	if from == to {
 		return
 	}
@@ -544,8 +573,8 @@ func (c *Cache) demote(line, to int) {
 	c.ranker.OnInsert(line, to, futility.Context{Seq: c.seq, NextUse: trace.NoNextUse})
 	c.resize(from, -1)
 	c.resize(to, 1)
-	c.linePart[line] = to
-	c.pstats[c.lineOwner[line]].Demotions++
+	c.meta[line].part = int32(to)
+	c.pstats[c.meta[line].owner].Demotions++
 	c.scheme.OnEviction(from) // a demotion drains the source like an eviction...
 	c.scheme.OnInsert(to)     // ...and fills the destination like an insertion
 }

@@ -300,9 +300,9 @@ func TestZCacheMetadataConsistency(t *testing.T) {
 	for l := 0; l < lines; l++ {
 		if _, ok := arr.AddrOf(l); ok {
 			valid++
-			counts[c.linePart[l]]++
-		} else if c.linePart[l] != -1 {
-			t.Fatalf("invalid line %d has partition %d", l, c.linePart[l])
+			counts[c.meta[l].part]++
+		} else if c.meta[l].part != -1 {
+			t.Fatalf("invalid line %d has partition %d", l, c.meta[l].part)
 		}
 	}
 	for p := 0; p < 2; p++ {

@@ -200,10 +200,10 @@ func checkInvariants(t *testing.T, c *Cache, arr cachearray.Array, lines, parts 
 	for l := 0; l < lines; l++ {
 		if _, ok := arr.AddrOf(l); ok {
 			valid++
-			if c.linePart[l] < 0 || c.linePart[l] >= parts {
-				t.Fatalf("line %d has invalid partition %d", l, c.linePart[l])
+			if c.meta[l].part < 0 || int(c.meta[l].part) >= parts {
+				t.Fatalf("line %d has invalid partition %d", l, c.meta[l].part)
 			}
-			counts[c.linePart[l]]++
+			counts[c.meta[l].part]++
 		}
 	}
 	if sum != valid {

@@ -196,6 +196,10 @@ func (f *FSFeedback) Decide(cands []Candidate, insertPart int) Decision {
 	return Decision{Victim: best}
 }
 
+// decidesOnRawOnly implements rawDecider: Decide above multiplies Raw by α
+// and looks at nothing else.
+func (f *FSFeedback) decidesOnRawOnly() {}
+
 // DecideFull implements FullSelector.
 //
 //fs:allocfree

@@ -43,7 +43,7 @@ func (c *Cache) CheckInvariants() error {
 	ownerCounts := make([]int, c.parts)
 	for l := 0; l < c.array.Lines(); l++ {
 		_, resident := c.array.AddrOf(l)
-		dp, owner := c.linePart[l], c.lineOwner[l]
+		dp, owner := int(c.meta[l].part), int(c.meta[l].owner)
 		if !resident {
 			if dp != -1 || owner != -1 {
 				return fmt.Errorf("core: invalid line %d still assigned to partition %d/owner %d", l, dp, owner)

@@ -72,3 +72,10 @@ type FullSelector interface {
 	//fs:allocfree
 	DecideFull(worst []Candidate, insertPart int) int
 }
+
+// rawDecider marks a scheme whose Decide reads only a candidate's Line, Part
+// and Raw, never its Futility, so the controller may leave Futility zero when
+// nothing else reads it either (see Cache.rawOnly). Only FSFeedback is one.
+type rawDecider interface {
+	decidesOnRawOnly()
+}

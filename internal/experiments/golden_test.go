@@ -40,6 +40,13 @@ func goldenScale() Scale {
 // reuse, devirtualized rankers, iterative treap, incremental CDF). The
 // goldens were generated before the zero-allocation rework and prove the
 // optimized pipeline replays the exact same simulation.
+//
+// The zipf-drift scenario table pins what no other golden reaches: the
+// counterfactual pf and vantage rows re-rank recorded Candidate.Futility
+// values, so they move when the coarse ranker's CDF is calibrated by a
+// different set of queries even though every FS decision stays the same.
+// Its golden was generated from the tree before the raw-only FS decision
+// path existed.
 func TestGoldenEquivalence(t *testing.T) {
 	scale := goldenScale()
 	cases := []struct {
@@ -54,6 +61,16 @@ func TestGoldenEquivalence(t *testing.T) {
 		{"fig2a_bench.golden", func() string {
 			var buf bytes.Buffer
 			Fig2a(scale, "mcf").Print(&buf)
+			return buf.String()
+		}},
+		{"scenario_zipf_drift.golden", func() string {
+			spec, dir := loadScenarioSpec(t, "zipf-drift.yaml")
+			res, err := RunScenario(spec, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			res.Print(&buf)
 			return buf.String()
 		}},
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"fscache/internal/core"
 	"fscache/internal/futility"
 	"fscache/internal/scenario"
 	"fscache/internal/trace"
@@ -129,6 +130,14 @@ func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, r
 	targets := comp.Targets(spec.Cache.Lines, comp.InitialLive())
 	b.SetTargets(targets)
 
+	// A recorded run carries an observer from its first access, though it
+	// records only from warmAt: recorded Candidate.Futility values come from
+	// the coarse ranker's CDF, which only a pipeline that is being observed
+	// calibrates (core.DecisionObserver), and the counterfactual replays are
+	// meant to see a CDF that warm-up calibrated.
+	if rec != nil {
+		b.Cache.SetDecisionObserver(func([]core.Candidate, int, int, bool) {})
+	}
 	stream := comp.NewStream(spec.Cache.Lines)
 	warmAt := int(spec.Warmup * float64(spec.Accesses))
 	emitted := 0

@@ -14,6 +14,12 @@ package futility
 // distances and reports the empirical CDF position of a line's distance —
 // a self-calibrating estimate a real controller could implement with a few
 // counters.
+//
+// The CDF is calibrated only by futility queries: Raw, Futility and
+// FutilityRaw each record the distance they return, and nothing else does.
+// A pipeline that never asks (core's raw-only FS path reads Distance) never
+// calibrates and never allocates the tables; one that starts asking mid-run
+// gets a CDF calibrated from its first query, not from the start of the run.
 type CoarseTS struct {
 	ts      []uint8 // per-line timestamp tag //fslint:wrap8
 	present []bool
@@ -21,8 +27,8 @@ type CoarseTS struct {
 	counter []uint64 // per-partition accesses since last tick
 	size    []int    // per-partition resident-line count
 
-	hist  [][]uint32 // per-partition distance histogram (256 bins)
-	total []uint32   // per-partition histogram mass
+	cdf   []*cdfTable // per-partition tables, nil until the first futility query
+	total []uint32    // per-partition histogram mass
 	dirty []uint32
 
 	// CDF snapshot state. Instead of eagerly dividing all 256 bins at every
@@ -32,12 +38,18 @@ type CoarseTS struct {
 	// bin in the current generation. The division uses the same operands as
 	// the old eager rebuild (float64(cum)/float64(total)), so every value a
 	// caller observes is bit-identical.
-	cum       [][]uint64  // per-partition cumulative histogram at snapshot
-	snapTotal []float64   // float64(total) at snapshot (the CDF denominator)
-	cdfVal    [][]float64 // memoized cum[d]/snapTotal for gen == cdfGen[d]
-	cdfGen    [][]uint32
-	gen       []uint32 // current snapshot generation (starts at 1)
-	dirtyLo   []int    // lowest histogram bin modified since last snapshot
+	snapTotal []float64 // float64(total) at snapshot (the CDF denominator)
+	gen       []uint32  // current snapshot generation (starts at 1)
+	dirtyLo   []int     // lowest histogram bin modified since last snapshot
+}
+
+// cdfTable is one partition's distance histogram and CDF snapshot: 6 KiB
+// that only a partition whose futility is queried ever needs.
+type cdfTable struct {
+	hist   [256]uint32  // distance histogram
+	cum    [256]uint64  // cumulative histogram at snapshot
+	cdfVal [256]float64 // memoized cum[d]/snapTotal for gen == cdfGen[d]
+	cdfGen [256]uint32
 }
 
 // histRebuild is how many histogram updates may accumulate before the
@@ -56,27 +68,15 @@ func NewCoarseTS(lines, parts int) *CoarseTS {
 		current:   make([]uint8, parts),
 		counter:   make([]uint64, parts),
 		size:      make([]int, parts),
-		hist:      make([][]uint32, parts),
+		cdf:       make([]*cdfTable, parts),
 		total:     make([]uint32, parts),
 		dirty:     make([]uint32, parts),
-		cum:       make([][]uint64, parts),
 		snapTotal: make([]float64, parts),
-		cdfVal:    make([][]float64, parts),
-		cdfGen:    make([][]uint32, parts),
 		gen:       make([]uint32, parts),
 		dirtyLo:   make([]int, parts),
 	}
 	for i := 0; i < parts; i++ {
-		c.hist[i] = make([]uint32, 256)
-		c.cum[i] = make([]uint64, 256)
-		c.cdfVal[i] = make([]float64, 256)
-		c.cdfGen[i] = make([]uint32, 256)
-		// Prior: uniform distances, expressed as a synthetic snapshot with
-		// one count per bin so lazy division yields float64(d+1)/256.
-		for d := range c.cum[i] {
-			c.cum[i][d] = uint64(d + 1)
-		}
-		c.snapTotal[i] = 256
+		c.snapTotal[i] = 256 // the uniform prior's denominator (calibrate)
 		// gen starts at 1: cdfGen is zero-initialized and must not read as
 		// "already memoized for the current generation".
 		c.gen[i] = 1
@@ -160,7 +160,19 @@ func (c *CoarseTS) OnMove(from, to, part int) {
 	c.present[to] = true
 }
 
-// Raw implements Ranker: the 8-bit timestamp distance.
+// Distance returns Raw's value, the 8-bit timestamp distance, without
+// recording it: the one subtraction §V's shift-and-compare needs.
+//
+//fs:allocfree
+func (c *CoarseTS) Distance(line, part int) uint64 {
+	if !c.present[line] {
+		panic("futility: Distance of untracked line")
+	}
+	return uint64(tsDist(c.current[part], c.ts[line]))
+}
+
+// Raw implements Ranker: the 8-bit timestamp distance, recorded in the
+// partition's histogram.
 //
 //fs:allocfree
 func (c *CoarseTS) Raw(line, part int) uint64 {
@@ -214,8 +226,28 @@ func (c *CoarseTS) FutilityRaw(line, part int) (float64, uint64) {
 //fs:allocfree
 func (c *CoarseTS) Size(part int) int { return c.size[part] }
 
+// calibrate gives the partition its CDF tables, on its first futility query;
+// out of line so the allocation is not inlined into //fs:allocfree callers.
+//
+//go:noinline
+func (c *CoarseTS) calibrate(part int) *cdfTable {
+	//fslint:ignore allocfree cold: once per partition, on its first futility query
+	t := new(cdfTable)
+	// Prior: uniform distances, expressed as a synthetic snapshot with one
+	// count per bin so lazy division yields float64(d+1)/256.
+	for d := range t.cum {
+		t.cum[d] = uint64(d + 1)
+	}
+	c.cdf[part] = t
+	return t
+}
+
 func (c *CoarseTS) observe(part int, d uint8) {
-	c.hist[part][d]++
+	t := c.cdf[part]
+	if t == nil {
+		t = c.calibrate(part)
+	}
+	t.hist[d]++
 	c.total[part]++
 	c.dirty[part]++
 	if int(d) < c.dirtyLo[part] {
@@ -223,12 +255,12 @@ func (c *CoarseTS) observe(part int, d uint8) {
 	}
 	// Periodic halving keeps the histogram tracking the recent regime.
 	if c.total[part] >= 1<<20 {
-		var t uint32
-		for i := range c.hist[part] {
-			c.hist[part][i] /= 2
-			t += c.hist[part][i]
+		var sum uint32
+		for i := range t.hist {
+			t.hist[i] /= 2
+			sum += t.hist[i]
 		}
-		c.total[part] = t
+		c.total[part] = sum
 		c.dirtyLo[part] = 0 // every bin changed
 	}
 }
@@ -242,14 +274,15 @@ func (c *CoarseTS) rebuild(part int) {
 		return
 	}
 	c.snapTotal[part] = float64(c.total[part])
+	t := c.cdf[part]
 	lo := c.dirtyLo[part]
 	var cum uint64
 	if lo > 0 {
-		cum = c.cum[part][lo-1]
+		cum = t.cum[lo-1]
 	}
 	for d := lo; d < 256; d++ {
-		cum += uint64(c.hist[part][d])
-		c.cum[part][d] = cum
+		cum += uint64(t.hist[d])
+		t.cum[d] = cum
 	}
 	c.dirtyLo[part] = 256
 	c.gen[part]++
@@ -259,16 +292,20 @@ func (c *CoarseTS) rebuild(part int) {
 // generation. The operands match the old eager rebuild exactly, so the
 // result is bit-identical.
 func (c *CoarseTS) cdfAt(part int, d uint8) float64 {
-	if c.cdfGen[part][d] != c.gen[part] {
-		c.cdfVal[part][d] = float64(c.cum[part][d]) / c.snapTotal[part]
-		c.cdfGen[part][d] = c.gen[part]
+	t := c.cdf[part]
+	if t.cdfGen[d] != c.gen[part] {
+		t.cdfVal[d] = float64(t.cum[d]) / c.snapTotal[part]
+		t.cdfGen[d] = c.gen[part]
 	}
-	return c.cdfVal[part][d]
+	return t.cdfVal[d]
 }
 
 // CurrentTS exposes the partition's current timestamp (for tests and
 // debugging displays).
 func (c *CoarseTS) CurrentTS(part int) uint8 { return c.current[part] }
+
+// Calibrated reports whether the partition's futility was ever queried.
+func (c *CoarseTS) Calibrated(part int) bool { return c.cdf[part] != nil }
 
 // Lines returns the number of line slots the ranker tracks.
 func (c *CoarseTS) Lines() int { return len(c.ts) }

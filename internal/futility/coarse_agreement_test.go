@@ -78,9 +78,9 @@ func TestFutilityRawAgreementAcrossHalving(t *testing.T) {
 				p, split.gen[p], combined.gen[p])
 		}
 		for d := 0; d < 256; d++ {
-			if split.hist[p][d] != combined.hist[p][d] {
+			if split.cdf[p].hist[d] != combined.cdf[p].hist[d] {
 				t.Fatalf("partition %d bin %d: histogram diverged: split %d, combined %d",
-					p, d, split.hist[p][d], combined.hist[p][d])
+					p, d, split.cdf[p].hist[d], combined.cdf[p].hist[d])
 			}
 		}
 	}

@@ -13,7 +13,7 @@ func eagerCDF(c *CoarseTS, part int) [256]float64 {
 	var out [256]float64
 	var cum uint64
 	for d := 0; d < 256; d++ {
-		cum += uint64(c.hist[part][d])
+		cum += uint64(c.cdf[part].hist[d])
 		out[d] = float64(cum) / float64(c.total[part])
 	}
 	return out
@@ -38,9 +38,14 @@ func checkCDF(t *testing.T, c *CoarseTS, part int, round string) {
 func TestCoarseCDFIncrementalMatchesEager(t *testing.T) {
 	c := NewCoarseTS(64, 2)
 
-	// Before any observation the prior snapshot must read as the uniform
-	// distribution float64(d+1)/256.
+	// Before any observation a partition has no tables at all, and once
+	// calibrated the prior snapshot must read as the uniform distribution
+	// float64(d+1)/256.
 	for part := 0; part < 2; part++ {
+		if c.cdf[part] != nil {
+			t.Fatalf("part %d has CDF tables before its first futility query", part)
+		}
+		c.calibrate(part)
 		for d := 0; d < 256; d++ {
 			want := float64(d+1) / 256
 			if got := c.cdfAt(part, uint8(d)); got != want {
@@ -135,8 +140,49 @@ func TestCoarseFutilityRawMatchesSequence(t *testing.T) {
 			a.total[0], b.total[0], a.dirty[0], b.dirty[0])
 	}
 	for d := 0; d < 256; d++ {
-		if a.hist[0][d] != b.hist[0][d] {
-			t.Fatalf("histogram bin %d diverged: %d vs %d", d, a.hist[0][d], b.hist[0][d])
+		if a.cdf[0].hist[d] != b.cdf[0].hist[d] {
+			t.Fatalf("histogram bin %d diverged: %d vs %d", d, a.cdf[0].hist[d], b.cdf[0].hist[d])
 		}
+	}
+}
+
+// TestCoarseDistanceLeavesCDFAlone pins the split the raw-only decision path
+// rests on: Distance returns Raw's value and records nothing, the first
+// recording query is what gives a partition its tables, and CheckInvariants
+// takes a partition without tables only if it has recorded nothing.
+func TestCoarseDistanceLeavesCDFAlone(t *testing.T) {
+	c := NewCoarseTS(32, 2)
+	for l := 0; l < 32; l++ {
+		c.OnInsert(l, l&1, Context{})
+	}
+	for i := 0; i < 300; i++ {
+		c.OnHit((i*5)%32, (i*5)%32&1, Context{})
+	}
+	for l := 0; l < 32; l++ {
+		if d := c.Distance(l, l&1); d != uint64(tsDist(c.current[l&1], c.ts[l])) {
+			t.Fatalf("line %d: Distance %d is not the timestamp distance", l, d)
+		}
+	}
+	if c.Calibrated(0) || c.Calibrated(1) || c.total[0] != 0 || c.total[1] != 0 {
+		t.Fatal("Distance recorded an observation")
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("uncalibrated ranker: %v", err)
+	}
+	for l := 0; l < 32; l += 2 {
+		if d, raw := c.Distance(l, 0), c.Raw(l, 0); d != raw {
+			t.Fatalf("line %d: Distance %d, Raw %d", l, d, raw)
+		}
+	}
+	if !c.Calibrated(0) || c.Calibrated(1) || c.total[0] != 16 {
+		t.Fatalf("after 16 Raw queries of partition 0: calibrated %v/%v, total %d",
+			c.Calibrated(0), c.Calibrated(1), c.total[0])
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("half-calibrated ranker: %v", err)
+	}
+	c.total[1] = 1
+	if c.CheckInvariants() == nil {
+		t.Fatal("a partition with histogram mass and no tables passed CheckInvariants")
 	}
 }

@@ -114,28 +114,37 @@ func (r *ExactLRU) CheckInvariants() error {
 // of bins), monotone nondecreasing cumulative snapshot with the snapshot
 // denominator equal to the snapshot's final cumulative mass (so the lazily
 // divided CDF is a genuine CDF ending at 1), non-negative sizes summing to
-// the present-line count, and dirtyLo within range.
+// the present-line count, and dirtyLo within range. A partition whose
+// futility was never queried has no tables yet; it must then have recorded
+// nothing and still sit on the uniform prior's denominator.
 func (c *CoarseTS) CheckInvariants() error {
 	sizeSum := 0
-	for p := range c.hist {
-		var mass uint32
-		for _, h := range c.hist[p] {
-			mass += h
-		}
-		if mass != c.total[p] {
-			return fmt.Errorf("futility: partition %d histogram mass %d != total %d", p, mass, c.total[p])
-		}
-		for d := 1; d < 256; d++ {
-			if c.cum[p][d] < c.cum[p][d-1] {
-				return fmt.Errorf("futility: partition %d CDF snapshot decreases at bin %d: %d < %d",
-					p, d, c.cum[p][d], c.cum[p][d-1])
+	for p, t := range c.cdf {
+		if t == nil {
+			if c.total[p] != 0 || c.dirty[p] != 0 || !feqBits(c.snapTotal[p], 256) {
+				return fmt.Errorf("futility: partition %d has no CDF tables but total %d, dirty %d, denominator %v",
+					p, c.total[p], c.dirty[p], c.snapTotal[p])
 			}
-		}
-		if got, want := c.snapTotal[p], float64(c.cum[p][255]); !feqBits(got, want) {
-			return fmt.Errorf("futility: partition %d snapshot denominator %v != snapshot mass %v", p, got, want)
-		}
-		if c.snapTotal[p] <= 0 {
-			return fmt.Errorf("futility: partition %d snapshot denominator %v not positive", p, c.snapTotal[p])
+		} else {
+			var mass uint32
+			for _, h := range t.hist {
+				mass += h
+			}
+			if mass != c.total[p] {
+				return fmt.Errorf("futility: partition %d histogram mass %d != total %d", p, mass, c.total[p])
+			}
+			for d := 1; d < 256; d++ {
+				if t.cum[d] < t.cum[d-1] {
+					return fmt.Errorf("futility: partition %d CDF snapshot decreases at bin %d: %d < %d",
+						p, d, t.cum[d], t.cum[d-1])
+				}
+			}
+			if got, want := c.snapTotal[p], float64(t.cum[255]); !feqBits(got, want) {
+				return fmt.Errorf("futility: partition %d snapshot denominator %v != snapshot mass %v", p, got, want)
+			}
+			if c.snapTotal[p] <= 0 {
+				return fmt.Errorf("futility: partition %d snapshot denominator %v not positive", p, c.snapTotal[p])
+			}
 		}
 		if c.size[p] < 0 {
 			return fmt.Errorf("futility: partition %d negative size %d", p, c.size[p])

@@ -90,6 +90,8 @@ func Registry() []Benchmark {
 			ZeroAlloc: true, Fn: ExactLRURank},
 		{Name: "coarsets/onhit", Doc: "CoarseTS OnHit (tick + retag)",
 			ZeroAlloc: true, Fn: CoarseOnHit},
+		{Name: "futility/coarse-distance", Doc: "CoarseTS Distance: the bare 8-bit timestamp subtraction the raw-only FS decision pays per candidate",
+			ZeroAlloc: true, Fn: CoarseDistance},
 		{Name: "coarsets/raw", Doc: "CoarseTS Raw timestamp distance + histogram observe",
 			ZeroAlloc: true, Fn: CoarseRaw},
 		{Name: "coarsets/futility", Doc: "CoarseTS Futility quantile (empirical CDF position)",
@@ -113,10 +115,14 @@ func Registry() []Benchmark {
 		// competing goroutines (the storm row most of all, racing a
 		// back-to-back rebalance loop), so the tight ratchets for them are
 		// the scaling-efficiency band and the allocation count, not ns/op.
+		// The mixed row's band went from 0.30 to 0.25 when the raw-only FS
+		// decision took 35 % off its 1-proc figure (344 → 221 ns) and left the
+		// p16 − p1 overhead where it was (136 → 124 ns): a ratio band reads a
+		// faster serial path as worse scaling (0.72× → 0.64× on two vCPUs).
 		{Name: "shardcache/parallel-get-heavy", Doc: "striped Engine.Access scaling, resident working set (~all hits)",
 			PerAccess: true, Parallel: true, MinScale: 0.375, Tol: 0.50, Fn: ParallelGetHeavy},
 		{Name: "shardcache/parallel-mixed", Doc: "striped Engine.Access scaling, Zipf hit/miss mix",
-			PerAccess: true, Parallel: true, MinScale: 0.30, Tol: 0.60, Fn: ParallelMixed},
+			PerAccess: true, Parallel: true, MinScale: 0.25, Tol: 0.60, Fn: ParallelMixed},
 		{Name: "shardcache/parallel-storm", Doc: "striped Engine.Access scaling under a back-to-back Rebalance storm",
 			PerAccess: true, Parallel: true, MinScale: 0.25, Tol: 1.0, Fn: ParallelStorm},
 		{Name: "shardcache/batch-access", Doc: "Batch.Access per request, 64-request flushes on a warm striped engine",
@@ -328,6 +334,19 @@ func CoarseOnHit(b *testing.B) {
 		l := i % coarseLines
 		c.OnHit(l, l&1, futility.Context{Seq: uint64(i)})
 	}
+}
+
+// CoarseDistance measures the raw 8-bit distance read alone.
+func CoarseDistance(b *testing.B) {
+	c := filledCoarse()
+	var sink uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := i % coarseLines
+		sink += c.Distance(l, l&1)
+	}
+	benchSink = sink
 }
 
 // CoarseRaw measures the raw 8-bit distance read (plus histogram observe).
