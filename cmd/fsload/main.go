@@ -324,7 +324,8 @@ func runLocal(opts localOpts) localResult {
 		for p := range weights {
 			weights[p] = float64(p + 1)
 		}
-		targets = apportionInts(opts.lines, weights)
+		targets = make([]int, opts.parts)
+		alloc.Apportion(opts.lines, weights, targets, make([]float64, opts.parts))
 	}
 	e.SetTargets(targets)
 
@@ -573,37 +574,6 @@ func parseProcs(s string) []int {
 // duration.
 func latQ(h *stats.Histogram, q float64) time.Duration {
 	return time.Duration(h.Quantile(q) * float64(latCap)).Round(10 * time.Nanosecond)
-}
-
-// apportionInts splits total proportionally to weights with largest-remainder
-// rounding, so the result sums exactly to total (the contract SetTargets
-// expects when targets should cover capacity).
-func apportionInts(total int, weights []float64) []int {
-	sum := 0.0
-	for _, w := range weights {
-		sum += w
-	}
-	out := make([]int, len(weights))
-	rem := make([]float64, len(weights))
-	given := 0
-	for i, w := range weights {
-		exact := float64(total) * w / sum
-		out[i] = int(exact)
-		rem[i] = exact - float64(out[i])
-		given += out[i]
-	}
-	for given < total {
-		best := 0
-		for i := 1; i < len(rem); i++ {
-			if rem[i] > rem[best] {
-				best = i
-			}
-		}
-		out[best]++
-		rem[best] = -1
-		given++
-	}
-	return out
 }
 
 func fail(msg string) {

@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"os"
 
-	"fscache/internal/mrc"
+	"fscache/internal/alloc"
 	"fscache/internal/sim"
 	"fscache/internal/trace"
 	"fscache/internal/workload"
@@ -162,12 +162,15 @@ func mrcCmd(args []string) {
 	for depth < foot {
 		depth <<= 1
 	}
-	p := mrc.New(depth, 1)
-	p.Walk(&tr)
+	// Shift 0 with the whole footprint as tags is the exact Mattson profiler.
+	p := alloc.NewProfiler(depth, 0, 1)
+	for i := range tr.Accesses {
+		p.Touch(tr.Accesses[i].Addr)
+	}
 	fmt.Printf("%12s %12s %12s\n", "lines", "size", "missratio")
 	for s := 64; s <= depth; s <<= 1 {
 		fmt.Printf("%12d %9d KB %12.4f\n", s, s*64/1024, p.MissRatio(s))
 	}
 	fmt.Printf("footprint: %d lines; cold misses: %d of %d\n",
-		foot, p.ColdMisses(), p.Total())
+		foot, p.Far(), p.Offered())
 }

@@ -42,7 +42,7 @@ type Config struct {
 	// Initial optionally sets the targets reported before the first epoch
 	// closes (default even split of Lines over Parts).
 	Initial []int
-	// Seed drives the sampling salt and profiler tree seeds.
+	// Seed drives the sampling salt.
 	Seed uint64
 }
 
@@ -165,9 +165,7 @@ func New(cfg Config) *Allocator {
 	}
 	a.mu.Lock() // not yet escaped; taken for the lockcheck contract on profs/targets
 	for p := range a.profs {
-		// One shared sampling filter (cfg.Seed ⇒ same salt everywhere);
-		// each tree's shape differs only via the access sequence, which is
-		// fine — priorities only balance the treap.
+		// One shared sampling filter (cfg.Seed ⇒ same salt everywhere).
 		a.profs[p] = NewProfiler(cfg.TagsPerPart, cfg.SampleShift, cfg.Seed)
 		a.minChunk[p] = minChunk
 	}
@@ -176,7 +174,7 @@ func New(cfg Config) *Allocator {
 	if cfg.Initial != nil {
 		copy(a.targets, cfg.Initial)
 	} else {
-		evenSplit(a.targets, cfg.Lines)
+		EvenSplit(a.targets, cfg.Lines)
 	}
 	a.mu.Unlock()
 	a.epochEnd.Store(uint64(cfg.EpochAccesses))
@@ -389,18 +387,6 @@ func aggregateMissRatio(cv *Curves, targets []int) float64 {
 		return 1
 	}
 	return miss / acc
-}
-
-// evenSplit spreads lines evenly with the remainder on the low indices.
-func evenSplit(out []int, lines int) {
-	n := len(out)
-	base, rem := lines/n, lines%n
-	for i := range out {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
-	}
 }
 
 func equalInts(a, b []int) bool {

@@ -1,4 +1,7 @@
-package mrc
+package alloc
+
+// The exact-profiler tests: at sampleShift 0, with maxTags as the profiled
+// depth, the Profiler is Mattson's stack algorithm.
 
 import (
 	"math"
@@ -14,14 +17,21 @@ import (
 	"fscache/internal/xrand"
 )
 
+// walk feeds an entire trace through the profiler.
+func walk(p *Profiler, t *trace.Trace) {
+	for i := range t.Accesses {
+		p.Touch(t.Accesses[i].Addr)
+	}
+}
+
 func TestStackDistancesByHand(t *testing.T) {
-	p := New(16, 1)
+	p := NewProfiler(16, 0, 1)
 	// a b a → a: cold; b: cold; a: distance 2 (b used since).
 	p.Touch(1)
 	p.Touch(2)
 	p.Touch(1)
-	if p.ColdMisses() != 2 {
-		t.Fatalf("cold = %d", p.ColdMisses())
+	if p.Far() != 2 {
+		t.Fatalf("cold = %d", p.Far())
 	}
 	h := p.Histogram()
 	if h[0] != 0 || h[1] != 1 {
@@ -32,18 +42,18 @@ func TestStackDistancesByHand(t *testing.T) {
 	if p.Histogram()[0] != 1 {
 		t.Fatal("distance-1 reference not recorded")
 	}
-	if p.Total() != 4 {
-		t.Fatalf("total = %d", p.Total())
+	if p.Offered() != 4 {
+		t.Fatalf("total = %d", p.Offered())
 	}
 }
 
 func TestMissRatioMonotone(t *testing.T) {
-	p := New(4096, 2)
+	p := NewProfiler(4096, 0, 2)
 	prof, err := workload.ByName("mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Walk(trace.Collect(prof.Shrunk(16).NewGenerator(3, 0), 50000))
+	walk(p, trace.Collect(prof.Shrunk(16).NewGenerator(3, 0), 50000))
 	prev := 1.1
 	for _, s := range []int{0, 1, 16, 64, 256, 1024, 4096} {
 		mr := p.MissRatio(s)
@@ -70,8 +80,8 @@ func TestPredictsFullyAssociativeLRU(t *testing.T) {
 	}
 	tr := trace.Collect(prof.Shrunk(16).NewGenerator(7, 0), 40000)
 
-	p := New(1<<16, 8)
-	p.Walk(tr)
+	p := NewProfiler(1<<16, 0, 8)
+	walk(p, tr)
 
 	for _, lines := range []int{64, 256, 1024} {
 		c := core.New(core.Config{
@@ -99,7 +109,7 @@ func TestPredictsFullyAssociativeLRU(t *testing.T) {
 // access pattern.
 func TestQuickAccounting(t *testing.T) {
 	f := func(raw []uint8) bool {
-		p := New(64, 11)
+		p := NewProfiler(64, 0, 11)
 		for _, a := range raw {
 			p.Touch(uint64(a % 32))
 		}
@@ -107,20 +117,20 @@ func TestQuickAccounting(t *testing.T) {
 		for _, h := range p.Histogram() {
 			sum += h
 		}
-		return p.Total() == uint64(len(raw)) && sum+p.ColdMisses() == p.Total()
+		return p.Offered() == uint64(len(raw)) && sum+p.Far() == p.Offered()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Distances beyond maxDepth fold into cold misses, never panic.
+// Distances beyond maxTags fold into cold misses, never panic.
 func TestDepthFolding(t *testing.T) {
-	p := New(4, 13)
+	p := NewProfiler(4, 0, 13)
 	for i := 0; i < 10; i++ {
 		p.Touch(uint64(i))
 	}
-	p.Touch(0) // distance 10 > maxDepth 4
+	p.Touch(0) // distance 10 > maxTags 4
 	if p.MissRatio(4) != 1 {
 		t.Fatalf("deep reuse leaked into small-cache hits: %v", p.MissRatio(4))
 	}
@@ -133,7 +143,7 @@ func TestDepthFolding(t *testing.T) {
 }
 
 func TestCurve(t *testing.T) {
-	p := New(128, 17)
+	p := NewProfiler(128, 0, 17)
 	rng := xrand.New(19)
 	for i := 0; i < 20000; i++ {
 		p.Touch(rng.Uint64() % 100)
@@ -150,11 +160,11 @@ func TestCurve(t *testing.T) {
 }
 
 // Sizes beyond the profiled depth saturate: MissRatio must return the
-// MaxDepth value (an overstatement of the true miss ratio) and Truncated
+// MaxLines value (an overstatement of the true miss ratio) and Truncated
 // must flag exactly those sizes.
 func TestTruncationSurfaced(t *testing.T) {
 	const depth = 8
-	p := New(depth, 23)
+	p := NewProfiler(depth, 0, 23)
 	// A cyclic scan over 16 lines: every reuse is at stack distance 16,
 	// beyond the profiled depth, so the profiler folds all of them into
 	// cold misses even though a 16-line LRU cache would hit every reuse.
@@ -163,8 +173,8 @@ func TestTruncationSurfaced(t *testing.T) {
 			p.Touch(a)
 		}
 	}
-	if p.MaxDepth() != depth {
-		t.Fatalf("MaxDepth = %d, want %d", p.MaxDepth(), depth)
+	if p.MaxLines() != depth {
+		t.Fatalf("MaxLines = %d, want %d", p.MaxLines(), depth)
 	}
 	atDepth := p.MissRatio(depth)
 	for _, lines := range []int{depth + 1, 16, 1 << 20} {
@@ -193,24 +203,16 @@ func TestValidation(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	New(0, 1)
+	NewProfiler(0, 0, 1)
 }
 
-func BenchmarkTouch(b *testing.B) {
-	p := New(1<<16, 1)
-	rng := xrand.New(2)
-	for i := 0; i < b.N; i++ {
-		p.Touch(rng.Uint64() % (1 << 15))
-	}
-}
-
-// Boundary: a reuse at stack distance exactly MaxDepth() is credited, so
-// MissRatio(MaxDepth()) is exact and saturation starts strictly beyond it —
-// Truncated(MaxDepth()) is false, Truncated(MaxDepth()+1) is true, and the
+// Boundary: a reuse at stack distance exactly MaxLines() is credited, so
+// MissRatio(MaxLines()) is exact and saturation starts strictly beyond it —
+// Truncated(MaxLines()) is false, Truncated(MaxLines()+1) is true, and the
 // two sizes report the same (saturated) ratio.
 func TestMaxDepthBoundary(t *testing.T) {
 	const depth = 8
-	p := New(depth, 1)
+	p := NewProfiler(depth, 0, 1)
 	// Cycle through exactly `depth` distinct lines twice: every reuse has
 	// stack distance depth, the largest the profiler resolves.
 	for pass := 0; pass < 2; pass++ {
@@ -219,21 +221,21 @@ func TestMaxDepthBoundary(t *testing.T) {
 		}
 	}
 	if p.Truncated(depth) {
-		t.Fatalf("Truncated(%d) = true; the MaxDepth() point is fully resolved", depth)
+		t.Fatalf("Truncated(%d) = true; the MaxLines() point is fully resolved", depth)
 	}
 	if !p.Truncated(depth + 1) {
-		t.Fatalf("Truncated(%d) = false; saturation must start past MaxDepth()", depth+1)
+		t.Fatalf("Truncated(%d) = false; saturation must start past MaxLines()", depth+1)
 	}
 	// 8 cold misses + 8 reuses at distance 8: a depth-8 cache hits all the
-	// reuses, so the exact ratio at MaxDepth() is 1/2 — and NOT the 1.0 a
+	// reuses, so the exact ratio at MaxLines() is 1/2 — and NOT the 1.0 a
 	// (depth−1)-line cache would see.
 	if got := p.MissRatio(depth); got != 0.5 {
-		t.Fatalf("MissRatio(MaxDepth()) = %v, want exact 0.5", got)
+		t.Fatalf("MissRatio(MaxLines()) = %v, want exact 0.5", got)
 	}
 	if got := p.MissRatio(depth - 1); got != 1 {
-		t.Fatalf("MissRatio(MaxDepth()-1) = %v, want 1 (distance-%d reuses all miss)", got, depth)
+		t.Fatalf("MissRatio(MaxLines()-1) = %v, want 1 (distance-%d reuses all miss)", got, depth)
 	}
 	if p.MissRatio(depth+1) != p.MissRatio(depth) {
-		t.Fatalf("MissRatio past MaxDepth must saturate at the MaxDepth value")
+		t.Fatalf("MissRatio past MaxLines must saturate at the MaxLines value")
 	}
 }

@@ -18,23 +18,34 @@
 package alloc
 
 import (
-	"fscache/internal/ost"
+	"fscache/internal/recency"
 	"fscache/internal/xrand"
 )
 
-// Profiler estimates one partition's LRU miss-ratio curve from a spatially
-// hashed sample of its access stream, with bounded memory and exponential
-// epoch decay.
+// Profiler computes one partition's LRU miss-ratio curve with Mattson's stack
+// algorithm: one pass over an access stream yields, for every cache size
+// simultaneously, the miss ratio a fully-associative LRU cache of that size
+// would achieve. The inclusion property behind it: under LRU, a reference
+// with stack distance d (d − 1 distinct lines used since its line's last
+// use) hits in every cache of at least d lines and misses in every smaller
+// one. Stack distances come from a recency.Index over a bounded table of
+// shadow tags: the distance of a reuse is its tag's recency rank.
 //
-// Sampling is SHARDS-style: only addresses whose mixed hash falls in a
-// 1/2^shift slice of hash space are tracked, and a sampled reuse at sampled
-// stack distance d estimates a full-stream reuse at distance d·2^shift —
-// the sampled subset is a uniformly spaced "spatial" subsample of the line
-// population, so distances scale by the inverse sampling rate. This is the
-// derivation of internal/mrc's exact Mattson profiler to bounded state: the
-// recency tree holds at most maxTags sampled lines (the oldest tracked line
-// is dropped when full, exactly a maxTags-line shadow cache over the
-// sample), so memory is O(maxTags) regardless of footprint.
+// At sampleShift 0 every address is tracked and the histogram is exact up to
+// maxTags lines: it predicts the simulator's fully-associative LRU
+// reference for reference (TestPredictsFullyAssociativeLRU), and is the
+// exact version of what the UMON utility monitors (internal/policy) estimate
+// per set. Reuses at distances beyond maxTags count as far.
+//
+// Above shift 0 sampling is SHARDS-style: only addresses whose mixed hash
+// falls in a 1/2^shift slice of hash space are tracked, and a sampled reuse
+// at sampled stack distance d estimates a full-stream reuse at distance
+// d·2^shift — the sampled subset is a uniformly spaced "spatial" subsample
+// of the line population, so distances scale by the inverse sampling rate.
+//
+// Either way the table holds at most maxTags lines (the least recently used
+// tag is reused when it is full, exactly a maxTags-line shadow cache over
+// the sample), so memory is O(maxTags) regardless of footprint.
 //
 // Decay halves every histogram counter at each epoch boundary while keeping
 // the shadow tags warm, so the curve is an exponentially weighted view of
@@ -45,9 +56,13 @@ type Profiler struct {
 	salt    uint64
 	maxTags int
 
-	tree    *ost.Tree
-	lastKey map[uint64]ost.Key
-	seq     uint64
+	// idx orders the tags by recency. tagOf maps a tracked address to its
+	// tag; addr and slot (the index's slot table) are indexed by tag. Tags
+	// 0..Live()−1 are the ones in use.
+	idx   recency.Index
+	tagOf map[uint64]int32
+	addr  []uint64
+	slot  []int32
 
 	// hist[d] counts sampled reuses at sampled stack distance d+1; the
 	// estimated full-stream distance is (d+1)<<shift.
@@ -64,11 +79,15 @@ type Profiler struct {
 
 // NewProfiler builds a profiler sampling 1/2^sampleShift of hash space and
 // tracking at most maxTags sampled lines (resolving the curve up to
-// maxTags<<sampleShift estimated lines). maxTags must be positive;
-// sampleShift must be below 32.
+// maxTags<<sampleShift estimated lines). maxTags must be positive and below
+// 2^28; sampleShift must be below 32. seed feeds the sampling salt only.
 func NewProfiler(maxTags int, sampleShift uint, seed uint64) *Profiler {
 	if maxTags <= 0 {
 		panic("alloc: maxTags must be positive")
+	}
+	if maxTags >= 1<<28 {
+		// The index's capacity reaches 4× the population in int32 slots.
+		panic("alloc: too many tags for 32-bit recency slots")
 	}
 	if sampleShift >= 32 {
 		panic("alloc: sampleShift must be below 32")
@@ -78,8 +97,10 @@ func NewProfiler(maxTags int, sampleShift uint, seed uint64) *Profiler {
 		mask:    (uint64(1) << sampleShift) - 1,
 		salt:    xrand.Mix64(seed ^ 0x5a11ce0fda7a5eed),
 		maxTags: maxTags,
-		tree:    ost.New(xrand.Mix64(seed ^ 0x70f11e)),
-		lastKey: make(map[uint64]ost.Key, maxTags),
+		idx:     recency.New(),
+		tagOf:   make(map[uint64]int32, maxTags),
+		addr:    make([]uint64, maxTags),
+		slot:    make([]int32, maxTags),
 		hist:    make([]uint64, maxTags),
 	}
 }
@@ -107,35 +128,34 @@ func (p *Profiler) Touch(addr uint64) bool {
 func (p *Profiler) TouchSampled(addr uint64) {
 	p.offered++
 	p.sampled++
-	p.seq++
-	newKey := ost.Key{Primary: ^p.seq, Tie: addr}
-	if old, ok := p.lastKey[addr]; ok {
-		// Keys ascend most-recent-first (^seq), so the old key's rank is the
-		// number of distinct sampled lines used since — the sampled stack
-		// distance.
-		rank, found := p.tree.Rank(old)
-		if !found {
-			panic("alloc: shadow tree lost a tracked line")
+	// A seq of its own for every reference: no two tags are ever accessed
+	// "at once", so the index's equal-seq ordering never applies.
+	seq := p.idx.LastSeq() + 1
+	if tag, ok := p.tagOf[addr]; ok {
+		s := p.slot[tag]
+		if s == 0 {
+			panic("alloc: shadow index lost a tracked line")
 		}
-		if rank <= p.maxTags {
-			p.hist[rank-1]++
-		} else {
-			p.far++
-		}
-		p.tree.Delete(old)
-	} else {
-		p.far++
+		// The tag's recency rank is one plus the distinct sampled lines used
+		// since — the sampled stack distance. At most maxTags are tracked,
+		// so it always lands inside hist.
+		p.hist[p.idx.Rank(s)-1]++
+		p.idx.Hit(tag, seq, p.slot)
+		return
 	}
-	p.tree.Insert(newKey, 0)
-	p.lastKey[addr] = newKey
-	if p.tree.Len() > p.maxTags {
-		// Bounded memory: drop the least recently used tracked line (the
-		// largest key under the ^seq ordering). Its next reuse will count as
-		// far, exactly as if a maxTags-line shadow cache evicted it.
-		oldest, _ := p.tree.Max()
-		p.tree.Delete(oldest)
-		delete(p.lastKey, oldest.Tie)
+	p.far++
+	tag := p.idx.Live()
+	if int(tag) == p.maxTags {
+		// Bounded memory: reuse the least recently used tag. Its line's next
+		// reuse will count as far, exactly as if a maxTags-line shadow cache
+		// evicted it.
+		tag = p.idx.Worst()
+		p.idx.Evict(tag, p.slot)
+		delete(p.tagOf, p.addr[tag])
 	}
+	p.addr[tag] = addr
+	p.tagOf[addr] = tag
+	p.idx.Insert(tag, seq, p.slot)
 }
 
 // Decay halves every counter (integer halving, deterministic) while keeping
@@ -156,6 +176,16 @@ func (p *Profiler) Offered() uint64 { return p.offered }
 
 // SampledCount returns the decayed count of tracked references.
 func (p *Profiler) SampledCount() uint64 { return p.sampled }
+
+// Far returns the decayed count of sampled references that no tracked line
+// explains: first uses, plus reuses at sampled distances beyond maxTags.
+func (p *Profiler) Far() uint64 { return p.far }
+
+// Histogram returns a copy of the decayed stack-distance counts:
+// Histogram()[d] is the number of sampled reuses at sampled distance d+1.
+func (p *Profiler) Histogram() []uint64 {
+	return append([]uint64(nil), p.hist...)
+}
 
 // MaxLines returns the largest estimated cache size the profiler resolves:
 // maxTags tracked lines scaled back by the sampling rate.

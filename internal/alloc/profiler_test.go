@@ -4,40 +4,126 @@ import (
 	"math"
 	"testing"
 
-	"fscache/internal/mrc"
 	"fscache/internal/xrand"
 )
 
-// With sampleShift 0 every address is sampled and the profiler must agree
-// exactly with the unsampled Mattson profiler in internal/mrc wherever both
-// resolve the curve.
-func TestProfilerMatchesExactMRCAtShiftZero(t *testing.T) {
-	const tags = 256
-	p := NewProfiler(tags, 0, 1)
-	exact := mrc.New(tags, 1)
+// stackOracle is the Profiler's contract written out naively: the sampled
+// addresses in an LRU stack of at most len(hist) entries, most recent first,
+// searched linearly. A reuse found at depth i is a stack distance of i+1.
+type stackOracle struct {
+	stack                 []uint64
+	hist                  []uint64
+	far, sampled, offered uint64
+}
 
+func (o *stackOracle) touch(addr uint64, sampled bool) {
+	o.offered++
+	if !sampled {
+		return
+	}
+	o.sampled++
+	depth := 0
+	for depth < len(o.stack) && o.stack[depth] != addr {
+		depth++
+	}
+	switch {
+	case depth < len(o.stack):
+		o.hist[depth]++
+	case len(o.stack) < len(o.hist):
+		o.far++
+		o.stack = append(o.stack, 0)
+	default:
+		o.far++
+		depth-- // full: the least recent entry falls off the end
+	}
+	copy(o.stack[1:depth+1], o.stack[:depth])
+	o.stack[0] = addr
+}
+
+func (o *stackOracle) decay() {
+	for i := range o.hist {
+		o.hist[i] >>= 1
+	}
+	o.far >>= 1
+	o.sampled >>= 1
+	o.offered >>= 1
+}
+
+// checkAgainstStack drives a profiler and the naive stack with one stream of
+// mixed locality (a hot set that fits the tags, a wider warm set that does
+// not, a cold tail and a cyclic scan) in three phases with a Decay between,
+// comparing every counter after every reference.
+func checkAgainstStack(t *testing.T, maxTags int, shift uint) {
+	p := NewProfiler(maxTags, shift, 1)
+	o := &stackOracle{hist: make([]uint64, maxTags)}
 	rng := xrand.New(42)
-	var addrs []uint64
-	for i := 0; i < 20000; i++ {
-		addrs = append(addrs, rng.Uint64()%500)
-	}
-	for _, a := range addrs {
-		if !p.Touch(a) {
-			t.Fatalf("shift 0 must sample every address")
+	hot := uint64(maxTags/2+1) << shift
+	warm := uint64(maxTags*3) << shift
+	scan, cold := uint64(0), uint64(0)
+	evictions := 0
+	for phase := 0; phase < 3; phase++ {
+		for i := 0; i < 20000; i++ {
+			var a uint64
+			switch u := rng.Uint64() % 16; {
+			case u < 8:
+				a = rng.Uint64() % hot
+			case u < 13:
+				a = 1<<32 | rng.Uint64()%warm
+			case u < 15:
+				scan = (scan + 1) % (warm + uint64(phase))
+				a = 2<<32 | scan
+			default:
+				cold++
+				a = 3<<32 | cold
+			}
+			if int(p.idx.Live()) == maxTags && p.Sampled(a) {
+				if _, tracked := p.tagOf[a]; !tracked {
+					evictions++
+				}
+			}
+			if got := p.Touch(a); got != p.Sampled(a) {
+				t.Fatalf("Touch(%#x) = %v, Sampled says %v", a, got, !got)
+			}
+			o.touch(a, p.Sampled(a))
+			if p.far != o.far || p.sampled != o.sampled || p.offered != o.offered {
+				t.Fatalf("phase %d ref %d: far/sampled/offered = %d/%d/%d, stack says %d/%d/%d",
+					phase, i, p.far, p.sampled, p.offered, o.far, o.sampled, o.offered)
+			}
+			for d := range o.hist {
+				if p.hist[d] != o.hist[d] {
+					t.Fatalf("phase %d ref %d: hist[%d] = %d, stack says %d", phase, i, d, p.hist[d], o.hist[d])
+				}
+			}
 		}
-		exact.Touch(a)
+		p.Decay()
+		o.decay()
 	}
+	if shift == 0 && p.sampled != p.offered {
+		t.Fatalf("shift 0 must sample every address: %d of %d", p.sampled, p.offered)
+	}
+	if evictions < 1000 {
+		t.Fatalf("stream reused a tag only %d times, want the bound exercised", evictions)
+	}
+	if len(p.tagOf) != int(p.idx.Live()) || len(p.tagOf) > maxTags {
+		t.Fatalf("%d addresses tracked, %d tags live, bound %d", len(p.tagOf), p.idx.Live(), maxTags)
+	}
+	if err := p.idx.CheckInvariants(p.slot, make([]bool, maxTags)); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	for _, lines := range []int{1, 7, 16, 100, 255, 256} {
-		got := p.MissRatio(lines)
-		want := exact.MissRatio(lines)
-		if math.Abs(got-want) > 1e-12 {
-			t.Fatalf("MissRatio(%d) = %v, exact profiler says %v", lines, got, want)
-		}
-	}
-	if p.Offered() != exact.Total() {
-		t.Fatalf("Offered() = %d, exact Total() = %d", p.Offered(), exact.Total())
-	}
+// With sampleShift 0 every address is sampled and the profiler must be the
+// exact Mattson profiler: the naive LRU stack, reference for reference.
+func TestProfilerMatchesExactMRCAtShiftZero(t *testing.T) {
+	checkAgainstStack(t, 64, 0)
+	checkAgainstStack(t, 7, 0)
+	checkAgainstStack(t, 1, 0)
+}
+
+// With sampling on, the profiler must be the same stack over the sampled
+// subset of the stream.
+func TestProfilerMatchesSampledStack(t *testing.T) {
+	checkAgainstStack(t, 64, 3)
 }
 
 // Sampling must estimate the curve of the full stream: with a working-set
@@ -79,11 +165,11 @@ func TestProfilerBoundedMemoryAndTruncation(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		p.Touch(uint64(i)) // pure cold stream, unbounded footprint
 	}
-	if p.tree.Len() > 64 {
-		t.Fatalf("tree holds %d tags, bound is 64", p.tree.Len())
+	if p.idx.Live() > 64 {
+		t.Fatalf("index holds %d tags, bound is 64", p.idx.Live())
 	}
-	if len(p.lastKey) != p.tree.Len() {
-		t.Fatalf("lastKey has %d entries, tree %d", len(p.lastKey), p.tree.Len())
+	if len(p.tagOf) != int(p.idx.Live()) {
+		t.Fatalf("tagOf has %d entries, index %d", len(p.tagOf), p.idx.Live())
 	}
 	if got, want := p.MaxLines(), 64<<2; got != want {
 		t.Fatalf("MaxLines() = %d, want %d", got, want)
@@ -124,7 +210,7 @@ func TestProfilerDecay(t *testing.T) {
 			p.Touch(a)
 		}
 	}
-	tags := p.tree.Len()
+	tags := p.idx.Live()
 	sampled, offered, hits := p.sampled, p.offered, p.HitsAt(8)
 	p.Decay()
 	if p.sampled != sampled/2 || p.offered != offered/2 {
@@ -133,8 +219,8 @@ func TestProfilerDecay(t *testing.T) {
 	if got := p.HitsAt(8); got > hits/2+8 || got < hits/4 {
 		t.Fatalf("histogram not approximately halved: %d -> %d", hits, got)
 	}
-	if p.tree.Len() != tags {
-		t.Fatalf("decay must keep shadow tags warm: %d -> %d", tags, p.tree.Len())
+	if p.idx.Live() != tags {
+		t.Fatalf("decay must keep shadow tags warm: %d -> %d", tags, p.idx.Live())
 	}
 	// Reuse after decay still resolves distances.
 	before := p.HitsAt(8)

@@ -63,42 +63,20 @@ func (r *ostRanker) CheckInvariants() error {
 	return nil
 }
 
-// CheckInvariants implements InvariantChecker for the recency index: in
-// every partition the Fenwick nodes must equal the live-slot counts of the
-// ranges they cover, slot ↔ lineAt must be a bijection between the live
-// slots and the tracked lines (no line claimed twice, none left out), and
-// the live count and its cached fLen must agree with the slots.
+// CheckInvariants implements InvariantChecker for the exact LRU ranker: every
+// partition's recency index must be consistent with the shared slot table
+// (recency.Index.CheckInvariants), no line may be claimed by two partitions
+// or left out of all of them, and each cached fLen must agree with its
+// partition's live count.
 func (r *ExactLRU) CheckInvariants() error {
 	claimed := make([]bool, len(r.slot))
 	for pi := range r.parts {
 		p := &r.parts[pi]
-		if p.cap&(p.cap-1) != 0 || len(p.tree) != len(p.lineAt) || (p.cap > 0 && len(p.tree) != int(p.cap)+1) {
-			return fmt.Errorf("futility: partition %d capacity %d with %d tree and %d slot entries", pi, p.cap, len(p.tree), len(p.lineAt))
+		if err := p.CheckInvariants(r.slot, claimed); err != nil {
+			return fmt.Errorf("futility: partition %d: %w", pi, err)
 		}
-		if p.next < 1 || p.next > p.cap+1 || p.group < 1 || p.group > p.next {
-			return fmt.Errorf("futility: partition %d next slot %d, group %d out of range for capacity %d", pi, p.next, p.group, p.cap)
-		}
-		// count[s] is the number of live slots in 1..s.
-		count := make([]int32, p.cap+1)
-		for s := int32(1); s <= p.cap; s++ {
-			count[s] = count[s-1]
-			if s >= p.next || p.lineAt[s] < 0 {
-				continue
-			}
-			count[s]++
-			l := p.lineAt[s]
-			if int(l) >= len(r.slot) || r.slot[l] != s || claimed[l] {
-				return fmt.Errorf("futility: partition %d slot %d holds line %d, whose slot is not (only) that one", pi, s, l)
-			}
-			claimed[l] = true
-		}
-		for i := int32(1); i <= p.cap; i++ {
-			if want := count[i] - count[i&(i-1)]; p.tree[i] != want {
-				return fmt.Errorf("futility: partition %d Fenwick node %d = %d, live slots in its range %d", pi, i, p.tree[i], want)
-			}
-		}
-		if live := count[p.cap]; p.live != live || !feqBits(r.fLen[pi], float64(live)) {
-			return fmt.Errorf("futility: partition %d live count %d, cached fLen %v, live slots %d", pi, p.live, r.fLen[pi], live)
+		if !feqBits(r.fLen[pi], float64(p.Live())) {
+			return fmt.Errorf("futility: partition %d cached fLen %v, live count %d", pi, r.fLen[pi], p.Live())
 		}
 	}
 	for l, s := range r.slot {

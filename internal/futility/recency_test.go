@@ -132,7 +132,7 @@ func TestExactLRUEqualSeqOrder(t *testing.T) {
 				if variant == "compact" {
 					// Burn slots until one is left: the group's first insert
 					// takes it and the second has to compact.
-					for l := 0; p.next < p.cap; l = (l + 1) % older {
+					for l := 0; p.Free() > 1; l = (l + 1) % older {
 						seq++
 						r.OnHit(l, 0, Context{Seq: seq})
 						m.hit(l, 0, seq)
@@ -141,10 +141,10 @@ func TestExactLRUEqualSeqOrder(t *testing.T) {
 				seq++
 				compacted := false
 				for i := 0; i < k; i++ {
-					before := p.next
+					before := p.Free()
 					r.OnInsert(older+i, 0, Context{Seq: seq})
 					m.insert(older+i, 0, seq)
-					compacted = compacted || p.next < before
+					compacted = compacted || p.Free() > before
 					if variant == "evict" && i == (k-1)/2 {
 						victim := older + i/2
 						r.OnEvict(victim, 0)
@@ -227,9 +227,9 @@ func TestExactLRUAgainstModel(t *testing.T) {
 			pInsert = 0.45
 		}
 		var part int
-		var nextBefore, capBefore [parts]int32
+		var freeBefore, capBefore [parts]int32
 		for p := range r.parts {
-			nextBefore[p], capBefore[p] = r.parts[p].next, r.parts[p].cap
+			freeBefore[p], capBefore[p] = r.parts[p].Free(), r.parts[p].Cap()
 		}
 		u := rng.Float64()
 		switch {
@@ -277,10 +277,11 @@ func TestExactLRUAgainstModel(t *testing.T) {
 			r.OnEvict(l, part)
 			m.evict(l, part)
 		}
-		if r.parts[part].next < nextBefore[part] {
+		// Only a compaction gives slots back.
+		if r.parts[part].Free() > freeBefore[part] {
 			compactions++
 		}
-		if r.parts[part].cap > capBefore[part] && step > steps/2 {
+		if r.parts[part].Cap() > capBefore[part] && step > steps/2 {
 			growths++
 		}
 		if err := m.compare(r, part); err != nil {
@@ -322,11 +323,14 @@ func TestExactLRUCheckInvariantsDetects(t *testing.T) {
 		name   string
 		damage func(r *ExactLRU)
 	}{
-		{"fenwick node", func(r *ExactLRU) { r.parts[0].tree[1]++ }},
-		{"live count", func(r *ExactLRU) { r.parts[1].live-- }},
+		// Damage inside one index (a Fenwick node, its live count) is the
+		// recency package's own corruption test.
+		{"live count", func(r *ExactLRU) { r.parts[1].Evict(1, r.slot) }},
 		{"cached fLen", func(r *ExactLRU) { r.fLen[0]++ }},
 		{"slot of a line", func(r *ExactLRU) { r.slot[0], r.slot[4] = r.slot[4], r.slot[0] }},
-		{"claimed twice", func(r *ExactLRU) { r.parts[1].lineAt[r.slot[1]] = 0 }},
+		// Lines 0 and 1 both sit in slot 1 of their partitions, so after the
+		// rename only the shared claimed set can tell line 0 is held twice.
+		{"claimed twice", func(r *ExactLRU) { r.parts[1].Move(1, 0, r.slot) }},
 		{"orphan line", func(r *ExactLRU) { r.slot[7] = 1 }},
 	} {
 		r := build()

@@ -46,6 +46,7 @@ var DefaultSimPackages = []string{
 	"fscache/internal/sim",
 	"fscache/internal/policy",
 	"fscache/internal/futility",
+	"fscache/internal/recency",
 	"fscache/internal/baselines",
 	"fscache/internal/cachearray",
 	"fscache/internal/experiments",

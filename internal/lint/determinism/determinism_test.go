@@ -22,6 +22,7 @@ func TestDefaultScope(t *testing.T) {
 		"fscache/internal/sim":         true,
 		"fscache/internal/policy":      true,
 		"fscache/internal/futility":    true,
+		"fscache/internal/recency":     true,
 		"fscache/internal/baselines":   true,
 		"fscache/internal/cachearray":  true,
 		"fscache/internal/experiments": true,

@@ -1,7 +1,7 @@
 // Package panicstyle implements the fslint analyzer that enforces the
 // repository's panic-message convention.
 //
-// Library packages (ost, mrc, stats, futility, core, ...) panic with
+// Library packages (ost, stats, futility, core, ...) panic with
 // `"pkg: ..."`-prefixed messages so that a panic in a long experiment run
 // immediately names the subsystem that detected the invariant violation.
 // The analyzer requires every panic argument in a library package to be a
@@ -25,7 +25,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "panicstyle",
 	Doc: `require panic() arguments in library packages to be strings prefixed "pkg: ", ` +
-		"matching the convention in ost, mrc and stats",
+		"matching the convention in ost and stats",
 	Run: run,
 }
 

@@ -4,11 +4,12 @@
 // normalized to [0,1]: for the line ranked r-th of M, f = r/M (§III-A of the
 // paper). Exact futility ranking therefore needs order statistics over a
 // dynamically changing set of keys — access frequencies for LFU, next-use
-// times for OPT, segment plus recency for SLRU; the MRC profilers need the
-// same for stack distances. (Exact LRU's keys only ever grow, which lets
-// futility.ExactLRU use a Fenwick tree over access order instead.) The treap
-// supports Insert, Delete, Rank, Select, Min and Max in O(log n) expected
-// time with deterministic behaviour given a seed.
+// times for OPT, segment plus recency for SLRU. Those three reference rankers
+// are the treap's only users: recency keys only ever grow, so exact LRU
+// ranks and the MRC profiler's stack distances (futility.ExactLRU,
+// alloc.Profiler) come from internal/recency's Fenwick tree over access
+// order instead. The treap supports Insert, Delete, Rank, Select, Min and Max
+// in O(log n) expected time with deterministic behaviour given a seed.
 //
 // Keys are (uint64 primary, uint64 tiebreak) pairs; the tiebreak makes every
 // stored key unique so ranks are a strict total order, as the paper requires

@@ -22,6 +22,7 @@ package perfbench
 import (
 	"testing"
 
+	"fscache/internal/alloc"
 	"fscache/internal/cachearray"
 	"fscache/internal/core"
 	"fscache/internal/futility"
@@ -78,9 +79,9 @@ func Registry() []Benchmark {
 			ZeroAlloc: true, Fn: SetAssocLookup},
 		{Name: "cachearray/zcache-walk", Doc: "ZCache.Candidates on a full Z4/52 of 4096 lines: up to 52 nodes, ~76 H3 hashes, bitmap dedup",
 			ZeroAlloc: true, Fn: ZCacheWalk},
-		{Name: "ost/insert-delete", Doc: "treap steady-state Insert+Delete pair at 4096 keys (a hit under LFU/OPT/SLRU, an mrc/alloc profiler observation)",
+		{Name: "ost/insert-delete", Doc: "treap steady-state Insert+Delete pair at 4096 keys (a hit under LFU/OPT/SLRU)",
 			ZeroAlloc: true, Fn: OSTInsertDelete},
-		{Name: "ost/rank", Doc: "treap Rank query at 4096 keys (one candidate's futility under LFU/OPT/SLRU, a profiler's stack distance)",
+		{Name: "ost/rank", Doc: "treap Rank query at 4096 keys (one candidate's futility under LFU/OPT/SLRU)",
 			ZeroAlloc: true, Fn: OSTRank},
 		{Name: "ost/select", Doc: "treap Select query at 4096 keys (SLRU's protected-segment demotion)",
 			ZeroAlloc: true, Fn: OSTSelect},
@@ -88,6 +89,10 @@ func Registry() []Benchmark {
 			ZeroAlloc: true, Fn: ExactLRUHit},
 		{Name: "futility/exact-lru-rank", Doc: "ExactLRU FutilityRaw at 4096 lines: one Fenwick prefix sum",
 			ZeroAlloc: true, Fn: ExactLRURank},
+		{Name: "alloc/profiler-touch", Doc: "alloc.Profiler Touch at shift 0 (exact Mattson), 4096 tags over 8192 lines: a rank + hit or a worst-tag reuse on the recency index, plus the address map",
+			ZeroAlloc: true, Fn: ProfilerTouch},
+		{Name: "alloc/profiler-touch-sampled", Doc: "alloc.Profiler Touch at shift 3, 4096 tags over 65536 lines: seven references in eight stop at the sampling hash",
+			ZeroAlloc: true, Fn: ProfilerTouchSampled},
 		{Name: "coarsets/onhit", Doc: "CoarseTS OnHit (tick + retag)",
 			ZeroAlloc: true, Fn: CoarseOnHit},
 		{Name: "futility/coarse-distance", Doc: "CoarseTS Distance: the bare 8-bit timestamp subtraction the raw-only FS decision pays per candidate",
@@ -309,6 +314,37 @@ func ExactLRURank(b *testing.B) {
 	}
 	benchSink = sink
 }
+
+// ---- alloc.Profiler ----
+
+const profilerTags = 4096
+
+// profilerTouch times Touch over a uniform footprint of twice the tracked
+// population (profilerTags << shift lines are tracked at once), so about half
+// the sampled references reuse a tracked line and half reuse the least recent
+// tag. The warm-up fills the tag table and takes the index to its final
+// capacity.
+func profilerTouch(b *testing.B, shift uint) {
+	p := alloc.NewProfiler(profilerTags, shift, benchSeed)
+	lines := uint64(2*profilerTags) << shift
+	rng := xrand.New(benchSeed ^ 0xa110c)
+	for i := uint64(0); i < 4*lines; i++ {
+		p.Touch(rng.Uint64() % lines)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Touch(rng.Uint64() % lines)
+	}
+	benchSink = p.SampledCount()
+}
+
+// ProfilerTouch measures one exact (shift 0) profiler observation.
+func ProfilerTouch(b *testing.B) { profilerTouch(b, 0) }
+
+// ProfilerTouchSampled measures one reference offered to a 1/8-sampling
+// profiler: the sampling hash always, the observation one time in eight.
+func ProfilerTouchSampled(b *testing.B) { profilerTouch(b, 3) }
 
 // benchSink keeps results the timed loops compute from being optimised away.
 var benchSink uint64

@@ -10,7 +10,11 @@
 // allocation).
 package policy
 
-import "fmt"
+import (
+	"fmt"
+
+	"fscache/internal/alloc"
+)
 
 // Policy computes per-partition target sizes in lines.
 type Policy interface {
@@ -35,14 +39,7 @@ func (e Equal) Targets(totalLines int) []int {
 		panic("policy: Equal needs positive Parts")
 	}
 	out := make([]int, e.Parts)
-	base := totalLines / e.Parts
-	rem := totalLines - base*e.Parts
-	for i := range out {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
-	}
+	alloc.EvenSplit(out, totalLines)
 	return out
 }
 
@@ -84,15 +81,7 @@ func (q QoS) Targets(totalLines int) []int {
 		out[i] = q.SubjectLines
 	}
 	if q.Background > 0 {
-		rest := budget - need
-		base := rest / q.Background
-		rem := rest - base*q.Background
-		for i := 0; i < q.Background; i++ {
-			out[q.Subjects+i] = base
-			if i < rem {
-				out[q.Subjects+i]++
-			}
-		}
+		alloc.EvenSplit(out[q.Subjects:], budget-need)
 	}
 	return out
 }

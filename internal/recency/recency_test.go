@@ -1,0 +1,260 @@
+package recency
+
+import (
+	"testing"
+
+	"fscache/internal/xrand"
+)
+
+// model is the order an Index must keep, as a plain slice: lines most recent
+// first, with the seq each one was last accessed under.
+type model struct {
+	order   []int32
+	seqOf   map[int32]uint64
+	lastSeq uint64
+}
+
+func (m *model) remove(line int32) {
+	for i, l := range m.order {
+		if l == line {
+			m.order = append(m.order[:i], m.order[i+1:]...)
+			return
+		}
+	}
+	panic("model: line not tracked")
+}
+
+func (m *model) placeAt(i int, line int32) {
+	m.order = append(m.order, 0)
+	copy(m.order[i+1:], m.order[i:])
+	m.order[i] = line
+}
+
+// insert puts a line accessed under a new seq first, and one accessed under
+// the current seq below every line already carrying it.
+func (m *model) insert(line int32, seq uint64) {
+	i := 0
+	if seq == m.lastSeq {
+		for i < len(m.order) && m.seqOf[m.order[i]] == seq {
+			i++
+		}
+	}
+	m.lastSeq = seq
+	m.seqOf[line] = seq
+	m.placeAt(i, line)
+}
+
+func (m *model) hit(line int32, seq uint64) {
+	m.remove(line)
+	m.lastSeq = seq
+	m.seqOf[line] = seq
+	m.placeAt(0, line)
+}
+
+func (m *model) evict(line int32) {
+	m.remove(line)
+	delete(m.seqOf, line)
+}
+
+func (m *model) move(from, to int32) {
+	for i, l := range m.order {
+		if l == from {
+			m.order[i] = to
+		}
+	}
+	m.seqOf[to] = m.seqOf[from]
+	delete(m.seqOf, from)
+}
+
+func (m *model) compare(t *testing.T, step int, p *Index, slot []int32) {
+	t.Helper()
+	if int(p.Live()) != len(m.order) {
+		t.Fatalf("step %d: Live = %d, model %d", step, p.Live(), len(m.order))
+	}
+	worst := int32(-1)
+	if len(m.order) > 0 {
+		worst = m.order[len(m.order)-1]
+	}
+	if got := p.Worst(); got != worst {
+		t.Fatalf("step %d: Worst = %d, model %d", step, got, worst)
+	}
+	for i, l := range m.order {
+		if got := p.Rank(slot[l]); int(got) != i+1 {
+			t.Fatalf("step %d: line %d has rank %d, model %d of %d", step, l, got, i+1, len(m.order))
+		}
+	}
+	tracked := 0
+	for _, s := range slot {
+		if s != 0 {
+			tracked++
+		}
+	}
+	if tracked != len(m.order) {
+		t.Fatalf("step %d: slot table tracks %d lines, model %d", step, tracked, len(m.order))
+	}
+}
+
+// TestIndexAgainstModel drives one Index and the slice model with a seeded
+// stream of inserts (a third of them under the current seq), hits, renames
+// and evictions: first over a small population, then a large one, so the
+// index compacts many times and grows after it has been in use.
+func TestIndexAgainstModel(t *testing.T) {
+	const lines = 160
+	steps := 30000
+	if testing.Short() {
+		steps = 8000
+	}
+	idx := New()
+	p := &idx
+	slot := make([]int32, lines)
+	m := &model{seqOf: map[int32]uint64{}}
+	rng := xrand.New(0x5eed)
+	var free, used []int32
+	for l := int32(lines - 1); l >= 0; l-- {
+		free = append(free, l)
+	}
+	drop := func(s []int32, i int) []int32 { s[i] = s[len(s)-1]; return s[:len(s)-1] }
+
+	seq := uint64(0)
+	compactions, growths := 0, 0
+	for step := 0; step < steps; step++ {
+		level := lines / 10
+		if step > steps/2 {
+			level = lines * 9 / 10
+		}
+		pInsert := 0.15
+		if len(used) < level {
+			pInsert = 0.45
+		}
+		freeBefore, capBefore := p.Free(), p.Cap()
+		u := rng.Float64()
+		switch {
+		case len(used) == 0 || (u < pInsert && len(free) > 0):
+			i := rng.Intn(len(free))
+			l := free[i]
+			free = drop(free, i)
+			used = append(used, l)
+			if !rng.Bool(1.0 / 3) {
+				seq++
+			}
+			p.Insert(l, seq, slot)
+			m.insert(l, seq)
+		case u < 0.70:
+			l := used[rng.Intn(len(used))]
+			// A few hits reuse the current seq: still most recent.
+			if !rng.Bool(1.0 / 8) {
+				seq++
+			}
+			p.Hit(l, seq, slot)
+			m.hit(l, seq)
+		case u < 0.85 && len(free) > 0:
+			j := rng.Intn(len(used))
+			i := rng.Intn(len(free))
+			from, to := used[j], free[i]
+			p.Move(from, to, slot)
+			m.move(from, to)
+			used[j], free[i] = to, from
+		default:
+			i := rng.Intn(len(used))
+			l := used[i]
+			used = drop(used, i)
+			free = append(free, l)
+			p.Evict(l, slot)
+			m.evict(l)
+		}
+		// Only a compaction gives slots back.
+		if p.Free() > freeBefore {
+			compactions++
+		}
+		if p.Cap() > capBefore && step > steps/2 {
+			growths++
+		}
+		if p.LastSeq() != m.lastSeq {
+			t.Fatalf("step %d: LastSeq = %d, model %d", step, p.LastSeq(), m.lastSeq)
+		}
+		m.compare(t, step, p, slot)
+		if step%64 == 0 {
+			if err := p.CheckInvariants(slot, make([]bool, lines)); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+	}
+	if err := p.CheckInvariants(slot, make([]bool, lines)); err != nil {
+		t.Fatal(err)
+	}
+	if compactions < 8 || growths < 1 {
+		t.Fatalf("stream crossed %d compactions and %d late capacity growths, want >= 8 and >= 1", compactions, growths)
+	}
+}
+
+// Two indexes over disjoint lines share one slot table; the shared claimed
+// set is what catches a line held by both.
+func TestIndexSharedSlotTable(t *testing.T) {
+	a, b := New(), New()
+	slot := make([]int32, 8)
+	for l := int32(0); l < 8; l++ {
+		p := &a
+		if l%2 == 1 {
+			p = &b
+		}
+		p.Insert(l, uint64(l+1), slot)
+	}
+	a.Hit(0, 9, slot)
+	b.Evict(3, slot)
+	claimed := make([]bool, len(slot))
+	if err := a.CheckInvariants(slot, claimed); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.CheckInvariants(slot, claimed); err != nil {
+		t.Fatal(err)
+	}
+	for l, c := range claimed {
+		if c != (slot[l] != 0) {
+			t.Fatalf("line %d: claimed %v, slot %d", l, c, slot[l])
+		}
+	}
+	if a.Worst() != 2 || b.Worst() != 1 {
+		t.Fatalf("Worst = %d and %d, want 2 and 1", a.Worst(), b.Worst())
+	}
+	if err := a.CheckInvariants(slot, claimed); err == nil {
+		t.Fatal("a second claim of the same lines went unnoticed")
+	}
+}
+
+// CheckInvariants must notice each kind of damage it documents.
+func TestCheckInvariantsDetects(t *testing.T) {
+	build := func() (*Index, []int32) {
+		p := New()
+		slot := make([]int32, 8)
+		for l := int32(0); l < 6; l++ {
+			p.Insert(l, uint64(l), slot)
+		}
+		p.Evict(2, slot)
+		p.Hit(0, 7, slot)
+		if err := p.CheckInvariants(slot, make([]bool, len(slot))); err != nil {
+			t.Fatalf("clean index: %v", err)
+		}
+		return &p, slot
+	}
+	for _, c := range []struct {
+		name   string
+		damage func(p *Index, slot []int32)
+	}{
+		{"fenwick node", func(p *Index, slot []int32) { p.tree[1]++ }},
+		{"live count", func(p *Index, slot []int32) { p.live-- }},
+		{"capacity", func(p *Index, slot []int32) { p.cap-- }},
+		{"array lengths", func(p *Index, slot []int32) { p.lineAt = p.lineAt[:len(p.lineAt)-1] }},
+		{"next slot", func(p *Index, slot []int32) { p.next = p.cap + 2 }},
+		{"group", func(p *Index, slot []int32) { p.group = p.next + 1 }},
+		{"slot of a line", func(p *Index, slot []int32) { slot[1], slot[4] = slot[4], slot[1] }},
+		{"line of a slot", func(p *Index, slot []int32) { p.lineAt[slot[1]] = 4 }},
+		{"line out of range", func(p *Index, slot []int32) { p.lineAt[slot[1]] = int32(len(slot)) }},
+		{"retired slot still counted", func(p *Index, slot []int32) { p.lineAt[slot[3]] = -1 }},
+	} {
+		p, slot := build()
+		c.damage(p, slot)
+		if p.CheckInvariants(slot, make([]bool, len(slot))) == nil {
+			t.Errorf("%s: damage went unnoticed", c.name)
+		}
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"fscache/internal/alloc"
 	"fscache/internal/trace"
 	"fscache/internal/workload"
 	"fscache/internal/xrand"
@@ -99,44 +100,18 @@ func (c *Compiled) Targets(lines int, live []bool) []int {
 		panic("scenario: Targets live-mask length mismatch")
 	}
 	out := make([]int, len(c.Clients))
+	weights := make([]float64, len(c.Clients))
 	total := 0.0
 	for i, cl := range c.Clients {
 		if live[i] {
+			weights[i] = cl.Share
 			total += cl.Share
 		}
 	}
 	if total <= 0 {
 		return out
 	}
-	given := 0
-	type rem struct {
-		part int
-		frac float64
-	}
-	rems := make([]rem, 0, len(c.Clients))
-	for i, cl := range c.Clients {
-		if !live[i] {
-			continue
-		}
-		exact := float64(lines) * cl.Share / total
-		out[i] = int(exact)
-		given += out[i]
-		rems = append(rems, rem{part: i, frac: exact - float64(out[i])})
-	}
-	// Hand the leftover lines to the largest fractional remainders; ties
-	// break toward the lower partition index (rems is in partition order and
-	// the scan uses strict >).
-	for given < lines && len(rems) > 0 {
-		best := 0
-		for j := 1; j < len(rems); j++ {
-			if rems[j].frac > rems[best].frac {
-				best = j
-			}
-		}
-		out[rems[best].part]++
-		rems[best].frac = -1
-		given++
-	}
+	alloc.Apportion(lines, weights, out, make([]float64, len(weights)))
 	return out
 }
 

@@ -19,6 +19,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -238,8 +239,9 @@ func (s *Spec) Validate() error {
 		if c.Replicate < 0 {
 			return fmt.Errorf("scenario %s: client %s has negative replicate", s.Name, c.Name)
 		}
-		if c.Share <= 0 {
-			return fmt.Errorf("scenario %s: client %s needs a positive share", s.Name, c.Name)
+		// Written so that NaN, which fails every comparison, is rejected too.
+		if !(c.Share > 0) || math.IsInf(c.Share, 0) {
+			return fmt.Errorf("scenario %s: client %s needs a positive finite share", s.Name, c.Name)
 		}
 		if c.Start < 0 || c.Start >= 1 {
 			return fmt.Errorf("scenario %s: client %s start %.2f out of [0, 1)", s.Name, c.Name, c.Start)

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -172,6 +173,28 @@ func TestParseRejects(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.frag)
 			}
 		})
+	}
+}
+
+// A spec built in code can carry shares JSON cannot spell. NaN fails every
+// comparison, so a plain share <= 0 check lets it through to Targets.
+func TestValidateRejectsBadShare(t *testing.T) {
+	s, err := Parse([]byte(`{
+		"seed": 1, "accesses": 1000, "cache": {"lines": 256},
+		"clients": [{"name": "a", "workload": {"profile": "mcf"}}]
+	}`), "share")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("valid spec: %v", err)
+	}
+	for _, share := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		s.Clients[0].Share = share
+		err := s.Validate()
+		if err == nil || !strings.Contains(err.Error(), "share") {
+			t.Errorf("share %v: Validate = %v, want a share error", share, err)
+		}
 	}
 }
 

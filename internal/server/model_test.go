@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"fscache/internal/alloc"
 	"fscache/internal/faultinject"
 	"fscache/internal/shardcache"
 	"fscache/internal/xrand"
@@ -31,7 +32,9 @@ type modelEntry struct {
 
 func newServerModel(cfg Config) *serverModel {
 	eng := shardcache.New(cfg.Cache)
-	eng.SetTargets(evenTargets(cfg.Cache.Lines, len(cfg.Tenants)))
+	targets := make([]int, len(cfg.Tenants))
+	alloc.EvenSplit(targets, cfg.Cache.Lines)
+	eng.SetTargets(targets)
 	return &serverModel{eng: eng, m: map[uint64]modelEntry{}}
 }
 

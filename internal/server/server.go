@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fscache/internal/alloc"
 	"fscache/internal/shardcache"
 	"fscache/internal/stats"
 )
@@ -200,7 +201,8 @@ func New(cfg Config) (*Server, error) {
 	engine := shardcache.New(cfg.Cache)
 	targets := cfg.Targets
 	if targets == nil {
-		targets = evenTargets(cfg.Cache.Lines, len(cfg.Tenants))
+		targets = make([]int, len(cfg.Tenants))
+		alloc.EvenSplit(targets, cfg.Cache.Lines)
 	}
 	engine.SetTargets(targets)
 	s := &Server{
@@ -213,18 +215,6 @@ func New(cfg Config) (*Server, error) {
 		closedHist: stats.NewHistogram(latBuckets),
 	}
 	return s, nil
-}
-
-// evenTargets splits lines across parts, remainder to the low indices.
-func evenTargets(lines, parts int) []int {
-	t := make([]int, parts)
-	for p := range t {
-		t[p] = lines / parts
-		if p < lines%parts {
-			t[p]++
-		}
-	}
-	return t
 }
 
 // ListenAndServe binds cfg.Addr and starts serving. It returns once the

@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"sync"
 
+	"fscache/internal/alloc"
 	"fscache/internal/cachearray"
 	"fscache/internal/core"
 	"fscache/internal/futility"
@@ -389,7 +390,7 @@ func (e *Engine) apportionAll() {
 //
 //fs:callerholds rmu
 func (e *Engine) apportionPart(p int) {
-	apportionInto(e.goalScratch[p], e.weightScratch, e.shareScratch, e.remScratch)
+	alloc.Apportion(e.goalScratch[p], e.weightScratch, e.shareScratch, e.remScratch)
 	for g := range e.stripes {
 		e.perStripe[g][p] = e.shareScratch[g]
 	}
@@ -405,53 +406,6 @@ func (e *Engine) applyTargets() {
 		st.mu.Lock()
 		st.cache.SetTargets(tv)
 		st.mu.Unlock()
-	}
-}
-
-// apportion splits total into integer shares proportional to weights using
-// largest-remainder rounding: shares sum exactly to total, and the result
-// is a deterministic function of (total, weights) with ties broken by the
-// lowest index. Weights must be non-negative with a positive sum.
-func apportion(total int, weights []float64) []int {
-	shares := make([]int, len(weights))
-	rems := make([]float64, len(weights))
-	apportionInto(total, weights, shares, rems)
-	return shares
-}
-
-// apportionInto is apportion with caller-owned output buffers (the
-// distributor's allocation-free form). len(shares) and len(rems) must equal
-// len(weights).
-func apportionInto(total int, weights []float64, shares []int, rems []float64) {
-	sum := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("shardcache: negative apportionment weight")
-		}
-		sum += w
-	}
-	if sum <= 0 {
-		panic("shardcache: apportionment weights sum to zero")
-	}
-	used := 0
-	for i, w := range weights {
-		exact := float64(total) * (w / sum)
-		shares[i] = int(exact)
-		rems[i] = exact - float64(shares[i])
-		used += shares[i]
-	}
-	for used < total {
-		best := -1
-		bestRem := -1.0
-		for i, r := range rems {
-			if r > bestRem {
-				bestRem = r
-				best = i
-			}
-		}
-		shares[best]++
-		rems[best] = -2 // consumed; lowest index wins remaining ties
-		used++
 	}
 }
 

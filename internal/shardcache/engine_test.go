@@ -301,36 +301,3 @@ func TestLockDisciplineSmoke(t *testing.T) {
 		t.Fatalf("accesses = %d, want %d (lost updates?)", got, workers*perWorker)
 	}
 }
-
-// TestApportion pins the largest-remainder apportionment: exact sums,
-// proportionality, and deterministic lowest-index tie-breaks.
-func TestApportion(t *testing.T) {
-	cases := []struct {
-		total   int
-		weights []float64
-		want    []int
-	}{
-		{10, []float64{1, 1}, []int{5, 5}},
-		{10, []float64{1, 1, 1}, []int{4, 3, 3}}, // remainder to lowest index
-		{7, []float64{3, 1}, []int{5, 2}},        // 5.25 → 5, 1.75 → 2
-		{0, []float64{2, 5}, []int{0, 0}},        // nothing to hand out
-		{5, []float64{0, 1}, []int{0, 5}},        // zero weight gets zero
-		{100, []float64{1, 2, 3, 4}, []int{10, 20, 30, 40}},
-	}
-	for _, c := range cases {
-		got := apportion(c.total, c.weights)
-		sum := 0
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("apportion(%d, %v) = %v, want %v", c.total, c.weights, got, c.want)
-				break
-			}
-		}
-		for _, v := range got {
-			sum += v
-		}
-		if sum != c.total {
-			t.Errorf("apportion(%d, %v) sums to %d", c.total, c.weights, sum)
-		}
-	}
-}
