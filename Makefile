@@ -113,8 +113,11 @@ serve:
 
 # End-to-end serving-layer soak under the race detector: a race-built
 # fsserve with listener-side fault injection, a faulty closed-loop fsload
-# fleet with error-rate and occupancy gates (DESIGN.md §14), then a SIGTERM
-# drain that must come back clean (fsserve exits 1 on a forced drain). The
+# fleet with an error-rate gate (DESIGN.md §14), then a SIGTERM drain that must
+# come back clean (fsserve exits 1 on a forced drain). No -maxocc: the ≈ 6 k
+# requests this run completes under -race cannot converge a 512-line cache, and
+# -maxocc 0.25 failed 5 of 8 runs on an unchanged tree; how sizes track
+# targets is gated by the engine tests (internal/shardcache), not here. The
 # EXIT trap kills the server on any earlier failure, so a failed gate does not
 # leave it running. CI's server job runs the same shape with a shorter duration.
 netsoak:
@@ -128,7 +131,7 @@ netsoak:
 	for i in $$(seq 1 50); do [ -s "$$tmp/addr" ] && break; sleep 0.1; done; \
 	[ -s "$$tmp/addr" ] || { echo "fsserve never wrote its address" >&2; exit 1; }; \
 	"$$tmp/fsload" -net "$$(cat "$$tmp/addr")" -workers 4 -keys 4096 -duration 3s \
-		-deadline 50ms -hedge 20ms -faults -maxerr 0.05 -maxocc 0.25; \
+		-deadline 50ms -hedge 20ms -faults -maxerr 0.05; \
 	kill -TERM $$pid; wait $$pid; pid=
 
 check: build lint test race

@@ -4,7 +4,9 @@
 // rebalancer redistributes per-partition targets, then reports aggregate
 // throughput, per-worker access-latency quantiles and the per-partition
 // occupancy error against the configured targets — the operational health
-// check for the sharded engine, and the -race smoke test CI runs.
+// check for the sharded engine, and the -race smoke test CI runs. The aef
+// column is taken over the `measured` evictions beside it, those on the one
+// lock stripe in four the engine samples; it reads "-" when there were none.
 //
 // Unlike the deterministic test driver (shardcache.RunDeterministic), fsload
 // deliberately lets workers share shards and race against the rebalancer:
@@ -219,12 +221,18 @@ func main() {
 			latQ(w.hist, 0.5), latQ(w.hist, 0.9), latQ(w.hist, 0.99))
 	}
 
-	fmt.Printf("\n  %-10s %8s %10s %10s %8s %10s\n",
-		"partition", "target", "occupancy", "error", "miss", "aef")
+	fmt.Printf("\n  %-10s %8s %10s %10s %8s %10s %10s\n",
+		"partition", "target", "occupancy", "error", "miss", "aef", "measured")
 	for p := 0; p < opts.parts; p++ {
-		fmt.Printf("  %-10d %8d %10.1f %9.1f%% %8.4f %10.4f\n",
-			p, r.targets[p], r.occ[p], 100*r.occErr[p], r.snap.Parts[p].MissRate(), r.snap.Parts[p].AEF())
+		ps := &r.snap.Parts[p]
+		aef := "-" // no measured eviction: Mean() would print 0, outside (0, 1]
+		if ps.EvictFutility.N() > 0 {
+			aef = strconv.FormatFloat(ps.AEF(), 'f', 4, 64)
+		}
+		fmt.Printf("  %-10d %8d %10.1f %9.1f%% %8.4f %10s %10d\n",
+			p, r.targets[p], r.occ[p], 100*r.occErr[p], ps.MissRate(), aef, ps.EvictFutility.N())
 	}
+	fmt.Println("  aef is the mean over the measured evictions: those on the stripes that carry the reference ranker")
 	if *allocFl != "" {
 		reallocs, drifts := 0, 0
 		for _, d := range r.decisions {

@@ -18,8 +18,14 @@ type Config struct {
 	Ranker futility.Ranker
 	// Reference, if non-nil, is an exact ranker maintained purely for
 	// measurement: eviction futility (AEF) is always taken from it. If nil,
-	// Ranker doubles as the reference.
+	// Ranker doubles as the reference unless Unmeasured is set.
 	Reference futility.Ranker
+	// Unmeasured builds a cache that records no eviction futility: no reference
+	// is kept or queried, PartStats.EvictFutility stays empty and
+	// AccessResult.EvictedFutility is 0; decisions never read the reference, so
+	// every other outcome is unchanged. It excludes Reference (New panics).
+	// internal/shardcache sets it on the lock domains it does not sample.
+	Unmeasured bool
 	// Scheme is the partitioning scheme.
 	Scheme Scheme
 	// Parts is the number of partitions (including any scheme-private
@@ -54,7 +60,8 @@ type PartStats struct {
 	occSampled   uint64
 }
 
-// AEF returns the partition's average eviction futility.
+// AEF returns the partition's average eviction futility, or 0 — outside
+// futility's (0, 1] — when EvictFutility.N() == 0 (no eviction, or Unmeasured).
 func (p *PartStats) AEF() float64 { return p.EvictFutility.Mean() }
 
 // MissRate returns misses/(hits+misses), or 0 with no accesses.
@@ -89,7 +96,7 @@ var noLine = lineMeta{part: -1, owner: -1}
 type Cache struct {
 	array       cachearray.Array
 	ranker      futility.Ranker
-	ref         futility.Ranker // == ranker when no separate reference
+	ref         futility.Ranker // == ranker when no separate reference; nil when unmeasured
 	sameRef     bool
 	scheme      Scheme
 	parts       int
@@ -122,7 +129,6 @@ type Cache struct {
 	allCands bool
 	fullSel  FullSelector
 	worst    futility.WorstTracker
-	refWorst futility.WorstTracker
 
 	// Hot-path devirtualization. The two rankers every large experiment runs
 	// (§V's coarse timestamps and the exact LRU recency index) are pinned
@@ -135,14 +141,15 @@ type Cache struct {
 	fast futility.FastRanker
 	// rawOnly is set when the pipeline itself never reads Candidate.Futility:
 	// a rawDecider scheme over the coarse ranker, with eviction futility taken
-	// from a separate reference. Only an observer or a filter could read it.
+	// from a separate reference or not taken at all (Unmeasured). Only an
+	// observer or a filter could read it.
 	rawOnly bool
 	// refHit/refInsert/refEvict/refMove are bound to the reference ranker's
 	// methods when a separate reference exists, and nil when the decision
-	// ranker doubles as reference — hoisting the sameRef branch out of the
-	// per-access path into a nil check on a prebound func. They are bound
-	// from Ranker's //fs:allocfree interface methods, so calls through them
-	// keep the same contract.
+	// ranker doubles as reference or the cache is unmeasured — hoisting the
+	// sameRef branch out of the per-access path into a nil check on a
+	// prebound func. They are bound from Ranker's //fs:allocfree interface
+	// methods, so calls through them keep the same contract.
 	//fs:allocfree
 	refHit func(line, part int, ctx futility.Context)
 	//fs:allocfree
@@ -184,7 +191,10 @@ func New(cfg Config) *Cache {
 		targets:     make([]int, cfg.Parts),
 		pstats:      make([]PartStats, cfg.Parts),
 	}
-	if c.ref == nil {
+	if cfg.Unmeasured && cfg.Reference != nil {
+		panic("core: Unmeasured excludes a Reference")
+	}
+	if c.ref == nil && !cfg.Unmeasured {
 		c.ref = cfg.Ranker
 		c.sameRef = true
 	}
@@ -201,7 +211,6 @@ func New(cfg Config) *Cache {
 	}
 	c.fullSel, _ = cfg.Scheme.(FullSelector)
 	c.worst, _ = cfg.Ranker.(futility.WorstTracker)
-	c.refWorst, _ = c.ref.(futility.WorstTracker)
 	switch r := cfg.Ranker.(type) {
 	case *futility.CoarseTS:
 		c.coarse = r
@@ -210,8 +219,8 @@ func New(cfg Config) *Cache {
 	}
 	c.fast, _ = cfg.Ranker.(futility.FastRanker)
 	_, decidesOnRaw := cfg.Scheme.(rawDecider)
-	c.rawOnly = decidesOnRaw && c.coarse != nil && !c.sameRef
-	if !c.sameRef {
+	c.rawOnly = decidesOnRaw && c.coarse != nil && !c.sameRef // separate reference or none
+	if cfg.Reference != nil {
 		c.refHit = c.ref.OnHit
 		c.refInsert = c.ref.OnInsert
 		c.refEvict = c.ref.OnEvict
@@ -299,10 +308,11 @@ func (c *Cache) SetCandidateFilter(f CandidateFilter) { c.candFilter = f }
 //
 // Candidate.Futility is populated whenever an observer or a filter is
 // installed; without one, FSFeedback over CoarseTS with a separate Reference
-// computes Raw alone and leaves the coarse CDF uncalibrated. An observer
-// installed mid-run therefore sees a CDF calibrated from its installation,
-// not from the start of the run; install it before the first access when the
-// values must not depend on when observation began (the scenario recorder).
+// (or Unmeasured) computes Raw alone and leaves the coarse CDF uncalibrated.
+// An observer installed mid-run therefore sees a CDF calibrated from its
+// installation, not from the start of the run; install it before the first
+// access when the values must not depend on when observation began (the
+// scenario recorder).
 type DecisionObserver func(cands []Candidate, insertPart, victim int, forced bool)
 
 // SetDecisionObserver installs f (nil removes any installed observer).
@@ -329,7 +339,7 @@ type AccessResult struct {
 	// byte store tracks residency exactly.
 	EvictedAddr uint64
 	// EvictedFutility is the reference futility of the evicted line (valid
-	// when Evicted).
+	// when Evicted, on a measured cache; 0 under Config.Unmeasured).
 	EvictedFutility float64
 }
 
@@ -393,18 +403,20 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 	// Evict the victim if it holds a valid line.
 	if vaddr, valid := c.array.AddrOf(victim); valid {
 		dp, owner := int(c.meta[victim].part), int(c.meta[victim].owner)
-		// With a dedicated reference ranker, futility is measured within the
-		// owner's working set (demotions do not move reference state); when
-		// the decision ranker doubles as reference, it tracks the line under
-		// its decision partition.
-		refPart := owner
-		if c.sameRef {
-			refPart = dp
-		}
-		ef := c.ref.Futility(victim, refPart)
 		ps := &c.pstats[owner]
 		ps.Evictions++
-		ps.EvictFutility.Add(ef)
+		if c.ref != nil {
+			// With a dedicated reference ranker, futility is measured within
+			// the owner's working set (demotions do not move reference state);
+			// when the decision ranker doubles as reference, it tracks the
+			// line under its decision partition.
+			refPart := owner
+			if c.sameRef {
+				refPart = dp
+			}
+			res.EvictedFutility = c.ref.Futility(victim, refPart)
+			ps.EvictFutility.Add(res.EvictedFutility)
+		}
 		c.ranker.OnEvict(victim, dp)
 		if c.refEvict != nil {
 			c.refEvict(victim, owner)
@@ -416,7 +428,6 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 		res.EvictedLine = victim
 		res.EvictedPart = owner
 		res.EvictedAddr = vaddr
-		res.EvictedFutility = ef
 		c.meta[victim] = noLine
 	}
 

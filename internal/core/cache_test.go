@@ -459,6 +459,11 @@ func TestConfigValidation(t *testing.T) {
 			c.Access(1, 5, trace.NoNextUse)
 		},
 		func() {
+			// Nothing to measure with, and told not to measure.
+			New(Config{Array: arr, Ranker: rk, Reference: futility.NewExactLRU(16, 1),
+				Unmeasured: true, Scheme: sch, Parts: 1})
+		},
+		func() {
 			// Fully-associative array without a WorstTracker ranker.
 			New(Config{
 				Array:  cachearray.NewFullyAssoc(16),

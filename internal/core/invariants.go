@@ -19,6 +19,7 @@ import (
 //     and per owner partition reproduces the owner populations;
 //   - the decision ranker tracks exactly sizes[p] lines per partition, and
 //     a separate reference ranker tracks exactly the owner populations;
+//   - an unmeasured cache has recorded no eviction futility;
 //   - targets are non-negative.
 //
 // When the decision or reference ranker implements
@@ -73,7 +74,12 @@ func (c *Cache) CheckInvariants() error {
 		if got := c.ranker.Size(p); got != c.sizes[p] {
 			return fmt.Errorf("core: ranker tracks %d lines in partition %d, controller %d", got, p, c.sizes[p])
 		}
-		if !c.sameRef {
+		switch {
+		case c.ref == nil:
+			if n := c.pstats[p].EvictFutility.N(); n != 0 {
+				return fmt.Errorf("core: unmeasured cache recorded %d eviction futilities in partition %d", n, p)
+			}
+		case !c.sameRef:
 			if got := c.ref.Size(p); got != c.owned[p] {
 				return fmt.Errorf("core: reference ranker tracks %d lines in partition %d, owners %d", got, p, c.owned[p])
 			}

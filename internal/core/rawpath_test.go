@@ -84,28 +84,35 @@ func TestRawDecisionMatchesFullPath(t *testing.T) {
 }
 
 // TestRawOnlyNeedsEveryCondition pins the combinations that must keep
-// today's path: any scheme but FSFeedback, any ranker but CoarseTS, and a
+// the full path: any scheme but FSFeedback, any ranker but CoarseTS, and a
 // coarse ranker doubling as its own reference (its Futility is then the AEF).
+// An unmeasured cache has no AEF to feed, so it qualifies like one with a
+// separate reference.
 func TestRawOnlyNeedsEveryCondition(t *testing.T) {
 	const lines, parts = 64, 2
 	for _, tc := range []struct {
-		name   string
-		ranker futility.Ranker
-		ref    futility.Ranker
-		scheme Scheme
-		want   bool
+		name       string
+		ranker     futility.Ranker
+		ref        futility.Ranker
+		unmeasured bool
+		scheme     Scheme
+		want       bool
 	}{
-		{"fs+coarse+ref", futility.NewCoarseTS(lines, parts), futility.NewExactLRU(lines, parts), NewFSFeedback(parts, FSFeedbackConfig{}), true},
-		{"fs+coarse, no ref", futility.NewCoarseTS(lines, parts), nil, NewFSFeedback(parts, FSFeedbackConfig{}), false},
-		{"fs+exact", futility.NewExactLRU(lines, parts), nil, NewFSFeedback(parts, FSFeedbackConfig{}), false},
-		{"fsfixed+coarse+ref", futility.NewCoarseTS(lines, parts), futility.NewExactLRU(lines, parts), NewFSFixed(parts), false},
+		{"fs+coarse+ref", futility.NewCoarseTS(lines, parts), futility.NewExactLRU(lines, parts), false, NewFSFeedback(parts, FSFeedbackConfig{}), true},
+		{"fs+coarse, unmeasured", futility.NewCoarseTS(lines, parts), nil, true, NewFSFeedback(parts, FSFeedbackConfig{}), true},
+		{"fs+coarse, no ref", futility.NewCoarseTS(lines, parts), nil, false, NewFSFeedback(parts, FSFeedbackConfig{}), false},
+		{"fs+exact", futility.NewExactLRU(lines, parts), nil, false, NewFSFeedback(parts, FSFeedbackConfig{}), false},
+		{"fs+exact, unmeasured", futility.NewExactLRU(lines, parts), nil, true, NewFSFeedback(parts, FSFeedbackConfig{}), false},
+		{"fsfixed+coarse+ref", futility.NewCoarseTS(lines, parts), futility.NewExactLRU(lines, parts), false, NewFSFixed(parts), false},
+		{"fsfixed+coarse, unmeasured", futility.NewCoarseTS(lines, parts), nil, true, NewFSFixed(parts), false},
 	} {
 		c := New(Config{
-			Array:     cachearray.NewSetAssoc(lines, 4, cachearray.IndexXOR, 1),
-			Ranker:    tc.ranker,
-			Reference: tc.ref,
-			Scheme:    tc.scheme,
-			Parts:     parts,
+			Array:      cachearray.NewSetAssoc(lines, 4, cachearray.IndexXOR, 1),
+			Ranker:     tc.ranker,
+			Reference:  tc.ref,
+			Unmeasured: tc.unmeasured,
+			Scheme:     tc.scheme,
+			Parts:      parts,
 		})
 		if c.rawOnly != tc.want {
 			t.Errorf("%s: rawOnly = %v, want %v", tc.name, c.rawOnly, tc.want)

@@ -27,7 +27,8 @@ type PartSnapshot struct {
 	EvictFutility *stats.Histogram
 }
 
-// AEF returns the partition's average eviction futility.
+// AEF returns the partition's average eviction futility, or 0 — not a value
+// futility takes — when EvictFutility.N() == 0 (see PartStats.AEF).
 func (p *PartSnapshot) AEF() float64 { return p.EvictFutility.Mean() }
 
 // MissRate returns misses/(hits+misses), or 0 with no accesses.

@@ -111,6 +111,10 @@ func Registry() []Benchmark {
 			PerAccess: true, ZeroAlloc: true, Fn: AccessHitCoarse},
 		{Name: "core/access-miss-coarse", Doc: "Cache.Access miss path, coarse-TS FS config (§V hardware)",
 			PerAccess: true, ZeroAlloc: true, Fn: AccessMissCoarse},
+		{Name: "core/access-hit-coarse-noref", Doc: "Cache.Access hit path, coarse-TS FS config, unmeasured: three engine stripes in four",
+			PerAccess: true, ZeroAlloc: true, Fn: AccessHitCoarseNoRef},
+		{Name: "core/access-miss-coarse-noref", Doc: "Cache.Access miss path, coarse-TS FS config, unmeasured: three engine stripes in four",
+			PerAccess: true, ZeroAlloc: true, Fn: AccessMissCoarseNoRef},
 		{Name: "shardcache/throughput-1shard-4workers", Doc: "concurrent Engine.Access, 4 workers contending on one shard",
 			PerAccess: true, Fn: ShardedThroughput1},
 		{Name: "shardcache/throughput-4shard-4workers", Doc: "concurrent Engine.Access, 4 workers across 4 shards",
@@ -420,20 +424,21 @@ func setAssoc16() *cachearray.SetAssoc {
 }
 
 // benchCache assembles arr under feedback Futility Scaling, ranked by kind;
-// over setAssoc16 that is the acceptance configuration.
-func benchCache(arr cachearray.Array, kind futility.Kind) *core.Cache {
-	ranker := futility.New(kind, cacheLines, cacheParts, benchSeed^0x9a)
-	var ref futility.Ranker
-	if rk := futility.Reference(kind); rk != kind {
-		ref = futility.New(rk, cacheLines, cacheParts, benchSeed^0x4ef)
+// over setAssoc16 that is the acceptance configuration. A kind that needs a
+// separate reference ranker gets one when measured, and none otherwise.
+func benchCache(arr cachearray.Array, kind futility.Kind, measured bool) *core.Cache {
+	cfg := core.Config{
+		Array:  arr,
+		Ranker: futility.New(kind, cacheLines, cacheParts, benchSeed^0x9a),
+		Scheme: core.NewFSFeedback(cacheParts, core.FSFeedbackConfig{}),
+		Parts:  cacheParts,
 	}
-	c := core.New(core.Config{
-		Array:     arr,
-		Ranker:    ranker,
-		Reference: ref,
-		Scheme:    core.NewFSFeedback(cacheParts, core.FSFeedbackConfig{}),
-		Parts:     cacheParts,
-	})
+	if rk := futility.Reference(kind); rk != kind && measured {
+		cfg.Reference = futility.New(rk, cacheLines, cacheParts, benchSeed^0x4ef)
+	} else {
+		cfg.Unmeasured = rk != kind
+	}
+	c := core.New(cfg)
 	targets := make([]int, cacheParts)
 	for i := range targets {
 		targets[i] = cacheLines / cacheParts
@@ -465,8 +470,8 @@ func residentSet(c *core.Cache) []uint64 {
 	return addrs
 }
 
-func accessHit(b *testing.B, kind futility.Kind) {
-	c := benchCache(setAssoc16(), kind)
+func accessHit(b *testing.B, kind futility.Kind, measured bool) {
+	c := benchCache(setAssoc16(), kind, measured)
 	addrs := residentSet(c)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -478,8 +483,8 @@ func accessHit(b *testing.B, kind futility.Kind) {
 	}
 }
 
-func accessMiss(b *testing.B, arr cachearray.Array, kind futility.Kind) {
-	c := benchCache(arr, kind)
+func accessMiss(b *testing.B, arr cachearray.Array, kind futility.Kind, measured bool) {
+	c := benchCache(arr, kind, measured)
 	addr := fillCache(c)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -494,22 +499,27 @@ func accessMiss(b *testing.B, arr cachearray.Array, kind futility.Kind) {
 
 // AccessHitLRU measures the hit path with the exact LRU ranker (two Fenwick
 // point updates per hit).
-func AccessHitLRU(b *testing.B) { accessHit(b, futility.LRU) }
+func AccessHitLRU(b *testing.B) { accessHit(b, futility.LRU, true) }
 
 // AccessMissLRU measures the miss path with the exact LRU ranker: candidate
 // ranking, FS decision, eviction and install. This is the acceptance
 // benchmark for the zero-allocation replacement pipeline.
-func AccessMissLRU(b *testing.B) { accessMiss(b, setAssoc16(), futility.LRU) }
+func AccessMissLRU(b *testing.B) { accessMiss(b, setAssoc16(), futility.LRU, true) }
 
 // AccessMissZ52 measures the miss path at the paper's high-associativity
 // point: a Z4/52 zcache under the exact LRU ranker.
 func AccessMissZ52(b *testing.B) {
-	accessMiss(b, cachearray.NewZCache(cacheLines, 4, 3, benchSeed), futility.LRU)
+	accessMiss(b, cachearray.NewZCache(cacheLines, 4, 3, benchSeed), futility.LRU, true)
 }
 
 // AccessHitCoarse measures the hit path in the paper's hardware
 // configuration (coarse timestamps + exact-LRU reference).
-func AccessHitCoarse(b *testing.B) { accessHit(b, futility.CoarseLRU) }
+func AccessHitCoarse(b *testing.B) { accessHit(b, futility.CoarseLRU, true) }
 
 // AccessMissCoarse measures the miss path in the hardware configuration.
-func AccessMissCoarse(b *testing.B) { accessMiss(b, setAssoc16(), futility.CoarseLRU) }
+func AccessMissCoarse(b *testing.B) { accessMiss(b, setAssoc16(), futility.CoarseLRU, true) }
+
+// AccessHitCoarseNoRef and AccessMissCoarseNoRef measure the stripes the
+// engine does not sample for AEF: coarse timestamps, no reference ranker.
+func AccessHitCoarseNoRef(b *testing.B)  { accessHit(b, futility.CoarseLRU, false) }
+func AccessMissCoarseNoRef(b *testing.B) { accessMiss(b, setAssoc16(), futility.CoarseLRU, false) }

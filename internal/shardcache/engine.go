@@ -68,8 +68,9 @@ type Config struct {
 	Stripes int
 	// Parts is the number of partitions; targets are cache-wide.
 	Parts int
-	// Ranking selects the futility ranker each stripe runs (the reference
-	// ranker for AEF measurement is derived via futility.Reference).
+	// Ranking selects the futility ranker each stripe runs. A coarse kind
+	// (futility.Reference(k) != k) measures AEF against a separate exact
+	// reference ranker on one stripe in measureEvery; exact kinds on all.
 	Ranking futility.Kind
 	// Feedback parameterizes each stripe's FS feedback controller.
 	Feedback core.FSFeedbackConfig
@@ -115,6 +116,7 @@ type Engine struct {
 	router      *hashing.H3
 	stripeShift uint      // hashing.ShardShift(sets, len(stripes)): set index → stripe
 	stripes     []*stripe // flat, global stripe index g = shard*perShard + stripe
+	measured    int       // stripes that record eviction futility
 
 	// tmu guards the cache-wide per-partition goals. It is held only to
 	// read or overwrite the vector, never across stripe locks, so target
@@ -150,9 +152,22 @@ type Engine struct {
 	perStripe [][]int // [stripe][part] target vectors to install
 }
 
+// measureEvery is the AEF sampling period over lock domains. The exact
+// reference ranker costs a coarse stripe more than its timestamps do, so only
+// stripes with global index g % measureEvery == 0 carry it; the rest run
+// core.Config.Unmeasured. Stripes are uniform slices of the H3 set-index
+// space, so this is policy.UMON's set sampling with no per-access test.
+const measureEvery = 4
+
 // New builds an engine from cfg. It panics on inconsistent configuration
 // (experiment-setup programming errors, matching core.New).
 func New(cfg Config) *Engine {
+	return newEngine(cfg, func(g int) bool { return g%measureEvery == 0 })
+}
+
+// newEngine is New with the choice of measured stripes open, so tests can
+// compare the sampled engine against an all-measured one.
+func newEngine(cfg Config, isMeasured func(g int) bool) *Engine {
 	checkPow2(cfg.Lines, "Lines")
 	checkPow2(cfg.Ways, "Ways")
 	checkPow2(cfg.Shards, "Shards")
@@ -173,27 +188,28 @@ func New(cfg Config) *Engine {
 	}
 	stripes := make([]*stripe, nStripes)
 	perStripeLines := cfg.Lines / nStripes
+	measured := 0
 	for g := range stripes {
-		arr := cachearray.NewSetAssoc(perStripeLines, cfg.Ways, cachearray.IndexH3,
-			xrand.Mix64(cfg.Seed^uint64(g+1)))
-		ranker := futility.New(cfg.Ranking, perStripeLines, cfg.Parts,
-			xrand.Mix64(cfg.Seed^0x5a5a0000^uint64(g)))
-		var ref futility.Ranker
-		if rk := futility.Reference(cfg.Ranking); rk != cfg.Ranking {
-			ref = futility.New(rk, perStripeLines, cfg.Parts,
+		cc := core.Config{
+			Array: cachearray.NewSetAssoc(perStripeLines, cfg.Ways, cachearray.IndexH3,
+				xrand.Mix64(cfg.Seed^uint64(g+1))),
+			Ranker: futility.New(cfg.Ranking, perStripeLines, cfg.Parts,
+				xrand.Mix64(cfg.Seed^0x5a5a0000^uint64(g))),
+			Scheme:      core.NewFSFeedback(cfg.Parts, cfg.Feedback),
+			Parts:       cfg.Parts,
+			HistBuckets: cfg.HistBuckets,
+		}
+		switch rk := futility.Reference(cfg.Ranking); {
+		case rk == cfg.Ranking:
+			measured++
+		case isMeasured(g):
+			cc.Reference = futility.New(rk, perStripeLines, cfg.Parts,
 				xrand.Mix64(cfg.Seed^0x0a0a0000^uint64(g)))
+			measured++
+		default:
+			cc.Unmeasured = true
 		}
-		stripes[g] = &stripe{
-			cache: core.New(core.Config{
-				Array:       arr,
-				Ranker:      ranker,
-				Reference:   ref,
-				Scheme:      core.NewFSFeedback(cfg.Parts, cfg.Feedback),
-				Parts:       cfg.Parts,
-				HistBuckets: cfg.HistBuckets,
-			}),
-			demand: make([]uint64, cfg.Parts),
-		}
+		stripes[g] = &stripe{cache: core.New(cc), demand: make([]uint64, cfg.Parts)}
 	}
 	spare := make([][]uint64, nStripes)
 	sizeScratch := make([][]int, nStripes)
@@ -209,6 +225,7 @@ func New(cfg Config) *Engine {
 		router:        hashing.NewH3(cfg.Seed, sets),
 		stripeShift:   hashing.ShardShift(sets, nStripes),
 		stripes:       stripes,
+		measured:      measured,
 		targets:       make([]int, cfg.Parts),
 		spare:         spare,
 		sizeScratch:   sizeScratch,
@@ -412,9 +429,11 @@ func (e *Engine) applyTargets() {
 // Snapshot returns the cache-wide measurement state: every stripe's
 // StatsSnapshot (taken one stripe lock at a time, in stripe index order)
 // merged into one core.Snapshot. Counters, histograms and Size/Target
-// columns add into cache-wide totals. It holds rmu, so no distribution pass
-// is half applied underneath it and every Target column is the cache-wide
-// target in force. Note that the merged
+// columns add into cache-wide totals, except that on a coarse-ranked engine
+// only the measured stripes (measureEvery) fill EvictFutility: the merged AEF
+// is the mean over their evictions, Evictions counts every stripe's. It holds
+// rmu, so no distribution pass is half applied underneath it and every Target
+// column is the cache-wide target in force. Note that the merged
 // Snapshot.MeanOccupancy is a per-access average over stripe-local samples
 // (each stripe only samples its own slice), so it reports the loaded-stripe
 // average, not the cache-wide resident total; use Engine.MeanOccupancy for
@@ -475,7 +494,8 @@ func (e *Engine) PartSizes(dst []int) []int {
 }
 
 // ShardSnapshots returns each shard's measurement state in shard index
-// order, each shard's stripes merged into one core.Snapshot.
+// order, each shard's stripes merged into one core.Snapshot. A shard with no
+// measured stripe (see Snapshot) has empty EvictFutility histograms.
 func (e *Engine) ShardSnapshots() []core.Snapshot {
 	out := make([]core.Snapshot, e.Shards())
 	for g, st := range e.stripes {
@@ -493,8 +513,12 @@ func (e *Engine) ShardSnapshots() []core.Snapshot {
 }
 
 // CheckInvariants audits every stripe's controller with the sequential
-// simulator's full invariant rescan, one stripe lock at a time.
+// simulator's full invariant rescan, one stripe lock at a time, and fails an
+// engine none of whose stripes measures eviction futility.
 func (e *Engine) CheckInvariants() error {
+	if e.measured == 0 {
+		return fmt.Errorf("shardcache: no stripe measures eviction futility")
+	}
 	for g, st := range e.stripes {
 		st.mu.Lock()
 		err := st.cache.CheckInvariants()
