@@ -318,11 +318,7 @@ func (a *Allocator) curvesLocked() *Curves {
 		// sampled count scaled back by the sampling rate.
 		cv.Accesses[p] = prof.SampledCount() << prof.shift
 		cv.Live[p] = prof.SampledCount() > 0
-		h := make([]uint64, a.nChunk+1)
-		for c := 1; c <= a.nChunk; c++ {
-			h[c] = prof.HitsAt(c * a.cfg.ChunkLines)
-		}
-		cv.Hits[p] = h
+		cv.Hits[p] = prof.hitCurve(a.cfg.ChunkLines, a.nChunk)
 	}
 	return cv
 }

@@ -221,6 +221,21 @@ func (p *Profiler) HitsAt(lines int) uint64 {
 	return p.sampledHits(lines) << p.shift
 }
 
+// hitCurve returns HitsAt(c·chunk) for c = 0..n, summing the histogram once
+// for the whole grid where n HitsAt calls would each start from zero.
+func (p *Profiler) hitCurve(chunk, n int) []uint64 {
+	h := make([]uint64, n+1)
+	var hits uint64
+	d := 0
+	for c := 1; c <= n; c++ {
+		for limit := min(c*chunk>>p.shift, p.maxTags); d < limit; d++ {
+			hits += p.hist[d]
+		}
+		h[c] = hits << p.shift
+	}
+	return h
+}
+
 // MissRatio estimates the miss ratio of an LRU cache with `lines` lines
 // over the decayed sampled stream. With no sampled references yet it
 // returns 1 (everything would miss). For lines > MaxLines() the value

@@ -230,6 +230,26 @@ func TestProfilerDecay(t *testing.T) {
 	}
 }
 
+// The allocator's one-pass curve is HitsAt at every grid point, including
+// grids finer than the sampling step and points past the shadow depth.
+func TestHitCurveMatchesHitsAt(t *testing.T) {
+	for _, shift := range []uint{0, 3} {
+		p := NewProfiler(128, shift, 77)
+		rng := xrand.New(13)
+		for i := 0; i < 50000; i++ {
+			p.Touch(rng.Uint64() % 3000)
+		}
+		for _, chunk := range []int{1, 5, 64} {
+			n := 2*p.MaxLines()/chunk + 1
+			for c, got := range p.hitCurve(chunk, n) {
+				if want := p.HitsAt(c * chunk); got != want {
+					t.Fatalf("shift %d, chunk %d: curve[%d] = %d, HitsAt(%d) = %d", shift, chunk, c, got, c*chunk, want)
+				}
+			}
+		}
+	}
+}
+
 // Equal seeds and access sequences give bit-identical state.
 func TestProfilerDeterministic(t *testing.T) {
 	run := func() []float64 {

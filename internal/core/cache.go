@@ -144,6 +144,10 @@ type Cache struct {
 	// from a separate reference or not taken at all (Unmeasured). Only an
 	// observer or a filter could read it.
 	rawOnly bool
+	// partBest is choose's scratch when a FullSelector scheme decides over the
+	// exact LRU ranker: one plus the index of each partition's oldest
+	// candidate so far, 0 between misses.
+	partBest []int32
 	// refHit/refInsert/refEvict/refMove are bound to the reference ranker's
 	// methods when a separate reference exists, and nil when the decision
 	// ranker doubles as reference or the cache is unmeasured — hoisting the
@@ -190,6 +194,7 @@ func New(cfg Config) *Cache {
 		owned:       make([]int, cfg.Parts),
 		targets:     make([]int, cfg.Parts),
 		pstats:      make([]PartStats, cfg.Parts),
+		partBest:    make([]int32, cfg.Parts),
 	}
 	if cfg.Unmeasured && cfg.Reference != nil {
 		panic("core: Unmeasured excludes a Reference")
@@ -313,6 +318,11 @@ func (c *Cache) SetCandidateFilter(f CandidateFilter) { c.candFilter = f }
 // installation, not from the start of the run; install it before the first
 // access when the values must not depend on when observation began (the
 // scenario recorder).
+//
+// Likewise a FullSelector scheme over ExactLRU ranks every candidate only
+// while an observer or a filter is installed; without one, Futility and Raw
+// are zero on all but each partition's least recent candidate (FullSelector).
+// The victim is the same either way.
 type DecisionObserver func(cands []Candidate, insertPart, victim int, forced bool)
 
 // SetDecisionObserver installs f (nil removes any installed observer).
@@ -480,6 +490,26 @@ func (c *Cache) choose(cands []int, insertPart int) int {
 		for _, l := range cands {
 			p := int(c.meta[l].part)
 			c.candBuf = append(c.candBuf, Candidate{Line: l, Part: p, Raw: c.coarse.Distance(l, p)})
+		}
+	} else if c.fullSel != nil && c.lru != nil && c.decObs == nil && c.candFilter == nil {
+		// Inside a partition α is common and slot order is rank order, so a
+		// slot comparison per candidate finds each partition's only possible
+		// victim and the rank is computed for those alone. The others keep
+		// their places with zero Futility and Raw, which no FullSelector picks:
+		// list order, tie-breaks and the victim's index are the full list's.
+		best := c.partBest
+		for i, l := range cands {
+			p := int(c.meta[l].part)
+			c.candBuf = append(c.candBuf, Candidate{Line: l, Part: p})
+			if b := best[p]; b == 0 || c.lru.Older(l, cands[b-1]) {
+				best[p] = int32(i) + 1
+			}
+		}
+		for i := range c.candBuf {
+			if cand := &c.candBuf[i]; int(best[cand.Part]) == i+1 {
+				best[cand.Part] = 0
+				cand.Futility, cand.Raw = c.lru.FutilityRaw(cand.Line, cand.Part)
+			}
 		}
 	} else if fr := c.fast; fr != nil {
 		for _, l := range cands {

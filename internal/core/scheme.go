@@ -67,6 +67,15 @@ type Scheme interface {
 // fully-associative arrays: worst holds the most useless line of each
 // non-empty partition and the scheme picks among them. This avoids
 // materializing a candidate per line.
+//
+// Implementing it also declares that Decide, on any candidate list, evicts
+// the most futile candidate of whichever partition it settles on. The
+// controller relies on that on every array: under the exact LRU ranker, with
+// no observer or filter installed, it ranks only each partition's least
+// recent candidate and leaves Futility and Raw zero — below any real value —
+// on the others, which keep their places in the list (Cache.choose). A scheme
+// that reads the futility of a partition's other candidates (Vantage demotes
+// every candidate past its aperture) must not implement FullSelector.
 type FullSelector interface {
 	// DecideFull selects a victim index into worst.
 	//fs:allocfree

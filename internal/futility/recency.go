@@ -36,7 +36,7 @@ func NewExactLRU(lines, parts int) *ExactLRU {
 		panic("futility: lines and parts must be positive")
 	}
 	if lines >= 1<<28 {
-		// Capacity reaches 4× the population and add steps one past it.
+		// The index's slot capacity reaches 4× the population, in int32.
 		panic("futility: too many lines for 32-bit recency slots")
 	}
 	r := &ExactLRU{
@@ -141,6 +141,13 @@ func (r *ExactLRU) FutilityRaw(line, part int) (float64, uint64) {
 	f := r.futilityOf(line, part)
 	return f, uint64(f * (1 << 32))
 }
+
+// Older reports whether line a was used less recently than line b, both
+// tracked in the same partition: there slot order is rank order, so the more
+// useless of two lines is known without computing either rank.
+//
+//fs:allocfree
+func (r *ExactLRU) Older(a, b int) bool { return r.slot[a] < r.slot[b] }
 
 // Size implements Ranker.
 //

@@ -85,10 +85,12 @@ func Registry() []Benchmark {
 			ZeroAlloc: true, Fn: OSTRank},
 		{Name: "ost/select", Doc: "treap Select query at 4096 keys (SLRU's protected-segment demotion)",
 			ZeroAlloc: true, Fn: OSTSelect},
-		{Name: "futility/exact-lru-hit", Doc: "ExactLRU OnHit at 4096 lines: two Fenwick point updates, compaction amortised in",
+		{Name: "futility/exact-lru-hit", Doc: "ExactLRU OnHit at 4096 lines: two liveness-bit flips, each with its word-count updates, compaction amortised in",
 			ZeroAlloc: true, Fn: ExactLRUHit},
-		{Name: "futility/exact-lru-rank", Doc: "ExactLRU FutilityRaw at 4096 lines: one Fenwick prefix sum",
+		{Name: "futility/exact-lru-rank", Doc: "ExactLRU FutilityRaw at 4096 lines: a masked popcount plus a prefix sum over word counts",
 			ZeroAlloc: true, Fn: ExactLRURank},
+		{Name: "recency/worst", Doc: "recency.Index Worst at 4096 lines on a static index: the descent over word counts plus a trailing-zeros",
+			ZeroAlloc: true, Fn: RecencyWorst},
 		{Name: "alloc/profiler-touch", Doc: "alloc.Profiler Touch at shift 0 (exact Mattson), 4096 tags over 8192 lines: a rank + hit or a worst-tag reuse on the recency index, plus the address map",
 			ZeroAlloc: true, Fn: ProfilerTouch},
 		{Name: "alloc/profiler-touch-sampled", Doc: "alloc.Profiler Touch at shift 3, 4096 tags over 65536 lines: seven references in eight stop at the sampling hash",
@@ -105,8 +107,10 @@ func Registry() []Benchmark {
 			PerAccess: true, ZeroAlloc: true, Fn: AccessHitLRU},
 		{Name: "core/access-miss-lru", Doc: "Cache.Access miss path (evict+install), exact-LRU FS config",
 			PerAccess: true, ZeroAlloc: true, Fn: AccessMissLRU},
-		{Name: "core/access-miss-z52", Doc: "Cache.Access miss path over a Z4/52 zcache, exact-LRU FS config: walk, 52 ranks, relocations",
+		{Name: "core/access-miss-z52", Doc: "Cache.Access miss path over a Z4/52 zcache, exact-LRU FS config: walk, 52 slot compares, one rank per partition, relocations",
 			PerAccess: true, ZeroAlloc: true, Fn: AccessMissZ52},
+		{Name: "core/access-miss-z52-observed", Doc: "access-miss-z52 under a no-op decision observer, which keeps all 52 ranks: what the scenario recorder pays",
+			PerAccess: true, ZeroAlloc: true, Fn: AccessMissZ52Observed},
 		{Name: "core/access-hit-coarse", Doc: "Cache.Access hit path, coarse-TS FS config (§V hardware)",
 			PerAccess: true, ZeroAlloc: true, Fn: AccessHitCoarse},
 		{Name: "core/access-miss-coarse", Doc: "Cache.Access miss path, coarse-TS FS config (§V hardware)",
@@ -319,6 +323,19 @@ func ExactLRURank(b *testing.B) {
 	benchSink = sink
 }
 
+// RecencyWorst measures the least-recent-line query (chooseFull's, once per
+// partition, and the profiler's when its tag table is full).
+func RecencyWorst(b *testing.B) {
+	r, _ := filledExactLRU()
+	var sink int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += r.Worst(0)
+	}
+	benchSink = uint64(sink)
+}
+
 // ---- alloc.Profiler ----
 
 const profilerTags = 4096
@@ -484,7 +501,10 @@ func accessHit(b *testing.B, kind futility.Kind, measured bool) {
 }
 
 func accessMiss(b *testing.B, arr cachearray.Array, kind futility.Kind, measured bool) {
-	c := benchCache(arr, kind, measured)
+	missLoop(b, benchCache(arr, kind, measured))
+}
+
+func missLoop(b *testing.B, c *core.Cache) {
 	addr := fillCache(c)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -497,8 +517,8 @@ func accessMiss(b *testing.B, arr cachearray.Array, kind futility.Kind, measured
 	}
 }
 
-// AccessHitLRU measures the hit path with the exact LRU ranker (two Fenwick
-// point updates per hit).
+// AccessHitLRU measures the hit path with the exact LRU ranker (two liveness
+// flips per hit).
 func AccessHitLRU(b *testing.B) { accessHit(b, futility.LRU, true) }
 
 // AccessMissLRU measures the miss path with the exact LRU ranker: candidate
@@ -510,6 +530,14 @@ func AccessMissLRU(b *testing.B) { accessMiss(b, setAssoc16(), futility.LRU, tru
 // point: a Z4/52 zcache under the exact LRU ranker.
 func AccessMissZ52(b *testing.B) {
 	accessMiss(b, cachearray.NewZCache(cacheLines, 4, 3, benchSeed), futility.LRU, true)
+}
+
+// AccessMissZ52Observed is AccessMissZ52 with a decision observer installed,
+// so every candidate is ranked as the observer contract requires.
+func AccessMissZ52Observed(b *testing.B) {
+	c := benchCache(cachearray.NewZCache(cacheLines, 4, 3, benchSeed), futility.LRU, true)
+	c.SetDecisionObserver(func([]core.Candidate, int, int, bool) {})
+	missLoop(b, c)
 }
 
 // AccessHitCoarse measures the hit path in the paper's hardware

@@ -4,10 +4,13 @@
 // profiler (alloc.Profiler, one Index over its shadow tags).
 //
 // Every access takes the next slot of an access-ordered slot sequence, so
-// slot order is recency order, and a Fenwick (binary-indexed) tree over slot
-// liveness counts the lines more recent than a given slot in ~log₂(cap)
-// additions over a flat array — no key comparisons and no pointers. A line's
-// rank (1 = most recent) is its LRU stack distance.
+// slot order is recency order. Slot liveness is a bitmap, one bit per slot,
+// with a Fenwick (binary-indexed) tree over the popcounts of its 64-slot
+// words: the lines more recent than a given slot are one masked popcount
+// plus ~log₂(cap/64) additions over a flat array — no key comparisons and no
+// pointers. A line's rank (1 = most recent) is its LRU stack distance. With
+// the slot → line table the index costs 4 bytes and a little over a bit per
+// slot, at 2–4 slots per tracked line.
 package recency
 
 import (
@@ -21,11 +24,16 @@ import (
 // current: several indexes over disjoint lines may share one table. The
 // zero Index is not usable; build one with New.
 type Index struct {
-	// tree is the 1-based Fenwick tree: tree[i] counts the live slots in
-	// (i − lowbit(i), i]. lineAt[s] is the line holding slot s, or −1 once
-	// the slot is retired. Both have cap+1 entries; cap is 0 or a power of
-	// two, which is what lets Worst descend without range checks.
-	tree   []int32
+	// words is the liveness bitmap: slot s is bit (s−1)%64 of words[(s−1)/64].
+	// nodes is the 1-based Fenwick tree over word popcounts: nodes[i] counts
+	// the live slots of words (i − lowbit(i), i], numbering words from 1.
+	// lineAt[s] is the line holding slot s, or −1 once the slot is retired (a
+	// slot is live exactly when it holds a line). cap is 0 or a power of two
+	// of at least minCap, so cap/64 words are a power of two too, which is
+	// what lets Worst descend without range checks; nodes has cap/64+1
+	// entries and lineAt cap+1.
+	words  []uint64
+	nodes  []int32
 	lineAt []int32
 	cap    int32
 	next   int32 // slots 1..next−1 have been handed out since the last compaction
@@ -36,6 +44,9 @@ type Index struct {
 	lastSeq uint64
 	group   int32
 }
+
+// minCap is the smallest non-zero capacity: one bitmap word.
+const minCap = 64
 
 // New returns an empty index. Its arrays are allocated as it fills.
 func New() Index { return Index{next: 1, group: 1} }
@@ -57,13 +68,15 @@ func (p *Index) Cap() int32 { return p.cap }
 // Free returns the slots left before the next access compacts the index.
 func (p *Index) Free() int32 { return p.cap - p.next + 1 }
 
-// add adjusts the liveness of slot s by d.
+// add flips the liveness bit of slot s and adjusts the counts above its word
+// by d: +1 for a dead slot coming alive, −1 for the reverse.
 //
 //fs:allocfree
 func (p *Index) add(s, d int32) {
-	tree := p.tree
-	for i := s; i <= p.cap; i += i & -i {
-		tree[i] += d
+	p.words[(s-1)>>6] ^= 1 << uint((s-1)&63)
+	nodes := p.nodes
+	for i := (s-1)>>6 + 1; int(i) < len(nodes); i += i & -i {
+		nodes[i] += d
 	}
 }
 
@@ -87,53 +100,53 @@ func (p *Index) retire(s int32) {
 }
 
 // compact renumbers the live lines 1..live in slot order and rebuilds the
-// tree, in O(cap). It runs when the slots are used up; since the capacity is
-// the power of two in (2·live, 4·live] (and never shrinks), at least as many
-// accesses as the rebuild costs pass before the next one: amortised O(1) per
-// access, and allocation-free once the population has reached its size.
+// bitmap and its counts, in O(cap/64 + live). It runs when the slots are
+// used up; since the capacity is the power of two in (2·live, 4·live] (at
+// least minCap, and never shrinking), at least as many accesses as the
+// rebuild costs pass before the next one: amortised O(1) per access, and
+// allocation-free once the population has reached its size.
 //
 //fs:allocfree
 func (p *Index) compact(slot []int32) {
-	lineAt := p.lineAt
-	if c := int32(1) << bits.Len32(uint32(2*p.live)); c > p.cap {
+	words, lineAt := p.words, p.lineAt
+	if c := max(int32(1)<<bits.Len32(uint32(2*p.live)), minCap); c > p.cap {
 		p.cap = c
-		//fslint:ignore allocfree cold growth while a partition fills; steady-state compaction reuses both arrays
-		p.tree, p.lineAt = make([]int32, c+1), make([]int32, c+1)
+		//fslint:ignore allocfree cold growth while a partition fills; steady-state compaction reuses all three arrays
+		p.words, p.nodes, p.lineAt = make([]uint64, c/64), make([]int32, c/64+1), make([]int32, c+1)
 	}
 	var w, group int32
-	for s := int32(1); s < p.next; s++ {
-		l := lineAt[s]
-		if l < 0 {
-			continue
+	for wi, word := range words {
+		for ; word != 0; word &= word - 1 {
+			s := int32(wi<<6+bits.TrailingZeros64(word)) + 1
+			w++
+			if group == 0 && s >= p.group {
+				group = w
+			}
+			l := lineAt[s]
+			p.lineAt[w] = l
+			slot[l] = w
 		}
-		w++
-		if group == 0 && s >= p.group {
-			group = w
-		}
-		p.lineAt[w] = l
-		slot[l] = w
 	}
 	p.next = w + 1
 	if group == 0 {
 		group = p.next
 	}
 	p.group = group
-	tree := p.tree
-	for i := int32(1); i <= p.cap; i++ {
-		tree[i] = 0
-		if i <= w {
-			tree[i] = 1
-		}
+	nodes := p.nodes
+	for i := range p.words {
+		// The low n bits; a shift by 64 gives 0, so a full word is all ones.
+		n := min(max(w-int32(i<<6), 0), 64)
+		p.words[i], nodes[i+1] = uint64(1)<<uint(n)-1, n
 	}
-	for i := int32(1); i <= p.cap; i++ {
-		if j := i + i&-i; j <= p.cap {
-			tree[j] += tree[i]
+	for i := 1; i < len(nodes); i++ {
+		if j := i + i&-i; j < len(nodes) {
+			nodes[j] += nodes[i]
 		}
 	}
 }
 
 // insertBelowGroup gives line the lowest slot of the lastSeq group by moving
-// every slot of the group up one. Only liveness changes touch the tree: with
+// every slot of the group up one. Only liveness changes touch the bitmap: with
 // no retired slot inside the group that is the single new top slot.
 //
 //fs:allocfree
@@ -217,23 +230,25 @@ func (p *Index) Move(from, to int32, slot []int32) {
 }
 
 // Rank returns the recency rank of the line in slot s: one plus the live
-// slots above its own (the population less a Fenwick prefix sum), so 1 is
-// the most recent line and Live() the least. It is the line's LRU stack
+// slots above its own (the population less the live slots up to s: a masked
+// popcount of its word plus a Fenwick prefix sum over the words below), so 1
+// is the most recent line and Live() the least. It is the line's LRU stack
 // distance.
 //
 //fs:allocfree
 func (p *Index) Rank(s int32) int32 {
-	tree := p.tree
-	n := p.live + 1
-	for i := s; i > 0; i &= i - 1 {
-		n -= tree[i]
+	w := (s - 1) >> 6
+	n := p.live + 1 - int32(bits.OnesCount64(p.words[w]<<uint(63-(s-1)&63)))
+	nodes := p.nodes
+	for i := w; i > 0; i &= i - 1 {
+		n -= nodes[i]
 	}
 	return n
 }
 
 // Worst returns the least recently used line — the one in the lowest live
-// slot, found by Fenwick descent in O(log cap) — or −1 when the index is
-// empty.
+// slot, found by Fenwick descent to its word in O(log(cap/64)) — or −1 when
+// the index is empty.
 //
 //fs:allocfree
 func (p *Index) Worst() int32 {
@@ -241,50 +256,59 @@ func (p *Index) Worst() int32 {
 		return -1
 	}
 	var pos int32
-	for step := p.cap; step > 0; step >>= 1 {
-		// tree[cap] is the whole population (> 0), so the first probe
-		// never advances and pos+step stays below cap afterwards.
-		if p.tree[pos+step] == 0 {
+	for step := p.cap >> 6; step > 0; step >>= 1 {
+		// The top node is the whole population (> 0), so the first probe
+		// never advances and pos+step stays below cap/64 afterwards.
+		if p.nodes[pos+step] == 0 {
 			pos += step
 		}
 	}
-	return p.lineAt[pos+1]
+	return p.lineAt[pos<<6+int32(bits.TrailingZeros64(p.words[pos]))+1]
 }
 
 // CheckInvariants audits the index against the slot table it was driven
-// with: the Fenwick nodes must equal the live-slot counts of the ranges they
-// cover, slot ↔ lineAt must be a bijection between the live slots and this
-// index's lines, and the live count must agree with the slots. It marks each
-// of its lines in claimed (len(slot) entries) and fails on one already
-// marked, so indexes sharing a table are checked for overlap by passing the
-// same claimed to each.
+// with: the bitmap must mark exactly the slots that hold a line, the Fenwick
+// nodes must equal the popcounts of the words they cover, slot ↔ lineAt must
+// be a bijection between the live slots and this index's lines, and the live
+// count must agree with the slots. It marks each of its lines in claimed
+// (len(slot) entries) and fails on one already marked, so indexes sharing a
+// table are checked for overlap by passing the same claimed to each.
 func (p *Index) CheckInvariants(slot []int32, claimed []bool) error {
-	if p.cap&(p.cap-1) != 0 || len(p.tree) != len(p.lineAt) || (p.cap > 0 && len(p.tree) != int(p.cap)+1) {
-		return fmt.Errorf("recency: capacity %d with %d tree and %d slot entries", p.cap, len(p.tree), len(p.lineAt))
+	nw := int(p.cap >> 6)
+	sized := len(p.words) == nw && len(p.nodes) == nw+1 && len(p.lineAt) == int(p.cap)+1
+	if p.cap == 0 {
+		sized = p.words == nil && p.nodes == nil && p.lineAt == nil
+	}
+	if p.cap&(p.cap-1) != 0 || p.cap&(minCap-1) != 0 || !sized {
+		return fmt.Errorf("recency: capacity %d with %d words, %d nodes and %d slot entries", p.cap, len(p.words), len(p.nodes), len(p.lineAt))
 	}
 	if p.next < 1 || p.next > p.cap+1 || p.group < 1 || p.group > p.next {
 		return fmt.Errorf("recency: next slot %d, group %d out of range for capacity %d", p.next, p.group, p.cap)
 	}
-	// count[s] is the number of live slots in 1..s.
-	count := make([]int32, p.cap+1)
+	// count[i] is the number of live slots in words 1..i.
+	count := make([]int32, nw+1)
 	for s := int32(1); s <= p.cap; s++ {
-		count[s] = count[s-1]
-		if s >= p.next || p.lineAt[s] < 0 {
+		l := p.lineAt[s]
+		holds := s < p.next && l >= 0
+		if bit := p.words[(s-1)>>6]>>uint((s-1)&63)&1 != 0; bit != holds {
+			return fmt.Errorf("recency: slot %d has liveness bit %v but holds line %v", s, bit, holds)
+		}
+		if !holds {
 			continue
 		}
-		count[s]++
-		l := p.lineAt[s]
+		count[(s-1)>>6+1]++
 		if int(l) >= len(slot) || slot[l] != s || claimed[l] {
 			return fmt.Errorf("recency: slot %d holds line %d, whose slot is not (only) that one", s, l)
 		}
 		claimed[l] = true
 	}
-	for i := int32(1); i <= p.cap; i++ {
-		if want := count[i] - count[i&(i-1)]; p.tree[i] != want {
-			return fmt.Errorf("recency: Fenwick node %d = %d, live slots in its range %d", i, p.tree[i], want)
+	for i := 1; i <= nw; i++ {
+		count[i] += count[i-1]
+		if want := count[i] - count[i&(i-1)]; p.nodes[i] != want {
+			return fmt.Errorf("recency: Fenwick node %d = %d, live slots in its words %d", i, p.nodes[i], want)
 		}
 	}
-	if live := count[p.cap]; p.live != live {
+	if live := count[nw]; p.live != live {
 		return fmt.Errorf("recency: live count %d, live slots %d", p.live, live)
 	}
 	return nil

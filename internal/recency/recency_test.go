@@ -66,7 +66,7 @@ func (m *model) move(from, to int32) {
 	delete(m.seqOf, from)
 }
 
-func (m *model) compare(t *testing.T, step int, p *Index, slot []int32) {
+func (m *model) compare(t testing.TB, step int, p *Index, slot []int32) {
 	t.Helper()
 	if int(p.Live()) != len(m.order) {
 		t.Fatalf("step %d: Live = %d, model %d", step, p.Live(), len(m.order))
@@ -83,15 +83,17 @@ func (m *model) compare(t *testing.T, step int, p *Index, slot []int32) {
 			t.Fatalf("step %d: line %d has rank %d, model %d of %d", step, l, got, i+1, len(m.order))
 		}
 	}
-	tracked := 0
+}
+
+// tracked counts the lines a slot table holds a slot for.
+func tracked(slot []int32) int {
+	n := 0
 	for _, s := range slot {
 		if s != 0 {
-			tracked++
+			n++
 		}
 	}
-	if tracked != len(m.order) {
-		t.Fatalf("step %d: slot table tracks %d lines, model %d", step, tracked, len(m.order))
-	}
+	return n
 }
 
 // TestIndexAgainstModel drives one Index and the slice model with a seeded
@@ -173,6 +175,9 @@ func TestIndexAgainstModel(t *testing.T) {
 			t.Fatalf("step %d: LastSeq = %d, model %d", step, p.LastSeq(), m.lastSeq)
 		}
 		m.compare(t, step, p, slot)
+		if n := tracked(slot); n != len(m.order) {
+			t.Fatalf("step %d: slot table tracks %d lines, model %d", step, n, len(m.order))
+		}
 		if step%64 == 0 {
 			if err := p.CheckInvariants(slot, make([]bool, lines)); err != nil {
 				t.Fatalf("step %d: %v", step, err)
@@ -240,7 +245,14 @@ func TestCheckInvariantsDetects(t *testing.T) {
 		name   string
 		damage func(p *Index, slot []int32)
 	}{
-		{"fenwick node", func(p *Index, slot []int32) { p.tree[1]++ }},
+		{"fenwick node", func(p *Index, slot []int32) { p.nodes[1]++ }},
+		{"flipped bit of a live slot", func(p *Index, slot []int32) { p.words[0] &^= 1 << uint(slot[3]-1) }},
+		{"flipped bit of a dead slot", func(p *Index, slot []int32) { p.words[0] |= 1 << uint(p.next-1) }},
+		{"stale node after a retire", func(p *Index, slot []int32) {
+			p.words[0] &^= 1 << uint(slot[3]-1)
+			p.lineAt[slot[3]], slot[3] = -1, 0
+			p.live--
+		}},
 		{"live count", func(p *Index, slot []int32) { p.live-- }},
 		{"capacity", func(p *Index, slot []int32) { p.cap-- }},
 		{"array lengths", func(p *Index, slot []int32) { p.lineAt = p.lineAt[:len(p.lineAt)-1] }},
