@@ -36,9 +36,10 @@ fmt:
 # decoder, the differential oracle over scenario programs, the serving
 # layer's wire codec at both the payload and framed-stream level, the
 # FSD1 decision-trace codec, the H3 table kernel against its bit-serial
-# definition, and the recency index against its slice model (whose scripts
-# audit both indexes in full at every step, hence the bounded minimisation:
-# the default 60 s per new input would eat the whole session).
+# definition, the recency index against its slice model, and the MRC
+# profiler's tag table against a map-and-stack model (the last two audit
+# their whole structure at every step of a script, hence the bounded
+# minimisation: the default 60 s per new input would eat the whole session).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrom -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzAccess -fuzztime=10s ./internal/core
@@ -47,6 +48,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecisionTrace -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzH3 -fuzztime=10s ./internal/hashing
 	$(GO) test -run='^$$' -fuzz=FuzzIndex -fuzztime=10s -fuzzminimizetime=20x ./internal/recency
+	$(GO) test -run='^$$' -fuzz=FuzzProfiler -fuzztime=10s -fuzzminimizetime=20x ./internal/alloc
 
 # End-to-end smoke: the full quick-scale sweep must exit 0.
 smoke:

@@ -23,9 +23,6 @@ type Config struct {
 	// SampleShift selects the 1/2^SampleShift spatial sampling rate shared
 	// by every partition's profiler (default 3, i.e. 1/8).
 	SampleShift uint
-	// TagsPerPart bounds each profiler's shadow-tag count (default sized so
-	// each curve resolves to 2×Lines estimated lines, at least 64 tags).
-	TagsPerPart int
 	// MinLines is the per-live-partition floor handed to the objective as
 	// minimum chunks (default ChunkLines). Must satisfy
 	// Parts×ceil(MinLines/ChunkLines) ≤ Lines/ChunkLines chunks.
@@ -109,7 +106,11 @@ type Allocator struct {
 // New builds an Allocator. It panics on non-positive Parts/Lines, on an
 // Initial vector of the wrong length, and on infeasible floors
 // (Parts×MinLines demanding more chunks than the cache holds).
-func New(cfg Config) *Allocator {
+func New(cfg Config) *Allocator { return newAllocator(cfg, 1) }
+
+// newAllocator is New with profilers depthMul times as deep, which the tests
+// use to show that depth beyond New's does not reach the decisions.
+func newAllocator(cfg Config, depthMul int) *Allocator {
 	if cfg.Parts <= 0 {
 		panicf("Parts must be positive, got %d", cfg.Parts)
 	}
@@ -127,12 +128,6 @@ func New(cfg Config) *Allocator {
 	}
 	if cfg.SampleShift == 0 {
 		cfg.SampleShift = 3
-	}
-	if cfg.TagsPerPart <= 0 {
-		cfg.TagsPerPart = (2 * cfg.Lines) >> cfg.SampleShift
-		if cfg.TagsPerPart < 64 {
-			cfg.TagsPerPart = 64
-		}
 	}
 	if cfg.MinLines <= 0 {
 		cfg.MinLines = cfg.ChunkLines
@@ -155,6 +150,11 @@ func New(cfg Config) *Allocator {
 	if cfg.Initial != nil && len(cfg.Initial) != cfg.Parts {
 		panicf("Initial has %d entries, want %d", len(cfg.Initial), cfg.Parts)
 	}
+	// The objectives read each curve on the chunk grid, which ends by Lines
+	// estimated lines: sampled distance Lines>>SampleShift. Bins past that are
+	// never read and, by LRU inclusion, those up to it are the same at any
+	// greater depth: a deeper profiler costs memory and changes no decision.
+	tags := depthMul * max(cfg.Lines>>cfg.SampleShift, 64)
 
 	a := &Allocator{
 		cfg:      cfg,
@@ -166,7 +166,7 @@ func New(cfg Config) *Allocator {
 	a.mu.Lock() // not yet escaped; taken for the lockcheck contract on profs/targets
 	for p := range a.profs {
 		// One shared sampling filter (cfg.Seed ⇒ same salt everywhere).
-		a.profs[p] = NewProfiler(cfg.TagsPerPart, cfg.SampleShift, cfg.Seed)
+		a.profs[p] = NewProfiler(tags, cfg.SampleShift, cfg.Seed)
 		a.minChunk[p] = minChunk
 	}
 	a.salt = a.profs[0].salt
@@ -181,13 +181,18 @@ func New(cfg Config) *Allocator {
 	return a
 }
 
-// Observe feeds one access into the loop. part must be in [0, Parts). Safe
-// for concurrent use; unsampled accesses never block.
+// Observe feeds one access into the loop. part must be in [0, Parts): it
+// panics otherwise, before taking the mutex, so that a caller who recovers
+// (the server, per connection) has not wedged the allocator. Safe for
+// concurrent use; unsampled accesses never block.
 func (a *Allocator) Observe(part int, addr uint64) {
+	if uint(part) >= uint(a.cfg.Parts) {
+		panicf("Observe: partition %d out of range [0, %d)", part, a.cfg.Parts)
+	}
 	n := a.accesses.Add(1)
-	if xrand.Mix64(addr^a.salt)&a.mask == 0 {
+	if hash := xrand.Mix64(addr ^ a.salt); hash&a.mask == 0 {
 		a.mu.Lock()
-		a.profs[part].TouchSampled(addr)
+		a.profs[part].touch(addr, hash)
 		a.mu.Unlock()
 	}
 	if n >= a.epochEnd.Load() {

@@ -1,7 +1,8 @@
 // Package alloc closes the capacity-management loop from measurement to
-// targets: spatially-hashed shadow-tag profilers estimate each partition's
-// miss-ratio curve online with bounded memory, and a periodic allocator
-// recomputes per-partition line targets from those curves under a pluggable
+// targets: spatially-hashed shadow-tag profilers, as deep as the allocation
+// grid reads and no deeper, estimate each partition's miss-ratio curve
+// online in fixed memory, and a periodic allocator recomputes
+// per-partition line targets from those curves under a pluggable
 // objective (max-aggregate-hits, max-min fairness, QoS guarantees, or
 // phase-adaptive hold-until-drift). The allocator is the online counterpart
 // of the offline internal/policy stack: where policy.Utility consumes whole
@@ -18,6 +19,9 @@
 package alloc
 
 import (
+	"fmt"
+	"math/bits"
+
 	"fscache/internal/recency"
 	"fscache/internal/xrand"
 )
@@ -43,9 +47,13 @@ import (
 // d·2^shift — the sampled subset is a uniformly spaced "spatial" subsample
 // of the line population, so distances scale by the inverse sampling rate.
 //
-// Either way the table holds at most maxTags lines (the least recently used
-// tag is reused when it is full, exactly a maxTags-line shadow cache over
-// the sample), so memory is O(maxTags) regardless of footprint.
+// Either way at most maxTags lines are tracked (the least recently used tag
+// is reused when all are taken, exactly a maxTags-line shadow cache over the
+// sample), so memory is fixed at construction: per tag 8 B of addr, 4 B of
+// slot, 8 B of hist, 8–16 B of table and the recency index's 2–4 slots. The
+// tags are the maxTags most recent sampled lines whatever maxTags is, so
+// hist[:d] is the same at every maxTags ≥ d: a reader that stops at distance
+// d needs no deeper profiler (the Allocator's depth rule, see New).
 //
 // Decay halves every histogram counter at each epoch boundary while keeping
 // the shadow tags warm, so the curve is an exponentially weighted view of
@@ -56,13 +64,18 @@ type Profiler struct {
 	salt    uint64
 	maxTags int
 
-	// idx orders the tags by recency. tagOf maps a tracked address to its
-	// tag; addr and slot (the index's slot table) are indexed by tag. Tags
-	// 0..Live()−1 are the ones in use.
-	idx   recency.Index
-	tagOf map[uint64]int32
-	addr  []uint64
-	slot  []int32
+	// idx orders the tags by recency; addr and slot (the index's slot table)
+	// are indexed by tag. Tags 0..Live()−1 are the ones in use.
+	idx  recency.Index
+	addr []uint64
+	slot []int32
+	// table finds a tracked address's tag: open addressing over the power of
+	// two ≥ 2·maxTags entries, each tag+1 (0 is empty) keyed by addr[tag]. An
+	// address's home is the top bits of its sampling hash (the low shift bits
+	// are zero when sampled); collisions probe linearly and a removal shifts
+	// its chain back, so with no tombstones the table never fills or grows.
+	table     []int32
+	homeShift uint
 
 	// hist[d] counts sampled reuses at sampled stack distance d+1; the
 	// estimated full-stream distance is (d+1)<<shift.
@@ -92,46 +105,78 @@ func NewProfiler(maxTags int, sampleShift uint, seed uint64) *Profiler {
 	if sampleShift >= 32 {
 		panic("alloc: sampleShift must be below 32")
 	}
+	tableBits := bits.Len(uint(2*maxTags - 1))
 	return &Profiler{
-		shift:   sampleShift,
-		mask:    (uint64(1) << sampleShift) - 1,
-		salt:    xrand.Mix64(seed ^ 0x5a11ce0fda7a5eed),
-		maxTags: maxTags,
-		idx:     recency.New(),
-		tagOf:   make(map[uint64]int32, maxTags),
-		addr:    make([]uint64, maxTags),
-		slot:    make([]int32, maxTags),
-		hist:    make([]uint64, maxTags),
+		shift:     sampleShift,
+		mask:      (uint64(1) << sampleShift) - 1,
+		salt:      xrand.Mix64(seed ^ 0x5a11ce0fda7a5eed),
+		maxTags:   maxTags,
+		idx:       recency.New(),
+		addr:      make([]uint64, maxTags),
+		slot:      make([]int32, maxTags),
+		table:     make([]int32, 1<<tableBits),
+		homeShift: uint(64 - tableBits),
+		hist:      make([]uint64, maxTags),
 	}
+}
+
+// hash is the sampling hash: low bits for the sample, top bits for the table.
+func (p *Profiler) hash(addr uint64) uint64 { return xrand.Mix64(addr ^ p.salt) }
+
+// probe walks addr's chain from its home and returns the table position
+// holding it with its tag, or the empty position that ends the chain and −1.
+func (p *Profiler) probe(addr, hash uint64) (pos int, tag int32) {
+	last := len(p.table) - 1
+	for pos = int(hash >> p.homeShift); p.table[pos] != 0; pos = (pos + 1) & last {
+		if tag = p.table[pos] - 1; p.addr[tag] == addr {
+			return pos, tag
+		}
+	}
+	return pos, -1
+}
+
+// unlink removes tag's entry and closes the gap: a later entry of the chain
+// moves back into the hole when that keeps it at or after its home, in cyclic
+// distance since a chain may run past the table's end.
+func (p *Profiler) unlink(tag int32) {
+	pos, _ := p.probe(p.addr[tag], p.hash(p.addr[tag]))
+	last := len(p.table) - 1
+	for next := (pos + 1) & last; p.table[next] != 0; next = (next + 1) & last {
+		home := int(p.hash(p.addr[p.table[next]-1]) >> p.homeShift)
+		if (next-home)&last >= (next-pos)&last {
+			p.table[pos] = p.table[next]
+			pos = next
+		}
+	}
+	p.table[pos] = 0
 }
 
 // Sampled reports whether addr falls in the profiler's spatial sample. It is
 // pure, so concurrent fast paths may call it before taking any lock.
-func (p *Profiler) Sampled(addr uint64) bool {
-	return xrand.Mix64(addr^p.salt)&p.mask == 0
-}
+func (p *Profiler) Sampled(addr uint64) bool { return p.hash(addr)&p.mask == 0 }
 
 // Touch records one reference, tracking it only when sampled, and reports
 // whether it was sampled.
 func (p *Profiler) Touch(addr uint64) bool {
-	if !p.Sampled(addr) {
+	hash := p.hash(addr)
+	if hash&p.mask != 0 {
 		p.offered++
 		return false
 	}
-	p.TouchSampled(addr)
+	p.touch(addr, hash)
 	return true
 }
 
-// TouchSampled records one reference that the caller already knows is
-// sampled (Sampled(addr) returned true). Splitting the check from the
-// update lets concurrent callers hash outside the profiler's lock.
-func (p *Profiler) TouchSampled(addr uint64) {
+// touch records one sampled reference, given its sampling hash. Splitting the
+// check from the update lets the Allocator hash outside its lock.
+func (p *Profiler) touch(addr, hash uint64) {
 	p.offered++
 	p.sampled++
 	// A seq of its own for every reference: no two tags are ever accessed
 	// "at once", so the index's equal-seq ordering never applies.
 	seq := p.idx.LastSeq() + 1
-	if tag, ok := p.tagOf[addr]; ok {
+	pos, tag := p.probe(addr, hash)
+	if tag >= 0 {
 		s := p.slot[tag]
 		if s == 0 {
 			panic("alloc: shadow index lost a tracked line")
@@ -144,18 +189,47 @@ func (p *Profiler) TouchSampled(addr uint64) {
 		return
 	}
 	p.far++
-	tag := p.idx.Live()
+	tag = p.idx.Live()
 	if int(tag) == p.maxTags {
 		// Bounded memory: reuse the least recently used tag. Its line's next
 		// reuse will count as far, exactly as if a maxTags-line shadow cache
 		// evicted it.
 		tag = p.idx.Worst()
 		p.idx.Evict(tag, p.slot)
-		delete(p.tagOf, p.addr[tag])
+		p.unlink(tag)
+		pos, _ = p.probe(addr, hash) // the shift may have moved the chain's end
 	}
 	p.addr[tag] = addr
-	p.tagOf[addr] = tag
+	p.table[pos] = tag + 1
 	p.idx.Insert(tag, seq, p.slot)
+}
+
+// CheckInvariants audits the tag storage: the recency index is sound, the
+// table holds exactly its tags, 0..Live()−1, and a probe for an entry's
+// address ends at that entry (nothing empty or equal before it on its chain).
+func (p *Profiler) CheckInvariants() error {
+	tracked := make([]bool, p.maxTags)
+	if err := p.idx.CheckInvariants(p.slot, tracked); err != nil {
+		return err
+	}
+	live, entries := p.idx.Live(), int32(0)
+	for pos, e := range p.table {
+		if e == 0 {
+			continue
+		}
+		entries++
+		if e < 0 || e > live || !tracked[e-1] {
+			return fmt.Errorf("alloc: table position %d holds tag %d, not one of the index's %d", pos, e-1, live)
+		}
+		a := p.addr[e-1]
+		if at, got := p.probe(a, p.hash(a)); at != pos {
+			return fmt.Errorf("alloc: tag %d (%#x) sits at table position %d, its probe ends at %d on tag %d", e-1, a, pos, at, got)
+		}
+	}
+	if entries != live {
+		return fmt.Errorf("alloc: table holds %d entries, index %d live tags", entries, live)
+	}
+	return nil
 }
 
 // Decay halves every counter (integer halving, deterministic) while keeping

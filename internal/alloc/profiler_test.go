@@ -40,6 +40,33 @@ func (o *stackOracle) touch(addr uint64, sampled bool) {
 	o.stack[0] = addr
 }
 
+// tracked returns the stack as a set.
+func (o *stackOracle) tracked() map[uint64]bool {
+	m := make(map[uint64]bool, len(o.stack))
+	for _, a := range o.stack {
+		m[a] = true
+	}
+	return m
+}
+
+// check compares every counter of p with the stack's and audits p's tag
+// storage; phase and ref say where in the stream a failure happened.
+func (o *stackOracle) check(t testing.TB, p *Profiler, phase, ref int) {
+	t.Helper()
+	if p.far != o.far || p.sampled != o.sampled || p.offered != o.offered {
+		t.Fatalf("phase %d ref %d: far/sampled/offered = %d/%d/%d, stack says %d/%d/%d",
+			phase, ref, p.far, p.sampled, p.offered, o.far, o.sampled, o.offered)
+	}
+	for d := range o.hist {
+		if p.hist[d] != o.hist[d] {
+			t.Fatalf("phase %d ref %d: hist[%d] = %d, stack says %d", phase, ref, d, p.hist[d], o.hist[d])
+		}
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatalf("phase %d ref %d: %v", phase, ref, err)
+	}
+}
+
 func (o *stackOracle) decay() {
 	for i := range o.hist {
 		o.hist[i] >>= 1
@@ -77,7 +104,7 @@ func checkAgainstStack(t *testing.T, maxTags int, shift uint) {
 				a = 3<<32 | cold
 			}
 			if int(p.idx.Live()) == maxTags && p.Sampled(a) {
-				if _, tracked := p.tagOf[a]; !tracked {
+				if _, tag := p.probe(a, p.hash(a)); tag < 0 {
 					evictions++
 				}
 			}
@@ -85,15 +112,7 @@ func checkAgainstStack(t *testing.T, maxTags int, shift uint) {
 				t.Fatalf("Touch(%#x) = %v, Sampled says %v", a, got, !got)
 			}
 			o.touch(a, p.Sampled(a))
-			if p.far != o.far || p.sampled != o.sampled || p.offered != o.offered {
-				t.Fatalf("phase %d ref %d: far/sampled/offered = %d/%d/%d, stack says %d/%d/%d",
-					phase, i, p.far, p.sampled, p.offered, o.far, o.sampled, o.offered)
-			}
-			for d := range o.hist {
-				if p.hist[d] != o.hist[d] {
-					t.Fatalf("phase %d ref %d: hist[%d] = %d, stack says %d", phase, i, d, p.hist[d], o.hist[d])
-				}
-			}
+			o.check(t, p, phase, i)
 		}
 		p.Decay()
 		o.decay()
@@ -104,11 +123,8 @@ func checkAgainstStack(t *testing.T, maxTags int, shift uint) {
 	if evictions < 1000 {
 		t.Fatalf("stream reused a tag only %d times, want the bound exercised", evictions)
 	}
-	if len(p.tagOf) != int(p.idx.Live()) || len(p.tagOf) > maxTags {
-		t.Fatalf("%d addresses tracked, %d tags live, bound %d", len(p.tagOf), p.idx.Live(), maxTags)
-	}
-	if err := p.idx.CheckInvariants(p.slot, make([]bool, maxTags)); err != nil {
-		t.Fatal(err)
+	if int(p.idx.Live()) != maxTags {
+		t.Fatalf("%d tags live after %d reuses, bound %d", p.idx.Live(), evictions, maxTags)
 	}
 }
 
@@ -168,8 +184,8 @@ func TestProfilerBoundedMemoryAndTruncation(t *testing.T) {
 	if p.idx.Live() > 64 {
 		t.Fatalf("index holds %d tags, bound is 64", p.idx.Live())
 	}
-	if len(p.tagOf) != int(p.idx.Live()) {
-		t.Fatalf("tagOf has %d entries, index %d", len(p.tagOf), p.idx.Live())
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 	if got, want := p.MaxLines(), 64<<2; got != want {
 		t.Fatalf("MaxLines() = %d, want %d", got, want)

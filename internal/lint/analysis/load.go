@@ -10,6 +10,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -140,7 +141,16 @@ func Load(dir string, patterns []string) ([]*Unit, error) {
 			if err != nil {
 				return nil, err
 			}
-			u, err := check(fset, imp, p.ImportPath+"_test", xtests, nil)
+			// An external test sees the package as its in-package test files
+			// augment it (export_test.go), so it imports what go list built
+			// for this test binary, "q [p.test]", ahead of the plain builds.
+			forTest := maps.Clone(exports)
+			for _, q := range pkgs {
+				if i := strings.IndexByte(q.ImportPath, ' '); q.ForTest == p.ImportPath && q.Export != "" && i >= 0 {
+					forTest[q.ImportPath[:i]] = q.Export
+				}
+			}
+			u, err := check(fset, NewExportImporter(fset, forTest), p.ImportPath+"_test", xtests, nil)
 			if err != nil {
 				return nil, err
 			}

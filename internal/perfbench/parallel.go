@@ -14,7 +14,9 @@ package perfbench
 //
 //   - get-heavy: a resident working set, ~every access hits. The hot path
 //     is one stripe lock + ranker retag; scaling is limited only by lock
-//     spread, so this row carries the tightest efficiency band.
+//     spread, so this row carries the tightest efficiency band. Ungated
+//     beside it, -private (an engine each) and -disjoint (no stripe shared)
+//     split its cost per goroutine into machine, false and true sharing.
 //   - mixed: the Zipf pools (hits + evicting misses). Misses do real
 //     replacement work under the stripe lock, so the row measures scaling
 //     of the full pipeline.
@@ -25,10 +27,13 @@ package perfbench
 //     only modestly against the mixed row.
 
 import (
+	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"fscache/internal/alloc"
 	"fscache/internal/core"
 	"fscache/internal/futility"
 	"fscache/internal/shardcache"
@@ -87,16 +92,17 @@ func warmMixed(e *shardcache.Engine) [][]shardcache.Access {
 	return pools
 }
 
-// runParallel replays accesses through e from every RunParallel goroutine.
-// Each goroutine claims a distinct index and walks its pool from a
-// goroutine-specific offset, so two goroutines never replay in lockstep.
-func runParallel(b *testing.B, e *shardcache.Engine, pools [][]shardcache.Access) {
+// runParallel replays accesses from every RunParallel goroutine. Each
+// goroutine claims a distinct index, takes its engine and its pool (a power
+// of two long) round robin and walks the pool from a goroutine-specific
+// offset, so two goroutines never replay in lockstep.
+func runParallel(b *testing.B, engines []*shardcache.Engine, pools [][]shardcache.Access) {
 	var ctr atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		g := int(ctr.Add(1) - 1)
-		pool := pools[g%len(pools)]
+		e, pool := engines[g%len(engines)], pools[g%len(pools)]
 		mask := len(pool) - 1
 		i := int(xrand.Mix64(uint64(g+1))) & mask
 		for pb.Next() {
@@ -112,14 +118,42 @@ func runParallel(b *testing.B, e *shardcache.Engine, pools [][]shardcache.Access
 func ParallelGetHeavy(b *testing.B) {
 	e := stripedEngine()
 	pool := residentAccesses(e)
-	runParallel(b, e, [][]shardcache.Access{pool})
+	runParallel(b, []*shardcache.Engine{e}, [][]shardcache.Access{pool})
+}
+
+// ParallelGetHeavyPrivate is ParallelGetHeavy with nothing shared: every
+// goroutine replays the resident set of an engine of its own.
+func ParallelGetHeavyPrivate(b *testing.B) {
+	engines := make([]*shardcache.Engine, runtime.GOMAXPROCS(0))
+	pools := make([][]shardcache.Access, len(engines))
+	for g := range engines {
+		engines[g] = stripedEngine()
+		pools[g] = residentAccesses(engines[g])
+	}
+	runParallel(b, engines, pools)
+}
+
+// ParallelGetHeavyDisjoint is ParallelGetHeavy with no stripe shared:
+// goroutine g replays only the resident lines of the shards that are g modulo
+// the goroutine count (past the four shards, goroutines four apart share).
+func ParallelGetHeavyDisjoint(b *testing.B) {
+	e := stripedEngine()
+	pools := make([][]shardcache.Access, min(runtime.GOMAXPROCS(0), e.Shards()))
+	for _, a := range residentAccesses(e) {
+		c := e.ShardOf(a.Addr) % len(pools)
+		pools[c] = append(pools[c], a)
+	}
+	for c, pool := range pools {
+		pools[c] = pool[:1<<(bits.Len(uint(len(pool)))-1)] // the replay index wraps with a mask
+	}
+	runParallel(b, []*shardcache.Engine{e}, pools)
 }
 
 // ParallelMixed measures full-pipeline scaling on the Zipf pools.
 func ParallelMixed(b *testing.B) {
 	e := stripedEngine()
 	pools := warmMixed(e)
-	runParallel(b, e, pools)
+	runParallel(b, []*shardcache.Engine{e}, pools)
 }
 
 // ParallelStorm measures mixed-traffic scaling under a redistribution
@@ -142,10 +176,31 @@ func ParallelStorm(b *testing.B) {
 			}
 		}
 	}()
-	runParallel(b, e, pools)
+	runParallel(b, []*shardcache.Engine{e}, pools)
 	b.StopTimer()
 	close(stop)
 	storm.Wait()
+}
+
+// ObserveParallel measures alloc.Allocator.Observe under b.RunParallel on a
+// serve-sized allocator, each goroutine feeding its own Zipf pool: what an
+// access of a shared engine pays for the online allocator beside it.
+func ObserveParallel(b *testing.B) {
+	a := alloc.New(alloc.Config{Parts: cacheParts, Lines: 4 * cacheLines, Seed: benchSeed})
+	pools := sharedPools.get()
+	for _, acc := range pools[0] { // fill the shadow tags
+		a.Observe(acc.Part, acc.Addr)
+	}
+	var ctr atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		pool := pools[int(ctr.Add(1)-1)%len(pools)]
+		for i := 0; pb.Next(); i++ {
+			acc := pool[i&(poolSize-1)]
+			a.Observe(acc.Part, acc.Addr)
+		}
+	})
 }
 
 // BatchAccess measures the batched submission path per request: one warm

@@ -91,10 +91,12 @@ func Registry() []Benchmark {
 			ZeroAlloc: true, Fn: ExactLRURank},
 		{Name: "recency/worst", Doc: "recency.Index Worst at 4096 lines on a static index: the descent over word counts plus a trailing-zeros",
 			ZeroAlloc: true, Fn: RecencyWorst},
-		{Name: "alloc/profiler-touch", Doc: "alloc.Profiler Touch at shift 0 (exact Mattson), 4096 tags over 8192 lines: a rank + hit or a worst-tag reuse on the recency index, plus the address map",
+		{Name: "alloc/profiler-touch", Doc: "alloc.Profiler Touch at shift 0 (exact Mattson), 4096 tags over 8192 lines: a probe of the open-addressed tag table, then a rank + hit or a worst-tag reuse (with its backward-shift removal) on the recency index",
 			ZeroAlloc: true, Fn: ProfilerTouch},
-		{Name: "alloc/profiler-touch-sampled", Doc: "alloc.Profiler Touch at shift 3, 4096 tags over 65536 lines: seven references in eight stop at the sampling hash",
+		{Name: "alloc/profiler-touch-sampled", Doc: "alloc.Profiler Touch at shift 3, 4096 tags (32768 estimated lines) over 65536 lines: seven references in eight stop at the sampling hash",
 			ZeroAlloc: true, Fn: ProfilerTouchSampled},
+		{Name: "alloc/observe-parallel", Doc: "Allocator.Observe from every goroutine, serve-sized (16384 lines, 1/8 sampling, 2048 tags a partition): the atomic count and the hash always, the mutex and a profiler touch one time in eight, epoch closes amortised in",
+			Parallel: true, Tol: 0.60, Fn: ObserveParallel},
 		{Name: "coarsets/onhit", Doc: "CoarseTS OnHit (tick + retag)",
 			ZeroAlloc: true, Fn: CoarseOnHit},
 		{Name: "futility/coarse-distance", Doc: "CoarseTS Distance: the bare 8-bit timestamp subtraction the raw-only FS decision pays per candidate",
@@ -134,6 +136,10 @@ func Registry() []Benchmark {
 		// faster serial path as worse scaling (0.72× → 0.64× on two vCPUs).
 		{Name: "shardcache/parallel-get-heavy", Doc: "striped Engine.Access scaling, resident working set (~all hits)",
 			PerAccess: true, Parallel: true, MinScale: 0.375, Tol: 0.50, Fn: ParallelGetHeavy},
+		{Name: "shardcache/parallel-get-heavy-private", Doc: "parallel-get-heavy with an engine per goroutine: nothing shared, the floor the machine sets",
+			PerAccess: true, Parallel: true, Tol: 0.50, Fn: ParallelGetHeavyPrivate},
+		{Name: "shardcache/parallel-get-heavy-disjoint", Doc: "parallel-get-heavy with each goroutine confined to its own shards of the one engine: no stripe shared, so over -private it adds false sharing only",
+			PerAccess: true, Parallel: true, Tol: 0.50, Fn: ParallelGetHeavyDisjoint},
 		{Name: "shardcache/parallel-mixed", Doc: "striped Engine.Access scaling, Zipf hit/miss mix",
 			PerAccess: true, Parallel: true, MinScale: 0.25, Tol: 0.60, Fn: ParallelMixed},
 		{Name: "shardcache/parallel-storm", Doc: "striped Engine.Access scaling under a back-to-back Rebalance storm",
