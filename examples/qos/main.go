@@ -8,9 +8,9 @@ package main
 import (
 	"fmt"
 
+	"fscache/internal/alloc"
 	"fscache/internal/experiments"
 	"fscache/internal/futility"
-	"fscache/internal/policy"
 	"fscache/internal/sim"
 	"fscache/internal/trace"
 	"fscache/internal/workload"
@@ -41,11 +41,12 @@ func main() {
 		traces[t] = sim.BuildL2Trace(gen, sim.NewL1(256, 4), traceLen, 0)
 	}
 
-	targets := policy.QoS{
-		Subjects:     subjects,
-		Background:   threads - subjects,
-		SubjectLines: subjectLines,
-	}.Targets(l2Lines)
+	// Subjects get their guarantee; the streamers split the rest evenly.
+	targets := make([]int, threads)
+	for t := 0; t < subjects; t++ {
+		targets[t] = subjectLines
+	}
+	alloc.EvenSplit(targets[subjects:], l2Lines-subjects*subjectLines)
 
 	fmt.Println("QoS mini-scenario: 2× gromacs (guaranteed 1024 lines) vs 6× lbm on a 1 MB L2")
 	fmt.Printf("%-10s %12s %12s %12s %12s\n",

@@ -8,6 +8,9 @@ import (
 	"fscache/internal/xrand"
 )
 
+// logCap bounds the retained decision log; older entries are dropped.
+const logCap = 256
+
 // Config sizes an Allocator. Zero values get sensible defaults in New.
 type Config struct {
 	// Parts is the number of partitions (required, positive).
@@ -29,13 +32,6 @@ type Config struct {
 	MinLines int
 	// Objective picks targets from the epoch curves (default MaxHits).
 	Objective Objective
-	// DriftThreshold labels a decision as drift when the epoch-over-epoch
-	// curve Divergence exceeds it (default 0.02). Purely diagnostic here;
-	// PhaseAdaptive carries its own threshold for gating.
-	DriftThreshold float64
-	// LogCap bounds the retained decision log (default 256; older entries
-	// are dropped).
-	LogCap int
 	// Initial optionally sets the targets reported before the first epoch
 	// closes (default even split of Lines over Parts).
 	Initial []int
@@ -57,7 +53,7 @@ type Decision struct {
 	Changed bool
 	// Divergence is the curve Divergence versus the previous epoch.
 	Divergence float64
-	// Drift reports Divergence > the configured threshold.
+	// Drift reports Divergence > driftThreshold.
 	Drift bool
 	// MissRatio is the estimated aggregate miss ratio at the installed
 	// targets (access-weighted over live partitions).
@@ -131,12 +127,6 @@ func newAllocator(cfg Config, depthMul int) *Allocator {
 	}
 	if cfg.MinLines <= 0 {
 		cfg.MinLines = cfg.ChunkLines
-	}
-	if cfg.DriftThreshold <= 0 {
-		cfg.DriftThreshold = 0.02
-	}
-	if cfg.LogCap <= 0 {
-		cfg.LogCap = 256
 	}
 	if cfg.Objective == nil {
 		cfg.Objective = MaxHits{}
@@ -228,7 +218,7 @@ func (a *Allocator) Epoch() int {
 }
 
 // Log returns a copy of the retained decision log (oldest first) and the
-// count of older entries dropped by the LogCap bound.
+// count of older entries dropped by the logCap bound.
 func (a *Allocator) Log() ([]Decision, uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -290,11 +280,11 @@ func (a *Allocator) closeEpochLocked() {
 		Targets:    append([]int(nil), a.targets...),
 		Changed:    changed,
 		Divergence: div,
-		Drift:      div > a.cfg.DriftThreshold,
+		Drift:      div > driftThreshold,
 		MissRatio:  aggregateMissRatio(cv, a.targets),
 	}
-	if len(a.log) >= a.cfg.LogCap {
-		drop := len(a.log) - a.cfg.LogCap + 1
+	if len(a.log) >= logCap {
+		drop := len(a.log) - logCap + 1
 		a.log = append(a.log[:0], a.log[drop:]...)
 		a.dropped += uint64(drop)
 	}

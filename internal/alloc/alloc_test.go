@@ -48,13 +48,15 @@ func TestAllocatorFavorsLargeWorkingSet(t *testing.T) {
 }
 
 // Static workload ⇒ targets stabilize: under the phase-adaptive objective
-// every epoch after the first must hold the allocation unchanged.
+// every epoch after the first must hold the allocation unchanged, and no
+// epoch may count as drift. Epochs are 4× testConfig's so that sampling
+// noise stays under the production driftThreshold.
 func TestAllocatorConvergesOnStaticWorkload(t *testing.T) {
-	cfg := testConfig(&PhaseAdaptive{Threshold: 0.05})
-	cfg.DriftThreshold = 0.05
+	cfg := testConfig(&PhaseAdaptive{})
+	cfg.EpochAccesses = 4 * 16384
 	a := New(cfg)
 	rng := xrand.New(11)
-	feed(a, rng, []int{2000, 400}, 10*16384)
+	feed(a, rng, []int{2000, 400}, 10*cfg.EpochAccesses)
 
 	log, _ := a.Log()
 	if len(log) < 8 {
@@ -73,7 +75,7 @@ func TestAllocatorConvergesOnStaticWorkload(t *testing.T) {
 // Phase flip ⇒ targets move within a bounded number of epochs, and the
 // decision log records the drift.
 func TestAllocatorReallocatesOnPhaseFlip(t *testing.T) {
-	a := New(testConfig(&PhaseAdaptive{Threshold: 0.05}))
+	a := New(testConfig(&PhaseAdaptive{}))
 	rng := xrand.New(13)
 
 	feed(a, rng, []int{3000, 200}, 6*16384)
@@ -203,23 +205,24 @@ func TestAllocatorFlush(t *testing.T) {
 	}
 }
 
-// The decision log drops oldest entries beyond LogCap and reports the count.
+// The decision log drops oldest entries beyond logCap and reports the count.
 func TestAllocatorLogCap(t *testing.T) {
-	cfg := testConfig(MaxHits{})
-	cfg.EpochAccesses = 256
-	cfg.LogCap = 4
-	a := New(cfg)
+	a := New(testConfig(MaxHits{}))
 	rng := xrand.New(23)
-	feed(a, rng, []int{100, 100}, 256*10)
+	const epochs = logCap + 44
+	for i := 0; i < epochs; i++ {
+		feed(a, rng, []int{100, 100}, 16)
+		a.Flush()
+	}
 	log, dropped := a.Log()
-	if len(log) != 4 {
-		t.Fatalf("log should be capped at 4, got %d", len(log))
+	if len(log) != logCap {
+		t.Fatalf("log should be capped at %d, got %d", logCap, len(log))
 	}
-	if dropped == 0 {
-		t.Fatalf("drops not reported")
+	if dropped != epochs-logCap {
+		t.Fatalf("dropped %d decisions, want %d", dropped, epochs-logCap)
 	}
-	if log[len(log)-1].Epoch != a.Epoch() {
-		t.Fatalf("log must retain the newest decisions")
+	if log[0].Epoch != epochs-logCap+1 || log[len(log)-1].Epoch != epochs {
+		t.Fatalf("log must retain the newest decisions: epochs %d..%d", log[0].Epoch, log[len(log)-1].Epoch)
 	}
 }
 

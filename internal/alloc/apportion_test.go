@@ -126,3 +126,22 @@ func TestEvenSplit(t *testing.T) {
 		}
 	}
 }
+
+// The equal-split allocation the util and QoS callers build: every line
+// handed out, the odd line to partition 0, and no partitions is a panic.
+func TestEvenSplitEqual(t *testing.T) {
+	tg := make([]int, 3)
+	EvenSplit(tg, 100)
+	if tg[0]+tg[1]+tg[2] != 100 {
+		t.Fatalf("sum = %d", tg[0]+tg[1]+tg[2])
+	}
+	if tg[0] != 34 || tg[1] != 33 || tg[2] != 33 {
+		t.Fatalf("targets = %v", tg)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic")
+		}
+	}()
+	EvenSplit(nil, 10)
+}

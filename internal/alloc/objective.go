@@ -33,8 +33,8 @@ func (cv *Curves) MissRatio(p, c int) float64 {
 // the partitions' miss-ratio curves on the chunk grid. A partition live in
 // only one snapshot counts as a full-scale (1.0) divergence. A nil previous
 // snapshot (the first epoch) also reports 1.0. The allocator labels a
-// decision as drift when this exceeds its threshold, and the PhaseAdaptive
-// objective uses it to hold targets through stable epochs.
+// decision as drift when this exceeds driftThreshold, and the PhaseAdaptive
+// objective holds targets while it stays below.
 func Divergence(prev, cur *Curves) float64 {
 	if prev == nil {
 		return 1
@@ -62,6 +62,10 @@ func Divergence(prev, cur *Curves) float64 {
 	}
 	return worst
 }
+
+// driftThreshold is the Divergence above which the workload counts as having
+// moved: the decision log's Drift flag and PhaseAdaptive's recompute trigger.
+const driftThreshold = 0.02
 
 // Objective turns an epoch's curves into a chunk allocation.
 //
@@ -172,21 +176,14 @@ func (q *QoS) Allocate(cv *Curves, minChunks []int) []int {
 	return out
 }
 
-// PhaseAdaptive wraps an inner objective with drift detection: targets are
-// recomputed only when the miss-ratio curves have diverged from the
-// baseline recorded at the last reallocation by more than Threshold (or
-// when the live set or floors changed, which always forces a recompute).
-// Between phases the previous allocation holds, so stable workloads see
-// stable targets; slow cumulative drift still accumulates against the
-// baseline and eventually triggers.
+// PhaseAdaptive is MaxHits with drift detection: targets are recomputed only
+// when the miss-ratio curves have diverged from the baseline recorded at the
+// last reallocation by driftThreshold or more (or when the live set or
+// floors changed, which always forces a recompute). Between phases the
+// previous allocation holds, so stable workloads see stable targets; slow
+// cumulative drift still accumulates against the baseline and eventually
+// triggers.
 type PhaseAdaptive struct {
-	// Inner computes the allocation when a recompute triggers (default
-	// MaxHits).
-	Inner Objective
-	// Threshold is the Divergence level that forces a reallocation
-	// (default 0.02).
-	Threshold float64
-
 	base      *Curves
 	baseAlloc []int
 }
@@ -196,18 +193,10 @@ func (o *PhaseAdaptive) Name() string { return "phase" }
 
 // Allocate implements Objective.
 func (o *PhaseAdaptive) Allocate(cv *Curves, minChunks []int) []int {
-	inner := o.Inner
-	if inner == nil {
-		inner = MaxHits{}
-	}
-	thr := o.Threshold
-	if thr <= 0 {
-		thr = 0.02
-	}
-	if o.baseAlloc != nil && Divergence(o.base, cv) < thr && holdValid(o.baseAlloc, cv, minChunks) {
+	if o.baseAlloc != nil && Divergence(o.base, cv) < driftThreshold && holdValid(o.baseAlloc, cv, minChunks) {
 		return append([]int(nil), o.baseAlloc...)
 	}
-	out := inner.Allocate(cv, minChunks)
+	out := MaxHits{}.Allocate(cv, minChunks)
 	o.base = snapshotCurves(cv)
 	o.baseAlloc = append([]int(nil), out...)
 	return out

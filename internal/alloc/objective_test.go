@@ -1,7 +1,11 @@
 package alloc
 
 import (
+	"fmt"
 	"testing"
+	"testing/quick"
+
+	"fscache/internal/xrand"
 )
 
 // testCurves builds a snapshot from per-partition hit curves expressed as
@@ -169,7 +173,7 @@ func TestQoSGuaranteesFloor(t *testing.T) {
 }
 
 func TestPhaseAdaptiveHoldsThenReallocates(t *testing.T) {
-	o := &PhaseAdaptive{Threshold: 0.05}
+	o := &PhaseAdaptive{}
 	cvA := testCurves(64, [][]uint64{
 		{100, 100, 100, 100, 100, 100},
 		{5, 5, 5, 5, 5, 5},
@@ -198,25 +202,22 @@ func TestPhaseAdaptiveHoldsThenReallocates(t *testing.T) {
 	}
 }
 
+// Identical curves (Divergence 0) never trip the drift gate, so only the
+// hold check can force a recompute: a floor raised above the held
+// allocation must break the hold.
 func TestPhaseAdaptiveRecomputesWhenHoldInfeasible(t *testing.T) {
-	o := &PhaseAdaptive{Threshold: 1.1} // never trips on divergence alone
+	o := &PhaseAdaptive{}
 	cv := testCurves(64, [][]uint64{
 		{100, 100, 100, 100},
-		{100, 100, 100, 100},
+		{1, 1, 1, 1},
 	})
-	min := []int{1, 1}
-	o.Allocate(cv, min)
-
-	// Partition 1 dies: the held allocation gives a dead partition chunks,
-	// so the hold is invalid and the inner objective must run again.
-	cv2 := testCurves(64, [][]uint64{
-		{100, 100, 100, 100},
-		{100, 100, 100, 100},
-	})
-	cv2.Live[1] = false
-	cv2.Accesses[1] = 0
-	out := o.Allocate(cv2, min)
-	checkContract(t, "phase-infeasible-hold", out, cv2, min)
+	first := o.Allocate(cv, []int{1, 1})
+	if first[1] >= 3 {
+		t.Fatalf("setup: partition 1 should start below the raised floor: %v", first)
+	}
+	raised := []int{1, 3}
+	out := o.Allocate(cv, raised)
+	checkContract(t, "phase-raised-floor", out, cv, raised)
 }
 
 func TestDivergence(t *testing.T) {
@@ -249,36 +250,143 @@ func TestByName(t *testing.T) {
 	}
 }
 
-// Every stateless objective obeys the allocation contract across a sweep of
-// synthetic curve shapes, floors and live masks.
-func TestObjectiveContractSweep(t *testing.T) {
-	shapes := [][][]uint64{
-		{{100, 50, 25, 12, 6, 3, 1, 0}, {7, 7, 7, 7, 7, 7, 7, 7}},
-		{{0, 0, 0, 0, 0, 0, 0, 0}, {1000, 0, 0, 0, 0, 0, 0, 0}},
-		{{5}, {5, 5, 5, 5, 5, 5, 5, 5}, {2, 4, 8, 16, 32, 64, 128, 256}},
-		{{1, 1, 1, 1}, {}, {9, 9, 9, 9}},
+// contractCase is one generated objective input.
+type contractCase struct {
+	cv        *Curves
+	minChunks []int
+	guarantee []int // QoS lines per partition, feasible beside minChunks
+}
+
+// genContractCase draws parts non-decreasing hit curves over nChunk chunks —
+// flat, concave, plateau-then-jump or random walk — a live mask with at
+// least one live partition, and floors and guarantees whose live sum fits.
+func genContractCase(rng *xrand.Rand, parts, nChunk int) contractCase {
+	const chunk = 64
+	c := contractCase{
+		cv: &Curves{
+			Chunk:    chunk,
+			NChunk:   nChunk,
+			Hits:     make([][]uint64, parts),
+			Accesses: make([]uint64, parts),
+			Live:     make([]bool, parts),
+		},
+		minChunks: make([]int, parts),
+		guarantee: make([]int, parts),
 	}
-	objectives := []Objective{MaxHits{}, MaxMin{}, &QoS{GuaranteeLines: []int{64, 0, 0}}}
-	for si, gains := range shapes {
-		for _, obj := range objectives {
-			if q, ok := obj.(*QoS); ok && len(gains) != len(q.GuaranteeLines) {
-				continue
+	for p := range c.cv.Hits {
+		h := make([]uint64, nChunk+1)
+		switch rng.Intn(4) {
+		case 0: // flat
+		case 1: // concave: gains shrink geometrically
+			g := rng.Uint64n(1000)
+			for i := 1; i <= nChunk; i++ {
+				h[i] = h[i-1] + g
+				g = g * (50 + rng.Uint64n(51)) / 100
 			}
-			cv := testCurves(64, gains)
-			min := make([]int, len(gains))
-			for p := range min {
-				if cv.Live[p] {
-					min[p] = 1
-				}
+		case 2: // plateau, then one jump
+			jump := 1 + rng.Intn(nChunk)
+			for i := jump; i <= nChunk; i++ {
+				h[i] = 500
 			}
-			out := obj.Allocate(cv, min)
-			checkContract(t, obj.Name(), out, cv, min)
-			again := obj.Allocate(cv, min)
-			for i := range out {
-				if out[i] != again[i] {
-					t.Fatalf("shape %d: %s not deterministic: %v vs %v", si, obj.Name(), out, again)
+		case 3: // random walk
+			for i := 1; i <= nChunk; i++ {
+				h[i] = h[i-1] + rng.Uint64n(100)
+			}
+		}
+		c.cv.Hits[p] = h
+		c.cv.Accesses[p] = h[nChunk] + rng.Uint64n(1000)
+		c.cv.Live[p] = rng.Intn(2) == 0
+	}
+	c.cv.Live[rng.Intn(parts)] = true
+	nLive := 0
+	for _, l := range c.cv.Live {
+		if l {
+			nLive++
+		}
+	}
+	// Each partition's floor and guarantee stay within an nChunk/nLive
+	// share, often the whole share, so the live floors always fit.
+	for p := range c.minChunks {
+		share := nChunk / nLive
+		if rng.Intn(4) == 0 {
+			share = rng.Intn(share + 1)
+		}
+		c.minChunks[p] = rng.Intn(share + 1)
+		c.guarantee[p] = rng.Intn(share*chunk + 1)
+	}
+	return c
+}
+
+// genContractSeq draws a pair of same-shaped cases (1–8 partitions, 1–64
+// chunks) as the sequence a, a, b, so PhaseAdaptive both holds and
+// recomputes.
+func genContractSeq(rng *xrand.Rand) []contractCase {
+	parts, nChunk := 1+rng.Intn(8), 1+rng.Intn(64)
+	a, b := genContractCase(rng, parts, nChunk), genContractCase(rng, parts, nChunk)
+	return []contractCase{a, a, b}
+}
+
+// contractObjectives makes a fresh instance of every objective.
+var contractObjectives = []func() Objective{
+	func() Objective { return MaxHits{} },
+	func() Objective { return MaxMin{} },
+	func() Objective { return &QoS{} },
+	func() Objective { return &PhaseAdaptive{} },
+}
+
+// runContractSeq feeds seq to obj, checking every output against the
+// allocation contract and, for QoS, each live partition's guarantee.
+func runContractSeq(t *testing.T, label string, obj Objective, seq []contractCase) [][]int {
+	t.Helper()
+	var outs [][]int
+	q, isQoS := obj.(*QoS)
+	for _, c := range seq {
+		if isQoS {
+			q.GuaranteeLines = c.guarantee
+		}
+		out := obj.Allocate(c.cv, c.minChunks)
+		checkContract(t, fmt.Sprintf("%s %s", label, obj.Name()), out, c.cv, c.minChunks)
+		for p, g := range c.guarantee {
+			if isQoS && c.cv.Live[p] && out[p] < chunksFor(g, c.cv.Chunk) {
+				t.Fatalf("%s: qos partition %d below its %d-line guarantee: %v", label, p, g, out)
+			}
+		}
+		outs = append(outs, out)
+	}
+	return outs
+}
+
+// Every objective obeys the allocation contract on 1000 generated
+// sequences.
+func TestObjectiveContractSweep(t *testing.T) {
+	rng := xrand.New(25)
+	for i := 0; i < 1000; i++ {
+		seq := genContractSeq(rng)
+		for _, mk := range contractObjectives {
+			runContractSeq(t, fmt.Sprintf("case %d", i), mk(), seq)
+		}
+	}
+}
+
+// Every objective is deterministic: two fresh instances agree on every
+// step of a generated sequence, and both obey the contract.
+func TestQuickAllObjectivesInvariants(t *testing.T) {
+	f := func(seed uint64) bool {
+		seq := genContractSeq(xrand.New(seed))
+		for _, mk := range contractObjectives {
+			label := fmt.Sprintf("seed %d", seed)
+			first, again := runContractSeq(t, label, mk(), seq), runContractSeq(t, label, mk(), seq)
+			for s := range first {
+				if !equalInts(first[s], again[s]) {
+					t.Logf("seed %d: %s not deterministic at step %d: %v vs %v",
+						seed, mk().Name(), s, first[s], again[s])
+					return false
 				}
 			}
 		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,10 +4,10 @@
 // online in fixed memory, and a periodic allocator recomputes
 // per-partition line targets from those curves under a pluggable
 // objective (max-aggregate-hits, max-min fairness, QoS guarantees, or
-// phase-adaptive hold-until-drift). The allocator is the online counterpart
-// of the offline internal/policy stack: where policy.Utility consumes whole
-// recorded traces through UMONs, alloc samples the live access stream and
-// reallocates every epoch, so the enforcement layers (the monolithic
+// phase-adaptive hold-until-drift). The objectives are also the offline
+// allocator: the util experiment hands MaxHits curves from UMONs that saw
+// whole recorded traces, while the Allocator samples the live access stream
+// and reallocates every epoch, so the enforcement layers (the monolithic
 // simulator and the sharded engine's rebalancer) track workload phases
 // instead of running on static targets.
 //
@@ -38,8 +38,8 @@ import (
 // At sampleShift 0 every address is tracked and the histogram is exact up to
 // maxTags lines: it predicts the simulator's fully-associative LRU
 // reference for reference (TestPredictsFullyAssociativeLRU), and is the
-// exact version of what the UMON utility monitors (internal/policy) estimate
-// per set. Reuses at distances beyond maxTags count as far.
+// exact version of what the util experiment's UMON utility monitors
+// estimate per set. Reuses at distances beyond maxTags count as far.
 //
 // Above shift 0 sampling is SHARDS-style: only addresses whose mixed hash
 // falls in a 1/2^shift slice of hash space are tracked, and a sampled reuse

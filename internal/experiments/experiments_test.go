@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"fscache/internal/futility"
+	"fscache/internal/trace"
+	"fscache/internal/workload"
+	"fscache/internal/xrand"
 )
 
 // tiny returns an even smaller scale than Quick for unit tests.
@@ -451,10 +454,12 @@ func TestResizeShape(t *testing.T) {
 	}
 }
 
-// The utility stack must beat the equal split on a heterogeneous mix, and
-// must allocate more capacity to reuse-heavy threads than to streamers.
+// The utility stack must beat the equal split on a heterogeneous mix, must
+// allocate more capacity to reuse-heavy threads than to streamers, and must
+// hand out exactly the cache with every thread at its lines/64 floor.
 func TestUtilShape(t *testing.T) {
-	res := Util(tiny())
+	scale := tiny()
+	res := Util(scale)
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -471,10 +476,136 @@ func TestUtilShape(t *testing.T) {
 	if ut.Targets[0] <= ut.Targets[2] {
 		t.Errorf("utility targets did not favor reuse: %v", ut.Targets)
 	}
+	sum := 0
+	for _, tg := range ut.Targets {
+		if tg < scale.L2Lines/64 {
+			t.Errorf("utility target %d below the %d-line floor: %v", tg, scale.L2Lines/64, ut.Targets)
+		}
+		sum += tg
+	}
+	if sum != scale.L2Lines {
+		t.Errorf("utility targets sum to %d, cache has %d: %v", sum, scale.L2Lines, ut.Targets)
+	}
 	var buf bytes.Buffer
 	res.Print(&buf)
 	if !strings.Contains(buf.String(), "utility+fs") {
 		t.Error("print missing stack name")
+	}
+}
+
+func TestUMONCurveMonotone(t *testing.T) {
+	prof, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := prof.NewGenerator(1, 0)
+	var u umon
+	for i := 0; i < 100000; i++ {
+		u.observe(gen.Next().Addr)
+	}
+	curve := u.curve()
+	if len(curve) != umonWays+1 {
+		t.Fatalf("curve length %d", len(curve))
+	}
+	if curve[0] != 0 {
+		t.Fatal("curve[0] != 0")
+	}
+	for i := 1; i < len(curve); i++ {
+		if curve[i] < curve[i-1] {
+			t.Fatalf("curve not monotone at %d: %v", i, curve)
+		}
+	}
+	if curve[umonWays] == 0 {
+		t.Fatal("reuse-heavy workload recorded no shadow hits")
+	}
+}
+
+// synthTrace is an n-access trace whose i-th line address is addr(i).
+func synthTrace(n int, addr func(i int) uint64) *trace.Trace {
+	tr := &trace.Trace{Accesses: make([]trace.Access, n)}
+	for i := range tr.Accesses {
+		tr.Accesses[i].Addr = addr(i)
+	}
+	return tr
+}
+
+// reuseTrace draws n accesses uniformly over a set of lines.
+func reuseTrace(seed uint64, n, lines int) *trace.Trace {
+	rng := xrand.New(seed)
+	return synthTrace(n, func(int) uint64 { return rng.Uint64() % uint64(lines) })
+}
+
+// streamTrace touches n distinct lines once each.
+func streamTrace(n int) *trace.Trace {
+	return synthTrace(n, func(i int) uint64 { return uint64(i) })
+}
+
+func sumInts(xs []int) int {
+	s := 0
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
+func TestUtilTargetsFavorReuse(t *testing.T) {
+	tg := utilTargets(8192, []*trace.Trace{reuseTrace(3, 200000, 2048), streamTrace(200000)})
+	if len(tg) != 2 {
+		t.Fatalf("targets = %v", tg)
+	}
+	if tg[0] <= tg[1] {
+		t.Fatalf("utility gave reuse %d, stream %d", tg[0], tg[1])
+	}
+	if sumInts(tg) != 8192 {
+		t.Fatalf("allocated %d of 8192 lines: %v", sumInts(tg), tg)
+	}
+}
+
+// A thread that never accesses the cache still keeps its lines/64 floor.
+func TestUtilTargetsFloors(t *testing.T) {
+	const lines = 1024
+	tg := utilTargets(lines, []*trace.Trace{reuseTrace(5, 10000, 64), {}})
+	for i, v := range tg {
+		if v < lines/64 {
+			t.Fatalf("partition %d below floor: %v", i, tg)
+		}
+	}
+	if sumInts(tg) != lines {
+		t.Fatalf("allocated %d of %d lines: %v", sumInts(tg), lines, tg)
+	}
+}
+
+func TestUtilTargetsAllocateFullCapacity(t *testing.T) {
+	traces := []*trace.Trace{reuseTrace(9, 50000, 512), streamTrace(50000)}
+	// Small chunks (32 lines → 1-line chunks, 96 → 3) round the lines/64
+	// floor differently from the power-of-two sizes.
+	for _, lines := range []int{32, 96, 1024, 2048, 8192} {
+		tg := utilTargets(lines, traces)
+		if sumInts(tg) != lines {
+			t.Fatalf("utilTargets(%d) allocated %d lines: %v", lines, sumInts(tg), tg)
+		}
+	}
+}
+
+// A hog whose every way pays wins all it can, but the streams beside it
+// keep their floors and the cache is handed out exactly.
+func TestUtilTargetsFloorsSurviveHog(t *testing.T) {
+	const lines = 1024
+	traces := []*trace.Trace{reuseTrace(21, 100000, 4096)}
+	for i := 0; i < 3; i++ {
+		traces = append(traces, streamTrace(100000))
+	}
+	tg := utilTargets(lines, traces)
+	for i, v := range tg {
+		if v < lines/64 {
+			t.Fatalf("partition %d below floor beside the hog: %v", i, tg)
+		}
+	}
+	if sumInts(tg) != lines {
+		t.Fatalf("allocated %d of %d lines: %v", sumInts(tg), lines, tg)
+	}
+	if tg[0] <= lines/64 {
+		t.Fatalf("hog thread should keep more than the floor: %v", tg)
 	}
 }
 

@@ -3,8 +3,8 @@ package experiments
 import (
 	"io"
 
+	"fscache/internal/alloc"
 	"fscache/internal/futility"
-	"fscache/internal/policy"
 	"fscache/internal/sim"
 	"fscache/internal/stats"
 	"fscache/internal/trace"
@@ -118,7 +118,9 @@ func fig7Traces(scale Scale, nSubj int, rank futility.Kind) []*trace.Trace {
 
 func runFig7Cell(scale Scale, scheme SchemeName, rank futility.Kind, nSubj int, traces []*trace.Trace) Fig7Row {
 	row := Fig7Row{Scheme: scheme, Rank: rank, Subjects: nSubj}
-	managed := 0
+	// Subjects get their guarantee, the background splits the rest of the
+	// capacity the scheme manages: Vantage only manages (1−u) of the cache.
+	managed := scale.L2Lines
 	if scheme == SchemeVantage {
 		managed = scale.L2Lines * 9 / 10
 		if nSubj*scale.SubjectLines > managed {
@@ -126,6 +128,11 @@ func runFig7Cell(scale Scale, scheme SchemeName, rank futility.Kind, nSubj int, 
 			return row
 		}
 	}
+	targets := make([]int, Fig7Threads)
+	for t := 0; t < nSubj; t++ {
+		targets[t] = scale.SubjectLines
+	}
+	alloc.EvenSplit(targets[nSubj:], managed-nSubj*scale.SubjectLines)
 	b := Build(CacheSpec{
 		Lines:  scale.L2Lines,
 		Array:  Array16Way,
@@ -134,13 +141,7 @@ func runFig7Cell(scale Scale, scheme SchemeName, rank futility.Kind, nSubj int, 
 		Parts:  Fig7Threads,
 		Seed:   seedStream(scale.Seed, "fig7"+string(scheme)),
 	}, FSFeedbackParams{})
-	q := policy.QoS{
-		Subjects:     nSubj,
-		Background:   Fig7Threads - nSubj,
-		SubjectLines: scale.SubjectLines,
-		ManagedLines: managed,
-	}
-	b.SetTargets(q.Targets(scale.L2Lines))
+	b.SetTargets(targets)
 
 	m := sim.NewMulticore(b.Cache, sim.DefaultTiming(), traces)
 	m.SetWarmup(0.3) // exclude the cold fill, as the paper's long runs do

@@ -3,8 +3,8 @@ package experiments
 import (
 	"io"
 
+	"fscache/internal/alloc"
 	"fscache/internal/futility"
-	"fscache/internal/policy"
 	"fscache/internal/sim"
 	"fscache/internal/trace"
 )
@@ -14,7 +14,7 @@ import (
 // heterogeneous 4-thread mix under three stacks —
 //
 //	equal targets + FS          (no utility information)
-//	UCP-style utility + FS      (UMON miss curves + lookahead allocation)
+//	UCP-style utility + FS      (UMON miss curves + alloc.MaxHits lookahead)
 //	unmanaged                   (no enforcement at all)
 //
 // and reports throughput. The utility policy should beat the equal split by
@@ -52,25 +52,87 @@ func Util(scale Scale) UtilResult {
 		traces[t] = sim.BuildL2Trace(gen, sim.NewL1(scale.L1Lines, 4), scale.TraceLen, 0)
 	}
 
-	// UMONs observe each thread's L2 stream (shadow tags see the stream the
-	// shared cache would see).
-	monitors := make([]*policy.UMON, parts)
-	for t := range monitors {
-		monitors[t] = policy.NewUMON(32, 64)
-		for i := range traces[t].Accesses {
-			monitors[t].Observe(traces[t].Accesses[i].Addr)
-		}
-	}
-
-	equal := policy.Equal{Parts: parts}.Targets(scale.L2Lines)
-	util := (&policy.Utility{Monitors: monitors, MinLines: scale.L2Lines / 64}).Targets(scale.L2Lines)
+	equal := make([]int, parts)
+	alloc.EvenSplit(equal, scale.L2Lines)
 
 	res.Rows = append(res.Rows,
 		runUtilCase(scale, "equal+fs", SchemeFS, equal, traces),
-		runUtilCase(scale, "utility+fs", SchemeFS, util, traces),
+		runUtilCase(scale, "utility+fs", SchemeFS, utilTargets(scale.L2Lines, traces), traces),
 		runUtilCase(scale, "unmanaged", SchemeUnmanaged, equal, traces),
 	)
 	return res
+}
+
+// utilTargets shadows each thread's L2 stream with a UMON (shadow tags see
+// the stream the shared cache would see) and allocates lines/umonWays lines
+// per monitor way by alloc.MaxHits, every thread floored at lines/64. lines
+// must be a multiple of umonWays, as every Scale's L2Lines is.
+func utilTargets(lines int, traces []*trace.Trace) []int {
+	chunk := lines / umonWays
+	cv := &alloc.Curves{
+		Chunk:    chunk,
+		NChunk:   umonWays,
+		Hits:     make([][]uint64, len(traces)),
+		Accesses: make([]uint64, len(traces)),
+		Live:     make([]bool, len(traces)),
+	}
+	floors := make([]int, len(traces))
+	for t, tr := range traces {
+		var u umon
+		for i := range tr.Accesses {
+			u.observe(tr.Accesses[i].Addr)
+		}
+		cv.Hits[t] = u.curve()
+		cv.Accesses[t] = uint64(len(tr.Accesses))
+		cv.Live[t] = true
+		floors[t] = (lines/64 + chunk - 1) / chunk
+	}
+	targets := alloc.MaxHits{}.Allocate(cv, floors)
+	for t := range targets {
+		targets[t] *= chunk
+	}
+	return targets
+}
+
+const (
+	umonWays = 32 // curve resolution: one point per way
+	umonSets = 64 // tag stacks every address folds onto
+)
+
+// umon is a UCP utility monitor: umonSets fully-LRU stacks of umonWays tags
+// with hit counters per recency position, so curve()[w] counts the hits the
+// thread would have had with w ways.
+type umon struct {
+	stacks [umonSets][]uint64 // most recent first
+	hits   [umonWays]uint64   // hits at stack position i (needs ≥ i+1 ways)
+}
+
+func (u *umon) observe(addr uint64) {
+	set := addr * 0x9e3779b97f4a7c15 >> 40 & (umonSets - 1)
+	stack := u.stacks[set]
+	for i, t := range stack {
+		if t == addr {
+			u.hits[i]++
+			copy(stack[1:i+1], stack[:i])
+			stack[0] = addr
+			return
+		}
+	}
+	if len(stack) < umonWays {
+		stack = append(stack, 0)
+	}
+	copy(stack[1:], stack[:len(stack)-1])
+	stack[0] = addr
+	u.stacks[set] = stack
+}
+
+// curve returns the cumulative hits with w = 0..umonWays ways.
+func (u *umon) curve() []uint64 {
+	out := make([]uint64, umonWays+1)
+	for i, h := range u.hits {
+		out[i+1] = out[i] + h
+	}
+	return out
 }
 
 func runUtilCase(scale Scale, stack string, scheme SchemeName, targets []int, traces []*trace.Trace) UtilRow {

@@ -44,7 +44,6 @@ import (
 var DefaultSimPackages = []string{
 	"fscache/internal/core",
 	"fscache/internal/sim",
-	"fscache/internal/policy",
 	"fscache/internal/futility",
 	"fscache/internal/recency",
 	"fscache/internal/baselines",

@@ -20,7 +20,6 @@ func TestDefaultScope(t *testing.T) {
 	want := map[string]bool{
 		"fscache/internal/core":        true,
 		"fscache/internal/sim":         true,
-		"fscache/internal/policy":      true,
 		"fscache/internal/futility":    true,
 		"fscache/internal/recency":     true,
 		"fscache/internal/baselines":   true,

@@ -156,7 +156,7 @@ type Engine struct {
 // reference ranker costs a coarse stripe more than its timestamps do, so only
 // stripes with global index g % measureEvery == 0 carry it; the rest run
 // core.Config.Unmeasured. Stripes are uniform slices of the H3 set-index
-// space, so this is policy.UMON's set sampling with no per-access test.
+// space, so this is UCP's dynamic set sampling with no per-access test.
 const measureEvery = 4
 
 // New builds an engine from cfg. It panics on inconsistent configuration
