@@ -118,13 +118,33 @@ type SetAssoc struct {
 // NewSetAssoc builds an array of lines = sets×ways lines. lines and ways
 // must be powers of two with ways ≤ lines.
 func NewSetAssoc(lines, ways int, kind IndexKind, seed uint64) *SetAssoc {
+	a := newSetAssoc(lines, ways, kind)
+	if kind == IndexH3 {
+		a.h3 = hashing.NewH3(seed, a.sets)
+	}
+	return a
+}
+
+// NewSetAssocH3 builds an IndexH3 array that indexes with h instead of a
+// function of its own: an address's set is the low log2(lines/ways) bits of
+// h.Hash(addr), so h must map onto at least lines/ways buckets. An H3 onto
+// more buckets agrees in those bits with the one NewSetAssoc would build from
+// its seed, so arrays sharing h are the banks of one larger array, each told
+// apart by the bits above its own (internal/shardcache).
+func NewSetAssocH3(lines, ways int, h *hashing.H3) *SetAssoc {
+	a := newSetAssoc(lines, ways, IndexH3)
+	a.h3 = h
+	return a
+}
+
+func newSetAssoc(lines, ways int, kind IndexKind) *SetAssoc {
 	checkPow2(lines, "lines")
 	checkPow2(ways, "ways")
 	if ways > lines {
 		panic("cachearray: ways exceed lines")
 	}
 	sets := lines / ways
-	a := &SetAssoc{
+	return &SetAssoc{
 		ways:    ways,
 		sets:    sets,
 		setBits: uint(bits.TrailingZeros(uint(sets))),
@@ -132,10 +152,6 @@ func NewSetAssoc(lines, ways int, kind IndexKind, seed uint64) *SetAssoc {
 		valid:   make([]bool, lines),
 		kind:    kind,
 	}
-	if kind == IndexH3 {
-		a.h3 = hashing.NewH3(seed, sets)
-	}
-	return a
 }
 
 // NewDirectMapped builds the 1-way special case.
@@ -156,7 +172,7 @@ func (a *SetAssoc) Lines() int { return a.sets * a.ways }
 
 func (a *SetAssoc) set(addr uint64) int {
 	if a.kind == IndexH3 {
-		return int(a.h3.Hash(addr))
+		return int(a.h3.Hash(addr)) & (a.sets - 1) // a no-op unless h3 is shared
 	}
 	return int(hashing.FoldBits(addr, a.setBits))
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fscache/internal/hashing"
 	"fscache/internal/xrand"
 )
 
@@ -68,6 +69,7 @@ func arrays(lines int) []namedArray {
 		{"random", NewRandom(lines, 8, 5)},
 		{"fullyassoc", NewFullyAssoc(lines)},
 		{"zcache", NewZCache(lines, 4, 2, 6)},
+		{"setassoc-h3-shared", NewSetAssocH3(lines, 4, hashing.NewH3(7, lines))},
 	}
 }
 

@@ -73,13 +73,13 @@ func (p *PartStats) MissRate() float64 {
 	return float64(p.Misses) / float64(t)
 }
 
-// lineMeta is the paper's per-line partition id, 8 bytes a line: part is the
+// lineMeta is the paper's per-line partition id, 4 bytes a line: part is the
 // partition the line counts against for sizing decisions, owner the partition
 // whose application inserted it. They differ only after a demotion (Vantage):
 // the demoted line belongs to the unmanaged pseudo-partition for sizing but
 // its eviction futility is still measured within its owner's working set.
 type lineMeta struct {
-	part, owner int32
+	part, owner int16
 }
 
 // noLine is the metadata of a line that holds nothing.
@@ -174,8 +174,8 @@ func New(cfg Config) *Cache {
 	if cfg.Parts <= 0 {
 		panic("core: Parts must be positive")
 	}
-	if cfg.Parts > math.MaxInt32 {
-		panic("core: Parts exceeds the 32-bit per-line partition id")
+	if cfg.Parts > math.MaxInt16 {
+		panic("core: Parts exceeds the 16-bit per-line partition id")
 	}
 	hb := cfg.HistBuckets
 	if hb == 0 {
@@ -458,7 +458,7 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 	if got, valid := c.array.AddrOf(line); !valid || got != addr {
 		panic("core: address not resident after Install")
 	}
-	c.meta[line] = lineMeta{part: int32(part), owner: int32(part)}
+	c.meta[line] = lineMeta{part: int16(part), owner: int16(part)}
 	c.ranker.OnInsert(line, part, ctx)
 	if c.refInsert != nil {
 		c.refInsert(line, part, ctx)
@@ -614,7 +614,7 @@ func (c *Cache) demote(line, to int) {
 	c.ranker.OnInsert(line, to, futility.Context{Seq: c.seq, NextUse: trace.NoNextUse})
 	c.resize(from, -1)
 	c.resize(to, 1)
-	c.meta[line].part = int32(to)
+	c.meta[line].part = int16(to)
 	c.pstats[c.meta[line].owner].Demotions++
 	c.scheme.OnEviction(from) // a demotion drains the source like an eviction...
 	c.scheme.OnInsert(to)     // ...and fills the destination like an insertion

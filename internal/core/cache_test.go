@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"fscache/internal/analytic"
 	"fscache/internal/cachearray"
@@ -483,6 +484,25 @@ func TestConfigValidation(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// A line's partition tag is two int16s, 4 bytes a line: New refuses a
+// partition count the tag cannot hold, and a wider tag fails here.
+func TestPartitionTagWidth(t *testing.T) {
+	if n := unsafe.Sizeof(lineMeta{}); n != 4 {
+		t.Fatalf("lineMeta is %d bytes a line, want 4", n)
+	}
+	defer func() {
+		if r := recover(); r != "core: Parts exceeds the 16-bit per-line partition id" {
+			t.Fatalf("Parts = MaxInt16+1: recovered %v", r)
+		}
+	}()
+	New(Config{
+		Array:  cachearray.NewRandom(16, 4, 1),
+		Ranker: futility.NewExactLRU(16, 1),
+		Scheme: NewFSFixed(1),
+		Parts:  math.MaxInt16 + 1,
+	})
 }
 
 func TestFSFixedValidation(t *testing.T) {

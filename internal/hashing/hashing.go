@@ -8,9 +8,8 @@
 //
 //   - H3: the classic universal hash family over GF(2) (matrix of random
 //     row masks), as used by the zcache work the paper builds on.
-//   - Fold: simple XOR folding of a line address into an index, the
+//   - FoldBits: simple XOR folding of a line address into an index, the
 //     "XOR-based indexing" baseline.
-//   - Mix: a multiply-xorshift finalizer usable as a cheap strong hash.
 //
 // H3 is defined by its masks (h3Masks) — output bit i is the parity of key
 // AND masks[i] — and evaluated from byte-sliced tables built from them once,
@@ -18,6 +17,11 @@
 // XOR of the hashes of its eight bytes in place. A function keeps only the
 // tables; the bit-serial parity loop is kept in this package's tests as the
 // reference the tables are checked against (DESIGN.md §10).
+//
+// The rows are drawn one after another from the seed, so the function onto
+// 2^a buckets is the low a bits of the function onto 2^b ≥ 2^a buckets from
+// the same seed. One H3 can therefore index a banked array: its high bits
+// pick the bank and its low bits the set within it (internal/shardcache).
 package hashing
 
 import (
@@ -51,15 +55,39 @@ func NewH3(seed uint64, buckets int) *H3 {
 // h3Masks draws the definition of the function NewH3(seed, 1<<n) builds: one
 // row mask per output bit.
 func h3Masks(seed uint64, n uint) []uint64 {
-	rng := xrand.New(seed)
-	masks := make([]uint64, n)
-	for i := range masks {
-		// Reject all-zero masks: a zero mask would pin that output bit.
-		for masks[i] == 0 {
-			masks[i] = rng.Uint64()
+	return independentRows(n, xrand.New(seed).Uint64)
+}
+
+// independentRows draws n row masks from next, redrawing any row in the span
+// of the rows before it. A zero row would pin its output bit and a dependent
+// one make it the XOR of earlier bits; either way fewer than n bits would vary
+// and some buckets would never be hit. Each row depends only on the draws
+// before it, so the rows of a shorter function are a prefix of a longer one's.
+func independentRows(n uint, next func() uint64) []uint64 {
+	rows := make([]uint64, n)
+	var basis [64]uint64
+	for i := range rows {
+		rows[i] = next()
+		for !extend(&basis, rows[i]) {
+			rows[i] = next()
 		}
 	}
-	return masks
+	return rows
+}
+
+// extend reduces r against basis, where basis[p] is zero or a vector whose
+// highest set bit is p (GF(2) elimination). It adds what is left and reports
+// true, or reports false when r lies in the span of basis, zero included.
+func extend(basis *[64]uint64, r uint64) bool {
+	for r != 0 {
+		p := 63 - bits.LeadingZeros64(r)
+		if basis[p] == 0 {
+			basis[p] = r
+			return true
+		}
+		r ^= basis[p]
+	}
+	return false
 }
 
 func (h *H3) init(seed uint64, buckets int) {
@@ -124,15 +152,9 @@ func log2(n int, what string) uint {
 	return uint(bits.TrailingZeros(uint(n)))
 }
 
-// Fold XOR-folds a 64-bit line address into [0, buckets); buckets must be a
-// power of two. This models conventional XOR-based set indexing: cheap, and
-// good enough to spread strided access patterns across sets.
-func Fold(key uint64, buckets int) uint64 {
-	return FoldBits(key, log2(buckets, "Fold buckets"))
-}
-
-// FoldBits is Fold onto [0, 1<<width): the form for callers that index with
-// one bucket count throughout and derive its width once.
+// FoldBits XOR-folds a 64-bit line address into [0, 1<<width). This models
+// conventional XOR-based set indexing: cheap, and good enough to spread
+// strided access patterns across sets.
 func FoldBits(key uint64, width uint) uint64 {
 	if width == 0 {
 		return 0
@@ -145,36 +167,16 @@ func FoldBits(key uint64, width uint) uint64 {
 	return out
 }
 
-// ShardOf extracts a shard index from a set index as its top bit-slice:
-// with `sets` total sets split across `shards` shards (both powers of two,
-// shards <= sets), the shard is the high log2(shards) bits of the index.
-// Contiguous equal-sized runs of set indices therefore land on the same
-// shard, which is how internal/shardcache carves one logical set-associative
-// array into independent sub-arrays of sets/shards sets each.
-func ShardOf(setIndex uint64, sets, shards int) uint64 {
-	shift := ShardShift(sets, shards)
-	if setIndex >= uint64(sets) {
-		panic("hashing: ShardOf set index out of range")
-	}
-	return setIndex >> shift
-}
-
-// ShardShift returns the shift that takes a set index to its shard,
-// ShardOf(i, sets, shards) == i >> ShardShift(sets, shards), for callers
-// that route every index with one split and derive the shift once.
+// ShardShift returns the shift that takes a set index to its shard when
+// `sets` sets are split across `shards` shards (both powers of two, shards ≤
+// sets): the shard is the top log2(shards) bits of the index, i >>
+// ShardShift(sets, shards), so contiguous equal-sized runs of set indices
+// land on the same shard. This is how internal/shardcache carves one logical
+// set-associative array into independent sub-arrays of sets/shards sets each.
 func ShardShift(sets, shards int) uint {
-	all, top := log2(sets, "ShardOf sets"), log2(shards, "ShardOf shards")
+	all, top := log2(sets, "ShardShift sets"), log2(shards, "ShardShift shards")
 	if top > all {
-		panic("hashing: ShardOf shards must be no larger than sets")
+		panic("hashing: ShardShift shards must be no larger than sets")
 	}
 	return all - top
-}
-
-// Mix applies a strong 64-bit finalizer (SplitMix64's mixer) and reduces to
-// [0, buckets) for power-of-two buckets.
-func Mix(key uint64, buckets int) uint64 {
-	if buckets <= 0 || buckets&(buckets-1) != 0 {
-		panic("hashing: Mix buckets must be a positive power of two")
-	}
-	return xrand.Mix64(key) & (uint64(buckets) - 1)
 }

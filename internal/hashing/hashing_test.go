@@ -143,6 +143,73 @@ func TestH3TableMatchesBitSerial(t *testing.T) {
 	}
 }
 
+// The function onto 2^a buckets is the low a bits of the function onto 2^b ≥
+// 2^a buckets from the same seed, because the rows are drawn in order.
+// internal/shardcache takes a stripe's sets from the low bits of the router
+// that picked the stripe from the high ones, and relies on this to place every
+// address where one array of the whole engine's sets would.
+func TestH3PrefixProperty(t *testing.T) {
+	rng := xrand.New(29)
+	for _, seed := range []uint64{0, 1, 0xa77a, ^uint64(0)} {
+		all := h3Masks(seed, 32)
+		long := NewH3(seed, 1<<20)
+		for a := uint(0); a <= 20; a++ {
+			for i, m := range h3Masks(seed, a) {
+				if m != all[i] {
+					t.Fatalf("seed %#x: row %d of the 2^%d-bucket function is %#x, of the 2^32-bucket one %#x", seed, i, a, m, all[i])
+				}
+			}
+			short := NewH3(seed, 1<<a)
+			for i := 0; i < 2000; i++ {
+				k := rng.Uint64()
+				if got, want := short.Hash(k), long.Hash(k)&(1<<a-1); got != want {
+					t.Fatalf("seed %#x key %#x: onto 2^%d buckets %#x, low bits of onto 2^20 %#x", seed, k, a, got, want)
+				}
+			}
+		}
+	}
+}
+
+// rank is the GF(2) rank of rows, by elimination on each pivot's lowest set
+// bit (the package eliminates on the highest).
+func rank(rows []uint64) int {
+	rows = append([]uint64(nil), rows...)
+	r := 0
+	for i, p := range rows {
+		if p == 0 {
+			continue
+		}
+		for j := i + 1; j < len(rows); j++ {
+			if rows[j]&(p&-p) != 0 {
+				rows[j] ^= p
+			}
+		}
+		r++
+	}
+	return r
+}
+
+// Every row is outside the span of the rows before it, so the n output bits
+// are independent and every bucket is the hash of some key. A draw that is
+// zero, repeats a row or is the XOR of accepted rows is redrawn.
+func TestH3RowsIndependent(t *testing.T) {
+	for seed := uint64(0); seed < 256; seed++ {
+		if r := rank(h3Masks(seed, 32)); r != 32 {
+			t.Fatalf("seed %d: 32 rows of rank %d", seed, r)
+		}
+	}
+	a, b, c := uint64(0b0011), uint64(0b0101), uint64(1)<<63
+	script := []uint64{0, a, a, b, a ^ b, 0, b, c}
+	drawn := 0
+	got := independentRows(3, func() uint64 { drawn++; return script[drawn-1] })
+	if want := []uint64{a, b, c}; fmt.Sprint(got) != fmt.Sprint(want) || drawn != len(script) {
+		t.Fatalf("rows %v after %d draws, want %v after %d", got, drawn, want, len(script))
+	}
+	if r := rank(script); r != 3 {
+		t.Fatalf("rank of the script is %d, want 3", r)
+	}
+}
+
 func FuzzH3(f *testing.F) {
 	f.Add(uint64(0), uint8(0), uint64(0))
 	f.Add(uint64(1), uint8(12), uint64(0x9e3779b97f4a7c15))
@@ -183,30 +250,11 @@ func TestFamilyIndependence(t *testing.T) {
 
 func TestFoldRangeAndDeterminism(t *testing.T) {
 	f := func(key uint64) bool {
-		v := Fold(key, 4096)
-		return v < 4096 && v == Fold(key, 4096)
+		v := FoldBits(key, 12)
+		return v < 4096 && v == FoldBits(key, 12)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFoldBitsAndShardShiftMatchCheckedForms(t *testing.T) {
-	rng := xrand.New(41)
-	for width := uint(0); width <= 20; width++ {
-		for i := 0; i < 200; i++ {
-			k := rng.Uint64()
-			if FoldBits(k, width) != Fold(k, 1<<width) {
-				t.Fatalf("FoldBits(%#x, %d) != Fold(%#x, 2^%d)", k, width, k, width)
-			}
-		}
-		for s := uint(0); s <= width; s++ {
-			shift := ShardShift(1<<width, 1<<s)
-			idx := rng.Uint64() & (1<<width - 1)
-			if idx>>shift != ShardOf(idx, 1<<width, 1<<s) {
-				t.Fatalf("ShardShift(2^%d, 2^%d) = %d disagrees with ShardOf at %d", width, s, shift, idx)
-			}
-		}
 	}
 }
 
@@ -215,18 +263,11 @@ func TestFoldSpreadsSequential(t *testing.T) {
 	// folding preserves low bits for keys < buckets.
 	seen := map[uint64]bool{}
 	for i := uint64(0); i < 1024; i++ {
-		v := Fold(i, 1024)
+		v := FoldBits(i, 10)
 		if seen[v] {
 			t.Fatalf("fold collision within one period at %d", i)
 		}
 		seen[v] = true
-	}
-}
-
-func TestMixRange(t *testing.T) {
-	f := func(key uint64) bool { return Mix(key, 128) < 128 }
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -239,8 +280,6 @@ func TestBadBucketsPanics(t *testing.T) {
 		func() { NewH3(1, 0) },
 		func() { NewH3(1, 3) },
 		func() { NewH3(1, tooManyBuckets) },
-		func() { Fold(1, 12) },
-		func() { Mix(1, -2) },
 	} {
 		func() {
 			defer func() {
@@ -253,28 +292,24 @@ func TestBadBucketsPanics(t *testing.T) {
 	}
 }
 
+// The shard of a set index is its top bit-slice, i >> ShardShift(sets, shards).
 func TestShardOf(t *testing.T) {
 	// 16 sets over 4 shards: the shard is the top two bits, so contiguous
 	// runs of 4 set indices share a shard.
 	for idx := uint64(0); idx < 16; idx++ {
-		if got, want := ShardOf(idx, 16, 4), idx/4; got != want {
-			t.Fatalf("ShardOf(%d, 16, 4) = %d, want %d", idx, got, want)
+		if got, want := idx>>ShardShift(16, 4), idx/4; got != want {
+			t.Fatalf("set %d of 16 over 4 shards: shard %d, want %d", idx, got, want)
 		}
 	}
 	// Degenerate splits: one shard maps everything to 0; shards == sets is
 	// the identity.
-	for idx := uint64(0); idx < 8; idx++ {
-		if ShardOf(idx, 8, 1) != 0 {
-			t.Fatal("single shard must map to 0")
-		}
-		if ShardOf(idx, 8, 8) != idx {
-			t.Fatal("shards == sets must be the identity")
-		}
+	if ShardShift(8, 1) != 3 || ShardShift(8, 8) != 0 {
+		t.Fatalf("ShardShift(8, 1) = %d, ShardShift(8, 8) = %d; want 3 and 0", ShardShift(8, 1), ShardShift(8, 8))
 	}
 	// Every shard receives exactly sets/shards indices.
 	counts := make([]int, 8)
 	for idx := uint64(0); idx < 64; idx++ {
-		counts[ShardOf(idx, 64, 8)]++
+		counts[idx>>ShardShift(64, 8)]++
 	}
 	for s, c := range counts {
 		if c != 8 {
@@ -282,15 +317,14 @@ func TestShardOf(t *testing.T) {
 		}
 	}
 	for _, fn := range []func(){
-		func() { ShardOf(0, 12, 4) },  // sets not a power of two
-		func() { ShardOf(0, 16, 3) },  // shards not a power of two
-		func() { ShardOf(0, 4, 8) },   // more shards than sets
-		func() { ShardOf(16, 16, 4) }, // index out of range
+		func() { ShardShift(12, 4) }, // sets not a power of two
+		func() { ShardShift(16, 3) }, // shards not a power of two
+		func() { ShardShift(4, 8) },  // more shards than sets
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("invalid ShardOf arguments did not panic")
+					t.Error("invalid ShardShift arguments did not panic")
 				}
 			}()
 			fn()
@@ -305,7 +339,7 @@ func TestH3SingleBucket(t *testing.T) {
 			t.Fatal("single-bucket hash must return 0")
 		}
 	}
-	if Fold(12345, 1) != 0 {
+	if FoldBits(12345, 0) != 0 {
 		t.Fatal("single-bucket fold must return 0")
 	}
 }
@@ -326,7 +360,7 @@ func BenchmarkH3(b *testing.B) {
 func BenchmarkFold(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		sink += Fold(uint64(i)*0x9e3779b97f4a7c15, 8192)
+		sink += FoldBits(uint64(i)*0x9e3779b97f4a7c15, 13)
 	}
 	benchSink = sink
 }

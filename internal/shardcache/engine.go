@@ -10,12 +10,15 @@
 // global target distributor's demand accounting. Each shard is then split
 // into K lock *stripes* over contiguous sub-ranges of the shard's sets, each
 // stripe a smaller set-associative array with the same associativity behind
-// its own mutex. Striping follows the hardware idiom: the engine hashes an
-// address with one H3 function over the *global* set index space and takes
-// the top log2(S·K)-bit slice as the stripe index (hashing.ShardOf over S·K
-// buckets), so the top log2(S) bits select the shard and the next log2(K)
-// bits the stripe within it. An access therefore contends only with accesses
-// to the same 1/(S·K) slice of the sets, not the whole shard.
+// its own mutex. Striping follows the hardware idiom of a banked array indexed
+// by one hash: the engine builds one H3 function over the *global* set index
+// space, and the top log2(S·K) bits of an address's hash are its stripe (the
+// top log2(S) select the shard, the next log2(K) the stripe within it) while
+// the bits below are its set within the stripe, whose array indexes with the
+// same function. An address therefore sits in exactly the set a monolithic
+// H3-indexed array of all the sets, built from the same seed, gives it: the
+// stripes are a lock-split of that array. An access contends only with
+// accesses to the same 1/(S·K) slice of the sets, not the whole shard.
 //
 // Partition targets stay a cache-wide contract: SetTargets installs global
 // per-partition line targets, and Rebalance — the global target distributor
@@ -74,8 +77,8 @@ type Config struct {
 	Ranking futility.Kind
 	// Feedback parameterizes each stripe's FS feedback controller.
 	Feedback core.FSFeedbackConfig
-	// Seed roots all hash functions and rankers; equal seeds build
-	// byte-identical engines.
+	// Seed roots the engine's one hash function and its rankers; equal seeds
+	// build byte-identical engines.
 	Seed uint64
 	// HistBuckets sets the eviction-futility histogram resolution
 	// (default 64, matching core).
@@ -89,6 +92,10 @@ type stripe struct {
 	mu sync.Mutex
 	//fs:guardedby mu
 	cache *core.Cache
+	// array is cache's array, kept for the placement audit in
+	// Engine.CheckInvariants.
+	//fs:guardedby mu
+	array *cachearray.SetAssoc
 	// demand counts insertions routed to this stripe per partition since
 	// the distributor's last buffer swap; it is the distributor's load
 	// signal. Rebalance exchanges it with a zeroed spare buffer (Engine.spare)
@@ -186,13 +193,16 @@ func newEngine(cfg Config, isMeasured func(g int) bool) *Engine {
 	if nStripes > sets {
 		panic("shardcache: more lock stripes than sets")
 	}
+	// One H3 over the whole engine's sets: its high bits pick the stripe
+	// (stripeOf) and its low bits the set within it (NewSetAssocH3).
+	router := hashing.NewH3(cfg.Seed, sets)
 	stripes := make([]*stripe, nStripes)
 	perStripeLines := cfg.Lines / nStripes
 	measured := 0
 	for g := range stripes {
+		arr := cachearray.NewSetAssocH3(perStripeLines, cfg.Ways, router)
 		cc := core.Config{
-			Array: cachearray.NewSetAssoc(perStripeLines, cfg.Ways, cachearray.IndexH3,
-				xrand.Mix64(cfg.Seed^uint64(g+1))),
+			Array: arr,
 			Ranker: futility.New(cfg.Ranking, perStripeLines, cfg.Parts,
 				xrand.Mix64(cfg.Seed^0x5a5a0000^uint64(g))),
 			Scheme:      core.NewFSFeedback(cfg.Parts, cfg.Feedback),
@@ -209,7 +219,7 @@ func newEngine(cfg Config, isMeasured func(g int) bool) *Engine {
 		default:
 			cc.Unmeasured = true
 		}
-		stripes[g] = &stripe{cache: core.New(cc), demand: make([]uint64, cfg.Parts)}
+		stripes[g] = &stripe{cache: core.New(cc), array: arr, demand: make([]uint64, cfg.Parts)}
 	}
 	spare := make([][]uint64, nStripes)
 	sizeScratch := make([][]int, nStripes)
@@ -222,7 +232,7 @@ func newEngine(cfg Config, isMeasured func(g int) bool) *Engine {
 	return &Engine{
 		cfg:           cfg,
 		perShard:      cfg.Stripes,
-		router:        hashing.NewH3(cfg.Seed, sets),
+		router:        router,
 		stripeShift:   hashing.ShardShift(sets, nStripes),
 		stripes:       stripes,
 		measured:      measured,
@@ -513,8 +523,9 @@ func (e *Engine) ShardSnapshots() []core.Snapshot {
 }
 
 // CheckInvariants audits every stripe's controller with the sequential
-// simulator's full invariant rescan, one stripe lock at a time, and fails an
-// engine none of whose stripes measures eviction futility.
+// simulator's full invariant rescan, one stripe lock at a time, checks that
+// every resident address sits in the stripe it routes to, and fails an engine
+// none of whose stripes measures eviction futility.
 func (e *Engine) CheckInvariants() error {
 	if e.measured == 0 {
 		return fmt.Errorf("shardcache: no stripe measures eviction futility")
@@ -522,6 +533,11 @@ func (e *Engine) CheckInvariants() error {
 	for g, st := range e.stripes {
 		st.mu.Lock()
 		err := st.cache.CheckInvariants()
+		for l := 0; err == nil && l < st.array.Lines(); l++ {
+			if addr, ok := st.array.AddrOf(l); ok && e.stripeOf(addr) != g {
+				err = fmt.Errorf("line %d holds %#x, which routes to stripe %d", l, addr, e.stripeOf(addr))
+			}
+		}
 		st.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("stripe %d (shard %d): %w", g, g/e.perShard, err)

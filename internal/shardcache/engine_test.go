@@ -34,10 +34,10 @@ func testTargets() []int { return []int{2048, 1280, 768} }
 
 // monolithic builds the single-threaded equivalent of testConfig: the same
 // total lines, associativity, ranking and feedback parameters in one
-// core.Cache.
+// core.Cache, over the array the engine's stripes split
+// (TestStripesSplitTheMonolithicArray).
 func monolithic(cfg Config) *core.Cache {
-	arr := cachearray.NewSetAssoc(cfg.Lines, cfg.Ways, cachearray.IndexH3,
-		xrand.Mix64(cfg.Seed^0x30))
+	arr := cachearray.NewSetAssoc(cfg.Lines, cfg.Ways, cachearray.IndexH3, cfg.Seed)
 	ranker := futility.New(cfg.Ranking, cfg.Lines, cfg.Parts, xrand.Mix64(cfg.Seed^0x31))
 	var ref futility.Ranker
 	if rk := futility.Reference(cfg.Ranking); rk != cfg.Ranking {
@@ -56,8 +56,9 @@ func monolithic(cfg Config) *core.Cache {
 // deterministic workload driven concurrently through four shards and
 // sequentially through one monolithic cache must land, per partition,
 // at matching occupancies, miss ratios and AEF within tolerance. The two
-// systems place lines with different hash functions and see different
-// interleavings, so the comparison is statistical (shape), not bit-exact.
+// systems place every line in the same set but see different interleavings,
+// split partition targets differently and rank with differently seeded
+// rankers, so the comparison is statistical (shape), not bit-exact.
 func TestShardedMatchesMonolithic(t *testing.T) {
 	runShardedVsMonolithic(t, testConfig(4))
 }
@@ -129,10 +130,9 @@ func runShardedVsMonolithic(t *testing.T, cfg Config) {
 }
 
 // TestShardRouting pins the router: every address lands on a valid shard,
-// the mapping is stable, the stripe is the one hashing.ShardOf defines (the
-// engine shifts by a precomputed amount instead of calling it), and with a
-// power-of-two split all shards receive a reasonable fraction of a uniform
-// address stream.
+// the mapping is stable, the stripe is the top bit-slice of the router's hash
+// (hashing.ShardShift), and with a power-of-two split all shards receive a
+// reasonable fraction of a uniform address stream.
 func TestShardRouting(t *testing.T) {
 	cfg := testConfig(4)
 	cfg.Stripes = 4
@@ -149,9 +149,9 @@ func TestShardRouting(t *testing.T) {
 		if s2 := e.ShardOf(addr); s2 != s {
 			t.Fatalf("ShardOf(%#x) unstable: %d then %d", addr, s, s2)
 		}
-		want := hashing.ShardOf(e.router.Hash(addr), cfg.Lines/cfg.Ways, cfg.Shards*cfg.Stripes)
+		want := e.router.Hash(addr) >> hashing.ShardShift(cfg.Lines/cfg.Ways, cfg.Shards*cfg.Stripes)
 		if g := e.stripeOf(addr); g != int(want) {
-			t.Fatalf("stripeOf(%#x) = %d, hashing.ShardOf says %d", addr, g, want)
+			t.Fatalf("stripeOf(%#x) = %d, the top bits of its hash say %d", addr, g, want)
 		}
 		counts[s]++
 	}
@@ -159,6 +159,48 @@ func TestShardRouting(t *testing.T) {
 		if c < n/8 || c > n/2 {
 			t.Errorf("shard %d received %d of %d uniform addresses (expected ~%d)", s, c, n, n/4)
 		}
+	}
+}
+
+// The stripes are a lock-split of one array, not an approximation of it: an
+// address's stripe times the sets per stripe, plus its set within the stripe,
+// is its set in the monolithic H3-indexed array built from the engine's seed.
+func TestStripesSplitTheMonolithicArray(t *testing.T) {
+	for _, geo := range []struct{ shards, stripes int }{{1, 1}, {4, 1}, {4, 4}, {2, 8}} {
+		cfg := testConfig(geo.shards)
+		cfg.Stripes = geo.stripes
+		e := New(cfg)
+		mono := cachearray.NewSetAssoc(cfg.Lines, cfg.Ways, cachearray.IndexH3, cfg.Seed)
+		stripeSets := cfg.Lines / cfg.Ways / len(e.stripes)
+		var buf []int
+		rng := xrand.New(17)
+		for i := 0; i < 100000; i++ {
+			addr := rng.Uint64()
+			g := e.stripeOf(addr)
+			st := e.stripes[g]
+			st.mu.Lock()
+			buf = st.array.Candidates(addr, buf[:0])
+			st.mu.Unlock()
+			local := buf[0] / cfg.Ways
+			buf = mono.Candidates(addr, buf[:0])
+			if got, want := g*stripeSets+local, buf[0]/cfg.Ways; got != want {
+				t.Fatalf("%d×%d: %#x in stripe %d set %d, global set %d; monolithic set %d",
+					geo.shards, geo.stripes, addr, g, local, got, want)
+			}
+		}
+	}
+	// CheckInvariants holds resident lines to the same routing.
+	e := New(testConfig(4))
+	addr := uint64(1)
+	for e.stripeOf(addr) == 0 {
+		addr++
+	}
+	st := e.stripes[0]
+	st.mu.Lock()
+	st.cache.Access(addr, 0, trace.NoNextUse)
+	st.mu.Unlock()
+	if err := e.CheckInvariants(); err == nil {
+		t.Fatalf("%#x, which routes to stripe %d, resident in stripe 0 passed the invariants", addr, e.stripeOf(addr))
 	}
 }
 

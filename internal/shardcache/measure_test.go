@@ -2,6 +2,7 @@ package shardcache
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"fscache/internal/core"
@@ -156,28 +157,59 @@ func mixedSchedule(e *Engine, seed uint64, workers, rounds, perRound int) *Sched
 	return s
 }
 
+// benchGeometry is bench/'s engine-shared-mixed engine: 16384 lines, 16 ways,
+// 4 × 4 stripes, 3 partitions on coarse timestamps.
+func benchGeometry(seed uint64) Config {
+	return Config{Lines: 16384, Ways: 16, Shards: 4, Stripes: 4, Parts: 3, Ranking: futility.CoarseLRU, Seed: seed}
+}
+
+// New's bytes on bench/'s geometry, counted rather than timed: 333 728 on
+// amd64, of which the engine's one H3 is 8 KB and core's partition tags 4
+// bytes a line. A private H3 per stripe (+128 KB) or an 8-byte tag (+64 KB)
+// fails here.
+func TestNewAllocationBudget(t *testing.T) {
+	const budget = 340000
+	var before, after runtime.MemStats
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		e := New(benchGeometry(1))
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(e)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > budget {
+		t.Fatalf("New allocates %d bytes on the bench geometry, budget %d", least, budget)
+	}
+	t.Logf("New allocates %d bytes", least)
+}
+
 // TestSampledAEFEstimatesFullAEF bounds what sampling one lock domain in four
 // costs the estimate, on bench/'s engine-shared-mixed geometry and stream
 // (16384 lines, 16 ways, 4 × 4 stripes, targets 3:2:1) under the
 // deterministic driver. Each seed builds its own engine as well as its own
 // stream, because most of the error is which four of the sixteen hash slices
 // happen to be sampled, not how long they are watched. Runs repeat exactly per
-// seed; over seeds 1–12 the largest |AEF(default) − AEF(all-measured)| is
-// 0.0131 for a partition and 0.0097 merged, and 0.2380–0.2623 of the evictions
-// are measured. (With every engine built from testSeed and four times the
-// accesses the same figures are 0.0042 and 0.0038.)
+// seed, so the spread over seeds is the estimator's own, and the test bounds
+// its mean as well as its tail. Over seeds 1–48, |AEF(default) −
+// AEF(all-measured)| per partition has mean 0.0054 and maximum 0.0214 (seed
+// 18), and merged a maximum of 0.0151; 0.2392–0.2662 of the evictions are
+// measured. The same engine with a private H3 per stripe instead of the shared
+// router, a different draw of the same placement, gave 0.0048, 0.0157 (seed
+// 14) and 0.0102. Seeds 1–12 are the run here.
 func TestSampledAEFEstimatesFullAEF(t *testing.T) {
-	cfg := Config{Lines: 16384, Ways: 16, Shards: 4, Stripes: 4, Parts: 3, Ranking: futility.CoarseLRU}
+	cfg := benchGeometry(0)
 	targets := []int{8192, 5461, 2731}
 	const (
 		rounds, perRound = 6, 1 << 17
-		partTol, allTol  = 0.015, 0.01
+		meanTol          = 0.008
+		partTol, allTol  = 0.03, 0.02
 	)
 	seeds := uint64(12)
 	if testing.Short() {
 		seeds = 2 // whole runs still, so the figures above bound them
 	}
-	var worstPart, worstAll, loShare, hiShare = 0.0, 0.0, 1.0, 0.0
+	var sumPart, worstPart, worstAll, loShare, hiShare = 0.0, 0.0, 0.0, 1.0, 0.0
 	for seed := uint64(1); seed <= seeds; seed++ {
 		cfg.Seed = seed
 		all, def := allMeasured(cfg), New(cfg)
@@ -195,6 +227,7 @@ func TestSampledAEFEstimatesFullAEF(t *testing.T) {
 			if d > partTol {
 				t.Errorf("seed %d partition %d: AEF %.4f sampled, %.4f all-measured", seed, p, dh.Mean(), ah.Mean())
 			}
+			sumPart += d
 			worstPart = math.Max(worstPart, d)
 			aSum, aN = aSum+ah.Sum(), aN+ah.N()
 			dSum, dN = dSum+dh.Sum(), dN+dh.N()
@@ -214,5 +247,9 @@ func TestSampledAEFEstimatesFullAEF(t *testing.T) {
 		}
 		loShare, hiShare = math.Min(loShare, share), math.Max(hiShare, share)
 	}
-	t.Logf("max |ΔAEF|: %.4f per partition, %.4f merged; measured share %.4f–%.4f", worstPart, worstAll, loShare, hiShare)
+	mean := sumPart / float64(seeds*uint64(cfg.Parts))
+	if mean > meanTol {
+		t.Errorf("mean |ΔAEF| per partition %.4f over %d seeds, want at most %.3f", mean, seeds, meanTol)
+	}
+	t.Logf("|ΔAEF| per partition: mean %.4f, max %.4f; merged max %.4f; measured share %.4f–%.4f", mean, worstPart, worstAll, loShare, hiShare)
 }
