@@ -34,36 +34,48 @@ func goldenScale() Scale {
 	}
 }
 
-// TestGoldenEquivalence is the replacement pipeline's behavior lock: the
-// printed output of Table 2 and Fig. 2a at bench scale must stay
-// byte-identical across performance refactors of the access path (buffer
-// reuse, devirtualized rankers, iterative treap, incremental CDF). The
-// goldens were generated before the zero-allocation rework and prove the
-// optimized pipeline replays the exact same simulation.
+// goldenExempt names the registry experiments without a golden, on cost:
+// each runs for seconds even at bench scale, and their shape tests
+// (TestFig2bcShape, TestFig7Shape) already drive the same code.
+var goldenExempt = map[string]bool{"fig2bc": true, "fig7": true}
+
+// goldenFile is the golden a registry experiment is pinned by.
+func goldenFile(id string) string { return id + "_bench.golden" }
+
+// TestGoldenEquivalence is the behavior lock: the printed output of every
+// registry experiment outside goldenExempt at bench scale must stay
+// byte-identical across refactors of the access path and of the experiment
+// drivers. The table2 and fig2a goldens were generated before the
+// zero-allocation rework; the rest were generated before the
+// insertion-driven experiments were folded onto one driver.
 //
-// The zipf-drift scenario table pins what no other golden reaches: the
+// The zipf-drift scenario table pins what no registry golden reaches: the
 // counterfactual pf and vantage rows re-rank recorded Candidate.Futility
 // values, so they move when the coarse ranker's CDF is calibrated by a
 // different set of queries even though every FS decision stays the same.
 // Its golden was generated from the tree before the raw-only FS decision
-// path existed.
+// path existed. The zipf-drift alloc table pins the allocator-driven
+// stream loop.
 func TestGoldenEquivalence(t *testing.T) {
 	scale := goldenScale()
-	cases := []struct {
+	type goldenCase struct {
 		name   string
 		render func() string
-	}{
-		{"table2_bench.golden", func() string {
+	}
+	var cases []goldenCase
+	for _, r := range Registry() {
+		if goldenExempt[r.ID] {
+			continue
+		}
+		r := r
+		cases = append(cases, goldenCase{goldenFile(r.ID), func() string {
 			var buf bytes.Buffer
-			Table2(scale).Print(&buf)
+			r.Run(scale).Print(&buf)
 			return buf.String()
-		}},
-		{"fig2a_bench.golden", func() string {
-			var buf bytes.Buffer
-			Fig2a(scale, "mcf").Print(&buf)
-			return buf.String()
-		}},
-		{"scenario_zipf_drift.golden", func() string {
+		}})
+	}
+	cases = append(cases,
+		goldenCase{"scenario_zipf_drift.golden", func() string {
 			spec, dir := loadScenarioSpec(t, "zipf-drift.yaml")
 			res, err := RunScenario(spec, dir)
 			if err != nil {
@@ -73,7 +85,17 @@ func TestGoldenEquivalence(t *testing.T) {
 			res.Print(&buf)
 			return buf.String()
 		}},
-	}
+		goldenCase{"alloc_zipf_drift_phase.golden", func() string {
+			spec, dir := loadScenarioSpec(t, "zipf-drift.yaml")
+			res, err := RunScenarioAlloc(spec, dir, "phase")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			res.Print(&buf)
+			return buf.String()
+		}},
+	)
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -100,5 +122,23 @@ func TestGoldenEquivalence(t *testing.T) {
 					path, got, want)
 			}
 		})
+	}
+}
+
+// A new registry experiment must arrive with a golden or a named
+// exemption, and an exemption must name a real experiment.
+func TestGoldenCoversRegistry(t *testing.T) {
+	exempt := 0
+	for _, r := range Registry() {
+		if goldenExempt[r.ID] {
+			exempt++
+			continue
+		}
+		if _, err := os.Stat(filepath.Join("testdata", goldenFile(r.ID))); err != nil {
+			t.Errorf("experiment %s has no golden and is not in goldenExempt: %v", r.ID, err)
+		}
+	}
+	if exempt != len(goldenExempt) {
+		t.Errorf("goldenExempt %v names an experiment the registry does not have", goldenExempt)
 	}
 }
