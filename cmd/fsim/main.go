@@ -84,7 +84,7 @@ func main() {
 		Scheme: experiments.SchemeName(*scheme),
 		Parts:  parts,
 		Seed:   *seed,
-	}, experiments.FSFeedbackParams{})
+	})
 	b.SetTargets(tg)
 
 	mc := sim.NewMulticore(b.Cache, sim.DefaultTiming(), traces)

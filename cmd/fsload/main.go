@@ -46,7 +46,8 @@
 // the first setting — the data for the scaling curve in one invocation.
 //
 // With -net, fsload instead drives a running fsserve instance over TCP as
-// a closed-loop client fleet with retry/backoff, optional hedging and
+// a closed-loop client fleet that retries transport errors under a seeded,
+// jittered exponential backoff (backoff.go), with optional hedging and
 // optional network fault injection (see net.go):
 //
 //	fsload -net 127.0.0.1:7070 -workers 8 -duration 5s

@@ -5,7 +5,7 @@ package main
 // connection and drives synchronous request/response cycles with:
 //
 //   - retry on transport error with deterministic exponential backoff and
-//     seeded jitter (harness.Backoff), reconnecting as needed;
+//     seeded jitter (Backoff), reconnecting as needed;
 //   - optional hedging: a GET that has not answered within -hedge is
 //     reissued on a fresh connection and the reissue's response is used
 //     (late originals are discarded by sequence matching);
@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"fscache/internal/faultinject"
-	"fscache/internal/harness"
 	"fscache/internal/server"
 	"fscache/internal/stats"
 	"fscache/internal/xrand"
@@ -70,7 +69,7 @@ type netWorker struct {
 
 	rng     *xrand.Rand
 	zipf    *xrand.Zipf
-	backoff *harness.Backoff
+	backoff *Backoff
 
 	nc  net.Conn
 	br  *bufio.Reader
@@ -287,7 +286,7 @@ func runNet(o netOpts) int {
 			stop:    &stop,
 			rng:     rng,
 			zipf:    xrand.NewZipf(rng, 0.9, 4*o.keySpace),
-			backoff: harness.NewBackoff(o.retryBase, o.retryMax, 0.2, o.seed^uint64(i+1)),
+			backoff: NewBackoff(o.retryBase, o.retryMax, 0.2, o.seed^uint64(i+1)),
 			hist:    stats.NewHistogram(latBuckets),
 		}
 	}

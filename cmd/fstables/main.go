@@ -44,7 +44,6 @@ func main() {
 		plots   = flag.Bool("plots", false, "also render ASCII CDF plots where available")
 		asJSON  = flag.Bool("json", false, "emit results as JSON instead of tables")
 		timeout = flag.Duration("timeout", 0, "per-experiment wall-clock deadline (0 = none)")
-		retries = flag.Int("retries", 0, "retry count for failures marked retryable")
 		resume  = flag.Bool("resume", false, "skip experiments completed by a previous run (see -journal)")
 		journal = flag.String("journal", "fstables.journal", "completion journal used by -resume")
 		panicID = flag.String("panic", "", "make the named experiment panic (harness self-test)")
@@ -128,10 +127,9 @@ func main() {
 		runners = []experiments.Runner{r}
 	}
 
-	opts := harness.Options{Timeout: *timeout, Retries: *retries}
+	opts := harness.Options{Timeout: *timeout}
 	if *resume {
-		scope := fmt.Sprintf("scale=%s seed=%d", sc.Name, sc.Seed)
-		j, err := harness.OpenJournal(*journal, scope)
+		j, err := harness.OpenJournal(*journal, journalScope(sc, *scen, *allocFl))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fstables:", err)
 			os.Exit(1)
@@ -202,4 +200,19 @@ func main() {
 		summary.PrintFailures(os.Stderr)
 		os.Exit(1)
 	}
+}
+
+// journalScope names the sweep configuration a -resume journal belongs to.
+// Task IDs do not carry the -scenario path or the -alloc objective (an
+// allocator run is "alloc:<spec name>" under every objective), so both are
+// part of the scope: a run under another objective or spec resumes nothing.
+func journalScope(sc experiments.Scale, scenario, objective string) string {
+	scope := fmt.Sprintf("scale=%s seed=%d", sc.Name, sc.Seed)
+	if scenario != "" {
+		scope += " scenario=" + scenario
+	}
+	if objective != "" {
+		scope += " alloc=" + objective
+	}
+	return scope
 }

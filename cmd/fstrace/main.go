@@ -56,7 +56,6 @@ func gen(args []string) {
 		seed    = fs.Uint64("seed", 1, "generator seed")
 		thread  = fs.Int("thread", 0, "thread id (address-space selector)")
 		out     = fs.String("o", "", "output file (required)")
-		legacy  = fs.Bool("legacy", false, "write the FST1 format (no CRC footer)")
 	)
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
@@ -83,11 +82,7 @@ func gen(args []string) {
 		os.Exit(1)
 	}
 	defer f.Close()
-	write := tr.WriteTo
-	if *legacy {
-		write = tr.WriteLegacyTo
-	}
-	if _, err := write(f); err != nil {
+	if _, err := tr.WriteTo(f); err != nil {
 		fmt.Fprintln(os.Stderr, "fstrace:", err)
 		os.Exit(1)
 	}

@@ -71,7 +71,7 @@ func run(scheme experiments.SchemeName, traces []*trace.Trace, targets []int) {
 		Scheme: scheme,
 		Parts:  threads,
 		Seed:   11,
-	}, experiments.FSFeedbackParams{})
+	})
 	b.SetTargets(targets)
 	results := sim.NewMulticore(b.Cache, sim.DefaultTiming(), traces).Run()
 

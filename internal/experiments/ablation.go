@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"io"
+	"math"
 
-	"fscache/internal/analytic"
 	"fscache/internal/futility"
 	"fscache/internal/trace"
 )
@@ -36,8 +36,8 @@ type AblationFSResult struct {
 // AblationFS runs A1: two mcf threads, I = 0.5/0.5, targets 0.7/0.3.
 func AblationFS(scale Scale) AblationFSResult {
 	res := AblationFSResult{Scale: scale}
-	insert := []float64{0.5, 0.5}
-	sizes := []float64{0.7, 0.3}
+	lines := scale.AnalyticLines
+	targets := splitTargets(lines, 0.7)
 	for _, variant := range []struct {
 		name   string
 		scheme SchemeName
@@ -46,40 +46,24 @@ func AblationFS(scale Scale) AblationFSResult {
 		{"fs-analytic(exact)", "fs-fixed", futility.LRU},
 		{"fs-feedback(coarse)", SchemeFS, futility.CoarseLRU},
 	} {
-		lines := scale.AnalyticLines
-		b := Build(CacheSpec{
-			Lines:  lines,
-			Array:  ArrayRandom16,
-			Rank:   variant.rank,
-			Scheme: variant.scheme,
-			Parts:  2,
-			Seed:   seedStream(scale.Seed, "ablfs"+variant.name),
-		}, FSFeedbackParams{})
-		if b.FSFixed != nil {
-			a, err := analytic.ScalingFactors(insert, sizes, 16)
-			if err != nil {
-				panic("experiments: scaling factors: " + err.Error())
-			}
-			b.FSFixed.SetAlphas(a)
-		}
-		t0 := int(sizes[0] * float64(lines))
-		targets := []int{t0, lines - t0}
-		b.SetTargets(targets)
-		gens := []trace.Generator{
-			mcfGenerator(scale, seedStream(scale.Seed, "ablfs-t0"), 0),
-			mcfGenerator(scale, seedStream(scale.Seed, "ablfs-t1"), 1),
-		}
-		d := newInsertionDriver(seedStream(scale.Seed, "ablfs-drv"), insert, gens, b.Cache)
-		fillToTargets(d, b, targets)
-		for i := 0; i < lines; i++ {
-			d.insert()
-		}
-		b.Cache.ResetStats()
-		for i := 0; i < scale.Insertions/2; i++ {
-			d.insert()
-		}
-		occErr := (abs(b.Cache.MeanOccupancy(0)-float64(t0))/float64(t0) +
-			abs(b.Cache.MeanOccupancy(1)-float64(lines-t0))/float64(lines-t0)) / 2
+		b, d, _ := insertionCell{
+			spec: CacheSpec{
+				Lines:  lines,
+				Array:  ArrayRandom16,
+				Rank:   variant.rank,
+				Scheme: variant.scheme,
+				Parts:  2,
+				Seed:   seedStream(scale.Seed, "ablfs"+variant.name),
+			},
+			targets: targets,
+			insert:  []float64{0.5, 0.5},
+			gens:    mcfPair(scale, "ablfs"),
+			seed:    seedStream(scale.Seed, "ablfs-drv"),
+			split:   []float64{0.7, 0.3},
+		}.converge()
+		d.measure(scale.Insertions / 2)
+		occErr := (math.Abs(b.Cache.MeanOccupancy(0)-float64(targets[0]))/float64(targets[0]) +
+			math.Abs(b.Cache.MeanOccupancy(1)-float64(targets[1]))/float64(targets[1])) / 2
 		res.Rows = append(res.Rows, AblationFSRow{
 			Variant: variant.name,
 			AEF0:    b.Cache.Stats(0).AEF(),
@@ -88,13 +72,6 @@ func AblationFS(scale Scale) AblationFSResult {
 		})
 	}
 	return res
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Print renders A1.
@@ -133,51 +110,43 @@ func AblationR(scale Scale) AblationRResult {
 	res := AblationRResult{Scale: scale, Parts: parts}
 	for _, r := range AblationRCounts {
 		row := AblationRRow{R: r}
-		for _, scheme := range []SchemeName{SchemePF, SchemeFS} {
-			aef, occ := runAblationRCase(scale, scheme, parts, r)
-			if scheme == SchemePF {
-				row.PFAEF, row.PFOcc = aef, occ
-			} else {
-				row.FSAEF, row.FSOcc = aef, occ
-			}
-		}
+		row.PFAEF, row.PFOcc = runAblationRCase(scale, SchemePF, parts, r)
+		row.FSAEF, row.FSOcc = runAblationRCase(scale, SchemeFS, parts, r)
 		res.Rows = append(res.Rows, row)
 	}
 	return res
 }
 
 func runAblationRCase(scale Scale, scheme SchemeName, parts, r int) (aef, occ float64) {
-	lines := scale.AnalyticLines
-	b := Build(CacheSpec{
-		Lines:   lines,
+	targets := make([]int, parts)
+	for i := range targets {
+		targets[i] = scale.AnalyticLines / parts
+	}
+	return runEvenCell(scale, CacheSpec{
+		Lines:   scale.AnalyticLines,
 		Array:   ArrayRandom16,
 		RandomR: r,
 		Rank:    futility.CoarseLRU,
 		Scheme:  scheme,
 		Parts:   parts,
 		Seed:    seedStream(scale.Seed, "ablr-build"),
-	}, FSFeedbackParams{})
-	targets := make([]int, parts)
-	probs := make([]float64, parts)
-	for i := range targets {
-		targets[i] = lines / parts
-		probs[i] = 1 / float64(parts)
-	}
-	b.SetTargets(targets)
-	gens := make([]trace.Generator, parts)
+	}, targets, "ablr", "ablr-drv")
+}
+
+// runEvenCell drives one mcf thread per partition, every thread seeded
+// from genTag, at equal insertion pressure for Insertions/3 and returns
+// partition 0's AEF and occupancy/target.
+func runEvenCell(scale Scale, spec CacheSpec, targets []int, genTag, drvTag string) (aef, occ float64) {
+	insert := make([]float64, spec.Parts)
+	gens := make([]trace.Generator, spec.Parts)
 	for i := range gens {
-		gens[i] = mcfGenerator(scale, seedStream(scale.Seed, "ablr"), i)
+		insert[i] = 1 / float64(spec.Parts)
+		gens[i] = profileGenerator(scale, "mcf", seedStream(scale.Seed, genTag), i)
 	}
-	d := newInsertionDriver(seedStream(scale.Seed, "ablr-drv"), probs, gens, b.Cache)
-	fillToTargets(d, b, targets)
-	for i := 0; i < lines; i++ {
-		d.insert()
-	}
-	b.Cache.ResetStats()
-	for i := 0; i < scale.Insertions/3; i++ {
-		d.insert()
-	}
-	return b.Cache.Stats(0).AEF(), b.Cache.MeanOccupancy(0) / float64(lines/parts)
+	b, d, _ := insertionCell{spec: spec, targets: targets, insert: insert, gens: gens,
+		seed: seedStream(scale.Seed, drvTag)}.converge()
+	d.measure(scale.Insertions / 3)
+	return b.Cache.Stats(0).AEF(), b.Cache.MeanOccupancy(0) / float64(targets[0])
 }
 
 // Print renders A2.
@@ -216,19 +185,10 @@ var AblationWayParts = []int{2, 4, 8, 16, 32}
 func AblationWay(scale Scale) AblationWayResult {
 	res := AblationWayResult{Scale: scale}
 	for _, parts := range AblationWayParts {
-		row := AblationWayRow{Parts: parts}
-		if parts > 16 {
-			row.Skipped = true
-			res.Rows = append(res.Rows, row)
-			continue
-		}
-		for _, scheme := range []SchemeName{SchemeWayPart, SchemeFS} {
-			aef, occ := runAblationWayCase(scale, scheme, parts)
-			if scheme == SchemeWayPart {
-				row.WayAEF, row.WayOcc = aef, occ
-			} else {
-				row.FSAEF, row.FSOcc = aef, occ
-			}
+		row := AblationWayRow{Parts: parts, Skipped: parts > 16}
+		if !row.Skipped {
+			row.WayAEF, row.WayOcc = runAblationWayCase(scale, SchemeWayPart, parts)
+			row.FSAEF, row.FSOcc = runAblationWayCase(scale, SchemeFS, parts)
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -237,40 +197,21 @@ func AblationWay(scale Scale) AblationWayResult {
 
 func runAblationWayCase(scale Scale, scheme SchemeName, parts int) (aef, occ float64) {
 	lines := scale.AnalyticLines
-	b := Build(CacheSpec{
+	// Partition 0 gets half an equal share; the remainder is split evenly.
+	targets := make([]int, parts)
+	targets[0] = lines / parts / 2
+	rest := (lines - targets[0]) / (parts - 1)
+	for i := 1; i < parts; i++ {
+		targets[i] = rest
+	}
+	return runEvenCell(scale, CacheSpec{
 		Lines:  lines,
 		Array:  Array16Way,
 		Rank:   futility.CoarseLRU,
 		Scheme: scheme,
 		Parts:  parts,
 		Seed:   seedStream(scale.Seed, "ablway"),
-	}, FSFeedbackParams{})
-	// Partition 0 gets half an equal share; the remainder is split evenly.
-	targets := make([]int, parts)
-	probs := make([]float64, parts)
-	targets[0] = lines / parts / 2
-	rest := (lines - targets[0]) / (parts - 1)
-	for i := 1; i < parts; i++ {
-		targets[i] = rest
-	}
-	for i := range probs {
-		probs[i] = 1 / float64(parts)
-	}
-	b.SetTargets(targets)
-	gens := make([]trace.Generator, parts)
-	for i := range gens {
-		gens[i] = mcfGenerator(scale, seedStream(scale.Seed, "ablway-g"), i)
-	}
-	d := newInsertionDriver(seedStream(scale.Seed, "ablway-drv"), probs, gens, b.Cache)
-	fillToTargets(d, b, targets)
-	for i := 0; i < lines; i++ {
-		d.insert()
-	}
-	b.Cache.ResetStats()
-	for i := 0; i < scale.Insertions/3; i++ {
-		d.insert()
-	}
-	return b.Cache.Stats(0).AEF(), b.Cache.MeanOccupancy(0) / float64(targets[0])
+	}, targets, "ablway-g", "ablway-drv")
 }
 
 // Print renders the placement-vs-replacement comparison.

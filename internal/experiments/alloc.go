@@ -5,9 +5,7 @@ import (
 	"io"
 
 	"fscache/internal/alloc"
-	"fscache/internal/futility"
 	"fscache/internal/scenario"
-	"fscache/internal/trace"
 )
 
 // Alloc experiment: run one scenario twice under FS enforcement — once on
@@ -75,9 +73,9 @@ func RunScenarioAlloc(spec *scenario.Spec, dir, objective string) (*AllocResult,
 		MinLines:  cfg.MinLines,
 	}
 
-	res.Static, _ = runScenarioScheme(spec, comp, buildAllocCache(spec, comp), nil)
+	res.Static, _ = runScenarioScheme(spec, comp, buildScenarioCache(spec, SchemeFS, res.Parts), nil, nil)
 	res.Static.Scheme = "static"
-	res.Alloc = runScenarioAllocScheme(spec, comp, buildAllocCache(spec, comp), a)
+	res.Alloc, _ = runScenarioScheme(spec, comp, buildScenarioCache(spec, SchemeFS, res.Parts), nil, a)
 	res.Alloc.Scheme = "alloc:" + objective
 
 	log, _ := a.Log()
@@ -105,75 +103,6 @@ func RunScenarioAlloc(spec *scenario.Spec, dir, objective string) (*AllocResult,
 			spec.Name, objective, res.Alloc.MissRatio, res.Static.MissRatio, AllocGateMargin)
 	}
 	return res, nil
-}
-
-// buildAllocCache builds the FS-enforced cache both runs use.
-func buildAllocCache(spec *scenario.Spec, comp *scenario.Compiled) *Built {
-	return Build(CacheSpec{
-		Lines:  spec.Cache.Lines,
-		Ways:   spec.Cache.Ways,
-		Array:  Array16Way,
-		Rank:   futility.CoarseLRU,
-		Scheme: SchemeFS,
-		Parts:  comp.Parts(),
-		Seed:   spec.Seed,
-	}, FSFeedbackParams{})
-}
-
-// runScenarioAllocScheme streams the scenario with the allocator as the
-// sole target authority: every access is observed, and fresh epoch targets
-// are installed as soon as they appear. Churn events do not set targets —
-// the allocator notices dead tenants through decayed sample counts and
-// reallocates their capacity itself.
-func runScenarioAllocScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, a *alloc.Allocator) ScenarioRow {
-	parts := comp.Parts()
-	targets := a.Targets()
-	b.SetTargets(targets)
-
-	stream := comp.NewStream(spec.Cache.Lines)
-	warmAt := int(spec.Warmup * float64(spec.Accesses))
-	emitted := 0
-	occSum, occN := 0.0, 0
-	var op scenario.Op
-	for stream.Next(&op) {
-		if op.Kind == scenario.OpChurn {
-			continue
-		}
-		b.Cache.Access(op.Access.Addr, op.Part, trace.NoNextUse)
-		a.Observe(op.Part, op.Access.Addr)
-		if tg, ok := a.PollTargets(); ok {
-			targets = tg
-			b.SetTargets(targets)
-		}
-		emitted++
-		if emitted == warmAt {
-			b.Cache.ResetStats()
-		}
-		if emitted > warmAt && emitted%64 == 0 {
-			occSum += scenarioOccErr(b.Cache.Sizes(), targets, parts)
-			occN++
-		}
-	}
-
-	row := ScenarioRow{}
-	var hits, misses, forced uint64
-	for p := 0; p < parts; p++ {
-		s := b.Cache.Stats(p)
-		hits += s.Hits
-		misses += s.Misses
-		forced += s.ForcedEvict
-		row.Evictions += s.Evictions
-	}
-	if t := hits + misses; t > 0 {
-		row.MissRatio = float64(misses) / float64(t)
-	}
-	if row.Evictions > 0 {
-		row.ForcedRate = float64(forced) / float64(row.Evictions)
-	}
-	if occN > 0 {
-		row.OccErr = occSum / float64(occN)
-	}
-	return row
 }
 
 // Print implements Printable.

@@ -79,7 +79,7 @@ func TestParallelDeterminismReusedBuffers(t *testing.T) {
 				Scheme: SchemeFS,
 				Parts:  len(benches),
 				Seed:   seedStream(scale.Seed, "bufdet"+string(arr)),
-			}, FSFeedbackParams{})
+			})
 			targets := make([]int, len(benches))
 			for th := range targets {
 				targets[th] = scale.PartLines

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sync"
 
+	"fscache/internal/analytic"
 	"fscache/internal/baselines"
 	"fscache/internal/cachearray"
 	"fscache/internal/core"
@@ -137,6 +138,9 @@ type CacheSpec struct {
 	Parts          int // application partitions
 	Seed           uint64
 	TrackDeviation bool
+	// Feedback overrides SchemeFS's controller for sensitivity studies;
+	// zero fields keep the defaults.
+	Feedback core.FSFeedbackConfig
 }
 
 // Built is the assembled cache plus scheme handles experiments may need.
@@ -169,15 +173,8 @@ func (b *Built) SetTargets(appTargets []int) {
 	b.Cache.SetTargets(t)
 }
 
-// FSFeedbackParams overrides the feedback controller for sensitivity
-// studies; zero values keep defaults.
-type FSFeedbackParams struct {
-	Interval int
-	Delta    float64
-}
-
-// Build assembles the cache. fsParams applies only to SchemeFS.
-func Build(spec CacheSpec, fsParams FSFeedbackParams) *Built {
+// Build assembles the cache.
+func Build(spec CacheSpec) *Built {
 	parts := spec.Parts
 	b := &Built{TotalParts: parts}
 
@@ -194,10 +191,7 @@ func Build(spec CacheSpec, fsParams FSFeedbackParams) *Built {
 	var scheme core.Scheme
 	switch spec.Scheme {
 	case SchemeFS:
-		fs := core.NewFSFeedback(parts, core.FSFeedbackConfig{
-			Interval: fsParams.Interval,
-			Delta:    fsParams.Delta,
-		})
+		fs := core.NewFSFeedback(parts, spec.Feedback)
 		b.FSFeedback = fs
 		scheme = fs
 	case SchemePF, SchemeFullAssoc:
@@ -281,34 +275,90 @@ func Build(spec CacheSpec, fsParams FSFeedbackParams) *Built {
 	return b
 }
 
-// insertionDriver realizes the paper's insertion-rate control (§IV-C): the
-// probability that the next insertion belongs to partition i equals the
-// configured I_i, implemented by feeding the chosen thread's trace until it
-// produces exactly one miss.
-type insertionDriver struct {
-	rng    *xrand.Rand
-	cum    []float64
-	gens   []trace.Generator
-	cache  *core.Cache
-	maxRun int
+// insertionCell is one run of the paper's insertion-rate control (§IV-C):
+// the probability that the next insertion belongs to partition i is
+// insert[i], realized by feeding gens[i] until it produces exactly one miss.
+// Figs. 4/5, the §VIII sweeps, ablations A1–A4 and resize are all such
+// cells.
+type insertionCell struct {
+	spec    CacheSpec
+	targets []int
+	insert  []float64
+	gens    []trace.Generator
+	// seed drives the draw of each insertion's partition.
+	seed uint64
+	// split is the target split as fractions of the cache. An fs-fixed
+	// cell's α is Eq. 1 solved over split and insert; solving it from
+	// targets instead would round the split to whole lines.
+	split []float64
 }
 
-func newInsertionDriver(seed uint64, insProb []float64, gens []trace.Generator, cache *core.Cache) *insertionDriver {
-	if len(insProb) != len(gens) {
+// converge builds the cache, installs Eq. 1's α (fs-fixed only; nil
+// otherwise) and the targets, fills to the targets and then settles one
+// cache's worth of insertions. Filling by steering insertions into whichever
+// partition is below target starts measurement from the stationary split
+// rather than an insertion-proportional fill that would take many multiples
+// of the cache size to relax.
+func (c insertionCell) converge() (*Built, *insertionDriver, []float64) {
+	if len(c.insert) != len(c.gens) {
 		panic("experiments: insertion probabilities and generators mismatch")
 	}
-	cum := make([]float64, len(insProb))
-	acc := 0.0
-	for i, p := range insProb {
-		acc += p
-		cum[i] = acc
+	b := Build(c.spec)
+	var alphas []float64
+	if b.FSFixed != nil {
+		// R = 16: every fs-fixed cell runs on the default random-candidates
+		// array.
+		a, err := analytic.ScalingFactors(c.insert, c.split, 16)
+		if err != nil {
+			panic("experiments: scaling factors: " + err.Error())
+		}
+		alphas = a
+		b.FSFixed.SetAlphas(a)
 	}
-	return &insertionDriver{
-		rng:    xrand.New(seed),
-		cum:    cum,
-		gens:   gens,
-		cache:  cache,
-		maxRun: 100000,
+	b.SetTargets(c.targets)
+
+	d := &insertionDriver{rng: xrand.New(c.seed), gens: c.gens, cache: b.Cache}
+	acc := 0.0
+	for _, p := range c.insert {
+		acc += p
+		d.cum = append(d.cum, acc)
+	}
+	lines := 0
+	for _, t := range c.targets {
+		lines += t
+	}
+	for {
+		total, under := 0, -1
+		for p, t := range c.targets {
+			total += b.Cache.Sizes()[p]
+			if under < 0 && b.Cache.Sizes()[p] < t {
+				under = p
+			}
+		}
+		if total >= lines {
+			break
+		}
+		d.insertInto(under)
+	}
+	for i := 0; i < c.spec.Lines; i++ {
+		d.insert()
+	}
+	return b, d, alphas
+}
+
+// insertionDriver draws each insertion's partition for a converged cell.
+type insertionDriver struct {
+	rng   *xrand.Rand
+	cum   []float64
+	gens  []trace.Generator
+	cache *core.Cache
+}
+
+// measure resets the cache's statistics and drives n insertions.
+func (d *insertionDriver) measure(n int) {
+	d.cache.ResetStats()
+	for i := 0; i < n; i++ {
+		d.insert()
 	}
 }
 
@@ -326,7 +376,7 @@ func (d *insertionDriver) insert() {
 // insertInto feeds the chosen thread's trace until one miss occurs.
 func (d *insertionDriver) insertInto(p int) {
 	for n := 0; ; n++ {
-		if n >= d.maxRun {
+		if n >= 100000 {
 			panic("experiments: generator produced no miss; working set fits the partition")
 		}
 		a := d.gens[p].Next()
@@ -336,28 +386,18 @@ func (d *insertionDriver) insertInto(p int) {
 	}
 }
 
-// fillToTargets warms the cache by steering insertions into whichever
-// partition is below its target until the cache is full, so measurements
-// start from the stationary split rather than an insertion-proportional
-// fill that would take many multiples of the cache size to relax.
-func fillToTargets(d *insertionDriver, b *Built, targets []int) {
-	lines := 0
-	for _, t := range targets {
-		lines += t
-	}
-	for {
-		total := 0
-		under := -1
-		for p := range targets {
-			total += b.Cache.Sizes()[p]
-			if under < 0 && b.Cache.Sizes()[p] < targets[p] {
-				under = p
-			}
-		}
-		if total >= lines || under < 0 {
-			return
-		}
-		d.insertInto(under)
+// splitTargets divides lines between two partitions, s0 of it to the first.
+func splitTargets(lines int, s0 float64) []int {
+	t0 := int(s0 * float64(lines))
+	return []int{t0, lines - t0}
+}
+
+// mcfPair returns two threads of mcf, the paper's flagship
+// associativity-sensitive benchmark, seeded from tag+"-t0" and tag+"-t1".
+func mcfPair(scale Scale, tag string) []trace.Generator {
+	return []trace.Generator{
+		profileGenerator(scale, "mcf", seedStream(scale.Seed, tag+"-t0"), 0),
+		profileGenerator(scale, "mcf", seedStream(scale.Seed, tag+"-t1"), 1),
 	}
 }
 
@@ -384,12 +424,6 @@ func profileGenerator(scale Scale, bench string, seed uint64, thread int) trace.
 		panic("experiments: " + err.Error())
 	}
 	return p.Shrunk(scale.WorkloadShrink).NewGenerator(seed, thread)
-}
-
-// mcfGenerator returns the workload generator for the paper's flagship
-// associativity-sensitive benchmark.
-func mcfGenerator(scale Scale, seed uint64, thread int) trace.Generator {
-	return profileGenerator(scale, "mcf", seed, thread)
 }
 
 func fprintf(w io.Writer, format string, args ...interface{}) {

@@ -394,11 +394,11 @@ func TestBuildValidation(t *testing.T) {
 	for _, fn := range []func(){
 		func() {
 			Build(CacheSpec{Lines: 64, Array: "bogus", Rank: futility.LRU,
-				Scheme: SchemePF, Parts: 1}, FSFeedbackParams{})
+				Scheme: SchemePF, Parts: 1})
 		},
 		func() {
 			Build(CacheSpec{Lines: 64, Array: Array16Way, Rank: futility.LRU,
-				Scheme: "bogus", Parts: 1}, FSFeedbackParams{})
+				Scheme: "bogus", Parts: 1})
 		},
 	} {
 		func() {

@@ -6,7 +6,6 @@ import (
 
 	"fscache/internal/faultinject"
 	"fscache/internal/futility"
-	"fscache/internal/trace"
 )
 
 // A4 — robustness ablation (DESIGN.md §9): the §V feedback controller is a
@@ -71,39 +70,33 @@ func AblationFault(scale Scale) AblationFaultResult {
 
 func runFaultCase(scale Scale, class faultinject.Class) FaultRow {
 	lines := scale.AnalyticLines
-	insert := []float64{0.5, 0.5}
-	b := Build(CacheSpec{
-		Lines:  lines,
-		Array:  ArrayRandom16,
-		Rank:   futility.CoarseLRU,
-		Scheme: SchemeFS,
-		Parts:  2,
-		Seed:   seedStream(scale.Seed, "ablfault-"+string(class)),
-	}, FSFeedbackParams{})
-	t0 := int(0.7 * float64(lines))
-	targets := []int{t0, lines - t0}
-	b.SetTargets(targets)
+	targets := splitTargets(lines, 0.7)
 
 	// Always wrap the generators so clean and faulted phases share one
 	// stream; zero rates draw nothing from the fault rng.
-	gens := make([]trace.Generator, 2)
-	faulty := make([]*faultinject.FaultyGenerator, 2)
+	gens := mcfPair(scale, "ablfault")
+	faulty := make([]*faultinject.FaultyGenerator, len(gens))
 	for i := range gens {
-		inner := mcfGenerator(scale, seedStream(scale.Seed, "ablfault-t"+string(rune('0'+i))), i)
-		faulty[i] = faultinject.NewFaultyGenerator(inner,
+		faulty[i] = faultinject.NewFaultyGenerator(gens[i],
 			seedStream(scale.Seed, "ablfault-f"+string(rune('0'+i))+string(class)),
 			faultinject.TraceFaults{})
 		gens[i] = faulty[i]
 	}
-	d := newInsertionDriver(seedStream(scale.Seed, "ablfault-drv-"+string(class)), insert, gens, b.Cache)
-
-	// Converge: fill to the target split, then settle one cache's worth of
-	// insertions under steady pressure.
-	fillToTargets(d, b, targets)
-	for i := 0; i < lines; i++ {
-		d.insert()
-	}
-	row := FaultRow{Class: class, PreErr: meanOccErr(b, targets)}
+	b, d, _ := insertionCell{
+		spec: CacheSpec{
+			Lines:  lines,
+			Array:  ArrayRandom16,
+			Rank:   futility.CoarseLRU,
+			Scheme: SchemeFS,
+			Parts:  2,
+			Seed:   seedStream(scale.Seed, "ablfault-"+string(class)),
+		},
+		targets: targets,
+		insert:  []float64{0.5, 0.5},
+		gens:    gens,
+		seed:    seedStream(scale.Seed, "ablfault-drv-"+string(class)),
+	}.converge()
+	row := FaultRow{Class: class, PreErr: occErr(b.Cache.Sizes(), targets)}
 
 	// Inject. Windowed classes keep the fault active for a transient
 	// window; point classes corrupt state once.
@@ -177,7 +170,7 @@ func runFaultCase(scale Scale, class faultinject.Class) FaultRow {
 	if interval := b.FSFeedback.Interval(); row.RecoverIns > 0 && interval > 0 {
 		row.RecoverIntervals = (row.RecoverIns + interval - 1) / interval
 	}
-	row.FinalErr = meanOccErr(b, targets)
+	row.FinalErr = occErr(b.Cache.Sizes(), targets)
 	row.Recovered = tracker.Recovered()
 	return row
 }
@@ -186,15 +179,6 @@ func setFaultRates(gens []*faultinject.FaultyGenerator, rates faultinject.TraceF
 	for _, g := range gens {
 		g.SetRates(rates)
 	}
-}
-
-// meanOccErr is the mean relative error of the live partition sizes.
-func meanOccErr(b *Built, targets []int) float64 {
-	sum := 0.0
-	for p, tgt := range targets {
-		sum += abs(float64(b.Cache.Sizes()[p]-tgt)) / float64(tgt)
-	}
-	return sum / float64(len(targets))
 }
 
 // Print renders A4.

@@ -59,7 +59,7 @@ func runFig2Cell(scale Scale, bench string, n int, rank futility.Kind) Fig2Row {
 		Scheme: SchemePF,
 		Parts:  n,
 		Seed:   scale.Seed + uint64(n),
-	}, FSFeedbackParams{})
+	})
 	targets := make([]int, n)
 	for i := range targets {
 		targets[i] = scale.PartLines

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"fscache/internal/analytic"
 	"fscache/internal/futility"
 	"fscache/internal/stats"
-	"fscache/internal/trace"
 )
 
 // Fig. 4: associativity CDFs of FS versus PF on a 2 MB random-candidates
@@ -50,41 +48,24 @@ func Fig4(scale Scale) Fig4Result {
 
 func runFig4Case(scale Scale, scheme SchemeName, insert, sizes []float64) []Fig4Row {
 	lines := scale.AnalyticLines
-	b := Build(CacheSpec{
-		Lines:  lines,
-		Array:  ArrayRandom16,
-		Rank:   futility.LRU,
-		Scheme: scheme,
-		Parts:  2,
-		Seed:   seedStream(scale.Seed, "fig4"+string(scheme)),
-	}, FSFeedbackParams{})
-	alphas := []float64{1, 1}
-	if b.FSFixed != nil {
-		a, err := analytic.ScalingFactors(insert, sizes, 16)
-		if err != nil {
-			panic("experiments: scaling factors: " + err.Error())
-		}
-		alphas = a
-		b.FSFixed.SetAlphas(a)
-	}
-	targets := []int{int(sizes[0] * float64(lines)), lines - int(sizes[0]*float64(lines))}
-	b.SetTargets(targets)
-
-	gens := []trace.Generator{
-		mcfGenerator(scale, seedStream(scale.Seed, "fig4-t0"), 0),
-		mcfGenerator(scale, seedStream(scale.Seed, "fig4-t1"), 1),
-	}
-	d := newInsertionDriver(seedStream(scale.Seed, "fig4-drv"), insert, gens, b.Cache)
-	fillToTargets(d, b, targets)
-	for i := 0; i < lines; i++ {
-		d.insert()
-	}
-	b.Cache.ResetStats()
-	for i := 0; i < scale.Insertions; i++ {
-		d.insert()
-	}
+	b, d, alphas := insertionCell{
+		spec: CacheSpec{
+			Lines:  lines,
+			Array:  ArrayRandom16,
+			Rank:   futility.LRU,
+			Scheme: scheme,
+			Parts:  2,
+			Seed:   seedStream(scale.Seed, "fig4"+string(scheme)),
+		},
+		targets: splitTargets(lines, sizes[0]),
+		insert:  insert,
+		gens:    mcfPair(scale, "fig4"),
+		seed:    seedStream(scale.Seed, "fig4-drv"),
+		split:   sizes,
+	}.converge()
+	d.measure(scale.Insertions)
 	rows := make([]Fig4Row, 2)
-	for p := 0; p < 2; p++ {
+	for p := range rows {
 		st := b.Cache.Stats(p)
 		rows[p] = Fig4Row{
 			Scheme: scheme,
@@ -93,7 +74,10 @@ func runFig4Case(scale Scale, scheme SchemeName, insert, sizes []float64) []Fig4
 			Size:   b.Cache.MeanOccupancy(p) / float64(lines),
 			AEF:    st.AEF(),
 			CDF:    st.EvictFutility.CDF(),
-			Alpha:  alphas[p],
+			Alpha:  1,
+		}
+		if alphas != nil {
+			rows[p].Alpha = alphas[p]
 		}
 	}
 	return rows

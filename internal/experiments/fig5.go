@@ -46,28 +46,30 @@ func Fig5(scale Scale) Fig5Result {
 
 func runFig5Case(scale Scale, scheme SchemeName, i1 float64) Fig5Row {
 	lines := scale.AnalyticLines
-	insert := []float64{i1, 1 - i1}
-	sizes := []float64{0.5, 0.5}
-	b := Build(CacheSpec{
-		Lines:          lines,
-		Array:          ArrayRandom16,
-		Rank:           futility.LRU,
-		Scheme:         scheme,
-		Parts:          2,
-		Seed:           seedStream(scale.Seed, "fig5"+string(scheme)),
-		TrackDeviation: true,
-	}, FSFeedbackParams{})
+	b, d, alphas := insertionCell{
+		spec: CacheSpec{
+			Lines:          lines,
+			Array:          ArrayRandom16,
+			Rank:           futility.LRU,
+			Scheme:         scheme,
+			Parts:          2,
+			Seed:           seedStream(scale.Seed, "fig5"+string(scheme)),
+			TrackDeviation: true,
+		},
+		targets: splitTargets(lines, 0.5),
+		insert:  []float64{i1, 1 - i1},
+		// Pure insertion process: fresh lines, no reuse — sizing dynamics
+		// only.
+		gens:  []trace.Generator{newFreshLineGenerator(0), newFreshLineGenerator(1)},
+		seed:  seedStream(scale.Seed, "fig5-drv"),
+		split: []float64{0.5, 0.5},
+	}.converge()
 	row := Fig5Row{Scheme: scheme, I1: i1}
-	if b.FSFixed != nil {
-		a, err := analytic.ScalingFactors(insert, sizes, 16)
-		if err != nil {
-			panic("experiments: scaling factors: " + err.Error())
-		}
-		b.FSFixed.SetAlphas(a)
+	if alphas != nil {
 		model := &analytic.SizingModel{
 			TotalLines: lines,
 			Insert1:    i1,
-			Alpha2:     a[1] / a[0],
+			Alpha2:     alphas[1] / alphas[0],
 			R:          16,
 		}
 		// The model normalizes α₁ = 1; when the solver scaled partition 1,
@@ -75,20 +77,7 @@ func runFig5Case(scale Scale, scheme SchemeName, i1 float64) Fig5Row {
 		_, mad, _ := model.DeviationStats(lines/2, lines/8, nil)
 		row.ModelMAD = mad
 	}
-	targets := []int{lines / 2, lines / 2}
-	b.SetTargets(targets)
-
-	// Pure insertion process: fresh lines, no reuse — sizing dynamics only.
-	gens := []trace.Generator{newFreshLineGenerator(0), newFreshLineGenerator(1)}
-	d := newInsertionDriver(seedStream(scale.Seed, "fig5-drv"), insert, gens, b.Cache)
-	fillToTargets(d, b, targets)
-	for i := 0; i < lines; i++ {
-		d.insert()
-	}
-	b.Cache.ResetStats()
-	for i := 0; i < scale.Insertions; i++ {
-		d.insert()
-	}
+	d.measure(scale.Insertions)
 	dev := b.Cache.Stats(0).Deviation
 	row.MAD = dev.MAD()
 	row.DevValues, row.DevCDF = dev.AbsCDF()

@@ -78,7 +78,7 @@ func runFig6Cell(scale Scale, tr *trace.Trace, lines int, arr ArrayKind, rank fu
 		Scheme: SchemeUnmanaged,
 		Parts:  1,
 		Seed:   seedStream(scale.Seed, "fig6cell"+string(arr)),
-	}, FSFeedbackParams{})
+	})
 	b.SetTargets([]int{lines})
 	results := sim.NewMulticore(b.Cache, sim.DefaultTiming(), []*trace.Trace{tr}).Run()
 	return results[0].IPC()

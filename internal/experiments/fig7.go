@@ -140,7 +140,7 @@ func runFig7Cell(scale Scale, scheme SchemeName, rank futility.Kind, nSubj int, 
 		Scheme: scheme,
 		Parts:  Fig7Threads,
 		Seed:   seedStream(scale.Seed, "fig7"+string(scheme)),
-	}, FSFeedbackParams{})
+	})
 	b.SetTargets(targets)
 
 	m := sim.NewMulticore(b.Cache, sim.DefaultTiming(), traces)

@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"fscache/internal/futility"
-	"fscache/internal/trace"
 )
 
 // Smooth resizing (§II-A, enforcement-scheme property 1): replacement-based
@@ -46,32 +45,26 @@ func Resize(scale Scale) ResizeResult {
 
 func runResizeCase(scale Scale, scheme SchemeName) ResizeRow {
 	lines := scale.AnalyticLines
-	b := Build(CacheSpec{
-		Lines:  lines,
-		Array:  ArrayRandom16,
-		Rank:   futility.CoarseLRU,
-		Scheme: scheme,
-		Parts:  2,
-		Seed:   seedStream(scale.Seed, "resize"+string(scheme)),
-	}, FSFeedbackParams{})
 	// Vantage manages 90%; give it proportional targets.
 	cap := lines
 	if scheme == SchemeVantage {
 		cap = lines * 9 / 10
 	}
-	before := []int{cap / 2, cap - cap/2}
-	after := []int{cap * 3 / 4, cap - cap*3/4}
-	b.SetTargets(before)
-
-	gens := []trace.Generator{
-		mcfGenerator(scale, seedStream(scale.Seed, "resize-t0"), 0),
-		mcfGenerator(scale, seedStream(scale.Seed, "resize-t1"), 1),
-	}
-	d := newInsertionDriver(seedStream(scale.Seed, "resize-drv"), []float64{0.5, 0.5}, gens, b.Cache)
-	fillToTargets(d, b, before)
-	for i := 0; i < lines; i++ {
-		d.insert()
-	}
+	after := splitTargets(cap, 0.75)
+	b, d, _ := insertionCell{
+		spec: CacheSpec{
+			Lines:  lines,
+			Array:  ArrayRandom16,
+			Rank:   futility.CoarseLRU,
+			Scheme: scheme,
+			Parts:  2,
+			Seed:   seedStream(scale.Seed, "resize"+string(scheme)),
+		},
+		targets: splitTargets(cap, 0.5),
+		insert:  []float64{0.5, 0.5},
+		gens:    mcfPair(scale, "resize"),
+		seed:    seedStream(scale.Seed, "resize-drv"),
+	}.converge()
 
 	// Flip the allocation and watch partition 0 grow.
 	b.SetTargets(after)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"fscache/internal/alloc"
 	"fscache/internal/core"
 	"fscache/internal/futility"
 	"fscache/internal/scenario"
@@ -84,20 +85,12 @@ func RunScenario(spec *scenario.Spec, dir string) (*ScenarioResult, error) {
 
 	var fsTrace *scenario.DecisionTrace
 	for _, scheme := range ScenarioSchemes() {
-		b := Build(CacheSpec{
-			Lines:  spec.Cache.Lines,
-			Ways:   spec.Cache.Ways,
-			Array:  Array16Way,
-			Rank:   futility.CoarseLRU, // the hardware-realistic default
-			Scheme: scheme,
-			Parts:  parts,
-			Seed:   spec.Seed,
-		}, FSFeedbackParams{})
+		b := buildScenarioCache(spec, scheme, parts)
 		var rec *scenario.Recorder
 		if scheme == SchemeFS {
 			rec = scenario.NewRecorder(b.Cache, b.FSFeedback, ScenarioMaxRecorded)
 		}
-		row, emitted := runScenarioScheme(spec, comp, b, rec)
+		row, emitted := runScenarioScheme(spec, comp, b, rec, nil)
 		res.Rows = append(res.Rows, row)
 		res.Emitted = emitted
 		if rec != nil {
@@ -124,10 +117,33 @@ func RunScenario(spec *scenario.Spec, dir string) (*ScenarioResult, error) {
 	return res, nil
 }
 
-// runScenarioScheme streams the scenario into one built cache.
-func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, rec *scenario.Recorder) (ScenarioRow, int) {
+// buildScenarioCache builds the spec's cache under one scheme.
+func buildScenarioCache(spec *scenario.Spec, scheme SchemeName, parts int) *Built {
+	return Build(CacheSpec{
+		Lines:  spec.Cache.Lines,
+		Ways:   spec.Cache.Ways,
+		Array:  Array16Way,
+		Rank:   futility.CoarseLRU, // the hardware-realistic default
+		Scheme: scheme,
+		Parts:  parts,
+		Seed:   spec.Seed,
+	})
+}
+
+// runScenarioScheme streams the scenario into one built cache. With a nil
+// allocator the spec's shares set the targets and churn events reset them.
+// Otherwise the allocator is the sole target authority: every access is
+// observed, fresh epoch targets are installed as soon as they appear, and
+// churn is ignored — the allocator notices dead tenants through decayed
+// sample counts and reallocates their capacity itself.
+func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, rec *scenario.Recorder, a *alloc.Allocator) (ScenarioRow, int) {
 	parts := comp.Parts()
-	targets := comp.Targets(spec.Cache.Lines, comp.InitialLive())
+	var targets []int
+	if a == nil {
+		targets = comp.Targets(spec.Cache.Lines, comp.InitialLive())
+	} else {
+		targets = a.Targets()
+	}
 	b.SetTargets(targets)
 
 	// A recorded run carries an observer from its first access, though it
@@ -145,8 +161,10 @@ func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, r
 	var op scenario.Op
 	for stream.Next(&op) {
 		if op.Kind == scenario.OpChurn {
-			targets = op.Targets
-			b.SetTargets(targets)
+			if a == nil {
+				targets = op.Targets
+				b.SetTargets(targets)
+			}
 			continue
 		}
 		if emitted == warmAt {
@@ -156,9 +174,16 @@ func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, r
 			}
 		}
 		b.Cache.Access(op.Access.Addr, op.Part, trace.NoNextUse)
+		if a != nil {
+			a.Observe(op.Part, op.Access.Addr)
+			if tg, ok := a.PollTargets(); ok {
+				targets = tg
+				b.SetTargets(targets)
+			}
+		}
 		emitted++
 		if emitted > warmAt && emitted%64 == 0 {
-			occSum += scenarioOccErr(b.Cache.Sizes(), targets, parts)
+			occSum += occErr(b.Cache.Sizes(), targets)
 			occN++
 		}
 	}
@@ -205,20 +230,21 @@ func schemeName(b *Built) SchemeName {
 	}
 }
 
-// scenarioOccErr returns the mean relative occupancy error over partitions
-// with nonzero targets (zero-target partitions are dead tenants washing
-// out; their absolute size is reported through churn tests instead).
-func scenarioOccErr(sizes, targets []int, parts int) float64 {
+// occErr returns the mean relative occupancy error |size−target|/target
+// over partitions with nonzero targets (zero-target partitions are dead
+// tenants washing out; their absolute size is reported through churn tests
+// instead).
+func occErr(sizes, targets []int) float64 {
 	sum, n := 0.0, 0
-	for p := 0; p < parts; p++ {
-		if targets[p] <= 0 {
+	for p, t := range targets {
+		if t <= 0 {
 			continue
 		}
-		d := sizes[p] - targets[p]
+		d := sizes[p] - t
 		if d < 0 {
 			d = -d
 		}
-		sum += float64(d) / float64(targets[p])
+		sum += float64(d) / float64(t)
 		n++
 	}
 	if n == 0 {

@@ -3,8 +3,8 @@ package experiments
 import (
 	"io"
 
+	"fscache/internal/core"
 	"fscache/internal/futility"
-	"fscache/internal/trace"
 )
 
 // §VIII sensitivity studies: the feedback controller's two parameters —
@@ -39,7 +39,7 @@ var SensDeltas = []float64{1.25, 1.5, 2, 4}
 func SensInterval(scale Scale) SensResult {
 	res := SensResult{Scale: scale, What: "interval"}
 	for _, l := range SensIntervals {
-		res.Rows = append(res.Rows, runSensCase(scale, FSFeedbackParams{Interval: l, Delta: 2}))
+		res.Rows = append(res.Rows, runSensCase(scale, core.FSFeedbackConfig{Interval: l, Delta: 2}))
 	}
 	return res
 }
@@ -48,40 +48,33 @@ func SensInterval(scale Scale) SensResult {
 func SensDelta(scale Scale) SensResult {
 	res := SensResult{Scale: scale, What: "delta"}
 	for _, d := range SensDeltas {
-		res.Rows = append(res.Rows, runSensCase(scale, FSFeedbackParams{Interval: 16, Delta: d}))
+		res.Rows = append(res.Rows, runSensCase(scale, core.FSFeedbackConfig{Interval: 16, Delta: d}))
 	}
 	return res
 }
 
-func runSensCase(scale Scale, params FSFeedbackParams) SensRow {
+func runSensCase(scale Scale, fb core.FSFeedbackConfig) SensRow {
 	lines := scale.AnalyticLines
-	b := Build(CacheSpec{
-		Lines:          lines,
-		Array:          ArrayRandom16,
-		Rank:           futility.CoarseLRU,
-		Scheme:         SchemeFS,
-		Parts:          2,
-		Seed:           seedStream(scale.Seed, "sens"),
-		TrackDeviation: true,
-	}, params)
-	targets := []int{lines / 2, lines / 2}
-	b.SetTargets(targets)
-	gens := []trace.Generator{
-		mcfGenerator(scale, seedStream(scale.Seed, "sens-t0"), 0),
-		mcfGenerator(scale, seedStream(scale.Seed, "sens-t1"), 1),
-	}
-	d := newInsertionDriver(seedStream(scale.Seed, "sens-drv"), []float64{0.75, 0.25}, gens, b.Cache)
-	fillToTargets(d, b, targets)
-	for i := 0; i < lines; i++ {
-		d.insert()
-	}
-	b.Cache.ResetStats()
-	for i := 0; i < scale.Insertions/2; i++ {
-		d.insert()
-	}
+	b, d, _ := insertionCell{
+		spec: CacheSpec{
+			Lines:          lines,
+			Array:          ArrayRandom16,
+			Rank:           futility.CoarseLRU,
+			Scheme:         SchemeFS,
+			Parts:          2,
+			Seed:           seedStream(scale.Seed, "sens"),
+			TrackDeviation: true,
+			Feedback:       fb,
+		},
+		targets: splitTargets(lines, 0.5),
+		insert:  []float64{0.75, 0.25},
+		gens:    mcfPair(scale, "sens"),
+		seed:    seedStream(scale.Seed, "sens-drv"),
+	}.converge()
+	d.measure(scale.Insertions / 2)
 	return SensRow{
-		Interval: params.Interval,
-		Delta:    params.Delta,
+		Interval: fb.Interval,
+		Delta:    fb.Delta,
 		MAD:      b.Cache.Stats(0).Deviation.MAD(),
 		AEF:      b.Cache.Stats(0).AEF(),
 		OccFrac:  b.Cache.MeanOccupancy(0) / float64(lines/2),

@@ -143,7 +143,7 @@ func runUtilCase(scale Scale, stack string, scheme SchemeName, targets []int, tr
 		Scheme: scheme,
 		Parts:  len(traces),
 		Seed:   seedStream(scale.Seed, "util"+stack),
-	}, FSFeedbackParams{})
+	})
 	b.SetTargets(targets)
 	results := sim.NewMulticore(b.Cache, sim.DefaultTiming(), traces).Run()
 	row := UtilRow{Stack: stack, Targets: targets}

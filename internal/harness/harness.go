@@ -9,7 +9,6 @@
 //   - wall-clock deadlines: a per-task timeout turns a hung task into a
 //     reported failure (the deterministic in-simulation guard is
 //     sim.SetStepLimit; the wall clock is the backstop for everything else);
-//   - retry with deterministic backoff for failures wrapped Retryable;
 //   - resume: a Journal records completed task IDs so a re-invoked sweep
 //     skips finished work;
 //   - salvage: RunAll always runs every task and returns a Summary holding
@@ -49,62 +48,22 @@ type ExperimentError struct {
 	Stack []byte
 	// Timeout reports that the task exceeded its deadline.
 	Timeout bool
-	// Attempts is how many times the task was tried.
-	Attempts int
 }
 
 // Error implements error.
 func (e *ExperimentError) Error() string {
-	switch {
-	case e.Timeout:
-		return fmt.Sprintf("experiment %s: %v (after %d attempt(s))", e.ID, e.Err, e.Attempts)
-	case e.Stack != nil:
-		return fmt.Sprintf("experiment %s: %v", e.ID, e.Err)
-	default:
-		return fmt.Sprintf("experiment %s: %v (after %d attempt(s))", e.ID, e.Err, e.Attempts)
-	}
+	return fmt.Sprintf("experiment %s: %v", e.ID, e.Err)
 }
 
 // Unwrap exposes the underlying failure to errors.Is/As.
 func (e *ExperimentError) Unwrap() error { return e.Err }
 
-// retryableError marks an error as safe to retry.
-type retryableError struct{ err error }
-
-func (r *retryableError) Error() string { return r.err.Error() }
-func (r *retryableError) Unwrap() error { return r.err }
-
-// Retryable marks err as transient: RunAll will re-run the task (up to
-// Options.Retries times) instead of failing it outright. Panics and
-// timeouts are never retryable — a deterministic task that panicked once
-// will panic again, and a hung task will hang again.
-func Retryable(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &retryableError{err: err}
-}
-
-// IsRetryable reports whether err (or anything it wraps) was marked
-// Retryable.
-func IsRetryable(err error) bool {
-	var r *retryableError
-	return errors.As(err, &r)
-}
-
 // Options configures RunAll. The zero value runs every task once with no
-// deadline, no journal and no reporting.
+// deadline, no journal and no reporting. A failed task is not retried:
+// experiments are deterministic, so a task that failed once fails again.
 type Options struct {
 	// Timeout is the per-task wall-clock deadline; zero means none.
 	Timeout time.Duration
-	// Retries is how many times a Retryable failure is re-run after the
-	// first attempt.
-	Retries int
-	// Backoff is the sleep before retry attempt n (1-based), scaled as
-	// Backoff << (n-1). Zero means retry immediately.
-	Backoff time.Duration
-	// Sleep replaces time.Sleep between retries; tests inject a recorder.
-	Sleep func(time.Duration)
 	// Journal, when non-nil, records completed task IDs and skips tasks
 	// already recorded.
 	Journal *Journal
@@ -121,9 +80,7 @@ type Result struct {
 	Value interface{}
 	// Err is nil on success, a *ExperimentError on failure.
 	Err error
-	// Attempts is how many times the task ran (0 when skipped via resume).
-	Attempts int
-	// Elapsed is total wall time across attempts.
+	// Elapsed is the task's wall time.
 	Elapsed time.Duration
 	// Resumed reports the task was skipped because the journal already
 	// records it as done.
@@ -212,10 +169,6 @@ func splitLines(b []byte) []string {
 // Result per task. It never stops early: a failed task is recorded and the
 // sweep moves on, so a long run salvages everything that worked.
 func RunAll(tasks []Task, opts Options) Summary {
-	sleep := opts.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
 	s := Summary{Results: make([]Result, 0, len(tasks))}
 	for _, task := range tasks {
 		if opts.Journal != nil && opts.Journal.Done(task.ID) {
@@ -226,11 +179,18 @@ func RunAll(tasks []Task, opts Options) Summary {
 			s.Results = append(s.Results, res)
 			continue
 		}
-		res := runWithRetry(task, opts, sleep)
-		if res.Err == nil && opts.Journal != nil {
-			// A journal write failure must not poison the sweep: the task
-			// still succeeded, resume just won't skip it next time.
-			_ = opts.Journal.MarkDone(task.ID)
+		start := time.Now()
+		value, err, stack, timedOut := runIsolated(task, opts.Timeout)
+		res := Result{ID: task.ID, Elapsed: time.Since(start)}
+		if err != nil {
+			res.Err = &ExperimentError{ID: task.ID, Err: err, Stack: stack, Timeout: timedOut}
+		} else {
+			res.Value = value
+			if opts.Journal != nil {
+				// A journal write failure must not poison the sweep: the
+				// task still succeeded, resume just won't skip it next time.
+				_ = opts.Journal.MarkDone(task.ID)
+			}
 		}
 		if opts.Report != nil {
 			opts.Report(res)
@@ -240,39 +200,7 @@ func RunAll(tasks []Task, opts Options) Summary {
 	return s
 }
 
-func runWithRetry(task Task, opts Options, sleep func(time.Duration)) Result {
-	res := Result{ID: task.ID}
-	backoff := NewBackoff(opts.Backoff, 0, 0, 0)
-	start := time.Now()
-	for attempt := 1; ; attempt++ {
-		res.Attempts = attempt
-		value, err, stack, timedOut := runIsolated(task, opts.Timeout)
-		if err == nil {
-			res.Value = value
-			res.Elapsed = time.Since(start)
-			return res
-		}
-		// Panics and timeouts are deterministic re-failures; only errors
-		// the task explicitly marked Retryable are worth another attempt.
-		canRetry := stack == nil && !timedOut && IsRetryable(err) && attempt <= opts.Retries
-		if !canRetry {
-			res.Err = &ExperimentError{
-				ID:       task.ID,
-				Err:      err,
-				Stack:    stack,
-				Timeout:  timedOut,
-				Attempts: attempt,
-			}
-			res.Elapsed = time.Since(start)
-			return res
-		}
-		if d := backoff.Delay(attempt); d > 0 {
-			sleep(d)
-		}
-	}
-}
-
-// runIsolated executes one attempt in its own goroutine so a panic is
+// runIsolated executes the task in its own goroutine so a panic is
 // contained and a deadline can be enforced. On timeout the goroutine is
 // abandoned — Go offers no preemptive kill — which leaks the goroutine and
 // whatever it allocates until it finishes on its own; acceptable for a

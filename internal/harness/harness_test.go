@@ -2,7 +2,6 @@ package harness
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -71,86 +70,32 @@ func TestRunAllTimeout(t *testing.T) {
 	}
 }
 
-func TestRunAllRetryBackoff(t *testing.T) {
+// An erroring task runs once and is reported: experiments are
+// deterministic, so the harness never re-runs a failure.
+func TestErroringTaskRunsOnceAndIsReported(t *testing.T) {
 	attempts := 0
-	flaky := Task{ID: "flaky", Run: func() (interface{}, error) {
-		attempts++
-		if attempts < 3 {
-			return nil, Retryable(fmt.Errorf("transient %d", attempts))
-		}
-		return "finally", nil
-	}}
-	var slept []time.Duration
-	s := RunAll([]Task{flaky}, Options{
-		Retries: 5,
-		Backoff: 10 * time.Millisecond,
-		Sleep:   func(d time.Duration) { slept = append(slept, d) },
-	})
-	if !s.OK() {
-		t.Fatalf("flaky task failed: %+v", s.Failed())
-	}
-	if attempts != 3 {
-		t.Fatalf("ran %d attempts, want 3", attempts)
-	}
-	if r := s.Results[0]; r.Attempts != 3 || r.Value != "finally" {
-		t.Fatalf("result = %+v, want 3 attempts and the final value", r)
-	}
-	// Deterministic exponential backoff: 10ms then 20ms.
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %v, want %v", slept, want)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("slept %v, want %v", slept, want)
-		}
-	}
-}
-
-func TestRunAllRetriesExhausted(t *testing.T) {
-	attempts := 0
-	doomed := Task{ID: "doomed", Run: func() (interface{}, error) {
-		attempts++
-		return nil, Retryable(errors.New("always transient"))
-	}}
-	s := RunAll([]Task{doomed}, Options{Retries: 2, Sleep: func(time.Duration) {}})
-	if s.OK() {
-		t.Fatal("doomed task reported success")
-	}
-	if attempts != 3 {
-		t.Fatalf("ran %d attempts, want 1 + 2 retries", attempts)
-	}
-	var ee *ExperimentError
-	if !errors.As(s.Failed()[0].Err, &ee) || ee.Attempts != 3 {
-		t.Fatalf("failure %+v does not record 3 attempts", s.Failed()[0].Err)
-	}
-}
-
-func TestNonRetryableErrorRunsOnce(t *testing.T) {
-	attempts := 0
+	errHard := errors.New("deterministic failure")
 	task := Task{ID: "hard", Run: func() (interface{}, error) {
 		attempts++
-		return nil, errors.New("deterministic failure")
+		return nil, errHard
 	}}
-	s := RunAll([]Task{task}, Options{Retries: 5, Sleep: func(time.Duration) {}})
+	s := RunAll([]Task{task, ok("after")}, Options{})
 	if attempts != 1 {
-		t.Fatalf("unmarked error retried %d times; only Retryable may retry", attempts)
+		t.Fatalf("erroring task ran %d times, want 1", attempts)
 	}
-	if s.OK() {
-		t.Fatal("failure not recorded")
+	failed := s.Failed()
+	if len(failed) != 1 || failed[0].ID != "hard" {
+		t.Fatalf("Failed = %+v, want exactly hard", failed)
 	}
-}
-
-func TestRetryableNil(t *testing.T) {
-	if Retryable(nil) != nil {
-		t.Fatal("Retryable(nil) != nil")
+	var ee *ExperimentError
+	if !errors.As(failed[0].Err, &ee) || ee.Stack != nil || ee.Timeout {
+		t.Fatalf("failure %#v is not a plain *ExperimentError", failed[0].Err)
 	}
-	if IsRetryable(nil) {
-		t.Fatal("IsRetryable(nil)")
+	if !errors.Is(failed[0].Err, errHard) {
+		t.Fatalf("failure %v does not wrap the task's error", failed[0].Err)
 	}
-	wrapped := fmt.Errorf("outer: %w", Retryable(errors.New("inner")))
-	if !IsRetryable(wrapped) {
-		t.Fatal("IsRetryable lost through wrapping")
+	if s.Completed() != 1 {
+		t.Fatalf("task after the failure did not run: %+v", s.Results)
 	}
 }
 

@@ -13,9 +13,10 @@ import (
 // loses at most the task that was running.
 //
 // The first line is a scope header identifying the sweep configuration
-// (scale and seed, for fstables). Opening a journal whose recorded scope
-// differs from the requested one truncates it — results from a different
-// scale or seed must never be "resumed" into this sweep.
+// (for fstables: scale, seed, and any -scenario path and -alloc objective).
+// Opening a journal whose recorded scope differs from the requested one
+// truncates it — results from a different configuration must never be
+// "resumed" into this sweep.
 //
 // A Journal is safe for concurrent use: Done, MarkDone, Len and Close may
 // be called from multiple goroutines (a future parallel RunAll marks

@@ -25,7 +25,7 @@ import (
 // a simulation. Reading is versioned by magic: FST1 files have no checksum
 // and are accepted as-is (lenient mode, for traces written before the footer
 // existed), while FST2 files are rejected with ErrBadCRC when the payload
-// does not match the footer (strict mode).
+// does not match the footer (strict mode). Only FST2 is ever written.
 
 var (
 	magicV1 = [4]byte{'F', 'S', 'T', '1'}
@@ -49,16 +49,6 @@ const allocChunk = 1 << 16
 // WriteTo serializes the trace to w in the current (FST2, checksummed)
 // format. NextUse is not persisted; it is cheap to recompute.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
-	return t.writeTo(w, magicV2)
-}
-
-// WriteLegacyTo serializes the trace in the FST1 format (no checksum
-// footer), for interoperability tests and tools that predate FST2.
-func (t *Trace) WriteLegacyTo(w io.Writer) (int64, error) {
-	return t.writeTo(w, magicV1)
-}
-
-func (t *Trace) writeTo(w io.Writer, magic [4]byte) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	sum := crc32.NewIEEE()
 	var written int64
@@ -73,7 +63,7 @@ func (t *Trace) writeTo(w io.Writer, magic [4]byte) (int64, error) {
 		sum.Write(p)
 		return nil
 	}
-	if err := write(magic[:]); err != nil {
+	if err := write(magicV2[:]); err != nil {
 		return written, err
 	}
 	var hdr [8]byte
@@ -91,14 +81,12 @@ func (t *Trace) writeTo(w io.Writer, magic [4]byte) (int64, error) {
 			return written, err
 		}
 	}
-	if magic == magicV2 {
-		var foot [4]byte
-		binary.LittleEndian.PutUint32(foot[:], sum.Sum32())
-		if n, err := bw.Write(foot[:]); err != nil {
-			return written + int64(n), err
-		}
-		written += 4
+	var foot [4]byte
+	binary.LittleEndian.PutUint32(foot[:], sum.Sum32())
+	if n, err := bw.Write(foot[:]); err != nil {
+		return written + int64(n), err
 	}
+	written += 4
 	if err := bw.Flush(); err != nil {
 		return written, err
 	}

@@ -15,28 +15,12 @@ func corpusTrace() *Trace {
 	}}
 }
 
-func corpusBytes(t interface {
-	Fatalf(format string, args ...interface{})
-}, legacy bool) []byte {
-	var buf bytes.Buffer
-	var err error
-	if legacy {
-		_, err = corpusTrace().WriteLegacyTo(&buf)
-	} else {
-		_, err = corpusTrace().WriteTo(&buf)
-	}
-	if err != nil {
-		t.Fatalf("corpus write: %v", err)
-	}
-	return buf.Bytes()
-}
-
 // FuzzReadFrom exercises the trace decoder against arbitrary byte streams:
 // it must never panic or over-allocate, and anything it accepts must
 // round-trip through the current encoder byte-identically.
 func FuzzReadFrom(f *testing.F) {
-	valid := corpusBytes(f, false)
-	legacy := corpusBytes(f, true)
+	valid := encodeTrace(f, corpusTrace(), false)
+	legacy := encodeTrace(f, corpusTrace(), true)
 
 	f.Add(valid)  // well-formed FST2
 	f.Add(legacy) // well-formed FST1 (lenient, no checksum)

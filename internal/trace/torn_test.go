@@ -30,19 +30,21 @@ func tornTrace() *Trace {
 	return tr
 }
 
-func encodeTrace(t *testing.T, tr *Trace, legacy bool) []byte {
+// encodeTrace writes tr as FST2 or, with legacy, as the FST1 bytes a
+// pre-checksum writer produced: the FST2 encoding with its magic rewritten
+// to "FST1" and its CRC footer dropped.
+func encodeTrace(t testing.TB, tr *Trace, legacy bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	var err error
-	if legacy {
-		_, err = tr.WriteLegacyTo(&buf)
-	} else {
-		_, err = tr.WriteTo(&buf)
-	}
-	if err != nil {
+	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	return buf.Bytes()
+	raw := buf.Bytes()
+	if legacy {
+		copy(raw, magicV1[:])
+		raw = raw[:len(raw)-4]
+	}
+	return raw
 }
 
 // TestFileTruncationEveryOffset cuts both trace formats at every byte
@@ -139,8 +141,8 @@ func TestFileBitFlipEveryBit(t *testing.T) {
 
 // TestFileLegacyBitFlipSilent documents the FST1 trade-off the FST2 footer
 // exists to fix: a bit flip inside a legacy record body decodes cleanly
-// (there is no checksum to catch it), which is exactly why WriteTo defaults
-// to the checksummed format.
+// (there is no checksum to catch it), which is exactly why WriteTo writes
+// only the checksummed format.
 func TestFileLegacyBitFlipSilent(t *testing.T) {
 	tr := tornTrace()
 	full := encodeTrace(t, tr, true)

@@ -229,14 +229,9 @@ func TestFileCRCDetectsCorruption(t *testing.T) {
 }
 
 func TestFileLegacyLenient(t *testing.T) {
-	tr := mk(7, 8, 9)
-	var buf bytes.Buffer
-	if _, err := tr.WriteLegacyTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := encodeTrace(t, mk(7, 8, 9), true)
 	if got := string(raw[:4]); got != "FST1" {
-		t.Fatalf("WriteLegacyTo magic = %q, want FST1", got)
+		t.Fatalf("legacy encoding magic = %q, want FST1", got)
 	}
 	var back Trace
 	n, version, err := back.DecodeFrom(bytes.NewReader(raw))
