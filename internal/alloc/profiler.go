@@ -50,7 +50,9 @@ import (
 // Either way at most maxTags lines are tracked (the least recently used tag
 // is reused when all are taken, exactly a maxTags-line shadow cache over the
 // sample), so memory is fixed at construction: per tag 8 B of addr, 4 B of
-// slot, 8 B of hist, 8–16 B of table and the recency index's 2–4 slots. The
+// slot, 8 B of hist, 8–16 B of table and the recency index's slots, of
+// which a full profiler holds 1.5–2 a tag (its last resize saw more than
+// ¾ of them in use) at a little over 4 B each. The
 // tags are the maxTags most recent sampled lines whatever maxTags is, so
 // hist[:d] is the same at every maxTags ≥ d: a reader that stops at distance
 // d needs no deeper profiler (the Allocator's depth rule, see New).
@@ -99,7 +101,7 @@ func NewProfiler(maxTags int, sampleShift uint, seed uint64) *Profiler {
 		panic("alloc: maxTags must be positive")
 	}
 	if maxTags >= 1<<28 {
-		// The index's capacity reaches 4× the population in int32 slots.
+		// The index compares its capacity with 4× its population in int32.
 		panic("alloc: too many tags for 32-bit recency slots")
 	}
 	if sampleShift >= 32 {

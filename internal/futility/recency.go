@@ -36,7 +36,7 @@ func NewExactLRU(lines, parts int) *ExactLRU {
 		panic("futility: lines and parts must be positive")
 	}
 	if lines >= 1<<28 {
-		// The index's slot capacity reaches 4× the population, in int32.
+		// The index compares its capacity with 4× its population in int32.
 		panic("futility: too many lines for 32-bit recency slots")
 	}
 	r := &ExactLRU{

@@ -306,6 +306,77 @@ func TestExactLRUAgainstModel(t *testing.T) {
 	}
 }
 
+// The indexes are sized to their partitions, not to their history: 32
+// partitions share 32768 lines, but partition 0 first runs at four times its
+// share before its lines go back to the others. Once every partition has
+// compacted at its settled size, the slots total at most 2.5 per line, and
+// no partition keeps more than 4 per line plus a word.
+func TestExactLRUSlotsTrackPopulation(t *testing.T) {
+	const lines, parts = 32768, 32
+	const share = lines / parts
+	r := NewExactLRU(lines, parts)
+	partOf := make([]int, lines)
+	seq := uint64(0)
+	access := func(line, part int, insert bool) {
+		seq++
+		if insert {
+			partOf[line] = part
+			r.OnInsert(line, part, Context{Seq: seq})
+		} else {
+			r.OnHit(line, part, Context{Seq: seq})
+		}
+	}
+	// Partition 0 overshoots to 4× its share and runs there until its index
+	// has compacted at that size.
+	for l := 0; l < 4*share; l++ {
+		access(l, 0, true)
+	}
+	for i := 0; r.parts[0].Free() < share; i++ {
+		access(i%(4*share), 0, false)
+	}
+	// It gives back its least recently used lines, and the other partitions
+	// fill to their shares with them and the lines no one has used yet.
+	var spare []int
+	for r.Size(0) > share {
+		l := r.Worst(0)
+		r.OnEvict(l, 0)
+		spare = append(spare, l)
+	}
+	for l := 4 * share; l < lines; l++ {
+		spare = append(spare, l)
+	}
+	for i, l := range spare {
+		access(l, 1+i/share, true)
+	}
+	// Settling: hits until every partition has compacted at its share.
+	var compacted [parts]bool
+	for done := 0; done < parts; {
+		for l := 0; l < lines; l++ {
+			p := partOf[l]
+			free := r.parts[p].Free()
+			access(l, p, false)
+			if r.parts[p].Free() > free && !compacted[p] {
+				compacted[p] = true
+				done++
+			}
+		}
+	}
+	var slots, live int
+	for p := range r.parts {
+		idx := &r.parts[p]
+		slots, live = slots+int(idx.Cap()), live+int(idx.Live())
+		if idx.Cap() > 4*idx.Live()+64 {
+			t.Errorf("partition %d: %d slots for %d lines", p, idx.Cap(), idx.Live())
+		}
+	}
+	if live != lines || float64(slots) > 2.5*float64(live) {
+		t.Errorf("%d slots for %d lines (%.2f per line), want at most 2.5 per line", slots, live, float64(slots)/float64(live))
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // CheckInvariants must notice each kind of damage it documents.
 func TestExactLRUCheckInvariantsDetects(t *testing.T) {
 	build := func() *ExactLRU {

@@ -7,17 +7,25 @@ import (
 )
 
 // fuzzLines is the line population FuzzIndex draws from: enough for one index
-// to hold the 2048 lines that take its capacity past 4096 slots.
+// to outgrow 4096 slots, which takes over 2730 lines (4096 < 1.5·live).
 const fuzzLines = 6144
+
+// scriptStats is what runScript saw: the compactions, those that shrank the
+// capacity, and the largest capacity either index reached.
+type scriptStats struct {
+	compactions, shrinks int
+	maxCap               int32
+}
 
 // runScript interprets data as operations on two indexes that share one slot
 // table, two bytes each: the first picks the index (bit 0) and the operation,
 // the second the line it applies to or the size of a bulk insert. After every
 // operation both indexes are compared with their slice models — Live, Worst
 // and the Rank of every tracked line — and audited by CheckInvariants under
-// one claimed set. It returns the compactions it saw and the largest capacity
-// either index reached.
-func runScript(t testing.TB, data []byte) (compactions int, maxCap int32) {
+// one claimed set. After every compaction the capacity must be within its
+// bounds for the population that compaction saw:
+// 1.5·live ≤ Cap ≤ 4·live + minCap.
+func runScript(t testing.TB, data []byte) (st scriptStats) {
 	idx := [2]Index{New(), New()}
 	models := [2]*model{{seqOf: map[int32]uint64{}}, {seqOf: map[int32]uint64{}}}
 	slot := make([]int32, fuzzLines)
@@ -32,14 +40,35 @@ func runScript(t testing.TB, data []byte) (compactions int, maxCap int32) {
 		k := op & 1
 		p, m := &idx[k], models[k]
 		pick := func() int { return arg * len(used[k]) / 256 }
+		// audit follows an Insert or Hit: only a compaction gives slots back,
+		// and it ran before the access, on live lines.
+		audit := func(freeBefore, capBefore, live int32) {
+			if p.Free() <= freeBefore {
+				return
+			}
+			st.compactions++
+			if p.Cap() < capBefore {
+				st.shrinks++
+			}
+			if c := p.Cap(); 2*c < 3*live || c > 4*live+minCap {
+				t.Fatalf("step %d: index %d compacted %d lines into capacity %d", step/2, k, live, c)
+			}
+		}
 		insert := func(at uint64) {
 			l := free[len(free)-1]
 			free = free[:len(free)-1]
 			used[k] = append(used[k], l)
+			freeBefore, capBefore, live := p.Free(), p.Cap(), p.Live()
 			p.Insert(l, at, slot)
+			audit(freeBefore, capBefore, live)
 			m.insert(l, at)
 		}
-		freeBefore := p.Free()
+		hit := func(l int32, at uint64) {
+			freeBefore, capBefore := p.Free(), p.Cap()
+			p.Hit(l, at, slot)
+			audit(freeBefore, capBefore, p.Live())
+			m.hit(l, at)
+		}
 		switch kind := op >> 1 % 7; {
 		case kind == 0 && len(free) > 0: // most recent
 			seq++
@@ -54,13 +83,9 @@ func runScript(t testing.TB, data []byte) (compactions int, maxCap int32) {
 		case len(used[k]) == 0:
 		case kind <= 3:
 			seq++
-			l := used[k][pick()]
-			p.Hit(l, seq, slot)
-			m.hit(l, seq)
+			hit(used[k][pick()], seq)
 		case kind == 4: // a hit under the current seq is still the most recent
-			l, at := used[k][pick()], p.LastSeq()
-			p.Hit(l, at, slot)
-			m.hit(l, at)
+			hit(used[k][pick()], p.LastSeq())
 		case kind == 5 && len(free) > 0:
 			i := pick()
 			from, to := used[k][i], free[len(free)-1]
@@ -76,13 +101,7 @@ func runScript(t testing.TB, data []byte) (compactions int, maxCap int32) {
 			p.Evict(l, slot)
 			m.evict(l)
 		}
-		// Only a compaction gives slots back.
-		if p.Free() > freeBefore {
-			compactions++
-		}
-		if p.Cap() > maxCap {
-			maxCap = p.Cap()
-		}
+		st.maxCap = max(st.maxCap, p.Cap())
 		claimed := make([]bool, fuzzLines)
 		for i := range idx {
 			models[i].compare(t, step/2, &idx[i], slot)
@@ -94,14 +113,16 @@ func runScript(t testing.TB, data []byte) (compactions int, maxCap int32) {
 			t.Fatalf("step %d: slot table tracks %d lines, models %d and %d", step/2, n, len(models[0].order), len(models[1].order))
 		}
 	}
-	return compactions, maxCap
+	return st
 }
 
 // fuzzSeeds are FuzzIndex's starting scripts, all on TestIndexAgainstModel's
 // seed and operation mix drawn over both indexes: one over a few lines, which
 // compacts inside the one-word minimum capacity; one that starts from 64
-// lines an index and so grows past it; and one that bulk-fills an index past
-// 2048 lines around the same operations, which takes it past 4096 slots.
+// lines an index and so grows past it; one that bulk-fills an index past
+// 2048 lines around the same operations, which takes it past 4096 slots; and
+// one that fills an index to 128 lines and four words, evicts all but 30 and
+// hits until it compacts, which shrinks it to one word.
 func fuzzSeeds() [][]byte {
 	rng := xrand.New(0x5eed)
 	mix := func(script []byte, ops int) []byte {
@@ -125,12 +146,20 @@ func fuzzSeeds() [][]byte {
 		}
 		return script
 	}
-	const bulk = 2 << 1
+	const bulk, hit, evict = 2 << 1, 3 << 1, 6 << 1
 	tiny := mix(nil, 160)
 	small := mix([]byte{bulk, 0, bulk | 1, 0}, 100) // 64 lines each
 	large := mix([]byte{bulk, 32, bulk | 1, 0}, 30) // 2112 lines and 64
 	large = mix(append(large, bulk, 63), 20)        // all that are left: compacts and grows
-	return [][]byte{tiny, small, large}
+	shrink := []byte{bulk, 1, bulk | 1, 0, hit, 0}  // 128 lines and 64; 256 slots
+	for i := 0; i < 98; i++ {
+		shrink = append(shrink, evict, byte(rng.Intn(256)))
+	}
+	for i := 0; i < 130; i++ {
+		shrink = append(shrink, hit, byte(rng.Intn(256)))
+	}
+	shrink = mix(shrink, 40)
+	return [][]byte{tiny, small, large, shrink}
 }
 
 // The seeds must cross what FuzzIndex is there to cover before any mutation:
@@ -138,9 +167,17 @@ func fuzzSeeds() [][]byte {
 func TestFuzzSeedsCrossGrowth(t *testing.T) {
 	seeds := fuzzSeeds()
 	for i, want := range []struct{ above, upTo int32 }{{0, minCap}, {minCap, 4096}, {4096, 1 << 20}} {
-		if c, maxCap := runScript(t, seeds[i]); c < 1 || maxCap <= want.above || maxCap > want.upTo {
-			t.Errorf("seed %d: %d compactions, capacity %d; want a compaction and a capacity in (%d, %d]", i, c, maxCap, want.above, want.upTo)
+		if st := runScript(t, seeds[i]); st.compactions < 1 || st.maxCap <= want.above || st.maxCap > want.upTo {
+			t.Errorf("seed %d: %d compactions, capacity %d; want a compaction and a capacity in (%d, %d]", i, st.compactions, st.maxCap, want.above, want.upTo)
 		}
+	}
+}
+
+// The shrink seed must take a capacity down, which only a compaction on a
+// population that fell below a quarter of it does.
+func TestFuzzSeedsCrossShrink(t *testing.T) {
+	if st := runScript(t, fuzzSeeds()[3]); st.shrinks < 1 {
+		t.Errorf("shrink seed: %d compactions, none shrank the capacity (largest %d)", st.compactions, st.maxCap)
 	}
 }
 

@@ -10,7 +10,9 @@
 // plus ~log₂(cap/64) additions over a flat array — no key comparisons and no
 // pointers. A line's rank (1 = most recent) is its LRU stack distance. With
 // the slot → line table the index costs 4 bytes and a little over a bit per
-// slot, at 2–4 slots per tracked line.
+// slot. Each compaction sizes the slots to twice the population and resizes
+// them only once the population has moved past ×4/3 or ×1/2, so at a
+// compaction there are 1.5–4 slots per tracked line, growing or shrinking.
 package recency
 
 import (
@@ -28,10 +30,10 @@ type Index struct {
 	// nodes is the 1-based Fenwick tree over word popcounts: nodes[i] counts
 	// the live slots of words (i − lowbit(i), i], numbering words from 1.
 	// lineAt[s] is the line holding slot s, or −1 once the slot is retired (a
-	// slot is live exactly when it holds a line). cap is 0 or a power of two
-	// of at least minCap, so cap/64 words are a power of two too, which is
-	// what lets Worst descend without range checks; nodes has cap/64+1
-	// entries and lineAt cap+1.
+	// slot is live exactly when it holds a line). cap is 0 or a multiple of
+	// minCap and lineAt has cap+1 entries; words has the power of two ≥ cap/64
+	// entries, all zero past cap, which is what lets Worst descend without
+	// range checks, and nodes one more.
 	words  []uint64
 	nodes  []int32
 	lineAt []int32
@@ -45,8 +47,13 @@ type Index struct {
 	group   int32
 }
 
-// minCap is the smallest non-zero capacity: one bitmap word.
-const minCap = 64
+// minCap is the smallest non-zero capacity: one bitmap word. minFree is the
+// fewest slots a compaction leaves free, so a small index does not compact
+// every few accesses.
+const (
+	minCap  = 64
+	minFree = 32
+)
 
 // New returns an empty index. Its arrays are allocated as it fills.
 func New() Index { return Index{next: 1, group: 1} }
@@ -62,7 +69,8 @@ func (p *Index) Live() int32 { return p.live }
 //fs:allocfree
 func (p *Index) LastSeq() uint64 { return p.lastSeq }
 
-// Cap returns the slot capacity: 0 or a power of two, and it never shrinks.
+// Cap returns the slot capacity: 0 before the first access, else a multiple
+// of 64 that compactions resize with the population, up or down.
 func (p *Index) Cap() int32 { return p.cap }
 
 // Free returns the slots left before the next access compacts the index.
@@ -101,18 +109,24 @@ func (p *Index) retire(s int32) {
 
 // compact renumbers the live lines 1..live in slot order and rebuilds the
 // bitmap and its counts, in O(cap/64 + live). It runs when the slots are
-// used up; since the capacity is the power of two in (2·live, 4·live] (at
-// least minCap, and never shrinking), at least as many accesses as the
-// rebuild costs pass before the next one: amortised O(1) per access, and
-// allocation-free once the population has reached its size.
+// used up. When the capacity is below 1.5·live or above 4·live, or would
+// leave fewer than minFree slots free, it resizes to 2·live rounded up to a
+// word (at least minCap). So each compaction leaves at least
+// max(live/2, minFree) slots free — at least as many accesses as the rebuild
+// costs pass before the next one: amortised O(1) per access — and an index
+// allocates only when its population has moved past ×4/3 or ×1/2 since its
+// last resize.
 //
 //fs:allocfree
 func (p *Index) compact(slot []int32) {
 	words, lineAt := p.words, p.lineAt
-	if c := max(int32(1)<<bits.Len32(uint32(2*p.live)), minCap); c > p.cap {
-		p.cap = c
-		//fslint:ignore allocfree cold growth while a partition fills; steady-state compaction reuses all three arrays
-		p.words, p.nodes, p.lineAt = make([]uint64, c/64), make([]int32, c/64+1), make([]int32, c+1)
+	if l := p.live; 2*p.cap < 3*l || p.cap > 4*l || p.cap-l < minFree {
+		if c := max((2*l+minCap-1)&^(minCap-1), minCap); c != p.cap {
+			p.cap = c
+			nw := int32(1) << bits.Len32(uint32(c/64-1))
+			//fslint:ignore allocfree cold resize when the population has moved ×4/3 or ×1/2; other compactions reuse all three arrays
+			p.words, p.nodes, p.lineAt = make([]uint64, nw), make([]int32, nw+1), make([]int32, c+1)
+		}
 	}
 	var w, group int32
 	for wi, word := range words {
@@ -256,9 +270,9 @@ func (p *Index) Worst() int32 {
 		return -1
 	}
 	var pos int32
-	for step := p.cap >> 6; step > 0; step >>= 1 {
+	for step := int32(len(p.words)); step > 0; step >>= 1 {
 		// The top node is the whole population (> 0), so the first probe
-		// never advances and pos+step stays below cap/64 afterwards.
+		// never advances and pos+step stays below len(words) afterwards.
 		if p.nodes[pos+step] == 0 {
 			pos += step
 		}
@@ -267,19 +281,21 @@ func (p *Index) Worst() int32 {
 }
 
 // CheckInvariants audits the index against the slot table it was driven
-// with: the bitmap must mark exactly the slots that hold a line, the Fenwick
-// nodes must equal the popcounts of the words they cover, slot ↔ lineAt must
-// be a bijection between the live slots and this index's lines, and the live
-// count must agree with the slots. It marks each of its lines in claimed
-// (len(slot) entries) and fails on one already marked, so indexes sharing a
-// table are checked for overlap by passing the same claimed to each.
+// with: the arrays must have the shape the capacity fixes, the bitmap must
+// mark exactly the slots that hold a line (none past the capacity), the
+// Fenwick nodes must equal the popcounts of the words they cover, slot ↔
+// lineAt must be a bijection between the live slots and this index's lines,
+// and the live count must agree with the slots. It marks each of its lines in
+// claimed (len(slot) entries) and fails on one already marked, so indexes
+// sharing a table are checked for overlap by passing the same claimed to
+// each.
 func (p *Index) CheckInvariants(slot []int32, claimed []bool) error {
-	nw := int(p.cap >> 6)
-	sized := len(p.words) == nw && len(p.nodes) == nw+1 && len(p.lineAt) == int(p.cap)+1
+	nw := len(p.words)
+	sized := nw > 0 && nw&(nw-1) == 0 && 64*nw >= int(p.cap) && len(p.nodes) == nw+1 && len(p.lineAt) == int(p.cap)+1
 	if p.cap == 0 {
 		sized = p.words == nil && p.nodes == nil && p.lineAt == nil
 	}
-	if p.cap&(p.cap-1) != 0 || p.cap&(minCap-1) != 0 || !sized {
+	if p.cap%minCap != 0 || !sized {
 		return fmt.Errorf("recency: capacity %d with %d words, %d nodes and %d slot entries", p.cap, len(p.words), len(p.nodes), len(p.lineAt))
 	}
 	if p.next < 1 || p.next > p.cap+1 || p.group < 1 || p.group > p.next {
@@ -287,15 +303,15 @@ func (p *Index) CheckInvariants(slot []int32, claimed []bool) error {
 	}
 	// count[i] is the number of live slots in words 1..i.
 	count := make([]int32, nw+1)
-	for s := int32(1); s <= p.cap; s++ {
-		l := p.lineAt[s]
-		holds := s < p.next && l >= 0
+	for s := int32(1); s <= int32(64*nw); s++ {
+		holds := s < p.next && p.lineAt[s] >= 0
 		if bit := p.words[(s-1)>>6]>>uint((s-1)&63)&1 != 0; bit != holds {
-			return fmt.Errorf("recency: slot %d has liveness bit %v but holds line %v", s, bit, holds)
+			return fmt.Errorf("recency: slot %d of capacity %d has liveness bit %v but holds line %v", s, p.cap, bit, holds)
 		}
 		if !holds {
 			continue
 		}
+		l := p.lineAt[s]
 		count[(s-1)>>6+1]++
 		if int(l) >= len(slot) || slot[l] != s || claimed[l] {
 			return fmt.Errorf("recency: slot %d holds line %d, whose slot is not (only) that one", s, l)

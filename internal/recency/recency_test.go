@@ -192,6 +192,56 @@ func TestIndexAgainstModel(t *testing.T) {
 	}
 }
 
+// A population oscillating between 448 and 576 lines — across 512, the edge
+// of a power-of-two rule — compacts at both ends of every cycle, yet never
+// reallocates: 576 is under ×4/3 of 448, and 448 over half of 576.
+func TestOscillationDoesNotAllocate(t *testing.T) {
+	const lo, hi = 448, 576
+	p := New()
+	slot := make([]int32, hi)
+	seq := uint64(0)
+	for l := int32(0); l < lo; l++ {
+		seq++
+		p.Insert(l, seq, slot)
+	}
+	var atLo, atHi int // compactions at each end
+	hits := func(live int32, at *int) {
+		for i := int32(0); i < 2*hi; i++ {
+			free := p.Free()
+			seq++
+			p.Hit(i%live, seq, slot)
+			if p.Free() > free {
+				*at++
+			}
+		}
+	}
+	cycle := func() {
+		for l := int32(lo); l < hi; l++ {
+			seq++
+			p.Insert(l, seq, slot)
+		}
+		hits(hi, &atHi)
+		for l := int32(lo); l < hi; l++ {
+			p.Evict(l, slot)
+		}
+		hits(lo, &atLo)
+	}
+	cycle()
+	settled := p.Cap()
+	atLo, atHi = 0, 0
+	const runs = 8
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+		t.Errorf("%v allocations per cycle", allocs)
+	}
+	// AllocsPerRun makes one warm-up call besides the runs.
+	if atLo < runs+1 || atHi < runs+1 || p.Cap() != settled {
+		t.Errorf("%d cycles compacted %d times at %d lines and %d at %d; capacity %d, settled at %d", runs+1, atLo, lo, atHi, hi, p.Cap(), settled)
+	}
+	if err := p.CheckInvariants(slot, make([]bool, hi)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Two indexes over disjoint lines share one slot table; the shared claimed
 // set is what catches a line held by both.
 func TestIndexSharedSlotTable(t *testing.T) {
@@ -230,7 +280,7 @@ func TestIndexSharedSlotTable(t *testing.T) {
 func TestCheckInvariantsDetects(t *testing.T) {
 	build := func() (*Index, []int32) {
 		p := New()
-		slot := make([]int32, 8)
+		slot := make([]int32, 96) // room for the lines of the bit-past-capacity case
 		for l := int32(0); l < 6; l++ {
 			p.Insert(l, uint64(l), slot)
 		}
@@ -262,6 +312,21 @@ func TestCheckInvariantsDetects(t *testing.T) {
 		{"line of a slot", func(p *Index, slot []int32) { p.lineAt[slot[1]] = 4 }},
 		{"line out of range", func(p *Index, slot []int32) { p.lineAt[slot[1]] = int32(len(slot)) }},
 		{"retired slot still counted", func(p *Index, slot []int32) { p.lineAt[slot[3]] = -1 }},
+		{"bit past the capacity", func(p *Index, slot []int32) {
+			// 95 lines compacted into 192 slots: three words of four.
+			seq := uint64(8)
+			for l := int32(6); l < int32(len(slot)); l++ {
+				p.Insert(l, seq, slot)
+				seq++
+			}
+			for ; p.Cap() != 192; seq++ {
+				p.Hit(5, seq, slot)
+			}
+			if err := p.CheckInvariants(slot, make([]bool, len(slot))); err != nil || len(p.words) != 4 {
+				t.Fatalf("192-slot index: %d words, %v", len(p.words), err)
+			}
+			p.words[3] |= 1
+		}},
 	} {
 		p, slot := build()
 		c.damage(p, slot)

@@ -121,7 +121,7 @@ func TestStoreBasics(t *testing.T) {
 	if _, ok := s.Get(addr, k, nil); ok {
 		t.Fatal("empty store returned a value")
 	}
-	s.Put(addr, k, []byte("v1"))
+	s.Put(addr, k, []byte("v1"), nil)
 	if v, ok := s.Get(addr, k, nil); !ok || string(v) != "v1" {
 		t.Fatalf("got %q,%v", v, ok)
 	}
@@ -130,7 +130,7 @@ func TestStoreBasics(t *testing.T) {
 	if _, ok := s.Get(addr, []byte("beta"), nil); ok {
 		t.Fatal("collision returned wrong key's bytes")
 	}
-	s.Put(addr, k, []byte("v2-longer"))
+	s.Put(addr, k, []byte("v2-longer"), nil)
 	if v, _ := s.Get(addr, k, nil); string(v) != "v2-longer" {
 		t.Fatalf("overwrite lost: %q", v)
 	}

@@ -146,7 +146,7 @@ func BenchStoreSetGet(b *testing.B) {
 	for i := range key {
 		key[i] = []byte(fmt.Sprintf("store-key-%04d", i))
 		addr[i] = hashKey(key[i])
-		s.Put(addr[i], key[i], val)
+		s.Put(addr[i], key[i], val, nil)
 	}
 	dst := make([]byte, 0, len(val))
 	b.ReportAllocs()
@@ -154,7 +154,7 @@ func BenchStoreSetGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := i % keys
 		val[0] = byte(i)
-		s.Put(addr[k], key[k], val)
+		s.Put(addr[k], key[k], val, nil)
 		got, ok := s.Get(addr[k], key[k], dst[:0])
 		if !ok || got[0] != byte(i) {
 			b.Fatalf("key %d: found %v", k, ok)

@@ -570,10 +570,11 @@ func (c *conn) handle(req *Request) (resp Response, ok bool) {
 		if s.cfg.Observe != nil {
 			s.cfg.Observe(part, addr)
 		}
+		var spare []byte
 		if res.Evicted {
-			s.store.Delete(res.EvictedAddr)
+			spare = s.store.Evict(res.EvictedAddr)
 		}
-		s.store.Put(addr, req.Key, req.Value)
+		s.store.Put(addr, req.Key, req.Value, spare)
 	case OpDel:
 		// Bytes go now; the simulated line carries no value and ages out
 		// under its partition's normal replacement pressure.

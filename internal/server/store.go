@@ -12,7 +12,7 @@ import (
 // wire key), so the synchronization contract is direct:
 //
 //   - a SET that the engine admits installs a line for addr and Puts the
-//     bytes; if the engine evicted a victim, the victim's addr is Deleted
+//     bytes; if the engine evicted a victim, the victim's addr is Evicted
 //     in the same request, so store residency tracks line residency;
 //   - a GET consults the store first — bytes present mean the line is (or
 //     was a moment ago) resident — and only then refreshes the engine.
@@ -29,8 +29,13 @@ import (
 // overwrites them in place, and a deleted or replaced entry's buffer is
 // parked on the shard's free list for the next Put to fill, so Get copies
 // out under the lock and nothing outside the store ever aliases an entry.
-// A churning store therefore produces no garbage; the free list is bounded
-// by 1/freeFrac of the shard's live bytes.
+// The one buffer that leaves a shard is an evicted one: Evict unlinks it
+// and hands it to its caller, who owns it until passing it to Put as the
+// spare, so a SET's new entry takes its victim's buffer whichever shards the
+// two keys hash to, rather than the victim's buffer parking in one shard
+// while the new entry pops from another. A churning store therefore
+// produces no garbage; the free list is bounded by 1/freeFrac of the
+// shard's live bytes.
 type store struct {
 	shards []storeShard
 	mask   uint64
@@ -156,8 +161,10 @@ func (s *store) Get(addr uint64, key, dst []byte) ([]byte, bool) {
 
 // Put stores value bytes for addr, copying both key and value out of the
 // frame buffer: into the entry's own buffer when that is of the right
-// class, else into a parked or new one.
-func (s *store) Put(addr uint64, key, val []byte) {
+// class, else into spare when that is, else into a parked or new one. spare
+// is a buffer from Evict, or nil; Put takes it over and parks it unless the
+// entry keeps it.
+func (s *store) Put(addr uint64, key, val, spare []byte) {
 	class, size := valClass(len(val))
 	sh := s.shard(addr)
 	sh.mu.Lock()
@@ -167,7 +174,11 @@ func (s *store) Put(addr uint64, key, val []byte) {
 		e.key = string(key)
 	}
 	var old []byte
-	if cap(e.val) != size {
+	switch {
+	case cap(e.val) == size: // overwritten in place
+	case cap(spare) == size:
+		old, e.val, spare = e.val, spare, nil
+	default:
 		old, e.val = e.val, sh.pop(class)
 		if e.val == nil {
 			e.val = make([]byte, 0, size)
@@ -176,21 +187,41 @@ func (s *store) Put(addr uint64, key, val []byte) {
 	e.val = append(e.val[:0], val...)
 	sh.m[addr] = e
 	sh.park(old)
+	sh.park(spare)
 	sh.mu.Unlock()
+}
+
+// remove unlinks addr's entry, if any, from the shard's map and byte count.
+// The caller parks afterwards, which keeps the free list's bound.
+//
+//fs:callerholds mu
+func (sh *storeShard) remove(addr uint64) (e storeEntry, ok bool) {
+	if e, ok = sh.m[addr]; ok {
+		sh.bytes -= int64(len(e.key) + len(e.val))
+		delete(sh.m, addr)
+	}
+	return e, ok
 }
 
 // Delete drops addr's bytes, reporting whether an entry existed.
 func (s *store) Delete(addr uint64) bool {
 	sh := s.shard(addr)
 	sh.mu.Lock()
-	e, ok := sh.m[addr]
-	if ok {
-		sh.bytes -= int64(len(e.key) + len(e.val))
-		delete(sh.m, addr)
-		sh.park(e.val)
-	}
+	e, ok := sh.remove(addr)
+	sh.park(e.val)
 	sh.mu.Unlock()
 	return ok
+}
+
+// Evict drops addr's bytes and hands the caller their buffer (nil when
+// there was no entry) to pass to Put as its spare.
+func (s *store) Evict(addr uint64) []byte {
+	sh := s.shard(addr)
+	sh.mu.Lock()
+	e, _ := sh.remove(addr)
+	sh.park(nil)
+	sh.mu.Unlock()
+	return e.val
 }
 
 // Stats returns the entry and byte totals across shards.

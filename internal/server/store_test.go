@@ -96,8 +96,10 @@ func TestValClass(t *testing.T) {
 
 // TestStoreRecyclesWithoutAliasing is the store's ownership contract under
 // -race: while writers overwrite and delete — so value buffers are rewritten
-// in place and recycled between keys — a reader only ever gets an intact
-// value of the key it asked for, and the accounting holds throughout.
+// in place and recycled between keys — and one writer evicts a key and hands
+// its buffer to the Put of another, as a SET does, across shards, a reader
+// only ever gets an intact value of the key it asked for, and the accounting
+// holds throughout.
 func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 	const keys = 96
 	s := newStore(4)
@@ -112,26 +114,31 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 		rounds = 8000
 	}
 
+	const setter = 2 // the writer that evicts for every Put
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
-	for w := 0; w < 2; w++ {
+	for w := 0; w <= setter; w++ {
 		writers.Add(1)
 		go func() {
 			defer writers.Done()
 			rng := xrand.New(uint64(100 + w))
 			var buf []byte
 			for i := 0; i < rounds; i++ {
-				// Writer w owns the keys ≡ w (mod 2), so versions per key
-				// are its own; buffers still migrate between the two sets.
-				k := 2*rng.Intn(keys/2) + w
-				if rng.Bool(0.2) {
+				// Writer w owns the keys ≡ w (mod 3), so versions per key
+				// are its own; buffers still migrate between the sets.
+				k := 3*rng.Intn(keys/3) + w
+				var spare []byte
+				switch {
+				case w == setter:
+					spare = s.Evict(addr[3*rng.Intn(keys/3)+w])
+				case rng.Bool(0.2):
 					s.Delete(addr[k])
 					continue
 				}
 				n := 16 << rng.Intn(9) // 16 B … 4 KiB
 				n += rng.Intn(n / 2)
 				buf = stampedValue(buf, uint32(k), uint32(i), min(n, 4096))
-				s.Put(addr[k], key[k], buf)
+				s.Put(addr[k], key[k], buf, spare)
 			}
 		}()
 	}
@@ -172,7 +179,7 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 	for _, n := range []int{1024, 64} {
 		for k := range key {
 			buf = stampedValue(buf, uint32(k), 0, n)
-			s.Put(addr[k], key[k], buf)
+			s.Put(addr[k], key[k], buf, nil)
 		}
 		checkStore(t, s)
 		if entries, bytes := s.Stats(); entries != keys || bytes != int64(keys*(len(key[0])+n)) {
@@ -187,5 +194,63 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 	}
 	if entries, bytes := s.Stats(); entries != 0 || bytes != 0 {
 		t.Fatalf("emptied store reports %d entries, %d bytes", entries, bytes)
+	}
+}
+
+// On a full store, a SET churn — every SET evicts the oldest entry and
+// inserts a key that is not resident, as when the engine evicts — hands each
+// victim's buffer to the new entry, whichever shards the two keys hash to:
+// nothing is allocated and nothing parks. Keys are one byte long, so their
+// strings are Go's static one-byte strings and any allocation counted is a
+// value buffer.
+func TestStoreSetChurnReusesVictimBuffers(t *testing.T) {
+	const resident, keys = 64, 256
+	s := newStore(4)
+	val := make([]byte, 1024)
+	var key [keys][]byte
+	var addr [keys]uint64
+	for i := range key {
+		key[i] = []byte{byte(i)}
+		addr[i] = hashKey(key[i])
+	}
+	var ring [resident]int // the resident keys, oldest at ring[head]
+	var out []int          // the others
+	for k := range key {
+		if k < resident {
+			ring[k] = k
+			s.Put(addr[k], key[k], val, nil)
+		} else {
+			out = append(out, k)
+		}
+	}
+	head := 0
+	rng := xrand.New(7)
+	turnover := func() {
+		for n := 0; n < resident; n++ {
+			j := rng.Intn(len(out))
+			victim, k := ring[head], out[j]
+			spare := s.Evict(addr[victim])
+			s.Put(addr[k], key[k], val, spare)
+			ring[head], out[j] = k, victim
+			head = (head + 1) % resident
+		}
+	}
+	for i := 0; i < 8; i++ {
+		turnover() // the shards' maps reach their size
+	}
+	if allocs := testing.AllocsPerRun(16, turnover); allocs != 0 {
+		t.Errorf("%v allocations per turnover of %d entries", allocs, resident)
+	}
+	checkStore(t, s)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		if sh.freeBytes != 0 {
+			t.Errorf("shard %d: %d bytes parked", i, sh.freeBytes)
+		}
+		sh.mu.RUnlock()
+	}
+	if entries, _ := s.Stats(); entries != resident {
+		t.Fatalf("%d entries, want %d", entries, resident)
 	}
 }
