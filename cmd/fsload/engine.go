@@ -1,0 +1,235 @@
+package main
+
+import (
+	"fmt"
+	"strconv"
+	"sync/atomic"
+	"time"
+
+	"fscache/internal/alloc"
+	"fscache/internal/core"
+	"fscache/internal/futility"
+	"fscache/internal/scenario"
+	"fscache/internal/shardcache"
+	"fscache/internal/xrand"
+)
+
+// engineTarget is an in-process shardcache.Engine with a background
+// rebalancer, optionally fed by scenario streams and steered by the online
+// allocator.
+type engineTarget struct {
+	o            options
+	lines, parts int
+	desc         string
+	e            *shardcache.Engine
+	rb           *shardcache.Rebalancer
+	// comp, when non-nil, replaces the synthetic zipf mix with compiled
+	// scenario streams and the 1:2:3 targets with the spec's shares.
+	comp *scenario.Compiled
+	// a, when non-nil, is fed every access; the rebalancer installs its
+	// epoch targets, and scenario churn vectors are ignored.
+	a *alloc.Allocator
+}
+
+func newEngineTarget(o options) (*engineTarget, error) {
+	t := &engineTarget{o: o, lines: synthLines, parts: synthParts}
+	ways := synthWays
+	var targets []int
+	if o.scenario != "" {
+		ls, err := scenario.LoadSpec(o.scenario)
+		if err != nil {
+			return nil, err
+		}
+		if t.comp, err = scenario.Compile(ls.Spec, ls.Dir); err != nil {
+			return nil, err
+		}
+		t.lines, ways, t.parts = ls.Spec.Cache.Lines, ls.Spec.Cache.Ways, t.comp.Parts()
+		targets = t.comp.Targets(t.lines, t.comp.InitialLive())
+		t.desc = fmt.Sprintf("scenario %s (%d clients), ", ls.Spec.Name, len(t.comp.Clients))
+	} else {
+		// Targets proportional to partition index+1, summing exactly to
+		// capacity, so the report has distinct per-partition setpoints.
+		weights := make([]float64, t.parts)
+		for p := range weights {
+			weights[p] = float64(p + 1)
+		}
+		targets = make([]int, t.parts)
+		alloc.Apportion(t.lines, weights, targets, make([]float64, t.parts))
+	}
+	var src shardcache.TargetSource
+	if o.alloc != "" {
+		// Scenario runs take the spec's allocator configuration (objective,
+		// floors, epoch length); synthetic runs the package defaults.
+		var cfg alloc.Config
+		var err error
+		if t.comp != nil {
+			cfg, err = t.comp.AllocConfig(o.alloc)
+		} else {
+			cfg = alloc.Config{Parts: t.parts, Lines: t.lines, Initial: append([]int(nil), targets...), Seed: o.seed}
+			cfg.Objective, err = alloc.ByName(o.alloc)
+		}
+		if err != nil {
+			return nil, err
+		}
+		t.a = alloc.New(cfg)
+		src = t.a
+	}
+	t.desc += fmt.Sprintf("engine %d lines / %d ways / %d shards × %d stripes, %d partitions, batch %d",
+		t.lines, ways, o.shards, o.stripes, t.parts, o.batch)
+	t.e = shardcache.New(shardcache.Config{
+		Lines:   t.lines,
+		Ways:    ways,
+		Shards:  o.shards,
+		Stripes: o.stripes,
+		Parts:   t.parts,
+		Ranking: futility.CoarseLRU,
+		Seed:    o.seed,
+	})
+	t.e.SetTargets(targets)
+	t.rb = t.e.StartRebalancerSource(rebalanceEvery, src)
+	return t, nil
+}
+
+func (t *engineTarget) describe() string { return t.desc }
+
+// latCap resolves quantiles to ~195ns; an access slower than 100µs lands in
+// the top bucket.
+func (t *engineTarget) latCap() time.Duration { return 100 * time.Microsecond }
+
+func (t *engineTarget) worker(i int, _ *atomic.Bool) step {
+	next := t.feed(i)
+	if t.o.batch == 1 {
+		return func() (int, time.Duration, bool) {
+			addr, part := next()
+			t0 := time.Now()
+			t.e.Access(addr, part)
+			lat := time.Since(t0)
+			if t.a != nil {
+				t.a.Observe(part, addr)
+			}
+			return 1, lat, true
+		}
+	}
+	b := t.e.NewBatch()
+	reqs := make([]shardcache.Access, t.o.batch)
+	results := make([]core.AccessResult, t.o.batch)
+	return func() (int, time.Duration, bool) {
+		for j := range reqs {
+			reqs[j].Addr, reqs[j].Part = next()
+		}
+		t0 := time.Now()
+		b.Access(reqs, results)
+		// Amortized per-access latency: the whole flush divided by its size,
+		// recorded once per request, comparable with the unbatched path.
+		lat := time.Since(t0) / time.Duration(len(reqs))
+		if t.a != nil {
+			for _, r := range reqs {
+				t.a.Observe(r.Part, r.Addr)
+			}
+		}
+		return len(reqs), lat, true
+	}
+}
+
+// feed returns worker i's address source. Synthetic workers draw a zipf rank
+// over a uniformly chosen partition. Scenario workers run their own reseeded
+// interleaving of the compiled stream, cycled for the whole run; worker 0
+// also applies tenant-churn target vectors to the live engine as its stream
+// reaches them (other workers skip churn ops, so the target vector has one
+// writer besides the rebalancer), unless the allocator owns the targets.
+func (t *engineTarget) feed(i int) func() (uint64, int) {
+	if t.comp == nil {
+		rng := xrand.New(xrand.Mix64(t.o.seed^0xf10ad) ^ xrand.Mix64(uint64(i+1)))
+		zipf := xrand.NewZipf(rng, 0.9, 4*t.lines)
+		return func() (uint64, int) {
+			part := rng.Intn(t.parts)
+			// Mix64-finalized structured keys; see shardcache.BuildSchedule
+			// on H3 null spaces for why raw low-entropy keys are unsafe.
+			return xrand.Mix64(uint64(part+1)<<24 + uint64(zipf.Next())), part
+		}
+	}
+	seed := func(epoch uint64) uint64 {
+		return xrand.Mix64(t.comp.Spec.Seed ^ uint64(i+1)*0x9e3779b97f4a7c15 ^ epoch*0xbf58476d1ce4e5b9)
+	}
+	epoch := uint64(0)
+	st := t.comp.NewStreamSeeded(t.lines, seed(0))
+	var op scenario.Op
+	return func() (uint64, int) {
+		for {
+			if !st.Next(&op) {
+				epoch++
+				st = t.comp.NewStreamSeeded(t.lines, seed(epoch))
+				continue
+			}
+			if op.Kind == scenario.OpChurn {
+				if i == 0 && t.a == nil {
+					t.e.SetTargets(op.Targets)
+				}
+				continue
+			}
+			// Mix64-finalize the structured scenario address (a bijection,
+			// so client address spaces stay disjoint).
+			return xrand.Mix64(op.Access.Addr), op.Part
+		}
+	}
+}
+
+func (t *engineTarget) finish(ops uint64) ([]partRow, []string, error) {
+	t.rb.Stop()
+	if err := t.e.CheckInvariants(); err != nil {
+		return nil, nil, fmt.Errorf("engine invariants violated after run: %v", err)
+	}
+	snap := t.e.Snapshot()
+	sizes := t.e.PartSizes(nil)
+	rows := make([]partRow, t.parts)
+	for p := range rows {
+		ps := &snap.Parts[p]
+		aef := "-" // no measured eviction: Mean() would print 0, outside (0, 1]
+		if ps.EvictFutility.N() > 0 {
+			aef = strconv.FormatFloat(ps.AEF(), 'f', 4, 64)
+		}
+		rows[p] = partRow{
+			target:  ps.Target,
+			size:    sizes[p],
+			meanOcc: t.e.MeanOccupancy(p),
+			miss:    ps.MissRate(),
+			note:    fmt.Sprintf("aef %s over %d measured", aef, ps.EvictFutility.N()),
+		}
+	}
+	notes := []string{fmt.Sprintf("engine: %d accesses, %d rebalances", snap.Accesses, t.rb.Rebalances())}
+	if t.a != nil {
+		notes = append(notes, t.allocNotes()...)
+	}
+	if snap.Accesses != ops {
+		return rows, notes, fmt.Errorf("accounting: engine recorded %d accesses, workers issued %d", snap.Accesses, ops)
+	}
+	return rows, notes, nil
+}
+
+// allocNotes summarizes the allocator's run and its last decisions.
+func (t *engineTarget) allocNotes() []string {
+	log, _ := t.a.Log()
+	reallocs, drifts := 0, 0
+	for _, d := range log {
+		if d.Changed {
+			reallocs++
+		}
+		if d.Drift {
+			drifts++
+		}
+	}
+	notes := []string{fmt.Sprintf("alloc %s: %d epochs, %d reallocations, %d drift epochs, %d installs; last decisions (drift *, changed !):",
+		t.o.alloc, t.a.Epoch(), reallocs, drifts, t.rb.Installs())}
+	for _, d := range log[max(0, len(log)-8):] {
+		mark, ch := " ", " "
+		if d.Drift {
+			mark = "*"
+		}
+		if d.Changed {
+			ch = "!"
+		}
+		notes = append(notes, fmt.Sprintf(" %s%s e%-4d @%-10d div %.3f miss %.4f  %v",
+			mark, ch, d.Epoch, d.Access, d.Divergence, d.MissRatio, d.Targets))
+	}
+	return notes
+}

@@ -76,9 +76,6 @@ func (v *Vantage) SetTargets(targets []int) {
 	copy(v.targets, targets)
 }
 
-// UnmanagedPart returns the unmanaged pseudo-partition index.
-func (v *Vantage) UnmanagedPart() int { return v.unmanagedPart }
-
 // aperture returns A_p for a managed partition.
 func (v *Vantage) aperture(part int) float64 {
 	t := v.targets[part]

@@ -34,10 +34,10 @@ type Config struct {
 	// TrackDeviation enables per-eviction sampling of each partition's
 	// deviation from target (Fig. 5); costs O(parts) per eviction.
 	TrackDeviation bool
-	// HistBuckets sets the eviction-futility histogram resolution
-	// (default 64).
-	HistBuckets int
 }
+
+// histBuckets is the eviction-futility histogram resolution.
+const histBuckets = 64
 
 // PartStats aggregates per-partition measurements.
 type PartStats struct {
@@ -94,14 +94,13 @@ var noLine = lineMeta{part: -1, owner: -1}
 // concurrent engine out of single-threaded Caches by giving each shard its
 // own Cache and mutex, never by sharing one Cache across goroutines.
 type Cache struct {
-	array       cachearray.Array
-	ranker      futility.Ranker
-	ref         futility.Ranker // == ranker when no separate reference; nil when unmeasured
-	sameRef     bool
-	scheme      Scheme
-	parts       int
-	devTrack    bool
-	histBuckets int // eviction-futility histogram width, for ResetStats
+	array    cachearray.Array
+	ranker   futility.Ranker
+	ref      futility.Ranker // == ranker when no separate reference; nil when unmeasured
+	sameRef  bool
+	scheme   Scheme
+	parts    int
+	devTrack bool
 
 	meta []lineMeta // indexed by line; noLine for an invalid line
 
@@ -177,24 +176,19 @@ func New(cfg Config) *Cache {
 	if cfg.Parts > math.MaxInt16 {
 		panic("core: Parts exceeds the 16-bit per-line partition id")
 	}
-	hb := cfg.HistBuckets
-	if hb == 0 {
-		hb = 64
-	}
 	c := &Cache{
-		array:       cfg.Array,
-		ranker:      cfg.Ranker,
-		ref:         cfg.Reference,
-		scheme:      cfg.Scheme,
-		parts:       cfg.Parts,
-		devTrack:    cfg.TrackDeviation,
-		histBuckets: hb,
-		meta:        make([]lineMeta, cfg.Array.Lines()),
-		sizes:       make([]int, cfg.Parts),
-		owned:       make([]int, cfg.Parts),
-		targets:     make([]int, cfg.Parts),
-		pstats:      make([]PartStats, cfg.Parts),
-		partBest:    make([]int32, cfg.Parts),
+		array:    cfg.Array,
+		ranker:   cfg.Ranker,
+		ref:      cfg.Reference,
+		scheme:   cfg.Scheme,
+		parts:    cfg.Parts,
+		devTrack: cfg.TrackDeviation,
+		meta:     make([]lineMeta, cfg.Array.Lines()),
+		sizes:    make([]int, cfg.Parts),
+		owned:    make([]int, cfg.Parts),
+		targets:  make([]int, cfg.Parts),
+		pstats:   make([]PartStats, cfg.Parts),
+		partBest: make([]int32, cfg.Parts),
 	}
 	if cfg.Unmeasured && cfg.Reference != nil {
 		panic("core: Unmeasured excludes a Reference")
@@ -207,7 +201,7 @@ func New(cfg Config) *Cache {
 		c.meta[i] = noLine
 	}
 	for i := range c.pstats {
-		c.pstats[i].EvictFutility = stats.NewHistogram(hb)
+		c.pstats[i].EvictFutility = stats.NewHistogram(histBuckets)
 		c.pstats[i].Deviation = stats.NewIntDist()
 	}
 	c.freer, _ = cfg.Array.(cachearray.Freer)
@@ -280,7 +274,7 @@ func (c *Cache) MeanOccupancy(part int) float64 {
 func (c *Cache) ResetStats() {
 	for i := range c.pstats {
 		c.pstats[i] = PartStats{
-			EvictFutility: stats.NewHistogram(c.histBuckets),
+			EvictFutility: stats.NewHistogram(histBuckets),
 			Deviation:     stats.NewIntDist(),
 		}
 	}

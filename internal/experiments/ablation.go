@@ -85,12 +85,11 @@ func (r AblationFSResult) Print(w io.Writer) {
 
 // AblationRRow is one candidate-count sample.
 type AblationRRow struct {
-	R      int
-	PFAEF  float64
-	FSAEF  float64
-	PFOcc  float64
-	FSOcc  float64
-	PFFail bool // R=1 cannot enforce partitioning at all
+	R     int
+	PFAEF float64
+	FSAEF float64
+	PFOcc float64
+	FSOcc float64
 }
 
 // AblationRResult is the A2 sweep.

@@ -45,9 +45,6 @@ type Benchmark struct {
 	// ZeroAlloc marks benchmarks bound by the steady-state zero-allocation
 	// contract.
 	ZeroAlloc bool
-	// Macro marks whole-experiment benchmarks (skipped by fsbench -quick
-	// unless -macro is set).
-	Macro bool
 	// Parallel marks b.RunParallel bodies whose throughput depends on
 	// GOMAXPROCS: fsbench sweeps them across -procs settings and records one
 	// result row per setting.

@@ -55,8 +55,6 @@ type Config struct {
 	// ReadTimeout bounds how long the server waits for a complete frame
 	// (idle time and slow-loris partial frames both count). Default 60s.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds one response batch write. Default 10s.
-	WriteTimeout time.Duration
 	// Rebalance is the engine target-redistribution cadence; 0 disables
 	// the background rebalancer.
 	Rebalance time.Duration
@@ -97,9 +95,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = 60 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
 	}
 	if c.StoreShards <= 0 {
 		c.StoreShards = 16
@@ -334,11 +329,13 @@ func (s *Server) removeConn(c *conn) {
 // outMaxResps keep a head response from waiting behind an unbounded burst.
 // freeRing sizes the writer-to-reader buffer ring, and a buffer that grew
 // past bufKeep for one large value is dropped instead of recycled.
+// writeTimeout bounds one batch write.
 const (
-	outMaxBytes = 32 << 10
-	outMaxResps = 64
-	freeRing    = 4
-	bufKeep     = 64 << 10
+	outMaxBytes  = 32 << 10
+	outMaxResps  = 64
+	freeRing     = 4
+	bufKeep      = 64 << 10
+	writeTimeout = 10 * time.Second
 )
 
 // outBatch is one queue item and one socket write: n encoded responses.
@@ -481,7 +478,7 @@ func (c *conn) writeLoop() {
 	dead := false
 	for b := range c.writeQ {
 		if !dead {
-			_ = c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
+			_ = c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 			if _, err := c.nc.Write(b.buf); err != nil {
 				dead = true
 			}

@@ -135,7 +135,7 @@ func TestRebalancer(t *testing.T) {
 	cfg.Stripes = 4
 	e := New(cfg)
 	e.SetTargets(testTargets())
-	r := e.StartRebalancer(time.Millisecond)
+	r := e.StartRebalancerSource(time.Millisecond, nil)
 	work := buildBatchWorkload(testSeed^0x4eba, 4096, cfg.Parts)
 	//fslint:ignore determinism rebalancer test: the applier is wall-clock driven by design, so waiting for its first pass needs a wall-clock timeout
 	deadline := time.Now().Add(2 * time.Second)
@@ -166,8 +166,8 @@ func TestStartRebalancerRejectsBadInterval(t *testing.T) {
 	e := New(testConfig(4))
 	defer func() {
 		if recover() == nil {
-			t.Fatal("StartRebalancer(0) did not panic")
+			t.Fatal("StartRebalancerSource(0, nil) did not panic")
 		}
 	}()
-	e.StartRebalancer(0)
+	e.StartRebalancerSource(0, nil)
 }

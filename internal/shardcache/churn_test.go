@@ -108,7 +108,7 @@ func TestScenarioTenantChurn(t *testing.T) {
 			}
 		}(w)
 	}
-	rb := e.StartRebalancer(200 * time.Microsecond)
+	rb := e.StartRebalancerSource(200*time.Microsecond, nil)
 
 	// Foreground: the base stream drives churn. Every churn event must
 	// leave the engine internally consistent while traffic keeps flowing.

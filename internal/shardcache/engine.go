@@ -75,14 +75,9 @@ type Config struct {
 	// (futility.Reference(k) != k) measures AEF against a separate exact
 	// reference ranker on one stripe in measureEvery; exact kinds on all.
 	Ranking futility.Kind
-	// Feedback parameterizes each stripe's FS feedback controller.
-	Feedback core.FSFeedbackConfig
 	// Seed roots the engine's one hash function and its rankers; equal seeds
 	// build byte-identical engines.
 	Seed uint64
-	// HistBuckets sets the eviction-futility histogram resolution
-	// (default 64, matching core).
-	HistBuckets int
 }
 
 // stripe is one independently locked domain: a single-threaded core.Cache
@@ -205,9 +200,8 @@ func newEngine(cfg Config, isMeasured func(g int) bool) *Engine {
 			Array: arr,
 			Ranker: futility.New(cfg.Ranking, perStripeLines, cfg.Parts,
 				xrand.Mix64(cfg.Seed^0x5a5a0000^uint64(g))),
-			Scheme:      core.NewFSFeedback(cfg.Parts, cfg.Feedback),
-			Parts:       cfg.Parts,
-			HistBuckets: cfg.HistBuckets,
+			Scheme: core.NewFSFeedback(cfg.Parts, core.FSFeedbackConfig{}),
+			Parts:  cfg.Parts,
 		}
 		switch rk := futility.Reference(cfg.Ranking); {
 		case rk == cfg.Ranking:

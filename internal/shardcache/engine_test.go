@@ -47,7 +47,7 @@ func monolithic(cfg Config) *core.Cache {
 		Array:     arr,
 		Ranker:    ranker,
 		Reference: ref,
-		Scheme:    core.NewFSFeedback(cfg.Parts, cfg.Feedback),
+		Scheme:    core.NewFSFeedback(cfg.Parts, core.FSFeedbackConfig{}),
 		Parts:     cfg.Parts,
 	})
 }

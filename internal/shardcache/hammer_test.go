@@ -78,7 +78,7 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 
 	// Background redistribution at an aggressive cadence.
-	rb := e.StartRebalancer(200 * time.Microsecond)
+	rb := e.StartRebalancerSource(200*time.Microsecond, nil)
 	// Tenant churn: the target vector flips between two apportionments
 	// while accessors run, exercising tmu against every stripe's demand
 	// accounting without ever co-holding the two (the //fs:lockorder

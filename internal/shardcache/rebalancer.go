@@ -40,16 +40,11 @@ type TargetSource interface {
 	PollTargets() ([]int, bool)
 }
 
-// StartRebalancer launches a background goroutine that calls e.Rebalance
-// every interval until Stop. interval must be positive.
-func (e *Engine) StartRebalancer(interval time.Duration) *Rebalancer {
-	return e.StartRebalancerSource(interval, nil)
-}
-
-// StartRebalancerSource is StartRebalancer with an optional target source:
-// each tick first installs freshly polled targets (if any), then runs the
-// demand-weighted redistribution pass on whatever targets are in force. A
-// nil src degenerates to the plain rebalancer.
+// StartRebalancerSource launches a background goroutine that calls
+// e.Rebalance every interval until Stop; interval must be positive. With a
+// non-nil src each tick first installs freshly polled targets (if any), then
+// runs the demand-weighted redistribution pass on whatever targets are in
+// force.
 func (e *Engine) StartRebalancerSource(interval time.Duration, src TargetSource) *Rebalancer {
 	if interval <= 0 {
 		panic("shardcache: Rebalancer interval must be positive")

@@ -28,21 +28,3 @@ func FeqEps(a, b, eps float64) bool {
 // (futilities in [0,1], miss ratios, IPCs): comfortably above accumulated
 // rounding noise, far below any physically meaningful difference.
 func Feq(a, b float64) bool { return FeqEps(a, b, 1e-9) }
-
-// FeqULP reports whether a and b are within ulps representable float64
-// values of each other. 0 ULPs is exact equality (with −0 == +0); a few
-// ULPs absorbs one short arithmetic sequence's rounding. NaN equals
-// nothing, and values of opposite sign are equal only if both are zero.
-func FeqULP(a, b float64, ulps uint64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return false
-	}
-	if math.Signbit(a) != math.Signbit(b) {
-		return a == b //fslint:ignore floateq exact: only +0 == -0 crosses the sign boundary
-	}
-	ua, ub := math.Float64bits(a), math.Float64bits(b)
-	if ua > ub {
-		ua, ub = ub, ua
-	}
-	return ub-ua <= ulps
-}

@@ -221,11 +221,11 @@ func (d *IntDist) Quantile(q float64) int {
 	return values[len(values)-1]
 }
 
-// Running accumulates streaming scalar samples with Welford's algorithm.
+// Running accumulates streaming scalar samples: a running mean and the
+// extremes.
 type Running struct {
 	n    uint64
 	mean float64
-	m2   float64
 	min  float64
 	max  float64
 }
@@ -243,9 +243,7 @@ func (r *Running) Add(x float64) {
 			r.max = x
 		}
 	}
-	delta := x - r.mean
-	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
+	r.mean += (x - r.mean) / float64(r.n)
 }
 
 // N returns the sample count.
@@ -254,70 +252,11 @@ func (r *Running) N() uint64 { return r.n }
 // Mean returns the sample mean.
 func (r *Running) Mean() float64 { return r.mean }
 
-// Var returns the (population) variance.
-func (r *Running) Var() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// Stddev returns the population standard deviation.
-func (r *Running) Stddev() float64 { return math.Sqrt(r.Var()) }
-
 // Min returns the smallest sample (0 if empty).
 func (r *Running) Min() float64 { return r.min }
 
 // Max returns the largest sample (0 if empty).
 func (r *Running) Max() float64 { return r.max }
-
-// WeightedSpeedup returns sum(ipc_i / base_i): the standard multiprogrammed
-// throughput metric. Slices must have equal nonzero length and positive
-// baselines.
-func WeightedSpeedup(ipc, base []float64) float64 {
-	if len(ipc) != len(base) || len(ipc) == 0 {
-		panic("stats: WeightedSpeedup needs equal-length nonempty slices")
-	}
-	s := 0.0
-	for i := range ipc {
-		if base[i] <= 0 {
-			panic("stats: WeightedSpeedup baseline must be positive")
-		}
-		s += ipc[i] / base[i]
-	}
-	return s
-}
-
-// HarmonicMean returns the harmonic mean of positive values (fair-speedup
-// style metric). Panics on empty input or non-positive values.
-func HarmonicMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: HarmonicMean of empty slice")
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: HarmonicMean needs positive values")
-		}
-		s += 1 / x
-	}
-	return float64(len(xs)) / s
-}
-
-// GeoMean returns the geometric mean of positive values.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: GeoMean of empty slice")
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeoMean needs positive values")
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
 
 // Mean returns the arithmetic mean (0 for empty input).
 func Mean(xs []float64) float64 {

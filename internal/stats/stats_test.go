@@ -354,28 +354,12 @@ func TestRunning(t *testing.T) {
 	if !almost(r.Mean(), 5, 1e-12) {
 		t.Fatalf("Mean = %v", r.Mean())
 	}
-	if !almost(r.Stddev(), 2, 1e-12) {
-		t.Fatalf("Stddev = %v", r.Stddev())
-	}
 	if r.Min() != 2 || r.Max() != 9 {
 		t.Fatalf("Min/Max = %v/%v", r.Min(), r.Max())
 	}
 }
 
-func TestWeightedSpeedup(t *testing.T) {
-	ws := WeightedSpeedup([]float64{1, 2}, []float64{2, 2})
-	if !almost(ws, 1.5, 1e-12) {
-		t.Fatalf("WeightedSpeedup = %v", ws)
-	}
-}
-
 func TestMeans(t *testing.T) {
-	if !almost(HarmonicMean([]float64{1, 2}), 4.0/3, 1e-12) {
-		t.Fatal("HarmonicMean wrong")
-	}
-	if !almost(GeoMean([]float64{1, 4}), 2, 1e-12) {
-		t.Fatal("GeoMean wrong")
-	}
 	if !almost(Mean([]float64{1, 2, 3}), 2, 1e-12) {
 		t.Fatal("Mean wrong")
 	}
@@ -387,12 +371,6 @@ func TestMeans(t *testing.T) {
 func TestPanicsOnBadInput(t *testing.T) {
 	cases := []func(){
 		func() { NewHistogram(0) },
-		func() { WeightedSpeedup([]float64{1}, []float64{1, 2}) },
-		func() { WeightedSpeedup([]float64{1}, []float64{0}) },
-		func() { HarmonicMean(nil) },
-		func() { HarmonicMean([]float64{0}) },
-		func() { GeoMean(nil) },
-		func() { GeoMean([]float64{-1}) },
 	}
 	for i, fn := range cases {
 		func() {
