@@ -20,9 +20,9 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# vet + gofmt + the full fslint suite (allocfree with its escape-analysis
-# cross-check, lockcheck, staleignore, determinism, floateq, hotpath,
-# panicstyle, tswrap). `go run ./cmd/fslint -list` describes each analyzer.
+# vet + gofmt + fslint's four analyzers (allocfree with its escape-analysis
+# cross-check, determinism, lockcheck, style) and its suppression checks.
+# `go run ./cmd/fslint -list` describes each analyzer.
 lint:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -1,44 +1,37 @@
 // Command fslint runs the repository's custom static analyzers over Go
 // packages, in the spirit of a go/analysis multichecker. It enforces the
-// simulator's determinism, numeric-safety, and concurrency contracts:
+// simulator's determinism, allocation, concurrency and style contracts:
 //
 //	allocfree    //fs:allocfree functions (and everything they reach) must
-//	             not heap-allocate; cross-checked against the compiler's
-//	             own escape analysis (-gcflags=-m)
+//	             not heap-allocate or format inline inside panic();
+//	             cross-checked against the compiler's own escape analysis
+//	             (-gcflags=-m)
 //	determinism  no math/rand, wall-clock reads or order-sensitive map
 //	             iteration in simulation packages
-//	floateq      no ==/!= between floating-point expressions
-//	hotpath      no inline fmt formatting inside panic() in simulation
-//	             packages (use a cold *panic* helper)
 //	lockcheck    //fs:guardedby fields accessed only under their mutex,
 //	             //fs:lockorder acquisition order respected
-//	panicstyle   panic messages must carry the "pkg: " prefix
-//	staleignore  //fslint:ignore comments that suppress nothing are
-//	             themselves findings
-//	tswrap       no raw arithmetic on 8-bit wrapping timestamp fields
+//	style        floateq: no ==/!= between floating-point expressions;
+//	             panicstyle: panic messages carry the "pkg: " prefix;
+//	             tswrap: no raw arithmetic on 8-bit wrapping timestamps
 //
 // Usage:
 //
 //	go run ./cmd/fslint ./...
-//	go run ./cmd/fslint -analyzers floateq,tswrap ./internal/futility
-//	go run ./cmd/fslint -json ./... | jq .
+//	go run ./cmd/fslint ./internal/futility
+//	go run ./cmd/fslint -list
 //
-// fslint exits 0 when the tree is clean and 1 when it has findings, so it
-// can gate CI. The default text output is one finding per line in
-// file:line:col form (matched by .github/fslint-problem-matcher.json so
-// findings annotate pull requests); -json emits the same findings as a
-// JSON array for tooling. Individual findings are suppressed in source
-// with
+// fslint exits 0 when the tree is clean, 1 when it has findings and 2 on a
+// usage or load error, so it can gate CI. Output is one finding per line in
+// file:line:col: message (analyzer) form, matched by
+// .github/fslint-problem-matcher.json so findings annotate pull requests.
+// Individual findings are suppressed in source with
 //
 //	//fslint:ignore <analyzer>[,<analyzer>] <reason>
 //
-// on the offending line or the line above it. Comments naming analyzers
-// that are not registered here, and comments that no longer suppress
-// anything, are reported rather than silently ignored.
-//
-// -escape=false skips the allocfree escape-analysis cross-check (it
-// shells out to `go build` per annotated package, which needs a warm
-// build cache to be fast).
+// at the end of the offending line, or on a line of its own directly above
+// it. The runner itself reports, under the name "fslint", a suppression
+// naming an unknown analyzer, a suppression name that absorbed nothing, and
+// a malformed //fs: annotation.
 //
 // The framework under internal/lint/analysis is a dependency-free mirror of
 // golang.org/x/tools/go/analysis (this module deliberately has no
@@ -47,9 +40,10 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,151 +51,69 @@ import (
 	"fscache/internal/lint/allocfree"
 	"fscache/internal/lint/analysis"
 	"fscache/internal/lint/determinism"
-	"fscache/internal/lint/floateq"
-	"fscache/internal/lint/hotpath"
 	"fscache/internal/lint/lockcheck"
-	"fscache/internal/lint/panicstyle"
-	"fscache/internal/lint/staleignore"
-	"fscache/internal/lint/tswrap"
+	"fscache/internal/lint/style"
 )
 
-// registry builds the full analyzer set. allocfree is constructed per run
-// because the -escape flag decides whether it shells out to the compiler.
-func registry(escape bool) []*analysis.Analyzer {
-	opts := allocfree.Options{}
-	if escape {
-		opts.Escape = allocfree.GoBuildEscape
-	}
-	return []*analysis.Analyzer{
-		allocfree.New(opts),
-		determinism.Analyzer,
-		floateq.Analyzer,
-		hotpath.Analyzer,
-		lockcheck.New(),
-		panicstyle.Analyzer,
-		staleignore.New(),
-		tswrap.Analyzer,
-	}
-}
-
-// jsonFinding is the -json wire form of one finding.
-type jsonFinding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
+var analyzers = []*analysis.Analyzer{
+	allocfree.New(allocfree.Options{Escape: allocfree.GoBuildEscape}),
+	determinism.Analyzer,
+	lockcheck.New(),
+	style.Analyzer,
 }
 
 func main() {
-	list := flag.Bool("list", false, "list registered analyzers and exit")
-	names := flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	escape := flag.Bool("escape", true, "cross-check allocfree against go build -gcflags=-m")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: fslint [-list] [-analyzers a,b] [-json] [-escape=false] [packages]\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	all := registry(*escape)
+// run lints the packages args name and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fslint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list the analyzers and exit")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: fslint [-list] [packages]")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
-		for _, a := range all {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+		for _, a := range analyzers {
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 
-	active, err := selectAnalyzers(all, *names)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fslint:", err)
-		os.Exit(2)
-	}
-
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
 	units, err := analysis.Load(".", patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fslint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "fslint:", err)
+		return 2
 	}
-	// The full registry stays Known even when -analyzers selects a
-	// subset: a suppression naming a deselected analyzer is well-formed.
-	known := make([]string, 0, len(all))
-	for _, a := range all {
-		known = append(known, a.Name)
-	}
-	findings, err := analysis.RunOpts(units, active, analysis.Options{Known: known})
+	findings, err := analysis.Run(units, analyzers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fslint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "fslint:", err)
+		return 2
 	}
 
 	cwd, _ := os.Getwd()
-	relativize := func(name string) string {
-		if cwd != "" {
-			if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
-				return rel
-			}
+	for _, f := range findings {
+		if rel, err := filepath.Rel(cwd, f.Pos.Filename); cwd != "" && err == nil && !strings.HasPrefix(rel, "..") {
+			f.Pos.Filename = rel
 		}
-		return name
-	}
-
-	if *asJSON {
-		out := make([]jsonFinding, 0, len(findings))
-		for _, f := range findings {
-			out = append(out, jsonFinding{
-				Analyzer: f.Analyzer,
-				File:     relativize(f.Pos.Filename),
-				Line:     f.Pos.Line,
-				Column:   f.Pos.Column,
-				Message:  f.Message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "fslint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			f.Pos.Filename = relativize(f.Pos.Filename)
-			fmt.Println(f)
-		}
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "fslint: %d finding(s)\n", len(findings))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "fslint: %d finding(s)\n", len(findings))
+		return 1
 	}
-}
-
-func selectAnalyzers(all []*analysis.Analyzer, names string) ([]*analysis.Analyzer, error) {
-	if names == "" {
-		return all, nil
-	}
-	byName := map[string]*analysis.Analyzer{}
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var active []*analysis.Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q", n)
-		}
-		active = append(active, a)
-	}
-	if len(active) == 0 {
-		return nil, fmt.Errorf("no analyzers selected")
-	}
-	return active, nil
+	return 0
 }

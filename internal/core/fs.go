@@ -119,10 +119,10 @@ func (c *FSFeedbackConfig) setDefaults() {
 	if c.Interval == 0 {
 		c.Interval = 16
 	}
-	if c.Delta == 0 { //fslint:ignore floateq zero is the "unset" sentinel, never a computed value
+	if c.Delta == 0 { //fslint:ignore style zero is the "unset" sentinel, never a computed value
 		c.Delta = 2
 	}
-	if c.AlphaMax == 0 { //fslint:ignore floateq zero is the "unset" sentinel, never a computed value
+	if c.AlphaMax == 0 { //fslint:ignore style zero is the "unset" sentinel, never a computed value
 		c.AlphaMax = 128
 	}
 	if c.Interval < 1 || c.Delta <= 1 || c.AlphaMax < 1 {

@@ -91,7 +91,7 @@ func (c *CoarseTS) Name() string { return "coarse-lru" }
 // 8-bit subtraction the hardware performs (§V-A). The timestamp clock
 // wraps by design, so ordinary <, > or − on timestamp tags is wrong once
 // the clock laps a stale line; every distance computation must go through
-// this helper (enforced by the fslint tswrap analyzer).
+// this helper (enforced by the tswrap rule of fslint's style analyzer).
 //
 //fslint:wrapsafe
 func tsDist(cur, tag uint8) uint8 { return cur - tag }

@@ -19,10 +19,12 @@
 //     reaches a steady state where inserts reuse deleted slots; Go map
 //     writes amortize to zero allocations there, and the perfbench
 //     0-alloc gate observes exactly that.
-//   - Functions whose name contains "panic" are skipped, matching the
-//     hotpath analyzer's convention for cold //go:noinline guard helpers,
-//     and arguments of panic(...) calls are not checked: a panicking
-//     path's allocations are irrelevant.
+//   - Calls to functions whose name contains "panic" are not followed:
+//     they are cold //go:noinline guard helpers, and a panicking path's
+//     allocations are irrelevant. For the same reason the arguments of
+//     panic(...) are not checked, except that an inline fmt formatting
+//     call there is reported: it still puts an allocation site in the
+//     verified body, so the formatting belongs in a cold *panic* helper.
 //
 // When built with an escape oracle (Options.Escape, wired to
 // `go build -gcflags=-m` by cmd/fslint), the analyzer cross-checks its
@@ -398,10 +400,37 @@ func (s *scanner) onlyCalled(obj types.Object) bool {
 
 // ---- construct checks ----
 
-// coldName matches the hotpath analyzer's convention for cold guard
-// helpers: any function whose name mentions panic is out of contract.
+// coldName matches the convention for cold guard helpers: any function
+// whose name mentions panic is out of contract.
 func coldName(name string) bool {
 	return strings.Contains(strings.ToLower(name), "panic")
+}
+
+// fmtFormatters are the calls an inline panic argument may not make.
+var fmtFormatters = map[string]bool{
+	"fmt.Sprintf":  true,
+	"fmt.Sprint":   true,
+	"fmt.Sprintln": true,
+	"fmt.Errorf":   true,
+}
+
+// checkPanicArg reports each fmt formatting call inside arg.
+func (s *scanner) checkPanicArg(arg ast.Expr) {
+	ast.Inspect(arg, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if fn, ok := s.info().Uses[sel.Sel].(*types.Func); ok && fmtFormatters[fn.FullName()] {
+			s.reportf(call.Pos(), false, "inline %s inside panic() allocates; move the formatting into a cold *panic* helper", fn.FullName())
+			return false
+		}
+		return true
+	})
 }
 
 // checkCall classifies one call. Returning false prunes the walk into the
@@ -427,7 +456,10 @@ func (s *scanner) checkCall(call *ast.CallExpr) bool {
 			case "new":
 				s.reportf(call.Pos(), true, "new allocates")
 			case "panic":
-				return false // cold path: arguments are exempt
+				if len(call.Args) == 1 {
+					s.checkPanicArg(call.Args[0])
+				}
+				return false // cold path: no other check of the arguments
 			}
 			return true
 		}

@@ -15,6 +15,12 @@ func TestConstructs(t *testing.T) {
 	analysistest.Run(t, "testdata", allocfree.New(allocfree.Options{}), "a")
 }
 
+// TestPanicFormatting: inline fmt formatting inside panic() is reported on
+// an //fs:allocfree path and nowhere else.
+func TestPanicFormatting(t *testing.T) {
+	analysistest.Run(t, "testdata", allocfree.New(allocfree.Options{}), "hp", "free")
+}
+
 func TestAnnotationDiagnostics(t *testing.T) {
 	analysistest.Run(t, "testdata", allocfree.New(allocfree.Options{}), "ann")
 }

@@ -38,14 +38,6 @@ type Analyzer struct {
 	// of loaded units, with the shared call graph and //fs: annotation
 	// index available. Module passes run after all unit passes.
 	RunModule func(*ModulePass) error
-
-	// AfterSuppression orders this module pass after every other pass
-	// and after suppression filtering has settled, and hands it the
-	// per-comment suppression usage record (ModulePass.Suppressions).
-	// Findings reported by AfterSuppression passes bypass
-	// //fslint:ignore filtering: they are meta-findings about the
-	// suppression comments themselves.
-	AfterSuppression bool
 }
 
 // Diagnostic is one finding at a position.
@@ -112,18 +104,6 @@ type ModulePass struct {
 	// Annotations is the parsed //fs: annotation index for the module.
 	Annotations *Annotations
 
-	// Active lists the names of every analyzer running in this
-	// invocation (plus the implicit "fslint" meta-analyzer). Only
-	// suppression comments whose names are all active can be judged
-	// stale.
-	Active []string
-
-	// Suppressions records each //fslint:ignore comment and which of
-	// its names actually absorbed a finding. It is populated only for
-	// AfterSuppression passes; earlier passes see nil because usage is
-	// still being accumulated while they run.
-	Suppressions []*SuppressionUse
-
 	// Report records one diagnostic.
 	Report func(Diagnostic)
 }
@@ -131,19 +111,4 @@ type ModulePass struct {
 // Reportf reports a formatted diagnostic at pos.
 func (p *ModulePass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// SuppressionUse describes one //fslint:ignore comment and its effect.
-type SuppressionUse struct {
-	// File and Line locate the comment itself.
-	File string
-	Line int
-	Pos  token.Pos
-
-	// Names are the analyzer names the comment lists.
-	Names []string
-
-	// Used records, per name, whether the comment absorbed at least one
-	// finding from that analyzer during this run.
-	Used map[string]bool
 }

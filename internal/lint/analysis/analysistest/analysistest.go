@@ -35,11 +35,10 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	RunAll(t, testdata, []*analysis.Analyzer{a}, pkgs...)
 }
 
-// RunAll is Run with several analyzers active at once, for module-level
-// analyzers that judge the combined outcome (staleignore needs the
-// analyzer a suppression names to be running before the suppression can
-// be judged stale). Expectations match findings from any of them,
-// including the runner's own "fslint" meta-findings.
+// RunAll is Run with several analyzers active at once, for fixtures whose
+// suppressions name more than one analyzer (the runner reports a name
+// that is not running as unknown). Expectations match findings from any
+// of them, including the runner's own "fslint" meta-findings.
 func RunAll(t *testing.T, testdata string, analyzers []*analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	for _, pkg := range pkgs {

@@ -443,11 +443,11 @@ func IsMutex(t types.Type) (rw bool, ok bool) {
 	return false, false
 }
 
-// OwnerOf resolves the named struct type that declares fieldName, starting
+// ownerOf resolves the named struct type that declares fieldName, starting
 // from the (possibly pointer) receiver type of a selector and following
 // embedded fields breadth-first. It returns nil if the field is not found
 // (e.g. the receiver is not a struct).
-func OwnerOf(t types.Type, fieldName string) *types.Named {
+func ownerOf(t types.Type, fieldName string) *types.Named {
 	type item struct{ t types.Type }
 	queue := []item{{t}}
 	seen := map[types.Type]bool{}
@@ -488,7 +488,7 @@ func FieldKeyOf(recv types.Type, field *types.Var) (string, bool) {
 	if field.Pkg() == nil {
 		return "", false
 	}
-	owner := OwnerOf(recv, field.Name())
+	owner := ownerOf(recv, field.Name())
 	if owner == nil {
 		return "", false
 	}

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"regexp"
-	"sort"
 )
 
 // CallGraph indexes every function and method declared in the loaded
@@ -52,16 +51,6 @@ func NewCallGraph(units []*Unit) *CallGraph {
 		}
 	}
 	return g
-}
-
-// Names returns all node names, sorted, for deterministic iteration.
-func (g *CallGraph) Names() []string {
-	names := make([]string, 0, len(g.Funcs))
-	for n := range g.Funcs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // CallKind classifies how a call site's target was resolved.

@@ -21,71 +21,54 @@ func (f Finding) String() string {
 }
 
 // MetaAnalyzer is the name under which the runner itself reports findings
-// about the lint apparatus: //fslint:ignore comments naming unknown
-// analyzers, and malformed //fs: annotations.
+// about the lint apparatus: //fslint:ignore comments naming an analyzer
+// that is not running, malformed //fs: annotations, and //fslint:ignore
+// names that suppressed nothing.
 const MetaAnalyzer = "fslint"
 
-// Options configures a Run.
-type Options struct {
-	// Known lists every analyzer name that may legally appear in an
-	// //fslint:ignore comment — normally the full registry, which can
-	// be wider than the analyzers actually running (fslint -analyzers
-	// selects a subset but a comment naming a deselected analyzer is
-	// still well-formed). Empty means: the running analyzers' names.
-	Known []string
-}
-
-// Run applies each analyzer to each unit with default options. See RunOpts.
-func Run(units []*Unit, analyzers []*Analyzer) ([]Finding, error) {
-	return RunOpts(units, analyzers, Options{})
-}
-
-// RunOpts applies the analyzers to the loaded units and returns the
-// surviving findings sorted by position. The sequence is:
+// Run applies the analyzers to the loaded units, which share one FileSet,
+// and returns the surviving findings sorted by position. The sequence is:
 //
-//  1. //fslint:ignore comments are indexed module-wide; comments naming
-//     an unknown analyzer are themselves reported (under "fslint").
+//  1. //fslint:ignore comments are indexed module-wide; a comment naming
+//     an analyzer that is not running is reported (under "fslint").
 //  2. Per-unit passes run (Analyzer.Run).
-//  3. If any analyzer has a module pass, the call graph and //fs:
-//     annotation index are built — malformed annotations are reported
-//     under "fslint" — and module passes run (Analyzer.RunModule).
-//  4. AfterSuppression module passes run last, with the accumulated
-//     suppression-usage record; their findings bypass //fslint:ignore
-//     filtering (they are findings about the suppressions themselves).
+//  3. The //fs: annotation index is built, malformed annotations are
+//     reported under "fslint", and module passes run (Analyzer.RunModule)
+//     over it and the call graph.
+//  4. Every name in an //fslint:ignore comment that absorbed no finding
+//     is reported under "fslint".
 //
-// All other findings are filtered through the suppression index, which
-// records which comments absorbed something.
-func RunOpts(units []*Unit, analyzers []*Analyzer, opts Options) ([]Finding, error) {
-	known := map[string]bool{MetaAnalyzer: true}
-	for _, name := range opts.Known {
-		known[name] = true
+// Findings from steps 1–3 are filtered through the suppression index,
+// which records which names absorbed something; step 4's findings are
+// about the suppressions themselves and are never filtered.
+func Run(units []*Unit, analyzers []*Analyzer) ([]Finding, error) {
+	if len(units) == 0 {
+		return nil, nil
 	}
-	if len(opts.Known) == 0 {
-		for _, a := range analyzers {
-			known[a.Name] = true
-		}
+	fset := units[0].Fset
+	known := map[string]bool{MetaAnalyzer: true}
+	for _, a := range analyzers {
+		known[a.Name] = true
 	}
 
-	supp := indexSuppressions(units)
+	supp := indexSuppressions(fset, units)
 
 	var findings []Finding
-	report := func(analyzer string, fset *token.FileSet, d Diagnostic, filter bool) {
+	report := func(analyzer string, d Diagnostic) {
 		pos := fset.Position(d.Pos)
-		if filter && supp.covers(analyzer, pos) {
-			return
+		if !supp.covers(analyzer, pos) {
+			findings = append(findings, Finding{Analyzer: analyzer, Pos: pos, Message: d.Message})
 		}
-		findings = append(findings, Finding{Analyzer: analyzer, Pos: pos, Message: d.Message})
 	}
 
-	// 1. Reject suppression comments naming unknown analyzers: a typo
-	// would otherwise suppress nothing and report nothing.
+	// 1. A typo'd name would otherwise suppress nothing and report nothing.
 	for _, s := range supp.records {
-		for _, name := range s.Names {
+		for _, name := range s.names {
 			if !known[name] {
-				report(MetaAnalyzer, s.fset, Diagnostic{
-					Pos:     s.Pos,
+				report(MetaAnalyzer, Diagnostic{
+					Pos:     s.pos,
 					Message: fmt.Sprintf("//fslint:ignore names unknown analyzer %q", name),
-				}, true)
+				})
 			}
 		}
 	}
@@ -96,73 +79,65 @@ func RunOpts(units []*Unit, analyzers []*Analyzer, opts Options) ([]Finding, err
 			if a.Run == nil {
 				continue
 			}
+			name := a.Name
 			pass := &Pass{
 				Analyzer:   a,
-				Fset:       u.Fset,
+				Fset:       fset,
 				Files:      u.Files,
 				OtherFiles: u.OtherFiles,
 				PkgPath:    u.PkgPath,
 				Pkg:        u.Pkg,
 				TypesInfo:  u.Info,
+				Report:     func(d Diagnostic) { report(name, d) },
 			}
-			name := a.Name
-			pass.Report = func(d Diagnostic) { report(name, u.Fset, d, true) }
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %v", a.Name, u.PkgPath, err)
 			}
 		}
 	}
 
-	// 3. Module passes.
-	var modular, late []*Analyzer
+	// 3. Annotations and module passes.
+	ann := ParseAnnotations(units)
+	for _, d := range ann.Diags {
+		report(MetaAnalyzer, d)
+	}
+	graph := NewCallGraph(units)
 	for _, a := range analyzers {
-		switch {
-		case a.RunModule == nil:
-		case a.AfterSuppression:
-			late = append(late, a)
-		default:
-			modular = append(modular, a)
+		if a.RunModule == nil {
+			continue
+		}
+		name := a.Name
+		mp := &ModulePass{
+			Analyzer:    a,
+			Fset:        fset,
+			Units:       units,
+			CallGraph:   graph,
+			Annotations: ann,
+			Report:      func(d Diagnostic) { report(name, d) },
+		}
+		if err := a.RunModule(mp); err != nil {
+			return nil, fmt.Errorf("%s: %v", a.Name, err)
 		}
 	}
-	if len(modular)+len(late) > 0 && len(units) > 0 {
-		fset := units[0].Fset
-		graph := NewCallGraph(units)
-		ann := ParseAnnotations(units)
-		for _, d := range ann.Diags {
-			report(MetaAnalyzer, fset, d, true)
-		}
-		active := []string{MetaAnalyzer}
-		for _, a := range analyzers {
-			active = append(active, a.Name)
-		}
-		runModule := func(a *Analyzer, uses []*SuppressionUse, filter bool) error {
-			mp := &ModulePass{
-				Analyzer:     a,
-				Fset:         fset,
-				Units:        units,
-				CallGraph:    graph,
-				Annotations:  ann,
-				Active:       active,
-				Suppressions: uses,
-			}
-			name := a.Name
-			mp.Report = func(d Diagnostic) { report(name, fset, d, filter) }
-			if err := a.RunModule(mp); err != nil {
-				return fmt.Errorf("%s: %v", a.Name, err)
-			}
-			return nil
-		}
-		for _, a := range modular {
-			if err := runModule(a, nil, true); err != nil {
-				return nil, err
+
+	// 4. Stale suppressions. Unknown names were reported in step 1.
+	for _, s := range supp.records {
+		var unused []string
+		for _, name := range s.names {
+			if known[name] && !s.used[name] {
+				unused = append(unused, name)
 			}
 		}
-		// 4. AfterSuppression passes see the settled usage record.
-		for _, a := range late {
-			if err := runModule(a, supp.uses(), false); err != nil {
-				return nil, err
-			}
+		var msg string
+		switch {
+		case len(unused) == 0:
+			continue
+		case len(unused) == len(s.names):
+			msg = fmt.Sprintf("//fslint:ignore %s suppresses nothing; remove it", strings.Join(s.names, ","))
+		default:
+			msg = fmt.Sprintf("//fslint:ignore name %s suppresses nothing; drop it from the list", strings.Join(unused, ","))
 		}
+		findings = append(findings, Finding{Analyzer: MetaAnalyzer, Pos: fset.Position(s.pos), Message: msg})
 	}
 
 	sort.Slice(findings, func(i, j int) bool {
@@ -203,16 +178,17 @@ func dedupe(fs []Finding) []Finding {
 // does not register a suppression.
 var ignoreRE = regexp.MustCompile(`^//\s*fslint:ignore\s+([A-Za-z0-9_,]+)(.*)$`)
 
-// suppRecord is one //fslint:ignore comment with its usage record.
+// suppRecord is one //fslint:ignore comment and, per name it lists,
+// whether that name absorbed a finding in this run.
 type suppRecord struct {
-	SuppressionUse
-	fset *token.FileSet
+	pos   token.Pos
+	names []string
+	used  map[string]bool
 }
 
-// suppIndex indexes every suppression comment in the module, by file and
-// effective line. A comment suppresses its own line and the line directly
-// below it, so both trailing comments and comments above the offending
-// statement work.
+// suppIndex indexes every suppression comment in the module by file and
+// covered line. A comment that follows code covers only its own line; a
+// comment on a line of its own covers only the line below it.
 type suppIndex struct {
 	byLine  map[string]map[int][]*suppRecord
 	records []*suppRecord
@@ -222,41 +198,37 @@ type suppIndex struct {
 // test units as OtherFiles but share AST nodes and the fset, so records
 // are deduped by position: each comment yields exactly one record no
 // matter how many units its file appears in.
-func indexSuppressions(units []*Unit) *suppIndex {
+func indexSuppressions(fset *token.FileSet, units []*Unit) *suppIndex {
 	idx := &suppIndex{byLine: map[string]map[int][]*suppRecord{}}
-	seen := map[token.Position]bool{}
+	seen := map[token.Pos]bool{}
 	for _, u := range units {
 		for _, f := range u.AllASTs() {
+			var code map[int]bool // built on the file's first suppression
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					m := ignoreRE.FindStringSubmatch(c.Text)
-					if m == nil {
+					if m == nil || seen[c.Pos()] {
 						continue
 					}
-					pos := u.Fset.Position(c.Pos())
-					if seen[pos] {
-						continue
+					seen[c.Pos()] = true
+					if code == nil {
+						code = codeLines(fset, f)
 					}
-					seen[pos] = true
-					rec := &suppRecord{
-						SuppressionUse: SuppressionUse{
-							File:  pos.Filename,
-							Line:  pos.Line,
-							Pos:   c.Pos(),
-							Names: splitComma(m[1]),
-							Used:  map[string]bool{},
-						},
-						fset: u.Fset,
-					}
+					rec := &suppRecord{pos: c.Pos(), names: splitComma(m[1]), used: map[string]bool{}}
 					idx.records = append(idx.records, rec)
+					// A // comment runs to the end of its line, so any
+					// code on that line comes before it.
+					pos := fset.Position(c.Pos())
+					line := pos.Line + 1
+					if code[pos.Line] {
+						line = pos.Line
+					}
 					byLine := idx.byLine[pos.Filename]
 					if byLine == nil {
 						byLine = map[int][]*suppRecord{}
 						idx.byLine[pos.Filename] = byLine
 					}
-					for _, line := range []int{pos.Line, pos.Line + 1} {
-						byLine[line] = append(byLine[line], rec)
-					}
+					byLine[line] = append(byLine[line], rec)
 				}
 			}
 		}
@@ -264,35 +236,34 @@ func indexSuppressions(units []*Unit) *suppIndex {
 	return idx
 }
 
+// codeLines returns the lines of f on which a syntax node begins or ends.
+func codeLines(fset *token.FileSet, f *ast.File) map[int]bool {
+	lines := map[int]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.CommentGroup:
+			return false
+		}
+		lines[fset.Position(n.Pos()).Line] = true
+		lines[fset.Position(n.End()-1).Line] = true
+		return true
+	})
+	return lines
+}
+
 // covers reports whether a finding by analyzer at pos is suppressed, and
 // marks the absorbing comment used.
 func (s *suppIndex) covers(analyzer string, pos token.Position) bool {
 	hit := false
 	for _, rec := range s.byLine[pos.Filename][pos.Line] {
-		for _, name := range rec.Names {
+		for _, name := range rec.names {
 			if name == analyzer {
-				rec.Used[name] = true
+				rec.used[name] = true
 				hit = true
 			}
 		}
 	}
 	return hit
-}
-
-// uses snapshots the per-comment usage for AfterSuppression passes, in
-// stable position order.
-func (s *suppIndex) uses() []*SuppressionUse {
-	out := make([]*SuppressionUse, 0, len(s.records))
-	for _, rec := range s.records {
-		out = append(out, &rec.SuppressionUse)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
-	})
-	return out
 }
 
 func splitComma(s string) []string {

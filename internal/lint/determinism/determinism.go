@@ -39,9 +39,9 @@ import (
 	"fscache/internal/lint/analysis"
 )
 
-// DefaultSimPackages lists the packages bound by the determinism contract:
+// defaultSimPackages lists the packages bound by the determinism contract:
 // everything that executes during a seeded simulation.
-var DefaultSimPackages = []string{
+var defaultSimPackages = []string{
 	"fscache/internal/core",
 	"fscache/internal/sim",
 	"fscache/internal/futility",
@@ -57,8 +57,8 @@ var DefaultSimPackages = []string{
 	"fscache/internal/alloc",
 }
 
-// Analyzer enforces the contract over DefaultSimPackages.
-var Analyzer = New(DefaultSimPackages)
+// Analyzer enforces the contract over defaultSimPackages.
+var Analyzer = New(defaultSimPackages)
 
 // New returns a determinism analyzer scoped to the given import paths
 // (tests use this to point the analyzer at testdata packages).

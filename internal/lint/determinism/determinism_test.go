@@ -1,16 +1,15 @@
-package determinism_test
+package determinism
 
 import (
 	"testing"
 
 	"fscache/internal/lint/analysis/analysistest"
-	"fscache/internal/lint/determinism"
 )
 
 func Test(t *testing.T) {
 	// Scope the contract to testdata package "a"; package "b" stays out,
 	// proving non-simulation packages are untouched.
-	a := determinism.New([]string{"a"})
+	a := New([]string{"a"})
 	analysistest.Run(t, "testdata", a, "a", "b")
 }
 
@@ -32,10 +31,10 @@ func TestDefaultScope(t *testing.T) {
 		"fscache/internal/scenario":    true,
 		"fscache/internal/alloc":       true,
 	}
-	if len(determinism.DefaultSimPackages) != len(want) {
-		t.Fatalf("DefaultSimPackages has %d entries, want %d", len(determinism.DefaultSimPackages), len(want))
+	if len(defaultSimPackages) != len(want) {
+		t.Fatalf("defaultSimPackages has %d entries, want %d", len(defaultSimPackages), len(want))
 	}
-	for _, p := range determinism.DefaultSimPackages {
+	for _, p := range defaultSimPackages {
 		if !want[p] {
 			t.Errorf("unexpected simulation package %q", p)
 		}

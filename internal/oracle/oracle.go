@@ -268,10 +268,10 @@ func New(cfg Config) *Cache {
 		if o.interval == 0 {
 			o.interval = 16
 		}
-		if o.delta == 0 { //fslint:ignore floateq zero is the "unset" sentinel, never a computed value
+		if o.delta == 0 { //fslint:ignore style zero is the "unset" sentinel, never a computed value
 			o.delta = 2
 		}
-		if o.alphaMax == 0 { //fslint:ignore floateq zero is the "unset" sentinel, never a computed value
+		if o.alphaMax == 0 { //fslint:ignore style zero is the "unset" sentinel, never a computed value
 			o.alphaMax = 128
 		}
 		if o.interval < 1 || o.delta <= 1 || o.alphaMax < 1 {
@@ -282,10 +282,10 @@ func New(cfg Config) *Cache {
 		o.unmanaged = cfg.Parts - 1
 		o.vMaxAperture = cfg.VantageMaxAperture
 		o.vSlack = cfg.VantageSlack
-		if o.vMaxAperture == 0 { //fslint:ignore floateq zero is the "unset" sentinel, never a computed value
+		if o.vMaxAperture == 0 { //fslint:ignore style zero is the "unset" sentinel, never a computed value
 			o.vMaxAperture = 0.5
 		}
-		if o.vSlack == 0 { //fslint:ignore floateq zero is the "unset" sentinel, never a computed value
+		if o.vSlack == 0 { //fslint:ignore style zero is the "unset" sentinel, never a computed value
 			o.vSlack = 0.1
 		}
 		if o.vMaxAperture <= 0 || o.vMaxAperture > 1 || o.vSlack <= 0 {

@@ -4,7 +4,7 @@ import "testing"
 
 // mustPanic runs fn and asserts it panics with exactly msg. The panic-path
 // contract matters: callers in internal/futility rely on these messages to
-// distinguish bookkeeping bugs, and the panicstyle lint rule requires the
+// distinguish bookkeeping bugs, and fslint's panicstyle rule requires the
 // "ost: " prefix.
 func mustPanic(t *testing.T, msg string, fn func()) {
 	t.Helper()

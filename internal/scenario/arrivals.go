@@ -59,7 +59,7 @@ func (s *gammaSampler) next() float64 {
 	if k < 1 {
 		// Gamma(k) = Gamma(k+1) * U^(1/k).
 		u := s.rng.Float64()
-		for u == 0 { //fslint:ignore floateq rejecting the exact-zero draw that would zero the boost
+		for u == 0 { //fslint:ignore style rejecting the exact-zero draw that would zero the boost
 			u = s.rng.Float64()
 		}
 		boost = math.Pow(u, 1/k)
@@ -89,7 +89,7 @@ func (s *gammaSampler) next() float64 {
 // with no hidden state beyond the RNG, which keeps resume/replay simple.
 func (s *gammaSampler) normal() float64 {
 	u := s.rng.Float64()
-	for u == 0 { //fslint:ignore floateq rejecting the exact-zero draw log cannot take
+	for u == 0 { //fslint:ignore style rejecting the exact-zero draw log cannot take
 		u = s.rng.Float64()
 	}
 	v := s.rng.Float64()

@@ -126,7 +126,7 @@ func (c *Compiled) InitialLive() []bool {
 	}
 	live := make([]bool, len(c.Clients))
 	for i, cl := range c.Clients {
-		live[i] = firstChurn[cl.spec.Name] != "create" && cl.spec.Start == 0 //fslint:ignore floateq zero is the "starts immediately" sentinel
+		live[i] = firstChurn[cl.spec.Name] != "create" && cl.spec.Start == 0 //fslint:ignore style zero is the "starts immediately" sentinel
 	}
 	return live
 }
@@ -448,7 +448,7 @@ func phaseWorkload(base WorkloadSpec, p *PhaseSpec) (WorkloadSpec, bool) {
 			MemPerKI: scanMemPerKI(base),
 		}, true
 	}
-	if p.ThetaDrift != 0 { //fslint:ignore floateq zero means "no drift requested", never a computed value
+	if p.ThetaDrift != 0 { //fslint:ignore style zero means "no drift requested", never a computed value
 		drifted := false
 		mod := base
 		mod.Mix = append([]PatternSpec(nil), base.Mix...)
@@ -501,7 +501,7 @@ type clientHeap []*streamClient
 
 func (h clientHeap) Len() int { return len(h) }
 func (h clientHeap) Less(i, j int) bool {
-	if h[i].nextAt != h[j].nextAt { //fslint:ignore floateq exact tie detection; ties fall through to the index order
+	if h[i].nextAt != h[j].nextAt { //fslint:ignore style exact tie detection; ties fall through to the index order
 		return h[i].nextAt < h[j].nextAt
 	}
 	return h[i].idx < h[j].idx

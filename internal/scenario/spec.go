@@ -169,21 +169,21 @@ func (s *Spec) setDefaults() {
 	if s.Cache.Ways == 0 {
 		s.Cache.Ways = 16
 	}
-	if s.Warmup == 0 { //fslint:ignore floateq zero is the "unset" sentinel, never a computed value
+	if s.Warmup == 0 { //fslint:ignore style zero is the "unset" sentinel, never a computed value
 		s.Warmup = 0.25
 	}
 	for i := range s.Clients {
 		c := &s.Clients[i]
-		if c.Share == 0 { //fslint:ignore floateq zero is the "unset" sentinel, never a computed value
+		if c.Share == 0 { //fslint:ignore style zero is the "unset" sentinel, never a computed value
 			c.Share = 1
 		}
 		if c.Arrival.Process == "" {
 			c.Arrival.Process = "poisson"
 		}
-		if c.Arrival.Rate == 0 { //fslint:ignore floateq zero is the "unset" sentinel, never a computed value
+		if c.Arrival.Rate == 0 { //fslint:ignore style zero is the "unset" sentinel, never a computed value
 			c.Arrival.Rate = 1
 		}
-		if c.Arrival.Shape == 0 { //fslint:ignore floateq zero is the "unset" sentinel, never a computed value
+		if c.Arrival.Shape == 0 { //fslint:ignore style zero is the "unset" sentinel, never a computed value
 			c.Arrival.Shape = 1
 		}
 		if c.Class == "" {
@@ -196,11 +196,11 @@ func (s *Spec) setDefaults() {
 			c.Workload.Shrink = 1
 		}
 		for j := range c.Phases {
-			if c.Phases[j].RateScale == 0 { //fslint:ignore floateq zero is the "unset" sentinel, never a computed value
+			if c.Phases[j].RateScale == 0 { //fslint:ignore style zero is the "unset" sentinel, never a computed value
 				c.Phases[j].RateScale = 1
 			}
 		}
-		if c.Diurnal.Amplitude > 0 && c.Diurnal.Period == 0 { //fslint:ignore floateq zero is the "unset" sentinel, never a computed value
+		if c.Diurnal.Amplitude > 0 && c.Diurnal.Period == 0 { //fslint:ignore style zero is the "unset" sentinel, never a computed value
 			c.Diurnal.Period = 1
 		}
 	}
@@ -270,7 +270,7 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("scenario %s: client %s phase %d has negative scanlines", s.Name, c.Name, j)
 			}
 		}
-		if d := c.Diurnal; d.Amplitude != 0 { //fslint:ignore floateq zero disables the curve; exact-zero is the documented sentinel
+		if d := c.Diurnal; d.Amplitude != 0 { //fslint:ignore style zero disables the curve; exact-zero is the documented sentinel
 			if d.Amplitude < 0 || d.Amplitude >= 1 {
 				return fmt.Errorf("scenario %s: client %s diurnal amplitude %.2f out of [0, 1)", s.Name, c.Name, d.Amplitude)
 			}

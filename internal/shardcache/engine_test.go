@@ -285,8 +285,9 @@ func TestRebalanceIgnoresPassLength(t *testing.T) {
 // annotations on Engine and shard (//fs:guardedby, //fs:lockorder): a seeded
 // free-running mix of access workers, snapshot readers and rebalances hammers
 // every guarded field concurrently, so a missing Lock that slipped past the
-// static analyzer surfaces as a detector report when this runs under -race
-// (CI's race job runs it explicitly alongside a lockcheck-only fslint pass).
+// static analyzer surfaces as a detector report when this runs under -race.
+// CI's race job runs it explicitly; it pairs with the full fslint run, which
+// includes lockcheck, in the test job.
 func TestLockDisciplineSmoke(t *testing.T) {
 	cfg := testConfig(4)
 	e := New(cfg)

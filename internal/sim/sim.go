@@ -242,8 +242,8 @@ func (m *Multicore) Run() []ThreadResult {
 func (m *Multicore) Cache() *core.Cache { return m.cache }
 
 // panicf formats a cold-path panic message out of line, keeping fmt calls
-// (and their escaping arguments) out of the callers' bodies — the fslint
-// hotpath rule rejects panic(fmt.Sprintf(...)) inline in simulation code.
+// (and their escaping arguments) out of the callers' bodies — fslint's
+// allocfree rejects an inline panic(fmt.Sprintf(...)) on an //fs:allocfree path.
 //
 //go:noinline
 func panicf(format string, args ...any) {

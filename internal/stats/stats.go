@@ -221,43 +221,6 @@ func (d *IntDist) Quantile(q float64) int {
 	return values[len(values)-1]
 }
 
-// Running accumulates streaming scalar samples: a running mean and the
-// extremes.
-type Running struct {
-	n    uint64
-	mean float64
-	min  float64
-	max  float64
-}
-
-// Add records one sample.
-func (r *Running) Add(x float64) {
-	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	r.mean += (x - r.mean) / float64(r.n)
-}
-
-// N returns the sample count.
-func (r *Running) N() uint64 { return r.n }
-
-// Mean returns the sample mean.
-func (r *Running) Mean() float64 { return r.mean }
-
-// Min returns the smallest sample (0 if empty).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest sample (0 if empty).
-func (r *Running) Max() float64 { return r.max }
-
 // Mean returns the arithmetic mean (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
