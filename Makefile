@@ -92,11 +92,11 @@ bench-gate:
 	$(GO) run ./cmd/fsbench -benchtime 100ms -count 3 -procs 1,2,4,8,16 -out bench-gate.json -gate \
 		-compare "$$(ls BENCH_*.json 2>/dev/null | sort | tail -1)"
 
-# Advisory coverage: writes the merged profile (cover.out) and a per-package
-# summary (cover.txt, also printed). Never fails on a threshold — coverage
-# here is a review signal, not a gate.
+# Advisory coverage of the library and the binaries: writes the merged
+# profile (cover.out) and a per-package summary (cover.txt, also printed).
+# Never fails on a threshold — coverage here is a review signal, not a gate.
 cover:
-	$(GO) test -coverprofile=cover.out -coverpkg=./internal/... ./... | tee cover.txt
+	$(GO) test -coverprofile=cover.out -coverpkg=./internal/...,./cmd/... ./... | tee cover.txt
 	$(GO) tool cover -func=cover.out | tail -1
 	@echo "per-package summary in cover.txt, full profile in cover.out"
 

@@ -1,7 +1,8 @@
 // Command fsim runs one multiprogrammed cache-partitioning simulation:
-// a mix of benchmark threads over a shared, partitioned L2 with the
-// paper's timing model, printing per-thread IPC and per-partition
-// occupancy/associativity.
+// a mix of benchmark threads, each behind a private 512-line 4-way L1, over
+// a shared, partitioned L2 with the paper's timing model, printing
+// per-thread IPC and per-partition occupancy/associativity. Exit status is
+// 2 on a usage error and 1 when a profile cannot be written.
 //
 // Examples:
 //
@@ -11,12 +12,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
+	"fscache/internal/alloc"
 	"fscache/internal/experiments"
 	"fscache/internal/futility"
 	"fscache/internal/profiling"
@@ -25,53 +29,67 @@ import (
 	"fscache/internal/workload"
 )
 
+// l1Lines is each thread's private L1 (4-way).
+const l1Lines = 512
+
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run simulates the mix args describe and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scheme   = flag.String("scheme", "fs", "partitioning scheme: fs|pf|prism|vantage|cqvp|unmanaged|fullassoc")
-		array    = flag.String("array", "setassoc-16", "cache array: setassoc-16|random-16|fullyassoc|directmapped|zcache-z4/52|skew-8")
-		rank     = flag.String("rank", "coarse-lru", "futility ranking: coarse-lru|lru|lfu|opt")
-		lines    = flag.Int("lines", 65536, "L2 size in 64B lines")
-		benches  = flag.String("benchmarks", "gromacs,lbm,lbm,lbm", "comma-separated benchmark per thread")
-		targets  = flag.String("targets", "equal", "comma-separated per-thread line targets; 'equal' splits evenly; a trailing 'equal' splits the remainder")
-		accesses = flag.Int("accesses", 100000, "L2 accesses per thread")
-		l1lines  = flag.Int("l1", 512, "private L1 size in lines (4-way)")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		maxsteps = flag.Uint64("maxsteps", 0, "deterministic watchdog: panic after this many simulated accesses (0 = off)")
+		scheme   = fs.String("scheme", "fs", "partitioning scheme: fs|pf|prism|vantage|cqvp|unmanaged|fullassoc")
+		array    = fs.String("array", "setassoc-16", "cache array: setassoc-16|random-16|fullyassoc|directmapped|zcache-z4/52|skew-8")
+		rank     = fs.String("rank", "coarse-lru", "futility ranking: coarse-lru|lru|lfu|opt")
+		lines    = fs.Int("lines", 65536, "L2 size in 64B lines")
+		benches  = fs.String("benchmarks", "gromacs,lbm,lbm,lbm", "comma-separated benchmark per thread")
+		targets  = fs.String("targets", "equal", "comma-separated per-thread line targets; 'equal' splits evenly; a trailing 'equal' splits the remainder")
+		accesses = fs.Int("accesses", 100000, "L2 accesses per thread")
+		seed     = fs.Uint64("seed", 1, "simulation seed")
+		maxsteps = fs.Uint64("maxsteps", 0, "deterministic watchdog: panic after this many simulated accesses (0 = off)")
 	)
-	prof := profiling.Register()
-	flag.Parse()
+	prof := profiling.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "fsim:", err)
+		return code
+	}
 
 	names := splitList(*benches)
 	if len(names) == 0 {
-		fail("no benchmarks given")
+		return fail(2, errors.New("no benchmarks given"))
 	}
 	parts := len(names)
-
 	rk, err := parseRank(*rank)
 	if err != nil {
-		fail(err.Error())
+		return fail(2, err)
 	}
-
 	tg, err := parseTargets(*targets, parts, *lines)
 	if err != nil {
-		fail(err.Error())
+		return fail(2, err)
 	}
 
 	if err := prof.Start(); err != nil {
-		fail(err.Error())
+		return fail(1, err)
 	}
 	defer prof.Stop()
 
 	// Build per-thread traces through private L1 filters.
 	traces := make([]*trace.Trace, parts)
 	for t, name := range names {
-		prof, err := workload.ByName(name)
+		p, err := workload.ByName(name)
 		if err != nil {
-			fail(err.Error())
+			return fail(2, err)
 		}
-		gen := prof.NewGenerator(*seed, t)
-		l1 := sim.NewL1(*l1lines, 4)
-		traces[t] = sim.BuildL2Trace(gen, l1, *accesses, 0)
+		traces[t] = sim.BuildL2Trace(p.NewGenerator(*seed, t), sim.NewL1(l1Lines, 4), *accesses, 0)
 		if rk == futility.OPT {
 			traces[t].ComputeNextUse()
 		}
@@ -91,9 +109,9 @@ func main() {
 	mc.SetStepLimit(*maxsteps)
 	results := mc.Run()
 
-	fmt.Printf("scheme=%s array=%s rank=%s lines=%d (%d KB) threads=%d seed=%d\n\n",
+	fmt.Fprintf(stdout, "scheme=%s array=%s rank=%s lines=%d (%d KB) threads=%d seed=%d\n\n",
 		*scheme, *array, rk, *lines, *lines*64/1024, parts, *seed)
-	fmt.Printf("%3s %-12s %9s %9s %9s %9s %9s %8s\n",
+	fmt.Fprintf(stdout, "%3s %-12s %9s %9s %9s %9s %9s %8s\n",
 		"thr", "bench", "target", "occup", "occ/tgt", "IPC", "missrate", "AEF")
 	var totalIPC float64
 	for t := range results {
@@ -102,18 +120,19 @@ func main() {
 		if tg[t] > 0 {
 			frac = occ / float64(tg[t])
 		}
-		fmt.Printf("%3d %-12s %9d %9.0f %9.3f %9.4f %9.3f %8.3f\n",
+		fmt.Fprintf(stdout, "%3d %-12s %9d %9.0f %9.3f %9.4f %9.3f %8.3f\n",
 			t, names[t], tg[t], occ, frac,
 			results[t].IPC(), results[t].MissRate(), b.Cache.Stats(t).AEF())
 		totalIPC += results[t].IPC()
 	}
-	fmt.Printf("\nthroughput (sum IPC): %.4f\n", totalIPC)
+	fmt.Fprintf(stdout, "\nthroughput (sum IPC): %.4f\n", totalIPC)
 	if b.PriSM != nil {
-		fmt.Printf("prism abnormality rate: %.3f\n", b.PriSM.AbnormalityRate())
+		fmt.Fprintf(stdout, "prism abnormality rate: %.3f\n", b.PriSM.AbnormalityRate())
 	}
 	if b.FSFeedback != nil {
-		fmt.Printf("fs scaling factors: %v\n", fmtAlphas(b.FSFeedback.Alphas()))
+		fmt.Fprintf(stdout, "fs scaling factors: %v\n", fmtAlphas(b.FSFeedback.Alphas()))
 	}
+	return 0
 }
 
 func splitList(s string) []string {
@@ -141,53 +160,32 @@ func parseRank(s string) (futility.Kind, error) {
 }
 
 // parseTargets interprets the -targets flag: "equal", explicit numbers, or
-// explicit numbers with a trailing "equal" that splits the remainder.
+// explicit numbers with a trailing "equal" that splits the remainder. Equal
+// shares sum exactly to what they split, the remainder on the low threads.
 func parseTargets(s string, parts, lines int) ([]int, error) {
 	items := splitList(s)
-	out := make([]int, parts)
-	if len(items) == 1 && items[0] == "equal" {
-		for i := range out {
-			out[i] = lines / parts
-		}
-		return out, nil
+	equal := len(items) > 0 && items[len(items)-1] == "equal"
+	if equal {
+		items = items[:len(items)-1]
 	}
-	used, fixed := 0, 0
-	equalFrom := -1
+	if n := len(items); n > parts || equal == (n == parts) {
+		return nil, fmt.Errorf("targets %q: want %d numbers, or fewer and a trailing 'equal'", s, parts)
+	}
+	out := make([]int, parts)
+	used := 0
 	for i, it := range items {
-		if it == "equal" {
-			if i != len(items)-1 {
-				return nil, fmt.Errorf("'equal' must be the last target item")
-			}
-			equalFrom = i
-			break
-		}
 		v, err := strconv.Atoi(it)
 		if err != nil || v < 0 {
 			return nil, fmt.Errorf("bad target %q", it)
 		}
-		if i >= parts {
-			return nil, fmt.Errorf("more targets than threads")
-		}
 		out[i] = v
 		used += v
-		fixed++
 	}
-	if equalFrom >= 0 {
-		rest := parts - fixed
-		if rest <= 0 {
-			return nil, fmt.Errorf("'equal' with no remaining threads")
+	if equal {
+		if used > lines {
+			return nil, fmt.Errorf("targets %q exceed capacity %d", s, lines)
 		}
-		share := (lines - used) / rest
-		if share < 0 {
-			return nil, fmt.Errorf("targets exceed capacity")
-		}
-		for i := fixed; i < parts; i++ {
-			out[i] = share
-		}
-		return out, nil
-	}
-	if fixed != parts {
-		return nil, fmt.Errorf("have %d targets for %d threads", fixed, parts)
+		alloc.EvenSplit(out[len(items):], lines-used)
 	}
 	return out, nil
 }
@@ -198,9 +196,4 @@ func fmtAlphas(a []float64) string {
 		items[i] = strconv.FormatFloat(v, 'g', 4, 64)
 	}
 	return "[" + strings.Join(items, " ") + "]"
-}
-
-func fail(msg string) {
-	fmt.Fprintln(os.Stderr, "fsim:", msg)
-	os.Exit(2)
 }

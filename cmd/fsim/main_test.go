@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fscache/internal/futility"
@@ -42,12 +44,20 @@ func TestParseRank(t *testing.T) {
 }
 
 func TestParseTargetsEqual(t *testing.T) {
-	got, err := parseTargets("equal", 4, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []int{25, 25, 25, 25}) {
-		t.Fatalf("targets = %v", got)
+	for _, c := range []struct {
+		parts, lines int
+		want         []int
+	}{
+		{4, 100, []int{25, 25, 25, 25}},
+		{3, 4096, []int{1366, 1365, 1365}}, // no line lost to truncation
+	} {
+		got, err := parseTargets("equal", c.parts, c.lines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("equal over %d threads, %d lines: targets = %v, want %v", c.parts, c.lines, got, c.want)
+		}
 	}
 }
 
@@ -69,6 +79,12 @@ func TestParseTargetsTrailingEqual(t *testing.T) {
 	if !reflect.DeepEqual(got, []int{40, 30, 30}) {
 		t.Fatalf("targets = %v", got)
 	}
+	if got, _ := parseTargets("40,equal", 4, 100); !reflect.DeepEqual(got, []int{40, 20, 20, 20}) {
+		t.Fatalf("targets = %v", got)
+	}
+	if got, _ := parseTargets("41,equal", 4, 100); !reflect.DeepEqual(got, []int{41, 20, 20, 19}) {
+		t.Fatalf("remainder lost: targets = %v", got)
+	}
 }
 
 func TestParseTargetsErrors(t *testing.T) {
@@ -87,6 +103,40 @@ func TestParseTargetsErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := parseTargets(c.spec, c.parts, 100); err == nil {
 			t.Errorf("parseTargets(%q, %d) accepted", c.spec, c.parts)
+		}
+	}
+}
+
+func TestRun(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-lines", "1024", "-accesses", "3000", "-benchmarks", "mcf,lbm,gromacs"}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr.String())
+	}
+	for _, want := range []string{
+		"scheme=fs array=setassoc-16 rank=coarse-lru lines=1024 (64 KB) threads=3 seed=1",
+		"  0 mcf                342",
+		"  2 gromacs            341",
+		"throughput (sum IPC):",
+		"fs scaling factors: [",
+	} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("no %q in output:\n%s", want, stdout.String())
+		}
+	}
+}
+
+func TestUsageErrorsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-rank", "belady"},
+		{"-benchmarks", ""},
+		{"-benchmarks", "mcf,nope"},
+		{"-targets", "1,2,3"},
+		{"-l1", "256"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%q: exit %d, want 2\n%s", args, code, stderr.String())
 		}
 	}
 }

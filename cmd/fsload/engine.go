@@ -15,77 +15,52 @@ import (
 )
 
 // engineTarget is an in-process shardcache.Engine with a background
-// rebalancer, optionally fed by scenario streams and steered by the online
-// allocator.
+// rebalancer. A compiled spec (Comp) replaces the synthetic zipf mix with
+// its streams and the 1:2:3 targets with its shares; an allocator (Alloc) is
+// fed every access, the rebalancer installs its epoch targets, and scenario
+// churn vectors are ignored.
 type engineTarget struct {
-	o            options
-	lines, parts int
-	desc         string
-	e            *shardcache.Engine
-	rb           *shardcache.Rebalancer
-	// comp, when non-nil, replaces the synthetic zipf mix with compiled
-	// scenario streams and the 1:2:3 targets with the spec's shares.
-	comp *scenario.Compiled
-	// a, when non-nil, is fed every access; the rebalancer installs its
-	// epoch targets, and scenario churn vectors are ignored.
-	a *alloc.Allocator
+	scenario.Setup
+	o     options
+	parts int
+	desc  string
+	e     *shardcache.Engine
+	rb    *shardcache.Rebalancer
 }
 
 func newEngineTarget(o options) (*engineTarget, error) {
-	t := &engineTarget{o: o, lines: synthLines, parts: synthParts}
-	ways := synthWays
-	var targets []int
-	if o.scenario != "" {
-		ls, err := scenario.LoadSpec(o.scenario)
-		if err != nil {
-			return nil, err
-		}
-		if t.comp, err = scenario.Compile(ls.Spec, ls.Dir); err != nil {
-			return nil, err
-		}
-		t.lines, ways, t.parts = ls.Spec.Cache.Lines, ls.Spec.Cache.Ways, t.comp.Parts()
-		targets = t.comp.Targets(t.lines, t.comp.InitialLive())
-		t.desc = fmt.Sprintf("scenario %s (%d clients), ", ls.Spec.Name, len(t.comp.Clients))
-	} else {
-		// Targets proportional to partition index+1, summing exactly to
-		// capacity, so the report has distinct per-partition setpoints.
-		weights := make([]float64, t.parts)
-		for p := range weights {
-			weights[p] = float64(p + 1)
-		}
-		targets = make([]int, t.parts)
-		alloc.Apportion(t.lines, weights, targets, make([]float64, t.parts))
+	// Synthetic targets are proportional to partition index+1, summing
+	// exactly to capacity, so the report has distinct per-partition setpoints.
+	weights := make([]float64, synthParts)
+	for p := range weights {
+		weights[p] = float64(p + 1)
 	}
-	var src shardcache.TargetSource
-	if o.alloc != "" {
-		// Scenario runs take the spec's allocator configuration (objective,
-		// floors, epoch length); synthetic runs the package defaults.
-		var cfg alloc.Config
-		var err error
-		if t.comp != nil {
-			cfg, err = t.comp.AllocConfig(o.alloc)
-		} else {
-			cfg = alloc.Config{Parts: t.parts, Lines: t.lines, Initial: append([]int(nil), targets...), Seed: o.seed}
-			cfg.Objective, err = alloc.ByName(o.alloc)
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.a = alloc.New(cfg)
-		src = t.a
+	targets := make([]int, synthParts)
+	alloc.Apportion(synthLines, weights, targets, make([]float64, synthParts))
+	s, err := scenario.NewSetup(o.scenario, synthLines, synthWays, targets, o.alloc, o.seed)
+	if err != nil {
+		return nil, err
+	}
+	t := &engineTarget{Setup: s, o: o, parts: len(s.Targets)}
+	if t.Comp != nil {
+		t.desc = fmt.Sprintf("scenario %s (%d clients), ", t.Comp.Spec.Name, len(t.Comp.Clients))
 	}
 	t.desc += fmt.Sprintf("engine %d lines / %d ways / %d shards × %d stripes, %d partitions, batch %d",
-		t.lines, ways, o.shards, o.stripes, t.parts, o.batch)
+		t.Lines, t.Ways, o.shards, o.stripes, t.parts, o.batch)
 	t.e = shardcache.New(shardcache.Config{
-		Lines:   t.lines,
-		Ways:    ways,
+		Lines:   t.Lines,
+		Ways:    t.Ways,
 		Shards:  o.shards,
 		Stripes: o.stripes,
 		Parts:   t.parts,
 		Ranking: futility.CoarseLRU,
 		Seed:    o.seed,
 	})
-	t.e.SetTargets(targets)
+	t.e.SetTargets(t.Targets)
+	var src shardcache.TargetSource
+	if t.Alloc != nil {
+		src = t.Alloc
+	}
 	t.rb = t.e.StartRebalancerSource(rebalanceEvery, src)
 	return t, nil
 }
@@ -104,8 +79,8 @@ func (t *engineTarget) worker(i int, _ *atomic.Bool) step {
 			t0 := time.Now()
 			t.e.Access(addr, part)
 			lat := time.Since(t0)
-			if t.a != nil {
-				t.a.Observe(part, addr)
+			if t.Alloc != nil {
+				t.Alloc.Observe(part, addr)
 			}
 			return 1, lat, true
 		}
@@ -122,9 +97,9 @@ func (t *engineTarget) worker(i int, _ *atomic.Bool) step {
 		// Amortized per-access latency: the whole flush divided by its size,
 		// recorded once per request, comparable with the unbatched path.
 		lat := time.Since(t0) / time.Duration(len(reqs))
-		if t.a != nil {
+		if t.Alloc != nil {
 			for _, r := range reqs {
-				t.a.Observe(r.Part, r.Addr)
+				t.Alloc.Observe(r.Part, r.Addr)
 			}
 		}
 		return len(reqs), lat, true
@@ -138,9 +113,9 @@ func (t *engineTarget) worker(i int, _ *atomic.Bool) step {
 // reaches them (other workers skip churn ops, so the target vector has one
 // writer besides the rebalancer), unless the allocator owns the targets.
 func (t *engineTarget) feed(i int) func() (uint64, int) {
-	if t.comp == nil {
+	if t.Comp == nil {
 		rng := xrand.New(xrand.Mix64(t.o.seed^0xf10ad) ^ xrand.Mix64(uint64(i+1)))
-		zipf := xrand.NewZipf(rng, 0.9, 4*t.lines)
+		zipf := xrand.NewZipf(rng, 0.9, 4*t.Lines)
 		return func() (uint64, int) {
 			part := rng.Intn(t.parts)
 			// Mix64-finalized structured keys; see shardcache.BuildSchedule
@@ -149,20 +124,20 @@ func (t *engineTarget) feed(i int) func() (uint64, int) {
 		}
 	}
 	seed := func(epoch uint64) uint64 {
-		return xrand.Mix64(t.comp.Spec.Seed ^ uint64(i+1)*0x9e3779b97f4a7c15 ^ epoch*0xbf58476d1ce4e5b9)
+		return xrand.Mix64(t.Comp.Spec.Seed ^ uint64(i+1)*0x9e3779b97f4a7c15 ^ epoch*0xbf58476d1ce4e5b9)
 	}
 	epoch := uint64(0)
-	st := t.comp.NewStreamSeeded(t.lines, seed(0))
+	st := t.Comp.NewStreamSeeded(t.Lines, seed(0))
 	var op scenario.Op
 	return func() (uint64, int) {
 		for {
 			if !st.Next(&op) {
 				epoch++
-				st = t.comp.NewStreamSeeded(t.lines, seed(epoch))
+				st = t.Comp.NewStreamSeeded(t.Lines, seed(epoch))
 				continue
 			}
 			if op.Kind == scenario.OpChurn {
-				if i == 0 && t.a == nil {
+				if i == 0 && t.Alloc == nil {
 					t.e.SetTargets(op.Targets)
 				}
 				continue
@@ -197,7 +172,7 @@ func (t *engineTarget) finish(ops uint64) ([]partRow, []string, error) {
 		}
 	}
 	notes := []string{fmt.Sprintf("engine: %d accesses, %d rebalances", snap.Accesses, t.rb.Rebalances())}
-	if t.a != nil {
+	if t.Alloc != nil {
 		notes = append(notes, t.allocNotes()...)
 	}
 	if snap.Accesses != ops {
@@ -208,7 +183,7 @@ func (t *engineTarget) finish(ops uint64) ([]partRow, []string, error) {
 
 // allocNotes summarizes the allocator's run and its last decisions.
 func (t *engineTarget) allocNotes() []string {
-	log, _ := t.a.Log()
+	log, _ := t.Alloc.Log()
 	reallocs, drifts := 0, 0
 	for _, d := range log {
 		if d.Changed {
@@ -219,7 +194,7 @@ func (t *engineTarget) allocNotes() []string {
 		}
 	}
 	notes := []string{fmt.Sprintf("alloc %s: %d epochs, %d reallocations, %d drift epochs, %d installs; last decisions (drift *, changed !):",
-		t.o.alloc, t.a.Epoch(), reallocs, drifts, t.rb.Installs())}
+		t.o.alloc, t.Alloc.Epoch(), reallocs, drifts, t.rb.Installs())}
 	for _, d := range log[max(0, len(log)-8):] {
 		mark, ch := " ", " "
 		if d.Drift {

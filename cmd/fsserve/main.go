@@ -6,23 +6,27 @@
 // specs, where class is "g" (guaranteed) or "b" (best-effort), rate is the
 // token-bucket refill in requests/second (0 = unlimited) and burst is the
 // bucket depth. The engine's line capacity is split evenly across tenants
-// unless -targets overrides it.
+// unless -targets overrides it; explicit targets must sum to -lines. The
+// engine is 16-way with 4 shards × 4 lock stripes, and the in-flight
+// watermarks are the server's defaults.
 //
 // On SIGINT/SIGTERM the server drains: it stops accepting, lets in-flight
 // requests finish and their responses flush, and force-closes stragglers
-// only after -draintimeout. Exit status is 0 on a clean drain, 1 otherwise.
+// only after -draintimeout. Exit status is 0 on a clean drain, 1 on a
+// forced drain or a setup failure, and 2 on a usage error.
 //
-// -faults wraps the listener with a seeded network fault injector
+// -faults wraps the listener with a network fault injector seeded with 2026
 // (connection resets, torn frames, corrupted length prefixes) so soak
 // harnesses can prove the serving stack survives wire damage on its own
 // responses; see internal/faultinject.
 //
 // With -scenario, the tenant topology comes from a declarative scenario
-// spec (internal/scenario) instead of -tenants/-targets/-lines/-ways: one
-// tenant per compiled client (replicated clients expand), SLO class from
-// the client's class field, line targets from the spec's shares, cache
-// geometry from its cache block. The same spec then drives matched load
-// via fsload -scenario or the offline fstables -scenario comparison.
+// spec (internal/scenario): one tenant per compiled client (replicated
+// clients expand), SLO class from the client's class field, line targets
+// from the spec's shares, cache geometry from its cache block. -tenants,
+// -targets and -lines are rejected alongside it. The same spec then drives
+// matched load via fsload -scenario or the offline fstables -scenario
+// comparison.
 //
 // With -alloc, the static split only seeds the engine: every request's
 // engine access feeds the online allocator (internal/alloc) and its epoch
@@ -39,8 +43,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -57,181 +64,155 @@ import (
 	"fscache/internal/shardcache"
 )
 
-func main() {
-	var (
-		addr      = flag.String("addr", "127.0.0.1:7070", "TCP listen address (port 0 picks a free port)")
-		addrfile  = flag.String("addrfile", "", "write the bound address to this file once listening (for scripts)")
-		tenants   = flag.String("tenants", "g,b", "tenant specs: class[:rate[:burst]], class g|b, comma-separated")
-		targets   = flag.String("targets", "", "per-tenant line targets, comma-separated (default: even split)")
-		lines     = flag.Int("lines", 4096, "total cache lines (power of two)")
-		ways      = flag.Int("ways", 16, "associativity (power of two)")
-		shards    = flag.Int("shards", 4, "engine shard count (power of two)")
-		stripes   = flag.Int("stripes", 4, "lock stripes per shard (power of two)")
-		seed      = flag.Uint64("seed", 1, "engine seed (hash functions, replacement sampling)")
-		rebalance = flag.Duration("rebalance", 250*time.Millisecond, "target-redistribution cadence (0 disables)")
-		soft      = flag.Int("soft", 256, "soft in-flight watermark (shed/degrade threshold)")
-		hard      = flag.Int("hard", 0, "hard in-flight watermark (reject threshold; default 4x soft)")
-		drainT    = flag.Duration("draintimeout", 10*time.Second, "drain grace before force-closing connections")
-		faults    = flag.Bool("faults", false, "wrap the listener with the seeded network fault injector")
-		faultseed = flag.Uint64("faultseed", 2026, "fault injector seed")
-		quiet     = flag.Bool("quiet", false, "suppress operational logging")
-		scen      = flag.String("scenario", "", "derive tenants, targets and cache geometry from this scenario spec file (overrides -tenants/-targets/-lines/-ways)")
-		allocFl   = flag.String("alloc", "", "drive targets with the online allocator under this objective (utility|maxmin|phase; plus qos with -scenario) instead of the static split")
-	)
-	flag.Parse()
+// The engine layout and fault seed no caller varies; -scenario replaces
+// ways with its spec's.
+const (
+	ways      = 16
+	shards    = 4
+	stripes   = 4
+	faultSeed = 2026
+)
 
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run serves until ctx is done, drains, and returns the exit code. Every
+// line it prints is operational and goes to stderr.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fsserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr      = fs.String("addr", "127.0.0.1:7070", "TCP listen address (port 0 picks a free port)")
+		addrfile  = fs.String("addrfile", "", "write the bound address to this file once listening (for scripts)")
+		tenants   = fs.String("tenants", "g,b", "tenant specs: class[:rate[:burst]], class g|b, comma-separated")
+		targets   = fs.String("targets", "", "per-tenant line targets summing to -lines, comma-separated (default: even split)")
+		lines     = fs.Int("lines", 4096, "total cache lines (power of two)")
+		seed      = fs.Uint64("seed", 1, "engine seed (hash functions, replacement sampling)")
+		rebalance = fs.Duration("rebalance", 250*time.Millisecond, "target-redistribution cadence (0 disables)")
+		drainT    = fs.Duration("draintimeout", 10*time.Second, "drain grace before force-closing connections")
+		faults    = fs.Bool("faults", false, "wrap the listener with the seeded network fault injector")
+		scen      = fs.String("scenario", "", "derive tenants, targets and cache geometry from this scenario spec file")
+		allocFl   = fs.String("alloc", "", "drive targets with the online allocator under this objective (utility|maxmin|phase; plus qos with -scenario) instead of the static split")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "fsserve:", err)
+		return code
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && *scen != "" && (f.Name == "tenants" || f.Name == "targets" || f.Name == "lines") {
+			err = fmt.Errorf("-%s cannot be combined with -scenario, which supplies it", f.Name)
+		}
+	})
+	if err == nil && *allocFl != "" && *rebalance <= 0 {
+		err = errors.New("-alloc needs -rebalance > 0: the rebalancer tick is what installs the allocator's targets")
+	}
+	if err != nil {
+		return fail(2, err)
+	}
 	tcs, err := parseTenants(*tenants)
 	if err != nil {
-		fail(err.Error())
+		return fail(2, err)
 	}
-	var tgt []int
-	if *targets != "" {
-		if tgt, err = parseInts(*targets); err != nil {
-			fail(err.Error())
-		}
+	tgt := make([]int, len(tcs))
+	if *targets == "" {
+		alloc.EvenSplit(tgt, *lines)
+	} else if tgt, err = parseInts(*targets); err != nil {
+		return fail(2, err)
 	}
-	var comp *scenario.Compiled
-	if *scen != "" {
-		if comp, tcs, tgt, err = scenarioTopology(*scen, lines, ways); err != nil {
-			fail(err.Error())
+
+	s, err := scenario.NewSetup(*scen, *lines, ways, tgt, *allocFl, *seed)
+	if err != nil {
+		return fail(1, err)
+	}
+	if s.Comp != nil {
+		tcs = make([]server.TenantConfig, len(s.Comp.Clients))
+		for i, cl := range s.Comp.Clients {
+			tcs[i].Class = server.Guaranteed
+			if cl.Class == "b" {
+				tcs[i].Class = server.BestEffort
+			}
 		}
 	}
 	cfg := server.Config{
-		Addr:         *addr,
-		Tenants:      tcs,
-		Targets:      tgt,
-		SoftInflight: *soft,
-		HardInflight: *hard,
-		Rebalance:    *rebalance,
+		Tenants:   tcs,
+		Targets:   s.Targets,
+		Rebalance: *rebalance,
 		Cache: shardcache.Config{
-			Lines:   *lines,
-			Ways:    *ways,
-			Shards:  *shards,
-			Stripes: *stripes,
+			Lines:   s.Lines,
+			Ways:    s.Ways,
+			Shards:  shards,
+			Stripes: stripes,
 			Parts:   len(tcs),
 			Ranking: futility.CoarseLRU,
 			Seed:    *seed,
 		},
+		Logf: func(format string, args ...interface{}) {
+			fmt.Fprintf(stderr, format+"\n", args...)
+		},
 	}
-	if !*quiet {
-		cfg.Logf = func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	if *allocFl != "" {
-		a, err := buildAllocator(*allocFl, comp, tcs, tgt, *lines, *seed)
-		if err != nil {
-			fail(err.Error())
-		}
-		if *rebalance <= 0 {
-			fail("-alloc needs -rebalance > 0: the rebalancer tick is what installs the allocator's targets")
-		}
-		cfg.TargetSource = a
-		cfg.Observe = a.Observe
-		fmt.Fprintf(os.Stderr, "fsserve: online %s allocation armed (epoch targets install on the %v rebalance tick)\n", *allocFl, *rebalance)
+	if s.Alloc != nil {
+		cfg.TargetSource = s.Alloc
+		cfg.Observe = s.Alloc.Observe
+		fmt.Fprintf(stderr, "fsserve: online %s allocation armed (epoch targets install on the %v rebalance tick)\n", *allocFl, *rebalance)
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
-		fail(err.Error())
+		return fail(1, err)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fail(fmt.Sprintf("listen %s: %v", *addr, err))
+		return fail(1, fmt.Errorf("listen %s: %v", *addr, err))
 	}
 	if *faults {
-		ni := faultinject.NewNetInjector(*faultseed, faultinject.NetFaults{
+		ni := faultinject.NewNetInjector(faultSeed, faultinject.NetFaults{
 			Reset:      0.002,
 			TornWrite:  0.002,
 			CorruptLen: 0.002,
 		})
 		ln = ni.WrapListener(ln)
-		fmt.Fprintf(os.Stderr, "fsserve: network fault injection armed (seed %d)\n", *faultseed)
+		fmt.Fprintf(stderr, "fsserve: network fault injection armed (seed %d)\n", faultSeed)
 	}
 	if *addrfile != "" {
 		if err := os.WriteFile(*addrfile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
-			fail(fmt.Sprintf("write addrfile: %v", err))
+			ln.Close()
+			return fail(1, fmt.Errorf("write addrfile: %v", err))
 		}
 	}
 	srv.Serve(ln)
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	sig := <-sigs
-	fmt.Fprintf(os.Stderr, "fsserve: %v, draining\n", sig)
+	<-ctx.Done()
+	fmt.Fprintln(stderr, "fsserve: stop signal, draining")
 	drainErr := srv.Shutdown(*drainT)
 
 	snap := srv.Stats()
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(stderr,
 		"fsserve: served %d conn(s), %d store entries (%d bytes), %d bad frames, %d slow clients, %d panics\n",
 		snap.Accepted, snap.StoreEntries, snap.StoreBytes, snap.BadFrames, snap.SlowClients, snap.Panics)
-	if *allocFl != "" {
-		fmt.Fprintf(os.Stderr, "fsserve: alloc %s: %d target installs over %d rebalances\n",
+	if s.Alloc != nil {
+		fmt.Fprintf(stderr, "fsserve: alloc %s: %d target installs over %d rebalances\n",
 			*allocFl, snap.TargetInstalls, snap.Rebalances)
 	}
 	for i, t := range snap.Tenants {
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(stderr,
 			"fsserve: tenant %d (%s): admitted %d, shed %d, stale %d, rejected %d, deadlined %d\n",
 			i, t.Class, t.Admitted, t.Shed, t.StaleServes, t.Rejected, t.Deadlined)
 	}
 	if drainErr != nil {
-		fail(drainErr.Error())
+		return fail(1, drainErr)
 	}
-}
-
-// scenarioTopology compiles a scenario spec into the server's tenant
-// topology: one tenant per compiled client (replicated clients expand),
-// class from the client's class field, line targets from the spec's shares
-// over the initially-live set, cache geometry from the spec's cache block
-// (written through lines/ways).
-func scenarioTopology(path string, lines, ways *int) (*scenario.Compiled, []server.TenantConfig, []int, error) {
-	ls, err := scenario.LoadSpec(path)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	comp, err := scenario.Compile(ls.Spec, ls.Dir)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	*lines = ls.Spec.Cache.Lines
-	*ways = ls.Spec.Cache.Ways
-	tcs := make([]server.TenantConfig, len(comp.Clients))
-	for i, cl := range comp.Clients {
-		tcs[i].Class = server.Guaranteed
-		if cl.Class == "b" {
-			tcs[i].Class = server.BestEffort
-		}
-	}
-	return comp, tcs, comp.Targets(*lines, comp.InitialLive()), nil
-}
-
-// buildAllocator constructs the online allocator behind -alloc. Scenario
-// servers take the spec-derived configuration (objective, floors, epoch
-// length); flag-configured servers use the alloc package defaults over the
-// flag geometry, seeded from the static split so the first epoch matches
-// what the engine starts with.
-func buildAllocator(objective string, comp *scenario.Compiled, tcs []server.TenantConfig, tgt []int, lines int, seed uint64) (*alloc.Allocator, error) {
-	if comp != nil {
-		cfg, err := comp.AllocConfig(objective)
-		if err != nil {
-			return nil, err
-		}
-		return alloc.New(cfg), nil
-	}
-	obj, err := alloc.ByName(objective)
-	if err != nil {
-		return nil, err
-	}
-	if tgt != nil && len(tgt) != len(tcs) {
-		return nil, fmt.Errorf("-targets has %d entries for %d tenants", len(tgt), len(tcs))
-	}
-	return alloc.New(alloc.Config{
-		Parts:     len(tcs),
-		Lines:     lines,
-		Objective: obj,
-		Initial:   append([]int(nil), tgt...),
-		Seed:      seed,
-	}), nil
+	return 0
 }
 
 // parseTenants parses "g:5000,b:2000:300,b" into tenant configs.
@@ -280,9 +261,4 @@ func parseInts(spec string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func fail(msg string) {
-	fmt.Fprintln(os.Stderr, "fsserve:", msg)
-	os.Exit(1)
 }

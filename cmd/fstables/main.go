@@ -5,7 +5,8 @@
 // reported (with its stack) and the sweep continues, per-experiment
 // deadlines come from -timeout, and -resume skips experiments a previous
 // invocation already completed (recorded in the -journal file, keyed by
-// scale and seed). The exit status is nonzero if any experiment failed.
+// scale and seed). The exit status is 1 if any experiment failed and 2 on a
+// usage error.
 //
 // Usage:
 //
@@ -18,10 +19,13 @@
 //	fstables -scenario spec.yaml   # one declarative scenario (or a directory
 //	                               # of specs): FS vs PF/Vantage comparison
 //	                               # tables with counterfactual decision replay
+//
+// -scenario replaces the registry, so -fig is rejected alongside it, and
+// -alloc is rejected without it.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,28 +40,55 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes the sweep args select and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fstables", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig     = flag.String("fig", "all", "experiment id to run, or 'all'")
-		scale   = flag.String("scale", "quick", "scale: quick or full")
-		seed    = flag.Uint64("seed", 0, "override the experiment seed (0 keeps the default)")
-		list    = flag.Bool("list", false, "list experiment ids and exit")
-		plots   = flag.Bool("plots", false, "also render ASCII CDF plots where available")
-		asJSON  = flag.Bool("json", false, "emit results as JSON instead of tables")
-		timeout = flag.Duration("timeout", 0, "per-experiment wall-clock deadline (0 = none)")
-		resume  = flag.Bool("resume", false, "skip experiments completed by a previous run (see -journal)")
-		journal = flag.String("journal", "fstables.journal", "completion journal used by -resume")
-		panicID = flag.String("panic", "", "make the named experiment panic (harness self-test)")
-		scen    = flag.String("scenario", "", "scenario spec file or directory; replaces the experiment registry")
-		allocFl = flag.String("alloc", "", "with -scenario: drive targets with the online allocator under this objective (utility|maxmin|qos|phase) and compare against the static split")
+		fig     = fs.String("fig", "all", "experiment id to run, or 'all'")
+		scale   = fs.String("scale", "quick", "scale: quick or full")
+		seed    = fs.Uint64("seed", 0, "override the experiment seed (0 keeps the default)")
+		list    = fs.Bool("list", false, "list experiment ids and exit")
+		timeout = fs.Duration("timeout", 0, "per-experiment wall-clock deadline (0 = none)")
+		resume  = fs.Bool("resume", false, "skip experiments completed by a previous run (see -journal)")
+		journal = fs.String("journal", "fstables.journal", "completion journal used by -resume")
+		panicID = fs.String("panic", "", "make the named experiment panic (harness self-test)")
+		scen    = fs.String("scenario", "", "scenario spec file or directory; replaces the experiment registry")
+		allocFl = fs.String("alloc", "", "with -scenario: drive targets with the online allocator under this objective (utility|maxmin|qos|phase) and compare against the static split")
 	)
-	prof := profiling.Register()
-	flag.Parse()
+	prof := profiling.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(err error) int {
+		fmt.Fprintln(stderr, "fstables:", err)
+		return 2
+	}
+	var conflict error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case conflict != nil:
+		case f.Name == "fig" && *scen != "":
+			conflict = errors.New("-fig cannot be combined with -scenario, which replaces the experiment registry")
+		case f.Name == "alloc" && *scen == "":
+			conflict = errors.New("-alloc applies only with -scenario")
+		}
+	})
+	if conflict != nil {
+		return usage(conflict)
+	}
 
 	if *list {
 		for _, r := range experiments.Registry() {
-			fmt.Printf("%-10s %s\n", r.ID, r.Desc)
+			fmt.Fprintf(stdout, "%-10s %s\n", r.ID, r.Desc)
 		}
-		return
+		return 0
 	}
 
 	var sc experiments.Scale
@@ -67,24 +98,17 @@ func main() {
 	case "full":
 		sc = experiments.Full()
 	default:
-		fmt.Fprintf(os.Stderr, "fstables: unknown scale %q (quick|full)\n", *scale)
-		os.Exit(2)
+		return usage(fmt.Errorf("unknown scale %q (quick|full)", *scale))
 	}
 	if *seed != 0 {
 		sc.Seed = *seed
-	}
-
-	if err := prof.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "fstables:", err)
-		os.Exit(2)
 	}
 
 	runners := experiments.Registry()
 	if *scen != "" {
 		loaded, err := scenario.LoadSpecs(*scen)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fstables:", err)
-			os.Exit(2)
+			return usage(err)
 		}
 		runners = runners[:0]
 		for _, ls := range loaded {
@@ -92,37 +116,29 @@ func main() {
 			if *seed != 0 {
 				ls.Spec.Seed = *seed
 			}
-			if *allocFl != "" {
-				runners = append(runners, experiments.Runner{
-					ID:   "alloc:" + ls.Spec.Name,
-					Desc: fmt.Sprintf("scenario %s: online %s allocation vs static targets", ls.Spec.Name, *allocFl),
-					Run: func(experiments.Scale) experiments.Printable {
-						res, err := experiments.RunScenarioAlloc(ls.Spec, ls.Dir, *allocFl)
-						if err != nil {
-							panic("fstables: " + err.Error())
-						}
-						return res
-					},
-				})
-				continue
-			}
-			runners = append(runners, experiments.Runner{
+			r := experiments.Runner{
 				ID:   "scenario:" + ls.Spec.Name,
 				Desc: fmt.Sprintf("scenario %s: FS vs PF/Vantage with counterfactual replay", ls.Spec.Name),
-				Run: func(experiments.Scale) experiments.Printable {
-					res, err := experiments.RunScenario(ls.Spec, ls.Dir)
-					if err != nil {
-						panic("fstables: " + err.Error())
-					}
-					return res
-				},
-			})
+			}
+			do := func() (experiments.Printable, error) { return experiments.RunScenario(ls.Spec, ls.Dir) }
+			if *allocFl != "" {
+				r.ID = "alloc:" + ls.Spec.Name
+				r.Desc = fmt.Sprintf("scenario %s: online %s allocation vs static targets", ls.Spec.Name, *allocFl)
+				do = func() (experiments.Printable, error) { return experiments.RunScenarioAlloc(ls.Spec, ls.Dir, *allocFl) }
+			}
+			r.Run = func(experiments.Scale) experiments.Printable {
+				res, err := do()
+				if err != nil {
+					panic("fstables: " + err.Error())
+				}
+				return res
+			}
+			runners = append(runners, r)
 		}
 	} else if *fig != "all" {
 		r, err := experiments.ByID(strings.TrimSpace(*fig))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fstables:", err)
-			os.Exit(2)
+			return usage(err)
 		}
 		runners = []experiments.Runner{r}
 	}
@@ -131,75 +147,49 @@ func main() {
 	if *resume {
 		j, err := harness.OpenJournal(*journal, journalScope(sc, *scen, *allocFl))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fstables:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "fstables:", err)
+			return 1
 		}
 		defer j.Close()
 		opts.Journal = j
 	}
+	if err := prof.Start(); err != nil {
+		fmt.Fprintln(stderr, "fstables:", err)
+		return 1
+	}
 
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
 	desc := map[string]string{}
 	tasks := make([]harness.Task, 0, len(runners))
 	for _, r := range runners {
 		r := r
 		desc[r.ID] = r.Desc
-		run := func() (interface{}, error) {
-			if !*asJSON {
-				fmt.Printf("==== %s — %s\n", r.ID, r.Desc)
-			}
-			return r.Run(sc), nil
-		}
-		if r.ID == *panicID {
-			run = func() (interface{}, error) {
-				if !*asJSON {
-					fmt.Printf("==== %s — %s\n", r.ID, r.Desc)
-				}
+		tasks = append(tasks, harness.Task{ID: r.ID, Run: func() (interface{}, error) {
+			fmt.Fprintf(stdout, "==== %s — %s\n", r.ID, r.Desc)
+			if r.ID == *panicID {
 				panic("fstables: deliberate panic requested via -panic")
 			}
-		}
-		tasks = append(tasks, harness.Task{ID: r.ID, Run: run})
+			return r.Run(sc), nil
+		}})
 	}
-
 	opts.Report = func(res harness.Result) {
 		switch {
 		case res.Resumed:
-			if *asJSON {
-				return
-			}
-			fmt.Printf("==== %s — %s\n     already completed (journal); skipping\n\n", res.ID, desc[res.ID])
+			fmt.Fprintf(stdout, "==== %s — %s\n     already completed (journal); skipping\n\n", res.ID, desc[res.ID])
 		case res.Err != nil:
-			if !*asJSON {
-				fmt.Printf("---- %s FAILED after %v\n\n", res.ID, res.Elapsed.Round(time.Millisecond))
-			}
+			fmt.Fprintf(stdout, "---- %s FAILED after %v\n\n", res.ID, res.Elapsed.Round(time.Millisecond))
 		default:
-			p := res.Value.(experiments.Printable)
-			if *asJSON {
-				if err := enc.Encode(map[string]interface{}{
-					"id": res.ID, "desc": desc[res.ID], "result": p,
-				}); err != nil {
-					fmt.Fprintln(os.Stderr, "fstables:", err)
-					os.Exit(1)
-				}
-				return
-			}
-			p.Print(os.Stdout)
-			if *plots {
-				if pp, ok := p.(interface{ PrintPlots(w io.Writer) }); ok {
-					pp.PrintPlots(os.Stdout)
-				}
-			}
-			fmt.Printf("---- %s done in %v\n\n", res.ID, res.Elapsed.Round(time.Millisecond))
+			res.Value.(experiments.Printable).Print(stdout)
+			fmt.Fprintf(stdout, "---- %s done in %v\n\n", res.ID, res.Elapsed.Round(time.Millisecond))
 		}
 	}
 
 	summary := harness.RunAll(tasks, opts)
 	prof.Stop() // flush profiles before any failure exit
 	if !summary.OK() {
-		summary.PrintFailures(os.Stderr)
-		os.Exit(1)
+		summary.PrintFailures(stderr)
+		return 1
 	}
+	return 0
 }
 
 // journalScope names the sweep configuration a -resume journal belongs to.

@@ -93,8 +93,8 @@ func TestFig2aShape(t *testing.T) {
 // Fig. 2b/2c's claim: for the associativity-sensitive mcf, misses grow and
 // IPC drops as N grows; for streaming lbm both stay nearly flat.
 func TestFig2bcShape(t *testing.T) {
-	s := tiny()
-	res := Fig2bc(s, []string{"mcf", "lbm"})
+	res := Fig2bc(goldenScale(), []string{"mcf", "lbm"})
+	checkGolden(t, goldenFile("fig2bc"), res)
 	byKey := map[string]Fig2Row{}
 	for _, row := range res.Rows {
 		byKey[row.Bench+string(rune(row.N))] = row
@@ -274,8 +274,9 @@ func TestFig6Shape(t *testing.T) {
 // target; PriSM undershoots badly; FS's subject AEF beats PF's; FullAssoc
 // is the AEF ceiling.
 func TestFig7Shape(t *testing.T) {
-	s := tiny()
+	s := goldenScale()
 	res := Fig7Sweep(s, []int{4, 16, 31}, nil, []futility.Kind{futility.CoarseLRU})
+	checkGolden(t, goldenFile("fig7"), res)
 	get := func(scheme SchemeName, nsubj int) Fig7Row {
 		for _, r := range res.Rows {
 			if r.Scheme == scheme && r.Subjects == nsubj {
@@ -317,7 +318,6 @@ func TestFig7Shape(t *testing.T) {
 		t.Fatal("empty summary")
 	}
 	var buf bytes.Buffer
-	res.Print(&buf)
 	sum.Print(&buf)
 	if !strings.Contains(buf.String(), "FS over") {
 		t.Error("summary print missing headline")

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 
 	"fscache/internal/futility"
@@ -28,7 +27,6 @@ type Fig2Row struct {
 	Bench  string
 	N      int
 	AEF    float64
-	CDF    []float64
 	Misses uint64
 	IPC    float64
 }
@@ -71,7 +69,6 @@ func runFig2Cell(scale Scale, bench string, n int, rank futility.Kind) Fig2Row {
 		Bench:  bench,
 		N:      n,
 		AEF:    st.AEF(),
-		CDF:    st.EvictFutility.CDF(),
 		Misses: results[0].Misses,
 		IPC:    results[0].IPC(),
 	}
@@ -156,17 +153,4 @@ func seedStream(base uint64, tag string) uint64 {
 		h = xrand.Mix64(h ^ uint64(c))
 	}
 	return h
-}
-
-// PrintPlots renders the associativity CDFs (Fig. 2a's panel) as terminal
-// plots, one per (benchmark, N).
-func (r Fig2Result) PrintPlots(w io.Writer) {
-	for _, row := range r.Rows {
-		xs := make([]float64, len(row.CDF))
-		for i := range xs {
-			xs[i] = float64(i+1) / float64(len(row.CDF))
-		}
-		label := fmt.Sprintf("%s N=%d (AEF %.3f)", row.Bench, row.N, row.AEF)
-		fprintf(w, "%s", stats.AsciiCDF(label, xs, row.CDF, 56, 10))
-	}
 }

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 
 	"fscache/internal/futility"
-	"fscache/internal/stats"
 )
 
 // Fig. 4: associativity CDFs of FS versus PF on a 2 MB random-candidates
@@ -23,7 +21,6 @@ type Fig4Row struct {
 	Part   int
 	Size   float64 // measured mean size fraction
 	AEF    float64
-	CDF    []float64
 	Alpha  float64 // FS scaling factor of the partition (1 for PF)
 }
 
@@ -73,7 +70,6 @@ func runFig4Case(scale Scale, scheme SchemeName, insert, sizes []float64) []Fig4
 			Part:   p,
 			Size:   b.Cache.MeanOccupancy(p) / float64(lines),
 			AEF:    st.AEF(),
-			CDF:    st.EvictFutility.CDF(),
 			Alpha:  1,
 		}
 		if alphas != nil {
@@ -90,17 +86,5 @@ func (r Fig4Result) Print(w io.Writer) {
 	for _, row := range r.Rows {
 		fprintf(w, "%-10s %6.2f %6d %8.3f %10.3f %8.3f\n",
 			row.Scheme, row.S1, row.Part, row.Alpha, row.Size, row.AEF)
-	}
-}
-
-// PrintPlots renders the FS-vs-PF associativity CDFs as terminal plots.
-func (r Fig4Result) PrintPlots(w io.Writer) {
-	for _, row := range r.Rows {
-		xs := make([]float64, len(row.CDF))
-		for i := range xs {
-			xs[i] = float64(i+1) / float64(len(row.CDF))
-		}
-		label := fmt.Sprintf("%s S1=%.1f part %d (AEF %.3f)", row.Scheme, row.S1, row.Part, row.AEF)
-		fprintf(w, "%s", stats.AsciiCDF(label, xs, row.CDF, 56, 10))
 	}
 }

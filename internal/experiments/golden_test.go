@@ -10,7 +10,7 @@ import (
 
 // updateGolden regenerates the golden files from the current implementation:
 //
-//	go test ./internal/experiments -run TestGoldenEquivalence -update-golden
+//	go test ./internal/experiments -run 'TestGolden|TestFig2bcShape|TestFig7Shape' -update-golden
 //
 // Goldens may only be refreshed when experiment *behavior* deliberately
 // changes; performance work must leave them byte-identical (DESIGN.md §10).
@@ -34,111 +34,102 @@ func goldenScale() Scale {
 	}
 }
 
-// goldenExempt names the registry experiments without a golden, on cost:
-// each runs for seconds even at bench scale, and their shape tests
-// (TestFig2bcShape, TestFig7Shape) already drive the same code.
-var goldenExempt = map[string]bool{"fig2bc": true, "fig7": true}
+// shapeGolden names the registry experiments whose full sweep costs seconds
+// even at bench scale. Their goldens pin the reduced sweeps that
+// TestFig2bcShape and TestFig7Shape already run, and those tests check them.
+var shapeGolden = map[string]bool{"fig2bc": true, "fig7": true}
 
 // goldenFile is the golden a registry experiment is pinned by.
 func goldenFile(id string) string { return id + "_bench.golden" }
 
+// checkGolden compares a printed result with testdata/name, or rewrites the
+// file under -update-golden.
+func checkGolden(t *testing.T, name string, p Printable) {
+	t.Helper()
+	var buf bytes.Buffer
+	p.Print(&buf)
+	got := buf.String()
+	if len(got) == 0 {
+		t.Fatal("experiment printed nothing")
+	}
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with -update-golden): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("output diverged from golden %s.\n--- got ---\n%s\n--- want ---\n%s",
+			path, got, want)
+	}
+}
+
 // TestGoldenEquivalence is the behavior lock: the printed output of every
-// registry experiment outside goldenExempt at bench scale must stay
-// byte-identical across refactors of the access path and of the experiment
-// drivers. The table2 and fig2a goldens were generated before the
-// zero-allocation rework; the rest were generated before the
-// insertion-driven experiments were folded onto one driver.
+// registry experiment at bench scale must stay byte-identical across
+// refactors of the access path and of the experiment drivers. The table2 and
+// fig2a goldens were generated before the zero-allocation rework; the rest
+// were generated before the insertion-driven experiments were folded onto
+// one driver, except fig2bc, fig7 and the tenant-churn alloc table, which
+// were added later with the output unchanged.
 //
 // The zipf-drift scenario table pins what no registry golden reaches: the
 // counterfactual pf and vantage rows re-rank recorded Candidate.Futility
 // values, so they move when the coarse ranker's CDF is calibrated by a
 // different set of queries even though every FS decision stays the same.
 // Its golden was generated from the tree before the raw-only FS decision
-// path existed. The zipf-drift alloc table pins the allocator-driven
-// stream loop.
+// path existed. The two alloc tables are the two `make alloc` runs and pin
+// the allocator-driven stream loop.
 func TestGoldenEquivalence(t *testing.T) {
 	scale := goldenScale()
 	type goldenCase struct {
-		name   string
-		render func() string
+		name string
+		run  func(t *testing.T) Printable
 	}
 	var cases []goldenCase
 	for _, r := range Registry() {
-		if goldenExempt[r.ID] {
+		if shapeGolden[r.ID] {
 			continue
 		}
 		r := r
-		cases = append(cases, goldenCase{goldenFile(r.ID), func() string {
-			var buf bytes.Buffer
-			r.Run(scale).Print(&buf)
-			return buf.String()
-		}})
+		cases = append(cases, goldenCase{goldenFile(r.ID), func(*testing.T) Printable { return r.Run(scale) }})
+	}
+	allocRun := func(spec, objective string) func(t *testing.T) Printable {
+		return func(t *testing.T) Printable {
+			s, dir := loadScenarioSpec(t, spec)
+			res, err := RunScenarioAlloc(s, dir, objective)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
 	}
 	cases = append(cases,
-		goldenCase{"scenario_zipf_drift.golden", func() string {
-			spec, dir := loadScenarioSpec(t, "zipf-drift.yaml")
-			res, err := RunScenario(spec, dir)
+		goldenCase{"scenario_zipf_drift.golden", func(t *testing.T) Printable {
+			res, err := RunScenario(loadScenarioSpec(t, "zipf-drift.yaml"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			res.Print(&buf)
-			return buf.String()
+			return res
 		}},
-		goldenCase{"alloc_zipf_drift_phase.golden", func() string {
-			spec, dir := loadScenarioSpec(t, "zipf-drift.yaml")
-			res, err := RunScenarioAlloc(spec, dir, "phase")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			res.Print(&buf)
-			return buf.String()
-		}},
+		goldenCase{"alloc_zipf_drift_phase.golden", allocRun("zipf-drift.yaml", "phase")},
+		goldenCase{"alloc_tenant_churn_utility.golden", allocRun("tenant-churn.yaml", "utility")},
 	)
 	for _, tc := range cases {
 		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			got := tc.render()
-			if len(got) == 0 {
-				t.Fatal("experiment printed nothing")
-			}
-			path := filepath.Join("testdata", tc.name)
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (regenerate with -update-golden): %v", err)
-			}
-			if got != string(want) {
-				t.Fatalf("output diverged from golden %s.\n--- got ---\n%s\n--- want ---\n%s",
-					path, got, want)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkGolden(t, tc.name, tc.run(t)) })
 	}
 }
 
-// A new registry experiment must arrive with a golden or a named
-// exemption, and an exemption must name a real experiment.
+// Every registry experiment arrives with a golden.
 func TestGoldenCoversRegistry(t *testing.T) {
-	exempt := 0
 	for _, r := range Registry() {
-		if goldenExempt[r.ID] {
-			exempt++
-			continue
-		}
 		if _, err := os.Stat(filepath.Join("testdata", goldenFile(r.ID))); err != nil {
-			t.Errorf("experiment %s has no golden and is not in goldenExempt: %v", r.ID, err)
+			t.Errorf("experiment %s has no golden: %v", r.ID, err)
 		}
-	}
-	if exempt != len(goldenExempt) {
-		t.Errorf("goldenExempt %v names an experiment the registry does not have", goldenExempt)
 	}
 }

@@ -21,16 +21,16 @@ type Flags struct {
 	cpuFile *os.File
 }
 
-// Register installs -cpuprofile and -memprofile on the default flag set.
-// Call before flag.Parse.
-func Register() *Flags {
+// Register installs -cpuprofile and -memprofile on fs. Call before
+// fs.Parse.
+func Register(fs *flag.FlagSet) *Flags {
 	return &Flags{
-		cpu: flag.String("cpuprofile", "", "write a CPU profile to this file"),
-		mem: flag.String("memprofile", "", "write a heap profile to this file at exit"),
+		cpu: fs.String("cpuprofile", "", "write a CPU profile to this file"),
+		mem: fs.String("memprofile", "", "write a heap profile to this file at exit"),
 	}
 }
 
-// Start begins CPU profiling when requested. Call after flag.Parse; pair
+// Start begins CPU profiling when requested. Call after fs.Parse; pair
 // with Stop before the process exits.
 func (f *Flags) Start() error {
 	if *f.cpu == "" {

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"fscache/internal/alloc"
 )
 
 // Loaded pairs a parsed spec with the directory its relative trace paths
@@ -59,6 +61,50 @@ func LoadSpecs(path string) ([]Loaded, error) {
 		out = append(out, Loaded{Spec: spec, Dir: filepath.Dir(f)})
 	}
 	return out, nil
+}
+
+// Setup is a live partitioned cache's starting point: the compiled spec
+// (nil without one), the geometry, one initial target per partition summing
+// to Lines, and the online allocator (nil without an objective).
+type Setup struct {
+	Comp        *Compiled
+	Lines, Ways int
+	Targets     []int
+	Alloc       *alloc.Allocator
+}
+
+// NewSetup builds a Setup. A spec file at path replaces lines, ways and
+// targets with its cache block and initial-live shares. A non-empty
+// objective adds an allocator: the spec's (AllocConfig), or without one the
+// alloc package defaults seeded from targets and seed.
+func NewSetup(path string, lines, ways int, targets []int, objective string, seed uint64) (Setup, error) {
+	s := Setup{Lines: lines, Ways: ways, Targets: targets}
+	if path != "" {
+		ls, err := LoadSpec(path)
+		if err != nil {
+			return Setup{}, err
+		}
+		if s.Comp, err = Compile(ls.Spec, ls.Dir); err != nil {
+			return Setup{}, err
+		}
+		s.Lines, s.Ways = ls.Spec.Cache.Lines, ls.Spec.Cache.Ways
+		s.Targets = s.Comp.Targets(s.Lines, s.Comp.InitialLive())
+	}
+	if objective == "" {
+		return s, nil
+	}
+	cfg := alloc.Config{Parts: len(s.Targets), Lines: s.Lines, Initial: append([]int(nil), s.Targets...), Seed: seed}
+	var err error
+	if s.Comp != nil {
+		cfg, err = s.Comp.AllocConfig(objective)
+	} else {
+		cfg.Objective, err = alloc.ByName(objective)
+	}
+	if err != nil {
+		return Setup{}, err
+	}
+	s.Alloc = alloc.New(cfg)
+	return s, nil
 }
 
 // LoadSpec reads exactly one spec file.

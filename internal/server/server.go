@@ -34,8 +34,9 @@ type Config struct {
 	Tenants []TenantConfig
 	// Cache configures the backing shardcache engine.
 	Cache shardcache.Config
-	// Targets are the cache-wide per-partition line targets. When nil the
-	// capacity is split evenly across tenants.
+	// Targets are the cache-wide per-partition line targets: non-negative
+	// and summing to Cache.Lines. When nil the capacity is split evenly
+	// across tenants.
 	Targets []int
 	// SoftInflight is the shed watermark: at or above this many in-flight
 	// requests, best-effort tenants are shed and guaranteed reads go
@@ -186,9 +187,16 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Tenants) > 256 {
 		return nil, errors.New("server: at most 256 tenants (tenant id is one wire byte)")
 	}
-	if cfg.Targets != nil && len(cfg.Targets) != len(cfg.Tenants) {
-		return nil, fmt.Errorf("server: Targets length %d != tenant count %d",
-			len(cfg.Targets), len(cfg.Tenants))
+	if cfg.Targets != nil {
+		sum, neg := 0, false
+		for _, t := range cfg.Targets {
+			sum += t
+			neg = neg || t < 0
+		}
+		if neg || sum != cfg.Cache.Lines || len(cfg.Targets) != len(cfg.Tenants) {
+			return nil, fmt.Errorf("server: Targets %v, want %d non-negative entries summing to Cache.Lines (%d)",
+				cfg.Targets, len(cfg.Tenants), cfg.Cache.Lines)
+		}
 	}
 	if cfg.HardInflight < cfg.SoftInflight {
 		return nil, errors.New("server: HardInflight below SoftInflight")
@@ -229,11 +237,12 @@ func (s *Server) ListenAndServe() error {
 func (s *Server) Serve(ln net.Listener) {
 	s.ln = ln
 	s.clock = newCoarseClock()
-	s.loopWG.Add(1)
-	go s.acceptLoop()
+	// Set before the accept loop starts: a connection's stats read it.
 	if s.cfg.Rebalance > 0 {
 		s.rb = s.engine.StartRebalancerSource(s.cfg.Rebalance, s.cfg.TargetSource)
 	}
+	s.loopWG.Add(1)
+	go s.acceptLoop()
 	s.logf("server: listening on %s (%d tenants, soft=%d hard=%d)",
 		ln.Addr(), len(s.cfg.Tenants), s.cfg.SoftInflight, s.cfg.HardInflight)
 }
@@ -361,7 +370,6 @@ func (c *conn) readLoop() {
 		// closing writeQ lets the writer write what is queued and exit.
 		c.flush()
 		close(c.writeQ)
-		c.srv.removeConn(c)
 	}()
 	var frame []byte
 	req := &c.req
@@ -471,9 +479,12 @@ func (c *conn) flush() bool {
 
 // writeLoop drains the batch queue. After a write error it keeps draining
 // so in-flight accounting still reaches zero, it just stops touching the
-// dead socket.
+// dead socket. The connection stays registered until the writer is done, so
+// a drain that times out can force-close a write blocked on a client that
+// stopped reading.
 func (c *conn) writeLoop() {
 	defer c.srv.connWG.Done()
+	defer c.srv.removeConn(c)
 	defer func() { _ = c.nc.Close() }()
 	dead := false
 	for b := range c.writeQ {

@@ -614,6 +614,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Tenants = nil },
 		func(c *Config) { c.Cache.Parts = 3 },
 		func(c *Config) { c.Targets = []int{1} },
+		func(c *Config) { c.Targets = []int{-5, 261} },    // sums to Lines, one negative
+		func(c *Config) { c.Targets = []int{9000, 9000} }, // over capacity
+		func(c *Config) { c.Targets = []int{100, 100} },   // under capacity
 		func(c *Config) { c.SoftInflight = 10; c.HardInflight = 5 },
 	}
 	for i, mut := range bad {
@@ -623,8 +626,13 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
-	if _, err := New(testConfig()); err != nil {
+	cfg := testConfig()
+	if _, err := New(cfg); err != nil {
 		t.Errorf("valid config rejected: %v", err)
+	}
+	cfg.Targets = []int{256, 0}
+	if _, err := New(cfg); err != nil {
+		t.Errorf("targets summing to Lines rejected: %v", err)
 	}
 }
 

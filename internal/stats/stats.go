@@ -5,10 +5,8 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Histogram accumulates float64 samples in [0,1] into fixed-width buckets.
@@ -231,38 +229,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// AsciiCDF renders a compact textual CDF plot for terminal output: one row
-// per step of the y axis, '#' marking the curve. It exists so cmd/fstables
-// can show figure shapes without any plotting dependency.
-func AsciiCDF(label string, xs, ys []float64, width, height int) string {
-	if len(xs) == 0 || len(xs) != len(ys) || width < 2 || height < 2 {
-		return label + ": (no data)\n"
-	}
-	xmin, xmax := xs[0], xs[len(xs)-1]
-	if Feq(xmax, xmin) {
-		xmax = xmin + 1
-	}
-	grid := make([][]byte, height)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", width))
-	}
-	for i := range xs {
-		cx := int((xs[i] - xmin) / (xmax - xmin) * float64(width-1))
-		cy := int(ys[i] * float64(height-1))
-		if cy >= height {
-			cy = height - 1
-		}
-		grid[height-1-cy][cx] = '#'
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s  (x: %.3g..%.3g, y: 0..1)\n", label, xmin, xmax)
-	for _, row := range grid {
-		b.WriteString("  |")
-		b.Write(row)
-		b.WriteByte('\n')
-	}
-	b.WriteString("  +" + strings.Repeat("-", width) + "\n")
-	return b.String()
 }

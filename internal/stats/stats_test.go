@@ -407,15 +407,3 @@ func TestQuickMADBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAsciiCDF(t *testing.T) {
-	xs := []float64{0, 0.5, 1}
-	ys := []float64{0, 0.5, 1}
-	out := AsciiCDF("test", xs, ys, 20, 5)
-	if out == "" || out == "test: (no data)\n" {
-		t.Fatalf("AsciiCDF produced %q", out)
-	}
-	if got := AsciiCDF("x", nil, nil, 20, 5); got != "x: (no data)\n" {
-		t.Fatalf("empty AsciiCDF = %q", got)
-	}
-}
