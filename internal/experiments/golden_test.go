@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -77,12 +78,18 @@ func checkGolden(t *testing.T, name string, p Printable) {
 // one driver, except fig2bc, fig7 and the tenant-churn alloc table, which
 // were added later with the output unchanged.
 //
-// The zipf-drift scenario table pins what no registry golden reaches: the
-// counterfactual pf and vantage rows re-rank recorded Candidate.Futility
-// values, so they move when the coarse ranker's CDF is calibrated by a
-// different set of queries even though every FS decision stays the same.
-// Its golden was generated from the tree before the raw-only FS decision
-// path existed. The two alloc tables are the two `make alloc` runs and pin
+// Every spec in examples/scenarios has a scenario table golden, so `make
+// scenarios` is pinned row for row. The tables pin what no registry golden
+// reaches: the counterfactual pf and vantage rows re-rank recorded
+// Candidate.Futility values, so they move when the coarse ranker's CDF is
+// calibrated by a different set of queries even though every FS decision
+// stays the same; and flash-crowd and tenant-churn move partition
+// populations under coarse ranking with an exact reference, which resizes
+// its recency orders. The zipf-drift golden was generated from the tree
+// before the raw-only FS decision path existed, the other six before the
+// exact reference's orders shared one set of arrays. All seven run in about
+// 4 s together (thousand-parts, the slowest, 1.4 s on a 2-vCPU host), so
+// none is exempt. The two alloc tables are the two `make alloc` runs and pin
 // the allocator-driven stream loop.
 func TestGoldenEquivalence(t *testing.T) {
 	scale := goldenScale()
@@ -108,14 +115,22 @@ func TestGoldenEquivalence(t *testing.T) {
 			return res
 		}
 	}
-	cases = append(cases,
-		goldenCase{"scenario_zipf_drift.golden", func(t *testing.T) Printable {
-			res, err := RunScenario(loadScenarioSpec(t, "zipf-drift.yaml"))
+	specs, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.yaml"))
+	if err != nil || len(specs) == 0 {
+		t.Fatalf("no scenario specs: %v", err)
+	}
+	for _, path := range specs {
+		spec := filepath.Base(path)
+		name := "scenario_" + strings.ReplaceAll(strings.TrimSuffix(spec, ".yaml"), "-", "_") + ".golden"
+		cases = append(cases, goldenCase{name, func(t *testing.T) Printable {
+			res, err := RunScenario(loadScenarioSpec(t, spec))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res
-		}},
+		}})
+	}
+	cases = append(cases,
 		goldenCase{"alloc_zipf_drift_phase.golden", allocRun("zipf-drift.yaml", "phase")},
 		goldenCase{"alloc_tenant_churn_utility.golden", allocRun("tenant-churn.yaml", "utility")},
 	)
