@@ -68,7 +68,7 @@ type Profiler struct {
 
 	// idx orders the tags by recency; addr and slot (the index's slot table)
 	// are indexed by tag. Tags 0..Live()−1 are the ones in use.
-	idx  recency.Index
+	idx  *recency.Index
 	addr []uint64
 	slot []int32
 	// table finds a tracked address's tag: open addressing over the power of
@@ -113,7 +113,7 @@ func NewProfiler(maxTags int, sampleShift uint, seed uint64) *Profiler {
 		mask:      (uint64(1) << sampleShift) - 1,
 		salt:      xrand.Mix64(seed ^ 0x5a11ce0fda7a5eed),
 		maxTags:   maxTags,
-		idx:       recency.New(),
+		idx:       &recency.New(1)[0],
 		addr:      make([]uint64, maxTags),
 		slot:      make([]int32, maxTags),
 		table:     make([]int32, 1<<tableBits),

@@ -87,6 +87,17 @@ type Freer interface {
 	FreeLine(addr uint64) int
 }
 
+// lineBits is one bit per line: an array's valid flags.
+type lineBits []uint64
+
+func newLineBits(lines int) lineBits { return make(lineBits, (lines+63)/64) }
+
+//fs:allocfree
+func (b lineBits) get(line int) bool { return b[line>>6]>>(uint(line)&63)&1 != 0 }
+
+//fs:allocfree
+func (b lineBits) set(line int) { b[line>>6] |= 1 << (uint(line) & 63) }
+
 func checkPow2(n int, what string) {
 	if n <= 0 || n&(n-1) != 0 {
 		panicf("%s must be a positive power of two, got %d", what, n)
@@ -110,7 +121,7 @@ type SetAssoc struct {
 	sets    int
 	setBits uint // log2(sets), what IndexXOR folds to
 	addrs   []uint64
-	valid   []bool
+	valid   lineBits
 	kind    IndexKind
 	h3      *hashing.H3
 }
@@ -149,7 +160,7 @@ func newSetAssoc(lines, ways int, kind IndexKind) *SetAssoc {
 		sets:    sets,
 		setBits: uint(bits.TrailingZeros(uint(sets))),
 		addrs:   make([]uint64, lines),
-		valid:   make([]bool, lines),
+		valid:   newLineBits(lines),
 		kind:    kind,
 	}
 }
@@ -184,7 +195,7 @@ func (a *SetAssoc) Lookup(addr uint64) int {
 	base := a.set(addr) * a.ways
 	for w := 0; w < a.ways; w++ {
 		i := base + w
-		if a.valid[i] && a.addrs[i] == addr {
+		if a.addrs[i] == addr && a.valid.get(i) {
 			return i
 		}
 	}
@@ -206,7 +217,7 @@ func (a *SetAssoc) Candidates(addr uint64, dst []int) []int {
 //
 //fs:allocfree
 func (a *SetAssoc) AddrOf(line int) (uint64, bool) {
-	return a.addrs[line], a.valid[line]
+	return a.addrs[line], a.valid.get(line)
 }
 
 // Install implements Array.
@@ -217,7 +228,7 @@ func (a *SetAssoc) Install(addr uint64, victim int, moves []Move) []Move {
 		panic("cachearray: victim outside address's set")
 	}
 	a.addrs[victim] = addr
-	a.valid[victim] = true
+	a.valid.set(victim)
 	return moves
 }
 
@@ -230,7 +241,7 @@ type Skew struct {
 	sets   int
 	family *hashing.Family
 	addrs  []uint64
-	valid  []bool
+	valid  lineBits
 }
 
 // NewSkew builds a skew-associative array. lines and ways must be powers of
@@ -247,7 +258,7 @@ func NewSkew(lines, ways int, seed uint64) *Skew {
 		sets:   sets,
 		family: hashing.NewFamily(seed, ways, sets),
 		addrs:  make([]uint64, lines),
-		valid:  make([]bool, lines),
+		valid:  newLineBits(lines),
 	}
 }
 
@@ -267,7 +278,7 @@ func (s *Skew) pos(way int, addr uint64) int {
 func (s *Skew) Lookup(addr uint64) int {
 	for w := 0; w < s.ways; w++ {
 		i := s.pos(w, addr)
-		if s.valid[i] && s.addrs[i] == addr {
+		if s.addrs[i] == addr && s.valid.get(i) {
 			return i
 		}
 	}
@@ -288,7 +299,7 @@ func (s *Skew) Candidates(addr uint64, dst []int) []int {
 //
 //fs:allocfree
 func (s *Skew) AddrOf(line int) (uint64, bool) {
-	return s.addrs[line], s.valid[line]
+	return s.addrs[line], s.valid.get(line)
 }
 
 // Install implements Array.
@@ -299,7 +310,7 @@ func (s *Skew) Install(addr uint64, victim int, moves []Move) []Move {
 		panic("cachearray: victim is not a candidate position for address")
 	}
 	s.addrs[victim] = addr
-	s.valid[victim] = true
+	s.valid.set(victim)
 	return moves
 }
 
@@ -310,7 +321,7 @@ func (s *Skew) Install(addr uint64, victim int, moves []Move) []Move {
 type Random struct {
 	r      int
 	addrs  []uint64
-	valid  []bool
+	valid  lineBits
 	index  map[uint64]int
 	free   []int
 	rng    *xrand.Rand
@@ -328,7 +339,7 @@ func NewRandom(lines, r int, seed uint64) *Random {
 	a := &Random{
 		r:     r,
 		addrs: make([]uint64, lines),
-		valid: make([]bool, lines),
+		valid: newLineBits(lines),
 		index: make(map[uint64]int, lines),
 		free:  make([]int, lines),
 		rng:   xrand.New(seed),
@@ -390,14 +401,14 @@ func (a *Random) Candidates(addr uint64, dst []int) []int {
 //
 //fs:allocfree
 func (a *Random) AddrOf(line int) (uint64, bool) {
-	return a.addrs[line], a.valid[line]
+	return a.addrs[line], a.valid.get(line)
 }
 
 // Install implements Array.
 //
 //fs:allocfree
 func (a *Random) Install(addr uint64, victim int, moves []Move) []Move {
-	if a.valid[victim] {
+	if a.valid.get(victim) {
 		delete(a.index, a.addrs[victim])
 	} else {
 		// Victim was a free line handed out by FreeLine; remove it from the
@@ -410,7 +421,7 @@ func (a *Random) Install(addr uint64, victim int, moves []Move) []Move {
 		}
 	}
 	a.addrs[victim] = addr
-	a.valid[victim] = true
+	a.valid.set(victim)
 	a.index[addr] = victim
 	return moves
 }
@@ -420,7 +431,7 @@ func (a *Random) Install(addr uint64, victim int, moves []Move) []Move {
 // scanning the full candidate list.
 type FullyAssoc struct {
 	addrs []uint64
-	valid []bool
+	valid lineBits
 	index map[uint64]int
 	free  []int
 	all   []int
@@ -433,7 +444,7 @@ func NewFullyAssoc(lines int) *FullyAssoc {
 	}
 	a := &FullyAssoc{
 		addrs: make([]uint64, lines),
-		valid: make([]bool, lines),
+		valid: newLineBits(lines),
 		index: make(map[uint64]int, lines),
 		free:  make([]int, lines),
 		all:   make([]int, lines),
@@ -486,14 +497,14 @@ func (a *FullyAssoc) Candidates(addr uint64, dst []int) []int {
 //
 //fs:allocfree
 func (a *FullyAssoc) AddrOf(line int) (uint64, bool) {
-	return a.addrs[line], a.valid[line]
+	return a.addrs[line], a.valid.get(line)
 }
 
 // Install implements Array.
 //
 //fs:allocfree
 func (a *FullyAssoc) Install(addr uint64, victim int, moves []Move) []Move {
-	if a.valid[victim] {
+	if a.valid.get(victim) {
 		delete(a.index, a.addrs[victim])
 	} else {
 		for i := len(a.free) - 1; i >= 0; i-- {
@@ -504,7 +515,7 @@ func (a *FullyAssoc) Install(addr uint64, victim int, moves []Move) []Move {
 		}
 	}
 	a.addrs[victim] = addr
-	a.valid[victim] = true
+	a.valid.set(victim)
 	a.index[addr] = victim
 	return moves
 }

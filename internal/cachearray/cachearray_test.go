@@ -377,7 +377,7 @@ func quadraticWalk(z *ZCache, addr uint64) []walkNode {
 	for l := 1; l < z.levels; l++ {
 		for i := levelStart; i < levelEnd; i++ {
 			line := nodes[i].line
-			if !z.valid[line] {
+			if !z.valid.get(line) {
 				continue
 			}
 			for w := 0; w < z.ways; w++ {
@@ -417,7 +417,7 @@ func TestZCacheWalkMatchesQuadraticDedup(t *testing.T) {
 					if z.nodes[j] != n || cands[j] != n.line {
 						t.Fatalf("%s fill %v: node %d = %+v (candidate %d), want %+v", z.Name(), fillTo, j, z.nodes[j], cands[j], n)
 					}
-					if !z.valid[n.line] {
+					if !z.valid.get(n.line) {
 						free++
 					}
 				}

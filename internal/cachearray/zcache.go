@@ -23,7 +23,7 @@ type ZCache struct {
 	levels int
 	family *hashing.Family
 	addrs  []uint64
-	valid  []bool
+	valid  lineBits
 
 	// Walk state captured by Candidates for the subsequent Install.
 	walkAddr  uint64
@@ -60,7 +60,7 @@ func NewZCache(lines, ways, levels int, seed uint64) *ZCache {
 		levels: levels,
 		family: hashing.NewFamily(seed, ways, sets),
 		addrs:  make([]uint64, lines),
-		valid:  make([]bool, lines),
+		valid:  newLineBits(lines),
 		seen:   make([]uint64, (lines+63)/64),
 	}
 }
@@ -95,7 +95,7 @@ func (z *ZCache) pos(way int, addr uint64) int {
 func (z *ZCache) Lookup(addr uint64) int {
 	for w := 0; w < z.ways; w++ {
 		i := z.pos(w, addr)
-		if z.valid[i] && z.addrs[i] == addr {
+		if z.addrs[i] == addr && z.valid.get(i) {
 			return i
 		}
 	}
@@ -118,7 +118,7 @@ func (z *ZCache) Candidates(addr uint64, dst []int) []int {
 	for l := 1; l < z.levels; l++ {
 		for i := levelStart; i < levelEnd; i++ {
 			// A free line is a terminal candidate.
-			if line := nodes[i].line; z.valid[line] {
+			if line := nodes[i].line; z.valid.get(line) {
 				nodes = z.expand(nodes, z.addrs[line], i)
 			}
 		}
@@ -153,7 +153,7 @@ func (z *ZCache) expand(nodes []walkNode, resident uint64, parent int) []walkNod
 //
 //fs:allocfree
 func (z *ZCache) AddrOf(line int) (uint64, bool) {
-	return z.addrs[line], z.valid[line]
+	return z.addrs[line], z.valid.get(line)
 }
 
 // Install implements Array. victim must come from the Candidates call for
@@ -183,13 +183,14 @@ func (z *ZCache) Install(addr uint64, victim int, moves []Move) []Move {
 	for z.nodes[cur].parent >= 0 {
 		p := z.nodes[cur].parent
 		from, to := z.nodes[p].line, z.nodes[cur].line
+		// from was expanded, so it is valid.
 		z.addrs[to] = z.addrs[from]
-		z.valid[to] = z.valid[from]
+		z.valid.set(to)
 		moves = append(moves, Move{From: from, To: to})
 		cur = p
 	}
 	root := z.nodes[cur].line
 	z.addrs[root] = addr
-	z.valid[root] = true
+	z.valid.set(root)
 	return moves
 }

@@ -257,6 +257,11 @@ func (c *Cache) Stats(part int) *PartStats { return &c.pstats[part] }
 // Accesses returns the total access count.
 func (c *Cache) Accesses() uint64 { return c.accesses }
 
+// Resident reports whether the array line holds an address. The per-line
+// partition id is the pipeline's one record of residency: the rankers keep
+// none and are told only about lines the cache holds.
+func (c *Cache) Resident(line int) bool { return c.meta[line].part >= 0 }
+
 // MeanOccupancy returns the partition's time-averaged size in lines,
 // sampled at every access.
 func (c *Cache) MeanOccupancy(part int) float64 {

@@ -70,7 +70,7 @@ type Targets struct {
 	Coarse *futility.CoarseTS
 	// Feedback is the §V controller.
 	Feedback *core.FSFeedback
-	// Cache is the controller owning the candidate path.
+	// Cache is the controller owning the candidate path and residency.
 	Cache *core.Cache
 }
 
@@ -87,20 +87,19 @@ func NewInjector(seed uint64, t Targets) *Injector {
 }
 
 // FlipTimestamps flips one random bit in the timestamp tag of each
-// resident line with probability frac, returning the number of flips.
+// resident line with probability frac, returning the number of flips. The
+// cache says which lines are resident.
 func (in *Injector) FlipTimestamps(frac float64) int {
-	if in.t.Coarse == nil {
-		panic("faultinject: FlipTimestamps with no coarse ranker bound")
+	if in.t.Coarse == nil || in.t.Cache == nil {
+		panic("faultinject: FlipTimestamps with no coarse ranker or cache bound")
 	}
 	if frac < 0 || frac > 1 {
 		panic("faultinject: FlipTimestamps fraction out of [0, 1]")
 	}
 	flips := 0
 	for line := 0; line < in.t.Coarse.Lines(); line++ {
-		if !in.t.Coarse.Resident(line) || !in.rng.Bool(frac) {
-			continue
-		}
-		if in.t.Coarse.FlipTimestampBit(line, uint(in.rng.Intn(8))) {
+		if in.t.Cache.Resident(line) && in.rng.Bool(frac) {
+			in.t.Coarse.FlipTimestampBit(line, uint(in.rng.Intn(8)))
 			flips++
 		}
 	}

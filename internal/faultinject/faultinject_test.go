@@ -55,7 +55,7 @@ func TestFlipTimestampsDeterministic(t *testing.T) {
 		for i := 0; i < 4*lines; i++ {
 			c.Access(rng.Uint64n(1<<14), rng.Intn(2), trace.NoNextUse)
 		}
-		in := NewInjector(99, Targets{Coarse: coarse})
+		in := NewInjector(99, Targets{Coarse: coarse, Cache: c})
 		return in.FlipTimestamps(0.5)
 	}
 	a, b := count(), count()

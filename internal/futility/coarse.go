@@ -20,9 +20,15 @@ package futility
 // A pipeline that never asks (core's raw-only FS path reads Distance) never
 // calibrates and never allocates the tables; one that starts asking mid-run
 // gets a CDF calibrated from its first query, not from the start of the run.
+//
+// Which lines are resident is not the ranker's to know: its caller (core's
+// per-line partition ids) owns that, calls OnHit, OnEvict, OnMove and the
+// queries only for lines it holds and OnInsert only for lines it does not,
+// and core.Cache.CheckInvariants recounts residency against Size. A tag left
+// behind by an eviction or a move is dead and is overwritten by the next
+// OnInsert or OnMove onto its line.
 type CoarseTS struct {
-	ts      []uint8 // per-line timestamp tag //fslint:wrap8
-	present []bool
+	ts      []uint8  // per-line timestamp tag //fslint:wrap8
 	current []uint8  // per-partition current timestamp //fslint:wrap8
 	counter []uint64 // per-partition accesses since last tick
 	size    []int    // per-partition resident-line count
@@ -64,7 +70,6 @@ func NewCoarseTS(lines, parts int) *CoarseTS {
 	}
 	c := &CoarseTS{
 		ts:        make([]uint8, lines),
-		present:   make([]bool, lines),
 		current:   make([]uint8, parts),
 		counter:   make([]uint64, parts),
 		size:      make([]int, parts),
@@ -114,10 +119,6 @@ func (c *CoarseTS) tick(part int) {
 //
 //fs:allocfree
 func (c *CoarseTS) OnInsert(line, part int, ctx Context) {
-	if c.present[line] {
-		panic("futility: OnInsert of tracked line")
-	}
-	c.present[line] = true
 	c.size[part]++
 	c.tick(part)
 	c.ts[line] = c.current[part]
@@ -127,9 +128,6 @@ func (c *CoarseTS) OnInsert(line, part int, ctx Context) {
 //
 //fs:allocfree
 func (c *CoarseTS) OnHit(line, part int, ctx Context) {
-	if !c.present[line] {
-		panic("futility: OnHit of untracked line")
-	}
 	c.tick(part)
 	c.ts[line] = c.current[part]
 }
@@ -138,10 +136,6 @@ func (c *CoarseTS) OnHit(line, part int, ctx Context) {
 //
 //fs:allocfree
 func (c *CoarseTS) OnEvict(line, part int) {
-	if !c.present[line] {
-		panic("futility: OnEvict of untracked line")
-	}
-	c.present[line] = false
 	c.size[part]--
 }
 
@@ -149,15 +143,7 @@ func (c *CoarseTS) OnEvict(line, part int) {
 //
 //fs:allocfree
 func (c *CoarseTS) OnMove(from, to, part int) {
-	if !c.present[from] {
-		panic("futility: OnMove of untracked line")
-	}
-	if c.present[to] {
-		panic("futility: OnMove onto a tracked line")
-	}
 	c.ts[to] = c.ts[from]
-	c.present[from] = false
-	c.present[to] = true
 }
 
 // Distance returns Raw's value, the 8-bit timestamp distance, without
@@ -165,9 +151,6 @@ func (c *CoarseTS) OnMove(from, to, part int) {
 //
 //fs:allocfree
 func (c *CoarseTS) Distance(line, part int) uint64 {
-	if !c.present[line] {
-		panic("futility: Distance of untracked line")
-	}
 	return uint64(tsDist(c.current[part], c.ts[line]))
 }
 
@@ -176,9 +159,6 @@ func (c *CoarseTS) Distance(line, part int) uint64 {
 //
 //fs:allocfree
 func (c *CoarseTS) Raw(line, part int) uint64 {
-	if !c.present[line] {
-		panic("futility: Raw of untracked line")
-	}
 	d := uint64(tsDist(c.current[part], c.ts[line]))
 	c.observe(part, uint8(d))
 	return d
@@ -189,9 +169,6 @@ func (c *CoarseTS) Raw(line, part int) uint64 {
 //
 //fs:allocfree
 func (c *CoarseTS) Futility(line, part int) float64 {
-	if !c.present[line] {
-		panic("futility: Futility of untracked line")
-	}
 	d := tsDist(c.current[part], c.ts[line])
 	c.observe(part, d)
 	if c.dirty[part] >= histRebuild {
@@ -208,9 +185,6 @@ func (c *CoarseTS) Futility(line, part int) float64 {
 //
 //fs:allocfree
 func (c *CoarseTS) FutilityRaw(line, part int) (float64, uint64) {
-	if !c.present[line] {
-		panic("futility: Futility of untracked line")
-	}
 	d := tsDist(c.current[part], c.ts[line])
 	c.observe(part, d)
 	if c.dirty[part] >= histRebuild {
@@ -310,26 +284,20 @@ func (c *CoarseTS) Calibrated(part int) bool { return c.cdf[part] != nil }
 // Lines returns the number of line slots the ranker tracks.
 func (c *CoarseTS) Lines() int { return len(c.ts) }
 
-// Resident reports whether the line currently holds ranker state.
-func (c *CoarseTS) Resident(line int) bool { return c.present[line] }
-
 // FlipTimestampBit flips bit (0..7) of the line's timestamp tag. It exists
 // for fault injection (internal/faultinject): a flipped high bit makes a
 // fresh line look up to 128 ticks stale or a stale line look fresh, exactly
-// the soft-error class §V's feedback controller must absorb. Non-resident
-// lines are left untouched; the return value reports whether a flip
-// happened. XOR is wrap-safe: the tag stays a valid mod-256 timestamp and
-// all distance computation still goes through tsDist.
-func (c *CoarseTS) FlipTimestampBit(line int, bit uint) bool {
-	if line < 0 || line >= len(c.present) {
+// the soft-error class §V's feedback controller must absorb. The caller
+// picks resident lines (core.Cache.Resident); a flip of a dead tag is
+// overwritten when its line is next filled. XOR is wrap-safe: the tag stays
+// a valid mod-256 timestamp and all distance computation still goes through
+// tsDist.
+func (c *CoarseTS) FlipTimestampBit(line int, bit uint) {
+	if line < 0 || line >= c.Lines() {
 		panic("futility: FlipTimestampBit line out of range")
 	}
 	if bit > 7 {
 		panic("futility: FlipTimestampBit bit out of range")
 	}
-	if !c.present[line] {
-		return false
-	}
 	c.ts[line] ^= 1 << bit
-	return true
 }

@@ -1,0 +1,6 @@
+package futility
+
+import "fscache/internal/recency"
+
+// Orders exposes the partitions' recency orders to the external tests.
+func (r *ExactLRU) Orders() []recency.Index { return r.parts }

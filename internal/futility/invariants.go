@@ -91,12 +91,12 @@ func (r *ExactLRU) CheckInvariants() error {
 // ranker: per-partition histogram mass conservation (total equals the sum
 // of bins), monotone nondecreasing cumulative snapshot with the snapshot
 // denominator equal to the snapshot's final cumulative mass (so the lazily
-// divided CDF is a genuine CDF ending at 1), non-negative sizes summing to
-// the present-line count, and dirtyLo within range. A partition whose
+// divided CDF is a genuine CDF ending at 1), non-negative sizes, and dirtyLo
+// within range. That the sizes count the resident lines is core's audit
+// (core.Cache.CheckInvariants), which owns residency. A partition whose
 // futility was never queried has no tables yet; it must then have recorded
 // nothing and still sit on the uniform prior's denominator.
 func (c *CoarseTS) CheckInvariants() error {
-	sizeSum := 0
 	for p, t := range c.cdf {
 		if t == nil {
 			if c.total[p] != 0 || c.dirty[p] != 0 || !feqBits(c.snapTotal[p], 256) {
@@ -127,19 +127,9 @@ func (c *CoarseTS) CheckInvariants() error {
 		if c.size[p] < 0 {
 			return fmt.Errorf("futility: partition %d negative size %d", p, c.size[p])
 		}
-		sizeSum += c.size[p]
 		if lo := c.dirtyLo[p]; lo < 0 || lo > 256 {
 			return fmt.Errorf("futility: partition %d dirtyLo %d out of range", p, lo)
 		}
-	}
-	present := 0
-	for _, ok := range c.present {
-		if ok {
-			present++
-		}
-	}
-	if sizeSum != present {
-		return fmt.Errorf("futility: partition sizes sum to %d, present lines %d", sizeSum, present)
 	}
 	return nil
 }

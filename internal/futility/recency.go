@@ -18,7 +18,9 @@ import (
 // inserted. An OnHit always makes its line the partition's most recent.
 // Relocation (OnMove) never reorders.
 //
-// Each partition keeps a recency.Index; a line's whole state is its slot.
+// Each partition is one order of a recency.Index set (recency.New), so all
+// partitions' recency storage is one bitmap, one Fenwick array and one slot
+// table whatever the partition count; a line's whole state is its slot.
 type ExactLRU struct {
 	parts []recency.Index
 	// slot is each line's slot in its partition's index; 0 is untracked.
@@ -39,15 +41,11 @@ func NewExactLRU(lines, parts int) *ExactLRU {
 		// The index compares its capacity with 4× its population in int32.
 		panic("futility: too many lines for 32-bit recency slots")
 	}
-	r := &ExactLRU{
-		parts: make([]recency.Index, parts),
+	return &ExactLRU{
+		parts: recency.New(parts),
 		slot:  make([]int32, lines),
 		fLen:  make([]float64, parts),
 	}
-	for i := range r.parts {
-		r.parts[i] = recency.New()
-	}
-	return r
 }
 
 // Name implements Ranker.

@@ -11,22 +11,24 @@ import (
 const fuzzLines = 6144
 
 // scriptStats is what runScript saw: the compactions, those that shrank the
-// capacity, and the largest capacity either index reached.
+// capacity, those that resized one order while the other held lines (and so
+// re-laid out a set with live contents to carry over), and the largest
+// capacity either order reached.
 type scriptStats struct {
-	compactions, shrinks int
-	maxCap               int32
+	compactions, shrinks, sharedResizes int
+	maxCap                              int32
 }
 
-// runScript interprets data as operations on two indexes that share one slot
-// table, two bytes each: the first picks the index (bit 0) and the operation,
-// the second the line it applies to or the size of a bulk insert. After every
-// operation both indexes are compared with their slice models — Live, Worst
-// and the Rank of every tracked line — and audited by CheckInvariants under
-// one claimed set. After every compaction the capacity must be within its
-// bounds for the population that compaction saw:
+// runScript interprets data as operations on two orders of one set (New(2))
+// that share one slot table, two bytes each: the first picks the order (bit
+// 0) and the operation, the second the line it applies to or the size of a
+// bulk insert. After every operation both orders are compared with their own
+// slice models — Live, Worst and the Rank of every tracked line — and audited
+// by CheckInvariants under one claimed set. After every compaction the
+// capacity must be within its bounds for the population that compaction saw:
 // 1.5·live ≤ Cap ≤ 4·live + minCap.
 func runScript(t testing.TB, data []byte) (st scriptStats) {
-	idx := [2]Index{New(), New()}
+	idx := New(2)
 	models := [2]*model{{seqOf: map[int32]uint64{}}, {seqOf: map[int32]uint64{}}}
 	slot := make([]int32, fuzzLines)
 	var used [2][]int32
@@ -50,8 +52,11 @@ func runScript(t testing.TB, data []byte) (st scriptStats) {
 			if p.Cap() < capBefore {
 				st.shrinks++
 			}
+			if p.Cap() != capBefore && idx[1-k].Live() > 0 {
+				st.sharedResizes++
+			}
 			if c := p.Cap(); 2*c < 3*live || c > 4*live+minCap {
-				t.Fatalf("step %d: index %d compacted %d lines into capacity %d", step/2, k, live, c)
+				t.Fatalf("step %d: order %d compacted %d lines into capacity %d", step/2, k, live, c)
 			}
 		}
 		insert := func(at uint64) {
@@ -106,7 +111,7 @@ func runScript(t testing.TB, data []byte) (st scriptStats) {
 		for i := range idx {
 			models[i].compare(t, step/2, &idx[i], slot)
 			if err := idx[i].CheckInvariants(slot, claimed); err != nil {
-				t.Fatalf("step %d: index %d: %v", step/2, i, err)
+				t.Fatalf("step %d: order %d: %v", step/2, i, err)
 			}
 		}
 		if n := tracked(slot); n != len(models[0].order)+len(models[1].order) {
@@ -117,12 +122,15 @@ func runScript(t testing.TB, data []byte) (st scriptStats) {
 }
 
 // fuzzSeeds are FuzzIndex's starting scripts, all on TestIndexAgainstModel's
-// seed and operation mix drawn over both indexes: one over a few lines, which
+// seed and operation mix drawn over both orders: one over a few lines, which
 // compacts inside the one-word minimum capacity; one that starts from 64
-// lines an index and so grows past it; one that bulk-fills an index past
-// 2048 lines around the same operations, which takes it past 4096 slots; and
-// one that fills an index to 128 lines and four words, evicts all but 30 and
-// hits until it compacts, which shrinks it to one word.
+// lines an order and so grows past it; one that bulk-fills an order past
+// 2048 lines around the same operations, which takes it past 4096 slots; one
+// that fills an order to 128 lines and four words, evicts all but 30 and
+// hits until it compacts, which shrinks it to one word; and one that fills
+// order 1 to its 64 slots, grows order 0 past them, then hits order 1 until
+// it grows too, so each resize re-lays out a set whose other order holds
+// lines.
 func fuzzSeeds() [][]byte {
 	rng := xrand.New(0x5eed)
 	mix := func(script []byte, ops int) []byte {
@@ -147,7 +155,7 @@ func fuzzSeeds() [][]byte {
 		return script
 	}
 	const bulk, hit, evict = 2 << 1, 3 << 1, 6 << 1
-	tiny := mix(nil, 160)
+	tiny := mix(nil, 240)
 	small := mix([]byte{bulk, 0, bulk | 1, 0}, 100) // 64 lines each
 	large := mix([]byte{bulk, 32, bulk | 1, 0}, 30) // 2112 lines and 64
 	large = mix(append(large, bulk, 63), 20)        // all that are left: compacts and grows
@@ -159,7 +167,9 @@ func fuzzSeeds() [][]byte {
 		shrink = append(shrink, hit, byte(rng.Intn(256)))
 	}
 	shrink = mix(shrink, 40)
-	return [][]byte{tiny, small, large, shrink}
+	shared := []byte{bulk | 1, 0, bulk, 1, hit | 1, 0} // 64 lines in order 1, 128 in order 0
+	shared = mix(shared, 60)
+	return [][]byte{tiny, small, large, shrink, shared}
 }
 
 // The seeds must cross what FuzzIndex is there to cover before any mutation:
@@ -181,8 +191,16 @@ func TestFuzzSeedsCrossShrink(t *testing.T) {
 	}
 }
 
-// FuzzIndex drives two indexes over one slot table from a byte stream and
-// checks every step against the slice model (see runScript).
+// The shared seed must resize each order while the other holds lines, which
+// is when a relayout has live segments to carry over unchanged.
+func TestFuzzSeedsCrossSharedResize(t *testing.T) {
+	if st := runScript(t, fuzzSeeds()[4]); st.sharedResizes < 2 {
+		t.Errorf("shared seed: %d resizes with the other order holding lines, want >= 2", st.sharedResizes)
+	}
+}
+
+// FuzzIndex drives two orders of one set over one slot table from a byte
+// stream and checks every step against their slice models (see runScript).
 func FuzzIndex(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)

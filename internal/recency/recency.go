@@ -1,7 +1,7 @@
 // Package recency is the repository's one stack-distance index: the
 // Bennett–Kruskal structure behind both the exact LRU ranker
-// (futility.ExactLRU, one Index per partition) and the miss-ratio-curve
-// profiler (alloc.Profiler, one Index over its shadow tags).
+// (futility.ExactLRU, one order per partition) and the miss-ratio-curve
+// profiler (alloc.Profiler, one order over its shadow tags).
 //
 // Every access takes the next slot of an access-ordered slot sequence, so
 // slot order is recency order. Slot liveness is a bitmap, one bit per slot,
@@ -13,6 +13,14 @@
 // slot. Each compaction sizes the slots to twice the population and resizes
 // them only once the population has moved past ×4/3 or ×1/2, so at a
 // compaction there are 1.5–4 slots per tracked line, growing or shrinking.
+//
+// New builds n such orders over one set of arrays: one bitmap, one Fenwick
+// array and one slot → line table, each order owning a segment of all three
+// in order-number order. A resize re-lays the whole set out into one fresh
+// allocation per array and copies the other orders' segments unchanged; slots
+// are order-relative, so no caller's slot table changes. n orders thus hold
+// three live allocations whatever n is, and a resize frees its predecessors
+// whole instead of leaving one order's dead arrays between others' live ones.
 package recency
 
 import (
@@ -23,20 +31,23 @@ import (
 // Index is one recency order over lines identified by small non-negative
 // integers. A line's whole state is its slot, kept in a caller-owned table
 // (slot[line]; 0 is untracked) that every mutating method takes and keeps
-// current: several indexes over disjoint lines may share one table. The
-// zero Index is not usable; build one with New.
+// current: several orders over disjoint lines may share one table. Orders
+// come from New and must be used in place, through the slice it returns:
+// a copy of an Index is not usable.
 type Index struct {
 	// words is the liveness bitmap: slot s is bit (s−1)%64 of words[(s−1)/64].
 	// nodes is the 1-based Fenwick tree over word popcounts: nodes[i] counts
 	// the live slots of words (i − lowbit(i), i], numbering words from 1.
 	// lineAt[s] is the line holding slot s, or −1 once the slot is retired (a
-	// slot is live exactly when it holds a line). cap is 0 or a multiple of
-	// minCap and lineAt has cap+1 entries; words has the power of two ≥ cap/64
+	// slot is live exactly when it holds a line). cap is a multiple of minCap
+	// and lineAt has cap+1 entries; words has the power of two ≥ cap/64
 	// entries, all zero past cap, which is what lets Worst descend without
-	// range checks, and nodes one more.
+	// range checks, and nodes one more. All three are this order's segments
+	// of its set's arrays.
 	words  []uint64
 	nodes  []int32
 	lineAt []int32
+	set    *set
 	cap    int32
 	next   int32 // slots 1..next−1 have been handed out since the last compaction
 	live   int32
@@ -55,8 +66,54 @@ const (
 	minFree = 32
 )
 
-// New returns an empty index. Its arrays are allocated as it fills.
-func New() Index { return Index{next: 1, group: 1} }
+// set is the storage the orders of one New share: each array is the
+// concatenation of the orders' segments, in order-number order.
+type set struct {
+	words  []uint64
+	nodes  []int32
+	lineAt []int32
+	orders []Index
+}
+
+// New returns n empty orders over one set of arrays, each at the minimum
+// capacity, so that a first access does not resize.
+func New(n int) []Index {
+	s := &set{orders: make([]Index, n)}
+	for i := range s.orders {
+		s.orders[i] = Index{set: s, cap: minCap, next: 1, group: 1}
+	}
+	s.relayout(nil)
+	return s.orders
+}
+
+// wordsFor is the bitmap length for capacity c: the power of two ≥ c/64.
+func wordsFor(c int32) int32 { return int32(1) << bits.Len32(uint32(c/64-1)) }
+
+// relayout moves every order to fresh segments sized to its capacity, in one
+// new allocation per array, copying the contents of all but resized — whose
+// compaction is about to rebuild its own.
+func (s *set) relayout(resized *Index) {
+	var nw, nl int32
+	for i := range s.orders {
+		nw += wordsFor(s.orders[i].cap)
+		nl += s.orders[i].cap + 1
+	}
+	//fslint:ignore allocfree cold relayout when an order's population has moved ×4/3 or ×1/2; other compactions reuse their segments
+	words, nodes, lineAt := make([]uint64, nw), make([]int32, nw+int32(len(s.orders))), make([]int32, nl)
+	s.words, s.nodes, s.lineAt = words, nodes, lineAt
+	for i := range s.orders {
+		p := &s.orders[i]
+		w, l := wordsFor(p.cap), p.cap+1
+		if p != resized {
+			copy(words, p.words)
+			copy(nodes, p.nodes)
+			copy(lineAt, p.lineAt)
+		}
+		p.words, words = words[:w:w], words[w:]
+		p.nodes, nodes = nodes[:w+1:w+1], nodes[w+1:]
+		p.lineAt, lineAt = lineAt[:l:l], lineAt[l:]
+	}
+}
 
 // Live returns the number of tracked lines.
 //
@@ -69,9 +126,15 @@ func (p *Index) Live() int32 { return p.live }
 //fs:allocfree
 func (p *Index) LastSeq() uint64 { return p.lastSeq }
 
-// Cap returns the slot capacity: 0 before the first access, else a multiple
-// of 64 that compactions resize with the population, up or down.
+// Cap returns the slot capacity: a multiple of 64, at least 64, that
+// compactions resize with the population, up or down.
 func (p *Index) Cap() int32 { return p.cap }
+
+// Storage returns the lengths of the three arrays p's set holds for all its
+// orders: bitmap words, Fenwick nodes and slot entries.
+func (p *Index) Storage() (words, nodes, slots int) {
+	return len(p.set.words), len(p.set.nodes), len(p.set.lineAt)
+}
 
 // Free returns the slots left before the next access compacts the index.
 func (p *Index) Free() int32 { return p.cap - p.next + 1 }
@@ -113,9 +176,9 @@ func (p *Index) retire(s int32) {
 // leave fewer than minFree slots free, it resizes to 2·live rounded up to a
 // word (at least minCap). So each compaction leaves at least
 // max(live/2, minFree) slots free — at least as many accesses as the rebuild
-// costs pass before the next one: amortised O(1) per access — and an index
-// allocates only when its population has moved past ×4/3 or ×1/2 since its
-// last resize.
+// costs pass before the next one: amortised O(1) per access — and the set
+// allocates only when an order's population has moved past ×4/3 or ×1/2
+// since its last resize.
 //
 //fs:allocfree
 func (p *Index) compact(slot []int32) {
@@ -123,9 +186,7 @@ func (p *Index) compact(slot []int32) {
 	if l := p.live; 2*p.cap < 3*l || p.cap > 4*l || p.cap-l < minFree {
 		if c := max((2*l+minCap-1)&^(minCap-1), minCap); c != p.cap {
 			p.cap = c
-			nw := int32(1) << bits.Len32(uint32(c/64-1))
-			//fslint:ignore allocfree cold resize when the population has moved ×4/3 or ×1/2; other compactions reuse all three arrays
-			p.words, p.nodes, p.lineAt = make([]uint64, nw), make([]int32, nw+1), make([]int32, c+1)
+			p.set.relayout(p)
 		}
 	}
 	var w, group int32
@@ -280,23 +341,23 @@ func (p *Index) Worst() int32 {
 	return p.lineAt[pos<<6+int32(bits.TrailingZeros64(p.words[pos]))+1]
 }
 
-// CheckInvariants audits the index against the slot table it was driven
-// with: the arrays must have the shape the capacity fixes, the bitmap must
-// mark exactly the slots that hold a line (none past the capacity), the
-// Fenwick nodes must equal the popcounts of the words they cover, slot ↔
-// lineAt must be a bijection between the live slots and this index's lines,
-// and the live count must agree with the slots. It marks each of its lines in
-// claimed (len(slot) entries) and fails on one already marked, so indexes
-// sharing a table are checked for overlap by passing the same claimed to
-// each.
+// CheckInvariants audits the order against the slot table it was driven
+// with: the segments must have the shape the capacity fixes and sit in the
+// set's arrays right after those of the orders before it (so no two overlap
+// and none lies outside the set), the bitmap must mark exactly the slots that
+// hold a line (none past the capacity), the Fenwick nodes must equal the
+// popcounts of the words they cover, slot ↔ lineAt must be a bijection
+// between the live slots and this order's lines, and the live count must
+// agree with the slots. It marks each of its lines in claimed (len(slot)
+// entries) and fails on one already marked, so orders sharing a table are
+// checked for overlap by passing the same claimed to each.
 func (p *Index) CheckInvariants(slot []int32, claimed []bool) error {
 	nw := len(p.words)
-	sized := nw > 0 && nw&(nw-1) == 0 && 64*nw >= int(p.cap) && len(p.nodes) == nw+1 && len(p.lineAt) == int(p.cap)+1
-	if p.cap == 0 {
-		sized = p.words == nil && p.nodes == nil && p.lineAt == nil
-	}
-	if p.cap%minCap != 0 || !sized {
+	if p.cap < minCap || p.cap%minCap != 0 || nw != int(wordsFor(p.cap)) || len(p.nodes) != nw+1 || len(p.lineAt) != int(p.cap)+1 {
 		return fmt.Errorf("recency: capacity %d with %d words, %d nodes and %d slot entries", p.cap, len(p.words), len(p.nodes), len(p.lineAt))
+	}
+	if err := p.placed(); err != nil {
+		return err
 	}
 	if p.next < 1 || p.next > p.cap+1 || p.group < 1 || p.group > p.next {
 		return fmt.Errorf("recency: next slot %d, group %d out of range for capacity %d", p.next, p.group, p.cap)
@@ -328,4 +389,28 @@ func (p *Index) CheckInvariants(slot []int32, claimed []bool) error {
 		return fmt.Errorf("recency: live count %d, live slots %d", p.live, live)
 	}
 	return nil
+}
+
+// placed checks that p is one of its set's orders and that each of its
+// segments starts in the set's array where the segments of the orders before
+// it end.
+func (p *Index) placed() error {
+	var w, l int
+	for i := range p.set.orders {
+		q := &p.set.orders[i]
+		if q != p {
+			w, l = w+len(q.words), l+len(q.lineAt)
+			continue
+		}
+		if !at(p.words, p.set.words, w) || !at(p.nodes, p.set.nodes, w+i) || !at(p.lineAt, p.set.lineAt, l) {
+			return fmt.Errorf("recency: order %d's segments are not at words %d, nodes %d and slots %d of its set", i, w, w+i, l)
+		}
+		return nil
+	}
+	return fmt.Errorf("recency: order is not one of its set's %d", len(p.set.orders))
+}
+
+// at reports whether seg is the non-empty stretch of all starting at off.
+func at[T any](seg, all []T, off int) bool {
+	return len(seg) > 0 && off+len(seg) <= len(all) && &seg[0] == &all[off]
 }

@@ -106,8 +106,7 @@ func TestIndexAgainstModel(t *testing.T) {
 	if testing.Short() {
 		steps = 8000
 	}
-	idx := New()
-	p := &idx
+	p := &New(1)[0]
 	slot := make([]int32, lines)
 	m := &model{seqOf: map[int32]uint64{}}
 	rng := xrand.New(0x5eed)
@@ -197,7 +196,7 @@ func TestIndexAgainstModel(t *testing.T) {
 // reallocates: 576 is under ×4/3 of 448, and 448 over half of 576.
 func TestOscillationDoesNotAllocate(t *testing.T) {
 	const lo, hi = 448, 576
-	p := New()
+	p := &New(1)[0]
 	slot := make([]int32, hi)
 	seq := uint64(0)
 	for l := int32(0); l < lo; l++ {
@@ -242,15 +241,16 @@ func TestOscillationDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// Two indexes over disjoint lines share one slot table; the shared claimed
+// Two orders over disjoint lines share one slot table; the shared claimed
 // set is what catches a line held by both.
 func TestIndexSharedSlotTable(t *testing.T) {
-	a, b := New(), New()
+	orders := New(2)
+	a, b := &orders[0], &orders[1]
 	slot := make([]int32, 8)
 	for l := int32(0); l < 8; l++ {
-		p := &a
+		p := a
 		if l%2 == 1 {
-			p = &b
+			p = b
 		}
 		p.Insert(l, uint64(l+1), slot)
 	}
@@ -276,20 +276,33 @@ func TestIndexSharedSlotTable(t *testing.T) {
 	}
 }
 
-// CheckInvariants must notice each kind of damage it documents.
+// check audits every order of p's set under one claimed set.
+func check(p *Index, slot []int32) error {
+	claimed := make([]bool, len(slot))
+	for i := range p.set.orders {
+		if err := p.set.orders[i].CheckInvariants(slot, claimed); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CheckInvariants must notice each kind of damage it documents. The damage is
+// to the first of two orders of a set; the second stays empty, so that
+// nothing but the placement of its segments can be wrong with it.
 func TestCheckInvariantsDetects(t *testing.T) {
 	build := func() (*Index, []int32) {
-		p := New()
+		p := &New(2)[0]
 		slot := make([]int32, 96) // room for the lines of the bit-past-capacity case
 		for l := int32(0); l < 6; l++ {
 			p.Insert(l, uint64(l), slot)
 		}
 		p.Evict(2, slot)
 		p.Hit(0, 7, slot)
-		if err := p.CheckInvariants(slot, make([]bool, len(slot))); err != nil {
+		if err := check(p, slot); err != nil {
 			t.Fatalf("clean index: %v", err)
 		}
-		return &p, slot
+		return p, slot
 	}
 	for _, c := range []struct {
 		name   string
@@ -322,16 +335,26 @@ func TestCheckInvariantsDetects(t *testing.T) {
 			for ; p.Cap() != 192; seq++ {
 				p.Hit(5, seq, slot)
 			}
-			if err := p.CheckInvariants(slot, make([]bool, len(slot))); err != nil || len(p.words) != 4 {
+			if err := check(p, slot); err != nil || len(p.words) != 4 {
 				t.Fatalf("192-slot index: %d words, %v", len(p.words), err)
 			}
 			p.words[3] |= 1
 		}},
+		// The empty second order reads no slot entry, so its own audit cannot
+		// see that they are the first order's.
+		{"overlapping segments", func(p *Index, slot []int32) { p.set.orders[1].lineAt = p.lineAt }},
+		// A copy holds the very counts the set does, outside it.
+		{"segment outside the set", func(p *Index, slot []int32) { p.nodes = append([]int32(nil), p.nodes...) }},
 	} {
 		p, slot := build()
 		c.damage(p, slot)
-		if p.CheckInvariants(slot, make([]bool, len(slot))) == nil {
+		if check(p, slot) == nil {
 			t.Errorf("%s: damage went unnoticed", c.name)
 		}
+	}
+	// A copy of an order is none of its set's.
+	p, slot := build()
+	if cp := *p; cp.CheckInvariants(slot, make([]bool, len(slot))) == nil {
+		t.Error("a copied order went unnoticed")
 	}
 }
