@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -123,6 +124,24 @@ func TestRun(t *testing.T) {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("no %q in output:\n%s", want, stdout.String())
 		}
+	}
+}
+
+// TestDefaultOutput pins what fsim prints with no arguments, byte for byte.
+// After a deliberate behaviour change, regenerate it with
+//
+//	go run ./cmd/fsim > cmd/fsim/testdata/default.golden
+func TestDefaultOutput(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(nil, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr.String())
+	}
+	want, err := os.ReadFile("testdata/default.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stdout.String() != string(want) {
+		t.Fatalf("output diverged from testdata/default.golden.\n--- got ---\n%s\n--- want ---\n%s", stdout.String(), want)
 	}
 }
 

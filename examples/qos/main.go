@@ -7,6 +7,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"fscache/internal/alloc"
 	"fscache/internal/experiments"
@@ -24,7 +26,10 @@ const (
 	traceLen     = 40000
 )
 
-func main() {
+func main() { report(os.Stdout) }
+
+// report runs the scenario under each scheme and prints the comparison to w.
+func report(w io.Writer) {
 	// Build per-thread L2 traces once; both schemes replay the same mix.
 	traces := make([]*trace.Trace, threads)
 	for t := 0; t < threads; t++ {
@@ -48,22 +53,22 @@ func main() {
 	}
 	alloc.EvenSplit(targets[subjects:], l2Lines-subjects*subjectLines)
 
-	fmt.Println("QoS mini-scenario: 2× gromacs (guaranteed 1024 lines) vs 6× lbm on a 1 MB L2")
-	fmt.Printf("%-10s %12s %12s %12s %12s\n",
+	fmt.Fprintln(w, "QoS mini-scenario: 2× gromacs (guaranteed 1024 lines) vs 6× lbm on a 1 MB L2")
+	fmt.Fprintf(w, "%-10s %12s %12s %12s %12s\n",
 		"scheme", "subj occ/tgt", "subj IPC", "bg IPC", "throughput")
 	for _, scheme := range []experiments.SchemeName{
 		experiments.SchemeUnmanaged,
 		experiments.SchemePF,
 		experiments.SchemeFS,
 	} {
-		run(scheme, traces, targets)
+		run(w, scheme, traces, targets)
 	}
-	fmt.Println("\nUnmanaged sharing lets the streamers squeeze the subjects below")
-	fmt.Println("their guarantee; PF and FS both hold the guarantee, and FS does")
-	fmt.Println("so while preserving the subjects' associativity (see fstables -fig fig7).")
+	fmt.Fprintln(w, "\nUnmanaged sharing lets the streamers squeeze the subjects below")
+	fmt.Fprintln(w, "their guarantee; PF and FS both hold the guarantee, and FS does")
+	fmt.Fprintln(w, "so while preserving the subjects' associativity (see fstables -fig fig7).")
 }
 
-func run(scheme experiments.SchemeName, traces []*trace.Trace, targets []int) {
+func run(w io.Writer, scheme experiments.SchemeName, traces []*trace.Trace, targets []int) {
 	b := experiments.Build(experiments.CacheSpec{
 		Lines:  l2Lines,
 		Array:  experiments.Array16Way,
@@ -86,6 +91,6 @@ func run(scheme experiments.SchemeName, traces []*trace.Trace, targets []int) {
 			bgIPC += ipc
 		}
 	}
-	fmt.Printf("%-10s %12.3f %12.4f %12.4f %12.4f\n",
+	fmt.Fprintf(w, "%-10s %12.3f %12.4f %12.4f %12.4f\n",
 		scheme, occ/subjects, subjIPC/subjects, bgIPC/float64(threads-subjects), tp)
 }
