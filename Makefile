@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint check fmt fuzz smoke scenarios alloc bench benchjson bench-gate cover soak load serve netsoak
+.PHONY: build test race lint check fmt fuzz smoke scenarios alloc bench cover soak load serve netsoak
 
 build:
 	$(GO) build ./...
@@ -71,26 +71,12 @@ alloc:
 	$(GO) run ./cmd/fstables -scenario examples/scenarios/zipf-drift.yaml -alloc phase
 	$(GO) run ./cmd/fstables -scenario examples/scenarios/tenant-churn.yaml -alloc utility
 
-# Hot-path microbenchmarks with allocation counts (go test -bench form).
+# Every package's benchmarks with allocation counts. The Parallel rows in
+# internal/shardcache measure scaling: add -cpu 1,2,4,8,16 to sweep GOMAXPROCS.
+# The zero-allocation contracts are tests, so `make test` gates them; this
+# target only measures.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/ost ./internal/futility ./internal/core
-
-# Full fsbench run: writes BENCH_<date>.json with the GOMAXPROCS sweep and
-# diffs against the newest committed baseline (advisory). Refresh the
-# committed file when a PR is expected to move the numbers; see DESIGN.md
-# §10 and §15.
-benchjson:
-	$(GO) run ./cmd/fsbench -count 3 -procs 1,2,4,8,16 -compare "$$(ls BENCH_*.json 2>/dev/null | sort | tail -1)"
-
-# CI perf ratchet: short-benchtime registry run with the GOMAXPROCS sweep,
-# gated against the newest committed baseline. Fails on zero-alloc contract
-# breaches and allocs/op growth unconditionally, on ns/op tolerance-band
-# breaches when the environment matches the baseline, and on parallel rows
-# scaling below MinScale x min(procs, NumCPU) within this run. Refuses
-# outright to compare across different -procs sweeps.
-bench-gate:
-	$(GO) run ./cmd/fsbench -benchtime 100ms -count 3 -procs 1,2,4,8,16 -out bench-gate.json -gate \
-		-compare "$$(ls BENCH_*.json 2>/dev/null | sort | tail -1)"
+	$(GO) test -run='^$$' -bench=. -benchmem ./internal/...
 
 # Advisory coverage of the library and the binaries: writes the merged
 # profile (cover.out) and a per-package summary (cover.txt, also printed).

@@ -543,31 +543,3 @@ func TestQuickInstallInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkSetAssocAccess(b *testing.B) {
-	a := NewSetAssoc(8192, 16, IndexXOR, 1)
-	rng := xrand.New(2)
-	fill(a, 8192, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		addr := rng.Uint64() % 100000
-		if a.Lookup(addr) < 0 {
-			c := a.Candidates(addr, nil)
-			a.Install(addr, c[i%16], nil)
-		}
-	}
-}
-
-func BenchmarkZCacheWalk(b *testing.B) {
-	z := NewZCache(8192, 4, 3, 1)
-	rng := xrand.New(2)
-	fill(z, 8192, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		addr := rng.Uint64() % 100000
-		if z.Lookup(addr) < 0 {
-			c := z.Candidates(addr, nil)
-			z.Install(addr, c[i%len(c)], nil)
-		}
-	}
-}

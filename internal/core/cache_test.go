@@ -526,23 +526,6 @@ func TestFSFixedValidation(t *testing.T) {
 	}
 }
 
-func BenchmarkAccessSetAssocCoarseFS(b *testing.B) {
-	const lines = 8192
-	fs := NewFSFeedback(4, FSFeedbackConfig{})
-	c := New(Config{
-		Array:  cachearray.NewSetAssoc(lines, 16, cachearray.IndexXOR, 1),
-		Ranker: futility.NewCoarseTS(lines, 4),
-		Scheme: fs,
-		Parts:  4,
-	})
-	c.SetTargets([]int{2048, 2048, 2048, 2048})
-	rng := xrand.New(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(rng.Uint64()%(lines*4), i%4, trace.NoNextUse)
-	}
-}
-
 func BenchmarkAccessRandomExactFS(b *testing.B) {
 	const lines = 8192
 	fs := NewFSFixed(2)

@@ -329,18 +329,6 @@ func TestQuickRawMatchesFutilityOrder(t *testing.T) {
 	}
 }
 
-func BenchmarkCoarseTSHit(b *testing.B) {
-	r := NewCoarseTS(1<<14, 1)
-	for i := 0; i < 1<<14; i++ {
-		r.OnInsert(i, 0, Context{})
-	}
-	rng := xrand.New(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.OnHit(rng.Intn(1<<14), 0, Context{})
-	}
-}
-
 func TestCoarseTSFlipTimestampBit(t *testing.T) {
 	c := NewCoarseTS(64, 1)
 	if c.Lines() != 64 {

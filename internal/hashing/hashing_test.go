@@ -344,19 +344,6 @@ func TestH3SingleBucket(t *testing.T) {
 	}
 }
 
-// benchSink keeps the timed loops' results live: Hash is inlined and, its
-// result unused, would be removed.
-var benchSink uint64
-
-func BenchmarkH3(b *testing.B) {
-	h := NewH3(1, 8192)
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += h.Hash(uint64(i) * 0x9e3779b97f4a7c15)
-	}
-	benchSink = sink
-}
-
 func BenchmarkFold(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {

@@ -17,8 +17,8 @@
 //
 //   - Map assignments (m[k] = v) are allowed. The pipeline's address map
 //     reaches a steady state where inserts reuse deleted slots; Go map
-//     writes amortize to zero allocations there, and the perfbench
-//     0-alloc gate observes exactly that.
+//     writes amortize to zero allocations there, and the packages'
+//     TestAllocFree runs observe exactly that.
 //   - Calls to functions whose name contains "panic" are not followed:
 //     they are cold //go:noinline guard helpers, and a panicking path's
 //     allocations are irrelevant. For the same reason the arguments of

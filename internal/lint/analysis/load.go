@@ -79,7 +79,7 @@ func Load(dir string, patterns []string) ([]*Unit, error) {
 	// compiled against the plain packages, so plain export data wins; but a
 	// dependency that transitively imports a package under test is listed
 	// ONLY as its test variant ("p [q.test]") when q is the sole pattern —
-	// e.g. perfbench under `fslint ./internal/core/` — so variant export
+	// e.g. difftest under `fslint ./internal/core/` — so variant export
 	// data (same package, compiled against the augmented deps) fills the
 	// gaps. Synthesized ".test" main packages carry no exports either way.
 	exports := make(map[string]string)

@@ -274,37 +274,3 @@ func TestQuickDeleteAllThenReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkInsertDelete(b *testing.B) {
-	tr := New(1)
-	rng := xrand.New(2)
-	const live = 1 << 14
-	var keys [live]uint64
-	for i := range keys {
-		keys[i] = rng.Uint64()
-		tr.Insert(Key{Primary: keys[i], Tie: uint64(i)}, int64(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % live
-		tr.Delete(Key{Primary: keys[j], Tie: uint64(j)})
-		keys[j] = rng.Uint64()
-		tr.Insert(Key{Primary: keys[j], Tie: uint64(j)}, int64(j))
-	}
-}
-
-func BenchmarkRank(b *testing.B) {
-	tr := New(1)
-	rng := xrand.New(2)
-	const live = 1 << 14
-	var keys [live]uint64
-	for i := range keys {
-		keys[i] = rng.Uint64()
-		tr.Insert(Key{Primary: keys[i], Tie: uint64(i)}, int64(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % live
-		tr.Rank(Key{Primary: keys[j], Tie: uint64(j)})
-	}
-}
