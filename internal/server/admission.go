@@ -40,10 +40,10 @@ type TenantConfig struct {
 	Burst float64
 }
 
-// tokenBucket is a standard refill-on-demand token bucket driven by the
-// coarse clock, one per tenant. One small mutex per tenant is fine: the
-// bucket is touched once per request and tenants are independent, so the
-// engine's shard locks — not this — are the contended resource.
+// tokenBucket is a standard refill-on-demand token bucket, one per tenant,
+// driven by the request's own clock read. One small mutex per tenant is
+// fine: the bucket is touched once per request and tenants are independent,
+// so the engine's shard locks — not this — are the contended resource.
 type tokenBucket struct {
 	rate  float64 // tokens per nanosecond
 	burst float64
@@ -72,8 +72,9 @@ func newTokenBucket(ratePerSec, burst float64) *tokenBucket {
 	}
 }
 
-// admit takes one token if available. nowNS comes from the coarse clock;
-// it only needs to be monotonic non-decreasing.
+// admit takes one token if available. nowNS is the request's start as a
+// monotonic offset from server start; readings from concurrent connections
+// may arrive out of order, and a stale one refills nothing.
 func (b *tokenBucket) admit(nowNS int64) bool {
 	if b == nil {
 		return true
@@ -133,10 +134,12 @@ type admission struct {
 	soft    int64
 	hard    int64
 
-	// inflight counts requests between admission and the moment their
-	// response is handed to the kernel (not just enqueued), so slow
-	// clients with deep write queues raise measured load and trip
-	// shedding — backpressure reaches admission.
+	// inflight counts responses from the moment they are encoded until
+	// the write that carries them returns, so a client that stops reading
+	// raises measured load and trips shedding — backpressure reaches
+	// admission. A stalled client holds at most one batch (≤ outMaxResps
+	// responses, the write it blocks) until the slow-client bound drops
+	// it.
 	inflight atomic.Int64
 }
 

@@ -166,16 +166,3 @@ func TestHashKeyDisperses(t *testing.T) {
 		}
 	}
 }
-
-func TestCoarseClockAdvances(t *testing.T) {
-	c := newCoarseClock()
-	defer c.Close()
-	t0 := c.Sync()
-	deadline := time.Now().Add(2 * time.Second)
-	for c.Now() <= t0 {
-		if time.Now().After(deadline) {
-			t.Fatal("coarse clock did not advance within 2s")
-		}
-		time.Sleep(clockTick)
-	}
-}

@@ -102,7 +102,7 @@ func (b *getBatch) get(st *store, addr uint64, key []byte) (val []byte, found bo
 
 // handleGetRun executes head plus every immediately-following fully-buffered
 // pipelined GET as one batched engine submission, sending all responses in
-// order. It returns false when the connection must drop (slow client).
+// order. It returns false when the connection must drop.
 func (c *conn) handleGetRun(head *Request) bool {
 	s := c.srv
 	b := c.gb
@@ -133,8 +133,10 @@ func (c *conn) handleGetRun(head *Request) bool {
 		b.reqs = append(b.reqs, req)
 	}
 
+	// One clock read for the run's admission and latency base, one after
+	// the engine pass for the deadlines and the latency sample.
 	start := time.Now()
-	now := s.clock.Sync()
+	nowNS := int64(start.Sub(s.start))
 	b.resps = b.resps[:len(b.reqs)]
 	b.accs = b.accs[:0]
 	b.accIdx = b.accIdx[:0]
@@ -155,11 +157,7 @@ func (c *conn) handleGetRun(head *Request) bool {
 			continue
 		}
 		t := s.adm.tenants[req.Tenant]
-		var expiry int64
-		if req.DeadlineUS > 0 {
-			expiry = now + int64(req.DeadlineUS)*1000
-		}
-		switch s.adm.decide(t, OpGet, now) {
+		switch s.adm.decide(t, OpGet, nowNS) {
 		case vReject:
 			resp.Status = StatusOverload
 			continue
@@ -180,11 +178,6 @@ func (c *conn) handleGetRun(head *Request) bool {
 		}
 		if s.cfg.testHook != nil {
 			s.cfg.testHook(req)
-		}
-		if expiry != 0 && s.clock.Now() >= expiry {
-			t.deadlined.Add(1)
-			resp.Status = StatusDeadline
-			continue
 		}
 		addr := hashKey(req.Key)
 		val, found := b.get(s.store, addr, req.Key)
@@ -207,6 +200,7 @@ func (c *conn) handleGetRun(head *Request) bool {
 			}
 		}
 	}
+	lat := time.Since(start)
 	for j := range b.accs {
 		i := b.accIdx[j]
 		req, resp, res := &b.reqs[i], &b.resps[i], &b.results[j]
@@ -219,7 +213,7 @@ func (c *conn) handleGetRun(head *Request) bool {
 		}
 		t.hits.Add(1)
 		resp.Value = b.vals[i]
-		if req.DeadlineUS > 0 && s.clock.Now() >= now+int64(req.DeadlineUS)*1000 {
+		if expired(req, lat) {
 			// Work done but the deadline passed during the batch; report it
 			// truthfully, exactly like the per-request path.
 			t.deadlined.Add(1)
@@ -231,15 +225,7 @@ func (c *conn) handleGetRun(head *Request) bool {
 
 	// The whole run completed together, so every request observes the run's
 	// elapsed time — the same latency a pipelined client would measure.
-	lat := time.Since(start)
-	sample := float64(lat) / float64(latCap)
-	c.hmu.Lock()
-	if c.hist != nil {
-		for range b.reqs {
-			c.hist.Add(sample)
-		}
-	}
-	c.hmu.Unlock()
+	c.record(lat, len(b.reqs))
 
 	for i := range b.resps {
 		if !c.send(&b.resps[i]) {

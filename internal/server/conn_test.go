@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -154,24 +156,27 @@ func TestFlushBeforeBlock(t *testing.T) {
 }
 
 // TestSlowClientDropsBatches is slow-client protection with multi-response
-// batches: a client that pipelines pings and never reads jams the writer on
-// the first batch and the one-deep queue on the second; the third times out,
-// the connection drops, and every response — written, queued or rolled back —
-// leaves the in-flight accounting.
+// batches: a client that pipelines pings and never reads blocks the first
+// full batch's write; the write times out, the connection drops, and the
+// batch leaves the in-flight accounting.
 func TestSlowClientDropsBatches(t *testing.T) {
 	cfg := testConfig()
-	cfg.WriteQueue = 1
-	cfg.EnqueueTimeout = 50 * time.Millisecond
+	cfg.slowWrite = 50 * time.Millisecond
+	// The drop is logged before it is counted, with the batch still in
+	// flight, so the log line can see what the drop held.
+	var srv atomic.Pointer[Server]
+	atDrop := atomic.Int64{}
+	cfg.Logf = func(format string, args ...interface{}) {
+		if strings.HasPrefix(format, "server: slow client") {
+			atDrop.Store(srv.Load().adm.inflight.Load())
+		}
+	}
 	s, l := startPipeServer(t, cfg)
+	srv.Store(s)
 	c := l.dial(t)
 	if r := c.mustRPC(Request{Op: OpPing}); r.Status != StatusOK {
 		t.Fatalf("ping: %v", r.Status)
 	}
-	s.mu.Lock()
-	var sc *conn
-	for sc = range s.conns {
-	}
-	s.mu.Unlock()
 
 	var burst []byte
 	for i := 0; i < 4*outMaxResps; i++ {
@@ -185,15 +190,15 @@ func TestSlowClientDropsBatches(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// At the drop, one batch is in the writer's hands and one is queued.
-	if got := s.adm.inflight.Load(); got != 2*outMaxResps {
-		t.Fatalf("inflight %d at the drop, want two batches of %d", got, outMaxResps)
+	if got := s.slowClients.Load(); got != 1 {
+		t.Fatalf("%d slow clients, want 1", got)
+	}
+	// At the drop, the one batch whose write blocked is in flight.
+	if got := atDrop.Load(); got != outMaxResps {
+		t.Fatalf("inflight %d at the drop, want one batch of %d", got, outMaxResps)
 	}
 	_ = c.nc.Close()
-	waitQuiet(t, s, 1, 0)
-	if p := sc.pending.Load(); p != 0 {
-		t.Fatalf("dropped connection still has %d pending responses", p)
-	}
+	waitQuiet(t, s, 1, 0) // and inflight back to 0
 	// The server itself stays healthy for other clients.
 	if r := l.dial(t).mustRPC(Request{Op: OpPing}); r.Status != StatusOK {
 		t.Fatalf("ping after slow-client drop: %v", r.Status)
@@ -209,14 +214,77 @@ func TestDrainingResponseIsFlushed(t *testing.T) {
 	if r := c.mustRPC(Request{Op: OpPing}); r.Status != StatusOK {
 		t.Fatalf("ping: %v", r.Status)
 	}
-	// Only the flag: Shutdown would also wake the idle reader, which then
-	// leaves without reading the request at all.
+	// The length prefix returns from the pipe write only once the reader
+	// has taken it, so the reader is inside ReadFrame, past its draining
+	// check, when the flag goes up. Only the flag: Shutdown would
+	// also wake the reader, which then leaves without the request.
+	frame := AppendRequest(nil, &Request{Op: OpGet, Tenant: 0, Seq: 2, Key: []byte("k")})
+	if _, err := c.nc.Write(frame[:lenPrefixSize]); err != nil {
+		t.Fatal(err)
+	}
 	s.draining.Store(true)
 	defer s.draining.Store(false)
-	if r := c.mustRPC(Request{Op: OpGet, Tenant: 0, Key: []byte("k")}); r.Status != StatusDraining {
-		t.Fatalf("request on a draining server: %v, want draining", r.Status)
+	if _, err := c.nc.Write(frame[lenPrefixSize:]); err != nil {
+		t.Fatal(err)
+	}
+	if r := c.next(); r.Seq != 2 || r.Status != StatusDraining {
+		t.Fatalf("request on a draining server: seq %d %v, want 2 draining", r.Seq, r.Status)
 	}
 	if _, err := c.br.ReadByte(); err != io.EOF {
 		t.Fatalf("after the draining response: %v, want EOF", err)
 	}
+}
+
+// serverGoroutines counts the goroutines other than the caller's with a
+// frame in this package.
+func serverGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	// The caller's stack comes first.
+	for _, g := range strings.Split(string(buf), "\n\n")[1:] {
+		for _, line := range strings.Split(g, "\n") {
+			if strings.HasPrefix(line, "fscache/internal/server.") {
+				count++
+				break
+			}
+		}
+	}
+	return count
+}
+
+// TestGoroutineBudget: with n idle connections the server runs n + 1
+// goroutines, the accept loop and one per connection, and none once it has
+// shut down.
+func TestGoroutineBudget(t *testing.T) {
+	s := startServer(t, testConfig())
+	const n = 4
+	for i := 0; i < n; i++ {
+		if r := dialTest(t, s).mustRPC(Request{Op: OpPing}); r.Status != StatusOK {
+			t.Fatalf("ping: %v", r.Status)
+		}
+	}
+	waitGoroutines := func(want int) {
+		t.Helper()
+		got := serverGoroutines()
+		for deadline := time.Now().Add(2 * time.Second); got != want && time.Now().Before(deadline); {
+			time.Sleep(10 * time.Millisecond)
+			got = serverGoroutines()
+		}
+		if got != want {
+			t.Fatalf("%d server goroutines, want %d", got, want)
+		}
+	}
+	waitGoroutines(n + 1)
+	if err := s.Shutdown(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(0)
 }

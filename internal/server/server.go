@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,14 +46,6 @@ type Config struct {
 	// HardInflight is the reject watermark: at or above it, every request
 	// gets StatusOverload. Default 4×SoftInflight.
 	HardInflight int
-	// WriteQueue bounds each connection's queued response batches (one
-	// batch is one socket write of up to outMaxResps responses); a full
-	// queue is backpressure from a slow client. Default 64.
-	WriteQueue int
-	// EnqueueTimeout is how long a handler blocks on a full write queue
-	// before declaring the client slow and dropping the connection.
-	// Default 1s.
-	EnqueueTimeout time.Duration
 	// ReadTimeout bounds how long the server waits for a complete frame
 	// (idle time and slow-loris partial frames both count). Default 60s.
 	ReadTimeout time.Duration
@@ -79,6 +72,9 @@ type Config struct {
 	// testHook, when non-nil, runs before each admitted request is
 	// executed; tests use it to inject handler panics.
 	testHook func(req *Request)
+	// slowWrite bounds one batch write before the client counts as slow
+	// and is dropped. Default slowClientBound; tests shorten it.
+	slowWrite time.Duration
 }
 
 func (c *Config) setDefaults() {
@@ -88,11 +84,8 @@ func (c *Config) setDefaults() {
 	if c.HardInflight <= 0 {
 		c.HardInflight = 4 * c.SoftInflight
 	}
-	if c.WriteQueue <= 0 {
-		c.WriteQueue = 64
-	}
-	if c.EnqueueTimeout <= 0 {
-		c.EnqueueTimeout = time.Second
+	if c.slowWrite <= 0 {
+		c.slowWrite = slowClientBound
 	}
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = 60 * time.Second
@@ -114,14 +107,14 @@ type Server struct {
 	engine *shardcache.Engine
 	store  *store
 	adm    *admission
-	clock  *coarseClock
+	// start is the origin of the token buckets' nanosecond clock.
+	start time.Time
 
 	ln       net.Listener
 	draining atomic.Bool
 
 	connWG sync.WaitGroup // one per live connection
 	loopWG sync.WaitGroup // accept loop
-	stopCh chan struct{}
 	// rb is the engine's background target distributor (nil when the
 	// cadence is disabled); stats read its pass counter.
 	rb *shardcache.Rebalancer
@@ -142,17 +135,16 @@ type Server struct {
 	forcedConns atomic.Uint64
 }
 
-// conn is one client connection: a reader goroutine that parses frames,
-// runs handlers synchronously and batches their responses, and a writer
-// goroutine draining the bounded batch queue, one socket write per batch.
-// The reader is the only producer on writeQ, so closing it after the last
-// enqueue is race-free.
+// conn is one client connection, served by one goroutine: it parses
+// frames, runs handlers synchronously and writes their batched responses
+// itself.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 	// br buffers nc for the reader; buffered bytes are what make pipelined
 	// GET runs visible (see batch.go) and what tell the reader it is about
-	// to block. Reader-goroutine-owned, like gb, req, out and outN.
+	// to block. Owned by the connection's goroutine, like gb, req, out and
+	// outN.
 	br *bufio.Reader
 	// gb is the pipelined-GET batching scratch, allocated on first use.
 	gb *getBatch
@@ -162,11 +154,6 @@ type conn struct {
 	// out holds the outN responses encoded since the last flush.
 	out  []byte
 	outN int
-
-	writeQ chan outBatch
-	// free returns written buffers from the writer to the reader.
-	free    chan []byte
-	pending atomic.Int64 // responses sent but not yet written
 
 	hmu sync.Mutex
 	//fs:guardedby hmu
@@ -213,7 +200,7 @@ func New(cfg Config) (*Server, error) {
 		engine:     engine,
 		store:      newStore(cfg.StoreShards),
 		adm:        newAdmission(cfg.Tenants, cfg.SoftInflight, cfg.HardInflight),
-		stopCh:     make(chan struct{}),
+		start:      time.Now(),
 		conns:      map[*conn]struct{}{},
 		closedHist: stats.NewHistogram(latBuckets),
 	}
@@ -236,7 +223,6 @@ func (s *Server) ListenAndServe() error {
 // returns immediately; use Shutdown to stop.
 func (s *Server) Serve(ln net.Listener) {
 	s.ln = ln
-	s.clock = newCoarseClock()
 	// Set before the accept loop starts: a connection's stats read it.
 	if s.cfg.Rebalance > 0 {
 		s.rb = s.engine.StartRebalancerSource(s.cfg.Rebalance, s.cfg.TargetSource)
@@ -297,12 +283,10 @@ func (s *Server) acceptLoop() {
 			continue
 		}
 		c := &conn{
-			srv:    s,
-			nc:     nc,
-			br:     bufio.NewReaderSize(nc, 1<<14),
-			writeQ: make(chan outBatch, s.cfg.WriteQueue),
-			free:   make(chan []byte, freeRing),
-			hist:   stats.NewHistogram(latBuckets),
+			srv:  s,
+			nc:   nc,
+			br:   bufio.NewReaderSize(nc, 1<<14),
+			hist: stats.NewHistogram(latBuckets),
 		}
 		s.mu.Lock()
 		s.conns[c] = struct{}{}
@@ -310,9 +294,8 @@ func (s *Server) acceptLoop() {
 		// Counted once registered: accepted == n means n connections are,
 		// or have been, in conns.
 		s.accepted.Add(1)
-		s.connWG.Add(2)
+		s.connWG.Add(1)
 		go c.readLoop()
-		go c.writeLoop()
 	}
 }
 
@@ -336,29 +319,23 @@ func (s *Server) removeConn(c *conn) {
 // Response batching. The reader flushes out when it is about to block on
 // the socket, so an unpipelined client is answered at once; outMaxBytes and
 // outMaxResps keep a head response from waiting behind an unbounded burst.
-// freeRing sizes the writer-to-reader buffer ring, and a buffer that grew
-// past bufKeep for one large value is dropped instead of recycled.
-// writeTimeout bounds one batch write.
+// A buffer that grew past bufKeep for one large value is dropped instead of
+// reused. A client that does not take a flush within slowClientBound is
+// slow and is dropped.
 const (
-	outMaxBytes  = 32 << 10
-	outMaxResps  = 64
-	freeRing     = 4
-	bufKeep      = 64 << 10
-	writeTimeout = 10 * time.Second
+	outMaxBytes     = 32 << 10
+	outMaxResps     = 64
+	bufKeep         = 64 << 10
+	slowClientBound = time.Second
 )
-
-// outBatch is one queue item and one socket write: n encoded responses.
-type outBatch struct {
-	buf []byte
-	n   int
-}
 
 // readLoop parses frames, runs handlers synchronously and flushes their
 // responses before it blocks. Any panic in a handler is contained to this
 // connection: it is counted, logged, and the connection dies, while the
-// server and every other connection keep going.
+// server and every other connection keep going. The connection stays
+// registered until this returns, so a drain that times out can force-close
+// a write blocked on a client that stopped reading.
 func (c *conn) readLoop() {
-	defer c.srv.connWG.Done()
 	defer func() {
 		if r := recover(); r != nil {
 			// Logged before counted: whoever observes the count may read
@@ -366,10 +343,12 @@ func (c *conn) readLoop() {
 			c.srv.logf("server: panic on %s (connection dropped): %v", c.nc.RemoteAddr(), r)
 			c.srv.panics.Add(1)
 		}
-		// Reader is the sole producer: once it has flushed and returns,
-		// closing writeQ lets the writer write what is queued and exit.
+		// What is encoded still goes out: StatusDraining, and the replies
+		// ahead of a panicking request.
 		c.flush()
-		close(c.writeQ)
+		_ = c.nc.Close()
+		c.srv.removeConn(c)
+		c.srv.connWG.Done()
 	}()
 	var frame []byte
 	req := &c.req
@@ -429,80 +408,40 @@ func (c *conn) readLoop() {
 }
 
 // send encodes resp onto the pending batch, flushing when the batch is
-// full. It returns false when the connection must drop (slow client).
+// full. It returns false when the connection must drop.
 func (c *conn) send(resp *Response) bool {
 	c.out = AppendResponse(c.out, resp)
 	c.outN++
 	c.srv.adm.inflight.Add(1)
-	c.pending.Add(1)
 	if len(c.out) < outMaxBytes && c.outN < outMaxResps {
 		return true
 	}
 	return c.flush()
 }
 
-// flush hands the pending batch to the writer with bounded backpressure
-// and takes a recycled buffer for the next one. It returns false when the
-// connection must drop (slow client).
+// flush writes the pending batch in one socket write. It returns false when
+// the connection must drop: the write failed, or the client took longer
+// than cfg.slowWrite to accept it.
 func (c *conn) flush() bool {
 	if c.outN == 0 {
 		return true
 	}
-	b := outBatch{c.out, c.outN}
-	c.out, c.outN = nil, 0
-	select {
-	case c.out = <-c.free:
-	default:
+	s := c.srv
+	_ = c.nc.SetWriteDeadline(time.Now().Add(s.cfg.slowWrite))
+	_, err := c.nc.Write(c.out)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		// Logged before counted, and both before the batch leaves
+		// inflight: whoever observes the count may read what Logf wrote.
+		s.logf("server: slow client %s (write blocked for %v), dropping",
+			c.nc.RemoteAddr(), s.cfg.slowWrite)
+		s.slowClients.Add(1)
 	}
-	select {
-	case c.writeQ <- b:
-		return true
-	default:
+	s.adm.inflight.Add(int64(-c.outN))
+	c.out, c.outN = c.out[:0], 0
+	if cap(c.out) > bufKeep {
+		c.out = nil
 	}
-	// Queue full: the client is not draining responses. Give it one
-	// bounded grace period, then declare it slow and drop the connection
-	// (its queued responses still flush).
-	t := time.NewTimer(c.srv.cfg.EnqueueTimeout)
-	defer t.Stop()
-	select {
-	case c.writeQ <- b:
-		return true
-	case <-t.C:
-		c.srv.adm.inflight.Add(int64(-b.n))
-		c.pending.Add(int64(-b.n))
-		c.srv.slowClients.Add(1)
-		c.srv.logf("server: slow client %s (write queue full for %v), dropping",
-			c.nc.RemoteAddr(), c.srv.cfg.EnqueueTimeout)
-		return false
-	}
-}
-
-// writeLoop drains the batch queue. After a write error it keeps draining
-// so in-flight accounting still reaches zero, it just stops touching the
-// dead socket. The connection stays registered until the writer is done, so
-// a drain that times out can force-close a write blocked on a client that
-// stopped reading.
-func (c *conn) writeLoop() {
-	defer c.srv.connWG.Done()
-	defer c.srv.removeConn(c)
-	defer func() { _ = c.nc.Close() }()
-	dead := false
-	for b := range c.writeQ {
-		if !dead {
-			_ = c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-			if _, err := c.nc.Write(b.buf); err != nil {
-				dead = true
-			}
-		}
-		c.srv.adm.inflight.Add(int64(-b.n))
-		c.pending.Add(int64(-b.n))
-		if cap(b.buf) <= bufKeep {
-			select {
-			case c.free <- b.buf[:0]:
-			default:
-			}
-		}
-	}
+	return err == nil
 }
 
 // handle executes one parsed request and returns the response. ok=false
@@ -535,45 +474,39 @@ func (c *conn) handle(req *Request) (resp Response, ok bool) {
 	}
 	t := s.adm.tenants[req.Tenant]
 
-	// The expiry is computed against a synced coarse clock once; the hot
-	// path below re-checks with plain atomic loads.
-	now := s.clock.Sync()
-	var expiry int64
-	if req.DeadlineUS > 0 {
-		expiry = now + int64(req.DeadlineUS)*1000
-	}
+	// One clock read before the work feeds the token bucket and is the
+	// latency base; one after is the latency sample and the deadline check.
 	start := time.Now()
-	defer func() {
-		lat := time.Since(start)
-		c.hmu.Lock()
-		if c.hist != nil {
-			c.hist.Add(float64(lat) / float64(latCap))
-		}
-		c.hmu.Unlock()
-	}()
-
-	switch s.adm.decide(t, req.Op, now) {
+	v := s.adm.decide(t, req.Op, int64(start.Sub(s.start)))
+	switch v {
 	case vReject:
 		resp.Status = StatusOverload
-		return resp, true
 	case vShed:
 		resp.Status = StatusShed
-		return resp, true
+	default:
+		if s.cfg.testHook != nil {
+			s.cfg.testHook(req)
+		}
+		resp.Status = s.mutate(req)
 	}
-
-	if s.cfg.testHook != nil {
-		s.cfg.testHook(req)
-	}
-	if expiry != 0 && s.clock.Now() >= expiry {
+	lat := time.Since(start)
+	if v == vAdmit && resp.Status != StatusBadRequest && expired(req, lat) {
+		// The work is done but the client's deadline passed while we did
+		// it; tell the truth so the client does not double-count a slow
+		// success as fresh.
 		t.deadlined.Add(1)
 		resp.Status = StatusDeadline
-		return resp, true
 	}
+	c.record(lat, 1)
+	return resp, true
+}
 
+// mutate applies an admitted SET or DEL to the engine and the byte store.
+func (s *Server) mutate(req *Request) Status {
 	addr := hashKey(req.Key)
-	part := int(req.Tenant)
 	switch req.Op {
 	case OpSet:
+		part := int(req.Tenant)
 		res := s.engine.Access(addr, part)
 		if s.cfg.Observe != nil {
 			s.cfg.Observe(part, addr)
@@ -587,21 +520,29 @@ func (c *conn) handle(req *Request) (resp Response, ok bool) {
 		// Bytes go now; the simulated line carries no value and ages out
 		// under its partition's normal replacement pressure.
 		if !s.store.Delete(addr) {
-			resp.Status = StatusNotFound
+			return StatusNotFound
 		}
 	default:
-		resp.Status = StatusBadRequest
-		return resp, true
+		return StatusBadRequest
 	}
+	return StatusOK
+}
 
-	if expiry != 0 && s.clock.Now() >= expiry {
-		// The work is done but the client's deadline passed while we did
-		// it; tell the truth so the client does not double-count a slow
-		// success as fresh.
-		t.deadlined.Add(1)
-		resp.Status = StatusDeadline
+// expired reports whether req's wire deadline passed within elapsed.
+func expired(req *Request, elapsed time.Duration) bool {
+	return req.DeadlineUS > 0 && elapsed >= time.Duration(req.DeadlineUS)*time.Microsecond
+}
+
+// record adds n samples of lat to the connection's latency histogram.
+func (c *conn) record(lat time.Duration, n int) {
+	sample := float64(lat) / float64(latCap)
+	c.hmu.Lock()
+	if c.hist != nil {
+		for i := 0; i < n; i++ {
+			c.hist.Add(sample)
+		}
 	}
-	return resp, true
+	c.hmu.Unlock()
 }
 
 // Shutdown drains the server: stop accepting, let in-flight requests
@@ -614,7 +555,6 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	}
 	s.logf("server: draining (timeout %v)", timeout)
 	_ = s.ln.Close()
-	close(s.stopCh)
 	if s.rb != nil {
 		s.rb.Stop()
 	}
@@ -649,7 +589,6 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		<-done
 	}
 	s.loopWG.Wait()
-	s.clock.Close()
 	if forced == nil {
 		s.logf("server: drained cleanly")
 	} else {

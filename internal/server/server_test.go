@@ -231,7 +231,7 @@ func TestDeadlineExceeded(t *testing.T) {
 	slow := atomic.Bool{}
 	cfg.testHook = func(req *Request) {
 		if slow.Load() {
-			time.Sleep(10 * clockTick)
+			time.Sleep(10 * time.Millisecond)
 		}
 	}
 	s := startServer(t, cfg)
@@ -243,10 +243,10 @@ func TestDeadlineExceeded(t *testing.T) {
 	if r.Status != StatusOK {
 		t.Fatalf("fast request with deadline: %v", r.Status)
 	}
-	// 1ms deadline against a 10-tick handler stall: expired.
+	// 1ms deadline against a 10ms handler stall: expired.
 	slow.Store(true)
 	r = c.mustRPC(Request{Op: OpGet, Tenant: 0, Key: []byte("k"),
-		DeadlineUS: uint32(clockTick / time.Microsecond)})
+		DeadlineUS: uint32(time.Millisecond / time.Microsecond)})
 	if r.Status != StatusDeadline {
 		t.Fatalf("stalled request: %v, want deadline-exceeded", r.Status)
 	}
@@ -443,8 +443,7 @@ func TestReadTimeoutDropsStalledConn(t *testing.T) {
 
 func TestSlowClientBackpressure(t *testing.T) {
 	cfg := testConfig()
-	cfg.WriteQueue = 1
-	cfg.EnqueueTimeout = 100 * time.Millisecond
+	cfg.slowWrite = 100 * time.Millisecond
 	s := startServer(t, cfg)
 
 	c := dialTest(t, s)
@@ -453,8 +452,8 @@ func TestSlowClientBackpressure(t *testing.T) {
 		t.Fatalf("set: %v", r.Status)
 	}
 	// Pipeline GETs for a 256KiB value without ever reading responses:
-	// kernel buffers fill, the writer blocks, the 1-deep queue jams, and
-	// the enqueue timeout declares us slow.
+	// kernel buffers fill, a response write blocks, and the slow-client
+	// bound declares us slow.
 	req := Request{Op: OpGet, Tenant: 0, Key: []byte("big")}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {

@@ -5,11 +5,12 @@
 //
 // The package's headline is not the protocol but the overload model
 // (DESIGN.md §14): per-tenant token-bucket admission with SLO classes,
-// wire-propagated per-request deadlines checked against a coarse clock on
-// the hot path, bounded per-connection write queues with backpressure,
+// wire-propagated per-request deadlines checked once the work is done,
+// one goroutine per connection that writes its own batched responses,
 // graceful degradation (best-effort tenants shed first, guaranteed tenants
-// fall back to a stale fast path before erroring), slow-client protection,
-// per-connection panic isolation, and a drain-based graceful shutdown.
+// fall back to a stale fast path before erroring), slow-client protection
+// by a bounded write, per-connection panic isolation, and a drain-based
+// graceful shutdown.
 package server
 
 import (
