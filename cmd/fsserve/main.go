@@ -162,8 +162,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		},
 	}
 	if s.Alloc != nil {
-		cfg.TargetSource = s.Alloc
-		cfg.Observe = s.Alloc.Observe
+		cfg.Alloc = s.Alloc
 		fmt.Fprintf(stderr, "fsserve: online %s allocation armed (epoch targets install on the %v rebalance tick)\n", *allocFl, *rebalance)
 	}
 	srv, err := server.New(cfg)

@@ -194,9 +194,9 @@ func (c *conn) handleGetRun(head *Request) bool {
 	// Engine: one batched pass, one lock per touched stripe.
 	if len(b.accs) > 0 {
 		b.batch.Access(b.accs, b.results[:len(b.accs)])
-		if s.cfg.Observe != nil {
+		if s.cfg.Alloc != nil {
 			for j := range b.accs {
-				s.cfg.Observe(b.accs[j].Part, b.accs[j].Addr)
+				s.cfg.Alloc.Observe(b.accs[j].Part, b.accs[j].Addr)
 			}
 		}
 	}

@@ -92,7 +92,7 @@ func TestFlushBeforeBlock(t *testing.T) {
 	cfg := testConfig()
 	// The burst below outruns its reader on purpose; the unwritten replies
 	// must not read as overload.
-	cfg.SoftInflight = 1 << 20
+	cfg.softInflight = 1 << 20
 	s, l := startPipeServer(t, cfg)
 	c := l.dial(t)
 

@@ -269,7 +269,7 @@ func TestServerAgainstModel(t *testing.T) {
 	cfg := testConfig()
 	cfg.Cache.Stripes = 4
 	// The model has no admission ladder; keep the watermarks out of reach.
-	cfg.SoftInflight = 1 << 20
+	cfg.softInflight = 1 << 20
 
 	t.Run("clean", func(t *testing.T) {
 		s := startServer(t, cfg)

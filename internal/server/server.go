@@ -25,8 +25,7 @@ const (
 	latBuckets = 512
 )
 
-// Config assembles a Server. The zero values of the tuning knobs are
-// replaced by the defaults documented on each field.
+// Config assembles a Server.
 type Config struct {
 	// Addr is the TCP listen address, e.g. "127.0.0.1:0".
 	Addr string
@@ -39,59 +38,53 @@ type Config struct {
 	// and summing to Cache.Lines. When nil the capacity is split evenly
 	// across tenants.
 	Targets []int
-	// SoftInflight is the shed watermark: at or above this many in-flight
-	// requests, best-effort tenants are shed and guaranteed reads go
-	// stale. Default 256.
-	SoftInflight int
-	// HardInflight is the reject watermark: at or above it, every request
-	// gets StatusOverload. Default 4×SoftInflight.
-	HardInflight int
-	// ReadTimeout bounds how long the server waits for a complete frame
-	// (idle time and slow-loris partial frames both count). Default 60s.
-	ReadTimeout time.Duration
 	// Rebalance is the engine target-redistribution cadence; 0 disables
 	// the background rebalancer.
 	Rebalance time.Duration
-	// TargetSource, when non-nil, drives the rebalancer's target vector:
-	// each tick polls it and installs fresh targets before redistributing
-	// (the online allocator in internal/alloc implements it). Requires
-	// Rebalance > 0 to have any effect.
-	TargetSource shardcache.TargetSource
-	// Observe, when non-nil, is called with (partition, address) for every
-	// access the engine performs on behalf of a request — the feed for an
-	// online allocator. It must be safe for concurrent use and cheap: it
-	// runs on the request path.
-	Observe func(part int, addr uint64)
-	// StoreShards is the byte store's lock-shard count (power of two).
-	// Default 16.
-	StoreShards int
+	// Alloc, when non-nil, is the online allocator: every access the engine
+	// performs on behalf of a request is Observed into it, and each
+	// rebalancer tick polls it for epoch targets (so it needs Rebalance > 0
+	// to steer the engine).
+	Alloc *alloc.Allocator
 	// Logf, when non-nil, receives operational log lines (accepts,
 	// panics, drains). The server never logs on the request path.
 	Logf func(format string, args ...interface{})
 
+	// Tests narrow these; zero means the default. softInflight and
+	// hardInflight are the shed and reject watermarks (shedInflight and 4×
+	// that), readTimeout bounds the wait for a complete frame
+	// (frameTimeout), and slowWrite one batch write (slowClientBound).
+	softInflight, hardInflight int
+	readTimeout                time.Duration
+	slowWrite                  time.Duration
 	// testHook, when non-nil, runs before each admitted request is
 	// executed; tests use it to inject handler panics.
 	testHook func(req *Request)
-	// slowWrite bounds one batch write before the client counts as slow
-	// and is dropped. Default slowClientBound; tests shorten it.
-	slowWrite time.Duration
 }
 
+// Serving constants. At or above shedInflight in-flight requests,
+// best-effort tenants are shed and guaranteed reads go stale; at or above
+// 4× that (1024), every request gets StatusOverload. frameTimeout bounds
+// the wait for a complete frame (idle time and slow-loris partial frames
+// both count). storeShards is the byte store's lock-shard count.
+const (
+	shedInflight = 256
+	frameTimeout = 60 * time.Second
+	storeShards  = 16
+)
+
 func (c *Config) setDefaults() {
-	if c.SoftInflight <= 0 {
-		c.SoftInflight = 256
+	if c.softInflight <= 0 {
+		c.softInflight = shedInflight
 	}
-	if c.HardInflight <= 0 {
-		c.HardInflight = 4 * c.SoftInflight
+	if c.hardInflight <= 0 {
+		c.hardInflight = 4 * c.softInflight
+	}
+	if c.readTimeout <= 0 {
+		c.readTimeout = frameTimeout
 	}
 	if c.slowWrite <= 0 {
 		c.slowWrite = slowClientBound
-	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 60 * time.Second
-	}
-	if c.StoreShards <= 0 {
-		c.StoreShards = 16
 	}
 }
 
@@ -185,9 +178,6 @@ func New(cfg Config) (*Server, error) {
 				cfg.Targets, len(cfg.Tenants), cfg.Cache.Lines)
 		}
 	}
-	if cfg.HardInflight < cfg.SoftInflight {
-		return nil, errors.New("server: HardInflight below SoftInflight")
-	}
 	engine := shardcache.New(cfg.Cache)
 	targets := cfg.Targets
 	if targets == nil {
@@ -198,8 +188,8 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		engine:     engine,
-		store:      newStore(cfg.StoreShards),
-		adm:        newAdmission(cfg.Tenants, cfg.SoftInflight, cfg.HardInflight),
+		store:      newStore(storeShards),
+		adm:        newAdmission(cfg.Tenants, cfg.softInflight, cfg.hardInflight),
 		start:      time.Now(),
 		conns:      map[*conn]struct{}{},
 		closedHist: stats.NewHistogram(latBuckets),
@@ -225,12 +215,16 @@ func (s *Server) Serve(ln net.Listener) {
 	s.ln = ln
 	// Set before the accept loop starts: a connection's stats read it.
 	if s.cfg.Rebalance > 0 {
-		s.rb = s.engine.StartRebalancerSource(s.cfg.Rebalance, s.cfg.TargetSource)
+		var src shardcache.TargetSource
+		if s.cfg.Alloc != nil {
+			src = s.cfg.Alloc
+		}
+		s.rb = s.engine.StartRebalancerSource(s.cfg.Rebalance, src)
 	}
 	s.loopWG.Add(1)
 	go s.acceptLoop()
 	s.logf("server: listening on %s (%d tenants, soft=%d hard=%d)",
-		ln.Addr(), len(s.cfg.Tenants), s.cfg.SoftInflight, s.cfg.HardInflight)
+		ln.Addr(), len(s.cfg.Tenants), s.cfg.softInflight, s.cfg.hardInflight)
 }
 
 // Addr returns the bound listen address (nil before Serve).
@@ -254,7 +248,7 @@ func (s *Server) rebalanceCount() uint64 {
 }
 
 // installCount reads the rebalancer's source-install counter (0 when the
-// cadence is disabled or no TargetSource is configured).
+// cadence is disabled or no Alloc is configured).
 func (s *Server) installCount() uint64 {
 	if s.rb == nil {
 		return 0
@@ -360,7 +354,7 @@ func (c *conn) readLoop() {
 			if !c.flush() {
 				return
 			}
-			_ = c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.ReadTimeout))
+			_ = c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.readTimeout))
 		}
 		if c.srv.draining.Load() {
 			return
@@ -508,8 +502,8 @@ func (s *Server) mutate(req *Request) Status {
 	case OpSet:
 		part := int(req.Tenant)
 		res := s.engine.Access(addr, part)
-		if s.cfg.Observe != nil {
-			s.cfg.Observe(part, addr)
+		if s.cfg.Alloc != nil {
+			s.cfg.Alloc.Observe(part, addr)
 		}
 		var spare []byte
 		if res.Evicted {
@@ -560,7 +554,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	}
 
 	// Readers blocked waiting for a frame wake immediately instead of
-	// waiting out ReadTimeout: expire their read deadlines. Readers
+	// waiting out the frame timeout: expire their read deadlines. Readers
 	// mid-handler are untouched and finish normally.
 	now := time.Now()
 	s.mu.Lock()

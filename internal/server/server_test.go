@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"fscache/internal/alloc"
 	"fscache/internal/futility"
 	"fscache/internal/shardcache"
 )
@@ -226,6 +227,58 @@ func TestEvictionKeepsStoreInSync(t *testing.T) {
 	}
 }
 
+// TestAllocatorFeed serves cache-aside traffic — GETs, and a SET after
+// each miss — with an online allocator. Every engine access a request makes
+// is Observed, so with one client the allocator has closed exactly
+// accesses/EpochAccesses epochs; and tenant 0 cycles a working set while
+// tenant 1 never reuses a key, so an epoch moves lines to tenant 0 and the
+// rebalancer installs them.
+func TestAllocatorFeed(t *testing.T) {
+	const epoch = 1024
+	cfg := testConfig()
+	cfg.Alloc = alloc.New(alloc.Config{Parts: 2, Lines: cfg.Cache.Lines, EpochAccesses: epoch, Seed: 1})
+	cfg.Rebalance = time.Millisecond
+	s := startServer(t, cfg)
+	c := dialTest(t, s)
+
+	sets := 0
+	for i := 0; i < 4096; i++ {
+		tenant := uint8(i % 2)
+		key := []byte(fmt.Sprintf("scan-%d", i))
+		if tenant == 0 {
+			key = []byte(fmt.Sprintf("hot-%d", i/2%96))
+		}
+		switch r := c.mustRPC(Request{Op: OpGet, Tenant: tenant, Key: key}); r.Status {
+		case StatusOK:
+			continue
+		case StatusNotFound:
+		default:
+			t.Fatalf("get %s: %v", key, r.Status)
+		}
+		if r := c.mustRPC(Request{Op: OpSet, Tenant: tenant, Key: key, Value: key}); r.Status != StatusOK {
+			t.Fatalf("set %s: %v", key, r.Status)
+		}
+		sets++
+	}
+	snap := s.Stats()
+	if hits := snap.Tenants[0].Hits; hits == 0 || sets == 0 {
+		t.Fatalf("traffic took one path only: %d GET hits, %d SETs", hits, sets)
+	}
+	if got, want := cfg.Alloc.Epoch(), int(snap.Accesses/epoch); got != want || got == 0 {
+		t.Fatalf("allocator closed %d epochs over %d engine accesses, want %d", got, snap.Accesses, want)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().TargetInstalls == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no epoch targets installed; allocator targets %v", cfg.Alloc.Targets())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if tg := s.Engine().Targets(); tg[0] <= tg[1] {
+		t.Fatalf("installed targets %v: the reused tenant should hold more", tg)
+	}
+}
+
 func TestDeadlineExceeded(t *testing.T) {
 	cfg := testConfig()
 	slow := atomic.Bool{}
@@ -315,8 +368,8 @@ func TestDegradationLadderEndToEnd(t *testing.T) {
 
 func TestHardLimitRejects(t *testing.T) {
 	cfg := testConfig()
-	cfg.SoftInflight = 1
-	cfg.HardInflight = 1
+	cfg.softInflight = 1
+	cfg.hardInflight = 1
 	s := startServer(t, cfg)
 	// With hard = 1, any standing in-flight load rejects the next
 	// request. Pin the gauge directly (simulating queued responses to a
@@ -423,7 +476,7 @@ func TestProtocolErrorsOverTheWire(t *testing.T) {
 
 func TestReadTimeoutDropsStalledConn(t *testing.T) {
 	cfg := testConfig()
-	cfg.ReadTimeout = 100 * time.Millisecond
+	cfg.readTimeout = 100 * time.Millisecond
 	s := startServer(t, cfg)
 
 	nc, err := net.Dial("tcp", s.Addr().String())
@@ -616,7 +669,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Targets = []int{-5, 261} },    // sums to Lines, one negative
 		func(c *Config) { c.Targets = []int{9000, 9000} }, // over capacity
 		func(c *Config) { c.Targets = []int{100, 100} },   // under capacity
-		func(c *Config) { c.SoftInflight = 10; c.HardInflight = 5 },
 	}
 	for i, mut := range bad {
 		cfg := testConfig()

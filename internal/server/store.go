@@ -1,7 +1,6 @@
 package server
 
 import (
-	"math/bits"
 	"sync"
 
 	"fscache/internal/xrand"
@@ -26,16 +25,14 @@ import (
 // over one map lock; shard count is fixed at construction (power of two).
 //
 // Ownership: a value's bytes are valid only under its shard's lock. Put
-// overwrites them in place, and a deleted or replaced entry's buffer is
-// parked on the shard's free list for the next Put to fill, so Get copies
-// out under the lock and nothing outside the store ever aliases an entry.
-// The one buffer that leaves a shard is an evicted one: Evict unlinks it
-// and hands it to its caller, who owns it until passing it to Put as the
-// spare, so a SET's new entry takes its victim's buffer whichever shards the
-// two keys hash to, rather than the victim's buffer parking in one shard
-// while the new entry pops from another. A churning store therefore
-// produces no garbage; the free list is bounded by 1/freeFrac of the
-// shard's live bytes.
+// overwrites them in place when the new value fits the entry's buffer, so
+// Get copies out under the lock and nothing outside the store ever aliases
+// an entry. The one buffer that leaves a shard is an evicted one: Evict
+// unlinks it and hands it to its caller, who owns it until passing it to Put
+// as the spare, so a SET's new entry takes its victim's buffer whichever
+// shards the two keys hash to, and a SET churn of equal-sized values
+// produces no garbage. Any other buffer the store stops holding is garbage:
+// the store keeps no free list.
 type store struct {
 	shards []storeShard
 	mask   uint64
@@ -47,65 +44,12 @@ type storeShard struct {
 	m map[uint64]storeEntry
 	//fs:guardedby mu
 	bytes int64
-	// free[c] holds the parked buffers of capacity class c, freeBytes their
-	// total capacity.
-	//fs:guardedby mu
-	free [valClasses][][]byte
-	//fs:guardedby mu
-	freeBytes int64
 }
 
-// freeFrac bounds a shard's parked capacity to bytes/freeFrac; valClasses
-// covers values up to MaxFrame.
-const (
-	freeFrac   = 8
-	valClasses = 4*(20-4) + 1
-)
-
-// valClass maps a value length to its buffer's capacity class and
-// capacity: four steps per power of two from 16 B up, so a buffer wastes
-// under a fifth of itself and any buffer of a class holds any value of it.
-func valClass(n int) (class, size int) {
-	if n <= 16 {
-		return 0, 16
-	}
-	k := bits.Len(uint(n - 1)) // 2^(k-1) < n ≤ 2^k
-	step := 1 << (k - 3)
-	size = (n + step - 1) &^ (step - 1)
-	return 4*(k-5) + size>>(k-3) - 4, size
-}
-
-// pop takes a parked buffer of the class, or returns nil.
-//
-//fs:callerholds mu
-func (sh *storeShard) pop(class int) []byte {
-	l := sh.free[class]
-	if len(l) == 0 {
-		return nil
-	}
-	buf := l[len(l)-1]
-	l[len(l)-1] = nil
-	sh.free[class] = l[:len(l)-1]
-	sh.freeBytes -= int64(cap(buf))
-	return buf
-}
-
-// park puts buf (nil: nothing) on the free list, then drops parked buffers,
-// largest class first, until the list is back within its bound. Every
-// change to sh.bytes is followed by a park, which is what keeps the bound.
-//
-//fs:callerholds mu
-func (sh *storeShard) park(buf []byte) {
-	if buf != nil {
-		class, _ := valClass(cap(buf))
-		sh.free[class] = append(sh.free[class], buf)
-		sh.freeBytes += int64(cap(buf))
-	}
-	for class := valClasses - 1; sh.freeBytes > sh.bytes/freeFrac; {
-		if sh.pop(class) == nil {
-			class--
-		}
-	}
+// fits reports whether buf holds n bytes while wasting under a fifth of
+// itself: n ≤ cap ≤ n + n/4.
+func fits(buf []byte, n int) bool {
+	return n <= cap(buf) && cap(buf) <= n+n/4
 }
 
 type storeEntry struct {
@@ -160,12 +104,10 @@ func (s *store) Get(addr uint64, key, dst []byte) ([]byte, bool) {
 }
 
 // Put stores value bytes for addr, copying both key and value out of the
-// frame buffer: into the entry's own buffer when that is of the right
-// class, else into spare when that is, else into a parked or new one. spare
-// is a buffer from Evict, or nil; Put takes it over and parks it unless the
-// entry keeps it.
+// frame buffer: into the entry's own buffer when the value fits it, else
+// into spare when it fits that, else into a new buffer of the value's
+// length. spare is a buffer from Evict, or nil; Put takes it over.
 func (s *store) Put(addr uint64, key, val, spare []byte) {
-	class, size := valClass(len(val))
 	sh := s.shard(addr)
 	sh.mu.Lock()
 	e := sh.m[addr] // the zero entry when absent
@@ -173,26 +115,19 @@ func (s *store) Put(addr uint64, key, val, spare []byte) {
 	if e.key != string(key) { // new entry, or a colliding key's
 		e.key = string(key)
 	}
-	var old []byte
 	switch {
-	case cap(e.val) == size: // overwritten in place
-	case cap(spare) == size:
-		old, e.val, spare = e.val, spare, nil
+	case fits(e.val, len(val)): // overwritten in place
+	case fits(spare, len(val)):
+		e.val = spare
 	default:
-		old, e.val = e.val, sh.pop(class)
-		if e.val == nil {
-			e.val = make([]byte, 0, size)
-		}
+		e.val = make([]byte, 0, len(val))
 	}
 	e.val = append(e.val[:0], val...)
 	sh.m[addr] = e
-	sh.park(old)
-	sh.park(spare)
 	sh.mu.Unlock()
 }
 
 // remove unlinks addr's entry, if any, from the shard's map and byte count.
-// The caller parks afterwards, which keeps the free list's bound.
 //
 //fs:callerholds mu
 func (sh *storeShard) remove(addr uint64) (e storeEntry, ok bool) {
@@ -207,8 +142,7 @@ func (sh *storeShard) remove(addr uint64) (e storeEntry, ok bool) {
 func (s *store) Delete(addr uint64) bool {
 	sh := s.shard(addr)
 	sh.mu.Lock()
-	e, ok := sh.remove(addr)
-	sh.park(e.val)
+	_, ok := sh.remove(addr)
 	sh.mu.Unlock()
 	return ok
 }
@@ -219,7 +153,6 @@ func (s *store) Evict(addr uint64) []byte {
 	sh := s.shard(addr)
 	sh.mu.Lock()
 	e, _ := sh.remove(addr)
-	sh.park(nil)
 	sh.mu.Unlock()
 	return e.val
 }

@@ -39,67 +39,32 @@ func verifyStamped(val []byte, id uint32) error {
 }
 
 // checkStore verifies every shard's accounting against its contents: the
-// byte count is exact, the free list holds what freeBytes says and stays
-// within its bound, and every buffer has exactly its class's capacity.
+// byte count is exact, and every value fits its buffer (Put's rule).
 func checkStore(t *testing.T, s *store) {
 	t.Helper()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		var live, parked int64
+		var live int64
 		for _, e := range sh.m {
 			live += int64(len(e.key) + len(e.val))
-			if _, size := valClass(len(e.val)); cap(e.val) != size {
-				t.Errorf("shard %d: %d-byte value in a %d-byte buffer, class size %d", i, len(e.val), cap(e.val), size)
-			}
-		}
-		for class, l := range sh.free {
-			for _, buf := range l {
-				parked += int64(cap(buf))
-				if c, _ := valClass(cap(buf)); c != class {
-					t.Errorf("shard %d: %d-byte buffer parked in class %d", i, cap(buf), class)
-				}
+			if !fits(e.val, len(e.val)) {
+				t.Errorf("shard %d: %d-byte value in a %d-byte buffer", i, len(e.val), cap(e.val))
 			}
 		}
 		if sh.bytes != live {
 			t.Errorf("shard %d: bytes %d, contents %d", i, sh.bytes, live)
 		}
-		if sh.freeBytes != parked {
-			t.Errorf("shard %d: freeBytes %d, parked %d", i, sh.freeBytes, parked)
-		}
-		if sh.freeBytes > sh.bytes/freeFrac {
-			t.Errorf("shard %d: %d bytes parked for %d live, bound 1/%d", i, sh.freeBytes, sh.bytes, freeFrac)
-		}
 		sh.mu.RUnlock()
-	}
-}
-
-func TestValClass(t *testing.T) {
-	last := -1
-	for n := 0; n <= MaxFrame; n++ {
-		class, size := valClass(n)
-		if size < n || size > 16 && size-n >= size/5 {
-			t.Fatalf("valClass(%d): size %d", n, size)
-		}
-		if c, sz := valClass(size); c != class || sz != size {
-			t.Fatalf("valClass(%d) = %d,%d but its own size maps to %d,%d", n, class, size, c, sz)
-		}
-		if class != last && class != last+1 {
-			t.Fatalf("valClass(%d): class %d after %d", n, class, last)
-		}
-		last = class
-	}
-	if last != valClasses-1 {
-		t.Fatalf("MaxFrame lands in class %d of %d", last, valClasses)
 	}
 }
 
 // TestStoreRecyclesWithoutAliasing is the store's ownership contract under
 // -race: while writers overwrite and delete — so value buffers are rewritten
-// in place and recycled between keys — and one writer evicts a key and hands
-// its buffer to the Put of another, as a SET does, across shards, a reader
-// only ever gets an intact value of the key it asked for, and the accounting
-// holds throughout.
+// in place when the new value fits and replaced when it does not — and one
+// writer evicts a key and hands its buffer to the Put of another, as a SET
+// does, across shards, a reader only ever gets an intact value of the key it
+// asked for, and the accounting holds throughout.
 func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 	const keys = 96
 	s := newStore(4)
@@ -173,9 +138,10 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 	readers.Wait()
 	checkStore(t, s)
 
-	// The bound follows the live bytes down: shrink every value, then
-	// delete everything.
-	var buf []byte
+	// Shrink every value past what its buffer fits, then delete
+	// everything: each value moves to a buffer that fits it, intact, and
+	// the accounting follows the live bytes down.
+	var buf, dst []byte
 	for _, n := range []int{1024, 64} {
 		for k := range key {
 			buf = stampedValue(buf, uint32(k), 0, n)
@@ -184,6 +150,15 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 		checkStore(t, s)
 		if entries, bytes := s.Stats(); entries != keys || bytes != int64(keys*(len(key[0])+n)) {
 			t.Fatalf("%d-byte values: %d entries, %d bytes", n, entries, bytes)
+		}
+		for k := range key {
+			var ok bool
+			if dst, ok = s.Get(addr[k], key[k], dst[:0]); !ok || len(dst) != n {
+				t.Fatalf("%d-byte values: Get(%s) = %d bytes, found %v", n, key[k], len(dst), ok)
+			}
+			if err := verifyStamped(dst, uint32(k)); err != nil {
+				t.Fatalf("%d-byte values: Get(%s): %v", n, key[k], err)
+			}
 		}
 	}
 	for k := range key {
@@ -200,7 +175,7 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 // On a full store, a SET churn — every SET evicts the oldest entry and
 // inserts a key that is not resident, as when the engine evicts — hands each
 // victim's buffer to the new entry, whichever shards the two keys hash to:
-// nothing is allocated and nothing parks. Keys are one byte long, so their
+// nothing is allocated. Keys are one byte long, so their
 // strings are Go's static one-byte strings and any allocation counted is a
 // value buffer.
 func TestStoreSetChurnReusesVictimBuffers(t *testing.T) {
@@ -242,14 +217,6 @@ func TestStoreSetChurnReusesVictimBuffers(t *testing.T) {
 		t.Errorf("%v allocations per turnover of %d entries", allocs, resident)
 	}
 	checkStore(t, s)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		if sh.freeBytes != 0 {
-			t.Errorf("shard %d: %d bytes parked", i, sh.freeBytes)
-		}
-		sh.mu.RUnlock()
-	}
 	if entries, _ := s.Stats(); entries != resident {
 		t.Fatalf("%d entries, want %d", entries, resident)
 	}
