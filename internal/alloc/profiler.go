@@ -1,7 +1,7 @@
 // Package alloc closes the capacity-management loop from measurement to
 // targets: spatially-hashed shadow-tag profilers, as deep as the allocation
 // grid reads and no deeper, estimate each partition's miss-ratio curve
-// online in fixed memory, and a periodic allocator recomputes
+// online in bounded memory, and a periodic allocator recomputes
 // per-partition line targets from those curves under a pluggable
 // objective (max-aggregate-hits, max-min fairness, QoS guarantees, or
 // phase-adaptive hold-until-drift). The objectives are also the offline
@@ -49,13 +49,14 @@ import (
 //
 // Either way at most maxTags lines are tracked (the least recently used tag
 // is reused when all are taken, exactly a maxTags-line shadow cache over the
-// sample), so memory is fixed at construction: per tag 8 B of addr, 4 B of
-// slot, 8 B of hist, 8–16 B of table and the recency index's slots, of
-// which a full profiler holds 1.5–2 a tag (its last resize saw more than
-// ¾ of them in use) at a little over 4 B each. The
-// tags are the maxTags most recent sampled lines whatever maxTags is, so
-// hist[:d] is the same at every maxTags ≥ d: a reader that stops at distance
-// d needs no deeper profiler (the Allocator's depth rule, see New).
+// sample). Construction allocates per tag 8 B of addr, 4 B of slot, 8 B of
+// hist and 8–16 B of table. The recency index's slots, a little over 4 B
+// each, start at 64 and grow through relayouts with the tags in use until
+// the profiler is full, where it holds 1.5–2 a tag (its last resize saw more
+// than ¾ of them in use); past one page each of its arrays grows in whole
+// pages. The tags are the maxTags most recent sampled lines whatever maxTags
+// is, so hist[:d] is the same at every maxTags ≥ d: a reader that stops at
+// distance d needs no deeper profiler (the Allocator's depth rule, see New).
 //
 // Decay halves every histogram counter at each epoch boundary while keeping
 // the shadow tags warm, so the curve is an exponentially weighted view of

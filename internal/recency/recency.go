@@ -21,6 +21,9 @@
 // are order-relative, so no caller's slot table changes. n orders thus hold
 // three live allocations whatever n is, and a resize frees its predecessors
 // whole instead of leaving one order's dead arrays between others' live ones.
+// An array of a page or more gets a capacity of whole pages, so it has a span
+// of its own: a survivor of resizes pins only its own pages, never a span
+// shared with dead arrays of other sizes.
 package recency
 
 import (
@@ -60,10 +63,13 @@ type Index struct {
 
 // minCap is the smallest non-zero capacity: one bitmap word. minFree is the
 // fewest slots a compaction leaves free, so a small index does not compact
-// every few accesses.
+// every few accesses. pageBytes is the Go runtime's page: from 8 to 32 KiB
+// every whole number of pages is a size class of one object a span, and a
+// larger object is a span of whole pages of its own.
 const (
-	minCap  = 64
-	minFree = 32
+	minCap    = 64
+	minFree   = 32
+	pageBytes = 8 << 10
 )
 
 // set is the storage the orders of one New share: each array is the
@@ -89,17 +95,27 @@ func New(n int) []Index {
 // wordsFor is the bitmap length for capacity c: the power of two ≥ c/64.
 func wordsFor(c int32) int32 { return int32(1) << bits.Len32(uint32(c/64-1)) }
 
+// pageCap is the capacity relayout gives an array of n elements of size
+// bytes: n under one page, else n rounded up to whole pages.
+func pageCap(n, size int32) int32 {
+	if per := pageBytes / size; n >= per {
+		return (n + per - 1) / per * per
+	}
+	return n
+}
+
 // relayout moves every order to fresh segments sized to its capacity, in one
-// new allocation per array, copying the contents of all but resized — whose
-// compaction is about to rebuild its own.
+// new allocation per array of whole pages once it reaches a page, copying the
+// contents of all but resized — whose compaction is about to rebuild its own.
 func (s *set) relayout(resized *Index) {
 	var nw, nl int32
 	for i := range s.orders {
 		nw += wordsFor(s.orders[i].cap)
 		nl += s.orders[i].cap + 1
 	}
+	nn := nw + int32(len(s.orders))
 	//fslint:ignore allocfree cold relayout when an order's population has moved ×4/3 or ×1/2; other compactions reuse their segments
-	words, nodes, lineAt := make([]uint64, nw), make([]int32, nw+int32(len(s.orders))), make([]int32, nl)
+	words, nodes, lineAt := make([]uint64, nw, pageCap(nw, 8)), make([]int32, nn, pageCap(nn, 4)), make([]int32, nl, pageCap(nl, 4))
 	s.words, s.nodes, s.lineAt = words, nodes, lineAt
 	for i := range s.orders {
 		p := &s.orders[i]
@@ -130,10 +146,10 @@ func (p *Index) LastSeq() uint64 { return p.lastSeq }
 // compactions resize with the population, up or down.
 func (p *Index) Cap() int32 { return p.cap }
 
-// Storage returns the lengths of the three arrays p's set holds for all its
-// orders: bitmap words, Fenwick nodes and slot entries.
+// Storage returns the capacities of the three arrays p's set holds for all
+// its orders: bitmap words, Fenwick nodes and slot entries.
 func (p *Index) Storage() (words, nodes, slots int) {
-	return len(p.set.words), len(p.set.nodes), len(p.set.lineAt)
+	return cap(p.set.words), cap(p.set.nodes), cap(p.set.lineAt)
 }
 
 // Free returns the slots left before the next access compacts the index.
@@ -344,13 +360,15 @@ func (p *Index) Worst() int32 {
 // CheckInvariants audits the order against the slot table it was driven
 // with: the segments must have the shape the capacity fixes and sit in the
 // set's arrays right after those of the orders before it (so no two overlap
-// and none lies outside the set), the bitmap must mark exactly the slots that
-// hold a line (none past the capacity), the Fenwick nodes must equal the
-// popcounts of the words they cover, slot ↔ lineAt must be a bijection
-// between the live slots and this order's lines, and the live count must
-// agree with the slots. It marks each of its lines in claimed (len(slot)
-// entries) and fails on one already marked, so orders sharing a table are
-// checked for overlap by passing the same claimed to each.
+// and none lies outside the set), each of the set's arrays must have the
+// capacity relayout gives it (whole pages from one page up), the bitmap must
+// mark exactly the slots that hold a line (none past the capacity), the
+// Fenwick nodes must equal the popcounts of the words they cover, slot ↔
+// lineAt must be a bijection between the live slots and this order's lines,
+// and the live count must agree with the slots. It marks each of its lines
+// in claimed (len(slot) entries) and fails on one already marked, so orders
+// sharing a table are checked for overlap by passing the same claimed to
+// each.
 func (p *Index) CheckInvariants(slot []int32, claimed []bool) error {
 	nw := len(p.words)
 	if p.cap < minCap || p.cap%minCap != 0 || nw != int(wordsFor(p.cap)) || len(p.nodes) != nw+1 || len(p.lineAt) != int(p.cap)+1 {
@@ -358,6 +376,10 @@ func (p *Index) CheckInvariants(slot []int32, claimed []bool) error {
 	}
 	if err := p.placed(); err != nil {
 		return err
+	}
+	if s := p.set; !paged(s.words, 8) || !paged(s.nodes, 4) || !paged(s.lineAt, 4) {
+		return fmt.Errorf("recency: set arrays of %d words, %d nodes and %d slot entries have capacities %d, %d and %d",
+			len(s.words), len(s.nodes), len(s.lineAt), cap(s.words), cap(s.nodes), cap(s.lineAt))
 	}
 	if p.next < 1 || p.next > p.cap+1 || p.group < 1 || p.group > p.next {
 		return fmt.Errorf("recency: next slot %d, group %d out of range for capacity %d", p.next, p.group, p.cap)
@@ -409,6 +431,10 @@ func (p *Index) placed() error {
 	}
 	return fmt.Errorf("recency: order is not one of its set's %d", len(p.set.orders))
 }
+
+// paged reports whether a set array of elements of size bytes has the
+// capacity relayout gives it.
+func paged[T any](a []T, size int32) bool { return cap(a) == int(pageCap(int32(len(a)), size)) }
 
 // at reports whether seg is the non-empty stretch of all starting at off.
 func at[T any](seg, all []T, off int) bool {

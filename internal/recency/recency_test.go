@@ -276,6 +276,51 @@ func TestIndexSharedSlotTable(t *testing.T) {
 	}
 }
 
+// As an order grows, every relayout gives each of its set's arrays a
+// capacity equal to its length under a page and, from one page up, whole
+// pages less than a page over it; Storage reports the capacities. The other
+// order's one line is copied through every relayout and audited after each.
+func TestRelayoutRoundsUpToPages(t *testing.T) {
+	const lines = 1 << 17 // 2048 bitmap words and more: every array passes a page
+	orders := New(2)
+	slot := make([]int32, lines)
+	orders[0].Insert(0, 1, slot)
+	p := &orders[1]
+	var paged [3]bool
+	for l := int32(1); l < lines; l++ {
+		capBefore := p.Cap()
+		p.Insert(l, uint64(l+1), slot)
+		if p.Cap() == capBefore {
+			continue
+		}
+		s := p.set
+		for i, a := range []struct {
+			name           string
+			len, cap, size int
+		}{
+			{"bitmap", len(s.words), cap(s.words), 8},
+			{"Fenwick", len(s.nodes), cap(s.nodes), 4},
+			{"slot", len(s.lineAt), cap(s.lineAt), 4},
+		} {
+			n, c := a.len*a.size, a.cap*a.size
+			if n < pageBytes && c != n || n >= pageBytes && (c%pageBytes != 0 || c-n >= pageBytes) {
+				t.Fatalf("capacity %d: %s array of %d B has a capacity of %d B", p.Cap(), a.name, n, c)
+			}
+			paged[i] = paged[i] || n >= pageBytes
+		}
+		if err := check(p, slot); err != nil {
+			t.Fatalf("capacity %d: %v", p.Cap(), err)
+		}
+	}
+	if paged != [3]bool{true, true, true} {
+		t.Fatalf("bitmap, Fenwick and slot arrays reached a page: %v", paged)
+	}
+	s := p.set
+	if w, n, l := p.Storage(); w != cap(s.words) || n != cap(s.nodes) || l != cap(s.lineAt) {
+		t.Fatalf("Storage = %d, %d, %d; capacities %d, %d, %d", w, n, l, cap(s.words), cap(s.nodes), cap(s.lineAt))
+	}
+}
+
 // check audits every order of p's set under one claimed set.
 func check(p *Index, slot []int32) error {
 	claimed := make([]bool, len(slot))
@@ -293,7 +338,7 @@ func check(p *Index, slot []int32) error {
 func TestCheckInvariantsDetects(t *testing.T) {
 	build := func() (*Index, []int32) {
 		p := &New(2)[0]
-		slot := make([]int32, 96) // room for the lines of the bit-past-capacity case
+		slot := make([]int32, 1024) // room for the lines of the growth cases
 		for l := int32(0); l < 6; l++ {
 			p.Insert(l, uint64(l), slot)
 		}
@@ -328,7 +373,7 @@ func TestCheckInvariantsDetects(t *testing.T) {
 		{"bit past the capacity", func(p *Index, slot []int32) {
 			// 95 lines compacted into 192 slots: three words of four.
 			seq := uint64(8)
-			for l := int32(6); l < int32(len(slot)); l++ {
+			for l := int32(6); l < 96; l++ {
 				p.Insert(l, seq, slot)
 				seq++
 			}
@@ -339,6 +384,23 @@ func TestCheckInvariantsDetects(t *testing.T) {
 				t.Fatalf("192-slot index: %d words, %v", len(p.words), err)
 			}
 			p.words[3] |= 1
+		}},
+		{"array of a page or more not in whole pages", func(p *Index, slot []int32) {
+			// 1023 lines compacted into 2048 slots: the set's slot table
+			// passes 2048 entries, a page.
+			seq := uint64(8)
+			for l := int32(6); l < int32(len(slot)); l++ {
+				p.Insert(l, seq, slot)
+				seq++
+			}
+			for ; p.Cap() != 2048; seq++ {
+				p.Hit(5, seq, slot)
+			}
+			s := p.set
+			if err := check(p, slot); err != nil || 4*len(s.lineAt) < pageBytes {
+				t.Fatalf("%d-entry slot table: %v", len(s.lineAt), err)
+			}
+			s.lineAt = s.lineAt[:len(s.lineAt):len(s.lineAt)]
 		}},
 		// The empty second order reads no slot entry, so its own audit cannot
 		// see that they are the first order's.

@@ -80,9 +80,9 @@ func (r *Rand) Uint64() uint64 {
 // Uint32 returns the next 32-bit value.
 func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 
-// Intn returns a uniform value in [0, n). It panics if n <= 0.
-// Lemire's multiply-shift rejection method avoids modulo bias without
-// divisions in the common case.
+// Intn returns a uniform value in [0, n). It panics if n <= 0. It is
+// Uint64n(n): a draw is reduced modulo n after rejecting the few low draws
+// that would favour some residues.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn called with non-positive n")
@@ -99,11 +99,12 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	// Rejection sampling on the top bits.
-	threshold := -n % n // == (2^64 - n) mod n
+	// Rejection sampling: the draws at or above (2^64 − n) mod n = -n % n
+	// are a whole number of runs of n, so v % n is uniform over them. That
+	// threshold is below n, so a draw v ≥ n is accepted without dividing
+	// for it.
 	for {
-		v := r.Uint64()
-		if v >= threshold {
+		if v := r.Uint64(); v >= n || v >= -n%n {
 			return v % n
 		}
 	}

@@ -231,6 +231,39 @@ func TestUint64nPowerOfTwoFastPath(t *testing.T) {
 	}
 }
 
+// uint64nEager is Uint64n with the rejection threshold computed before every
+// draw, the plain form of the method.
+func uint64nEager(r *Rand, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	threshold := -n % n // == (2^64 - n) mod n
+	for {
+		v := r.Uint64()
+		if v >= threshold {
+			return v % n
+		}
+	}
+}
+
+// Uint64n computes its threshold only for a draw below n, and must return
+// what the eager form does, draw for draw and with the same stream left
+// behind. 2^63+1 rejects about half of all draws, so the rejecting path runs.
+func TestUint64nMatchesEagerThreshold(t *testing.T) {
+	const draws = 1 << 20
+	for _, n := range []uint64{3, 5, 7, 12288, 1<<40 + 3, 1<<63 + 1, math.MaxUint64} {
+		a, b := New(n), New(n)
+		for i := 0; i < draws; i++ {
+			if got, want := a.Uint64n(n), uint64nEager(b, n); got != want {
+				t.Fatalf("n=%d, draw %d: Uint64n = %d, eager form %d", n, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("n=%d: streams differ after %d draws", n, draws)
+		}
+	}
+}
+
 func TestMix64Distinct(t *testing.T) {
 	seen := map[uint64]bool{}
 	for i := uint64(0); i < 10000; i++ {
