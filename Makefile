@@ -34,18 +34,17 @@ fmt:
 
 # Short fuzz sessions (seed corpus + 10s of mutation each): the trace
 # decoder, the differential oracle over scenario programs, the serving
-# layer's wire codec at both the payload and framed-stream level, the
-# FSD1 decision-trace codec, the H3 table kernel against its bit-serial
-# definition, the recency index against its slice model, and the MRC
-# profiler's tag table against a map-and-stack model (the last two audit
-# their whole structure at every step of a script, hence the bounded
-# minimisation: the default 60 s per new input would eat the whole session).
+# layer's wire codec at both the payload and framed-stream level, the H3
+# table kernel against its bit-serial definition, the recency index against
+# its slice model, and the MRC profiler's tag table against a map-and-stack
+# model (the last two audit their whole structure at every step of a script,
+# hence the bounded minimisation: the default 60 s per new input would eat
+# the whole run).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrom -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzAccess -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzFrame$$' -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzFrameStream -fuzztime=10s ./internal/server
-	$(GO) test -run='^$$' -fuzz=FuzzDecisionTrace -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzH3 -fuzztime=10s ./internal/hashing
 	$(GO) test -run='^$$' -fuzz=FuzzIndex -fuzztime=10s -fuzzminimizetime=20x ./internal/recency
 	$(GO) test -run='^$$' -fuzz=FuzzProfiler -fuzztime=10s -fuzzminimizetime=20x ./internal/alloc
@@ -56,8 +55,8 @@ smoke:
 
 # Adversarial scenario matrix (DESIGN.md §16): run every committed spec in
 # examples/scenarios through fstables, including the counterfactual
-# decision-trace replay columns. The FS self-replay column must report zero
-# divergence; fstables exits non-zero if it does not.
+# re-ranking columns. The FS self-replay row must report zero divergence;
+# fstables exits non-zero if it does not.
 scenarios:
 	$(GO) run ./cmd/fstables -scenario examples/scenarios
 

@@ -53,14 +53,14 @@ benchmarks: %v
 		fmt.Fprintln(stderr, "fstrace:", err)
 		return 1
 	}
-	_, version, err := tr.DecodeFrom(f)
+	_, err = tr.ReadFrom(f)
 	f.Close()
 	if err != nil {
 		fmt.Fprintln(stderr, "fstrace:", err)
 		return 1
 	}
 	if args[0] == "info" {
-		info(&tr, version, stdout)
+		info(&tr, stdout)
 	} else {
 		mrc(&tr, stdout)
 	}
@@ -115,7 +115,7 @@ func gen(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func info(tr *trace.Trace, version int, w io.Writer) {
+func info(tr *trace.Trace, w io.Writer) {
 	reuse := 0
 	seen := make(map[uint64]struct{}, 1<<16)
 	writes := 0
@@ -131,11 +131,7 @@ func info(tr *trace.Trace, version int, w io.Writer) {
 		}
 	}
 	n := tr.Len()
-	checksum := "CRC-32 verified"
-	if version == 1 {
-		checksum = "no checksum"
-	}
-	fmt.Fprintf(w, "format:        FST%d (%s)\n", version, checksum)
+	fmt.Fprintln(w, "format:        FST2 (CRC-32 verified)")
 	fmt.Fprintf(w, "accesses:      %d\n", n)
 	fmt.Fprintf(w, "instructions:  %d\n", tr.Instructions())
 	fmt.Fprintf(w, "footprint:     %d lines (%d KB)\n", len(seen), len(seen)*64/1024)

@@ -108,8 +108,8 @@ var allocFreeOps = []struct {
 	{"AccessMiss", missOp(setAssoc16, futility.LRU, true, false)},
 	// The walk, 52 slot compares, one rank per partition and relocations.
 	{"AccessMissZ52", missOp(z52, futility.LRU, true, false)},
-	// Under a no-op decision observer, which keeps all 52 ranks: what the
-	// scenario recorder pays.
+	// Under a no-op decision observer, which keeps all 52 ranks: the floor
+	// any decision observer pays.
 	{"AccessMissZ52Observed", missOp(z52, futility.LRU, true, true)},
 	// §V's hardware: coarse timestamps with an exact-LRU reference.
 	{"AccessHitCoarse", hitOp(futility.CoarseLRU, true)},

@@ -14,7 +14,8 @@ import (
 type Config struct {
 	// Array is the cache array organization.
 	Array cachearray.Array
-	// Ranker is the decision futility ranking used by the scheme.
+	// Ranker is the decision futility ranking used by the scheme. It must be
+	// a futility.FastRanker (New panics otherwise), as every futility.Kind is.
 	Ranker futility.Ranker
 	// Reference, if non-nil, is an exact ranker maintained purely for
 	// measurement: eviction futility (AEF) is always taken from it. If nil,
@@ -95,7 +96,7 @@ var noLine = lineMeta{part: -1, owner: -1}
 // own Cache and mutex, never by sharing one Cache across goroutines.
 type Cache struct {
 	array    cachearray.Array
-	ranker   futility.Ranker
+	ranker   futility.FastRanker
 	ref      futility.Ranker // == ranker when no separate reference; nil when unmeasured
 	sameRef  bool
 	scheme   Scheme
@@ -135,9 +136,6 @@ type Cache struct {
 	// and can inline; other rankers fall back to the interface.
 	coarse *futility.CoarseTS
 	lru    *futility.ExactLRU
-	// fast is non-nil when the decision ranker supports the combined
-	// Futility+Raw candidate query (one rank computation instead of two).
-	fast futility.FastRanker
 	// rawOnly is set when the pipeline itself never reads Candidate.Futility:
 	// a rawDecider scheme over the coarse ranker, with eviction futility taken
 	// from a separate reference or not taken at all (Unmeasured). Only an
@@ -176,9 +174,13 @@ func New(cfg Config) *Cache {
 	if cfg.Parts > math.MaxInt16 {
 		panic("core: Parts exceeds the 16-bit per-line partition id")
 	}
+	ranker, ok := cfg.Ranker.(futility.FastRanker)
+	if !ok {
+		panic("core: the decision Ranker must implement futility.FastRanker")
+	}
 	c := &Cache{
 		array:    cfg.Array,
-		ranker:   cfg.Ranker,
+		ranker:   ranker,
 		ref:      cfg.Reference,
 		scheme:   cfg.Scheme,
 		parts:    cfg.Parts,
@@ -216,7 +218,6 @@ func New(cfg Config) *Cache {
 	case *futility.ExactLRU:
 		c.lru = r
 	}
-	c.fast, _ = cfg.Ranker.(futility.FastRanker)
 	_, decidesOnRaw := cfg.Scheme.(rawDecider)
 	c.rawOnly = decidesOnRaw && c.coarse != nil && !c.sameRef // separate reference or none
 	if cfg.Reference != nil {
@@ -307,8 +308,8 @@ func (c *Cache) SetCandidateFilter(f CandidateFilter) { c.candFilter = f }
 // forced reports a forced eviction. The slice aliases a reused buffer —
 // observers must copy what they keep — and the observer runs on the miss
 // path, so it must honor the pipeline's steady-state no-allocation contract
-// (append into retained, geometrically grown buffers, as the scenario
-// decision recorder does).
+// (the scenario experiment's counterfactual re-ranker reads the slice in
+// place and writes only vectors it sized up front).
 //
 // Candidate.Futility is populated whenever an observer or a filter is
 // installed; without one, FSFeedback over CoarseTS with a separate Reference
@@ -316,7 +317,7 @@ func (c *Cache) SetCandidateFilter(f CandidateFilter) { c.candFilter = f }
 // An observer installed mid-run therefore sees a CDF calibrated from its
 // installation, not from the start of the run; install it before the first
 // access when the values must not depend on when observation began (the
-// scenario recorder).
+// scenario experiment installs a no-op observer for its warm-up).
 //
 // Likewise a FullSelector scheme over ExactLRU ranks every candidate only
 // while an observer or a filter is installed; without one, Futility and Raw
@@ -510,21 +511,11 @@ func (c *Cache) choose(cands []int, insertPart int) int {
 				cand.Futility, cand.Raw = c.lru.FutilityRaw(cand.Line, cand.Part)
 			}
 		}
-	} else if fr := c.fast; fr != nil {
-		for _, l := range cands {
-			p := int(c.meta[l].part)
-			f, raw := fr.FutilityRaw(l, p)
-			c.candBuf = append(c.candBuf, Candidate{Line: l, Part: p, Futility: f, Raw: raw})
-		}
 	} else {
 		for _, l := range cands {
 			p := int(c.meta[l].part)
-			c.candBuf = append(c.candBuf, Candidate{
-				Line:     l,
-				Part:     p,
-				Futility: c.ranker.Futility(l, p),
-				Raw:      c.ranker.Raw(l, p),
-			})
+			f, raw := c.ranker.FutilityRaw(l, p)
+			c.candBuf = append(c.candBuf, Candidate{Line: l, Part: p, Futility: f, Raw: raw})
 		}
 	}
 	pool := c.candBuf
@@ -567,14 +558,7 @@ func (c *Cache) chooseFull(insertPart int) int {
 		if l < 0 {
 			panic("core: WorstTracker disagrees with size accounting")
 		}
-		var f float64
-		var raw uint64
-		if fr := c.fast; fr != nil {
-			f, raw = fr.FutilityRaw(l, p)
-		} else {
-			f = c.ranker.Futility(l, p)
-			raw = c.ranker.Raw(l, p)
-		}
+		f, raw := c.ranker.FutilityRaw(l, p)
 		c.worstBuf = append(c.worstBuf, Candidate{Line: l, Part: p, Futility: f, Raw: raw})
 	}
 	if len(c.worstBuf) == 0 {

@@ -465,6 +465,11 @@ func TestConfigValidation(t *testing.T) {
 				Unmeasured: true, Scheme: sch, Parts: 1})
 		},
 		func() {
+			// A decision ranker without the combined FutilityRaw query (the
+			// embedded interface hides ExactLRU's).
+			New(Config{Array: arr, Ranker: struct{ futility.Ranker }{rk}, Scheme: sch, Parts: 1})
+		},
+		func() {
 			// Fully-associative array without a WorstTracker ranker.
 			New(Config{
 				Array:  cachearray.NewFullyAssoc(16),

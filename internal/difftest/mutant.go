@@ -26,6 +26,13 @@ func (m *offByOne) Raw(line, part int) uint64 {
 	return m.Ranker.Raw(line, part) + 1
 }
 
+// FutilityRaw applies both shifts to the underlying combined query, so the
+// pipeline, which ranks candidates only through FutilityRaw, sees the defect.
+func (m *offByOne) FutilityRaw(line, part int) (float64, uint64) {
+	f, raw := m.Ranker.(futility.FastRanker).FutilityRaw(line, part)
+	return f - 1/float64(m.Ranker.Size(part)), raw + 1
+}
+
 // Worst delegates so fully-associative scenarios still run under the
 // mutant; the wrapped production rankers used in those scenarios all track
 // their worst line.

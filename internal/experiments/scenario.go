@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"fscache/internal/alloc"
+	"fscache/internal/baselines"
 	"fscache/internal/core"
 	"fscache/internal/futility"
 	"fscache/internal/scenario"
@@ -13,14 +14,14 @@ import (
 
 // Scenario experiment: run one declarative scenario spec (internal/scenario)
 // under FS and the PF/Vantage baselines on identical access streams, and
-// counterfactually re-rank the FS run's recorded decision trace under each
-// baseline. The result is the ROADMAP item 5 comparison table: per-scheme
+// re-rank each post-warm-up FS decision, as the FS run makes it, under each
+// baseline. The result is the per-scenario comparison table: per-scheme
 // occupancy error, miss ratio and forced-eviction rate, plus per-baseline
-// divergent-eviction rates against the recorded FS decisions.
+// divergent-eviction rates against the FS decisions.
 
-// ScenarioMaxRecorded bounds the FS decision trace kept in memory per
-// scenario run; decisions beyond it are counted but dropped, and the
-// counterfactual rates describe the recorded prefix.
+// ScenarioMaxRecorded bounds the FS decisions re-ranked per scenario run;
+// decisions beyond it are counted as skipped, and the counterfactual rates
+// describe the re-ranked prefix.
 const ScenarioMaxRecorded = 1 << 16
 
 // ScenarioRow is one scheme's outcome on the scenario's access stream.
@@ -51,13 +52,13 @@ type ScenarioResult struct {
 	Warmup  float64
 	Churns  int
 	Rows    []ScenarioRow
-	// Recorded and Skipped report the FS decision trace size and the
-	// decisions dropped by ScenarioMaxRecorded.
+	// Recorded and Skipped count the FS decisions re-ranked and those
+	// skipped past ScenarioMaxRecorded.
 	Recorded int
 	Skipped  uint64
-	// Counterfactuals re-rank the recorded FS decisions: fs (the self-check
-	// oracle, which must show zero divergence), pf and vantage.
-	Counterfactuals []scenario.Counterfactual
+	// Counterfactuals re-rank the FS decisions: fs (the self-check oracle,
+	// which must show zero divergence), pf and vantage.
+	Counterfactuals []Counterfactual
 }
 
 // ScenarioSchemes are the schemes every scenario runs under, in order.
@@ -83,38 +84,174 @@ func RunScenario(spec *scenario.Spec, dir string) (*ScenarioResult, error) {
 		Churns:   len(spec.Churn),
 	}
 
-	var fsTrace *scenario.DecisionTrace
+	var rr *reranker
 	for _, scheme := range ScenarioSchemes() {
 		b := buildScenarioCache(spec, scheme, parts)
-		var rec *scenario.Recorder
+		var obs *reranker
 		if scheme == SchemeFS {
-			rec = scenario.NewRecorder(b.Cache, b.FSFeedback, ScenarioMaxRecorded)
+			obs = newReranker(b.Cache, b.FSFeedback, ScenarioMaxRecorded)
+			rr = obs
 		}
-		row, emitted := runScenarioScheme(spec, comp, b, rec, nil)
+		row, emitted := runScenarioScheme(spec, comp, b, obs, nil)
 		res.Rows = append(res.Rows, row)
 		res.Emitted = emitted
-		if rec != nil {
-			fsTrace = rec.Trace()
-			res.Recorded = len(fsTrace.Decisions)
-			res.Skipped = rec.Skipped()
-		}
 	}
 
-	self := fsTrace.ReplayFS()
-	// The self-replay is the lockstep oracle for the decision-trace path:
-	// any divergence means the recorder dropped an operand the FS rule
-	// consumed, so the whole counterfactual table would be untrustworthy.
-	// Fail the experiment instead of printing a poisoned table.
+	self := rr.rows[0]
+	// The FS row is the lockstep oracle for the re-ranking: any divergence
+	// means the observer missed an operand the FS rule consumed, so the
+	// whole counterfactual table would be untrustworthy. Fail the
+	// experiment instead of printing a poisoned table.
 	if self.Divergent != 0 {
 		return nil, fmt.Errorf("scenario %s: FS self-replay diverged on %d of %d recorded decisions",
 			spec.Name, self.Divergent, self.Decisions)
 	}
-	res.Counterfactuals = append(res.Counterfactuals,
-		self,
-		scenario.NewPFReplayer(parts).Replay(fsTrace),
-		scenario.NewVantageReplayer(parts).Replay(fsTrace),
-	)
+	res.Recorded = int(self.Decisions)
+	res.Skipped = rr.skipped
+	res.Counterfactuals = rr.rows[:]
 	return res, nil
+}
+
+// Counterfactual aggregates one rule's agreement with the FS run's
+// decisions.
+type Counterfactual struct {
+	// Scheme names the re-ranking scheme.
+	Scheme string
+	// Decisions is the number of re-ranked decisions.
+	Decisions uint64
+	// Divergent counts decisions where the rule's victim differs from FS's.
+	Divergent uint64
+	// DivergentPart counts decisions where even the victim's partition
+	// differs — the coarser disagreement that moves occupancy.
+	DivergentPart uint64
+	// Forced counts decisions the rule marked forced (Vantage's isolation
+	// breach; always zero for FS and PF).
+	Forced uint64
+}
+
+// DivergenceRate returns Divergent/Decisions (0 when empty).
+func (c Counterfactual) DivergenceRate() float64 {
+	if c.Decisions == 0 {
+		return 0
+	}
+	return float64(c.Divergent) / float64(c.Decisions)
+}
+
+// PartDivergenceRate returns DivergentPart/Decisions (0 when empty).
+func (c Counterfactual) PartDivergenceRate() float64 {
+	if c.Decisions == 0 {
+		return 0
+	}
+	return float64(c.DivergentPart) / float64(c.Decisions)
+}
+
+// ForcedRate returns Forced/Decisions (0 when empty).
+func (c Counterfactual) ForcedRate() float64 {
+	if c.Decisions == 0 {
+		return 0
+	}
+	return float64(c.Forced) / float64(c.Decisions)
+}
+
+// add counts one decision whose FS victim is cands[victim] and whose
+// re-ranked victim is cands[pick].
+func (c *Counterfactual) add(cands []core.Candidate, victim, pick int, forced bool) {
+	c.Decisions++
+	if pick != victim {
+		c.Divergent++
+		if cands[pick].Part != cands[victim].Part {
+			c.DivergentPart++
+		}
+	}
+	if forced {
+		c.Forced++
+	}
+}
+
+// fsAlphas reads the α vector the FS row re-ranks by. It is a variable so
+// a test can perturb one partition's α and watch the self-check fail.
+var fsAlphas = (*core.FSFeedback).Alphas
+
+// reranker is the FS run's post-warm-up core.DecisionObserver: it answers
+// "what would this rule have evicted here" for each decision as the cache
+// makes it, under three rules, each given exactly what FS decided from —
+// every candidate's raw and reference futility, the live α, and the
+// candidate partitions' actual and target sizes (pre-eviction: the
+// observer fires after the scheme decides but before the eviction is
+// applied). FS ranks by raw×α, PF and Vantage by futility plus sizes.
+type reranker struct {
+	cache   *core.Cache
+	fs      *core.FSFeedback
+	limit   uint64
+	skipped uint64
+	// rows are the fs (self-check), pf and vantage counterfactuals.
+	rows    [3]Counterfactual
+	pf      *baselines.PF
+	vantage *baselines.Vantage
+	// actual and targets hold the candidate partitions' sizes and targets
+	// during one decision and zero everywhere else. Entry parts is
+	// Vantage's unmanaged pseudo-partition, which no candidate lies in (the
+	// FS cache has no demotions), so Vantage re-ranks in its most honest
+	// counterfactual form: each decision either demote-evicts within
+	// aperture or is a forced eviction, the isolation breach the paper
+	// quantifies.
+	actual, targets []int
+}
+
+// newReranker builds the observer for an FS cache; decisions past limit are
+// counted as skipped. Install it with cache.SetDecisionObserver(r.observe).
+func newReranker(cache *core.Cache, fs *core.FSFeedback, limit int) *reranker {
+	parts := cache.Parts()
+	r := &reranker{
+		cache:   cache,
+		fs:      fs,
+		limit:   uint64(limit),
+		rows:    [3]Counterfactual{{Scheme: "fs"}, {Scheme: "pf"}, {Scheme: "vantage"}},
+		pf:      baselines.NewPF(parts),
+		vantage: baselines.NewVantage(parts+1, parts, baselines.DefaultVantageConfig()),
+		actual:  make([]int, parts+1),
+		targets: make([]int, parts+1),
+	}
+	r.pf.Bind(r.actual[:parts])
+	r.vantage.Bind(r.actual)
+	return r
+}
+
+// observe implements core.DecisionObserver. It allocates nothing: the rules
+// read cands in place and every vector is the reranker's own.
+func (r *reranker) observe(cands []core.Candidate, insertPart, victim int, _ bool) {
+	if r.rows[0].Decisions >= r.limit {
+		r.skipped++
+		return
+	}
+	// This loop replicates core.FSFeedback.Decide (and DecideFull, which is
+	// the same rule) operation for operation: float64(Raw)*alpha, strict >
+	// comparison, first index winning ties.
+	alphas := fsAlphas(r.fs)
+	best, bestV := 0, -1.0
+	for i := range cands {
+		if v := float64(cands[i].Raw) * alphas[cands[i].Part]; v > bestV {
+			bestV = v
+			best = i
+		}
+	}
+	r.rows[0].add(cands, victim, best, false)
+
+	sizes, targets := r.cache.Sizes(), r.cache.Targets()
+	for i := range cands {
+		p := cands[i].Part
+		r.actual[p], r.targets[p] = sizes[p], targets[p]
+	}
+	r.pf.SetTargets(r.targets[:len(sizes)])
+	d := r.pf.Decide(cands, insertPart)
+	r.rows[1].add(cands, victim, d.Victim, d.Forced)
+	r.vantage.SetTargets(r.targets)
+	d = r.vantage.Decide(cands, insertPart)
+	r.rows[2].add(cands, victim, d.Victim, d.Forced)
+	for i := range cands {
+		p := cands[i].Part
+		r.actual[p], r.targets[p] = 0, 0
+	}
 }
 
 // buildScenarioCache builds the spec's cache under one scheme.
@@ -136,7 +273,7 @@ func buildScenarioCache(spec *scenario.Spec, scheme SchemeName, parts int) *Buil
 // observed, fresh epoch targets are installed as soon as they appear, and
 // churn is ignored — the allocator notices dead tenants through decayed
 // sample counts and reallocates their capacity itself.
-func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, rec *scenario.Recorder, a *alloc.Allocator) (ScenarioRow, int) {
+func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, obs *reranker, a *alloc.Allocator) (ScenarioRow, int) {
 	parts := comp.Parts()
 	var targets []int
 	if a == nil {
@@ -146,12 +283,12 @@ func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, r
 	}
 	b.SetTargets(targets)
 
-	// A recorded run carries an observer from its first access, though it
-	// records only from warmAt: recorded Candidate.Futility values come from
-	// the coarse ranker's CDF, which only a pipeline that is being observed
-	// calibrates (core.DecisionObserver), and the counterfactual replays are
+	// A re-ranked run carries an observer from its first access, though it
+	// re-ranks only from warmAt: Candidate.Futility values come from the
+	// coarse ranker's CDF, which only a pipeline that is being observed
+	// calibrates (core.DecisionObserver), and the PF and Vantage rules are
 	// meant to see a CDF that warm-up calibrated.
-	if rec != nil {
+	if obs != nil {
 		b.Cache.SetDecisionObserver(func([]core.Candidate, int, int, bool) {})
 	}
 	stream := comp.NewStream(spec.Cache.Lines)
@@ -169,8 +306,8 @@ func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, r
 		}
 		if emitted == warmAt {
 			b.Cache.ResetStats()
-			if rec != nil {
-				b.Cache.SetDecisionObserver(rec.Observe)
+			if obs != nil {
+				b.Cache.SetDecisionObserver(obs.observe)
 			}
 		}
 		b.Cache.Access(op.Access.Addr, op.Part, trace.NoNextUse)

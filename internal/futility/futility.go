@@ -64,11 +64,12 @@ type Ranker interface {
 }
 
 // FastRanker is implemented by rankers that can answer Futility and Raw for
-// the same line in a single combined query. The replacement pipeline ranks
-// every candidate by both measures on every miss; for tree-backed rankers
-// the combined form halves the rank traversals. Implementations must be
-// observably identical (values and internal side effects such as histogram
-// observations) to calling Futility then Raw, in that order.
+// the same line in a single combined query. Every ranker New builds is one,
+// and core.New requires one for decisions: the replacement pipeline ranks
+// every candidate by both measures on every miss, and for tree-backed
+// rankers the combined form halves the rank traversals. Implementations
+// must be observably identical (values and internal side effects such as
+// histogram observations) to calling Futility then Raw, in that order.
 type FastRanker interface {
 	Ranker
 	// FutilityRaw returns Futility(line, part) and Raw(line, part) as if the

@@ -478,7 +478,7 @@ func scanMemPerKI(base WorkloadSpec) int {
 // sin2pi returns sin(2πx).
 func sin2pi(x float64) float64 { return math.Sin(2 * math.Pi * x) }
 
-// loadTrace reads an FST1/FST2 trace file's accesses.
+// loadTrace reads an FST2 trace file's accesses.
 func loadTrace(path string) ([]trace.Access, error) {
 	f, err := os.Open(path)
 	if err != nil {

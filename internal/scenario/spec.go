@@ -7,13 +7,9 @@
 // adversarial regime the paper's claim must survive is a committed,
 // replayable file instead of Go code.
 //
-// The package also defines the versioned, CRC-checked decision-trace format
-// (dtrace.go): every eviction decision the FS controller makes — victim,
-// candidate set, futility operands, scaling factors at decision time — is
-// recorded and can be counterfactually re-ranked under the Vantage and PF
-// baselines (replay.go), answering "what would Vantage/PF have evicted
-// here" per scenario. run.go wires both halves into the FS-vs-baseline
-// comparison tables cmd/fstables emits.
+// The package holds specs, their loaders and the access streams they
+// compile to; internal/experiments runs a spec under FS and the baselines
+// and builds the comparison tables cmd/fstables emits.
 package scenario
 
 import (
@@ -111,7 +107,7 @@ type WorkloadSpec struct {
 	Mix []PatternSpec `json:"mix"`
 	// MemPerKI sets instruction gaps for inline mixes (default 50).
 	MemPerKI int `json:"memperki"`
-	// Trace replays an external FST1/FST2 trace file through the same path,
+	// Trace replays an external FST2 trace file through the same path,
 	// cycling when exhausted. Relative paths resolve against the spec file.
 	Trace string `json:"trace"`
 }

@@ -11,31 +11,25 @@ import (
 
 // Binary trace file format (little endian):
 //
-//	magic   [4]byte  "FST2" (current) or "FST1" (legacy)
+//	magic   [4]byte  "FST2"
 //	count   uint64   number of access records
 //	records count × { addr uint64, gap uint32, kind uint8 }
-//	crc     uint32   FST2 only: IEEE CRC-32 of magic+count+records
+//	crc     uint32   IEEE CRC-32 of magic+count+records
 //
 // The format is deliberately dumb — fixed-width fields, no compression — so
 // that cmd/fstrace output is easy to inspect and third-party tools can parse
 // it with a ten-line script.
 //
-// FST2 appends a checksum footer so that bit rot, torn writes and truncated
-// downloads are detected instead of silently feeding garbage addresses into
-// a simulation. Reading is versioned by magic: FST1 files have no checksum
-// and are accepted as-is (lenient mode, for traces written before the footer
-// existed), while FST2 files are rejected with ErrBadCRC when the payload
-// does not match the footer (strict mode). Only FST2 is ever written.
+// The checksum footer makes bit rot, torn writes and truncated downloads
+// fail with ErrBadCRC instead of silently feeding garbage addresses into a
+// simulation.
 
-var (
-	magicV1 = [4]byte{'F', 'S', 'T', '1'}
-	magicV2 = [4]byte{'F', 'S', 'T', '2'}
-)
+var magic = [4]byte{'F', 'S', 'T', '2'}
 
 // ErrBadMagic reports a file that is not a trace file.
 var ErrBadMagic = errors.New("trace: bad magic, not a trace file")
 
-// ErrBadCRC reports an FST2 file whose payload does not match its checksum
+// ErrBadCRC reports a trace file whose payload does not match its checksum
 // footer.
 var ErrBadCRC = errors.New("trace: checksum mismatch, corrupt trace file")
 
@@ -46,8 +40,8 @@ const recordSize = 8 + 4 + 1
 // allocate tens of gigabytes before the first record read fails.
 const allocChunk = 1 << 16
 
-// WriteTo serializes the trace to w in the current (FST2, checksummed)
-// format. NextUse is not persisted; it is cheap to recompute.
+// WriteTo serializes the trace to w in the FST2 format. NextUse is not
+// persisted; it is cheap to recompute.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	sum := crc32.NewIEEE()
@@ -63,7 +57,7 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 		sum.Write(p)
 		return nil
 	}
-	if err := write(magicV2[:]); err != nil {
+	if err := write(magic[:]); err != nil {
 		return written, err
 	}
 	var hdr [8]byte
@@ -93,46 +87,31 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return written, nil
 }
 
-// ReadFrom deserializes a trace from r, replacing t's contents. Both trace
-// format versions are accepted: FST2 payloads are verified against their
-// CRC-32 footer (ErrBadCRC on mismatch), FST1 payloads have no checksum to
-// verify.
+// ReadFrom deserializes a trace from r, replacing t's contents. The payload
+// is verified against its CRC-32 footer (ErrBadCRC on mismatch).
 func (t *Trace) ReadFrom(r io.Reader) (int64, error) {
-	n, _, err := t.DecodeFrom(r)
-	return n, err
-}
-
-// DecodeFrom is ReadFrom with the detected format version (1 or 2) also
-// returned; version is 0 when the magic could not be read.
-func (t *Trace) DecodeFrom(r io.Reader) (int64, int, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	sum := crc32.NewIEEE()
 	var read int64
 	var m [4]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return read, 0, fmt.Errorf("trace: truncated header: %w", err)
+		return read, fmt.Errorf("trace: truncated header: %w", err)
 	}
 	read += 4
-	var version int
-	switch m {
-	case magicV1:
-		version = 1
-	case magicV2:
-		version = 2
-	default:
-		return read, 0, ErrBadMagic
+	if m != magic {
+		return read, ErrBadMagic
 	}
 	sum.Write(m[:])
 	var hdr [8]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return read, version, fmt.Errorf("trace: truncated header: %w", err)
+		return read, fmt.Errorf("trace: truncated header: %w", err)
 	}
 	read += 8
 	sum.Write(hdr[:])
 	count := binary.LittleEndian.Uint64(hdr[:])
 	const maxRecords = 1 << 32
 	if count > maxRecords {
-		return read, version, fmt.Errorf("trace: implausible record count %d", count)
+		return read, fmt.Errorf("trace: implausible record count %d", count)
 	}
 	// Cap the header-trusted allocation: a corrupt count must fail at the
 	// first missing record, not OOM up front. Beyond the cap, append's
@@ -146,7 +125,7 @@ func (t *Trace) DecodeFrom(r io.Reader) (int64, int, error) {
 	var rec [recordSize]byte
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return read, version, fmt.Errorf("trace: truncated at record %d: %w", i, err)
+			return read, fmt.Errorf("trace: truncated at record %d: %w", i, err)
 		}
 		read += recordSize
 		sum.Write(rec[:])
@@ -156,15 +135,13 @@ func (t *Trace) DecodeFrom(r io.Reader) (int64, int, error) {
 			Kind: Kind(rec[12]),
 		})
 	}
-	if version >= 2 {
-		var foot [4]byte
-		if _, err := io.ReadFull(br, foot[:]); err != nil {
-			return read, version, fmt.Errorf("trace: truncated checksum footer: %w", err)
-		}
-		read += 4
-		if want := binary.LittleEndian.Uint32(foot[:]); want != sum.Sum32() {
-			return read, version, fmt.Errorf("%w (footer %08x, payload %08x)", ErrBadCRC, want, sum.Sum32())
-		}
+	var foot [4]byte
+	if _, err := io.ReadFull(br, foot[:]); err != nil {
+		return read, fmt.Errorf("trace: truncated checksum footer: %w", err)
 	}
-	return read, version, nil
+	read += 4
+	if want := binary.LittleEndian.Uint32(foot[:]); want != sum.Sum32() {
+		return read, fmt.Errorf("%w (footer %08x, payload %08x)", ErrBadCRC, want, sum.Sum32())
+	}
+	return read, nil
 }

@@ -19,11 +19,9 @@ func corpusTrace() *Trace {
 // it must never panic or over-allocate, and anything it accepts must
 // round-trip through the current encoder byte-identically.
 func FuzzReadFrom(f *testing.F) {
-	valid := encodeTrace(f, corpusTrace(), false)
-	legacy := encodeTrace(f, corpusTrace(), true)
+	valid := encodeTrace(f, corpusTrace())
 
-	f.Add(valid)  // well-formed FST2
-	f.Add(legacy) // well-formed FST1 (lenient, no checksum)
+	f.Add(valid) // well-formed
 	f.Add(valid[:len(valid)-6])
 	f.Add(valid[:7]) // truncated header
 	f.Add([]byte("NOPEnope"))
@@ -51,15 +49,12 @@ func FuzzReadFrom(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tr Trace
-		n, version, err := tr.DecodeFrom(bytes.NewReader(data))
+		n, err := tr.ReadFrom(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		if n > int64(len(data)) {
-			t.Fatalf("DecodeFrom read %d of %d bytes", n, len(data))
-		}
-		if version != 1 && version != 2 {
-			t.Fatalf("accepted input with version %d", version)
+			t.Fatalf("ReadFrom read %d of %d bytes", n, len(data))
 		}
 		var buf bytes.Buffer
 		if _, err := tr.WriteTo(&buf); err != nil {

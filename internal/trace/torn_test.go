@@ -2,8 +2,7 @@ package trace
 
 // Torn-write robustness: a trace file cut at ANY byte offset must fail with
 // a staged, descriptive error — never a panic, never a silently short trace.
-// The sweep is exhaustive over offsets (and over single-bit flips for the
-// checksummed format) because the interesting bugs live exactly at the
+// The sweep is exhaustive over offsets (and over single-bit flips) because the interesting bugs live exactly at the
 // stage boundaries: magic/count seam, record seam, footer seam.
 
 import (
@@ -16,7 +15,7 @@ import (
 )
 
 // tornTrace builds a small seeded trace whose encoded form exercises every
-// decoder stage: header, several records, and (FST2) the checksum footer.
+// decoder stage: header, several records, and the checksum footer.
 func tornTrace() *Trace {
 	rng := xrand.New(0x70a7)
 	tr := &Trace{Accesses: make([]Access, 9)}
@@ -30,83 +29,68 @@ func tornTrace() *Trace {
 	return tr
 }
 
-// encodeTrace writes tr as FST2 or, with legacy, as the FST1 bytes a
-// pre-checksum writer produced: the FST2 encoding with its magic rewritten
-// to "FST1" and its CRC footer dropped.
-func encodeTrace(t testing.TB, tr *Trace, legacy bool) []byte {
+// encodeTrace returns tr's FST2 encoding.
+func encodeTrace(t testing.TB, tr *Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	raw := buf.Bytes()
-	if legacy {
-		copy(raw, magicV1[:])
-		raw = raw[:len(raw)-4]
-	}
-	return raw
+	return buf.Bytes()
 }
 
-// TestFileTruncationEveryOffset cuts both trace formats at every byte
-// offset and requires the staged error for the stage the cut lands in.
+// TestFileTruncationEveryOffset cuts a trace file at every byte offset and
+// requires the staged error for the stage the cut lands in.
 func TestFileTruncationEveryOffset(t *testing.T) {
 	tr := tornTrace()
 	const headerLen = 4 + 8 // magic + count
 	recordsEnd := headerLen + recordSize*len(tr.Accesses)
-	for _, legacy := range []bool{false, true} {
-		full := encodeTrace(t, tr, legacy)
-		wantLen := recordsEnd
-		if !legacy {
-			wantLen += 4 // CRC footer
-		}
-		if len(full) != wantLen {
-			t.Fatalf("legacy=%v: encoded %d bytes, want %d", legacy, len(full), wantLen)
-		}
-		for cut := 0; cut < len(full); cut++ {
-			var got Trace
-			_, err := got.ReadFrom(bytes.NewReader(full[:cut]))
-			if err == nil {
-				t.Fatalf("legacy=%v cut=%d: truncated file decoded without error", legacy, cut)
-			}
-			var wantStage string
-			switch {
-			case cut < headerLen:
-				wantStage = "truncated header"
-			case cut < recordsEnd:
-				wantStage = "truncated at record"
-			default:
-				wantStage = "truncated checksum footer"
-			}
-			if !strings.Contains(err.Error(), wantStage) {
-				t.Fatalf("legacy=%v cut=%d: error %q does not name stage %q", legacy, cut, err, wantStage)
-			}
-		}
-		// The un-cut file must still decode to the original trace.
+	full := encodeTrace(t, tr)
+	if wantLen := recordsEnd + 4; len(full) != wantLen { // + CRC footer
+		t.Fatalf("encoded %d bytes, want %d", len(full), wantLen)
+	}
+	for cut := 0; cut < len(full); cut++ {
 		var got Trace
-		if _, err := got.ReadFrom(bytes.NewReader(full)); err != nil {
-			t.Fatalf("legacy=%v: full file failed to decode: %v", legacy, err)
+		_, err := got.ReadFrom(bytes.NewReader(full[:cut]))
+		if err == nil {
+			t.Fatalf("cut=%d: truncated file decoded without error", cut)
 		}
-		if len(got.Accesses) != len(tr.Accesses) {
-			t.Fatalf("legacy=%v: decoded %d records, want %d", legacy, len(got.Accesses), len(tr.Accesses))
+		var wantStage string
+		switch {
+		case cut < headerLen:
+			wantStage = "truncated header"
+		case cut < recordsEnd:
+			wantStage = "truncated at record"
+		default:
+			wantStage = "truncated checksum footer"
 		}
-		for i, a := range got.Accesses {
-			if a != tr.Accesses[i] {
-				t.Fatalf("legacy=%v: record %d = %+v, want %+v", legacy, i, a, tr.Accesses[i])
-			}
+		if !strings.Contains(err.Error(), wantStage) {
+			t.Fatalf("cut=%d: error %q does not name stage %q", cut, err, wantStage)
+		}
+	}
+	// The un-cut file must still decode to the original trace.
+	var got Trace
+	if _, err := got.ReadFrom(bytes.NewReader(full)); err != nil {
+		t.Fatalf("full file failed to decode: %v", err)
+	}
+	if len(got.Accesses) != len(tr.Accesses) {
+		t.Fatalf("decoded %d records, want %d", len(got.Accesses), len(tr.Accesses))
+	}
+	for i, a := range got.Accesses {
+		if a != tr.Accesses[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, a, tr.Accesses[i])
 		}
 	}
 }
 
-// TestFileBitFlipEveryBit flips every single bit of a complete FST2 file and
+// TestFileBitFlipEveryBit flips every single bit of a complete file and
 // requires an error each time: magic flips must read as not-a-trace-file,
 // record and footer flips must fail the checksum, and count flips must fail
 // one way or another (implausible count, missing records, or CRC mismatch)
-// but never decode cleanly. A single-bit flip cannot turn "FST2" into the
-// lenient "FST1" magic (the version bytes differ in two bits), so the sweep
-// is airtight for the strict format.
+// but never decode cleanly.
 func TestFileBitFlipEveryBit(t *testing.T) {
 	tr := tornTrace()
-	full := encodeTrace(t, tr, false)
+	full := encodeTrace(t, tr)
 	const headerLen = 4 + 8
 	recordsEnd := headerLen + recordSize*len(tr.Accesses)
 	for off := 0; off < len(full); off++ {
@@ -136,23 +120,5 @@ func TestFileBitFlipEveryBit(t *testing.T) {
 				// err != nil check above is the contract.
 			}
 		}
-	}
-}
-
-// TestFileLegacyBitFlipSilent documents the FST1 trade-off the FST2 footer
-// exists to fix: a bit flip inside a legacy record body decodes cleanly
-// (there is no checksum to catch it), which is exactly why WriteTo writes
-// only the checksummed format.
-func TestFileLegacyBitFlipSilent(t *testing.T) {
-	tr := tornTrace()
-	full := encodeTrace(t, tr, true)
-	flipped := append([]byte(nil), full...)
-	flipped[4+8+2] ^= 0x40 // inside the first record's addr field
-	var got Trace
-	if _, err := got.ReadFrom(bytes.NewReader(flipped)); err != nil {
-		t.Fatalf("legacy flip unexpectedly detected: %v", err)
-	}
-	if got.Accesses[0].Addr == tr.Accesses[0].Addr {
-		t.Fatal("flip did not land in the first record's addr")
 	}
 }

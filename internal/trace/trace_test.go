@@ -154,11 +154,15 @@ func TestFileEmptyTrace(t *testing.T) {
 	}
 }
 
+// TestFileBadMagic also covers the checksum-less FST1 format, which is no
+// longer read: its bytes are not a trace file.
 func TestFileBadMagic(t *testing.T) {
-	var back Trace
-	_, err := back.ReadFrom(bytes.NewReader([]byte("NOPE\x00\x00\x00\x00\x00\x00\x00\x00")))
-	if !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("err = %v, want ErrBadMagic", err)
+	for _, m := range []string{"NOPE", "FST1"} {
+		var back Trace
+		_, err := back.ReadFrom(bytes.NewReader([]byte(m + "\x00\x00\x00\x00\x00\x00\x00\x00")))
+		if !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("%s: err = %v, want ErrBadMagic", m, err)
+		}
 	}
 }
 
@@ -176,7 +180,7 @@ func TestFileTruncated(t *testing.T) {
 }
 
 func TestFileImplausibleCount(t *testing.T) {
-	raw := append([]byte{}, magicV2[:]...)
+	raw := append([]byte{}, magic[:]...)
 	raw = append(raw, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
 	var back Trace
 	if _, err := back.ReadFrom(bytes.NewReader(raw)); err == nil {
@@ -225,27 +229,6 @@ func TestFileCRCDetectsCorruption(t *testing.T) {
 	_, err := back.ReadFrom(bytes.NewReader(bad))
 	if !errors.Is(err, ErrBadCRC) {
 		t.Fatalf("err = %v, want ErrBadCRC", err)
-	}
-}
-
-func TestFileLegacyLenient(t *testing.T) {
-	raw := encodeTrace(t, mk(7, 8, 9), true)
-	if got := string(raw[:4]); got != "FST1" {
-		t.Fatalf("legacy encoding magic = %q, want FST1", got)
-	}
-	var back Trace
-	n, version, err := back.DecodeFrom(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if version != 1 {
-		t.Fatalf("version = %d, want 1", version)
-	}
-	if n != int64(len(raw)) {
-		t.Fatalf("read %d of %d bytes", n, len(raw))
-	}
-	if len(back.Accesses) != 3 || back.Accesses[2].Addr != 9 {
-		t.Fatalf("legacy round trip mismatch: %+v", back.Accesses)
 	}
 }
 
