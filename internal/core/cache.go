@@ -336,9 +336,15 @@ type AccessResult struct {
 	Hit bool
 	// Evicted reports whether a valid line was evicted.
 	Evicted bool
+	// Line is the array line index that holds the address after the
+	// access: the line it hit, or the one it was installed in. A Cache
+	// numbers lines within its own array; a shardcache engine reports
+	// global lines, the stripe's first line added, so that Line lies in the
+	// ways of the address's engine-wide set.
+	Line int
 	// EvictedLine is the array line index the victim occupied (valid when
-	// Evicted). Differential tests compare it against a reference model to
-	// pin victim identity, not just victim statistics.
+	// Evicted), numbered like Line. Differential tests compare it against a
+	// reference model to pin victim identity, not just victim statistics.
 	EvictedLine int
 	// EvictedPart is the owner partition of the evicted line (valid when
 	// Evicted).
@@ -384,7 +390,7 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 		if c.refHit != nil {
 			c.refHit(line, int(m.owner), ctx)
 		}
-		return AccessResult{Hit: true}
+		return AccessResult{Hit: true, Line: line}
 	}
 
 	c.pstats[part].Misses++
@@ -458,6 +464,7 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 	if got, valid := c.array.AddrOf(line); !valid || got != addr {
 		panic("core: address not resident after Install")
 	}
+	res.Line = line
 	c.meta[line] = lineMeta{part: int16(part), owner: int16(part)}
 	c.ranker.OnInsert(line, part, ctx)
 	if c.refInsert != nil {

@@ -3,6 +3,9 @@ package server
 import (
 	"testing"
 	"time"
+
+	"fscache/internal/futility"
+	"fscache/internal/shardcache"
 )
 
 func TestTokenBucketRefill(t *testing.T) {
@@ -115,13 +118,13 @@ func TestLadderBucketExhaustion(t *testing.T) {
 }
 
 func TestStoreBasics(t *testing.T) {
-	s := newStore(4)
+	e, s := newTestStore(64, 4, 1)
 	k := []byte("alpha")
 	addr := hashKey(k)
 	if _, ok := s.Get(addr, k, nil); ok {
 		t.Fatal("empty store returned a value")
 	}
-	s.Put(addr, k, []byte("v1"), nil)
+	set(e, s, addr, k, []byte("v1"))
 	if v, ok := s.Get(addr, k, nil); !ok || string(v) != "v1" {
 		t.Fatalf("got %q,%v", v, ok)
 	}
@@ -130,7 +133,10 @@ func TestStoreBasics(t *testing.T) {
 	if _, ok := s.Get(addr, []byte("beta"), nil); ok {
 		t.Fatal("collision returned wrong key's bytes")
 	}
-	s.Put(addr, k, []byte("v2-longer"), nil)
+	line := set(e, s, addr, k, []byte("v2")).Line
+	// Two SETs racing between their engine accesses and their Puts can
+	// write one address at two lines of its set: the later Put keeps one.
+	s.Put(addr, line^1, k, []byte("v2-longer"))
 	if v, _ := s.Get(addr, k, nil); string(v) != "v2-longer" {
 		t.Fatalf("overwrite lost: %q", v)
 	}
@@ -138,6 +144,7 @@ func TestStoreBasics(t *testing.T) {
 	if entries != 1 || bytes != int64(len(k)+len("v2-longer")) {
 		t.Fatalf("stats: %d entries, %d bytes", entries, bytes)
 	}
+	checkStore(t, s)
 	if !s.Delete(addr) {
 		t.Fatal("delete of present key reported absent")
 	}
@@ -152,17 +159,24 @@ func TestStoreBasics(t *testing.T) {
 
 func TestHashKeyDisperses(t *testing.T) {
 	// Structured keys ("tenant:000001"...) must spread across store
-	// shards; a pile-up would put every key behind one lock.
-	s := newStore(16)
-	counts := make(map[uint64]int)
+	// stripes; a pile-up would put every key behind one lock.
+	e := shardcache.New(shardcache.Config{
+		Lines: 4096, Ways: 16, Shards: 4, Stripes: 4, Parts: 1,
+		Ranking: futility.CoarseLRU, Seed: 1,
+	})
+	s := newStore(e)
+	counts := make(map[int]int)
 	for i := 0; i < 1600; i++ {
 		k := []byte("tenant:" + string(rune('a'+i%26)) + ":" + string(rune('0'+i%10)))
 		k = append(k, byte(i>>8), byte(i))
-		counts[hashKey(k)&s.mask]++
+		counts[e.SetOf(hashKey(k))*e.Ways()/s.per]++
 	}
-	for shard, n := range counts {
+	if len(counts) != len(s.stripes) {
+		t.Fatalf("keys reached %d of %d stripes", len(counts), len(s.stripes))
+	}
+	for stripe, n := range counts {
 		if n > 400 {
-			t.Fatalf("shard %d got %d of 1600 keys", shard, n)
+			t.Fatalf("stripe %d got %d of 1600 keys", stripe, n)
 		}
 	}
 }

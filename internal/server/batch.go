@@ -24,7 +24,7 @@ package server
 // victimize another line, whose bytes must go. The eviction's store.Delete
 // still runs before any response is sent. The bytes themselves are copied
 // out under the store's lock (see store.go), so a run's values stay intact
-// whatever happens to their entries during the engine pass.
+// whatever happens to their lines during the engine pass.
 
 import (
 	"encoding/binary"

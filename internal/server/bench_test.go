@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"testing"
@@ -28,6 +29,7 @@ var allocFreeOps = []struct {
 	// Per request, sixteen to a client write.
 	{"LoopbackPipelined", loopbackOp(16)},
 	{"StoreSetGet", storeSetGetOp},
+	{"StoreSetEvict", storeSetEvictOp},
 }
 
 // frameCodecOp is one request frame round trip: encode, frame read, parse,
@@ -143,19 +145,33 @@ func loopbackOp(depth int) func(testing.TB) func(int) {
 	}
 }
 
+// storeEngine is the engine behind the store rows: the benchmark's serving
+// geometry at a quarter of its lines, one partition.
+func storeEngine() *shardcache.Engine {
+	e := shardcache.New(shardcache.Config{
+		Lines: 4096, Ways: 16, Shards: 4, Stripes: 4, Parts: 1,
+		Ranking: futility.CoarseLRU, Seed: 1,
+	})
+	e.SetTargets([]int{e.Lines()})
+	return e
+}
+
 // storeSetGetOp is the byte store alone: one overwrite and one read of a
 // 1 KiB value over a resident key set. Overwrites land in place and reads
-// copy into caller scratch under the shard lock.
+// copy into caller scratch under the stripe lock.
 func storeSetGetOp(tb testing.TB) func(int) {
 	const keys = 1024
-	s := newStore(16)
+	e := storeEngine()
+	s := newStore(e)
 	val := bytes.Repeat([]byte{0xA5}, 1024)
 	var key [keys][]byte
 	var addr [keys]uint64
+	var line [keys]int
 	for i := range key {
 		key[i] = []byte(fmt.Sprintf("store-key-%04d", i))
 		addr[i] = hashKey(key[i])
-		s.Put(addr[i], key[i], val, nil)
+		line[i] = e.Access(addr[i], 0).Line
+		s.Put(addr[i], line[i], key[i], val)
 	}
 	dst := make([]byte, 0, len(val))
 	next := 0
@@ -164,13 +180,42 @@ func storeSetGetOp(tb testing.TB) func(int) {
 		for end := i + n; i < end; i++ {
 			k := i % keys
 			val[0] = byte(i)
-			s.Put(addr[k], key[k], val, nil)
+			s.Put(addr[k], line[k], key[k], val)
 			if got, ok := s.Get(addr[k], key[k], dst[:0]); !ok || got[0] != byte(i) {
 				tb.Fatalf("key %d: found %v", k, ok)
 			}
 		}
 		next = i
 	}
+}
+
+// storeSetEvictOp is a SET of a key never seen before on a full engine, as
+// the server performs it: the engine access evicts, and the store writes the
+// 16-byte key and 1 KiB value over the victim's line, in its buffers.
+func storeSetEvictOp(tb testing.TB) func(int) {
+	e := storeEngine()
+	s := newStore(e)
+	val := bytes.Repeat([]byte{0xA5}, 1024)
+	key := []byte("evict-key-000000")
+	next, full := uint64(0), false
+	op := func(n int) {
+		for range n {
+			next++
+			binary.BigEndian.PutUint64(key[8:], next)
+			addr := hashKey(key)
+			res := e.Access(addr, 0)
+			if res.Hit || full && !res.Evicted {
+				tb.Fatalf("key %d: hit %v, evicted %v", next, res.Hit, res.Evicted)
+			}
+			s.Put(addr, res.Line, key, val)
+		}
+	}
+	op(4 * e.Lines()) // fills every set
+	if entries, _ := s.Stats(); entries != e.Lines() {
+		tb.Fatalf("%d entries after warm-up, want %d", entries, e.Lines())
+	}
+	full = true
+	return op
 }
 
 func BenchmarkAllocFree(b *testing.B) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fscache/internal/alloc"
+	"fscache/internal/core"
 	"fscache/internal/faultinject"
 	"fscache/internal/shardcache"
 	"fscache/internal/xrand"
@@ -28,6 +29,7 @@ type modelEntry struct {
 	key  string
 	val  []byte
 	part int
+	line int
 }
 
 func newServerModel(cfg Config) *serverModel {
@@ -49,12 +51,12 @@ func (m *serverModel) apply(req *Request) Response {
 		return resp
 	}
 	addr, part := hashKey(req.Key), int(req.Tenant)
-	access := func() bool {
+	access := func() core.AccessResult {
 		res := m.eng.Access(addr, part)
 		if res.Evicted {
 			delete(m.m, res.EvictedAddr)
 		}
-		return res.Hit
+		return res
 	}
 	switch req.Op {
 	case OpGet:
@@ -63,13 +65,13 @@ func (m *serverModel) apply(req *Request) Response {
 			resp.Status = StatusNotFound
 			break
 		}
-		if access() {
+		if access().Hit {
 			resp.Flags |= FlagHit
 		}
 		resp.Value = e.val
 	case OpSet:
-		access()
-		m.m[addr] = modelEntry{key: string(req.Key), val: append([]byte(nil), req.Value...), part: part}
+		line := access().Line
+		m.m[addr] = modelEntry{key: string(req.Key), val: append([]byte(nil), req.Value...), part: part, line: line}
 	case OpDel:
 		if _, ok := m.m[addr]; !ok {
 			resp.Status = StatusNotFound
@@ -80,23 +82,28 @@ func (m *serverModel) apply(req *Request) Response {
 }
 
 // diff reports how the quiescent server's state differs from the model's
-// ("" when it does not): engine access count, then the store entry by entry.
+// ("" when it does not): engine access count, then the store line by line.
 func (m *serverModel) diff(s *Server) string {
 	if got, want := s.engine.Snapshot().Accesses, m.eng.Snapshot().Accesses; got != want {
 		return fmt.Sprintf("engine performed %d accesses, model %d", got, want)
 	}
 	n := 0
-	for i := range s.store.shards {
-		sh := &s.store.shards[i]
-		sh.mu.RLock()
-		for addr, e := range sh.m {
+	for g := range s.store.stripes {
+		st := &s.store.stripes[g]
+		st.mu.RLock()
+		for i, key := range st.key {
+			if len(key) == 0 {
+				continue
+			}
 			n++
-			if w, ok := m.m[addr]; !ok || w.key != e.key || !bytes.Equal(w.val, e.val) {
-				sh.mu.RUnlock()
-				return fmt.Sprintf("store entry %q = %q, model has %q = %q (present %v)", e.key, e.val, w.key, w.val, ok)
+			line, val := g*s.store.per+i, st.val[i]
+			if w, ok := m.m[st.addr[i]]; !ok || w.key != string(key) || !bytes.Equal(w.val, val) || w.line != line {
+				st.mu.RUnlock()
+				return fmt.Sprintf("store line %d holds %q = %q, model has %q = %q at line %d (present %v)",
+					line, key, val, w.key, w.val, w.line, ok)
 			}
 		}
-		sh.mu.RUnlock()
+		st.mu.RUnlock()
 	}
 	if n != len(m.m) {
 		return fmt.Sprintf("store holds %d entries, model %d", n, len(m.m))
@@ -249,6 +256,9 @@ func runModel(t *testing.T, s *Server, dial func() net.Conn, seed uint64, rounds
 	}
 	if entries, _ := s.store.Stats(); entries > s.cfg.Cache.Lines || entries == 0 {
 		t.Fatalf("store holds %d entries for %d lines", entries, s.cfg.Cache.Lines)
+	}
+	if err := s.store.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 	// Last, because it perturbs recency: every stored key's line is resident.
 	for addr, e := range model.m {

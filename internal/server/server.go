@@ -66,11 +66,10 @@ type Config struct {
 // best-effort tenants are shed and guaranteed reads go stale; at or above
 // 4× that (1024), every request gets StatusOverload. frameTimeout bounds
 // the wait for a complete frame (idle time and slow-loris partial frames
-// both count). storeShards is the byte store's lock-shard count.
+// both count).
 const (
 	shedInflight = 256
 	frameTimeout = 60 * time.Second
-	storeShards  = 16
 )
 
 func (c *Config) setDefaults() {
@@ -188,7 +187,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		engine:     engine,
-		store:      newStore(storeShards),
+		store:      newStore(engine),
 		adm:        newAdmission(cfg.Tenants, cfg.softInflight, cfg.hardInflight),
 		start:      time.Now(),
 		conns:      map[*conn]struct{}{},
@@ -505,11 +504,7 @@ func (s *Server) mutate(req *Request) Status {
 		if s.cfg.Alloc != nil {
 			s.cfg.Alloc.Observe(part, addr)
 		}
-		var spare []byte
-		if res.Evicted {
-			spare = s.store.Evict(res.EvictedAddr)
-		}
-		s.store.Put(addr, req.Key, req.Value, spare)
+		s.store.Put(addr, res.Line, req.Key, req.Value)
 	case OpDel:
 		// Bytes go now; the simulated line carries no value and ages out
 		// under its partition's normal replacement pressure.

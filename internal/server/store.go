@@ -1,47 +1,42 @@
 package server
 
 import (
+	"bytes"
 	"sync"
 
+	"fscache/internal/shardcache"
 	"fscache/internal/xrand"
 )
 
-// store holds the real bytes behind the simulated replacement decisions.
-// It is keyed by the same 64-bit address the engine sees (hashKey of the
-// wire key), so the synchronization contract is direct:
-//
-//   - a SET that the engine admits installs a line for addr and Puts the
-//     bytes; if the engine evicted a victim, the victim's addr is Evicted
-//     in the same request, so store residency tracks line residency;
-//   - a GET consults the store first — bytes present mean the line is (or
-//     was a moment ago) resident — and only then refreshes the engine.
-//
-// Two keys colliding on the full 64-bit hash alias one cache line, exactly
-// like address aliasing in the simulator; the stored entry keeps the wire
-// key so a GET never returns another key's bytes on a collision (it
-// reports NotFound instead).
-//
-// The store is sharded by address so connection goroutines do not fight
-// over one map lock; shard count is fixed at construction (power of two).
-//
-// Ownership: a value's bytes are valid only under its shard's lock. Put
-// overwrites them in place when the new value fits the entry's buffer, so
-// Get copies out under the lock and nothing outside the store ever aliases
-// an entry. The one buffer that leaves a shard is an evicted one: Evict
-// unlinks it and hands it to its caller, who owns it until passing it to Put
-// as the spare, so a SET's new entry takes its victim's buffer whichever
-// shards the two keys hash to, and a SET churn of equal-sized values
-// produces no garbage. Any other buffer the store stops holding is garbage:
-// the store keeps no free list.
+// store holds the real bytes behind the simulated replacement decisions, at
+// the engine's own lines: store line l holds the wire key and value of the
+// address (hashKey of the key) that engine line l holds. A SET Puts its
+// bytes at the line its engine access reports, over whatever the line held;
+// a GET reads the store before it refreshes the engine, and Deletes the
+// victim if that access evicts one. An address can only sit in the ways of
+// its engine set (Engine.SetOf), so Get and Delete scan those under the
+// store's own lock, one per engine stripe, and take no engine lock. The line
+// keeps the wire key, so keys colliding on the full 64-bit hash never read
+// each other's bytes. A line's bytes are valid only under its stripe's lock,
+// and Get copies them out under it. DESIGN.md §14 has the buffer rule and
+// the races between an engine access and its store write.
 type store struct {
-	shards []storeShard
-	mask   uint64
+	eng       *shardcache.Engine
+	ways, per int // lines per set and per stripe
+	stripes   []storeStripe
 }
 
-type storeShard struct {
+// storeStripe is the store's share of one engine stripe's lines. A line is
+// empty when its key is: wire keys are never empty (the server rejects them
+// before the store), and an empty line keeps its buffers at length zero.
+type storeStripe struct {
 	mu sync.RWMutex
 	//fs:guardedby mu
-	m map[uint64]storeEntry
+	addr []uint64
+	//fs:guardedby mu
+	key, val [][]byte
+	//fs:guardedby mu
+	entries int
 	//fs:guardedby mu
 	bytes int64
 }
@@ -52,19 +47,24 @@ func fits(buf []byte, n int) bool {
 	return n <= cap(buf) && cap(buf) <= n+n/4
 }
 
-type storeEntry struct {
-	key string
-	val []byte
+// refill copies src into buf when it fits there, else into a new buffer of
+// src's length, and returns the buffer that holds it.
+func refill(buf, src []byte) []byte {
+	if !fits(buf, len(src)) {
+		buf = make([]byte, 0, len(src))
+	}
+	return append(buf[:0], src...)
 }
 
-func newStore(shards int) *store {
-	if shards <= 0 || shards&(shards-1) != 0 {
-		panic("server: store shard count must be a positive power of two")
-	}
-	s := &store{shards: make([]storeShard, shards), mask: uint64(shards - 1)}
-	for i := range s.shards {
-		//fslint:ignore lockcheck constructor init; the store has not escaped newStore yet
-		s.shards[i].m = make(map[uint64]storeEntry)
+func newStore(e *shardcache.Engine) *store {
+	n := e.Shards() * e.Stripes()
+	s := &store{eng: e, ways: e.Ways(), per: e.Lines() / n, stripes: make([]storeStripe, n)}
+	for g := range s.stripes {
+		s.stripes[g] = storeStripe{
+			addr: make([]uint64, s.per),
+			key:  make([][]byte, s.per),
+			val:  make([][]byte, s.per),
+		}
 	}
 	return s
 }
@@ -84,87 +84,87 @@ func hashKey(key []byte) uint64 {
 	return xrand.Mix64(h)
 }
 
-func (s *store) shard(addr uint64) *storeShard {
-	// Addresses are Mix64-finalized; the low bits are already uniform.
-	return &s.shards[addr&s.mask]
+// line returns the stripe holding global line l and l's index there.
+func (s *store) line(l int) (*storeStripe, int) {
+	return &s.stripes[l/s.per], l % s.per
+}
+
+// find returns the index of the line naming addr in the set starting at
+// first, or -1.
+//
+//fs:callerholds mu
+func (st *storeStripe) find(first, ways int, addr uint64) int {
+	for i := first; i < first+ways; i++ {
+		if st.addr[i] == addr && len(st.key[i]) > 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// clear empties line i, keeping its buffers.
+//
+//fs:callerholds mu
+func (st *storeStripe) clear(i int) {
+	st.entries--
+	st.bytes -= int64(len(st.key[i]) + len(st.val[i]))
+	st.key[i], st.val[i] = st.key[i][:0], st.val[i][:0]
 }
 
 // Get appends the value stored for addr to dst if its key matches, and
 // returns the extended slice.
 func (s *store) Get(addr uint64, key, dst []byte) ([]byte, bool) {
-	sh := s.shard(addr)
-	sh.mu.RLock()
-	e, ok := sh.m[addr]
-	ok = ok && e.key == string(key)
+	st, first := s.line(s.eng.SetOf(addr) * s.ways)
+	st.mu.RLock()
+	i := st.find(first, s.ways, addr)
+	ok := i >= 0 && bytes.Equal(st.key[i], key)
 	if ok {
-		dst = append(dst, e.val...)
+		dst = append(dst, st.val[i]...)
 	}
-	sh.mu.RUnlock()
+	st.mu.RUnlock()
 	return dst, ok
 }
 
-// Put stores value bytes for addr, copying both key and value out of the
-// frame buffer: into the entry's own buffer when the value fits it, else
-// into spare when it fits that, else into a new buffer of the value's
-// length. spare is a buffer from Evict, or nil; Put takes it over.
-func (s *store) Put(addr uint64, key, val, spare []byte) {
-	sh := s.shard(addr)
-	sh.mu.Lock()
-	e := sh.m[addr] // the zero entry when absent
-	sh.bytes += int64(len(key) + len(val) - len(e.key) - len(e.val))
-	if e.key != string(key) { // new entry, or a colliding key's
-		e.key = string(key)
+// Put stores the key and value bytes of addr at global line l, the line the
+// engine reported holding addr, in the line's own buffers where they fit: a
+// SET that lands on its victim's line allocates nothing. Whatever the line
+// held goes, and so does another line of the set naming addr, which two
+// SETs racing between their engine accesses and Puts can leave behind.
+func (s *store) Put(addr uint64, l int, key, val []byte) {
+	st, i := s.line(l)
+	st.mu.Lock()
+	if j := st.find(i&^(s.ways-1), s.ways, addr); j >= 0 && j != i {
+		st.clear(j)
 	}
-	switch {
-	case fits(e.val, len(val)): // overwritten in place
-	case fits(spare, len(val)):
-		e.val = spare
-	default:
-		e.val = make([]byte, 0, len(val))
+	if len(st.key[i]) == 0 {
+		st.entries++
 	}
-	e.val = append(e.val[:0], val...)
-	sh.m[addr] = e
-	sh.mu.Unlock()
-}
-
-// remove unlinks addr's entry, if any, from the shard's map and byte count.
-//
-//fs:callerholds mu
-func (sh *storeShard) remove(addr uint64) (e storeEntry, ok bool) {
-	if e, ok = sh.m[addr]; ok {
-		sh.bytes -= int64(len(e.key) + len(e.val))
-		delete(sh.m, addr)
-	}
-	return e, ok
+	st.bytes += int64(len(key) + len(val) - len(st.key[i]) - len(st.val[i]))
+	st.addr[i] = addr
+	st.key[i], st.val[i] = refill(st.key[i], key), refill(st.val[i], val)
+	st.mu.Unlock()
 }
 
 // Delete drops addr's bytes, reporting whether an entry existed.
 func (s *store) Delete(addr uint64) bool {
-	sh := s.shard(addr)
-	sh.mu.Lock()
-	_, ok := sh.remove(addr)
-	sh.mu.Unlock()
-	return ok
+	st, first := s.line(s.eng.SetOf(addr) * s.ways)
+	st.mu.Lock()
+	i := st.find(first, s.ways, addr)
+	if i >= 0 {
+		st.clear(i)
+	}
+	st.mu.Unlock()
+	return i >= 0
 }
 
-// Evict drops addr's bytes and hands the caller their buffer (nil when
-// there was no entry) to pass to Put as its spare.
-func (s *store) Evict(addr uint64) []byte {
-	sh := s.shard(addr)
-	sh.mu.Lock()
-	e, _ := sh.remove(addr)
-	sh.mu.Unlock()
-	return e.val
-}
-
-// Stats returns the entry and byte totals across shards.
+// Stats returns the entry and byte totals across stripes.
 func (s *store) Stats() (entries int, bytes int64) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		entries += len(sh.m)
-		bytes += sh.bytes
-		sh.mu.RUnlock()
+	for g := range s.stripes {
+		st := &s.stripes[g]
+		st.mu.RLock()
+		entries += st.entries
+		bytes += st.bytes
+		st.mu.RUnlock()
 	}
 	return entries, bytes
 }

@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"fscache/internal/core"
+	"fscache/internal/futility"
+	"fscache/internal/shardcache"
 	"fscache/internal/xrand"
 )
 
@@ -38,79 +41,149 @@ func verifyStamped(val []byte, id uint32) error {
 	return nil
 }
 
-// checkStore verifies every shard's accounting against its contents: the
-// byte count is exact, and every value fits its buffer (Put's rule).
+// newTestStore builds a store over a fresh one-partition engine of lines
+// lines, ways ways and stripes lock stripes.
+func newTestStore(lines, ways, stripes int) (*shardcache.Engine, *store) {
+	e := shardcache.New(shardcache.Config{
+		Lines: lines, Ways: ways, Shards: 1, Stripes: stripes, Parts: 1,
+		Ranking: futility.CoarseLRU, Seed: 1,
+	})
+	e.SetTargets([]int{lines})
+	return e, newStore(e)
+}
+
+// set is a SET's two steps, as the server takes them: the engine access,
+// then the store write at the line the access reports.
+func set(e *shardcache.Engine, s *store, addr uint64, key, val []byte) core.AccessResult {
+	res := e.Access(addr, 0)
+	s.Put(addr, res.Line, key, val)
+	return res
+}
+
+// CheckInvariants audits the store one stripe at a time: every non-empty
+// line names an address of its own set, no set names an address twice, and
+// the entry and byte counters match a recount. Every store operation keeps
+// all three, so it may run while other goroutines use the store.
+func (s *store) CheckInvariants() error {
+	for g := range s.stripes {
+		if err := s.stripes[g].audit(s, g*s.per); err != nil {
+			return fmt.Errorf("server: store stripe %d: %w", g, err)
+		}
+	}
+	return nil
+}
+
+// audit is CheckInvariants for the stripe whose first global line is base.
+func (st *storeStripe) audit(s *store, base int) error {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	entries, bytes := 0, int64(0)
+	for i, k := range st.key {
+		if len(k) == 0 {
+			continue
+		}
+		entries++
+		bytes += int64(len(k) + len(st.val[i]))
+		if set := s.eng.SetOf(st.addr[i]); set != (base+i)/s.ways {
+			return fmt.Errorf("line %d names %#x, of set %d", base+i, st.addr[i], set)
+		}
+		if j := st.find(i+1, s.ways-1-i%s.ways, st.addr[i]); j >= 0 {
+			return fmt.Errorf("lines %d and %d name %#x", base+i, base+j, st.addr[i])
+		}
+	}
+	if entries != st.entries || bytes != st.bytes {
+		return fmt.Errorf("counters say %d entries of %d bytes, lines hold %d of %d",
+			st.entries, st.bytes, entries, bytes)
+	}
+	return nil
+}
+
+// checkStore audits the store (store.CheckInvariants) and checks that every
+// stored key and value fits its buffer (Put's rule).
 func checkStore(t *testing.T, s *store) {
 	t.Helper()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		var live int64
-		for _, e := range sh.m {
-			live += int64(len(e.key) + len(e.val))
-			if !fits(e.val, len(e.val)) {
-				t.Errorf("shard %d: %d-byte value in a %d-byte buffer", i, len(e.val), cap(e.val))
+	if err := s.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+	for g := range s.stripes {
+		st := &s.stripes[g]
+		st.mu.RLock()
+		for i, k := range st.key {
+			if v := st.val[i]; len(k) > 0 && (!fits(k, len(k)) || !fits(v, len(v))) {
+				t.Errorf("stripe %d line %d: %d-byte key in %d bytes, %d-byte value in %d bytes",
+					g, i, len(k), cap(k), len(v), cap(v))
 			}
 		}
-		if sh.bytes != live {
-			t.Errorf("shard %d: bytes %d, contents %d", i, sh.bytes, live)
-		}
-		sh.mu.RUnlock()
+		st.mu.RUnlock()
 	}
 }
 
+// storedLines returns the line of every key the store holds, by key id.
+func storedLines(s *store, ids map[string]int) map[int]int {
+	lines := map[int]int{}
+	for g := range s.stripes {
+		st := &s.stripes[g]
+		st.mu.RLock()
+		for i, k := range st.key {
+			if len(k) > 0 {
+				lines[ids[string(k)]] = g*s.per + i
+			}
+		}
+		st.mu.RUnlock()
+	}
+	return lines
+}
+
 // TestStoreRecyclesWithoutAliasing is the store's ownership contract under
-// -race: while writers overwrite and delete — so value buffers are rewritten
-// in place when the new value fits and replaced when it does not — and one
-// writer evicts a key and hands its buffer to the Put of another, as a SET
-// does, across shards, a reader only ever gets an intact value of the key it
-// asked for, and the accounting holds throughout.
+// -race: while writers SET and delete through an engine smaller than their
+// keys — so most SETs land on a victim's line and take over its buffers,
+// which are rewritten in place when the new value fits and replaced when it
+// does not — a reader only ever gets an intact value of the key it asked
+// for, and the accounting holds throughout.
 func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 	const keys = 96
-	s := newStore(4)
+	e, s := newTestStore(64, 4, 4)
 	var key [keys][]byte
 	var addr [keys]uint64
+	ids := map[string]int{}
 	for i := range key {
 		key[i] = []byte(fmt.Sprintf("stamped-%03d", i))
 		addr[i] = hashKey(key[i])
+		ids[string(key[i])] = i
 	}
 	rounds := 40000
 	if testing.Short() {
 		rounds = 8000
 	}
 
-	const setter = 2 // the writer that evicts for every Put
-	var writers, readers sync.WaitGroup
+	const writers = 3
+	var writing, reading sync.WaitGroup
 	stop := make(chan struct{})
-	for w := 0; w <= setter; w++ {
-		writers.Add(1)
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
 		go func() {
-			defer writers.Done()
+			defer writing.Done()
 			rng := xrand.New(uint64(100 + w))
 			var buf []byte
 			for i := 0; i < rounds; i++ {
 				// Writer w owns the keys ≡ w (mod 3), so versions per key
-				// are its own; buffers still migrate between the sets.
-				k := 3*rng.Intn(keys/3) + w
-				var spare []byte
-				switch {
-				case w == setter:
-					spare = s.Evict(addr[3*rng.Intn(keys/3)+w])
-				case rng.Bool(0.2):
+				// are its own; lines and their buffers are everyone's.
+				k := writers*rng.Intn(keys/writers) + w
+				if w > 0 && rng.Bool(0.2) {
 					s.Delete(addr[k])
 					continue
 				}
 				n := 16 << rng.Intn(9) // 16 B … 4 KiB
 				n += rng.Intn(n / 2)
 				buf = stampedValue(buf, uint32(k), uint32(i), min(n, 4096))
-				s.Put(addr[k], key[k], buf, spare)
+				set(e, s, addr[k], key[k], buf)
 			}
 		}()
 	}
 	for r := 0; r < 2; r++ {
-		readers.Add(1)
+		reading.Add(1)
 		go func() {
-			defer readers.Done()
+			defer reading.Done()
 			rng := xrand.New(uint64(200 + r))
 			var dst []byte
 			for n := 0; ; n++ {
@@ -133,25 +206,29 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 			}
 		}()
 	}
-	writers.Wait()
+	writing.Wait()
 	close(stop)
-	readers.Wait()
+	reading.Wait()
 	checkStore(t, s)
 
-	// Shrink every value past what its buffer fits, then delete
+	// Shrink every stored value past what its buffer fits, then delete
 	// everything: each value moves to a buffer that fits it, intact, and
 	// the accounting follows the live bytes down.
+	stored := storedLines(s, ids)
+	if len(stored) == 0 {
+		t.Fatal("the churn left the store empty")
+	}
 	var buf, dst []byte
 	for _, n := range []int{1024, 64} {
-		for k := range key {
+		for k, line := range stored {
 			buf = stampedValue(buf, uint32(k), 0, n)
-			s.Put(addr[k], key[k], buf, nil)
+			s.Put(addr[k], line, key[k], buf)
 		}
 		checkStore(t, s)
-		if entries, bytes := s.Stats(); entries != keys || bytes != int64(keys*(len(key[0])+n)) {
+		if entries, bytes := s.Stats(); entries != len(stored) || bytes != int64(len(stored)*(len(key[0])+n)) {
 			t.Fatalf("%d-byte values: %d entries, %d bytes", n, entries, bytes)
 		}
-		for k := range key {
+		for k := range stored {
 			var ok bool
 			if dst, ok = s.Get(addr[k], key[k], dst[:0]); !ok || len(dst) != n {
 				t.Fatalf("%d-byte values: Get(%s) = %d bytes, found %v", n, key[k], len(dst), ok)
@@ -161,7 +238,7 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 			}
 		}
 	}
-	for k := range key {
+	for k := range stored {
 		if !s.Delete(addr[k]) {
 			t.Fatalf("key %d missing", k)
 		}
@@ -172,52 +249,104 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 	}
 }
 
-// On a full store, a SET churn — every SET evicts the oldest entry and
-// inserts a key that is not resident, as when the engine evicts — hands each
-// victim's buffer to the new entry, whichever shards the two keys hash to:
-// nothing is allocated. Keys are one byte long, so their
-// strings are Go's static one-byte strings and any allocation counted is a
-// value buffer.
+// TestStoreSharedSets runs the server's three store paths from eight
+// goroutines over four sets under -race: SETs (engine access, then Put at
+// the reported line), GETs (Get, then the engine access, whose refetch
+// victim is deleted) and DELs, all on keys every goroutine shares, with
+// values of many sizes. A Get only ever returns an intact value of the key
+// it asked for, and the store stays consistent with itself throughout.
+func TestStoreSharedSets(t *testing.T) {
+	const keys, goroutines = 64, 8
+	e, s := newTestStore(32, 8, 2)
+	var key [keys][]byte
+	var addr [keys]uint64
+	for i := range key {
+		key[i] = []byte(fmt.Sprintf("shared-key-%05d", i))
+		addr[i] = hashKey(key[i])
+	}
+	rounds := 20000
+	if testing.Short() {
+		rounds = 4000
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := xrand.New(uint64(300 + w))
+			var buf, dst []byte
+			for i := 0; i < rounds; i++ {
+				k := rng.Intn(keys)
+				switch p := rng.Float64(); {
+				case p < 0.4:
+					n := 16 + rng.Intn(8)*rng.Intn(64)
+					buf = stampedValue(buf, uint32(k), uint32(w<<24|i), n)
+					set(e, s, addr[k], key[k], buf)
+				case p < 0.85:
+					var ok bool
+					if dst, ok = s.Get(addr[k], key[k], dst[:0]); !ok {
+						continue
+					}
+					if err := verifyStamped(dst, uint32(k)); err != nil {
+						t.Errorf("Get(%s): %v", key[k], err)
+						return
+					}
+					if res := e.Access(addr[k], 0); res.Evicted {
+						s.Delete(res.EvictedAddr)
+					}
+				default:
+					s.Delete(addr[k])
+				}
+				if w == 0 && i%256 == 0 {
+					checkStore(t, s)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	checkStore(t, s)
+	if entries, _ := s.Stats(); entries == 0 || entries > 32 {
+		t.Fatalf("store holds %d entries for 32 lines", entries)
+	}
+}
+
+// On a full store, a SET churn — every SET is of a key that is not
+// resident, so the engine evicts and the key lands on its victim's line —
+// reuses the victim's key and value buffers: nothing is allocated. Keys are
+// 16 bytes long, the wire key length of the benchmark's load, so a key copy
+// made for each new entry would be counted.
 func TestStoreSetChurnReusesVictimBuffers(t *testing.T) {
-	const resident, keys = 64, 256
-	s := newStore(4)
+	const lines, keys = 64, 256
+	e, s := newTestStore(lines, 4, 4)
 	val := make([]byte, 1024)
 	var key [keys][]byte
 	var addr [keys]uint64
 	for i := range key {
-		key[i] = []byte{byte(i)}
+		key[i] = []byte(fmt.Sprintf("churn-key-%06d", i))
 		addr[i] = hashKey(key[i])
 	}
-	var ring [resident]int // the resident keys, oldest at ring[head]
-	var out []int          // the others
-	for k := range key {
-		if k < resident {
-			ring[k] = k
-			s.Put(addr[k], key[k], val, nil)
-		} else {
-			out = append(out, k)
-		}
-	}
-	head := 0
-	rng := xrand.New(7)
+	next, evictions := 0, 0
 	turnover := func() {
-		for n := 0; n < resident; n++ {
-			j := rng.Intn(len(out))
-			victim, k := ring[head], out[j]
-			spare := s.Evict(addr[victim])
-			s.Put(addr[k], key[k], val, spare)
-			ring[head], out[j] = k, victim
-			head = (head + 1) % resident
+		for n := 0; n < lines; n++ {
+			k := next % keys
+			next++
+			if set(e, s, addr[k], key[k], val).Evicted {
+				evictions++
+			}
 		}
 	}
 	for i := 0; i < 8; i++ {
-		turnover() // the shards' maps reach their size
+		turnover() // every line fills
 	}
+	sets, evicted := next, evictions
 	if allocs := testing.AllocsPerRun(16, turnover); allocs != 0 {
-		t.Errorf("%v allocations per turnover of %d entries", allocs, resident)
+		t.Errorf("%v allocations per turnover of %d lines", allocs, lines)
+	}
+	if sets, evicted = next-sets, evictions-evicted; evicted != sets {
+		t.Fatalf("%d of %d SETs evicted, want all", evicted, sets)
 	}
 	checkStore(t, s)
-	if entries, _ := s.Stats(); entries != resident {
-		t.Fatalf("%d entries, want %d", entries, resident)
+	if entries, _ := s.Stats(); entries != lines {
+		t.Fatalf("%d entries, want %d", entries, lines)
 	}
 }

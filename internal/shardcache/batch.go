@@ -122,6 +122,7 @@ func (b *Batch) Access(reqs []Access, results []core.AccessResult) {
 			if !res.Hit {
 				st.demand[r.Part]++ // see Engine.Access on insertion demand
 			}
+			e.globalLines(&res, g)
 			results[i] = res
 		}
 		st.mu.Unlock()

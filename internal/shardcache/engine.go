@@ -117,6 +117,7 @@ type Engine struct {
 	perShard    int // stripes per shard (cfg.Stripes normalized, ≥1)
 	router      *hashing.H3
 	stripeShift uint      // hashing.ShardShift(sets, len(stripes)): set index → stripe
+	stripeLines int       // lines per stripe; stripe g's line l is the engine's g·stripeLines+l
 	stripes     []*stripe // flat, global stripe index g = shard*perShard + stripe
 	measured    int       // stripes that record eviction futility
 
@@ -228,6 +229,7 @@ func newEngine(cfg Config, isMeasured func(g int) bool) *Engine {
 		perShard:      cfg.Stripes,
 		router:        router,
 		stripeShift:   hashing.ShardShift(sets, nStripes),
+		stripeLines:   perStripeLines,
 		stripes:       stripes,
 		measured:      measured,
 		targets:       make([]int, cfg.Parts),
@@ -259,6 +261,16 @@ func (e *Engine) Parts() int { return e.cfg.Parts }
 // Lines returns the total line count across all shards.
 func (e *Engine) Lines() int { return e.cfg.Lines }
 
+// Ways returns the associativity: the line count of every set.
+func (e *Engine) Ways() int { return e.cfg.Ways }
+
+// SetOf returns an address's global set index, its H3 hash over all the
+// engine's sets. It is pure, takes no lock and is safe to call concurrently.
+// Lines are numbered set by set, so the address can only ever sit in lines
+// SetOf(addr)·Ways through SetOf(addr)·Ways+Ways−1, the range every
+// AccessResult.Line and EvictedLine for it lies in.
+func (e *Engine) SetOf(addr uint64) int { return int(e.router.Hash(addr)) }
+
 // ShardOf returns the shard an address routes to: the top bit-slice of its
 // global H3 set index. It is pure and safe to call concurrently. The
 // deterministic driving protocol (driver.go) partitions ownership at shard
@@ -271,15 +283,17 @@ func (e *Engine) ShardOf(addr uint64) int {
 // log2(Shards·Stripes)-bit slice of its H3 set index. Because the slice is
 // a prefix, the top log2(Shards) bits are exactly ShardOf.
 func (e *Engine) stripeOf(addr uint64) int {
-	return int(e.router.Hash(addr) >> e.stripeShift)
+	return e.SetOf(addr) >> e.stripeShift
 }
 
 // Access performs one cache access for partition part on the stripe the
-// address routes to, holding only that stripe's lock.
+// address routes to, holding only that stripe's lock. The result's Line and
+// EvictedLine are global line indices (see SetOf).
 //
 //fs:allocfree
 func (e *Engine) Access(addr uint64, part int) core.AccessResult {
-	st := e.stripes[e.stripeOf(addr)]
+	g := e.stripeOf(addr)
+	st := e.stripes[g]
 	st.mu.Lock()
 	res := st.cache.Access(addr, part, trace.NoNextUse)
 	if !res.Hit {
@@ -291,7 +305,19 @@ func (e *Engine) Access(addr uint64, part int) core.AccessResult {
 		st.demand[part]++
 	}
 	st.mu.Unlock()
+	e.globalLines(&res, g)
 	return res
+}
+
+// globalLines renumbers res's lines from stripe g's cache to the engine's.
+//
+//fs:allocfree
+func (e *Engine) globalLines(res *core.AccessResult, g int) {
+	base := g * e.stripeLines
+	res.Line += base
+	if res.Evicted {
+		res.EvictedLine += base
+	}
 }
 
 // SetTargets installs cache-wide per-partition line targets and distributes

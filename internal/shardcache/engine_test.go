@@ -204,6 +204,72 @@ func TestStripesSplitTheMonolithicArray(t *testing.T) {
 	}
 }
 
+// TestEngineReportsGlobalLines pins the engine's line numbering: Line and
+// EvictedLine from Access and Batch.Access are global, in the ways of the
+// accessed address's set, SetOf(addr)·Ways onwards; a hit reports the line
+// the address's installing access reported, and a victim leaves the line
+// its own install reported.
+func TestEngineReportsGlobalLines(t *testing.T) {
+	for _, geo := range []struct{ shards, stripes int }{{1, 1}, {4, 4}, {2, 8}} {
+		cfg := testConfig(geo.shards)
+		cfg.Stripes = geo.stripes
+		e := New(cfg)
+		e.SetTargets(testTargets())
+		b := e.NewBatch()
+		rng := xrand.New(23)
+		pool := make([]uint64, 2*cfg.Lines)
+		for i := range pool {
+			pool[i] = rng.Uint64()
+		}
+		lineOf := map[uint64]int{}
+		reqs := make([]Access, 32)
+		results := make([]core.AccessResult, len(reqs))
+		check := func(a Access, res core.AccessResult) {
+			first := e.SetOf(a.Addr) * cfg.Ways
+			if res.Line < first || res.Line >= first+cfg.Ways {
+				t.Fatalf("%d×%d: %#x (set %d) reported line %d", geo.shards, geo.stripes, a.Addr, first/cfg.Ways, res.Line)
+			}
+			if res.Evicted {
+				if res.EvictedLine < first || res.EvictedLine >= first+cfg.Ways {
+					t.Fatalf("%d×%d: %#x (set %d) evicted line %d", geo.shards, geo.stripes, a.Addr, first/cfg.Ways, res.EvictedLine)
+				}
+				if l, ok := lineOf[res.EvictedAddr]; !ok || l != res.EvictedLine {
+					t.Fatalf("%d×%d: victim %#x evicted from line %d, installed at %d (known %v)",
+						geo.shards, geo.stripes, res.EvictedAddr, res.EvictedLine, l, ok)
+				}
+				delete(lineOf, res.EvictedAddr)
+			}
+			if l, ok := lineOf[a.Addr]; ok != res.Hit || ok && l != res.Line {
+				t.Fatalf("%d×%d: %#x hit %v at line %d, installed at %d (known %v)",
+					geo.shards, geo.stripes, a.Addr, res.Hit, res.Line, l, ok)
+			}
+			lineOf[a.Addr] = res.Line
+		}
+		hits := 0
+		for round := 0; round < 2000; round++ {
+			for i := range reqs {
+				reqs[i] = Access{Addr: pool[rng.Intn(len(pool))], Part: rng.Intn(cfg.Parts)}
+			}
+			if round%2 == 0 {
+				for i := range reqs {
+					results[i] = e.Access(reqs[i].Addr, reqs[i].Part)
+				}
+			} else {
+				b.Access(reqs, results)
+			}
+			for i := range reqs {
+				check(reqs[i], results[i])
+				if results[i].Hit {
+					hits++
+				}
+			}
+		}
+		if hits == 0 || len(lineOf) != cfg.Lines {
+			t.Fatalf("%d×%d: %d hits, %d resident lines of %d", geo.shards, geo.stripes, hits, len(lineOf), cfg.Lines)
+		}
+	}
+}
+
 // TestRebalanceRedistributes pins the global distributor: after heavily
 // skewed per-shard demand for a partition, Rebalance must hand the loaded
 // shard a strictly larger slice of that partition's global target than the
