@@ -314,3 +314,24 @@ func BenchmarkScalingFactors(b *testing.B) {
 		}
 	}
 }
+
+// TestAEFFig4Cell pins §IV's model on Fig. 4's 9/1 cell: equal insertion
+// shares, sizes 0.9/0.1, R = 16, α from Equation (1). The model gives
+// 0.9412 and 0.8097, which the simulator measures (0.941 and 0.810,
+// EXPERIMENTS.md); the paper's figure reads ≈ 0.86 for the small partition,
+// which its own model does not give.
+func TestAEFFig4Cell(t *testing.T) {
+	s := []float64{0.9, 0.1}
+	alpha, err := ScalingFactors([]float64{0.5, 0.5}, s, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !almost(alpha[1], 1.6241, 1e-3) {
+		t.Fatalf("α₂ = %.4f, want 1.6241", alpha[1])
+	}
+	for i, want := range []float64{0.9412, 0.8097} {
+		if got := AEF(i, s, alpha, 16); !almost(got, want, 1e-3) {
+			t.Errorf("AEF of part %d = %.4f, want %.4f", i, got, want)
+		}
+	}
+}

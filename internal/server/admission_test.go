@@ -118,26 +118,27 @@ func TestLadderBucketExhaustion(t *testing.T) {
 }
 
 func TestStoreBasics(t *testing.T) {
-	e, s := newTestStore(64, 4, 1)
+	s := newTestStore(64, 4, 1)
 	k := []byte("alpha")
 	addr := hashKey(k)
-	if _, ok := s.Get(addr, k, nil); ok {
+	if _, ok := get(s, addr, k, nil); ok {
 		t.Fatal("empty store returned a value")
 	}
-	set(e, s, addr, k, []byte("v1"))
-	if v, ok := s.Get(addr, k, nil); !ok || string(v) != "v1" {
+	s.Set(addr, 0, k, []byte("v1"))
+	if v, ok := get(s, addr, k, nil); !ok || string(v) != "v1" {
 		t.Fatalf("got %q,%v", v, ok)
 	}
 	// Same address, different key (simulated hash collision): the store
 	// must refuse to serve another key's bytes.
-	if _, ok := s.Get(addr, []byte("beta"), nil); ok {
+	if _, ok := get(s, addr, []byte("beta"), nil); ok {
 		t.Fatal("collision returned wrong key's bytes")
 	}
-	line := set(e, s, addr, k, []byte("v2")).Line
-	// Two SETs racing between their engine accesses and their Puts can
-	// write one address at two lines of its set: the later Put keeps one.
-	s.Put(addr, line^1, k, []byte("v2-longer"))
-	if v, _ := s.Get(addr, k, nil); string(v) != "v2-longer" {
+	line := s.Set(addr, 0, k, []byte("v2")).Line
+	// An overwrite hits the key's line and replaces its bytes there.
+	if res := s.Set(addr, 0, k, []byte("v2-longer")); !res.Hit || res.Line != line {
+		t.Fatalf("overwrite: hit %v at line %d, first SET at line %d", res.Hit, res.Line, line)
+	}
+	if v, _ := get(s, addr, k, nil); string(v) != "v2-longer" {
 		t.Fatalf("overwrite lost: %q", v)
 	}
 	entries, bytes := s.Stats()
@@ -169,7 +170,9 @@ func TestHashKeyDisperses(t *testing.T) {
 	for i := 0; i < 1600; i++ {
 		k := []byte("tenant:" + string(rune('a'+i%26)) + ":" + string(rune('0'+i%10)))
 		k = append(k, byte(i>>8), byte(i))
-		counts[e.SetOf(hashKey(k))*e.Ways()/s.per]++
+		h := e.Lock(hashKey(k))
+		counts[h.Stripe()]++
+		h.Unlock()
 	}
 	if len(counts) != len(s.stripes) {
 		t.Fatalf("keys reached %d of %d stripes", len(counts), len(s.stripes))

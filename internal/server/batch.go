@@ -4,33 +4,23 @@ package server
 //
 // A client that pipelines requests (every fsload net worker, any batching
 // client) lands several complete frames in the connection's read buffer at
-// once. The per-request path would take one engine stripe lock per GET;
-// the batch path instead collects the maximal run of consecutive
-// fully-buffered GET frames and submits them through shardcache.Batch, so
-// one lock acquisition per stripe covers the whole run. Responses are
-// still sent strictly in request order.
+// once. The batch path collects the maximal run of consecutive
+// fully-buffered GET frames and submits them through shardcache.Batch.Each,
+// so one stripe lock covers every GET of the run that routes to it: under
+// it each looks its key up, refreshes the engine line and copies its value
+// (store.Get), in submission order. Responses are still sent strictly in
+// request order.
 //
 // Only GETs batch. SET/DEL mutate the byte store and Ping/Stats are
 // control-plane, so they keep the sequential path; a non-GET frame simply
 // ends the run (it is peeked, never consumed). The collection never blocks:
 // a frame joins the run only when every one of its bytes is already
 // buffered, so a half-arrived frame is left for the normal read path.
-//
-// Semantics: within a run, every byte-store read happens before the engine
-// pass. Request j can therefore read bytes for a key that request i<j's
-// engine access then evicts — the same window the per-request path already
-// tolerates for concurrent connections: if the engine evicted the line since
-// the bytes were read, the access re-installs it (a refetch) and may
-// victimize another line, whose bytes must go. The eviction's store.Delete
-// still runs before any response is sent. The bytes themselves are copied
-// out under the store's lock (see store.go), so a run's values stay intact
-// whatever happens to their lines during the engine pass.
 
 import (
 	"encoding/binary"
 	"time"
 
-	"fscache/internal/core"
 	"fscache/internal/shardcache"
 )
 
@@ -46,27 +36,23 @@ const opBadParse Op = 0xff
 // getBatch is the reader-goroutine-owned scratch for one connection's
 // pipelined runs; every slice is reused run to run.
 type getBatch struct {
-	frames  [][]byte   // arena: frame buffer per slot (slot 0 unused; the head frame is the readLoop's)
-	reqs    []Request  // parsed requests, submission order
-	resps   []Response // responses, same order
-	vals    [][]byte   // byte-store value per request (nil until found), a slice of arena
-	arena   []byte     // the run's value bytes, copied out of the store
-	accs    []shardcache.Access
-	accIdx  []int32 // accs[j] drives reqs[accIdx[j]]
-	results []core.AccessResult
-	batch   *shardcache.Batch
+	frames [][]byte   // arena: frame buffer per slot (slot 0 unused; the head frame is the readLoop's)
+	reqs   []Request  // parsed requests, submission order
+	resps  []Response // responses, same order
+	arena  []byte     // the run's value bytes, copied out of the store
+	accs   []shardcache.Access
+	accIdx []int32 // accs[j] drives reqs[accIdx[j]]
+	batch  *shardcache.Batch
 }
 
 func newGetBatch(e *shardcache.Engine) *getBatch {
 	return &getBatch{
-		frames:  make([][]byte, batchMax),
-		reqs:    make([]Request, 0, batchMax),
-		resps:   make([]Response, 0, batchMax),
-		vals:    make([][]byte, batchMax),
-		accs:    make([]shardcache.Access, 0, batchMax),
-		accIdx:  make([]int32, 0, batchMax),
-		results: make([]core.AccessResult, batchMax),
-		batch:   e.NewBatch(),
+		frames: make([][]byte, batchMax),
+		reqs:   make([]Request, 0, batchMax),
+		resps:  make([]Response, 0, batchMax),
+		accs:   make([]shardcache.Access, 0, batchMax),
+		accIdx: make([]int32, 0, batchMax),
+		batch:  e.NewBatch(),
 	}
 }
 
@@ -92,12 +78,23 @@ func (c *conn) nextBuffered() (whole, get bool) {
 	return true, pfx[lenPrefixSize] == Version && Op(pfx[lenPrefixSize+1]) == OpGet
 }
 
-// get copies key's value out of the store onto the run's arena. A slice
-// returned earlier stays valid when the arena grows: it keeps the old array.
-func (b *getBatch) get(st *store, addr uint64, key []byte) (val []byte, found bool) {
-	start := len(b.arena)
-	b.arena, found = st.Get(addr, key, b.arena)
-	return b.arena[start:], found
+// serve answers the run's GETs that route to h's stripe, idx indexing accs,
+// under its lock: each copies its value onto the run's arena, or is not
+// found. A stale GET (FlagStale already set) leaves the engine untouched. A
+// value slice stays valid when the arena grows: it keeps the old array.
+func (c *conn) serve(h shardcache.Locked, idx []int32) {
+	b := c.gb
+	for _, j := range idx {
+		a, i := &b.accs[j], b.accIdx[j]
+		resp, start := &b.resps[i], len(b.arena)
+		var found bool
+		b.arena, found = c.srv.store.Get(h, a.Addr, a.Part, b.reqs[i].Key, b.arena, resp.Flags&FlagStale != 0)
+		if found {
+			resp.Value = b.arena[start:]
+		} else {
+			resp.Status = StatusNotFound
+		}
+	}
 }
 
 // handleGetRun executes head plus every immediately-following fully-buffered
@@ -138,15 +135,11 @@ func (c *conn) handleGetRun(head *Request) bool {
 	start := time.Now()
 	nowNS := int64(start.Sub(s.start))
 	b.resps = b.resps[:len(b.reqs)]
-	b.accs = b.accs[:0]
-	b.accIdx = b.accIdx[:0]
-	b.arena = b.arena[:0]
+	b.accs, b.accIdx, b.arena = b.accs[:0], b.accIdx[:0], b.arena[:0]
 
-	// Decide: admission, deadlines and byte-store reads, no engine locks.
+	// Decide: admission, no locks.
 	for i := range b.reqs {
-		req := &b.reqs[i]
-		b.vals[i] = nil
-		resp := &b.resps[i]
+		req, resp := &b.reqs[i], &b.resps[i]
 		*resp = Response{Status: StatusOK, Tenant: req.Tenant, Seq: req.Seq}
 		if req.Op == opBadParse {
 			resp.Status = StatusBadRequest
@@ -156,8 +149,7 @@ func (c *conn) handleGetRun(head *Request) bool {
 			resp.Status = StatusBadRequest
 			continue
 		}
-		t := s.adm.tenants[req.Tenant]
-		switch s.adm.decide(t, OpGet, nowNS) {
+		switch s.adm.decide(s.adm.tenants[req.Tenant], OpGet, nowNS) {
 		case vReject:
 			resp.Status = StatusOverload
 			continue
@@ -165,54 +157,40 @@ func (c *conn) handleGetRun(head *Request) bool {
 			resp.Status = StatusShed
 			continue
 		case vStale:
-			// Degraded fast path: bytes only, no engine locks, no recency
-			// update. Guaranteed tenants keep answering while the engine is
-			// the bottleneck.
-			if val, found := b.get(s.store, hashKey(req.Key), req.Key); found {
-				resp.Flags |= FlagStale
-				resp.Value = val
-			} else {
-				resp.Status = StatusNotFound
+			// Degraded fast path: bytes only, no recency update. Guaranteed
+			// tenants keep answering while the engine is the bottleneck.
+			resp.Flags |= FlagStale
+		default:
+			if s.cfg.testHook != nil {
+				s.cfg.testHook(req)
 			}
-			continue
 		}
-		if s.cfg.testHook != nil {
-			s.cfg.testHook(req)
-		}
-		addr := hashKey(req.Key)
-		val, found := b.get(s.store, addr, req.Key)
-		if !found {
-			t.misses.Add(1)
-			resp.Status = StatusNotFound
-			continue
-		}
-		b.vals[i] = val
-		b.accs = append(b.accs, shardcache.Access{Addr: addr, Part: int(req.Tenant)})
+		b.accs = append(b.accs, shardcache.Access{Addr: hashKey(req.Key), Part: int(req.Tenant)})
 		b.accIdx = append(b.accIdx, int32(i))
 	}
 
-	// Engine: one batched pass, one lock per touched stripe.
-	if len(b.accs) > 0 {
-		b.batch.Access(b.accs, b.results[:len(b.accs)])
-		if s.cfg.Alloc != nil {
-			for j := range b.accs {
-				s.cfg.Alloc.Observe(b.accs[j].Part, b.accs[j].Addr)
-			}
-		}
-	}
+	// Store and engine: one lock per touched stripe.
+	b.batch.Each(b.accs, c.serve)
 	lat := time.Since(start)
 	for j := range b.accs {
 		i := b.accIdx[j]
-		req, resp, res := &b.reqs[i], &b.resps[i], &b.results[j]
-		if res.Evicted {
-			s.store.Delete(res.EvictedAddr)
+		req, resp := &b.reqs[i], &b.resps[i]
+		t, stale := s.adm.tenants[req.Tenant], resp.Flags&FlagStale != 0
+		if resp.Status == StatusNotFound {
+			resp.Flags = 0
+			if !stale {
+				t.misses.Add(1)
+			}
+			continue
 		}
-		t := s.adm.tenants[req.Tenant]
-		if res.Hit {
-			resp.Flags |= FlagHit
+		if stale {
+			continue
 		}
+		if s.cfg.Alloc != nil {
+			s.cfg.Alloc.Observe(b.accs[j].Part, b.accs[j].Addr)
+		}
+		resp.Flags |= FlagHit
 		t.hits.Add(1)
-		resp.Value = b.vals[i]
 		if expired(req, lat) {
 			// Work done but the deadline passed during the batch; report it
 			// truthfully, exactly like the per-request path.

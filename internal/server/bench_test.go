@@ -30,6 +30,7 @@ var allocFreeOps = []struct {
 	{"LoopbackPipelined", loopbackOp(16)},
 	{"StoreSetGet", storeSetGetOp},
 	{"StoreSetEvict", storeSetEvictOp},
+	{"StoreDelete", storeDeleteOp},
 }
 
 // frameCodecOp is one request frame round trip: encode, frame read, parse,
@@ -156,33 +157,55 @@ func storeEngine() *shardcache.Engine {
 	return e
 }
 
+// storeKeys fills a fresh store over storeEngine with 1024 keys of 1 KiB
+// values and returns it, the keys and their addresses.
+func storeKeys() (*store, [][]byte, []uint64) {
+	s := newStore(storeEngine())
+	val := bytes.Repeat([]byte{0xA5}, 1024)
+	key, addr := make([][]byte, 1024), make([]uint64, 1024)
+	for i := range key {
+		key[i] = []byte(fmt.Sprintf("store-key-%04d", i))
+		addr[i] = hashKey(key[i])
+		s.Set(addr[i], 0, key[i], val)
+	}
+	return s, key, addr
+}
+
 // storeSetGetOp is the byte store alone: one overwrite and one read of a
 // 1 KiB value over a resident key set. Overwrites land in place and reads
 // copy into caller scratch under the stripe lock.
 func storeSetGetOp(tb testing.TB) func(int) {
-	const keys = 1024
-	e := storeEngine()
-	s := newStore(e)
+	s, key, addr := storeKeys()
 	val := bytes.Repeat([]byte{0xA5}, 1024)
-	var key [keys][]byte
-	var addr [keys]uint64
-	var line [keys]int
-	for i := range key {
-		key[i] = []byte(fmt.Sprintf("store-key-%04d", i))
-		addr[i] = hashKey(key[i])
-		line[i] = e.Access(addr[i], 0).Line
-		s.Put(addr[i], line[i], key[i], val)
-	}
 	dst := make([]byte, 0, len(val))
 	next := 0
 	return func(n int) {
 		i := next
 		for end := i + n; i < end; i++ {
-			k := i % keys
+			k := i % len(key)
 			val[0] = byte(i)
-			s.Put(addr[k], line[k], key[k], val)
-			if got, ok := s.Get(addr[k], key[k], dst[:0]); !ok || got[0] != byte(i) {
+			s.Set(addr[k], 0, key[k], val)
+			if got, ok := get(s, addr[k], key[k], dst[:0]); !ok || got[0] != byte(i) {
 				tb.Fatalf("key %d: found %v", k, ok)
+			}
+		}
+		next = i
+	}
+}
+
+// storeDeleteOp is a DEL of a resident key and its re-SET: the DEL empties
+// the line and keeps its buffers, the engine line stays resident, and the
+// re-SET hits it and refills the buffers in place.
+func storeDeleteOp(tb testing.TB) func(int) {
+	s, key, addr := storeKeys()
+	val := bytes.Repeat([]byte{0xA5}, 1024)
+	next := 0
+	return func(n int) {
+		i := next
+		for end := i + n; i < end; i++ {
+			k := i % len(key)
+			if !s.Delete(addr[k]) || !s.Set(addr[k], 0, key[k], val).Hit {
+				tb.Fatalf("key %d: not resident", k)
 			}
 		}
 		next = i
@@ -193,8 +216,7 @@ func storeSetGetOp(tb testing.TB) func(int) {
 // the server performs it: the engine access evicts, and the store writes the
 // 16-byte key and 1 KiB value over the victim's line, in its buffers.
 func storeSetEvictOp(tb testing.TB) func(int) {
-	e := storeEngine()
-	s := newStore(e)
+	s := newStore(storeEngine())
 	val := bytes.Repeat([]byte{0xA5}, 1024)
 	key := []byte("evict-key-000000")
 	next, full := uint64(0), false
@@ -202,17 +224,14 @@ func storeSetEvictOp(tb testing.TB) func(int) {
 		for range n {
 			next++
 			binary.BigEndian.PutUint64(key[8:], next)
-			addr := hashKey(key)
-			res := e.Access(addr, 0)
-			if res.Hit || full && !res.Evicted {
+			if res := s.Set(hashKey(key), 0, key, val); res.Hit || full && !res.Evicted {
 				tb.Fatalf("key %d: hit %v, evicted %v", next, res.Hit, res.Evicted)
 			}
-			s.Put(addr, res.Line, key, val)
 		}
 	}
-	op(4 * e.Lines()) // fills every set
-	if entries, _ := s.Stats(); entries != e.Lines() {
-		tb.Fatalf("%d entries after warm-up, want %d", entries, e.Lines())
+	op(4 * s.eng.Lines()) // fills every set
+	if entries, _ := s.Stats(); entries != s.eng.Lines() {
+		tb.Fatalf("%d entries after warm-up, want %d", entries, s.eng.Lines())
 	}
 	full = true
 	return op

@@ -89,21 +89,20 @@ func (m *serverModel) diff(s *Server) string {
 	}
 	n := 0
 	for g := range s.store.stripes {
-		st := &s.store.stripes[g]
-		st.mu.RLock()
+		h, st := s.engine.LockStripe(g), &s.store.stripes[g]
 		for i, key := range st.key {
 			if len(key) == 0 {
 				continue
 			}
 			n++
-			line, val := g*s.store.per+i, st.val[i]
-			if w, ok := m.m[st.addr[i]]; !ok || w.key != string(key) || !bytes.Equal(w.val, val) || w.line != line {
-				st.mu.RUnlock()
+			line, val := g*len(st.key)+i, st.val[i]
+			if w, ok := m.m[hashKey(key)]; !ok || w.key != string(key) || !bytes.Equal(w.val, val) || w.line != line {
+				h.Unlock()
 				return fmt.Sprintf("store line %d holds %q = %q, model has %q = %q at line %d (present %v)",
 					line, key, val, w.key, w.val, w.line, ok)
 			}
 		}
-		st.mu.RUnlock()
+		h.Unlock()
 	}
 	if n != len(m.m) {
 		return fmt.Sprintf("store holds %d entries, model %d", n, len(m.m))

@@ -500,14 +500,11 @@ func (s *Server) mutate(req *Request) Status {
 	switch req.Op {
 	case OpSet:
 		part := int(req.Tenant)
-		res := s.engine.Access(addr, part)
+		s.store.Set(addr, part, req.Key, req.Value)
 		if s.cfg.Alloc != nil {
 			s.cfg.Alloc.Observe(part, addr)
 		}
-		s.store.Put(addr, res.Line, req.Key, req.Value)
 	case OpDel:
-		// Bytes go now; the simulated line carries no value and ages out
-		// under its partition's normal replacement pressure.
 		if !s.store.Delete(addr) {
 			return StatusNotFound
 		}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"fscache/internal/core"
 	"fscache/internal/futility"
 	"fscache/internal/shardcache"
 	"fscache/internal/xrand"
@@ -43,52 +42,51 @@ func verifyStamped(val []byte, id uint32) error {
 
 // newTestStore builds a store over a fresh one-partition engine of lines
 // lines, ways ways and stripes lock stripes.
-func newTestStore(lines, ways, stripes int) (*shardcache.Engine, *store) {
+func newTestStore(lines, ways, stripes int) *store {
 	e := shardcache.New(shardcache.Config{
 		Lines: lines, Ways: ways, Shards: 1, Stripes: stripes, Parts: 1,
 		Ranking: futility.CoarseLRU, Seed: 1,
 	})
 	e.SetTargets([]int{lines})
-	return e, newStore(e)
+	return newStore(e)
 }
 
-// set is a SET's two steps, as the server takes them: the engine access,
-// then the store write at the line the access reports.
-func set(e *shardcache.Engine, s *store, addr uint64, key, val []byte) core.AccessResult {
-	res := e.Access(addr, 0)
-	s.Put(addr, res.Line, key, val)
-	return res
+// get is a GET as the server performs one for tenant 0, in one critical
+// section of the stripe addr routes to: the store read and, when it finds
+// the bytes, the engine access.
+func get(s *store, addr uint64, key, dst []byte) ([]byte, bool) {
+	h := s.eng.Lock(addr)
+	defer h.Unlock()
+	return s.Get(h, addr, 0, key, dst, false)
 }
 
-// CheckInvariants audits the store one stripe at a time: every non-empty
-// line names an address of its own set, no set names an address twice, and
-// the entry and byte counters match a recount. Every store operation keeps
-// all three, so it may run while other goroutines use the store.
+// CheckInvariants audits the store one stripe lock at a time: every
+// non-empty line is a line whose engine line holds the address of its key,
+// and the entry and byte counters match a recount. Every store operation
+// keeps both, so it may run while other goroutines use the store.
 func (s *store) CheckInvariants() error {
 	for g := range s.stripes {
-		if err := s.stripes[g].audit(s, g*s.per); err != nil {
+		h := s.eng.LockStripe(g)
+		err := s.stripes[g].audit(h)
+		h.Unlock()
+		if err != nil {
 			return fmt.Errorf("server: store stripe %d: %w", g, err)
 		}
 	}
 	return nil
 }
 
-// audit is CheckInvariants for the stripe whose first global line is base.
-func (st *storeStripe) audit(s *store, base int) error {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
+// audit is CheckInvariants for the stripe h holds.
+func (st *storeStripe) audit(h shardcache.Locked) error {
 	entries, bytes := 0, int64(0)
-	for i, k := range st.key {
+	for l, k := range st.key {
 		if len(k) == 0 {
 			continue
 		}
 		entries++
-		bytes += int64(len(k) + len(st.val[i]))
-		if set := s.eng.SetOf(st.addr[i]); set != (base+i)/s.ways {
-			return fmt.Errorf("line %d names %#x, of set %d", base+i, st.addr[i], set)
-		}
-		if j := st.find(i+1, s.ways-1-i%s.ways, st.addr[i]); j >= 0 {
-			return fmt.Errorf("lines %d and %d name %#x", base+i, base+j, st.addr[i])
+		bytes += int64(len(k) + len(st.val[l]))
+		if el := h.Lookup(hashKey(k)); el != l {
+			return fmt.Errorf("line %d holds %q, whose address the engine holds at line %d", l, k, el)
 		}
 	}
 	if entries != st.entries || bytes != st.bytes {
@@ -99,50 +97,48 @@ func (st *storeStripe) audit(s *store, base int) error {
 }
 
 // checkStore audits the store (store.CheckInvariants) and checks that every
-// stored key and value fits its buffer (Put's rule).
+// stored key and value fits its buffer (Set's rule).
 func checkStore(t *testing.T, s *store) {
 	t.Helper()
 	if err := s.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 	for g := range s.stripes {
-		st := &s.stripes[g]
-		st.mu.RLock()
+		h, st := s.eng.LockStripe(g), &s.stripes[g]
 		for i, k := range st.key {
 			if v := st.val[i]; len(k) > 0 && (!fits(k, len(k)) || !fits(v, len(v))) {
 				t.Errorf("stripe %d line %d: %d-byte key in %d bytes, %d-byte value in %d bytes",
 					g, i, len(k), cap(k), len(v), cap(v))
 			}
 		}
-		st.mu.RUnlock()
+		h.Unlock()
 	}
 }
 
-// storedLines returns the line of every key the store holds, by key id.
-func storedLines(s *store, ids map[string]int) map[int]int {
-	lines := map[int]int{}
+// storedKeys returns the id of every key the store holds.
+func storedKeys(s *store, ids map[string]int) []int {
+	var stored []int
 	for g := range s.stripes {
-		st := &s.stripes[g]
-		st.mu.RLock()
-		for i, k := range st.key {
+		h := s.eng.LockStripe(g)
+		for _, k := range s.stripes[g].key {
 			if len(k) > 0 {
-				lines[ids[string(k)]] = g*s.per + i
+				stored = append(stored, ids[string(k)])
 			}
 		}
-		st.mu.RUnlock()
+		h.Unlock()
 	}
-	return lines
+	return stored
 }
 
 // TestStoreRecyclesWithoutAliasing is the store's ownership contract under
 // -race: while writers SET and delete through an engine smaller than their
 // keys — so most SETs land on a victim's line and take over its buffers,
 // which are rewritten in place when the new value fits and replaced when it
-// does not — a reader only ever gets an intact value of the key it asked
-// for, and the accounting holds throughout.
+// does not — a reader's GET only ever gets an intact value of the key it
+// asked for, and the accounting holds throughout.
 func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 	const keys = 96
-	e, s := newTestStore(64, 4, 4)
+	s := newTestStore(64, 4, 4)
 	var key [keys][]byte
 	var addr [keys]uint64
 	ids := map[string]int{}
@@ -176,7 +172,7 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 				n := 16 << rng.Intn(9) // 16 B … 4 KiB
 				n += rng.Intn(n / 2)
 				buf = stampedValue(buf, uint32(k), uint32(i), min(n, 4096))
-				set(e, s, addr[k], key[k], buf)
+				s.Set(addr[k], 0, key[k], buf)
 			}
 		}()
 	}
@@ -194,7 +190,7 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 				}
 				k := rng.Intn(keys)
 				var ok bool
-				if dst, ok = s.Get(addr[k], key[k], dst[:0]); ok {
+				if dst, ok = get(s, addr[k], key[k], dst[:0]); ok {
 					if err := verifyStamped(dst, uint32(k)); err != nil {
 						t.Errorf("Get(%s): %v", key[k], err)
 						return
@@ -214,23 +210,25 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 	// Shrink every stored value past what its buffer fits, then delete
 	// everything: each value moves to a buffer that fits it, intact, and
 	// the accounting follows the live bytes down.
-	stored := storedLines(s, ids)
+	stored := storedKeys(s, ids)
 	if len(stored) == 0 {
 		t.Fatal("the churn left the store empty")
 	}
 	var buf, dst []byte
 	for _, n := range []int{1024, 64} {
-		for k, line := range stored {
+		for _, k := range stored {
 			buf = stampedValue(buf, uint32(k), 0, n)
-			s.Put(addr[k], line, key[k], buf)
+			if !s.Set(addr[k], 0, key[k], buf).Hit {
+				t.Fatalf("stored key %d not resident", k)
+			}
 		}
 		checkStore(t, s)
 		if entries, bytes := s.Stats(); entries != len(stored) || bytes != int64(len(stored)*(len(key[0])+n)) {
 			t.Fatalf("%d-byte values: %d entries, %d bytes", n, entries, bytes)
 		}
-		for k := range stored {
+		for _, k := range stored {
 			var ok bool
-			if dst, ok = s.Get(addr[k], key[k], dst[:0]); !ok || len(dst) != n {
+			if dst, ok = get(s, addr[k], key[k], dst[:0]); !ok || len(dst) != n {
 				t.Fatalf("%d-byte values: Get(%s) = %d bytes, found %v", n, key[k], len(dst), ok)
 			}
 			if err := verifyStamped(dst, uint32(k)); err != nil {
@@ -238,7 +236,7 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 			}
 		}
 	}
-	for k := range stored {
+	for _, k := range stored {
 		if !s.Delete(addr[k]) {
 			t.Fatalf("key %d missing", k)
 		}
@@ -250,14 +248,15 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 }
 
 // TestStoreSharedSets runs the server's three store paths from eight
-// goroutines over four sets under -race: SETs (engine access, then Put at
-// the reported line), GETs (Get, then the engine access, whose refetch
-// victim is deleted) and DELs, all on keys every goroutine shares, with
-// values of many sizes. A Get only ever returns an intact value of the key
-// it asked for, and the store stays consistent with itself throughout.
+// goroutines over four sets under -race: SETs (the engine access and the
+// write at the line it reports), GETs (the lookup, the engine access and the
+// copy) and DELs, each in one critical section, all on keys every goroutine
+// shares, with values of many sizes. A GET only ever returns an intact value
+// of the key it asked for, and the store stays consistent with the engine
+// throughout.
 func TestStoreSharedSets(t *testing.T) {
 	const keys, goroutines = 64, 8
-	e, s := newTestStore(32, 8, 2)
+	s := newTestStore(32, 8, 2)
 	var key [keys][]byte
 	var addr [keys]uint64
 	for i := range key {
@@ -281,18 +280,15 @@ func TestStoreSharedSets(t *testing.T) {
 				case p < 0.4:
 					n := 16 + rng.Intn(8)*rng.Intn(64)
 					buf = stampedValue(buf, uint32(k), uint32(w<<24|i), n)
-					set(e, s, addr[k], key[k], buf)
+					s.Set(addr[k], 0, key[k], buf)
 				case p < 0.85:
 					var ok bool
-					if dst, ok = s.Get(addr[k], key[k], dst[:0]); !ok {
+					if dst, ok = get(s, addr[k], key[k], dst[:0]); !ok {
 						continue
 					}
 					if err := verifyStamped(dst, uint32(k)); err != nil {
 						t.Errorf("Get(%s): %v", key[k], err)
 						return
-					}
-					if res := e.Access(addr[k], 0); res.Evicted {
-						s.Delete(res.EvictedAddr)
 					}
 				default:
 					s.Delete(addr[k])
@@ -317,7 +313,7 @@ func TestStoreSharedSets(t *testing.T) {
 // made for each new entry would be counted.
 func TestStoreSetChurnReusesVictimBuffers(t *testing.T) {
 	const lines, keys = 64, 256
-	e, s := newTestStore(lines, 4, 4)
+	s := newTestStore(lines, 4, 4)
 	val := make([]byte, 1024)
 	var key [keys][]byte
 	var addr [keys]uint64
@@ -330,7 +326,7 @@ func TestStoreSetChurnReusesVictimBuffers(t *testing.T) {
 		for n := 0; n < lines; n++ {
 			k := next % keys
 			next++
-			if set(e, s, addr[k], key[k], val).Evicted {
+			if s.Set(addr[k], 0, key[k], val).Evicted {
 				evictions++
 			}
 		}

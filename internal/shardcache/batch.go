@@ -2,31 +2,24 @@ package shardcache
 
 // Batched access submission.
 //
-// The concurrent engine's per-access cost has two parts: the replacement
-// work itself and the lock handshake around it. Under contention the
-// handshake dominates — every Access is one Lock/Unlock on a stripe mutex,
-// and N goroutines hammering the same stripe pay N cache-line bounces per N
-// ops. A Batch amortizes the handshake: the caller accumulates N requests,
-// Flush groups them by stripe with a counting sort, and each non-empty
-// stripe's lock is then taken exactly once for all of its requests.
+// Under contention an access's lock handshake dominates its replacement
+// work: N goroutines on one stripe pay N cache-line bounces per N ops. A
+// Batch amortizes the handshake. It groups N requests by stripe with a
+// counting sort and takes each touched stripe's lock once for all of its
+// requests, either doing their accesses itself (Access) or handing the held
+// stripe to the caller (Each).
 //
-// Semantics: a flushed batch is equivalent to issuing its requests with
-// plain Access calls in batch order — requests routed to the same stripe
-// execute in their submission order under one lock hold, and requests on
-// different stripes never contended with each other in the first place.
-// Results land at the same index the request was added at, so callers match
-// them positionally. The equivalence is pinned by TestBatchMatchesSequential.
+// Semantics: a batch is equivalent to its requests issued one at a time in
+// batch order — same-stripe requests run in submission order under one lock
+// hold, and requests on different stripes never contended in the first
+// place. Access writes each result at its request's index
+// (TestBatchMatchesSequential pins the equivalence).
 //
 // A Batch is owned by one goroutine (one server connection, one load
-// worker); distinct goroutines use distinct Batches against the same
-// engine. All scratch is reused across flushes, so a warm Batch submits
-// with zero allocations (the steady-state contract, enforced by
-// TestBatchZeroAlloc and TestAllocFree/BatchAccess).
+// worker). Its scratch is reused, so a warm Batch submits with zero
+// allocations (TestBatchZeroAlloc, TestAllocFree/BatchAccess).
 
-import (
-	"fscache/internal/core"
-	"fscache/internal/trace"
-)
+import "fscache/internal/core"
 
 // Batch groups accesses by stripe so one lock acquisition covers every
 // request routed to that stripe. Not safe for concurrent use; create one
@@ -55,13 +48,41 @@ func (e *Engine) NewBatch() *Batch {
 	}
 }
 
-// grow resizes the per-request scratch to hold n requests. Cold: it runs
-// only when a batch is larger than every batch before it.
-func (b *Batch) grow(n int) {
-	//fslint:ignore allocfree cold growth: runs only when a batch exceeds every prior batch on this Batch; steady-state flushes reuse the scratch
-	b.order = make([]int32, n)
-	//fslint:ignore allocfree cold growth: paired with the order resize above
-	b.route = make([]int32, n)
+// group sorts reqs' indices by stripe into order, stripe g's in submission
+// order at order[offsets[g-1]:offsets[g]] (from 0 for g == 0).
+//
+//fs:allocfree
+func (b *Batch) group(reqs []Access) {
+	if cap(b.order) < len(reqs) {
+		//fslint:ignore allocfree cold growth: runs only when a batch exceeds every prior batch on this Batch; steady-state flushes reuse the scratch
+		b.order = make([]int32, len(reqs))
+		//fslint:ignore allocfree cold growth: paired with the order resize above
+		b.route = make([]int32, len(reqs))
+	}
+	b.order = b.order[:len(reqs)]
+	b.route = b.route[:len(reqs)]
+	for g := range b.counts {
+		b.counts[g] = 0
+	}
+	for i := range reqs {
+		g := b.e.stripeOf(reqs[i].Addr)
+		b.route[i] = int32(g)
+		b.counts[g]++
+	}
+	off := int32(0)
+	for g, c := range b.counts {
+		b.offsets[g] = off
+		off += c
+	}
+	b.offsets[len(b.counts)] = off
+	// Scatter: b.offsets[g] walks forward through stripe g's segment, so
+	// same-stripe requests land in submission order and offsets[g] ends at
+	// the segment's end.
+	for i := range reqs {
+		g := b.route[i]
+		b.order[b.offsets[g]] = int32(i)
+		b.offsets[g]++
+	}
 }
 
 // Access executes reqs as one batched submission and writes each request's
@@ -76,56 +97,36 @@ func (b *Batch) Access(reqs []Access, results []core.AccessResult) {
 		panic("shardcache: Batch.Access results shorter than requests")
 	}
 	e := b.e
-	if len(reqs) == 0 {
-		return
-	}
-	if cap(b.order) < len(reqs) {
-		//fslint:ignore allocfree cold growth: the compiler inlines grow and reports its makes at this call site
-		b.grow(len(reqs))
-	}
-	b.order = b.order[:len(reqs)]
-	b.route = b.route[:len(reqs)]
-	for g := range b.counts {
-		b.counts[g] = 0
-	}
-	for i := range reqs {
-		g := e.stripeOf(reqs[i].Addr)
-		b.route[i] = int32(g)
-		b.counts[g]++
-	}
-	off := int32(0)
-	for g, c := range b.counts {
-		b.offsets[g] = off
-		off += c
-	}
-	b.offsets[len(b.counts)] = off
-	// Scatter: b.offsets[g] walks forward through stripe g's segment, so
-	// same-stripe requests land in submission order.
-	for i := range reqs {
-		g := b.route[i]
-		b.order[b.offsets[g]] = int32(i)
-		b.offsets[g]++
-	}
-	// After the scatter, offsets[g] is the *end* of stripe g's segment and
-	// the segment start is offsets[g-1] (0 for g==0).
+	b.group(reqs)
 	lo := int32(0)
 	for g := range b.counts {
-		hi := b.offsets[g]
-		if hi == lo {
-			continue
-		}
-		st := e.stripes[g]
-		st.mu.Lock()
-		for _, i := range b.order[lo:hi] {
-			r := &reqs[i]
-			res := st.cache.Access(r.Addr, r.Part, trace.NoNextUse)
-			if !res.Hit {
-				st.demand[r.Part]++ // see Engine.Access on insertion demand
+		if hi := b.offsets[g]; hi > lo {
+			st := e.stripes[g]
+			countLock()
+			st.mu.Lock()
+			for _, i := range b.order[lo:hi] {
+				res := st.access(reqs[i].Addr, reqs[i].Part)
+				e.globalLines(&res, g)
+				results[i] = res
 			}
-			e.globalLines(&res, g)
-			results[i] = res
+			st.mu.Unlock()
+			lo = hi
 		}
-		st.mu.Unlock()
-		lo = hi
+	}
+}
+
+// Each groups reqs as Access does and calls f once for each stripe they
+// route to, holding its lock, with the indices of its requests in submission
+// order; f does their work through h. f must not take a stripe lock.
+func (b *Batch) Each(reqs []Access, f func(h Locked, idx []int32)) {
+	b.group(reqs)
+	lo := int32(0)
+	for g := range b.counts {
+		if hi := b.offsets[g]; hi > lo {
+			h := b.e.LockStripe(g)
+			f(h, b.order[lo:hi])
+			h.Unlock()
+			lo = hi
+		}
 	}
 }

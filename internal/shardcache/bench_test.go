@@ -281,6 +281,23 @@ var allocFreeOps = []struct {
 			}
 		}
 	}},
+	// One GET as the server's byte store does it over a Locked handle: lock
+	// the key's stripe, look the key up, access it, unlock. Resident set.
+	{"LockedAccess", func(testing.TB) func(int) {
+		e := stripedEngine()
+		pool, k := residentAccesses(e), 0
+		return func(n int) {
+			for range n {
+				a := pool[k]
+				h := e.Lock(a.Addr)
+				if h.Lookup(a.Addr) >= 0 {
+					h.Access(a.Addr, a.Part)
+				}
+				h.Unlock()
+				k = (k + 1) & (len(pool) - 1)
+			}
+		}
+	}},
 	// One alloc.Allocator.Observe on ObserveParallel's allocator. The test's
 	// calls stay inside its first epoch of 8 × 16384 accesses: an epoch close
 	// builds curves, which allocates, and the benchmark amortises closes in.

@@ -36,12 +36,12 @@
 // the rebalancer's private buffer. Rebalancer (rebalancer.go) runs this on a
 // background ticker so serving layers never call it from a request path.
 //
-// Concurrency contract: Access, AccessBatch (batch.go), SetTargets,
+// Concurrency contract: Access, Batch (batch.go), Lock, SetTargets,
 // Rebalance, Snapshot, ShardSnapshots and CheckInvariants are all safe for
 // concurrent use. A stripe mutex is only ever held for one bounded cache
-// operation (or one batched run of them); the engine never holds two stripe
-// locks at once. Determinism under concurrency is a protocol property, not
-// an engine property — see driver.go.
+// operation, one batched run of them, or a Locked holder's bounded work; the
+// engine never holds two stripe locks at once. Determinism under concurrency
+// is a protocol property, not an engine property — see driver.go.
 package shardcache
 
 import (
@@ -87,8 +87,8 @@ type stripe struct {
 	mu sync.Mutex
 	//fs:guardedby mu
 	cache *core.Cache
-	// array is cache's array, kept for the placement audit in
-	// Engine.CheckInvariants.
+	// array is cache's array, kept for Locked's lookups and the placement
+	// audit in Engine.CheckInvariants.
 	//fs:guardedby mu
 	array *cachearray.SetAssoc
 	// demand counts insertions routed to this stripe per partition since
@@ -261,16 +261,6 @@ func (e *Engine) Parts() int { return e.cfg.Parts }
 // Lines returns the total line count across all shards.
 func (e *Engine) Lines() int { return e.cfg.Lines }
 
-// Ways returns the associativity: the line count of every set.
-func (e *Engine) Ways() int { return e.cfg.Ways }
-
-// SetOf returns an address's global set index, its H3 hash over all the
-// engine's sets. It is pure, takes no lock and is safe to call concurrently.
-// Lines are numbered set by set, so the address can only ever sit in lines
-// SetOf(addr)·Ways through SetOf(addr)·Ways+Ways−1, the range every
-// AccessResult.Line and EvictedLine for it lies in.
-func (e *Engine) SetOf(addr uint64) int { return int(e.router.Hash(addr)) }
-
 // ShardOf returns the shard an address routes to: the top bit-slice of its
 // global H3 set index. It is pure and safe to call concurrently. The
 // deterministic driving protocol (driver.go) partitions ownership at shard
@@ -283,29 +273,80 @@ func (e *Engine) ShardOf(addr uint64) int {
 // log2(Shards·Stripes)-bit slice of its H3 set index. Because the slice is
 // a prefix, the top log2(Shards) bits are exactly ShardOf.
 func (e *Engine) stripeOf(addr uint64) int {
-	return e.SetOf(addr) >> e.stripeShift
+	return int(e.router.Hash(addr)) >> e.stripeShift
 }
 
 // Access performs one cache access for partition part on the stripe the
 // address routes to, holding only that stripe's lock. The result's Line and
-// EvictedLine are global line indices (see SetOf).
+// EvictedLine are global line indices. Lines are numbered set by set, and an
+// address's global set is its H3 hash over all the engine's sets, so both
+// lie in the ways of that set.
 //
 //fs:allocfree
 func (e *Engine) Access(addr uint64, part int) core.AccessResult {
 	g := e.stripeOf(addr)
 	st := e.stripes[g]
+	countLock()
 	st.mu.Lock()
-	res := st.cache.Access(addr, part, trace.NoNextUse)
-	if !res.Hit {
-		// Demand is counted in insertions, not raw accesses: a hit consumes
-		// no line, so a hit-dominated stripe needs no extra allocation, while
-		// every miss claims a line in this stripe. Weighting the distributor
-		// by insertion demand reproduces how lines spread across regions of
-		// a monolithic array (lines sit where they are inserted).
-		st.demand[part]++
-	}
+	res := st.access(addr, part)
 	st.mu.Unlock()
 	e.globalLines(&res, g)
+	return res
+}
+
+// Locked is one stripe held under its lock, for a caller whose own state at
+// the stripe's lines (the server's byte store) must change in the same
+// critical section as the engine's. Its lines are the stripe's own, not
+// renumbered like Engine.Access's. No method may be called after Unlock, and
+// a goroutine holds at most one Locked at a time.
+type Locked struct {
+	st *stripe
+	g  int
+}
+
+// Lock takes the lock of the stripe addr routes to.
+func (e *Engine) Lock(addr uint64) Locked { return e.LockStripe(e.stripeOf(addr)) }
+
+// LockStripe takes the lock of stripe g, 0 ≤ g < Shards()·Stripes().
+func (e *Engine) LockStripe(g int) Locked {
+	st := e.stripes[g]
+	countLock()
+	st.mu.Lock()
+	return Locked{st, g}
+}
+
+// Unlock releases the stripe.
+func (h Locked) Unlock() { h.st.mu.Unlock() }
+
+// Stripe returns the held stripe's global index.
+func (h Locked) Stripe() int { return h.g }
+
+// Lookup returns the stripe line holding addr, or -1. It is not an access:
+// no recency, statistic or feedback state changes.
+//
+//fs:callerholds mu
+func (h Locked) Lookup(addr uint64) int { return h.st.array.Lookup(addr) }
+
+// Access is Engine.Access on the held stripe, with stripe lines.
+//
+//fs:callerholds mu
+//fs:allocfree
+func (h Locked) Access(addr uint64, part int) core.AccessResult { return h.st.access(addr, part) }
+
+// access is one cache access on the stripe; it inlines into Engine.Access
+// and Batch.Access. Demand is counted in insertions, not raw accesses: a hit
+// consumes no line, so a hit-dominated stripe needs no extra allocation,
+// while every miss claims a line in this stripe. Weighting the distributor
+// by insertion demand reproduces how lines spread across regions of a
+// monolithic array (lines sit where they are inserted).
+//
+//fs:callerholds mu
+//fs:allocfree
+func (st *stripe) access(addr uint64, part int) core.AccessResult {
+	res := st.cache.Access(addr, part, trace.NoNextUse)
+	if !res.Hit {
+		st.demand[part]++
+	}
 	return res
 }
 

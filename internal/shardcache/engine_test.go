@@ -206,9 +206,11 @@ func TestStripesSplitTheMonolithicArray(t *testing.T) {
 
 // TestEngineReportsGlobalLines pins the engine's line numbering: Line and
 // EvictedLine from Access and Batch.Access are global, in the ways of the
-// accessed address's set, SetOf(addr)·Ways onwards; a hit reports the line
-// the address's installing access reported, and a victim leaves the line
-// its own install reported.
+// accessed address's set (its H3 hash over all sets) from set·Ways onwards;
+// a hit reports the line the address's installing access reported, and a
+// victim leaves the line its own install reported. Batch.Each's Locked
+// handles report the same lines less their stripe's first, and a Lookup
+// before the access finds what the access then hits.
 func TestEngineReportsGlobalLines(t *testing.T) {
 	for _, geo := range []struct{ shards, stripes int }{{1, 1}, {4, 4}, {2, 8}} {
 		cfg := testConfig(geo.shards)
@@ -225,7 +227,7 @@ func TestEngineReportsGlobalLines(t *testing.T) {
 		reqs := make([]Access, 32)
 		results := make([]core.AccessResult, len(reqs))
 		check := func(a Access, res core.AccessResult) {
-			first := e.SetOf(a.Addr) * cfg.Ways
+			first := int(e.router.Hash(a.Addr)) * cfg.Ways
 			if res.Line < first || res.Line >= first+cfg.Ways {
 				t.Fatalf("%d×%d: %#x (set %d) reported line %d", geo.shards, geo.stripes, a.Addr, first/cfg.Ways, res.Line)
 			}
@@ -250,12 +252,26 @@ func TestEngineReportsGlobalLines(t *testing.T) {
 			for i := range reqs {
 				reqs[i] = Access{Addr: pool[rng.Intn(len(pool))], Part: rng.Intn(cfg.Parts)}
 			}
-			if round%2 == 0 {
+			switch round % 3 {
+			case 0:
 				for i := range reqs {
 					results[i] = e.Access(reqs[i].Addr, reqs[i].Part)
 				}
-			} else {
+			case 1:
 				b.Access(reqs, results)
+			default:
+				b.Each(reqs, func(h Locked, idx []int32) {
+					for _, i := range idx {
+						a := reqs[i]
+						l := h.Lookup(a.Addr)
+						res := h.Access(a.Addr, a.Part)
+						if l >= 0 != res.Hit || l >= 0 && l != res.Line {
+							t.Fatalf("%d×%d: %#x looked up at line %d, hit %v at line %d", geo.shards, geo.stripes, a.Addr, l, res.Hit, res.Line)
+						}
+						e.globalLines(&res, h.Stripe())
+						results[i] = res
+					}
+				})
 			}
 			for i := range reqs {
 				check(reqs[i], results[i])

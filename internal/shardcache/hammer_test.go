@@ -132,3 +132,98 @@ func TestConcurrentHammer(t *testing.T) {
 		t.Error("background rebalancer completed no passes during the hammer")
 	}
 }
+
+// TestLockedHandlesUnderRace drives the Locked handle paths against plain
+// Access from free-running workers under -race, with an auditor checking the
+// engine's invariants among them: single Lock/Lookup/Access/Unlock
+// sequences, and Batch.Each runs that look up and access every request of a
+// stripe under its one lock. Under the handle's lock a Lookup and the Access
+// after it agree on the line, whatever the other workers do, and no access
+// is lost.
+func TestLockedHandlesUnderRace(t *testing.T) {
+	cfg := Config{
+		Lines: 1024, Ways: 16, Shards: 2, Stripes: 4, Parts: 2,
+		Ranking: futility.CoarseLRU, Seed: testSeed ^ 0x10c4,
+	}
+	e := New(cfg)
+	e.SetTargets([]int{512, 512})
+	perWorker := 12000
+	if testing.Short() {
+		perWorker = 3000
+	}
+	const workers, run = 6, 16
+	var total atomic.Uint64
+	var working sync.WaitGroup
+	working.Add(workers)
+	access := func(h Locked, a Access) {
+		l := h.Lookup(a.Addr)
+		if res := h.Access(a.Addr, a.Part); l >= 0 != res.Hit || l >= 0 && l != res.Line {
+			t.Errorf("%#x looked up at line %d, then hit %v at line %d", a.Addr, l, res.Hit, res.Line)
+		}
+	}
+	work := func(w int) {
+		defer working.Done()
+		rng := xrand.New(uint64(w+1) * 0x51ed27)
+		zipf := xrand.NewZipf(rng, 0.9, 4*cfg.Lines)
+		next := func() Access {
+			part := rng.Intn(cfg.Parts)
+			return Access{Addr: xrand.Mix64(uint64(part+1)<<24 + uint64(zipf.Next())), Part: part}
+		}
+		b := e.NewBatch()
+		reqs := make([]Access, run)
+		for i := 0; i < perWorker; i += run {
+			for j := range reqs {
+				reqs[j] = next()
+			}
+			switch w % 3 {
+			case 0:
+				for _, a := range reqs {
+					e.Access(a.Addr, a.Part)
+				}
+			case 1:
+				for _, a := range reqs {
+					h := e.Lock(a.Addr)
+					access(h, a)
+					h.Unlock()
+				}
+			default:
+				b.Each(reqs, func(h Locked, idx []int32) {
+					for _, j := range idx {
+						access(h, reqs[j])
+					}
+				})
+			}
+			total.Add(run)
+		}
+	}
+	audited := make(chan struct{})
+	audit := func() {
+		defer close(audited)
+		for n := 0; ; n++ {
+			if err := e.CheckInvariants(); err != nil {
+				t.Errorf("invariants during the run: %v", err)
+			}
+			if n > 0 && total.Load() == workers*uint64(perWorker) {
+				return
+			}
+		}
+	}
+	for w := 0; w <= workers; w++ {
+		//fslint:ignore determinism handle race test: free-running workers and the auditor share stripes on purpose; only agreement, race-freedom and accounting are asserted
+		go func(w int) {
+			if w == workers {
+				audit()
+			} else {
+				work(w)
+			}
+		}(w)
+	}
+	working.Wait()
+	<-audited
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Snapshot().Accesses; got != total.Load() {
+		t.Fatalf("engine recorded %d accesses, workers performed %d", got, total.Load())
+	}
+}
