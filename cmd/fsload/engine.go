@@ -118,8 +118,9 @@ func (t *engineTarget) feed(i int) func() (uint64, int) {
 		zipf := xrand.NewZipf(rng, 0.9, 4*t.Lines)
 		return func() (uint64, int) {
 			part := rng.Intn(t.parts)
-			// Mix64-finalized structured keys; see shardcache.BuildSchedule
-			// on H3 null spaces for why raw low-entropy keys are unsafe.
+			// Mix64-finalized structured keys: raw keys that vary in only
+			// their low bits can land in an H3 null space (an index bit whose
+			// masks miss every varying key bit) and reach a fraction of the sets.
 			return xrand.Mix64(uint64(part+1)<<24 + uint64(zipf.Next())), part
 		}
 	}

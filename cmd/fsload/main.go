@@ -5,8 +5,8 @@
 // are shared.
 //
 // The engine target (engine.go) is an in-process shardcache.Engine whose
-// workers race a background rebalancer, unlike the deterministic
-// shardcache.RunDeterministic; the run fails on an engine invariant
+// workers race a background rebalancer, unlike the deterministic barrier
+// protocol of shardcache's tests; the run fails on an engine invariant
 // violation or when the engine's access count differs from the workers'.
 // Without -scenario the geometry is fixed (4096 lines, 16 ways, 3 partitions
 // with 1:2:3 targets, a zipf stream per worker). -scenario takes geometry,

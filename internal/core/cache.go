@@ -337,10 +337,10 @@ type AccessResult struct {
 	// Evicted reports whether a valid line was evicted.
 	Evicted bool
 	// Line is the array line index that holds the address after the
-	// access: the line it hit, or the one it was installed in. A Cache
-	// numbers lines within its own array; a shardcache engine reports
-	// global lines, the stripe's first line added, so that Line lies in the
-	// ways of the address's engine-wide set.
+	// access: the line it hit, or the one it was installed in. Lines are
+	// numbered within the Cache's own array (for a shardcache engine, within
+	// the address's stripe); callers keep per-line state of their own at
+	// it.
 	Line int
 	// EvictedLine is the array line index the victim occupied (valid when
 	// Evicted), numbered like Line. Differential tests compare it against a
@@ -350,9 +350,8 @@ type AccessResult struct {
 	// Evicted).
 	EvictedPart int
 	// EvictedAddr is the address the victim line held (valid when Evicted).
-	// Serving layers that keep real bytes behind the simulated replacement
-	// decisions (internal/server) use it to drop the victim's value, so the
-	// byte store tracks residency exactly.
+	// Reference models that track residency by address (the server's
+	// model test) drop the victim by it.
 	EvictedAddr uint64
 	// EvictedFutility is the reference futility of the evicted line (valid
 	// when Evicted, on a measured cache; 0 under Config.Unmeasured).

@@ -124,7 +124,7 @@ func TestStoreBasics(t *testing.T) {
 	if _, ok := get(s, addr, k, nil); ok {
 		t.Fatal("empty store returned a value")
 	}
-	s.Set(addr, 0, k, []byte("v1"))
+	set(s, addr, 0, k, []byte("v1"))
 	if v, ok := get(s, addr, k, nil); !ok || string(v) != "v1" {
 		t.Fatalf("got %q,%v", v, ok)
 	}
@@ -133,9 +133,9 @@ func TestStoreBasics(t *testing.T) {
 	if _, ok := get(s, addr, []byte("beta"), nil); ok {
 		t.Fatal("collision returned wrong key's bytes")
 	}
-	line := s.Set(addr, 0, k, []byte("v2")).Line
+	line := set(s, addr, 0, k, []byte("v2")).Line
 	// An overwrite hits the key's line and replaces its bytes there.
-	if res := s.Set(addr, 0, k, []byte("v2-longer")); !res.Hit || res.Line != line {
+	if res := set(s, addr, 0, k, []byte("v2-longer")); !res.Hit || res.Line != line {
 		t.Fatalf("overwrite: hit %v at line %d, first SET at line %d", res.Hit, res.Line, line)
 	}
 	if v, _ := get(s, addr, k, nil); string(v) != "v2-longer" {
@@ -146,10 +146,10 @@ func TestStoreBasics(t *testing.T) {
 		t.Fatalf("stats: %d entries, %d bytes", entries, bytes)
 	}
 	checkStore(t, s)
-	if !s.Delete(addr) {
+	if !del(s, addr) {
 		t.Fatal("delete of present key reported absent")
 	}
-	if s.Delete(addr) {
+	if del(s, addr) {
 		t.Fatal("double delete reported present")
 	}
 	entries, bytes = s.Stats()

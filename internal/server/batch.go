@@ -1,52 +1,67 @@
 package server
 
-// Pipelined GET batching.
+// The request path.
 //
-// A client that pipelines requests (every fsload net worker, any batching
-// client) lands several complete frames in the connection's read buffer at
-// once. The batch path collects the maximal run of consecutive
-// fully-buffered GET frames and submits them through shardcache.Batch.Each,
-// so one stripe lock covers every GET of the run that routes to it: under
-// it each looks its key up, refreshes the engine line and copies its value
-// (store.Get), in submission order. Responses are still sent strictly in
-// request order.
+// Every frame a connection reads is served as part of a run: the frame the
+// read loop waited for, plus the maximal run of frames behind it that are
+// already fully buffered. A client that pipelines requests (every fsload net
+// worker, any batching client) lands several complete frames in the
+// connection's read buffer at once; an unpipelined client's runs hold one
+// frame. handleRun serves a run in three passes and sends its responses
+// strictly in request order:
 //
-// Only GETs batch. SET/DEL mutate the byte store and Ping/Stats are
-// control-plane, so they keep the sequential path; a non-GET frame simply
-// ends the run (it is peeked, never consumed). The collection never blocks:
-// a frame joins the run only when every one of its bytes is already
-// buffered, so a half-arrived frame is left for the normal read path.
+//  1. Decide, in request order and without locks. Ping and Stats are
+//     answered without admission: they are the liveness and observability
+//     path and must answer precisely when the data path is degraded. A frame
+//     that failed to parse, or that names no data op, no tenant or no key, is
+//     BadRequest. Every other request, a GET, SET or DEL, walks the
+//     admission ladder once.
+//  2. Serve, through shardcache.Batch.Each: one stripe lock covers every
+//     admitted or stale request of the run that routes to it, and under it
+//     each does its engine and byte-store work together (store.Get, Set or
+//     Delete), in submission order. A key routes to one stripe, so each
+//     key's requests run in request order, and the run is equivalent to its
+//     requests served one at a time.
+//  3. Account, in request order: hits and misses, the allocator's Observe,
+//     and the deadline check.
+//
+// A Stats frame runs alone: the run stops before it, and a run it heads takes
+// nothing after it, so its snapshot counts every request before it and none
+// after. The collection never blocks: a frame joins the run only when every
+// one of its bytes is already buffered, so a half-arrived frame is left for
+// the read loop.
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"time"
 
 	"fscache/internal/shardcache"
 )
 
-// batchMax bounds one pipelined run: enough to amortize the lock handshake,
-// small enough that the head request's response is not held behind an
-// unbounded run.
+// batchMax bounds one run: enough to amortize the lock handshake, small
+// enough that the head request's response is not held behind an unbounded
+// run.
 const batchMax = 32
 
 // opBadParse marks a slot whose frame was intact but whose payload failed
 // to parse; it flows through the run as an in-order StatusBadRequest.
 const opBadParse Op = 0xff
 
-// getBatch is the reader-goroutine-owned scratch for one connection's
-// pipelined runs; every slice is reused run to run.
-type getBatch struct {
+// run is the reader-goroutine-owned scratch for one connection's runs; every
+// slice is reused run to run.
+type run struct {
 	frames [][]byte   // arena: frame buffer per slot (slot 0 unused; the head frame is the readLoop's)
 	reqs   []Request  // parsed requests, submission order
 	resps  []Response // responses, same order
-	arena  []byte     // the run's value bytes, copied out of the store
+	arena  []byte     // the run's GET values, copied out of the store
 	accs   []shardcache.Access
 	accIdx []int32 // accs[j] drives reqs[accIdx[j]]
 	batch  *shardcache.Batch
 }
 
-func newGetBatch(e *shardcache.Engine) *getBatch {
-	return &getBatch{
+func newRun(e *shardcache.Engine) *run {
+	return &run{
 		frames: make([][]byte, batchMax),
 		reqs:   make([]Request, 0, batchMax),
 		resps:  make([]Response, 0, batchMax),
@@ -57,99 +72,112 @@ func newGetBatch(e *shardcache.Engine) *getBatch {
 }
 
 // nextBuffered reports whether the connection's next frame is already fully
-// buffered — reading it cannot block — and whether it is also a GET,
-// peeking the length prefix, version and op without consuming anything.
-func (c *conn) nextBuffered() (whole, get bool) {
+// buffered — reading it cannot block — and its op byte, peeking the length
+// prefix and header without consuming anything.
+func (c *conn) nextBuffered() (whole bool, op Op) {
 	const peekLen = lenPrefixSize + 2 // prefix + version + op
 	if c.br.Buffered() < peekLen {
-		return false, false
+		return false, 0
 	}
 	pfx, err := c.br.Peek(peekLen)
 	if err != nil {
-		return false, false
+		return false, 0
 	}
 	n := int(binary.LittleEndian.Uint32(pfx))
 	if n < reqHeaderSize || n > MaxFrame {
-		return false, false // damaged prefix: let the normal path classify it
+		return false, 0 // damaged prefix: let the read loop classify it
 	}
 	if c.br.Buffered() < lenPrefixSize+n {
-		return false, false // frame still arriving; do not block on it
+		return false, 0 // frame still arriving; do not block on it
 	}
-	return true, pfx[lenPrefixSize] == Version && Op(pfx[lenPrefixSize+1]) == OpGet
+	return true, Op(pfx[lenPrefixSize+1])
 }
 
-// serve answers the run's GETs that route to h's stripe, idx indexing accs,
-// under its lock: each copies its value onto the run's arena, or is not
-// found. A stale GET (FlagStale already set) leaves the engine untouched. A
-// value slice stays valid when the arena grows: it keeps the old array.
+// parse decodes an intact frame; a payload that fails to parse is counted as
+// a bad frame and becomes an opBadParse slot, answered in order.
+func (c *conn) parse(frame []byte) Request {
+	req, err := ParseRequest(frame)
+	if err != nil {
+		c.srv.badFrames.Add(1)
+		req = Request{Op: opBadParse, Seq: req.Seq}
+	}
+	return req
+}
+
+// serve does the work of the run's requests that route to h's stripe, idx
+// indexing accs, under its lock. A GET copies its value onto the run's arena
+// and accesses the engine unless it is stale (FlagStale already set); a SET
+// accesses the engine and stores its bytes at the line the access reports; a
+// DEL empties its line. A value slice stays valid when the arena grows: it
+// keeps the old array.
 func (c *conn) serve(h shardcache.Locked, idx []int32) {
-	b := c.gb
+	r, st := c.run, c.srv.store
 	for _, j := range idx {
-		a, i := &b.accs[j], b.accIdx[j]
-		resp, start := &b.resps[i], len(b.arena)
-		var found bool
-		b.arena, found = c.srv.store.Get(h, a.Addr, a.Part, b.reqs[i].Key, b.arena, resp.Flags&FlagStale != 0)
-		if found {
-			resp.Value = b.arena[start:]
-		} else {
+		a, i := &r.accs[j], r.accIdx[j]
+		req, resp := &r.reqs[i], &r.resps[i]
+		found := true
+		switch req.Op {
+		case OpGet:
+			n := len(r.arena)
+			r.arena, found = st.Get(h, a.Addr, a.Part, req.Key, r.arena, resp.Flags&FlagStale != 0)
+			resp.Value = r.arena[n:]
+		case OpSet:
+			st.Set(h, a.Addr, a.Part, req.Key, req.Value)
+		case OpDel:
+			found = st.Delete(h, a.Addr)
+		}
+		if !found {
 			resp.Status = StatusNotFound
 		}
 	}
 }
 
-// handleGetRun executes head plus every immediately-following fully-buffered
-// pipelined GET as one batched engine submission, sending all responses in
-// order. It returns false when the connection must drop.
-func (c *conn) handleGetRun(head *Request) bool {
-	s := c.srv
-	b := c.gb
-	if b == nil {
-		b = newGetBatch(s.engine)
-		c.gb = b
-	}
+// handleRun serves head plus every immediately-following fully-buffered
+// frame as one run, sending all responses in order. It returns false when
+// the connection must drop.
+func (c *conn) handleRun(head *Request) bool {
+	s, r := c.srv, c.run
 
-	// Collect: head, then the run of buffered GETs.
-	b.reqs = b.reqs[:0]
-	b.reqs = append(b.reqs, *head)
-	for len(b.reqs) < batchMax {
-		if _, get := c.nextBuffered(); !get {
+	// Collect: head, then the buffered frames up to a Stats frame.
+	r.reqs = append(r.reqs[:0], *head)
+	for len(r.reqs) < batchMax && head.Op != OpStats {
+		if whole, op := c.nextBuffered(); !whole || op == OpStats {
 			break
 		}
-		i := len(b.reqs)
-		frame, err := ReadFrame(c.br, b.frames[i])
-		b.frames[i] = frame
+		i := len(r.reqs)
+		frame, err := ReadFrame(c.br, r.frames[i])
+		r.frames[i] = frame
 		if err != nil {
 			break // cannot happen for a fully-buffered frame; be safe
 		}
-		req, err := ParseRequest(frame)
-		if err != nil {
-			// Framed but malformed: answer in-order like the normal path.
-			s.badFrames.Add(1)
-			req = Request{Op: opBadParse, Seq: req.Seq}
-		}
-		b.reqs = append(b.reqs, req)
+		r.reqs = append(r.reqs, c.parse(frame))
 	}
 
 	// One clock read for the run's admission and latency base, one after
-	// the engine pass for the deadlines and the latency sample.
+	// the store and engine pass for the deadlines and the latency sample.
 	start := time.Now()
 	nowNS := int64(start.Sub(s.start))
-	b.resps = b.resps[:len(b.reqs)]
-	b.accs, b.accIdx, b.arena = b.accs[:0], b.accIdx[:0], b.arena[:0]
+	r.resps = r.resps[:len(r.reqs)]
+	r.accs, r.accIdx, r.arena = r.accs[:0], r.accIdx[:0], r.arena[:0]
 
-	// Decide: admission, no locks.
-	for i := range b.reqs {
-		req, resp := &b.reqs[i], &b.resps[i]
+	// Decide: control ops, validation and admission, no locks.
+	for i := range r.reqs {
+		req, resp := &r.reqs[i], &r.resps[i]
 		*resp = Response{Status: StatusOK, Tenant: req.Tenant, Seq: req.Seq}
-		if req.Op == opBadParse {
+		switch {
+		case req.Op == OpPing:
+			continue
+		case req.Op == OpStats:
+			var err error
+			if resp.Value, err = json.Marshal(s.Stats()); err != nil {
+				resp.Status = StatusError
+			}
+			continue
+		case req.Op < OpGet || req.Op > OpDel || int(req.Tenant) >= len(s.adm.tenants) || len(req.Key) == 0:
 			resp.Status = StatusBadRequest
 			continue
 		}
-		if int(req.Tenant) >= len(s.adm.tenants) || len(req.Key) == 0 {
-			resp.Status = StatusBadRequest
-			continue
-		}
-		switch s.adm.decide(s.adm.tenants[req.Tenant], OpGet, nowNS) {
+		switch s.adm.decide(s.adm.tenants[req.Tenant], req.Op, nowNS) {
 		case vReject:
 			resp.Status = StatusOverload
 			continue
@@ -165,53 +193,59 @@ func (c *conn) handleGetRun(head *Request) bool {
 				s.cfg.testHook(req)
 			}
 		}
-		b.accs = append(b.accs, shardcache.Access{Addr: hashKey(req.Key), Part: int(req.Tenant)})
-		b.accIdx = append(b.accIdx, int32(i))
+		r.accs = append(r.accs, shardcache.Access{Addr: hashKey(req.Key), Part: int(req.Tenant)})
+		r.accIdx = append(r.accIdx, int32(i))
 	}
 
-	// Store and engine: one lock per touched stripe.
-	b.batch.Each(b.accs, c.serve)
+	// Serve: one lock per touched stripe.
+	r.batch.Each(r.accs, c.serve)
 	lat := time.Since(start)
-	for j := range b.accs {
-		i := b.accIdx[j]
-		req, resp := &b.reqs[i], &b.resps[i]
-		t, stale := s.adm.tenants[req.Tenant], resp.Flags&FlagStale != 0
-		if resp.Status == StatusNotFound {
-			resp.Flags = 0
-			if !stale {
-				t.misses.Add(1)
+
+	// Account: every request that accessed the engine is Observed, and an
+	// admitted request whose work finished past its deadline says so.
+	for j, a := range r.accs {
+		i := r.accIdx[j]
+		req, resp := &r.reqs[i], &r.resps[i]
+		t := s.adm.tenants[req.Tenant]
+		if resp.Flags&FlagStale != 0 {
+			if resp.Status == StatusNotFound {
+				resp.Flags = 0
 			}
 			continue
 		}
-		if stale {
-			continue
+		if req.Op == OpGet {
+			if resp.Status == StatusNotFound {
+				t.misses.Add(1)
+				continue
+			}
+			resp.Flags |= FlagHit
+			t.hits.Add(1)
 		}
-		if s.cfg.Alloc != nil {
-			s.cfg.Alloc.Observe(b.accs[j].Part, b.accs[j].Addr)
+		if req.Op != OpDel && s.cfg.Alloc != nil {
+			s.cfg.Alloc.Observe(a.Part, a.Addr)
 		}
-		resp.Flags |= FlagHit
-		t.hits.Add(1)
 		if expired(req, lat) {
-			// Work done but the deadline passed during the batch; report it
-			// truthfully, exactly like the per-request path.
+			// The work is done but the client's deadline passed while we
+			// did it; tell the truth so the client does not count a slow
+			// success as fresh.
 			t.deadlined.Add(1)
-			resp.Status = StatusDeadline
-			resp.Flags = 0
-			resp.Value = nil
+			*resp = Response{Status: StatusDeadline, Tenant: req.Tenant, Seq: req.Seq}
 		}
 	}
 
 	// The whole run completed together, so every request observes the run's
 	// elapsed time — the same latency a pipelined client would measure.
-	c.record(lat, len(b.reqs))
+	c.record(lat, len(r.reqs))
 
-	for i := range b.resps {
-		if !c.send(&b.resps[i]) {
+	for i := range r.resps {
+		// A failed Stats snapshot is an internal failure: answer it, then
+		// drop the connection.
+		if !c.send(&r.resps[i]) || r.resps[i].Status == StatusError {
 			return false
 		}
 	}
-	if cap(b.arena) > bufKeep {
-		b.arena = nil // grew for large values; do not hold on to it
+	if cap(r.arena) > bufKeep {
+		r.arena = nil // grew for large values; do not hold on to it
 	}
 	return true
 }

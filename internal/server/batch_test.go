@@ -1,14 +1,15 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
 )
 
-// pipelineConfig enables striping so the batched path crosses stripe
-// boundaries, and keeps the rebalance cadence on so batched accesses race
-// the background distributor.
+// pipelineConfig enables striping so a run crosses stripe boundaries, and
+// keeps the rebalance cadence on so a run's accesses race the background
+// distributor.
 func pipelineConfig() Config {
 	cfg := testConfig()
 	cfg.Cache.Stripes = 4
@@ -17,10 +18,10 @@ func pipelineConfig() Config {
 	return cfg
 }
 
-// TestPipelinedGets drives the batched GET path end to end: a client
-// writes a burst of GET frames in one TCP write, so the server's reader
-// finds the whole run buffered and submits it as one shardcache.Batch.
-// Every response must come back in request order with the right bytes.
+// TestPipelinedGets drives pipelined GETs end to end: a client writes a
+// burst of GET frames in one TCP write, so the server's reader finds the
+// whole run buffered and serves it through one shardcache.Batch. Every
+// response must come back in request order with the right bytes.
 func TestPipelinedGets(t *testing.T) {
 	s := startServer(t, pipelineConfig())
 	c := dialTest(t, s)
@@ -79,10 +80,10 @@ func TestPipelinedGets(t *testing.T) {
 	}
 }
 
-// TestPipelinedMixedRun pins run termination: a burst of GETs with a SET
-// in the middle must answer everything in order with the SET applied at
-// its position — the batch collector stops at the first non-GET frame and
-// the sequential path handles it.
+// TestPipelinedMixedRun pins a run's order: a burst of GETs with a SET in
+// the middle, all of one key, must answer everything in order with the SET
+// applied at its position — the GETs before it read the old value and the
+// GETs after it the new one.
 func TestPipelinedMixedRun(t *testing.T) {
 	s := startServer(t, pipelineConfig())
 	c := dialTest(t, s)
@@ -90,46 +91,13 @@ func TestPipelinedMixedRun(t *testing.T) {
 	if r := c.mustRPC(Request{Op: OpSet, Tenant: 0, Key: []byte("a"), Value: []byte("old")}); r.Status != StatusOK {
 		t.Fatalf("seed set: %v", r.Status)
 	}
-
 	// get a (old) · get a (old) · set a=new · get a (new) · get a (new)
-	var burst []byte
-	type step struct {
-		op  Op
-		val string
-	}
-	steps := []step{{OpGet, ""}, {OpGet, ""}, {OpSet, "new"}, {OpGet, ""}, {OpGet, ""}}
-	first := c.seq + 1
-	for _, st := range steps {
-		c.seq++
-		req := Request{Op: st.op, Tenant: 0, Seq: c.seq, Key: []byte("a")}
-		if st.op == OpSet {
-			req.Value = []byte(st.val)
-		}
-		burst = AppendRequest(burst, &req)
-	}
-	_ = c.nc.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.nc.Write(burst); err != nil {
-		t.Fatalf("write burst: %v", err)
-	}
+	get := Request{Op: OpGet, Key: []byte("a")}
+	resps := c.pipeline([]Request{get, get, {Op: OpSet, Key: []byte("a"), Value: []byte("new")}, get, get})
 	want := []string{"old", "old", "", "new", "new"}
-	for i := range steps {
-		var err error
-		c.buf, err = ReadFrame(c.br, c.buf)
-		if err != nil {
-			t.Fatalf("read response %d: %v", i, err)
-		}
-		resp, err := ParseResponse(c.buf)
-		if err != nil {
-			t.Fatalf("parse response %d: %v", i, err)
-		}
-		if wantSeq := first + uint32(i); resp.Seq != wantSeq {
-			t.Fatalf("response %d out of order: seq %d, want %d", i, resp.Seq, wantSeq)
-		}
-		if resp.Status != StatusOK {
-			t.Fatalf("response %d: status %v", i, resp.Status)
-		}
-		if steps[i].op == OpGet && string(resp.Value) != want[i] {
-			t.Fatalf("response %d: value %q, want %q", i, resp.Value, want[i])
+	for i, r := range resps {
+		if r.Seq != c.seq-4+uint32(i) || r.Status != StatusOK || string(r.Value) != want[i] {
+			t.Fatalf("response %d: seq %d %v %q, want %q", i, r.Seq, r.Status, r.Value, want[i])
 		}
 	}
 }
@@ -179,5 +147,87 @@ func TestPipelinedBadFrameInRun(t *testing.T) {
 	}
 	if r := c.mustRPC(Request{Op: OpPing}); r.Status != StatusOK {
 		t.Fatalf("conn should survive a bad pipelined frame: %v", r.Status)
+	}
+}
+
+// pipeline writes reqs in one client write, numbering them from c's next
+// sequence number, and returns their responses in arrival order.
+func (c *testClient) pipeline(reqs []Request) []Response {
+	c.t.Helper()
+	var burst []byte
+	for i := range reqs {
+		c.seq++
+		reqs[i].Seq = c.seq
+		burst = AppendRequest(burst, &reqs[i])
+	}
+	_ = c.nc.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.nc.Write(burst); err != nil {
+		c.t.Fatalf("write burst: %v", err)
+	}
+	resps := make([]Response, len(reqs))
+	for i := range resps {
+		resps[i] = c.next()
+		resps[i].Value = append([]byte(nil), resps[i].Value...)
+	}
+	return resps
+}
+
+// TestPipelinedSetGetDel pins one run of every data op on one key and a
+// Ping: each request sees the ones before it, and the responses come back
+// in order.
+func TestPipelinedSetGetDel(t *testing.T) {
+	s := startServer(t, pipelineConfig())
+	c := dialTest(t, s)
+	k := []byte("k")
+	resps := c.pipeline([]Request{
+		{Op: OpSet, Key: k, Value: []byte("v1")},
+		{Op: OpGet, Key: k},
+		{Op: OpSet, Key: k, Value: []byte("v2")},
+		{Op: OpGet, Key: k},
+		{Op: OpDel, Key: k},
+		{Op: OpGet, Key: k},
+		{Op: OpPing},
+	})
+	want := []struct {
+		status Status
+		flags  uint8
+		val    string
+	}{
+		{StatusOK, 0, ""}, {StatusOK, FlagHit, "v1"}, {StatusOK, 0, ""}, {StatusOK, FlagHit, "v2"},
+		{StatusOK, 0, ""}, {StatusNotFound, 0, ""}, {StatusOK, 0, ""},
+	}
+	for i, r := range resps {
+		if w := want[i]; r.Seq != c.seq-6+uint32(i) || r.Status != w.status || r.Flags != w.flags || string(r.Value) != w.val {
+			t.Errorf("response %d: seq %d %v flags %x %q, want %v flags %x %q", i, r.Seq, r.Status, r.Flags, r.Value, w.status, w.flags, w.val)
+		}
+	}
+}
+
+// TestPipelinedStatsCountsEarlierSets pins where a run stops: a Stats frame
+// behind a burst of SETs ends their run, so its snapshot counts every one of
+// them, and a SET behind it is not yet counted.
+func TestPipelinedStatsCountsEarlierSets(t *testing.T) {
+	s := startServer(t, pipelineConfig())
+	c := dialTest(t, s)
+	var reqs []Request
+	for i := 0; i < 10; i++ {
+		reqs = append(reqs, Request{Op: OpSet, Tenant: uint8(i % 2), Key: []byte(fmt.Sprintf("k%d", i)), Value: []byte("v")})
+	}
+	reqs = append(reqs, Request{Op: OpStats}, Request{Op: OpSet, Key: []byte("late"), Value: []byte("v")})
+	resps := c.pipeline(reqs)
+	for i, r := range resps {
+		if r.Status != StatusOK {
+			t.Fatalf("response %d: %v", i, r.Status)
+		}
+	}
+	var snap StatsSnapshot
+	if err := json.Unmarshal(resps[10].Value, &snap); err != nil {
+		t.Fatalf("stats payload: %v", err)
+	}
+	if snap.StoreEntries != 10 {
+		t.Fatalf("stats behind 10 pipelined SETs counts %d store entries", snap.StoreEntries)
+	}
+	if entries, _ := s.store.Stats(); entries != 11 {
+		t.Fatalf("store holds %d entries after 11 SETs", entries)
 	}
 }

@@ -25,9 +25,10 @@ var allocFreeOps = []struct {
 }{
 	{"FrameCodec", frameCodecOp},
 	{"AdmissionDecide", admissionDecideOp},
-	{"LoopbackRPC", loopbackOp(1)},
+	{"LoopbackRPC", loopbackOp(OpGet, 1)},
 	// Per request, sixteen to a client write.
-	{"LoopbackPipelined", loopbackOp(16)},
+	{"LoopbackPipelined", loopbackOp(OpGet, 16)},
+	{"LoopbackPipelinedSet", loopbackOp(OpSet, 16)},
 	{"StoreSetGet", storeSetGetOp},
 	{"StoreSetEvict", storeSetEvictOp},
 	{"StoreDelete", storeDeleteOp},
@@ -81,13 +82,14 @@ func admissionDecideOp(tb testing.TB) func(int) {
 	}
 }
 
-// loopbackOp returns a setup for GETs of one resident key to a live server
-// over TCP loopback, depth to a client write, and their replies: codec,
-// admission, store, engine and both connection goroutines. op(n) sends n
-// GETs rounded up to whole writes.
+// loopbackOp returns a setup for GETs or SETs (op) of one resident key to a
+// live server over TCP loopback, depth to a client write, and their replies:
+// codec, admission, store, engine and both connection goroutines. op(n)
+// sends n requests rounded up to whole writes; a SET overwrites the key's
+// value in place.
 // At depth 1 that is RPC latency, which loopback scheduling dominates; at
-// depth 16 one engine batch and one response write serve all sixteen.
-func loopbackOp(depth int) func(testing.TB) func(int) {
+// depth 16 one run and one response write serve all sixteen.
+func loopbackOp(op Op, depth int) func(testing.TB) func(int) {
 	return func(tb testing.TB) func(int) {
 		srv, err := New(Config{
 			Addr:    "127.0.0.1:0",
@@ -136,11 +138,14 @@ func loopbackOp(depth int) func(testing.TB) func(int) {
 			seq += uint32(n)
 		}
 		trip(&Request{Op: OpSet, Tenant: 0, Key: []byte("bench"), Value: []byte("payload")}, 1)
-		get := Request{Op: OpGet, Tenant: 0, Key: []byte("bench")}
-		trip(&get, depth) // sizes every reused buffer
+		req := Request{Op: op, Tenant: 0, Key: []byte("bench")}
+		if op == OpSet {
+			req.Value = []byte("payload")
+		}
+		trip(&req, depth) // sizes every reused buffer
 		return func(n int) {
 			for done := 0; done < n; done += depth {
-				trip(&get, depth)
+				trip(&req, depth)
 			}
 		}
 	}
@@ -166,7 +171,7 @@ func storeKeys() (*store, [][]byte, []uint64) {
 	for i := range key {
 		key[i] = []byte(fmt.Sprintf("store-key-%04d", i))
 		addr[i] = hashKey(key[i])
-		s.Set(addr[i], 0, key[i], val)
+		set(s, addr[i], 0, key[i], val)
 	}
 	return s, key, addr
 }
@@ -184,7 +189,7 @@ func storeSetGetOp(tb testing.TB) func(int) {
 		for end := i + n; i < end; i++ {
 			k := i % len(key)
 			val[0] = byte(i)
-			s.Set(addr[k], 0, key[k], val)
+			set(s, addr[k], 0, key[k], val)
 			if got, ok := get(s, addr[k], key[k], dst[:0]); !ok || got[0] != byte(i) {
 				tb.Fatalf("key %d: found %v", k, ok)
 			}
@@ -204,7 +209,7 @@ func storeDeleteOp(tb testing.TB) func(int) {
 		i := next
 		for end := i + n; i < end; i++ {
 			k := i % len(key)
-			if !s.Delete(addr[k]) || !s.Set(addr[k], 0, key[k], val).Hit {
+			if !del(s, addr[k]) || !set(s, addr[k], 0, key[k], val).Hit {
 				tb.Fatalf("key %d: not resident", k)
 			}
 		}
@@ -224,7 +229,7 @@ func storeSetEvictOp(tb testing.TB) func(int) {
 		for range n {
 			next++
 			binary.BigEndian.PutUint64(key[8:], next)
-			if res := s.Set(hashKey(key), 0, key, val); res.Hit || full && !res.Evicted {
+			if res := set(s, hashKey(key), 0, key, val); res.Hit || full && !res.Evicted {
 				tb.Fatalf("key %d: hit %v, evicted %v", next, res.Hit, res.Evicted)
 			}
 		}

@@ -16,8 +16,8 @@ import (
 //
 // Each row is one request over an in-memory connection to a warm server;
 // the count is read once its response arrives, when the server has done
-// all of its work. A pipelined run of GETs takes one lock per stripe its
-// keys route to.
+// all of its work. A pipelined run of GETs or SETs takes one lock per stripe
+// its keys route to.
 func TestCounted(t *testing.T) {
 	cfg := testConfig()
 	cfg.Cache.Stripes = 4
@@ -73,25 +73,37 @@ func TestCounted(t *testing.T) {
 	count("Del", 1, rpc(Request{Op: OpDel, Key: hit}, StatusOK, 0))
 	count("StaleGet", 1, rpc(Request{Op: OpGet, Tenant: 1, Key: []byte("stale")}, StatusOK, FlagStale))
 
-	// Sixteen pipelined GETs of resident keys in one write: one run.
-	var frames []byte
+	// Sixteen pipelined GETs of resident keys in one write, then sixteen
+	// SETs of the same keys: one run each.
 	stripes := map[int]bool{}
-	for i, k := range resident[8:] {
-		frames = AppendRequest(frames, &Request{Op: OpGet, Seq: uint32(i), Key: key(k)})
+	for _, k := range resident[8:] {
 		h := s.engine.Lock(hashKey(key(k)))
 		stripes[h.Stripe()] = true
 		h.Unlock()
 	}
-	count(fmt.Sprintf("Pipelined16Over%dStripes", len(stripes)), len(stripes), func() {
-		if _, err := c.nc.Write(frames); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 16; i++ {
-			if r := c.next(); r.Status != StatusOK || r.Seq != uint32(i) {
-				t.Fatalf("pipelined GET %d: %v seq %d", i, r.Status, r.Seq)
+	for _, row := range []struct {
+		name string
+		op   Op
+	}{{"Pipelined16", OpGet}, {"Pipelined16Sets", OpSet}} {
+		var frames []byte
+		for i, k := range resident[8:] {
+			req := Request{Op: row.op, Seq: uint32(i), Key: key(k)}
+			if row.op == OpSet {
+				req.Value = []byte("new value")
 			}
+			frames = AppendRequest(frames, &req)
 		}
-	})
+		count(fmt.Sprintf("%sOver%dStripes", row.name, len(stripes)), len(stripes), func() {
+			if _, err := c.nc.Write(frames); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 16; i++ {
+				if r := c.next(); r.Status != StatusOK || r.Seq != uint32(i) {
+					t.Fatalf("pipelined %v %d: %v seq %d", row.op, i, r.Status, r.Seq)
+				}
+			}
+		})
+	}
 	if len(stripes) < 2 {
 		t.Fatalf("the run's keys route to %d stripe", len(stripes))
 	}

@@ -51,8 +51,13 @@ func (m *serverModel) apply(req *Request) Response {
 		return resp
 	}
 	addr, part := hashKey(req.Key), int(req.Tenant)
+	// access returns its result with Line numbered across the whole engine,
+	// stripe by stripe, as diff numbers the store's lines.
 	access := func() core.AccessResult {
-		res := m.eng.Access(addr, part)
+		h := m.eng.Lock(addr)
+		res := h.Access(addr, part)
+		res.Line += h.Stripe() * m.eng.Lines() / (m.eng.Shards() * m.eng.Stripes())
+		h.Unlock()
 		if res.Evicted {
 			delete(m.m, res.EvictedAddr)
 		}

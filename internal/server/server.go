@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -58,7 +57,7 @@ type Config struct {
 	readTimeout                time.Duration
 	slowWrite                  time.Duration
 	// testHook, when non-nil, runs before each admitted request is
-	// executed; tests use it to inject handler panics.
+	// served; tests use it to inject handler panics and stalls.
 	testHook func(req *Request)
 }
 
@@ -128,21 +127,17 @@ type Server struct {
 }
 
 // conn is one client connection, served by one goroutine: it parses
-// frames, runs handlers synchronously and writes their batched responses
+// frames, serves them in runs (batch.go) and writes their batched responses
 // itself.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 	// br buffers nc for the reader; buffered bytes are what make pipelined
-	// GET runs visible (see batch.go) and what tell the reader it is about
-	// to block. Owned by the connection's goroutine, like gb, req, out and
-	// outN.
+	// runs visible (see batch.go) and what tell the reader it is about to
+	// block. Owned by the connection's goroutine, like run, out and outN.
 	br *bufio.Reader
-	// gb is the pipelined-GET batching scratch, allocated on first use.
-	gb *getBatch
-	// req is the request being handled; one per connection because its
-	// address reaches cfg.testHook, which would move a local to the heap.
-	req Request
+	// run is the request path's scratch.
+	run *run
 	// out holds the outN responses encoded since the last flush.
 	out  []byte
 	outN int
@@ -279,6 +274,7 @@ func (s *Server) acceptLoop() {
 			srv:  s,
 			nc:   nc,
 			br:   bufio.NewReaderSize(nc, 1<<14),
+			run:  newRun(s.engine),
 			hist: stats.NewHistogram(latBuckets),
 		}
 		s.mu.Lock()
@@ -322,12 +318,13 @@ const (
 	slowClientBound = time.Second
 )
 
-// readLoop parses frames, runs handlers synchronously and flushes their
-// responses before it blocks. Any panic in a handler is contained to this
-// connection: it is counted, logged, and the connection dies, while the
-// server and every other connection keep going. The connection stays
-// registered until this returns, so a drain that times out can force-close
-// a write blocked on a client that stopped reading.
+// readLoop reads frames, serves each with the buffered frames behind it as
+// one run (handleRun) and flushes their responses before it blocks. Any
+// panic while serving is contained to this connection: it is counted,
+// logged, and the connection dies, while the server and every other
+// connection keep going. The connection stays registered until this
+// returns, so a drain that times out can force-close a write blocked on a
+// client that stopped reading.
 func (c *conn) readLoop() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -344,7 +341,6 @@ func (c *conn) readLoop() {
 		c.srv.connWG.Done()
 	}()
 	var frame []byte
-	req := &c.req
 	for {
 		if whole, _ := c.nextBuffered(); !whole {
 			// About to block. The deadline is armed before draining is
@@ -370,31 +366,12 @@ func (c *conn) readLoop() {
 			}
 			return
 		}
-		*req, err = ParseRequest(frame)
-		if err != nil {
-			// The frame boundary was intact (length prefix consumed the
-			// right bytes), so the stream is still framed: answer
-			// bad-request and keep the connection.
-			c.srv.badFrames.Add(1)
-			if !c.send(&Response{Status: StatusBadRequest, Seq: req.Seq}) {
-				return
-			}
-			continue
-		}
+		req := c.parse(frame)
 		if c.srv.draining.Load() {
 			_ = c.send(&Response{Status: StatusDraining, Tenant: req.Tenant, Seq: req.Seq})
 			return
 		}
-		if req.Op == OpGet {
-			// GETs take the batched path: this request plus any pipelined
-			// GET frames already buffered become one engine submission.
-			if !c.handleGetRun(req) {
-				return
-			}
-			continue
-		}
-		resp, ok := c.handle(req)
-		if !c.send(&resp) || !ok {
+		if !c.handleRun(&req) {
 			return
 		}
 	}
@@ -435,83 +412,6 @@ func (c *conn) flush() bool {
 		c.out = nil
 	}
 	return err == nil
-}
-
-// handle executes one parsed request and returns the response. ok=false
-// additionally tears the connection down after the response is sent
-// (internal handler failure).
-func (c *conn) handle(req *Request) (resp Response, ok bool) {
-	s := c.srv
-	resp = Response{Status: StatusOK, Tenant: req.Tenant, Seq: req.Seq}
-	ok = true
-
-	// Ping and stats bypass admission: they are the liveness and
-	// observability path and must answer precisely when the data path is
-	// degraded.
-	switch req.Op {
-	case OpPing:
-		return resp, true
-	case OpStats:
-		body, err := json.Marshal(s.Stats())
-		if err != nil {
-			resp.Status = StatusError
-			return resp, false
-		}
-		resp.Value = body
-		return resp, true
-	}
-
-	if int(req.Tenant) >= len(s.adm.tenants) || len(req.Key) == 0 {
-		resp.Status = StatusBadRequest
-		return resp, true
-	}
-	t := s.adm.tenants[req.Tenant]
-
-	// One clock read before the work feeds the token bucket and is the
-	// latency base; one after is the latency sample and the deadline check.
-	start := time.Now()
-	v := s.adm.decide(t, req.Op, int64(start.Sub(s.start)))
-	switch v {
-	case vReject:
-		resp.Status = StatusOverload
-	case vShed:
-		resp.Status = StatusShed
-	default:
-		if s.cfg.testHook != nil {
-			s.cfg.testHook(req)
-		}
-		resp.Status = s.mutate(req)
-	}
-	lat := time.Since(start)
-	if v == vAdmit && resp.Status != StatusBadRequest && expired(req, lat) {
-		// The work is done but the client's deadline passed while we did
-		// it; tell the truth so the client does not double-count a slow
-		// success as fresh.
-		t.deadlined.Add(1)
-		resp.Status = StatusDeadline
-	}
-	c.record(lat, 1)
-	return resp, true
-}
-
-// mutate applies an admitted SET or DEL to the engine and the byte store.
-func (s *Server) mutate(req *Request) Status {
-	addr := hashKey(req.Key)
-	switch req.Op {
-	case OpSet:
-		part := int(req.Tenant)
-		s.store.Set(addr, part, req.Key, req.Value)
-		if s.cfg.Alloc != nil {
-			s.cfg.Alloc.Observe(part, addr)
-		}
-	case OpDel:
-		if !s.store.Delete(addr) {
-			return StatusNotFound
-		}
-	default:
-		return StatusBadRequest
-	}
-	return StatusOK
 }
 
 // expired reports whether req's wire deadline passed within elapsed.

@@ -11,9 +11,10 @@ import (
 // store holds the real bytes behind the simulated replacement decisions, at
 // the engine's own lines and under the engine's own stripe locks: store line
 // l of stripe g holds the wire key and value of the address (hashKey of the
-// key) that engine stripe g's line l holds. Every operation takes the one
-// stripe lock its address routes to (shardcache.Locked) and does the engine's
-// work and the store's in that critical section, so the two never disagree:
+// key) that engine stripe g's line l holds. Every operation runs under the
+// one stripe lock its address routes to, which its caller holds
+// (shardcache.Locked), and does the engine's work and the store's in that
+// critical section, so the two never disagree:
 // a SET writes its bytes at the line its engine access reports, over whatever
 // the line held, and a GET that finds bytes always hits. The line keeps the
 // wire key, so keys colliding on the full 64-bit hash never read each other's
@@ -59,9 +60,9 @@ func newStore(e *shardcache.Engine) *store {
 }
 
 // hashKey maps a wire key to the 64-bit address the engine and the store
-// share: FNV-1a over the bytes, finalized with Mix64 so low-entropy keys
-// still spread across the H3 index null space (see shardcache on why raw
-// low-entropy addresses are unsafe).
+// share: FNV-1a over the bytes, finalized with Mix64 so that low-entropy keys
+// still spread across every set: raw addresses that vary in only a few bits
+// can land in an H3 null space and reach a fraction of the sets.
 func hashKey(key []byte) uint64 {
 	const offset64 = 14695981039346656037
 	const prime64 = 1099511628211
@@ -87,12 +88,12 @@ func (s *store) Get(h shardcache.Locked, addr uint64, part int, key, dst []byte,
 	return append(dst, st.val[l]...), true
 }
 
-// Set accesses the engine for addr and part and stores key and value at the
-// line the access reports, in the line's own buffers where they fit: a SET
-// that lands on its victim's line allocates nothing. Whatever the line held
-// goes. It returns the engine access's result.
-func (s *store) Set(addr uint64, part int, key, val []byte) core.AccessResult {
-	h := s.eng.Lock(addr)
+// Set accesses the engine for addr and part under h, the held stripe addr
+// routes to, and stores key and value at the line the access reports, in the
+// line's own buffers where they fit: a SET that lands on its victim's line
+// allocates nothing. Whatever the line held goes. It returns the engine
+// access's result.
+func (s *store) Set(h shardcache.Locked, addr uint64, part int, key, val []byte) core.AccessResult {
 	res := h.Access(addr, part)
 	st, l := &s.stripes[h.Stripe()], res.Line
 	if len(st.key[l]) == 0 {
@@ -100,14 +101,12 @@ func (s *store) Set(addr uint64, part int, key, val []byte) core.AccessResult {
 	}
 	st.bytes += int64(len(key) + len(val) - len(st.key[l]) - len(st.val[l]))
 	st.key[l], st.val[l] = refill(st.key[l], key), refill(st.val[l], val)
-	h.Unlock()
 	return res
 }
 
-// Delete drops addr's bytes, keeping the line's buffers, and reports whether
-// an entry existed.
-func (s *store) Delete(addr uint64) bool {
-	h := s.eng.Lock(addr)
+// Delete drops addr's bytes under h, the held stripe addr routes to, keeping
+// the line's buffers, and reports whether an entry existed.
+func (s *store) Delete(h shardcache.Locked, addr uint64) bool {
 	st, l := &s.stripes[h.Stripe()], h.Lookup(addr)
 	ok := l >= 0 && len(st.key[l]) > 0
 	if ok {
@@ -115,7 +114,6 @@ func (s *store) Delete(addr uint64) bool {
 		st.bytes -= int64(len(st.key[l]) + len(st.val[l]))
 		st.key[l], st.val[l] = st.key[l][:0], st.val[l][:0]
 	}
-	h.Unlock()
 	return ok
 }
 

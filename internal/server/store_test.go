@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"fscache/internal/core"
 	"fscache/internal/futility"
 	"fscache/internal/shardcache"
 	"fscache/internal/xrand"
@@ -58,6 +59,22 @@ func get(s *store, addr uint64, key, dst []byte) ([]byte, bool) {
 	h := s.eng.Lock(addr)
 	defer h.Unlock()
 	return s.Get(h, addr, 0, key, dst, false)
+}
+
+// set is a SET as the server performs one, in one critical section of the
+// stripe addr routes to.
+func set(s *store, addr uint64, part int, key, val []byte) core.AccessResult {
+	h := s.eng.Lock(addr)
+	defer h.Unlock()
+	return s.Set(h, addr, part, key, val)
+}
+
+// del is a DEL as the server performs one, in one critical section of the
+// stripe addr routes to.
+func del(s *store, addr uint64) bool {
+	h := s.eng.Lock(addr)
+	defer h.Unlock()
+	return s.Delete(h, addr)
 }
 
 // CheckInvariants audits the store one stripe lock at a time: every
@@ -166,13 +183,13 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 				// are its own; lines and their buffers are everyone's.
 				k := writers*rng.Intn(keys/writers) + w
 				if w > 0 && rng.Bool(0.2) {
-					s.Delete(addr[k])
+					del(s, addr[k])
 					continue
 				}
 				n := 16 << rng.Intn(9) // 16 B … 4 KiB
 				n += rng.Intn(n / 2)
 				buf = stampedValue(buf, uint32(k), uint32(i), min(n, 4096))
-				s.Set(addr[k], 0, key[k], buf)
+				set(s, addr[k], 0, key[k], buf)
 			}
 		}()
 	}
@@ -218,7 +235,7 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 	for _, n := range []int{1024, 64} {
 		for _, k := range stored {
 			buf = stampedValue(buf, uint32(k), 0, n)
-			if !s.Set(addr[k], 0, key[k], buf).Hit {
+			if !set(s, addr[k], 0, key[k], buf).Hit {
 				t.Fatalf("stored key %d not resident", k)
 			}
 		}
@@ -237,7 +254,7 @@ func TestStoreRecyclesWithoutAliasing(t *testing.T) {
 		}
 	}
 	for _, k := range stored {
-		if !s.Delete(addr[k]) {
+		if !del(s, addr[k]) {
 			t.Fatalf("key %d missing", k)
 		}
 		checkStore(t, s)
@@ -280,7 +297,7 @@ func TestStoreSharedSets(t *testing.T) {
 				case p < 0.4:
 					n := 16 + rng.Intn(8)*rng.Intn(64)
 					buf = stampedValue(buf, uint32(k), uint32(w<<24|i), n)
-					s.Set(addr[k], 0, key[k], buf)
+					set(s, addr[k], 0, key[k], buf)
 				case p < 0.85:
 					var ok bool
 					if dst, ok = get(s, addr[k], key[k], dst[:0]); !ok {
@@ -291,7 +308,7 @@ func TestStoreSharedSets(t *testing.T) {
 						return
 					}
 				default:
-					s.Delete(addr[k])
+					del(s, addr[k])
 				}
 				if w == 0 && i%256 == 0 {
 					checkStore(t, s)
@@ -326,7 +343,7 @@ func TestStoreSetChurnReusesVictimBuffers(t *testing.T) {
 		for n := 0; n < lines; n++ {
 			k := next % keys
 			next++
-			if s.Set(addr[k], 0, key[k], val).Evicted {
+			if set(s, addr[k], 0, key[k], val).Evicted {
 				evictions++
 			}
 		}

@@ -21,6 +21,12 @@ package shardcache
 
 import "fscache/internal/core"
 
+// Access is one cache access: an address and the partition it bills.
+type Access struct {
+	Addr uint64
+	Part int
+}
+
 // Batch groups accesses by stripe so one lock acquisition covers every
 // request routed to that stripe. Not safe for concurrent use; create one
 // per goroutine with Engine.NewBatch.
@@ -105,9 +111,7 @@ func (b *Batch) Access(reqs []Access, results []core.AccessResult) {
 			countLock()
 			st.mu.Lock()
 			for _, i := range b.order[lo:hi] {
-				res := st.access(reqs[i].Addr, reqs[i].Part)
-				e.globalLines(&res, g)
-				results[i] = res
+				results[i] = st.access(reqs[i].Addr, reqs[i].Part)
 			}
 			st.mu.Unlock()
 			lo = hi

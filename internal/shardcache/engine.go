@@ -6,8 +6,8 @@
 // per domain.
 //
 // The decomposition has two levels. The cache is first split into S *shards*
-// — the unit of the deterministic driving protocol (driver.go) and of the
-// global target distributor's demand accounting. Each shard is then split
+// — the unit of the deterministic driving protocol the tests use
+// (driver_test.go) and of the global target distributor's demand accounting. Each shard is then split
 // into K lock *stripes* over contiguous sub-ranges of the shard's sets, each
 // stripe a smaller set-associative array with the same associativity behind
 // its own mutex. Striping follows the hardware idiom of a banked array indexed
@@ -37,11 +37,11 @@
 // background ticker so serving layers never call it from a request path.
 //
 // Concurrency contract: Access, Batch (batch.go), Lock, SetTargets,
-// Rebalance, Snapshot, ShardSnapshots and CheckInvariants are all safe for
-// concurrent use. A stripe mutex is only ever held for one bounded cache
-// operation, one batched run of them, or a Locked holder's bounded work; the
-// engine never holds two stripe locks at once. Determinism under concurrency
-// is a protocol property, not an engine property — see driver.go.
+// Rebalance, Snapshot and CheckInvariants are all safe for concurrent use. A
+// stripe mutex is only ever held for one bounded cache operation, one batched
+// run of them, or a Locked holder's bounded work; the engine never holds two
+// stripe locks at once. Determinism under concurrency is a protocol property,
+// not an engine property — see driver_test.go.
 package shardcache
 
 import (
@@ -117,7 +117,6 @@ type Engine struct {
 	perShard    int // stripes per shard (cfg.Stripes normalized, ≥1)
 	router      *hashing.H3
 	stripeShift uint      // hashing.ShardShift(sets, len(stripes)): set index → stripe
-	stripeLines int       // lines per stripe; stripe g's line l is the engine's g·stripeLines+l
 	stripes     []*stripe // flat, global stripe index g = shard*perShard + stripe
 	measured    int       // stripes that record eviction futility
 
@@ -229,7 +228,6 @@ func newEngine(cfg Config, isMeasured func(g int) bool) *Engine {
 		perShard:      cfg.Stripes,
 		router:        router,
 		stripeShift:   hashing.ShardShift(sets, nStripes),
-		stripeLines:   perStripeLines,
 		stripes:       stripes,
 		measured:      measured,
 		targets:       make([]int, cfg.Parts),
@@ -261,44 +259,31 @@ func (e *Engine) Parts() int { return e.cfg.Parts }
 // Lines returns the total line count across all shards.
 func (e *Engine) Lines() int { return e.cfg.Lines }
 
-// ShardOf returns the shard an address routes to: the top bit-slice of its
-// global H3 set index. It is pure and safe to call concurrently. The
-// deterministic driving protocol (driver.go) partitions ownership at shard
-// granularity, so all of a shard's stripes belong to the shard's owner.
-func (e *Engine) ShardOf(addr uint64) int {
-	return e.stripeOf(addr) / e.perShard
-}
-
 // stripeOf returns the global stripe index for an address: the top
 // log2(Shards·Stripes)-bit slice of its H3 set index. Because the slice is
-// a prefix, the top log2(Shards) bits are exactly ShardOf.
+// a prefix, its top log2(Shards) bits are the address's shard.
 func (e *Engine) stripeOf(addr uint64) int {
 	return int(e.router.Hash(addr)) >> e.stripeShift
 }
 
 // Access performs one cache access for partition part on the stripe the
 // address routes to, holding only that stripe's lock. The result's Line and
-// EvictedLine are global line indices. Lines are numbered set by set, and an
-// address's global set is its H3 hash over all the engine's sets, so both
-// lie in the ways of that set.
+// EvictedLine number lines within that stripe, as every access's do.
 //
 //fs:allocfree
 func (e *Engine) Access(addr uint64, part int) core.AccessResult {
-	g := e.stripeOf(addr)
-	st := e.stripes[g]
+	st := e.stripes[e.stripeOf(addr)]
 	countLock()
 	st.mu.Lock()
 	res := st.access(addr, part)
 	st.mu.Unlock()
-	e.globalLines(&res, g)
 	return res
 }
 
 // Locked is one stripe held under its lock, for a caller whose own state at
 // the stripe's lines (the server's byte store) must change in the same
-// critical section as the engine's. Its lines are the stripe's own, not
-// renumbered like Engine.Access's. No method may be called after Unlock, and
-// a goroutine holds at most one Locked at a time.
+// critical section as the engine's. No method may be called after Unlock,
+// and a goroutine holds at most one Locked at a time.
 type Locked struct {
 	st *stripe
 	g  int
@@ -327,7 +312,7 @@ func (h Locked) Stripe() int { return h.g }
 //fs:callerholds mu
 func (h Locked) Lookup(addr uint64) int { return h.st.array.Lookup(addr) }
 
-// Access is Engine.Access on the held stripe, with stripe lines.
+// Access is Engine.Access on the held stripe.
 //
 //fs:callerholds mu
 //fs:allocfree
@@ -348,17 +333,6 @@ func (st *stripe) access(addr uint64, part int) core.AccessResult {
 		st.demand[part]++
 	}
 	return res
-}
-
-// globalLines renumbers res's lines from stripe g's cache to the engine's.
-//
-//fs:allocfree
-func (e *Engine) globalLines(res *core.AccessResult, g int) {
-	base := g * e.stripeLines
-	res.Line += base
-	if res.Evicted {
-		res.EvictedLine += base
-	}
 }
 
 // SetTargets installs cache-wide per-partition line targets and distributes
@@ -562,25 +536,6 @@ func (e *Engine) PartSizes(dst []int) []int {
 		st.mu.Unlock()
 	}
 	return dst
-}
-
-// ShardSnapshots returns each shard's measurement state in shard index
-// order, each shard's stripes merged into one core.Snapshot. A shard with no
-// measured stripe (see Snapshot) has empty EvictFutility histograms.
-func (e *Engine) ShardSnapshots() []core.Snapshot {
-	out := make([]core.Snapshot, e.Shards())
-	for g, st := range e.stripes {
-		st.mu.Lock()
-		snap := st.cache.StatsSnapshot()
-		st.mu.Unlock()
-		s := g / e.perShard
-		if g%e.perShard == 0 {
-			out[s] = snap
-		} else {
-			out[s].Merge(snap)
-		}
-	}
-	return out
 }
 
 // CheckInvariants audits every stripe's controller with the sequential

@@ -204,14 +204,14 @@ func TestStripesSplitTheMonolithicArray(t *testing.T) {
 	}
 }
 
-// TestEngineReportsGlobalLines pins the engine's line numbering: Line and
-// EvictedLine from Access and Batch.Access are global, in the ways of the
-// accessed address's set (its H3 hash over all sets) from set·Ways onwards;
-// a hit reports the line the address's installing access reported, and a
-// victim leaves the line its own install reported. Batch.Each's Locked
-// handles report the same lines less their stripe's first, and a Lookup
-// before the access finds what the access then hits.
-func TestEngineReportsGlobalLines(t *testing.T) {
+// TestAccessLinesLieInAddressSet pins the engine's line numbering: Line and
+// EvictedLine from Access, Batch.Access and Batch.Each's Locked handles are
+// lines of the address's stripe, in the ways of its set there (the low bits
+// of its H3 hash over all sets) from set·Ways onwards; a hit reports the line
+// the address's installing access reported, and a victim leaves the line its
+// own install reported. A Lookup before a Locked access finds what the
+// access then hits.
+func TestAccessLinesLieInAddressSet(t *testing.T) {
 	for _, geo := range []struct{ shards, stripes int }{{1, 1}, {4, 4}, {2, 8}} {
 		cfg := testConfig(geo.shards)
 		cfg.Stripes = geo.stripes
@@ -226,8 +226,9 @@ func TestEngineReportsGlobalLines(t *testing.T) {
 		lineOf := map[uint64]int{}
 		reqs := make([]Access, 32)
 		results := make([]core.AccessResult, len(reqs))
+		setsPerStripe := cfg.Lines / cfg.Ways / len(e.stripes)
 		check := func(a Access, res core.AccessResult) {
-			first := int(e.router.Hash(a.Addr)) * cfg.Ways
+			first := int(e.router.Hash(a.Addr)) % setsPerStripe * cfg.Ways
 			if res.Line < first || res.Line >= first+cfg.Ways {
 				t.Fatalf("%d×%d: %#x (set %d) reported line %d", geo.shards, geo.stripes, a.Addr, first/cfg.Ways, res.Line)
 			}
@@ -268,7 +269,6 @@ func TestEngineReportsGlobalLines(t *testing.T) {
 						if l >= 0 != res.Hit || l >= 0 && l != res.Line {
 							t.Fatalf("%d×%d: %#x looked up at line %d, hit %v at line %d", geo.shards, geo.stripes, a.Addr, l, res.Hit, res.Line)
 						}
-						e.globalLines(&res, h.Stripe())
 						results[i] = res
 					}
 				})

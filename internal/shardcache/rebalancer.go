@@ -56,7 +56,7 @@ func (e *Engine) StartRebalancerSource(interval time.Duration, src TargetSource)
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	//fslint:ignore determinism background target distributor: redistribution cadence is wall-clock driven by design; deterministic runs use RunDeterministic's barrier protocol instead
+	//fslint:ignore determinism background target distributor: redistribution cadence is wall-clock driven by design; deterministic runs drive the engine under the tests' barrier protocol (driver_test.go) instead
 	go r.loop()
 	return r
 }
