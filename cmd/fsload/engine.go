@@ -17,8 +17,8 @@ import (
 // engineTarget is an in-process shardcache.Engine with a background
 // rebalancer. A compiled spec (Comp) replaces the synthetic zipf mix with
 // its streams and the 1:2:3 targets with its shares; an allocator (Alloc) is
-// fed every access, the rebalancer installs its epoch targets, and scenario
-// churn vectors are ignored.
+// fed every access, the rebalancer closes its epochs on the engine's access
+// count and installs their targets, and scenario churn vectors are ignored.
 type engineTarget struct {
 	scenario.Setup
 	o     options
@@ -156,7 +156,6 @@ func (t *engineTarget) finish(ops uint64) ([]partRow, []string, error) {
 		return nil, nil, fmt.Errorf("engine invariants violated after run: %v", err)
 	}
 	snap := t.e.Snapshot()
-	sizes := t.e.PartSizes(nil)
 	rows := make([]partRow, t.parts)
 	for p := range rows {
 		ps := &snap.Parts[p]
@@ -166,8 +165,8 @@ func (t *engineTarget) finish(ops uint64) ([]partRow, []string, error) {
 		}
 		rows[p] = partRow{
 			target:  ps.Target,
-			size:    sizes[p],
-			meanOcc: t.e.MeanOccupancy(p),
+			size:    ps.Size,
+			meanOcc: ps.MeanOccupancy,
 			miss:    ps.MissRate(),
 			note:    fmt.Sprintf("aef %s over %d measured", aef, ps.EvictFutility.N()),
 		}

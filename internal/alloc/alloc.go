@@ -3,7 +3,6 @@ package alloc
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"fscache/internal/xrand"
 )
@@ -20,8 +19,8 @@ type Config struct {
 	// ChunkLines is the allocation granularity in lines (default
 	// max(Lines/64, 1)).
 	ChunkLines int
-	// EpochAccesses is the number of observed accesses per reallocation
-	// epoch (default 8×Lines).
+	// EpochAccesses is the number of accesses, as PollTargets is told
+	// them, per reallocation epoch (default 8×Lines).
 	EpochAccesses int
 	// SampleShift selects the 1/2^SampleShift spatial sampling rate shared
 	// by every partition's profiler (default 3, i.e. 1/8).
@@ -44,7 +43,7 @@ type Config struct {
 type Decision struct {
 	// Epoch is the 1-based epoch index.
 	Epoch int
-	// Access is the cumulative observed access count at the boundary.
+	// Access is the cumulative access count last polled at the boundary.
 	Access uint64
 	// Targets is the per-partition line allocation in force after the
 	// decision.
@@ -61,13 +60,15 @@ type Decision struct {
 }
 
 // Allocator closes the measurement→targets loop online: every observed
-// access feeds a per-partition sampled profiler, and every EpochAccesses
-// accesses the curves are snapshotted, the objective recomputes chunk
-// targets, the profilers decay, and the decision is logged. Observe is safe
-// for concurrent use; the unsampled fast path is one atomic add plus one
-// hash, and only sampled references (1/2^SampleShift of them) take the
-// mutex. Driven single-threaded it is fully deterministic: equal seeds and
-// access sequences give bit-identical decisions.
+// access feeds a per-partition sampled profiler, and the first PollTargets
+// whose access count reaches the epoch's end snapshots the curves, has the
+// objective recompute chunk targets, decays the profilers and logs the
+// decision. The count is the caller's: the shardcache rebalancer sums its
+// stripes', the scenario sim loop counts its own. Observe is safe for
+// concurrent use; the unsampled fast path is one hash, and only sampled
+// references (1/2^SampleShift of them) take the mutex. Driven
+// single-threaded it is fully deterministic: equal seeds, accesses and polls
+// give bit-identical decisions.
 //
 // All partitions share one sampling filter (same salt), the standard SHARDS
 // arrangement: the sampled address set is identical across partitions, so
@@ -80,15 +81,15 @@ type Allocator struct {
 	nChunk   int
 	minChunk []int
 
-	accesses atomic.Uint64
-	epochEnd atomic.Uint64
-	dirty    atomic.Bool
-
 	mu sync.Mutex
 	//fs:guardedby mu
 	profs []*Profiler
 	//fs:guardedby mu
 	targets []int
+	//fs:guardedby mu
+	epochEnd, polled uint64 // the open epoch's closing count; the last polled
+	//fs:guardedby mu
+	dirty bool // targets changed since a poll last returned them
 	//fs:guardedby mu
 	epoch int
 	//fs:guardedby mu
@@ -166,40 +167,42 @@ func newAllocator(cfg Config, depthMul int) *Allocator {
 	} else {
 		EvenSplit(a.targets, cfg.Lines)
 	}
+	a.epochEnd = uint64(cfg.EpochAccesses)
 	a.mu.Unlock()
-	a.epochEnd.Store(uint64(cfg.EpochAccesses))
 	return a
 }
 
-// Observe feeds one access into the loop. part must be in [0, Parts): it
+// Observe feeds one access into the profile. part must be in [0, Parts): it
 // panics otherwise, before taking the mutex, so that a caller who recovers
 // (the server, per connection) has not wedged the allocator. Safe for
-// concurrent use; unsampled accesses never block.
+// concurrent use; unsampled accesses never block. It closes no epoch.
 func (a *Allocator) Observe(part int, addr uint64) {
 	if uint(part) >= uint(a.cfg.Parts) {
 		panicf("Observe: partition %d out of range [0, %d)", part, a.cfg.Parts)
 	}
-	n := a.accesses.Add(1)
 	if hash := xrand.Mix64(addr ^ a.salt); hash&a.mask == 0 {
 		a.mu.Lock()
 		a.profs[part].touch(addr, hash)
 		a.mu.Unlock()
 	}
-	if n >= a.epochEnd.Load() {
-		a.closeEpoch()
-	}
 }
 
-// PollTargets returns a copy of the current targets and true the first time
-// it is called after a reallocation changed them, and (nil, false)
-// otherwise. It is the shardcache TargetSource contract: rebalancer ticks
-// poll it and install only on change.
-func (a *Allocator) PollTargets() ([]int, bool) {
-	if !a.dirty.Swap(false) {
-		return nil, false
-	}
+// PollTargets closes the epoch once accesses, the cache's cumulative access
+// count (never decreasing), reaches its end. It returns a copy of the
+// current targets and true the first time it is called after a reallocation
+// changed them, and (nil, false) otherwise: the shardcache TargetSource
+// contract, so rebalancer ticks install only on change.
+func (a *Allocator) PollTargets(accesses uint64) ([]int, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.polled = accesses
+	if accesses >= a.epochEnd {
+		a.closeEpochLocked()
+	}
+	if !a.dirty {
+		return nil, false
+	}
+	a.dirty = false
 	return append([]int(nil), a.targets...), true
 }
 
@@ -225,21 +228,11 @@ func (a *Allocator) Log() ([]Decision, uint64) {
 	return append([]Decision(nil), a.log...), a.dropped
 }
 
-// Flush forces an epoch boundary now (e.g. at end of stream) regardless of
-// the access count since the last one.
+// Flush forces an epoch boundary now (e.g. at end of stream) at the last
+// polled access count, however few accesses the epoch has seen.
 func (a *Allocator) Flush() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.closeEpochLocked()
-}
-
-// closeEpoch closes the epoch if no other goroutine beat us to it.
-func (a *Allocator) closeEpoch() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.accesses.Load() < a.epochEnd.Load() {
-		return
-	}
 	a.closeEpochLocked()
 }
 
@@ -269,14 +262,14 @@ func (a *Allocator) closeEpochLocked() {
 		changed = !equalInts(tg, a.targets)
 		if changed {
 			copy(a.targets, tg)
-			a.dirty.Store(true)
+			a.dirty = true
 		}
 	}
 
 	a.epoch++
 	d := Decision{
 		Epoch:      a.epoch,
-		Access:     a.accesses.Load(),
+		Access:     a.polled,
 		Targets:    append([]int(nil), a.targets...),
 		Changed:    changed,
 		Divergence: div,
@@ -293,7 +286,7 @@ func (a *Allocator) closeEpochLocked() {
 	for _, p := range a.profs {
 		p.Decay()
 	}
-	a.epochEnd.Store(a.accesses.Load() + uint64(a.cfg.EpochAccesses))
+	a.epochEnd = a.polled + uint64(a.cfg.EpochAccesses)
 }
 
 // curvesLocked snapshots every partition's hit curve on the chunk grid.

@@ -6,14 +6,31 @@ import (
 	"fscache/internal/xrand"
 )
 
+// driven is an allocator fed the way the scenario sim loop feeds one: every
+// access is observed and then polled with the running access count, so an
+// epoch closes right after the access that ends it.
+type driven struct {
+	*Allocator
+	n uint64
+}
+
+func newDriven(cfg Config) *driven { return &driven{Allocator: New(cfg)} }
+
+// access observes one access and polls with the count that includes it.
+func (d *driven) access(part int, addr uint64) {
+	d.Observe(part, addr)
+	d.n++
+	d.PollTargets(d.n)
+}
+
 // feed drives n accesses through the allocator, alternating partitions;
 // partition p draws uniformly from working-set size ws[p] in its own
 // address space.
-func feed(a *Allocator, rng *xrand.Rand, ws []int, n int) {
+func feed(d *driven, rng *xrand.Rand, ws []int, n int) {
 	for i := 0; i < n; i++ {
 		p := i % len(ws)
 		addr := uint64(p)<<40 | rng.Uint64()%uint64(ws[p])
-		a.Observe(p, addr)
+		d.access(p, addr)
 	}
 }
 
@@ -31,7 +48,7 @@ func testConfig(obj Objective) Config {
 // A working set that fits beside a much larger one: the utility objective
 // must shift capacity toward the partition that can use it.
 func TestAllocatorFavorsLargeWorkingSet(t *testing.T) {
-	a := New(testConfig(MaxHits{}))
+	a := newDriven(testConfig(MaxHits{}))
 	rng := xrand.New(7)
 	feed(a, rng, []int{3000, 200}, 6*16384)
 
@@ -54,7 +71,7 @@ func TestAllocatorFavorsLargeWorkingSet(t *testing.T) {
 func TestAllocatorConvergesOnStaticWorkload(t *testing.T) {
 	cfg := testConfig(&PhaseAdaptive{})
 	cfg.EpochAccesses = 4 * 16384
-	a := New(cfg)
+	a := newDriven(cfg)
 	rng := xrand.New(11)
 	feed(a, rng, []int{2000, 400}, 10*cfg.EpochAccesses)
 
@@ -75,7 +92,7 @@ func TestAllocatorConvergesOnStaticWorkload(t *testing.T) {
 // Phase flip ⇒ targets move within a bounded number of epochs, and the
 // decision log records the drift.
 func TestAllocatorReallocatesOnPhaseFlip(t *testing.T) {
-	a := New(testConfig(&PhaseAdaptive{}))
+	a := newDriven(testConfig(&PhaseAdaptive{}))
 	rng := xrand.New(13)
 
 	feed(a, rng, []int{3000, 200}, 6*16384)
@@ -113,7 +130,7 @@ func TestAllocatorReallocatesOnPhaseFlip(t *testing.T) {
 // Equal seeds and access sequences produce bit-identical decision logs.
 func TestAllocatorDeterministic(t *testing.T) {
 	run := func() []Decision {
-		a := New(testConfig(MaxHits{}))
+		a := newDriven(testConfig(MaxHits{}))
 		rng := xrand.New(99)
 		feed(a, rng, []int{1500, 700}, 5*16384)
 		log, _ := a.Log()
@@ -133,22 +150,35 @@ func TestAllocatorDeterministic(t *testing.T) {
 	}
 }
 
-// PollTargets fires once per change and returns copies.
+// Observe alone never closes an epoch; a poll closes one only once the
+// reported count reaches the epoch's end, and reports the change it made
+// once, as a copy.
 func TestAllocatorPollTargets(t *testing.T) {
-	a := New(testConfig(MaxHits{}))
-	if tg, ok := a.PollTargets(); ok {
-		t.Fatalf("no epoch closed yet, PollTargets should be quiet, got %v", tg)
-	}
+	cfg := testConfig(MaxHits{})
+	a := New(cfg)
 	rng := xrand.New(3)
-	feed(a, rng, []int{3000, 100}, 2*16384)
-
-	tg, ok := a.PollTargets()
-	if !ok {
-		t.Fatalf("targets changed but PollTargets reported nothing")
+	ws := []int{3000, 100}
+	end := uint64(cfg.EpochAccesses)
+	for i := 0; i < 10*cfg.EpochAccesses; i++ {
+		p := i % len(ws)
+		a.Observe(p, uint64(p)<<40|rng.Uint64()%uint64(ws[p]))
+	}
+	if a.Epoch() != 0 {
+		t.Fatalf("%d Observes closed %d epochs; only a poll may", 10*cfg.EpochAccesses, a.Epoch())
+	}
+	if tg, ok := a.PollTargets(end - 1); ok || a.Epoch() != 0 {
+		t.Fatalf("a poll one access short of the epoch's end closed %d epochs, reported %v", a.Epoch(), tg)
+	}
+	tg, ok := a.PollTargets(end)
+	if !ok || a.Epoch() != 1 {
+		t.Fatalf("the poll at the epoch's end closed %d epochs, reported %v, want one change", a.Epoch(), ok)
+	}
+	if log, _ := a.Log(); log[0].Access != end {
+		t.Fatalf("epoch closed at access %d, want the polled %d", log[0].Access, end)
 	}
 	tg[0] = -1 // mutate the copy
-	if again, ok := a.PollTargets(); ok {
-		t.Fatalf("second poll without a change should be quiet, got %v", again)
+	if again, ok := a.PollTargets(end); ok || a.Epoch() != 1 {
+		t.Fatalf("a second poll at the same count closed %d epochs, reported %v", a.Epoch(), again)
 	}
 	if a.Targets()[0] == -1 {
 		t.Fatalf("PollTargets leaked internal state")
@@ -173,10 +203,10 @@ func TestAllocatorInitialTargets(t *testing.T) {
 // Dead partitions keep zero targets; a partition with no sampled traffic is
 // dead.
 func TestAllocatorDeadPartitionGetsZero(t *testing.T) {
-	a := New(testConfig(MaxHits{}))
+	a := newDriven(testConfig(MaxHits{}))
 	rng := xrand.New(5)
 	for i := 0; i < 3*16384; i++ {
-		a.Observe(0, rng.Uint64()%1000) // only partition 0 ever accesses
+		a.access(0, rng.Uint64()%1000) // only partition 0 ever accesses
 	}
 	tg := a.Targets()
 	if tg[1] != 0 {
@@ -189,7 +219,7 @@ func TestAllocatorDeadPartitionGetsZero(t *testing.T) {
 
 // Flush closes an epoch regardless of the access count.
 func TestAllocatorFlush(t *testing.T) {
-	a := New(testConfig(MaxHits{}))
+	a := newDriven(testConfig(MaxHits{}))
 	rng := xrand.New(17)
 	feed(a, rng, []int{500, 500}, 100)
 	if a.Epoch() != 0 {
@@ -207,7 +237,7 @@ func TestAllocatorFlush(t *testing.T) {
 
 // The decision log drops oldest entries beyond logCap and reports the count.
 func TestAllocatorLogCap(t *testing.T) {
-	a := New(testConfig(MaxHits{}))
+	a := newDriven(testConfig(MaxHits{}))
 	rng := xrand.New(23)
 	const epochs = logCap + 44
 	for i := 0; i < epochs; i++ {

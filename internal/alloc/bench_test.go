@@ -23,6 +23,27 @@ var allocFreeOps = []struct {
 	// One reference offered to a 1/8-sampling profiler over 65536 lines: the
 	// sampling hash always, the observation one time in eight.
 	{"ProfilerTouchSampled", profilerTouch(3)},
+	// One Allocator.Observe on an allocator whose epochs are one access
+	// long, so that every measured call passes an epoch end: the sampling
+	// hash always, a profiler touch under the mutex one time in eight, and
+	// never an epoch close, which only a poll makes.
+	{"AllocatorObserve", func(testing.TB) func(int) {
+		const lines = 1 << 14
+		a := New(Config{Parts: 2, Lines: lines, EpochAccesses: 1, Seed: benchSeed})
+		rng := xrand.New(benchSeed ^ 0x0b5e)
+		next := func() (int, uint64) {
+			p := rng.Intn(2)
+			return p, uint64(p)<<40 | rng.Uint64()%(2*lines)
+		}
+		for range 16 * lines {
+			a.Observe(next())
+		}
+		return func(n int) {
+			for range n {
+				a.Observe(next())
+			}
+		}
+	}},
 }
 
 // profilerTouch returns a setup for Touch on a profiler of 4096 tags at the

@@ -113,6 +113,7 @@ func TestObservePanicLeavesAllocatorUsable(t *testing.T) {
 		a.mu.Unlock()
 	}
 	a.Observe(1, sampled)
+	a.PollTargets(1)
 	a.Flush()
 	if log, _ := a.Log(); len(log) != 1 || log[0].Access != 1 || log[0].Targets[0] != 0 {
 		t.Fatalf("after the panics the one access, by partition 1, should be all the allocator saw: %+v", log)

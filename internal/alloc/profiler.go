@@ -14,8 +14,7 @@
 // Everything in the package is deterministic: equal seeds and equal access
 // sequences produce bit-identical curves, decisions and logs. Concurrency
 // safety (for the serving/load paths) comes from one mutex around the
-// sampled slow path; the per-access fast path is one atomic add and one
-// hash.
+// sampled slow path; the per-access fast path is one hash.
 package alloc
 
 import (

@@ -35,12 +35,15 @@ func TestAllocatorDepthCannotChangeADecision(t *testing.T) {
 			}
 			stream := comp.NewStream(ld.Spec.Cache.Lines)
 			var op scenario.Op
+			var n uint64
 			for stream.Next(&op) {
 				if op.Kind == scenario.OpChurn {
 					continue
 				}
+				n++
 				for _, a := range allocs {
 					a.Observe(op.Part, op.Access.Addr)
+					a.PollTargets(n)
 				}
 			}
 			logAsBuilt, _ := allocs[0].Log()

@@ -19,9 +19,12 @@ type PartSnapshot struct {
 	// moment of the snapshot.
 	Size   int
 	Target int
-	// OccupancySum accumulates the partition's size sampled at every access;
-	// OccupancySum/Accesses is the time-averaged occupancy.
+	// OccupancySum accumulates the partition's size sampled at every access.
 	OccupancySum uint64
+	// MeanOccupancy is the time-averaged size in lines, OccupancySum/Accesses
+	// for one cache; Merge adds it, so over one cache's stripes it is the
+	// cache-wide mean.
+	MeanOccupancy float64
 	// EvictFutility is a deep copy of the partition's associativity
 	// distribution; its Mean() is the AEF.
 	EvictFutility *stats.Histogram
@@ -72,23 +75,16 @@ func (c *Cache) StatsSnapshot() Snapshot {
 			Size:          c.sizes[p],
 			Target:        c.targets[p],
 			OccupancySum:  ps.occupancySum,
+			MeanOccupancy: c.MeanOccupancy(p),
 			EvictFutility: ps.EvictFutility.Clone(),
 		}
 	}
 	return s
 }
 
-// MeanOccupancy returns the partition's time-averaged size in lines over
-// the snapshot's accesses.
-func (s *Snapshot) MeanOccupancy(part int) float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Parts[part].OccupancySum) / float64(s.Accesses)
-}
-
-// Merge folds other into s: counters add, sizes and targets add (the merged
-// snapshot describes the union of the two caches), and histograms merge.
+// Merge folds other into s: counters add, sizes, targets and mean
+// occupancies add (the merged snapshot describes the union of the two
+// caches), and histograms merge.
 // Partition counts and histogram widths must match.
 func (s *Snapshot) Merge(other Snapshot) {
 	if len(s.Parts) != len(other.Parts) {
@@ -106,6 +102,7 @@ func (s *Snapshot) Merge(other Snapshot) {
 		a.Size += b.Size
 		a.Target += b.Target
 		a.OccupancySum += b.OccupancySum
+		a.MeanOccupancy += b.MeanOccupancy
 		a.EvictFutility.Merge(b.EvictFutility)
 	}
 }

@@ -29,7 +29,7 @@ func TestStatsSnapshotIsDeepCopy(t *testing.T) {
 		if ps.AEF() != st.AEF() {
 			t.Fatalf("part %d: AEF %v != %v", p, ps.AEF(), st.AEF())
 		}
-		if snap.MeanOccupancy(p) != c.MeanOccupancy(p) {
+		if ps.MeanOccupancy != c.MeanOccupancy(p) {
 			t.Fatalf("part %d: mean occupancy mismatch", p)
 		}
 	}
@@ -57,6 +57,7 @@ func TestSnapshotMerge(t *testing.T) {
 	wantAcc := a.Accesses + b.Accesses
 	wantMiss := a.Parts[0].Misses + b.Parts[0].Misses
 	wantN := a.Parts[1].EvictFutility.N() + b.Parts[1].EvictFutility.N()
+	wantOcc := a.Parts[0].MeanOccupancy + b.Parts[0].MeanOccupancy
 	a.Merge(b)
 	if a.Accesses != wantAcc {
 		t.Fatalf("merged accesses = %d, want %d", a.Accesses, wantAcc)
@@ -66,6 +67,9 @@ func TestSnapshotMerge(t *testing.T) {
 	}
 	if a.Parts[1].EvictFutility.N() != wantN {
 		t.Fatalf("merged histogram N = %d, want %d", a.Parts[1].EvictFutility.N(), wantN)
+	}
+	if a.Parts[0].MeanOccupancy != wantOcc || wantOcc == 0 {
+		t.Fatalf("merged mean occupancy = %v, want the sum %v", a.Parts[0].MeanOccupancy, wantOcc)
 	}
 
 	defer func() {

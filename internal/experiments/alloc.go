@@ -89,20 +89,35 @@ func RunScenarioAlloc(spec *scenario.Spec, dir, objective string) (*AllocResult,
 		if d.Drift {
 			res.DriftEpochs++
 		}
-		sum := 0
-		for _, t := range d.Targets {
-			sum += t
-		}
-		if sum > spec.Cache.Lines {
-			return nil, fmt.Errorf("scenario %s: epoch %d allocated %d lines of %d",
-				spec.Name, d.Epoch, sum, spec.Cache.Lines)
-		}
+	}
+	if err := checkDecisions(log, spec.Cache.Lines, cfg.MinLines); err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
 	if res.Alloc.MissRatio > res.Static.MissRatio+AllocGateMargin {
 		return nil, fmt.Errorf("scenario %s: %s allocator miss ratio %.4f diverged above static %.4f (margin %.3f)",
 			spec.Name, objective, res.Alloc.MissRatio, res.Static.MissRatio, AllocGateMargin)
 	}
 	return res, nil
+}
+
+// checkDecisions fails the first logged decision that breaks the line
+// budget or a per-partition floor: every target must be 0 (a dead
+// partition) or at least minLines, and the targets may sum to at most lines.
+func checkDecisions(log []alloc.Decision, lines, minLines int) error {
+	for _, d := range log {
+		sum := 0
+		for p, t := range d.Targets {
+			if t != 0 && t < minLines {
+				return fmt.Errorf("epoch %d gave partition %d %d lines, below the floor of %d",
+					d.Epoch, p, t, minLines)
+			}
+			sum += t
+		}
+		if sum > lines {
+			return fmt.Errorf("epoch %d allocated %d lines of %d", d.Epoch, sum, lines)
+		}
+	}
+	return nil
 }
 
 // Print implements Printable.

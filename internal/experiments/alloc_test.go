@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"fscache/internal/alloc"
 	"fscache/internal/scenario"
 )
 
@@ -70,13 +71,30 @@ func TestAllocObjectivesClearGates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", obj, err)
 		}
-		for _, d := range res.Decisions {
-			for p, tg := range d.Targets {
-				if tg != 0 && tg < res.MinLines {
-					t.Fatalf("%s: epoch %d partition %d target %d below floor %d",
-						obj, d.Epoch, p, tg, res.MinLines)
-				}
-			}
+		if res.Epochs == 0 {
+			t.Fatalf("%s: no epoch closed, so no decision was gated", obj)
+		}
+	}
+}
+
+// The gate RunScenarioAlloc applies to the decision log fails a target
+// below the floor and a budget overrun, and passes dead partitions.
+func TestCheckDecisions(t *testing.T) {
+	const lines, floor = 1024, 64
+	for _, c := range []struct {
+		name    string
+		targets []int
+		ok      bool
+	}{
+		{"within", []int{512, 448, 64}, true},
+		{"dead", []int{960, 0, 64}, true},
+		{"below floor", []int{960, 63, 1}, false},
+		{"negative", []int{1024, -64, 64}, false},
+		{"over budget", []int{512, 448, 128}, false},
+	} {
+		log := []alloc.Decision{{Epoch: 1, Targets: []int{512, 256, 256}}, {Epoch: 2, Targets: c.targets}}
+		if err := checkDecisions(log, lines, floor); (err == nil) != c.ok {
+			t.Errorf("%s %v: err %v, want ok=%v", c.name, c.targets, err, c.ok)
 		}
 	}
 }

@@ -270,9 +270,10 @@ func buildScenarioCache(spec *scenario.Spec, scheme SchemeName, parts int) *Buil
 // runScenarioScheme streams the scenario into one built cache. With a nil
 // allocator the spec's shares set the targets and churn events reset them.
 // Otherwise the allocator is the sole target authority: every access is
-// observed, fresh epoch targets are installed as soon as they appear, and
-// churn is ignored — the allocator notices dead tenants through decayed
-// sample counts and reallocates their capacity itself.
+// observed and polled with the loop's running count, fresh epoch targets
+// are installed as soon as they appear, and churn is ignored — the
+// allocator notices dead tenants through decayed sample counts and
+// reallocates their capacity itself.
 func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, obs *reranker, a *alloc.Allocator) (ScenarioRow, int) {
 	parts := comp.Parts()
 	var targets []int
@@ -311,14 +312,14 @@ func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, o
 			}
 		}
 		b.Cache.Access(op.Access.Addr, op.Part, trace.NoNextUse)
+		emitted++
 		if a != nil {
 			a.Observe(op.Part, op.Access.Addr)
-			if tg, ok := a.PollTargets(); ok {
+			if tg, ok := a.PollTargets(uint64(emitted)); ok {
 				targets = tg
 				b.SetTargets(targets)
 			}
 		}
-		emitted++
 		if emitted > warmAt && emitted%64 == 0 {
 			occSum += occErr(b.Cache.Sizes(), targets)
 			occN++

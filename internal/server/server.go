@@ -42,8 +42,9 @@ type Config struct {
 	Rebalance time.Duration
 	// Alloc, when non-nil, is the online allocator: every access the engine
 	// performs on behalf of a request is Observed into it, and each
-	// rebalancer tick polls it for epoch targets (so it needs Rebalance > 0
-	// to steer the engine).
+	// rebalancer tick polls it with the engine's access count. Its epochs
+	// close only on those ticks, so it needs Rebalance > 0 to close any and
+	// to steer the engine.
 	Alloc *alloc.Allocator
 	// Logf, when non-nil, receives operational log lines (accepts,
 	// panics, drains). The server never logs on the request path.
@@ -528,13 +529,11 @@ type StatsSnapshot struct {
 }
 
 // Stats assembles a consistent-enough snapshot: counters are atomics, the
-// engine snapshot is taken shard by shard, and live connections'
-// histograms are cloned under their own locks and merged outside the hot
-// path.
+// engine is read once, as one snapshot merged stripe by stripe, and live
+// connections' histograms are cloned under their own locks and merged
+// outside the hot path.
 func (s *Server) Stats() StatsSnapshot {
 	snap := s.engine.Snapshot()
-	targets := s.engine.Targets()
-	sizes := s.engine.PartSizes(nil)
 	entries, bytes := s.store.Stats()
 
 	hist := stats.NewHistogram(latBuckets)
@@ -573,12 +572,13 @@ func (s *Server) Stats() StatsSnapshot {
 		},
 	}
 	for i, t := range s.adm.tenants {
+		ps := &snap.Parts[i]
 		out.Tenants[i] = TenantStats{
 			Class:         t.cfg.Class.String(),
-			Target:        targets[i],
-			Size:          sizes[i],
-			MeanOccupancy: s.engine.MeanOccupancy(i),
-			MissRate:      snap.Parts[i].MissRate(),
+			Target:        ps.Target,
+			Size:          ps.Size,
+			MeanOccupancy: ps.MeanOccupancy,
+			MissRate:      ps.MissRate(),
 			Admitted:      t.admitted.Load(),
 			Shed:          t.shed.Load(),
 			StaleServes:   t.staleServe.Load(),

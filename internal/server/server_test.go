@@ -228,11 +228,12 @@ func TestEvictionKeepsStoreInSync(t *testing.T) {
 }
 
 // TestAllocatorFeed serves cache-aside traffic — GETs, and a SET after
-// each miss — with an online allocator. Every engine access a request makes
-// is Observed, so with one client the allocator has closed exactly
-// accesses/EpochAccesses epochs; and tenant 0 cycles a working set while
-// tenant 1 never reuses a key, so an epoch moves lines to tenant 0 and the
-// rebalancer installs them.
+// each miss — with an online allocator. Its epochs close on rebalancer
+// ticks, at the engine's access count as the previous pass summed it, so
+// with one client at least one epoch and at most accesses/EpochAccesses
+// have closed, epoch k no earlier than k·EpochAccesses accesses; and tenant
+// 0 cycles a working set while tenant 1 never reuses a key, so an epoch
+// moves lines to tenant 0 and the rebalancer installs them.
 func TestAllocatorFeed(t *testing.T) {
 	const epoch = 1024
 	cfg := testConfig()
@@ -260,12 +261,8 @@ func TestAllocatorFeed(t *testing.T) {
 		}
 		sets++
 	}
-	snap := s.Stats()
-	if hits := snap.Tenants[0].Hits; hits == 0 || sets == 0 {
+	if hits := s.Stats().Tenants[0].Hits; hits == 0 || sets == 0 {
 		t.Fatalf("traffic took one path only: %d GET hits, %d SETs", hits, sets)
-	}
-	if got, want := cfg.Alloc.Epoch(), int(snap.Accesses/epoch); got != want || got == 0 {
-		t.Fatalf("allocator closed %d epochs over %d engine accesses, want %d", got, snap.Accesses, want)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Stats().TargetInstalls == 0 {
@@ -273,6 +270,17 @@ func TestAllocatorFeed(t *testing.T) {
 			t.Fatalf("no epoch targets installed; allocator targets %v", cfg.Alloc.Targets())
 		}
 		time.Sleep(time.Millisecond)
+	}
+	accesses := s.Stats().Accesses // no request runs now, so the count stands
+	log, _ := cfg.Alloc.Log()
+	if got := cfg.Alloc.Epoch(); got < 1 || got > int(accesses/epoch) || got != len(log) {
+		t.Fatalf("allocator closed %d epochs (%d logged) over %d engine accesses, want 1 to %d",
+			got, len(log), accesses, accesses/epoch)
+	}
+	for k, d := range log {
+		if lo := uint64(k+1) * epoch; d.Access < lo || d.Access > accesses {
+			t.Fatalf("epoch %d closed at access %d, want %d to %d", d.Epoch, d.Access, lo, accesses)
+		}
 	}
 	if tg := s.Engine().Targets(); tg[0] <= tg[1] {
 		t.Fatalf("installed targets %v: the reused tenant should hold more", tg)

@@ -207,21 +207,28 @@ func observeAllocator() (*alloc.Allocator, [][]Access) {
 	return a, pools
 }
 
-// BenchmarkObserveParallel measures alloc.Allocator.Observe from every
-// goroutine, each feeding its own Zipf pool: what an access of a shared
-// engine pays for the online allocator beside it. The atomic count and the
-// hash always; the mutex and a profiler touch one time in eight; epoch closes
-// amortised in.
-func BenchmarkObserveParallel(b *testing.B) {
-	a, pools := observeAllocator()
+// BenchmarkParallelMixedAlloc is ParallelMixed with the online allocator
+// beside the engine, as bench's engine-shared-mixed workload runs it: per op
+// an Engine.Access, then an alloc.Allocator.Observe of the same access. Its
+// excess over ParallelMixed is what a shared engine pays for the allocator:
+// the sampling hash always, the allocator's mutex and a profiler touch one
+// time in eight. Epochs close on rebalancer ticks, and none runs here.
+func BenchmarkParallelMixedAlloc(b *testing.B) {
+	e := stripedEngine()
+	pools := warmMixed(e)
+	a, _ := observeAllocator()
 	var ctr atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		pool := pools[int(ctr.Add(1)-1)%len(pools)]
-		for i := 0; pb.Next(); i++ {
+		g := int(ctr.Add(1) - 1)
+		pool := pools[g%len(pools)]
+		i := int(xrand.Mix64(uint64(g+1))) & (poolSize - 1)
+		for pb.Next() {
 			acc := pool[i&(poolSize-1)]
+			e.Access(acc.Addr, acc.Part)
 			a.Observe(acc.Part, acc.Addr)
+			i++
 		}
 	})
 }
@@ -298,9 +305,7 @@ var allocFreeOps = []struct {
 			}
 		}
 	}},
-	// One alloc.Allocator.Observe on ObserveParallel's allocator. The test's
-	// calls stay inside its first epoch of 8 × 16384 accesses: an epoch close
-	// builds curves, which allocates, and the benchmark amortises closes in.
+	// One alloc.Allocator.Observe on ParallelMixedAlloc's allocator.
 	{"Observe", func(testing.TB) func(int) {
 		a, pools := observeAllocator()
 		pool, k := pools[0], 0

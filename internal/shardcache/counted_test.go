@@ -10,7 +10,8 @@ import (
 
 // TestCounted pins the stripe locks each access path takes, counted by the
 // fscount build: one per Access and per Locked handle, and one per stripe a
-// batch touches, however many of its requests share it.
+// batch touches, however many of its requests share it. A Snapshot or a
+// PartSizes reads every stripe once.
 //
 //	go test -tags fscount -run Counted ./internal/shardcache
 func TestCounted(t *testing.T) {
@@ -40,6 +41,8 @@ func TestCounted(t *testing.T) {
 		{"BatchAccess", touched(pool[:16]), func() { b.Access(pool[:16], results) }},
 		{"BatchEach", touched(pool[16:48]), func() { b.Each(pool[16:48], func(Locked, []int32) {}) }},
 		{"BatchOneStripe", 1, func() { b.Access([]Access{pool[2], pool[2], pool[2]}, results) }},
+		{"Snapshot", len(e.stripes), func() { e.Snapshot() }},
+		{"PartSizes", len(e.stripes), func() { e.PartSizes(nil) }},
 	} {
 		before := StripeLocks()
 		row.op()

@@ -389,20 +389,26 @@ func (e *Engine) Targets() []int {
 // Added raw it swamped occupancy as passes got longer: per-stripe targets
 // chased each pass's insertion split and cache-wide sizes fell behind their
 // targets (DESIGN.md §12).
-func (e *Engine) Rebalance() {
+func (e *Engine) Rebalance() { e.rebalance() }
+
+// rebalance is Rebalance, returning the engine's access count as its collect
+// loop summed it.
+func (e *Engine) rebalance() (accesses uint64) {
 	e.rmu.Lock()
 	defer e.rmu.Unlock()
 	e.tmu.Lock()
 	copy(e.goalScratch, e.targets)
 	e.tmu.Unlock()
 	// Collect: per stripe, one bounded critical section that exchanges the
-	// demand buffer for a zeroed spare and copies the current sizes.
+	// demand buffer for a zeroed spare, copies the current sizes and reads
+	// the access count (never reset by the engine, so the sum never falls).
 	for g, st := range e.stripes {
 		buf := e.spare[g]
 		sizes := e.sizeScratch[g]
 		st.mu.Lock()
 		st.demand, buf = buf, st.demand
 		copy(sizes, st.cache.Sizes())
+		accesses += st.cache.Accesses()
 		st.mu.Unlock()
 		e.spare[g] = buf
 	}
@@ -431,6 +437,7 @@ func (e *Engine) Rebalance() {
 		}
 	}
 	e.applyTargets()
+	return accesses
 }
 
 // demandShare is the weight of a pass's insertion split relative to current
@@ -473,21 +480,19 @@ func (e *Engine) applyTargets() {
 
 // Snapshot returns the cache-wide measurement state: every stripe's
 // StatsSnapshot (taken one stripe lock at a time, in stripe index order)
-// merged into one core.Snapshot. Counters, histograms and Size/Target
-// columns add into cache-wide totals, except that on a coarse-ranked engine
-// only the measured stripes (measureEvery) fill EvictFutility: the merged AEF
-// is the mean over their evictions, Evictions counts every stripe's. It holds
-// rmu, so no distribution pass is half applied underneath it and every Target
-// column is the cache-wide target in force. Note that the merged
-// Snapshot.MeanOccupancy is a per-access average over stripe-local samples
-// (each stripe only samples its own slice), so it reports the loaded-stripe
-// average, not the cache-wide resident total; use Engine.MeanOccupancy for
-// the cache-wide per-partition occupancy.
+// merged into one core.Snapshot. Counters, histograms and the Size, Target
+// and MeanOccupancy columns add into cache-wide totals, except that on a
+// coarse-ranked engine only the measured stripes (measureEvery) fill
+// EvictFutility: the merged AEF is the mean over their evictions, Evictions
+// counts every stripe's. It holds rmu, so no distribution pass is half
+// applied underneath it and every Target column is the cache-wide target in
+// force.
 func (e *Engine) Snapshot() core.Snapshot {
 	e.rmu.Lock()
 	defer e.rmu.Unlock()
 	var merged core.Snapshot
 	for g, st := range e.stripes {
+		countLock()
 		st.mu.Lock()
 		snap := st.cache.StatsSnapshot()
 		st.mu.Unlock()
@@ -500,25 +505,10 @@ func (e *Engine) Snapshot() core.Snapshot {
 	return merged
 }
 
-// MeanOccupancy returns the cache-wide time-averaged resident line count of
-// a partition: the sum over stripes of each stripe's mean occupancy (each
-// sampled at that stripe's own accesses). Comparable to the monolithic
-// core.Cache.MeanOccupancy.
-func (e *Engine) MeanOccupancy(part int) float64 {
-	total := 0.0
-	for _, st := range e.stripes {
-		st.mu.Lock()
-		snap := st.cache.StatsSnapshot()
-		st.mu.Unlock()
-		total += snap.MeanOccupancy(part)
-	}
-	return total
-}
-
 // PartSizes sums each partition's current decision size across stripes into
 // dst (allocated when nil or too short) and returns it. Unlike Snapshot it
-// copies no histograms, so serving layers can poll it on a stats path
-// without deep-copying every stripe's measurement state.
+// copies no histograms, so an occupancy sampler can poll it often without
+// deep-copying every stripe's measurement state.
 func (e *Engine) PartSizes(dst []int) []int {
 	if len(dst) < e.cfg.Parts {
 		dst = make([]int, e.cfg.Parts)
@@ -528,6 +518,7 @@ func (e *Engine) PartSizes(dst []int) []int {
 		dst[i] = 0
 	}
 	for _, st := range e.stripes {
+		countLock()
 		st.mu.Lock()
 		sizes := st.cache.Sizes()
 		for p, n := range sizes {

@@ -101,7 +101,7 @@ func runShardedVsMonolithic(t *testing.T, cfg Config) {
 		t.Fatalf("access counts differ: sharded %d, monolithic %d", snap.Accesses, ms.Accesses)
 	}
 	for p := 0; p < cfg.Parts; p++ {
-		so, mo := e.MeanOccupancy(p), ms.MeanOccupancy(p)
+		so, mo := snap.Parts[p].MeanOccupancy, ms.Parts[p].MeanOccupancy
 		occTol := 0.06 * float64(cfg.Lines)
 		if d := math.Abs(so - mo); d > occTol {
 			t.Errorf("part %d occupancy: sharded %.1f vs monolithic %.1f (|Δ|=%.1f > %.1f)",

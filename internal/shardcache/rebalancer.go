@@ -30,21 +30,22 @@ type Rebalancer struct {
 }
 
 // TargetSource supplies externally computed global targets to a rebalancer.
-// PollTargets returns (targets, true) when a new per-partition line vector
-// should be installed and (nil, false) when the current one stands. The
-// online allocator (internal/alloc) satisfies this: its epoch loop
-// recomputes targets from live miss-ratio curves and the rebalancer tick
-// picks them up here — closing the measurement→targets loop for the sharded
-// engine.
+// PollTargets, given the engine's cumulative access count, returns (targets,
+// true) when a new per-partition line vector should be installed and (nil,
+// false) when the current one stands. The online allocator (internal/alloc)
+// satisfies this: the count closes its epochs, which recompute targets from
+// live miss-ratio curves — closing the measurement→targets loop for the
+// sharded engine.
 type TargetSource interface {
-	PollTargets() ([]int, bool)
+	PollTargets(accesses uint64) ([]int, bool)
 }
 
 // StartRebalancerSource launches a background goroutine that calls
 // e.Rebalance every interval until Stop; interval must be positive. With a
 // non-nil src each tick first installs freshly polled targets (if any), then
 // runs the demand-weighted redistribution pass on whatever targets are in
-// force.
+// force. It polls with the access count the previous pass summed, so a
+// source's epoch closes at most one tick late.
 func (e *Engine) StartRebalancerSource(interval time.Duration, src TargetSource) *Rebalancer {
 	if interval <= 0 {
 		panic("shardcache: Rebalancer interval must be positive")
@@ -65,18 +66,19 @@ func (r *Rebalancer) loop() {
 	defer close(r.done)
 	t := time.NewTicker(r.interval)
 	defer t.Stop()
+	var accesses uint64
 	for {
 		select {
 		case <-r.stop:
 			return
 		case <-t.C:
 			if r.src != nil {
-				if tg, ok := r.src.PollTargets(); ok {
+				if tg, ok := r.src.PollTargets(accesses); ok {
 					r.e.SetTargets(tg)
 					r.installs.Add(1)
 				}
 			}
-			r.e.Rebalance()
+			accesses = r.e.rebalance()
 			r.passes.Add(1)
 		}
 	}

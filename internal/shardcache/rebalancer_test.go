@@ -14,7 +14,7 @@ type stubSource struct {
 	polled  bool
 }
 
-func (s *stubSource) PollTargets() ([]int, bool) {
+func (s *stubSource) PollTargets(uint64) ([]int, bool) {
 	if s.polled {
 		return nil, false
 	}
