@@ -51,9 +51,9 @@ import (
 // sample). Construction allocates per tag 8 B of addr, 4 B of slot, 8 B of
 // hist and 8–16 B of table. The recency index's slots, a little over 4 B
 // each, start at 64 and grow through relayouts with the tags in use until
-// the profiler is full, where it holds 1.5–2 a tag (its last resize saw more
-// than ¾ of them in use); past one page each of its arrays grows in whole
-// pages. The tags are the maxTags most recent sampled lines whatever maxTags
+// the profiler is full, where it holds 1.25–1.5 a tag (its last resize saw
+// more than 5/6 of them in use); past one page each of its arrays grows in
+// whole pages. The tags are the maxTags most recent sampled lines whatever maxTags
 // is, so hist[:d] is the same at every maxTags ≥ d: a reader that stops at
 // distance d needs no deeper profiler (the Allocator's depth rule, see New).
 //

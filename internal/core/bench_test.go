@@ -94,6 +94,38 @@ func missOp(array func() cachearray.Array, kind futility.Kind, measured, observe
 	}
 }
 
+// demoteOp returns a setup for the miss path under demotions:
+// demoteScheme moves every partition-0 candidate but the victim into
+// partition 2, so a miss decodes demoted ids and demotes more. The warm-up
+// inserts 8× the capacity, long enough for every population to settle.
+func demoteOp(tb testing.TB) func(int) {
+	c := New(Config{
+		Array:  setAssoc16(),
+		Ranker: futility.NewExactLRU(benchLines, 3),
+		Scheme: &demoteScheme{to: 2},
+		Parts:  3,
+	})
+	c.SetTargets([]int{benchLines / 2, benchLines / 2, 0})
+	last := uint64(0)
+	for last < 8*benchLines {
+		last++
+		c.Access(last, int(last)&1, trace.NoNextUse)
+	}
+	if c.Stats(0).Demotions == 0 {
+		tb.Fatal("warm-up demoted nothing")
+	}
+	return func(n int) {
+		addr := last
+		for range n {
+			addr++
+			if c.Access(addr, int(addr)&1, trace.NoNextUse).Hit {
+				tb.Fatal("expected steady-state miss")
+			}
+		}
+		last = addr
+	}
+}
+
 // allocFreeOps are this package's measured operations on the //fs:allocfree
 // path (DESIGN.md §10). Each setup warms its structure and returns op, where
 // op(n) performs the next n operations in an inline loop. BenchmarkAllocFree
@@ -117,6 +149,8 @@ var allocFreeOps = []struct {
 	// Coarse timestamps unmeasured, as three engine stripes in four run.
 	{"AccessHitCoarseNoRef", hitOp(futility.CoarseLRU, false)},
 	{"AccessMissCoarseNoRef", missOp(setAssoc16, futility.CoarseLRU, false, false)},
+	// Demotions into the cache's one demotion target.
+	{"AccessMissDemoting", demoteOp},
 }
 
 func BenchmarkAllocFree(b *testing.B) {

@@ -74,17 +74,42 @@ func (p *PartStats) MissRate() float64 {
 	return float64(p.Misses) / float64(t)
 }
 
-// lineMeta is the paper's per-line partition id, 4 bytes a line: part is the
-// partition the line counts against for sizing decisions, owner the partition
-// whose application inserted it. They differ only after a demotion (Vantage):
-// the demoted line belongs to the unmanaged pseudo-partition for sizing but
-// its eviction futility is still measured within its owner's working set.
-type lineMeta struct {
-	part, owner int16
+// A line's partition id is one int16 (Cache.meta). A resident line has two
+// partitions: its owner, whose application inserted it, and the partition it
+// counts against for sizing decisions. They differ only after a demotion
+// (Vantage): the demoted line belongs to the unmanaged pseudo-partition for
+// sizing but its eviction futility is still measured within its owner's
+// working set. A cache demotes into one partition only (Cache.demoteTo), so
+// the id says which of the two cases holds:
+//
+//	id ≥ 0     resident in partition id, its owner
+//	id = −1    free (noLine)
+//	id ≤ −2    owner −2−id, demoted into demoteTo
+const noLine = -1
+
+// demotedID is the id of a line of partition owner demoted into demoteTo.
+func demotedID(owner int) int16 { return int16(-2 - owner) }
+
+// ownerOf returns the partition that inserted line, or −1 for a free line.
+//
+//fs:allocfree
+func (c *Cache) ownerOf(line int) int {
+	id := int(c.meta[line])
+	if id < 0 {
+		return -2 - id // −1 for noLine
+	}
+	return id
 }
 
-// noLine is the metadata of a line that holds nothing.
-var noLine = lineMeta{part: -1, owner: -1}
+// partOf returns the partition line counts against, or −1 for a free line.
+//
+//fs:allocfree
+func (c *Cache) partOf(line int) int {
+	if id := int(c.meta[line]); id >= noLine {
+		return id
+	}
+	return c.demoteTo
+}
 
 // Cache is the partitioned-cache controller: the paper's three-component
 // cache model wired together.
@@ -103,7 +128,11 @@ type Cache struct {
 	parts    int
 	devTrack bool
 
-	meta []lineMeta // indexed by line; noLine for an invalid line
+	meta []int16 // per-line partition id, indexed by line; noLine for an invalid line
+	// demoteTo is the partition every demoted line counts against: the first
+	// demotion's target (a later one to any other partition panics), −1
+	// before any.
+	demoteTo int
 
 	sizes   []int // decision sizes, indexed by partition
 	owned   []int // owner sizes (reference-ranker populations)
@@ -172,6 +201,7 @@ func New(cfg Config) *Cache {
 		panic("core: Parts must be positive")
 	}
 	if cfg.Parts > math.MaxInt16 {
+		// Owner Parts−1 demoted is id −1−Parts, which must fit an int16.
 		panic("core: Parts exceeds the 16-bit per-line partition id")
 	}
 	ranker, ok := cfg.Ranker.(futility.FastRanker)
@@ -185,7 +215,8 @@ func New(cfg Config) *Cache {
 		scheme:   cfg.Scheme,
 		parts:    cfg.Parts,
 		devTrack: cfg.TrackDeviation,
-		meta:     make([]lineMeta, cfg.Array.Lines()),
+		meta:     make([]int16, cfg.Array.Lines()),
+		demoteTo: -1,
 		sizes:    make([]int, cfg.Parts),
 		owned:    make([]int, cfg.Parts),
 		targets:  make([]int, cfg.Parts),
@@ -261,7 +292,7 @@ func (c *Cache) Accesses() uint64 { return c.accesses }
 // Resident reports whether the array line holds an address. The per-line
 // partition id is the pipeline's one record of residency: the rankers keep
 // none and are told only about lines the cache holds.
-func (c *Cache) Resident(line int) bool { return c.meta[line].part >= 0 }
+func (c *Cache) Resident(line int) bool { return c.meta[line] != noLine }
 
 // MeanOccupancy returns the partition's time-averaged size in lines,
 // sampled at every access.
@@ -376,18 +407,22 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 	ctx := futility.Context{Seq: c.seq, NextUse: nextUse}
 
 	if line := c.array.Lookup(addr); line >= 0 {
-		m := c.meta[line]
-		c.pstats[m.owner].Hits++
+		owner := int(c.meta[line])
+		dp := owner
+		if owner < 0 { // demoted: a resident line is never noLine
+			owner, dp = -2-owner, c.demoteTo
+		}
+		c.pstats[owner].Hits++
 		switch {
 		case c.coarse != nil:
-			c.coarse.OnHit(line, int(m.part), ctx)
+			c.coarse.OnHit(line, dp, ctx)
 		case c.lru != nil:
-			c.lru.OnHit(line, int(m.part), ctx)
+			c.lru.OnHit(line, dp, ctx)
 		default:
-			c.ranker.OnHit(line, int(m.part), ctx)
+			c.ranker.OnHit(line, dp, ctx)
 		}
 		if c.refHit != nil {
-			c.refHit(line, int(m.owner), ctx)
+			c.refHit(line, owner, ctx)
 		}
 		return AccessResult{Hit: true, Line: line}
 	}
@@ -405,7 +440,7 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 		// A line is invalid exactly when it carries no partition
 		// (CheckInvariants), which saves asking the array about each way.
 		for _, l := range cands {
-			if c.meta[l].part < 0 {
+			if c.meta[l] == noLine {
 				victim = l
 				break
 			}
@@ -417,7 +452,7 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 
 	// Evict the victim if it holds a valid line.
 	if vaddr, valid := c.array.AddrOf(victim); valid {
-		dp, owner := int(c.meta[victim].part), int(c.meta[victim].owner)
+		dp, owner := c.partOf(victim), c.ownerOf(victim)
 		ps := &c.pstats[owner]
 		ps.Evictions++
 		if c.ref != nil {
@@ -451,12 +486,11 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 	line := victim
 	c.moveBuf = c.array.Install(addr, victim, c.moveBuf[:0])
 	for _, m := range c.moveBuf {
-		lm := c.meta[m.From]
-		c.ranker.OnMove(m.From, m.To, int(lm.part))
+		c.ranker.OnMove(m.From, m.To, c.partOf(m.From))
 		if c.refMove != nil {
-			c.refMove(m.From, m.To, int(lm.owner))
+			c.refMove(m.From, m.To, c.ownerOf(m.From))
 		}
-		c.meta[m.To] = lm
+		c.meta[m.To] = c.meta[m.From]
 		c.meta[m.From] = noLine
 		line = m.From
 	}
@@ -464,7 +498,7 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 		panic("core: address not resident after Install")
 	}
 	res.Line = line
-	c.meta[line] = lineMeta{part: int16(part), owner: int16(part)}
+	c.meta[line] = int16(part)
 	c.ranker.OnInsert(line, part, ctx)
 	if c.refInsert != nil {
 		c.refInsert(line, part, ctx)
@@ -494,7 +528,7 @@ func (c *Cache) choose(cands []int, insertPart int) int {
 		// Nobody downstream reads Candidate.Futility: the decision costs one
 		// timestamp subtraction per candidate and leaves the CDF alone.
 		for _, l := range cands {
-			p := int(c.meta[l].part)
+			p := c.partOf(l)
 			c.candBuf = append(c.candBuf, Candidate{Line: l, Part: p, Raw: c.coarse.Distance(l, p)})
 		}
 	} else if c.fullSel != nil && c.lru != nil && c.decObs == nil && c.candFilter == nil {
@@ -505,7 +539,7 @@ func (c *Cache) choose(cands []int, insertPart int) int {
 		// list order, tie-breaks and the victim's index are the full list's.
 		best := c.partBest
 		for i, l := range cands {
-			p := int(c.meta[l].part)
+			p := c.partOf(l)
 			c.candBuf = append(c.candBuf, Candidate{Line: l, Part: p})
 			if b := best[p]; b == 0 || c.lru.Older(l, cands[b-1]) {
 				best[p] = int32(i) + 1
@@ -519,7 +553,7 @@ func (c *Cache) choose(cands []int, insertPart int) int {
 		}
 	} else {
 		for _, l := range cands {
-			p := int(c.meta[l].part)
+			p := c.partOf(l)
 			f, raw := c.ranker.FutilityRaw(l, p)
 			c.candBuf = append(c.candBuf, Candidate{Line: l, Part: p, Futility: f, Raw: raw})
 		}
@@ -545,7 +579,7 @@ func (c *Cache) choose(cands []int, insertPart int) int {
 		c.demote(pool[di].Line, d.DemoteTo)
 	}
 	if d.Forced {
-		c.pstats[c.meta[pool[d.Victim].Line].owner].ForcedEvict++
+		c.pstats[c.ownerOf(pool[d.Victim].Line)].ForcedEvict++
 	}
 	return pool[d.Victim].Line
 }
@@ -581,7 +615,8 @@ func (c *Cache) chooseFull(insertPart int) int {
 }
 
 // demote moves a resident line to partition to (sizing only; the owner and
-// reference-ranker population are unchanged).
+// reference-ranker population are unchanged). to becomes the cache's one
+// demotion target; a second one panics.
 //
 // The scheme observes the move as symmetric flow: an eviction from `from`
 // AND an insertion into `to`. Algorithm 2's feedback controller balances
@@ -595,16 +630,23 @@ func (c *Cache) chooseFull(insertPart int) int {
 //
 //fs:allocfree
 func (c *Cache) demote(line, to int) {
-	from := int(c.meta[line].part)
+	from := c.partOf(line)
 	if from == to {
 		return
 	}
+	if to != c.demoteTo {
+		if c.demoteTo >= 0 || to < 0 || to >= c.parts {
+			panicDemoteTarget(to, c.demoteTo)
+		}
+		c.demoteTo = to
+	}
+	owner := c.ownerOf(line)
 	c.ranker.OnEvict(line, from)
 	c.ranker.OnInsert(line, to, futility.Context{Seq: c.seq, NextUse: trace.NoNextUse})
 	c.resize(from, -1)
 	c.resize(to, 1)
-	c.meta[line].part = int16(to)
-	c.pstats[c.meta[line].owner].Demotions++
+	c.meta[line] = demotedID(owner)
+	c.pstats[owner].Demotions++
 	c.scheme.OnEviction(from) // a demotion drains the source like an eviction...
 	c.scheme.OnInsert(to)     // ...and fills the destination like an insertion
 }
@@ -636,4 +678,11 @@ func (c *Cache) resize(p, d int) {
 //go:noinline
 func panicPartRange(part int) {
 	panic("core: " + fmt.Sprintf("partition %d out of range", part))
+}
+
+// panicDemoteTarget formats demote's failure off the miss path.
+//
+//go:noinline
+func panicDemoteTarget(to, target int) {
+	panic("core: " + fmt.Sprintf("demotion into partition %d; the cache's one demotion target is %d", to, target))
 }

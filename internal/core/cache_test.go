@@ -301,9 +301,9 @@ func TestZCacheMetadataConsistency(t *testing.T) {
 	for l := 0; l < lines; l++ {
 		if _, ok := arr.AddrOf(l); ok {
 			valid++
-			counts[c.meta[l].part]++
-		} else if c.meta[l].part != -1 {
-			t.Fatalf("invalid line %d has partition %d", l, c.meta[l].part)
+			counts[c.partOf(l)]++
+		} else if c.meta[l] != noLine {
+			t.Fatalf("invalid line %d has partition id %d", l, c.meta[l])
 		}
 	}
 	for p := 0; p < 2; p++ {
@@ -361,8 +361,11 @@ func TestOPTEndToEnd(t *testing.T) {
 	}
 }
 
+// demoteScheme demotes into partition to, through a retained buffer as the
+// Scheme contract asks.
 type demoteScheme struct {
-	to int
+	to  int
+	dem []int
 }
 
 func (*demoteScheme) Name() string     { return "demote-test" }
@@ -380,13 +383,13 @@ func (d *demoteScheme) Decide(cands []Candidate, insertPart int) Decision {
 			best = i
 		}
 	}
-	var dem []int
+	d.dem = d.dem[:0]
 	for i := range cands {
 		if i != best && cands[i].Part == 0 {
-			dem = append(dem, i)
+			d.dem = append(d.dem, i)
 		}
 	}
-	return Decision{Victim: best, Demote: dem, DemoteTo: d.to}
+	return Decision{Victim: best, Demote: d.dem, DemoteTo: d.to}
 }
 
 func TestDemotionAccounting(t *testing.T) {
@@ -415,6 +418,21 @@ func TestDemotionAccounting(t *testing.T) {
 	// Owner-side accounting: partitions 0 and 1 own everything.
 	if c.owned[2] != 0 {
 		t.Fatalf("pseudo-partition owns %d lines", c.owned[2])
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// The first demotion made 2 the cache's one demotion target.
+	c.scheme.(*demoteScheme).to = 1
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		for i := 0; i < 5000; i++ {
+			d.step(c)
+		}
+		return nil
+	}()
+	if r != "core: demotion into partition 1; the cache's one demotion target is 2" {
+		t.Fatalf("a second demotion target: recovered %v", r)
 	}
 }
 
@@ -491,11 +509,17 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// A line's partition tag is two int16s, 4 bytes a line: New refuses a
-// partition count the tag cannot hold, and a wider tag fails here.
+// A line's partition id is one int16, 2 bytes a line: New refuses a
+// partition count whose demoted owners the id cannot hold, the largest owner
+// it admits, MaxInt16−1, demotes to MinInt16 and back, and a wider id fails
+// here.
 func TestPartitionTagWidth(t *testing.T) {
-	if n := unsafe.Sizeof(lineMeta{}); n != 4 {
-		t.Fatalf("lineMeta is %d bytes a line, want 4", n)
+	c := &Cache{meta: []int16{demotedID(math.MaxInt16 - 1)}, demoteTo: 3}
+	if n := unsafe.Sizeof(c.meta[0]); n != 2 {
+		t.Fatalf("the partition id is %d bytes a line, want 2", n)
+	}
+	if c.meta[0] != math.MinInt16 || c.ownerOf(0) != math.MaxInt16-1 || c.partOf(0) != 3 {
+		t.Fatalf("owner MaxInt16−1 demoted into 3: id %d, owner %d, partition %d", c.meta[0], c.ownerOf(0), c.partOf(0))
 	}
 	defer func() {
 		if r := recover(); r != "core: Parts exceeds the 16-bit per-line partition id" {

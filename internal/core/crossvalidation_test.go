@@ -200,10 +200,10 @@ func checkInvariants(t *testing.T, c *Cache, arr cachearray.Array, lines, parts 
 	for l := 0; l < lines; l++ {
 		if _, ok := arr.AddrOf(l); ok {
 			valid++
-			if c.meta[l].part < 0 || int(c.meta[l].part) >= parts {
-				t.Fatalf("line %d has invalid partition %d", l, c.meta[l].part)
+			if p := c.partOf(l); p < 0 || p >= parts {
+				t.Fatalf("line %d has invalid partition %d", l, p)
 			}
-			counts[c.meta[l].part]++
+			counts[c.partOf(l)]++
 		}
 	}
 	if sum != valid {

@@ -13,8 +13,9 @@ import (
 //   - every partition size is non-negative and the sizes sum to the number
 //     of valid (resident) array lines — occupancy accounting conserves the
 //     cache;
-//   - every resident line carries in-range decision and owner partitions,
-//     and every invalid line carries none;
+//   - every resident line carries an in-range partition id, and every
+//     invalid line carries none; a demoted line's owner is not the demotion
+//     target, and there is a target (in range) once any line is demoted;
 //   - recounting resident lines per decision partition reproduces sizes,
 //     and per owner partition reproduces the owner populations;
 //   - the decision ranker tracks exactly sizes[p] lines per partition, and
@@ -39,24 +40,28 @@ func (c *Cache) CheckInvariants() error {
 		}
 		sum += c.sizes[p]
 	}
+	if c.demoteTo < -1 || c.demoteTo >= c.parts {
+		return fmt.Errorf("core: demotion target %d out of range", c.demoteTo)
+	}
 	valid := 0
 	counts := make([]int, c.parts)
 	ownerCounts := make([]int, c.parts)
 	for l := 0; l < c.array.Lines(); l++ {
 		_, resident := c.array.AddrOf(l)
-		dp, owner := int(c.meta[l].part), int(c.meta[l].owner)
+		id := c.meta[l]
 		if !resident {
-			if dp != -1 || owner != -1 {
-				return fmt.Errorf("core: invalid line %d still assigned to partition %d/owner %d", l, dp, owner)
+			if id != noLine {
+				return fmt.Errorf("core: invalid line %d still carries partition id %d", l, id)
 			}
 			continue
 		}
 		valid++
-		if dp < 0 || dp >= c.parts {
-			return fmt.Errorf("core: resident line %d has out-of-range partition %d", l, dp)
-		}
+		dp, owner := c.partOf(l), c.ownerOf(l)
 		if owner < 0 || owner >= c.parts {
-			return fmt.Errorf("core: resident line %d has out-of-range owner %d", l, owner)
+			return fmt.Errorf("core: resident line %d has partition id %d, owner %d out of range", l, id, owner)
+		}
+		if id < noLine && (c.demoteTo < 0 || owner == c.demoteTo) {
+			return fmt.Errorf("core: line %d of partition %d is demoted into %d", l, owner, c.demoteTo)
 		}
 		counts[dp]++
 		ownerCounts[owner]++

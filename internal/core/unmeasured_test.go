@@ -117,7 +117,7 @@ func TestCheckInvariantsDetects(t *testing.T) {
 	}
 	resident := func(c *Cache) int {
 		for l := range c.meta {
-			if c.meta[l].part >= 0 {
+			if c.meta[l] != noLine {
 				return l
 			}
 		}
@@ -133,13 +133,24 @@ func TestCheckInvariantsDetects(t *testing.T) {
 		{"owner population", false, func(c *Cache) { c.owned[0]++ }},
 		{"negative target", false, func(c *Cache) { c.targets[1] = -1 }},
 		{"line without a partition", false, func(c *Cache) { c.meta[resident(c)] = noLine }},
+		{"demoted line with no demotion target", false, func(c *Cache) {
+			l := resident(c)
+			c.meta[l] = demotedID(c.ownerOf(l))
+		}},
+		// Its sizes still recount: only the encoding's one form is violated.
+		{"line demoted into its own partition", false, func(c *Cache) {
+			l := resident(c)
+			c.demoteTo = c.ownerOf(l)
+			c.meta[l] = demotedID(c.demoteTo)
+		}},
+		{"demotion target out of range", false, func(c *Cache) { c.demoteTo = parts }},
 		{"decision ranker population", false, func(c *Cache) {
 			l := resident(c)
-			c.ranker.OnEvict(l, int(c.meta[l].part))
+			c.ranker.OnEvict(l, c.partOf(l))
 		}},
 		{"reference population", false, func(c *Cache) {
 			l := resident(c)
-			c.ref.OnEvict(l, int(c.meta[l].owner))
+			c.ref.OnEvict(l, c.ownerOf(l))
 		}},
 		{"futility recorded on an unmeasured cache", true, func(c *Cache) { c.pstats[1].EvictFutility.Add(0.5) }},
 	} {

@@ -10,13 +10,13 @@ import (
 // increasingly useless. Normalized futility is then rank/M and the worst
 // line is the tree maximum.
 type ostRanker struct {
-	name    string
-	trees   []*ost.Tree
-	keys    []ost.Key // per-line current tree key
-	present []bool
-	// ticket is a per-line stable tiebreak assigned at insert and preserved
-	// across moves, so relocating a line never reorders it among equals.
-	ticket     []uint64
+	name  string
+	trees []*ost.Tree
+	// keys is each line's current tree key. Its Tie is a stable ticket drawn
+	// at insert from nextTicket (so never 0) and kept across hits and moves,
+	// so relocating a line never reorders it among equals; a zero Tie marks
+	// an untracked line.
+	keys       []ost.Key
 	nextTicket uint64
 	// fLen caches float64(trees[part].Len()) so the per-candidate futility
 	// normalization skips the int→float conversion. It is the cached
@@ -34,29 +34,32 @@ func newOSTRanker(name string, lines, parts int, seed uint64) *ostRanker {
 		trees[i] = ost.New(xrand.Mix64(seed ^ uint64(i+0x51ed)))
 	}
 	return &ostRanker{
-		name:    name,
-		trees:   trees,
-		keys:    make([]ost.Key, lines),
-		present: make([]bool, lines),
-		ticket:  make([]uint64, lines),
-		fLen:    make([]float64, parts),
+		name:  name,
+		trees: trees,
+		keys:  make([]ost.Key, lines),
+		fLen:  make([]float64, parts),
 	}
 }
 
 func (r *ostRanker) Name() string { return r.name }
 
+// present reports whether line is tracked.
+//
+//fs:allocfree
+func (r *ostRanker) present(line int) bool { return r.keys[line].Tie != 0 }
+
 // set installs or refreshes line's key.
 func (r *ostRanker) set(line, part int, primary uint64) {
-	if r.present[line] {
+	tie := r.keys[line].Tie
+	if tie != 0 {
 		r.trees[part].Delete(r.keys[line])
 	} else {
 		r.nextTicket++
-		r.ticket[line] = r.nextTicket
+		tie = r.nextTicket
 	}
-	k := ost.Key{Primary: primary, Tie: r.ticket[line]}
+	k := ost.Key{Primary: primary, Tie: tie}
 	r.trees[part].Insert(k, int64(line))
 	r.keys[line] = k
-	r.present[line] = true
 	r.fLen[part] = float64(r.trees[part].Len())
 }
 
@@ -64,11 +67,11 @@ func (r *ostRanker) set(line, part int, primary uint64) {
 //
 //fs:allocfree
 func (r *ostRanker) OnEvict(line, part int) {
-	if !r.present[line] {
+	if !r.present(line) {
 		panic("futility: OnEvict of untracked line")
 	}
 	r.trees[part].Delete(r.keys[line])
-	r.present[line] = false
+	r.keys[line] = ost.Key{}
 	r.fLen[part] = float64(r.trees[part].Len())
 }
 
@@ -76,29 +79,27 @@ func (r *ostRanker) OnEvict(line, part int) {
 //
 //fs:allocfree
 func (r *ostRanker) OnMove(from, to, part int) {
-	if !r.present[from] {
+	if !r.present(from) {
 		panic("futility: OnMove of untracked line")
 	}
-	if r.present[to] {
+	if r.present(to) {
 		// Destination metadata is about to be overwritten by the controller
 		// applying the same move; it must already have been evicted/moved.
 		panic("futility: OnMove onto a tracked line")
 	}
 	k := r.keys[from]
 	r.trees[part].Delete(k)
-	r.present[from] = false
+	r.keys[from] = ost.Key{}
 	// The key (including its stable ticket tiebreak) is unchanged; only the
 	// stored line value is updated, so ordering is exactly preserved.
 	r.trees[part].Insert(k, int64(to))
 	r.keys[to] = k
-	r.ticket[to] = r.ticket[from]
-	r.present[to] = true
 }
 
 // futilityOf is the single tree traversal behind Futility, Raw and
 // FutilityRaw: ascending rank / partition size.
 func (r *ostRanker) futilityOf(line, part int) float64 {
-	if !r.present[line] {
+	if !r.present(line) {
 		panic("futility: Futility of untracked line")
 	}
 	rank, ok := r.trees[part].Rank(r.keys[line])
@@ -168,7 +169,7 @@ func NewExactLFU(lines, parts int, seed uint64) *ExactLFU {
 //
 //fs:allocfree
 func (r *ExactLFU) OnInsert(line, part int, ctx Context) {
-	if r.present[line] {
+	if r.present(line) {
 		panic("futility: OnInsert of tracked line")
 	}
 	r.freq[line] = 1
@@ -208,7 +209,7 @@ func NewExactOPT(lines, parts int, seed uint64) *ExactOPT {
 //
 //fs:allocfree
 func (r *ExactOPT) OnInsert(line, part int, ctx Context) {
-	if r.present[line] {
+	if r.present(line) {
 		panic("futility: OnInsert of tracked line")
 	}
 	r.set(line, part, uint64(ctx.NextUse))

@@ -25,9 +25,9 @@ type InvariantChecker interface {
 // CheckInvariants implements InvariantChecker for the tree-backed exact
 // rankers (LFU, OPT, SLRU): every partition tree must satisfy the
 // order-statistic contract
-// (ost.Check), every present line's stored key must be findable in some
-// tree, and the per-partition tree populations must sum to the number of
-// present lines. The cached fLen denominator must also agree with the live
+// (ost.Check), every tracked line's stored key (one with a ticket) must be
+// findable in some tree, and the per-partition tree populations must sum to
+// the number of tracked lines. The cached fLen denominator must also agree with the live
 // tree length, since futility normalization divides by it.
 func (r *ostRanker) CheckInvariants() error {
 	total := 0
@@ -41,8 +41,8 @@ func (r *ostRanker) CheckInvariants() error {
 		total += tr.Len()
 	}
 	present := 0
-	for line, ok := range r.present {
-		if !ok {
+	for line := range r.keys {
+		if !r.present(line) {
 			continue
 		}
 		present++

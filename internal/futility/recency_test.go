@@ -308,9 +308,11 @@ func TestExactLRUAgainstModel(t *testing.T) {
 
 // The indexes are sized to their partitions, not to their history: 32
 // partitions share 32768 lines, but partition 0 first runs at four times its
-// share before its lines go back to the others. Once every partition has
-// compacted at its settled size, the slots total at most 2.5 per line, and
-// no partition keeps more than 4 per line plus a word.
+// share before its lines go back to the others. Every compaction while they
+// settle keeps a capacity within [1.25·live, 3·live] that leaves 32 slots
+// free, and resizes any other to 1.5·live + 32 rounded up to a word. Once
+// every partition has compacted at its settled size, the slots total at most
+// 1.6 per line (1600 for each partition's 1024).
 func TestExactLRUSlotsTrackPopulation(t *testing.T) {
 	const lines, parts = 32768, 32
 	const share = lines / parts
@@ -349,13 +351,22 @@ func TestExactLRUSlotsTrackPopulation(t *testing.T) {
 		access(l, 1+i/share, true)
 	}
 	// Settling: hits until every partition has compacted at its share.
+	inBand := func(c, l int32) bool { return 4*c >= 5*l && c <= 3*l && c-l >= 32 }
 	var compacted [parts]bool
 	for done := 0; done < parts; {
 		for l := 0; l < lines; l++ {
 			p := partOf[l]
-			free := r.parts[p].Free()
+			idx := &r.parts[p]
+			free, before := idx.Free(), idx.Cap()
 			access(l, p, false)
-			if r.parts[p].Free() > free && !compacted[p] {
+			if idx.Free() <= free {
+				continue
+			}
+			c, n := idx.Cap(), idx.Live()
+			if inBand(before, n) && c != before || !inBand(before, n) && (c%64 != 0 || 2*c < 3*n+64 || 2*c >= 3*n+192) {
+				t.Fatalf("partition %d compacted %d lines from capacity %d into %d", p, n, before, c)
+			}
+			if !compacted[p] {
 				compacted[p] = true
 				done++
 			}
@@ -363,14 +374,10 @@ func TestExactLRUSlotsTrackPopulation(t *testing.T) {
 	}
 	var slots, live int
 	for p := range r.parts {
-		idx := &r.parts[p]
-		slots, live = slots+int(idx.Cap()), live+int(idx.Live())
-		if idx.Cap() > 4*idx.Live()+64 {
-			t.Errorf("partition %d: %d slots for %d lines", p, idx.Cap(), idx.Live())
-		}
+		slots, live = slots+int(r.parts[p].Cap()), live+int(r.parts[p].Live())
 	}
-	if live != lines || float64(slots) > 2.5*float64(live) {
-		t.Errorf("%d slots for %d lines (%.2f per line), want at most 2.5 per line", slots, live, float64(slots)/float64(live))
+	if live != lines || 5*slots > 8*live {
+		t.Errorf("%d slots for %d lines (%.2f per line), want at most 1.6 per line", slots, live, float64(slots)/float64(live))
 	}
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)

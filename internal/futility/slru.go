@@ -52,7 +52,7 @@ func slruKey(probation bool, seq uint64) uint64 {
 //
 //fs:allocfree
 func (s *SLRU) OnInsert(line, part int, ctx Context) {
-	if s.present[line] {
+	if s.present(line) {
 		panic("futility: OnInsert of tracked line")
 	}
 	s.protected[line] = false
@@ -65,7 +65,7 @@ func (s *SLRU) OnInsert(line, part int, ctx Context) {
 //
 //fs:allocfree
 func (s *SLRU) OnHit(line, part int, ctx Context) {
-	if !s.present[line] {
+	if !s.present(line) {
 		panic("futility: OnHit of untracked line")
 	}
 	if s.protected[line] {
@@ -97,18 +97,16 @@ func (s *SLRU) OnHit(line, part int, ctx Context) {
 	s.protectedCount[part]--
 	// Re-key into probation, keeping its recency bits.
 	s.trees[part].Delete(k)
-	s.present[v] = false
 	nk := ost.Key{Primary: k.Primary | slruProbationBit, Tie: k.Tie}
 	s.trees[part].Insert(nk, victim)
 	s.keys[v] = nk
-	s.present[v] = true
 }
 
 // OnEvict implements Ranker.
 //
 //fs:allocfree
 func (s *SLRU) OnEvict(line, part int) {
-	if s.present[line] && s.protected[line] {
+	if s.present(line) && s.protected[line] {
 		s.protectedCount[part]--
 		s.protected[line] = false
 	}

@@ -1,6 +1,7 @@
 package futility_test
 
 import (
+	"reflect"
 	"testing"
 
 	"fscache/internal/cachearray"
@@ -10,21 +11,30 @@ import (
 	"fscache/internal/xrand"
 )
 
-// The exact reference of bench/'s sim-fs-coarse-32p cache (32768 lines, 16
-// ways, H3 indexing, coarse timestamps, FS feedback, 32 partitions) keeps its
-// recency storage in the three arrays of one set, within DESIGN §10's bound
-// of 11 bytes a line, after a fill, a target shift that moves half of every
-// even partition's share to the odd one after it, and a shift back. The sizes
-// are the arrays' capacities, whole pages from one page up, read from the
-// slices, not from the allocator. At seed 7 they are 301 184 bytes, 9.19 a
-// line (2.1 slots).
-func TestCoarse32pReferenceStorage(t *testing.T) {
-	const lines, parts, share = 32768, 32, 32768 / 32
-	ref := futility.NewExactLRU(lines, parts)
-	c := core.New(core.Config{
-		Array:     cachearray.NewSetAssoc(lines, 16, cachearray.IndexH3, 1),
-		Ranker:    futility.NewCoarseTS(lines, parts),
-		Reference: ref,
+// coarse32p is bench/'s sim-fs-coarse-32p cache (32768 lines, 16 ways, H3
+// indexing, coarse timestamps, FS feedback, 32 partitions, an exact LRU
+// reference) after a fill, a target shift that moves half of every even
+// partition's share to the odd one after it, and a shift back, at seed 7.
+type coarse32p struct {
+	c      *core.Cache
+	arr    *cachearray.SetAssoc
+	coarse *futility.CoarseTS
+	ref    *futility.ExactLRU
+}
+
+const c32Lines = 32768
+
+func newCoarse32p(t *testing.T) coarse32p {
+	const parts, share = 32, c32Lines / 32
+	k := coarse32p{
+		arr:    cachearray.NewSetAssoc(c32Lines, 16, cachearray.IndexH3, 1),
+		coarse: futility.NewCoarseTS(c32Lines, parts),
+		ref:    futility.NewExactLRU(c32Lines, parts),
+	}
+	k.c = core.New(core.Config{
+		Array:     k.arr,
+		Ranker:    k.coarse,
+		Reference: k.ref,
 		Scheme:    core.NewFSFeedback(parts, core.FSFeedbackConfig{}),
 		Parts:     parts,
 	})
@@ -34,21 +44,77 @@ func TestCoarse32pReferenceStorage(t *testing.T) {
 		for p := range tg {
 			tg[p] = targets(p)
 		}
-		c.SetTargets(tg)
-		for i := 0; i < 4*lines; i++ {
+		k.c.SetTargets(tg)
+		for i := 0; i < 4*c32Lines; i++ {
 			p := rng.Intn(parts)
-			c.Access(uint64(p)<<32|rng.Uint64n(2*share), p, trace.NoNextUse)
+			k.c.Access(uint64(p)<<32|rng.Uint64n(2*share), p, trace.NoNextUse)
 		}
 	}
 	equal := func(int) int { return share }
 	run(equal)
 	run(func(p int) int { return share/2 + p%2*share }) // ½ and 1½ shares
 	run(equal)
-	if err := c.CheckInvariants(); err != nil {
+	if err := k.c.CheckInvariants(); err != nil {
 		t.Fatal(err) // includes every order's placement in the one set
 	}
-	words, nodes, slots := ref.Orders()[0].Storage()
-	if bytes := 8*words + 4*nodes + 4*slots; bytes > 11*lines {
-		t.Errorf("%d words, %d nodes and %d slot entries: %d bytes, %.2f a line", words, nodes, slots, bytes, float64(bytes)/lines)
+	return k
+}
+
+// referenceBytes is the capacity in bytes of the reference's recency set:
+// its bitmap words, Fenwick nodes and slot entries.
+func (k coarse32p) referenceBytes() int {
+	words, nodes, slots := k.ref.Orders()[0].Storage()
+	return 8*words + 4*nodes + 4*slots
+}
+
+// sliceBytes is the capacity in bytes of the slice field name of the struct
+// v points to, read through reflection so that no package exports its
+// per-line arrays for this audit.
+func sliceBytes(t *testing.T, v any, name string) int {
+	f := reflect.ValueOf(v).Elem().FieldByName(name)
+	if f.Kind() != reflect.Slice {
+		t.Fatalf("%T has no slice field %s", v, name)
+	}
+	return f.Cap() * int(f.Type().Elem().Size())
+}
+
+// The reference keeps its recency storage in the three arrays of one set,
+// within 8.5 bytes a line. The sizes are the arrays' capacities, whole pages
+// from one page up, read from the slices, not from the allocator. They are
+// 260 096 bytes, 7.94 a line (1.8 slots).
+func TestCoarse32pReferenceStorage(t *testing.T) {
+	k := newCoarse32p(t)
+	if bytes := k.referenceBytes(); 2*bytes > 17*c32Lines {
+		t.Errorf("reference recency set: %d bytes, %.2f a line", bytes, float64(bytes)/c32Lines)
+	}
+}
+
+// Every per-line array of the whole cache, summed by capacity, is within
+// DESIGN §10's per-line total of 23.5 bytes: the array's addresses (8) and
+// valid words (⅛), core's partition ids (2), CoarseTS's timestamps (1), and
+// the reference's slot table (4) and recency set (7.94). They are 755 712
+// bytes, 23.06 a line.
+func TestCoarse32pLineStorage(t *testing.T) {
+	k := newCoarse32p(t)
+	arrays := []struct {
+		name  string
+		bytes int
+	}{
+		{"array addresses", sliceBytes(t, k.arr, "addrs")},
+		{"array valid words", sliceBytes(t, k.arr, "valid")},
+		{"core partition ids", sliceBytes(t, k.c, "meta")},
+		{"coarse timestamps", sliceBytes(t, k.coarse, "ts")},
+		{"reference slot table", sliceBytes(t, k.ref, "slot")},
+		{"reference recency set", k.referenceBytes()},
+	}
+	total := 0
+	for _, a := range arrays {
+		total += a.bytes
+	}
+	if 2*total > 47*c32Lines {
+		for _, a := range arrays {
+			t.Logf("%s: %d bytes, %.3f a line", a.name, a.bytes, float64(a.bytes)/c32Lines)
+		}
+		t.Errorf("per-line arrays: %d bytes, %.2f a line", total, float64(total)/c32Lines)
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // fuzzLines is the line population FuzzIndex draws from: enough for one index
-// to outgrow 4096 slots, which takes over 2730 lines (4096 < 1.5·live).
+// to outgrow 4096 slots, which takes over 3276 lines (4096 < 1.25·live).
 const fuzzLines = 6144
 
 // scriptStats is what runScript saw: the compactions, those that shrank the
@@ -24,9 +24,8 @@ type scriptStats struct {
 // 0) and the operation, the second the line it applies to or the size of a
 // bulk insert. After every operation both orders are compared with their own
 // slice models — Live, Worst and the Rank of every tracked line — and audited
-// by CheckInvariants under one claimed set. After every compaction the
-// capacity must be within its bounds for the population that compaction saw:
-// 1.5·live ≤ Cap ≤ 4·live + minCap.
+// by CheckInvariants under one claimed set. Every compaction must keep to the
+// capacity band for the population it saw, with its hysteresis (bandErr).
 func runScript(t testing.TB, data []byte) (st scriptStats) {
 	idx := New(2)
 	models := [2]*model{{seqOf: map[int32]uint64{}}, {seqOf: map[int32]uint64{}}}
@@ -55,8 +54,8 @@ func runScript(t testing.TB, data []byte) (st scriptStats) {
 			if p.Cap() != capBefore && idx[1-k].Live() > 0 {
 				st.sharedResizes++
 			}
-			if c := p.Cap(); 2*c < 3*live || c > 4*live+minCap {
-				t.Fatalf("step %d: order %d compacted %d lines into capacity %d", step/2, k, live, c)
+			if err := bandErr(capBefore, p.Cap(), live); err != nil {
+				t.Fatalf("step %d: order %d: %v", step/2, k, err)
 			}
 		}
 		insert := func(at uint64) {

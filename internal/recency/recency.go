@@ -10,9 +10,10 @@
 // plus ~log₂(cap/64) additions over a flat array — no key comparisons and no
 // pointers. A line's rank (1 = most recent) is its LRU stack distance. With
 // the slot → line table the index costs 4 bytes and a little over a bit per
-// slot. Each compaction sizes the slots to twice the population and resizes
-// them only once the population has moved past ×4/3 or ×1/2, so at a
-// compaction there are 1.5–4 slots per tracked line, growing or shrinking.
+// slot. Each compaction sizes the slots to 1.5 times the population plus
+// minFree and resizes them only once the population has moved past ×6/5 or
+// ×½, so at a compaction there are 1.25–3 slots per tracked line (1.5–1.8
+// once settled), growing or shrinking.
 //
 // New builds n such orders over one set of arrays: one bitmap, one Fenwick
 // array and one slot → line table, each order owning a segment of all three
@@ -41,9 +42,10 @@ type Index struct {
 	// words is the liveness bitmap: slot s is bit (s−1)%64 of words[(s−1)/64].
 	// nodes is the 1-based Fenwick tree over word popcounts: nodes[i] counts
 	// the live slots of words (i − lowbit(i), i], numbering words from 1.
-	// lineAt[s] is the line holding slot s, or −1 once the slot is retired (a
-	// slot is live exactly when it holds a line). cap is a multiple of minCap
-	// and lineAt has cap+1 entries; words has the power of two ≥ cap/64
+	// lineAt[s] is the line holding slot s while its liveness bit is set; the
+	// bitmap alone says which slots are live, so a retired slot keeps a stale
+	// entry that nothing reads. cap is a multiple of minCap and lineAt has
+	// cap+1 entries; words has the power of two ≥ cap/64
 	// entries, all zero past cap, which is what lets Worst descend without
 	// range checks, and nodes one more. All three are this order's segments
 	// of its set's arrays.
@@ -114,7 +116,7 @@ func (s *set) relayout(resized *Index) {
 		nl += s.orders[i].cap + 1
 	}
 	nn := nw + int32(len(s.orders))
-	//fslint:ignore allocfree cold relayout when an order's population has moved ×4/3 or ×1/2; other compactions reuse their segments
+	//fslint:ignore allocfree cold relayout when an order's population has moved ×6/5 or ×½; other compactions reuse their segments
 	words, nodes, lineAt := make([]uint64, nw, pageCap(nw, 8)), make([]int32, nn, pageCap(nn, 4)), make([]int32, nl, pageCap(nl, 4))
 	s.words, s.nodes, s.lineAt = words, nodes, lineAt
 	for i := range s.orders {
@@ -155,6 +157,11 @@ func (p *Index) Storage() (words, nodes, slots int) {
 // Free returns the slots left before the next access compacts the index.
 func (p *Index) Free() int32 { return p.cap - p.next + 1 }
 
+// holds reports whether slot s holds a line: its liveness bit.
+//
+//fs:allocfree
+func (p *Index) holds(s int32) bool { return p.words[(s-1)>>6]>>uint((s-1)&63)&1 != 0 }
+
 // add flips the liveness bit of slot s and adjusts the counts above its word
 // by d: +1 for a dead slot coming alive, −1 for the reverse.
 //
@@ -178,31 +185,24 @@ func (p *Index) take(line int32) int32 {
 	return s
 }
 
-// retire marks slot s dead.
-//
-//fs:allocfree
-func (p *Index) retire(s int32) {
-	p.lineAt[s] = -1
-	p.add(s, -1)
-}
-
 // compact renumbers the live lines 1..live in slot order and rebuilds the
 // bitmap and its counts, in O(cap/64 + live). It runs when the slots are
-// used up. When the capacity is below 1.5·live or above 4·live, or would
-// leave fewer than minFree slots free, it resizes to 2·live rounded up to a
-// word (at least minCap). So each compaction leaves at least
-// max(live/2, minFree) slots free — at least as many accesses as the rebuild
-// costs pass before the next one: amortised O(1) per access — and the set
-// allocates only when an order's population has moved past ×4/3 or ×1/2
-// since its last resize.
+// used up. When the capacity is below 1.25·live or above 3·live, or would
+// leave fewer than minFree slots free, it resizes to 1.5·live + minFree
+// rounded up to a word (capFor). So each compaction leaves at least
+// max(live/4, minFree) slots free — at least a quarter as many accesses as
+// the rebuild costs pass before the next one, and about half at the resize
+// target: amortised O(1) per access — and the set allocates only when an
+// order's population has moved past ×6/5 or ×½ since its last resize.
 //
 //fs:allocfree
 func (p *Index) compact(slot []int32) {
 	words, lineAt := p.words, p.lineAt
-	if l := p.live; 2*p.cap < 3*l || p.cap > 4*l || p.cap-l < minFree {
-		if c := max((2*l+minCap-1)&^(minCap-1), minCap); c != p.cap {
-			p.cap = c
+	if c, l := int64(p.cap), int64(p.live); 4*c < 5*l || c > 3*l || c-l < minFree {
+		if n := capFor(p.live); n != p.cap {
+			p.cap = n
 			p.set.relayout(p)
+			countRelayout()
 		}
 	}
 	var w, group int32
@@ -218,6 +218,7 @@ func (p *Index) compact(slot []int32) {
 			slot[l] = w
 		}
 	}
+	countCompact(w + int32(len(words)))
 	p.next = w + 1
 	if group == 0 {
 		group = p.next
@@ -236,28 +237,32 @@ func (p *Index) compact(slot []int32) {
 	}
 }
 
+// capFor is the capacity a compaction resizes to for live lines:
+// ⌈1.5·live⌉ + minFree rounded up to a word.
+func capFor(live int32) int32 { return (live + (live+1)/2 + minFree + minCap - 1) &^ (minCap - 1) }
+
 // insertBelowGroup gives line the lowest slot of the lastSeq group by moving
 // every slot of the group up one. Only liveness changes touch the bitmap: with
-// no retired slot inside the group that is the single new top slot.
+// no retired slot inside the group that is the single new top slot. Slot
+// next is dead (nothing past the handed-out slots is live).
 //
 //fs:allocfree
 func (p *Index) insertBelowGroup(line int32, slot []int32) int32 {
 	lineAt := p.lineAt
-	lineAt[p.next] = -1
 	for s := p.next; s > p.group; s-- {
-		l := lineAt[s-1]
+		src, dst := p.holds(s-1), p.holds(s)
+		if src {
+			l := lineAt[s-1]
+			lineAt[s], slot[l] = l, s
+		}
 		switch {
-		case l >= 0:
-			slot[l] = s
-			if lineAt[s] < 0 {
-				p.add(s, 1)
-			}
-		case lineAt[s] >= 0:
+		case src && !dst:
+			p.add(s, 1)
+		case dst && !src:
 			p.add(s, -1)
 		}
-		lineAt[s] = l
 	}
-	if lineAt[p.group] < 0 {
+	if !p.holds(p.group) {
 		p.add(p.group, 1)
 	}
 	lineAt[p.group] = line
@@ -292,7 +297,7 @@ func (p *Index) Hit(line int32, seq uint64, slot []int32) {
 	if p.next > p.cap {
 		p.compact(slot)
 	}
-	p.retire(slot[line])
+	p.add(slot[line], -1)
 	s := p.take(line)
 	slot[line] = s
 	if seq > p.lastSeq {
@@ -304,7 +309,7 @@ func (p *Index) Hit(line int32, seq uint64, slot []int32) {
 //
 //fs:allocfree
 func (p *Index) Evict(line int32, slot []int32) {
-	p.retire(slot[line])
+	p.add(slot[line], -1)
 	slot[line] = 0
 	p.live--
 }
@@ -361,10 +366,10 @@ func (p *Index) Worst() int32 {
 // with: the segments must have the shape the capacity fixes and sit in the
 // set's arrays right after those of the orders before it (so no two overlap
 // and none lies outside the set), each of the set's arrays must have the
-// capacity relayout gives it (whole pages from one page up), the bitmap must
-// mark exactly the slots that hold a line (none past the capacity), the
-// Fenwick nodes must equal the popcounts of the words they cover, slot ↔
-// lineAt must be a bijection between the live slots and this order's lines,
+// capacity relayout gives it (whole pages from one page up), no slot from
+// next on (none past the capacity) may be live, the Fenwick nodes must equal
+// the popcounts of the words they cover, slot ↔ lineAt must be a bijection
+// between the live slots and this order's lines,
 // and the live count must agree with the slots. It marks each of its lines
 // in claimed (len(slot) entries) and fails on one already marked, so orders
 // sharing a table are checked for overlap by passing the same claimed to
@@ -387,16 +392,15 @@ func (p *Index) CheckInvariants(slot []int32, claimed []bool) error {
 	// count[i] is the number of live slots in words 1..i.
 	count := make([]int32, nw+1)
 	for s := int32(1); s <= int32(64*nw); s++ {
-		holds := s < p.next && p.lineAt[s] >= 0
-		if bit := p.words[(s-1)>>6]>>uint((s-1)&63)&1 != 0; bit != holds {
-			return fmt.Errorf("recency: slot %d of capacity %d has liveness bit %v but holds line %v", s, p.cap, bit, holds)
-		}
-		if !holds {
+		if !p.holds(s) {
 			continue
+		}
+		if s >= p.next {
+			return fmt.Errorf("recency: slot %d of capacity %d is live past the next slot %d", s, p.cap, p.next)
 		}
 		l := p.lineAt[s]
 		count[(s-1)>>6+1]++
-		if int(l) >= len(slot) || slot[l] != s || claimed[l] {
+		if l < 0 || int(l) >= len(slot) || slot[l] != s || claimed[l] {
 			return fmt.Errorf("recency: slot %d holds line %d, whose slot is not (only) that one", s, l)
 		}
 		claimed[l] = true

@@ -1,6 +1,7 @@
 package recency
 
 import (
+	"fmt"
 	"testing"
 
 	"fscache/internal/xrand"
@@ -191,52 +192,94 @@ func TestIndexAgainstModel(t *testing.T) {
 	}
 }
 
-// A population oscillating between 448 and 576 lines — across 512, the edge
-// of a power-of-two rule — compacts at both ends of every cycle, yet never
-// reallocates: 576 is under ×4/3 of 448, and 448 over half of 576.
-func TestOscillationDoesNotAllocate(t *testing.T) {
-	const lo, hi = 448, 576
-	p := &New(1)[0]
-	slot := make([]int32, hi)
-	seq := uint64(0)
-	for l := int32(0); l < lo; l++ {
-		seq++
-		p.Insert(l, seq, slot)
+// bandErr checks a compaction that found capacity before for live lines and
+// left after: a capacity within [1.25·live, 3·live] that leaves minFree slots
+// free is kept (the hysteresis), and any other is resized to 1.5·live +
+// minFree rounded up to a word.
+func bandErr(before, after, live int32) error {
+	b, a, l := int64(before), int64(after), int64(live)
+	if 4*b >= 5*l && b <= 3*l && b-l >= minFree {
+		if a != b {
+			return fmt.Errorf("%d lines in capacity %d, within the band, resized to %d", live, before, after)
+		}
+		return nil
 	}
-	var atLo, atHi int // compactions at each end
-	hits := func(live int32, at *int) {
-		for i := int32(0); i < 2*hi; i++ {
-			free := p.Free()
-			seq++
-			p.Hit(i%live, seq, slot)
-			if p.Free() > free {
-				*at++
+	if a%minCap != 0 || 2*a < 3*l+2*minFree || 2*a >= 3*l+2*(minFree+minCap) {
+		return fmt.Errorf("%d lines in capacity %d resized to %d, not 1.5·live + %d rounded up to a word", live, before, after, minFree)
+	}
+	return nil
+}
+
+// oscillation drives one order whose population oscillates between lo and
+// hi lines — across 512, the edge of a power-of-two rule — with 2·hi hits at
+// each end, counting the compactions there and checking each against bandErr.
+type oscillation struct {
+	p          *Index
+	slot       []int32
+	seq        uint64
+	atLo, atHi int // compactions at each end
+	bad        error
+}
+
+const oscLo, oscHi = 448, 576
+
+func newOscillation() *oscillation {
+	o := &oscillation{p: &New(1)[0], slot: make([]int32, oscHi)}
+	for l := int32(0); l < oscLo; l++ {
+		o.seq++
+		o.p.Insert(l, o.seq, o.slot)
+	}
+	return o
+}
+
+func (o *oscillation) hits(live int32, at *int) {
+	for i := int32(0); i < 2*oscHi; i++ {
+		free, before := o.p.Free(), o.p.Cap()
+		o.seq++
+		o.p.Hit(i%live, o.seq, o.slot)
+		if o.p.Free() > free {
+			*at++
+			if err := bandErr(before, o.p.Cap(), live); err != nil && o.bad == nil {
+				o.bad = err
 			}
 		}
 	}
-	cycle := func() {
-		for l := int32(lo); l < hi; l++ {
-			seq++
-			p.Insert(l, seq, slot)
-		}
-		hits(hi, &atHi)
-		for l := int32(lo); l < hi; l++ {
-			p.Evict(l, slot)
-		}
-		hits(lo, &atLo)
+}
+
+// cycle grows the population to hi, hits, shrinks it to lo and hits.
+func (o *oscillation) cycle() {
+	for l := int32(oscLo); l < oscHi; l++ {
+		o.seq++
+		o.p.Insert(l, o.seq, o.slot)
 	}
-	cycle()
-	settled := p.Cap()
-	atLo, atHi = 0, 0
+	o.hits(oscHi, &o.atHi)
+	for l := int32(oscLo); l < oscHi; l++ {
+		o.p.Evict(l, o.slot)
+	}
+	o.hits(oscLo, &o.atLo)
+}
+
+// The oscillation compacts at both ends of every cycle, yet never
+// reallocates: its capacity settles at 896, 1.5·576 + 32, which is over
+// 1.25·576 and under 3·448. Every compaction keeps to the band.
+func TestOscillationDoesNotAllocate(t *testing.T) {
+	o := newOscillation()
+	o.cycle()
+	settled := o.p.Cap()
+	o.atLo, o.atHi = 0, 0
 	const runs = 8
-	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+	if allocs := testing.AllocsPerRun(runs, o.cycle); allocs != 0 {
 		t.Errorf("%v allocations per cycle", allocs)
 	}
 	// AllocsPerRun makes one warm-up call besides the runs.
-	if atLo < runs+1 || atHi < runs+1 || p.Cap() != settled {
-		t.Errorf("%d cycles compacted %d times at %d lines and %d at %d; capacity %d, settled at %d", runs+1, atLo, lo, atHi, hi, p.Cap(), settled)
+	if o.atLo < runs+1 || o.atHi < runs+1 || o.p.Cap() != settled || settled != 896 {
+		t.Errorf("%d cycles compacted %d times at %d lines and %d at %d; capacity %d, settled at %d, want 896",
+			runs+1, o.atLo, oscLo, o.atHi, oscHi, o.p.Cap(), settled)
 	}
-	if err := p.CheckInvariants(slot, make([]bool, hi)); err != nil {
+	if o.bad != nil {
+		t.Error(o.bad)
+	}
+	if err := o.p.CheckInvariants(o.slot, make([]bool, oscHi)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -338,7 +381,7 @@ func check(p *Index, slot []int32) error {
 func TestCheckInvariantsDetects(t *testing.T) {
 	build := func() (*Index, []int32) {
 		p := &New(2)[0]
-		slot := make([]int32, 1024) // room for the lines of the growth cases
+		slot := make([]int32, 2048) // room for the lines of the growth cases
 		for l := int32(0); l < 6; l++ {
 			p.Insert(l, uint64(l), slot)
 		}
@@ -358,7 +401,7 @@ func TestCheckInvariantsDetects(t *testing.T) {
 		{"flipped bit of a dead slot", func(p *Index, slot []int32) { p.words[0] |= 1 << uint(p.next-1) }},
 		{"stale node after a retire", func(p *Index, slot []int32) {
 			p.words[0] &^= 1 << uint(slot[3]-1)
-			p.lineAt[slot[3]], slot[3] = -1, 0
+			slot[3] = 0
 			p.live--
 		}},
 		{"live count", func(p *Index, slot []int32) { p.live-- }},
@@ -369,32 +412,40 @@ func TestCheckInvariantsDetects(t *testing.T) {
 		{"slot of a line", func(p *Index, slot []int32) { slot[1], slot[4] = slot[4], slot[1] }},
 		{"line of a slot", func(p *Index, slot []int32) { p.lineAt[slot[1]] = 4 }},
 		{"line out of range", func(p *Index, slot []int32) { p.lineAt[slot[1]] = int32(len(slot)) }},
-		{"retired slot still counted", func(p *Index, slot []int32) { p.lineAt[slot[3]] = -1 }},
+		// Every count agrees with it; only where the slot lies gives it away.
+		{"live slot past next", func(p *Index, slot []int32) {
+			s := p.next
+			p.lineAt[s], slot[7] = 7, s
+			p.add(s, 1)
+			p.live++
+		}},
 		{"bit past the capacity", func(p *Index, slot []int32) {
-			// 95 lines compacted into 192 slots: three words of four.
+			// 103 lines outgrow 128 slots, compacting into 192: three words
+			// of four.
 			seq := uint64(8)
-			for l := int32(6); l < 96; l++ {
+			for l := int32(6); l < 104; l++ {
 				p.Insert(l, seq, slot)
 				seq++
 			}
-			for ; p.Cap() != 192; seq++ {
+			for ; p.Cap() != 192 && seq < 1000; seq++ {
 				p.Hit(5, seq, slot)
 			}
-			if err := check(p, slot); err != nil || len(p.words) != 4 {
-				t.Fatalf("192-slot index: %d words, %v", len(p.words), err)
+			if err := check(p, slot); err != nil || p.Cap() != 192 || len(p.words) != 4 {
+				t.Fatalf("capacity %d: %d words, %v", p.Cap(), len(p.words), err)
 			}
 			p.words[3] |= 1
 		}},
 		{"array of a page or more not in whole pages", func(p *Index, slot []int32) {
-			// 1023 lines compacted into 2048 slots: the set's slot table
-			// passes 2048 entries, a page.
+			// 2047 lines, compacted at least once into 1.25 slots a line or
+			// more: the set's slot table passes 2048 entries, a page.
 			seq := uint64(8)
 			for l := int32(6); l < int32(len(slot)); l++ {
 				p.Insert(l, seq, slot)
 				seq++
 			}
-			for ; p.Cap() != 2048; seq++ {
+			for n := p.Cap(); n > 0; n-- {
 				p.Hit(5, seq, slot)
+				seq++
 			}
 			s := p.set
 			if err := check(p, slot); err != nil || 4*len(s.lineAt) < pageBytes {

@@ -163,13 +163,13 @@ func benchGeometry(seed uint64) Config {
 	return Config{Lines: 16384, Ways: 16, Shards: 4, Stripes: 4, Parts: 3, Ranking: futility.CoarseLRU, Seed: seed}
 }
 
-// New's bytes on bench/'s geometry, counted rather than timed: 306 496 on
-// amd64, of which the engine's one H3 is 8 KB, core's partition tags 4 bytes
+// New's bytes on bench/'s geometry, counted rather than timed: 273 216 on
+// amd64, of which the engine's one H3 is 8 KB, core's partition ids 2 bytes
 // a line and the arrays' valid flags one bit (DESIGN §10's table). A private
-// H3 per stripe (+128 KB), an 8-byte tag (+64 KB), a valid byte a line or a
+// H3 per stripe (+128 KB), a 4-byte id (+32 KB), a valid byte a line or a
 // coarse residency flag (+14 or +16 KB) fails here.
 func TestNewAllocationBudget(t *testing.T) {
-	const budget = 310000
+	const budget = 277000
 	var before, after runtime.MemStats
 	least := uint64(math.MaxUint64)
 	for i := 0; i < 3; i++ {
