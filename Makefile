@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint check fmt fuzz smoke scenarios alloc bench cover soak load serve netsoak
+.PHONY: build test race lint check fmt fuzz smoke scenarios alloc bench cover soak load serve netsoak loc
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,11 @@ lint:
 
 fmt:
 	gofmt -w .
+
+# Non-test Go lines outside bench/, counted over tracked files: the figure a
+# simplicity change reports before and after. Prints the count; gates nothing.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs cat | wc -l
 
 # Short fuzz sessions (seed corpus + 10s of mutation each): the trace
 # decoder, the differential oracle over scenario programs, the serving

@@ -1,9 +1,9 @@
 // Package baselines implements the partitioning schemes the paper compares
 // Futility Scaling against (§VII-B): the no-partitioning baseline, the
 // Partitioning-First scheme (Algorithm 1), CQVP quota enforcement, Vantage
-// and PriSM. All implement core.Scheme; PF additionally implements
-// core.FullSelector so it can drive the FullAssoc ideal configuration (the
-// PF scheme on a fully-associative array).
+// and PriSM. All implement core.Scheme; PF is also a core.FullSelector, so it
+// can drive the FullAssoc ideal configuration (the PF scheme on a
+// fully-associative array).
 package baselines
 
 import "fscache/internal/core"
@@ -14,9 +14,6 @@ type Unmanaged struct{}
 
 // NewUnmanaged returns the no-partitioning scheme.
 func NewUnmanaged() *Unmanaged { return &Unmanaged{} }
-
-// Name implements core.Scheme.
-func (*Unmanaged) Name() string { return "unmanaged" }
 
 // Bind implements core.Scheme.
 func (*Unmanaged) Bind(actual []int) {}
@@ -36,17 +33,8 @@ func (*Unmanaged) Decide(cands []core.Candidate, insertPart int) core.Decision {
 	return core.Decision{Victim: best}
 }
 
-// DecideFull implements core.FullSelector.
-func (*Unmanaged) DecideFull(worst []core.Candidate, insertPart int) int {
-	best, bestF := 0, -1.0
-	for i := range worst {
-		if worst[i].Futility > bestF {
-			bestF = worst[i].Futility
-			best = i
-		}
-	}
-	return best
-}
+// EvictsPartitionWorst implements core.FullSelector.
+func (*Unmanaged) EvictsPartitionWorst() {}
 
 // OnInsert implements core.Scheme.
 func (*Unmanaged) OnInsert(part int) {}
@@ -71,9 +59,6 @@ func NewPF(parts int) *PF {
 	}
 	return &PF{targets: make([]int, parts)}
 }
-
-// Name implements core.Scheme.
-func (*PF) Name() string { return "pf" }
 
 // Bind implements core.Scheme.
 func (p *PF) Bind(actual []int) { p.actual = actual }
@@ -112,21 +97,11 @@ func (p *PF) Decide(cands []core.Candidate, insertPart int) core.Decision {
 	return core.Decision{Victim: best}
 }
 
-// DecideFull implements core.FullSelector: with every line a candidate, the
-// PS step reduces to the most oversized non-empty partition and the VI step
-// to its single worst line. This is the paper's FullAssoc ideal scheme.
-func (p *PF) DecideFull(worst []core.Candidate, insertPart int) int {
-	best, maxOver := 0, 0
-	for i := range worst {
-		part := worst[i].Part
-		over := p.actual[part] - p.targets[part]
-		if i == 0 || over > maxOver {
-			maxOver = over
-			best = i
-		}
-	}
-	return best
-}
+// EvictsPartitionWorst implements core.FullSelector: step 2 evicts the chosen
+// partition's most useless candidate. Given each partition's single worst
+// line, step 1 reduces to the most oversized non-empty partition: this is the
+// paper's FullAssoc ideal scheme.
+func (*PF) EvictsPartitionWorst() {}
 
 // OnInsert implements core.Scheme.
 func (*PF) OnInsert(part int) {}
@@ -150,9 +125,6 @@ func NewCQVP(parts int) *CQVP {
 	}
 	return &CQVP{targets: make([]int, parts)}
 }
-
-// Name implements core.Scheme.
-func (*CQVP) Name() string { return "cqvp" }
 
 // Bind implements core.Scheme.
 func (c *CQVP) Bind(actual []int) { c.actual = actual }

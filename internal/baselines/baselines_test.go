@@ -290,17 +290,6 @@ func TestPriSMAbnormalityManyPartitions(t *testing.T) {
 	}
 }
 
-func TestSchemeNames(t *testing.T) {
-	for _, s := range []core.Scheme{
-		NewUnmanaged(), NewPF(2), NewCQVP(2),
-		NewVantage(3, 2, DefaultVantageConfig()), NewPriSM(2, 64, 1),
-	} {
-		if s.Name() == "" {
-			t.Error("empty scheme name")
-		}
-	}
-}
-
 func TestConstructorValidation(t *testing.T) {
 	cases := []func(){
 		func() { NewPF(0) },

@@ -52,9 +52,6 @@ func NewPriSM(parts, window int, seed uint64) *PriSM {
 	}
 }
 
-// Name implements core.Scheme.
-func (*PriSM) Name() string { return "prism" }
-
 // Bind implements core.Scheme.
 func (p *PriSM) Bind(actual []int) { p.actual = actual }
 

@@ -62,9 +62,6 @@ func NewVantage(parts, unmanagedPart int, cfg VantageConfig) *Vantage {
 	}
 }
 
-// Name implements core.Scheme.
-func (*Vantage) Name() string { return "vantage" }
-
 // Bind implements core.Scheme.
 func (v *Vantage) Bind(actual []int) { v.actual = actual }
 

@@ -44,9 +44,6 @@ func NewWayPart(parts, ways int) *WayPart {
 	return w
 }
 
-// Name implements core.Scheme.
-func (*WayPart) Name() string { return "waypart" }
-
 // Bind implements core.Scheme.
 func (w *WayPart) Bind(actual []int) {}
 

@@ -48,8 +48,6 @@ type Move struct {
 // the whole miss path without allocating. Install must be passed a line from
 // the most recent Candidates(a) result.
 type Array interface {
-	// Name identifies the organization for reports.
-	Name() string
 	// Lines returns the total number of cache lines.
 	Lines() int
 	// Lookup returns the line index currently holding addr, or -1.
@@ -75,6 +73,8 @@ type Array interface {
 
 // AllCandidates is implemented by arrays whose Candidates list is every
 // line; controllers use it to select fast paths that avoid O(lines) scans.
+// Such an array is also a Freer, so once FreeLine returns -1 every line is
+// valid and the controller need not ask for the list at all.
 type AllCandidates interface {
 	AllLinesAreCandidates() bool
 }
@@ -170,14 +170,6 @@ func NewDirectMapped(lines int, kind IndexKind, seed uint64) *SetAssoc {
 	return NewSetAssoc(lines, 1, kind, seed)
 }
 
-// Name implements Array.
-func (a *SetAssoc) Name() string {
-	if a.ways == 1 {
-		return "directmapped"
-	}
-	return fmt.Sprintf("setassoc-%dway", a.ways)
-}
-
 // Lines implements Array.
 func (a *SetAssoc) Lines() int { return a.sets * a.ways }
 
@@ -262,9 +254,6 @@ func NewSkew(lines, ways int, seed uint64) *Skew {
 	}
 }
 
-// Name implements Array.
-func (s *Skew) Name() string { return fmt.Sprintf("skew-%dway", s.ways) }
-
 // Lines implements Array.
 func (s *Skew) Lines() int { return s.sets * s.ways }
 
@@ -314,53 +303,40 @@ func (s *Skew) Install(addr uint64, victim int, moves []Move) []Move {
 	return moves
 }
 
-// Random is the analytical cache of §IV: R candidates drawn independently
-// and uniformly over all lines on every eviction, which realizes the
-// Uniformity Assumption exactly. Lookup uses an address map (this array
-// abstracts away placement constraints entirely).
-type Random struct {
-	r      int
-	addrs  []uint64
-	valid  lineBits
-	index  map[uint64]int
-	free   []int
-	rng    *xrand.Rand
-	seqDup bool // whether duplicates are filtered
+// lineStore is the map-indexed line storage of the arrays that place an
+// address in any line (Random, FullyAssoc): each embeds it and supplies only
+// its own Candidates.
+type lineStore struct {
+	addrs []uint64
+	valid lineBits
+	index map[uint64]int
+	free  []int // free lines, popped from the end: 0, 1, 2, …
 }
 
-// NewRandom builds a random-candidates array with r candidates per eviction.
-func NewRandom(lines, r int, seed uint64) *Random {
+func newLineStore(lines int) lineStore {
 	if lines <= 0 {
 		panic("cachearray: lines must be positive")
 	}
-	if r <= 0 || r > lines {
-		panic("cachearray: candidate count out of range")
-	}
-	a := &Random{
-		r:     r,
+	s := lineStore{
 		addrs: make([]uint64, lines),
 		valid: newLineBits(lines),
 		index: make(map[uint64]int, lines),
 		free:  make([]int, lines),
-		rng:   xrand.New(seed),
 	}
-	for i := range a.free {
-		a.free[i] = lines - 1 - i // pop order 0,1,2,...
+	for i := range s.free {
+		s.free[i] = lines - 1 - i
 	}
-	return a
+	return s
 }
 
-// Name implements Array.
-func (a *Random) Name() string { return fmt.Sprintf("random-%dcand", a.r) }
-
 // Lines implements Array.
-func (a *Random) Lines() int { return len(a.addrs) }
+func (s *lineStore) Lines() int { return len(s.addrs) }
 
 // Lookup implements Array.
 //
 //fs:allocfree
-func (a *Random) Lookup(addr uint64) int {
-	if i, ok := a.index[addr]; ok {
+func (s *lineStore) Lookup(addr uint64) int {
+	if i, ok := s.index[addr]; ok {
 		return i
 	}
 	return -1
@@ -369,11 +345,59 @@ func (a *Random) Lookup(addr uint64) int {
 // FreeLine implements Freer.
 //
 //fs:allocfree
-func (a *Random) FreeLine(addr uint64) int {
-	if len(a.free) == 0 {
+func (s *lineStore) FreeLine(addr uint64) int {
+	if len(s.free) == 0 {
 		return -1
 	}
-	return a.free[len(a.free)-1]
+	return s.free[len(s.free)-1]
+}
+
+// AddrOf implements Array.
+//
+//fs:allocfree
+func (s *lineStore) AddrOf(line int) (uint64, bool) {
+	return s.addrs[line], s.valid.get(line)
+}
+
+// Install implements Array.
+//
+//fs:allocfree
+func (s *lineStore) Install(addr uint64, victim int, moves []Move) []Move {
+	if s.valid.get(victim) {
+		delete(s.index, s.addrs[victim])
+	} else {
+		// Victim was a free line handed out by FreeLine; remove it from the
+		// freelist (it is always the top when obtained via FreeLine).
+		for i := len(s.free) - 1; i >= 0; i-- {
+			if s.free[i] == victim {
+				s.free = append(s.free[:i], s.free[i+1:]...)
+				break
+			}
+		}
+	}
+	s.addrs[victim] = addr
+	s.valid.set(victim)
+	s.index[addr] = victim
+	return moves
+}
+
+// Random is the analytical cache of §IV: R candidates drawn independently
+// and uniformly over all lines on every eviction, which realizes the
+// Uniformity Assumption exactly. Lookup uses an address map (this array
+// abstracts away placement constraints entirely).
+type Random struct {
+	lineStore
+	r   int
+	rng *xrand.Rand
+}
+
+// NewRandom builds a random-candidates array with r candidates per eviction.
+func NewRandom(lines, r int, seed uint64) *Random {
+	s := newLineStore(lines)
+	if r <= 0 || r > lines {
+		panic("cachearray: candidate count out of range")
+	}
+	return &Random{lineStore: s, r: r, rng: xrand.New(seed)}
 }
 
 // Candidates implements Array: r distinct uniform lines.
@@ -397,127 +421,30 @@ func (a *Random) Candidates(addr uint64, dst []int) []int {
 	return dst
 }
 
-// AddrOf implements Array.
-//
-//fs:allocfree
-func (a *Random) AddrOf(line int) (uint64, bool) {
-	return a.addrs[line], a.valid.get(line)
-}
-
-// Install implements Array.
-//
-//fs:allocfree
-func (a *Random) Install(addr uint64, victim int, moves []Move) []Move {
-	if a.valid.get(victim) {
-		delete(a.index, a.addrs[victim])
-	} else {
-		// Victim was a free line handed out by FreeLine; remove it from the
-		// freelist (it is always the top when obtained via FreeLine).
-		for i := len(a.free) - 1; i >= 0; i-- {
-			if a.free[i] == victim {
-				a.free = append(a.free[:i], a.free[i+1:]...)
-				break
-			}
-		}
-	}
-	a.addrs[victim] = addr
-	a.valid.set(victim)
-	a.index[addr] = victim
-	return moves
-}
-
 // FullyAssoc is the idealized array in which every line is a replacement
 // candidate. Controllers should use scheme fast paths (see core) instead of
 // scanning the full candidate list.
 type FullyAssoc struct {
-	addrs []uint64
-	valid lineBits
-	index map[uint64]int
-	free  []int
-	all   []int
+	lineStore
 }
 
 // NewFullyAssoc builds a fully-associative array.
 func NewFullyAssoc(lines int) *FullyAssoc {
-	if lines <= 0 {
-		panic("cachearray: lines must be positive")
-	}
-	a := &FullyAssoc{
-		addrs: make([]uint64, lines),
-		valid: newLineBits(lines),
-		index: make(map[uint64]int, lines),
-		free:  make([]int, lines),
-		all:   make([]int, lines),
-	}
-	for i := range a.free {
-		a.free[i] = lines - 1 - i
-		a.all[i] = i
-	}
-	return a
+	return &FullyAssoc{newLineStore(lines)}
 }
-
-// Name implements Array.
-func (a *FullyAssoc) Name() string { return "fullyassoc" }
-
-// Lines implements Array.
-func (a *FullyAssoc) Lines() int { return len(a.addrs) }
 
 // AllLinesAreCandidates implements AllCandidates.
 func (a *FullyAssoc) AllLinesAreCandidates() bool { return true }
-
-// Lookup implements Array.
-//
-//fs:allocfree
-func (a *FullyAssoc) Lookup(addr uint64) int {
-	if i, ok := a.index[addr]; ok {
-		return i
-	}
-	return -1
-}
-
-// FreeLine implements Freer.
-//
-//fs:allocfree
-func (a *FullyAssoc) FreeLine(addr uint64) int {
-	if len(a.free) == 0 {
-		return -1
-	}
-	return a.free[len(a.free)-1]
-}
 
 // Candidates implements Array: every line. Controllers should prefer the
 // AllCandidates fast path to copying the full list.
 //
 //fs:allocfree
 func (a *FullyAssoc) Candidates(addr uint64, dst []int) []int {
-	return append(dst, a.all...)
-}
-
-// AddrOf implements Array.
-//
-//fs:allocfree
-func (a *FullyAssoc) AddrOf(line int) (uint64, bool) {
-	return a.addrs[line], a.valid.get(line)
-}
-
-// Install implements Array.
-//
-//fs:allocfree
-func (a *FullyAssoc) Install(addr uint64, victim int, moves []Move) []Move {
-	if a.valid.get(victim) {
-		delete(a.index, a.addrs[victim])
-	} else {
-		for i := len(a.free) - 1; i >= 0; i-- {
-			if a.free[i] == victim {
-				a.free = append(a.free[:i], a.free[i+1:]...)
-				break
-			}
-		}
+	for i := range a.addrs {
+		dst = append(dst, i)
 	}
-	a.addrs[victim] = addr
-	a.valid.set(victim)
-	a.index[addr] = victim
-	return moves
+	return dst
 }
 
 // panicf formats a cold-path panic message out of line, keeping fmt calls

@@ -173,7 +173,7 @@ func TestCandidateCounts(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := len(c.a.Candidates(12345, nil)); got != c.want {
-			t.Errorf("%s: candidates = %d, want %d", c.a.Name(), got, c.want)
+			t.Errorf("%T: candidates = %d, want %d", c.a, got, c.want)
 		}
 	}
 }
@@ -266,15 +266,15 @@ func TestFreeLine(t *testing.T) {
 			a.Install(uint64(1000+installed), line, nil)
 			installed++
 			if installed > 8 {
-				t.Fatalf("%s: more free lines than capacity", a.Name())
+				t.Fatalf("%T: more free lines than capacity", a)
 			}
 		}
 		if installed != 8 {
-			t.Fatalf("%s: freelist handed out %d lines, want 8", a.Name(), installed)
+			t.Fatalf("%T: freelist handed out %d lines, want 8", a, installed)
 		}
 		for i := 0; i < 8; i++ {
 			if a.Lookup(uint64(1000+i)) < 0 {
-				t.Fatalf("%s: address %d lost", a.Name(), 1000+i)
+				t.Fatalf("%T: address %d lost", a, 1000+i)
 			}
 		}
 	}
@@ -411,11 +411,11 @@ func TestZCacheWalkMatchesQuadraticDedup(t *testing.T) {
 				want := quadraticWalk(z, addr)
 				cands := z.Candidates(addr, nil)
 				if len(z.nodes) != len(want) || len(cands) != len(want) {
-					t.Fatalf("%s fill %v: walk of %d nodes, %d candidates, want %d", z.Name(), fillTo, len(z.nodes), len(cands), len(want))
+					t.Fatalf("%+v fill %v: walk of %d nodes, %d candidates, want %d", cfg, fillTo, len(z.nodes), len(cands), len(want))
 				}
 				for j, n := range want {
 					if z.nodes[j] != n || cands[j] != n.line {
-						t.Fatalf("%s fill %v: node %d = %+v (candidate %d), want %+v", z.Name(), fillTo, j, z.nodes[j], cands[j], n)
+						t.Fatalf("%+v fill %v: node %d = %+v (candidate %d), want %+v", cfg, fillTo, j, z.nodes[j], cands[j], n)
 					}
 					if !z.valid.get(n.line) {
 						free++
@@ -426,7 +426,7 @@ func TestZCacheWalkMatchesQuadraticDedup(t *testing.T) {
 				}
 				for w, word := range z.seen {
 					if word != 0 {
-						t.Fatalf("%s fill %v: bitmap word %d = %#x after the walk", z.Name(), fillTo, w, word)
+						t.Fatalf("%+v fill %v: bitmap word %d = %#x after the walk", cfg, fillTo, w, word)
 					}
 				}
 				// The relocations follow the parents back to a root.
@@ -437,19 +437,19 @@ func TestZCacheWalkMatchesQuadraticDedup(t *testing.T) {
 				}
 				got := z.Install(addr, want[v].line, nil)
 				if len(got) != len(moves) {
-					t.Fatalf("%s fill %v: %d moves, want %d", z.Name(), fillTo, len(got), len(moves))
+					t.Fatalf("%+v fill %v: %d moves, want %d", cfg, fillTo, len(got), len(moves))
 				}
 				for j := range moves {
 					if got[j] != moves[j] {
-						t.Fatalf("%s fill %v: move %d = %+v, want %+v", z.Name(), fillTo, j, got[j], moves[j])
+						t.Fatalf("%+v fill %v: move %d = %+v, want %+v", cfg, fillTo, j, got[j], moves[j])
 					}
 				}
 			}
 			if fillTo < 1 && free == 0 {
-				t.Errorf("%s fill %v: no walk met a free line", z.Name(), fillTo)
+				t.Errorf("%+v fill %v: no walk met a free line", cfg, fillTo)
 			}
 			if short == 0 {
-				t.Errorf("%s fill %v: no walk was cut short by a duplicate or a free line", z.Name(), fillTo)
+				t.Errorf("%+v fill %v: no walk was cut short by a duplicate or a free line", cfg, fillTo)
 			}
 		}
 	}

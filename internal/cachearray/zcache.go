@@ -1,10 +1,6 @@
 package cachearray
 
-import (
-	"fmt"
-
-	"fscache/internal/hashing"
-)
+import "fscache/internal/hashing"
 
 // ZCache implements a zcache: a W-way array (one hash function per way, like
 // a skew cache) whose replacement process walks the candidate graph to
@@ -63,11 +59,6 @@ func NewZCache(lines, ways, levels int, seed uint64) *ZCache {
 		valid:  newLineBits(lines),
 		seen:   make([]uint64, (lines+63)/64),
 	}
-}
-
-// Name implements Array.
-func (z *ZCache) Name() string {
-	return fmt.Sprintf("zcache-Z%d/%d", z.ways, z.MaxCandidates())
 }
 
 // MaxCandidates returns the candidate count of a full-depth walk with no

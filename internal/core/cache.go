@@ -14,8 +14,7 @@ import (
 type Config struct {
 	// Array is the cache array organization.
 	Array cachearray.Array
-	// Ranker is the decision futility ranking used by the scheme. It must be
-	// a futility.FastRanker (New panics otherwise), as every futility.Kind is.
+	// Ranker is the decision futility ranking used by the scheme.
 	Ranker futility.Ranker
 	// Reference, if non-nil, is an exact ranker maintained purely for
 	// measurement: eviction futility (AEF) is always taken from it. If nil,
@@ -121,7 +120,7 @@ func (c *Cache) partOf(line int) int {
 // own Cache and mutex, never by sharing one Cache across goroutines.
 type Cache struct {
 	array    cachearray.Array
-	ranker   futility.FastRanker
+	ranker   futility.Ranker
 	ref      futility.Ranker // == ranker when no separate reference; nil when unmeasured
 	sameRef  bool
 	scheme   Scheme
@@ -156,7 +155,7 @@ type Cache struct {
 	decObs   DecisionObserver
 	freer    cachearray.Freer
 	allCands bool
-	fullSel  FullSelector
+	fullSel  bool // the scheme is a FullSelector
 	worst    futility.WorstTracker
 
 	// Hot-path devirtualization. The two rankers every large experiment runs
@@ -204,13 +203,9 @@ func New(cfg Config) *Cache {
 		// Owner Parts−1 demoted is id −1−Parts, which must fit an int16.
 		panic("core: Parts exceeds the 16-bit per-line partition id")
 	}
-	ranker, ok := cfg.Ranker.(futility.FastRanker)
-	if !ok {
-		panic("core: the decision Ranker must implement futility.FastRanker")
-	}
 	c := &Cache{
 		array:    cfg.Array,
-		ranker:   ranker,
+		ranker:   cfg.Ranker,
 		ref:      cfg.Reference,
 		scheme:   cfg.Scheme,
 		parts:    cfg.Parts,
@@ -241,7 +236,7 @@ func New(cfg Config) *Cache {
 	if ac, ok := cfg.Array.(cachearray.AllCandidates); ok {
 		c.allCands = ac.AllLinesAreCandidates()
 	}
-	c.fullSel, _ = cfg.Scheme.(FullSelector)
+	_, c.fullSel = cfg.Scheme.(FullSelector)
 	c.worst, _ = cfg.Ranker.(futility.WorstTracker)
 	switch r := cfg.Ranker.(type) {
 	case *futility.CoarseTS:
@@ -257,8 +252,8 @@ func New(cfg Config) *Cache {
 		c.refEvict = c.ref.OnEvict
 		c.refMove = c.ref.OnMove
 	}
-	if c.allCands && (c.fullSel == nil || c.worst == nil) {
-		panic("core: fully-associative arrays need a FullSelector scheme and a WorstTracker ranker")
+	if c.allCands && (c.freer == nil || !c.fullSel || c.worst == nil) {
+		panic("core: fully-associative arrays need a Freer array, a FullSelector scheme and a WorstTracker ranker")
 	}
 	c.scheme.Bind(c.sizes)
 	return c
@@ -434,7 +429,10 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 	if c.freer != nil {
 		victim = c.freer.FreeLine(addr)
 	}
-	if victim < 0 {
+	if victim < 0 && c.allCands {
+		// FreeLine found no free line, so every line is valid: no list to copy.
+		victim = c.chooseFull(part)
+	} else if victim < 0 {
 		cands := c.array.Candidates(addr, c.candLines[:0])
 		c.candLines = cands
 		// A line is invalid exactly when it carries no partition
@@ -464,7 +462,7 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 			if c.sameRef {
 				refPart = dp
 			}
-			res.EvictedFutility = c.ref.Futility(victim, refPart)
+			res.EvictedFutility, _ = c.ref.FutilityRaw(victim, refPart)
 			ps.EvictFutility.Add(res.EvictedFutility)
 		}
 		c.ranker.OnEvict(victim, dp)
@@ -520,9 +518,6 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 //
 //fs:allocfree
 func (c *Cache) choose(cands []int, insertPart int) int {
-	if c.allCands {
-		return c.chooseFull(insertPart)
-	}
 	c.candBuf = c.candBuf[:0]
 	if c.rawOnly && c.decObs == nil && c.candFilter == nil {
 		// Nobody downstream reads Candidate.Futility: the decision costs one
@@ -531,7 +526,7 @@ func (c *Cache) choose(cands []int, insertPart int) int {
 			p := c.partOf(l)
 			c.candBuf = append(c.candBuf, Candidate{Line: l, Part: p, Raw: c.coarse.Distance(l, p)})
 		}
-	} else if c.fullSel != nil && c.lru != nil && c.decObs == nil && c.candFilter == nil {
+	} else if c.fullSel && c.lru != nil && c.decObs == nil && c.candFilter == nil {
 		// Inside a partition α is common and slot order is rank order, so a
 		// slot comparison per candidate finds each partition's only possible
 		// victim and the rank is computed for those alone. The others keep
@@ -604,14 +599,14 @@ func (c *Cache) chooseFull(insertPart int) int {
 	if len(c.worstBuf) == 0 {
 		panic("core: full array with no resident lines")
 	}
-	i := c.fullSel.DecideFull(c.worstBuf, insertPart)
-	if i < 0 || i >= len(c.worstBuf) {
+	d := c.scheme.Decide(c.worstBuf, insertPart)
+	if d.Victim < 0 || d.Victim >= len(c.worstBuf) {
 		panic("core: scheme returned full-path victim out of range")
 	}
 	if c.decObs != nil {
-		c.decObs(c.worstBuf, insertPart, i, false)
+		c.decObs(c.worstBuf, insertPart, d.Victim, d.Forced)
 	}
-	return c.worstBuf[i].Line
+	return c.worstBuf[d.Victim].Line
 }
 
 // demote moves a resident line to partition to (sizing only; the owner and

@@ -253,11 +253,24 @@ func TestFSUnitAlphaAEF(t *testing.T) {
 	}
 }
 
+// countingFullyAssoc is a fully-associative array that counts the candidate
+// lists it is asked for.
+type countingFullyAssoc struct {
+	*cachearray.FullyAssoc
+	candidates int
+}
+
+func (a *countingFullyAssoc) Candidates(addr uint64, dst []int) []int {
+	a.candidates++
+	return a.FullyAssoc.Candidates(addr, dst)
+}
+
 func TestFullyAssociativeFastPath(t *testing.T) {
 	const lines = 512
 	fs := NewFSFixed(2)
+	arr := &countingFullyAssoc{FullyAssoc: cachearray.NewFullyAssoc(lines)}
 	c := New(Config{
-		Array:  cachearray.NewFullyAssoc(lines),
+		Array:  arr,
 		Ranker: futility.NewExactLRU(lines, 2),
 		Scheme: fs,
 		Parts:  2,
@@ -276,6 +289,11 @@ func TestFullyAssociativeFastPath(t *testing.T) {
 	}
 	if c.Sizes()[0]+c.Sizes()[1] != lines {
 		t.Fatalf("cache not full: %v", c.Sizes())
+	}
+	// The fill takes free lines and every later miss decides over the
+	// partitions' worst lines: no miss copies the whole array.
+	if evs := c.Stats(0).Evictions + c.Stats(1).Evictions; evs == 0 || arr.candidates != 0 {
+		t.Fatalf("%d evictions asked for %d candidate lists, want some evictions and none", evs, arr.candidates)
 	}
 }
 
@@ -368,7 +386,6 @@ type demoteScheme struct {
 	dem []int
 }
 
-func (*demoteScheme) Name() string     { return "demote-test" }
 func (*demoteScheme) Bind([]int)       {}
 func (*demoteScheme) SetTargets([]int) {}
 func (*demoteScheme) OnInsert(int)     {}
@@ -483,9 +500,17 @@ func TestConfigValidation(t *testing.T) {
 				Unmeasured: true, Scheme: sch, Parts: 1})
 		},
 		func() {
-			// A decision ranker without the combined FutilityRaw query (the
-			// embedded interface hides ExactLRU's).
-			New(Config{Array: arr, Ranker: struct{ futility.Ranker }{rk}, Scheme: sch, Parts: 1})
+			// Fully-associative array that hides its free lines.
+			fa := cachearray.NewFullyAssoc(16)
+			New(Config{
+				Array: struct {
+					cachearray.Array
+					cachearray.AllCandidates
+				}{fa, fa},
+				Ranker: rk,
+				Scheme: sch,
+				Parts:  1,
+			})
 		},
 		func() {
 			// Fully-associative array without a WorstTracker ranker.

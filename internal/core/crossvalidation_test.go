@@ -119,7 +119,6 @@ type chaosScheme struct {
 	parts int
 }
 
-func (c *chaosScheme) Name() string     { return "chaos" }
 func (c *chaosScheme) Bind([]int)       {}
 func (c *chaosScheme) SetTargets([]int) {}
 func (c *chaosScheme) OnInsert(int)     {}

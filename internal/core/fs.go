@@ -33,9 +33,6 @@ func NewFSFixed(parts int) *FSFixed {
 	return &FSFixed{alphas: a}
 }
 
-// Name implements Scheme.
-func (f *FSFixed) Name() string { return "fs-fixed" }
-
 // Bind implements Scheme.
 func (f *FSFixed) Bind(actual []int) { f.actual = actual }
 
@@ -75,20 +72,9 @@ func (f *FSFixed) Decide(cands []Candidate, insertPart int) Decision {
 	return Decision{Victim: best}
 }
 
-// DecideFull implements FullSelector: on a fully-associative array the
-// largest α_p·f overall is the largest among per-partition worsts.
-//
-//fs:allocfree
-func (f *FSFixed) DecideFull(worst []Candidate, insertPart int) int {
-	best, bestV := 0, -1.0
-	for i := range worst {
-		if v := worst[i].Futility * f.alphas[worst[i].Part]; v > bestV {
-			bestV = v
-			best = i
-		}
-	}
-	return best
-}
+// EvictsPartitionWorst implements FullSelector: within a partition α_p·f is
+// largest at the largest f.
+func (f *FSFixed) EvictsPartitionWorst() {}
 
 // OnInsert implements Scheme.
 //
@@ -162,9 +148,6 @@ func NewFSFeedback(parts int, cfg FSFeedbackConfig) *FSFeedback {
 	return f
 }
 
-// Name implements Scheme.
-func (f *FSFeedback) Name() string { return "fs" }
-
 // Bind implements Scheme.
 func (f *FSFeedback) Bind(actual []int) { f.actual = actual }
 
@@ -200,19 +183,8 @@ func (f *FSFeedback) Decide(cands []Candidate, insertPart int) Decision {
 // and looks at nothing else.
 func (f *FSFeedback) decidesOnRawOnly() {}
 
-// DecideFull implements FullSelector.
-//
-//fs:allocfree
-func (f *FSFeedback) DecideFull(worst []Candidate, insertPart int) int {
-	best, bestV := 0, -1.0
-	for i := range worst {
-		if v := float64(worst[i].Raw) * f.alphas[worst[i].Part]; v > bestV {
-			bestV = v
-			best = i
-		}
-	}
-	return best
-}
+// EvictsPartitionWorst implements FullSelector.
+func (f *FSFeedback) EvictsPartitionWorst() {}
 
 // OnInsert implements Scheme (Algorithm 2's insertion counter).
 //

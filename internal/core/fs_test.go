@@ -15,8 +15,7 @@ import (
 func TestFSOverEveryRanking(t *testing.T) {
 	const lines = 2048
 	for _, kind := range []futility.Kind{
-		futility.LRU, futility.LFU, futility.OPT,
-		futility.CoarseLRU, futility.SegmentedLRU,
+		futility.LRU, futility.LFU, futility.OPT, futility.CoarseLRU,
 	} {
 		t.Run(kind.String(), func(t *testing.T) {
 			fs := NewFSFeedback(2, FSFeedbackConfig{})

@@ -41,8 +41,6 @@ type Decision struct {
 // of actual partition sizes (updated by the controller as lines move), then
 // SetTargets whenever the allocation policy changes targets.
 type Scheme interface {
-	// Name identifies the scheme for reports.
-	Name() string
 	// Bind attaches the live actual-size slice (one entry per partition).
 	// The scheme must treat it as read-only.
 	Bind(actual []int)
@@ -63,23 +61,23 @@ type Scheme interface {
 	OnEviction(part int)
 }
 
-// FullSelector is implemented by schemes with an O(parts) fast path for
-// fully-associative arrays: worst holds the most useless line of each
-// non-empty partition and the scheme picks among them. This avoids
-// materializing a candidate per line.
+// FullSelector marks a scheme whose Decide, on any candidate list, evicts the
+// most futile candidate of whichever partition it settles on. The controller
+// relies on that twice:
 //
-// Implementing it also declares that Decide, on any candidate list, evicts
-// the most futile candidate of whichever partition it settles on. The
-// controller relies on that on every array: under the exact LRU ranker, with
-// no observer or filter installed, it ranks only each partition's least
-// recent candidate and leaves Futility and Raw zero — below any real value —
-// on the others, which keep their places in the list (Cache.choose). A scheme
-// that reads the futility of a partition's other candidates (Vantage demotes
-// every candidate past its aperture) must not implement FullSelector.
+//   - on a fully-associative array it hands Decide only the most useless line
+//     of each non-empty partition (Cache.chooseFull), O(parts) instead of a
+//     candidate per line;
+//   - under the exact LRU ranker, with no observer or filter installed, it
+//     ranks only each partition's least recent candidate and leaves Futility
+//     and Raw zero — below any real value — on the others, which keep their
+//     places in the list (Cache.choose).
+//
+// A scheme that reads the futility of a partition's other candidates
+// (Vantage demotes every candidate past its aperture) must not be one.
 type FullSelector interface {
-	// DecideFull selects a victim index into worst.
-	//fs:allocfree
-	DecideFull(worst []Candidate, insertPart int) int
+	// EvictsPartitionWorst is never called; it declares the property.
+	EvictsPartitionWorst()
 }
 
 // rawDecider marks a scheme whose Decide reads only a candidate's Line, Part

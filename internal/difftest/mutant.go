@@ -3,8 +3,8 @@ package difftest
 import "fscache/internal/futility"
 
 // offByOne is a deliberately defective decorator for a futility ranker: it
-// reports every line one rank too useless — Futility shifted down by one
-// rank width, Raw bumped by one. It exists to prove the harness end to end:
+// reports every line one rank too useless — futility shifted down by one
+// rank width, raw bumped by one. It exists to prove the harness end to end:
 // TestInjectedBugCaught wraps the production ranker with it and asserts the
 // differential run catches the defect and shrinks it to a tiny reproducer.
 // It is exactly the class of bug the optimized pipeline could realistically
@@ -16,20 +16,10 @@ type offByOne struct {
 // MutateOffByOne wraps a ranker with the injected off-by-one defect.
 func MutateOffByOne(r futility.Ranker) futility.Ranker { return &offByOne{r} }
 
-// Futility reports the underlying futility one rank-width too low.
-func (m *offByOne) Futility(line, part int) float64 {
-	return m.Ranker.Futility(line, part) - 1/float64(m.Ranker.Size(part))
-}
-
-// Raw reports the underlying raw measure off by one.
-func (m *offByOne) Raw(line, part int) uint64 {
-	return m.Ranker.Raw(line, part) + 1
-}
-
-// FutilityRaw applies both shifts to the underlying combined query, so the
-// pipeline, which ranks candidates only through FutilityRaw, sees the defect.
+// FutilityRaw reports the underlying futility one rank-width too low and the
+// raw measure off by one.
 func (m *offByOne) FutilityRaw(line, part int) (float64, uint64) {
-	f, raw := m.Ranker.(futility.FastRanker).FutilityRaw(line, part)
+	f, raw := m.Ranker.FutilityRaw(line, part)
 	return f - 1/float64(m.Ranker.Size(part)), raw + 1
 }
 

@@ -224,9 +224,8 @@ func (r *reranker) observe(cands []core.Candidate, insertPart, victim int, _ boo
 		r.skipped++
 		return
 	}
-	// This loop replicates core.FSFeedback.Decide (and DecideFull, which is
-	// the same rule) operation for operation: float64(Raw)*alpha, strict >
-	// comparison, first index winning ties.
+	// This loop replicates core.FSFeedback.Decide operation for operation:
+	// float64(Raw)*alpha, strict > comparison, first index winning ties.
 	alphas := fsAlphas(r.fs)
 	best, bestV := 0, -1.0
 	for i := range cands {

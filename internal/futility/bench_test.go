@@ -23,7 +23,6 @@ var allocFreeOps = []struct {
 	{"ExactLRURank", exactLRURankOp},
 	{"CoarseOnHit", coarseOnHitOp},
 	{"CoarseDistance", coarseDistanceOp},
-	{"CoarseRaw", coarseRawOp},
 	{"CoarseFutility", coarseFutilityOp},
 }
 
@@ -117,22 +116,8 @@ func coarseDistanceOp(testing.TB) func(int) {
 	}
 }
 
-// coarseRawOp is the distance read plus its histogram observation.
-func coarseRawOp(testing.TB) func(int) {
-	c, next := filledCoarse(), 0
-	return func(n int) {
-		var sink uint64
-		i := next
-		for end := i + n; i < end; i++ {
-			l := i % benchLines
-			sink += c.Raw(l, l&1)
-		}
-		next, benchSink = i, sink
-	}
-}
-
-// coarseFutilityOp is the self-calibrating quantile: the line's position in
-// its partition's empirical CDF.
+// coarseFutilityOp is the self-calibrating query: the line's position in its
+// partition's empirical CDF, and its distance, recorded twice.
 func coarseFutilityOp(testing.TB) func(int) {
 	c, next := filledCoarse(), 0
 	return func(n int) {
@@ -140,7 +125,8 @@ func coarseFutilityOp(testing.TB) func(int) {
 		i := next
 		for end := i + n; i < end; i++ {
 			l := i % benchLines
-			sink += c.Futility(l, l&1)
+			f, _ := c.FutilityRaw(l, l&1)
+			sink += f
 		}
 		next, benchSink = i, uint64(sink)
 	}

@@ -15,8 +15,8 @@ package futility
 // a self-calibrating estimate a real controller could implement with a few
 // counters.
 //
-// The CDF is calibrated only by futility queries: Raw, Futility and
-// FutilityRaw each record the distance they return, and nothing else does.
+// The CDF is calibrated only by futility queries: each FutilityRaw records
+// the distance it returns, twice, and nothing else does.
 // A pipeline that never asks (core's raw-only FS path reads Distance) never
 // calibrates and never allocates the tables; one that starts asking mid-run
 // gets a CDF calibrated from its first query, not from the start of the run.
@@ -89,9 +89,6 @@ func NewCoarseTS(lines, parts int) *CoarseTS {
 	return c
 }
 
-// Name implements Ranker.
-func (c *CoarseTS) Name() string { return "coarse-lru" }
-
 // tsDist returns the unsigned mod-256 distance (cur − tag), the exact
 // 8-bit subtraction the hardware performs (§V-A). The timestamp clock
 // wraps by design, so ordinary <, > or − on timestamp tags is wrong once
@@ -146,42 +143,20 @@ func (c *CoarseTS) OnMove(from, to, part int) {
 	c.ts[to] = c.ts[from]
 }
 
-// Distance returns Raw's value, the 8-bit timestamp distance, without
-// recording it: the one subtraction §V's shift-and-compare needs.
+// Distance returns FutilityRaw's raw value, the 8-bit timestamp distance,
+// without recording it: the one subtraction §V's shift-and-compare needs.
 //
 //fs:allocfree
 func (c *CoarseTS) Distance(line, part int) uint64 {
 	return uint64(tsDist(c.current[part], c.ts[line]))
 }
 
-// Raw implements Ranker: the 8-bit timestamp distance, recorded in the
-// partition's histogram.
-//
-//fs:allocfree
-func (c *CoarseTS) Raw(line, part int) uint64 {
-	d := uint64(tsDist(c.current[part], c.ts[line]))
-	c.observe(part, uint8(d))
-	return d
-}
-
-// Futility implements Ranker: the empirical CDF position of the line's
-// distance among recently observed distances in its partition.
-//
-//fs:allocfree
-func (c *CoarseTS) Futility(line, part int) float64 {
-	d := tsDist(c.current[part], c.ts[line])
-	c.observe(part, d)
-	if c.dirty[part] >= histRebuild {
-		c.rebuild(part)
-	}
-	return c.cdfAt(part, d)
-}
-
-// FutilityRaw implements FastRanker: the replacement pipeline wants both the
-// quantile and the raw distance for every candidate, and the two separate
-// calls each pay the tsDist + observe work. The sequence below is exactly
-// Futility followed by Raw — including Raw's second histogram observation,
-// which is sealed behaviour the CDF calibration depends on.
+// FutilityRaw implements Ranker: the empirical CDF position of the line's
+// distance among recently observed distances in its partition, and the 8-bit
+// timestamp distance itself. Each query records the distance in the
+// partition's histogram twice, once before the CDF is read and once after:
+// PF, Vantage and PriSM over coarse timestamps decide on the CDF that double
+// count calibrates.
 //
 //fs:allocfree
 func (c *CoarseTS) FutilityRaw(line, part int) (float64, uint64) {
@@ -191,7 +166,7 @@ func (c *CoarseTS) FutilityRaw(line, part int) (float64, uint64) {
 		c.rebuild(part)
 	}
 	f := c.cdfAt(part, d)
-	c.observe(part, d) // Raw's observation
+	c.observe(part, d)
 	return f, uint64(d)
 }
 

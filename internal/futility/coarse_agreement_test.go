@@ -7,25 +7,67 @@ import (
 	"fscache/internal/xrand"
 )
 
-// TestFutilityRawAgreementAcrossHalving pins FutilityRaw's contract: it must
-// be observably identical to calling Futility then Raw, in that order —
-// same returned values bit for bit AND same internal side effects (each
-// histogram observation lands, the CDF rebuild fires at the same query).
-// Two identical rankers are driven with the same operation stream, one
-// through the split calls, one through the combined call, for enough
-// observations to cross the 2^20 histogram-halving threshold and thousands
-// of CDF rebuilds, so any drift in observation accounting around the
-// halving or rebuild boundaries surfaces as a bit mismatch.
+// coarseModel is one partition's CDF calibration written the plain way: a
+// histogram halved at 2^20 observations and an eager CDF recomputed from it
+// whenever histRebuild observations have accumulated. FutilityRaw must agree
+// with it bit for bit, with two observations per query.
+type coarseModel struct {
+	hist         [256]uint32
+	total, dirty uint32
+	cdf          [256]float64
+}
+
+func newCoarseModel() *coarseModel {
+	m := &coarseModel{}
+	for d := range m.cdf {
+		m.cdf[d] = float64(d+1) / 256 // the uniform prior
+	}
+	return m
+}
+
+func (m *coarseModel) observe(d uint8) {
+	m.hist[d]++
+	m.total++
+	m.dirty++
+	if m.total >= 1<<20 {
+		m.total = 0
+		for i := range m.hist {
+			m.hist[i] /= 2
+			m.total += m.hist[i]
+		}
+	}
+}
+
+func (m *coarseModel) query(d uint8) float64 {
+	m.observe(d)
+	if m.dirty >= histRebuild {
+		m.dirty = 0
+		if m.total > 0 {
+			var cum uint64
+			for i := range m.hist {
+				cum += uint64(m.hist[i])
+				m.cdf[i] = float64(cum) / float64(m.total)
+			}
+		}
+	}
+	f := m.cdf[d]
+	m.observe(d)
+	return f
+}
+
+// TestFutilityRawAgreementAcrossHalving drives a coarse ranker's FutilityRaw
+// for enough queries to cross the 2^20 histogram-halving threshold and
+// thousands of CDF rebuilds, against coarseModel: the incremental snapshot
+// (suffix refresh, lazily memoized division) must return the model's quantile
+// bit for bit at every query, and the histograms must agree at the end.
 func TestFutilityRawAgreementAcrossHalving(t *testing.T) {
 	const lines, parts = 64, 2
-	split := NewCoarseTS(lines, parts)
-	combined := NewCoarseTS(lines, parts)
+	c := NewCoarseTS(lines, parts)
+	models := []*coarseModel{newCoarseModel(), newCoarseModel()}
 	rng := xrand.New(0xc0a2)
 
 	for l := 0; l < lines; l++ {
-		p := l % parts
-		split.OnInsert(l, p, Context{})
-		combined.OnInsert(l, p, Context{})
+		c.OnInsert(l, l%parts, Context{})
 	}
 
 	// Each iteration lands 2 observations on one of the 2 partitions, so
@@ -33,54 +75,43 @@ func TestFutilityRawAgreementAcrossHalving(t *testing.T) {
 	// 2^20 per-partition mass.
 	const iters = 1_300_000
 	halvings := 0
-	prevTotal := split.total[0]
+	prevTotal := c.total[0]
 	for i := 0; i < iters; i++ {
 		l := rng.Intn(lines)
 		p := l % parts
 		if rng.Bool(0.3) {
-			split.OnHit(l, p, Context{})
-			combined.OnHit(l, p, Context{})
+			c.OnHit(l, p, Context{})
 		}
-		f1 := split.Futility(l, p)
-		r1 := split.Raw(l, p)
-		f2, r2 := combined.FutilityRaw(l, p)
-		if math.Float64bits(f1) != math.Float64bits(f2) {
-			t.Fatalf("iter %d: quantile diverged: split %v (bits %#x), combined %v (bits %#x)",
-				i, f1, math.Float64bits(f1), f2, math.Float64bits(f2))
+		d := c.Distance(l, p)
+		want := models[p].query(uint8(d))
+		f, raw := c.FutilityRaw(l, p)
+		if math.Float64bits(f) != math.Float64bits(want) {
+			t.Fatalf("iter %d: quantile %v (bits %#x), model %v (bits %#x)",
+				i, f, math.Float64bits(f), want, math.Float64bits(want))
 		}
-		if r1 != r2 {
-			t.Fatalf("iter %d: raw diverged: split %d, combined %d", i, r1, r2)
+		if raw != d {
+			t.Fatalf("iter %d: raw %d, distance %d", i, raw, d)
 		}
-		if split.total[0] < prevTotal {
+		if c.total[0] < prevTotal {
 			halvings++
 		}
-		prevTotal = split.total[0]
+		prevTotal = c.total[0]
 		if i%100_000 == 0 {
-			if err := split.CheckInvariants(); err != nil {
-				t.Fatalf("iter %d: split ranker: %v", i, err)
-			}
-			if err := combined.CheckInvariants(); err != nil {
-				t.Fatalf("iter %d: combined ranker: %v", i, err)
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("iter %d: %v", i, err)
 			}
 		}
 	}
 	if halvings == 0 {
 		t.Fatal("test never crossed the histogram-halving threshold; raise iters")
 	}
-	// The two rankers' full internal accounting must also agree at the end.
-	for p := 0; p < parts; p++ {
-		if split.total[p] != combined.total[p] {
-			t.Fatalf("partition %d: histogram mass diverged: split %d, combined %d",
-				p, split.total[p], combined.total[p])
-		}
-		if split.gen[p] != combined.gen[p] {
-			t.Fatalf("partition %d: rebuild generation diverged: split %d, combined %d",
-				p, split.gen[p], combined.gen[p])
+	for p, m := range models {
+		if c.total[p] != m.total {
+			t.Fatalf("partition %d: histogram mass %d, model %d", p, c.total[p], m.total)
 		}
 		for d := 0; d < 256; d++ {
-			if split.cdf[p].hist[d] != combined.cdf[p].hist[d] {
-				t.Fatalf("partition %d bin %d: histogram diverged: split %d, combined %d",
-					p, d, split.cdf[p].hist[d], combined.cdf[p].hist[d])
+			if c.cdf[p].hist[d] != m.hist[d] {
+				t.Fatalf("partition %d bin %d: histogram %d, model %d", p, d, c.cdf[p].hist[d], m.hist[d])
 			}
 		}
 	}

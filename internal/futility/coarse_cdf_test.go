@@ -106,50 +106,11 @@ func TestCoarseCDFIncrementalMatchesEager(t *testing.T) {
 	checkCDF(t, c, 1, "other-part-after-halving")
 }
 
-// TestCoarseFutilityRawMatchesSequence pins FutilityRaw's sealed semantics:
-// it must behave observably identically to Futility followed by Raw on the
-// same line, including Raw's second histogram observation, on both the
-// returned values and the ranker's internal calibration state.
-func TestCoarseFutilityRawMatchesSequence(t *testing.T) {
-	build := func() *CoarseTS {
-		c := NewCoarseTS(32, 1)
-		for l := 0; l < 32; l++ {
-			c.OnInsert(l, 0, Context{})
-		}
-		// Spread the timestamp tags: hit lines in a pattern while the clock
-		// ticks so distances vary.
-		for i := 0; i < 500; i++ {
-			c.OnHit((i*7)%32, 0, Context{})
-		}
-		return c
-	}
-
-	a, b := build(), build()
-	for i := 0; i < 3*histRebuild; i++ {
-		l := (i * 11) % 32
-		fa := a.Futility(l, 0)
-		ra := a.Raw(l, 0)
-		fb, rb := b.FutilityRaw(l, 0)
-		if math.Float64bits(fa) != math.Float64bits(fb) || ra != rb {
-			t.Fatalf("step %d line %d: Futility+Raw = (%v, %d), FutilityRaw = (%v, %d)",
-				i, l, fa, ra, fb, rb)
-		}
-	}
-	if a.total[0] != b.total[0] || a.dirty[0] != b.dirty[0] {
-		t.Fatalf("calibration state diverged: total %d vs %d, dirty %d vs %d",
-			a.total[0], b.total[0], a.dirty[0], b.dirty[0])
-	}
-	for d := 0; d < 256; d++ {
-		if a.cdf[0].hist[d] != b.cdf[0].hist[d] {
-			t.Fatalf("histogram bin %d diverged: %d vs %d", d, a.cdf[0].hist[d], b.cdf[0].hist[d])
-		}
-	}
-}
-
 // TestCoarseDistanceLeavesCDFAlone pins the split the raw-only decision path
-// rests on: Distance returns Raw's value and records nothing, the first
-// recording query is what gives a partition its tables, and CheckInvariants
-// takes a partition without tables only if it has recorded nothing.
+// rests on: Distance returns FutilityRaw's raw value and records nothing, the
+// first FutilityRaw query is what gives a partition its tables, each query
+// records its distance twice, and CheckInvariants takes a partition without
+// tables only if it has recorded nothing.
 func TestCoarseDistanceLeavesCDFAlone(t *testing.T) {
 	c := NewCoarseTS(32, 2)
 	for l := 0; l < 32; l++ {
@@ -170,12 +131,13 @@ func TestCoarseDistanceLeavesCDFAlone(t *testing.T) {
 		t.Fatalf("uncalibrated ranker: %v", err)
 	}
 	for l := 0; l < 32; l += 2 {
-		if d, raw := c.Distance(l, 0), c.Raw(l, 0); d != raw {
-			t.Fatalf("line %d: Distance %d, Raw %d", l, d, raw)
+		d := c.Distance(l, 0)
+		if _, raw := c.FutilityRaw(l, 0); d != raw {
+			t.Fatalf("line %d: Distance %d, FutilityRaw's raw %d", l, d, raw)
 		}
 	}
-	if !c.Calibrated(0) || c.Calibrated(1) || c.total[0] != 16 {
-		t.Fatalf("after 16 Raw queries of partition 0: calibrated %v/%v, total %d",
+	if !c.Calibrated(0) || c.Calibrated(1) || c.total[0] != 32 {
+		t.Fatalf("after 16 FutilityRaw queries of partition 0: calibrated %v/%v, total %d, want 32 recordings",
 			c.Calibrated(0), c.Calibrated(1), c.total[0])
 	}
 	if err := c.CheckInvariants(); err != nil {

@@ -10,7 +10,6 @@ import (
 // increasingly useless. Normalized futility is then rank/M and the worst
 // line is the tree maximum.
 type ostRanker struct {
-	name  string
 	trees []*ost.Tree
 	// keys is each line's current tree key. Its Tie is a stable ticket drawn
 	// at insert from nextTicket (so never 0) and kept across hits and moves,
@@ -25,7 +24,7 @@ type ostRanker struct {
 	fLen []float64
 }
 
-func newOSTRanker(name string, lines, parts int, seed uint64) *ostRanker {
+func newOSTRanker(lines, parts int, seed uint64) *ostRanker {
 	if lines <= 0 || parts <= 0 {
 		panic("futility: lines and parts must be positive")
 	}
@@ -34,14 +33,11 @@ func newOSTRanker(name string, lines, parts int, seed uint64) *ostRanker {
 		trees[i] = ost.New(xrand.Mix64(seed ^ uint64(i+0x51ed)))
 	}
 	return &ostRanker{
-		name:  name,
 		trees: trees,
 		keys:  make([]ost.Key, lines),
 		fLen:  make([]float64, parts),
 	}
 }
-
-func (r *ostRanker) Name() string { return r.name }
 
 // present reports whether line is tracked.
 //
@@ -96,9 +92,12 @@ func (r *ostRanker) OnMove(from, to, part int) {
 	r.keys[to] = k
 }
 
-// futilityOf is the single tree traversal behind Futility, Raw and
-// FutilityRaw: ascending rank / partition size.
-func (r *ostRanker) futilityOf(line, part int) float64 {
+// FutilityRaw implements Ranker with one rank traversal: futility is
+// ascending rank / partition size, and Raw is the futility scaled to 32 bits,
+// so raw ordering matches normalized ordering.
+//
+//fs:allocfree
+func (r *ostRanker) FutilityRaw(line, part int) (float64, uint64) {
 	if !r.present(line) {
 		panic("futility: Futility of untracked line")
 	}
@@ -106,30 +105,7 @@ func (r *ostRanker) futilityOf(line, part int) float64 {
 	if !ok {
 		panic("futility: line key missing from partition tree")
 	}
-	return float64(rank) / r.fLen[part]
-}
-
-// Futility implements Ranker: ascending rank / partition size.
-//
-//fs:allocfree
-func (r *ostRanker) Futility(line, part int) float64 {
-	return r.futilityOf(line, part)
-}
-
-// Raw implements Ranker. For exact rankers Raw is the futility scaled to 32
-// bits, so raw ordering matches normalized ordering.
-//
-//fs:allocfree
-func (r *ostRanker) Raw(line, part int) uint64 {
-	return uint64(r.futilityOf(line, part) * (1 << 32))
-}
-
-// FutilityRaw implements FastRanker with one rank traversal instead of the
-// two that separate Futility and Raw calls would cost.
-//
-//fs:allocfree
-func (r *ostRanker) FutilityRaw(line, part int) (float64, uint64) {
-	f := r.futilityOf(line, part)
+	f := float64(rank) / r.fLen[part]
 	return f, uint64(f * (1 << 32))
 }
 
@@ -160,7 +136,7 @@ type ExactLFU struct {
 // NewExactLFU returns an exact LFU ranker.
 func NewExactLFU(lines, parts int, seed uint64) *ExactLFU {
 	return &ExactLFU{
-		ostRanker: newOSTRanker("exact-lfu", lines, parts, seed),
+		ostRanker: newOSTRanker(lines, parts, seed),
 		freq:      make([]uint64, lines),
 	}
 }
@@ -202,7 +178,7 @@ type ExactOPT struct {
 // NewExactOPT returns an exact OPT ranker. Callers must supply Context.
 // NextUse on every insert and hit (precomputed from the trace).
 func NewExactOPT(lines, parts int, seed uint64) *ExactOPT {
-	return &ExactOPT{newOSTRanker("exact-opt", lines, parts, seed)}
+	return &ExactOPT{newOSTRanker(lines, parts, seed)}
 }
 
 // OnInsert implements Ranker.

@@ -3,14 +3,18 @@
 // partition, normalized so that the line ranked r-th of M has futility
 // f = r/M ∈ (0,1], larger meaning more useless.
 //
+// A Ranker answers one question about a resident line, FutilityRaw: its
+// normalized futility together with the scheme's raw measure, the pair the
+// replacement pipeline records for every candidate.
+//
 // Exact rankers answer true normalized ranks — LRU from a per-partition
-// Fenwick recency index, LFU, OPT and SLRU from an order-statistic tree per
+// Fenwick recency index, LFU and OPT from an order-statistic tree per
 // partition; they serve both as decision rankers for the analytical schemes
 // and as measurement references for AEF statistics.
 // CoarseTS is the hardware design of §V: an 8-bit per-partition timestamp
-// whose distance to a line's tag estimates recency; it exposes the raw
-// distance for the feedback FS controller's shift-based scaling and a
-// self-calibrating normalized estimate for schemes that need quantiles.
+// whose distance to a line's tag estimates recency; its raw measure is that
+// distance, which the feedback FS controller scales by shifts, and its
+// futility a self-calibrating estimate for schemes that need quantiles.
 package futility
 
 import "fmt"
@@ -36,8 +40,6 @@ type Context struct {
 // state. The fslint allocfree analyzer verifies each annotated
 // implementation and treats these interface calls as trusted boundaries.
 type Ranker interface {
-	// Name identifies the ranking scheme.
-	Name() string
 	// OnInsert registers line as resident in partition part.
 	//fs:allocfree
 	OnInsert(line, part int, ctx Context)
@@ -50,33 +52,19 @@ type Ranker interface {
 	// OnMove transfers the state of line from to line to (same partition).
 	//fs:allocfree
 	OnMove(from, to, part int)
-	// Futility returns the normalized futility of a resident line, in (0,1].
+	// FutilityRaw returns a resident line's normalized futility, in (0,1],
+	// and the scheme's raw futility measure, larger being more useless. Raw
+	// values are only comparable within one partition unless the scheme
+	// documents otherwise.
 	//fs:allocfree
-	Futility(line, part int) float64
-	// Raw returns the scheme's raw futility measure for a resident line;
-	// larger is more useless. Only comparable within one partition unless
-	// the scheme documents otherwise.
-	//fs:allocfree
-	Raw(line, part int) uint64
+	FutilityRaw(line, part int) (float64, uint64)
 	// Size returns the number of resident lines tracked in part.
 	//fs:allocfree
 	Size(part int) int
 }
 
-// FastRanker is implemented by rankers that can answer Futility and Raw for
-// the same line in a single combined query. Every ranker New builds is one,
-// and core.New requires one for decisions: the replacement pipeline ranks
-// every candidate by both measures on every miss, and for tree-backed
-// rankers the combined form halves the rank traversals. Implementations
-// must be observably identical (values and internal side effects such as
-// histogram observations) to calling Futility then Raw, in that order.
-type FastRanker interface {
-	Ranker
-	// FutilityRaw returns Futility(line, part) and Raw(line, part) as if the
-	// two were called back to back.
-	//fs:allocfree
-	FutilityRaw(line, part int) (float64, uint64)
-}
+// FastRanker is Ranker's former name, kept while the bench module asserts it.
+type FastRanker = Ranker
 
 // WorstTracker is implemented by rankers that can report the most useless
 // line of a partition in O(log M); the FullAssoc ideal scheme requires it.
@@ -100,8 +88,6 @@ const (
 	OPT
 	// CoarseLRU is the practical 8-bit timestamp LRU of §V.
 	CoarseLRU
-	// SegmentedLRU is scan-resistant SLRU (probation + protected segments).
-	SegmentedLRU
 )
 
 // String implements fmt.Stringer.
@@ -115,8 +101,6 @@ func (k Kind) String() string {
 		return "opt"
 	case CoarseLRU:
 		return "coarse-lru"
-	case SegmentedLRU:
-		return "slru"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
@@ -134,8 +118,6 @@ func New(kind Kind, lines, parts int, seed uint64) Ranker {
 		return NewExactOPT(lines, parts, seed)
 	case CoarseLRU:
 		return NewCoarseTS(lines, parts)
-	case SegmentedLRU:
-		return NewSLRU(lines, parts, 0.8, seed)
 	default:
 		panic("futility: unknown ranker kind")
 	}

@@ -10,6 +10,12 @@ import (
 	"fscache/internal/xrand"
 )
 
+// futilityOf reads the normalized half of a FutilityRaw query.
+func futilityOf(r Ranker, line, part int) float64 {
+	f, _ := r.FutilityRaw(line, part)
+	return f
+}
+
 func TestKindString(t *testing.T) {
 	cases := []struct {
 		k    Kind
@@ -39,8 +45,9 @@ func TestReference(t *testing.T) {
 func TestNewFactory(t *testing.T) {
 	for _, k := range []Kind{LRU, LFU, OPT, CoarseLRU} {
 		r := New(k, 16, 2, 1)
-		if r.Name() == "" {
-			t.Fatalf("kind %v produced unnamed ranker", k)
+		r.OnInsert(3, 1, Context{})
+		if r.Size(0) != 0 || r.Size(1) != 1 {
+			t.Fatalf("kind %v: sizes %d, %d after one insert into partition 1", k, r.Size(0), r.Size(1))
 		}
 	}
 	defer func() {
@@ -59,7 +66,7 @@ func TestExactLRUOrdering(t *testing.T) {
 		r.OnInsert(line, 0, Context{Seq: seq})
 		seq++
 	}
-	f0, f1, f2 := r.Futility(0, 0), r.Futility(1, 0), r.Futility(2, 0)
+	f0, f1, f2 := futilityOf(r, 0, 0), futilityOf(r, 1, 0), futilityOf(r, 2, 0)
 	if !(f0 > f1 && f1 > f2) {
 		t.Fatalf("LRU futility ordering wrong: %v %v %v", f0, f1, f2)
 	}
@@ -85,7 +92,7 @@ func TestExactLFUOrdering(t *testing.T) {
 	r.OnInsert(0, 0, Context{})
 	r.OnInsert(1, 0, Context{})
 	r.OnHit(0, 0, Context{}) // line 0 freq 2, line 1 freq 1
-	if !(r.Futility(1, 0) > r.Futility(0, 0)) {
+	if !(futilityOf(r, 1, 0) > futilityOf(r, 0, 0)) {
 		t.Fatal("LFU: lower frequency must be more useless")
 	}
 	if w := r.Worst(0); w != 1 {
@@ -107,11 +114,11 @@ func TestExactOPTOrdering(t *testing.T) {
 	if w := r.Worst(0); w != 2 {
 		t.Fatalf("Worst = %d, want 2", w)
 	}
-	if !(r.Futility(0, 0) > r.Futility(1, 0)) {
+	if !(futilityOf(r, 0, 0) > futilityOf(r, 1, 0)) {
 		t.Fatal("OPT: farther next use must be more useless")
 	}
 	r.OnHit(1, 0, Context{NextUse: 200})
-	if !(r.Futility(1, 0) > r.Futility(0, 0)) {
+	if !(futilityOf(r, 1, 0) > futilityOf(r, 0, 0)) {
 		t.Fatal("OPT: hit did not refresh next use")
 	}
 }
@@ -125,7 +132,7 @@ func TestPartitionIsolation(t *testing.T) {
 		t.Fatalf("sizes = %d,%d", r.Size(0), r.Size(1))
 	}
 	// Sole line of partition 0 has futility 1 regardless of partition 1.
-	if f := r.Futility(0, 0); math.Abs(f-1) > 1e-12 {
+	if f := futilityOf(r, 0, 0); math.Abs(f-1) > 1e-12 {
 		t.Fatalf("futility = %v", f)
 	}
 	if w := r.Worst(1); w != 1 {
@@ -142,14 +149,14 @@ func TestOnMovePreservesRank(t *testing.T) {
 		r := mk()
 		r.OnInsert(0, 0, Context{Seq: 0})
 		r.OnInsert(1, 0, Context{Seq: 1})
-		before := r.Futility(0, 0)
+		before := futilityOf(r, 0, 0)
 		r.OnMove(0, 5, 0)
-		after := r.Futility(5, 0)
+		after := futilityOf(r, 5, 0)
 		if math.Abs(before-after) > 1e-9 {
-			t.Errorf("%s: futility changed across move: %v → %v", r.Name(), before, after)
+			t.Errorf("%T: futility changed across move: %v → %v", r, before, after)
 		}
 		if r.Size(0) != 2 {
-			t.Errorf("%s: size changed across move", r.Name())
+			t.Errorf("%T: size changed across move", r)
 		}
 	}
 }
@@ -177,7 +184,7 @@ func TestLifecyclePanics(t *testing.T) {
 			r.OnInsert(0, 0, Context{})
 		}},
 		{"evict untracked", func() { NewExactLRU(4, 1).OnEvict(0, 0) }},
-		{"futility untracked", func() { NewExactLRU(4, 1).Futility(0, 0) }},
+		{"futility untracked", func() { NewExactLRU(4, 1).FutilityRaw(0, 0) }},
 		{"move untracked", func() { NewExactLRU(4, 1).OnMove(0, 1, 0) }},
 		{"bad sizes", func() { NewExactLRU(0, 1) }},
 		{"coarse bad sizes", func() { NewCoarseTS(4, 0) }},
@@ -205,16 +212,16 @@ func TestCoarseTSTicks(t *testing.T) {
 		t.Fatalf("timestamp did not tick: %d → %d", ts0, c.CurrentTS(0))
 	}
 	// Distance of line 0 grows as other lines are accessed.
-	d0 := c.Raw(0, 0)
+	d0 := c.Distance(0, 0)
 	for i := 2; i < 10; i++ {
 		c.OnInsert(i, 0, Context{})
 	}
-	if d1 := c.Raw(0, 0); d1 <= d0 {
+	if d1 := c.Distance(0, 0); d1 <= d0 {
 		t.Fatalf("distance did not grow: %d → %d", d0, d1)
 	}
 	// A hit resets the distance to zero.
 	c.OnHit(0, 0, Context{})
-	if got := c.Raw(0, 0); got != 0 {
+	if got := c.Distance(0, 0); got != 0 {
 		t.Fatalf("distance after hit = %d, want 0", got)
 	}
 }
@@ -230,12 +237,12 @@ func TestCoarseTSWraparound(t *testing.T) {
 		c.OnHit(1, 0, Context{})
 	}
 	// line 1 was just hit; its distance is 0 or 1 ticks back.
-	if d := c.Raw(1, 0); d > 1 {
+	if d := c.Distance(1, 0); d > 1 {
 		t.Fatalf("recently hit line distance = %d", d)
 	}
 	// line 0's distance is (300+2) mod 256-ish — must be the wrapped value,
 	// within 8 bits.
-	d := c.Raw(0, 0)
+	d := c.Distance(0, 0)
 	if d > 255 {
 		t.Fatalf("distance exceeds 8 bits: %d", d)
 	}
@@ -254,12 +261,12 @@ func TestCoarseTSFutilityCDF(t *testing.T) {
 	}
 	// Observe plenty of distances so the CDF calibrates, and force rebuilds.
 	for i := 0; i < 3*histRebuild; i++ {
-		c.Futility(rng.Intn(512), 0)
+		c.FutilityRaw(rng.Intn(512), 0)
 	}
 	// Old, never-hit lines must have higher futility than just-hit lines.
 	c.OnHit(0, 0, Context{})
-	fresh := c.Futility(0, 0)
-	stale := c.Futility(400, 0) // in 256..511, never hit after insert
+	fresh := futilityOf(c, 0, 0)
+	stale := futilityOf(c, 400, 0) // in 256..511, never hit after insert
 	if stale <= fresh {
 		t.Fatalf("stale futility %v not above fresh %v", stale, fresh)
 	}
@@ -287,7 +294,7 @@ func TestQuickFutilityIsPermutationOfRanks(t *testing.T) {
 		}
 		seen := make([]bool, n+1)
 		for i := 0; i < n; i++ {
-			f := r.Futility(i, 0)
+			f := futilityOf(r, i, 0)
 			rank := int(f*float64(n) + 0.5)
 			if rank < 1 || rank > n || seen[rank] {
 				return false
@@ -301,7 +308,7 @@ func TestQuickFutilityIsPermutationOfRanks(t *testing.T) {
 	}
 }
 
-// Property: Raw ordering matches Futility ordering within a partition for
+// Property: raw ordering matches futility ordering within a partition for
 // every ranker (schemes may use either interchangeably intra-partition).
 func TestQuickRawMatchesFutilityOrder(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -315,8 +322,8 @@ func TestQuickRawMatchesFutilityOrder(t *testing.T) {
 		}
 		for a := 0; a < 16; a++ {
 			for b := 0; b < 16; b++ {
-				fa, fb := r.Futility(a, 0), r.Futility(b, 0)
-				ra, rb := r.Raw(a, 0), r.Raw(b, 0)
+				fa, ra := r.FutilityRaw(a, 0)
+				fb, rb := r.FutilityRaw(b, 0)
 				if (fa < fb) != (ra < rb) {
 					return false
 				}
@@ -336,9 +343,9 @@ func TestCoarseTSFlipTimestampBit(t *testing.T) {
 	}
 	c.OnInsert(0, 0, Context{})
 	c.OnHit(0, 0, Context{}) // tag = current
-	before := c.Raw(0, 0)
+	before := c.Distance(0, 0)
 	c.FlipTimestampBit(0, 7)
-	after := c.Raw(0, 0)
+	after := c.Distance(0, 0)
 	if after == before {
 		t.Fatalf("flip did not change the distance: %d", after)
 	}
@@ -348,13 +355,13 @@ func TestCoarseTSFlipTimestampBit(t *testing.T) {
 	}
 	// Flipping back restores the original distance.
 	c.FlipTimestampBit(0, 7)
-	if got := c.Raw(0, 0); got != before {
+	if got := c.Distance(0, 0); got != before {
 		t.Fatalf("double flip distance = %d, want %d", got, before)
 	}
 	// A flipped dead tag is overwritten when its line is filled.
 	c.FlipTimestampBit(1, 0)
 	c.OnInsert(1, 0, Context{})
-	if got := c.Raw(1, 0); got != 0 {
+	if got := c.Distance(1, 0); got != 0 {
 		t.Fatalf("fresh line after a dead-tag flip has distance %d, want 0", got)
 	}
 	for _, bad := range []func(){

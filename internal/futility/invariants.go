@@ -23,7 +23,7 @@ type InvariantChecker interface {
 }
 
 // CheckInvariants implements InvariantChecker for the tree-backed exact
-// rankers (LFU, OPT, SLRU): every partition tree must satisfy the
+// rankers (LFU and OPT): every partition tree must satisfy the
 // order-statistic contract
 // (ost.Check), every tracked line's stored key (one with a ticket) must be
 // findable in some tree, and the per-partition tree populations must sum to

@@ -48,9 +48,6 @@ func NewExactLRU(lines, parts int) *ExactLRU {
 	}
 }
 
-// Name implements Ranker.
-func (r *ExactLRU) Name() string { return "exact-lru" }
-
 // OnInsert implements Ranker.
 //
 //fs:allocfree
@@ -107,36 +104,18 @@ func (r *ExactLRU) OnMove(from, to, part int) {
 	r.parts[part].Move(int32(from), int32(to), r.slot)
 }
 
-// futilityOf is the prefix sum behind Futility, Raw and FutilityRaw: the
-// line's rank is one plus the live slots above its own.
-func (r *ExactLRU) futilityOf(line, part int) float64 {
+// FutilityRaw implements Ranker with one prefix sum: the line's rank is one
+// plus the live slots above its own, futility is rank / partition size, and
+// Raw is the futility scaled to 32 bits, so raw ordering matches normalized
+// ordering.
+//
+//fs:allocfree
+func (r *ExactLRU) FutilityRaw(line, part int) (float64, uint64) {
 	s := r.slot[line]
 	if s == 0 {
 		panic("futility: Futility of untracked line")
 	}
-	return float64(r.parts[part].Rank(s)) / r.fLen[part]
-}
-
-// Futility implements Ranker: recency rank / partition size.
-//
-//fs:allocfree
-func (r *ExactLRU) Futility(line, part int) float64 {
-	return r.futilityOf(line, part)
-}
-
-// Raw implements Ranker: the futility scaled to 32 bits, so raw ordering
-// matches normalized ordering.
-//
-//fs:allocfree
-func (r *ExactLRU) Raw(line, part int) uint64 {
-	return uint64(r.futilityOf(line, part) * (1 << 32))
-}
-
-// FutilityRaw implements FastRanker with one prefix sum.
-//
-//fs:allocfree
-func (r *ExactLRU) FutilityRaw(line, part int) (float64, uint64) {
-	f := r.futilityOf(line, part)
+	f := float64(r.parts[part].Rank(s)) / r.fLen[part]
 	return f, uint64(f * (1 << 32))
 }
 

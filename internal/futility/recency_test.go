@@ -97,14 +97,13 @@ func (m *ticketModel) compare(r *ExactLRU, part int) error {
 	for i, l := range ls {
 		want := float64(i+1) / float64(len(ls))
 		wantRaw := uint64(want * (1 << 32))
-		f, raw := r.Futility(l, part), r.Raw(l, part)
-		f2, raw2 := r.FutilityRaw(l, part)
-		if math.Float64bits(f) != math.Float64bits(want) || math.Float64bits(f2) != math.Float64bits(want) {
-			return fmt.Errorf("partition %d line %d: Futility %v, FutilityRaw %v, model rank %d of %d = %v",
-				part, l, f, f2, i+1, len(ls), want)
+		f, raw := r.FutilityRaw(l, part)
+		if math.Float64bits(f) != math.Float64bits(want) {
+			return fmt.Errorf("partition %d line %d: futility %v, model rank %d of %d = %v",
+				part, l, f, i+1, len(ls), want)
 		}
-		if raw != wantRaw || raw2 != wantRaw {
-			return fmt.Errorf("partition %d line %d: Raw %d, FutilityRaw %d, model %d", part, l, raw, raw2, wantRaw)
+		if raw != wantRaw {
+			return fmt.Errorf("partition %d line %d: raw %d, model %d", part, l, raw, wantRaw)
 		}
 	}
 	return nil
@@ -161,7 +160,7 @@ func TestExactLRUEqualSeqOrder(t *testing.T) {
 					t.Fatal("the index did not compact inside the group")
 				}
 				// The group sits above every older line, last insert lowest.
-				if got, want := r.Futility(older+k-1, 0), float64(len(m.parts[0])-older)/float64(len(m.parts[0])); got != want {
+				if got, want := futilityOf(r, older+k-1, 0), float64(len(m.parts[0])-older)/float64(len(m.parts[0])); got != want {
 					t.Fatalf("last insert of the group has futility %v, want %v", got, want)
 				}
 				// A later access goes above the whole group.
@@ -186,7 +185,7 @@ func TestExactLRUEqualSeqHitIsMostRecent(t *testing.T) {
 	r.OnHit(2, 0, Context{Seq: 2})
 	r.OnInsert(3, 0, Context{Seq: 2}) // below lines 1 and 2, above line 0
 	for rank, line := range []int{2, 1, 3, 0} {
-		if got, want := r.Futility(line, 0), float64(rank+1)/4; got != want {
+		if got, want := futilityOf(r, line, 0), float64(rank+1)/4; got != want {
 			t.Errorf("line %d futility %v, want %v", line, got, want)
 		}
 	}

@@ -36,7 +36,7 @@ func filledTree() (*Tree, []Key) {
 	return t, keys
 }
 
-// insertDeleteOp replaces a random key: a hit under LFU, OPT or SLRU. The
+// insertDeleteOp replaces a random key: a hit under LFU or OPT. The
 // tree stays at treeKeys entries, so recycled nodes absorb every pair.
 func insertDeleteOp(testing.TB) func(int) {
 	t, keys := filledTree()
@@ -54,7 +54,7 @@ func insertDeleteOp(testing.TB) func(int) {
 }
 
 // rankOp ranks one key of a static tree: one candidate's futility under
-// LFU, OPT or SLRU.
+// LFU or OPT.
 func rankOp(tb testing.TB) func(int) {
 	t, keys := filledTree()
 	next := 0
@@ -69,8 +69,7 @@ func rankOp(tb testing.TB) func(int) {
 	}
 }
 
-// selectOp selects by rank in a static tree: SLRU's protected-segment
-// demotion.
+// selectOp selects by rank in a static tree, as ost.Check's walk does.
 func selectOp(testing.TB) func(int) {
 	t, _ := filledTree()
 	next := 0

@@ -3,9 +3,8 @@
 // The futility of a cache line is its uselessness rank within its partition
 // normalized to [0,1]: for the line ranked r-th of M, f = r/M (§III-A of the
 // paper). Exact futility ranking therefore needs order statistics over a
-// dynamically changing set of keys — access frequencies for LFU, next-use
-// times for OPT, segment plus recency for SLRU. Those three reference rankers
-// are the treap's only users: recency keys only ever grow, so exact LRU
+// dynamically changing set of keys — access frequencies for LFU and next-use
+// times for OPT. Those two reference rankers are the treap's only users: recency keys only ever grow, so exact LRU
 // ranks and the MRC profiler's stack distances (futility.ExactLRU,
 // alloc.Profiler) come from internal/recency's Fenwick tree over access
 // order instead. The treap supports Insert, Delete, Rank, Select, Min and Max
