@@ -95,11 +95,11 @@ cover:
 soak:
 	$(GO) run ./cmd/fscheck -duration 10m
 
-# Concurrent load against the sharded engine under the race detector:
+# Concurrent load against the striped engine under the race detector:
 # throughput, latency quantiles and per-partition occupancy error
 # (DESIGN.md §12). CI runs the same configuration in its race job.
 load:
-	$(GO) run -race ./cmd/fsload -shards 2 -stripes 4 -workers 4 -batch 16 -duration 2s
+	$(GO) run -race ./cmd/fsload -stripes 8 -workers 4 -batch 16 -duration 2s
 
 # Run the multi-tenant cache server in the foreground with two tenants
 # (one guaranteed, one best-effort) and a 2:1 capacity split. Ctrl-C drains.

@@ -41,21 +41,24 @@ func newEngineTarget(o options) (*engineTarget, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &engineTarget{Setup: s, o: o, parts: len(s.Targets)}
+	cfg := shardcache.Config{
+		Lines:   s.Lines,
+		Ways:    s.Ways,
+		Stripes: o.stripes,
+		Parts:   len(s.Targets),
+		Ranking: futility.CoarseLRU,
+		Seed:    o.seed,
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, usageError{err}
+	}
+	t := &engineTarget{Setup: s, o: o, parts: cfg.Parts}
 	if t.Comp != nil {
 		t.desc = fmt.Sprintf("scenario %s (%d clients), ", t.Comp.Spec.Name, len(t.Comp.Clients))
 	}
-	t.desc += fmt.Sprintf("engine %d lines / %d ways / %d shards × %d stripes, %d partitions, batch %d",
-		t.Lines, t.Ways, o.shards, o.stripes, t.parts, o.batch)
-	t.e = shardcache.New(shardcache.Config{
-		Lines:   t.Lines,
-		Ways:    t.Ways,
-		Shards:  o.shards,
-		Stripes: o.stripes,
-		Parts:   t.parts,
-		Ranking: futility.CoarseLRU,
-		Seed:    o.seed,
-	})
+	t.desc += fmt.Sprintf("engine %d lines / %d ways / %d stripes, %d partitions, batch %d",
+		t.Lines, t.Ways, o.stripes, t.parts, o.batch)
+	t.e = shardcache.New(cfg)
 	t.e.SetTargets(t.Targets)
 	var src shardcache.TargetSource
 	if t.Alloc != nil {

@@ -18,11 +18,11 @@
 // The net target (net.go, -net) is a retrying, optionally hedging and
 // fault-injecting TCP client fleet against a running fsserve.
 //
-//	fsload -stripes 4 -batch 32             # striped locks, batched submission
+//	fsload -stripes 16 -batch 32            # finer locks, batched submission
 //	fsload -scenario examples/scenarios/zipf-drift.yaml -alloc utility
 //	fsload -net 127.0.0.1:7070 -faults -deadline 50ms -maxerr 0.05
 //
-// Engine-only flags (-shards -stripes -batch -scenario -alloc) are rejected
+// Engine-only flags (-stripes -batch -scenario -alloc) are rejected
 // with -net, net-only flags (-keys -deadline -hedge -faults -maxerr) without
 // it. -maxocc gates the worst instantaneous size error (the time-averaged
 // occupancy is printed, but a short run's mean is dominated by the cold
@@ -66,11 +66,11 @@ const latBuckets = 512
 
 // options is one run's configuration: the parsed flags.
 type options struct {
-	shards, stripes, workers, batch int
-	duration                        time.Duration
-	seed                            uint64
-	maxOcc                          float64
-	scenario, alloc                 string
+	stripes, workers, batch int
+	duration                time.Duration
+	seed                    uint64
+	maxOcc                  float64
+	scenario, alloc         string
 
 	net             string
 	keys            int
@@ -81,15 +81,14 @@ type options struct {
 
 // engineOnly and netOnly name the flags that apply to one target.
 var (
-	engineOnly = []string{"shards", "stripes", "batch", "scenario", "alloc"}
+	engineOnly = []string{"stripes", "batch", "scenario", "alloc"}
 	netOnly    = []string{"keys", "deadline", "hedge", "faults", "maxerr"}
 )
 
 func parseFlags(args []string) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("fsload", flag.ContinueOnError)
-	fs.IntVar(&o.shards, "shards", 4, "shard count (power of two)")
-	fs.IntVar(&o.stripes, "stripes", 1, "lock stripes per shard (power of two)")
+	fs.IntVar(&o.stripes, "stripes", 4, "lock stripes (power of two)")
 	fs.IntVar(&o.workers, "workers", 4, "concurrent worker goroutines")
 	fs.DurationVar(&o.duration, "duration", 5*time.Second, "wall-clock run length")
 	fs.Uint64Var(&o.seed, "seed", 1, "workload seed (address streams; throughput still varies run to run)")
@@ -168,6 +167,10 @@ type worker struct {
 	hist      *stats.Histogram
 }
 
+// usageError is a flag value only the target can reject once it knows its
+// geometry; run exits 2 on it, as main does on any other bad flag.
+type usageError struct{ error }
+
 // run drives the target o selects and returns the process exit code.
 func run(o options, stdout, stderr io.Writer) int {
 	var t target
@@ -179,6 +182,9 @@ func run(o options, stdout, stderr io.Writer) int {
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "fsload:", err)
+		if errors.As(err, new(usageError)) {
+			return 2
+		}
 		return 1
 	}
 	return drive(t, o, stdout, stderr)

@@ -95,7 +95,7 @@ func startServer(t *testing.T) string {
 	srv, err := server.New(server.Config{
 		Tenants: []server.TenantConfig{{Class: server.Guaranteed}, {Class: server.BestEffort}},
 		Cache: shardcache.Config{
-			Lines: 1 << 14, Ways: 16, Shards: 2, Parts: 2,
+			Lines: 1 << 14, Ways: 16, Stripes: 2, Parts: 2,
 			Ranking: futility.CoarseLRU, Seed: 1,
 		},
 		Rebalance: 50 * time.Millisecond,
@@ -149,6 +149,21 @@ func TestNetTargetErrorGate(t *testing.T) {
 	}
 }
 
+// A stripe count the engine cannot be built with is a usage error: one line
+// naming it and exit 2, not a panic.
+func TestBadGeometryExitsTwo(t *testing.T) {
+	for _, tc := range []struct{ stripes, want string }{
+		{"3", "Stripes must be a positive power of two"},
+		{"512", "more lock stripes than sets"},
+	} {
+		code, stdout, stderr := runArgs(t, "-stripes", tc.stripes)
+		if code != 2 || stderr != "fsload: "+tc.want+"\n" || stdout != "" {
+			t.Errorf("-stripes %s: exit %d, want 2 with one line naming %q\nstdout:\n%s\nstderr:\n%s",
+				tc.stripes, code, tc.want, stdout, stderr)
+		}
+	}
+}
+
 func TestFlagsRejectedForTheOtherTarget(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -156,7 +171,6 @@ func TestFlagsRejectedForTheOtherTarget(t *testing.T) {
 	}{
 		{[]string{"-batch", "16"}, ""},
 		{[]string{"-net", "x:1", "-hedge", "20ms", "-faults"}, ""},
-		{[]string{"-net", "x:1", "-shards", "2"}, "-shards"},
 		{[]string{"-net", "x:1", "-stripes", "2"}, "-stripes"},
 		{[]string{"-net", "x:1", "-batch", "16"}, "-batch"},
 		{[]string{"-net", "x:1", "-scenario", "s.yaml"}, "-scenario"},

@@ -1,14 +1,14 @@
 // Command fsserve runs the overload-resilient multi-tenant cache service
 // (internal/server): a length-prefixed TCP key-value front end where each
-// tenant maps to one futility-scaling partition of a sharded engine.
+// tenant maps to one futility-scaling partition of a striped engine.
 //
 // Tenants are declared with -tenants as comma-separated class[:rate[:burst]]
 // specs, where class is "g" (guaranteed) or "b" (best-effort), rate is the
 // token-bucket refill in requests/second (0 = unlimited) and burst is the
 // bucket depth. The engine's line capacity is split evenly across tenants
 // unless -targets overrides it; explicit targets must sum to -lines. The
-// engine is 16-way with 4 shards × 4 lock stripes, and the in-flight
-// watermarks are the server's defaults.
+// engine is 16-way with 16 lock stripes, and the in-flight watermarks are
+// the server's defaults.
 //
 // On SIGINT/SIGTERM the server drains: it stops accepting, lets in-flight
 // requests finish and their responses flush, and force-closes stragglers
@@ -68,8 +68,7 @@ import (
 // ways with its spec's.
 const (
 	ways      = 16
-	shards    = 4
-	stripes   = 4
+	stripes   = 16
 	faultSeed = 2026
 )
 
@@ -151,7 +150,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		Cache: shardcache.Config{
 			Lines:   s.Lines,
 			Ways:    s.Ways,
-			Shards:  shards,
 			Stripes: stripes,
 			Parts:   len(tcs),
 			Ranking: futility.CoarseLRU,
@@ -160,6 +158,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		Logf: func(format string, args ...interface{}) {
 			fmt.Fprintf(stderr, format+"\n", args...)
 		},
+	}
+	if err := cfg.Cache.Validate(); err != nil {
+		return fail(2, err)
 	}
 	if s.Alloc != nil {
 		cfg.Alloc = s.Alloc

@@ -208,6 +208,18 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}
 }
 
+// A line count the engine cannot be built with is a usage error: one line
+// naming it and exit 2, not a panic.
+func TestBadGeometryExitsTwo(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // as above: a wrongly accepted config drains at once
+	var stderr syncBuffer
+	code := run(ctx, []string{"-addr", "127.0.0.1:0", "-lines", "100"}, &stderr)
+	if want := "fsserve: Lines must be a positive power of two\n"; code != 2 || stderr.String() != want {
+		t.Fatalf("exit %d, want 2 with the one line %q:\n%s", code, want, stderr.String())
+	}
+}
+
 // Targets that do not sum to the capacity are the server's to reject.
 func TestTargetsMustSumToLines(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

@@ -17,7 +17,8 @@ type Config struct {
 	// Lines is the total cache capacity in lines (required, positive).
 	Lines int
 	// ChunkLines is the allocation granularity in lines (default
-	// max(Lines/64, 1)).
+	// max(Lines/64, 1)), and one chunk is every live partition's floor:
+	// Parts must not exceed Lines/ChunkLines.
 	ChunkLines int
 	// EpochAccesses is the number of accesses, as PollTargets is told
 	// them, per reallocation epoch (default 8×Lines).
@@ -25,10 +26,6 @@ type Config struct {
 	// SampleShift selects the 1/2^SampleShift spatial sampling rate shared
 	// by every partition's profiler (default 3, i.e. 1/8).
 	SampleShift uint
-	// MinLines is the per-live-partition floor handed to the objective as
-	// minimum chunks (default ChunkLines). Must satisfy
-	// Parts×ceil(MinLines/ChunkLines) ≤ Lines/ChunkLines chunks.
-	MinLines int
 	// Objective picks targets from the epoch curves (default MaxHits).
 	Objective Objective
 	// Initial optionally sets the targets reported before the first epoch
@@ -75,11 +72,10 @@ type Decision struct {
 // per-partition curves are commensurable and the fast-path filter needs a
 // single hash.
 type Allocator struct {
-	cfg      Config
-	salt     uint64
-	mask     uint64
-	nChunk   int
-	minChunk []int
+	cfg    Config
+	salt   uint64
+	mask   uint64
+	nChunk int
 
 	mu sync.Mutex
 	//fs:guardedby mu
@@ -101,8 +97,8 @@ type Allocator struct {
 }
 
 // New builds an Allocator. It panics on non-positive Parts/Lines, on an
-// Initial vector of the wrong length, and on infeasible floors
-// (Parts×MinLines demanding more chunks than the cache holds).
+// Initial vector of the wrong length, and on infeasible floors (more
+// partitions than the cache holds chunks).
 func New(cfg Config) *Allocator { return newAllocator(cfg, 1) }
 
 // newAllocator is New with profilers depthMul times as deep, which the tests
@@ -126,17 +122,13 @@ func newAllocator(cfg Config, depthMul int) *Allocator {
 	if cfg.SampleShift == 0 {
 		cfg.SampleShift = 3
 	}
-	if cfg.MinLines <= 0 {
-		cfg.MinLines = cfg.ChunkLines
-	}
 	if cfg.Objective == nil {
 		cfg.Objective = MaxHits{}
 	}
 	nChunk := cfg.Lines / cfg.ChunkLines
-	minChunk := chunksFor(cfg.MinLines, cfg.ChunkLines)
-	if cfg.Parts*minChunk > nChunk {
-		panicf("infeasible floors: %d parts × %d lines (%d chunks each) exceed %d lines (%d chunks)",
-			cfg.Parts, cfg.MinLines, minChunk, cfg.Lines, nChunk)
+	if cfg.Parts > nChunk {
+		panicf("infeasible floors: %d parts of at least %d lines exceed %d lines (%d chunks)",
+			cfg.Parts, cfg.ChunkLines, cfg.Lines, nChunk)
 	}
 	if cfg.Initial != nil && len(cfg.Initial) != cfg.Parts {
 		panicf("Initial has %d entries, want %d", len(cfg.Initial), cfg.Parts)
@@ -148,17 +140,15 @@ func newAllocator(cfg Config, depthMul int) *Allocator {
 	tags := depthMul * max(cfg.Lines>>cfg.SampleShift, 64)
 
 	a := &Allocator{
-		cfg:      cfg,
-		nChunk:   nChunk,
-		minChunk: make([]int, cfg.Parts),
-		profs:    make([]*Profiler, cfg.Parts),
-		targets:  make([]int, cfg.Parts),
+		cfg:     cfg,
+		nChunk:  nChunk,
+		profs:   make([]*Profiler, cfg.Parts),
+		targets: make([]int, cfg.Parts),
 	}
 	a.mu.Lock() // not yet escaped; taken for the lockcheck contract on profs/targets
 	for p := range a.profs {
 		// One shared sampling filter (cfg.Seed ⇒ same salt everywhere).
 		a.profs[p] = NewProfiler(tags, cfg.SampleShift, cfg.Seed)
-		a.minChunk[p] = minChunk
 	}
 	a.salt = a.profs[0].salt
 	a.mask = a.profs[0].mask
@@ -253,7 +243,7 @@ func (a *Allocator) closeEpochLocked() {
 		minChunks := make([]int, a.cfg.Parts)
 		for p := range minChunks {
 			if cv.Live[p] {
-				minChunks[p] = a.minChunk[p]
+				minChunks[p] = 1
 			}
 		}
 		chunks := a.cfg.Objective.Allocate(cv, minChunks)
@@ -336,9 +326,9 @@ func (a *Allocator) checkTargets(tg []int, live []bool) {
 	sum := 0
 	for p, t := range tg {
 		if live[p] {
-			if t < a.cfg.MinLines {
+			if t < a.cfg.ChunkLines {
 				panicf("objective %s gave live partition %d only %d lines, floor %d",
-					a.cfg.Objective.Name(), p, t, a.cfg.MinLines)
+					a.cfg.Objective.Name(), p, t, a.cfg.ChunkLines)
 			}
 		} else if t != 0 {
 			panicf("objective %s gave dead partition %d %d lines",

@@ -269,7 +269,7 @@ func TestAllocatorConfigPanics(t *testing.T) {
 	mustPanic("parts", func() { New(Config{Parts: 0, Lines: 64}) })
 	mustPanic("lines", func() { New(Config{Parts: 1, Lines: 0}) })
 	mustPanic("floors", func() {
-		New(Config{Parts: 8, Lines: 64, ChunkLines: 16, MinLines: 16})
+		New(Config{Parts: 8, Lines: 64, ChunkLines: 16})
 	})
 	mustPanic("initial", func() {
 		New(Config{Parts: 2, Lines: 64, Initial: []int{64}})

@@ -8,7 +8,7 @@
 // allocator: the util experiment hands MaxHits curves from UMONs that saw
 // whole recorded traces, while the Allocator samples the live access stream
 // and reallocates every epoch, so the enforcement layers (the monolithic
-// simulator and the sharded engine's rebalancer) track workload phases
+// simulator and the striped engine's rebalancer) track workload phases
 // instead of running on static targets.
 //
 // Everything in the package is deterministic: equal seeds and equal access

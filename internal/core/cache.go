@@ -116,7 +116,7 @@ func (c *Cache) partOf(line int) int {
 // Cache is not safe for concurrent use: every method, including the
 // read-only StatsSnapshot, must be externally serialized. This is the
 // concurrency boundary of the simulator — internal/shardcache builds a
-// concurrent engine out of single-threaded Caches by giving each shard its
+// concurrent engine out of single-threaded Caches by giving each stripe its
 // own Cache and mutex, never by sharing one Cache across goroutines.
 type Cache struct {
 	array    cachearray.Array

@@ -1,7 +1,5 @@
 package core_test
 
-//go:generate go run gen_fuzz_corpus.go
-
 import (
 	"testing"
 
@@ -15,11 +13,10 @@ import (
 // factors, invariant audit, or a panic in either model — fails the fuzz
 // run with the scenario encoded in the failing input.
 //
-// The seed corpus under testdata/fuzz/FuzzAccess is generated from the
-// difftest regression corpus (one scenario per array/ranking/scheme
-// combination); regenerate it with
-// `go test ./internal/difftest -run TestCorpus -regen-corpus` followed by
-// `go generate ./internal/core` (see gen_fuzz_corpus.go).
+// The seed corpus under testdata/fuzz/FuzzAccess is the difftest regression
+// corpus (one scenario per array/ranking/scheme combination) in fuzz format:
+// difftest's TestCorpus fails when the two differ, and
+// `go test ./internal/difftest -run TestCorpus -regen-corpus` rewrites both.
 func FuzzAccess(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := difftest.FromBytes(data)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,8 +14,9 @@ import (
 	"fscache/internal/trace"
 )
 
-// regenCorpus rewrites testdata/corpus from the deterministic seed sweep.
-// Run `go test ./internal/difftest -run TestCorpus -regen-corpus` after a
+// regenCorpus rewrites testdata/corpus from the deterministic seed sweep, and
+// core's FuzzAccess seeds from the corpus. Run
+// `go test ./internal/difftest -run TestCorpus -regen-corpus` after a
 // deliberate semantic change; the diff is then reviewable like a golden.
 var regenCorpus = flag.Bool("regen-corpus", false, "regenerate the committed scenario corpus")
 
@@ -192,13 +194,23 @@ func TestFromBytesTotal(t *testing.T) {
 	}
 }
 
-// corpusDir is the committed regression corpus of hex-encoded scenarios.
-const corpusDir = "testdata/corpus"
+// corpusDir is the committed regression corpus of hex-encoded scenarios, and
+// fuzzSeedDir core's FuzzAccess seed corpus: each corpus scenario's ToBytes
+// in `go test fuzz v1` format, under the corpus file's name.
+const (
+	corpusDir   = "testdata/corpus"
+	fuzzSeedDir = "../core/testdata/fuzz/FuzzAccess"
+)
+
+// fuzzSeed renders s as a FuzzAccess seed file.
+func fuzzSeed(s *Scenario) string {
+	return "go test fuzz v1\n[]byte(" + strconv.Quote(string(ToBytes(s))) + ")\n"
+}
 
 // corpusSweep deterministically picks one generated scenario per
 // (array, ranking, scheme) combination the generator can produce, by
 // sweeping seeds in order. These pin the full configuration matrix in the
-// committed corpus (and double as the FuzzAccess seed corpus).
+// committed corpus (and, in fuzz format, FuzzAccess's seed corpus).
 func corpusSweep() map[string]*Scenario {
 	picked := map[string]*Scenario{}
 	for seed := uint64(0); seed < 4096; seed++ {
@@ -211,16 +223,18 @@ func corpusSweep() map[string]*Scenario {
 	return picked
 }
 
-// TestCorpus replays every committed reproducer and requires zero
-// divergence. With -regen-corpus it rewrites the corpus from the
-// deterministic sweep instead.
+// TestCorpus replays every committed reproducer, requires zero divergence
+// and requires core's FuzzAccess seeds to be exactly the corpus. With
+// -regen-corpus it first rewrites both from the deterministic sweep.
 func TestCorpus(t *testing.T) {
 	if *regenCorpus {
-		if err := os.RemoveAll(corpusDir); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(corpusDir, 0o755); err != nil {
-			t.Fatal(err)
+		for _, dir := range []string{corpusDir, fuzzSeedDir} {
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
 		}
 		picked := corpusSweep()
 		keys := make([]string, 0, len(picked))
@@ -231,6 +245,9 @@ func TestCorpus(t *testing.T) {
 		for _, key := range keys {
 			path := filepath.Join(corpusDir, key+".hex")
 			if err := os.WriteFile(path, []byte(EncodeHex(picked[key])+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(fuzzSeedDir, key), []byte(fuzzSeed(picked[key])), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -255,9 +272,16 @@ func TestCorpus(t *testing.T) {
 		if d := RunScenario(s, Options{}); d != nil {
 			t.Errorf("%s: %v\n%s", e.Name(), d, s.Describe())
 		}
+		seed, err := os.ReadFile(filepath.Join(fuzzSeedDir, strings.TrimSuffix(e.Name(), ".hex")))
+		if err != nil || string(seed) != fuzzSeed(s) {
+			t.Errorf("%s: FuzzAccess seed is not the corpus scenario (err %v); run -regen-corpus", e.Name(), err)
+		}
 		ran++
 	}
 	if ran == 0 {
 		t.Fatal("corpus is empty")
+	}
+	if seeds, err := os.ReadDir(fuzzSeedDir); err != nil || len(seeds) != ran {
+		t.Errorf("%d FuzzAccess seeds for %d corpus scenarios (err %v); run -regen-corpus", len(seeds), ran, err)
 	}
 }

@@ -39,8 +39,8 @@ type AllocResult struct {
 	Epochs        int
 	Reallocations int
 	DriftEpochs   int
-	// MinLines is the allocator's per-live-partition floor, re-verified
-	// against every logged decision.
+	// MinLines is the allocator's per-live-partition floor, one chunk,
+	// re-verified against every logged decision.
 	MinLines int
 	// Decisions is the allocator's retained decision log (oldest first).
 	Decisions []alloc.Decision
@@ -70,7 +70,7 @@ func RunScenarioAlloc(spec *scenario.Spec, dir, objective string) (*AllocResult,
 		Parts:     comp.Parts(),
 		Lines:     spec.Cache.Lines,
 		Accesses:  spec.Accesses,
-		MinLines:  cfg.MinLines,
+		MinLines:  cfg.ChunkLines,
 	}
 
 	res.Static, _ = runScenarioScheme(spec, comp, buildScenarioCache(spec, SchemeFS, res.Parts), nil, nil)
@@ -90,7 +90,7 @@ func RunScenarioAlloc(spec *scenario.Spec, dir, objective string) (*AllocResult,
 			res.DriftEpochs++
 		}
 	}
-	if err := checkDecisions(log, spec.Cache.Lines, cfg.MinLines); err != nil {
+	if err := checkDecisions(log, spec.Cache.Lines, cfg.ChunkLines); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
 	if res.Alloc.MissRatio > res.Static.MissRatio+AllocGateMargin {

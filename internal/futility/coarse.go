@@ -35,27 +35,14 @@ type CoarseTS struct {
 
 	cdf   []*cdfTable // per-partition tables, nil until the first futility query
 	total []uint32    // per-partition histogram mass
-	dirty []uint32
-
-	// CDF snapshot state. Instead of eagerly dividing all 256 bins at every
-	// rebuild, rebuild refreshes only the integer cumulative counts from the
-	// lowest bin touched since the last snapshot (dirtyLo) and bumps gen;
-	// the float division for a bin is memoized lazily on first read of that
-	// bin in the current generation. The division uses the same operands as
-	// the old eager rebuild (float64(cum)/float64(total)), so every value a
-	// caller observes is bit-identical.
-	snapTotal []float64 // float64(total) at snapshot (the CDF denominator)
-	gen       []uint32  // current snapshot generation (starts at 1)
-	dirtyLo   []int     // lowest histogram bin modified since last snapshot
+	dirty []uint32    // per-partition recordings since the last rebuild
 }
 
-// cdfTable is one partition's distance histogram and CDF snapshot: 6 KiB
-// that only a partition whose futility is queried ever needs.
+// cdfTable is one partition's distance histogram and the CDF last computed
+// from it: 3 KiB that only a partition whose futility is queried ever needs.
 type cdfTable struct {
-	hist   [256]uint32  // distance histogram
-	cum    [256]uint64  // cumulative histogram at snapshot
-	cdfVal [256]float64 // memoized cum[d]/snapTotal for gen == cdfGen[d]
-	cdfGen [256]uint32
+	hist [256]uint32  // distance histogram
+	cdf  [256]float64 // cumulative hist / total at the last rebuild
 }
 
 // histRebuild is how many histogram updates may accumulate before the
@@ -68,25 +55,15 @@ func NewCoarseTS(lines, parts int) *CoarseTS {
 	if lines <= 0 || parts <= 0 {
 		panic("futility: lines and parts must be positive")
 	}
-	c := &CoarseTS{
-		ts:        make([]uint8, lines),
-		current:   make([]uint8, parts),
-		counter:   make([]uint64, parts),
-		size:      make([]int, parts),
-		cdf:       make([]*cdfTable, parts),
-		total:     make([]uint32, parts),
-		dirty:     make([]uint32, parts),
-		snapTotal: make([]float64, parts),
-		gen:       make([]uint32, parts),
-		dirtyLo:   make([]int, parts),
+	return &CoarseTS{
+		ts:      make([]uint8, lines),
+		current: make([]uint8, parts),
+		counter: make([]uint64, parts),
+		size:    make([]int, parts),
+		cdf:     make([]*cdfTable, parts),
+		total:   make([]uint32, parts),
+		dirty:   make([]uint32, parts),
 	}
-	for i := 0; i < parts; i++ {
-		c.snapTotal[i] = 256 // the uniform prior's denominator (calibrate)
-		// gen starts at 1: cdfGen is zero-initialized and must not read as
-		// "already memoized for the current generation".
-		c.gen[i] = 1
-	}
-	return c
 }
 
 // tsDist returns the unsigned mod-256 distance (cur − tag), the exact
@@ -165,7 +142,7 @@ func (c *CoarseTS) FutilityRaw(line, part int) (float64, uint64) {
 	if c.dirty[part] >= histRebuild {
 		c.rebuild(part)
 	}
-	f := c.cdfAt(part, d)
+	f := c.cdf[part].cdf[d]
 	c.observe(part, d)
 	return f, uint64(d)
 }
@@ -182,10 +159,8 @@ func (c *CoarseTS) Size(part int) int { return c.size[part] }
 func (c *CoarseTS) calibrate(part int) *cdfTable {
 	//fslint:ignore allocfree cold: once per partition, on its first futility query
 	t := new(cdfTable)
-	// Prior: uniform distances, expressed as a synthetic snapshot with one
-	// count per bin so lazy division yields float64(d+1)/256.
-	for d := range t.cum {
-		t.cum[d] = uint64(d + 1)
+	for d := range t.cdf {
+		t.cdf[d] = float64(d+1) / 256 // prior: uniform distances
 	}
 	c.cdf[part] = t
 	return t
@@ -199,9 +174,6 @@ func (c *CoarseTS) observe(part int, d uint8) {
 	t.hist[d]++
 	c.total[part]++
 	c.dirty[part]++
-	if int(d) < c.dirtyLo[part] {
-		c.dirtyLo[part] = int(d)
-	}
 	// Periodic halving keeps the histogram tracking the recent regime.
 	if c.total[part] >= 1<<20 {
 		var sum uint32
@@ -210,43 +182,19 @@ func (c *CoarseTS) observe(part int, d uint8) {
 			sum += t.hist[i]
 		}
 		c.total[part] = sum
-		c.dirtyLo[part] = 0 // every bin changed
 	}
 }
 
-// rebuild refreshes the CDF snapshot: cumulative counts are recomputed only
-// from the lowest bin touched since the last snapshot (bins below it kept
-// their prefix sums), and the per-bin float divisions are deferred to cdfAt.
+// rebuild recomputes the partition's CDF from its histogram.
 func (c *CoarseTS) rebuild(part int) {
 	c.dirty[part] = 0
-	if c.total[part] == 0 {
-		return
-	}
-	c.snapTotal[part] = float64(c.total[part])
 	t := c.cdf[part]
-	lo := c.dirtyLo[part]
+	total := float64(c.total[part])
 	var cum uint64
-	if lo > 0 {
-		cum = t.cum[lo-1]
-	}
-	for d := lo; d < 256; d++ {
+	for d := range t.hist {
 		cum += uint64(t.hist[d])
-		t.cum[d] = cum
+		t.cdf[d] = float64(cum) / total
 	}
-	c.dirtyLo[part] = 256
-	c.gen[part]++
-}
-
-// cdfAt returns the snapshot CDF at bin d, dividing on first read per
-// generation. The operands match the old eager rebuild exactly, so the
-// result is bit-identical.
-func (c *CoarseTS) cdfAt(part int, d uint8) float64 {
-	t := c.cdf[part]
-	if t.cdfGen[d] != c.gen[part] {
-		t.cdfVal[d] = float64(t.cum[d]) / c.snapTotal[part]
-		t.cdfGen[d] = c.gen[part]
-	}
-	return t.cdfVal[d]
 }
 
 // CurrentTS exposes the partition's current timestamp (for tests and

@@ -57,9 +57,9 @@ func (m *coarseModel) query(d uint8) float64 {
 
 // TestFutilityRawAgreementAcrossHalving drives a coarse ranker's FutilityRaw
 // for enough queries to cross the 2^20 histogram-halving threshold and
-// thousands of CDF rebuilds, against coarseModel: the incremental snapshot
-// (suffix refresh, lazily memoized division) must return the model's quantile
-// bit for bit at every query, and the histograms must agree at the end.
+// thousands of CDF rebuilds, against coarseModel: the ranker must return the
+// model's quantile bit for bit at every query, and the histograms must agree
+// at the end.
 func TestFutilityRawAgreementAcrossHalving(t *testing.T) {
 	const lines, parts = 64, 2
 	c := NewCoarseTS(lines, parts)

@@ -5,10 +5,8 @@ import (
 	"testing"
 )
 
-// eagerCDF recomputes the CDF the way the pre-optimization code did at every
-// rebuild: a full cumulative pass over the histogram with a float division
-// per bin. The incremental snapshot (suffix refresh from dirtyLo + lazy
-// memoized division) must reproduce these values bit-for-bit.
+// eagerCDF recomputes the CDF from the partition's live histogram: a
+// cumulative pass with a float division per bin.
 func eagerCDF(c *CoarseTS, part int) [256]float64 {
 	var out [256]float64
 	var cum uint64
@@ -19,39 +17,34 @@ func eagerCDF(c *CoarseTS, part int) [256]float64 {
 	return out
 }
 
-func checkCDF(t *testing.T, c *CoarseTS, part int, round string) {
+func checkCDF(t *testing.T, c *CoarseTS, part int, want [256]float64, round string) {
 	t.Helper()
-	want := eagerCDF(c, part)
 	for d := 0; d < 256; d++ {
-		got := c.cdfAt(part, uint8(d))
-		if math.Float64bits(got) != math.Float64bits(want[d]) {
-			t.Fatalf("%s: part %d bin %d: incremental CDF %v != eager %v",
-				round, part, d, got, want[d])
+		if got := c.cdf[part].cdf[d]; math.Float64bits(got) != math.Float64bits(want[d]) {
+			t.Fatalf("%s: part %d bin %d: CDF %v, want %v", round, part, d, got, want[d])
 		}
 	}
 }
 
-// TestCoarseCDFIncrementalMatchesEager drives the incremental CDF snapshot
-// through skewed observation batches — including batches touching only high
-// bins, so the prefix-reuse path (cum[lo-1] carried over) is exercised — and
-// after every rebuild compares all 256 bins against an eager full recompute.
+// TestCoarseCDFIncrementalMatchesEager pins the coarse CDF's life cycle: a
+// calibrated partition starts on the uniform prior, its values change only
+// at a rebuild, every bin after a rebuild bit-equals cumulative count over
+// total, and the 1<<20 halving keeps that true.
 func TestCoarseCDFIncrementalMatchesEager(t *testing.T) {
 	c := NewCoarseTS(64, 2)
 
 	// Before any observation a partition has no tables at all, and once
-	// calibrated the prior snapshot must read as the uniform distribution
-	// float64(d+1)/256.
+	// calibrated it reads as the uniform distribution float64(d+1)/256.
+	var prior [256]float64
+	for d := range prior {
+		prior[d] = float64(d+1) / 256
+	}
 	for part := 0; part < 2; part++ {
 		if c.cdf[part] != nil {
 			t.Fatalf("part %d has CDF tables before its first futility query", part)
 		}
 		c.calibrate(part)
-		for d := 0; d < 256; d++ {
-			want := float64(d+1) / 256
-			if got := c.cdfAt(part, uint8(d)); got != want {
-				t.Fatalf("prior: part %d bin %d: got %v want %v", part, d, got, want)
-			}
-		}
+		checkCDF(t, c, part, prior, "prior")
 	}
 
 	rng := uint64(0x9e3779b97f4a7c15)
@@ -74,22 +67,21 @@ func TestCoarseCDFIncrementalMatchesEager(t *testing.T) {
 	}
 	for _, b := range batches {
 		for part := 0; part < 2; part++ {
+			before := c.cdf[part].cdf
 			for i := 0; i < b.n; i++ {
 				c.observe(part, b.bin())
 			}
-			// Read a few bins mid-stream: memoized values from the previous
-			// generation must not leak into the next one.
-			_ = c.cdfAt(part, 0)
-			_ = c.cdfAt(part, 200)
+			// Recording moves the histogram, never the CDF.
+			checkCDF(t, c, part, before, b.name+" before rebuild")
 			c.rebuild(part)
-			checkCDF(t, c, part, b.name)
+			checkCDF(t, c, part, eagerCDF(c, part), b.name)
 		}
 	}
 
-	// Push partition 0 through the 1<<20 halving (dirtyLo resets to 0, every
-	// bin changes) and verify the snapshot still matches an eager recompute.
-	// Halving happens inside observe the moment total reaches the threshold,
-	// so it shows up as the mass dropping between consecutive observations.
+	// Push partition 0 through the 1<<20 halving (every bin changes) and
+	// verify the rebuilt CDF still matches an eager recompute. Halving
+	// happens inside observe the moment total reaches the threshold, so it
+	// shows up as the mass dropping between consecutive observations.
 	halved := false
 	prev := c.total[0]
 	for i := 0; i < 1<<20+16 && !halved; i++ {
@@ -101,9 +93,41 @@ func TestCoarseCDFIncrementalMatchesEager(t *testing.T) {
 		t.Fatal("halving did not fire")
 	}
 	c.rebuild(0)
-	checkCDF(t, c, 0, "post-halving")
+	checkCDF(t, c, 0, eagerCDF(c, 0), "post-halving")
 	// Partition 1 must be untouched by partition 0's halving.
-	checkCDF(t, c, 1, "other-part-after-halving")
+	checkCDF(t, c, 1, eagerCDF(c, 1), "other-part-after-halving")
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCoarseCheckInvariantsDetects damages a calibrated partition's tables
+// one way at a time; CheckInvariants must report each.
+func TestCoarseCheckInvariantsDetects(t *testing.T) {
+	cases := []struct {
+		name   string
+		damage func(c *CoarseTS)
+	}{
+		{"decreasing bin", func(c *CoarseTS) { c.cdf[0].cdf[10] = c.cdf[0].cdf[9] / 2 }},
+		{"last bin not 1", func(c *CoarseTS) { c.cdf[0].cdf[255] = 0.999 }},
+		{"mass mismatch", func(c *CoarseTS) { c.cdf[0].hist[3]++ }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCoarseTS(16, 2)
+			for l := 0; l < 16; l++ {
+				c.OnInsert(l, 0, Context{})
+				c.FutilityRaw(l, 0)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("undamaged ranker: %v", err)
+			}
+			tc.damage(c)
+			if c.CheckInvariants() == nil {
+				t.Fatalf("CheckInvariants missed %s", tc.name)
+			}
+		})
+	}
 }
 
 // TestCoarseDistanceLeavesCDFAlone pins the split the raw-only decision path

@@ -17,11 +17,6 @@ type ostRanker struct {
 	// an untracked line.
 	keys       []ost.Key
 	nextTicket uint64
-	// fLen caches float64(trees[part].Len()) so the per-candidate futility
-	// normalization skips the int→float conversion. It is the cached
-	// denominator, not a reciprocal: x/float64(M) and x*(1/M) differ in the
-	// last ulp for most M, and futility values must stay bit-identical.
-	fLen []float64
 }
 
 func newOSTRanker(lines, parts int, seed uint64) *ostRanker {
@@ -35,7 +30,6 @@ func newOSTRanker(lines, parts int, seed uint64) *ostRanker {
 	return &ostRanker{
 		trees: trees,
 		keys:  make([]ost.Key, lines),
-		fLen:  make([]float64, parts),
 	}
 }
 
@@ -56,7 +50,6 @@ func (r *ostRanker) set(line, part int, primary uint64) {
 	k := ost.Key{Primary: primary, Tie: tie}
 	r.trees[part].Insert(k, int64(line))
 	r.keys[line] = k
-	r.fLen[part] = float64(r.trees[part].Len())
 }
 
 // OnEvict implements Ranker.
@@ -68,7 +61,6 @@ func (r *ostRanker) OnEvict(line, part int) {
 	}
 	r.trees[part].Delete(r.keys[line])
 	r.keys[line] = ost.Key{}
-	r.fLen[part] = float64(r.trees[part].Len())
 }
 
 // OnMove implements Ranker.
@@ -105,7 +97,7 @@ func (r *ostRanker) FutilityRaw(line, part int) (float64, uint64) {
 	if !ok {
 		panic("futility: line key missing from partition tree")
 	}
-	f := float64(rank) / r.fLen[part]
+	f := float64(rank) / float64(r.trees[part].Len())
 	return f, uint64(f * (1 << 32))
 }
 

@@ -24,19 +24,14 @@ type InvariantChecker interface {
 
 // CheckInvariants implements InvariantChecker for the tree-backed exact
 // rankers (LFU and OPT): every partition tree must satisfy the
-// order-statistic contract
-// (ost.Check), every tracked line's stored key (one with a ticket) must be
-// findable in some tree, and the per-partition tree populations must sum to
-// the number of tracked lines. The cached fLen denominator must also agree with the live
-// tree length, since futility normalization divides by it.
+// order-statistic contract (ost.Check), every tracked line's stored key (one
+// with a ticket) must be findable in some tree, and the per-partition tree
+// populations must sum to the number of tracked lines.
 func (r *ostRanker) CheckInvariants() error {
 	total := 0
 	for p, tr := range r.trees {
 		if err := ost.Check(tr); err != nil {
 			return fmt.Errorf("futility: partition %d tree: %w", p, err)
-		}
-		if got, want := r.fLen[p], float64(tr.Len()); !feqBits(got, want) {
-			return fmt.Errorf("futility: partition %d cached fLen %v != live tree length %v", p, got, want)
 		}
 		total += tr.Len()
 	}
@@ -89,19 +84,17 @@ func (r *ExactLRU) CheckInvariants() error {
 
 // CheckInvariants implements InvariantChecker for the coarse-timestamp
 // ranker: per-partition histogram mass conservation (total equals the sum
-// of bins), monotone nondecreasing cumulative snapshot with the snapshot
-// denominator equal to the snapshot's final cumulative mass (so the lazily
-// divided CDF is a genuine CDF ending at 1), non-negative sizes, and dirtyLo
-// within range. That the sizes count the resident lines is core's audit
+// of bins), a CDF that never decreases and ends at exactly 1, and
+// non-negative sizes. That the sizes count the resident lines is core's audit
 // (core.Cache.CheckInvariants), which owns residency. A partition whose
 // futility was never queried has no tables yet; it must then have recorded
-// nothing and still sit on the uniform prior's denominator.
+// nothing.
 func (c *CoarseTS) CheckInvariants() error {
 	for p, t := range c.cdf {
 		if t == nil {
-			if c.total[p] != 0 || c.dirty[p] != 0 || !feqBits(c.snapTotal[p], 256) {
-				return fmt.Errorf("futility: partition %d has no CDF tables but total %d, dirty %d, denominator %v",
-					p, c.total[p], c.dirty[p], c.snapTotal[p])
+			if c.total[p] != 0 || c.dirty[p] != 0 {
+				return fmt.Errorf("futility: partition %d has no CDF tables but total %d, dirty %d",
+					p, c.total[p], c.dirty[p])
 			}
 		} else {
 			var mass uint32
@@ -112,23 +105,17 @@ func (c *CoarseTS) CheckInvariants() error {
 				return fmt.Errorf("futility: partition %d histogram mass %d != total %d", p, mass, c.total[p])
 			}
 			for d := 1; d < 256; d++ {
-				if t.cum[d] < t.cum[d-1] {
-					return fmt.Errorf("futility: partition %d CDF snapshot decreases at bin %d: %d < %d",
-						p, d, t.cum[d], t.cum[d-1])
+				if t.cdf[d] < t.cdf[d-1] {
+					return fmt.Errorf("futility: partition %d CDF decreases at bin %d: %v < %v",
+						p, d, t.cdf[d], t.cdf[d-1])
 				}
 			}
-			if got, want := c.snapTotal[p], float64(t.cum[255]); !feqBits(got, want) {
-				return fmt.Errorf("futility: partition %d snapshot denominator %v != snapshot mass %v", p, got, want)
-			}
-			if c.snapTotal[p] <= 0 {
-				return fmt.Errorf("futility: partition %d snapshot denominator %v not positive", p, c.snapTotal[p])
+			if !feqBits(t.cdf[255], 1) {
+				return fmt.Errorf("futility: partition %d CDF ends at %v, not 1", p, t.cdf[255])
 			}
 		}
 		if c.size[p] < 0 {
 			return fmt.Errorf("futility: partition %d negative size %d", p, c.size[p])
-		}
-		if lo := c.dirtyLo[p]; lo < 0 || lo > 256 {
-			return fmt.Errorf("futility: partition %d dirtyLo %d out of range", p, lo)
 		}
 	}
 	return nil

@@ -189,8 +189,8 @@ func TestJournalCorruptFileResumesNothing(t *testing.T) {
 	if j2.Done("tru") {
 		t.Fatal("resumed a task from a torn journal line")
 	}
-	if !j2.Done("a") && j2.Len() != 0 {
-		t.Fatalf("inconsistent journal state: len %d", j2.Len())
+	if !j2.Done("a") && len(j2.done) != 0 {
+		t.Fatalf("inconsistent journal state: len %d", len(j2.done))
 	}
 }
 

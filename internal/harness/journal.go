@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
 )
 
 // Journal is a crash-safe record of completed task IDs: one JSON object
@@ -18,20 +17,14 @@ import (
 // truncates it — results from a different configuration must never be
 // "resumed" into this sweep.
 //
-// A Journal is safe for concurrent use: Done, MarkDone, Len and Close may
-// be called from multiple goroutines (a future parallel RunAll marks
-// completions from worker goroutines), with mu serializing both the done
-// index and the buffered writer.
+// A Journal is not safe for concurrent use; RunAll, its one user, runs
+// tasks one at a time.
 type Journal struct {
 	path  string
 	scope string
-
-	mu sync.Mutex
-	//fs:guardedby mu
-	done map[string]bool
-	f    *os.File
-	//fs:guardedby mu
-	w *bufio.Writer
+	done  map[string]bool
+	f     *os.File
+	w     *bufio.Writer
 }
 
 type journalLine struct {
@@ -47,10 +40,6 @@ type journalLine struct {
 // resume", never to skipping work that was not actually done.
 func OpenJournal(path, scope string) (*Journal, error) {
 	j := &Journal{path: path, scope: scope, done: map[string]bool{}}
-	// The journal is not shared yet, but holding mu keeps the guarded
-	// accesses below honest and publishes the fields safely.
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if data, err := os.ReadFile(path); err == nil {
 		j.load(data)
 	}
@@ -77,8 +66,6 @@ func OpenJournal(path, scope string) (*Journal, error) {
 
 // load parses previous contents, keeping completed IDs only when the
 // scope header matches.
-//
-//fs:callerholds mu
 func (j *Journal) load(data []byte) {
 	var done []string
 	scopeOK := false
@@ -114,7 +101,6 @@ func (j *Journal) load(data []byte) {
 	}
 }
 
-//fs:callerholds mu
 func (j *Journal) writeLine(l journalLine) error {
 	b, err := json.Marshal(l)
 	if err != nil {
@@ -131,15 +117,11 @@ func (j *Journal) writeLine(l journalLine) error {
 
 // Done reports whether id is recorded as completed.
 func (j *Journal) Done(id string) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return j.done[id]
 }
 
 // MarkDone records id as completed and flushes it to disk.
 func (j *Journal) MarkDone(id string) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.done[id] {
 		return nil
 	}
@@ -147,17 +129,8 @@ func (j *Journal) MarkDone(id string) error {
 	return j.writeLine(journalLine{Done: id})
 }
 
-// Len returns the number of completed IDs recorded.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.done)
-}
-
 // Close flushes and closes the underlying file.
 func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if err := j.w.Flush(); err != nil {
 		j.f.Close()
 		return fmt.Errorf("harness: journal flush: %w", err)

@@ -84,8 +84,8 @@ func TestJournalMissingScopeHeaderResumesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if j.Len() != 0 {
-		t.Fatalf("journal without scope header resumed %d tasks", j.Len())
+	if len(j.done) != 0 {
+		t.Fatalf("journal without scope header resumed %d tasks", len(j.done))
 	}
 }
 
@@ -104,8 +104,8 @@ func TestJournalTornTrailingLineResumesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if j.Len() != 0 {
-		t.Fatalf("journal with torn trailing line resumed %d tasks", j.Len())
+	if len(j.done) != 0 {
+		t.Fatalf("journal with torn trailing line resumed %d tasks", len(j.done))
 	}
 }
 
@@ -130,8 +130,8 @@ func TestJournalScopeMismatchTruncatesFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j2.Len() != 0 {
-		t.Fatalf("scope change resumed %d tasks", j2.Len())
+	if len(j2.done) != 0 {
+		t.Fatalf("scope change resumed %d tasks", len(j2.done))
 	}
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)

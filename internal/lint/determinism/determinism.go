@@ -15,7 +15,7 @@
 //     scheduler-dependent, so concurrency in a simulation package is only
 //     sound under an explicit protocol argument (disjoint state per worker,
 //     order-independent merge — see experiments.parallelFor and the
-//     shard-ownership protocol in internal/shardcache). Every such site
+//     stripe-ownership protocol in internal/shardcache). Every such site
 //     must carry the argument in a //fslint:ignore determinism <why>
 //     annotation; unannotated go statements are flagged;
 //   - ranging over a map with an order-sensitive body. Map iteration order

@@ -56,7 +56,6 @@ func (c *Compiled) AllocConfig(objective string) (alloc.Config, error) {
 		// Scenario streams are short (10^5-ish accesses); reallocate every
 		// two cache-fills so a spec sees a useful number of epochs.
 		EpochAccesses: 2 * lines,
-		MinLines:      chunk,
 		Objective:     obj,
 		Initial:       c.Targets(lines, c.InitialLive()),
 		Seed:          c.Spec.Seed,

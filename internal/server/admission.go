@@ -43,7 +43,7 @@ type TenantConfig struct {
 // tokenBucket is a standard refill-on-demand token bucket, one per tenant,
 // driven by the request's own clock read. One small mutex per tenant is
 // fine: the bucket is touched once per request and tenants are independent,
-// so the engine's shard locks — not this — are the contended resource.
+// so the engine's stripe locks — not this — are the contended resource.
 type tokenBucket struct {
 	rate  float64 // tokens per nanosecond
 	burst float64

@@ -162,7 +162,7 @@ func TestHashKeyDisperses(t *testing.T) {
 	// Structured keys ("tenant:000001"...) must spread across store
 	// stripes; a pile-up would put every key behind one lock.
 	e := shardcache.New(shardcache.Config{
-		Lines: 4096, Ways: 16, Shards: 4, Stripes: 4, Parts: 1,
+		Lines: 4096, Ways: 16, Stripes: 16, Parts: 1,
 		Ranking: futility.CoarseLRU, Seed: 1,
 	})
 	s := newStore(e)

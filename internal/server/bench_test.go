@@ -95,7 +95,7 @@ func loopbackOp(op Op, depth int) func(testing.TB) func(int) {
 			Addr:    "127.0.0.1:0",
 			Tenants: []TenantConfig{{Class: Guaranteed}, {Class: BestEffort}},
 			Cache: shardcache.Config{
-				Lines: 4096, Ways: 16, Shards: 4, Parts: 2,
+				Lines: 4096, Ways: 16, Stripes: 4, Parts: 2,
 				Ranking: futility.CoarseLRU, Seed: 1,
 			},
 		})
@@ -155,7 +155,7 @@ func loopbackOp(op Op, depth int) func(testing.TB) func(int) {
 // geometry at a quarter of its lines, one partition.
 func storeEngine() *shardcache.Engine {
 	e := shardcache.New(shardcache.Config{
-		Lines: 4096, Ways: 16, Shards: 4, Stripes: 4, Parts: 1,
+		Lines: 4096, Ways: 16, Stripes: 16, Parts: 1,
 		Ranking: futility.CoarseLRU, Seed: 1,
 	})
 	e.SetTargets([]int{e.Lines()})

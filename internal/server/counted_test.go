@@ -73,7 +73,7 @@ func TestCounted(t *testing.T) {
 	count("Del", 1, rpc(Request{Op: OpDel, Key: hit}, StatusOK, 0))
 	count("StaleGet", 1, rpc(Request{Op: OpGet, Tenant: 1, Key: []byte("stale")}, StatusOK, FlagStale))
 	// One engine snapshot and the store's entry count: a lock a stripe each.
-	nStripes := s.engine.Shards() * s.engine.Stripes()
+	nStripes := s.engine.Stripes()
 	count(fmt.Sprintf("StatsOver%dStripes", nStripes), 2*nStripes, rpc(Request{Op: OpStats}, StatusOK, 0))
 
 	// Sixteen pipelined GETs of resident keys in one write, then sixteen

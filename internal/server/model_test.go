@@ -56,7 +56,7 @@ func (m *serverModel) apply(req *Request) Response {
 	access := func() core.AccessResult {
 		h := m.eng.Lock(addr)
 		res := h.Access(addr, part)
-		res.Line += h.Stripe() * m.eng.Lines() / (m.eng.Shards() * m.eng.Stripes())
+		res.Line += h.Stripe() * m.eng.Lines() / m.eng.Stripes()
 		h.Unlock()
 		if res.Evicted {
 			delete(m.m, res.EvictedAddr)

@@ -31,7 +31,7 @@ func testConfig() Config {
 		Cache: shardcache.Config{
 			Lines:   256,
 			Ways:    16,
-			Shards:  2,
+			Stripes: 2,
 			Parts:   2,
 			Ranking: futility.CoarseLRU,
 			Seed:    1,

@@ -51,7 +51,7 @@ func refill(buf, src []byte) []byte {
 }
 
 func newStore(e *shardcache.Engine) *store {
-	n := e.Shards() * e.Stripes()
+	n := e.Stripes()
 	s := &store{eng: e, stripes: make([]storeStripe, n)}
 	for g := range s.stripes {
 		s.stripes[g] = storeStripe{key: make([][]byte, e.Lines()/n), val: make([][]byte, e.Lines()/n)}

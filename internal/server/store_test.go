@@ -45,7 +45,7 @@ func verifyStamped(val []byte, id uint32) error {
 // lines, ways ways and stripes lock stripes.
 func newTestStore(lines, ways, stripes int) *store {
 	e := shardcache.New(shardcache.Config{
-		Lines: lines, Ways: ways, Shards: 1, Stripes: stripes, Parts: 1,
+		Lines: lines, Ways: ways, Stripes: stripes, Parts: 1,
 		Ranking: futility.CoarseLRU, Seed: 1,
 	})
 	e.SetTargets([]int{lines})

@@ -1,4 +1,4 @@
-// Package server is the network front end over the sharded concurrent
+// Package server is the network front end over the striped concurrent
 // engine (internal/shardcache): a length-prefixed TCP key-value cache
 // where each tenant maps to one Futility-Scaling partition and a real
 // byte-value store sits behind the simulated replacement decisions.

@@ -29,13 +29,12 @@ func buildBatchWorkload(seed uint64, n, parts int) []Access {
 // a batch is equivalent to issuing its requests as plain Access calls in
 // batch order. Each stripe is an independent core.Cache, so the equivalence
 // is byte-exact, not statistical: per-request results and the final
-// per-shard snapshots must be identical, across batch sizes, with target
+// per-stripe snapshots must be identical, across batch sizes, with target
 // redistribution interleaved between flushes.
 func TestBatchMatchesSequential(t *testing.T) {
-	for _, stripes := range []int{1, 4} {
+	for _, stripes := range []int{4, 16} {
 		for _, batchSize := range []int{1, 3, 32, 257} {
-			cfg := testConfig(4)
-			cfg.Stripes = stripes
+			cfg := testConfig(stripes)
 			seq := New(cfg)
 			seq.SetTargets(testTargets())
 			bat := New(cfg)
@@ -67,10 +66,10 @@ func TestBatchMatchesSequential(t *testing.T) {
 				}
 			}
 
-			ss, bs := seq.ShardSnapshots(), bat.ShardSnapshots()
+			ss, bs := seq.StripeSnapshots(), bat.StripeSnapshots()
 			for i := range ss {
 				if ss[i].String() != bs[i].String() {
-					t.Fatalf("stripes=%d batch=%d: shard %d diverged\n--- sequential:\n%s--- batched:\n%s",
+					t.Fatalf("stripes=%d batch=%d: stripe %d diverged\n--- sequential:\n%s--- batched:\n%s",
 						stripes, batchSize, i, ss[i].String(), bs[i].String())
 				}
 			}
@@ -98,8 +97,7 @@ func TestBatchShortResults(t *testing.T) {
 // annotation promises: once a batch has grown to its working size, flushes
 // allocate nothing.
 func TestBatchZeroAlloc(t *testing.T) {
-	cfg := testConfig(4)
-	cfg.Stripes = 4
+	cfg := testConfig(16)
 	e := New(cfg)
 	e.SetTargets(testTargets())
 	b := e.NewBatch()
@@ -131,8 +129,7 @@ func TestBatchZeroAlloc(t *testing.T) {
 // cadence without any accessor driving them, Stop quiesces with no pass in
 // flight, and double-Stop is safe.
 func TestRebalancer(t *testing.T) {
-	cfg := testConfig(4)
-	cfg.Stripes = 4
+	cfg := testConfig(16)
 	e := New(cfg)
 	e.SetTargets(testTargets())
 	r := e.StartRebalancerSource(time.Millisecond, nil)

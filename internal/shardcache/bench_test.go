@@ -41,7 +41,7 @@ const (
 	benchParts = 2
 	benchSeed  = 0xbe7c4
 	// loadWorkers is the Throughput rows' least goroutine count, the same
-	// for the 1-shard and 4-shard rows so that they differ only in shard
+	// for the 1-stripe and 4-stripe rows so that they differ only in stripe
 	// count; it is also the number of Zipf pools.
 	loadWorkers = 4
 	// poolSize is a power of two so the replay index can wrap with a mask.
@@ -51,13 +51,12 @@ const (
 )
 
 // benchEngine is a warm-able engine over the coarse-ranked 16-way array with
-// equal targets. Four stripes per shard over four shards is the layout fsload
-// and the server default to: 16 locks over 4096 lines.
-func benchEngine(shards, stripes int) *Engine {
+// equal targets. Sixteen stripes is the layout the server defaults to: 16
+// locks over 4096 lines.
+func benchEngine(stripes int) *Engine {
 	e := New(Config{
 		Lines:   benchLines,
 		Ways:    16,
-		Shards:  shards,
 		Stripes: stripes,
 		Parts:   benchParts,
 		Ranking: futility.CoarseLRU,
@@ -67,7 +66,7 @@ func benchEngine(shards, stripes int) *Engine {
 	return e
 }
 
-func stripedEngine() *Engine { return benchEngine(4, 4) }
+func stripedEngine() *Engine { return benchEngine(16) }
 
 // sharedPools pre-generates one access stream per load worker, so the timed
 // loops measure Access (routing + lock + replacement), not address
@@ -161,14 +160,14 @@ func BenchmarkParallelGetHeavyPrivate(b *testing.B) {
 }
 
 // BenchmarkParallelGetHeavyDisjoint shares no stripe: goroutine g replays
-// only the resident lines of the shards that are g modulo the goroutine
-// count (past the four shards, goroutines four apart share), so over -Private
-// it adds false sharing only.
+// only the resident lines of the stripes that are g modulo the goroutine
+// count (past the sixteen stripes, goroutines sixteen apart share), so over
+// -Private it adds false sharing only.
 func BenchmarkParallelGetHeavyDisjoint(b *testing.B) {
 	e := stripedEngine()
-	pools := make([][]Access, min(runtime.GOMAXPROCS(0), e.Shards()))
+	pools := make([][]Access, min(runtime.GOMAXPROCS(0), e.Stripes()))
 	for _, a := range residentAccesses(e) {
-		c := e.ShardOf(a.Addr) % len(pools)
+		c := e.stripeOf(a.Addr) % len(pools)
 		pools[c] = append(pools[c], a)
 	}
 	for c, pool := range pools {
@@ -233,24 +232,24 @@ func BenchmarkParallelMixedAlloc(b *testing.B) {
 	})
 }
 
-// throughput replays the Zipf pools over a warm engine of the given shard
-// count with one lock a shard, from the least multiple of GOMAXPROCS that is
-// at least loadWorkers goroutines: four at -cpu 1, 2 and 4, and GOMAXPROCS
-// of them above four. -cpu 4 times exactly four workers on any host.
-func throughput(b *testing.B, shards int) {
-	e := benchEngine(shards, 0)
+// throughput replays the Zipf pools over a warm engine of the given stripe
+// count, from the least multiple of GOMAXPROCS that is at least loadWorkers
+// goroutines: four at -cpu 1, 2 and 4, and GOMAXPROCS of them above four.
+// -cpu 4 times exactly four workers on any host.
+func throughput(b *testing.B, stripes int) {
+	e := benchEngine(stripes)
 	pools := warmMixed(e)
 	procs := runtime.GOMAXPROCS(0)
 	b.SetParallelism((loadWorkers + procs - 1) / procs)
 	runParallel(b, []*Engine{e}, pools)
 }
 
-// BenchmarkThroughput1Shard is the contention baseline: every worker on one
-// shard's lock.
-func BenchmarkThroughput1Shard(b *testing.B) { throughput(b, 1) }
+// BenchmarkThroughput1Stripe is the contention baseline: every worker on one
+// lock.
+func BenchmarkThroughput1Stripe(b *testing.B) { throughput(b, 1) }
 
-// BenchmarkThroughput4Shard spreads the same workers across four shards.
-func BenchmarkThroughput4Shard(b *testing.B) { throughput(b, 4) }
+// BenchmarkThroughput4Stripe spreads the same workers across four stripes.
+func BenchmarkThroughput4Stripe(b *testing.B) { throughput(b, 4) }
 
 // allocFreeOps are the engine's measured operations on the //fs:allocfree
 // path (DESIGN.md §10), one goroutine each, over the Parallel rows' warm

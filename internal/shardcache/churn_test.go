@@ -54,7 +54,7 @@ churn:
 `
 
 // TestScenarioTenantChurn is the tenant-churn regression test for the
-// sharded engine: a compiled scenario stream drives churn (SetTargets with
+// striped engine: a compiled scenario stream drives churn (SetTargets with
 // re-apportioned vectors, including a zeroed target for the destroyed
 // tenant) while free-running workers and the background rebalancer race
 // against it, and CheckInvariants must pass after EVERY churn event — not
@@ -74,8 +74,7 @@ func TestScenarioTenantChurn(t *testing.T) {
 	cfg := Config{
 		Lines:   spec.Cache.Lines,
 		Ways:    spec.Cache.Ways,
-		Shards:  4,
-		Stripes: 2,
+		Stripes: 8,
 		Parts:   comp.Parts(),
 		Ranking: futility.CoarseLRU,
 		Seed:    testSeed ^ 0xc42,

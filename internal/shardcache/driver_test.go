@@ -3,22 +3,22 @@ package shardcache
 // Deterministic concurrent driving.
 //
 // The engine itself is merely thread-safe: under a free-running workload
-// the per-shard interleaving of accesses depends on goroutine scheduling,
+// the per-stripe interleaving of accesses depends on goroutine scheduling,
 // so two runs are statistically equivalent but not byte-identical. The
 // tests' driver in this file restores seed-driven reproducibility as a
 // protocol property with three rules:
 //
-//  1. Shard ownership: worker w exclusively accesses the shards with
-//     index s where s % workers == w. Two workers never touch the same
-//     shard, so each shard's access sequence is one worker's program
+//  1. Stripe ownership: worker w exclusively accesses the stripes with
+//     index g where g % workers == w. Two workers never touch the same
+//     stripe, so each stripe's access sequence is one worker's program
 //     order — a pure function of the schedule, independent of how the Go
 //     scheduler interleaves the workers.
 //  2. Seeded schedules: each worker's accesses are pre-generated from
 //     xrand streams derived from (seed, worker), with rejection sampling
-//     keeping only addresses that route to the worker's own shards.
+//     keeping only addresses that route to the worker's own stripes.
 //  3. Round barriers: the schedule is split into rounds; all workers join
 //     a barrier between rounds and the global target distributor
-//     (Engine.Rebalance) runs only at the barrier, where every shard's
+//     (Engine.Rebalance) runs only at the barrier, where every stripe's
 //     state is deterministic.
 //
 // Under these rules two runs with the same seed, worker count and engine
@@ -88,11 +88,11 @@ const scheduleSalt = 0x5c4ed01e
 // accesses per worker. Worker w draws from its own seeded stream — a
 // Zipf-popularity working set per partition, partitions with increasing
 // spans so their local miss ratios differ — and keeps only addresses
-// routing to shards it owns (s % workers == w). workers must be in
-// [1, e.Shards()] so every worker owns at least one shard.
+// routing to stripes it owns (g % workers == w). workers must be in
+// [1, e.Stripes()] so every worker owns at least one stripe.
 func BuildSchedule(e *Engine, seed uint64, workers, rounds, perRound int) *Schedule {
-	if workers < 1 || workers > e.Shards() {
-		panic("shardcache: workers must be in [1, shards] for deterministic driving")
+	if workers < 1 || workers > e.Stripes() {
+		panic("shardcache: workers must be in [1, stripes] for deterministic driving")
 	}
 	if rounds < 1 || perRound < 1 {
 		panic("shardcache: rounds and perRound must be positive")
@@ -122,8 +122,8 @@ func BuildSchedule(e *Engine, seed uint64, workers, rounds, perRound int) *Sched
 				// silently halving the reachable sets.
 				span := (part + 1) * lines
 				addr := xrand.Mix64(uint64(part+1)<<24 + uint64(zipf.Next()%span))
-				if e.ShardOf(addr)%workers != w {
-					continue // routes to another worker's shard
+				if e.stripeOf(addr)%workers != w {
+					continue // routes to another worker's stripe
 				}
 				ops = append(ops, Access{Addr: addr, Part: part})
 			}
@@ -135,7 +135,7 @@ func BuildSchedule(e *Engine, seed uint64, workers, rounds, perRound int) *Sched
 
 // RunDeterministic drives e with sched: each round launches one goroutine
 // per worker, waits for all of them at the barrier, then runs the global
-// target distributor. Workers only touch shards they own, so the run's
+// target distributor. Workers only touch stripes they own, so the run's
 // results are byte-identical across repetitions (see the package protocol
 // above).
 func RunDeterministic(e *Engine, sched *Schedule) {
@@ -143,7 +143,7 @@ func RunDeterministic(e *Engine, sched *Schedule) {
 		barrier := make(chan struct{}, sched.workers)
 		for w := 0; w < sched.workers; w++ {
 			ops := sched.Ops(r, w)
-			//fslint:ignore determinism shard-ownership protocol: workers access disjoint shards, so per-shard order is schedule order regardless of goroutine interleaving
+			//fslint:ignore determinism stripe-ownership protocol: workers access disjoint stripes, so per-stripe order is schedule order regardless of goroutine interleaving
 			go func(ops []Access) {
 				for _, a := range ops {
 					e.Access(a.Addr, a.Part)
@@ -158,29 +158,15 @@ func RunDeterministic(e *Engine, sched *Schedule) {
 	}
 }
 
-// ShardOf returns the shard an address routes to: the top bit-slice of its
-// global H3 set index. The deterministic driving protocol partitions
-// ownership at shard granularity, so all of a shard's stripes belong to the
-// shard's owner.
-func (e *Engine) ShardOf(addr uint64) int {
-	return e.stripeOf(addr) / e.perShard
-}
-
-// ShardSnapshots returns each shard's measurement state in shard index
-// order, each shard's stripes merged into one core.Snapshot. A shard with no
-// measured stripe (see Snapshot) has empty EvictFutility histograms.
-func (e *Engine) ShardSnapshots() []core.Snapshot {
-	out := make([]core.Snapshot, e.Shards())
+// StripeSnapshots returns each stripe's measurement state in stripe index
+// order. An unmeasured stripe (see Snapshot) has empty EvictFutility
+// histograms.
+func (e *Engine) StripeSnapshots() []core.Snapshot {
+	out := make([]core.Snapshot, len(e.stripes))
 	for g, st := range e.stripes {
 		st.mu.Lock()
-		snap := st.cache.StatsSnapshot()
+		out[g] = st.cache.StatsSnapshot()
 		st.mu.Unlock()
-		s := g / e.perShard
-		if g%e.perShard == 0 {
-			out[s] = snap
-		} else {
-			out[s].Merge(snap)
-		}
 	}
 	return out
 }
@@ -188,20 +174,17 @@ func (e *Engine) ShardSnapshots() []core.Snapshot {
 // TestDeterministicByteIdentical is the determinism acceptance test: two
 // engines built from the same configuration and driven by the same seeded
 // schedule through genuinely concurrent workers must end in byte-identical
-// measurement state — merged and per shard — as rendered by the canonical
+// measurement state — merged and per stripe — as rendered by the canonical
 // core.Snapshot.String layout.
 func TestDeterministicByteIdentical(t *testing.T) {
 	testDeterministicByteIdentical(t, testConfig(4))
 }
 
 // TestStripedDeterministicByteIdentical repeats the determinism acceptance
-// test with lock striping on: the shard-ownership protocol still hands each
-// worker whole shards, so owning a shard means owning all of its stripes
+// test with more stripes than workers: each worker then owns four stripes,
 // and the byte-identical guarantee must survive the finer locking.
 func TestStripedDeterministicByteIdentical(t *testing.T) {
-	cfg := testConfig(4)
-	cfg.Stripes = 4
-	testDeterministicByteIdentical(t, cfg)
+	testDeterministicByteIdentical(t, testConfig(16))
 }
 
 func testDeterministicByteIdentical(t *testing.T, cfg Config) {
@@ -215,10 +198,10 @@ func testDeterministicByteIdentical(t *testing.T, cfg Config) {
 		}
 		sched := BuildSchedule(e, testSeed^0xd0, 4, rounds, perRound)
 		RunDeterministic(e, sched)
-		shards := e.ShardSnapshots()
-		per := make([]string, len(shards))
-		for i := range shards {
-			per[i] = shards[i].String()
+		stripes := e.StripeSnapshots()
+		per := make([]string, len(stripes))
+		for i := range stripes {
+			per[i] = stripes[i].String()
 		}
 		return e.Snapshot().String(), per
 	}
@@ -229,24 +212,24 @@ func testDeterministicByteIdentical(t *testing.T, cfg Config) {
 	}
 	for i := range s1 {
 		if s1[i] != s2[i] {
-			t.Errorf("shard %d snapshots differ across same-seed runs:\n--- run 1:\n%s--- run 2:\n%s",
+			t.Errorf("stripe %d snapshots differ across same-seed runs:\n--- run 1:\n%s--- run 2:\n%s",
 				i, s1[i], s2[i])
 		}
 	}
 }
 
-// TestScheduleOwnership pins the shard-ownership protocol the determinism
+// TestScheduleOwnership pins the stripe-ownership protocol the determinism
 // argument rests on: every scheduled access for worker w must route to a
-// shard with index ≡ w (mod workers).
+// stripe with index ≡ w (mod workers).
 func TestScheduleOwnership(t *testing.T) {
 	e := New(testConfig(4))
 	sched := BuildSchedule(e, 99, 2, 3, 512)
 	for r := 0; r < sched.Rounds(); r++ {
 		for w := 0; w < sched.Workers(); w++ {
 			for _, a := range sched.Ops(r, w) {
-				if s := e.ShardOf(a.Addr); s%sched.Workers() != w {
-					t.Fatalf("round %d worker %d scheduled addr %#x on shard %d (owner %d)",
-						r, w, a.Addr, s, s%sched.Workers())
+				if g := e.stripeOf(a.Addr); g%sched.Workers() != w {
+					t.Fatalf("round %d worker %d scheduled addr %#x on stripe %d (owner %d)",
+						r, w, a.Addr, g, g%sched.Workers())
 				}
 			}
 		}
@@ -256,13 +239,13 @@ func TestScheduleOwnership(t *testing.T) {
 // TestConcurrentStress hammers one engine from many free-running writers
 // while concurrent readers take snapshots and a rebalancer redistributes
 // targets — the -race configuration from CI. Free-running workers share
-// shards, so this run is (intentionally) not deterministic; it asserts
+// stripes, so this run is (intentionally) not deterministic; it asserts
 // thread-safety: no races, conserved counters, clean invariants.
 func TestConcurrentStress(t *testing.T) {
 	cfg := Config{
 		Lines:   1024,
 		Ways:    8,
-		Shards:  4,
+		Stripes: 4,
 		Parts:   2,
 		Ranking: futility.CoarseLRU,
 		Seed:    testSeed ^ 0x57,
@@ -279,7 +262,7 @@ func TestConcurrentStress(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		//fslint:ignore determinism race stress test: free-running writers deliberately share shards; only thread-safety is asserted
+		//fslint:ignore determinism race stress test: free-running writers deliberately share stripes; only thread-safety is asserted
 		go func(w int) {
 			defer wg.Done()
 			rng := xrand.New(uint64(w+1) * 0x9e37)

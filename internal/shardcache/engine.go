@@ -5,20 +5,16 @@
 // once while every invariant the sequential simulator enforces keeps holding
 // per domain.
 //
-// The decomposition has two levels. The cache is first split into S *shards*
-// — the unit of the deterministic driving protocol the tests use
-// (driver_test.go) and of the global target distributor's demand accounting. Each shard is then split
-// into K lock *stripes* over contiguous sub-ranges of the shard's sets, each
-// stripe a smaller set-associative array with the same associativity behind
-// its own mutex. Striping follows the hardware idiom of a banked array indexed
-// by one hash: the engine builds one H3 function over the *global* set index
-// space, and the top log2(S·K) bits of an address's hash are its stripe (the
-// top log2(S) select the shard, the next log2(K) the stripe within it) while
-// the bits below are its set within the stripe, whose array indexes with the
-// same function. An address therefore sits in exactly the set a monolithic
-// H3-indexed array of all the sets, built from the same seed, gives it: the
-// stripes are a lock-split of that array. An access contends only with
-// accesses to the same 1/(S·K) slice of the sets, not the whole shard.
+// The cache is split into K lock *stripes* over contiguous sub-ranges of its
+// sets, each stripe a smaller set-associative array with the same
+// associativity behind its own mutex. Striping follows the hardware idiom of
+// a banked array indexed by one hash: the engine builds one H3 function over
+// the *global* set index space, and the top log2(K) bits of an address's
+// hash are its stripe while the bits below are its set within the stripe,
+// whose array indexes with the same function. An address therefore sits in
+// exactly the set a monolithic H3-indexed array of all the sets, built from
+// the same seed, gives it: the stripes are a lock-split of that array. An
+// access contends only with accesses to the same 1/K slice of the sets.
 //
 // Partition targets stay a cache-wide contract: SetTargets installs global
 // per-partition line targets, and Rebalance — the global target distributor
@@ -45,6 +41,7 @@
 package shardcache
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -57,18 +54,19 @@ import (
 	"fscache/internal/xrand"
 )
 
-// Config assembles a sharded cache.
+// Config assembles a striped cache.
 type Config struct {
-	// Lines is the total line count across all shards (power of two).
+	// Lines is the total line count across all stripes (power of two).
 	Lines int
 	// Ways is the associativity of every stripe (power of two).
 	Ways int
-	// Shards is the shard count (power of two, at most Lines/Ways sets).
-	Shards int
-	// Stripes is the lock-stripe count per shard (power of two; 0 or 1
-	// means one lock per shard, the pre-striping layout). Shards×Stripes
-	// must not exceed the set count.
+	// Stripes is the lock-domain count (power of two, at most Lines/Ways
+	// sets; 0 means 1).
 	Stripes int
+	// Shards multiplies Stripes (power of two; 0 means 1): Shards S with
+	// Stripes K builds the engine Stripes S·K does. It is kept only because
+	// bench/serve.go sets Shards: 4, Stripes: 4.
+	Shards int
 	// Parts is the number of partitions; targets are cache-wide.
 	Parts int
 	// Ranking selects the futility ranker each stripe runs. A coarse kind
@@ -81,7 +79,7 @@ type Config struct {
 }
 
 // stripe is one independently locked domain: a single-threaded core.Cache
-// over a contiguous sub-range of one shard's sets, plus the active demand
+// over a contiguous sub-range of the engine's sets, plus the active demand
 // buffer the global distributor swaps out.
 type stripe struct {
 	mu sync.Mutex
@@ -99,7 +97,7 @@ type stripe struct {
 	demand []uint64
 }
 
-// Engine is the concurrent sharded cache.
+// Engine is the concurrent striped cache.
 //
 // Lock order: rmu (the distributor pass) before tmu (the target vector)
 // before any stripe.mu. The access path takes only a single stripe.mu;
@@ -114,11 +112,10 @@ type stripe struct {
 //fs:lockorder Engine.tmu stripe.mu
 type Engine struct {
 	cfg         Config
-	perShard    int // stripes per shard (cfg.Stripes normalized, ≥1)
 	router      *hashing.H3
-	stripeShift uint      // hashing.ShardShift(sets, len(stripes)): set index → stripe
-	stripes     []*stripe // flat, global stripe index g = shard*perShard + stripe
-	measured    int       // stripes that record eviction futility
+	stripeShift uint // hashing.ShardShift(sets, len(stripes)): set index → stripe
+	stripes     []*stripe
+	measured    int // stripes that record eviction futility
 
 	// tmu guards the cache-wide per-partition goals. It is held only to
 	// read or overwrite the vector, never across stripe locks, so target
@@ -156,38 +153,52 @@ type Engine struct {
 
 // measureEvery is the AEF sampling period over lock domains. The exact
 // reference ranker costs a coarse stripe more than its timestamps do, so only
-// stripes with global index g % measureEvery == 0 carry it; the rest run
+// stripes with index g % measureEvery == 0 carry it; the rest run
 // core.Config.Unmeasured. Stripes are uniform slices of the H3 set-index
 // space, so this is UCP's dynamic set sampling with no per-access test.
 const measureEvery = 4
 
-// New builds an engine from cfg. It panics on inconsistent configuration
+// New builds an engine from cfg. It panics when cfg.Validate fails
 // (experiment-setup programming errors, matching core.New).
 func New(cfg Config) *Engine {
 	return newEngine(cfg, func(g int) bool { return g%measureEvery == 0 })
 }
 
+// Validate reports the first inconsistency in cfg's geometry or partition
+// count, or nil: the check New panics on, for a command to report a bad flag
+// as a usage error.
+func (cfg Config) Validate() error {
+	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
+	switch {
+	case !pow2(cfg.Lines):
+		return errors.New("Lines must be a positive power of two")
+	case !pow2(cfg.Ways):
+		return errors.New("Ways must be a positive power of two")
+	case cfg.Stripes != 0 && !pow2(cfg.Stripes):
+		return errors.New("Stripes must be a positive power of two")
+	case cfg.Shards != 0 && !pow2(cfg.Shards):
+		return errors.New("Shards must be a positive power of two")
+	case cfg.Parts <= 0:
+		return errors.New("Parts must be positive")
+	case cfg.Ways > cfg.Lines:
+		return errors.New("Ways exceed Lines")
+	case cfg.stripes() > cfg.Lines/cfg.Ways:
+		return errors.New("more lock stripes than sets")
+	}
+	return nil
+}
+
+// stripes is the lock-domain count cfg asks for.
+func (cfg Config) stripes() int { return max(cfg.Stripes, 1) * max(cfg.Shards, 1) }
+
 // newEngine is New with the choice of measured stripes open, so tests can
 // compare the sampled engine against an all-measured one.
 func newEngine(cfg Config, isMeasured func(g int) bool) *Engine {
-	checkPow2(cfg.Lines, "Lines")
-	checkPow2(cfg.Ways, "Ways")
-	checkPow2(cfg.Shards, "Shards")
-	if cfg.Stripes == 0 {
-		cfg.Stripes = 1
-	}
-	checkPow2(cfg.Stripes, "Stripes")
-	if cfg.Parts <= 0 {
-		panic("shardcache: Parts must be positive")
-	}
-	if cfg.Ways > cfg.Lines {
-		panic("shardcache: Ways exceed Lines")
+	if err := cfg.Validate(); err != nil {
+		panic("shardcache: " + err.Error())
 	}
 	sets := cfg.Lines / cfg.Ways
-	nStripes := cfg.Shards * cfg.Stripes
-	if nStripes > sets {
-		panic("shardcache: more lock stripes than sets")
-	}
+	nStripes := cfg.stripes()
 	// One H3 over the whole engine's sets: its high bits pick the stripe
 	// (stripeOf) and its low bits the set within it (NewSetAssocH3).
 	router := hashing.NewH3(cfg.Seed, sets)
@@ -225,7 +236,6 @@ func newEngine(cfg Config, isMeasured func(g int) bool) *Engine {
 	}
 	return &Engine{
 		cfg:           cfg,
-		perShard:      cfg.Stripes,
 		router:        router,
 		stripeShift:   hashing.ShardShift(sets, nStripes),
 		stripes:       stripes,
@@ -241,27 +251,17 @@ func newEngine(cfg Config, isMeasured func(g int) bool) *Engine {
 	}
 }
 
-func checkPow2(n int, what string) {
-	if n <= 0 || n&(n-1) != 0 {
-		panic("shardcache: " + what + " must be a positive power of two")
-	}
-}
-
-// Shards returns the shard count.
-func (e *Engine) Shards() int { return len(e.stripes) / e.perShard }
-
-// Stripes returns the lock-stripe count per shard.
-func (e *Engine) Stripes() int { return e.perShard }
+// Stripes returns the lock-domain count.
+func (e *Engine) Stripes() int { return len(e.stripes) }
 
 // Parts returns the partition count.
 func (e *Engine) Parts() int { return e.cfg.Parts }
 
-// Lines returns the total line count across all shards.
+// Lines returns the total line count across all stripes.
 func (e *Engine) Lines() int { return e.cfg.Lines }
 
-// stripeOf returns the global stripe index for an address: the top
-// log2(Shards·Stripes)-bit slice of its H3 set index. Because the slice is
-// a prefix, its top log2(Shards) bits are the address's shard.
+// stripeOf returns the stripe an address routes to: the top
+// log2(Stripes)-bit slice of its H3 set index.
 func (e *Engine) stripeOf(addr uint64) int {
 	return int(e.router.Hash(addr)) >> e.stripeShift
 }
@@ -292,7 +292,7 @@ type Locked struct {
 // Lock takes the lock of the stripe addr routes to.
 func (e *Engine) Lock(addr uint64) Locked { return e.LockStripe(e.stripeOf(addr)) }
 
-// LockStripe takes the lock of stripe g, 0 ≤ g < Shards()·Stripes().
+// LockStripe takes the lock of stripe g, 0 ≤ g < Stripes().
 func (e *Engine) LockStripe(g int) Locked {
 	st := e.stripes[g]
 	countLock()
@@ -303,7 +303,7 @@ func (e *Engine) LockStripe(g int) Locked {
 // Unlock releases the stripe.
 func (h Locked) Unlock() { h.st.mu.Unlock() }
 
-// Stripe returns the held stripe's global index.
+// Stripe returns the held stripe's index.
 func (h Locked) Stripe() int { return h.g }
 
 // Lookup returns the stripe line holding addr, or -1. It is not an access:
@@ -547,7 +547,7 @@ func (e *Engine) CheckInvariants() error {
 		}
 		st.mu.Unlock()
 		if err != nil {
-			return fmt.Errorf("stripe %d (shard %d): %w", g, g/e.perShard, err)
+			return fmt.Errorf("stripe %d: %w", g, err)
 		}
 	}
 	return nil

@@ -16,12 +16,12 @@ import (
 const testSeed = 0x5ca1ab1e
 
 // testConfig is the canonical comparison configuration: a 4096-line 16-way
-// cache in the paper's hardware arrangement, split four ways.
-func testConfig(shards int) Config {
+// cache in the paper's hardware arrangement, split into stripes lock domains.
+func testConfig(stripes int) Config {
 	return Config{
 		Lines:   4096,
 		Ways:    16,
-		Shards:  shards,
+		Stripes: stripes,
 		Parts:   3,
 		Ranking: futility.LRU,
 		Seed:    testSeed,
@@ -53,7 +53,7 @@ func monolithic(cfg Config) *core.Cache {
 }
 
 // TestShardedMatchesMonolithic is the tentpole acceptance test: the same
-// deterministic workload driven concurrently through four shards and
+// deterministic workload driven concurrently through four stripes and
 // sequentially through one monolithic cache must land, per partition,
 // at matching occupancies, miss ratios and AEF within tolerance. The two
 // systems place every line in the same set but see different interleavings,
@@ -63,13 +63,11 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 	runShardedVsMonolithic(t, testConfig(4))
 }
 
-// TestStripedMatchesMonolithic repeats the equivalence sweep with lock
-// striping enabled: four stripes per shard must not change what the engine
-// measures, only how finely it locks.
+// TestStripedMatchesMonolithic repeats the equivalence sweep with finer
+// locking: sixteen stripes, four to a worker, must not change what the
+// engine measures, only how finely it locks.
 func TestStripedMatchesMonolithic(t *testing.T) {
-	cfg := testConfig(4)
-	cfg.Stripes = 4
-	runShardedVsMonolithic(t, cfg)
+	runShardedVsMonolithic(t, testConfig(16))
 }
 
 func runShardedVsMonolithic(t *testing.T, cfg Config) {
@@ -83,7 +81,7 @@ func runShardedVsMonolithic(t *testing.T, cfg Config) {
 	sched := BuildSchedule(e, testSeed, 4, rounds, perRound)
 	RunDeterministic(e, sched)
 	if err := e.CheckInvariants(); err != nil {
-		t.Fatalf("sharded invariants: %v", err)
+		t.Fatalf("striped invariants: %v", err)
 	}
 
 	mono := monolithic(cfg)
@@ -98,26 +96,26 @@ func runShardedVsMonolithic(t *testing.T, cfg Config) {
 	snap := e.Snapshot()
 	ms := mono.StatsSnapshot()
 	if snap.Accesses != ms.Accesses {
-		t.Fatalf("access counts differ: sharded %d, monolithic %d", snap.Accesses, ms.Accesses)
+		t.Fatalf("access counts differ: striped %d, monolithic %d", snap.Accesses, ms.Accesses)
 	}
 	for p := 0; p < cfg.Parts; p++ {
 		so, mo := snap.Parts[p].MeanOccupancy, ms.Parts[p].MeanOccupancy
 		occTol := 0.06 * float64(cfg.Lines)
 		if d := math.Abs(so - mo); d > occTol {
-			t.Errorf("part %d occupancy: sharded %.1f vs monolithic %.1f (|Δ|=%.1f > %.1f)",
+			t.Errorf("part %d occupancy: striped %.1f vs monolithic %.1f (|Δ|=%.1f > %.1f)",
 				p, so, mo, d, occTol)
 		}
 		sm, mm := snap.Parts[p].MissRate(), ms.Parts[p].MissRate()
 		if d := math.Abs(sm - mm); d > 0.05 {
-			t.Errorf("part %d miss ratio: sharded %.4f vs monolithic %.4f (|Δ|=%.4f > 0.05)",
+			t.Errorf("part %d miss ratio: striped %.4f vs monolithic %.4f (|Δ|=%.4f > 0.05)",
 				p, sm, mm, d)
 		}
 		sa, ma := snap.Parts[p].AEF(), ms.Parts[p].AEF()
 		if d := math.Abs(sa - ma); d > 0.15 {
-			t.Errorf("part %d AEF: sharded %.4f vs monolithic %.4f (|Δ|=%.4f > 0.15)",
+			t.Errorf("part %d AEF: striped %.4f vs monolithic %.4f (|Δ|=%.4f > 0.15)",
 				p, sa, ma, d)
 		}
-		t.Logf("part %d: occ %.1f/%.1f  miss %.4f/%.4f  aef %.4f/%.4f (sharded/monolithic)",
+		t.Logf("part %d: occ %.1f/%.1f  miss %.4f/%.4f  aef %.4f/%.4f (striped/monolithic)",
 			p, so, mo, sm, mm, sa, ma)
 	}
 	// The merged snapshot's sizes and targets are cache-wide: targets must
@@ -129,35 +127,63 @@ func runShardedVsMonolithic(t *testing.T, cfg Config) {
 	}
 }
 
-// TestShardRouting pins the router: every address lands on a valid shard,
+// TestShardRouting pins the router: every address lands on a valid stripe,
 // the mapping is stable, the stripe is the top bit-slice of the router's hash
-// (hashing.ShardShift), and with a power-of-two split all shards receive a
+// (hashing.ShardShift), and with a power-of-two split every stripe receives a
 // reasonable fraction of a uniform address stream.
 func TestShardRouting(t *testing.T) {
-	cfg := testConfig(4)
-	cfg.Stripes = 4
+	cfg := testConfig(16)
 	e := New(cfg)
-	counts := make([]int, e.Shards())
+	counts := make([]int, e.Stripes())
 	rng := xrand.New(7)
 	const n = 1 << 14
+	shift := hashing.ShardShift(cfg.Lines/cfg.Ways, cfg.Stripes)
 	for i := 0; i < n; i++ {
 		addr := rng.Uint64()
-		s := e.ShardOf(addr)
-		if s < 0 || s >= e.Shards() {
-			t.Fatalf("ShardOf(%#x) = %d out of range", addr, s)
+		g := e.stripeOf(addr)
+		if g < 0 || g >= e.Stripes() {
+			t.Fatalf("stripeOf(%#x) = %d out of range", addr, g)
 		}
-		if s2 := e.ShardOf(addr); s2 != s {
-			t.Fatalf("ShardOf(%#x) unstable: %d then %d", addr, s, s2)
+		if g2 := e.stripeOf(addr); g2 != g {
+			t.Fatalf("stripeOf(%#x) unstable: %d then %d", addr, g, g2)
 		}
-		want := e.router.Hash(addr) >> hashing.ShardShift(cfg.Lines/cfg.Ways, cfg.Shards*cfg.Stripes)
-		if g := e.stripeOf(addr); g != int(want) {
+		if want := int(e.router.Hash(addr) >> shift); g != want {
 			t.Fatalf("stripeOf(%#x) = %d, the top bits of its hash say %d", addr, g, want)
 		}
-		counts[s]++
+		counts[g]++
 	}
-	for s, c := range counts {
-		if c < n/8 || c > n/2 {
-			t.Errorf("shard %d received %d of %d uniform addresses (expected ~%d)", s, c, n, n/4)
+	per := n / len(counts)
+	for g, c := range counts {
+		if c < per/2 || c > 2*per {
+			t.Errorf("stripe %d received %d of %d uniform addresses (expected ~%d)", g, c, n, per)
+		}
+	}
+}
+
+// TestShardsMultiplyStripes pins what Config.Shards is kept for: Shards S
+// with Stripes K builds, stripe for stripe, the engine Stripes S·K builds.
+func TestShardsMultiplyStripes(t *testing.T) {
+	split := testConfig(4)
+	split.Shards = 4
+	a, b := New(split), New(testConfig(16))
+	a.SetTargets(testTargets())
+	b.SetTargets(testTargets())
+	rng := xrand.New(31)
+	for i := 0; i < 4*split.Lines; i++ {
+		addr, part := rng.Uint64()%(1<<14), rng.Intn(split.Parts)
+		if ra, rb := a.Access(addr, part), b.Access(addr, part); ra != rb {
+			t.Fatalf("access %d (%#x): %+v with Shards 4 × Stripes 4, %+v with Stripes 16", i, addr, ra, rb)
+		}
+	}
+	a.Rebalance()
+	b.Rebalance()
+	sa, sb := a.StripeSnapshots(), b.StripeSnapshots()
+	if len(sa) != len(sb) {
+		t.Fatalf("%d stripes with Shards 4 × Stripes 4, %d with Stripes 16", len(sa), len(sb))
+	}
+	for g := range sa {
+		if x, y := sa[g].String(), sb[g].String(); x != y {
+			t.Fatalf("stripe %d differs:\n--- Shards 4 × Stripes 4:\n%s--- Stripes 16:\n%s", g, x, y)
 		}
 	}
 }
@@ -166,9 +192,8 @@ func TestShardRouting(t *testing.T) {
 // address's stripe times the sets per stripe, plus its set within the stripe,
 // is its set in the monolithic H3-indexed array built from the engine's seed.
 func TestStripesSplitTheMonolithicArray(t *testing.T) {
-	for _, geo := range []struct{ shards, stripes int }{{1, 1}, {4, 1}, {4, 4}, {2, 8}} {
-		cfg := testConfig(geo.shards)
-		cfg.Stripes = geo.stripes
+	for _, stripes := range []int{1, 4, 16} {
+		cfg := testConfig(stripes)
 		e := New(cfg)
 		mono := cachearray.NewSetAssoc(cfg.Lines, cfg.Ways, cachearray.IndexH3, cfg.Seed)
 		stripeSets := cfg.Lines / cfg.Ways / len(e.stripes)
@@ -184,8 +209,8 @@ func TestStripesSplitTheMonolithicArray(t *testing.T) {
 			local := buf[0] / cfg.Ways
 			buf = mono.Candidates(addr, buf[:0])
 			if got, want := g*stripeSets+local, buf[0]/cfg.Ways; got != want {
-				t.Fatalf("%d×%d: %#x in stripe %d set %d, global set %d; monolithic set %d",
-					geo.shards, geo.stripes, addr, g, local, got, want)
+				t.Fatalf("%d stripes: %#x in stripe %d set %d, global set %d; monolithic set %d",
+					stripes, addr, g, local, got, want)
 			}
 		}
 	}
@@ -212,9 +237,8 @@ func TestStripesSplitTheMonolithicArray(t *testing.T) {
 // own install reported. A Lookup before a Locked access finds what the
 // access then hits.
 func TestAccessLinesLieInAddressSet(t *testing.T) {
-	for _, geo := range []struct{ shards, stripes int }{{1, 1}, {4, 4}, {2, 8}} {
-		cfg := testConfig(geo.shards)
-		cfg.Stripes = geo.stripes
+	for _, stripes := range []int{1, 16} {
+		cfg := testConfig(stripes)
 		e := New(cfg)
 		e.SetTargets(testTargets())
 		b := e.NewBatch()
@@ -230,21 +254,21 @@ func TestAccessLinesLieInAddressSet(t *testing.T) {
 		check := func(a Access, res core.AccessResult) {
 			first := int(e.router.Hash(a.Addr)) % setsPerStripe * cfg.Ways
 			if res.Line < first || res.Line >= first+cfg.Ways {
-				t.Fatalf("%d×%d: %#x (set %d) reported line %d", geo.shards, geo.stripes, a.Addr, first/cfg.Ways, res.Line)
+				t.Fatalf("%d stripes: %#x (set %d) reported line %d", stripes, a.Addr, first/cfg.Ways, res.Line)
 			}
 			if res.Evicted {
 				if res.EvictedLine < first || res.EvictedLine >= first+cfg.Ways {
-					t.Fatalf("%d×%d: %#x (set %d) evicted line %d", geo.shards, geo.stripes, a.Addr, first/cfg.Ways, res.EvictedLine)
+					t.Fatalf("%d stripes: %#x (set %d) evicted line %d", stripes, a.Addr, first/cfg.Ways, res.EvictedLine)
 				}
 				if l, ok := lineOf[res.EvictedAddr]; !ok || l != res.EvictedLine {
-					t.Fatalf("%d×%d: victim %#x evicted from line %d, installed at %d (known %v)",
-						geo.shards, geo.stripes, res.EvictedAddr, res.EvictedLine, l, ok)
+					t.Fatalf("%d stripes: victim %#x evicted from line %d, installed at %d (known %v)",
+						stripes, res.EvictedAddr, res.EvictedLine, l, ok)
 				}
 				delete(lineOf, res.EvictedAddr)
 			}
 			if l, ok := lineOf[a.Addr]; ok != res.Hit || ok && l != res.Line {
-				t.Fatalf("%d×%d: %#x hit %v at line %d, installed at %d (known %v)",
-					geo.shards, geo.stripes, a.Addr, res.Hit, res.Line, l, ok)
+				t.Fatalf("%d stripes: %#x hit %v at line %d, installed at %d (known %v)",
+					stripes, a.Addr, res.Hit, res.Line, l, ok)
 			}
 			lineOf[a.Addr] = res.Line
 		}
@@ -267,7 +291,7 @@ func TestAccessLinesLieInAddressSet(t *testing.T) {
 						l := h.Lookup(a.Addr)
 						res := h.Access(a.Addr, a.Part)
 						if l >= 0 != res.Hit || l >= 0 && l != res.Line {
-							t.Fatalf("%d×%d: %#x looked up at line %d, hit %v at line %d", geo.shards, geo.stripes, a.Addr, l, res.Hit, res.Line)
+							t.Fatalf("%d stripes: %#x looked up at line %d, hit %v at line %d", stripes, a.Addr, l, res.Hit, res.Line)
 						}
 						results[i] = res
 					}
@@ -281,15 +305,15 @@ func TestAccessLinesLieInAddressSet(t *testing.T) {
 			}
 		}
 		if hits == 0 || len(lineOf) != cfg.Lines {
-			t.Fatalf("%d×%d: %d hits, %d resident lines of %d", geo.shards, geo.stripes, hits, len(lineOf), cfg.Lines)
+			t.Fatalf("%d stripes: %d hits, %d resident lines of %d", stripes, hits, len(lineOf), cfg.Lines)
 		}
 	}
 }
 
 // TestRebalanceRedistributes pins the global distributor: after heavily
-// skewed per-shard demand for a partition, Rebalance must hand the loaded
-// shard a strictly larger slice of that partition's global target than the
-// idle shards get, while per-partition shard targets keep summing exactly
+// skewed per-stripe demand for a partition, Rebalance must hand the loaded
+// stripe a strictly larger slice of that partition's global target than the
+// idle stripes get, while per-partition stripe targets keep summing exactly
 // to the cache-wide target.
 func TestRebalanceRedistributes(t *testing.T) {
 	cfg := testConfig(4)
@@ -297,13 +321,13 @@ func TestRebalanceRedistributes(t *testing.T) {
 	targets := testTargets()
 	e.SetTargets(targets)
 
-	// Drive traffic for partition 0 at one shard only: find addresses
-	// routing to shard 0 and access them repeatedly.
+	// Drive traffic for partition 0 at one stripe only: find addresses
+	// routing to stripe 0 and access them repeatedly.
 	rng := xrand.New(42)
 	sent := 0
 	for sent < 4096 {
 		addr := rng.Uint64() % (1 << 20)
-		if e.ShardOf(addr) != 0 {
+		if e.stripeOf(addr) != 0 {
 			continue
 		}
 		e.Access(addr, 0)
@@ -311,20 +335,20 @@ func TestRebalanceRedistributes(t *testing.T) {
 	}
 	e.Rebalance()
 
-	snaps := e.ShardSnapshots()
+	snaps := e.StripeSnapshots()
 	for p := 0; p < cfg.Parts; p++ {
 		sum := 0
 		for _, s := range snaps {
 			sum += s.Parts[p].Target
 		}
 		if sum != targets[p] {
-			t.Errorf("part %d shard targets sum to %d, want cache-wide %d", p, sum, targets[p])
+			t.Errorf("part %d stripe targets sum to %d, want cache-wide %d", p, sum, targets[p])
 		}
 	}
 	hot := snaps[0].Parts[0].Target
 	for i := 1; i < len(snaps); i++ {
 		if cold := snaps[i].Parts[0].Target; hot <= cold {
-			t.Errorf("shard 0 (all of partition 0's demand) got target %d, shard %d got %d",
+			t.Errorf("stripe 0 (all of partition 0's demand) got target %d, stripe %d got %d",
 				hot, i, cold)
 		}
 	}
@@ -353,18 +377,18 @@ func TestRebalanceIgnoresPassLength(t *testing.T) {
 		e.Rebalance()
 		return e
 	}
-	short, long := build(7).ShardSnapshots(), build(70).ShardSnapshots()
-	for sh := range short {
-		for p := range short[sh].Parts {
-			if got, want := long[sh].Parts[p].Target, short[sh].Parts[p].Target; got != want {
-				t.Errorf("shard %d partition %d: target %d after the long pass, %d after the short one", sh, p, got, want)
+	short, long := build(7).StripeSnapshots(), build(70).StripeSnapshots()
+	for g := range short {
+		for p := range short[g].Parts {
+			if got, want := long[g].Parts[p].Target, short[g].Parts[p].Target; got != want {
+				t.Errorf("stripe %d partition %d: target %d after the long pass, %d after the short one", g, p, got, want)
 			}
 		}
 	}
 }
 
 // TestLockDisciplineSmoke is the runtime counterpart of the fslint lockcheck
-// annotations on Engine and shard (//fs:guardedby, //fs:lockorder): a seeded
+// annotations on Engine and stripe (//fs:guardedby, //fs:lockorder): a seeded
 // free-running mix of access workers, snapshot readers and rebalances hammers
 // every guarded field concurrently, so a missing Lock that slipped past the
 // static analyzer surfaces as a detector report when this runs under -race.
@@ -383,7 +407,7 @@ func TestLockDisciplineSmoke(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//fslint:ignore determinism lock-discipline smoke: free-running workers share shards on purpose; only race-freedom and accounting are asserted
+		//fslint:ignore determinism lock-discipline smoke: free-running workers share stripes on purpose; only race-freedom and accounting are asserted
 		go func(w int) {
 			defer wg.Done()
 			rng := xrand.New(testSeed ^ uint64(w)<<8)
@@ -393,7 +417,7 @@ func TestLockDisciplineSmoke(t *testing.T) {
 				e.Access(addr, part)
 				// Periodic rebalances from every worker exercise the
 				// tmu-then-mu nested acquisition (//fs:lockorder) while
-				// other workers hold individual shard locks.
+				// other workers hold individual stripe locks.
 				if i%512 == 511 {
 					e.Rebalance()
 				}
@@ -412,7 +436,7 @@ func TestLockDisciplineSmoke(t *testing.T) {
 				return
 			default:
 				_ = e.Snapshot()
-				_ = e.ShardSnapshots()
+				_ = e.StripeSnapshots()
 			}
 		}
 	}()

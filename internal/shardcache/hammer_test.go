@@ -23,8 +23,7 @@ func TestConcurrentHammer(t *testing.T) {
 	cfg := Config{
 		Lines:   2048,
 		Ways:    16,
-		Shards:  4,
-		Stripes: 4,
+		Stripes: 16,
 		Parts:   3,
 		Ranking: futility.CoarseLRU,
 		Seed:    testSeed ^ 0xa44e4,
@@ -142,7 +141,7 @@ func TestConcurrentHammer(t *testing.T) {
 // is lost.
 func TestLockedHandlesUnderRace(t *testing.T) {
 	cfg := Config{
-		Lines: 1024, Ways: 16, Shards: 2, Stripes: 4, Parts: 2,
+		Lines: 1024, Ways: 16, Stripes: 8, Parts: 2,
 		Ranking: futility.CoarseLRU, Seed: testSeed ^ 0x10c4,
 	}
 	e := New(cfg)

@@ -33,8 +33,7 @@ func stripeSnapshot(e *Engine, g int) core.Snapshot {
 // doubles as reference and its CDF estimates land in EvictedFutility and the
 // histograms.
 func TestSampledMeasurementChangesNoOutcome(t *testing.T) {
-	cfg := testConfig(4)
-	cfg.Stripes = 4
+	cfg := testConfig(16)
 	cfg.Ranking = futility.CoarseLRU
 	all, def := allMeasured(cfg), New(cfg)
 	all.SetTargets(testTargets())
@@ -101,25 +100,25 @@ func TestSampledMeasurementChangesNoOutcome(t *testing.T) {
 // New cannot build, fails its invariants.
 func TestMeasuredStripes(t *testing.T) {
 	for _, tc := range []struct {
-		shards, stripes int
-		ranking         futility.Kind
-		want            int
+		stripes int
+		ranking futility.Kind
+		want    int
 	}{
-		{1, 1, futility.CoarseLRU, 1},
-		{2, 1, futility.CoarseLRU, 1},
-		{4, 1, futility.CoarseLRU, 1},
-		{2, 4, futility.CoarseLRU, 2},
-		{4, 4, futility.CoarseLRU, 4},
-		{4, 4, futility.LRU, 16},
+		{1, futility.CoarseLRU, 1},
+		{2, futility.CoarseLRU, 1},
+		{4, futility.CoarseLRU, 1},
+		{8, futility.CoarseLRU, 2},
+		{16, futility.CoarseLRU, 4},
+		{16, futility.LRU, 16},
 	} {
-		cfg := testConfig(tc.shards)
-		cfg.Stripes, cfg.Ranking = tc.stripes, tc.ranking
+		cfg := testConfig(tc.stripes)
+		cfg.Ranking = tc.ranking
 		e := New(cfg)
 		if e.measured != tc.want {
-			t.Errorf("%d×%d %v: %d measured stripes, want %d", tc.shards, tc.stripes, tc.ranking, e.measured, tc.want)
+			t.Errorf("%d stripes %v: %d measured stripes, want %d", tc.stripes, tc.ranking, e.measured, tc.want)
 		}
 		if err := e.CheckInvariants(); err != nil {
-			t.Errorf("%d×%d %v: %v", tc.shards, tc.stripes, tc.ranking, err)
+			t.Errorf("%d stripes %v: %v", tc.stripes, tc.ranking, err)
 		}
 	}
 	never := func(int) bool { return false }
@@ -136,7 +135,7 @@ func TestMeasuredStripes(t *testing.T) {
 // mixedSchedule cuts the stream of bench/'s engine-shared-mixed — partitions
 // drawn uniformly, each a Zipf(0.9) popularity over a footprint of 1, 2/3 and
 // 1/3 of the cache — into rounds of perRound accesses, each handed to the
-// worker that owns its shard.
+// worker that owns its stripe.
 func mixedSchedule(e *Engine, seed uint64, workers, rounds, perRound int) *Schedule {
 	spans := []int{e.Lines(), e.Lines() * 2 / 3, e.Lines() / 3}
 	rng := xrand.New(xrand.Mix64(seed ^ scheduleSalt))
@@ -150,7 +149,7 @@ func mixedSchedule(e *Engine, seed uint64, workers, rounds, perRound int) *Sched
 		for i := 0; i < perRound; i++ {
 			p := rng.Intn(len(spans))
 			addr := xrand.Mix64(uint64(p)<<40 | uint64(zs[p].Next()))
-			w := e.ShardOf(addr) % workers
+			w := e.stripeOf(addr) % workers
 			s.ops[r][w] = append(s.ops[r][w], Access{Addr: addr, Part: p})
 		}
 	}
@@ -158,9 +157,9 @@ func mixedSchedule(e *Engine, seed uint64, workers, rounds, perRound int) *Sched
 }
 
 // benchGeometry is bench/'s engine-shared-mixed engine: 16384 lines, 16 ways,
-// 4 × 4 stripes, 3 partitions on coarse timestamps.
+// 16 stripes, 3 partitions on coarse timestamps.
 func benchGeometry(seed uint64) Config {
-	return Config{Lines: 16384, Ways: 16, Shards: 4, Stripes: 4, Parts: 3, Ranking: futility.CoarseLRU, Seed: seed}
+	return Config{Lines: 16384, Ways: 16, Stripes: 16, Parts: 3, Ranking: futility.CoarseLRU, Seed: seed}
 }
 
 // New's bytes on bench/'s geometry, counted rather than timed: 273 216 on
@@ -187,7 +186,7 @@ func TestNewAllocationBudget(t *testing.T) {
 
 // TestSampledAEFEstimatesFullAEF bounds what sampling one lock domain in four
 // costs the estimate, on bench/'s engine-shared-mixed geometry and stream
-// (16384 lines, 16 ways, 4 × 4 stripes, targets 3:2:1) under the
+// (16384 lines, 16 ways, 16 stripes, targets 3:2:1) under the
 // deterministic driver. Each seed builds its own engine as well as its own
 // stream, because most of the error is which four of the sixteen hash slices
 // happen to be sampled, not how long they are watched. Runs repeat exactly per

@@ -35,7 +35,7 @@ type Rebalancer struct {
 // false) when the current one stands. The online allocator (internal/alloc)
 // satisfies this: the count closes its epochs, which recompute targets from
 // live miss-ratio curves — closing the measurement→targets loop for the
-// sharded engine.
+// striped engine.
 type TargetSource interface {
 	PollTargets(accesses uint64) ([]int, bool)
 }

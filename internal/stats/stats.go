@@ -109,7 +109,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 // Histogram is not safe for concurrent use. The concurrent merge path is:
 // each writer owns its histogram, readers Clone it under the writer's lock,
 // and the clones are merged outside any lock (internal/shardcache does this
-// for per-shard eviction-futility histograms).
+// for per-stripe eviction-futility histograms).
 func (h *Histogram) Merge(other *Histogram) {
 	if len(h.counts) != len(other.counts) {
 		panic("stats: merging histograms of different widths")
