@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"reflect"
 	"strings"
@@ -142,6 +143,38 @@ func TestDefaultOutput(t *testing.T) {
 	}
 	if stdout.String() != string(want) {
 		t.Fatalf("output diverged from testdata/default.golden.\n--- got ---\n%s\n--- want ---\n%s", stdout.String(), want)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/array-*.golden from the current output")
+
+// TestArrayOutputs pins fsim's full report for every -array value at a small
+// size, byte for byte, against testdata/array-<name>.golden (a "/" in the
+// name becomes "-"). After a deliberate behaviour change, regenerate them with
+//
+//	go test ./cmd/fsim -run TestArrayOutputs -update
+func TestArrayOutputs(t *testing.T) {
+	for _, array := range []string{"setassoc-16", "random-16", "fullyassoc", "directmapped", "zcache-z4/52", "skew-8"} {
+		t.Run(array, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			args := []string{"-array", array, "-lines", "4096", "-accesses", "20000", "-benchmarks", "gromacs,omnetpp,astar"}
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d\n%s", code, stderr.String())
+			}
+			golden := "testdata/array-" + strings.ReplaceAll(array, "/", "-") + ".golden"
+			if *update {
+				if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stdout.String() != string(want) {
+				t.Fatalf("output diverged from %s.\n--- got ---\n%s\n--- want ---\n%s", golden, stdout.String(), want)
+			}
+		})
 	}
 }
 
