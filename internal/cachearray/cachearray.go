@@ -2,14 +2,14 @@
 // paper's cache model (§III-A): the array "implements associative lookups
 // and provides a list of replacement candidates on each eviction".
 //
-// Six organizations are provided:
+// Four organizations are provided:
 //
 //   - SetAssoc: conventional set-associative array with XOR-based or H3
 //     indexing (the evaluated L2 is 16-way set-associative with XOR-based
-//     indexing, Table II).
-//   - DirectMapped: one candidate per eviction (the R=1 degenerate case).
-//   - Skew: skew-associative array — one hash function per way.
+//     indexing, Table II). One way is the direct-mapped array (R=1).
 //   - ZCache: a zcache with replacement-candidate walks and line relocation.
+//     A one-level walk is the skew-associative array: one hash function per
+//     way, one candidate per way, no relocation.
 //   - Random: the analytical "random candidates cache" satisfying the
 //     Uniformity Assumption (§IV-A) — R candidates drawn independently and
 //     uniformly over all lines.
@@ -165,16 +165,12 @@ func newSetAssoc(lines, ways int, kind IndexKind) *SetAssoc {
 	}
 }
 
-// NewDirectMapped builds the 1-way special case.
-func NewDirectMapped(lines int, kind IndexKind, seed uint64) *SetAssoc {
-	return NewSetAssoc(lines, 1, kind, seed)
-}
-
 // Lines implements Array.
 func (a *SetAssoc) Lines() int { return a.sets * a.ways }
 
 func (a *SetAssoc) set(addr uint64) int {
 	if a.kind == IndexH3 {
+		hashing.CountH3()
 		return int(a.h3.Hash(addr)) & (a.sets - 1) // a no-op unless h3 is shared
 	}
 	return int(hashing.FoldBits(addr, a.setBits))
@@ -221,85 +217,6 @@ func (a *SetAssoc) Install(addr uint64, victim int, moves []Move) []Move {
 	}
 	a.addrs[victim] = addr
 	a.valid.set(victim)
-	return moves
-}
-
-// Skew is a skew-associative array: way w has its own hash function, so the
-// candidate lines of an address are decorrelated across ways, which makes
-// the candidate list behave much closer to uniform than a set-associative
-// array of the same R.
-type Skew struct {
-	ways   int
-	sets   int
-	family *hashing.Family
-	addrs  []uint64
-	valid  lineBits
-}
-
-// NewSkew builds a skew-associative array. lines and ways must be powers of
-// two with ways ≤ lines.
-func NewSkew(lines, ways int, seed uint64) *Skew {
-	checkPow2(lines, "lines")
-	checkPow2(ways, "ways")
-	if ways > lines {
-		panic("cachearray: ways exceed lines")
-	}
-	sets := lines / ways
-	return &Skew{
-		ways:   ways,
-		sets:   sets,
-		family: hashing.NewFamily(seed, ways, sets),
-		addrs:  make([]uint64, lines),
-		valid:  newLineBits(lines),
-	}
-}
-
-// Lines implements Array.
-func (s *Skew) Lines() int { return s.sets * s.ways }
-
-func (s *Skew) pos(way int, addr uint64) int {
-	return way*s.sets + int(s.family.Hash(way, addr))
-}
-
-// Lookup implements Array.
-//
-//fs:allocfree
-func (s *Skew) Lookup(addr uint64) int {
-	for w := 0; w < s.ways; w++ {
-		i := s.pos(w, addr)
-		if s.addrs[i] == addr && s.valid.get(i) {
-			return i
-		}
-	}
-	return -1
-}
-
-// Candidates implements Array: one line per way.
-//
-//fs:allocfree
-func (s *Skew) Candidates(addr uint64, dst []int) []int {
-	for w := 0; w < s.ways; w++ {
-		dst = append(dst, s.pos(w, addr))
-	}
-	return dst
-}
-
-// AddrOf implements Array.
-//
-//fs:allocfree
-func (s *Skew) AddrOf(line int) (uint64, bool) {
-	return s.addrs[line], s.valid.get(line)
-}
-
-// Install implements Array.
-//
-//fs:allocfree
-func (s *Skew) Install(addr uint64, victim int, moves []Move) []Move {
-	if s.pos(victim/s.sets, addr) != victim {
-		panic("cachearray: victim is not a candidate position for address")
-	}
-	s.addrs[victim] = addr
-	s.valid.set(victim)
 	return moves
 }
 

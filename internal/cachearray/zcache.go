@@ -2,22 +2,23 @@ package cachearray
 
 import "fscache/internal/hashing"
 
-// ZCache implements a zcache: a W-way array (one hash function per way, like
-// a skew cache) whose replacement process walks the candidate graph to
-// obtain far more replacement candidates than ways. A depth-L walk yields up
-// to W + W(W−1) + … + W(W−1)^(L−1) candidates (Z4/52 uses W=4, L=3).
+// ZCache implements a zcache: a W-way array (one hash function per way)
+// whose replacement process walks the candidate graph to obtain far more
+// replacement candidates than ways. A depth-L walk yields up to
+// W + W(W−1) + … + W(W−1)^(L−1) candidates (Z4/52 uses W=4, L=3).
 // Evicting a candidate at depth d relocates d lines along the walk path so
 // that the incoming address can be installed at one of its own W positions.
+// A one-level walk (L=1) is the skew-associative array: the W positions
+// alone, in way order, and never a relocation.
 //
 // The zcache is the origin of the paper's analytical framework [17]: with
 // good H3 hashing its candidates are nearly independent and uniform, which
 // is why the Uniformity Assumption is "statistically close enough in a
 // practical cache" (§IV-A).
 type ZCache struct {
-	ways   int
 	sets   int
 	levels int
-	family *hashing.Family
+	fns    []hashing.H3 // one function per way
 	addrs  []uint64
 	valid  lineBits
 
@@ -51,10 +52,9 @@ func NewZCache(lines, ways, levels int, seed uint64) *ZCache {
 	}
 	sets := lines / ways
 	return &ZCache{
-		ways:   ways,
 		sets:   sets,
 		levels: levels,
-		family: hashing.NewFamily(seed, ways, sets),
+		fns:    hashing.NewFamily(seed, ways, sets),
 		addrs:  make([]uint64, lines),
 		valid:  newLineBits(lines),
 		seen:   make([]uint64, (lines+63)/64),
@@ -64,28 +64,25 @@ func NewZCache(lines, ways, levels int, seed uint64) *ZCache {
 // MaxCandidates returns the candidate count of a full-depth walk with no
 // duplicate positions: W + W(W−1) + … .
 func (z *ZCache) MaxCandidates() int {
-	n, level := 0, z.ways
+	n, level := 0, len(z.fns)
 	for l := 0; l < z.levels; l++ {
 		n += level
-		level *= z.ways - 1
+		level *= len(z.fns) - 1
 	}
 	return n
 }
 
 // Lines implements Array.
-func (z *ZCache) Lines() int { return z.sets * z.ways }
-
-func (z *ZCache) pos(way int, addr uint64) int {
-	return way*z.sets + int(z.family.Hash(way, addr))
-}
+func (z *ZCache) Lines() int { return z.sets * len(z.fns) }
 
 // Lookup implements Array. Lookups check only the W direct positions — the
 // whole point of the zcache is that hits stay as cheap as a W-way cache.
 //
 //fs:allocfree
 func (z *ZCache) Lookup(addr uint64) int {
-	for w := 0; w < z.ways; w++ {
-		i := z.pos(w, addr)
+	for w := range z.fns {
+		hashing.CountH3()
+		i := w*z.sets + int(z.fns[w].Hash(addr))
 		if z.addrs[i] == addr && z.valid.get(i) {
 			return i
 		}
@@ -129,8 +126,9 @@ func (z *ZCache) Candidates(addr uint64, dst []int) []int {
 //
 //fs:allocfree
 func (z *ZCache) expand(nodes []walkNode, resident uint64, parent int) []walkNode {
-	for w := 0; w < z.ways; w++ {
-		line := z.pos(w, resident)
+	for w := range z.fns {
+		hashing.CountH3()
+		line := w*z.sets + int(z.fns[w].Hash(resident))
 		word, bit := &z.seen[line>>6], uint64(1)<<(uint(line)&63)
 		if *word&bit == 0 {
 			*word |= bit

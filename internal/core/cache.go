@@ -119,13 +119,13 @@ func (c *Cache) partOf(line int) int {
 // concurrent engine out of single-threaded Caches by giving each stripe its
 // own Cache and mutex, never by sharing one Cache across goroutines.
 type Cache struct {
-	array    cachearray.Array
-	ranker   futility.Ranker
-	ref      futility.Ranker // == ranker when no separate reference; nil when unmeasured
-	sameRef  bool
-	scheme   Scheme
-	parts    int
-	devTrack bool
+	array      cachearray.Array
+	ranker     futility.Ranker
+	ref        futility.Ranker // Config.Reference; without it ranker measures, unless unmeasured
+	unmeasured bool
+	scheme     Scheme
+	parts      int
+	devTrack   bool
 
 	meta []int16 // per-line partition id, indexed by line; noLine for an invalid line
 	// demoteTo is the partition every demoted line counts against: the first
@@ -173,20 +173,6 @@ type Cache struct {
 	// exact LRU ranker: one plus the index of each partition's oldest
 	// candidate so far, 0 between misses.
 	partBest []int32
-	// refHit/refInsert/refEvict/refMove are bound to the reference ranker's
-	// methods when a separate reference exists, and nil when the decision
-	// ranker doubles as reference or the cache is unmeasured — hoisting the
-	// sameRef branch out of the per-access path into a nil check on a
-	// prebound func. They are bound from Ranker's //fs:allocfree interface
-	// methods, so calls through them keep the same contract.
-	//fs:allocfree
-	refHit func(line, part int, ctx futility.Context)
-	//fs:allocfree
-	refInsert func(line, part int, ctx futility.Context)
-	//fs:allocfree
-	refEvict func(line, part int)
-	//fs:allocfree
-	refMove func(from, to, part int)
 }
 
 // New builds a controller from cfg. It panics on inconsistent configuration
@@ -204,26 +190,23 @@ func New(cfg Config) *Cache {
 		panic("core: Parts exceeds the 16-bit per-line partition id")
 	}
 	c := &Cache{
-		array:    cfg.Array,
-		ranker:   cfg.Ranker,
-		ref:      cfg.Reference,
-		scheme:   cfg.Scheme,
-		parts:    cfg.Parts,
-		devTrack: cfg.TrackDeviation,
-		meta:     make([]int16, cfg.Array.Lines()),
-		demoteTo: -1,
-		sizes:    make([]int, cfg.Parts),
-		owned:    make([]int, cfg.Parts),
-		targets:  make([]int, cfg.Parts),
-		pstats:   make([]PartStats, cfg.Parts),
-		partBest: make([]int32, cfg.Parts),
+		array:      cfg.Array,
+		ranker:     cfg.Ranker,
+		ref:        cfg.Reference,
+		unmeasured: cfg.Unmeasured,
+		scheme:     cfg.Scheme,
+		parts:      cfg.Parts,
+		devTrack:   cfg.TrackDeviation,
+		meta:       make([]int16, cfg.Array.Lines()),
+		demoteTo:   -1,
+		sizes:      make([]int, cfg.Parts),
+		owned:      make([]int, cfg.Parts),
+		targets:    make([]int, cfg.Parts),
+		pstats:     make([]PartStats, cfg.Parts),
+		partBest:   make([]int32, cfg.Parts),
 	}
 	if cfg.Unmeasured && cfg.Reference != nil {
 		panic("core: Unmeasured excludes a Reference")
-	}
-	if c.ref == nil && !cfg.Unmeasured {
-		c.ref = cfg.Ranker
-		c.sameRef = true
 	}
 	for i := range c.meta {
 		c.meta[i] = noLine
@@ -245,13 +228,7 @@ func New(cfg Config) *Cache {
 		c.lru = r
 	}
 	_, decidesOnRaw := cfg.Scheme.(rawDecider)
-	c.rawOnly = decidesOnRaw && c.coarse != nil && !c.sameRef // separate reference or none
-	if cfg.Reference != nil {
-		c.refHit = c.ref.OnHit
-		c.refInsert = c.ref.OnInsert
-		c.refEvict = c.ref.OnEvict
-		c.refMove = c.ref.OnMove
-	}
+	c.rawOnly = decidesOnRaw && c.coarse != nil && (c.ref != nil || c.unmeasured)
 	if c.allCands && (c.freer == nil || !c.fullSel || c.worst == nil) {
 		panic("core: fully-associative arrays need a Freer array, a FullSelector scheme and a WorstTracker ranker")
 	}
@@ -416,8 +393,8 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 		default:
 			c.ranker.OnHit(line, dp, ctx)
 		}
-		if c.refHit != nil {
-			c.refHit(line, owner, ctx)
+		if c.ref != nil {
+			c.ref.OnHit(line, owner, ctx)
 		}
 		return AccessResult{Hit: true, Line: line}
 	}
@@ -453,21 +430,21 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 		dp, owner := c.partOf(victim), c.ownerOf(victim)
 		ps := &c.pstats[owner]
 		ps.Evictions++
-		if c.ref != nil {
+		if !c.unmeasured {
 			// With a dedicated reference ranker, futility is measured within
 			// the owner's working set (demotions do not move reference state);
 			// when the decision ranker doubles as reference, it tracks the
 			// line under its decision partition.
-			refPart := owner
-			if c.sameRef {
-				refPart = dp
+			if c.ref != nil {
+				res.EvictedFutility, _ = c.ref.FutilityRaw(victim, owner)
+			} else {
+				res.EvictedFutility, _ = c.ranker.FutilityRaw(victim, dp)
 			}
-			res.EvictedFutility, _ = c.ref.FutilityRaw(victim, refPart)
 			ps.EvictFutility.Add(res.EvictedFutility)
 		}
 		c.ranker.OnEvict(victim, dp)
-		if c.refEvict != nil {
-			c.refEvict(victim, owner)
+		if c.ref != nil {
+			c.ref.OnEvict(victim, owner)
 		}
 		c.resize(dp, -1)
 		c.owned[owner]--
@@ -485,8 +462,8 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 	c.moveBuf = c.array.Install(addr, victim, c.moveBuf[:0])
 	for _, m := range c.moveBuf {
 		c.ranker.OnMove(m.From, m.To, c.partOf(m.From))
-		if c.refMove != nil {
-			c.refMove(m.From, m.To, c.ownerOf(m.From))
+		if c.ref != nil {
+			c.ref.OnMove(m.From, m.To, c.ownerOf(m.From))
 		}
 		c.meta[m.To] = c.meta[m.From]
 		c.meta[m.From] = noLine
@@ -498,8 +475,8 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 	res.Line = line
 	c.meta[line] = int16(part)
 	c.ranker.OnInsert(line, part, ctx)
-	if c.refInsert != nil {
-		c.refInsert(line, part, ctx)
+	if c.ref != nil {
+		c.ref.OnInsert(line, part, ctx)
 	}
 	c.resize(part, 1)
 	c.owned[part]++

@@ -141,7 +141,7 @@ func TestControllerChaos(t *testing.T) {
 	const lines = 256
 	arrays := map[string]cachearray.Array{
 		"setassoc": cachearray.NewSetAssoc(lines, 8, cachearray.IndexH3, 1),
-		"skew":     cachearray.NewSkew(lines, 4, 2),
+		"skew":     cachearray.NewZCache(lines, 4, 1, 2),
 		"zcache":   cachearray.NewZCache(lines, 4, 2, 3),
 		"random":   cachearray.NewRandom(lines, 8, 4),
 	}

@@ -80,11 +80,11 @@ func (c *Cache) CheckInvariants() error {
 			return fmt.Errorf("core: ranker tracks %d lines in partition %d, controller %d", got, p, c.sizes[p])
 		}
 		switch {
-		case c.ref == nil:
+		case c.unmeasured:
 			if n := c.pstats[p].EvictFutility.N(); n != 0 {
 				return fmt.Errorf("core: unmeasured cache recorded %d eviction futilities in partition %d", n, p)
 			}
-		case !c.sameRef:
+		case c.ref != nil:
 			if got := c.ref.Size(p); got != c.owned[p] {
 				return fmt.Errorf("core: reference ranker tracks %d lines in partition %d, owners %d", got, p, c.owned[p])
 			}
@@ -95,7 +95,7 @@ func (c *Cache) CheckInvariants() error {
 			return fmt.Errorf("core: decision ranker: %w", err)
 		}
 	}
-	if !c.sameRef {
+	if c.ref != nil {
 		if ic, ok := c.ref.(futility.InvariantChecker); ok {
 			if err := ic.CheckInvariants(); err != nil {
 				return fmt.Errorf("core: reference ranker: %w", err)

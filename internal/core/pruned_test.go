@@ -45,7 +45,7 @@ func TestPrunedPoolMatchesFullPool(t *testing.T) {
 	}{
 		{"setassoc16", func(lines int) cachearray.Array { return cachearray.NewSetAssoc(lines, 16, cachearray.IndexH3, 11) }},
 		{"z4/52", func(lines int) cachearray.Array { return cachearray.NewZCache(lines, 4, 3, 11) }},
-		{"skew4", func(lines int) cachearray.Array { return cachearray.NewSkew(lines, 4, 11) }},
+		{"skew4", func(lines int) cachearray.Array { return cachearray.NewZCache(lines, 4, 1, 11) }},
 	}
 	for _, sc := range schemes {
 		for _, ar := range arrays {

@@ -432,13 +432,13 @@ func buildArray(s *Scenario) cachearray.Array {
 	seed := xrand.Mix64(0xa11a7 ^ uint64(s.ArraySeed))
 	switch s.Array {
 	case ArrayDirectMapped:
-		return cachearray.NewDirectMapped(lines, cachearray.IndexXOR, seed)
+		return cachearray.NewSetAssoc(lines, 1, cachearray.IndexXOR, seed)
 	case ArraySetAssocXOR:
 		return cachearray.NewSetAssoc(lines, 8, cachearray.IndexXOR, seed)
 	case ArraySetAssocH3:
 		return cachearray.NewSetAssoc(lines, 8, cachearray.IndexH3, seed)
 	case ArraySkew:
-		return cachearray.NewSkew(lines, 4, seed)
+		return cachearray.NewZCache(lines, 4, 1, seed)
 	case ArrayZCache:
 		return cachearray.NewZCache(lines, 4, 2, seed)
 	case ArrayRandom:

@@ -50,8 +50,9 @@ func TestParallelForDeterminism(t *testing.T) {
 // exactly one cache. Cells running concurrently under parallelFor would
 // corrupt each other through any accidentally shared slice; this sweep runs
 // the same grid with 1 and 4 workers and requires byte-identical output.
-// ArrayZ4 and ArraySkew8 exercise the move buffer (relocating arrays),
-// ArrayRandom16 exercises the dedup-into-dst candidate path.
+// ArrayZ4 exercises the move buffer (a relocating walk), ArraySkew8 the
+// walk's roots alone (a one-level zcache never relocates), ArrayRandom16 the
+// dedup-into-dst candidate path.
 func TestParallelDeterminismReusedBuffers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid run too slow for -short")

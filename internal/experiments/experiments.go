@@ -245,11 +245,11 @@ func Build(spec CacheSpec) *Built {
 	case ArrayFullyAssc:
 		arr = cachearray.NewFullyAssoc(spec.Lines)
 	case ArrayDirect:
-		arr = cachearray.NewDirectMapped(spec.Lines, cachearray.IndexH3, aseed)
+		arr = cachearray.NewSetAssoc(spec.Lines, 1, cachearray.IndexH3, aseed)
 	case ArrayZ4:
 		arr = cachearray.NewZCache(spec.Lines, 4, 3, aseed)
 	case ArraySkew8:
-		arr = cachearray.NewSkew(spec.Lines, 8, aseed)
+		arr = cachearray.NewZCache(spec.Lines, 8, 1, aseed) // skew-associative
 	default:
 		panicf("unknown array %q", spec.Array)
 	}

@@ -2,9 +2,9 @@
 //
 // The paper's analysis assumes caches "indexed by good random hash functions"
 // (§III-B, §IV-A); its evaluated L2 uses XOR-based indexing [19] and its
-// analytical cache uses uniform random candidates. Skew-associative caches
-// and zcaches additionally need a *family* of independent hash functions,
-// one per way. We provide:
+// analytical cache uses uniform random candidates. A zcache (and the
+// skew-associative array, its one-level walk) additionally needs a *family*
+// of independent hash functions, one per way. We provide:
 //
 //   - H3: the classic universal hash family over GF(2) (matrix of random
 //     row masks), as used by the zcache work the paper builds on.
@@ -121,27 +121,15 @@ func (h *H3) Hash(key uint64) uint64 {
 		h.tab[4][byte(key>>32)] ^ h.tab[5][byte(key>>40)] ^ h.tab[6][byte(key>>48)] ^ h.tab[7][key>>56])
 }
 
-// Family is a set of independent H3 functions (one per cache way), as needed
-// by skew-associative caches and zcaches. The functions sit back to back in
-// one allocation.
-type Family struct {
-	fns []H3
-}
-
-// NewFamily builds n independent H3 functions onto [0, buckets).
-func NewFamily(seed uint64, n, buckets int) *Family {
+// NewFamily builds n independent H3 functions onto [0, buckets), one per
+// way of a zcache, back to back in one allocation.
+func NewFamily(seed uint64, n, buckets int) []H3 {
 	fns := make([]H3, n)
 	for i := range fns {
 		fns[i].init(xrand.Mix64(seed^uint64(i+1)), buckets)
 	}
-	return &Family{fns: fns}
+	return fns
 }
-
-// Len returns the number of functions in the family.
-func (f *Family) Len() int { return len(f.fns) }
-
-// Hash applies the i-th function to key.
-func (f *Family) Hash(i int, key uint64) uint64 { return f.fns[i].Hash(key) }
 
 // log2 returns the exponent of n, which must be a positive power of two;
 // what names the argument in the panic otherwise.

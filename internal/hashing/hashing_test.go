@@ -135,7 +135,7 @@ func TestH3TableMatchesBitSerial(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8} {
 		f := NewFamily(5, n, 4096)
 		for i := 0; i < n; i++ {
-			check(&f.fns[i], xrand.Mix64(5^uint64(i+1)), 12, fmt.Sprintf("family of %d, member %d", n, i), 1000)
+			check(&f[i], xrand.Mix64(5^uint64(i+1)), 12, fmt.Sprintf("family of %d, member %d", n, i), 1000)
 		}
 	}
 	if unsafe.Sizeof(H3{}) != 8192 {
@@ -228,17 +228,17 @@ func FuzzH3(f *testing.F) {
 
 func TestFamilyIndependence(t *testing.T) {
 	f := NewFamily(5, 4, 256)
-	if f.Len() != 4 {
-		t.Fatalf("Len = %d", f.Len())
+	if len(f) != 4 {
+		t.Fatalf("len = %d", len(f))
 	}
 	// Different members must disagree on most keys; identical members would
-	// make a skew cache degenerate to set-associative.
+	// make a zcache degenerate to set-associative.
 	rng := xrand.New(9)
 	agree := 0
 	const n = 10000
 	for i := 0; i < n; i++ {
 		k := rng.Uint64()
-		if f.Hash(0, k) == f.Hash(1, k) {
+		if f[0].Hash(k) == f[1].Hash(k) {
 			agree++
 		}
 	}

@@ -10,7 +10,7 @@ type I interface {
 	Slow() string
 }
 
-// C mirrors the shape of core.Cache: scratch buffers plus prebound hooks.
+// C mirrors the shape of core.Cache: scratch buffers plus installed hooks.
 type C struct {
 	buf   []int
 	iface I

@@ -6,12 +6,17 @@ import (
 	"testing"
 
 	"fscache/internal/core"
+	"fscache/internal/hashing"
+	"fscache/internal/xrand"
 )
 
-// TestCounted pins the stripe locks each access path takes, counted by the
-// fscount build: one per Access and per Locked handle, and one per stripe a
-// batch touches, however many of its requests share it. A Snapshot or a
-// PartSizes reads every stripe once.
+// TestCounted pins the stripe locks and the H3 evaluations each access path
+// takes, counted by the fscount build. Locks: one per Access and per Locked
+// handle, and one per stripe a batch touches, however many of its requests
+// share it; a Snapshot or a PartSizes reads every stripe once. H3: the
+// router's one per request, then the stripe array's set index once per
+// Lookup, so 2 a hit, and 4 a miss (Lookup, Candidates and Install's set
+// check).
 //
 //	go test -tags fscount -run Counted ./internal/shardcache
 func TestCounted(t *testing.T) {
@@ -26,28 +31,38 @@ func TestCounted(t *testing.T) {
 		}
 		return len(seen)
 	}
+	absent := xrand.Mix64(1 << 40)
+	if h := e.Lock(absent); h.Lookup(absent) >= 0 {
+		t.Fatalf("%#x is resident", absent)
+	} else {
+		h.Unlock()
+	}
 	for _, row := range []struct {
-		name string
-		want int
-		op   func()
+		name      string
+		locks, h3 int
+		op        func()
 	}{
-		{"Access", 1, func() { e.Access(pool[0].Addr, pool[0].Part) }},
-		{"Lock", 1, func() {
+		{"Access", 1, 2, func() { e.Access(pool[0].Addr, pool[0].Part) }},
+		{"AccessMiss", 1, 4, func() { e.Access(absent, 0) }},
+		{"Lock", 1, 3, func() {
 			h := e.Lock(pool[1].Addr)
 			h.Lookup(pool[1].Addr)
 			h.Access(pool[1].Addr, pool[1].Part)
 			h.Unlock()
 		}},
-		{"BatchAccess", touched(pool[:16]), func() { b.Access(pool[:16], results) }},
-		{"BatchEach", touched(pool[16:48]), func() { b.Each(pool[16:48], func(Locked, []int32) {}) }},
-		{"BatchOneStripe", 1, func() { b.Access([]Access{pool[2], pool[2], pool[2]}, results) }},
-		{"Snapshot", len(e.stripes), func() { e.Snapshot() }},
-		{"PartSizes", len(e.stripes), func() { e.PartSizes(nil) }},
+		{"BatchAccess", touched(pool[:16]), 2 * 16, func() { b.Access(pool[:16], results) }},
+		{"BatchEach", touched(pool[16:48]), 32, func() { b.Each(pool[16:48], func(Locked, []int32) {}) }},
+		{"BatchOneStripe", 1, 2 * 3, func() { b.Access([]Access{pool[2], pool[2], pool[2]}, results) }},
+		{"Snapshot", len(e.stripes), 0, func() { e.Snapshot() }},
+		{"PartSizes", len(e.stripes), 0, func() { e.PartSizes(nil) }},
 	} {
-		before := StripeLocks()
+		locks, evals := StripeLocks(), hashing.H3Evals()
 		row.op()
-		if got := int(StripeLocks() - before); got != row.want {
-			t.Errorf("%s: %d stripe locks, want %d", row.name, got, row.want)
+		if got := int(StripeLocks() - locks); got != row.locks {
+			t.Errorf("%s: %d stripe locks, want %d", row.name, got, row.locks)
+		}
+		if got := int(hashing.H3Evals() - evals); got != row.h3 {
+			t.Errorf("%s: %d H3 evaluations, want %d", row.name, got, row.h3)
 		}
 	}
 }

@@ -263,6 +263,7 @@ func (e *Engine) Lines() int { return e.cfg.Lines }
 // stripeOf returns the stripe an address routes to: the top
 // log2(Stripes)-bit slice of its H3 set index.
 func (e *Engine) stripeOf(addr uint64) int {
+	hashing.CountH3()
 	return int(e.router.Hash(addr)) >> e.stripeShift
 }
 
