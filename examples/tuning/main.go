@@ -46,12 +46,11 @@ func run(cfg core.FSFeedbackConfig) row {
 	const parts = 2
 	scheme := core.NewFSFeedback(parts, cfg)
 	cache := core.New(core.Config{
-		Array:          cachearray.NewRandom(lines, 16, 1),
-		Ranker:         futility.NewCoarseTS(lines, parts),
-		Reference:      futility.NewExactLRU(lines, parts),
-		Scheme:         scheme,
-		Parts:          parts,
-		TrackDeviation: true,
+		Array:     cachearray.NewRandom(lines, 16, 1),
+		Ranker:    futility.NewCoarseTS(lines, parts),
+		Reference: futility.NewExactLRU(lines, parts),
+		Scheme:    scheme,
+		Parts:     parts,
 	})
 	cache.SetTargets([]int{lines / 2, lines / 2})
 

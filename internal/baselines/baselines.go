@@ -16,10 +16,7 @@ type Unmanaged struct{}
 func NewUnmanaged() *Unmanaged { return &Unmanaged{} }
 
 // Bind implements core.Scheme.
-func (*Unmanaged) Bind(actual []int) {}
-
-// SetTargets implements core.Scheme.
-func (*Unmanaged) SetTargets(targets []int) {}
+func (*Unmanaged) Bind(actual, targets []int) {}
 
 // Decide implements core.Scheme: global max futility.
 func (*Unmanaged) Decide(cands []core.Candidate, insertPart int) core.Decision {
@@ -48,8 +45,7 @@ func (*Unmanaged) OnEviction(part int) {}
 // partition. It enforces sizes near-perfectly but suffers the
 // associativity collapse of §III-C as partitions proliferate.
 type PF struct {
-	actual  []int
-	targets []int
+	actual, targets []int // the controller's, read-only
 }
 
 // NewPF builds the Partitioning-First scheme over parts partitions.
@@ -57,19 +53,11 @@ func NewPF(parts int) *PF {
 	if parts <= 0 {
 		panic("baselines: PF needs at least one partition")
 	}
-	return &PF{targets: make([]int, parts)}
+	return &PF{}
 }
 
 // Bind implements core.Scheme.
-func (p *PF) Bind(actual []int) { p.actual = actual }
-
-// SetTargets implements core.Scheme.
-func (p *PF) SetTargets(targets []int) {
-	if len(targets) != len(p.targets) {
-		panic("baselines: SetTargets length mismatch")
-	}
-	copy(p.targets, targets)
-}
+func (p *PF) Bind(actual, targets []int) { p.actual, p.targets = actual, targets }
 
 // Decide implements core.Scheme (Algorithm 1).
 func (p *PF) Decide(cands []core.Candidate, insertPart int) core.Decision {
@@ -114,8 +102,7 @@ func (*PF) OnEviction(part int) {}
 // evicts the most useless; if no candidate is over quota it falls back to
 // the inserting partition's candidates, then to the global least useful.
 type CQVP struct {
-	actual  []int
-	targets []int
+	actual, targets []int // the controller's, read-only
 }
 
 // NewCQVP builds the quota scheme over parts partitions.
@@ -123,19 +110,11 @@ func NewCQVP(parts int) *CQVP {
 	if parts <= 0 {
 		panic("baselines: CQVP needs at least one partition")
 	}
-	return &CQVP{targets: make([]int, parts)}
+	return &CQVP{}
 }
 
 // Bind implements core.Scheme.
-func (c *CQVP) Bind(actual []int) { c.actual = actual }
-
-// SetTargets implements core.Scheme.
-func (c *CQVP) SetTargets(targets []int) {
-	if len(targets) != len(c.targets) {
-		panic("baselines: SetTargets length mismatch")
-	}
-	copy(c.targets, targets)
-}
+func (c *CQVP) Bind(actual, targets []int) { c.actual, c.targets = actual, targets }
 
 // Decide implements core.Scheme.
 func (c *CQVP) Decide(cands []core.Candidate, insertPart int) core.Decision {
@@ -175,3 +154,11 @@ func (*CQVP) OnInsert(part int) {}
 
 // OnEviction implements core.Scheme.
 func (*CQVP) OnEviction(part int) {}
+
+// checkBind panics unless a scheme built for parts partitions is bound to
+// vectors of that length.
+func checkBind(actual, targets []int, parts int) {
+	if len(actual) != parts || len(targets) != parts {
+		panic("baselines: Bind length mismatch")
+	}
+}

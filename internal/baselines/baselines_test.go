@@ -299,10 +299,10 @@ func TestConstructorValidation(t *testing.T) {
 		func() { NewVantage(3, 2, VantageConfig{Unmanaged: 0, MaxAperture: 0.5, Slack: 0.1}) },
 		func() { NewPriSM(0, 64, 1) },
 		func() { NewPriSM(2, 0, 1) },
-		func() { NewPF(2).SetTargets([]int{1}) },
-		func() { NewCQVP(2).SetTargets([]int{1}) },
-		func() { NewVantage(3, 2, DefaultVantageConfig()).SetTargets([]int{1}) },
-		func() { NewPriSM(2, 64, 1).SetTargets([]int{1}) },
+		func() { NewVantage(3, 2, DefaultVantageConfig()).Bind(make([]int, 3), make([]int, 1)) },
+		func() { NewVantage(3, 2, DefaultVantageConfig()).Bind(make([]int, 1), make([]int, 3)) },
+		func() { NewPriSM(2, 64, 1).Bind(make([]int, 2), make([]int, 1)) },
+		func() { NewPriSM(2, 64, 1).Bind(make([]int, 1), make([]int, 2)) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -379,19 +379,37 @@ func BenchmarkVantageDecide(b *testing.B) {
 	}
 }
 
+// waysOf returns how many ways partition p owns under w's bound targets.
+func waysOf(w *WayPart, p int) int {
+	w.sync()
+	n := 0
+	for _, o := range w.owner {
+		if o == p {
+			n++
+		}
+	}
+	return n
+}
+
 func TestWayPartApportionment(t *testing.T) {
 	w := NewWayPart(3, 16)
-	w.SetTargets([]int{800, 150, 50})
-	total := w.WaysOf(0) + w.WaysOf(1) + w.WaysOf(2)
+	targets := []int{800, 150, 50}
+	w.Bind(make([]int, 3), targets)
+	total := waysOf(w, 0) + waysOf(w, 1) + waysOf(w, 2)
 	if total != 16 {
 		t.Fatalf("ways assigned = %d, want 16", total)
 	}
-	if w.WaysOf(0) < 10 {
-		t.Fatalf("dominant partition got %d ways", w.WaysOf(0))
+	if waysOf(w, 0) < 10 {
+		t.Fatalf("dominant partition got %d ways", waysOf(w, 0))
 	}
 	// Every partition with a non-zero target owns at least one way.
-	if w.WaysOf(2) < 1 {
+	if waysOf(w, 2) < 1 {
 		t.Fatal("small partition starved of ways")
+	}
+	// A change to the bound targets re-apportions the ways.
+	targets[0], targets[2] = 50, 800
+	if waysOf(w, 2) < 10 || waysOf(w, 0) < 1 {
+		t.Fatalf("after swapping targets: ways %d, %d, %d", waysOf(w, 0), waysOf(w, 1), waysOf(w, 2))
 	}
 }
 
@@ -429,8 +447,8 @@ func TestWayPartGranularity(t *testing.T) {
 	// A 3/13 split over 16 ways is representable; a 1%/99% split is not —
 	// the small partition is pinned to one way (6.25%).
 	w := NewWayPart(2, 16)
-	w.SetTargets([]int{10, 990})
-	if got := w.WaysOf(0); got != 1 {
+	w.Bind(make([]int, 2), []int{10, 990})
+	if got := waysOf(w, 0); got != 1 {
 		t.Fatalf("1%% partition got %d ways", got)
 	}
 }
@@ -440,7 +458,8 @@ func TestWayPartValidation(t *testing.T) {
 		func() { NewWayPart(0, 16) },
 		func() { NewWayPart(17, 16) },
 		func() { NewWayPart(2, 0) },
-		func() { NewWayPart(2, 16).SetTargets([]int{1}) },
+		func() { NewWayPart(2, 16).Bind(make([]int, 2), make([]int, 1)) },
+		func() { NewWayPart(2, 16).Bind(make([]int, 1), make([]int, 2)) },
 		func() {
 			w := NewWayPart(2, 16)
 			w.Decide(make([]core.Candidate, 4), 0) // wrong candidate count

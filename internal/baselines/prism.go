@@ -20,8 +20,8 @@ import (
 type PriSM struct {
 	window    int
 	rng       *xrand.Rand
-	actual    []int
-	targets   []int
+	actual    []int // the controller's, read-only
+	targets   []int // the controller's, read-only
 	insWindow []int
 	evProb    []float64 // nil until the first window completes
 	missed    int
@@ -47,20 +47,14 @@ func NewPriSM(parts, window int, seed uint64) *PriSM {
 	return &PriSM{
 		window:    window,
 		rng:       xrand.New(seed),
-		targets:   make([]int, parts),
 		insWindow: make([]int, parts),
 	}
 }
 
 // Bind implements core.Scheme.
-func (p *PriSM) Bind(actual []int) { p.actual = actual }
-
-// SetTargets implements core.Scheme.
-func (p *PriSM) SetTargets(targets []int) {
-	if len(targets) != len(p.targets) {
-		panic("baselines: SetTargets length mismatch")
-	}
-	copy(p.targets, targets)
+func (p *PriSM) Bind(actual, targets []int) {
+	checkBind(actual, targets, len(p.insWindow))
+	p.actual, p.targets = actual, targets
 }
 
 // AbnormalityRate returns the fraction of decisions hitting the fallback.
@@ -124,7 +118,7 @@ func (p *PriSM) OnInsert(part int) {
 		return
 	}
 	if p.evProb == nil {
-		p.evProb = make([]float64, len(p.targets))
+		p.evProb = make([]float64, len(p.insWindow))
 	}
 	sum := 0.0
 	for i := range p.evProb {

@@ -36,11 +36,10 @@ func DefaultVantageConfig() VantageConfig {
 // that extra index as unmanagedPart. Targets for the unmanaged partition
 // are ignored.
 type Vantage struct {
-	cfg           VantageConfig
-	unmanagedPart int
-	actual        []int
-	targets       []int
-	demoteBuf     []int
+	cfg                  VantageConfig
+	parts, unmanagedPart int
+	actual, targets      []int // the controller's, read-only
+	demoteBuf            []int
 }
 
 // NewVantage builds a Vantage scheme over parts total partitions where
@@ -57,20 +56,15 @@ func NewVantage(parts, unmanagedPart int, cfg VantageConfig) *Vantage {
 	}
 	return &Vantage{
 		cfg:           cfg,
+		parts:         parts,
 		unmanagedPart: unmanagedPart,
-		targets:       make([]int, parts),
 	}
 }
 
 // Bind implements core.Scheme.
-func (v *Vantage) Bind(actual []int) { v.actual = actual }
-
-// SetTargets implements core.Scheme.
-func (v *Vantage) SetTargets(targets []int) {
-	if len(targets) != len(v.targets) {
-		panic("baselines: SetTargets length mismatch")
-	}
-	copy(v.targets, targets)
+func (v *Vantage) Bind(actual, targets []int) {
+	checkBind(actual, targets, v.parts)
+	v.actual, v.targets = actual, targets
 }
 
 // aperture returns A_p for a managed partition.

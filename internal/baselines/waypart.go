@@ -1,6 +1,10 @@
 package baselines
 
-import "fscache/internal/core"
+import (
+	"slices"
+
+	"fscache/internal/core"
+)
 
 // WayPart is classic way-partitioning (column caching), the placement-based
 // scheme the paper contrasts replacement-based schemes against (§II-B):
@@ -18,9 +22,13 @@ import "fscache/internal/core"
 // i-th replacement candidate as way i of the accessed set (which is how
 // cachearray.SetAssoc orders candidates).
 type WayPart struct {
-	ways    int
-	owner   []int // way → partition
-	targets []int
+	ways  int
+	owner []int // way → partition
+	// targets is the controller's vector (read-only); apportioned is the
+	// copy owner was last apportioned from, and quota and remainder are
+	// apportion's scratch. Until Bind, targets is apportioned itself.
+	targets, apportioned, quota []int
+	remainder                   []float64
 }
 
 // NewWayPart builds a way-partitioning scheme for parts partitions over a
@@ -33,10 +41,13 @@ func NewWayPart(parts, ways int) *WayPart {
 		panic("baselines: WayPart needs parts <= ways")
 	}
 	w := &WayPart{
-		ways:    ways,
-		owner:   make([]int, ways),
-		targets: make([]int, parts),
+		ways:        ways,
+		owner:       make([]int, ways),
+		apportioned: make([]int, parts),
+		quota:       make([]int, parts),
+		remainder:   make([]float64, parts),
 	}
+	w.targets = w.apportioned
 	// Default: round-robin assignment until targets arrive.
 	for i := range w.owner {
 		w.owner[i] = i % parts
@@ -45,17 +56,26 @@ func NewWayPart(parts, ways int) *WayPart {
 }
 
 // Bind implements core.Scheme.
-func (w *WayPart) Bind(actual []int) {}
+func (w *WayPart) Bind(actual, targets []int) {
+	checkBind(actual, targets, len(w.apportioned))
+	w.targets = targets
+}
 
-// SetTargets implements core.Scheme: ways are apportioned to partitions by
-// the largest-remainder method, with every partition that has a non-zero
-// target receiving at least one way (there is no finer granularity —
-// that is the point).
-func (w *WayPart) SetTargets(targets []int) {
-	if len(targets) != len(w.targets) {
-		panic("baselines: SetTargets length mismatch")
+// sync re-apportions the ways when the controller's targets differ from the
+// ones they were last apportioned from.
+func (w *WayPart) sync() {
+	if !slices.Equal(w.targets, w.apportioned) {
+		copy(w.apportioned, w.targets)
+		w.apportion()
 	}
-	copy(w.targets, targets)
+}
+
+// apportion assigns ways to partitions by the largest-remainder method,
+// with every partition that has a non-zero target receiving at least one way
+// (there is no finer granularity — that is the point). All-zero targets
+// leave the assignment as it was.
+func (w *WayPart) apportion() {
+	targets, quota, remainder := w.apportioned, w.quota, w.remainder
 	total := 0
 	for _, t := range targets {
 		total += t
@@ -64,8 +84,6 @@ func (w *WayPart) SetTargets(targets []int) {
 		return
 	}
 	parts := len(targets)
-	quota := make([]int, parts)
-	remainder := make([]float64, parts)
 	assigned := 0
 	for p, t := range targets {
 		exact := float64(t) * float64(w.ways) / float64(total)
@@ -117,23 +135,13 @@ func (w *WayPart) SetTargets(targets []int) {
 	}
 }
 
-// WaysOf returns how many ways partition p currently owns.
-func (w *WayPart) WaysOf(p int) int {
-	n := 0
-	for _, o := range w.owner {
-		if o == p {
-			n++
-		}
-	}
-	return n
-}
-
 // Decide implements core.Scheme: evict the most useless line among the
 // inserting partition's own ways. Candidate index i is way i of the set.
 func (w *WayPart) Decide(cands []core.Candidate, insertPart int) core.Decision {
 	if len(cands) != w.ways {
 		panic("baselines: WayPart needs a set-associative candidate list (one per way)")
 	}
+	w.sync()
 	best, bestF := -1, -1.0
 	for i := range cands {
 		if w.owner[i] != insertPart {

@@ -31,9 +31,6 @@ type Config struct {
 	// Parts is the number of partitions (including any scheme-private
 	// pseudo-partition such as Vantage's unmanaged region).
 	Parts int
-	// TrackDeviation enables per-eviction sampling of each partition's
-	// deviation from target (Fig. 5); costs O(parts) per eviction.
-	TrackDeviation bool
 }
 
 // histBuckets is the eviction-futility histogram resolution.
@@ -50,8 +47,6 @@ type PartStats struct {
 	// EvictFutility is the associativity distribution: the reference
 	// futility of every line evicted from this partition.
 	EvictFutility *stats.Histogram
-	// Deviation samples actual−target after every replacement when enabled.
-	Deviation *stats.IntDist
 	// occupancySum is the partition's size summed over the first
 	// occSampled accesses. It is brought up to date only when the size is
 	// about to change (resize) or the sum is read (creditOccupancy), so the
@@ -125,7 +120,6 @@ type Cache struct {
 	unmeasured bool
 	scheme     Scheme
 	parts      int
-	devTrack   bool
 
 	meta []int16 // per-line partition id, indexed by line; noLine for an invalid line
 	// demoteTo is the partition every demoted line counts against: the first
@@ -133,8 +127,9 @@ type Cache struct {
 	// before any.
 	demoteTo int
 
-	sizes   []int // decision sizes, indexed by partition
-	owned   []int // owner sizes (reference-ranker populations)
+	// sizes (decision sizes) and targets, indexed by partition, are the
+	// pipeline's one copy of each: the scheme reads both through Bind.
+	sizes   []int
 	targets []int
 
 	seq      uint64
@@ -196,11 +191,9 @@ func New(cfg Config) *Cache {
 		unmeasured: cfg.Unmeasured,
 		scheme:     cfg.Scheme,
 		parts:      cfg.Parts,
-		devTrack:   cfg.TrackDeviation,
 		meta:       make([]int16, cfg.Array.Lines()),
 		demoteTo:   -1,
 		sizes:      make([]int, cfg.Parts),
-		owned:      make([]int, cfg.Parts),
 		targets:    make([]int, cfg.Parts),
 		pstats:     make([]PartStats, cfg.Parts),
 		partBest:   make([]int32, cfg.Parts),
@@ -213,7 +206,6 @@ func New(cfg Config) *Cache {
 	}
 	for i := range c.pstats {
 		c.pstats[i].EvictFutility = stats.NewHistogram(histBuckets)
-		c.pstats[i].Deviation = stats.NewIntDist()
 	}
 	c.freer, _ = cfg.Array.(cachearray.Freer)
 	if ac, ok := cfg.Array.(cachearray.AllCandidates); ok {
@@ -232,18 +224,17 @@ func New(cfg Config) *Cache {
 	if c.allCands && (c.freer == nil || !c.fullSel || c.worst == nil) {
 		panic("core: fully-associative arrays need a Freer array, a FullSelector scheme and a WorstTracker ranker")
 	}
-	c.scheme.Bind(c.sizes)
+	c.scheme.Bind(c.sizes, c.targets)
 	return c
 }
 
-// SetTargets installs per-partition target sizes (in lines) and forwards
-// them to the scheme. len(targets) must equal Parts.
+// SetTargets installs per-partition target sizes (in lines), which the
+// scheme sees through its Bind view. len(targets) must equal Parts.
 func (c *Cache) SetTargets(targets []int) {
 	if len(targets) != c.parts {
 		panic("core: SetTargets length mismatch")
 	}
 	copy(c.targets, targets)
-	c.scheme.SetTargets(c.targets)
 }
 
 // Targets returns the current target sizes (read-only view).
@@ -277,15 +268,12 @@ func (c *Cache) MeanOccupancy(part int) float64 {
 }
 
 // ResetStats clears all measurement state (hit/miss counters, eviction
-// futility histograms, deviation samples, occupancy accumulators) without
+// futility histograms, occupancy accumulators) without
 // touching cache contents. Experiments call it after warmup so reported
 // distributions exclude the fill phase.
 func (c *Cache) ResetStats() {
 	for i := range c.pstats {
-		c.pstats[i] = PartStats{
-			EvictFutility: stats.NewHistogram(histBuckets),
-			Deviation:     stats.NewIntDist(),
-		}
+		c.pstats[i] = PartStats{EvictFutility: stats.NewHistogram(histBuckets)}
 	}
 	c.accesses = 0
 }
@@ -447,7 +435,6 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 			c.ref.OnEvict(victim, owner)
 		}
 		c.resize(dp, -1)
-		c.owned[owner]--
 		c.scheme.OnEviction(dp)
 		res.Evicted = true
 		res.EvictedLine = victim
@@ -479,15 +466,8 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 		c.ref.OnInsert(line, part, ctx)
 	}
 	c.resize(part, 1)
-	c.owned[part]++
 	c.pstats[part].Insertions++
 	c.scheme.OnInsert(part)
-
-	if c.devTrack {
-		for p := 0; p < c.parts; p++ {
-			c.pstats[p].Deviation.Add(c.sizes[p] - c.targets[p])
-		}
-	}
 	return res
 }
 

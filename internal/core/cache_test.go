@@ -386,10 +386,9 @@ type demoteScheme struct {
 	dem []int
 }
 
-func (*demoteScheme) Bind([]int)       {}
-func (*demoteScheme) SetTargets([]int) {}
-func (*demoteScheme) OnInsert(int)     {}
-func (*demoteScheme) OnEviction(int)   {}
+func (*demoteScheme) Bind(_, _ []int) {}
+func (*demoteScheme) OnInsert(int)    {}
+func (*demoteScheme) OnEviction(int)  {}
 func (d *demoteScheme) Decide(cands []Candidate, insertPart int) Decision {
 	// Demote every partition-0 candidate except the victim; evict the
 	// globally most useless.
@@ -432,9 +431,11 @@ func TestDemotionAccounting(t *testing.T) {
 	if total != lines {
 		t.Fatalf("size sum %d != %d", total, lines)
 	}
-	// Owner-side accounting: partitions 0 and 1 own everything.
-	if c.owned[2] != 0 {
-		t.Fatalf("pseudo-partition owns %d lines", c.owned[2])
+	// Owner-side accounting, by recount: partitions 0 and 1 own everything.
+	for l := range c.meta {
+		if c.ownerOf(l) == 2 {
+			t.Fatalf("pseudo-partition owns line %d", l)
+		}
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -450,30 +451,6 @@ func TestDemotionAccounting(t *testing.T) {
 	}()
 	if r != "core: demotion into partition 1; the cache's one demotion target is 2" {
 		t.Fatalf("a second demotion target: recovered %v", r)
-	}
-}
-
-func TestDeviationTracking(t *testing.T) {
-	const lines = 256
-	fs := NewFSFixed(2)
-	c := New(Config{
-		Array:          cachearray.NewRandom(lines, 16, 71),
-		Ranker:         futility.NewExactLRU(lines, 2),
-		Scheme:         fs,
-		Parts:          2,
-		TrackDeviation: true,
-	})
-	c.SetTargets([]int{128, 128})
-	d := newStreamDriver(73, []float64{0.5, 0.5})
-	for i := 0; i < 10000; i++ {
-		d.step(c)
-	}
-	dev := c.Stats(0).Deviation
-	if dev.N() == 0 {
-		t.Fatal("no deviation samples")
-	}
-	if dev.MAD() > 64 {
-		t.Fatalf("MAD = %v, implausibly large", dev.MAD())
 	}
 }
 
@@ -568,6 +545,8 @@ func TestFSFixedValidation(t *testing.T) {
 		func() { NewFSFeedback(0, FSFeedbackConfig{}) },
 		func() { NewFSFeedback(1, FSFeedbackConfig{Interval: -1}) },
 		func() { NewFSFeedback(1, FSFeedbackConfig{Delta: 0.5}) },
+		func() { NewFSFeedback(2, FSFeedbackConfig{}).Bind(make([]int, 2), make([]int, 1)) },
+		func() { NewFSFeedback(2, FSFeedbackConfig{}).Bind(make([]int, 1), make([]int, 2)) },
 	} {
 		func() {
 			defer func() {

@@ -119,10 +119,9 @@ type chaosScheme struct {
 	parts int
 }
 
-func (c *chaosScheme) Bind([]int)       {}
-func (c *chaosScheme) SetTargets([]int) {}
-func (c *chaosScheme) OnInsert(int)     {}
-func (c *chaosScheme) OnEviction(int)   {}
+func (c *chaosScheme) Bind(_, _ []int) {}
+func (c *chaosScheme) OnInsert(int)    {}
+func (c *chaosScheme) OnEviction(int)  {}
 func (c *chaosScheme) Decide(cands []Candidate, insertPart int) Decision {
 	d := Decision{Victim: c.rng.Intn(len(cands)), DemoteTo: c.parts - 1}
 	for i := range cands {

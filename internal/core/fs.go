@@ -17,7 +17,6 @@ package core
 // factors (the analytical scheme of §IV).
 type FSFixed struct {
 	alphas []float64
-	actual []int
 }
 
 // NewFSFixed builds an FS scheme over parts partitions with all scaling
@@ -33,12 +32,9 @@ func NewFSFixed(parts int) *FSFixed {
 	return &FSFixed{alphas: a}
 }
 
-// Bind implements Scheme.
-func (f *FSFixed) Bind(actual []int) { f.actual = actual }
-
-// SetTargets implements Scheme. FSFixed ignores targets: sizing emerges
-// from the scaling factors alone.
-func (f *FSFixed) SetTargets(targets []int) {}
+// Bind implements Scheme. FSFixed reads neither sizes nor targets: sizing
+// emerges from the scaling factors alone.
+func (f *FSFixed) Bind(actual, targets []int) {}
 
 // SetAlphas installs the per-partition scaling factors (typically from
 // analytic.ScalingFactors). Values must be positive.
@@ -119,14 +115,14 @@ func (c *FSFeedbackConfig) setDefaults() {
 // FSFeedback is the feedback-based Futility Scaling design of §V: five
 // registers per partition (actual size, target size, insertion counter,
 // eviction counter, scaling shift width) on top of coarse-grain
-// timestamp-based LRU.
+// timestamp-based LRU. The controller owns the first two (Bind); the scheme
+// keeps the other three.
 type FSFeedback struct {
-	cfg     FSFeedbackConfig
-	alphas  []float64
-	ins     []int
-	evs     []int
-	actual  []int
-	targets []int
+	cfg             FSFeedbackConfig
+	alphas          []float64
+	ins             []int
+	evs             []int
+	actual, targets []int // the controller's, read-only
 }
 
 // NewFSFeedback builds the feedback FS scheme over parts partitions.
@@ -136,11 +132,10 @@ func NewFSFeedback(parts int, cfg FSFeedbackConfig) *FSFeedback {
 	}
 	cfg.setDefaults()
 	f := &FSFeedback{
-		cfg:     cfg,
-		alphas:  make([]float64, parts),
-		ins:     make([]int, parts),
-		evs:     make([]int, parts),
-		targets: make([]int, parts),
+		cfg:    cfg,
+		alphas: make([]float64, parts),
+		ins:    make([]int, parts),
+		evs:    make([]int, parts),
 	}
 	for i := range f.alphas {
 		f.alphas[i] = 1
@@ -149,14 +144,11 @@ func NewFSFeedback(parts int, cfg FSFeedbackConfig) *FSFeedback {
 }
 
 // Bind implements Scheme.
-func (f *FSFeedback) Bind(actual []int) { f.actual = actual }
-
-// SetTargets implements Scheme.
-func (f *FSFeedback) SetTargets(targets []int) {
-	if len(targets) != len(f.targets) {
-		panic("core: SetTargets length mismatch")
+func (f *FSFeedback) Bind(actual, targets []int) {
+	if len(actual) != len(f.alphas) || len(targets) != len(f.alphas) {
+		panic("core: Bind length mismatch")
 	}
-	copy(f.targets, targets)
+	f.actual, f.targets = actual, targets
 }
 
 // Alphas returns the live scaling factors (read-only view; for reports and

@@ -47,9 +47,8 @@ func TestFSOverEveryRanking(t *testing.T) {
 
 func TestFSFeedbackAlphaBounds(t *testing.T) {
 	fs := NewFSFeedback(1, FSFeedbackConfig{Interval: 1, Delta: 2, AlphaMax: 8})
-	fs.SetTargets([]int{0})
-	actual := []int{100} // permanently oversized
-	fs.Bind(actual)
+	actual, targets := []int{100}, []int{0} // permanently oversized
+	fs.Bind(actual, targets)
 	for i := 0; i < 100; i++ {
 		fs.OnInsert(0)
 	}
@@ -57,7 +56,7 @@ func TestFSFeedbackAlphaBounds(t *testing.T) {
 		t.Fatalf("alpha = %v, want saturated at 8", a)
 	}
 	// Now permanently undersized and shrinking: alpha floors at 1.
-	fs.SetTargets([]int{1000})
+	targets[0] = 1000
 	for i := 0; i < 100; i++ {
 		fs.OnEviction(0)
 	}
@@ -68,8 +67,7 @@ func TestFSFeedbackAlphaBounds(t *testing.T) {
 
 func TestForceAlphaClampsAndResetsInterval(t *testing.T) {
 	fs := NewFSFeedback(2, FSFeedbackConfig{Interval: 4, Delta: 2, AlphaMax: 16})
-	fs.Bind([]int{10, 10})
-	fs.SetTargets([]int{10, 10})
+	fs.Bind([]int{10, 10}, []int{10, 10})
 	if got := fs.AlphaMax(); got != 16 {
 		t.Fatalf("AlphaMax = %v, want 16", got)
 	}

@@ -16,10 +16,10 @@ import (
 //   - every resident line carries an in-range partition id, and every
 //     invalid line carries none; a demoted line's owner is not the demotion
 //     target, and there is a target (in range) once any line is demoted;
-//   - recounting resident lines per decision partition reproduces sizes,
-//     and per owner partition reproduces the owner populations;
+//   - recounting resident lines per decision partition reproduces sizes;
 //   - the decision ranker tracks exactly sizes[p] lines per partition, and
-//     a separate reference ranker tracks exactly the owner populations;
+//     a separate reference ranker exactly the lines each partition owns
+//     (recounted here: the controller keeps no owner populations);
 //   - an unmeasured cache has recorded no eviction futility;
 //   - targets are non-negative.
 //
@@ -31,9 +31,6 @@ func (c *Cache) CheckInvariants() error {
 	for p := 0; p < c.parts; p++ {
 		if c.sizes[p] < 0 {
 			return fmt.Errorf("core: partition %d has negative size %d", p, c.sizes[p])
-		}
-		if c.owned[p] < 0 {
-			return fmt.Errorf("core: partition %d has negative owner population %d", p, c.owned[p])
 		}
 		if c.targets[p] < 0 {
 			return fmt.Errorf("core: partition %d has negative target %d", p, c.targets[p])
@@ -73,9 +70,6 @@ func (c *Cache) CheckInvariants() error {
 		if counts[p] != c.sizes[p] {
 			return fmt.Errorf("core: partition %d recount %d != tracked size %d", p, counts[p], c.sizes[p])
 		}
-		if ownerCounts[p] != c.owned[p] {
-			return fmt.Errorf("core: partition %d owner recount %d != tracked %d", p, ownerCounts[p], c.owned[p])
-		}
 		if got := c.ranker.Size(p); got != c.sizes[p] {
 			return fmt.Errorf("core: ranker tracks %d lines in partition %d, controller %d", got, p, c.sizes[p])
 		}
@@ -85,8 +79,8 @@ func (c *Cache) CheckInvariants() error {
 				return fmt.Errorf("core: unmeasured cache recorded %d eviction futilities in partition %d", n, p)
 			}
 		case c.ref != nil:
-			if got := c.ref.Size(p); got != c.owned[p] {
-				return fmt.Errorf("core: reference ranker tracks %d lines in partition %d, owners %d", got, p, c.owned[p])
+			if got := c.ref.Size(p); got != ownerCounts[p] {
+				return fmt.Errorf("core: reference ranker tracks %d lines in partition %d, owners %d", got, p, ownerCounts[p])
 			}
 		}
 	}

@@ -37,16 +37,13 @@ type Decision struct {
 // Scheme decides victims so as to enforce partition sizes. Implementations
 // must be deterministic given their construction seed.
 //
-// The controller calls Bind once before use, handing the scheme a live view
-// of actual partition sizes (updated by the controller as lines move), then
-// SetTargets whenever the allocation policy changes targets.
+// The controller owns every per-partition count. It calls Bind once before
+// use, handing the scheme live views of the actual sizes (updated as lines
+// move) and the target sizes (updated by Cache.SetTargets).
 type Scheme interface {
-	// Bind attaches the live actual-size slice (one entry per partition).
-	// The scheme must treat it as read-only.
-	Bind(actual []int)
-	// SetTargets installs target sizes in lines (one entry per partition).
-	// The scheme must copy or retain the slice as read-only.
-	SetTargets(targets []int)
+	// Bind attaches the live actual-size and target-size slices, one entry
+	// per partition each. The scheme must treat both as read-only.
+	Bind(actual, targets []int)
 	// Decide selects a victim among cands for an insertion into insertPart.
 	// cands is non-empty and every candidate line is valid. Decide runs on
 	// every miss and must not heap-allocate; a returned Decision.Demote

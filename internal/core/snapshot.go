@@ -3,18 +3,13 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"fscache/internal/stats"
 )
 
-// PartSnapshot is a point-in-time copy of one partition's measurements.
+// PartSnapshot is a point-in-time copy of one partition's measurements: its
+// PartStats record (counters, EvictFutility as a deep copy, AEF, MissRate)
+// plus the size, target and occupancy the cache holds beside it.
 type PartSnapshot struct {
-	Hits        uint64
-	Misses      uint64
-	Insertions  uint64
-	Evictions   uint64
-	Demotions   uint64
-	ForcedEvict uint64
+	PartStats
 	// Size and Target are the partition's decision size and target at the
 	// moment of the snapshot.
 	Size   int
@@ -25,22 +20,6 @@ type PartSnapshot struct {
 	// for one cache; Merge adds it, so over one cache's stripes it is the
 	// cache-wide mean.
 	MeanOccupancy float64
-	// EvictFutility is a deep copy of the partition's associativity
-	// distribution; its Mean() is the AEF.
-	EvictFutility *stats.Histogram
-}
-
-// AEF returns the partition's average eviction futility, or 0 — not a value
-// futility takes — when EvictFutility.N() == 0 (see PartStats.AEF).
-func (p *PartSnapshot) AEF() float64 { return p.EvictFutility.Mean() }
-
-// MissRate returns misses/(hits+misses), or 0 with no accesses.
-func (p *PartSnapshot) MissRate() float64 {
-	t := p.Hits + p.Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(p.Misses) / float64(t)
 }
 
 // Snapshot is a deep copy of a Cache's measurement state: per-partition
@@ -64,20 +43,15 @@ func (c *Cache) StatsSnapshot() Snapshot {
 	}
 	for p := 0; p < c.parts; p++ {
 		c.creditOccupancy(p, c.accesses)
-		ps := &c.pstats[p]
-		s.Parts[p] = PartSnapshot{
-			Hits:          ps.Hits,
-			Misses:        ps.Misses,
-			Insertions:    ps.Insertions,
-			Evictions:     ps.Evictions,
-			Demotions:     ps.Demotions,
-			ForcedEvict:   ps.ForcedEvict,
+		ps := PartSnapshot{
+			PartStats:     c.pstats[p],
 			Size:          c.sizes[p],
 			Target:        c.targets[p],
-			OccupancySum:  ps.occupancySum,
+			OccupancySum:  c.pstats[p].occupancySum,
 			MeanOccupancy: c.MeanOccupancy(p),
-			EvictFutility: ps.EvictFutility.Clone(),
 		}
+		ps.EvictFutility = ps.EvictFutility.Clone()
+		s.Parts[p] = ps
 	}
 	return s
 }

@@ -130,7 +130,6 @@ func TestCheckInvariantsDetects(t *testing.T) {
 		damage     func(c *Cache)
 	}{
 		{"decision size", false, func(c *Cache) { c.sizes[0]++; c.sizes[1]-- }},
-		{"owner population", false, func(c *Cache) { c.owned[0]++ }},
 		{"negative target", false, func(c *Cache) { c.targets[1] = -1 }},
 		{"line without a partition", false, func(c *Cache) { c.meta[resident(c)] = noLine }},
 		{"demoted line with no demotion target", false, func(c *Cache) {

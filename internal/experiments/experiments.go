@@ -15,6 +15,7 @@ import (
 	"fscache/internal/cachearray"
 	"fscache/internal/core"
 	"fscache/internal/futility"
+	"fscache/internal/stats"
 	"fscache/internal/trace"
 	"fscache/internal/workload"
 	"fscache/internal/xrand"
@@ -132,12 +133,11 @@ type CacheSpec struct {
 	// specs choose their own associativity).
 	Ways int
 	// RandomR overrides the candidate count of ArrayRandom16 (default 16).
-	RandomR        int
-	Rank           futility.Kind
-	Scheme         SchemeName
-	Parts          int // application partitions
-	Seed           uint64
-	TrackDeviation bool
+	RandomR int
+	Rank    futility.Kind
+	Scheme  SchemeName
+	Parts   int // application partitions
+	Seed    uint64
 	// Feedback overrides SchemeFS's controller for sensitivity studies;
 	// zero fields keep the defaults.
 	Feedback core.FSFeedbackConfig
@@ -265,12 +265,11 @@ func Build(spec CacheSpec) *Built {
 	}
 
 	b.Cache = core.New(core.Config{
-		Array:          arr,
-		Ranker:         ranker,
-		Reference:      ref,
-		Scheme:         scheme,
-		Parts:          b.TotalParts,
-		TrackDeviation: spec.TrackDeviation,
+		Array:     arr,
+		Ranker:    ranker,
+		Reference: ref,
+		Scheme:    scheme,
+		Parts:     b.TotalParts,
 	})
 	return b
 }
@@ -354,12 +353,16 @@ type insertionDriver struct {
 	cache *core.Cache
 }
 
-// measure resets the cache's statistics and drives n insertions.
-func (d *insertionDriver) measure(n int) {
+// measure resets the cache's statistics, drives n insertions and returns
+// partition 0's deviation from its target, sampled after each one (Fig. 5).
+func (d *insertionDriver) measure(n int) *stats.IntDist {
 	d.cache.ResetStats()
+	dev := stats.NewIntDist()
 	for i := 0; i < n; i++ {
 		d.insert()
+		dev.Add(d.cache.Sizes()[0] - d.cache.Targets()[0])
 	}
+	return dev
 }
 
 // insert feeds one insertion (miss) into a partition drawn from the

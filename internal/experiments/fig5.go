@@ -46,15 +46,14 @@ func Fig5(scale Scale) Fig5Result {
 
 func runFig5Case(scale Scale, scheme SchemeName, i1 float64) Fig5Row {
 	lines := scale.AnalyticLines
-	b, d, alphas := insertionCell{
+	_, d, alphas := insertionCell{
 		spec: CacheSpec{
-			Lines:          lines,
-			Array:          ArrayRandom16,
-			Rank:           futility.LRU,
-			Scheme:         scheme,
-			Parts:          2,
-			Seed:           seedStream(scale.Seed, "fig5"+string(scheme)),
-			TrackDeviation: true,
+			Lines:  lines,
+			Array:  ArrayRandom16,
+			Rank:   futility.LRU,
+			Scheme: scheme,
+			Parts:  2,
+			Seed:   seedStream(scale.Seed, "fig5"+string(scheme)),
 		},
 		targets: splitTargets(lines, 0.5),
 		insert:  []float64{i1, 1 - i1},
@@ -77,8 +76,7 @@ func runFig5Case(scale Scale, scheme SchemeName, i1 float64) Fig5Row {
 		_, mad, _ := model.DeviationStats(lines/2, lines/8, nil)
 		row.ModelMAD = mad
 	}
-	d.measure(scale.Insertions)
-	dev := b.Cache.Stats(0).Deviation
+	dev := d.measure(scale.Insertions)
 	row.MAD = dev.MAD()
 	row.DevValues, row.DevCDF = dev.AbsCDF()
 	return row

@@ -188,8 +188,9 @@ type reranker struct {
 	rows    [3]Counterfactual
 	pf      *baselines.PF
 	vantage *baselines.Vantage
-	// actual and targets hold the candidate partitions' sizes and targets
-	// during one decision and zero everywhere else. Entry parts is
+	// actual and targets, the vectors pf and vantage are bound to, hold the
+	// candidate partitions' sizes and targets during one decision and zero
+	// everywhere else. Entry parts is
 	// Vantage's unmanaged pseudo-partition, which no candidate lies in (the
 	// FS cache has no demotions), so Vantage re-ranks in its most honest
 	// counterfactual form: each decision either demote-evicts within
@@ -212,8 +213,8 @@ func newReranker(cache *core.Cache, fs *core.FSFeedback, limit int) *reranker {
 		actual:  make([]int, parts+1),
 		targets: make([]int, parts+1),
 	}
-	r.pf.Bind(r.actual[:parts])
-	r.vantage.Bind(r.actual)
+	r.pf.Bind(r.actual[:parts], r.targets[:parts])
+	r.vantage.Bind(r.actual, r.targets)
 	return r
 }
 
@@ -241,10 +242,8 @@ func (r *reranker) observe(cands []core.Candidate, insertPart, victim int, _ boo
 		p := cands[i].Part
 		r.actual[p], r.targets[p] = sizes[p], targets[p]
 	}
-	r.pf.SetTargets(r.targets[:len(sizes)])
 	d := r.pf.Decide(cands, insertPart)
 	r.rows[1].add(cands, victim, d.Victim, d.Forced)
-	r.vantage.SetTargets(r.targets)
 	d = r.vantage.Decide(cands, insertPart)
 	r.rows[2].add(cands, victim, d.Victim, d.Forced)
 	for i := range cands {

@@ -57,25 +57,24 @@ func runSensCase(scale Scale, fb core.FSFeedbackConfig) SensRow {
 	lines := scale.AnalyticLines
 	b, d, _ := insertionCell{
 		spec: CacheSpec{
-			Lines:          lines,
-			Array:          ArrayRandom16,
-			Rank:           futility.CoarseLRU,
-			Scheme:         SchemeFS,
-			Parts:          2,
-			Seed:           seedStream(scale.Seed, "sens"),
-			TrackDeviation: true,
-			Feedback:       fb,
+			Lines:    lines,
+			Array:    ArrayRandom16,
+			Rank:     futility.CoarseLRU,
+			Scheme:   SchemeFS,
+			Parts:    2,
+			Seed:     seedStream(scale.Seed, "sens"),
+			Feedback: fb,
 		},
 		targets: splitTargets(lines, 0.5),
 		insert:  []float64{0.75, 0.25},
 		gens:    mcfPair(scale, "sens"),
 		seed:    seedStream(scale.Seed, "sens-drv"),
 	}.converge()
-	d.measure(scale.Insertions / 2)
+	dev := d.measure(scale.Insertions / 2)
 	return SensRow{
 		Interval: fb.Interval,
 		Delta:    fb.Delta,
-		MAD:      b.Cache.Stats(0).Deviation.MAD(),
+		MAD:      dev.MAD(),
 		AEF:      b.Cache.Stats(0).AEF(),
 		OccFrac:  b.Cache.MeanOccupancy(0) / float64(lines/2),
 	}
