@@ -38,7 +38,8 @@ loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs cat | wc -l
 
 # Short fuzz sessions (seed corpus + 10s of mutation each): the trace
-# decoder, the differential oracle over scenario programs, the serving
+# decoder, the scenario spec parser (Parse, Compile, Targets), the
+# differential oracle over scenario programs, the serving
 # layer's wire codec at both the payload and framed-stream level, the H3
 # table kernel against its bit-serial definition, the recency index against
 # its slice model, and the MRC profiler's tag table against a map-and-stack
@@ -47,6 +48,7 @@ loc:
 # the whole run).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrom -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzAccess -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzFrame$$' -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzFrameStream -fuzztime=10s ./internal/server

@@ -223,6 +223,9 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario %s: no clients", s.Name)
 	}
 	names := make(map[string]bool, len(s.Clients))
+	// expanded counts clients after Replicate (a partition each), shares sums
+	// their shares.
+	expanded, shares := 0, 0.0
 	for i := range s.Clients {
 		c := &s.Clients[i]
 		if c.Name == "" {
@@ -235,10 +238,18 @@ func (s *Spec) Validate() error {
 		if c.Replicate < 0 {
 			return fmt.Errorf("scenario %s: client %s has negative replicate", s.Name, c.Name)
 		}
+		// Checked before Compile allocates a client apiece: no cache takes
+		// more partitions than a 16-bit partition id holds (core.New).
+		n := max(c.Replicate, 1)
+		if n > math.MaxInt16-expanded {
+			return fmt.Errorf("scenario %s: more than %d clients after replicate", s.Name, math.MaxInt16)
+		}
+		expanded += n
 		// Written so that NaN, which fails every comparison, is rejected too.
 		if !(c.Share > 0) || math.IsInf(c.Share, 0) {
 			return fmt.Errorf("scenario %s: client %s needs a positive finite share", s.Name, c.Name)
 		}
+		shares += c.Share * float64(n)
 		if c.Start < 0 || c.Start >= 1 {
 			return fmt.Errorf("scenario %s: client %s start %.2f out of [0, 1)", s.Name, c.Name, c.Start)
 		}
@@ -274,6 +285,10 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("scenario %s: client %s diurnal period %.2f out of (0, 1]", s.Name, c.Name, d.Period)
 			}
 		}
+	}
+	// Targets apportions lines·share/Σshares, which must stay finite.
+	if shares*float64(s.Cache.Lines) > math.MaxFloat64/2 {
+		return fmt.Errorf("scenario %s: client shares are too large to apportion %d lines by", s.Name, s.Cache.Lines)
 	}
 	lastByClient := make(map[string]string, len(s.Churn))
 	prevAt := 0.0

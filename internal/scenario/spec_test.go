@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -162,6 +163,11 @@ func TestParseRejects(t *testing.T) {
 		{"churn bad action", mutate(`"seed": 1`, `"seed": 1, "churn": [{"at": 0.2, "client": "a", "action": "evaporate"}]`), "action"},
 		{"start range", mutate(clientsField, `"clients": [{"name": "a", "start": 1.0,
 			"workload": {"profile": "mcf"}}]`), "start"},
+		{"share overflows the apportionment", mutate(clientsField, `"clients": [{"name": "a", "share": 1e307,
+			"workload": {"profile": "mcf"}}]`), "too large"},
+		{"shares overflow their sum", mutate(clientsField, `"clients": [
+			{"name": "a", "share": 1e308, "workload": {"profile": "mcf"}},
+			{"name": "b", "share": 1e308, "workload": {"profile": "mcf"}}]`), "too large"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -194,6 +200,49 @@ func TestValidateRejectsBadShare(t *testing.T) {
 		err := s.Validate()
 		if err == nil || !strings.Contains(err.Error(), "share") {
 			t.Errorf("share %v: Validate = %v, want a share error", share, err)
+		}
+	}
+}
+
+// TestValidateBoundsExpandedClients: a client count past what a 16-bit
+// partition id holds is rejected before Compile allocates a client apiece,
+// counted over every entry's replicas, and an overflowing replicate too.
+func TestValidateBoundsExpandedClients(t *testing.T) {
+	spec := func(a, b int) string {
+		return fmt.Sprintf(`{
+		"seed": 1, "accesses": 1000, "cache": {"lines": 256},
+		"clients": [{"name": "a", "replicate": %d, "workload": {"profile": "mcf"}},
+		            {"name": "b", "replicate": %d, "workload": {"profile": "mcf"}}]
+	}`, a, b)
+	}
+	for _, tc := range []struct {
+		a, b int
+		ok   bool
+	}{
+		{math.MaxInt16 - 1, 1, true},
+		{math.MaxInt16 - 1, 0, true}, // replicate 0 is one client
+		{math.MaxInt16, 1, false},
+		{1, math.MaxInt16, false},
+		{50000000, 1, false},
+		{1, math.MaxInt, false},
+	} {
+		s, err := Parse([]byte(spec(tc.a, tc.b)), "replicate")
+		if tc.ok != (err == nil) {
+			t.Errorf("replicate %d + %d: Parse error %v, want ok=%v", tc.a, tc.b, err, tc.ok)
+			continue
+		}
+		if err != nil {
+			if !strings.Contains(err.Error(), "clients after replicate") {
+				t.Errorf("replicate %d + %d: error %q does not name the client count", tc.a, tc.b, err)
+			}
+			continue
+		}
+		c, err := Compile(s, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Parts() != math.MaxInt16 {
+			t.Errorf("replicate %d + %d: %d parts, want %d", tc.a, tc.b, c.Parts(), math.MaxInt16)
 		}
 	}
 }
