@@ -44,8 +44,6 @@ type AllocResult struct {
 	MinLines int
 	// Decisions is the allocator's retained decision log (oldest first).
 	Decisions []alloc.Decision
-	// FinalTargets is the allocation in force when the stream ended.
-	FinalTargets []int
 }
 
 // RunScenarioAlloc executes the spec under FS with static targets and again
@@ -81,7 +79,6 @@ func RunScenarioAlloc(spec *scenario.Spec, dir, objective string) (*AllocResult,
 	log, _ := a.Log()
 	res.Decisions = log
 	res.Epochs = a.Epoch()
-	res.FinalTargets = a.Targets()
 	for _, d := range log {
 		if d.Changed {
 			res.Reallocations++

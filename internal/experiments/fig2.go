@@ -126,17 +126,10 @@ func (r Fig2Result) Print(w io.Writer) {
 		for _, row := range rows {
 			fprintf(w, "%-12s %6d %8.3f %14.3f %10.3f\n",
 				bench, row.N, row.AEF,
-				float64(row.Misses)/float64(max64(base.Misses, 1)),
+				float64(row.Misses)/float64(max(base.Misses, 1)),
 				row.IPC/nonzero(base.IPC))
 		}
 	}
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func nonzero(x float64) float64 {

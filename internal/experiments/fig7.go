@@ -49,8 +49,6 @@ type Fig7Row struct {
 	BackgroundIPC float64
 	// Throughput is the sum of all thread IPCs.
 	Throughput float64
-	// SubjectMissRate is the mean subject L2 miss rate.
-	SubjectMissRate float64
 	// Abnormality is PriSM's abnormality rate (PriSM rows only).
 	Abnormality float64
 	// Skipped marks configurations a scheme cannot run (Vantage at 97%).
@@ -147,14 +145,13 @@ func runFig7Cell(scale Scale, scheme SchemeName, rank futility.Kind, nSubj int, 
 	m.SetWarmup(0.3) // exclude the cold fill, as the paper's long runs do
 	results := m.Run()
 
-	var subjIPC, bgIPC, occ, miss []float64
+	var subjIPC, bgIPC, occ []float64
 	pooledAEF := stats.NewHistogram(64)
 	for t := 0; t < Fig7Threads; t++ {
 		if t < nSubj {
 			subjIPC = append(subjIPC, results[t].IPC())
 			occ = append(occ, b.Cache.MeanOccupancy(t)/float64(scale.SubjectLines))
 			pooledAEF.Merge(b.Cache.Stats(t).EvictFutility)
-			miss = append(miss, results[t].MissRate())
 		} else {
 			bgIPC = append(bgIPC, results[t].IPC())
 		}
@@ -169,7 +166,6 @@ func runFig7Cell(scale Scale, scheme SchemeName, rank futility.Kind, nSubj int, 
 	if pooledAEF.N() == 0 {
 		row.SubjectAEF = 1 // no subject line was ever evicted
 	}
-	row.SubjectMissRate = stats.Mean(miss)
 	if b.PriSM != nil {
 		row.Abnormality = b.PriSM.AbnormalityRate()
 	}

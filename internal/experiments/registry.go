@@ -72,7 +72,7 @@ func (t Table2Result) Print(w io.Writer) {
 	fprintf(w, "Table II: system configuration (%s scale)\n", s.Name)
 	fprintf(w, "  Cores   %d × 2 GHz in-order (trace-driven)\n", Fig7Threads)
 	fprintf(w, "  L1 $s   split I/D, private, 32 KB, 4-way, 64 B lines (D modeled)\n")
-	fprintf(w, "  L2 $    shared 16-way set associative, XOR indexing, %d lines (%d KB), 8-cycle access\n",
+	fprintf(w, "  L2 $    shared 16-way set associative, H3 indexing, %d lines (%d KB), 8-cycle access\n",
 		s.L2Lines, s.L2Lines*64/1024)
 	fprintf(w, "          futility ranking: %v or %v; NUCA L1→L2 4 cycles avg\n",
 		futility.CoarseLRU, futility.OPT)

@@ -93,6 +93,7 @@ func RunScenario(spec *scenario.Spec, dir string) (*ScenarioResult, error) {
 			rr = obs
 		}
 		row, emitted := runScenarioScheme(spec, comp, b, obs, nil)
+		row.Scheme = string(scheme)
 		res.Rows = append(res.Rows, row)
 		res.Emitted = emitted
 	}
@@ -325,20 +326,12 @@ func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, o
 	}
 	b.Cache.SetDecisionObserver(nil)
 
-	row := ScenarioRow{Scheme: string(schemeName(b))}
+	var row ScenarioRow
 	var hits, misses, forced uint64
 	for p := 0; p < parts; p++ {
 		s := b.Cache.Stats(p)
 		hits += s.Hits
 		misses += s.Misses
-		forced += s.ForcedEvict
-		row.Evictions += s.Evictions
-	}
-	// Scheme-private pseudo-partitions (Vantage's unmanaged region) never
-	// own lines, but forced-eviction accounting follows the decision
-	// partition — include them.
-	for p := parts; p < b.TotalParts; p++ {
-		s := b.Cache.Stats(p)
 		forced += s.ForcedEvict
 		row.Evictions += s.Evictions
 	}
@@ -352,18 +345,6 @@ func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, o
 		row.OccErr = occSum / float64(occN)
 	}
 	return row, emitted
-}
-
-// schemeName recovers the display name from the built scheme handles.
-func schemeName(b *Built) SchemeName {
-	switch {
-	case b.FSFeedback != nil:
-		return SchemeFS
-	case b.Vantage != nil:
-		return SchemeVantage
-	default:
-		return SchemePF
-	}
 }
 
 // occErr returns the mean relative occupancy error |size−target|/target
