@@ -76,6 +76,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(2, err)
 	}
+	spec := experiments.CacheSpec{
+		Lines:  *lines,
+		Array:  experiments.ArrayKind(*array),
+		Rank:   rk,
+		Scheme: experiments.SchemeName(*scheme),
+		Parts:  parts,
+		Seed:   *seed,
+	}
+	if err := spec.Check(); err != nil {
+		return fail(2, err)
+	}
 
 	if err := prof.Start(); err != nil {
 		return fail(1, err)
@@ -95,14 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	b := experiments.Build(experiments.CacheSpec{
-		Lines:  *lines,
-		Array:  experiments.ArrayKind(*array),
-		Rank:   rk,
-		Scheme: experiments.SchemeName(*scheme),
-		Parts:  parts,
-		Seed:   *seed,
-	})
+	b := experiments.Build(spec)
 	b.SetTargets(tg)
 
 	mc := sim.NewMulticore(b.Cache, sim.DefaultTiming(), traces)

@@ -178,17 +178,37 @@ func TestArrayOutputs(t *testing.T) {
 	}
 }
 
+// Every usage error exits 2 with its message and prints no report. A cache
+// Build cannot assemble is one too, reported by CacheSpec.Check before any
+// trace is built.
 func TestUsageErrorsExitTwo(t *testing.T) {
-	for _, args := range [][]string{
-		{"-rank", "belady"},
-		{"-benchmarks", ""},
-		{"-benchmarks", "mcf,nope"},
-		{"-targets", "1,2,3"},
-		{"-l1", "256"},
+	for _, tc := range []struct {
+		args []string
+		want string // a line of stderr
+	}{
+		{[]string{"-rank", "belady"}, `fsim: unknown ranking "belady"`},
+		{[]string{"-benchmarks", ""}, "fsim: no benchmarks given"},
+		{[]string{"-benchmarks", "mcf,nope"}, `fsim: workload: unknown benchmark "nope"`},
+		{[]string{"-targets", "1,2,3"}, `fsim: targets "1,2,3": want 4 numbers`},
+		{[]string{"-l1", "256"}, "flag provided but not defined: -l1"},
+		{[]string{"-scheme", "bogus"}, `fsim: unknown scheme "bogus"`},
+		{[]string{"-array", "bogus"}, `fsim: unknown array "bogus"`},
+		{[]string{"-lines", "1000"}, "fsim: array setassoc-16 needs a power-of-two line count, not 1000"},
+		{[]string{"-lines", "8"}, "fsim: array setassoc-16 needs at least 16 lines, not 8"},
+		{[]string{"-array", "random-16", "-lines", "0", "-targets", "0,0,0,0"}, "fsim: array random-16 needs at least 16 lines, not 0"},
+		{[]string{"-array", "zcache-z4/52", "-lines", "3000"}, "fsim: array zcache-z4/52 needs a power-of-two line count, not 3000"},
+		{[]string{"-scheme", "waypart", "-array", "skew-8"}, "fsim: waypart requires the 16-way set-associative array"},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 2 {
-			t.Errorf("%q: exit %d, want 2\n%s", args, code, stderr.String())
+		if code := run(tc.args, &stdout, &stderr); code != 2 {
+			t.Errorf("%q: exit %d, want 2\n%s", tc.args, code, stderr.String())
+			continue
+		}
+		if !strings.HasPrefix(stderr.String(), tc.want) {
+			t.Errorf("%q: stderr %q, want it to start %q", tc.args, stderr.String(), tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q: printed a report:\n%s", tc.args, stdout.String())
 		}
 	}
 }

@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"runtime"
@@ -146,9 +147,6 @@ type CacheSpec struct {
 // Built is the assembled cache plus scheme handles experiments may need.
 type Built struct {
 	Cache *core.Cache
-	// TotalParts includes scheme-private pseudo-partitions (Vantage's
-	// unmanaged region).
-	TotalParts int
 	// FSFixed is non-nil when the scheme is fs-fixed (set via WithAlphas).
 	FSFixed *core.FSFixed
 	// FSFeedback is non-nil for SchemeFS.
@@ -157,8 +155,6 @@ type Built struct {
 	PriSM *baselines.PriSM
 	// Vantage is non-nil for SchemeVantage.
 	Vantage *baselines.Vantage
-	// Ranker is the decision ranker backing the cache.
-	Ranker futility.Ranker
 	// Coarse is the ranker downcast to its coarse-timestamp implementation
 	// when the spec asked for CoarseLRU; fault-injection experiments use it
 	// to reach the timestamp tags.
@@ -168,15 +164,64 @@ type Built struct {
 // SetTargets installs targets for the application partitions, padding
 // pseudo-partitions with zero.
 func (b *Built) SetTargets(appTargets []int) {
-	t := make([]int, b.TotalParts)
+	t := make([]int, b.Cache.Parts())
 	copy(t, appTargets)
 	b.Cache.SetTargets(t)
 }
 
-// Build assembles the cache.
+// Check returns what Build panics on: an unknown scheme or array, or a line
+// count the array cannot take. Commands report it as a usage error.
+func (spec CacheSpec) Check() error {
+	switch spec.Scheme {
+	case SchemeFS, SchemePF, SchemePriSM, SchemeVantage, SchemeCQVP, SchemeUnmanaged, SchemeFullAssoc, SchemeWayPart, "fs-fixed":
+	default:
+		return fmt.Errorf("unknown scheme %q", spec.Scheme)
+	}
+	if spec.Scheme == SchemeFullAssoc {
+		spec.Array = ArrayFullyAssc
+	}
+	ways := spec.ways()
+	switch {
+	case ways == 0:
+		return fmt.Errorf("unknown array %q", spec.Array)
+	case spec.Lines < ways:
+		return fmt.Errorf("array %s needs at least %d lines, not %d", spec.Array, ways, spec.Lines)
+	case spec.Lines&(spec.Lines-1) != 0 && spec.Array != ArrayRandom16 && spec.Array != ArrayFullyAssc:
+		return fmt.Errorf("array %s needs a power-of-two line count, not %d", spec.Array, spec.Lines)
+	case spec.Scheme == SchemeWayPart && (spec.Array != Array16Way || ways != 16):
+		return fmt.Errorf("waypart requires the 16-way set-associative array")
+	}
+	return nil
+}
+
+// ways returns the ways of spec's array (random-16: its candidates), the
+// fewest lines it takes, or 0 for an unknown array. All but random-16 and
+// fullyassoc index power-of-two sets.
+func (spec CacheSpec) ways() int {
+	switch spec.Array {
+	case Array16Way:
+		return cmp.Or(spec.Ways, 16)
+	case ArrayRandom16:
+		return cmp.Or(spec.RandomR, 16)
+	case ArrayFullyAssc, ArrayDirect:
+		return 1
+	case ArrayZ4:
+		return 4
+	case ArraySkew8:
+		return 8
+	}
+	return 0
+}
+
+// Build assembles the cache. It panics on what Check reports.
 func Build(spec CacheSpec) *Built {
+	if err := spec.Check(); err != nil {
+		panicf("%v", err)
+	}
 	parts := spec.Parts
-	b := &Built{TotalParts: parts}
+	// total includes scheme-private pseudo-partitions (Vantage's unmanaged
+	// region).
+	b, total := &Built{}, parts
 
 	// The FullAssoc ideal scheme forces a fully associative array and an
 	// exact ranker (coarse timestamps have no worst-line tracking).
@@ -201,8 +246,8 @@ func Build(spec CacheSpec) *Built {
 		b.PriSM = p
 		scheme = p
 	case SchemeVantage:
-		b.TotalParts = parts + 1
-		v := baselines.NewVantage(b.TotalParts, parts, baselines.DefaultVantageConfig())
+		total = parts + 1
+		v := baselines.NewVantage(total, parts, baselines.DefaultVantageConfig())
 		b.Vantage = v
 		scheme = v
 	case SchemeCQVP:
@@ -210,38 +255,25 @@ func Build(spec CacheSpec) *Built {
 	case SchemeUnmanaged:
 		scheme = baselines.NewUnmanaged()
 	case SchemeWayPart:
-		if spec.Array != Array16Way || (spec.Ways != 0 && spec.Ways != 16) {
-			panic("experiments: waypart requires the 16-way set-associative array")
-		}
 		scheme = baselines.NewWayPart(parts, 16)
 	case "fs-fixed":
 		fs := core.NewFSFixed(parts)
 		b.FSFixed = fs
 		scheme = fs
-	default:
-		panicf("unknown scheme %q", spec.Scheme)
 	}
 
 	var arr cachearray.Array
 	aseed := xrand.Mix64(spec.Seed ^ 0xa77a)
 	switch spec.Array {
 	case Array16Way:
-		ways := spec.Ways
-		if ways == 0 {
-			ways = 16
-		}
 		// H3 indexing rather than plain XOR folding: our synthetic address
 		// spaces are perfectly aligned (component bases in high bits), so
 		// XOR folds resonate at particular set counts and manufacture
 		// conflicts real page-randomized SPEC addresses would never see.
 		// H3 restores the "good hash indexing" premise of §III-B.
-		arr = cachearray.NewSetAssoc(spec.Lines, ways, cachearray.IndexH3, aseed)
+		arr = cachearray.NewSetAssoc(spec.Lines, spec.ways(), cachearray.IndexH3, aseed)
 	case ArrayRandom16:
-		r := spec.RandomR
-		if r == 0 {
-			r = 16
-		}
-		arr = cachearray.NewRandom(spec.Lines, r, aseed)
+		arr = cachearray.NewRandom(spec.Lines, spec.ways(), aseed)
 	case ArrayFullyAssc:
 		arr = cachearray.NewFullyAssoc(spec.Lines)
 	case ArrayDirect:
@@ -250,18 +282,15 @@ func Build(spec CacheSpec) *Built {
 		arr = cachearray.NewZCache(spec.Lines, 4, 3, aseed)
 	case ArraySkew8:
 		arr = cachearray.NewZCache(spec.Lines, 8, 1, aseed) // skew-associative
-	default:
-		panicf("unknown array %q", spec.Array)
 	}
 
-	ranker := futility.New(rank, spec.Lines, b.TotalParts, xrand.Mix64(spec.Seed^0x7a17))
-	b.Ranker = ranker
+	ranker := futility.New(rank, spec.Lines, total, xrand.Mix64(spec.Seed^0x7a17))
 	if c, ok := ranker.(*futility.CoarseTS); ok {
 		b.Coarse = c
 	}
 	var ref futility.Ranker
 	if rk := futility.Reference(rank); rk != rank {
-		ref = futility.New(rk, spec.Lines, b.TotalParts, xrand.Mix64(spec.Seed^0x4ef))
+		ref = futility.New(rk, spec.Lines, total, xrand.Mix64(spec.Seed^0x4ef))
 	}
 
 	b.Cache = core.New(core.Config{
@@ -269,7 +298,7 @@ func Build(spec CacheSpec) *Built {
 		Ranker:    ranker,
 		Reference: ref,
 		Scheme:    scheme,
-		Parts:     b.TotalParts,
+		Parts:     total,
 	})
 	return b
 }

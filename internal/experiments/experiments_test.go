@@ -54,7 +54,7 @@ func TestRegistryComplete(t *testing.T) {
 func TestTable2Prints(t *testing.T) {
 	var buf bytes.Buffer
 	Table2(Quick()).Print(&buf)
-	for _, want := range []string{"Table II", "16-way", "32 GB/s"} {
+	for _, want := range []string{"Table II", "16-way", "H3 indexing", "32 GB/s"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("Table II output missing %q", want)
 		}
@@ -63,6 +63,44 @@ func TestTable2Prints(t *testing.T) {
 
 // Fig. 2a's claim: PF's AEF decreases monotonically-ish with N, from near
 // the R/(R+1) optimum toward the 0.5 worst case.
+// Build panics on exactly what Check reports, and every array builds at a
+// line count Check accepts.
+func TestBuildPanicsOnCheck(t *testing.T) {
+	for _, spec := range []CacheSpec{
+		{Lines: 1024, Array: Array16Way, Scheme: "bogus", Parts: 2},
+		{Lines: 1024, Array: "bogus", Scheme: SchemeFS, Parts: 2},
+		{Lines: 1000, Array: Array16Way, Scheme: SchemeFS, Parts: 2},
+		{Lines: 8, Array: ArrayRandom16, Scheme: SchemePF, Parts: 2},
+		{Lines: 32, Array: Array16Way, Ways: 8, Scheme: SchemeWayPart, Parts: 2},
+	} {
+		err := spec.Check()
+		if err == nil {
+			t.Errorf("%+v: Check accepted it", spec)
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != "experiments: "+err.Error() {
+					t.Errorf("%+v: Build recovered %v, want Check's %q", spec, r, err)
+				}
+			}()
+			Build(spec)
+		}()
+	}
+	for _, a := range []ArrayKind{Array16Way, ArrayRandom16, ArrayFullyAssc, ArrayDirect, ArrayZ4, ArraySkew8} {
+		spec := CacheSpec{Lines: 16, Array: a, Rank: futility.LRU, Scheme: SchemeFS, Parts: 2}
+		if err := spec.Check(); err != nil {
+			t.Errorf("%s at 16 lines: %v", a, err)
+			continue
+		}
+		Build(spec)
+	}
+	// The ideal scheme's fully-associative array takes any positive count.
+	if err := (CacheSpec{Lines: 1000, Array: Array16Way, Scheme: SchemeFullAssoc, Parts: 2}).Check(); err != nil {
+		t.Errorf("fullassoc at 1000 lines: %v", err)
+	}
+}
+
 func TestFig2aShape(t *testing.T) {
 	s := tiny()
 	res := Fig2a(s, "mcf")
