@@ -18,13 +18,12 @@ import (
 // N = 32 partitions with R = 16 candidates (probability over 70%),
 // destroying PriSM's sizing (§VIII-A).
 type PriSM struct {
-	window    int
-	rng       *xrand.Rand
-	actual    []int // the controller's, read-only
-	targets   []int // the controller's, read-only
-	insWindow []int
-	evProb    []float64 // nil until the first window completes
-	missed    int
+	window          int
+	rng             *xrand.Rand
+	actual, targets []int // the controller's, read-only
+	insWindow       []int
+	evProb          []float64 // nil until the first window completes
+	missed          int
 
 	// Abnormalities counts replacements where the sampled partition had no
 	// candidate (exported for the reproduction's diagnostics).

@@ -223,9 +223,7 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario %s: no clients", s.Name)
 	}
 	names := make(map[string]bool, len(s.Clients))
-	// expanded counts clients after Replicate (a partition each), shares sums
-	// their shares.
-	expanded, shares := 0, 0.0
+	expanded, shares := 0, 0.0 // clients after Replicate, and their shares' sum
 	for i := range s.Clients {
 		c := &s.Clients[i]
 		if c.Name == "" {
