@@ -112,8 +112,8 @@ func (m *Multicore) SetWarmup(frac float64) {
 // wall-clock timeout, the bound is part of the seeded simulation — a run
 // that trips it trips at the same access on every machine — so it is the
 // right guard against livelock bugs (e.g. a thread mix that never lets a
-// first pass finish); the experiment harness (internal/harness) converts
-// the panic into a typed, reported failure instead of a dead sweep.
+// first pass finish); fstables recovers the panic into a reported failure
+// and runs the rest of its sweep.
 func (m *Multicore) SetStepLimit(n uint64) { m.stepLimit = n }
 
 // threadState is the per-thread replay cursor.
