@@ -40,18 +40,20 @@ loc:
 # Short fuzz sessions (seed corpus + 10s of mutation each): the trace
 # decoder, the scenario spec parser (Parse, Compile, Targets), the
 # differential oracle over scenario programs, the serving
-# layer's wire codec at both the payload and framed-stream level, the H3
-# table kernel against its bit-serial definition, the recency index against
-# its slice model, and the MRC profiler's tag table against a map-and-stack
-# model (the last two audit their whole structure at every step of a script,
-# hence the bounded minimisation: the default 60 s per new input would eat
-# the whole run).
+# layer's wire codec at both the payload and framed-stream level, its request
+# path (pipelined frame scripts over a pipe) against the sequential server
+# model, the H3 table kernel against its bit-serial definition, the recency
+# index against its slice model, and the MRC profiler's tag table against a
+# map-and-stack model (the last three check or audit their whole structure
+# after every step of a script, hence the bounded minimisation: the default
+# 60 s per new input would eat the whole run).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrom -fuzztime=10s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzAccess -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzFrame$$' -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzFrameStream -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzServerRun -fuzztime=10s -fuzzminimizetime=20x ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzH3 -fuzztime=10s ./internal/hashing
 	$(GO) test -run='^$$' -fuzz=FuzzIndex -fuzztime=10s -fuzzminimizetime=20x ./internal/recency
 	$(GO) test -run='^$$' -fuzz=FuzzProfiler -fuzztime=10s -fuzzminimizetime=20x ./internal/alloc

@@ -17,7 +17,8 @@ import (
 // Each row is one request over an in-memory connection to a warm server;
 // the count is read once its response arrives, when the server has done
 // all of its work. A pipelined run of GETs or SETs takes one lock per stripe
-// its keys route to.
+// its keys route to. Every row, one request or a pipelined run of 16, is
+// also one server socket write, counted by the pipe listener's conns.
 func TestCounted(t *testing.T) {
 	cfg := testConfig()
 	cfg.Cache.Stripes = 4
@@ -49,10 +50,13 @@ func TestCounted(t *testing.T) {
 
 	count := func(name string, want int, send func()) {
 		t.Helper()
-		before := shardcache.StripeLocks()
+		before, writes := shardcache.StripeLocks(), l.writes.Load()
 		send()
 		if got := int(shardcache.StripeLocks() - before); got != want {
 			t.Errorf("%s: %d stripe locks, want %d", name, got, want)
+		}
+		if got := l.writes.Load() - writes; got != 1 {
+			t.Errorf("%s: %d server socket writes, want 1", name, got)
 		}
 	}
 	rpc := func(req Request, status Status, flags uint8) func() {
