@@ -100,15 +100,16 @@ soak:
 	$(GO) run ./cmd/fscheck -duration 10m
 
 # Concurrent load against the striped engine under the race detector:
-# throughput, latency quantiles and per-partition occupancy error
-# (DESIGN.md §12). CI runs the same configuration in its race job.
+# free-running workers on static targets (no allocator, so no rebalancer),
+# reporting throughput, latency quantiles and each partition's size against
+# its target (DESIGN.md §12). CI runs the same configuration in its race job.
 load:
 	$(GO) run -race ./cmd/fsload -stripes 8 -workers 4 -batch 16 -duration 2s
 
 # Run the multi-tenant cache server in the foreground with two tenants
 # (one guaranteed, one best-effort) and a 2:1 capacity split. Ctrl-C drains.
 serve:
-	$(GO) run ./cmd/fsserve -tenants g:0,b:0 -targets 2731,1365 -rebalance 250ms
+	$(GO) run ./cmd/fsserve -tenants g:0,b:0 -targets 2731,1365
 
 # End-to-end serving-layer soak under the race detector: a race-built
 # fsserve with listener-side fault injection, a faulty closed-loop fsload

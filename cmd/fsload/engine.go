@@ -14,18 +14,18 @@ import (
 	"fscache/internal/xrand"
 )
 
-// engineTarget is an in-process shardcache.Engine with a background
-// rebalancer. A compiled spec (Comp) replaces the synthetic zipf mix with
-// its streams and the 1:2:3 targets with its shares; an allocator (Alloc) is
-// fed every access, the rebalancer closes its epochs on the engine's access
-// count and installs their targets, and scenario churn vectors are ignored.
+// engineTarget is an in-process shardcache.Engine. A compiled spec (Comp)
+// replaces the synthetic zipf mix with its streams and the 1:2:3 targets
+// with its shares. An allocator (Alloc) is fed every access and polled by a
+// background rebalancer, which closes its epochs on the engine's access
+// count and installs their targets; scenario churn vectors are then ignored.
 type engineTarget struct {
 	scenario.Setup
 	o     options
 	parts int
 	desc  string
 	e     *shardcache.Engine
-	rb    *shardcache.Rebalancer
+	rb    *shardcache.Rebalancer // nil without Alloc
 }
 
 func newEngineTarget(o options) (*engineTarget, error) {
@@ -60,11 +60,9 @@ func newEngineTarget(o options) (*engineTarget, error) {
 		t.Lines, t.Ways, o.stripes, t.parts, o.batch)
 	t.e = shardcache.New(cfg)
 	t.e.SetTargets(t.Targets)
-	var src shardcache.TargetSource
 	if t.Alloc != nil {
-		src = t.Alloc
+		t.rb = t.e.StartRebalancerSource(allocPoll, t.Alloc)
 	}
-	t.rb = t.e.StartRebalancerSource(rebalanceEvery, src)
 	return t, nil
 }
 
@@ -114,7 +112,7 @@ func (t *engineTarget) worker(i int, _ *atomic.Bool) step {
 // interleaving of the compiled stream, cycled for the whole run; worker 0
 // also applies tenant-churn target vectors to the live engine as its stream
 // reaches them (other workers skip churn ops, so the target vector has one
-// writer besides the rebalancer), unless the allocator owns the targets.
+// writer), unless the allocator owns the targets.
 func (t *engineTarget) feed(i int) func() (uint64, int) {
 	if t.Comp == nil {
 		rng := xrand.New(xrand.Mix64(t.o.seed^0xf10ad) ^ xrand.Mix64(uint64(i+1)))
@@ -154,7 +152,9 @@ func (t *engineTarget) feed(i int) func() (uint64, int) {
 }
 
 func (t *engineTarget) finish(ops uint64) ([]partRow, []string, error) {
-	t.rb.Stop()
+	if t.rb != nil {
+		t.rb.Stop()
+	}
 	if err := t.e.CheckInvariants(); err != nil {
 		return nil, nil, fmt.Errorf("engine invariants violated after run: %v", err)
 	}
@@ -174,8 +174,9 @@ func (t *engineTarget) finish(ops uint64) ([]partRow, []string, error) {
 			note:    fmt.Sprintf("aef %s over %d measured", aef, ps.EvictFutility.N()),
 		}
 	}
-	notes := []string{fmt.Sprintf("engine: %d accesses, %d rebalances", snap.Accesses, t.rb.Rebalances())}
+	notes := []string{fmt.Sprintf("engine: %d accesses", snap.Accesses)}
 	if t.Alloc != nil {
+		notes[0] += fmt.Sprintf(", %d rebalances", t.rb.Rebalances())
 		notes = append(notes, t.allocNotes()...)
 	}
 	if snap.Accesses != ops {

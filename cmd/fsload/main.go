@@ -5,8 +5,9 @@
 // are shared.
 //
 // The engine target (engine.go) is an in-process shardcache.Engine whose
-// workers race a background rebalancer, unlike the deterministic barrier
-// protocol of shardcache's tests; the run fails on an engine invariant
+// workers run free, unlike the deterministic stripe-ownership protocol of
+// shardcache's tests, and race a background rebalancer with -alloc; the run
+// fails on an engine invariant
 // violation or when the engine's access count differs from the workers'.
 // Without -scenario the geometry is fixed (4096 lines, 16 ways, 3 partitions
 // with 1:2:3 targets, a zipf stream per worker). -scenario takes geometry,
@@ -47,10 +48,10 @@ import (
 // The synthetic engine geometry (-scenario picks any other) and the net
 // client's request mix and retry policy.
 const (
-	synthLines     = 4096
-	synthWays      = 16
-	synthParts     = 3
-	rebalanceEvery = 250 * time.Millisecond
+	synthLines = 4096
+	synthWays  = 16
+	synthParts = 3
+	allocPoll  = 250 * time.Millisecond // how often the rebalancer polls -alloc's allocator
 
 	setFrac    = 0.3 // fraction of net requests that are SETs
 	netTimeout = 2 * time.Second

@@ -98,7 +98,6 @@ func startServer(t *testing.T) string {
 			Lines: 1 << 14, Ways: 16, Stripes: 2, Parts: 2,
 			Ranking: futility.CoarseLRU, Seed: 1,
 		},
-		Rebalance: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,15 +29,15 @@
 // comparison.
 //
 // With -alloc, the static split only seeds the engine: every request's
-// engine access feeds the online allocator (internal/alloc) and its epoch
-// targets are installed by the rebalancer tick, so tenant capacity follows
-// the measured miss-ratio curves instead of the configured shares. The
-// drain summary and the OpStats payload report the install count.
+// engine access feeds the online allocator (internal/alloc), a rebalancer
+// polls it every 250 ms and installs its epoch targets, so tenant capacity
+// follows the measured miss-ratio curves instead of the configured shares.
+// The drain summary and the OpStats payload report the install count.
 //
 // Examples:
 //
 //	fsserve -addr 127.0.0.1:7070
-//	fsserve -tenants g:5000,b:2000,b:0 -lines 16384 -rebalance 250ms
+//	fsserve -tenants g:5000,b:2000,b:0 -lines 16384
 //	fsserve -scenario examples/scenarios/mixed-tenants.yaml
 //	fsserve -addr 127.0.0.1:0 -addrfile /tmp/fsserve.addr   # CI smoke
 package main
@@ -64,11 +64,12 @@ import (
 	"fscache/internal/shardcache"
 )
 
-// The engine layout and fault seed no caller varies; -scenario replaces
-// ways with its spec's.
+// The engine layout, allocator poll cadence and fault seed no caller
+// varies; -scenario replaces ways with its spec's.
 const (
 	ways      = 16
 	stripes   = 16
+	allocPoll = 250 * time.Millisecond
 	faultSeed = 2026
 )
 
@@ -85,17 +86,16 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fsserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr      = fs.String("addr", "127.0.0.1:7070", "TCP listen address (port 0 picks a free port)")
-		addrfile  = fs.String("addrfile", "", "write the bound address to this file once listening (for scripts)")
-		tenants   = fs.String("tenants", "g,b", "tenant specs: class[:rate[:burst]], class g|b, comma-separated")
-		targets   = fs.String("targets", "", "per-tenant line targets summing to -lines, comma-separated (default: even split)")
-		lines     = fs.Int("lines", 4096, "total cache lines (power of two)")
-		seed      = fs.Uint64("seed", 1, "engine seed (hash functions, replacement sampling)")
-		rebalance = fs.Duration("rebalance", 250*time.Millisecond, "target-redistribution cadence (0 disables)")
-		drainT    = fs.Duration("draintimeout", 10*time.Second, "drain grace before force-closing connections")
-		faults    = fs.Bool("faults", false, "wrap the listener with the seeded network fault injector")
-		scen      = fs.String("scenario", "", "derive tenants, targets and cache geometry from this scenario spec file")
-		allocFl   = fs.String("alloc", "", "drive targets with the online allocator under this objective (utility|maxmin|phase; plus qos with -scenario) instead of the static split")
+		addr     = fs.String("addr", "127.0.0.1:7070", "TCP listen address (port 0 picks a free port)")
+		addrfile = fs.String("addrfile", "", "write the bound address to this file once listening (for scripts)")
+		tenants  = fs.String("tenants", "g,b", "tenant specs: class[:rate[:burst]], class g|b, comma-separated")
+		targets  = fs.String("targets", "", "per-tenant line targets summing to -lines, comma-separated (default: even split)")
+		lines    = fs.Int("lines", 4096, "total cache lines (power of two)")
+		seed     = fs.Uint64("seed", 1, "engine seed (hash functions, replacement sampling)")
+		drainT   = fs.Duration("draintimeout", 10*time.Second, "drain grace before force-closing connections")
+		faults   = fs.Bool("faults", false, "wrap the listener with the seeded network fault injector")
+		scen     = fs.String("scenario", "", "derive tenants, targets and cache geometry from this scenario spec file")
+		allocFl  = fs.String("alloc", "", "drive targets with the online allocator under this objective (utility|maxmin|phase; plus qos with -scenario) instead of the static split")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -113,9 +113,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 			err = fmt.Errorf("-%s cannot be combined with -scenario, which supplies it", f.Name)
 		}
 	})
-	if err == nil && *allocFl != "" && *rebalance <= 0 {
-		err = errors.New("-alloc needs -rebalance > 0: the rebalancer tick is what installs the allocator's targets")
-	}
 	if err != nil {
 		return fail(2, err)
 	}
@@ -146,7 +143,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	cfg := server.Config{
 		Tenants:   tcs,
 		Targets:   s.Targets,
-		Rebalance: *rebalance,
+		Rebalance: allocPoll,
 		Cache: shardcache.Config{
 			Lines:   s.Lines,
 			Ways:    s.Ways,
@@ -164,7 +161,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	}
 	if s.Alloc != nil {
 		cfg.Alloc = s.Alloc
-		fmt.Fprintf(stderr, "fsserve: online %s allocation armed (epoch targets install on the %v rebalance tick)\n", *allocFl, *rebalance)
+		fmt.Fprintf(stderr, "fsserve: online %s allocation armed (epoch targets install on the %v poll)\n", *allocFl, allocPoll)
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
@@ -201,7 +198,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		"fsserve: served %d conn(s), %d store entries (%d bytes), %d bad frames, %d slow clients, %d panics\n",
 		snap.Accepted, snap.StoreEntries, snap.StoreBytes, snap.BadFrames, snap.SlowClients, snap.Panics)
 	if s.Alloc != nil {
-		fmt.Fprintf(stderr, "fsserve: alloc %s: %d target installs over %d rebalances\n",
+		fmt.Fprintf(stderr, "fsserve: alloc %s: %d target installs over %d polls\n",
 			*allocFl, snap.TargetInstalls, snap.Rebalances)
 	}
 	for i, t := range snap.Tenants {

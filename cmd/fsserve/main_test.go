@@ -121,7 +121,7 @@ func (c *client) rpc(t *testing.T, req server.Request) server.Response {
 }
 
 func TestCleanDrainExitsZero(t *testing.T) {
-	s := serve(t, "-rebalance", "50ms")
+	s := serve(t)
 	c := dial(t, s.addr)
 	if r := c.rpc(t, server.Request{Op: server.OpSet, Key: []byte("k"), Value: []byte("v")}); r.Status != server.StatusOK {
 		t.Fatalf("set: %v", r.Status)
@@ -190,7 +190,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-scenario", spec, "-tenants", "g"}, "-tenants cannot be combined with -scenario"},
 		{[]string{"-scenario", spec, "-targets", "1,2"}, "-targets cannot be combined with -scenario"},
 		{[]string{"-scenario", spec, "-lines", "512"}, "-lines cannot be combined with -scenario"},
-		{[]string{"-alloc", "utility", "-rebalance", "0"}, "-alloc needs -rebalance > 0"},
+		{[]string{"-rebalance", "250ms"}, "flag provided but not defined: -rebalance"},
 		{[]string{"-tenants", "x"}, "bad tenant class"},
 		{[]string{"-targets", "1,x"}, "bad target"},
 		{[]string{"-ways", "8"}, "flag provided but not defined: -ways"},

@@ -7,8 +7,7 @@ import "math"
 // within one of its exact proportion, a zero weight gets a zero share, and
 // the result is a deterministic function of (total, weights) with ties
 // broken by the lowest index. shares and rems are caller-owned output and
-// scratch of len(weights), so a periodic caller (the engine's rebalancer)
-// allocates nothing. It panics on a negative or non-finite weight and when
+// scratch of len(weights). It panics on a negative or non-finite weight and when
 // the weights sum to zero or overflow.
 func Apportion(total int, weights []float64, shares []int, rems []float64) {
 	sum := 0.0

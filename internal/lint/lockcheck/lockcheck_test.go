@@ -11,7 +11,7 @@ func TestLockDiscipline(t *testing.T) {
 	analysistest.Run(t, "testdata", lockcheck.New(), "lock")
 }
 
-// TestThreeLevelOrder covers the striped engine's rmu → tmu → stripe.mu
+// TestThreeLevelOrder covers a three-level rmu → tmu → stripe.mu
 // discipline: the snapshot-then-apply pattern, the legal tmu-across-stripes
 // hold, and all three inversions.
 func TestThreeLevelOrder(t *testing.T) {

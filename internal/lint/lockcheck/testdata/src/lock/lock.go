@@ -1,5 +1,5 @@
 // Package lock is the lockcheck construct-coverage fixture: a shrunken
-// shardcache with the same mu/tmu-style split as the production engine.
+// shardcache with an engine lock beside its stripe locks.
 package lock
 
 import "sync"

@@ -1,5 +1,5 @@
-// Package order is the three-level lock-order fixture: the striped
-// engine's rmu → tmu → stripe.mu discipline in miniature. rmu serializes
+// Package order is the three-level lock-order fixture: a striped engine's
+// rmu → tmu → stripe.mu discipline in miniature. rmu serializes
 // distribution passes, tmu guards only the target vector, and the
 // snapshot-then-apply pattern means tmu is never co-held with a stripe
 // lock — but the declared order still forbids every inversion, including

@@ -7,14 +7,11 @@ import (
 	"time"
 )
 
-// pipelineConfig enables striping so a run crosses stripe boundaries, and
-// keeps the rebalance cadence on so a run's accesses race the background
-// distributor.
+// pipelineConfig enables striping so a run crosses stripe boundaries.
 func pipelineConfig() Config {
 	cfg := testConfig()
 	cfg.Cache.Stripes = 4
 	cfg.Cache.Lines = 1024
-	cfg.Rebalance = 5 * time.Millisecond
 	return cfg
 }
 

@@ -37,14 +37,12 @@ type Config struct {
 	// and summing to Cache.Lines. When nil the capacity is split evenly
 	// across tenants.
 	Targets []int
-	// Rebalance is the engine target-redistribution cadence; 0 disables
-	// the background rebalancer.
+	// Rebalance is the allocator poll cadence, ignored without Alloc.
 	Rebalance time.Duration
 	// Alloc, when non-nil, is the online allocator: every access the engine
-	// performs on behalf of a request is Observed into it, and each
-	// rebalancer tick polls it with the engine's access count. Its epochs
-	// close only on those ticks, so it needs Rebalance > 0 to close any and
-	// to steer the engine.
+	// performs on behalf of a request is Observed into it, and a background
+	// rebalancer polls it every Rebalance (which must then be positive)
+	// with the engine's access count and installs the targets it returns.
 	Alloc *alloc.Allocator
 	// Logf, when non-nil, receives operational log lines (accepts,
 	// panics, drains). The server never logs on the request path.
@@ -107,8 +105,8 @@ type Server struct {
 
 	connWG sync.WaitGroup // one per live connection
 	loopWG sync.WaitGroup // accept loop
-	// rb is the engine's background target distributor (nil when the
-	// cadence is disabled); stats read its pass counter.
+	// rb polls Alloc and installs its targets (nil without Alloc); stats
+	// read its counters.
 	rb *shardcache.Rebalancer
 
 	mu sync.Mutex
@@ -162,6 +160,12 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Tenants) > 256 {
 		return nil, errors.New("server: at most 256 tenants (tenant id is one wire byte)")
 	}
+	if err := cfg.Cache.Validate(); err != nil {
+		return nil, fmt.Errorf("server: Cache: %w", err)
+	}
+	if cfg.Alloc != nil && cfg.Rebalance <= 0 {
+		return nil, errors.New("server: Alloc needs a positive Rebalance to poll it at")
+	}
 	if cfg.Targets != nil {
 		sum, neg := 0, false
 		for _, t := range cfg.Targets {
@@ -209,12 +213,8 @@ func (s *Server) ListenAndServe() error {
 func (s *Server) Serve(ln net.Listener) {
 	s.ln = ln
 	// Set before the accept loop starts: a connection's stats read it.
-	if s.cfg.Rebalance > 0 {
-		var src shardcache.TargetSource
-		if s.cfg.Alloc != nil {
-			src = s.cfg.Alloc
-		}
-		s.rb = s.engine.StartRebalancerSource(s.cfg.Rebalance, src)
+	if s.cfg.Alloc != nil {
+		s.rb = s.engine.StartRebalancerSource(s.cfg.Rebalance, s.cfg.Alloc)
 	}
 	s.loopWG.Add(1)
 	go s.acceptLoop()
@@ -233,8 +233,7 @@ func (s *Server) Addr() net.Addr {
 // Engine exposes the backing engine (stats paths and tests).
 func (s *Server) Engine() *shardcache.Engine { return s.engine }
 
-// rebalanceCount reads the background distributor's pass counter (0 when
-// the cadence is disabled).
+// rebalanceCount reads the rebalancer's poll counter (0 without Alloc).
 func (s *Server) rebalanceCount() uint64 {
 	if s.rb == nil {
 		return 0
@@ -242,8 +241,7 @@ func (s *Server) rebalanceCount() uint64 {
 	return s.rb.Rebalances()
 }
 
-// installCount reads the rebalancer's source-install counter (0 when the
-// cadence is disabled or no Alloc is configured).
+// installCount reads the rebalancer's install counter (0 without Alloc).
 func (s *Server) installCount() uint64 {
 	if s.rb == nil {
 		return 0
@@ -509,7 +507,9 @@ type LatencyStats struct {
 	P99us float64 `json:"p99_us"`
 }
 
-// StatsSnapshot is the OpStats JSON payload.
+// StatsSnapshot is the OpStats JSON payload. Rebalances counts the
+// rebalancer's polls of Config.Alloc and TargetInstalls the target vectors
+// it installed; both stay 0 without Alloc.
 type StatsSnapshot struct {
 	Accepted       uint64        `json:"accepted"`
 	LiveConns      int           `json:"live_conns"`

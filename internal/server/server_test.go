@@ -229,8 +229,8 @@ func TestEvictionKeepsStoreInSync(t *testing.T) {
 
 // TestAllocatorFeed serves cache-aside traffic — GETs, and a SET after
 // each miss — with an online allocator. Its epochs close on rebalancer
-// ticks, at the engine's access count as the previous pass summed it, so
-// with one client at least one epoch and at most accesses/EpochAccesses
+// polls, at the engine's access count as the poll summed it, so with one
+// client at least one epoch and at most accesses/EpochAccesses
 // have closed, epoch k no earlier than k·EpochAccesses accesses; and tenant
 // 0 cycles a working set while tenant 1 never reuses a key, so an epoch
 // moves lines to tenant 0 and the rebalancer installs them.
@@ -677,6 +677,10 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Targets = []int{-5, 261} },    // sums to Lines, one negative
 		func(c *Config) { c.Targets = []int{9000, 9000} }, // over capacity
 		func(c *Config) { c.Targets = []int{100, 100} },   // under capacity
+		func(c *Config) { c.Cache.Lines = 100 },           // engine geometry shardcache.New panics on
+		func(c *Config) { // an allocator with no cadence to poll it at
+			c.Alloc = alloc.New(alloc.Config{Parts: 2, Lines: c.Cache.Lines, Seed: 1})
+		},
 	}
 	for i, mut := range bad {
 		cfg := testConfig()

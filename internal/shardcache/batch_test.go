@@ -1,6 +1,7 @@
 package shardcache
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -30,7 +31,7 @@ func buildBatchWorkload(seed uint64, n, parts int) []Access {
 // batch order. Each stripe is an independent core.Cache, so the equivalence
 // is byte-exact, not statistical: per-request results and the final
 // per-stripe snapshots must be identical, across batch sizes, with target
-// redistribution interleaved between flushes.
+// installs interleaved between flushes.
 func TestBatchMatchesSequential(t *testing.T) {
 	for _, stripes := range []int{4, 16} {
 		for _, batchSize := range []int{1, 3, 32, 257} {
@@ -61,8 +62,12 @@ func TestBatchMatchesSequential(t *testing.T) {
 				}
 				flushes++
 				if flushes%16 == 0 {
-					seq.Rebalance()
-					bat.Rebalance()
+					tg := testTargets()
+					if flushes%32 == 0 {
+						slices.Reverse(tg)
+					}
+					seq.SetTargets(tg)
+					bat.SetTargets(tg)
 				}
 			}
 
@@ -125,18 +130,19 @@ func TestBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRebalancer pins the background applier: passes happen on the ticker
-// cadence without any accessor driving them, Stop quiesces with no pass in
-// flight, and double-Stop is safe.
+// TestRebalancer pins the background poller: polls happen on the ticker
+// cadence without any accessor driving them, each installs what the source
+// offers while accessors run, Stop quiesces with no poll in flight, and
+// double-Stop is safe.
 func TestRebalancer(t *testing.T) {
 	cfg := testConfig(16)
 	e := New(cfg)
 	e.SetTargets(testTargets())
-	r := e.StartRebalancerSource(time.Millisecond, nil)
+	r := e.StartRebalancerSource(time.Millisecond, &flipSource{a: testTargets(), b: []int{768, 1280, 2048}})
 	work := buildBatchWorkload(testSeed^0x4eba, 4096, cfg.Parts)
-	//fslint:ignore determinism rebalancer test: the applier is wall-clock driven by design, so waiting for its first pass needs a wall-clock timeout
+	//fslint:ignore determinism rebalancer test: the poller is wall-clock driven by design, so waiting for its first poll needs a wall-clock timeout
 	deadline := time.Now().Add(2 * time.Second)
-	//fslint:ignore determinism rebalancer test: bounded wall-clock wait for the ticker-driven pass
+	//fslint:ignore determinism rebalancer test: bounded wall-clock wait for the ticker-driven poll
 	for r.Rebalances() == 0 && time.Now().Before(deadline) {
 		for _, a := range work {
 			e.Access(a.Addr, a.Part)
@@ -145,12 +151,15 @@ func TestRebalancer(t *testing.T) {
 	r.Stop()
 	passes := r.Rebalances()
 	if passes == 0 {
-		t.Fatal("no background rebalance completed within 2s at 1ms cadence")
+		t.Fatal("no background poll completed within 2s at 1ms cadence")
 	}
-	// Quiesced: no further passes can land after Stop returned.
+	if got := r.Installs(); got != passes {
+		t.Fatalf("%d installs over %d polls of a source that always offers targets", got, passes)
+	}
+	// Quiesced: no further polls can land after Stop returned.
 	time.Sleep(5 * time.Millisecond)
 	if got := r.Rebalances(); got != passes {
-		t.Fatalf("rebalance pass after Stop: %d then %d", passes, got)
+		t.Fatalf("poll after Stop: %d then %d", passes, got)
 	}
 	r.Stop() // idempotent
 	if err := e.CheckInvariants(); err != nil {
@@ -158,13 +167,26 @@ func TestRebalancer(t *testing.T) {
 	}
 }
 
-// TestStartRebalancerRejectsBadInterval pins the constructor guard.
+// TestStartRebalancerRejectsBadInterval pins the constructor's guards: a
+// non-positive interval, and a nil source, which would have nothing to poll.
 func TestStartRebalancerRejectsBadInterval(t *testing.T) {
 	e := New(testConfig(4))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("StartRebalancerSource(0, nil) did not panic")
-		}
-	}()
-	e.StartRebalancerSource(0, nil)
+	src := &stubSource{targets: testTargets()}
+	for _, tc := range []struct {
+		name     string
+		interval time.Duration
+		src      TargetSource
+	}{
+		{"zero interval", 0, src},
+		{"nil source", time.Millisecond, nil},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: StartRebalancerSource did not panic", tc.name)
+				}
+			}()
+			e.StartRebalancerSource(tc.interval, tc.src).Stop()
+		}()
+	}
 }

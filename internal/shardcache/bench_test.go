@@ -16,11 +16,11 @@ package shardcache
 //   - mixed: the Zipf pools (hits + evicting misses). Misses do real
 //     replacement work under the stripe lock, so the row measures scaling
 //     of the full pipeline.
-//   - storm: mixed traffic while the rebalancer runs passes back to back:
-//     the redistribution-never-blocks-a-GET claim under the worst cadence.
-//     The snapshot-then-apply distributor holds rmu, not the access path's
-//     stripe locks, so throughput should degrade only modestly against the
-//     mixed row.
+//   - storm: mixed traffic while a rebalancer installs a new target vector
+//     on every poll, back to back: the retargeting-never-blocks-a-GET claim
+//     under the worst cadence. An install holds each stripe lock only to
+//     copy that stripe's targets, so throughput should degrade only
+//     modestly against the mixed row.
 
 import (
 	"math/bits"
@@ -100,7 +100,6 @@ func warmMixed(e *Engine) [][]Access {
 			e.Access(a.Addr, a.Part)
 		}
 	}
-	e.Rebalance()
 	return pools
 }
 
@@ -182,13 +181,14 @@ func BenchmarkParallelMixed(b *testing.B) {
 	runParallel(b, []*Engine{e}, warmMixed(e))
 }
 
-// BenchmarkParallelStorm is ParallelMixed while the engine's own rebalancer
-// runs at a 1 ns interval, that is, one pass after another, for the whole
-// timed region.
+// BenchmarkParallelStorm is ParallelMixed while a rebalancer polls at a 1 ns
+// interval, that is, one install after another of two target vectors in
+// turn, for the whole timed region.
 func BenchmarkParallelStorm(b *testing.B) {
 	e := stripedEngine()
 	pools := warmMixed(e)
-	r := e.StartRebalancerSource(time.Nanosecond, nil)
+	half := benchLines / benchParts
+	r := e.StartRebalancerSource(time.Nanosecond, &flipSource{a: []int{half, half}, b: []int{half / 2, benchLines - half/2}})
 	runParallel(b, []*Engine{e}, pools)
 	b.StopTimer()
 	r.Stop()
@@ -211,7 +211,7 @@ func observeAllocator() (*alloc.Allocator, [][]Access) {
 // an Engine.Access, then an alloc.Allocator.Observe of the same access. Its
 // excess over ParallelMixed is what a shared engine pays for the allocator:
 // the sampling hash always, the allocator's mutex and a profiler touch one
-// time in eight. Epochs close on rebalancer ticks, and none runs here.
+// time in eight. Epochs close on rebalancer polls, and none runs here.
 func BenchmarkParallelMixedAlloc(b *testing.B) {
 	e := stripedEngine()
 	pools := warmMixed(e)

@@ -6,7 +6,7 @@ package shardcache
 // the per-stripe interleaving of accesses depends on goroutine scheduling,
 // so two runs are statistically equivalent but not byte-identical. The
 // tests' driver in this file restores seed-driven reproducibility as a
-// protocol property with three rules:
+// protocol property with two rules:
 //
 //  1. Stripe ownership: worker w exclusively accesses the stripes with
 //     index g where g % workers == w. Two workers never touch the same
@@ -16,10 +16,9 @@ package shardcache
 //  2. Seeded schedules: each worker's accesses are pre-generated from
 //     xrand streams derived from (seed, worker), with rejection sampling
 //     keeping only addresses that route to the worker's own stripes.
-//  3. Round barriers: the schedule is split into rounds; all workers join
-//     a barrier between rounds and the global target distributor
-//     (Engine.Rebalance) runs only at the barrier, where every stripe's
-//     state is deterministic.
+//
+// Targets are installed before a run, so no cross-stripe write lands in
+// the middle of one.
 //
 // Under these rules two runs with the same seed, worker count and engine
 // configuration produce byte-identical merged statistics (the determinism
@@ -46,7 +45,7 @@ type Schedule struct {
 // Workers returns the worker count the schedule was built for.
 func (s *Schedule) Workers() int { return s.workers }
 
-// Rounds returns the number of barrier-separated rounds.
+// Rounds returns the number of rounds, the blocks Sequential merges in order.
 func (s *Schedule) Rounds() int { return len(s.ops) }
 
 // Ops returns the accesses worker w performs in round r (read-only).
@@ -84,8 +83,8 @@ func (s *Schedule) Sequential() []Access {
 const scheduleSalt = 0x5c4ed01e
 
 // BuildSchedule pre-generates a deterministic schedule for driving e with
-// the given worker count: rounds barrier-separated rounds of perRound
-// accesses per worker. Worker w draws from its own seeded stream — a
+// the given worker count: rounds rounds of perRound accesses per worker.
+// Worker w draws from its own seeded stream — a
 // Zipf-popularity working set per partition, partitions with increasing
 // spans so their local miss ratios differ — and keeps only addresses
 // routing to stripes it owns (g % workers == w). workers must be in
@@ -133,29 +132,25 @@ func BuildSchedule(e *Engine, seed uint64, workers, rounds, perRound int) *Sched
 	return s
 }
 
-// RunDeterministic drives e with sched: each round launches one goroutine
-// per worker, waits for all of them at the barrier, then runs the global
-// target distributor. Workers only touch stripes they own, so the run's
-// results are byte-identical across repetitions (see the package protocol
-// above).
+// RunDeterministic drives e with sched: one goroutine per worker performs
+// its accesses round by round, and RunDeterministic returns when all have
+// finished. Workers only touch stripes they own, so the run's results are
+// byte-identical across repetitions (see the package protocol above).
 func RunDeterministic(e *Engine, sched *Schedule) {
-	for r := 0; r < sched.Rounds(); r++ {
-		barrier := make(chan struct{}, sched.workers)
-		for w := 0; w < sched.workers; w++ {
-			ops := sched.Ops(r, w)
-			//fslint:ignore determinism stripe-ownership protocol: workers access disjoint stripes, so per-stripe order is schedule order regardless of goroutine interleaving
-			go func(ops []Access) {
-				for _, a := range ops {
+	var wg sync.WaitGroup
+	for w := 0; w < sched.workers; w++ {
+		wg.Add(1)
+		//fslint:ignore determinism stripe-ownership protocol: workers access disjoint stripes, so per-stripe order is schedule order regardless of goroutine interleaving
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < sched.Rounds(); r++ {
+				for _, a := range sched.Ops(r, w) {
 					e.Access(a.Addr, a.Part)
 				}
-				barrier <- struct{}{}
-			}(ops)
-		}
-		for w := 0; w < sched.workers; w++ {
-			<-barrier
-		}
-		e.Rebalance()
+			}
+		}(w)
 	}
+	wg.Wait()
 }
 
 // StripeSnapshots returns each stripe's measurement state in stripe index
@@ -237,8 +232,8 @@ func TestScheduleOwnership(t *testing.T) {
 }
 
 // TestConcurrentStress hammers one engine from many free-running writers
-// while concurrent readers take snapshots and a rebalancer redistributes
-// targets — the -race configuration from CI. Free-running workers share
+// while concurrent readers take snapshots and a retargeter installs two
+// target vectors in turn — the -race configuration from CI. Free-running workers share
 // stripes, so this run is (intentionally) not deterministic; it asserts
 // thread-safety: no races, conserved counters, clean invariants.
 func TestConcurrentStress(t *testing.T) {
@@ -301,16 +296,16 @@ func TestConcurrentStress(t *testing.T) {
 		}()
 	}
 	aux.Add(1)
-	//fslint:ignore determinism race stress test: rebalancer races against writers by design
+	//fslint:ignore determinism race stress test: retargeting races against writers by design
 	go func() {
 		defer aux.Done()
-		for {
+		for i := 0; ; i++ {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			e.Rebalance()
+			e.SetTargets([][]int{{640, 384}, {384, 640}}[i%2])
 		}
 	}()
 	wg.Wait()

@@ -17,23 +17,18 @@
 // access contends only with accesses to the same 1/K slice of the sets.
 //
 // Partition targets stay a cache-wide contract: SetTargets installs global
-// per-partition line targets, and Rebalance — the global target distributor
-// — periodically collects every stripe's occupancy and access demand and
-// re-apportions each partition's global target across stripes proportional
-// to observed per-stripe demand. Under skewed load this converges cache-wide
-// partition sizes to the paper's targets even though each stripe's feedback
-// controller only ever sees its local slice.
-//
-// The distributor is built so redistribution never blocks the access path
-// for more than one bounded counter swap or target install per stripe:
-// demand is counted into per-stripe double-buffered counters, Rebalance
-// swaps the buffers under the stripe lock (a slice-header exchange), and all
-// aggregation, weighting and apportionment run outside every stripe lock on
-// the rebalancer's private buffer. Rebalancer (rebalancer.go) runs this on a
-// background ticker so serving layers never call it from a request path.
+// per-partition line targets and gives each of the K stripes 1/K of each
+// partition's target. A stripe is one bank of that single hash-indexed
+// array, so it sees a uniform 1/K slice of every partition's traffic, and
+// an even split is the share it should hold; the remainders rotate across
+// stripes so that each stripe's targets sum to exactly its lines whenever
+// the cache-wide targets sum to Lines (CheckInvariants holds both sums).
+// Rebalancer (rebalancer.go) polls a TargetSource on a background ticker
+// and installs what it offers, so serving layers never retarget from a
+// request path.
 //
 // Concurrency contract: Access, Batch (batch.go), Lock, SetTargets,
-// Rebalance, Snapshot and CheckInvariants are all safe for concurrent use. A
+// Snapshot and CheckInvariants are all safe for concurrent use. A
 // stripe mutex is only ever held for one bounded cache operation, one batched
 // run of them, or a Locked holder's bounded work; the engine never holds two
 // stripe locks at once. Determinism under concurrency is a protocol property,
@@ -45,7 +40,6 @@ import (
 	"fmt"
 	"sync"
 
-	"fscache/internal/alloc"
 	"fscache/internal/cachearray"
 	"fscache/internal/core"
 	"fscache/internal/futility"
@@ -79,8 +73,7 @@ type Config struct {
 }
 
 // stripe is one independently locked domain: a single-threaded core.Cache
-// over a contiguous sub-range of the engine's sets, plus the active demand
-// buffer the global distributor swaps out.
+// over a contiguous sub-range of the engine's sets.
 type stripe struct {
 	mu sync.Mutex
 	//fs:guardedby mu
@@ -89,27 +82,16 @@ type stripe struct {
 	// audit in Engine.CheckInvariants.
 	//fs:guardedby mu
 	array *cachearray.SetAssoc
-	// demand counts insertions routed to this stripe per partition since
-	// the distributor's last buffer swap; it is the distributor's load
-	// signal. Rebalance exchanges it with a zeroed spare buffer (Engine.spare)
-	// under mu, so the counters are read and aggregated outside the lock.
-	//fs:guardedby mu
-	demand []uint64
 }
 
 // Engine is the concurrent striped cache.
 //
-// Lock order: rmu (the distributor pass) before tmu (the target vector)
-// before any stripe.mu. The access path takes only a single stripe.mu;
-// rmu and tmu are never held across more than one bounded operation on any
-// stripe, and tmu is never held while a stripe lock is acquired (Rebalance
-// copies the target vector under tmu, releases it, and only then walks the
-// stripes). fslint's lockcheck analyzer enforces both the guard discipline
-// and the declared order.
+// Lock order: mu before any stripe.mu. The access path takes only a single
+// stripe.mu; SetTargets, Snapshot and CheckInvariants hold mu while they
+// take one stripe lock at a time. fslint's lockcheck analyzer enforces both
+// the guard discipline and the declared order.
 //
-//fs:lockorder Engine.rmu Engine.tmu
-//fs:lockorder Engine.rmu stripe.mu
-//fs:lockorder Engine.tmu stripe.mu
+//fs:lockorder Engine.mu stripe.mu
 type Engine struct {
 	cfg         Config
 	router      *hashing.H3
@@ -117,38 +99,13 @@ type Engine struct {
 	stripes     []*stripe
 	measured    int // stripes that record eviction futility
 
-	// tmu guards the cache-wide per-partition goals. It is held only to
-	// read or overwrite the vector, never across stripe locks, so target
-	// readers are never serialized behind a distribution pass.
-	tmu sync.Mutex
-	//fs:guardedby tmu
+	// mu serializes target installs and guards the cache-wide
+	// per-partition goals and the scratch a stripe's share is built in.
+	mu sync.Mutex
+	//fs:guardedby mu
 	targets []int
-
-	// rmu serializes distribution passes (SetTargets and Rebalance) and
-	// guards their preallocated scratch. A pass holds rmu for its whole
-	// duration but only ever takes one stripe lock at a time, for one
-	// bounded operation, so a slow stripe delays the distributor — never
-	// the access path, and never the other stripes' accessors.
-	rmu sync.Mutex
-	// spare[g] is the zeroed demand buffer Rebalance swaps into stripe g;
-	// after the swap it holds the interval's counters and is read and
-	// re-zeroed outside the stripe lock.
-	//fs:guardedby rmu
-	spare [][]uint64
-	// sizeScratch[g] receives stripe g's current per-partition sizes,
-	// copied under the stripe lock at swap time.
-	//fs:guardedby rmu
-	sizeScratch [][]int
-	//fs:guardedby rmu
-	goalScratch []int // copy of targets taken under tmu
-	//fs:guardedby rmu
-	weightScratch []float64 // per-stripe weights for one partition
-	//fs:guardedby rmu
-	shareScratch []int // apportionment output for one partition
-	//fs:guardedby rmu
-	remScratch []float64 // largest-remainder scratch for one partition
-	//fs:guardedby rmu
-	perStripe [][]int // [stripe][part] target vectors to install
+	//fs:guardedby mu
+	share []int
 }
 
 // measureEvery is the AEF sampling period over lock domains. The exact
@@ -224,30 +181,16 @@ func newEngine(cfg Config, isMeasured func(g int) bool) *Engine {
 		default:
 			cc.Unmeasured = true
 		}
-		stripes[g] = &stripe{cache: core.New(cc), array: arr, demand: make([]uint64, cfg.Parts)}
-	}
-	spare := make([][]uint64, nStripes)
-	sizeScratch := make([][]int, nStripes)
-	perStripe := make([][]int, nStripes)
-	for g := range spare {
-		spare[g] = make([]uint64, cfg.Parts)
-		sizeScratch[g] = make([]int, cfg.Parts)
-		perStripe[g] = make([]int, cfg.Parts)
+		stripes[g] = &stripe{cache: core.New(cc), array: arr}
 	}
 	return &Engine{
-		cfg:           cfg,
-		router:        router,
-		stripeShift:   hashing.ShardShift(sets, nStripes),
-		stripes:       stripes,
-		measured:      measured,
-		targets:       make([]int, cfg.Parts),
-		spare:         spare,
-		sizeScratch:   sizeScratch,
-		perStripe:     perStripe,
-		goalScratch:   make([]int, cfg.Parts),
-		weightScratch: make([]float64, nStripes),
-		shareScratch:  make([]int, nStripes),
-		remScratch:    make([]float64, nStripes),
+		cfg:         cfg,
+		router:      router,
+		stripeShift: hashing.ShardShift(sets, nStripes),
+		stripes:     stripes,
+		measured:    measured,
+		targets:     make([]int, cfg.Parts),
+		share:       make([]int, cfg.Parts),
 	}
 }
 
@@ -320,163 +263,64 @@ func (h Locked) Lookup(addr uint64) int { return h.st.array.Lookup(addr) }
 func (h Locked) Access(addr uint64, part int) core.AccessResult { return h.st.access(addr, part) }
 
 // access is one cache access on the stripe; it inlines into Engine.Access
-// and Batch.Access. Demand is counted in insertions, not raw accesses: a hit
-// consumes no line, so a hit-dominated stripe needs no extra allocation,
-// while every miss claims a line in this stripe. Weighting the distributor
-// by insertion demand reproduces how lines spread across regions of a
-// monolithic array (lines sit where they are inserted).
+// and Batch.Access.
 //
 //fs:callerholds mu
 //fs:allocfree
 func (st *stripe) access(addr uint64, part int) core.AccessResult {
-	res := st.cache.Access(addr, part, trace.NoNextUse)
-	if !res.Hit {
-		st.demand[part]++
-	}
-	return res
+	return st.cache.Access(addr, part, trace.NoNextUse)
 }
 
-// SetTargets installs cache-wide per-partition line targets and distributes
-// them evenly across stripes (Rebalance later re-apportions by demand).
-// len(targets) must equal Parts.
+// SetTargets installs cache-wide per-partition line targets, giving each of
+// the K stripes target/K of each partition. Partition p's target%K
+// remainder lines go one a stripe, starting where partition p-1's ended, so
+// each partition's stripe targets sum to its target and, when the targets
+// sum to Lines, each stripe's to its Lines/K. len(targets) must equal Parts.
 func (e *Engine) SetTargets(targets []int) {
 	if len(targets) != e.cfg.Parts {
 		panic("shardcache: SetTargets length mismatch")
 	}
-	e.rmu.Lock()
-	defer e.rmu.Unlock()
-	e.tmu.Lock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	copy(e.targets, targets)
-	copy(e.goalScratch, e.targets)
-	e.tmu.Unlock()
-	for g := range e.weightScratch {
-		e.weightScratch[g] = 1
+	k := len(e.stripes)
+	for g, st := range e.stripes {
+		first := 0 // the stripe partition p's remainder starts at
+		for p, t := range e.targets {
+			// Stripes first, first+1, … (mod k) take one remainder line each.
+			e.share[p] = t / k
+			if (g-first+k)%k < t%k {
+				e.share[p]++
+			}
+			first = (first + t%k) % k
+		}
+		st.mu.Lock()
+		st.cache.SetTargets(e.share)
+		st.mu.Unlock()
 	}
-	e.apportionAll()
-	e.applyTargets()
 }
 
 // Targets returns a copy of the cache-wide per-partition targets.
 func (e *Engine) Targets() []int {
-	e.tmu.Lock()
-	defer e.tmu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return append([]int(nil), e.targets...)
 }
 
-// Rebalance is the global target distributor: one snapshot-then-apply pass
-// that (1) swaps every stripe's demand counters with a zeroed spare buffer
-// and copies its current sizes, holding each stripe lock only for that
-// exchange, (2) re-apportions each partition's cache-wide target across
-// stripes proportional to demand + occupancy outside every lock, and (3)
-// installs the new per-stripe targets, again one bounded operation per
-// stripe lock. A stripe that saw more of a partition's traffic gets a larger
-// slice of that partition's global allocation, so cache-wide partition sizes
-// track the paper's targets even when the address hash routes partitions
-// unevenly.
-//
-// tmu is held only to copy the goal vector — never across a stripe lock —
-// and concurrent passes serialize on rmu, so a stalled stripe can delay the
-// distributor but never a target reader or another stripe's accessors.
-//
-// The +1 smoothing term keeps every stripe's weight positive, so no
-// stripe's target collapses to zero on a quiet interval (which would force
-// its local controller to evict the partition entirely and then refill on
-// the next interval).
-//
-// Demand is a count per pass, so its raw size grows with the pass interval
-// and with the engine's speed while occupancy does not. It enters the
-// weights as a share instead: a partition's demand is scaled so that it
-// sums to demandShare of what the partition holds, whatever the pass saw.
-// Added raw it swamped occupancy as passes got longer: per-stripe targets
-// chased each pass's insertion split and cache-wide sizes fell behind their
-// targets (DESIGN.md §12).
-func (e *Engine) Rebalance() { e.rebalance() }
+// Rebalance reads the engine's access count and discards it. Stripe targets
+// are fixed by SetTargets, so there is nothing to redistribute; Rebalance is
+// kept only because the benchmark harness (bench/layers.go) times it.
+func (e *Engine) Rebalance() { e.accesses() }
 
-// rebalance is Rebalance, returning the engine's access count as its collect
-// loop summed it.
-func (e *Engine) rebalance() (accesses uint64) {
-	e.rmu.Lock()
-	defer e.rmu.Unlock()
-	e.tmu.Lock()
-	copy(e.goalScratch, e.targets)
-	e.tmu.Unlock()
-	// Collect: per stripe, one bounded critical section that exchanges the
-	// demand buffer for a zeroed spare, copies the current sizes and reads
-	// the access count (never reset by the engine, so the sum never falls).
-	for g, st := range e.stripes {
-		buf := e.spare[g]
-		sizes := e.sizeScratch[g]
+// accesses sums the stripes' access counts, one stripe lock at a time.
+// core.Cache never resets its count, so the sum never falls.
+func (e *Engine) accesses() (n uint64) {
+	for _, st := range e.stripes {
 		st.mu.Lock()
-		st.demand, buf = buf, st.demand
-		copy(sizes, st.cache.Sizes())
-		accesses += st.cache.Accesses()
-		st.mu.Unlock()
-		e.spare[g] = buf
-	}
-	// Weigh and apportion outside every stripe lock.
-	nP := e.cfg.Parts
-	for p := 0; p < nP; p++ {
-		var demand, held float64
-		for g := range e.stripes {
-			demand += float64(e.spare[g][p])
-			held += float64(e.sizeScratch[g][p]) + 1
-		}
-		scale := 0.0
-		if demand > 0 {
-			scale = demandShare * held / demand
-		}
-		for g := range e.stripes {
-			e.weightScratch[g] = float64(e.spare[g][p])*scale + float64(e.sizeScratch[g][p]) + 1
-		}
-		e.apportionPart(p)
-	}
-	// The spare buffers must be zero before the next swap hands them to a
-	// stripe as fresh counters.
-	for g := range e.spare {
-		for p := range e.spare[g] {
-			e.spare[g][p] = 0
-		}
-	}
-	e.applyTargets()
-	return accesses
-}
-
-// demandShare is the weight of a pass's insertion split relative to current
-// occupancy when a partition's target is re-apportioned across stripes.
-const demandShare = 0.25
-
-// apportionAll splits every partition's goal across stripes with the
-// current weightScratch (callers hold rmu).
-//
-//fs:callerholds rmu
-func (e *Engine) apportionAll() {
-	for p := 0; p < e.cfg.Parts; p++ {
-		e.apportionPart(p)
-	}
-}
-
-// apportionPart fills perStripe[*][p] from goalScratch[p] and weightScratch
-// (callers hold rmu).
-//
-//fs:callerholds rmu
-func (e *Engine) apportionPart(p int) {
-	alloc.Apportion(e.goalScratch[p], e.weightScratch, e.shareScratch, e.remScratch)
-	for g := range e.stripes {
-		e.perStripe[g][p] = e.shareScratch[g]
-	}
-}
-
-// applyTargets installs the perStripe target vectors, taking each stripe
-// lock in turn for exactly one SetTargets call. Callers hold rmu.
-//
-//fs:callerholds rmu
-func (e *Engine) applyTargets() {
-	for g, st := range e.stripes {
-		tv := e.perStripe[g]
-		st.mu.Lock()
-		st.cache.SetTargets(tv)
+		n += st.cache.Accesses()
 		st.mu.Unlock()
 	}
+	return n
 }
 
 // Snapshot returns the cache-wide measurement state: every stripe's
@@ -485,12 +329,11 @@ func (e *Engine) applyTargets() {
 // and MeanOccupancy columns add into cache-wide totals, except that on a
 // coarse-ranked engine only the measured stripes (measureEvery) fill
 // EvictFutility: the merged AEF is the mean over their evictions, Evictions
-// counts every stripe's. It holds rmu, so no distribution pass is half
-// applied underneath it and every Target column is the cache-wide target in
-// force.
+// counts every stripe's. It holds mu, so no target install is half applied
+// underneath it and every Target column is the cache-wide target in force.
 func (e *Engine) Snapshot() core.Snapshot {
-	e.rmu.Lock()
-	defer e.rmu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	var merged core.Snapshot
 	for g, st := range e.stripes {
 		countLock()
@@ -532,12 +375,21 @@ func (e *Engine) PartSizes(dst []int) []int {
 
 // CheckInvariants audits every stripe's controller with the sequential
 // simulator's full invariant rescan, one stripe lock at a time, checks that
-// every resident address sits in the stripe it routes to, and fails an engine
-// none of whose stripes measures eviction futility.
+// every resident address sits in the stripe it routes to, that each
+// partition's stripe targets sum to its cache-wide target and, when those
+// sum to Lines, that each stripe's targets sum to its lines, and fails an
+// engine none of whose stripes measures eviction futility.
 func (e *Engine) CheckInvariants() error {
 	if e.measured == 0 {
 		return fmt.Errorf("shardcache: no stripe measures eviction futility")
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	whole := 0
+	for _, t := range e.targets {
+		whole += t
+	}
+	partSums := make([]int, e.cfg.Parts)
 	for g, st := range e.stripes {
 		st.mu.Lock()
 		err := st.cache.CheckInvariants()
@@ -546,9 +398,22 @@ func (e *Engine) CheckInvariants() error {
 				err = fmt.Errorf("line %d holds %#x, which routes to stripe %d", l, addr, e.stripeOf(addr))
 			}
 		}
+		sum := 0
+		for p, t := range st.cache.Targets() {
+			partSums[p] += t
+			sum += t
+		}
+		if err == nil && whole == e.cfg.Lines && sum != st.array.Lines() {
+			err = fmt.Errorf("targets sum to %d, want the stripe's %d lines", sum, st.array.Lines())
+		}
 		st.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("stripe %d: %w", g, err)
+		}
+	}
+	for p, sum := range partSums {
+		if sum != e.targets[p] {
+			return fmt.Errorf("shardcache: partition %d's stripe targets sum to %d, want its target %d", p, sum, e.targets[p])
 		}
 	}
 	return nil

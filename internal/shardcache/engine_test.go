@@ -1,6 +1,7 @@
 package shardcache
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -118,11 +119,11 @@ func runShardedVsMonolithic(t *testing.T, cfg Config) {
 		t.Logf("part %d: occ %.1f/%.1f  miss %.4f/%.4f  aef %.4f/%.4f (striped/monolithic)",
 			p, so, mo, sm, mm, sa, ma)
 	}
-	// The merged snapshot's sizes and targets are cache-wide: targets must
-	// re-sum to the global contract after the distributor has rebalanced.
+	// The merged snapshot's sizes and targets are cache-wide: the stripes'
+	// targets must re-sum to the global contract.
 	for p := 0; p < cfg.Parts; p++ {
 		if got, want := snap.Parts[p].Target, testTargets()[p]; got != want {
-			t.Errorf("part %d: cache-wide target %d after rebalances, want %d", p, got, want)
+			t.Errorf("part %d: cache-wide target %d, want %d", p, got, want)
 		}
 	}
 }
@@ -175,8 +176,14 @@ func TestShardsMultiplyStripes(t *testing.T) {
 			t.Fatalf("access %d (%#x): %+v with Shards 4 × Stripes 4, %+v with Stripes 16", i, addr, ra, rb)
 		}
 	}
-	a.Rebalance()
-	b.Rebalance()
+	a.SetTargets([]int{768, 1280, 2048})
+	b.SetTargets([]int{768, 1280, 2048})
+	for i := 0; i < split.Lines; i++ {
+		addr, part := rng.Uint64()%(1<<14), rng.Intn(split.Parts)
+		if ra, rb := a.Access(addr, part), b.Access(addr, part); ra != rb {
+			t.Fatalf("access %d after retargeting (%#x): %+v with Shards 4 × Stripes 4, %+v with Stripes 16", i, addr, ra, rb)
+		}
+	}
 	sa, sb := a.StripeSnapshots(), b.StripeSnapshots()
 	if len(sa) != len(sb) {
 		t.Fatalf("%d stripes with Shards 4 × Stripes 4, %d with Stripes 16", len(sa), len(sb))
@@ -310,86 +317,83 @@ func TestAccessLinesLieInAddressSet(t *testing.T) {
 	}
 }
 
-// TestRebalanceRedistributes pins the global distributor: after heavily
-// skewed per-stripe demand for a partition, Rebalance must hand the loaded
-// stripe a strictly larger slice of that partition's global target than the
-// idle stripes get, while per-partition stripe targets keep summing exactly
-// to the cache-wide target.
-func TestRebalanceRedistributes(t *testing.T) {
-	cfg := testConfig(4)
+// TestStripeTargetsSumToStripeLines pins SetTargets' even split on bench's
+// engine geometry (16 384 lines in 16 stripes of 1 024, targets
+// 8192/5461/2731): each stripe holds target/K or one more of each partition,
+// and every stripe's targets sum to exactly its lines, after the first
+// install, after 200 k accesses, and after every later install whose targets
+// sum to Lines. CheckInvariants must agree, and must report a stripe whose
+// targets were moved off the split.
+func TestStripeTargetsSumToStripeLines(t *testing.T) {
+	cfg := Config{
+		Lines: 16384, Ways: 16, Shards: 4, Stripes: 4, Parts: 3,
+		Ranking: futility.CoarseLRU, Seed: testSeed,
+	}
 	e := New(cfg)
-	targets := testTargets()
-	e.SetTargets(targets)
-
-	// Drive traffic for partition 0 at one stripe only: find addresses
-	// routing to stripe 0 and access them repeatedly.
-	rng := xrand.New(42)
-	sent := 0
-	for sent < 4096 {
-		addr := rng.Uint64() % (1 << 20)
-		if e.stripeOf(addr) != 0 {
-			continue
+	k := e.Stripes()
+	check := func(when string, targets []int) {
+		t.Helper()
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", when, err)
 		}
-		e.Access(addr, 0)
-		sent++
+		for g, s := range e.StripeSnapshots() {
+			sum := 0
+			for p, ps := range s.Parts {
+				if lo := targets[p] / k; ps.Target < lo || ps.Target > lo+1 {
+					t.Fatalf("%s: stripe %d holds %d of partition %d's %d, want %d or %d",
+						when, g, ps.Target, p, targets[p], lo, lo+1)
+				}
+				sum += ps.Target
+			}
+			if sum != cfg.Lines/k {
+				t.Fatalf("%s: stripe %d targets sum to %d, want %d", when, g, sum, cfg.Lines/k)
+			}
+		}
+	}
+	targets := []int{8192, 5461, 2731}
+	e.SetTargets(targets)
+	check("after SetTargets", targets)
+	rng := xrand.New(29)
+	for i := 0; i < 200_000; i++ {
+		e.Access(xrand.Mix64(rng.Uint64()%(1<<16)), i%cfg.Parts)
 	}
 	e.Rebalance()
+	check("after 200k accesses and a Rebalance", targets)
+	for i := 0; i < 100; i++ {
+		a, b := rng.Intn(cfg.Lines+1), rng.Intn(cfg.Lines+1)
+		targets = []int{min(a, b), max(a, b) - min(a, b), cfg.Lines - max(a, b)}
+		e.SetTargets(targets)
+		check(fmt.Sprintf("after install %d of %v", i, targets), targets)
+	}
 
-	snaps := e.StripeSnapshots()
-	for p := 0; p < cfg.Parts; p++ {
-		sum := 0
-		for _, s := range snaps {
-			sum += s.Parts[p].Target
-		}
-		if sum != targets[p] {
-			t.Errorf("part %d stripe targets sum to %d, want cache-wide %d", p, sum, targets[p])
-		}
+	// Targets that do not fill the cache hold only the per-partition sums.
+	e.SetTargets([]int{100, 7, 3})
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatalf("targets under capacity: %v", err)
 	}
-	hot := snaps[0].Parts[0].Target
-	for i := 1; i < len(snaps); i++ {
-		if cold := snaps[i].Parts[0].Target; hot <= cold {
-			t.Errorf("stripe 0 (all of partition 0's demand) got target %d, stripe %d got %d",
-				hot, i, cold)
-		}
-	}
-}
-
-// Demand enters the distributor as a share of the pass, not as a count: two
-// engines in the same state whose passes saw the same insertion split, one
-// ten times as many insertions as the other (a longer interval, a faster
-// engine), must apportion every partition identically.
-func TestRebalanceIgnoresPassLength(t *testing.T) {
-	build := func(scale uint64) *Engine {
-		e := New(testConfig(4))
-		e.SetTargets(testTargets())
-		rng := xrand.New(43)
-		for i := 0; i < 3*e.Lines(); i++ {
-			e.Access(rng.Uint64()%(1<<13), i%3)
-		}
-		e.Rebalance()
-		for g, st := range e.stripes {
-			st.mu.Lock()
-			for p := range st.demand {
-				st.demand[p] = scale * uint64(1+(g+p)%5)
-			}
-			st.mu.Unlock()
-		}
-		e.Rebalance()
-		return e
-	}
-	short, long := build(7).StripeSnapshots(), build(70).StripeSnapshots()
-	for g := range short {
-		for p := range short[g].Parts {
-			if got, want := long[g].Parts[p].Target, short[g].Parts[p].Target; got != want {
-				t.Errorf("stripe %d partition %d: target %d after the long pass, %d after the short one", g, p, got, want)
-			}
+	for _, tc := range []struct {
+		name   string
+		damage func(tv []int)
+	}{
+		{"moved between partitions", func(tv []int) { tv[0]++; tv[1]-- }},
+		{"line added", func(tv []int) { tv[2]++ }},
+	} {
+		e.SetTargets([]int{8192, 5461, 2731})
+		st := e.stripes[5]
+		st.mu.Lock()
+		tv := append([]int(nil), st.cache.Targets()...)
+		tc.damage(tv)
+		st.cache.SetTargets(tv)
+		st.mu.Unlock()
+		if err := e.CheckInvariants(); err == nil {
+			t.Errorf("%s: stripe 5's damaged targets %v passed the invariants", tc.name, tv)
 		}
 	}
 }
 
 // TestLockDisciplineSmoke is the runtime counterpart of the fslint lockcheck
 // annotations on Engine and stripe (//fs:guardedby, //fs:lockorder): a seeded
-// free-running mix of access workers, snapshot readers and rebalances hammers
+// free-running mix of access workers, snapshot readers and target installs hammers
 // every guarded field concurrently, so a missing Lock that slipped past the
 // static analyzer surfaces as a detector report when this runs under -race.
 // CI's race job runs it explicitly; it pairs with the full fslint run, which
@@ -415,11 +419,11 @@ func TestLockDisciplineSmoke(t *testing.T) {
 				addr := rng.Uint64() % (1 << 18)
 				part := int(rng.Uint64() % uint64(cfg.Parts))
 				e.Access(addr, part)
-				// Periodic rebalances from every worker exercise the
-				// tmu-then-mu nested acquisition (//fs:lockorder) while
-				// other workers hold individual stripe locks.
+				// Periodic installs from every worker exercise the
+				// mu-then-stripe.mu nested acquisition (//fs:lockorder)
+				// while other workers hold individual stripe locks.
 				if i%512 == 511 {
-					e.Rebalance()
+					e.SetTargets(testTargets())
 				}
 			}
 		}(w)

@@ -13,9 +13,9 @@ import (
 
 // TestConcurrentHammer is the -race acceptance test for the striped engine:
 // seeded workers split between the plain Access path and batched submission
-// hammer every stripe while explicit Rebalance calls, a background
-// Rebalancer and tenant churn (SetTargets swapping the target vector)
-// race against them. After quiesce the engine must pass the occupancy
+// hammer every stripe while a background Rebalancer installing a source's
+// vector on every poll and tenant churn (SetTargets swapping the target
+// vector from a second goroutine) race against them. After quiesce the engine must pass the occupancy
 // conservation rescan (core.CheckInvariants per stripe) and the global
 // accounting must balance: no access lost, hits+misses == accesses,
 // resident lines within capacity.
@@ -69,19 +69,15 @@ func TestConcurrentHammer(t *testing.T) {
 				addr, part := next()
 				e.Access(addr, part)
 				total.Add(1)
-				if i%1024 == 1023 {
-					e.Rebalance() // foreground passes racing the background ones
-				}
 			}
 		}(w)
 	}
 
-	// Background redistribution at an aggressive cadence.
-	rb := e.StartRebalancerSource(200*time.Microsecond, nil)
+	// Background installs at an aggressive cadence.
+	rb := e.StartRebalancerSource(200*time.Microsecond, &flipSource{a: []int{1024, 512, 512}, b: []int{512, 512, 1024}})
 	// Tenant churn: the target vector flips between two apportionments
-	// while accessors run, exercising tmu against every stripe's demand
-	// accounting without ever co-holding the two (the //fs:lockorder
-	// contract this test smokes under -race).
+	// while accessors run, taking mu and then each stripe lock in turn
+	// (the //fs:lockorder contract this test smokes under -race).
 	var churn sync.WaitGroup
 	churn.Add(1)
 	//fslint:ignore determinism hammer test: target churn races against accessors by design
@@ -128,7 +124,7 @@ func TestConcurrentHammer(t *testing.T) {
 		t.Fatalf("resident lines %d exceed capacity %d", size, cfg.Lines)
 	}
 	if rb.Rebalances() == 0 {
-		t.Error("background rebalancer completed no passes during the hammer")
+		t.Error("background rebalancer completed no polls during the hammer")
 	}
 }
 

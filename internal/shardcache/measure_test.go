@@ -3,6 +3,7 @@ package shardcache
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"fscache/internal/core"
@@ -22,7 +23,7 @@ func stripeSnapshot(e *Engine, g int) core.Snapshot {
 }
 
 // TestSampledMeasurementChangesNoOutcome drives the default engine and one
-// with every stripe measured through one schedule, rebalances included. The
+// with every stripe measured through one schedule, target installs included. The
 // reference ranker decides nothing, so every access must come back the same
 // but for EvictedFutility, which only a measured stripe reports; a measured
 // stripe must end byte-identical to its all-measured twin, an unmeasured one
@@ -58,8 +59,12 @@ func TestSampledMeasurementChangesNoOutcome(t *testing.T) {
 				}
 			}
 		}
-		all.Rebalance()
-		def.Rebalance()
+		tg := testTargets()
+		if r%2 == 0 {
+			slices.Reverse(tg)
+		}
+		all.SetTargets(tg)
+		def.SetTargets(tg)
 	}
 	for _, e := range []*Engine{all, def} {
 		if err := e.CheckInvariants(); err != nil {

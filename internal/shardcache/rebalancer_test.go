@@ -22,6 +22,21 @@ func (s *stubSource) PollTargets(uint64) ([]int, bool) {
 	return append([]int(nil), s.targets...), true
 }
 
+// flipSource offers a and b in turn, a fresh vector on every poll: the
+// busiest install cadence a source can drive.
+type flipSource struct {
+	a, b []int
+	n    int
+}
+
+func (s *flipSource) PollTargets(uint64) ([]int, bool) {
+	s.n++
+	if s.n%2 == 0 {
+		return s.a, true
+	}
+	return s.b, true
+}
+
 // A rebalancer with a target source must install polled targets on its next
 // tick and then leave them in force.
 func TestRebalancerInstallsSourceTargets(t *testing.T) {
@@ -51,7 +66,7 @@ func TestRebalancerInstallsSourceTargets(t *testing.T) {
 }
 
 // End-to-end: the online allocator observes the engine's access stream and
-// its epoch decisions reach the engine through the rebalancer tick. The
+// its epoch decisions reach the engine through the rebalancer's poll. The
 // partition with the dominant working set must end up with the dominant
 // target — measurement driving enforcement, not static policy.
 func TestRebalancerAllocatorClosesLoop(t *testing.T) {
