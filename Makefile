@@ -21,13 +21,15 @@ race:
 	$(GO) test -race -short ./...
 
 # vet + gofmt + fslint's four analyzers (allocfree with its escape-analysis
-# cross-check, determinism, lockcheck, style) and its suppression checks.
+# cross-check, determinism, lockcheck, style) and its suppression checks,
+# over this module and the bench/ module (which `./...` does not reach).
 # `go run ./cmd/fslint -list` describes each analyzer.
 lint:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) run ./cmd/fslint ./...
+	cd bench && $(GO) run ../cmd/fslint ./...
 
 fmt:
 	gofmt -w .

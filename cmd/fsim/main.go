@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(2, err)
 		}
-		traces[t] = sim.BuildL2Trace(p.NewGenerator(*seed, t), sim.NewL1(l1Lines, 4), *accesses, 0)
+		traces[t] = sim.BuildL2Trace(p.NewGenerator(*seed, t), sim.NewL1(l1Lines), *accesses)
 		if rk == futility.OPT {
 			traces[t].ComputeNextUse()
 		}
@@ -109,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	b := experiments.Build(spec)
 	b.SetTargets(tg)
 
-	mc := sim.NewMulticore(b.Cache, sim.DefaultTiming(), traces)
+	mc := sim.NewMulticore(b.Cache, traces)
 	mc.SetStepLimit(*maxsteps)
 	results := mc.Run()
 

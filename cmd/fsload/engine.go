@@ -35,8 +35,7 @@ func newEngineTarget(o options) (*engineTarget, error) {
 	for p := range weights {
 		weights[p] = float64(p + 1)
 	}
-	targets := make([]int, synthParts)
-	alloc.Apportion(synthLines, weights, targets, make([]float64, synthParts))
+	targets := alloc.Apportion(synthLines, weights)
 	s, err := scenario.NewSetup(o.scenario, synthLines, synthWays, targets, o.alloc, o.seed)
 	if err != nil {
 		return nil, err

@@ -53,12 +53,13 @@ const (
 	synthParts = 3
 	allocPoll  = 250 * time.Millisecond // how often the rebalancer polls -alloc's allocator
 
-	setFrac    = 0.3 // fraction of net requests that are SETs
-	netTimeout = 2 * time.Second
-	maxRetries = 4
-	retryBase  = 5 * time.Millisecond
-	retryMax   = 500 * time.Millisecond
-	faultSeed  = 2026
+	setFrac     = 0.3 // fraction of net requests that are SETs
+	netTimeout  = 2 * time.Second
+	maxRetries  = 4
+	retryBase   = 5 * time.Millisecond
+	retryMax    = 500 * time.Millisecond
+	retryJitter = 0.2 // a retry waits (1 ± retryJitter)× its nominal delay
+	faultSeed   = 2026
 )
 
 // latBuckets is the latency histograms' resolution: samples are recorded as

@@ -73,7 +73,7 @@ func (t *netTarget) worker(i int, stop *atomic.Bool) step {
 		o:       &t.o,
 		inj:     t.inj,
 		stop:    stop,
-		backoff: NewBackoff(retryBase, retryMax, 0.2, t.o.seed^uint64(i+1)),
+		backoff: NewBackoff(t.o.seed ^ uint64(i+1)),
 	}
 	t.clients[i] = c
 	zipf := xrand.NewZipf(rng, 0.9, 4*t.o.keys)

@@ -95,7 +95,7 @@ func gen(args []string, stdout, stderr io.Writer) int {
 	g := prof.NewGenerator(*seed, 0)
 	var tr *trace.Trace
 	if *l2 {
-		tr = sim.BuildL2Trace(g, sim.NewL1(l1Lines, 4), *n, 0)
+		tr = sim.BuildL2Trace(g, sim.NewL1(l1Lines), *n)
 	} else {
 		tr = trace.Collect(g, *n)
 	}

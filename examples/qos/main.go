@@ -43,7 +43,7 @@ func report(w io.Writer) {
 		}
 		// Shrink the workloads 4× to match the 1 MB cache (see DESIGN.md §4).
 		gen := prof.Shrunk(4).NewGenerator(7, t)
-		traces[t] = sim.BuildL2Trace(gen, sim.NewL1(256, 4), traceLen, 0)
+		traces[t] = sim.BuildL2Trace(gen, sim.NewL1(256), traceLen)
 	}
 
 	// Subjects get their guarantee; the streamers split the rest evenly.
@@ -78,7 +78,7 @@ func run(w io.Writer, scheme experiments.SchemeName, traces []*trace.Trace, targ
 		Seed:   11,
 	})
 	b.SetTargets(targets)
-	results := sim.NewMulticore(b.Cache, sim.DefaultTiming(), traces).Run()
+	results := sim.NewMulticore(b.Cache, traces).Run()
 
 	var occ, subjIPC, bgIPC, tp float64
 	for t := 0; t < threads; t++ {

@@ -327,18 +327,18 @@ func (a *Allocator) checkTargets(tg []int, live []bool) {
 	for p, t := range tg {
 		if live[p] {
 			if t < a.cfg.ChunkLines {
-				panicf("objective %s gave live partition %d only %d lines, floor %d",
-					a.cfg.Objective.Name(), p, t, a.cfg.ChunkLines)
+				panicf("objective %T gave live partition %d only %d lines, floor %d",
+					a.cfg.Objective, p, t, a.cfg.ChunkLines)
 			}
 		} else if t != 0 {
-			panicf("objective %s gave dead partition %d %d lines",
-				a.cfg.Objective.Name(), p, t)
+			panicf("objective %T gave dead partition %d %d lines",
+				a.cfg.Objective, p, t)
 		}
 		sum += t
 	}
 	if sum > a.cfg.Lines {
-		panicf("objective %s allocated %d lines, cache has %d",
-			a.cfg.Objective.Name(), sum, a.cfg.Lines)
+		panicf("objective %T allocated %d lines, cache has %d",
+			a.cfg.Objective, sum, a.cfg.Lines)
 	}
 }
 

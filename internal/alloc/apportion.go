@@ -6,10 +6,9 @@ import "math"
 // largest-remainder rounding: shares sum exactly to total, every share is
 // within one of its exact proportion, a zero weight gets a zero share, and
 // the result is a deterministic function of (total, weights) with ties
-// broken by the lowest index. shares and rems are caller-owned output and
-// scratch of len(weights). It panics on a negative or non-finite weight and when
-// the weights sum to zero or overflow.
-func Apportion(total int, weights []float64, shares []int, rems []float64) {
+// broken by the lowest index. It panics on a negative or non-finite weight
+// and when the weights sum to zero or overflow.
+func Apportion(total int, weights []float64) []int {
 	sum := 0.0
 	for _, w := range weights {
 		if !(w >= 0) || math.IsInf(w, 1) {
@@ -20,6 +19,8 @@ func Apportion(total int, weights []float64, shares []int, rems []float64) {
 	if sum <= 0 || math.IsInf(sum, 1) {
 		panic("alloc: apportionment weights sum to zero or overflow")
 	}
+	shares := make([]int, len(weights))
+	rems := make([]float64, len(weights))
 	used := 0
 	for i, w := range weights {
 		exact := float64(total) * w / sum
@@ -40,6 +41,7 @@ func Apportion(total int, weights []float64, shares []int, rems []float64) {
 		rems[best] = -2 // consumed; lowest index wins remaining ties
 		used++
 	}
+	return shares
 }
 
 // EvenSplit fills out with lines spread evenly, the remainder on the low

@@ -7,12 +7,6 @@ import (
 	"fscache/internal/xrand"
 )
 
-func apportion(total int, weights []float64) []int {
-	shares := make([]int, len(weights))
-	Apportion(total, weights, shares, make([]float64, len(weights)))
-	return shares
-}
-
 // TestApportion pins the largest-remainder apportionment: exact sums,
 // proportionality, and deterministic lowest-index tie-breaks.
 func TestApportion(t *testing.T) {
@@ -30,7 +24,7 @@ func TestApportion(t *testing.T) {
 		{11, []float64{2, 1, 2, 1}, []int{4, 2, 3, 2}}, // 3.67 1.83 3.67 1.83: the .83s first, then the lower .67
 	}
 	for _, c := range cases {
-		if got := apportion(c.total, c.weights); !equalInts(got, c.want) {
+		if got := Apportion(c.total, c.weights); !equalInts(got, c.want) {
 			t.Errorf("Apportion(%d, %v) = %v, want %v", c.total, c.weights, got, c.want)
 		}
 	}
@@ -58,8 +52,8 @@ func TestApportionProperties(t *testing.T) {
 		if sum <= 0 {
 			weights[rng.Intn(n)], sum = 1, 1
 		}
-		got := apportion(total, weights)
-		if again := apportion(total, weights); !equalInts(got, again) {
+		got := Apportion(total, weights)
+		if again := Apportion(total, weights); !equalInts(got, again) {
 			t.Fatalf("Apportion(%d, %v) = %v, then %v", total, weights, got, again)
 		}
 		given := 0
@@ -104,7 +98,7 @@ func TestApportionPanics(t *testing.T) {
 					t.Errorf("%s weights %v: no panic", c.name, c.weights)
 				}
 			}()
-			apportion(10, c.weights)
+			Apportion(10, c.weights)
 		}()
 	}
 }

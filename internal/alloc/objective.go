@@ -75,7 +75,6 @@ const driftThreshold = 0.02
 // deterministic functions of their call sequence (PhaseAdaptive keeps state
 // across calls; that state is itself a pure function of prior inputs).
 type Objective interface {
-	Name() string
 	Allocate(cv *Curves, minChunks []int) []int
 }
 
@@ -85,9 +84,6 @@ type Objective interface {
 // through plateaus in non-concave curves that one-chunk greedy would stall
 // on.
 type MaxHits struct{}
-
-// Name implements Objective.
-func (MaxHits) Name() string { return "utility" }
 
 // Allocate implements Objective.
 func (MaxHits) Allocate(cv *Curves, minChunks []int) []int {
@@ -102,9 +98,6 @@ func (MaxHits) Allocate(cv *Curves, minChunks []int) []int {
 // (streaming tenants, flat curves) stop competing; leftover capacity falls
 // back to marginal utility so nothing strands.
 type MaxMin struct{}
-
-// Name implements Objective.
-func (MaxMin) Name() string { return "maxmin" }
 
 // Allocate implements Objective.
 func (MaxMin) Allocate(cv *Curves, minChunks []int) []int {
@@ -148,9 +141,6 @@ type QoS struct {
 	GuaranteeLines []int
 }
 
-// Name implements Objective.
-func (*QoS) Name() string { return "qos" }
-
 // Allocate implements Objective.
 func (q *QoS) Allocate(cv *Curves, minChunks []int) []int {
 	if len(q.GuaranteeLines) != len(cv.Live) {
@@ -187,9 +177,6 @@ type PhaseAdaptive struct {
 	base      *Curves
 	baseAlloc []int
 }
-
-// Name implements Objective.
-func (o *PhaseAdaptive) Name() string { return "phase" }
 
 // Allocate implements Objective.
 func (o *PhaseAdaptive) Allocate(cv *Curves, minChunks []int) []int {

@@ -345,7 +345,7 @@ func runContractSeq(t *testing.T, label string, obj Objective, seq []contractCas
 			q.GuaranteeLines = c.guarantee
 		}
 		out := obj.Allocate(c.cv, c.minChunks)
-		checkContract(t, fmt.Sprintf("%s %s", label, obj.Name()), out, c.cv, c.minChunks)
+		checkContract(t, fmt.Sprintf("%s %T", label, obj), out, c.cv, c.minChunks)
 		for p, g := range c.guarantee {
 			if isQoS && c.cv.Live[p] && out[p] < chunksFor(g, c.cv.Chunk) {
 				t.Fatalf("%s: qos partition %d below its %d-line guarantee: %v", label, p, g, out)
@@ -378,8 +378,8 @@ func TestQuickAllObjectivesInvariants(t *testing.T) {
 			first, again := runContractSeq(t, label, mk(), seq), runContractSeq(t, label, mk(), seq)
 			for s := range first {
 				if !equalInts(first[s], again[s]) {
-					t.Logf("seed %d: %s not deterministic at step %d: %v vs %v",
-						seed, mk().Name(), s, first[s], again[s])
+					t.Logf("seed %d: %T not deterministic at step %d: %v vs %v",
+						seed, mk(), s, first[s], again[s])
 					return false
 				}
 			}

@@ -136,7 +136,7 @@ func TestCQVPHoldsQuotas(t *testing.T) {
 func TestVantageOccupancyAndForcedEvictions(t *testing.T) {
 	const lines = 4096
 	const parts = 3 // two applications + unmanaged pseudo-partition
-	v := NewVantage(parts, 2, DefaultVantageConfig())
+	v := NewVantage(parts)
 	c := core.New(core.Config{
 		Array:  cachearray.NewRandom(lines, 16, 9),
 		Ranker: futility.NewExactLRU(lines, parts),
@@ -179,7 +179,7 @@ func TestVantageOccupancyAndForcedEvictions(t *testing.T) {
 func TestVantageZeroTargetPartitionIsEvictable(t *testing.T) {
 	const lines = 512
 	const parts = 3
-	v := NewVantage(parts, 2, DefaultVantageConfig())
+	v := NewVantage(parts)
 	c := core.New(core.Config{
 		Array:  cachearray.NewRandom(lines, 16, 19),
 		Ranker: futility.NewExactLRU(lines, parts),
@@ -208,7 +208,7 @@ func TestVantageOccupancySumMatchesEagerSampling(t *testing.T) {
 	c := core.New(core.Config{
 		Array:  cachearray.NewRandom(lines, 16, 27),
 		Ranker: futility.NewExactLRU(lines, parts),
-		Scheme: NewVantage(parts, 2, DefaultVantageConfig()),
+		Scheme: NewVantage(parts),
 		Parts:  parts,
 	})
 	c.SetTargets([]int{300, 160, 0})
@@ -251,7 +251,7 @@ func TestVantageOccupancySumMatchesEagerSampling(t *testing.T) {
 
 func TestPriSMSizingFewPartitions(t *testing.T) {
 	const lines = 4096
-	p := NewPriSM(2, DefaultPriSMWindow, 12)
+	p := NewPriSM(2, 12)
 	c := build(p, 2, lines, 16, 13)
 	c.SetTargets(equalTargets(2, lines))
 	d := newStreamDriver(14, []float64{0.8, 0.2})
@@ -272,7 +272,7 @@ func TestPriSMSizingFewPartitions(t *testing.T) {
 func TestPriSMAbnormalityManyPartitions(t *testing.T) {
 	const lines = 8192
 	const parts = 32
-	p := NewPriSM(parts, DefaultPriSMWindow, 15)
+	p := NewPriSM(parts, 15)
 	c := build(p, parts, lines, 16, 16)
 	c.SetTargets(equalTargets(parts, lines))
 	probs := make([]float64, parts)
@@ -290,19 +290,26 @@ func TestPriSMAbnormalityManyPartitions(t *testing.T) {
 	}
 }
 
+// Vantage manages (1−u) of the cache, rounded down: fig7's capacity at the
+// quick (16 384-line) and full (131 072-line) scales.
+func TestVantageManagedLines(t *testing.T) {
+	for _, c := range []struct{ lines, want int }{{16384, 14745}, {131072, 117964}, {10, 9}, {9, 8}} {
+		if got := VantageManagedLines(c.lines); got != c.want {
+			t.Errorf("VantageManagedLines(%d) = %d, want %d", c.lines, got, c.want)
+		}
+	}
+}
+
 func TestConstructorValidation(t *testing.T) {
 	cases := []func(){
 		func() { NewPF(0) },
 		func() { NewCQVP(0) },
-		func() { NewVantage(1, 0, DefaultVantageConfig()) },
-		func() { NewVantage(3, 5, DefaultVantageConfig()) },
-		func() { NewVantage(3, 2, VantageConfig{Unmanaged: 0, MaxAperture: 0.5, Slack: 0.1}) },
-		func() { NewPriSM(0, 64, 1) },
-		func() { NewPriSM(2, 0, 1) },
-		func() { NewVantage(3, 2, DefaultVantageConfig()).Bind(make([]int, 3), make([]int, 1)) },
-		func() { NewVantage(3, 2, DefaultVantageConfig()).Bind(make([]int, 1), make([]int, 3)) },
-		func() { NewPriSM(2, 64, 1).Bind(make([]int, 2), make([]int, 1)) },
-		func() { NewPriSM(2, 64, 1).Bind(make([]int, 1), make([]int, 2)) },
+		func() { NewVantage(1) },
+		func() { NewPriSM(0, 1) },
+		func() { NewVantage(3).Bind(make([]int, 3), make([]int, 1)) },
+		func() { NewVantage(3).Bind(make([]int, 1), make([]int, 3)) },
+		func() { NewPriSM(2, 1).Bind(make([]int, 2), make([]int, 1)) },
+		func() { NewPriSM(2, 1).Bind(make([]int, 1), make([]int, 2)) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -362,7 +369,7 @@ func BenchmarkPFDecide(b *testing.B) {
 
 func BenchmarkVantageDecide(b *testing.B) {
 	const lines = 8192
-	v := NewVantage(9, 8, DefaultVantageConfig())
+	v := NewVantage(9)
 	c := core.New(core.Config{
 		Array:  cachearray.NewRandom(lines, 16, 1),
 		Ranker: futility.NewExactLRU(lines, 9),

@@ -18,7 +18,6 @@ import (
 // N = 32 partitions with R = 16 candidates (probability over 70%),
 // destroying PriSM's sizing (§VIII-A).
 type PriSM struct {
-	window          int
 	rng             *xrand.Rand
 	actual, targets []int // the controller's, read-only
 	insWindow       []int
@@ -32,19 +31,15 @@ type PriSM struct {
 	Selections uint64
 }
 
-// DefaultPriSMWindow is the recomputation window W in misses.
-const DefaultPriSMWindow = 128
+// prismWindow is the recomputation window W in misses.
+const prismWindow = 128
 
 // NewPriSM builds a PriSM scheme over parts partitions.
-func NewPriSM(parts, window int, seed uint64) *PriSM {
+func NewPriSM(parts int, seed uint64) *PriSM {
 	if parts <= 0 {
 		panic("baselines: PriSM needs at least one partition")
 	}
-	if window <= 0 {
-		panic("baselines: PriSM window must be positive")
-	}
 	return &PriSM{
-		window:    window,
 		rng:       xrand.New(seed),
 		insWindow: make([]int, parts),
 	}
@@ -113,7 +108,7 @@ func (p *PriSM) samplePartition() int {
 func (p *PriSM) OnInsert(part int) {
 	p.insWindow[part]++
 	p.missed++
-	if p.missed < p.window {
+	if p.missed < prismWindow {
 		return
 	}
 	if p.evProb == nil {

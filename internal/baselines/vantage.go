@@ -2,23 +2,27 @@ package baselines
 
 import "fscache/internal/core"
 
-// VantageConfig carries the parameters the paper uses for its comparison
-// (§VII-B): "an unmanaged region u = 10%, a maximum aperture A_max = 0.5
-// and slack = 0.1".
-type VantageConfig struct {
-	// Unmanaged is the unmanaged-region fraction u.
-	Unmanaged float64
-	// MaxAperture is A_max, the largest fraction of a partition's futility
-	// range that may be demoted.
-	MaxAperture float64
-	// Slack sets where the aperture saturates: A reaches A_max when a
-	// partition is (1+Slack)× its target.
-	Slack float64
-}
+// Vantage's parameters are the paper's (§VII-B): "an unmanaged region
+// u = 10%, a maximum aperture A_max = 0.5 and slack = 0.1".
+const (
+	// vantageUnmanagedPercent is u, in percent of the cache's lines.
+	vantageUnmanagedPercent = 10
+	// vantageMaxAperture is A_max, the largest fraction of a partition's
+	// futility range that may be demoted.
+	vantageMaxAperture = 0.5
+	// vantageSlack sets where the aperture saturates: A reaches A_max when
+	// a partition is (1+slack)× its target.
+	vantageSlack = 0.1
+)
 
-// DefaultVantageConfig returns the paper's configuration.
-func DefaultVantageConfig() VantageConfig {
-	return VantageConfig{Unmanaged: 0.10, MaxAperture: 0.5, Slack: 0.1}
+// VantageManagedLines is the capacity Vantage manages in a cache of lines
+// lines: all but the unmanaged region u. Vantage enforces u only through
+// its targets: the application partitions' targets must sum to this, and
+// the unmanaged pseudo-partition keeps the rest. fig7 and abl-resize size
+// them so; `fstables -scenario` and `fsim -scheme vantage` give the
+// application partitions every line, so u is not enforced there.
+func VantageManagedLines(lines int) int {
+	return lines * (100 - vantageUnmanagedPercent) / 100
 }
 
 // Vantage partitions the managed region of the cache by demoting lines of
@@ -31,34 +35,22 @@ func DefaultVantageConfig() VantageConfig {
 // R = 16), which is why Vantage cannot strictly guarantee sizes on a
 // 16-way cache (§VIII-A).
 //
-// The unmanaged region is modeled as a dedicated pseudo-partition; callers
-// construct the controller with parts = application partitions + 1 and pass
-// that extra index as unmanagedPart. Targets for the unmanaged partition
-// are ignored.
+// The unmanaged region is modeled as a dedicated pseudo-partition, the
+// last one: callers construct the controller with parts = application
+// partitions + 1. Targets for the unmanaged partition are ignored.
 type Vantage struct {
-	cfg                  VantageConfig
 	parts, unmanagedPart int
 	actual, targets      []int // the controller's, read-only
 	demoteBuf            []int
 }
 
-// NewVantage builds a Vantage scheme over parts total partitions where
-// unmanagedPart (usually parts−1) is the unmanaged pseudo-partition.
-func NewVantage(parts, unmanagedPart int, cfg VantageConfig) *Vantage {
+// NewVantage builds a Vantage scheme over parts total partitions, the last
+// of which is the unmanaged pseudo-partition.
+func NewVantage(parts int) *Vantage {
 	if parts < 2 {
 		panic("baselines: Vantage needs an application partition and the unmanaged one")
 	}
-	if unmanagedPart < 0 || unmanagedPart >= parts {
-		panic("baselines: unmanagedPart out of range")
-	}
-	if cfg.Unmanaged <= 0 || cfg.Unmanaged >= 1 || cfg.MaxAperture <= 0 || cfg.MaxAperture > 1 || cfg.Slack <= 0 {
-		panic("baselines: invalid VantageConfig")
-	}
-	return &Vantage{
-		cfg:           cfg,
-		parts:         parts,
-		unmanagedPart: unmanagedPart,
-	}
+	return &Vantage{parts: parts, unmanagedPart: parts - 1}
 }
 
 // Bind implements core.Scheme.
@@ -73,16 +65,16 @@ func (v *Vantage) aperture(part int) float64 {
 	if t <= 0 {
 		// Partitions with no allocation demote everything above nothing:
 		// treat as fully open so they cannot squat in the managed region.
-		return v.cfg.MaxAperture
+		return vantageMaxAperture
 	}
-	over := float64(v.actual[part]-t) / (v.cfg.Slack * float64(t))
+	over := float64(v.actual[part]-t) / (vantageSlack * float64(t))
 	if over <= 0 {
 		return 0
 	}
 	if over >= 1 {
-		return v.cfg.MaxAperture
+		return vantageMaxAperture
 	}
-	return v.cfg.MaxAperture * over
+	return vantageMaxAperture * over
 }
 
 // Decide implements core.Scheme.

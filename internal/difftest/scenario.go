@@ -496,7 +496,7 @@ func buildFast(s *Scenario, wrap func(futility.Ranker) futility.Ranker) (*core.C
 		cfg.Scheme = fs
 		av = fs
 	case oracle.Vantage:
-		cfg.Scheme = baselines.NewVantage(parts, s.Parts, baselines.DefaultVantageConfig())
+		cfg.Scheme = baselines.NewVantage(parts)
 	default:
 		fb = core.NewFSFeedback(parts, core.FSFeedbackConfig{
 			Interval: s.Interval(),
@@ -523,8 +523,8 @@ func buildOracle(s *Scenario) *oracle.Cache {
 	case oracle.Fixed:
 		cfg.Alphas = s.Alphas()
 	case oracle.Vantage:
-		// The oracle's Vantage defaults are the paper's configuration,
-		// identical to baselines.DefaultVantageConfig.
+		// The oracle's Vantage parameters are its own constants, the
+		// paper's configuration, as baselines.Vantage's are.
 	default:
 		cfg.Interval = s.Interval()
 		cfg.Delta = s.Delta()

@@ -70,8 +70,8 @@ func TestParallelDeterminismReusedBuffers(t *testing.T) {
 			traces := make([]*trace.Trace, len(benches))
 			for th, bench := range benches {
 				gen := profileGenerator(scale, bench, seedStream(scale.Seed, "bufdet"+bench), th)
-				l1 := sim.NewL1(scale.L1Lines, 4)
-				traces[th] = sim.BuildL2Trace(gen, l1, scale.TraceLen, 0)
+				l1 := sim.NewL1(scale.L1Lines)
+				traces[th] = sim.BuildL2Trace(gen, l1, scale.TraceLen)
 			}
 			b := Build(CacheSpec{
 				Lines:  scale.PartLines * len(benches),
@@ -86,7 +86,7 @@ func TestParallelDeterminismReusedBuffers(t *testing.T) {
 				targets[th] = scale.PartLines
 			}
 			b.SetTargets(targets)
-			results := sim.NewMulticore(b.Cache, sim.DefaultTiming(), traces).Run()
+			results := sim.NewMulticore(b.Cache, traces).Run()
 			var sb strings.Builder
 			fmt.Fprintf(&sb, "%s:", arr)
 			for th, r := range results {

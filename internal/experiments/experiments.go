@@ -242,12 +242,12 @@ func Build(spec CacheSpec) *Built {
 	case SchemePF, SchemeFullAssoc:
 		scheme = baselines.NewPF(parts)
 	case SchemePriSM:
-		p := baselines.NewPriSM(parts, baselines.DefaultPriSMWindow, xrand.Mix64(spec.Seed^0xbeef))
+		p := baselines.NewPriSM(parts, xrand.Mix64(spec.Seed^0xbeef))
 		b.PriSM = p
 		scheme = p
 	case SchemeVantage:
 		total = parts + 1
-		v := baselines.NewVantage(total, parts, baselines.DefaultVantageConfig())
+		v := baselines.NewVantage(total)
 		b.Vantage = v
 		scheme = v
 	case SchemeCQVP:

@@ -44,8 +44,8 @@ func runFig2Cell(scale Scale, bench string, n int, rank futility.Kind) Fig2Row {
 	traces := make([]*trace.Trace, n)
 	for t := 0; t < n; t++ {
 		gen := profileGenerator(scale, bench, scale.Seed, t)
-		l1 := sim.NewL1(scale.L1Lines, 4)
-		traces[t] = sim.BuildL2Trace(gen, l1, scale.TraceLen, 0)
+		l1 := sim.NewL1(scale.L1Lines)
+		traces[t] = sim.BuildL2Trace(gen, l1, scale.TraceLen)
 		if rank == futility.OPT {
 			traces[t].ComputeNextUse()
 		}
@@ -63,7 +63,7 @@ func runFig2Cell(scale Scale, bench string, n int, rank futility.Kind) Fig2Row {
 		targets[i] = scale.PartLines
 	}
 	b.SetTargets(targets)
-	results := sim.NewMulticore(b.Cache, sim.DefaultTiming(), traces).Run()
+	results := sim.NewMulticore(b.Cache, traces).Run()
 	st := b.Cache.Stats(0)
 	return Fig2Row{
 		Bench:  bench,

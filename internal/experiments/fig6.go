@@ -52,8 +52,8 @@ func Fig6(scale Scale) Fig6Result {
 		for _, bench := range Fig6Benches {
 			// One L2 trace per benchmark and ranking (shared across sizes).
 			gen := profileGenerator(scale, bench, seedStream(scale.Seed, "fig6"+bench), 0)
-			l1 := sim.NewL1(scale.L1Lines, 4)
-			tr := sim.BuildL2Trace(gen, l1, scale.TraceLen, 0)
+			l1 := sim.NewL1(scale.L1Lines)
+			tr := sim.BuildL2Trace(gen, l1, scale.TraceLen)
 			if rank == futility.OPT {
 				tr.ComputeNextUse()
 			}
@@ -80,7 +80,7 @@ func runFig6Cell(scale Scale, tr *trace.Trace, lines int, arr ArrayKind, rank fu
 		Seed:   seedStream(scale.Seed, "fig6cell"+string(arr)),
 	})
 	b.SetTargets([]int{lines})
-	results := sim.NewMulticore(b.Cache, sim.DefaultTiming(), []*trace.Trace{tr}).Run()
+	results := sim.NewMulticore(b.Cache, []*trace.Trace{tr}).Run()
 	return results[0].IPC()
 }
 

@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"fscache/internal/alloc"
+	"fscache/internal/baselines"
 	"fscache/internal/futility"
 	"fscache/internal/sim"
 	"fscache/internal/stats"
@@ -105,8 +106,8 @@ func fig7Traces(scale Scale, nSubj int, rank futility.Kind) []*trace.Trace {
 			bench = "gromacs"
 		}
 		gen := profileGenerator(scale, bench, seedStream(scale.Seed, "fig7"), t)
-		l1 := sim.NewL1(scale.L1Lines, 4)
-		traces[t] = sim.BuildL2Trace(gen, l1, scale.TraceLen, 0)
+		l1 := sim.NewL1(scale.L1Lines)
+		traces[t] = sim.BuildL2Trace(gen, l1, scale.TraceLen)
 		if rank == futility.OPT {
 			traces[t].ComputeNextUse()
 		}
@@ -120,7 +121,7 @@ func runFig7Cell(scale Scale, scheme SchemeName, rank futility.Kind, nSubj int, 
 	// capacity the scheme manages: Vantage only manages (1−u) of the cache.
 	managed := scale.L2Lines
 	if scheme == SchemeVantage {
-		managed = scale.L2Lines * 9 / 10
+		managed = baselines.VantageManagedLines(scale.L2Lines)
 		if nSubj*scale.SubjectLines > managed {
 			row.Skipped = true
 			return row
@@ -141,7 +142,7 @@ func runFig7Cell(scale Scale, scheme SchemeName, rank futility.Kind, nSubj int, 
 	})
 	b.SetTargets(targets)
 
-	m := sim.NewMulticore(b.Cache, sim.DefaultTiming(), traces)
+	m := sim.NewMulticore(b.Cache, traces)
 	m.SetWarmup(0.3) // exclude the cold fill, as the paper's long runs do
 	results := m.Run()
 

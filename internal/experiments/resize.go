@@ -4,6 +4,7 @@ import (
 	"io"
 	"strconv"
 
+	"fscache/internal/baselines"
 	"fscache/internal/futility"
 )
 
@@ -45,10 +46,11 @@ func Resize(scale Scale) ResizeResult {
 
 func runResizeCase(scale Scale, scheme SchemeName) ResizeRow {
 	lines := scale.AnalyticLines
-	// Vantage manages 90%; give it proportional targets.
+	// Vantage manages all but its unmanaged region; give it proportional
+	// targets.
 	cap := lines
 	if scheme == SchemeVantage {
-		cap = lines * 9 / 10
+		cap = baselines.VantageManagedLines(lines)
 	}
 	after := splitTargets(cap, 0.75)
 	b, d, _ := insertionCell{

@@ -210,7 +210,7 @@ func newReranker(cache *core.Cache, fs *core.FSFeedback, limit int) *reranker {
 		limit:   uint64(limit),
 		rows:    [3]Counterfactual{{Scheme: "fs"}, {Scheme: "pf"}, {Scheme: "vantage"}},
 		pf:      baselines.NewPF(parts),
-		vantage: baselines.NewVantage(parts+1, parts, baselines.DefaultVantageConfig()),
+		vantage: baselines.NewVantage(parts + 1),
 		actual:  make([]int, parts+1),
 		targets: make([]int, parts+1),
 	}

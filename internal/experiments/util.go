@@ -49,7 +49,7 @@ func Util(scale Scale) UtilResult {
 	traces := make([]*trace.Trace, parts)
 	for t, bench := range UtilBenches {
 		gen := profileGenerator(scale, bench, seedStream(scale.Seed, "util"), t)
-		traces[t] = sim.BuildL2Trace(gen, sim.NewL1(scale.L1Lines, 4), scale.TraceLen, 0)
+		traces[t] = sim.BuildL2Trace(gen, sim.NewL1(scale.L1Lines), scale.TraceLen)
 	}
 
 	equal := make([]int, parts)
@@ -145,7 +145,7 @@ func runUtilCase(scale Scale, stack string, scheme SchemeName, targets []int, tr
 		Seed:   seedStream(scale.Seed, "util"+stack),
 	})
 	b.SetTargets(targets)
-	results := sim.NewMulticore(b.Cache, sim.DefaultTiming(), traces).Run()
+	results := sim.NewMulticore(b.Cache, traces).Run()
 	row := UtilRow{Stack: stack, Targets: targets}
 	for _, r := range results {
 		row.IPCs = append(row.IPCs, r.IPC())

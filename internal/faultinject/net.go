@@ -33,19 +33,15 @@ type NetFaults struct {
 	// (the length prefix), turning the stream into garbage the peer must
 	// reject without over-allocating.
 	CorruptLen float64
-	// Reorder holds the frame back and delivers it after the next one,
-	// exercising pipelined clients' sequence matching.
-	Reorder float64
 	// StallRead sleeps Stall before delivering read bytes: a slow or
 	// wedged peer, from this side's point of view.
 	StallRead float64
-	// Stall is the read-stall duration. Defaults to 5ms when StallRead is
-	// set and Stall is zero.
+	// Stall is the read-stall duration.
 	Stall time.Duration
 }
 
 func (f NetFaults) validate() {
-	for _, p := range []float64{f.Reset, f.TornWrite, f.CorruptLen, f.Reorder, f.StallRead} {
+	for _, p := range []float64{f.Reset, f.TornWrite, f.CorruptLen, f.StallRead} {
 		if p < 0 || p >= 1 {
 			panic("faultinject: net fault probabilities must be in [0, 1)")
 		}
@@ -64,21 +60,17 @@ type NetInjector struct {
 
 	next atomic.Uint64 // connection index for seed derivation
 
-	// Resets, Torn, Corrupted, Reordered and Stalls count injected
-	// faults across all wrapped connections.
+	// Resets, Torn, Corrupted and Stalls count injected faults across all
+	// wrapped connections.
 	Resets    atomic.Uint64
 	Torn      atomic.Uint64
 	Corrupted atomic.Uint64
-	Reordered atomic.Uint64
 	Stalls    atomic.Uint64
 }
 
 // NewNetInjector builds an injector; seed drives every fault decision.
 func NewNetInjector(seed uint64, rates NetFaults) *NetInjector {
 	rates.validate()
-	if rates.StallRead > 0 && rates.Stall <= 0 {
-		rates.Stall = 5 * time.Millisecond
-	}
 	return &NetInjector{seed: seed, rates: rates}
 }
 
@@ -113,8 +105,8 @@ func (l *faultListener) Accept() (net.Conn, error) {
 
 // faultConn injects faults on the write path and stalls on the read path.
 // The net.Conn contract allows one concurrent Read and one concurrent
-// Write; each side has its own rng and the reorder slot is mutex-guarded,
-// so the wrapper adds no shared unsynchronized state.
+// Write; each side has its own mutex-guarded rng, so the wrapper adds no
+// shared unsynchronized state.
 type faultConn struct {
 	net.Conn
 	inj *NetInjector
@@ -126,8 +118,6 @@ type faultConn struct {
 	wmu sync.Mutex
 	//fs:guardedby wmu
 	wrng *xrand.Rand
-	//fs:guardedby wmu
-	held []byte // frame delayed by a reorder fault
 }
 
 func (c *faultConn) Read(b []byte) (int, error) {
@@ -173,41 +163,5 @@ func (c *faultConn) Write(b []byte) (int, error) {
 		frame[c.wrng.Intn(4)] ^= 1 << uint(c.wrng.Intn(8))
 	}
 
-	if rates.Reorder > 0 {
-		if c.held != nil {
-			// Deliver the new frame first, then the held one: the two
-			// frames swap places on the wire.
-			prev := c.held
-			c.held = nil
-			if n, err := c.Conn.Write(frame); err != nil {
-				return n, err
-			}
-			if _, err := c.Conn.Write(prev); err != nil {
-				return len(b), err
-			}
-			return len(b), nil
-		}
-		if c.wrng.Bool(rates.Reorder) {
-			c.inj.Reordered.Add(1)
-			c.held = append([]byte(nil), frame...)
-			return len(b), nil // claimed written; delivered out of order
-		}
-	}
-
-	n, err := c.Conn.Write(frame)
-	if n > len(b) {
-		n = len(b)
-	}
-	return n, err
-}
-
-// Close flushes a reorder-held frame (delayed, not lost) before closing.
-func (c *faultConn) Close() error {
-	c.wmu.Lock()
-	if c.held != nil {
-		_, _ = c.Conn.Write(c.held)
-		c.held = nil
-	}
-	c.wmu.Unlock()
-	return c.Conn.Close()
+	return c.Conn.Write(frame)
 }

@@ -60,7 +60,7 @@ func TestNetPassthrough(t *testing.T) {
 	if err := wrapped.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if ni.Resets.Load()+ni.Torn.Load()+ni.Corrupted.Load()+ni.Reordered.Load()+ni.Stalls.Load() != 0 {
+	if ni.Resets.Load()+ni.Torn.Load()+ni.Corrupted.Load()+ni.Stalls.Load() != 0 {
 		t.Fatal("zero-rate injector injected a fault")
 	}
 }
@@ -142,50 +142,6 @@ func TestNetCorruptLen(t *testing.T) {
 	}
 	if !bytes.Equal(got[4:], frame[4:]) {
 		t.Fatal("corruption leaked past the length prefix")
-	}
-}
-
-func TestNetReorder(t *testing.T) {
-	client, server := tcpPair(t)
-	ni := NewNetInjector(11, NetFaults{Reorder: 0.99})
-	wrapped := ni.WrapConn(client)
-
-	a, b := []byte("AAAA"), []byte("BBBB")
-	if n, err := wrapped.Write(a); err != nil || n != len(a) {
-		t.Fatalf("write a: %d, %v", n, err)
-	}
-	if ni.Reordered.Load() == 0 {
-		t.Fatal("first frame not held at p=0.99")
-	}
-	if n, err := wrapped.Write(b); err != nil || n != len(b) {
-		t.Fatalf("write b: %d, %v", n, err)
-	}
-	got := make([]byte, 8)
-	if _, err := io.ReadFull(server, got); err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if string(got) != "BBBBAAAA" {
-		t.Fatalf("wire order %q, want frames swapped", got)
-	}
-}
-
-func TestNetReorderFlushOnClose(t *testing.T) {
-	client, server := tcpPair(t)
-	ni := NewNetInjector(11, NetFaults{Reorder: 0.99})
-	wrapped := ni.WrapConn(client)
-
-	if _, err := wrapped.Write([]byte("held")); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if ni.Reordered.Load() == 0 {
-		t.Fatal("frame not held")
-	}
-	if err := wrapped.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	data, _ := io.ReadAll(server)
-	if string(data) != "held" {
-		t.Fatalf("held frame lost on close: %q", data)
 	}
 }
 

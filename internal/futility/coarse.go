@@ -125,6 +125,7 @@ func (c *CoarseTS) OnMove(from, to, part int) {
 //
 //fs:allocfree
 func (c *CoarseTS) Distance(line, part int) uint64 {
+	CountQuery()
 	return uint64(tsDist(c.current[part], c.ts[line]))
 }
 
@@ -137,6 +138,7 @@ func (c *CoarseTS) Distance(line, part int) uint64 {
 //
 //fs:allocfree
 func (c *CoarseTS) FutilityRaw(line, part int) (float64, uint64) {
+	CountQuery()
 	d := tsDist(c.current[part], c.ts[line])
 	c.observe(part, d)
 	if c.dirty[part] >= histRebuild {

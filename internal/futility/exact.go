@@ -90,6 +90,7 @@ func (r *ostRanker) OnMove(from, to, part int) {
 //
 //fs:allocfree
 func (r *ostRanker) FutilityRaw(line, part int) (float64, uint64) {
+	CountQuery()
 	if !r.present(line) {
 		panic("futility: Futility of untracked line")
 	}

@@ -111,6 +111,7 @@ func (r *ExactLRU) OnMove(from, to, part int) {
 //
 //fs:allocfree
 func (r *ExactLRU) FutilityRaw(line, part int) (float64, uint64) {
+	CountQuery()
 	s := r.slot[line]
 	if s == 0 {
 		panic("futility: Futility of untracked line")

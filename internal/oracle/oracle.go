@@ -131,12 +131,6 @@ type Config struct {
 	Delta float64
 	// AlphaMax caps feedback scaling factors (Feedback only; default 128).
 	AlphaMax float64
-	// VantageMaxAperture is A_max (Vantage only; default 0.5, the paper's
-	// §VII-B configuration).
-	VantageMaxAperture float64
-	// VantageSlack sets where the aperture saturates (Vantage only; default
-	// 0.1): A reaches A_max at (1+Slack)× target.
-	VantageSlack float64
 }
 
 // Result reports what one access did, mirroring core.AccessResult.
@@ -184,10 +178,8 @@ type Cache struct {
 	alphaMax float64
 
 	// Vantage state: the unmanaged pseudo-partition index (-1 for other
-	// schemes) and the aperture parameters.
-	unmanaged    int
-	vMaxAperture float64
-	vSlack       float64
+	// schemes).
+	unmanaged int
 
 	sizes   []int
 	targets []int
@@ -280,17 +272,6 @@ func New(cfg Config) *Cache {
 	}
 	if cfg.Scheme == Vantage {
 		o.unmanaged = cfg.Parts - 1
-		o.vMaxAperture = cfg.VantageMaxAperture
-		o.vSlack = cfg.VantageSlack
-		if o.vMaxAperture == 0 { //fslint:ignore style zero is the "unset" sentinel, never a computed value
-			o.vMaxAperture = 0.5
-		}
-		if o.vSlack == 0 { //fslint:ignore style zero is the "unset" sentinel, never a computed value
-			o.vSlack = 0.1
-		}
-		if o.vMaxAperture <= 0 || o.vMaxAperture > 1 || o.vSlack <= 0 {
-			panic("oracle: invalid Vantage configuration")
-		}
 	}
 	o.freer, _ = cfg.Array.(cachearray.Freer)
 	if ac, ok := cfg.Array.(cachearray.AllCandidates); ok {
@@ -510,23 +491,30 @@ func (o *Cache) choose(cands []int, insertPart int) int {
 	return cands[best]
 }
 
+// Vantage's aperture parameters, the paper's §VII-B configuration:
+// A_max = 0.5, reached at (1+slack)× target with slack = 0.1.
+const (
+	vantageMaxAperture = 0.5
+	vantageSlack       = 0.1
+)
+
 // aperture is Vantage's A_p for a managed partition: zero at or below
-// target, growing linearly to A_max at (1+Slack)× target; partitions with
+// target, growing linearly to A_max at (1+slack)× target; partitions with
 // no allocation are fully open. Transcribed from baselines.Vantage.aperture
 // with the identical float expressions.
 func (o *Cache) aperture(part int) float64 {
 	t := o.targets[part]
 	if t <= 0 {
-		return o.vMaxAperture
+		return vantageMaxAperture
 	}
-	over := float64(o.sizes[part]-t) / (o.vSlack * float64(t))
+	over := float64(o.sizes[part]-t) / (vantageSlack * float64(t))
 	if over <= 0 {
 		return 0
 	}
 	if over >= 1 {
-		return o.vMaxAperture
+		return vantageMaxAperture
 	}
-	return o.vMaxAperture * over
+	return vantageMaxAperture * over
 }
 
 // chooseVantage transcribes baselines.Vantage.Decide the slow way: all

@@ -99,7 +99,6 @@ func (c *Compiled) Targets(lines int, live []bool) []int {
 	if len(live) != len(c.Clients) {
 		panic("scenario: Targets live-mask length mismatch")
 	}
-	out := make([]int, len(c.Clients))
 	weights := make([]float64, len(c.Clients))
 	total := 0.0
 	for i, cl := range c.Clients {
@@ -109,10 +108,9 @@ func (c *Compiled) Targets(lines int, live []bool) []int {
 		}
 	}
 	if total <= 0 {
-		return out
+		return make([]int, len(c.Clients))
 	}
-	alloc.Apportion(lines, weights, out, make([]float64, len(weights)))
-	return out
+	return alloc.Apportion(lines, weights)
 }
 
 // InitialLive returns the live mask at access zero: clients whose first

@@ -8,11 +8,13 @@ package sim
 
 import "fscache/internal/trace"
 
-// L1 is a small private set-associative cache with true-LRU replacement,
-// used only as a filter: it turns a memory-reference stream into the L2
-// access stream. 32 KB, 4-way, 64 B lines by default (Table II).
+// l1Ways is the L1's associativity (Table II).
+const l1Ways = 4
+
+// L1 is a small private 4-way set-associative cache with true-LRU
+// replacement, used only as a filter: it turns a memory-reference stream
+// into the L2 access stream. Table II's L1 is 32 KB with 64 B lines.
 type L1 struct {
-	ways  int
 	sets  int
 	tags  []uint64
 	valid []bool
@@ -20,15 +22,14 @@ type L1 struct {
 	tick  uint64
 }
 
-// NewL1 builds an L1 with the given total lines and ways (both powers of
-// two, ways ≤ lines).
-func NewL1(lines, ways int) *L1 {
-	if lines <= 0 || lines&(lines-1) != 0 || ways <= 0 || ways&(ways-1) != 0 || ways > lines {
-		panic("sim: L1 lines/ways must be powers of two with ways <= lines")
+// NewL1 builds an L1 with the given total lines (a power of two, at least
+// the 4 ways).
+func NewL1(lines int) *L1 {
+	if lines < l1Ways || lines&(lines-1) != 0 {
+		panic("sim: L1 lines must be a power of two, at least the 4 ways")
 	}
 	return &L1{
-		ways:  ways,
-		sets:  lines / ways,
+		sets:  lines / l1Ways,
 		tags:  make([]uint64, lines),
 		valid: make([]bool, lines),
 		use:   make([]uint64, lines),
@@ -40,9 +41,9 @@ func NewL1(lines, ways int) *L1 {
 func (c *L1) Access(addr uint64) bool {
 	c.tick++
 	set := int(addr) & (c.sets - 1)
-	base := set * c.ways
+	base := set * l1Ways
 	lru, lruUse := base, c.use[base]
-	for w := 0; w < c.ways; w++ {
+	for w := 0; w < l1Ways; w++ {
 		i := base + w
 		if c.valid[i] && c.tags[i] == addr {
 			c.use[i] = c.tick
@@ -63,17 +64,14 @@ func (c *L1) Access(addr uint64) bool {
 // BuildL2Trace drives gen through a fresh L1 until n L2 accesses (L1
 // misses) are produced, and returns the L2 trace with gaps re-aggregated:
 // each L2 access's Gap counts all instructions (including L1-hit memory
-// references) since the previous L2 access. maxRefs bounds the number of
-// generator references consumed (0 means 1000×n) to guarantee termination
-// even for workloads the L1 absorbs entirely; fewer than n accesses may
-// then be returned.
-func BuildL2Trace(gen trace.Generator, l1 *L1, n int, maxRefs int) *trace.Trace {
+// references) since the previous L2 access. At most 1000×n generator
+// references are consumed, to guarantee termination even for workloads the
+// L1 absorbs entirely; fewer than n accesses may then be returned.
+func BuildL2Trace(gen trace.Generator, l1 *L1, n int) *trace.Trace {
 	if n <= 0 {
 		panic("sim: BuildL2Trace needs a positive access count")
 	}
-	if maxRefs <= 0 {
-		maxRefs = 1000 * n
-	}
+	maxRefs := 1000 * n
 	out := &trace.Trace{Accesses: make([]trace.Access, 0, n)}
 	var gap uint64
 	for refs := 0; refs < maxRefs && len(out.Accesses) < n; refs++ {

@@ -8,24 +8,15 @@ import (
 	"fscache/internal/trace"
 )
 
-// Timing carries the latency/bandwidth constants of Table II, in core
-// cycles at 2 GHz.
-type Timing struct {
-	// L2Hit is the L2 access latency (8 cycles).
-	L2Hit int
-	// L1ToL2 is the average NUCA L1-to-L2 network latency (4 cycles).
-	L1ToL2 int
-	// MemLatency is the zero-load memory latency (200 cycles).
-	MemLatency int
-	// MemCyclesPerLine is the memory-bandwidth occupancy of one 64 B line:
+// Table II's timing, in core cycles at 2 GHz.
+const (
+	l2Hit      = 8   // L2 access latency
+	l1ToL2     = 4   // average NUCA L1-to-L2 network latency
+	memLatency = 200 // zero-load memory latency
+	// memCyclesPerLine is the memory-bandwidth occupancy of one 64 B line:
 	// 32 GB/s at 2 GHz core clock moves 16 B/cycle → 4 cycles per line.
-	MemCyclesPerLine int
-}
-
-// DefaultTiming returns Table II's configuration.
-func DefaultTiming() Timing {
-	return Timing{L2Hit: 8, L1ToL2: 4, MemLatency: 200, MemCyclesPerLine: 4}
-}
+	memCyclesPerLine = 4
+)
 
 // ThreadResult reports one thread's first-pass execution.
 type ThreadResult struct {
@@ -65,7 +56,6 @@ func (r ThreadResult) MissRate() float64 {
 // methodology.
 type Multicore struct {
 	cache     *core.Cache
-	timing    Timing
 	traces    []*trace.Trace
 	results   []ThreadResult
 	warmFrac  float64
@@ -74,8 +64,8 @@ type Multicore struct {
 
 // NewMulticore builds a simulation of len(traces) threads; thread i maps to
 // partition i of cache. Each trace must be non-empty; NextUse is used when
-// present (OPT ranking).
-func NewMulticore(cache *core.Cache, timing Timing, traces []*trace.Trace) *Multicore {
+// present (OPT ranking). Latencies and memory bandwidth are Table II's.
+func NewMulticore(cache *core.Cache, traces []*trace.Trace) *Multicore {
 	if len(traces) == 0 {
 		panic("sim: no threads")
 	}
@@ -89,7 +79,6 @@ func NewMulticore(cache *core.Cache, timing Timing, traces []*trace.Trace) *Mult
 	}
 	return &Multicore{
 		cache:   cache,
-		timing:  timing,
 		traces:  traces,
 		results: make([]ThreadResult, len(traces)),
 	}
@@ -112,8 +101,8 @@ func (m *Multicore) SetWarmup(frac float64) {
 // wall-clock timeout, the bound is part of the seeded simulation — a run
 // that trips it trips at the same access on every machine — so it is the
 // right guard against livelock bugs (e.g. a thread mix that never lets a
-// first pass finish); fstables recovers the panic into a reported failure
-// and runs the rest of its sweep.
+// first pass finish). Only fsim's -maxsteps arms it: no fstables
+// experiment sets a step limit.
 func (m *Multicore) SetStepLimit(n uint64) { m.stepLimit = n }
 
 // threadState is the per-thread replay cursor.
@@ -185,21 +174,21 @@ func (m *Multicore) Run() []ThreadResult {
 		// Execute the gap instructions, then the access instruction.
 		ts.time += uint64(a.Gap) + 1
 		res := m.cache.Access(a.Addr, ts.id, nextUse)
-		lat := uint64(m.timing.L1ToL2 + m.timing.L2Hit)
+		lat := uint64(l1ToL2 + l2Hit)
 		if res.Hit {
 			ts.hits++
 		} else {
 			ts.misses++
 			// Bandwidth-limited memory channel: the fill occupies the
-			// channel for MemCyclesPerLine starting when both the request
+			// channel for memCyclesPerLine starting when both the request
 			// arrives and the channel is free.
 			reqAt := ts.time + lat
 			start := reqAt
 			if memFree > start {
 				start = memFree
 			}
-			memFree = start + uint64(m.timing.MemCyclesPerLine)
-			lat += (start - reqAt) + uint64(m.timing.MemLatency)
+			memFree = start + memCyclesPerLine
+			lat += (start - reqAt) + memLatency
 		}
 		ts.time += lat
 		if !ts.passDone {

@@ -16,18 +16,20 @@ import (
 )
 
 func TestL1Basic(t *testing.T) {
-	l1 := NewL1(8, 2) // 4 sets × 2 ways
+	l1 := NewL1(16) // 4 sets × 4 ways
 	if l1.Access(0) {
 		t.Fatal("cold access hit")
 	}
 	if !l1.Access(0) {
 		t.Fatal("second access missed")
 	}
-	// Fill set 0 (addresses ≡ 0 mod 4): 0, 4 occupy both ways; 8 evicts LRU
-	// (0 was touched more recently than 4? order: 0,0,4 → LRU is 4).
+	// Fill set 0 (addresses ≡ 0 mod 4): 0, 4, 8, 12 occupy its four ways;
+	// touching 0 again leaves 4 the LRU way, so 16 evicts it.
 	l1.Access(4)
+	l1.Access(8)
+	l1.Access(12)
 	l1.Access(0)
-	l1.Access(8) // evicts 4
+	l1.Access(16) // evicts 4
 	if !l1.Access(0) {
 		t.Fatal("0 was evicted, expected 4 to go")
 	}
@@ -37,7 +39,7 @@ func TestL1Basic(t *testing.T) {
 }
 
 func TestL1LRUOrder(t *testing.T) {
-	l1 := NewL1(16, 4) // 4 sets × 4 ways
+	l1 := NewL1(16) // 4 sets × 4 ways
 	// Same set: stride 4.
 	for _, a := range []uint64{0, 4, 8, 12} {
 		l1.Access(a)
@@ -55,10 +57,9 @@ func TestL1LRUOrder(t *testing.T) {
 
 func TestL1Validation(t *testing.T) {
 	for _, fn := range []func(){
-		func() { NewL1(0, 1) },
-		func() { NewL1(7, 1) },
-		func() { NewL1(8, 3) },
-		func() { NewL1(4, 8) },
+		func() { NewL1(0) },
+		func() { NewL1(7) },
+		func() { NewL1(2) }, // fewer lines than ways
 	} {
 		func() {
 			defer func() {
@@ -75,7 +76,7 @@ func TestL1Validation(t *testing.T) {
 // always hit, and the number of misses never exceeds the reference count.
 func TestQuickL1Filter(t *testing.T) {
 	f := func(raw []uint16) bool {
-		l1 := NewL1(64, 4)
+		l1 := NewL1(64)
 		misses := 0
 		for _, a := range raw {
 			if !l1.Access(uint64(a)) {
@@ -98,8 +99,8 @@ func TestBuildL2TraceFiltersHotLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := prof.NewGenerator(1, 0)
-	l1 := NewL1(512, 4)
-	tr := BuildL2Trace(gen, l1, 20000, 0)
+	l1 := NewL1(512)
+	tr := BuildL2Trace(gen, l1, 20000)
 	if tr.Len() != 20000 {
 		t.Fatalf("trace length %d", tr.Len())
 	}
@@ -116,13 +117,26 @@ func TestBuildL2TraceFiltersHotLines(t *testing.T) {
 	}
 }
 
+// countingGen counts the references drawn from the generator it wraps.
+type countingGen struct {
+	trace.Generator
+	refs int
+}
+
+func (g *countingGen) Next() trace.Access {
+	g.refs++
+	return g.Generator.Next()
+}
+
 func TestBuildL2TraceBoundedByMaxRefs(t *testing.T) {
 	// A generator the L1 fully absorbs: one address forever.
-	gen := trace.NewSliceGenerator([]trace.Access{{Addr: 42, Gap: 1}})
-	l1 := NewL1(512, 4)
-	tr := BuildL2Trace(gen, l1, 100, 5000)
+	gen := &countingGen{Generator: trace.NewSliceGenerator([]trace.Access{{Addr: 42, Gap: 1}})}
+	tr := BuildL2Trace(gen, NewL1(512), 100)
 	if tr.Len() != 1 { // only the compulsory miss
 		t.Fatalf("trace length %d, want 1", tr.Len())
+	}
+	if gen.refs != 1000*100 {
+		t.Fatalf("drew %d references, want the 1000×n bound %d", gen.refs, 1000*100)
 	}
 }
 
@@ -132,7 +146,7 @@ func TestBuildL2TraceValidation(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	BuildL2Trace(trace.NewSliceGenerator([]trace.Access{{}}), NewL1(8, 2), 0, 0)
+	BuildL2Trace(trace.NewSliceGenerator([]trace.Access{{}}), NewL1(8), 0)
 }
 
 func buildCache(parts, lines int) *core.Cache {
@@ -165,7 +179,7 @@ func TestMulticoreRunCompletes(t *testing.T) {
 		}
 		traces[i] = tr
 	}
-	m := NewMulticore(buildCache(threads, 4096), DefaultTiming(), traces)
+	m := NewMulticore(buildCache(threads, 4096), traces)
 	results := m.Run()
 	if len(results) != threads {
 		t.Fatalf("results length %d", len(results))
@@ -194,7 +208,7 @@ func TestMulticoreDeterminism(t *testing.T) {
 			}
 			traces[i] = tr
 		}
-		return NewMulticore(buildCache(2, 1024), DefaultTiming(), traces).Run()
+		return NewMulticore(buildCache(2, 1024), traces).Run()
 	}
 	a, b := mk(), mk()
 	for i := range a {
@@ -215,7 +229,7 @@ func TestMulticoreHitsBeatMisses(t *testing.T) {
 	for j := range streamT.Accesses {
 		streamT.Accesses[j] = trace.Access{Addr: 2<<40 | uint64(j), Gap: 5}
 	}
-	m := NewMulticore(buildCache(2, 2048), DefaultTiming(), []*trace.Trace{small, streamT})
+	m := NewMulticore(buildCache(2, 2048), []*trace.Trace{small, streamT})
 	res := m.Run()
 	if res[0].IPC() <= 2*res[1].IPC() {
 		t.Fatalf("resident thread IPC %v not well above streaming %v",
@@ -236,7 +250,7 @@ func TestMulticoreBandwidthContention(t *testing.T) {
 		}
 		return tr
 	}
-	solo := NewMulticore(buildCache(1, 1024), DefaultTiming(), []*trace.Trace{mkStream(0)}).Run()
+	solo := NewMulticore(buildCache(1, 1024), []*trace.Trace{mkStream(0)}).Run()
 	// An in-order thread issues one miss per ≈213 cycles, each occupying
 	// the channel for 4 cycles, so saturation needs >53 streaming threads.
 	const threads = 64
@@ -244,7 +258,7 @@ func TestMulticoreBandwidthContention(t *testing.T) {
 	for i := range many {
 		many[i] = mkStream(i)
 	}
-	crowd := NewMulticore(buildCache(threads, 1024), DefaultTiming(), many).Run()
+	crowd := NewMulticore(buildCache(threads, 1024), many).Run()
 	var worst uint64
 	for _, r := range crowd {
 		if r.Cycles > worst {
@@ -260,9 +274,9 @@ func TestMulticoreBandwidthContention(t *testing.T) {
 func TestMulticoreValidation(t *testing.T) {
 	c := buildCache(1, 1024)
 	for _, fn := range []func(){
-		func() { NewMulticore(c, DefaultTiming(), nil) },
-		func() { NewMulticore(c, DefaultTiming(), []*trace.Trace{{}, {}}) },
-		func() { NewMulticore(c, DefaultTiming(), []*trace.Trace{{}}) },
+		func() { NewMulticore(c, nil) },
+		func() { NewMulticore(c, []*trace.Trace{{}, {}}) },
+		func() { NewMulticore(c, []*trace.Trace{{}}) },
 	} {
 		func() {
 			defer func() {
@@ -300,7 +314,7 @@ func BenchmarkMulticoreAccess(b *testing.B) {
 		traces[i] = tr
 	}
 	b.ResetTimer()
-	NewMulticore(buildCache(8, 16384), DefaultTiming(), traces).Run()
+	NewMulticore(buildCache(8, 16384), traces).Run()
 }
 
 func TestWarmupExcludesColdFill(t *testing.T) {
@@ -310,8 +324,8 @@ func TestWarmupExcludesColdFill(t *testing.T) {
 	for j := range tr.Accesses {
 		tr.Accesses[j] = trace.Access{Addr: 1<<40 | uint64(j%2000), Gap: 1}
 	}
-	cold := NewMulticore(buildCache(1, 4096), DefaultTiming(), []*trace.Trace{tr}).Run()
-	warm := NewMulticore(buildCache(1, 4096), DefaultTiming(), []*trace.Trace{tr})
+	cold := NewMulticore(buildCache(1, 4096), []*trace.Trace{tr}).Run()
+	warm := NewMulticore(buildCache(1, 4096), []*trace.Trace{tr})
 	warm.SetWarmup(0.5)
 	res := warm.Run()
 	if cold[0].MissRate() < 0.45 {
@@ -331,7 +345,7 @@ func TestWarmupExcludesColdFill(t *testing.T) {
 }
 
 func TestWarmupValidation(t *testing.T) {
-	m := NewMulticore(buildCache(1, 64), DefaultTiming(),
+	m := NewMulticore(buildCache(1, 64),
 		[]*trace.Trace{{Accesses: []trace.Access{{Addr: 1}}}})
 	for _, f := range []float64{-0.1, 0.95} {
 		func() {
@@ -352,7 +366,7 @@ func TestStepLimitTripsDeterministically(t *testing.T) {
 		for j := range tr.Accesses {
 			tr.Accesses[j] = trace.Access{Addr: rng.Uint64() % 512, Gap: rng.Uint32() % 8}
 		}
-		m := NewMulticore(buildCache(1, 1024), DefaultTiming(), []*trace.Trace{tr})
+		m := NewMulticore(buildCache(1, 1024), []*trace.Trace{tr})
 		m.SetStepLimit(limit)
 		defer func() {
 			if r := recover(); r != nil {
