@@ -124,6 +124,12 @@ type SetAssoc struct {
 	valid   lineBits
 	kind    IndexKind
 	h3      *hashing.H3
+
+	// lastAddr and lastSet memoize set for the address indexed last, so
+	// that Candidates and Install reuse Lookup's hash. The zero value is
+	// right: both indexes map address 0 to set 0 (H3 is linear).
+	lastAddr uint64
+	lastSet  int
 }
 
 // NewSetAssoc builds an array of lines = sets×ways lines. lines and ways
@@ -168,7 +174,16 @@ func newSetAssoc(lines, ways int, kind IndexKind) *SetAssoc {
 // Lines implements Array.
 func (a *SetAssoc) Lines() int { return a.sets * a.ways }
 
+// set returns addr's set, hashing only when addr is not the address indexed
+// last.
 func (a *SetAssoc) set(addr uint64) int {
+	if addr != a.lastAddr {
+		a.lastAddr, a.lastSet = addr, a.index(addr)
+	}
+	return a.lastSet
+}
+
+func (a *SetAssoc) index(addr uint64) int {
 	if a.kind == IndexH3 {
 		hashing.CountH3()
 		return int(a.h3.Hash(addr)) & (a.sets - 1) // a no-op unless h3 is shared

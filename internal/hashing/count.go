@@ -3,6 +3,7 @@
 package hashing
 
 // CountH3 counts one H3 evaluation in the fscount build (count_fscount.go);
-// here it inlines to nothing. Callers count where they evaluate: inside
-// H3.Hash the call would push it past the inlining budget.
+// here it inlines to nothing. Family.Sum counts its own table pass; H3.Hash's
+// callers count where they evaluate, since inside it the call would push it
+// past the inlining budget.
 func CountH3() {}
