@@ -21,7 +21,7 @@ type Config struct {
 	// Ranker doubles as the reference unless Unmeasured is set.
 	Reference futility.Ranker
 	// Unmeasured builds a cache that records no eviction futility: no reference
-	// is kept or queried, PartStats.EvictFutility stays empty and
+	// is kept or queried, PartStats.EvictFutility is nil (an empty histogram) and
 	// AccessResult.EvictedFutility is 0; decisions never read the reference, so
 	// every other outcome is unchanged. It excludes Reference (New panics).
 	// internal/shardcache sets it on the lock domains it does not sample.
@@ -45,7 +45,8 @@ type PartStats struct {
 	Demotions   uint64
 	ForcedEvict uint64
 	// EvictFutility is the associativity distribution: the reference
-	// futility of every line evicted from this partition.
+	// futility of every line evicted from this partition. It is nil, which
+	// reads as empty, on an unmeasured cache (Config.Unmeasured).
 	EvictFutility *stats.Histogram
 	// occupancySum is the partition's size summed over the first
 	// occSampled accesses. It is brought up to date only when the size is
@@ -204,9 +205,7 @@ func New(cfg Config) *Cache {
 	for i := range c.meta {
 		c.meta[i] = noLine
 	}
-	for i := range c.pstats {
-		c.pstats[i].EvictFutility = stats.NewHistogram(histBuckets)
-	}
+	c.resetPartStats()
 	c.freer, _ = cfg.Array.(cachearray.Freer)
 	if ac, ok := cfg.Array.(cachearray.AllCandidates); ok {
 		c.allCands = ac.AllLinesAreCandidates()
@@ -272,10 +271,20 @@ func (c *Cache) MeanOccupancy(part int) float64 {
 // touching cache contents. Experiments call it after warmup so reported
 // distributions exclude the fill phase.
 func (c *Cache) ResetStats() {
-	for i := range c.pstats {
-		c.pstats[i] = PartStats{EvictFutility: stats.NewHistogram(histBuckets)}
-	}
+	c.resetPartStats()
 	c.accesses = 0
+}
+
+// resetPartStats zeroes every partition's statistics, with an empty
+// eviction-futility histogram where the cache measures one: an unmeasured
+// cache allocates none (a nil Histogram reads as empty).
+func (c *Cache) resetPartStats() {
+	for i := range c.pstats {
+		c.pstats[i] = PartStats{}
+		if !c.unmeasured {
+			c.pstats[i].EvictFutility = stats.NewHistogram(histBuckets)
+		}
+	}
 }
 
 // CandidateFilter reshapes the candidate list a scheme sees on the

@@ -75,8 +75,8 @@ func (c *Cache) CheckInvariants() error {
 		}
 		switch {
 		case c.unmeasured:
-			if n := c.pstats[p].EvictFutility.N(); n != 0 {
-				return fmt.Errorf("core: unmeasured cache recorded %d eviction futilities in partition %d", n, p)
+			if h := c.pstats[p].EvictFutility; h != nil {
+				return fmt.Errorf("core: unmeasured cache keeps an eviction-futility histogram of %d samples in partition %d", h.N(), p)
 			}
 		case c.ref != nil:
 			if got := c.ref.Size(p); got != ownerCounts[p] {

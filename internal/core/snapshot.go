@@ -77,7 +77,11 @@ func (s *Snapshot) Merge(other Snapshot) {
 		a.Target += b.Target
 		a.OccupancySum += b.OccupancySum
 		a.MeanOccupancy += b.MeanOccupancy
-		a.EvictFutility.Merge(b.EvictFutility)
+		if a.EvictFutility == nil {
+			a.EvictFutility = b.EvictFutility.Clone()
+		} else {
+			a.EvictFutility.Merge(b.EvictFutility)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"fscache/internal/cachearray"
 	"fscache/internal/futility"
+	"fscache/internal/stats"
 	"fscache/internal/trace"
 	"fscache/internal/xrand"
 )
@@ -12,7 +13,7 @@ import (
 // An unmeasured cache is the measured one minus the measurement: on one
 // stream the two return the same result for every access but for
 // EvictedFutility, and end in the same snapshot but for the eviction-futility
-// histograms, which the unmeasured cache leaves empty. Run once where the
+// histograms, which the unmeasured cache does not allocate. Run once where the
 // measured cache keeps a separate reference (the engine's coarse stripes) and
 // once where its decision ranker doubles as reference.
 func TestUnmeasuredDecidesLikeMeasured(t *testing.T) {
@@ -72,8 +73,8 @@ func TestUnmeasuredDecidesLikeMeasured(t *testing.T) {
 		}
 		ms, us := measured.StatsSnapshot(), unmeasured.StatsSnapshot()
 		for p := range us.Parts {
-			if n := us.Parts[p].EvictFutility.N(); n != 0 {
-				t.Errorf("%s: partition %d: unmeasured cache recorded %d eviction futilities", tc.name, p, n)
+			if h := us.Parts[p].EvictFutility; h != nil {
+				t.Errorf("%s: partition %d: unmeasured cache keeps a histogram of %d eviction futilities", tc.name, p, h.N())
 			}
 			if n := ms.Parts[p].EvictFutility.N(); n != ms.Parts[p].Evictions {
 				t.Errorf("%s: partition %d: measured cache recorded %d futilities for %d evictions", tc.name, p, n, ms.Parts[p].Evictions)
@@ -151,7 +152,10 @@ func TestCheckInvariantsDetects(t *testing.T) {
 			l := resident(c)
 			c.ref.OnEvict(l, c.ownerOf(l))
 		}},
-		{"futility recorded on an unmeasured cache", true, func(c *Cache) { c.pstats[1].EvictFutility.Add(0.5) }},
+		{"futility recorded on an unmeasured cache", true, func(c *Cache) {
+			c.pstats[1].EvictFutility = stats.NewHistogram(histBuckets)
+			c.pstats[1].EvictFutility.Add(0.5)
+		}},
 	} {
 		c := build(tc.unmeasured)
 		tc.damage(c)

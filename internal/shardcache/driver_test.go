@@ -154,8 +154,8 @@ func RunDeterministic(e *Engine, sched *Schedule) {
 }
 
 // StripeSnapshots returns each stripe's measurement state in stripe index
-// order. An unmeasured stripe (see Snapshot) has empty EvictFutility
-// histograms.
+// order. An unmeasured stripe (see Snapshot) has nil, so empty,
+// EvictFutility histograms.
 func (e *Engine) StripeSnapshots() []core.Snapshot {
 	out := make([]core.Snapshot, len(e.stripes))
 	for g, st := range e.stripes {

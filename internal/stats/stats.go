@@ -13,6 +13,10 @@ import (
 // It is the representation of the paper's "associativity distribution": the
 // probability distribution of evicted lines' futility. A sample of exactly
 // 1.0 lands in the last bucket.
+//
+// A nil *Histogram is empty to N, Mean, Sum, Counts and Clone, and merges as
+// nothing, so a recorder that never samples (an unmeasured cache) need not
+// allocate one.
 type Histogram struct {
 	counts []uint64
 	total  uint64
@@ -46,12 +50,17 @@ func (h *Histogram) Add(x float64) {
 }
 
 // N returns the number of samples recorded.
-func (h *Histogram) N() uint64 { return h.total }
+func (h *Histogram) N() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.total
+}
 
 // Mean returns the exact sample mean (not bucket-quantized). For an
 // eviction-futility histogram this is the AEF.
 func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
+	if h.N() == 0 {
 		return 0
 	}
 	return h.sum / float64(h.total)
@@ -111,6 +120,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 // and the clones are merged outside any lock (internal/shardcache does this
 // for per-stripe eviction-futility histograms).
 func (h *Histogram) Merge(other *Histogram) {
+	if other == nil {
+		return
+	}
 	if len(h.counts) != len(other.counts) {
 		panic("stats: merging histograms of different widths")
 	}
@@ -123,6 +135,9 @@ func (h *Histogram) Merge(other *Histogram) {
 
 // Clone returns an independent deep copy of h.
 func (h *Histogram) Clone() *Histogram {
+	if h == nil {
+		return nil
+	}
 	return &Histogram{
 		counts: append([]uint64(nil), h.counts...),
 		total:  h.total,
@@ -132,11 +147,19 @@ func (h *Histogram) Clone() *Histogram {
 
 // Counts returns a copy of the per-bucket counts.
 func (h *Histogram) Counts() []uint64 {
+	if h == nil {
+		return nil
+	}
 	return append([]uint64(nil), h.counts...)
 }
 
 // Sum returns the exact (not bucket-quantized) sum of recorded samples.
-func (h *Histogram) Sum() float64 { return h.sum }
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	return h.sum
+}
 
 // IntDist accumulates integer samples (e.g. size deviation in lines) and
 // reports moments and the CDF of values. Memory is proportional to the

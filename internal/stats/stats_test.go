@@ -273,6 +273,21 @@ func TestHistogramMergeEmpty(t *testing.T) {
 	}
 }
 
+// A nil histogram is the empty one to every reader an unmeasured cache's
+// statistics reach, and merging it changes nothing.
+func TestHistogramNilIsEmpty(t *testing.T) {
+	var h *Histogram
+	if h.N() != 0 || h.Mean() != 0 || h.Sum() != 0 || h.Counts() != nil || h.Clone() != nil {
+		t.Fatalf("nil histogram: N %d, Mean %v, Sum %v, Counts %v, Clone %v", h.N(), h.Mean(), h.Sum(), h.Counts(), h.Clone())
+	}
+	dst := NewHistogram(4)
+	dst.Add(0.3)
+	dst.Merge(h)
+	if dst.N() != 1 || dst.Sum() != 0.3 {
+		t.Fatalf("merging nil: N %d, Sum %v", dst.N(), dst.Sum())
+	}
+}
+
 // TestHistogramMergeDoesNotAliasSource verifies Merge copies counts rather
 // than retaining a reference: mutating the source afterwards must not leak
 // into the destination.
