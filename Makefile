@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint check fmt fuzz smoke scenarios alloc bench cover soak load serve netsoak loc
+.PHONY: build test race lint check fmt fuzz counted smoke scenarios alloc bench cover soak load serve netsoak loc
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,12 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzH3 -fuzztime=10s ./internal/hashing
 	$(GO) test -run='^$$' -fuzz=FuzzIndex -fuzztime=10s -fuzzminimizetime=20x ./internal/recency
 	$(GO) test -run='^$$' -fuzz=FuzzProfiler -fuzztime=10s -fuzzminimizetime=20x ./internal/alloc
+
+# Counted work: the fscount build counts stripe-lock acquisitions, H3
+# evaluations, ranker queries and recency compaction work, and every package's
+# TestCounted pins them per operation. This is the one list CI runs.
+counted:
+	$(GO) test -tags fscount -run Counted ./internal/...
 
 # End-to-end smoke: the full quick-scale sweep must exit 0.
 smoke:
