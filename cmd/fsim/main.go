@@ -107,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	b := experiments.Build(spec)
-	b.SetTargets(tg)
+	tg = b.SetCacheTargets(tg)
 
 	mc := sim.NewMulticore(b.Cache, traces)
 	mc.SetStepLimit(*maxsteps)

@@ -19,8 +19,8 @@ const (
 // lines: all but the unmanaged region u. Vantage enforces u only through
 // its targets: the application partitions' targets must sum to this, and
 // the unmanaged pseudo-partition keeps the rest. fig7 and abl-resize size
-// them so; `fstables -scenario` and `fsim -scheme vantage` give the
-// application partitions every line, so u is not enforced there.
+// them from it, and `fstables -scenario` and `fsim -scheme vantage` scale
+// their targets into it (experiments.Built.SetCacheTargets).
 func VantageManagedLines(lines int) int {
 	return lines * (100 - vantageUnmanagedPercent) / 100
 }

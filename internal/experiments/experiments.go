@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sync"
 
+	"fscache/internal/alloc"
 	"fscache/internal/analytic"
 	"fscache/internal/baselines"
 	"fscache/internal/cachearray"
@@ -167,6 +168,27 @@ func (b *Built) SetTargets(appTargets []int) {
 	t := make([]int, b.Cache.Parts())
 	copy(t, appTargets)
 	b.Cache.SetTargets(t)
+}
+
+// SetCacheTargets installs targets that share the whole cache among the
+// application partitions and returns the targets it installed. Vantage
+// manages only baselines.VantageManagedLines of a cache, leaving the rest to
+// its unmanaged region, so under Vantage the targets are first scaled by
+// largest remainder to that share of their sum; any other scheme gets them
+// as they are.
+func (b *Built) SetCacheTargets(targets []int) []int {
+	if b.Vantage != nil {
+		total, weights := 0, make([]float64, len(targets))
+		for i, t := range targets {
+			total += t
+			weights[i] = float64(t)
+		}
+		if total > 0 {
+			targets = alloc.Apportion(baselines.VantageManagedLines(total), weights)
+		}
+	}
+	b.SetTargets(targets)
+	return targets
 }
 
 // Check returns what Build panics on: an unknown scheme or array, or a line

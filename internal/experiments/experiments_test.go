@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"fscache/internal/baselines"
 	"fscache/internal/futility"
 	"fscache/internal/trace"
 	"fscache/internal/workload"
@@ -684,5 +686,30 @@ func TestAblationWay(t *testing.T) {
 	res.Print(&buf)
 	if !strings.Contains(buf.String(), "way-AEF") {
 		t.Error("print missing header")
+	}
+}
+
+// SetCacheTargets leaves Vantage's unmanaged region u out of targets that
+// share the cache, in proportion, and hands any other scheme its targets as
+// they are.
+func TestSetCacheTargets(t *testing.T) {
+	const lines = 4096
+	build := func(scheme SchemeName) *Built {
+		return Build(CacheSpec{Lines: lines, Array: Array16Way, Rank: futility.CoarseLRU, Scheme: scheme, Parts: 3, Seed: 1})
+	}
+	targets := []int{2048, 1366, 682}
+	if got := build(SchemeFS).SetCacheTargets(targets); fmt.Sprint(got) != fmt.Sprint(targets) {
+		t.Fatalf("fs: installed %v, want %v", got, targets)
+	}
+	b := build(SchemeVantage)
+	got := b.SetCacheTargets(targets)
+	if want := []int{1843, 1229, 614}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("vantage: installed %v, want %v", got, want)
+	}
+	if sum := got[0] + got[1] + got[2]; sum != baselines.VantageManagedLines(lines) {
+		t.Fatalf("vantage: targets sum to %d, managed lines %d", sum, baselines.VantageManagedLines(lines))
+	}
+	if unmanaged := b.Cache.Targets()[3]; unmanaged != 0 {
+		t.Fatalf("vantage: unmanaged pseudo-partition's target %d, want 0", unmanaged)
 	}
 }

@@ -281,7 +281,7 @@ func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, o
 	} else {
 		targets = a.Targets()
 	}
-	b.SetTargets(targets)
+	targets = b.SetCacheTargets(targets)
 
 	// A re-ranked run carries an observer from its first access, though it
 	// re-ranks only from warmAt: Candidate.Futility values come from the
@@ -299,8 +299,7 @@ func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, o
 	for stream.Next(&op) {
 		if op.Kind == scenario.OpChurn {
 			if a == nil {
-				targets = op.Targets
-				b.SetTargets(targets)
+				targets = b.SetCacheTargets(op.Targets)
 			}
 			continue
 		}
@@ -315,8 +314,7 @@ func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, o
 		if a != nil {
 			a.Observe(op.Part, op.Access.Addr)
 			if tg, ok := a.PollTargets(uint64(emitted)); ok {
-				targets = tg
-				b.SetTargets(targets)
+				targets = b.SetCacheTargets(tg)
 			}
 		}
 		if emitted > warmAt && emitted%64 == 0 {
