@@ -37,13 +37,13 @@ func runProfilerScript(t testing.TB, data []byte) (wrapShifts int) {
 			keys = append(keys, a)
 		}
 	}
-	was := make([]int, maxTags) // each tag's table position before the step
+	was := make([]int32, maxTags) // each tag's table position before the step
 	for step, b := range data[1:] {
 		for tag := range was {
 			was[tag] = -1
 		}
-		for pos, e := range p.table {
-			if e != 0 {
+		for pos := range int32(p.table.Len()) {
+			if e := p.table.At(pos); e != 0 {
 				was[e-1] = pos
 			}
 		}
@@ -63,8 +63,8 @@ func runProfilerScript(t testing.TB, data []byte) (wrapShifts int) {
 		}
 		// Every other entry stays put or moves back toward its home: one that
 		// went up in position was shifted back the long way round.
-		for pos, e := range p.table {
-			if e != 0 && e-1 != reused && was[e-1] >= 0 && pos > was[e-1] {
+		for pos := range int32(p.table.Len()) {
+			if e := p.table.At(pos); e != 0 && e-1 != reused && was[e-1] >= 0 && pos > was[e-1] {
 				wrapShifts++
 			}
 		}

@@ -82,8 +82,39 @@ func TestPredictsFullyAssociativeLRU(t *testing.T) {
 
 	p := NewProfiler(1<<16, 0, 8)
 	walk(p, tr)
+	predictsLRU(t, p, tr, 64, 256, 1024)
+}
 
-	for _, lines := range []int{64, 256, 1024} {
+// The same property past 16 bits: 2^17 tags over 90,000 addresses, so the
+// tags, their table entries and their slots all pass 2^16 and every id table
+// has a high half, against fully-associative LRU caches whose exact ranker's
+// slots pass 2^16 too.
+func TestPredictsFullyAssociativeLRUPast16Bits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fills a 2^17-tag profiler and three caches of up to 80,000 lines")
+	}
+	const addrs, refs = 90000, 360000
+	rng := xrand.New(0x16b175)
+	tr := &trace.Trace{Accesses: make([]trace.Access, refs)}
+	for i := range tr.Accesses {
+		tr.Accesses[i].Addr = xrand.Mix64(uint64(rng.Intn(addrs)))
+	}
+	p := NewProfiler(1<<17, 0, 8)
+	walk(p, tr)
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if live := p.idx.Live(); live < 1<<16 {
+		t.Fatalf("%d tags in use, want past 2^16", live)
+	}
+	predictsLRU(t, p, tr, 1024, 1<<16, 80000)
+}
+
+// predictsLRU simulates a fully-associative LRU cache of each size over tr
+// and compares its miss ratio with p's prediction.
+func predictsLRU(t *testing.T, p *Profiler, tr *trace.Trace, sizes ...int) {
+	t.Helper()
+	for _, lines := range sizes {
 		c := core.New(core.Config{
 			Array:  cachearray.NewFullyAssoc(lines),
 			Ranker: futility.NewExactLRU(lines, 1),

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"fscache/internal/recency"
 	"fscache/internal/xrand"
 )
 
@@ -198,6 +199,32 @@ func TestProfilerBoundedMemoryAndTruncation(t *testing.T) {
 	}
 	if p.MissRatio(p.MaxLines()) != p.MissRatio(1<<30) {
 		t.Fatalf("curve must saturate past MaxLines")
+	}
+}
+
+// CheckInvariants must fail a tag table whose halves do not fit its bound:
+// one with a high half at 64 tags, whose entries all fit in 16 bits, and one
+// without at 2^16 tags, whose largest entry (2^16, the last tag plus one)
+// does not. The entries are copied over, so only the halves are wrong.
+func TestProfilerCheckInvariantsDetectsTableHalves(t *testing.T) {
+	for _, c := range []struct {
+		tags, bound int32 // the profiler's, and the replacement table's
+	}{{64, 1 << 16}, {1 << 16, 1<<16 - 1}} {
+		p := NewProfiler(int(c.tags), 0, 3)
+		for i := 0; i < 1000; i++ {
+			p.Touch(uint64(i % 100))
+		}
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatalf("%d tags: clean profiler: %v", c.tags, err)
+		}
+		table := recency.NewTable(p.table.Len(), c.bound)
+		for i := range int32(table.Len()) {
+			table.Put(i, p.table.At(i))
+		}
+		p.table = table
+		if p.CheckInvariants() == nil {
+			t.Errorf("%d tags: a table for entries up to %d went unnoticed", c.tags, c.bound)
+		}
 	}
 }
 

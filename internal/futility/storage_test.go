@@ -63,8 +63,7 @@ func newCoarse32p(t *testing.T) coarse32p {
 // referenceBytes is the capacity in bytes of the reference's recency set:
 // its bitmap words, Fenwick nodes and slot entries.
 func (k coarse32p) referenceBytes() int {
-	words, nodes, slots := k.ref.Orders()[0].Storage()
-	return 8*words + 4*nodes + 4*slots
+	return k.ref.Orders()[0].Bytes()
 }
 
 // sliceBytes is the capacity in bytes of the slice field name of the struct
@@ -79,21 +78,22 @@ func sliceBytes(t *testing.T, v any, name string) int {
 }
 
 // The reference keeps its recency storage in the three arrays of one set,
-// within 8.5 bytes a line. The sizes are the arrays' capacities, whole pages
+// within 4.6 bytes a line. The sizes are the arrays' capacities, whole pages
 // from one page up, read from the slices, not from the allocator. They are
-// 260 096 bytes, 7.94 a line (1.8 slots).
+// 145 408 bytes, 4.44 a line (1.8 slots of a 2-byte line id, a bitmap bit
+// and a Fenwick share each).
 func TestCoarse32pReferenceStorage(t *testing.T) {
 	k := newCoarse32p(t)
-	if bytes := k.referenceBytes(); 2*bytes > 17*c32Lines {
+	if bytes := k.referenceBytes(); 5*bytes > 23*c32Lines {
 		t.Errorf("reference recency set: %d bytes, %.2f a line", bytes, float64(bytes)/c32Lines)
 	}
 }
 
 // Every per-line array of the whole cache, summed by capacity, is within
-// DESIGN §10's per-line total of 23.5 bytes: the array's addresses (8) and
+// DESIGN §10's per-line total of 17.6 bytes: the array's addresses (8) and
 // valid words (⅛), core's partition ids (2), CoarseTS's timestamps (1), and
-// the reference's slot table (4) and recency set (7.94). They are 755 712
-// bytes, 23.06 a line.
+// the reference's slot table (2) and recency set (4.44). They are 575 488
+// bytes, 17.56 a line.
 func TestCoarse32pLineStorage(t *testing.T) {
 	k := newCoarse32p(t)
 	arrays := []struct {
@@ -104,14 +104,14 @@ func TestCoarse32pLineStorage(t *testing.T) {
 		{"array valid words", sliceBytes(t, k.arr, "valid")},
 		{"core partition ids", sliceBytes(t, k.c, "meta")},
 		{"coarse timestamps", sliceBytes(t, k.coarse, "ts")},
-		{"reference slot table", sliceBytes(t, k.ref, "slot")},
+		{"reference slot table", k.ref.Slots().Bytes()},
 		{"reference recency set", k.referenceBytes()},
 	}
 	total := 0
 	for _, a := range arrays {
 		total += a.bytes
 	}
-	if 2*total > 47*c32Lines {
+	if 5*total > 88*c32Lines {
 		for _, a := range arrays {
 			t.Logf("%s: %d bytes, %.3f a line", a.name, a.bytes, float64(a.bytes)/c32Lines)
 		}
