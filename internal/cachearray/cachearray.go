@@ -183,6 +183,19 @@ func (a *SetAssoc) set(addr uint64) int {
 	return a.lastSet
 }
 
+// Hashed hands a the hash of addr under its H3 — the function shared with
+// NewSetAssocH3, which a router has already evaluated to pick the bank — so
+// that the next set lookups of addr take its set from hash instead of
+// hashing again.
+//
+//fs:allocfree
+func (a *SetAssoc) Hashed(addr, hash uint64) {
+	if a.kind != IndexH3 {
+		panic("cachearray: Hashed on an array that does not index with H3")
+	}
+	a.lastAddr, a.lastSet = addr, int(hash)&(a.sets-1)
+}
+
 func (a *SetAssoc) index(addr uint64) int {
 	if a.kind == IndexH3 {
 		hashing.CountH3()

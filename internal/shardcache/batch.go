@@ -40,9 +40,10 @@ type Batch struct {
 	// offsets[g+1]] are the indices (in submission order) of the requests
 	// stripe g executes.
 	order []int32
-	// route[i] caches the stripe index of request i between the count and
-	// scatter passes, so the H3 hash runs once per request.
-	route []int32
+	// hash[i] is request i's router hash, kept from the count pass for the
+	// scatter pass (its stripe) and for the stripe's array (its set), so the
+	// H3 hash runs once per request.
+	hash []uint64
 }
 
 // NewBatch returns an empty batch bound to e.
@@ -63,16 +64,16 @@ func (b *Batch) group(reqs []Access) {
 		//fslint:ignore allocfree cold growth: runs only when a batch exceeds every prior batch on this Batch; steady-state flushes reuse the scratch
 		b.order = make([]int32, len(reqs))
 		//fslint:ignore allocfree cold growth: paired with the order resize above
-		b.route = make([]int32, len(reqs))
+		b.hash = make([]uint64, len(reqs))
 	}
 	b.order = b.order[:len(reqs)]
-	b.route = b.route[:len(reqs)]
+	b.hash = b.hash[:len(reqs)]
 	for g := range b.counts {
 		b.counts[g] = 0
 	}
 	for i := range reqs {
-		g := b.e.stripeOf(reqs[i].Addr)
-		b.route[i] = int32(g)
+		hash, g := b.e.route(reqs[i].Addr)
+		b.hash[i] = hash
 		b.counts[g]++
 	}
 	off := int32(0)
@@ -85,7 +86,7 @@ func (b *Batch) group(reqs []Access) {
 	// same-stripe requests land in submission order and offsets[g] ends at
 	// the segment's end.
 	for i := range reqs {
-		g := b.route[i]
+		g := b.hash[i] >> b.e.stripeShift
 		b.order[b.offsets[g]] = int32(i)
 		b.offsets[g]++
 	}
@@ -111,6 +112,7 @@ func (b *Batch) Access(reqs []Access, results []core.AccessResult) {
 			countLock()
 			st.mu.Lock()
 			for _, i := range b.order[lo:hi] {
+				st.array.Hashed(reqs[i].Addr, b.hash[i])
 				results[i] = st.access(reqs[i].Addr, reqs[i].Part)
 			}
 			st.mu.Unlock()

@@ -13,7 +13,9 @@
 // hash are its stripe while the bits below are its set within the stripe,
 // whose array indexes with the same function. An address therefore sits in
 // exactly the set a monolithic H3-indexed array of all the sets, built from
-// the same seed, gives it: the stripes are a lock-split of that array. An
+// the same seed, gives it: the stripes are a lock-split of that array. The
+// router's one hash of an address serves both: under the stripe lock the
+// engine hands it to the stripe's array (SetAssoc.Hashed). An
 // access contends only with accesses to the same 1/K slice of the sets.
 //
 // Partition targets stay a cache-wide contract: SetTargets installs global
@@ -78,11 +80,19 @@ type stripe struct {
 	mu sync.Mutex
 	//fs:guardedby mu
 	cache *core.Cache
-	// array is cache's array, kept for Locked's lookups and the placement
-	// audit in Engine.CheckInvariants.
+	// array is cache's array, kept for Locked's lookups, the router's hash
+	// and the placement audit in Engine.CheckInvariants.
 	//fs:guardedby mu
 	array *cachearray.SetAssoc
+	// The padding fills the mutex and the two pointers (24 bytes) out to
+	// stripeBytes, so that no two stripes' mutexes share a cache line and
+	// one core's lock traffic does not take another stripe's line from the
+	// core using it (TestStripeFillsItsLines).
+	_ [stripeBytes - 24]byte
 }
+
+// stripeBytes is the size of a stripe: a cache line.
+const stripeBytes = 64
 
 // Engine is the concurrent striped cache.
 //
@@ -203,11 +213,21 @@ func (e *Engine) Parts() int { return e.cfg.Parts }
 // Lines returns the total line count across all stripes.
 func (e *Engine) Lines() int { return e.cfg.Lines }
 
-// stripeOf returns the stripe an address routes to: the top
-// log2(Stripes)-bit slice of its H3 set index.
-func (e *Engine) stripeOf(addr uint64) int {
+// route returns an address's hash under the engine's one H3 and the stripe
+// it routes to: the hash's top log2(Stripes) set-index bits. The stripe's
+// array takes its set from the same hash (SetAssoc.Hashed).
+//
+//fs:allocfree
+func (e *Engine) route(addr uint64) (hash uint64, g int) {
 	hashing.CountH3()
-	return int(e.router.Hash(addr)) >> e.stripeShift
+	hash = e.router.Hash(addr)
+	return hash, int(hash >> e.stripeShift)
+}
+
+// stripeOf returns the stripe an address routes to.
+func (e *Engine) stripeOf(addr uint64) int {
+	_, g := e.route(addr)
+	return g
 }
 
 // Access performs one cache access for partition part on the stripe the
@@ -216,9 +236,11 @@ func (e *Engine) stripeOf(addr uint64) int {
 //
 //fs:allocfree
 func (e *Engine) Access(addr uint64, part int) core.AccessResult {
-	st := e.stripes[e.stripeOf(addr)]
+	hash, g := e.route(addr)
+	st := e.stripes[g]
 	countLock()
 	st.mu.Lock()
+	st.array.Hashed(addr, hash)
 	res := st.access(addr, part)
 	st.mu.Unlock()
 	return res
@@ -233,8 +255,16 @@ type Locked struct {
 	g  int
 }
 
-// Lock takes the lock of the stripe addr routes to.
-func (e *Engine) Lock(addr uint64) Locked { return e.LockStripe(e.stripeOf(addr)) }
+// Lock takes the lock of the stripe addr routes to, whose Lookup and Access
+// of addr then reuse the router's hash.
+func (e *Engine) Lock(addr uint64) Locked {
+	hash, g := e.route(addr)
+	st := e.stripes[g]
+	countLock()
+	st.mu.Lock()
+	st.array.Hashed(addr, hash)
+	return Locked{st, g}
+}
 
 // LockStripe takes the lock of stripe g, 0 ≤ g < Stripes().
 func (e *Engine) LockStripe(g int) Locked {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"fscache/internal/cachearray"
 	"fscache/internal/core"
@@ -452,5 +453,12 @@ func TestLockDisciplineSmoke(t *testing.T) {
 	}
 	if got := e.Snapshot().Accesses; got != uint64(workers*perWorker) {
 		t.Fatalf("accesses = %d, want %d (lost updates?)", got, workers*perWorker)
+	}
+}
+
+// A stripe fills whole cache lines, so no two stripes' mutexes share one.
+func TestStripeFillsItsLines(t *testing.T) {
+	if size := unsafe.Sizeof(stripe{}); size == 0 || size%stripeBytes != 0 {
+		t.Fatalf("a stripe is %d bytes, not a multiple of %d", size, stripeBytes)
 	}
 }
