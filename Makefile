@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint check fmt fuzz counted smoke scenarios alloc bench cover soak load serve netsoak loc
+.PHONY: build test race lint check fmt fuzz counted parallel smoke scenarios alloc bench cover soak load serve netsoak loc
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,12 @@ fuzz:
 # TestCounted pins them per operation. This is the one list CI runs.
 counted:
 	$(GO) test -tags fscount -run Counted ./internal/...
+
+# The engine's contended rows at one and two procs, three runs each: what
+# DESIGN.md §15's second-core table is regenerated from. Timings only; no
+# gate reads them, so CI does not run it.
+parallel:
+	$(GO) test -run '^$$' -bench Parallel -cpu 1,2 -count 3 ./internal/shardcache
 
 # End-to-end smoke: the full quick-scale sweep must exit 0.
 smoke:
