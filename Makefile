@@ -62,8 +62,11 @@ fuzz:
 
 # Counted work: the fscount build counts stripe-lock acquisitions, H3
 # evaluations, ranker queries and recency compaction work, and every package's
-# TestCounted pins them per operation. This is the one list CI runs.
+# TestCounted pins them per operation. This is the one list CI runs. The
+# *_fscount.go and counted_test.go files compile only under the tag, so they
+# are vetted here first: no other target sees them.
 counted:
+	$(GO) vet -tags fscount ./internal/...
 	$(GO) test -tags fscount -run Counted ./internal/...
 
 # The engine's contended rows at one and two procs, three runs each: what

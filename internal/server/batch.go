@@ -18,10 +18,10 @@ package server
 //     admission ladder once.
 //  2. Serve, through shardcache.Batch.Each: one stripe lock covers every
 //     admitted or stale request of the run that routes to it, and under it
-//     each does its engine and byte-store work together (store.Get, Set or
-//     Delete), in submission order. A key routes to one stripe, so each
-//     key's requests run in request order, and the run is equivalent to its
-//     requests served one at a time.
+//     serve does each one's engine and byte-store work together (store.Get,
+//     Set or Delete), in submission order, reusing the router's hash. A key
+//     routes to one stripe, so each key's requests run in request order, and
+//     the run is equivalent to its requests served one at a time.
 //  3. Account, in request order: hits and misses, the allocator's Observe,
 //     and the deadline check.
 //
@@ -104,31 +104,29 @@ func (c *conn) parse(frame []byte) Request {
 	return req
 }
 
-// serve does the work of the run's requests that route to h's stripe, idx
-// indexing accs, under its lock. A GET copies its value onto the run's arena
-// and accesses the engine unless it is stale (FlagStale already set); a SET
-// accesses the engine and stores its bytes at the line the access reports; a
-// DEL empties its line. A value slice stays valid when the arena grows: it
-// keeps the old array.
-func (c *conn) serve(h shardcache.Locked, idx []int32) {
+// serve does request accs[j]'s work under h, the held stripe its address
+// routes to. A GET copies its value onto the run's arena and accesses the
+// engine unless it is stale (FlagStale already set); a SET accesses the
+// engine and stores its bytes at the line the access reports; a DEL empties
+// its line. A value slice stays valid when the arena grows: it keeps the old
+// array.
+func (c *conn) serve(h shardcache.Locked, j int32) {
 	r, st := c.run, c.srv.store
-	for _, j := range idx {
-		a, i := &r.accs[j], r.accIdx[j]
-		req, resp := &r.reqs[i], &r.resps[i]
-		found := true
-		switch req.Op {
-		case OpGet:
-			n := len(r.arena)
-			r.arena, found = st.Get(h, a.Addr, a.Part, req.Key, r.arena, resp.Flags&FlagStale != 0)
-			resp.Value = r.arena[n:]
-		case OpSet:
-			st.Set(h, a.Addr, a.Part, req.Key, req.Value)
-		case OpDel:
-			found = st.Delete(h, a.Addr)
-		}
-		if !found {
-			resp.Status = StatusNotFound
-		}
+	a, i := &r.accs[j], r.accIdx[j]
+	req, resp := &r.reqs[i], &r.resps[i]
+	found := true
+	switch req.Op {
+	case OpGet:
+		n := len(r.arena)
+		r.arena, found = st.Get(h, a.Addr, a.Part, req.Key, r.arena, resp.Flags&FlagStale != 0)
+		resp.Value = r.arena[n:]
+	case OpSet:
+		st.Set(h, a.Addr, a.Part, req.Key, req.Value)
+	case OpDel:
+		found = st.Delete(h, a.Addr)
+	}
+	if !found {
+		resp.Status = StatusNotFound
 	}
 }
 

@@ -6,19 +6,23 @@ import (
 	"fmt"
 	"testing"
 
+	"fscache/internal/hashing"
 	"fscache/internal/shardcache"
 )
 
-// TestCounted pins one stripe lock per data-path request, the engine's and
-// the byte store's work together, counted by the fscount build:
+// TestCounted pins one stripe lock and one H3 evaluation per data-path
+// request, the engine's and the byte store's work together, counted by the
+// fscount build:
 //
 //	go test -tags fscount -run Counted ./internal/server
 //
 // Each row is one request over an in-memory connection to a warm server;
 // the count is read once its response arrives, when the server has done
 // all of its work. A pipelined run of GETs or SETs takes one lock per stripe
-// its keys route to. Every row, one request or a pipelined run of 16, is
-// also one server socket write, counted by the pipe listener's conns.
+// its keys route to. The engine's router hashes each request's address once
+// and hands the hash to the stripe, so the store's lookups and the engine's
+// access hash nothing more. Every row, one request or a pipelined run of 16,
+// is also one server socket write, counted by the pipe listener's conns.
 func TestCounted(t *testing.T) {
 	cfg := testConfig()
 	cfg.Cache.Stripes = 4
@@ -48,12 +52,15 @@ func TestCounted(t *testing.T) {
 		return n
 	}
 
-	count := func(name string, want int, send func()) {
+	count := func(name string, locks, h3 int, send func()) {
 		t.Helper()
-		before, writes := shardcache.StripeLocks(), l.writes.Load()
+		before, evals, writes := shardcache.StripeLocks(), hashing.H3Evals(), l.writes.Load()
 		send()
-		if got := int(shardcache.StripeLocks() - before); got != want {
-			t.Errorf("%s: %d stripe locks, want %d", name, got, want)
+		if got := int(shardcache.StripeLocks() - before); got != locks {
+			t.Errorf("%s: %d stripe locks, want %d", name, got, locks)
+		}
+		if got := int(hashing.H3Evals() - evals); got != h3 {
+			t.Errorf("%s: %d H3 evaluations, want %d", name, got, h3)
 		}
 		if got := l.writes.Load() - writes; got != 1 {
 			t.Errorf("%s: %d server socket writes, want 1", name, got)
@@ -67,18 +74,19 @@ func TestCounted(t *testing.T) {
 		}
 	}
 	hit := key(resident[0])
-	count("GetHit", 1, rpc(Request{Op: OpGet, Key: hit}, StatusOK, FlagHit))
-	count("GetMiss", 1, rpc(Request{Op: OpGet, Key: key(keys)}, StatusNotFound, 0))
+	count("GetHit", 1, 1, rpc(Request{Op: OpGet, Key: hit}, StatusOK, FlagHit))
+	count("GetMiss", 1, 1, rpc(Request{Op: OpGet, Key: key(keys)}, StatusNotFound, 0))
 	before := evictions()
-	count("SetOverVictim", 1, rpc(Request{Op: OpSet, Key: key(keys + 1), Value: []byte("v")}, StatusOK, 0))
+	count("SetOverVictim", 1, 1, rpc(Request{Op: OpSet, Key: key(keys + 1), Value: []byte("v")}, StatusOK, 0))
 	if evictions() != before+1 {
 		t.Error("the SET evicted nothing")
 	}
-	count("Del", 1, rpc(Request{Op: OpDel, Key: hit}, StatusOK, 0))
-	count("StaleGet", 1, rpc(Request{Op: OpGet, Tenant: 1, Key: []byte("stale")}, StatusOK, FlagStale))
-	// One engine snapshot and the store's entry count: a lock a stripe each.
+	count("Del", 1, 1, rpc(Request{Op: OpDel, Key: hit}, StatusOK, 0))
+	count("StaleGet", 1, 1, rpc(Request{Op: OpGet, Tenant: 1, Key: []byte("stale")}, StatusOK, FlagStale))
+	// One engine snapshot and the store's entry count: a lock a stripe each,
+	// and no address to hash.
 	nStripes := s.engine.Stripes()
-	count(fmt.Sprintf("StatsOver%dStripes", nStripes), 2*nStripes, rpc(Request{Op: OpStats}, StatusOK, 0))
+	count(fmt.Sprintf("StatsOver%dStripes", nStripes), 2*nStripes, 0, rpc(Request{Op: OpStats}, StatusOK, 0))
 
 	// Sixteen pipelined GETs of resident keys in one write, then sixteen
 	// SETs of the same keys: one run each.
@@ -100,7 +108,7 @@ func TestCounted(t *testing.T) {
 			}
 			frames = AppendRequest(frames, &req)
 		}
-		count(fmt.Sprintf("%sOver%dStripes", row.name, len(stripes)), len(stripes), func() {
+		count(fmt.Sprintf("%sOver%dStripes", row.name, len(stripes)), len(stripes), 16, func() {
 			if _, err := c.nc.Write(frames); err != nil {
 				t.Fatal(err)
 			}

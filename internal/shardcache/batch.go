@@ -6,8 +6,9 @@ package shardcache
 // work: N goroutines on one stripe pay N cache-line bounces per N ops. A
 // Batch amortizes the handshake. It groups N requests by stripe with a
 // counting sort and takes each touched stripe's lock once for all of its
-// requests, either doing their accesses itself (Access) or handing the held
-// stripe to the caller (Each).
+// requests. Access does their engine accesses itself; Each hands the caller
+// one request at a time with its held stripe. Both hand each request's
+// router hash to its stripe as Engine.Lock does, so H3 runs once a request.
 //
 // Semantics: a batch is equivalent to its requests issued one at a time in
 // batch order — same-stripe requests run in submission order under one lock
@@ -32,13 +33,13 @@ type Access struct {
 // per goroutine with Engine.NewBatch.
 type Batch struct {
 	e *Engine
-	// counts[g] is the number of pending requests routed to stripe g;
-	// offsets[g] is the running start of stripe g's segment in order.
+	// counts[g] is the number of pending requests routed to stripe g, and
+	// offsets[g] the end of their segment in order.
 	counts  []int32
 	offsets []int32
-	// order holds request indices grouped by stripe: order[offsets[g]:
-	// offsets[g+1]] are the indices (in submission order) of the requests
-	// stripe g executes.
+	// order holds request indices grouped by stripe: order[offsets[g]-
+	// counts[g]:offsets[g]] are the indices (in submission order) of the
+	// requests stripe g executes.
 	order []int32
 	// hash[i] is request i's router hash, kept from the count pass for the
 	// scatter pass (its stripe) and for the stripe's array (its set), so the
@@ -51,12 +52,12 @@ func (e *Engine) NewBatch() *Batch {
 	return &Batch{
 		e:       e,
 		counts:  make([]int32, len(e.stripes)),
-		offsets: make([]int32, len(e.stripes)+1),
+		offsets: make([]int32, len(e.stripes)),
 	}
 }
 
 // group sorts reqs' indices by stripe into order, stripe g's in submission
-// order at order[offsets[g-1]:offsets[g]] (from 0 for g == 0).
+// order at order[offsets[g]-counts[g]:offsets[g]].
 //
 //fs:allocfree
 func (b *Batch) group(reqs []Access) {
@@ -81,7 +82,6 @@ func (b *Batch) group(reqs []Access) {
 		b.offsets[g] = off
 		off += c
 	}
-	b.offsets[len(b.counts)] = off
 	// Scatter: b.offsets[g] walks forward through stripe g's segment, so
 	// same-stripe requests land in submission order and offsets[g] ends at
 	// the segment's end.
@@ -103,36 +103,31 @@ func (b *Batch) Access(reqs []Access, results []core.AccessResult) {
 	if len(results) < len(reqs) {
 		panic("shardcache: Batch.Access results shorter than requests")
 	}
-	e := b.e
 	b.group(reqs)
-	lo := int32(0)
-	for g := range b.counts {
-		if hi := b.offsets[g]; hi > lo {
-			st := e.stripes[g]
-			countLock()
-			st.mu.Lock()
-			for _, i := range b.order[lo:hi] {
-				st.array.Hashed(reqs[i].Addr, b.hash[i])
-				results[i] = st.access(reqs[i].Addr, reqs[i].Part)
+	for g, n := range b.counts {
+		if n > 0 {
+			h := b.e.LockStripe(g)
+			for _, j := range b.order[b.offsets[g]-n : b.offsets[g]] {
+				results[j] = h.at(reqs[j].Addr, b.hash[j]).Access(reqs[j].Addr, reqs[j].Part)
 			}
-			st.mu.Unlock()
-			lo = hi
+			h.Unlock()
 		}
 	}
 }
 
-// Each groups reqs as Access does and calls f once for each stripe they
-// route to, holding its lock, with the indices of its requests in submission
-// order; f does their work through h. f must not take a stripe lock.
-func (b *Batch) Each(reqs []Access, f func(h Locked, idx []int32)) {
+// Each groups reqs as Access does and, under each touched stripe's one lock,
+// calls f once a request j routed there, in submission order, with the held
+// stripe already handed reqs[j]'s router hash: f's Lookup and Access of
+// reqs[j].Addr hash nothing. f must not take a stripe lock.
+func (b *Batch) Each(reqs []Access, f func(h Locked, j int32)) {
 	b.group(reqs)
-	lo := int32(0)
-	for g := range b.counts {
-		if hi := b.offsets[g]; hi > lo {
+	for g, n := range b.counts {
+		if n > 0 {
 			h := b.e.LockStripe(g)
-			f(h, b.order[lo:hi])
+			for _, j := range b.order[b.offsets[g]-n : b.offsets[g]] {
+				f(h.at(reqs[j].Addr, b.hash[j]), j)
+			}
 			h.Unlock()
-			lo = hi
 		}
 	}
 }

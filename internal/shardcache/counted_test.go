@@ -13,13 +13,13 @@ import (
 // TestCounted pins the stripe locks and the H3 evaluations each access path
 // takes, counted by the fscount build. Locks: one per Access and per Locked
 // handle, and one per stripe a batch touches, however many of its requests
-// share it; a Snapshot or a PartSizes reads every stripe once. H3: the
-// router's one per request, whose hash the stripe's array takes its set from
-// (Lookup, Candidates and Install's set check all reuse it), so 1 a hit or a
-// miss, 1 a Lookup then an Access of the address a Lock routed, and n for n
-// requests to one address. Batch.Each hands the stripe over unhashed, so its
-// holder's lookups hash again: 1 + 1 a request. Each row starts from stripes
-// that last indexed another address.
+// share it; a Snapshot, a PartSizes, a SetTargets or a Rebalance reads every
+// stripe once. H3: the router's one per request, whose hash the stripe's
+// array takes its set from (Lookup, Candidates and Install's set check all
+// reuse it), so 1 a hit or a miss, 1 a Lookup then an Access of the address
+// a Lock routed, 1 a request a Batch.Each callback looks up, and n for n
+// requests to one address. Each row starts from stripes that last indexed
+// another address.
 //
 //	go test -tags fscount -run Counted ./internal/shardcache
 func TestCounted(t *testing.T) {
@@ -62,10 +62,14 @@ func TestCounted(t *testing.T) {
 			h.Unlock()
 		}},
 		{"BatchAccess", touched(pool[:16]), 16, func() { b.Access(pool[:16], results) }},
-		{"BatchEach", touched(pool[16:48]), 32, func() { b.Each(pool[16:48], func(Locked, []int32) {}) }},
+		{"BatchEach", touched(pool[16:48]), 32, func() {
+			b.Each(pool[16:48], func(h Locked, j int32) { h.Lookup(pool[16+j].Addr) })
+		}},
 		{"BatchOneStripe", 1, 3, func() { b.Access([]Access{pool[2], pool[2], pool[2]}, results) }},
 		{"Snapshot", len(e.stripes), 0, func() { e.Snapshot() }},
 		{"PartSizes", len(e.stripes), 0, func() { e.PartSizes(nil) }},
+		{"SetTargets", len(e.stripes), 0, func() { e.SetTargets(e.Targets()) }},
+		{"Rebalance", len(e.stripes), 0, func() { e.Rebalance() }},
 	} {
 		forget()
 		locks, evals := StripeLocks(), hashing.H3Evals()

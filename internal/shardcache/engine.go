@@ -14,9 +14,9 @@
 // whose array indexes with the same function. An address therefore sits in
 // exactly the set a monolithic H3-indexed array of all the sets, built from
 // the same seed, gives it: the stripes are a lock-split of that array. The
-// router's one hash of an address serves both: under the stripe lock the
-// engine hands it to the stripe's array (SetAssoc.Hashed). An
-// access contends only with accesses to the same 1/K slice of the sets.
+// router's one hash of an address serves both: every request path locks its
+// stripe with LockStripe and hands it the hash (Locked.at), so H3 runs once
+// a request. An access contends only with accesses to 1/K of the sets.
 //
 // Partition targets stay a cache-wide contract: SetTargets installs global
 // per-partition line targets and gives each of the K stripes 1/K of each
@@ -236,13 +236,9 @@ func (e *Engine) stripeOf(addr uint64) int {
 //
 //fs:allocfree
 func (e *Engine) Access(addr uint64, part int) core.AccessResult {
-	hash, g := e.route(addr)
-	st := e.stripes[g]
-	countLock()
-	st.mu.Lock()
-	st.array.Hashed(addr, hash)
-	res := st.access(addr, part)
-	st.mu.Unlock()
+	h := e.Lock(addr)
+	res := h.Access(addr, part)
+	h.Unlock()
 	return res
 }
 
@@ -259,11 +255,7 @@ type Locked struct {
 // of addr then reuse the router's hash.
 func (e *Engine) Lock(addr uint64) Locked {
 	hash, g := e.route(addr)
-	st := e.stripes[g]
-	countLock()
-	st.mu.Lock()
-	st.array.Hashed(addr, hash)
-	return Locked{st, g}
+	return e.LockStripe(g).at(addr, hash)
 }
 
 // LockStripe takes the lock of stripe g, 0 ≤ g < Stripes().
@@ -272,6 +264,16 @@ func (e *Engine) LockStripe(g int) Locked {
 	countLock()
 	st.mu.Lock()
 	return Locked{st, g}
+}
+
+// at hands the held stripe's array addr's router hash (SetAssoc.Hashed), so
+// h's Lookup and Access of addr hash nothing, and returns h.
+//
+//fs:callerholds mu
+//fs:allocfree
+func (h Locked) at(addr, hash uint64) Locked {
+	h.st.array.Hashed(addr, hash)
+	return h
 }
 
 // Unlock releases the stripe.
@@ -290,15 +292,8 @@ func (h Locked) Lookup(addr uint64) int { return h.st.array.Lookup(addr) }
 //
 //fs:callerholds mu
 //fs:allocfree
-func (h Locked) Access(addr uint64, part int) core.AccessResult { return h.st.access(addr, part) }
-
-// access is one cache access on the stripe; it inlines into Engine.Access
-// and Batch.Access.
-//
-//fs:callerholds mu
-//fs:allocfree
-func (st *stripe) access(addr uint64, part int) core.AccessResult {
-	return st.cache.Access(addr, part, trace.NoNextUse)
+func (h Locked) Access(addr uint64, part int) core.AccessResult {
+	return h.st.cache.Access(addr, part, trace.NoNextUse)
 }
 
 // SetTargets installs cache-wide per-partition line targets, giving each of
@@ -324,6 +319,7 @@ func (e *Engine) SetTargets(targets []int) {
 			}
 			first = (first + t%k) % k
 		}
+		countLock()
 		st.mu.Lock()
 		st.cache.SetTargets(e.share)
 		st.mu.Unlock()
@@ -346,6 +342,7 @@ func (e *Engine) Rebalance() { e.accesses() }
 // core.Cache never resets its count, so the sum never falls.
 func (e *Engine) accesses() (n uint64) {
 	for _, st := range e.stripes {
+		countLock()
 		st.mu.Lock()
 		n += st.cache.Accesses()
 		st.mu.Unlock()
@@ -421,6 +418,7 @@ func (e *Engine) CheckInvariants() error {
 	}
 	partSums := make([]int, e.cfg.Parts)
 	for g, st := range e.stripes {
+		countLock()
 		st.mu.Lock()
 		err := st.cache.CheckInvariants()
 		for l := 0; err == nil && l < st.array.Lines(); l++ {

@@ -293,16 +293,14 @@ func TestAccessLinesLieInAddressSet(t *testing.T) {
 			case 1:
 				b.Access(reqs, results)
 			default:
-				b.Each(reqs, func(h Locked, idx []int32) {
-					for _, i := range idx {
-						a := reqs[i]
-						l := h.Lookup(a.Addr)
-						res := h.Access(a.Addr, a.Part)
-						if l >= 0 != res.Hit || l >= 0 && l != res.Line {
-							t.Fatalf("%d stripes: %#x looked up at line %d, hit %v at line %d", stripes, a.Addr, l, res.Hit, res.Line)
-						}
-						results[i] = res
+				b.Each(reqs, func(h Locked, i int32) {
+					a := reqs[i]
+					l := h.Lookup(a.Addr)
+					res := h.Access(a.Addr, a.Part)
+					if l >= 0 != res.Hit || l >= 0 && l != res.Line {
+						t.Fatalf("%d stripes: %#x looked up at line %d, hit %v at line %d", stripes, a.Addr, l, res.Hit, res.Line)
 					}
+					results[i] = res
 				})
 			}
 			for i := range reqs {

@@ -182,11 +182,7 @@ func TestLockedHandlesUnderRace(t *testing.T) {
 					h.Unlock()
 				}
 			default:
-				b.Each(reqs, func(h Locked, idx []int32) {
-					for _, j := range idx {
-						access(h, reqs[j])
-					}
-				})
+				b.Each(reqs, func(h Locked, j int32) { access(h, reqs[j]) })
 			}
 			total.Add(run)
 		}
