@@ -111,10 +111,12 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 	@echo "per-package summary in cover.txt, full profile in cover.out"
 
-# Long-running differential soak against the naive oracle (Ctrl-C safe; any
-# finding prints a shrunk, replayable reproducer).
+# Long-running differential soak: coverage-guided fuzzing of core.Cache
+# against the naive oracle (FuzzAccess). A divergence is saved as a crasher
+# under internal/core/testdata/fuzz/FuzzAccess, where plain
+# `go test ./internal/core` replays it; commit it as a regression seed.
 soak:
-	$(GO) run ./cmd/fscheck -duration 10m
+	$(GO) test -run '^$$' -fuzz '^FuzzAccess$$' -fuzztime 10m ./internal/core
 
 # Concurrent load against the striped engine under the race detector:
 # free-running workers on static targets (no allocator, so no rebalancer),

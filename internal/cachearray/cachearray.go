@@ -71,14 +71,6 @@ type Array interface {
 	Install(addr uint64, victim int, moves []Move) []Move
 }
 
-// AllCandidates is implemented by arrays whose Candidates list is every
-// line; controllers use it to select fast paths that avoid O(lines) scans.
-// Such an array is also a Freer, so once FreeLine returns -1 every line is
-// valid and the controller need not ask for the list at all.
-type AllCandidates interface {
-	AllLinesAreCandidates() bool
-}
-
 // Freer is implemented by arrays that can hand out a free (invalid) line in
 // O(1) without a candidate scan.
 type Freer interface {
@@ -367,8 +359,10 @@ func (a *Random) Candidates(addr uint64, dst []int) []int {
 }
 
 // FullyAssoc is the idealized array in which every line is a replacement
-// candidate. Controllers should use scheme fast paths (see core) instead of
-// scanning the full candidate list.
+// candidate. Controllers recognise the concrete type and use scheme fast
+// paths (see core) instead of scanning the full candidate list: it is a
+// Freer, so once FreeLine returns -1 every line is valid and the list need
+// not be asked for at all.
 type FullyAssoc struct {
 	lineStore
 }
@@ -378,11 +372,8 @@ func NewFullyAssoc(lines int) *FullyAssoc {
 	return &FullyAssoc{newLineStore(lines)}
 }
 
-// AllLinesAreCandidates implements AllCandidates.
-func (a *FullyAssoc) AllLinesAreCandidates() bool { return true }
-
-// Candidates implements Array: every line. Controllers should prefer the
-// AllCandidates fast path to copying the full list.
+// Candidates implements Array: every line. Controllers should prefer a
+// fast path to copying the full list.
 //
 //fs:allocfree
 func (a *FullyAssoc) Candidates(addr uint64, dst []int) []int {

@@ -282,17 +282,6 @@ func TestFreeLine(t *testing.T) {
 	}
 }
 
-func TestFullyAssocMarker(t *testing.T) {
-	var a Array = NewFullyAssoc(16)
-	ac, ok := a.(AllCandidates)
-	if !ok || !ac.AllLinesAreCandidates() {
-		t.Fatal("FullyAssoc must implement AllCandidates")
-	}
-	if _, ok := Array(NewZCache(16, 2, 1, 1)).(AllCandidates); ok {
-		t.Fatal("ZCache must not implement AllCandidates")
-	}
-}
-
 func TestZCacheWalkSize(t *testing.T) {
 	// Z4/52: 4 ways, 3 levels → up to 52 candidates.
 	z := NewZCache(1024, 4, 3, 17)

@@ -150,7 +150,7 @@ type Cache struct {
 	//fs:allocfree
 	decObs   DecisionObserver
 	freer    cachearray.Freer
-	allCands bool
+	allCands bool // the array is a *cachearray.FullyAssoc, whose every line is a candidate
 	fullSel  bool // the scheme is a FullSelector
 	worst    futility.WorstTracker
 
@@ -161,9 +161,10 @@ type Cache struct {
 	coarse *futility.CoarseTS
 	lru    *futility.ExactLRU
 	// rawOnly is set when the pipeline itself never reads Candidate.Futility:
-	// a rawDecider scheme over the coarse ranker, with eviction futility taken
-	// from a separate reference or not taken at all (Unmeasured). Only an
-	// observer or a filter could read it.
+	// FSFeedback, whose Decide reads only a candidate's Line, Part and Raw,
+	// over the coarse ranker, with eviction futility taken from a separate
+	// reference or not taken at all (Unmeasured). Only an observer or a
+	// filter could read it.
 	rawOnly bool
 	// partBest is choose's scratch when a FullSelector scheme decides over the
 	// exact LRU ranker: one plus the index of each partition's oldest
@@ -207,9 +208,7 @@ func New(cfg Config) *Cache {
 	}
 	c.resetPartStats()
 	c.freer, _ = cfg.Array.(cachearray.Freer)
-	if ac, ok := cfg.Array.(cachearray.AllCandidates); ok {
-		c.allCands = ac.AllLinesAreCandidates()
-	}
+	_, c.allCands = cfg.Array.(*cachearray.FullyAssoc)
 	_, c.fullSel = cfg.Scheme.(FullSelector)
 	c.worst, _ = cfg.Ranker.(futility.WorstTracker)
 	switch r := cfg.Ranker.(type) {
@@ -218,10 +217,10 @@ func New(cfg Config) *Cache {
 	case *futility.ExactLRU:
 		c.lru = r
 	}
-	_, decidesOnRaw := cfg.Scheme.(rawDecider)
+	_, decidesOnRaw := cfg.Scheme.(*FSFeedback)
 	c.rawOnly = decidesOnRaw && c.coarse != nil && (c.ref != nil || c.unmeasured)
-	if c.allCands && (c.freer == nil || !c.fullSel || c.worst == nil) {
-		panic("core: fully-associative arrays need a Freer array, a FullSelector scheme and a WorstTracker ranker")
+	if c.allCands && (!c.fullSel || c.worst == nil) {
+		panic("core: fully-associative arrays need a FullSelector scheme and a WorstTracker ranker")
 	}
 	c.scheme.Bind(c.sizes, c.targets)
 	return c

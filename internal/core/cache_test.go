@@ -268,13 +268,17 @@ func (a *countingFullyAssoc) Candidates(addr uint64, dst []int) []int {
 func TestFullyAssociativeFastPath(t *testing.T) {
 	const lines = 512
 	fs := NewFSFixed(2)
-	arr := &countingFullyAssoc{FullyAssoc: cachearray.NewFullyAssoc(lines)}
+	fa := cachearray.NewFullyAssoc(lines)
 	c := New(Config{
-		Array:  arr,
+		Array:  fa,
 		Ranker: futility.NewExactLRU(lines, 2),
 		Scheme: fs,
 		Parts:  2,
 	})
+	// New takes the fast path for the concrete type; the counting wrapper
+	// goes in after it, to see every list the controller asks for.
+	arr := &countingFullyAssoc{FullyAssoc: fa}
+	c.array = arr
 	c.SetTargets([]int{256, 256})
 	d := newStreamDriver(33, []float64{0.5, 0.5})
 	for i := 0; i < 20*lines; i++ {
@@ -475,19 +479,6 @@ func TestConfigValidation(t *testing.T) {
 			// Nothing to measure with, and told not to measure.
 			New(Config{Array: arr, Ranker: rk, Reference: futility.NewExactLRU(16, 1),
 				Unmeasured: true, Scheme: sch, Parts: 1})
-		},
-		func() {
-			// Fully-associative array that hides its free lines.
-			fa := cachearray.NewFullyAssoc(16)
-			New(Config{
-				Array: struct {
-					cachearray.Array
-					cachearray.AllCandidates
-				}{fa, fa},
-				Ranker: rk,
-				Scheme: sch,
-				Parts:  1,
-			})
 		},
 		func() {
 			// Fully-associative array without a WorstTracker ranker.

@@ -157,7 +157,8 @@ func (f *FSFeedback) Alphas() []float64 { return f.alphas }
 
 // Decide implements Scheme: evict the candidate with the largest scaled raw
 // futility. With the coarse-TS ranker and Δα = 2 this is exactly the
-// hardware's shift-and-compare.
+// hardware's shift-and-compare. It reads only Raw and Part, never Futility,
+// which Cache.rawOnly relies on.
 //
 //fs:allocfree
 func (f *FSFeedback) Decide(cands []Candidate, insertPart int) Decision {
@@ -170,10 +171,6 @@ func (f *FSFeedback) Decide(cands []Candidate, insertPart int) Decision {
 	}
 	return Decision{Victim: best}
 }
-
-// decidesOnRawOnly implements rawDecider: Decide above multiplies Raw by α
-// and looks at nothing else.
-func (f *FSFeedback) decidesOnRawOnly() {}
 
 // EvictsPartitionWorst implements FullSelector.
 func (f *FSFeedback) EvictsPartitionWorst() {}

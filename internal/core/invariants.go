@@ -7,8 +7,9 @@ import (
 )
 
 // CheckInvariants audits the controller's accounting against a full rescan
-// of the array. It is O(lines + parts) and intended for tests, the difftest
-// harness and cmd/fscheck, not the simulation hot path. The invariants:
+// of the array. It is O(lines + parts) and intended for tests and the
+// difftest harness (its sweep and FuzzAccess), not the simulation hot path.
+// The invariants:
 //
 //   - every partition size is non-negative and the sizes sum to the number
 //     of valid (resident) array lines — occupancy accounting conserves the

@@ -76,10 +76,3 @@ type FullSelector interface {
 	// EvictsPartitionWorst is never called; it declares the property.
 	EvictsPartitionWorst()
 }
-
-// rawDecider marks a scheme whose Decide reads only a candidate's Line, Part
-// and Raw, never its Futility, so the controller may leave Futility zero when
-// nothing else reads it either (see Cache.rawOnly). Only FSFeedback is one.
-type rawDecider interface {
-	decidesOnRawOnly()
-}

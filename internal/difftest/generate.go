@@ -6,8 +6,10 @@ import (
 )
 
 // Generate derives a random scenario from a seed. The same seed always
-// yields the same scenario, so a failing seed printed by the test or by
-// cmd/fscheck is a complete reproducer on its own.
+// yields the same scenario, so a failing seed printed by TestDifferential is
+// a complete reproducer on its own. Generate feeds that fixed sweep and the
+// regression corpus (TestCorpus); open-ended search is FuzzAccess's, over
+// the same byte format.
 //
 // The generator biases toward the regimes where the models can disagree:
 // working sets sized near the cache so evictions are frequent, address

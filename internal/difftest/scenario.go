@@ -8,13 +8,14 @@
 // the scenario generator can reach.
 //
 // A scenario is fully described by a compact byte string (see FromBytes),
-// which makes three consumers share one format: the seeded generator, the
-// go-fuzz harness over core.Cache (FuzzAccess), and the committed regression
-// corpus of shrunk reproducers under testdata/corpus.
+// which makes two consumers share one format: the seeded generator and the
+// fuzz target over core.Cache (FuzzAccess), whose seed directory
+// internal/core/testdata/fuzz/FuzzAccess is the one committed regression
+// corpus. A divergence report prints the shrunk scenario as a seed file for
+// that directory, where plain `go test ./internal/core` replays it.
 package difftest
 
 import (
-	"encoding/hex"
 	"fmt"
 	"strings"
 
@@ -405,23 +406,6 @@ func ToBytes(s *Scenario) []byte {
 		}
 	}
 	return b
-}
-
-// EncodeHex renders the scenario's byte encoding as a hex string (the
-// on-disk corpus format and the fscheck replay format).
-func EncodeHex(s *Scenario) string { return hex.EncodeToString(ToBytes(s)) }
-
-// DecodeHex parses a hex-encoded scenario.
-func DecodeHex(h string) (*Scenario, error) {
-	data, err := hex.DecodeString(strings.TrimSpace(h))
-	if err != nil {
-		return nil, fmt.Errorf("difftest: bad hex scenario: %w", err)
-	}
-	s := FromBytes(data)
-	if s == nil {
-		return nil, fmt.Errorf("difftest: hex scenario too short (%d bytes)", len(data))
-	}
-	return s, nil
 }
 
 // buildArray constructs one array instance for the scenario. It is called

@@ -59,7 +59,7 @@ func Shrink(s *Scenario, opt Options) (*Scenario, *Divergence) {
 	// colliding lines, after which the next round's array pass succeeds and
 	// the op count collapses.
 	for round := 0; round < 4; round++ {
-		before := EncodeHex(cur)
+		before := string(ToBytes(cur))
 
 		// Structural simplifications: a simpler array or smaller cache
 		// often cuts the op count needed to reach an eviction, which makes
@@ -130,7 +130,7 @@ func Shrink(s *Scenario, opt Options) (*Scenario, *Divergence) {
 			}
 		}
 
-		if EncodeHex(cur) == before {
+		if string(ToBytes(cur)) == before {
 			break
 		}
 	}

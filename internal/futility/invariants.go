@@ -14,10 +14,10 @@ func feqBits(a, b float64) bool {
 }
 
 // InvariantChecker is implemented by rankers that can audit their internal
-// consistency on demand. The difftest harness and cmd/fscheck call it
-// between scenario steps; a non-nil error means ranker state has drifted
-// from its contract and the simulation's futility values can no longer be
-// trusted.
+// consistency on demand. The difftest harness (its sweep and FuzzAccess)
+// calls it between scenario steps; a non-nil error means ranker state has
+// drifted from its contract and the simulation's futility values can no
+// longer be trusted.
 type InvariantChecker interface {
 	CheckInvariants() error
 }

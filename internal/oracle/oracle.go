@@ -1,6 +1,6 @@
 // Package oracle is a deliberately naive, obviously-correct reimplementation
 // of the partitioned cache's replacement semantics, used as the reference
-// model for differential testing (internal/difftest, cmd/fscheck).
+// model for differential testing (internal/difftest, FuzzAccess).
 //
 // Where the production pipeline (internal/core + internal/futility) keeps
 // order-statistic treaps, devirtualized rankers, incremental CDF snapshots
@@ -274,9 +274,7 @@ func New(cfg Config) *Cache {
 		o.unmanaged = cfg.Parts - 1
 	}
 	o.freer, _ = cfg.Array.(cachearray.Freer)
-	if ac, ok := cfg.Array.(cachearray.AllCandidates); ok {
-		o.full = ac.AllLinesAreCandidates()
-	}
+	_, o.full = cfg.Array.(*cachearray.FullyAssoc)
 	if o.full && cfg.Ranking == CoarseLRU {
 		panic("oracle: fully-associative arrays need an exact ranking")
 	}

@@ -3,6 +3,7 @@ package shardcache
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -451,6 +452,55 @@ func TestLockDisciplineSmoke(t *testing.T) {
 	}
 	if got := e.Snapshot().Accesses; got != uint64(workers*perWorker) {
 		t.Fatalf("accesses = %d, want %d (lost updates?)", got, workers*perWorker)
+	}
+}
+
+// PartSizes is the occupancy sampler's read without Snapshot's histogram
+// copies: after a striped run under uneven targets that churn, it equals
+// Snapshot's per-partition sizes; it fills a long enough dst in place,
+// overwriting what was there, and allocates only when dst is nil or short.
+func TestPartSizes(t *testing.T) {
+	cfg := testConfig(8)
+	e := New(cfg)
+	rng := xrand.New(testSeed ^ 0x9a27)
+	for _, targets := range [][]int{{3072, 768, 256}, {256, 3328, 512}, {1536, 64, 2496}} {
+		e.SetTargets(targets)
+		for i := 0; i < 30_000; i++ {
+			e.Access(xrand.Mix64(rng.Uint64()%(1<<14)), rng.Intn(cfg.Parts))
+		}
+	}
+	snap := e.Snapshot()
+	want := make([]int, cfg.Parts)
+	for p := range want {
+		want[p] = snap.Parts[p].Size
+	}
+	if got := e.PartSizes(nil); !slices.Equal(got, want) {
+		t.Fatalf("PartSizes = %v, Snapshot sizes %v", got, want)
+	}
+
+	for _, n := range []int{cfg.Parts, cfg.Parts + 2} {
+		dst := make([]int, n)
+		for i := range dst {
+			dst[i] = -1
+		}
+		if got := e.PartSizes(dst); &got[0] != &dst[0] || !slices.Equal(got, want) {
+			t.Fatalf("PartSizes into a %d-slot dst = %v (reused %v), want %v in place", n, got, &got[0] == &dst[0], want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { e.PartSizes(dst) }); allocs != 0 {
+			t.Errorf("PartSizes into a %d-slot dst: %v allocs, want 0", n, allocs)
+		}
+	}
+	short := make([]int, cfg.Parts-1)
+	if got := e.PartSizes(short); len(got) != cfg.Parts || &got[0] == &short[0] {
+		t.Errorf("PartSizes into a %d-slot dst returned %d slots (reused %v)", len(short), len(got), &got[0] == &short[0])
+	}
+	for _, tc := range []struct {
+		name string
+		dst  []int
+	}{{"nil", nil}, {"short", short}} {
+		if n := testing.AllocsPerRun(10, func() { e.PartSizes(tc.dst) }); n == 0 {
+			t.Errorf("PartSizes into a %s dst did not allocate", tc.name)
+		}
 	}
 }
 

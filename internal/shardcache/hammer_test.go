@@ -100,6 +100,16 @@ func TestConcurrentHammer(t *testing.T) {
 	}()
 
 	wg.Wait()
+	// Under -short the workers can finish before the first tick is served,
+	// and Stop's close then races that tick in the loop's select. Keep the
+	// churn going until the rebalancer has polled once, so a poll still
+	// races SetTargets; the deadline bounds a rebalancer that never polls.
+	//fslint:ignore determinism the poller is wall-clock driven, so waiting for its first poll needs a wall-clock timeout
+	deadline := time.Now().Add(10 * time.Second)
+	//fslint:ignore determinism bounded wall-clock wait for the ticker-driven poll
+	for rb.Rebalances() == 0 && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
 	close(done)
 	churn.Wait()
 	rb.Stop()
