@@ -62,10 +62,17 @@ fuzz:
 
 # Counted work: the fscount build counts stripe-lock acquisitions, H3
 # evaluations, ranker queries and recency compaction work, and every package's
-# TestCounted pins them per operation. This is the one list CI runs. The
-# *_fscount.go and counted_test.go files compile only under the tag, so they
-# are vetted here first: no other target sees them.
+# TestCounted pins them per operation. This is the one list CI runs. The hooks
+# have one home, internal/stats/count_fscount.go: any other non-test file
+# built only under the tag fails the target first. That file and the
+# counted_test.go files compile only under the tag, so they are vetted here
+# next: no other target sees them.
 counted:
+	@out=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.git \
+		'^//go:build(.*[^!])?fscount' . | grep -vx './internal/stats/count_fscount.go'); \
+	if [ -n "$$out" ]; then \
+		echo "fscount hooks live only in internal/stats/count_fscount.go; also tagged:" >&2; \
+		echo "$$out" >&2; exit 1; fi
 	$(GO) vet -tags fscount ./internal/...
 	$(GO) test -tags fscount -run Counted ./internal/...
 

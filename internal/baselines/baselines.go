@@ -1,9 +1,10 @@
 // Package baselines implements the partitioning schemes the paper compares
 // Futility Scaling against (§VII-B): the no-partitioning baseline, the
 // Partitioning-First scheme (Algorithm 1), CQVP quota enforcement, Vantage
-// and PriSM. All implement core.Scheme; PF is also a core.FullSelector, so it
-// can drive the FullAssoc ideal configuration (the PF scheme on a
-// fully-associative array).
+// and PriSM, plus way partitioning. All implement core.Scheme; only PriSM,
+// whose insertion window counts traffic, is also a core.Counter. PF is also a
+// core.FullSelector, so it can drive the FullAssoc ideal configuration (the
+// PF scheme on a fully-associative array).
 package baselines
 
 import "fscache/internal/core"
@@ -33,18 +34,13 @@ func (*Unmanaged) Decide(cands []core.Candidate, insertPart int) core.Decision {
 // EvictsPartitionWorst implements core.FullSelector.
 func (*Unmanaged) EvictsPartitionWorst() {}
 
-// OnInsert implements core.Scheme.
-func (*Unmanaged) OnInsert(part int) {}
-
-// OnEviction implements core.Scheme.
-func (*Unmanaged) OnEviction(part int) {}
-
 // PF is the Partitioning-First scheme of Algorithm 1: Partition Selection
 // picks the candidate partition whose actual size most exceeds its target,
 // then Victim Identification evicts the most useless candidate of that
 // partition. It enforces sizes near-perfectly but suffers the
 // associativity collapse of §III-C as partitions proliferate.
 type PF struct {
+	parts           int
 	actual, targets []int // the controller's, read-only
 }
 
@@ -53,11 +49,14 @@ func NewPF(parts int) *PF {
 	if parts <= 0 {
 		panic("baselines: PF needs at least one partition")
 	}
-	return &PF{}
+	return &PF{parts: parts}
 }
 
 // Bind implements core.Scheme.
-func (p *PF) Bind(actual, targets []int) { p.actual, p.targets = actual, targets }
+func (p *PF) Bind(actual, targets []int) {
+	checkBind(actual, targets, p.parts)
+	p.actual, p.targets = actual, targets
+}
 
 // Decide implements core.Scheme (Algorithm 1).
 func (p *PF) Decide(cands []core.Candidate, insertPart int) core.Decision {
@@ -91,17 +90,12 @@ func (p *PF) Decide(cands []core.Candidate, insertPart int) core.Decision {
 // paper's FullAssoc ideal scheme.
 func (*PF) EvictsPartitionWorst() {}
 
-// OnInsert implements core.Scheme.
-func (*PF) OnInsert(part int) {}
-
-// OnEviction implements core.Scheme.
-func (*PF) OnEviction(part int) {}
-
 // CQVP is Cache Quota Violation Prohibition: victims come from partitions
 // exceeding their quotas. Among candidates of over-quota partitions it
 // evicts the most useless; if no candidate is over quota it falls back to
 // the inserting partition's candidates, then to the global least useful.
 type CQVP struct {
+	parts           int
 	actual, targets []int // the controller's, read-only
 }
 
@@ -110,11 +104,14 @@ func NewCQVP(parts int) *CQVP {
 	if parts <= 0 {
 		panic("baselines: CQVP needs at least one partition")
 	}
-	return &CQVP{}
+	return &CQVP{parts: parts}
 }
 
 // Bind implements core.Scheme.
-func (c *CQVP) Bind(actual, targets []int) { c.actual, c.targets = actual, targets }
+func (c *CQVP) Bind(actual, targets []int) {
+	checkBind(actual, targets, c.parts)
+	c.actual, c.targets = actual, targets
+}
 
 // Decide implements core.Scheme.
 func (c *CQVP) Decide(cands []core.Candidate, insertPart int) core.Decision {
@@ -148,12 +145,6 @@ func (c *CQVP) Decide(cands []core.Candidate, insertPart int) core.Decision {
 	}
 	return core.Decision{Victim: best}
 }
-
-// OnInsert implements core.Scheme.
-func (*CQVP) OnInsert(part int) {}
-
-// OnEviction implements core.Scheme.
-func (*CQVP) OnEviction(part int) {}
 
 // checkBind panics unless a scheme built for parts partitions is bound to
 // vectors of that length.

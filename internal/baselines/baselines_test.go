@@ -310,6 +310,10 @@ func TestConstructorValidation(t *testing.T) {
 		func() { NewVantage(3).Bind(make([]int, 1), make([]int, 3)) },
 		func() { NewPriSM(2, 1).Bind(make([]int, 2), make([]int, 1)) },
 		func() { NewPriSM(2, 1).Bind(make([]int, 1), make([]int, 2)) },
+		func() { NewPF(2).Bind(make([]int, 2), make([]int, 1)) },
+		func() { NewPF(2).Bind(make([]int, 1), make([]int, 2)) },
+		func() { NewCQVP(2).Bind(make([]int, 2), make([]int, 1)) },
+		func() { NewCQVP(2).Bind(make([]int, 1), make([]int, 2)) },
 	}
 	for i, fn := range cases {
 		func() {

@@ -103,7 +103,7 @@ func (p *PriSM) samplePartition() int {
 	return len(p.evProb) - 1
 }
 
-// OnInsert implements core.Scheme: counts window insertions and recomputes
+// OnInsert implements core.Counter: counts window insertions and recomputes
 // the eviction distribution at window boundaries.
 func (p *PriSM) OnInsert(part int) {
 	p.insWindow[part]++
@@ -139,5 +139,5 @@ func (p *PriSM) OnInsert(part int) {
 	p.missed = 0
 }
 
-// OnEviction implements core.Scheme.
+// OnEviction implements core.Counter; PriSM's window counts only insertions.
 func (*PriSM) OnEviction(part int) {}

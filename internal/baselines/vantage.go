@@ -136,9 +136,3 @@ func (v *Vantage) Decide(cands []core.Candidate, insertPart int) core.Decision {
 		return core.Decision{Victim: best, Forced: true}
 	}
 }
-
-// OnInsert implements core.Scheme.
-func (*Vantage) OnInsert(part int) {}
-
-// OnEviction implements core.Scheme.
-func (*Vantage) OnEviction(part int) {}

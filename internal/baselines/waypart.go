@@ -166,9 +166,3 @@ func (w *WayPart) Decide(cands []core.Candidate, insertPart int) core.Decision {
 	}
 	return core.Decision{Victim: best}
 }
-
-// OnInsert implements core.Scheme.
-func (*WayPart) OnInsert(part int) {}
-
-// OnEviction implements core.Scheme.
-func (*WayPart) OnEviction(part int) {}

@@ -27,6 +27,7 @@ import (
 	"math/bits"
 
 	"fscache/internal/hashing"
+	"fscache/internal/stats"
 	"fscache/internal/xrand"
 )
 
@@ -190,7 +191,7 @@ func (a *SetAssoc) Hashed(addr, hash uint64) {
 
 func (a *SetAssoc) index(addr uint64) int {
 	if a.kind == IndexH3 {
-		hashing.CountH3()
+		stats.CountH3()
 		return int(a.h3.Hash(addr)) & (a.sets - 1) // a no-op unless h3 is shared
 	}
 	return int(hashing.FoldBits(addr, a.setBits))

@@ -5,7 +5,7 @@ package cachearray
 import (
 	"testing"
 
-	"fscache/internal/hashing"
+	"fscache/internal/stats"
 	"fscache/internal/xrand"
 )
 
@@ -52,9 +52,9 @@ func TestCounted(t *testing.T) {
 		if row.setup != nil {
 			row.setup()
 		}
-		before := hashing.H3Evals()
+		before := stats.ReadCounted().H3
 		row.op()
-		if got := int(hashing.H3Evals() - before); got != row.want {
+		if got := int(stats.ReadCounted().H3 - before); got != row.want {
 			t.Errorf("%s: %d H3 evaluations, want %d", row.name, got, row.want)
 		}
 	}

@@ -120,6 +120,7 @@ type Cache struct {
 	ref        futility.Ranker // Config.Reference; without it ranker measures, unless unmeasured
 	unmeasured bool
 	scheme     Scheme
+	counter    Counter // the scheme, if it counts traffic; else nil
 	parts      int
 
 	meta []int16 // per-line partition id, indexed by line; noLine for an invalid line
@@ -210,6 +211,7 @@ func New(cfg Config) *Cache {
 	c.freer, _ = cfg.Array.(cachearray.Freer)
 	_, c.allCands = cfg.Array.(*cachearray.FullyAssoc)
 	_, c.fullSel = cfg.Scheme.(FullSelector)
+	c.counter, _ = cfg.Scheme.(Counter)
 	c.worst, _ = cfg.Ranker.(futility.WorstTracker)
 	switch r := cfg.Ranker.(type) {
 	case *futility.CoarseTS:
@@ -443,7 +445,9 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 			c.ref.OnEvict(victim, owner)
 		}
 		c.resize(dp, -1)
-		c.scheme.OnEviction(dp)
+		if c.counter != nil {
+			c.counter.OnEviction(dp)
+		}
 		res.Evicted = true
 		res.EvictedLine = victim
 		res.EvictedPart = owner
@@ -475,7 +479,9 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 	}
 	c.resize(part, 1)
 	c.pstats[part].Insertions++
-	c.scheme.OnInsert(part)
+	if c.counter != nil {
+		c.counter.OnInsert(part)
+	}
 	return res
 }
 
@@ -578,15 +584,16 @@ func (c *Cache) chooseFull(insertPart int) int {
 // reference-ranker population are unchanged). to becomes the cache's one
 // demotion target; a second one panics.
 //
-// The scheme observes the move as symmetric flow: an eviction from `from`
+// A Counter scheme observes the move as symmetric flow: an eviction from `from`
 // AND an insertion into `to`. Algorithm 2's feedback controller balances
 // each partition's per-interval insertion count n_i against its eviction
 // count n_e; reporting only OnEviction(from) (the old behaviour) would let
 // the receiving partition gain lines with no recorded inflow, so its
 // n_i/n_e reading says "draining" while its actual size grows. Today only
-// Vantage demotes and its observers are no-ops, making the fix
-// behaviour-neutral for existing configurations, but the oracle transcribes
-// the symmetric accounting and the difftest corpus locks it.
+// Vantage demotes and it is no Counter, making the fix behaviour-neutral for
+// existing configurations, but the oracle transcribes the symmetric
+// accounting, the difftest corpus locks it and TestCounterSeesDemotions
+// pins it.
 //
 //fs:allocfree
 func (c *Cache) demote(line, to int) {
@@ -607,8 +614,10 @@ func (c *Cache) demote(line, to int) {
 	c.resize(to, 1)
 	c.meta[line] = demotedID(owner)
 	c.pstats[owner].Demotions++
-	c.scheme.OnEviction(from) // a demotion drains the source like an eviction...
-	c.scheme.OnInsert(to)     // ...and fills the destination like an insertion
+	if c.counter != nil {
+		c.counter.OnEviction(from) // a demotion drains the source like an eviction...
+		c.counter.OnInsert(to)     // ...and fills the destination like an insertion
+	}
 }
 
 // creditOccupancy brings partition p's occupancy sum up to access number

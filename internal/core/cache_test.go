@@ -391,8 +391,6 @@ type demoteScheme struct {
 }
 
 func (*demoteScheme) Bind(_, _ []int) {}
-func (*demoteScheme) OnInsert(int)    {}
-func (*demoteScheme) OnEviction(int)  {}
 func (d *demoteScheme) Decide(cands []Candidate, insertPart int) Decision {
 	// Demote every partition-0 candidate except the victim; evict the
 	// globally most useless.
@@ -455,6 +453,58 @@ func TestDemotionAccounting(t *testing.T) {
 	}()
 	if r != "core: demotion into partition 1; the cache's one demotion target is 2" {
 		t.Fatalf("a second demotion target: recovered %v", r)
+	}
+}
+
+// countingDemoter is demoteScheme made a Counter: it tallies every traffic
+// report it receives, per partition.
+type countingDemoter struct {
+	demoteScheme
+	ins, evs []uint64
+}
+
+func (d *countingDemoter) OnInsert(part int)   { d.ins[part]++ }
+func (d *countingDemoter) OnEviction(part int) { d.evs[part]++ }
+
+// TestCounterSeesDemotions fences the Counter contract: the controller
+// reports each insertion and each eviction once, and each demotion as an
+// eviction from its source and an insertion into its destination, so over a
+// run the reports add up to the partitions' own counts.
+func TestCounterSeesDemotions(t *testing.T) {
+	const lines, parts = 128, 3
+	s := &countingDemoter{demoteScheme: demoteScheme{to: 2}, ins: make([]uint64, parts), evs: make([]uint64, parts)}
+	c := New(Config{
+		Array:  cachearray.NewRandom(lines, 8, 61),
+		Ranker: futility.NewExactLRU(lines, parts),
+		Scheme: s,
+		Parts:  parts, // 0,1 apps; 2 pseudo-unmanaged
+	})
+	c.SetTargets([]int{64, 64, 0})
+	d := newStreamDriver(63, []float64{0.5, 0.5, 0})
+	for i := 0; i < 5000; i++ {
+		d.step(c)
+	}
+	var insertions, evictions, demotions, ins, evs uint64
+	for p := 0; p < parts; p++ {
+		st := c.Stats(p)
+		insertions += st.Insertions
+		evictions += st.Evictions
+		demotions += st.Demotions
+		ins += s.ins[p]
+		evs += s.evs[p]
+	}
+	if evictions == 0 || demotions == 0 {
+		t.Fatalf("%d evictions and %d demotions: the run exercises neither", evictions, demotions)
+	}
+	if ins != insertions+demotions {
+		t.Errorf("%d OnInsert reports, want %d insertions + %d demotions", ins, insertions, demotions)
+	}
+	if evs != evictions+demotions {
+		t.Errorf("%d OnEviction reports, want %d evictions + %d demotions", evs, evictions, demotions)
+	}
+	// Nothing inserts into partition 2: every report there is a demotion's.
+	if s.ins[2] != demotions {
+		t.Errorf("partition 2: %d OnInsert reports, want its %d demotions", s.ins[2], demotions)
 	}
 }
 
@@ -538,6 +588,8 @@ func TestFSFixedValidation(t *testing.T) {
 		func() { NewFSFeedback(1, FSFeedbackConfig{Delta: 0.5}) },
 		func() { NewFSFeedback(2, FSFeedbackConfig{}).Bind(make([]int, 2), make([]int, 1)) },
 		func() { NewFSFeedback(2, FSFeedbackConfig{}).Bind(make([]int, 1), make([]int, 2)) },
+		func() { NewFSFixed(2).Bind(make([]int, 2), make([]int, 1)) },
+		func() { NewFSFixed(2).Bind(make([]int, 1), make([]int, 2)) },
 	} {
 		func() {
 			defer func() {

@@ -7,6 +7,7 @@ import (
 
 	"fscache/internal/cachearray"
 	"fscache/internal/futility"
+	"fscache/internal/stats"
 	"fscache/internal/trace"
 	"fscache/internal/xrand"
 )
@@ -69,9 +70,9 @@ func TestCounted(t *testing.T) {
 		{"CoarseExactRefMiss", ways + 1, miss(withRef)},
 		{"ExactMiss", partsAmong(exact) + 1, miss(exact)},
 	} {
-		before := futility.Queries()
+		before := stats.ReadCounted().Queries
 		row.op()
-		if got := int(futility.Queries() - before); got != row.want {
+		if got := int(stats.ReadCounted().Queries - before); got != row.want {
 			t.Errorf("%s: %d ranker queries, want %d", row.name, got, row.want)
 		}
 	}

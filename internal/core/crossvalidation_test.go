@@ -120,8 +120,6 @@ type chaosScheme struct {
 }
 
 func (c *chaosScheme) Bind(_, _ []int) {}
-func (c *chaosScheme) OnInsert(int)    {}
-func (c *chaosScheme) OnEviction(int)  {}
 func (c *chaosScheme) Decide(cands []Candidate, insertPart int) Decision {
 	d := Decision{Victim: c.rng.Intn(len(cands)), DemoteTo: c.parts - 1}
 	for i := range cands {

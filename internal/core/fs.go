@@ -33,8 +33,13 @@ func NewFSFixed(parts int) *FSFixed {
 }
 
 // Bind implements Scheme. FSFixed reads neither sizes nor targets: sizing
-// emerges from the scaling factors alone.
-func (f *FSFixed) Bind(actual, targets []int) {}
+// emerges from the scaling factors alone. It checks only that they cover the
+// partitions its scaling factors do.
+func (f *FSFixed) Bind(actual, targets []int) {
+	if len(actual) != len(f.alphas) || len(targets) != len(f.alphas) {
+		panic("core: Bind length mismatch")
+	}
+}
 
 // SetAlphas installs the per-partition scaling factors (typically from
 // analytic.ScalingFactors). Values must be positive.
@@ -71,16 +76,6 @@ func (f *FSFixed) Decide(cands []Candidate, insertPart int) Decision {
 // EvictsPartitionWorst implements FullSelector: within a partition α_p·f is
 // largest at the largest f.
 func (f *FSFixed) EvictsPartitionWorst() {}
-
-// OnInsert implements Scheme.
-//
-//fs:allocfree
-func (f *FSFixed) OnInsert(part int) {}
-
-// OnEviction implements Scheme.
-//
-//fs:allocfree
-func (f *FSFixed) OnEviction(part int) {}
 
 // FSFeedbackConfig parameterizes the feedback controller.
 type FSFeedbackConfig struct {
@@ -175,7 +170,7 @@ func (f *FSFeedback) Decide(cands []Candidate, insertPart int) Decision {
 // EvictsPartitionWorst implements FullSelector.
 func (f *FSFeedback) EvictsPartitionWorst() {}
 
-// OnInsert implements Scheme (Algorithm 2's insertion counter).
+// OnInsert implements Counter (Algorithm 2's insertion counter).
 //
 //fs:allocfree
 func (f *FSFeedback) OnInsert(part int) {
@@ -185,7 +180,7 @@ func (f *FSFeedback) OnInsert(part int) {
 	}
 }
 
-// OnEviction implements Scheme (Algorithm 2's eviction counter).
+// OnEviction implements Counter (Algorithm 2's eviction counter).
 //
 //fs:allocfree
 func (f *FSFeedback) OnEviction(part int) {

@@ -34,12 +34,15 @@ type Decision struct {
 	Forced bool
 }
 
-// Scheme decides victims so as to enforce partition sizes. Implementations
-// must be deterministic given their construction seed.
+// Scheme decides victims so as to enforce partition sizes (§III-A: a
+// partitioning scheme picks a victim from the candidates and the partition
+// sizes). Implementations must be deterministic given their construction
+// seed.
 //
 // The controller owns every per-partition count. It calls Bind once before
 // use, handing the scheme live views of the actual sizes (updated as lines
-// move) and the target sizes (updated by Cache.SetTargets).
+// move) and the target sizes (updated by Cache.SetTargets). A scheme that
+// also keeps traffic registers implements Counter.
 type Scheme interface {
 	// Bind attaches the live actual-size and target-size slices, one entry
 	// per partition each. The scheme must treat both as read-only.
@@ -50,6 +53,13 @@ type Scheme interface {
 	// slice must be a retained buffer owned by the scheme.
 	//fs:allocfree
 	Decide(cands []Candidate, insertPart int) Decision
+}
+
+// Counter is a Scheme with traffic registers: Algorithm 2's insertion and
+// eviction counters (FSFeedback) or PriSM's insertion window. New detects
+// it; the controller then reports every completed insertion and eviction,
+// and a demotion as both (Cache.demote).
+type Counter interface {
 	// OnInsert observes a completed insertion into part.
 	//fs:allocfree
 	OnInsert(part int)

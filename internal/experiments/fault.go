@@ -6,6 +6,7 @@ import (
 
 	"fscache/internal/faultinject"
 	"fscache/internal/futility"
+	"fscache/internal/stats"
 )
 
 // A4 — robustness ablation (DESIGN.md §9): the §V feedback controller is a
@@ -96,7 +97,8 @@ func runFaultCase(scale Scale, class faultinject.Class) FaultRow {
 		gens:    gens,
 		seed:    seedStream(scale.Seed, "ablfault-drv-"+string(class)),
 	}.converge()
-	row := FaultRow{Class: class, PreErr: occErr(b.Cache.Sizes(), targets)}
+	row := FaultRow{Class: class}
+	row.PreErr, _ = stats.OccupancyError(b.Cache.Sizes(), targets)
 
 	// Inject. Windowed classes keep the fault active for a transient
 	// window; point classes corrupt state once.
@@ -170,7 +172,7 @@ func runFaultCase(scale Scale, class faultinject.Class) FaultRow {
 	if interval := b.FSFeedback.Interval(); row.RecoverIns > 0 && interval > 0 {
 		row.RecoverIntervals = (row.RecoverIns + interval - 1) / interval
 	}
-	row.FinalErr = occErr(b.Cache.Sizes(), targets)
+	row.FinalErr, _ = stats.OccupancyError(b.Cache.Sizes(), targets)
 	row.Recovered = tracker.Recovered()
 	return row
 }

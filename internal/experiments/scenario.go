@@ -9,6 +9,7 @@ import (
 	"fscache/internal/core"
 	"fscache/internal/futility"
 	"fscache/internal/scenario"
+	"fscache/internal/stats"
 	"fscache/internal/trace"
 )
 
@@ -318,7 +319,10 @@ func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, o
 			}
 		}
 		if emitted > warmAt && emitted%64 == 0 {
-			occSum += occErr(b.Cache.Sizes(), targets)
+			// Zero-target partitions' absolute sizes are reported
+			// through churn tests instead.
+			e, _ := stats.OccupancyError(b.Cache.Sizes(), targets)
+			occSum += e
 			occN++
 		}
 	}
@@ -343,29 +347,6 @@ func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, o
 		row.OccErr = occSum / float64(occN)
 	}
 	return row, emitted
-}
-
-// occErr returns the mean relative occupancy error |size−target|/target
-// over partitions with nonzero targets (zero-target partitions are dead
-// tenants washing out; their absolute size is reported through churn tests
-// instead).
-func occErr(sizes, targets []int) float64 {
-	sum, n := 0.0, 0
-	for p, t := range targets {
-		if t <= 0 {
-			continue
-		}
-		d := sizes[p] - t
-		if d < 0 {
-			d = -d
-		}
-		sum += float64(d) / float64(t)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // Print implements Printable.

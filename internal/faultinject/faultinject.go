@@ -25,6 +25,7 @@ package faultinject
 import (
 	"fscache/internal/core"
 	"fscache/internal/futility"
+	"fscache/internal/stats"
 	"fscache/internal/trace"
 	"fscache/internal/xrand"
 )
@@ -260,19 +261,7 @@ func (t *RecoveryTracker) Observe(sizes []int) {
 	if len(sizes) < len(t.targets) {
 		panic("faultinject: Observe sizes shorter than targets")
 	}
-	dev := 0.0
-	for p, tgt := range t.targets {
-		if tgt <= 0 {
-			continue
-		}
-		d := float64(sizes[p]-tgt) / float64(tgt)
-		if d < 0 {
-			d = -d
-		}
-		if d > dev {
-			dev = d
-		}
-	}
+	_, dev := stats.OccupancyError(sizes, t.targets)
 	if dev > t.maxDev {
 		t.maxDev = dev
 	}

@@ -1,5 +1,7 @@
 package futility
 
+import "fscache/internal/stats"
+
 // CoarseTS is the paper's practical futility ranking (§V-A): a coarse-grain
 // timestamp-based LRU. Each partition has an 8-bit current timestamp,
 // incremented once every K accesses to the partition, with K = 1/16 of the
@@ -125,7 +127,7 @@ func (c *CoarseTS) OnMove(from, to, part int) {
 //
 //fs:allocfree
 func (c *CoarseTS) Distance(line, part int) uint64 {
-	CountQuery()
+	stats.CountQuery()
 	return uint64(tsDist(c.current[part], c.ts[line]))
 }
 
@@ -138,7 +140,7 @@ func (c *CoarseTS) Distance(line, part int) uint64 {
 //
 //fs:allocfree
 func (c *CoarseTS) FutilityRaw(line, part int) (float64, uint64) {
-	CountQuery()
+	stats.CountQuery()
 	d := tsDist(c.current[part], c.ts[line])
 	c.observe(part, d)
 	if c.dirty[part] >= histRebuild {

@@ -2,6 +2,7 @@ package futility
 
 import (
 	"fscache/internal/ost"
+	"fscache/internal/stats"
 	"fscache/internal/xrand"
 )
 
@@ -90,7 +91,7 @@ func (r *ostRanker) OnMove(from, to, part int) {
 //
 //fs:allocfree
 func (r *ostRanker) FutilityRaw(line, part int) (float64, uint64) {
-	CountQuery()
+	stats.CountQuery()
 	if !r.present(line) {
 		panic("futility: Futility of untracked line")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fscache/internal/recency"
+	"fscache/internal/stats"
 )
 
 // ExactLRU ranks lines by recency of last access: the least recently used
@@ -112,7 +113,7 @@ func (r *ExactLRU) OnMove(from, to, part int) {
 //
 //fs:allocfree
 func (r *ExactLRU) FutilityRaw(line, part int) (float64, uint64) {
-	CountQuery()
+	stats.CountQuery()
 	s := r.slot.At(int32(line))
 	if s == 0 {
 		panic("futility: Futility of untracked line")

@@ -30,6 +30,7 @@ package hashing
 import (
 	"math/bits"
 
+	"fscache/internal/stats"
 	"fscache/internal/xrand"
 )
 
@@ -200,7 +201,7 @@ func (f *Family) LaneBits() uint { return f.laneBits }
 //
 //fs:allocfree
 func (f *Family) Sum(key uint64, sum []uint64) {
-	CountH3()
+	stats.CountH3()
 	sum = sum[:len(f.tabs)]
 	for q := range f.tabs {
 		t := &f.tabs[q]

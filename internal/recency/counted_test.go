@@ -2,7 +2,11 @@
 
 package recency
 
-import "testing"
+import (
+	"testing"
+
+	"fscache/internal/stats"
+)
 
 // TestCounted pins what compactions cost, counted by the fscount build. An
 // order filled to 4096 lines last grew when its 3904 slots filled, into
@@ -34,23 +38,23 @@ func TestCounted(t *testing.T) {
 	if p.Cap() != 5888 {
 		t.Fatalf("%d lines settled at capacity %d, want 5888", lines, p.Cap())
 	}
-	work, laid := compactWork.Load(), relayouts.Load()
+	work, laid := stats.ReadCounted().CompactWork, stats.ReadCounted().Relayouts
 	const n = passes * lines
 	hit(n)
-	if got := compactWork.Load() - work; 10*got > 24*n {
+	if got := stats.ReadCounted().CompactWork - work; 10*got > 24*n {
 		t.Errorf("%d steady hits: compactions renumbered and scanned %d slots and words, %.2f a hit; want at most 2.4", n, got, float64(got)/n)
 	}
-	if got := relayouts.Load() - laid; got != 0 {
+	if got := stats.ReadCounted().Relayouts - laid; got != 0 {
 		t.Errorf("%d steady hits: %d relayouts", n, got)
 	}
 
 	o := newOscillation()
 	o.cycle()
-	laid = relayouts.Load()
+	laid = stats.ReadCounted().Relayouts
 	for i := 0; i < 8; i++ {
 		o.cycle()
 	}
-	if got := relayouts.Load() - laid; got != 0 || o.atLo < 8 || o.atHi < 8 {
+	if got := stats.ReadCounted().Relayouts - laid; got != 0 || o.atLo < 8 || o.atHi < 8 {
 		t.Errorf("8 settled %d ↔ %d cycles: %d relayouts over %d and %d compactions", oscLo, oscHi, got, o.atLo, o.atHi)
 	}
 }

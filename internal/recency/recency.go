@@ -34,6 +34,8 @@ package recency
 import (
 	"fmt"
 	"math/bits"
+
+	"fscache/internal/stats"
 )
 
 // Index is one recency order over lines identified by small non-negative
@@ -214,7 +216,7 @@ func (p *Index) compact(slot *Table) {
 		if n := capFor(p.live); n != p.cap {
 			p.cap = n
 			p.set.relayout(p)
-			countRelayout()
+			stats.CountRelayout()
 		}
 	}
 	var w, group int32
@@ -230,7 +232,7 @@ func (p *Index) compact(slot *Table) {
 			slot.Put(l, w)
 		}
 	}
-	countCompact(w + int32(len(words)))
+	stats.CountCompact(w + int32(len(words)))
 	p.next = w + 1
 	if group == 0 {
 		group = p.next

@@ -6,8 +6,7 @@ import (
 	"fmt"
 	"testing"
 
-	"fscache/internal/hashing"
-	"fscache/internal/shardcache"
+	"fscache/internal/stats"
 )
 
 // TestCounted pins one stripe lock and one H3 evaluation per data-path
@@ -54,12 +53,12 @@ func TestCounted(t *testing.T) {
 
 	count := func(name string, locks, h3 int, send func()) {
 		t.Helper()
-		before, evals, writes := shardcache.StripeLocks(), hashing.H3Evals(), l.writes.Load()
+		before, evals, writes := stats.ReadCounted().Locks, stats.ReadCounted().H3, l.writes.Load()
 		send()
-		if got := int(shardcache.StripeLocks() - before); got != locks {
+		if got := int(stats.ReadCounted().Locks - before); got != locks {
 			t.Errorf("%s: %d stripe locks, want %d", name, got, locks)
 		}
-		if got := int(hashing.H3Evals() - evals); got != h3 {
+		if got := int(stats.ReadCounted().H3 - evals); got != h3 {
 			t.Errorf("%s: %d H3 evaluations, want %d", name, got, h3)
 		}
 		if got := l.writes.Load() - writes; got != 1 {

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"fscache/internal/core"
-	"fscache/internal/hashing"
+	"fscache/internal/stats"
 	"fscache/internal/xrand"
 )
 
@@ -72,12 +72,12 @@ func TestCounted(t *testing.T) {
 		{"Rebalance", len(e.stripes), 0, func() { e.Rebalance() }},
 	} {
 		forget()
-		locks, evals := StripeLocks(), hashing.H3Evals()
+		locks, evals := stats.ReadCounted().Locks, stats.ReadCounted().H3
 		row.op()
-		if got := int(StripeLocks() - locks); got != row.locks {
+		if got := int(stats.ReadCounted().Locks - locks); got != row.locks {
 			t.Errorf("%s: %d stripe locks, want %d", row.name, got, row.locks)
 		}
-		if got := int(hashing.H3Evals() - evals); got != row.h3 {
+		if got := int(stats.ReadCounted().H3 - evals); got != row.h3 {
 			t.Errorf("%s: %d H3 evaluations, want %d", row.name, got, row.h3)
 		}
 	}

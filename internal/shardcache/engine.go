@@ -46,6 +46,7 @@ import (
 	"fscache/internal/core"
 	"fscache/internal/futility"
 	"fscache/internal/hashing"
+	"fscache/internal/stats"
 	"fscache/internal/trace"
 	"fscache/internal/xrand"
 )
@@ -219,7 +220,7 @@ func (e *Engine) Lines() int { return e.cfg.Lines }
 //
 //fs:allocfree
 func (e *Engine) route(addr uint64) (hash uint64, g int) {
-	hashing.CountH3()
+	stats.CountH3()
 	hash = e.router.Hash(addr)
 	return hash, int(hash >> e.stripeShift)
 }
@@ -261,7 +262,7 @@ func (e *Engine) Lock(addr uint64) Locked {
 // LockStripe takes the lock of stripe g, 0 ≤ g < Stripes().
 func (e *Engine) LockStripe(g int) Locked {
 	st := e.stripes[g]
-	countLock()
+	stats.CountLock()
 	st.mu.Lock()
 	return Locked{st, g}
 }
@@ -319,7 +320,7 @@ func (e *Engine) SetTargets(targets []int) {
 			}
 			first = (first + t%k) % k
 		}
-		countLock()
+		stats.CountLock()
 		st.mu.Lock()
 		st.cache.SetTargets(e.share)
 		st.mu.Unlock()
@@ -342,7 +343,7 @@ func (e *Engine) Rebalance() { e.accesses() }
 // core.Cache never resets its count, so the sum never falls.
 func (e *Engine) accesses() (n uint64) {
 	for _, st := range e.stripes {
-		countLock()
+		stats.CountLock()
 		st.mu.Lock()
 		n += st.cache.Accesses()
 		st.mu.Unlock()
@@ -363,7 +364,7 @@ func (e *Engine) Snapshot() core.Snapshot {
 	defer e.mu.Unlock()
 	var merged core.Snapshot
 	for g, st := range e.stripes {
-		countLock()
+		stats.CountLock()
 		st.mu.Lock()
 		snap := st.cache.StatsSnapshot()
 		st.mu.Unlock()
@@ -389,7 +390,7 @@ func (e *Engine) PartSizes(dst []int) []int {
 		dst[i] = 0
 	}
 	for _, st := range e.stripes {
-		countLock()
+		stats.CountLock()
 		st.mu.Lock()
 		sizes := st.cache.Sizes()
 		for p, n := range sizes {
@@ -418,7 +419,7 @@ func (e *Engine) CheckInvariants() error {
 	}
 	partSums := make([]int, e.cfg.Parts)
 	for g, st := range e.stripes {
-		countLock()
+		stats.CountLock()
 		st.mu.Lock()
 		err := st.cache.CheckInvariants()
 		for l := 0; err == nil && l < st.array.Lines(); l++ {

@@ -253,3 +253,25 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
+
+// OccupancyError returns the mean and the maximum of the relative occupancy
+// error |size−target|/target over partitions with positive targets (others
+// are dead tenants washing out), both 0 if there is none.
+func OccupancyError(sizes, targets []int) (mean, worst float64) {
+	n := 0
+	for p, t := range targets {
+		if t <= 0 {
+			continue
+		}
+		e := math.Abs(float64(sizes[p]-t)) / float64(t)
+		mean += e
+		if e > worst {
+			worst = e
+		}
+		n++
+	}
+	if n > 0 {
+		mean /= float64(n)
+	}
+	return mean, worst
+}

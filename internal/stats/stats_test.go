@@ -422,3 +422,21 @@ func TestQuickMADBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// OccupancyError averages and maximises |size−target|/target over positive
+// targets only, and reads 0 when there is none.
+func TestOccupancyError(t *testing.T) {
+	for _, c := range []struct {
+		sizes, targets []int
+		mean, worst    float64
+	}{
+		{[]int{90, 130, 7}, []int{100, 100, 0}, 0.2, 0.3},
+		{[]int{5, 0}, []int{0, -1}, 0, 0},
+		{[]int{50, 50}, []int{50, 50}, 0, 0},
+	} {
+		mean, worst := OccupancyError(c.sizes, c.targets)
+		if !almost(mean, c.mean, 1e-12) || !almost(worst, c.worst, 1e-12) {
+			t.Errorf("OccupancyError(%v, %v) = %v, %v; want %v, %v", c.sizes, c.targets, mean, worst, c.mean, c.worst)
+		}
+	}
+}
