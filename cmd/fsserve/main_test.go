@@ -160,13 +160,16 @@ func TestForcedDrainExitsOne(t *testing.T) {
 	if _, err := c.nc.Write(burst); err != nil {
 		t.Fatal(err)
 	}
+	// Inflight alone does not say the GETs are in: the SET's response has
+	// been read, but its flush leaves inflight only once its Write returns.
+	// Admitted reaching 33 (the SET and the 32 GETs) does.
 	stats := dial(t, s.addr)
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		var snap server.StatsSnapshot
 		if err := json.Unmarshal(stats.rpc(t, server.Request{Op: server.OpStats}).Value, &snap); err != nil {
 			t.Fatal(err)
 		}
-		if snap.Inflight > 0 {
+		if snap.Tenants[0].Admitted >= 33 && snap.Inflight > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

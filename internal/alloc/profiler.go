@@ -72,13 +72,13 @@ type Profiler struct {
 	// are indexed by tag. Tags 0..Live()−1 are the ones in use.
 	idx  *recency.Index
 	addr []uint64
-	slot recency.Table
+	slot recency.Table[uint16]
 	// table finds a tracked address's tag: open addressing over the power of
 	// two ≥ 2·maxTags entries, each tag+1 (0 is empty) keyed by addr[tag]. An
 	// address's home is the top bits of its sampling hash (the low shift bits
 	// are zero when sampled); collisions probe linearly and a removal shifts
 	// its chain back, so with no tombstones the table never fills or grows.
-	table     recency.Table
+	table     recency.Table[uint16]
 	homeShift uint
 
 	// hist[d] counts sampled reuses at sampled stack distance d+1; the
@@ -118,7 +118,7 @@ func NewProfiler(maxTags int, sampleShift uint, seed uint64) *Profiler {
 		idx:       &recency.New(1, int32(maxTags))[0],
 		addr:      make([]uint64, maxTags),
 		slot:      recency.NewSlots(int32(maxTags)),
-		table:     recency.NewTable(1<<tableBits, int32(maxTags)),
+		table:     recency.NewTable[uint16](1<<tableBits, int32(maxTags)),
 		homeShift: uint(64 - tableBits),
 		hist:      make([]uint64, maxTags),
 	}

@@ -217,7 +217,7 @@ func TestProfilerCheckInvariantsDetectsTableHalves(t *testing.T) {
 		if err := p.CheckInvariants(); err != nil {
 			t.Fatalf("%d tags: clean profiler: %v", c.tags, err)
 		}
-		table := recency.NewTable(p.table.Len(), c.bound)
+		table := recency.NewTable[uint16](p.table.Len(), c.bound)
 		for i := range int32(table.Len()) {
 			table.Put(i, p.table.At(i))
 		}

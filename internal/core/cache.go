@@ -6,6 +6,7 @@ import (
 
 	"fscache/internal/cachearray"
 	"fscache/internal/futility"
+	"fscache/internal/recency"
 	"fscache/internal/stats"
 	"fscache/internal/trace"
 )
@@ -69,29 +70,37 @@ func (p *PartStats) MissRate() float64 {
 	return float64(p.Misses) / float64(t)
 }
 
-// A line's partition id is one int16 (Cache.meta). A resident line has two
-// partitions: its owner, whose application inserted it, and the partition it
-// counts against for sizing decisions. They differ only after a demotion
-// (Vantage): the demoted line belongs to the unmanaged pseudo-partition for
-// sizing but its eviction futility is still measured within its owner's
-// working set. A cache demotes into one partition only (Cache.demoteTo), so
-// the id says which of the two cases holds:
+// A line's partition id is one unsigned code (Cache.meta). A resident line
+// has two partitions: its owner, whose application inserted it, and the
+// partition it counts against for sizing decisions. They differ only after a
+// demotion (Vantage): the demoted line belongs to the unmanaged
+// pseudo-partition for sizing but its eviction futility is still measured
+// within its owner's working set. A cache demotes into one partition only
+// (Cache.demoteTo), so the code says which of the two cases holds:
 //
-//	id ≥ 0     resident in partition id, its owner
-//	id = −1    free (noLine)
-//	id ≤ −2    owner −2−id, demoted into demoteTo
-const noLine = -1
+//	code = 0                   free (noLine)
+//	1 ≤ code ≤ Parts           resident in partition code−1, its owner
+//	Parts < code ≤ 2·Parts     owner code−1−Parts, demoted into demoteTo
+//
+// The codes are a recency.Table of 8-bit halves bounded by 2·Parts: 1 byte a
+// line while 2·Parts < 256 (at most 127 partitions), 2 bytes from there up to
+// New's limit of MaxInt16 partitions, the way the paper's §V hardware spends
+// ⌈log₂N⌉ bits a line on the partition ID.
+const noLine = 0
 
-// demotedID is the id of a line of partition owner demoted into demoteTo.
-func demotedID(owner int) int16 { return int16(-2 - owner) }
+// maxCode is the largest partition code of a cache of parts partitions.
+func maxCode(parts int) int32 { return int32(2 * parts) }
+
+// demotedID is the code of a line of partition owner demoted into demoteTo.
+func (c *Cache) demotedID(owner int) int32 { return int32(c.parts + 1 + owner) }
 
 // ownerOf returns the partition that inserted line, or −1 for a free line.
 //
 //fs:allocfree
 func (c *Cache) ownerOf(line int) int {
-	id := int(c.meta[line])
-	if id < 0 {
-		return -2 - id // −1 for noLine
+	id := int(c.meta.At(int32(line))) - 1 // −1 for noLine
+	if id >= c.parts {
+		return id - c.parts
 	}
 	return id
 }
@@ -100,8 +109,8 @@ func (c *Cache) ownerOf(line int) int {
 //
 //fs:allocfree
 func (c *Cache) partOf(line int) int {
-	if id := int(c.meta[line]); id >= noLine {
-		return id
+	if id := int(c.meta.At(int32(line))); id <= c.parts {
+		return id - 1
 	}
 	return c.demoteTo
 }
@@ -123,7 +132,7 @@ type Cache struct {
 	counter    Counter // the scheme, if it counts traffic; else nil
 	parts      int
 
-	meta []int16 // per-line partition id, indexed by line; noLine for an invalid line
+	meta recency.Table[uint8] // per-line partition code, indexed by line; noLine for an invalid line
 	// demoteTo is the partition every demoted line counts against: the first
 	// demotion's target (a later one to any other partition panics), −1
 	// before any.
@@ -184,8 +193,8 @@ func New(cfg Config) *Cache {
 		panic("core: Parts must be positive")
 	}
 	if cfg.Parts > math.MaxInt16 {
-		// Owner Parts−1 demoted is id −1−Parts, which must fit an int16.
-		panic("core: Parts exceeds the 16-bit per-line partition id")
+		// Owner Parts−1 demoted is code 2·Parts, which must fit two bytes.
+		panic("core: Parts exceeds the 16-bit per-line partition code")
 	}
 	c := &Cache{
 		array:      cfg.Array,
@@ -194,7 +203,7 @@ func New(cfg Config) *Cache {
 		unmeasured: cfg.Unmeasured,
 		scheme:     cfg.Scheme,
 		parts:      cfg.Parts,
-		meta:       make([]int16, cfg.Array.Lines()),
+		meta:       recency.NewTable[uint8](cfg.Array.Lines(), maxCode(cfg.Parts)),
 		demoteTo:   -1,
 		sizes:      make([]int, cfg.Parts),
 		targets:    make([]int, cfg.Parts),
@@ -203,9 +212,6 @@ func New(cfg Config) *Cache {
 	}
 	if cfg.Unmeasured && cfg.Reference != nil {
 		panic("core: Unmeasured excludes a Reference")
-	}
-	for i := range c.meta {
-		c.meta[i] = noLine
 	}
 	c.resetPartStats()
 	c.freer, _ = cfg.Array.(cachearray.Freer)
@@ -253,9 +259,9 @@ func (c *Cache) Stats(part int) *PartStats { return &c.pstats[part] }
 func (c *Cache) Accesses() uint64 { return c.accesses }
 
 // Resident reports whether the array line holds an address. The per-line
-// partition id is the pipeline's one record of residency: the rankers keep
+// partition code is the pipeline's one record of residency: the rankers keep
 // none and are told only about lines the cache holds.
-func (c *Cache) Resident(line int) bool { return c.meta[line] != noLine }
+func (c *Cache) Resident(line int) bool { return c.meta.At(int32(line)) != noLine }
 
 // MeanOccupancy returns the partition's time-averaged size in lines,
 // sampled at every access.
@@ -377,10 +383,10 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 	ctx := futility.Context{Seq: c.seq, NextUse: nextUse}
 
 	if line := c.array.Lookup(addr); line >= 0 {
-		owner := int(c.meta[line])
+		owner := int(c.meta.At(int32(line))) - 1 // a resident line is never noLine
 		dp := owner
-		if owner < 0 { // demoted: a resident line is never noLine
-			owner, dp = -2-owner, c.demoteTo
+		if owner >= c.parts { // demoted
+			owner, dp = owner-c.parts, c.demoteTo
 		}
 		c.pstats[owner].Hits++
 		switch {
@@ -413,7 +419,7 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 		// A line is invalid exactly when it carries no partition
 		// (CheckInvariants), which saves asking the array about each way.
 		for _, l := range cands {
-			if c.meta[l] == noLine {
+			if c.meta.At(int32(l)) == noLine {
 				victim = l
 				break
 			}
@@ -452,7 +458,7 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 		res.EvictedLine = victim
 		res.EvictedPart = owner
 		res.EvictedAddr = vaddr
-		c.meta[victim] = noLine
+		c.meta.Put(int32(victim), noLine)
 	}
 
 	// addr lands in the victim, or in the line the last relocation vacated
@@ -464,15 +470,15 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 		if c.ref != nil {
 			c.ref.OnMove(m.From, m.To, c.ownerOf(m.From))
 		}
-		c.meta[m.To] = c.meta[m.From]
-		c.meta[m.From] = noLine
+		c.meta.Put(int32(m.To), c.meta.At(int32(m.From)))
+		c.meta.Put(int32(m.From), noLine)
 		line = m.From
 	}
 	if got, valid := c.array.AddrOf(line); !valid || got != addr {
 		panic("core: address not resident after Install")
 	}
 	res.Line = line
-	c.meta[line] = int16(part)
+	c.meta.Put(int32(line), int32(part)+1)
 	c.ranker.OnInsert(line, part, ctx)
 	if c.ref != nil {
 		c.ref.OnInsert(line, part, ctx)
@@ -612,7 +618,7 @@ func (c *Cache) demote(line, to int) {
 	c.ranker.OnInsert(line, to, futility.Context{Seq: c.seq, NextUse: trace.NoNextUse})
 	c.resize(from, -1)
 	c.resize(to, 1)
-	c.meta[line] = demotedID(owner)
+	c.meta.Put(int32(line), c.demotedID(owner))
 	c.pstats[owner].Demotions++
 	if c.counter != nil {
 		c.counter.OnEviction(from) // a demotion drains the source like an eviction...

@@ -3,11 +3,11 @@ package core
 import (
 	"math"
 	"testing"
-	"unsafe"
 
 	"fscache/internal/analytic"
 	"fscache/internal/cachearray"
 	"fscache/internal/futility"
+	"fscache/internal/recency"
 	"fscache/internal/trace"
 	"fscache/internal/xrand"
 )
@@ -324,8 +324,8 @@ func TestZCacheMetadataConsistency(t *testing.T) {
 		if _, ok := arr.AddrOf(l); ok {
 			valid++
 			counts[c.partOf(l)]++
-		} else if c.meta[l] != noLine {
-			t.Fatalf("invalid line %d has partition id %d", l, c.meta[l])
+		} else if c.Resident(l) {
+			t.Fatalf("invalid line %d has partition code %d", l, c.meta.At(int32(l)))
 		}
 	}
 	for p := 0; p < 2; p++ {
@@ -434,7 +434,7 @@ func TestDemotionAccounting(t *testing.T) {
 		t.Fatalf("size sum %d != %d", total, lines)
 	}
 	// Owner-side accounting, by recount: partitions 0 and 1 own everything.
-	for l := range c.meta {
+	for l := range c.meta.Len() {
 		if c.ownerOf(l) == 2 {
 			t.Fatalf("pseudo-partition owns line %d", l)
 		}
@@ -552,20 +552,43 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// A line's partition id is one int16, 2 bytes a line: New refuses a
-// partition count whose demoted owners the id cannot hold, the largest owner
-// it admits, MaxInt16−1, demotes to MinInt16 and back, and a wider id fails
-// here.
+// A line's partition code takes 1 byte while 2·Parts < 256 and 2 bytes up to
+// New's limit of MaxInt16 partitions. At each width's edges every owner reads
+// back as its own partition when resident, and as owner and demotion target
+// when demoted into any other partition — up to owner MaxInt16−1 at code
+// 2·MaxInt16 — and New refuses a partition count whose codes two bytes cannot
+// hold.
 func TestPartitionTagWidth(t *testing.T) {
-	c := &Cache{meta: []int16{demotedID(math.MaxInt16 - 1)}, demoteTo: 3}
-	if n := unsafe.Sizeof(c.meta[0]); n != 2 {
-		t.Fatalf("the partition id is %d bytes a line, want 2", n)
-	}
-	if c.meta[0] != math.MinInt16 || c.ownerOf(0) != math.MaxInt16-1 || c.partOf(0) != 3 {
-		t.Fatalf("owner MaxInt16−1 demoted into 3: id %d, owner %d, partition %d", c.meta[0], c.ownerOf(0), c.partOf(0))
+	for _, tc := range []struct{ parts, bytes int }{{1, 1}, {2, 1}, {127, 1}, {128, 2}, {math.MaxInt16, 2}} {
+		c := &Cache{parts: tc.parts, meta: recency.NewTable[uint8](1, maxCode(tc.parts))}
+		if n := c.meta.Bytes(); n != tc.bytes {
+			t.Fatalf("Parts = %d: the partition code is %d bytes a line, want %d", tc.parts, n, tc.bytes)
+		}
+		for _, owner := range []int{0, 1, tc.parts/2 - 1, tc.parts - 2, tc.parts - 1} {
+			if owner < 0 || owner >= tc.parts {
+				continue
+			}
+			c.meta.Put(0, int32(owner)+1)
+			if c.ownerOf(0) != owner || c.partOf(0) != owner || !c.Resident(0) {
+				t.Fatalf("Parts = %d, owner %d resident: owner %d, partition %d", tc.parts, owner, c.ownerOf(0), c.partOf(0))
+			}
+			c.demoteTo = (owner + 1) % tc.parts
+			if c.demoteTo == owner {
+				continue
+			}
+			c.meta.Put(0, c.demotedID(owner))
+			if c.ownerOf(0) != owner || c.partOf(0) != c.demoteTo || !c.Resident(0) {
+				t.Fatalf("Parts = %d, owner %d demoted into %d: code %d, owner %d, partition %d",
+					tc.parts, owner, c.demoteTo, c.meta.At(0), c.ownerOf(0), c.partOf(0))
+			}
+		}
+		c.meta.Put(0, noLine)
+		if c.ownerOf(0) != -1 || c.partOf(0) != -1 || c.Resident(0) {
+			t.Fatalf("Parts = %d, free line: owner %d, partition %d", tc.parts, c.ownerOf(0), c.partOf(0))
+		}
 	}
 	defer func() {
-		if r := recover(); r != "core: Parts exceeds the 16-bit per-line partition id" {
+		if r := recover(); r != "core: Parts exceeds the 16-bit per-line partition code" {
 			t.Fatalf("Parts = MaxInt16+1: recovered %v", r)
 		}
 	}()

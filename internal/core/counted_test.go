@@ -50,7 +50,7 @@ func TestCounted(t *testing.T) {
 	partsAmong := func(c *Cache) int {
 		seen := map[int]bool{}
 		for _, l := range c.array.Candidates(absent, nil) {
-			if c.meta[l] == noLine {
+			if !c.Resident(l) {
 				t.Fatalf("set of %#x has a free line", absent)
 			}
 			seen[c.partOf(l)] = true

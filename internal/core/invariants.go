@@ -14,7 +14,9 @@ import (
 //   - every partition size is non-negative and the sizes sum to the number
 //     of valid (resident) array lines — occupancy accounting conserves the
 //     cache;
-//   - every resident line carries an in-range partition id, and every
+//   - the partition codes are one a line, in the halves their bound 2·Parts
+//     needs (a high half exactly when it reaches 256);
+//   - every resident line carries an in-range partition code, and every
 //     invalid line carries none; a demoted line's owner is not the demotion
 //     target, and there is a target (in range) once any line is demoted;
 //   - recounting resident lines per decision partition reproduces sizes;
@@ -41,24 +43,28 @@ func (c *Cache) CheckInvariants() error {
 	if c.demoteTo < -1 || c.demoteTo >= c.parts {
 		return fmt.Errorf("core: demotion target %d out of range", c.demoteTo)
 	}
+	if c.meta.Len() != c.array.Lines() || !c.meta.Matches(maxCode(c.parts)) {
+		return fmt.Errorf("core: partition-code table of %d entries in %d bytes, want one a line of %d lines, codes up to %d",
+			c.meta.Len(), c.meta.Bytes(), c.array.Lines(), maxCode(c.parts))
+	}
 	valid := 0
 	counts := make([]int, c.parts)
 	ownerCounts := make([]int, c.parts)
 	for l := 0; l < c.array.Lines(); l++ {
 		_, resident := c.array.AddrOf(l)
-		id := c.meta[l]
+		id := c.meta.At(int32(l))
 		if !resident {
 			if id != noLine {
-				return fmt.Errorf("core: invalid line %d still carries partition id %d", l, id)
+				return fmt.Errorf("core: invalid line %d still carries partition code %d", l, id)
 			}
 			continue
 		}
 		valid++
 		dp, owner := c.partOf(l), c.ownerOf(l)
 		if owner < 0 || owner >= c.parts {
-			return fmt.Errorf("core: resident line %d has partition id %d, owner %d out of range", l, id, owner)
+			return fmt.Errorf("core: resident line %d has partition code %d, owner %d out of range", l, id, owner)
 		}
-		if id < noLine && (c.demoteTo < 0 || owner == c.demoteTo) {
+		if id > int32(c.parts) && (c.demoteTo < 0 || owner == c.demoteTo) {
 			return fmt.Errorf("core: line %d of partition %d is demoted into %d", l, owner, c.demoteTo)
 		}
 		counts[dp]++

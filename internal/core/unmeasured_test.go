@@ -5,6 +5,7 @@ import (
 
 	"fscache/internal/cachearray"
 	"fscache/internal/futility"
+	"fscache/internal/recency"
 	"fscache/internal/stats"
 	"fscache/internal/trace"
 	"fscache/internal/xrand"
@@ -117,8 +118,8 @@ func TestCheckInvariantsDetects(t *testing.T) {
 		return c
 	}
 	resident := func(c *Cache) int {
-		for l := range c.meta {
-			if c.meta[l] != noLine {
+		for l := range c.meta.Len() {
+			if c.Resident(l) {
 				return l
 			}
 		}
@@ -132,16 +133,24 @@ func TestCheckInvariantsDetects(t *testing.T) {
 	}{
 		{"decision size", false, func(c *Cache) { c.sizes[0]++; c.sizes[1]-- }},
 		{"negative target", false, func(c *Cache) { c.targets[1] = -1 }},
-		{"line without a partition", false, func(c *Cache) { c.meta[resident(c)] = noLine }},
+		{"line without a partition", false, func(c *Cache) { c.meta.Put(int32(resident(c)), noLine) }},
+		// Every code is kept: only the table's width is wrong for 2 partitions.
+		{"partition codes with a high half", false, func(c *Cache) {
+			wide := recency.NewTable[uint8](c.meta.Len(), 1<<8)
+			for l := range int32(c.meta.Len()) {
+				wide.Put(l, c.meta.At(l))
+			}
+			c.meta = wide
+		}},
 		{"demoted line with no demotion target", false, func(c *Cache) {
 			l := resident(c)
-			c.meta[l] = demotedID(c.ownerOf(l))
+			c.meta.Put(int32(l), c.demotedID(c.ownerOf(l)))
 		}},
 		// Its sizes still recount: only the encoding's one form is violated.
 		{"line demoted into its own partition", false, func(c *Cache) {
 			l := resident(c)
 			c.demoteTo = c.ownerOf(l)
-			c.meta[l] = demotedID(c.demoteTo)
+			c.meta.Put(int32(l), c.demotedID(c.demoteTo))
 		}},
 		{"demotion target out of range", false, func(c *Cache) { c.demoteTo = parts }},
 		{"decision ranker population", false, func(c *Cache) {

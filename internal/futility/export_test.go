@@ -5,4 +5,4 @@ import "fscache/internal/recency"
 // Orders exposes the partitions' recency orders to the external tests.
 func (r *ExactLRU) Orders() []recency.Index { return r.parts }
 
-func (r *ExactLRU) Slots() *recency.Table { return &r.slot }
+func (r *ExactLRU) Slots() *recency.Table[uint16] { return &r.slot }

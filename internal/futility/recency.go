@@ -26,7 +26,7 @@ import (
 type ExactLRU struct {
 	parts []recency.Index
 	// slot is each line's slot in its partition's index; 0 is untracked.
-	slot recency.Table
+	slot recency.Table[uint16]
 	// fLen caches float64(parts[p].Live()) so the per-candidate futility
 	// normalization skips the int→float conversion. It is the cached
 	// denominator, not a reciprocal: x/float64(M) and x*(1/M) differ in the

@@ -465,6 +465,13 @@ func (s *scanner) checkCall(call *ast.CallExpr) bool {
 		}
 	}
 
+	// unsafe's builtins (Sizeof, Add, Slice, ...) compute; none allocates.
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		if _, ok := s.info().Uses[sel.Sel].(*types.Builtin); ok {
+			return true
+		}
+	}
+
 	// Conversions.
 	if tv, ok := s.info().Types[call.Fun]; ok && tv.IsType() {
 		s.checkConversion(call, tv.Type)
@@ -569,12 +576,15 @@ func (s *scanner) checkArgBoxing(call *ast.CallExpr, sig *types.Signature) {
 // checkBoxing reports arg if assigning it to target boxes a non-constant,
 // non-pointer-shaped value into an interface.
 func (s *scanner) checkBoxing(arg ast.Expr, target types.Type) {
-	if !types.IsInterface(target.Underlying()) {
+	if !types.IsInterface(target.Underlying()) || concreteTypeSet(target) {
 		return
 	}
 	tv, ok := s.info().Types[arg]
-	if !ok || tv.Type == nil || types.IsInterface(tv.Type.Underlying()) {
+	if !ok || tv.Type == nil {
 		return
+	}
+	if _, param := tv.Type.(*types.TypeParam); !param && types.IsInterface(tv.Type.Underlying()) {
+		return // already an interface; a type parameter's value may not be
 	}
 	if tv.Value != nil || tv.IsNil() {
 		return // constants box into static descriptors
@@ -586,6 +596,29 @@ func (s *scanner) checkBoxing(arg ast.Expr, target types.Type) {
 }
 
 func shortQualifier(p *types.Package) string { return p.Name() }
+
+// concreteTypeSet reports whether t is a type parameter whose constraint is a
+// union of non-interface types (uint8 | uint16, say): a value converted or
+// assigned to it takes the type argument's own representation, not an
+// interface's.
+func concreteTypeSet(t types.Type) bool {
+	tp, ok := t.(*types.TypeParam)
+	if !ok {
+		return false
+	}
+	iface := tp.Constraint().Underlying().(*types.Interface)
+	for i := 0; i < iface.NumEmbeddeds(); i++ {
+		if u, ok := iface.EmbeddedType(i).(*types.Union); ok {
+			for j := 0; j < u.Len(); j++ {
+				if types.IsInterface(u.Term(j).Type()) {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	return false
+}
 
 // pointerShaped reports whether values of t fit an interface word
 // without boxing.
@@ -829,9 +862,18 @@ func escapeAudit(mp *analysis.ModulePass, opts Options, visited map[string]strin
 		line int
 	}
 
-	// Line ranges of every verified function, per audited unit.
+	// Line ranges of every verified function, per audited unit, and the
+	// name positions of the generic ones: the compiler reports an escape in
+	// an instantiation's wrapper (NewT[int], which calls the shaped body) at
+	// the declaration's name, though the allocation is the body's and is
+	// reported at its own line too.
 	type span struct{ start, end int }
+	type column struct {
+		file      string
+		line, col int
+	}
 	ranges := map[string][]span{} // file → spans
+	wrappers := map[column]bool{}
 	auditUnits := map[*analysis.Unit]bool{}
 	for name := range visited {
 		node := mp.CallGraph.Funcs[name]
@@ -842,6 +884,10 @@ func escapeAudit(mp *analysis.ModulePass, opts Options, visited map[string]strin
 		start := mp.Fset.Position(node.Decl.Pos())
 		end := mp.Fset.Position(node.Decl.End())
 		ranges[start.Filename] = append(ranges[start.Filename], span{start.Line, end.Line})
+		if sig := node.Fn.Type().(*types.Signature); sig.TypeParams() != nil || sig.RecvTypeParams() != nil {
+			at := mp.Fset.Position(node.Decl.Name.Pos())
+			wrappers[column{at.Filename, at.Line, at.Column}] = true
+		}
 	}
 	inVerified := func(file string, line int) bool {
 		for _, sp := range ranges[file] {
@@ -892,6 +938,7 @@ func escapeAudit(mp *analysis.ModulePass, opts Options, visited map[string]strin
 				file = u.Dir + "/" + strings.TrimPrefix(file, "./")
 			}
 			ln, _ := strconv.Atoi(m[2])
+			col, _ := strconv.Atoi(m[3])
 			msg := m[4]
 			key := lineKey{file, ln}
 			switch {
@@ -901,7 +948,7 @@ func escapeAudit(mp *analysis.ModulePass, opts Options, visited map[string]strin
 				if strings.HasPrefix(msg, `"`) || strings.Contains(msg, ` "`) && strings.HasSuffix(msg, `" escapes to heap`) {
 					continue // constant strings live in static data
 				}
-				if !inVerified(file, ln) {
+				if !inVerified(file, ln) || wrappers[column{file, ln, col}] {
 					continue
 				}
 				escapes[key] = append(escapes[key], msg)

@@ -133,6 +133,7 @@ func (g *CallGraph) ResolveCall(u *Unit, call *ast.CallExpr) Callee {
 }
 
 func (g *CallGraph) static(fn *types.Func) Callee {
+	fn = fn.Origin() // a method of an instantiated type resolves to its declaration
 	name := fn.FullName()
 	return Callee{Kind: CallStatic, Name: name, Node: g.Funcs[name], Fn: fn}
 }

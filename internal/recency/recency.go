@@ -57,7 +57,7 @@ type Index struct {
 	// of its set's arrays.
 	words  []uint64
 	nodes  []int32
-	lineAt Table
+	lineAt Table[uint16]
 	set    *set
 	cap    int32
 	next   int32 // slots 1..next−1 have been handed out since the last compaction
@@ -86,7 +86,7 @@ const (
 type set struct {
 	words  []uint64
 	nodes  []int32
-	lineAt Table
+	lineAt Table[uint16]
 	orders []Index
 	lines  int32
 }
@@ -105,7 +105,7 @@ func New(n int, lines int32) []Index {
 
 // NewSlots returns the empty slot table of the lines of a set New(n, lines)
 // builds: no order's capacity, so no slot, exceeds capFor(lines).
-func NewSlots(lines int32) Table { return NewTable(int(lines), capFor(lines)) }
+func NewSlots(lines int32) Table[uint16] { return NewTable[uint16](int(lines), capFor(lines)) }
 
 // wordsFor is the bitmap length for capacity c: the power of two ≥ c/64.
 func wordsFor(c int32) int32 { return int32(1) << bits.Len32(uint32(c/64-1)) }
@@ -130,7 +130,7 @@ func (s *set) relayout(resized *Index) {
 	}
 	nn := nw + int32(len(s.orders))
 	//fslint:ignore allocfree cold relayout when an order's population has moved ×6/5 or ×½; other compactions reuse their segments
-	words, nodes, lineAt := make([]uint64, nw, pageCap(nw, 8)), make([]int32, nn, pageCap(nn, 4)), makeTable(nl, pageCap(nl, 2), s.lines-1)
+	words, nodes, lineAt := make([]uint64, nw, pageCap(nw, 8)), make([]int32, nn, pageCap(nn, 4)), makeTable[uint16](nl, pageCap(nl, 2), s.lines-1)
 	s.words, s.nodes, s.lineAt = words, nodes, lineAt
 	for i := range s.orders {
 		p := &s.orders[i]
@@ -210,7 +210,7 @@ func (p *Index) take(line int32) int32 {
 // order's population has moved past ×6/5 or ×½ since its last resize.
 //
 //fs:allocfree
-func (p *Index) compact(slot *Table) {
+func (p *Index) compact(slot *Table[uint16]) {
 	words, lineAt := p.words, p.lineAt
 	if c, l := int64(p.cap), int64(p.live); 4*c < 5*l || c > 3*l || c-l < minFree {
 		if n := capFor(p.live); n != p.cap {
@@ -261,7 +261,7 @@ func capFor(live int32) int32 { return (live + (live+1)/2 + minFree + minCap - 1
 // next is dead (nothing past the handed-out slots is live).
 //
 //fs:allocfree
-func (p *Index) insertBelowGroup(line int32, slot *Table) int32 {
+func (p *Index) insertBelowGroup(line int32, slot *Table[uint16]) int32 {
 	lineAt := p.lineAt
 	for s := p.next; s > p.group; s-- {
 		src, dst := p.holds(s-1), p.holds(s)
@@ -291,7 +291,7 @@ func (p *Index) insertBelowGroup(line int32, slot *Table) int32 {
 // seq, so a group of equal-seq inserts ends up oldest-last-inserted.
 //
 //fs:allocfree
-func (p *Index) Insert(line int32, seq uint64, slot *Table) {
+func (p *Index) Insert(line int32, seq uint64, slot *Table[uint16]) {
 	if p.next > p.cap {
 		p.compact(slot)
 	}
@@ -308,7 +308,7 @@ func (p *Index) Insert(line int32, seq uint64, slot *Table) {
 // LastSeq) — also among lines carrying that same seq.
 //
 //fs:allocfree
-func (p *Index) Hit(line int32, seq uint64, slot *Table) {
+func (p *Index) Hit(line int32, seq uint64, slot *Table[uint16]) {
 	if p.next > p.cap {
 		p.compact(slot)
 	}
@@ -328,7 +328,7 @@ func (p *Index) Hit(line int32, seq uint64, slot *Table) {
 // Evict stops tracking line.
 //
 //fs:allocfree
-func (p *Index) Evict(line int32, slot *Table) {
+func (p *Index) Evict(line int32, slot *Table[uint16]) {
 	p.add(slot.At(line), -1)
 	slot.Put(line, 0)
 	p.live--
@@ -338,7 +338,7 @@ func (p *Index) Evict(line int32, slot *Table) {
 // with it the rank, is unchanged.
 //
 //fs:allocfree
-func (p *Index) Move(from, to int32, slot *Table) {
+func (p *Index) Move(from, to int32, slot *Table[uint16]) {
 	s := slot.At(from)
 	p.lineAt.Put(s, to)
 	slot.Put(to, s)
@@ -371,15 +371,15 @@ func (p *Index) Worst() int32 {
 	if p.live == 0 {
 		return -1
 	}
-	var pos int32
-	for step := int32(len(p.words)); step > 0; step >>= 1 {
+	var pos int // an int32 costs conversions that push Worst past the inlining budget
+	for step := len(p.words); step > 0; step >>= 1 {
 		// The top node is the whole population (> 0), so the first probe
 		// never advances and pos+step stays below len(words) afterwards.
 		if p.nodes[pos+step] == 0 {
 			pos += step
 		}
 	}
-	return p.lineAt.At(pos<<6 + int32(bits.TrailingZeros64(p.words[pos])) + 1)
+	return p.lineAt.At(int32(pos<<6 + bits.TrailingZeros64(p.words[pos]) + 1))
 }
 
 // CheckInvariants audits the order against the slot table it was driven
@@ -396,7 +396,7 @@ func (p *Index) Worst() int32 {
 // in claimed (slot.Len() entries) and fails on one already marked, so orders
 // sharing a table are checked for overlap by passing the same claimed to
 // each.
-func (p *Index) CheckInvariants(slot *Table, claimed []bool) error {
+func (p *Index) CheckInvariants(slot *Table[uint16], claimed []bool) error {
 	nw := len(p.words)
 	if p.cap < minCap || p.cap%minCap != 0 || nw != int(wordsFor(p.cap)) || len(p.nodes) != nw+1 || p.lineAt.Len() != int(p.cap)+1 {
 		return fmt.Errorf("recency: capacity %d with %d words, %d nodes and %d slot entries", p.cap, len(p.words), len(p.nodes), p.lineAt.Len())

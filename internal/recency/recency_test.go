@@ -68,7 +68,7 @@ func (m *model) move(from, to int32) {
 	delete(m.seqOf, from)
 }
 
-func (m *model) compare(t testing.TB, step int, p *Index, slot *Table) {
+func (m *model) compare(t testing.TB, step int, p *Index, slot *Table[uint16]) {
 	t.Helper()
 	if int(p.Live()) != len(m.order) {
 		t.Fatalf("step %d: Live = %d, model %d", step, p.Live(), len(m.order))
@@ -88,13 +88,13 @@ func (m *model) compare(t testing.TB, step int, p *Index, slot *Table) {
 }
 
 // newSlots is NewSlots for a test that passes its table around by pointer.
-func newSlots(lines int32) *Table {
+func newSlots(lines int32) *Table[uint16] {
 	t := NewSlots(lines)
 	return &t
 }
 
 // tracked counts the lines a slot table holds a slot for.
-func tracked(slot *Table) int {
+func tracked(slot *Table[uint16]) int {
 	n := 0
 	for l := range int32(slot.Len()) {
 		if slot.At(l) != 0 {
@@ -222,7 +222,7 @@ func bandErr(before, after, live int32) error {
 // each end, counting the compactions there and checking each against bandErr.
 type oscillation struct {
 	p          *Index
-	slot       *Table
+	slot       *Table[uint16]
 	seq        uint64
 	atLo, atHi int // compactions at each end
 	bad        error
@@ -378,7 +378,7 @@ func TestRelayoutRoundsUpToPages(t *testing.T) {
 }
 
 // check audits every order of p's set under one claimed set.
-func check(p *Index, slot *Table) error {
+func check(p *Index, slot *Table[uint16]) error {
 	claimed := make([]bool, slot.Len())
 	for i := range p.set.orders {
 		if err := p.set.orders[i].CheckInvariants(slot, claimed); err != nil {
@@ -394,7 +394,7 @@ func check(p *Index, slot *Table) error {
 // the second stays empty, so that nothing but the placement of its segments
 // can be wrong with it.
 func TestCheckInvariantsDetects(t *testing.T) {
-	build := func(lines int32) (*Index, *Table) {
+	build := func(lines int32) (*Index, *Table[uint16]) {
 		p := &New(2, lines)[0]
 		slot := newSlots(lines)
 		for l := int32(0); l < 6; l++ {
@@ -409,38 +409,38 @@ func TestCheckInvariantsDetects(t *testing.T) {
 	}
 	type damage struct {
 		name   string
-		damage func(p *Index, slot *Table)
+		damage func(p *Index, slot *Table[uint16])
 	}
 	both := []damage{
-		{"fenwick node", func(p *Index, slot *Table) { p.nodes[1]++ }},
-		{"flipped bit of a live slot", func(p *Index, slot *Table) { p.words[0] &^= 1 << uint(slot.At(3)-1) }},
-		{"flipped bit of a dead slot", func(p *Index, slot *Table) { p.words[0] |= 1 << uint(p.next-1) }},
-		{"stale node after a retire", func(p *Index, slot *Table) {
+		{"fenwick node", func(p *Index, slot *Table[uint16]) { p.nodes[1]++ }},
+		{"flipped bit of a live slot", func(p *Index, slot *Table[uint16]) { p.words[0] &^= 1 << uint(slot.At(3)-1) }},
+		{"flipped bit of a dead slot", func(p *Index, slot *Table[uint16]) { p.words[0] |= 1 << uint(p.next-1) }},
+		{"stale node after a retire", func(p *Index, slot *Table[uint16]) {
 			p.words[0] &^= 1 << uint(slot.At(3)-1)
 			slot.Put(3, 0)
 			p.live--
 		}},
-		{"live count", func(p *Index, slot *Table) { p.live-- }},
-		{"capacity", func(p *Index, slot *Table) { p.cap-- }},
-		{"array lengths", func(p *Index, slot *Table) { p.lineAt, _ = p.lineAt.split(int32(p.lineAt.Len() - 1)) }},
-		{"next slot", func(p *Index, slot *Table) { p.next = p.cap + 2 }},
-		{"group", func(p *Index, slot *Table) { p.group = p.next + 1 }},
-		{"slot of a line", func(p *Index, slot *Table) {
+		{"live count", func(p *Index, slot *Table[uint16]) { p.live-- }},
+		{"capacity", func(p *Index, slot *Table[uint16]) { p.cap-- }},
+		{"array lengths", func(p *Index, slot *Table[uint16]) { p.lineAt, _ = p.lineAt.split(int32(p.lineAt.Len() - 1)) }},
+		{"next slot", func(p *Index, slot *Table[uint16]) { p.next = p.cap + 2 }},
+		{"group", func(p *Index, slot *Table[uint16]) { p.group = p.next + 1 }},
+		{"slot of a line", func(p *Index, slot *Table[uint16]) {
 			s1, s4 := slot.At(1), slot.At(4)
 			slot.Put(1, s4)
 			slot.Put(4, s1)
 		}},
-		{"line of a slot", func(p *Index, slot *Table) { p.lineAt.Put(slot.At(1), 4) }},
-		{"line out of range", func(p *Index, slot *Table) { p.lineAt.Put(slot.At(1), int32(slot.Len())) }},
+		{"line of a slot", func(p *Index, slot *Table[uint16]) { p.lineAt.Put(slot.At(1), 4) }},
+		{"line out of range", func(p *Index, slot *Table[uint16]) { p.lineAt.Put(slot.At(1), int32(slot.Len())) }},
 		// Every count agrees with it; only where the slot lies gives it away.
-		{"live slot past next", func(p *Index, slot *Table) {
+		{"live slot past next", func(p *Index, slot *Table[uint16]) {
 			s := p.next
 			p.lineAt.Put(s, 7)
 			slot.Put(7, s)
 			p.add(s, 1)
 			p.live++
 		}},
-		{"bit past the capacity", func(p *Index, slot *Table) {
+		{"bit past the capacity", func(p *Index, slot *Table[uint16]) {
 			// 103 lines outgrow 128 slots, compacting into 192: three words
 			// of four.
 			seq := uint64(8)
@@ -456,7 +456,7 @@ func TestCheckInvariantsDetects(t *testing.T) {
 			}
 			p.words[3] |= 1
 		}},
-		{"array of a page or more not in whole pages", func(p *Index, slot *Table) {
+		{"array of a page or more not in whole pages", func(p *Index, slot *Table[uint16]) {
 			// 4096 lines, compacted at least once into 1.25 slots a line or
 			// more: the set's slot table passes 4096 entries, a page.
 			seq := uint64(8)
@@ -477,32 +477,32 @@ func TestCheckInvariantsDetects(t *testing.T) {
 		}},
 		// The empty second order reads no slot entry, so its own audit cannot
 		// see that they are the first order's.
-		{"overlapping segments", func(p *Index, slot *Table) { p.set.orders[1].lineAt = p.lineAt }},
+		{"overlapping segments", func(p *Index, slot *Table[uint16]) { p.set.orders[1].lineAt = p.lineAt }},
 		// A copy holds the very counts the set does, outside it.
-		{"segment outside the set", func(p *Index, slot *Table) { p.nodes = append([]int32(nil), p.nodes...) }},
-		{"slot table of another set", func(p *Index, slot *Table) { *slot = NewSlots(int32(slot.Len() / 2)) }},
+		{"segment outside the set", func(p *Index, slot *Table[uint16]) { p.nodes = append([]int32(nil), p.nodes...) }},
+		{"slot table of another set", func(p *Index, slot *Table[uint16]) { *slot = NewSlots(int32(slot.Len() / 2)) }},
 	}
 	// A high half where every id fits in the low one, or none where one may
 	// not: in the caller's slot table, in the set's line table, or in one
 	// order's segment of it.
 	narrow := []damage{
-		{"slot table with a high half", func(p *Index, slot *Table) { slot.hi = make([]uint16, slot.Len()) }},
-		{"line table with a high half", func(p *Index, slot *Table) {
+		{"slot table with a high half", func(p *Index, slot *Table[uint16]) { slot.hi = make([]uint16, slot.Len()) }},
+		{"line table with a high half", func(p *Index, slot *Table[uint16]) {
 			s := p.set
 			s.lineAt.hi = make([]uint16, s.lineAt.Len())
 		}},
-		{"segment with a high half", func(p *Index, slot *Table) { p.lineAt.hi = make([]uint16, p.lineAt.Len()) }},
+		{"segment with a high half", func(p *Index, slot *Table[uint16]) { p.lineAt.hi = make([]uint16, p.lineAt.Len()) }},
 	}
 	wide := []damage{
-		{"slot table without a high half", func(p *Index, slot *Table) { slot.hi = nil }},
-		{"line table without a high half", func(p *Index, slot *Table) {
+		{"slot table without a high half", func(p *Index, slot *Table[uint16]) { slot.hi = nil }},
+		{"line table without a high half", func(p *Index, slot *Table[uint16]) {
 			for i := range p.set.orders {
 				p.set.orders[i].lineAt.hi = nil
 			}
 			p.set.lineAt.hi = nil
 		}},
-		{"segment without a high half", func(p *Index, slot *Table) { p.lineAt.hi = nil }},
-		{"short high half", func(p *Index, slot *Table) { slot.hi = slot.hi[:len(slot.hi)-1] }},
+		{"segment without a high half", func(p *Index, slot *Table[uint16]) { p.lineAt.hi = nil }},
+		{"short high half", func(p *Index, slot *Table[uint16]) { slot.hi = slot.hi[:len(slot.hi)-1] }},
 	}
 	for _, run := range []struct {
 		lines int32

@@ -237,7 +237,7 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario %s: client %s has negative replicate", s.Name, c.Name)
 		}
 		// Checked before Compile allocates a client apiece: no cache takes
-		// more partitions than a 16-bit partition id holds (core.New).
+		// more partitions than core.New's 16-bit partition codes hold.
 		n := max(c.Replicate, 1)
 		if n > math.MaxInt16-expanded {
 			return fmt.Errorf("scenario %s: more than %d clients after replicate", s.Name, math.MaxInt16)

@@ -204,8 +204,8 @@ func TestValidateRejectsBadShare(t *testing.T) {
 	}
 }
 
-// TestValidateBoundsExpandedClients: a client count past what a 16-bit
-// partition id holds is rejected before Compile allocates a client apiece,
+// TestValidateBoundsExpandedClients: a client count past what core's 16-bit
+// partition codes hold is rejected before Compile allocates a client apiece,
 // counted over every entry's replicas, and an overflowing replicate too.
 func TestValidateBoundsExpandedClients(t *testing.T) {
 	spec := func(a, b int) string {
