@@ -35,7 +35,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"slices"
 	"sync"
@@ -248,17 +247,15 @@ func drive(t target, o options, stdout, stderr io.Writer) int {
 		ops, elapsed.Round(time.Millisecond), float64(ops)/elapsed.Seconds()/1e3, errs, 100*errRate)
 	fmt.Fprintf(stdout, "  latency: p50 %v  p90 %v  p99 %v\n", latQ(0.5), latQ(0.9), latQ(0.99))
 	fmt.Fprintf(stdout, "\n  %-9s %8s %8s %8s %10s %8s  %s\n", "partition", "target", "size", "error", "meanocc", "miss", "note")
-	worst := 0.0
+	sizes, targets := make([]int, len(rows)), make([]int, len(rows))
 	for p, r := range rows {
 		// Dead (churned-out) tenants hold target 0 and their residue decays
 		// at the eviction rate, so they carry no relative error.
-		e := 0.0
-		if r.target > 0 {
-			e = math.Abs(float64(r.size-r.target)) / float64(r.target)
-		}
-		worst = max(worst, e)
+		e := stats.PartOccupancyError(r.size, r.target)
+		sizes[p], targets[p] = r.size, r.target
 		fmt.Fprintf(stdout, "  %-9d %8d %8d %7.1f%% %10.1f %8.4f  %s\n", p, r.target, r.size, 100*e, r.meanOcc, r.miss, r.note)
 	}
+	_, worst := stats.OccupancyError(sizes, targets)
 	fmt.Fprintln(stdout)
 	for _, n := range notes {
 		fmt.Fprintln(stdout, " ", n)

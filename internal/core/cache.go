@@ -139,7 +139,8 @@ type Cache struct {
 	demoteTo int
 
 	// sizes (decision sizes) and targets, indexed by partition, are the
-	// pipeline's one copy of each: the scheme reads both through Bind.
+	// pipeline's one copy of each: the scheme reads both through Bind, and a
+	// futility.SizeBinder ranker the sizes through BindSizes.
 	sizes   []int
 	targets []int
 
@@ -231,6 +232,9 @@ func New(cfg Config) *Cache {
 		panic("core: fully-associative arrays need a FullSelector scheme and a WorstTracker ranker")
 	}
 	c.scheme.Bind(c.sizes, c.targets)
+	if b, ok := cfg.Ranker.(futility.SizeBinder); ok {
+		b.BindSizes(c.sizes)
+	}
 	return c
 }
 
@@ -479,11 +483,11 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 	}
 	res.Line = line
 	c.meta.Put(int32(line), int32(part)+1)
+	c.resize(part, 1) // before OnInsert: a SizeBinder ranker ticks at the new size
 	c.ranker.OnInsert(line, part, ctx)
 	if c.ref != nil {
 		c.ref.OnInsert(line, part, ctx)
 	}
-	c.resize(part, 1)
 	c.pstats[part].Insertions++
 	if c.counter != nil {
 		c.counter.OnInsert(part)
@@ -614,10 +618,10 @@ func (c *Cache) demote(line, to int) {
 		c.demoteTo = to
 	}
 	owner := c.ownerOf(line)
-	c.ranker.OnEvict(line, from)
-	c.ranker.OnInsert(line, to, futility.Context{Seq: c.seq, NextUse: trace.NoNextUse})
 	c.resize(from, -1)
 	c.resize(to, 1)
+	c.ranker.OnEvict(line, from)
+	c.ranker.OnInsert(line, to, futility.Context{Seq: c.seq, NextUse: trace.NoNextUse})
 	c.meta.Put(int32(line), c.demotedID(owner))
 	c.pstats[owner].Demotions++
 	if c.counter != nil {

@@ -29,3 +29,10 @@ func (m *offByOne) FutilityRaw(line, part int) (float64, uint64) {
 func (m *offByOne) Worst(part int) int {
 	return m.Ranker.(futility.WorstTracker).Worst(part)
 }
+
+// BindSizes hands the cache's sizes on to a ranker that reads them.
+func (m *offByOne) BindSizes(sizes []int) {
+	if b, ok := m.Ranker.(futility.SizeBinder); ok {
+		b.BindSizes(sizes)
+	}
+}

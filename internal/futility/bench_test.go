@@ -81,11 +81,11 @@ func exactLRURankOp(testing.TB) func(int) {
 // filledCoarse returns a two-partition coarse ranker holding every line. Its
 // ops visit the lines in turn, each with its partition.
 func filledCoarse() *CoarseTS {
-	c := NewCoarseTS(benchLines, 2)
+	c := bound(NewCoarseTS(benchLines, 2))
 	for l := 0; l < benchLines; l++ {
 		c.OnInsert(l, l&1, Context{Seq: uint64(l)})
 	}
-	return c
+	return c.CoarseTS
 }
 
 // coarseOnHitOp is the hit-path retag: partition tick + timestamp store.

@@ -28,12 +28,14 @@ import "fscache/internal/stats"
 // queries only for lines it holds and OnInsert only for lines it does not,
 // and core.Cache.CheckInvariants recounts residency against Size. A tag left
 // behind by an eviction or a move is dead and is overwritten by the next
-// OnInsert or OnMove onto its line.
+// OnInsert or OnMove onto its line. The sizes K is taken from are not its
+// own either: like §V's one size register a partition, they are the caller's
+// count (BindSizes).
 type CoarseTS struct {
 	ts      []uint8  // per-line timestamp tag //fslint:wrap8
 	current []uint8  // per-partition current timestamp //fslint:wrap8
 	counter []uint64 // per-partition accesses since last tick
-	size    []int    // per-partition resident-line count
+	sizes   []int    // the caller's per-partition resident-line counts (BindSizes), read-only
 
 	cdf   []*cdfTable // per-partition tables, nil until the first futility query
 	total []uint32    // per-partition histogram mass
@@ -61,7 +63,7 @@ func NewCoarseTS(lines, parts int) *CoarseTS {
 		ts:      make([]uint8, lines),
 		current: make([]uint8, parts),
 		counter: make([]uint64, parts),
-		size:    make([]int, parts),
+		sizes:   make([]int, parts),
 		cdf:     make([]*cdfTable, parts),
 		total:   make([]uint32, parts),
 		dirty:   make([]uint32, parts),
@@ -77,11 +79,15 @@ func NewCoarseTS(lines, parts int) *CoarseTS {
 //fslint:wrapsafe
 func tsDist(cur, tag uint8) uint8 { return cur - tag }
 
+// BindSizes implements SizeBinder; sizes[part] must count a line before
+// OnInsert registers it. Unbound, every partition reads as empty: K = 1.
+func (c *CoarseTS) BindSizes(sizes []int) { c.sizes = sizes }
+
 // tick advances the partition's access counter and, every K = size/16
 // accesses (minimum 1), its current timestamp.
 func (c *CoarseTS) tick(part int) {
 	c.counter[part]++
-	k := uint64(c.size[part] / 16)
+	k := uint64(c.sizes[part] / 16)
 	if k == 0 {
 		k = 1
 	}
@@ -91,14 +97,10 @@ func (c *CoarseTS) tick(part int) {
 	}
 }
 
-// OnInsert implements Ranker.
+// OnInsert implements Ranker: a fill tags its line as a hit does.
 //
 //fs:allocfree
-func (c *CoarseTS) OnInsert(line, part int, ctx Context) {
-	c.size[part]++
-	c.tick(part)
-	c.ts[line] = c.current[part]
-}
+func (c *CoarseTS) OnInsert(line, part int, ctx Context) { c.OnHit(line, part, ctx) }
 
 // OnHit implements Ranker.
 //
@@ -108,12 +110,10 @@ func (c *CoarseTS) OnHit(line, part int, ctx Context) {
 	c.ts[line] = c.current[part]
 }
 
-// OnEvict implements Ranker.
+// OnEvict implements Ranker: the tag is dead, and the size is the caller's.
 //
 //fs:allocfree
-func (c *CoarseTS) OnEvict(line, part int) {
-	c.size[part]--
-}
+func (c *CoarseTS) OnEvict(line, part int) {}
 
 // OnMove implements Ranker.
 //
@@ -151,10 +151,10 @@ func (c *CoarseTS) FutilityRaw(line, part int) (float64, uint64) {
 	return f, uint64(d)
 }
 
-// Size implements Ranker.
+// Size implements Ranker with the bound size.
 //
 //fs:allocfree
-func (c *CoarseTS) Size(part int) int { return c.size[part] }
+func (c *CoarseTS) Size(part int) int { return c.sizes[part] }
 
 // calibrate gives the partition its CDF tables, on its first futility query;
 // out of line so the allocation is not inlined into //fs:allocfree callers.
@@ -200,10 +200,6 @@ func (c *CoarseTS) rebuild(part int) {
 		t.cdf[d] = float64(cum) / total
 	}
 }
-
-// CurrentTS exposes the partition's current timestamp (for tests and
-// debugging displays).
-func (c *CoarseTS) CurrentTS(part int) uint8 { return c.current[part] }
 
 // Calibrated reports whether the partition's futility was ever queried.
 func (c *CoarseTS) Calibrated(part int) bool { return c.cdf[part] != nil }

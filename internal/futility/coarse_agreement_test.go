@@ -62,7 +62,7 @@ func (m *coarseModel) query(d uint8) float64 {
 // at the end.
 func TestFutilityRawAgreementAcrossHalving(t *testing.T) {
 	const lines, parts = 64, 2
-	c := NewCoarseTS(lines, parts)
+	c := bound(NewCoarseTS(lines, parts))
 	models := []*coarseModel{newCoarseModel(), newCoarseModel()}
 	rng := xrand.New(0xc0a2)
 

@@ -63,6 +63,12 @@ type Ranker interface {
 	Size(part int) int
 }
 
+// SizeBinder is a ranker that reads its partitions' sizes, read-only, instead
+// of counting them: core.New binds its own once, as its Scheme's Bind does.
+type SizeBinder interface {
+	BindSizes(sizes []int)
+}
+
 // FastRanker is Ranker's former name, kept while the bench module asserts it.
 type FastRanker = Ranker
 

@@ -2,6 +2,8 @@ package futility
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -14,6 +16,30 @@ import (
 func futilityOf(r Ranker, line, part int) float64 {
 	f, _ := r.FutilityRaw(line, part)
 	return f
+}
+
+// boundCoarse plays core's part for a coarse ranker tested alone: it owns the
+// sizes the ranker reads, counting a line in before OnInsert and out at
+// OnEvict, as core.Cache does.
+type boundCoarse struct {
+	*CoarseTS
+	sizes []int
+}
+
+func bound(c *CoarseTS) *boundCoarse {
+	b := &boundCoarse{c, make([]int, len(c.current))}
+	c.BindSizes(b.sizes)
+	return b
+}
+
+func (b *boundCoarse) OnInsert(line, part int, ctx Context) {
+	b.sizes[part]++
+	b.CoarseTS.OnInsert(line, part, ctx)
+}
+
+func (b *boundCoarse) OnEvict(line, part int) {
+	b.CoarseTS.OnEvict(line, part)
+	b.sizes[part]--
 }
 
 func TestKindString(t *testing.T) {
@@ -45,6 +71,9 @@ func TestReference(t *testing.T) {
 func TestNewFactory(t *testing.T) {
 	for _, k := range []Kind{LRU, LFU, OPT, CoarseLRU} {
 		r := New(k, 16, 2, 1)
+		if c, ok := r.(*CoarseTS); ok {
+			r = bound(c)
+		}
 		r.OnInsert(3, 1, Context{})
 		if r.Size(0) != 0 || r.Size(1) != 1 {
 			t.Fatalf("kind %v: sizes %d, %d after one insert into partition 1", k, r.Size(0), r.Size(1))
@@ -144,7 +173,7 @@ func TestOnMovePreservesRank(t *testing.T) {
 	for _, mk := range []func() Ranker{
 		func() Ranker { return NewExactLRU(8, 1) },
 		func() Ranker { return NewExactLFU(8, 1, 1) },
-		func() Ranker { return NewCoarseTS(8, 1) },
+		func() Ranker { return bound(NewCoarseTS(8, 1)) },
 	} {
 		r := mk()
 		r.OnInsert(0, 0, Context{Seq: 0})
@@ -203,13 +232,13 @@ func TestLifecyclePanics(t *testing.T) {
 }
 
 func TestCoarseTSTicks(t *testing.T) {
-	c := NewCoarseTS(64, 1)
+	c := bound(NewCoarseTS(64, 1))
 	// With size < 16, K = 1: every access ticks the timestamp.
 	c.OnInsert(0, 0, Context{})
-	ts0 := c.CurrentTS(0)
+	ts0 := c.current[0]
 	c.OnInsert(1, 0, Context{})
-	if c.CurrentTS(0) != ts0+1 {
-		t.Fatalf("timestamp did not tick: %d → %d", ts0, c.CurrentTS(0))
+	if c.current[0] != ts0+1 {
+		t.Fatalf("timestamp did not tick: %d → %d", ts0, c.current[0])
 	}
 	// Distance of line 0 grows as other lines are accessed.
 	d0 := c.Distance(0, 0)
@@ -223,6 +252,65 @@ func TestCoarseTSTicks(t *testing.T) {
 	c.OnHit(0, 0, Context{})
 	if got := c.Distance(0, 0); got != 0 {
 		t.Fatalf("distance after hit = %d, want 0", got)
+	}
+}
+
+// TestCoarseHitWrites pins what a coarse hit writes: the line's tag, its
+// partition's access counter and, on the hit that ticks, the partition's
+// current timestamp. Every other field, core's bound sizes and the CDF tables
+// included, reads the same before and after. A field added to CoarseTS fails
+// the test until snapshot copies it.
+func TestCoarseHitWrites(t *testing.T) {
+	if n := reflect.TypeFor[CoarseTS]().NumField(); n != 7 {
+		t.Fatalf("CoarseTS has %d fields; snapshot copies 7", n)
+	}
+	snapshot := func(c *CoarseTS) CoarseTS {
+		s := CoarseTS{
+			ts:      slices.Clone(c.ts),
+			current: slices.Clone(c.current),
+			counter: slices.Clone(c.counter),
+			sizes:   slices.Clone(c.sizes),
+			cdf:     make([]*cdfTable, len(c.cdf)),
+			total:   slices.Clone(c.total),
+			dirty:   slices.Clone(c.dirty),
+		}
+		for p, tab := range c.cdf {
+			if tab != nil {
+				cp := *tab
+				s.cdf[p] = &cp
+			}
+		}
+		return s
+	}
+	// 48 lines a partition: K = 3, so every third access to one ticks.
+	const lines, parts = 96, 2
+	c := bound(NewCoarseTS(lines, parts))
+	for l := range lines {
+		c.OnInsert(l, l%parts, Context{})
+	}
+	for l := range lines {
+		c.FutilityRaw(l, l%parts)
+	}
+	seen := map[bool]int{}
+	for i := range 12 {
+		l := (7 * i) % lines
+		p := l % parts
+		want := snapshot(c.CoarseTS)
+		tick := want.counter[p]+1 >= 3
+		if tick {
+			want.counter[p], want.current[p] = 0, want.current[p]+1
+		} else {
+			want.counter[p]++
+		}
+		want.ts[l] = want.current[p]
+		c.OnHit(l, p, Context{})
+		if got := snapshot(c.CoarseTS); !reflect.DeepEqual(got, want) {
+			t.Fatalf("hit %d (line %d, tick %v) wrote more than its tag, counter and timestamp, or other values", i, l, tick)
+		}
+		seen[tick]++
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("hits on and off a tick: %d and %d, want both", seen[true], seen[false])
 	}
 }
 
@@ -249,7 +337,7 @@ func TestCoarseTSWraparound(t *testing.T) {
 }
 
 func TestCoarseTSFutilityCDF(t *testing.T) {
-	c := NewCoarseTS(1024, 1)
+	c := bound(NewCoarseTS(1024, 1))
 	rng := xrand.New(5)
 	// Build a resident population with a spread of ages.
 	for i := 0; i < 512; i++ {

@@ -7,12 +7,6 @@ import (
 	"fscache/internal/ost"
 )
 
-// feqBits is bit-exact float64 equality: the invariants below assert cached
-// values are the very float the live state would produce, not merely close.
-func feqBits(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b)
-}
-
 // InvariantChecker is implemented by rankers that can audit their internal
 // consistency on demand. The difftest harness (its sweep and FuzzAccess)
 // calls it between scenario steps; a non-nil error means ranker state has
@@ -60,18 +54,13 @@ func (r *ostRanker) CheckInvariants() error {
 
 // CheckInvariants implements InvariantChecker for the exact LRU ranker: every
 // partition's recency index must be consistent with the shared slot table
-// (recency.Index.CheckInvariants), no line may be claimed by two partitions
-// or left out of all of them, and each cached fLen must agree with its
-// partition's live count.
+// (recency.Index.CheckInvariants), and no line may be claimed by two
+// partitions or left out of all of them.
 func (r *ExactLRU) CheckInvariants() error {
 	claimed := make([]bool, r.slot.Len())
 	for pi := range r.parts {
-		p := &r.parts[pi]
-		if err := p.CheckInvariants(&r.slot, claimed); err != nil {
+		if err := r.parts[pi].CheckInvariants(&r.slot, claimed); err != nil {
 			return fmt.Errorf("futility: partition %d: %w", pi, err)
-		}
-		if !feqBits(r.fLen[pi], float64(p.Live())) {
-			return fmt.Errorf("futility: partition %d cached fLen %v, live count %d", pi, r.fLen[pi], p.Live())
 		}
 	}
 	for l := range int32(r.slot.Len()) {
@@ -84,11 +73,9 @@ func (r *ExactLRU) CheckInvariants() error {
 
 // CheckInvariants implements InvariantChecker for the coarse-timestamp
 // ranker: per-partition histogram mass conservation (total equals the sum
-// of bins), a CDF that never decreases and ends at exactly 1, and
-// non-negative sizes. That the sizes count the resident lines is core's audit
-// (core.Cache.CheckInvariants), which owns residency. A partition whose
-// futility was never queried has no tables yet; it must then have recorded
-// nothing.
+// of bins) and a CDF that never decreases and ends at exactly 1. A partition
+// whose futility was never queried has no tables yet; it must then have
+// recorded nothing. The sizes are the caller's to audit.
 func (c *CoarseTS) CheckInvariants() error {
 	for p, t := range c.cdf {
 		if t == nil {
@@ -110,12 +97,9 @@ func (c *CoarseTS) CheckInvariants() error {
 						p, d, t.cdf[d], t.cdf[d-1])
 				}
 			}
-			if !feqBits(t.cdf[255], 1) {
+			if math.Float64bits(t.cdf[255]) != math.Float64bits(1) { // exactly 1, not close
 				return fmt.Errorf("futility: partition %d CDF ends at %v, not 1", p, t.cdf[255])
 			}
-		}
-		if c.size[p] < 0 {
-			return fmt.Errorf("futility: partition %d negative size %d", p, c.size[p])
 		}
 	}
 	return nil

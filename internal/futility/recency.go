@@ -27,11 +27,6 @@ type ExactLRU struct {
 	parts []recency.Index
 	// slot is each line's slot in its partition's index; 0 is untracked.
 	slot recency.Table[uint16]
-	// fLen caches float64(parts[p].Live()) so the per-candidate futility
-	// normalization skips the int→float conversion. It is the cached
-	// denominator, not a reciprocal: x/float64(M) and x*(1/M) differ in the
-	// last ulp for most M, and futility values must stay bit-identical.
-	fLen []float64
 }
 
 // NewExactLRU returns an exact LRU ranker.
@@ -46,7 +41,6 @@ func NewExactLRU(lines, parts int) *ExactLRU {
 	return &ExactLRU{
 		parts: recency.New(parts, int32(lines)),
 		slot:  recency.NewSlots(int32(lines)),
-		fLen:  make([]float64, parts),
 	}
 }
 
@@ -62,7 +56,6 @@ func (r *ExactLRU) OnInsert(line, part int, ctx Context) {
 		panicSeqDecreased(part, ctx.Seq, last)
 	}
 	p.Insert(int32(line), ctx.Seq, &r.slot)
-	r.fLen[part] = float64(p.Live())
 }
 
 // OnHit implements Ranker.
@@ -86,9 +79,7 @@ func (r *ExactLRU) OnEvict(line, part int) {
 	if r.slot.At(int32(line)) == 0 {
 		panic("futility: OnEvict of untracked line")
 	}
-	p := &r.parts[part]
-	p.Evict(int32(line), &r.slot)
-	r.fLen[part] = float64(p.Live())
+	r.parts[part].Evict(int32(line), &r.slot)
 }
 
 // OnMove implements Ranker: the slot, and with it the rank, is unchanged.
@@ -118,7 +109,8 @@ func (r *ExactLRU) FutilityRaw(line, part int) (float64, uint64) {
 	if s == 0 {
 		panic("futility: Futility of untracked line")
 	}
-	f := float64(r.parts[part].Rank(s)) / r.fLen[part]
+	p := &r.parts[part]
+	f := float64(p.Rank(s)) / float64(p.Live())
 	return f, uint64(f * (1 << 32))
 }
 

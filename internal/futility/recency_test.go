@@ -418,9 +418,9 @@ func TestExactLRUCheckInvariantsDetects(t *testing.T) {
 		damage func(r *ExactLRU)
 	}{
 		// Damage inside one index (a Fenwick node, its live count) is the
-		// recency package's own corruption test.
-		{"live count", func(r *ExactLRU) { r.parts[1].Evict(1, &r.slot) }},
-		{"cached fLen", func(r *ExactLRU) { r.fLen[0]++ }},
+		// recency package's own corruption test. A line evicted through the
+		// index alone leaves a consistent ranker short of a line: core's
+		// audit, which owns residency, notices that (TestCheckInvariantsDetects).
 		{"slot of a line", func(r *ExactLRU) {
 			s0, s4 := r.slot.At(0), r.slot.At(4)
 			r.slot.Put(0, s4)

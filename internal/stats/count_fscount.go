@@ -19,3 +19,9 @@ type Counted struct{ Queries, H3, Locks, CompactWork, Relayouts uint64 }
 func ReadCounted() Counted {
 	return Counted{queries.Load(), h3Evals.Load(), locks.Load(), compactWork.Load(), relayouts.Load()}
 }
+
+// Sub returns the work counted since before, field by field.
+func (c Counted) Sub(before Counted) Counted {
+	return Counted{c.Queries - before.Queries, c.H3 - before.H3, c.Locks - before.Locks,
+		c.CompactWork - before.CompactWork, c.Relayouts - before.Relayouts}
+}

@@ -254,20 +254,27 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// OccupancyError returns the mean and the maximum of the relative occupancy
-// error |size−target|/target over partitions with positive targets (others
-// are dead tenants washing out), both 0 if there is none.
+// PartOccupancyError returns one partition's relative occupancy error
+// |size−target|/target, or 0 for a target that is not positive (a dead
+// tenant washing out).
+func PartOccupancyError(size, target int) float64 {
+	if target <= 0 {
+		return 0
+	}
+	return math.Abs(float64(size-target)) / float64(target)
+}
+
+// OccupancyError returns the mean and the maximum of PartOccupancyError over
+// partitions with positive targets, both 0 if there is none.
 func OccupancyError(sizes, targets []int) (mean, worst float64) {
 	n := 0
 	for p, t := range targets {
 		if t <= 0 {
 			continue
 		}
-		e := math.Abs(float64(sizes[p]-t)) / float64(t)
+		e := PartOccupancyError(sizes[p], t)
 		mean += e
-		if e > worst {
-			worst = e
-		}
+		worst = max(worst, e)
 		n++
 	}
 	if n > 0 {

@@ -439,4 +439,13 @@ func TestOccupancyError(t *testing.T) {
 			t.Errorf("OccupancyError(%v, %v) = %v, %v; want %v, %v", c.sizes, c.targets, mean, worst, c.mean, c.worst)
 		}
 	}
+	// One partition's error: what fsload prints per row.
+	for _, c := range []struct {
+		size, target int
+		want         float64
+	}{{130, 100, 0.3}, {90, 100, 0.1}, {7, 0, 0}, {5, -1, 0}} {
+		if got := PartOccupancyError(c.size, c.target); !almost(got, c.want, 1e-12) {
+			t.Errorf("PartOccupancyError(%d, %d) = %v, want %v", c.size, c.target, got, c.want)
+		}
+	}
 }
