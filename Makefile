@@ -1,4 +1,6 @@
-# Developer entry points. `make check` is what CI runs.
+# Developer entry points. `make check` (build, lint, test, race) is CI's core;
+# CI also runs counted, fuzz, smoke, scenarios, alloc, netsoak and cover, and
+# .github/workflows/ci.yml is the one full list.
 
 GO ?= go
 

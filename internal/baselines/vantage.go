@@ -18,9 +18,9 @@ const (
 // VantageManagedLines is the capacity Vantage manages in a cache of lines
 // lines: all but the unmanaged region u. Vantage enforces u only through
 // its targets: the application partitions' targets must sum to this, and
-// the unmanaged pseudo-partition keeps the rest. fig7 and abl-resize size
-// them from it, and `fstables -scenario` and `fsim -scheme vantage` scale
-// their targets into it (experiments.Built.SetCacheTargets).
+// the unmanaged pseudo-partition keeps the rest. fig7, abl-resize and
+// difftest.Scenario.Targets size them from it, and `fstables -scenario` and
+// `fsim -scheme vantage` scale their targets into it (Built.SetCacheTargets).
 func VantageManagedLines(lines int) int {
 	return lines * (100 - vantageUnmanagedPercent) / 100
 }

@@ -24,19 +24,21 @@ func z52() cachearray.Array { return cachearray.NewZCache(benchLines, 4, 3, benc
 
 // benchCache assembles arr under feedback Futility Scaling, ranked by kind,
 // with equal targets; over setAssoc16 that is the acceptance configuration. A
-// kind that needs a separate reference ranker gets one when measured, and
-// none otherwise.
-func benchCache(arr cachearray.Array, kind futility.Kind, measured bool) *Cache {
+// kind that needs a separate reference ranker gets one when measured, and is
+// unmeasured otherwise. full wraps the scheme in FullPath.
+func benchCache(arr cachearray.Array, kind futility.Kind, measured, full bool) *Cache {
+	var scheme Scheme = NewFSFeedback(benchParts, FSFeedbackConfig{})
+	if full {
+		scheme = FullPath{scheme}
+	}
 	cfg := Config{
 		Array:  arr,
 		Ranker: futility.New(kind, benchLines, benchParts, benchSeed^0x9a),
-		Scheme: NewFSFeedback(benchParts, FSFeedbackConfig{}),
+		Scheme: scheme,
 		Parts:  benchParts,
 	}
 	if rk := futility.Reference(kind); rk != kind && measured {
 		cfg.Reference = futility.New(rk, benchLines, benchParts, benchSeed^0x4ef)
-	} else {
-		cfg.Unmeasured = rk != kind
 	}
 	c := New(cfg)
 	c.SetTargets([]int{benchLines / benchParts, benchLines / benchParts})
@@ -48,7 +50,7 @@ func benchCache(arr cachearray.Array, kind futility.Kind, measured bool) *Cache 
 // every access hits.
 func hitOp(kind futility.Kind, measured bool) func(testing.TB) func(int) {
 	return func(tb testing.TB) func(int) {
-		c := benchCache(setAssoc16(), kind, measured)
+		c := benchCache(setAssoc16(), kind, measured, false)
 		addrs := make([]uint64, 512)
 		for i := range addrs {
 			addrs[i] = uint64(i+1) << 8
@@ -70,12 +72,9 @@ func hitOp(kind futility.Kind, measured bool) func(testing.TB) func(int) {
 // missOp returns a setup for the miss path: candidate ranking, the FS
 // decision, eviction and install. The warm-up inserts 4× the capacity in
 // distinct addresses, so every set is full and every miss evicts.
-func missOp(array func() cachearray.Array, kind futility.Kind, measured, observed bool) func(testing.TB) func(int) {
+func missOp(array func() cachearray.Array, kind futility.Kind, measured, full bool) func(testing.TB) func(int) {
 	return func(tb testing.TB) func(int) {
-		c := benchCache(array(), kind, measured)
-		if observed {
-			c.SetDecisionObserver(func([]Candidate, int, int, bool) {})
-		}
+		c := benchCache(array(), kind, measured, full)
 		last := uint64(0)
 		for last < 4*benchLines {
 			last++
@@ -140,9 +139,8 @@ var allocFreeOps = []struct {
 	{"AccessMiss", missOp(setAssoc16, futility.LRU, true, false)},
 	// The walk, 52 slot compares, one rank per partition and relocations.
 	{"AccessMissZ52", missOp(z52, futility.LRU, true, false)},
-	// Under a no-op decision observer, which keeps all 52 ranks: the floor
-	// any decision observer pays.
-	{"AccessMissZ52Observed", missOp(z52, futility.LRU, true, true)},
+	// Under FullPath, which ranks all 52: what the pruned path saves.
+	{"AccessMissZ52Full", missOp(z52, futility.LRU, true, true)},
 	// §V's hardware: coarse timestamps with an exact-LRU reference.
 	{"AccessHitCoarse", hitOp(futility.CoarseLRU, true)},
 	{"AccessMissCoarse", missOp(setAssoc16, futility.CoarseLRU, true, false)},

@@ -17,16 +17,13 @@ type Config struct {
 	Array cachearray.Array
 	// Ranker is the decision futility ranking used by the scheme.
 	Ranker futility.Ranker
-	// Reference, if non-nil, is an exact ranker maintained purely for
-	// measurement: eviction futility (AEF) is always taken from it. If nil,
-	// Ranker doubles as the reference unless Unmeasured is set.
+	// Reference, if non-nil, is an exact ranker (a *futility.CoarseTS panics)
+	// kept purely for measurement: eviction futility (AEF) is taken from it.
+	// If nil, an exact Ranker doubles as the reference and a CoarseTS one,
+	// whose futility is an estimate, leaves the cache unmeasured:
+	// PartStats.EvictFutility is nil (empty) and EvictedFutility 0. Decisions
+	// never read the reference, so nothing else depends on it.
 	Reference futility.Ranker
-	// Unmeasured builds a cache that records no eviction futility: no reference
-	// is kept or queried, PartStats.EvictFutility is nil (an empty histogram) and
-	// AccessResult.EvictedFutility is 0; decisions never read the reference, so
-	// every other outcome is unchanged. It excludes Reference (New panics).
-	// internal/shardcache sets it on the lock domains it does not sample.
-	Unmeasured bool
 	// Scheme is the partitioning scheme.
 	Scheme Scheme
 	// Parts is the number of partitions (including any scheme-private
@@ -47,7 +44,7 @@ type PartStats struct {
 	ForcedEvict uint64
 	// EvictFutility is the associativity distribution: the reference
 	// futility of every line evicted from this partition. It is nil, which
-	// reads as empty, on an unmeasured cache (Config.Unmeasured).
+	// reads as empty, on an unmeasured cache (Config.Reference).
 	EvictFutility *stats.Histogram
 	// occupancySum is the partition's size summed over the first
 	// occSampled accesses. It is brought up to date only when the size is
@@ -58,7 +55,7 @@ type PartStats struct {
 }
 
 // AEF returns the partition's average eviction futility, or 0 — outside
-// futility's (0, 1] — when EvictFutility.N() == 0 (no eviction, or Unmeasured).
+// futility's (0, 1] — when EvictFutility.N() == 0 (no eviction, or unmeasured).
 func (p *PartStats) AEF() float64 { return p.EvictFutility.Mean() }
 
 // MissRate returns misses/(hits+misses), or 0 with no accesses.
@@ -126,8 +123,8 @@ func (c *Cache) partOf(line int) int {
 type Cache struct {
 	array      cachearray.Array
 	ranker     futility.Ranker
-	ref        futility.Ranker // Config.Reference; without it ranker measures, unless unmeasured
-	unmeasured bool
+	ref        futility.Ranker // Config.Reference; without it an exact ranker measures
+	unmeasured bool            // no exact ranker to measure with: coarse, no Reference
 	scheme     Scheme
 	counter    Counter // the scheme, if it counts traffic; else nil
 	parts      int
@@ -152,7 +149,7 @@ type Cache struct {
 	worstBuf  []Candidate
 	candLines []int             // reused Candidates destination
 	moveBuf   []cachearray.Move // reused Install move list
-	// candFilter, when installed, runs on every set-associative miss;
+	// candFilter, when installed, runs on every set-associative decision;
 	// filters must honor the pipeline's no-allocation contract.
 	//fs:allocfree
 	candFilter CandidateFilter
@@ -162,7 +159,6 @@ type Cache struct {
 	decObs   DecisionObserver
 	freer    cachearray.Freer
 	allCands bool // the array is a *cachearray.FullyAssoc, whose every line is a candidate
-	fullSel  bool // the scheme is a FullSelector
 	worst    futility.WorstTracker
 
 	// Hot-path devirtualization. The two rankers every large experiment runs
@@ -171,15 +167,15 @@ type Cache struct {
 	// and can inline; other rankers fall back to the interface.
 	coarse *futility.CoarseTS
 	lru    *futility.ExactLRU
-	// rawOnly is set when the pipeline itself never reads Candidate.Futility:
-	// FSFeedback, whose Decide reads only a candidate's Line, Part and Raw,
-	// over the coarse ranker, with eviction futility taken from a separate
-	// reference or not taken at all (Unmeasured). Only an observer or a
-	// filter could read it.
+	// rawOnly is set when nothing reads Candidate.Futility: FSFeedback, whose
+	// Decide reads only a candidate's Line, Part and Raw, over the coarse
+	// ranker, which never measures (eviction futility comes from the
+	// Reference, or is not taken).
 	rawOnly bool
-	// partBest is choose's scratch when a FullSelector scheme decides over the
-	// exact LRU ranker: one plus the index of each partition's oldest
-	// candidate so far, 0 between misses.
+	// pruned is set when a FullSelector scheme decides over the exact LRU
+	// ranker; partBest is its scratch in choose: one plus the index of each
+	// partition's oldest candidate so far, 0 between misses.
+	pruned   bool
 	partBest []int32
 }
 
@@ -197,27 +193,25 @@ func New(cfg Config) *Cache {
 		// Owner Parts−1 demoted is code 2·Parts, which must fit two bytes.
 		panic("core: Parts exceeds the 16-bit per-line partition code")
 	}
+	if _, coarse := cfg.Reference.(*futility.CoarseTS); coarse {
+		panic("core: a Reference must be exact, not coarse timestamps")
+	}
 	c := &Cache{
-		array:      cfg.Array,
-		ranker:     cfg.Ranker,
-		ref:        cfg.Reference,
-		unmeasured: cfg.Unmeasured,
-		scheme:     cfg.Scheme,
-		parts:      cfg.Parts,
-		meta:       recency.NewTable[uint8](cfg.Array.Lines(), maxCode(cfg.Parts)),
-		demoteTo:   -1,
-		sizes:      make([]int, cfg.Parts),
-		targets:    make([]int, cfg.Parts),
-		pstats:     make([]PartStats, cfg.Parts),
-		partBest:   make([]int32, cfg.Parts),
+		array:    cfg.Array,
+		ranker:   cfg.Ranker,
+		ref:      cfg.Reference,
+		scheme:   cfg.Scheme,
+		parts:    cfg.Parts,
+		meta:     recency.NewTable[uint8](cfg.Array.Lines(), maxCode(cfg.Parts)),
+		demoteTo: -1,
+		sizes:    make([]int, cfg.Parts),
+		targets:  make([]int, cfg.Parts),
+		pstats:   make([]PartStats, cfg.Parts),
+		partBest: make([]int32, cfg.Parts),
 	}
-	if cfg.Unmeasured && cfg.Reference != nil {
-		panic("core: Unmeasured excludes a Reference")
-	}
-	c.resetPartStats()
 	c.freer, _ = cfg.Array.(cachearray.Freer)
 	_, c.allCands = cfg.Array.(*cachearray.FullyAssoc)
-	_, c.fullSel = cfg.Scheme.(FullSelector)
+	_, fullSel := cfg.Scheme.(FullSelector)
 	c.counter, _ = cfg.Scheme.(Counter)
 	c.worst, _ = cfg.Ranker.(futility.WorstTracker)
 	switch r := cfg.Ranker.(type) {
@@ -226,9 +220,12 @@ func New(cfg Config) *Cache {
 	case *futility.ExactLRU:
 		c.lru = r
 	}
+	c.unmeasured = c.coarse != nil && c.ref == nil
+	c.resetPartStats()
 	_, decidesOnRaw := cfg.Scheme.(*FSFeedback)
-	c.rawOnly = decidesOnRaw && c.coarse != nil && (c.ref != nil || c.unmeasured)
-	if c.allCands && (!c.fullSel || c.worst == nil) {
+	c.rawOnly = decidesOnRaw && c.coarse != nil
+	c.pruned = fullSel && c.lru != nil
+	if c.allCands && (!fullSel || c.worst == nil) {
 		panic("core: fully-associative arrays need a FullSelector scheme and a WorstTracker ranker")
 	}
 	c.scheme.Bind(c.sizes, c.targets)
@@ -298,16 +295,15 @@ func (c *Cache) resetPartStats() {
 	}
 }
 
-// CandidateFilter reshapes the candidate list a scheme sees on the
-// set-associative eviction path, e.g. truncating it to model a partially
-// failed victim-selection tree (internal/faultinject). The returned slice
-// must be non-empty and may alias the input; it is consumed before the next
-// access. The fully-associative fast path is not filtered — its candidates
-// are a scheme invariant (one per non-empty partition), not an array
-// artifact.
-// While a filter is installed every candidate carries Futility, whatever the
-// scheme reads (see DecisionObserver).
-type CandidateFilter func(cands []Candidate) []Candidate
+// CandidateFilter reshapes the candidate lines a replacement decision on the
+// set-associative eviction path starts from, before any is ranked, e.g.
+// truncating them to model a partially failed victim-selection tree, which
+// never delivers the candidates it drops (internal/faultinject). The lines
+// are all valid; the returned slice must be non-empty and may alias the
+// input, and it is consumed before the next access. The fully-associative
+// fast path is not filtered — its candidates are a scheme invariant (one per
+// non-empty partition), not an array artifact.
+type CandidateFilter func(lines []int) []int
 
 // SetCandidateFilter installs f (nil removes any installed filter).
 func (c *Cache) SetCandidateFilter(f CandidateFilter) { c.candFilter = f }
@@ -322,18 +318,12 @@ func (c *Cache) SetCandidateFilter(f CandidateFilter) { c.candFilter = f }
 // (the scenario experiment's counterfactual re-ranker reads the slice in
 // place and writes only vectors it sized up front).
 //
-// Candidate.Futility is populated whenever an observer or a filter is
-// installed; without one, FSFeedback over CoarseTS with a separate Reference
-// (or Unmeasured) computes Raw alone and leaves the coarse CDF uncalibrated.
-// An observer installed mid-run therefore sees a CDF calibrated from its
-// installation, not from the start of the run; install it before the first
-// access when the values must not depend on when observation began (the
-// scenario experiment installs a no-op observer for its warm-up).
-//
-// Likewise a FullSelector scheme over ExactLRU ranks every candidate only
-// while an observer or a filter is installed; without one, Futility and Raw
-// are zero on all but each partition's least recent candidate (FullSelector).
-// The victim is the same either way.
+// The observer sees the candidates exactly as the scheme saw them, and its
+// installation changes nothing the cache computes: FSFeedback over CoarseTS
+// carries Raw alone (Futility is zero and the coarse CDF untouched), and a
+// FullSelector scheme over ExactLRU carries Futility and Raw on each
+// partition's least recent candidate only (FullSelector). An observer that
+// wants more ranks the candidates itself.
 type DecisionObserver func(cands []Candidate, insertPart, victim int, forced bool)
 
 // SetDecisionObserver installs f (nil removes any installed observer).
@@ -365,7 +355,7 @@ type AccessResult struct {
 	// model test) drop the victim by it.
 	EvictedAddr uint64
 	// EvictedFutility is the reference futility of the evicted line (valid
-	// when Evicted, on a measured cache; 0 under Config.Unmeasured).
+	// when Evicted, on a measured cache; 0 on an unmeasured one).
 	EvictedFutility float64
 }
 
@@ -499,15 +489,20 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 //
 //fs:allocfree
 func (c *Cache) choose(cands []int, insertPart int) int {
+	if c.candFilter != nil {
+		if cands = c.candFilter(cands); len(cands) == 0 {
+			panic("core: candidate filter returned no candidates")
+		}
+	}
 	c.candBuf = c.candBuf[:0]
-	if c.rawOnly && c.decObs == nil && c.candFilter == nil {
-		// Nobody downstream reads Candidate.Futility: the decision costs one
-		// timestamp subtraction per candidate and leaves the CDF alone.
+	if c.rawOnly {
+		// Nothing reads Candidate.Futility: the decision costs one timestamp
+		// subtraction per candidate and leaves the CDF alone.
 		for _, l := range cands {
 			p := c.partOf(l)
 			c.candBuf = append(c.candBuf, Candidate{Line: l, Part: p, Raw: c.coarse.Distance(l, p)})
 		}
-	} else if c.fullSel && c.lru != nil && c.decObs == nil && c.candFilter == nil {
+	} else if c.pruned {
 		// Inside a partition α is common and slot order is rank order, so a
 		// slot comparison per candidate finds each partition's only possible
 		// victim and the rank is computed for those alone. The others keep
@@ -535,12 +530,6 @@ func (c *Cache) choose(cands []int, insertPart int) int {
 		}
 	}
 	pool := c.candBuf
-	if c.candFilter != nil {
-		pool = c.candFilter(pool)
-		if len(pool) == 0 {
-			panic("core: candidate filter returned no candidates")
-		}
-	}
 	d := c.scheme.Decide(pool, insertPart)
 	if d.Victim < 0 || d.Victim >= len(pool) {
 		panic("core: scheme returned victim out of range")

@@ -112,12 +112,12 @@ func TestCandidateFilterTruncation(t *testing.T) {
 	c := newTestCache(t, NewFSFeedback(2, FSFeedbackConfig{}), 2, lines, 16)
 	c.SetTargets([]int{128, 128})
 	seen := 0
-	c.SetCandidateFilter(func(cands []Candidate) []Candidate {
+	c.SetCandidateFilter(func(lines []int) []int {
 		seen++
-		if len(cands) > 2 {
-			cands = cands[:2]
+		if len(lines) > 2 {
+			lines = lines[:2]
 		}
-		return cands
+		return lines
 	})
 	d := newStreamDriver(7, []float64{0.5, 0.5})
 	for i := 0; i < 20*lines; i++ {
@@ -142,7 +142,7 @@ func TestCandidateFilterTruncation(t *testing.T) {
 func TestCandidateFilterEmptyPanics(t *testing.T) {
 	c := newTestCache(t, NewFSFeedback(1, FSFeedbackConfig{}), 1, 64, 8)
 	c.SetTargets([]int{64})
-	c.SetCandidateFilter(func(cands []Candidate) []Candidate { return cands[:0] })
+	c.SetCandidateFilter(func(lines []int) []int { return lines[:0] })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("empty filter result did not panic")
@@ -524,11 +524,6 @@ func TestConfigValidation(t *testing.T) {
 		func() {
 			c := New(Config{Array: arr, Ranker: rk, Scheme: sch, Parts: 1})
 			c.Access(1, 5, trace.NoNextUse)
-		},
-		func() {
-			// Nothing to measure with, and told not to measure.
-			New(Config{Array: arr, Ranker: rk, Reference: futility.NewExactLRU(16, 1),
-				Unmeasured: true, Scheme: sch, Parts: 1})
 		},
 		func() {
 			// Fully-associative array without a WorstTracker ranker.

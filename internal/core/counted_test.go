@@ -23,14 +23,13 @@ import (
 //	go test -tags fscount -run Counted ./internal/core
 func TestCounted(t *testing.T) {
 	const lines, parts, ways = 1024, 4, 16
-	build := func(ranker, ref futility.Ranker, unmeasured bool) *Cache {
+	build := func(ranker, ref futility.Ranker) *Cache {
 		c := New(Config{
-			Array:      cachearray.NewSetAssoc(lines, ways, cachearray.IndexH3, 3),
-			Ranker:     ranker,
-			Reference:  ref,
-			Unmeasured: unmeasured,
-			Scheme:     NewFSFeedback(parts, FSFeedbackConfig{}),
-			Parts:      parts,
+			Array:     cachearray.NewSetAssoc(lines, ways, cachearray.IndexH3, 3),
+			Ranker:    ranker,
+			Reference: ref,
+			Scheme:    NewFSFeedback(parts, FSFeedbackConfig{}),
+			Parts:     parts,
 		})
 		c.SetTargets([]int{256, 256, 256, 256})
 		rng := xrand.New(9)
@@ -40,9 +39,9 @@ func TestCounted(t *testing.T) {
 		}
 		return c
 	}
-	unmeasured := build(futility.NewCoarseTS(lines, parts), nil, true)
-	withRef := build(futility.NewCoarseTS(lines, parts), futility.NewExactLRU(lines, parts), false)
-	exact := build(futility.NewExactLRU(lines, parts), nil, false)
+	unmeasured := build(futility.NewCoarseTS(lines, parts), nil)
+	withRef := build(futility.NewCoarseTS(lines, parts), futility.NewExactLRU(lines, parts))
+	exact := build(futility.NewExactLRU(lines, parts), nil)
 
 	const absent = 1 << 40
 	// partsAmong counts the partitions among the candidates absent would

@@ -75,10 +75,10 @@ type Counter interface {
 //   - on a fully-associative array it hands Decide only the most useless line
 //     of each non-empty partition (Cache.chooseFull), O(parts) instead of a
 //     candidate per line;
-//   - under the exact LRU ranker, with no observer or filter installed, it
-//     ranks only each partition's least recent candidate and leaves Futility
-//     and Raw zero — below any real value — on the others, which keep their
-//     places in the list (Cache.choose).
+//   - under the exact LRU ranker it ranks only each partition's least
+//     recent candidate and leaves Futility and Raw zero — below any real
+//     value — on the others, which keep their places in the list
+//     (Cache.choose).
 //
 // A scheme that reads the futility of a partition's other candidates
 // (Vantage demotes every candidate past its aperture) must not be one.

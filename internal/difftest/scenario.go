@@ -138,14 +138,14 @@ func (s *Scenario) TotalParts() int {
 
 // Targets returns the target vector both models install for weights w: the
 // plain weight split over the whole cache for the FS schemes, or — for
-// Vantage — the split over the managed region (90% of the cache, matching
-// the paper's u = 0.10) with a zero target appended for the unmanaged
-// pseudo-partition, the same padding internal/experiments applies.
+// Vantage — the split over the managed region
+// (baselines.VantageManagedLines) with a zero target appended for the
+// unmanaged pseudo-partition, the same padding internal/experiments applies.
 func (s *Scenario) Targets(w []uint8) []int {
 	if s.Scheme != oracle.Vantage {
 		return TargetsFromWeights(w, s.Lines())
 	}
-	return append(TargetsFromWeights(w, s.Lines()*9/10), 0)
+	return append(TargetsFromWeights(w, baselines.VantageManagedLines(s.Lines())), 0)
 }
 
 // Interval returns the feedback interval length.

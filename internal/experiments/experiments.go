@@ -156,9 +156,9 @@ type Built struct {
 	PriSM *baselines.PriSM
 	// Vantage is non-nil for SchemeVantage.
 	Vantage *baselines.Vantage
-	// Coarse is the ranker downcast to its coarse-timestamp implementation
-	// when the spec asked for CoarseLRU; fault-injection experiments use it
-	// to reach the timestamp tags.
+	// Coarse is the ranker as a CoarseTS when the spec asked for CoarseLRU:
+	// fault injection reaches its timestamp tags, and the scenario re-ranker
+	// its CDF, which an FS cache never queries.
 	Coarse *futility.CoarseTS
 }
 

@@ -147,12 +147,13 @@ func runFig7Cell(scale Scale, scheme SchemeName, rank futility.Kind, nSubj int, 
 	results := m.Run()
 
 	var subjIPC, bgIPC, occ []float64
-	pooledAEF := stats.NewHistogram(64)
+	aefSum, aefN := 0.0, uint64(0)
 	for t := 0; t < Fig7Threads; t++ {
 		if t < nSubj {
 			subjIPC = append(subjIPC, results[t].IPC())
 			occ = append(occ, b.Cache.MeanOccupancy(t)/float64(scale.SubjectLines))
-			pooledAEF.Merge(b.Cache.Stats(t).EvictFutility)
+			aefSum += b.Cache.Stats(t).EvictFutility.Sum()
+			aefN += b.Cache.Stats(t).EvictFutility.N()
 		} else {
 			bgIPC = append(bgIPC, results[t].IPC())
 		}
@@ -163,9 +164,9 @@ func runFig7Cell(scale Scale, scheme SchemeName, rank futility.Kind, nSubj int, 
 	row.OccupancyFrac = stats.Mean(occ)
 	// AEF pooled over all subject evictions: partitions that never evicted
 	// (e.g. FullAssoc guarantees) contribute no samples rather than zeros.
-	row.SubjectAEF = pooledAEF.Mean()
-	if pooledAEF.N() == 0 {
-		row.SubjectAEF = 1 // no subject line was ever evicted
+	row.SubjectAEF = 1 // no subject line was ever evicted
+	if aefN > 0 {
+		row.SubjectAEF = aefSum / float64(aefN)
 	}
 	if b.PriSM != nil {
 		row.Abnormality = b.PriSM.AbnormalityRate()

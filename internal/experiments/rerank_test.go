@@ -12,17 +12,18 @@ import (
 )
 
 // rerankedRun drives a real FS cache (feedback controller, CoarseLRU
-// ranking, H3-indexed 16-way array — the same construction the scenario
-// runner uses) over a skewed multi-partition workload with a reranker
-// installed from the first access, and returns the reranker and the
-// cache's eviction count.
-func rerankedRun(t *testing.T, parts, lines, accesses, limit int) (*reranker, uint64) {
+// ranking, H3-indexed 16-way array — the construction the scenario runner
+// uses, less its measuring reference) over a skewed multi-partition workload
+// with a reranker installed from the first access, recording from it if
+// recording is set, and returns the reranker and the cache's eviction count.
+func rerankedRun(t *testing.T, parts, lines, accesses, limit int, recording bool) (*reranker, uint64) {
 	t.Helper()
 	const seed = 0xfee1500d
 	fs := core.NewFSFeedback(parts, core.FSFeedbackConfig{})
+	coarse := futility.NewCoarseTS(lines, parts)
 	cache := core.New(core.Config{
 		Array:  cachearray.NewSetAssoc(lines, 16, cachearray.IndexH3, xrand.Mix64(seed^0xa77a)),
-		Ranker: futility.New(futility.CoarseLRU, lines, parts, xrand.Mix64(seed^0x7a17)),
+		Ranker: coarse,
 		Scheme: fs,
 		Parts:  parts,
 	})
@@ -37,7 +38,8 @@ func rerankedRun(t *testing.T, parts, lines, accesses, limit int) (*reranker, ui
 	targets[parts-1] = rest
 	cache.SetTargets(targets)
 
-	r := newReranker(cache, fs, limit)
+	r := newReranker(cache, fs, coarse, limit)
+	r.recording = recording
 	cache.SetDecisionObserver(r.observe)
 
 	rng := xrand.New(seed)
@@ -76,7 +78,7 @@ func perturbAlpha(t *testing.T, part int, factor float64) {
 // the observer reads (raw futility, the live alpha) do not determine the
 // decision, i.e. the re-ranker drifted from core.FSFeedback.Decide.
 func TestReplayFSSelfConsistency(t *testing.T) {
-	r, evictions := rerankedRun(t, 4, 1024, 60_000, ScenarioMaxRecorded)
+	r, evictions := rerankedRun(t, 4, 1024, 60_000, ScenarioMaxRecorded, true)
 	cf := r.rows[0]
 	if cf.Decisions == 0 {
 		t.Fatal("run re-ranked no decisions (no evictions happened?)")
@@ -96,7 +98,7 @@ func TestReplayFSSelfConsistency(t *testing.T) {
 func TestSelfCheckCatchesPerturbedAlpha(t *testing.T) {
 	perturbAlpha(t, 0, 4)
 	t.Run("observer", func(t *testing.T) {
-		r, _ := rerankedRun(t, 4, 1024, 60_000, ScenarioMaxRecorded)
+		r, _ := rerankedRun(t, 4, 1024, 60_000, ScenarioMaxRecorded, true)
 		if cf := r.rows[0]; cf.Divergent == 0 {
 			t.Fatalf("FS row shows no divergence over %d decisions with partition 0's α scaled ×4", cf.Decisions)
 		}
@@ -114,7 +116,7 @@ func TestSelfCheckCatchesPerturbedAlpha(t *testing.T) {
 // scenario results, printed by fstables): every rule sees every decision,
 // PF never reports forced evictions, and rates stay in [0, 1].
 func TestReplayBaselines(t *testing.T) {
-	r, _ := rerankedRun(t, 4, 1024, 60_000, ScenarioMaxRecorded)
+	r, _ := rerankedRun(t, 4, 1024, 60_000, ScenarioMaxRecorded, true)
 	fs, pf, v := r.rows[0], r.rows[1], r.rows[2]
 	if pf.Decisions != fs.Decisions || v.Decisions != fs.Decisions {
 		t.Fatalf("pf re-ranked %d and vantage %d of %d decisions", pf.Decisions, v.Decisions, fs.Decisions)
@@ -156,7 +158,7 @@ func TestReplayBaselines(t *testing.T) {
 // as skipped, and no row re-ranks more than the cap.
 func TestRecorderBound(t *testing.T) {
 	const limit = 64
-	r, evictions := rerankedRun(t, 4, 1024, 60_000, limit)
+	r, evictions := rerankedRun(t, 4, 1024, 60_000, limit, true)
 	for _, cf := range r.rows {
 		if cf.Decisions != limit {
 			t.Fatalf("%s re-ranked %d decisions, want the %d cap", cf.Scheme, cf.Decisions, limit)
@@ -164,5 +166,29 @@ func TestRecorderBound(t *testing.T) {
 	}
 	if r.skipped == 0 || limit+r.skipped != evictions {
 		t.Fatalf("skipped %d past the cap of %d, want the rest of %d decisions", r.skipped, limit, evictions)
+	}
+}
+
+// TestRerankerCalibratesBeforeRecording runs a reranker that never starts
+// recording: it re-ranks nothing, yet it has queried the coarse ranker's
+// futility for every partition, as it must through warm-up so that the PF
+// and Vantage rules later read a CDF calibrated from the first access.
+func TestRerankerCalibratesBeforeRecording(t *testing.T) {
+	r, evictions := rerankedRun(t, 4, 1024, 60_000, ScenarioMaxRecorded, false)
+	if evictions == 0 {
+		t.Fatal("the run evicted nothing")
+	}
+	for _, cf := range r.rows {
+		if cf.Decisions != 0 {
+			t.Fatalf("%s re-ranked %d decisions before recording", cf.Scheme, cf.Decisions)
+		}
+	}
+	if r.skipped != 0 {
+		t.Fatalf("skipped %d decisions before recording", r.skipped)
+	}
+	for p := 0; p < 4; p++ {
+		if !r.coarse.Calibrated(p) {
+			t.Fatalf("partition %d: the reranker never queried its futility", p)
+		}
 	}
 }

@@ -90,7 +90,7 @@ func RunScenario(spec *scenario.Spec, dir string) (*ScenarioResult, error) {
 		b := buildScenarioCache(spec, scheme, parts)
 		var obs *reranker
 		if scheme == SchemeFS {
-			obs = newReranker(b.Cache, b.FSFeedback, ScenarioMaxRecorded)
+			obs = newReranker(b.Cache, b.FSFeedback, b.Coarse, ScenarioMaxRecorded)
 			rr = obs
 		}
 		row, emitted := runScenarioScheme(spec, comp, b, obs, nil)
@@ -174,40 +174,48 @@ func (c *Counterfactual) add(cands []core.Candidate, victim, pick int, forced bo
 // a test can perturb one partition's α and watch the self-check fail.
 var fsAlphas = (*core.FSFeedback).Alphas
 
-// reranker is the FS run's post-warm-up core.DecisionObserver: it answers
-// "what would this rule have evicted here" for each decision as the cache
+// reranker is the FS run's core.DecisionObserver: it answers "what would
+// this rule have evicted here" for each post-warm-up decision as the cache
 // makes it, under three rules, each given exactly what FS decided from —
-// every candidate's raw and reference futility, the live α, and the
-// candidate partitions' actual and target sizes (pre-eviction: the
-// observer fires after the scheme decides but before the eviction is
-// applied). FS ranks by raw×α, PF and Vantage by futility plus sizes.
+// every candidate's raw timestamp distance, the live α, and the candidate
+// partitions' actual and target sizes (pre-eviction: the observer fires
+// after the scheme decides but before the eviction is applied). FS ranks by
+// raw×α, PF and Vantage by the coarse futility plus sizes.
+//
+// FS decides on Raw alone, so the cache leaves Futility zero; the reranker
+// ranks every candidate through CoarseTS.FutilityRaw, in list order, from the
+// first access on, so PF and Vantage read a CDF calibrated from the start.
 type reranker struct {
-	cache   *core.Cache
-	fs      *core.FSFeedback
-	limit   uint64
-	skipped uint64
+	cache     *core.Cache
+	fs        *core.FSFeedback
+	coarse    *futility.CoarseTS
+	scored    []core.Candidate // cands with Futility filled in
+	recording bool             // set at warm-up's end; decisions before only calibrate
+	limit     uint64
+	skipped   uint64
 	// rows are the fs (self-check), pf and vantage counterfactuals.
 	rows    [3]Counterfactual
 	pf      *baselines.PF
 	vantage *baselines.Vantage
 	// actual and targets, the vectors pf and vantage are bound to, hold the
 	// candidate partitions' sizes and targets during one decision and zero
-	// everywhere else. Entry parts is
-	// Vantage's unmanaged pseudo-partition, which no candidate lies in (the
-	// FS cache has no demotions), so Vantage re-ranks in its most honest
-	// counterfactual form: each decision either demote-evicts within
-	// aperture or is a forced eviction, the isolation breach the paper
-	// quantifies.
+	// everywhere else. Entry parts is Vantage's unmanaged pseudo-partition,
+	// which no candidate lies in (the FS cache has no demotions), so Vantage
+	// re-ranks in its most honest counterfactual form: each decision either
+	// demote-evicts within aperture or is a forced eviction, the isolation
+	// breach the paper quantifies.
 	actual, targets []int
 }
 
-// newReranker builds the observer for an FS cache; decisions past limit are
-// counted as skipped. Install it with cache.SetDecisionObserver(r.observe).
-func newReranker(cache *core.Cache, fs *core.FSFeedback, limit int) *reranker {
+// newReranker builds the observer for an FS cache over coarse; decisions past
+// limit are counted as skipped. Install r.observe before the first access and
+// set recording when warm-up ends.
+func newReranker(cache *core.Cache, fs *core.FSFeedback, coarse *futility.CoarseTS, limit int) *reranker {
 	parts := cache.Parts()
 	r := &reranker{
 		cache:   cache,
 		fs:      fs,
+		coarse:  coarse,
 		limit:   uint64(limit),
 		rows:    [3]Counterfactual{{Scheme: "fs"}, {Scheme: "pf"}, {Scheme: "vantage"}},
 		pf:      baselines.NewPF(parts),
@@ -220,9 +228,16 @@ func newReranker(cache *core.Cache, fs *core.FSFeedback, limit int) *reranker {
 	return r
 }
 
-// observe implements core.DecisionObserver. It allocates nothing: the rules
-// read cands in place and every vector is the reranker's own.
+// observe implements core.DecisionObserver. Once scored is grown it allocates
+// nothing: the rules read in place and every vector is the reranker's own.
 func (r *reranker) observe(cands []core.Candidate, insertPart, victim int, _ bool) {
+	r.scored = append(r.scored[:0], cands...)
+	for i, c := range cands {
+		r.scored[i].Futility, _ = r.coarse.FutilityRaw(c.Line, c.Part)
+	}
+	if !r.recording {
+		return
+	}
 	if r.rows[0].Decisions >= r.limit {
 		r.skipped++
 		return
@@ -244,9 +259,9 @@ func (r *reranker) observe(cands []core.Candidate, insertPart, victim int, _ boo
 		p := cands[i].Part
 		r.actual[p], r.targets[p] = sizes[p], targets[p]
 	}
-	d := r.pf.Decide(cands, insertPart)
+	d := r.pf.Decide(r.scored, insertPart)
 	r.rows[1].add(cands, victim, d.Victim, d.Forced)
-	d = r.vantage.Decide(cands, insertPart)
+	d = r.vantage.Decide(r.scored, insertPart)
 	r.rows[2].add(cands, victim, d.Victim, d.Forced)
 	for i := range cands {
 		p := cands[i].Part
@@ -284,13 +299,9 @@ func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, o
 	}
 	targets = b.SetCacheTargets(targets)
 
-	// A re-ranked run carries an observer from its first access, though it
-	// re-ranks only from warmAt: Candidate.Futility values come from the
-	// coarse ranker's CDF, which only a pipeline that is being observed
-	// calibrates (core.DecisionObserver), and the PF and Vantage rules are
-	// meant to see a CDF that warm-up calibrated.
+	// The re-ranker sees every decision and records from warmAt.
 	if obs != nil {
-		b.Cache.SetDecisionObserver(func([]core.Candidate, int, int, bool) {})
+		b.Cache.SetDecisionObserver(obs.observe)
 	}
 	stream := comp.NewStream(spec.Cache.Lines)
 	warmAt := int(spec.Warmup * float64(spec.Accesses))
@@ -307,7 +318,7 @@ func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, o
 		if emitted == warmAt {
 			b.Cache.ResetStats()
 			if obs != nil {
-				b.Cache.SetDecisionObserver(obs.observe)
+				obs.recording = true
 			}
 		}
 		b.Cache.Access(op.Access.Addr, op.Part, trace.NoNextUse)
@@ -326,7 +337,6 @@ func runScenarioScheme(spec *scenario.Spec, comp *scenario.Compiled, b *Built, o
 			occN++
 		}
 	}
-	b.Cache.SetDecisionObserver(nil)
 
 	var row ScenarioRow
 	var hits, misses, forced uint64

@@ -124,8 +124,8 @@ func (in *Injector) ForceAlphaMin(part int) {
 }
 
 // TruncateCandidates installs a filter that cuts every candidate list down
-// to at most keep entries (keep >= 1). The truncation stays active until
-// StopTruncation.
+// to its first keep lines (keep >= 1) before any is ranked. The truncation
+// stays active until StopTruncation.
 func (in *Injector) TruncateCandidates(keep int) {
 	if in.t.Cache == nil {
 		panic("faultinject: TruncateCandidates with no cache bound")
@@ -133,11 +133,11 @@ func (in *Injector) TruncateCandidates(keep int) {
 	if keep < 1 {
 		panic("faultinject: TruncateCandidates needs keep >= 1")
 	}
-	in.t.Cache.SetCandidateFilter(func(cands []core.Candidate) []core.Candidate {
-		if len(cands) > keep {
-			cands = cands[:keep]
+	in.t.Cache.SetCandidateFilter(func(lines []int) []int {
+		if len(lines) > keep {
+			lines = lines[:keep]
 		}
-		return cands
+		return lines
 	})
 }
 

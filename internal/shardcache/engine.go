@@ -121,9 +121,10 @@ type Engine struct {
 
 // measureEvery is the AEF sampling period over lock domains. The exact
 // reference ranker costs a coarse stripe more than its timestamps do, so only
-// stripes with index g % measureEvery == 0 carry it; the rest run
-// core.Config.Unmeasured. Stripes are uniform slices of the H3 set-index
-// space, so this is UCP's dynamic set sampling with no per-access test.
+// stripes with index g % measureEvery == 0 carry it; the rest have no
+// core.Config.Reference and so record no eviction futility. Stripes are
+// uniform slices of the H3 set-index space, so this is UCP's dynamic set
+// sampling with no per-access test.
 const measureEvery = 4
 
 // New builds an engine from cfg. It panics when cfg.Validate fails
@@ -189,8 +190,6 @@ func newEngine(cfg Config, isMeasured func(g int) bool) *Engine {
 			cc.Reference = futility.New(rk, perStripeLines, cfg.Parts,
 				xrand.Mix64(cfg.Seed^0x0a0a0000^uint64(g)))
 			measured++
-		default:
-			cc.Unmeasured = true
 		}
 		stripes[g] = &stripe{cache: core.New(cc), array: arr}
 	}

@@ -29,10 +29,8 @@ func stripeSnapshot(e *Engine, g int) core.Snapshot {
 // stripe must end byte-identical to its all-measured twin, an unmeasured one
 // identical but for its empty futility histograms.
 //
-// Seen to fail with the default engine's unmeasured stripes built as
-// core.Config{Reference: nil} without Unmeasured: the coarse ranker then
-// doubles as reference and its CDF estimates land in EvictedFutility and the
-// histograms.
+// Seen to fail while a coarse core.Cache with no Reference measured itself:
+// its CDF estimates landed in EvictedFutility and the histograms.
 func TestSampledMeasurementChangesNoOutcome(t *testing.T) {
 	cfg := testConfig(16)
 	cfg.Ranking = futility.CoarseLRU
