@@ -298,7 +298,7 @@ func (c *Cache) resetPartStats() {
 // CandidateFilter reshapes the candidate lines a replacement decision on the
 // set-associative eviction path starts from, before any is ranked, e.g.
 // truncating them to model a partially failed victim-selection tree, which
-// never delivers the candidates it drops (internal/faultinject). The lines
+// never delivers the candidates it drops (experiment abl-fault). The lines
 // are all valid; the returned slice must be non-empty and may alias the
 // input, and it is consumed before the next access. The fully-associative
 // fast path is not filtered — its candidates are a scheme invariant (one per

@@ -193,7 +193,7 @@ func (f *FSFeedback) OnEviction(part int) {
 // ForceAlpha overrides partition part's scaling factor, clamped to the
 // controller's legal range [1, AlphaMax], and restarts the partition's
 // interval so the controller re-evaluates from the forced state. It exists
-// for fault injection (internal/faultinject) and §V robustness tests:
+// for fault injection (experiment abl-fault) and §V robustness tests:
 // Algorithm 2 is claimed to be self-correcting, so after any forced α the
 // partition sizes must re-converge to their targets within a few intervals.
 func (f *FSFeedback) ForceAlpha(part int, alpha float64) {

@@ -125,13 +125,20 @@ func compare(step int, fr core.AccessResult, or oracle.Result, fast *core.Cache,
 	}
 	for p := 0; p < fast.Parts(); p++ {
 		st := fast.Stats(p)
-		if st.Demotions != ora.Demotions(p) {
-			return &Divergence{step, fmt.Sprintf("demotions[%d]", p),
-				fmt.Sprint(st.Demotions), fmt.Sprint(ora.Demotions(p))}
-		}
-		if st.ForcedEvict != ora.ForcedEvictions(p) {
-			return &Divergence{step, fmt.Sprintf("forced[%d]", p),
-				fmt.Sprint(st.ForcedEvict), fmt.Sprint(ora.ForcedEvictions(p))}
+		for _, c := range [...]struct {
+			name      string
+			fast, ora uint64
+		}{
+			{"hits", st.Hits, ora.Hits(p)},
+			{"misses", st.Misses, ora.Misses(p)},
+			{"insertions", st.Insertions, ora.Insertions(p)},
+			{"evictions", st.Evictions, ora.Evictions(p)},
+			{"demotions", st.Demotions, ora.Demotions(p)},
+			{"forced", st.ForcedEvict, ora.ForcedEvictions(p)},
+		} {
+			if c.fast != c.ora {
+				return &Divergence{step, fmt.Sprintf("%s[%d]", c.name, p), fmt.Sprint(c.fast), fmt.Sprint(c.ora)}
+			}
 		}
 	}
 	// Vantage has no scaling factors; alphas is nil there.

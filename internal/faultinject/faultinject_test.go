@@ -3,11 +3,7 @@ package faultinject
 import (
 	"testing"
 
-	"fscache/internal/cachearray"
-	"fscache/internal/core"
-	"fscache/internal/futility"
 	"fscache/internal/trace"
-	"fscache/internal/xrand"
 )
 
 // seqGenerator yields consecutive fresh lines, so every fault the wrapper
@@ -17,117 +13,6 @@ type seqGenerator struct{ next uint64 }
 func (g *seqGenerator) Next() trace.Access {
 	g.next++
 	return trace.Access{Addr: g.next}
-}
-
-func buildFaultable(t *testing.T, lines int) (*core.Cache, *core.FSFeedback, *futility.CoarseTS) {
-	t.Helper()
-	fs := core.NewFSFeedback(2, core.FSFeedbackConfig{})
-	coarse := futility.NewCoarseTS(lines, 2)
-	c := core.New(core.Config{
-		Array:  cachearray.NewRandom(lines, 16, 7),
-		Ranker: coarse,
-		Scheme: fs,
-		Parts:  2,
-	})
-	c.SetTargets([]int{lines / 2, lines / 2})
-	return c, fs, coarse
-}
-
-func TestClassesCoverEverySurface(t *testing.T) {
-	cs := Classes()
-	if len(cs) != 7 {
-		t.Fatalf("Classes() returned %d classes, want 7", len(cs))
-	}
-	seen := map[Class]bool{}
-	for _, c := range cs {
-		if seen[c] {
-			t.Fatalf("duplicate class %q", c)
-		}
-		seen[c] = true
-	}
-}
-
-func TestFlipTimestampsDeterministic(t *testing.T) {
-	const lines = 256
-	count := func() int {
-		c, _, coarse := buildFaultable(t, lines)
-		rng := xrand.New(3)
-		for i := 0; i < 4*lines; i++ {
-			c.Access(rng.Uint64n(1<<14), rng.Intn(2), trace.NoNextUse)
-		}
-		in := NewInjector(99, Targets{Coarse: coarse, Cache: c})
-		return in.FlipTimestamps(0.5)
-	}
-	a, b := count(), count()
-	if a != b {
-		t.Fatalf("same-seed flip counts differ: %d vs %d", a, b)
-	}
-	if a == 0 {
-		t.Fatal("FlipTimestamps(0.5) on a warm cache flipped nothing")
-	}
-	if a > lines {
-		t.Fatalf("flipped %d tags in a %d-line cache", a, lines)
-	}
-}
-
-func TestInjectorUnboundTargetsPanic(t *testing.T) {
-	in := NewInjector(1, Targets{})
-	for _, tc := range []struct {
-		name string
-		fn   func()
-	}{
-		{"FlipTimestamps", func() { in.FlipTimestamps(0.1) }},
-		{"ForceAlphaMax", func() { in.ForceAlphaMax(0) }},
-		{"ForceAlphaMin", func() { in.ForceAlphaMin(0) }},
-		{"TruncateCandidates", func() { in.TruncateCandidates(2) }},
-		{"StopTruncation", func() { in.StopTruncation() }},
-	} {
-		name, fn := tc.name, tc.fn
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s with nil target did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestForceAlphaExtremes(t *testing.T) {
-	_, fs, _ := buildFaultable(t, 64)
-	in := NewInjector(1, Targets{Feedback: fs})
-	in.ForceAlphaMax(0)
-	if a := fs.Alphas()[0]; a != fs.AlphaMax() {
-		t.Fatalf("alpha[0] = %v after ForceAlphaMax, want %v", a, fs.AlphaMax())
-	}
-	in.ForceAlphaMin(1)
-	if a := fs.Alphas()[1]; a != 1 {
-		t.Fatalf("alpha[1] = %v after ForceAlphaMin, want 1", a)
-	}
-}
-
-func TestTruncateCandidatesInstallsAndStops(t *testing.T) {
-	c, _, _ := buildFaultable(t, 256)
-	in := NewInjector(1, Targets{Cache: c})
-	in.TruncateCandidates(2)
-	rng := xrand.New(5)
-	for i := 0; i < 2048; i++ {
-		c.Access(rng.Uint64n(1<<14), rng.Intn(2), trace.NoNextUse)
-	}
-	if total := c.Sizes()[0] + c.Sizes()[1]; total != 256 {
-		t.Fatalf("size conservation broken under truncation: %d resident", total)
-	}
-	in.StopTruncation()
-	for i := 0; i < 2048; i++ {
-		c.Access(rng.Uint64n(1<<14), rng.Intn(2), trace.NoNextUse)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("TruncateCandidates(0) did not panic")
-		}
-	}()
-	in.TruncateCandidates(0)
 }
 
 func TestFaultyGeneratorPassthroughWhenZero(t *testing.T) {
@@ -193,72 +78,6 @@ func TestFaultyGeneratorValidation(t *testing.T) {
 		{"drop = 1", func() { NewFaultyGenerator(&seqGenerator{}, 1, TraceFaults{Drop: 1}) }},
 		{"negative", func() { NewFaultyGenerator(&seqGenerator{}, 1, TraceFaults{Dup: -0.1}) }},
 		{"set drop=1", func() { NewFaultyGenerator(&seqGenerator{}, 1, TraceFaults{}).SetRates(TraceFaults{Drop: 1}) }},
-	} {
-		name, fn := tc.name, tc.fn
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestRecoveryTrackerSettle(t *testing.T) {
-	tr := NewRecoveryTracker([]int{100, 50}, 0.05)
-	tr.Observe([]int{100, 50}) // in band
-	tr.Observe([]int{80, 50})  // 20% out on partition 0
-	tr.Observe([]int{120, 50}) // 20% out the other way
-	tr.Observe([]int{97, 51})  // back in band
-	tr.Observe([]int{101, 49}) // stays in band
-	if !tr.Disturbed() {
-		t.Fatal("tracker saw 20% excursions but reports undisturbed")
-	}
-	if !tr.Recovered() {
-		t.Fatal("tracker ended two samples inside the band but reports unrecovered")
-	}
-	if got := tr.SettleObservations(); got != 3 {
-		t.Fatalf("SettleObservations = %d, want 3 (last excursion at sample 2)", got)
-	}
-	if d := tr.MaxDeviation(); d < 0.19 || d > 0.21 {
-		t.Fatalf("MaxDeviation = %v, want 0.2", d)
-	}
-}
-
-func TestRecoveryTrackerNeverLeft(t *testing.T) {
-	tr := NewRecoveryTracker([]int{100}, 0.05)
-	for i := 0; i < 10; i++ {
-		tr.Observe([]int{100})
-	}
-	if tr.Disturbed() {
-		t.Fatal("in-band run reported disturbed")
-	}
-	if got := tr.SettleObservations(); got != 0 {
-		t.Fatalf("SettleObservations = %d, want 0 for a run that never left the band", got)
-	}
-}
-
-func TestRecoveryTrackerEndsOutside(t *testing.T) {
-	tr := NewRecoveryTracker([]int{100}, 0.05)
-	tr.Observe([]int{100})
-	tr.Observe([]int{50})
-	if tr.Recovered() {
-		t.Fatal("run ending out of band reported recovered")
-	}
-	if got := tr.SettleObservations(); got != -1 {
-		t.Fatalf("SettleObservations = %d, want -1 while still out of band", got)
-	}
-}
-
-func TestRecoveryTrackerValidation(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		fn   func()
-	}{
-		{"zero eps", func() { NewRecoveryTracker([]int{1}, 0) }},
-		{"short sizes", func() { NewRecoveryTracker([]int{1, 2}, 0.1).Observe([]int{3}) }},
 	} {
 		name, fn := tc.name, tc.fn
 		func() {

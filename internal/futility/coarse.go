@@ -208,7 +208,7 @@ func (c *CoarseTS) Calibrated(part int) bool { return c.cdf[part] != nil }
 func (c *CoarseTS) Lines() int { return len(c.ts) }
 
 // FlipTimestampBit flips bit (0..7) of the line's timestamp tag. It exists
-// for fault injection (internal/faultinject): a flipped high bit makes a
+// for fault injection (experiment abl-fault): a flipped high bit makes a
 // fresh line look up to 128 ticks stale or a stale line look fresh, exactly
 // the soft-error class §V's feedback controller must absorb. The caller
 // picks resident lines (core.Cache.Resident); a flip of a dead tag is

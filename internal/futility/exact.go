@@ -120,19 +120,16 @@ func (r *ostRanker) Worst(part int) int {
 }
 
 // ExactLFU ranks lines by access frequency: the least frequently used line
-// is most useless. Keys are the complement of the hit count; ties are
-// broken by line index (stable, arbitrary), preserving a strict order.
+// is most useless. A line's key is the complement of its access count, so the
+// key is the count's only copy; ties are broken by the key's insert ticket
+// (stable, arbitrary), preserving a strict order.
 type ExactLFU struct {
 	*ostRanker
-	freq []uint64
 }
 
 // NewExactLFU returns an exact LFU ranker.
 func NewExactLFU(lines, parts int, seed uint64) *ExactLFU {
-	return &ExactLFU{
-		ostRanker: newOSTRanker(lines, parts, seed),
-		freq:      make([]uint64, lines),
-	}
+	return &ExactLFU{newOSTRanker(lines, parts, seed)}
 }
 
 // OnInsert implements Ranker.
@@ -142,24 +139,14 @@ func (r *ExactLFU) OnInsert(line, part int, ctx Context) {
 	if r.present(line) {
 		panic("futility: OnInsert of tracked line")
 	}
-	r.freq[line] = 1
 	r.set(line, part, ^uint64(1))
 }
 
-// OnHit implements Ranker.
+// OnHit implements Ranker: ^freq - 1 is ^(freq+1).
 //
 //fs:allocfree
 func (r *ExactLFU) OnHit(line, part int, ctx Context) {
-	r.freq[line]++
-	r.set(line, part, ^r.freq[line])
-}
-
-// OnMove implements Ranker, additionally moving the frequency counter.
-//
-//fs:allocfree
-func (r *ExactLFU) OnMove(from, to, part int) {
-	r.ostRanker.OnMove(from, to, part)
-	r.freq[to] = r.freq[from]
+	r.set(line, part, r.keys[line].Primary-1)
 }
 
 // ExactOPT is Belady's clairvoyant ranking: the line whose next reference
