@@ -49,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		targets  = fs.String("targets", "equal", "comma-separated per-thread line targets; 'equal' splits evenly; a trailing 'equal' splits the remainder")
 		accesses = fs.Int("accesses", 100000, "L2 accesses per thread")
 		seed     = fs.Uint64("seed", 1, "simulation seed")
-		maxsteps = fs.Uint64("maxsteps", 0, "deterministic watchdog: panic after this many simulated accesses (0 = off)")
 	)
 	prof := profiling.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -109,9 +108,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	b := experiments.Build(spec)
 	tg = b.SetCacheTargets(tg)
 
-	mc := sim.NewMulticore(b.Cache, traces)
-	mc.SetStepLimit(*maxsteps)
-	results := mc.Run()
+	results := sim.NewMulticore(b.Cache, traces).Run()
 
 	fmt.Fprintf(stdout, "scheme=%s array=%s rank=%s lines=%d (%d KB) threads=%d seed=%d\n\n",
 		*scheme, *array, rk, *lines, *lines*64/1024, parts, *seed)

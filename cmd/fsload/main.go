@@ -41,6 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fscache/internal/alloc"
 	"fscache/internal/stats"
 )
 
@@ -116,6 +117,9 @@ func parseFlags(args []string) (options, error) {
 			err = fmt.Errorf("-%s applies only with -net", f.Name)
 		}
 	})
+	if err == nil && o.alloc != "" && (o.alloc != "qos" || o.scenario == "") {
+		_, err = alloc.ByName(o.alloc)
+	}
 	if err == nil && (o.workers < 1 || o.duration <= 0 || o.batch < 1 || o.keys < 1) {
 		err = errors.New("need -workers >= 1, -duration > 0, -batch >= 1 and -keys >= 1")
 	}

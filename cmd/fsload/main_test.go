@@ -190,3 +190,21 @@ func TestFlagsRejectedForTheOtherTarget(t *testing.T) {
 		}
 	}
 }
+
+// An -alloc objective alloc.ByName rejects is a usage error before anything
+// runs; qos passes only with a spec to derive its guarantees from.
+func TestAllocObjectiveChecked(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		ok   bool
+	}{
+		{[]string{"-alloc", "bogus"}, false},
+		{[]string{"-alloc", "qos"}, false},
+		{[]string{"-scenario", "../../examples/scenarios/zipf-drift.yaml", "-alloc", "qos"}, true},
+	} {
+		_, err := parseFlags(tc.args)
+		if tc.ok != (err == nil) || err != nil && !strings.Contains(err.Error(), "want utility, maxmin or phase") {
+			t.Errorf("%q: error %v, want ok=%v or one naming the objectives", tc.args, err, tc.ok)
+		}
+	}
+}

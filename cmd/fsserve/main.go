@@ -116,6 +116,11 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	if err != nil {
 		return fail(2, err)
 	}
+	if *allocFl != "" && (*allocFl != "qos" || *scen == "") {
+		if _, err := alloc.ByName(*allocFl); err != nil {
+			return fail(2, err)
+		}
+	}
 	tcs, err := parseTenants(*tenants)
 	if err != nil {
 		return fail(2, err)

@@ -197,6 +197,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-tenants", "x"}, "bad tenant class"},
 		{[]string{"-targets", "1,x"}, "bad target"},
 		{[]string{"-ways", "8"}, "flag provided but not defined: -ways"},
+		{[]string{"-alloc", "qos"}, "want utility, maxmin or phase"},
 	}
 	// Cancelled up front: a case that wrongly starts serving drains at
 	// once and returns 0 instead of hanging.

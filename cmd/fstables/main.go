@@ -30,6 +30,7 @@ import (
 	"strings"
 	"time"
 
+	"fscache/internal/alloc"
 	"fscache/internal/experiments"
 	"fscache/internal/profiling"
 	"fscache/internal/scenario"
@@ -78,6 +79,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	if conflict != nil {
 		return usage(conflict)
+	}
+	// -scenario is set here, so qos can derive its guarantees from the spec.
+	if *allocFl != "" && *allocFl != "qos" {
+		if _, err := alloc.ByName(*allocFl); err != nil {
+			return usage(err)
+		}
 	}
 
 	if *list {

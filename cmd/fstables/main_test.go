@@ -33,6 +33,7 @@ func TestInapplicableFlagsExitTwo(t *testing.T) {
 		{[]string{"-resume", "-fig", "table2"}, "-resume"},
 		{[]string{"-journal", "j", "-fig", "table2"}, "-journal"},
 		{[]string{"-panic", "table2", "-fig", "table2"}, "-panic"},
+		{[]string{"-scenario", "../../examples/scenarios/zipf-drift.yaml", "-alloc", "bogus"}, "want utility, maxmin or phase"},
 	} {
 		code, _, stderr := runArgs(tc.args...)
 		if code != 2 || !strings.Contains(stderr, tc.flag) {

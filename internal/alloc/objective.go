@@ -225,17 +225,18 @@ func snapshotCurves(cv *Curves) *Curves {
 // ByName returns a fresh objective for a CLI name: utility (max aggregate
 // hits), maxmin (max-min fairness) or phase (drift-gated utility). The qos
 // objective needs per-partition guarantees, so callers construct it
-// directly (scenario specs derive it from guaranteed-class clients).
+// directly (scenario specs derive it from guaranteed-class clients) and
+// ByName rejects it.
 func ByName(name string) (Objective, error) {
 	switch name {
-	case "utility", "maxhits":
+	case "utility":
 		return MaxHits{}, nil
 	case "maxmin":
 		return MaxMin{}, nil
 	case "phase":
 		return &PhaseAdaptive{}, nil
 	default:
-		return nil, fmt.Errorf("alloc: unknown objective %q (want utility, maxmin, qos or phase)", name)
+		return nil, fmt.Errorf("alloc: unknown objective %q (want utility, maxmin or phase; qos needs -scenario)", name)
 	}
 }
 

@@ -240,13 +240,15 @@ func TestDivergence(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"utility", "maxhits", "maxmin", "phase"} {
+	for _, name := range []string{"utility", "maxmin", "phase"} {
 		if _, err := ByName(name); err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
 		}
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatalf("unknown objective must error")
+	for _, name := range []string{"nope", "maxhits", "qos"} {
+		if _, err := ByName(name); err == nil {
+			t.Fatalf("ByName(%q) must error", name)
+		}
 	}
 }
 

@@ -149,10 +149,6 @@ type Cache struct {
 	worstBuf  []Candidate
 	candLines []int             // reused Candidates destination
 	moveBuf   []cachearray.Move // reused Install move list
-	// candFilter, when installed, runs on every set-associative decision;
-	// filters must honor the pipeline's no-allocation contract.
-	//fs:allocfree
-	candFilter CandidateFilter
 	// decObs, when installed, observes every replacement decision; observers
 	// must honor the pipeline's no-allocation contract.
 	//fs:allocfree
@@ -295,24 +291,12 @@ func (c *Cache) resetPartStats() {
 	}
 }
 
-// CandidateFilter reshapes the candidate lines a replacement decision on the
-// set-associative eviction path starts from, before any is ranked, e.g.
-// truncating them to model a partially failed victim-selection tree, which
-// never delivers the candidates it drops (experiment abl-fault). The lines
-// are all valid; the returned slice must be non-empty and may alias the
-// input, and it is consumed before the next access. The fully-associative
-// fast path is not filtered — its candidates are a scheme invariant (one per
-// non-empty partition), not an array artifact.
-type CandidateFilter func(lines []int) []int
-
-// SetCandidateFilter installs f (nil removes any installed filter).
-func (c *Cache) SetCandidateFilter(f CandidateFilter) { c.candFilter = f }
-
 // DecisionObserver observes every replacement decision after the scheme has
 // made it but before the eviction is applied: cands is the candidate slice
-// the scheme saw (post-filter on the set-associative path, the per-partition
-// worst list on the fully-associative path), victim indexes into it, and
-// forced reports a forced eviction. The slice aliases a reused buffer —
+// the scheme saw (the array's candidates on the set-associative path, the
+// per-partition worst list on the fully-associative path), victim indexes
+// into it, and forced reports a forced eviction. The slice aliases a reused
+// buffer —
 // observers must copy what they keep — and the observer runs on the miss
 // path, so it must honor the pipeline's steady-state no-allocation contract
 // (the scenario experiment's counterfactual re-ranker reads the slice in
@@ -489,11 +473,6 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 //
 //fs:allocfree
 func (c *Cache) choose(cands []int, insertPart int) int {
-	if c.candFilter != nil {
-		if cands = c.candFilter(cands); len(cands) == 0 {
-			panic("core: candidate filter returned no candidates")
-		}
-	}
 	c.candBuf = c.candBuf[:0]
 	if c.rawOnly {
 		// Nothing reads Candidate.Futility: the decision costs one timestamp

@@ -104,55 +104,6 @@ func TestSizeConservation(t *testing.T) {
 
 func cacheArrayOf(c *Cache) cachearray.Array { return c.array }
 
-// A candidate filter that truncates the list must degrade eviction quality,
-// not correctness: size accounting stays conserved and removing the filter
-// restores the full candidate set.
-func TestCandidateFilterTruncation(t *testing.T) {
-	const lines = 256
-	c := newTestCache(t, NewFSFeedback(2, FSFeedbackConfig{}), 2, lines, 16)
-	c.SetTargets([]int{128, 128})
-	seen := 0
-	c.SetCandidateFilter(func(lines []int) []int {
-		seen++
-		if len(lines) > 2 {
-			lines = lines[:2]
-		}
-		return lines
-	})
-	d := newStreamDriver(7, []float64{0.5, 0.5})
-	for i := 0; i < 20*lines; i++ {
-		d.step(c)
-	}
-	if seen == 0 {
-		t.Fatal("candidate filter never invoked")
-	}
-	if sum := c.Sizes()[0] + c.Sizes()[1]; sum != lines {
-		t.Fatalf("sizes sum %d != %d under truncation", sum, lines)
-	}
-	c.SetCandidateFilter(nil)
-	before := seen
-	for i := 0; i < lines; i++ {
-		d.step(c)
-	}
-	if seen != before {
-		t.Fatal("removed filter still invoked")
-	}
-}
-
-func TestCandidateFilterEmptyPanics(t *testing.T) {
-	c := newTestCache(t, NewFSFeedback(1, FSFeedbackConfig{}), 1, 64, 8)
-	c.SetTargets([]int{64})
-	c.SetCandidateFilter(func(lines []int) []int { return lines[:0] })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty filter result did not panic")
-		}
-	}()
-	for i := 0; i < 1000; i++ {
-		c.Access(uint64(i), 0, trace.NoNextUse)
-	}
-}
-
 // FS-feedback must converge partition sizes to their targets even when
 // insertion rates are badly mismatched with the target split.
 func TestFSFeedbackSizingConvergence(t *testing.T) {

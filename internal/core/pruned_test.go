@@ -75,40 +75,6 @@ func TestPrunedPoolMatchesFullPool(t *testing.T) {
 	}
 }
 
-// TestFilterPrunesWhatItKept truncates every candidate list to its first
-// three lines on an FS cache over exact LRU and on its core.FullPath twin:
-// the filter runs before anything is ranked, so the pruned path ranks exactly
-// the kept lines and picks the full path's victim among them.
-func TestFilterPrunesWhatItKept(t *testing.T) {
-	const lines, parts = 1024, 8
-	for _, ar := range []struct {
-		name  string
-		build func() cachearray.Array
-	}{
-		{"setassoc16", func() cachearray.Array { return cachearray.NewSetAssoc(lines, 16, cachearray.IndexH3, 11) }},
-		{"z4/52", func() cachearray.Array { return cachearray.NewZCache(lines, 4, 3, 11) }},
-	} {
-		t.Run(ar.name, func(t *testing.T) {
-			build := func(full bool) *core.Cache {
-				var scheme core.Scheme = core.NewFSFeedback(parts, core.FSFeedbackConfig{})
-				if full {
-					scheme = core.FullPath{Scheme: scheme}
-				}
-				c := core.New(core.Config{
-					Array:  ar.build(),
-					Ranker: futility.NewExactLRU(lines, parts),
-					Scheme: scheme,
-					Parts:  parts,
-				})
-				c.SetCandidateFilter(func(lines []int) []int { return lines[:min(len(lines), 3)] })
-				return c
-			}
-			decisions, _ := prunedTwins(t, build(false), build(true), lines, parts)
-			t.Logf("%d decisions", decisions)
-		})
-	}
-}
-
 // prunedTwins drives quiet and full, caches of lines lines in parts
 // partitions that differ only in how a miss ranks its candidates, through one
 // stream of 12 caches' worth of accesses, retargeted four times, and fails

@@ -101,20 +101,19 @@ func TestRawDecisionMatchesFullPath(t *testing.T) {
 	}
 }
 
-// TestHooksChangeNothing installs a no-op decision observer and a keep-all
-// candidate filter on an FS + coarse + reference cache from its first access:
-// it must run exactly as its bare twin — every access result, the snapshot,
-// the scaling factors — and, like it, never calibrate its coarse CDF, since
-// hooks do not choose how a miss ranks its candidates.
+// TestHooksChangeNothing installs a no-op decision observer on an FS +
+// coarse + reference cache from its first access: it must run exactly as its
+// bare twin — every access result, the snapshot, the scaling factors — and,
+// like it, never calibrate its coarse CDF, since an observer does not choose
+// how a miss ranks its candidates.
 func TestHooksChangeNothing(t *testing.T) {
 	bare, bfs, bcoarse := coarseFS(func(fs *FSFeedback) Scheme { return fs })
 	hooked, hfs, hcoarse := coarseFS(func(fs *FSFeedback) Scheme { return fs })
-	observed, filtered := 0, 0
+	observed := 0
 	hooked.SetDecisionObserver(func([]Candidate, int, int, bool) { observed++ })
-	hooked.SetCandidateFilter(func(lines []int) []int { filtered++; return lines })
 	evictions := lockstep(t, bare, hooked)
-	if observed != evictions || filtered != evictions {
-		t.Fatalf("observer saw %d and filter %d of %d decisions", observed, filtered, evictions)
+	if observed != evictions {
+		t.Fatalf("observer saw %d of %d decisions", observed, evictions)
 	}
 	sameOutcome(t, bare, hooked, bfs, hfs)
 	for p := range bare.Parts() {

@@ -157,8 +157,8 @@ type Built struct {
 	// Vantage is non-nil for SchemeVantage.
 	Vantage *baselines.Vantage
 	// Coarse is the ranker as a CoarseTS when the spec asked for CoarseLRU:
-	// fault injection reaches its timestamp tags, and the scenario re-ranker
-	// its CDF, which an FS cache never queries.
+	// the scenario re-ranker reaches its CDF through it, which an FS cache
+	// never queries.
 	Coarse *futility.CoarseTS
 }
 

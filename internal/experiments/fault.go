@@ -4,17 +4,16 @@ import (
 	"io"
 	"strconv"
 
-	"fscache/internal/faultinject"
 	"fscache/internal/futility"
 	"fscache/internal/stats"
-	"fscache/internal/xrand"
 )
 
 // A4 — robustness ablation (DESIGN.md §9): the §V feedback controller is a
 // closed loop, so the paper's sizing guarantee should survive state
 // corruption, not just steady operation. For each fault class we converge a
 // two-partition feedback-FS cache (targets 0.7/0.3, I = 0.5/0.5 — the A1
-// configuration), inject the fault, and measure how far occupancy deviates
+// configuration), stick one partition's scaling-factor register at an
+// extreme for a transient window, and measure how far occupancy deviates
 // and how many insertions the controller needs to pull every partition back
 // within ε of target and keep it there.
 
@@ -24,13 +23,10 @@ const FaultEps = 0.05
 
 // faultClasses lists A4's fault classes in reporting order; runFaultCase
 // says what each injects. The names also seed each class's streams.
-var faultClasses = []string{
-	"ts-flip", "alpha-max", "alpha-min", "cand-trunc",
-	"trace-drop", "trace-dup", "trace-corrupt",
-}
+var faultClasses = []string{"alpha-max", "alpha-min"}
 
-// faultTransientFrac sizes the active-fault window for the windowed classes
-// (candidate truncation and trace faults) as a fraction of the cache size.
+// faultTransientFrac sizes the window a register stays stuck for, as a
+// fraction of the cache size.
 const faultTransientFrac = 0.5
 
 // FaultRow reports one fault class's injection and recovery.
@@ -80,16 +76,6 @@ func runFaultCase(scale Scale, class string) FaultRow {
 	lines := scale.AnalyticLines
 	targets := splitTargets(lines, 0.7)
 
-	// Always wrap the generators so clean and faulted phases share one
-	// stream; zero rates draw nothing from the fault rng.
-	gens := mcfPair(scale, "ablfault")
-	faulty := make([]*faultinject.FaultyGenerator, len(gens))
-	for i := range gens {
-		faulty[i] = faultinject.NewFaultyGenerator(gens[i],
-			seedStream(scale.Seed, "ablfault-f"+string(rune('0'+i))+class),
-			faultinject.TraceFaults{})
-		gens[i] = faulty[i]
-	}
 	b, d, _ := insertionCell{
 		spec: CacheSpec{
 			Lines:  lines,
@@ -101,37 +87,20 @@ func runFaultCase(scale Scale, class string) FaultRow {
 		},
 		targets: targets,
 		insert:  []float64{0.5, 0.5},
-		gens:    gens,
+		gens:    mcfPair(scale, "ablfault"),
 		seed:    seedStream(scale.Seed, "ablfault-drv-"+class),
 	}.converge()
 	row := FaultRow{Class: class}
 	row.PreErr, _ = stats.OccupancyError(b.Cache.Sizes(), targets)
 
-	// Inject. A point class corrupts state once; a windowed class keeps its
-	// fault up for a transient window, through hold (re-applied before each
-	// insertion of the window) or until stop clears it.
+	// Inject. A single forced write to a controller register is corrected
+	// within one feedback interval (l=16 events), too fast to even leave the
+	// ε band, so each class models a register stuck at an extreme: hold
+	// re-applies it before each insertion of the window.
 	window := int(faultTransientFrac * float64(lines))
-	var hold, stop func()
-	setRates := func(rates faultinject.TraceFaults) {
-		for _, g := range faulty {
-			g.SetRates(rates)
-		}
-	}
+	var hold func()
 	fb := b.FSFeedback
 	switch class {
-	case "ts-flip":
-		// A soft error in the §V-A recency state: one random bit of the
-		// coarse timestamp tag of each resident line, with probability ½.
-		rng := xrand.New(seedStream(scale.Seed, "ablfault-inj-"+class))
-		for line := 0; line < b.Coarse.Lines(); line++ {
-			if b.Cache.Resident(line) && rng.Bool(0.5) {
-				b.Coarse.FlipTimestampBit(line, uint(rng.Intn(8)))
-			}
-		}
-		window = 0
-	// A single forced write to a controller register is corrected within
-	// one feedback interval (l=16 events), too fast to even leave the ε
-	// band, so the alpha classes model a register stuck at an extreme.
 	case "alpha-max":
 		// Partition 0 looks maximally futile and is over-evicted.
 		hold = func() { fb.ForceAlpha(0, fb.AlphaMax()) }
@@ -141,19 +110,6 @@ func runFaultCase(scale Scale, class string) FaultRow {
 		// 0.5 of the insertions), so sticking it at 1 makes it balloon and
 		// starve partition 0. Partition 0's converged α is already near 1.
 		hold = func() { fb.ForceAlpha(1, 1) }
-	case "cand-trunc":
-		// A partially failed victim-selection tree delivers 2 candidates.
-		b.Cache.SetCandidateFilter(func(l []int) []int { return l[:min(len(l), 2)] })
-		stop = func() { b.Cache.SetCandidateFilter(nil) }
-	case "trace-drop":
-		setRates(faultinject.TraceFaults{Drop: 0.5})
-		stop = func() { setRates(faultinject.TraceFaults{}) }
-	case "trace-dup":
-		setRates(faultinject.TraceFaults{Dup: 0.5})
-		stop = func() { setRates(faultinject.TraceFaults{}) }
-	case "trace-corrupt":
-		setRates(faultinject.TraceFaults{Corrupt: 0.5})
-		stop = func() { setRates(faultinject.TraceFaults{}) }
 	default:
 		panic("experiments: unknown fault class " + class)
 	}
@@ -164,10 +120,7 @@ func runFaultCase(scale Scale, class string) FaultRow {
 	}
 	lastOutside := -1
 	for i := 0; i < budget; i++ {
-		if i == window && stop != nil {
-			stop()
-		}
-		if i < window && hold != nil {
+		if i < window {
 			hold()
 		}
 		d.insert()

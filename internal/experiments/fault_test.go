@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// The A4 acceptance criteria in one test: every fault class re-converges
-// within ε, and two same-seed runs (one sequential, one parallel) print
-// byte-identical tables.
+// The A4 acceptance criteria in one test: every fault class leaves the ε
+// band and re-converges within it, and two same-seed runs (one sequential,
+// one parallel) print byte-identical tables.
 func TestAblationFaultRecoversDeterministically(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault sweep too slow for -short")
@@ -36,15 +36,9 @@ func TestAblationFaultRecoversDeterministically(t *testing.T) {
 		if row.FinalErr > FaultEps {
 			t.Errorf("%s: final occupancy error %.3f exceeds ε=%.2f", row.Class, row.FinalErr, FaultEps)
 		}
-		if row.MaxDev < 0 {
-			t.Errorf("%s: negative max deviation %.3f", row.Class, row.MaxDev)
-		}
-	}
-	// The forced-alpha classes must visibly disturb the system — otherwise
-	// the injection is a no-op and "recovery" proves nothing.
-	for _, row := range res.Rows {
-		if (row.Class == "alpha-max" || row.Class == "alpha-min") &&
-			row.MaxDev <= FaultEps {
+		// A class that cannot disturb the controller proves nothing by
+		// "recovering".
+		if row.MaxDev <= FaultEps {
 			t.Errorf("%s: max deviation %.3f never left the ε band; injection had no effect",
 				row.Class, row.MaxDev)
 		}

@@ -1,3 +1,11 @@
+// Package faultinject wraps connections and listeners with seeded network
+// faults: a NetInjector resets them, tears their writes, corrupts frame
+// length prefixes or stalls their reads at the rates a NetFaults sets
+// (fsserve -faults, fsload -faults and the server's soak tests).
+//
+// Every fault is drawn from an internal/xrand stream, so a faulted run is as
+// reproducible as a clean one: the same seed injects the same faults at the
+// same points.
 package faultinject
 
 import (

@@ -203,24 +203,3 @@ func (c *CoarseTS) rebuild(part int) {
 
 // Calibrated reports whether the partition's futility was ever queried.
 func (c *CoarseTS) Calibrated(part int) bool { return c.cdf[part] != nil }
-
-// Lines returns the number of line slots the ranker tracks.
-func (c *CoarseTS) Lines() int { return len(c.ts) }
-
-// FlipTimestampBit flips bit (0..7) of the line's timestamp tag. It exists
-// for fault injection (experiment abl-fault): a flipped high bit makes a
-// fresh line look up to 128 ticks stale or a stale line look fresh, exactly
-// the soft-error class §V's feedback controller must absorb. The caller
-// picks resident lines (core.Cache.Resident); a flip of a dead tag is
-// overwritten when its line is next filled. XOR is wrap-safe: the tag stays
-// a valid mod-256 timestamp and all distance computation still goes through
-// tsDist.
-func (c *CoarseTS) FlipTimestampBit(line int, bit uint) {
-	if line < 0 || line >= c.Lines() {
-		panic("futility: FlipTimestampBit line out of range")
-	}
-	if bit > 7 {
-		panic("futility: FlipTimestampBit bit out of range")
-	}
-	c.ts[line] ^= 1 << bit
-}

@@ -423,47 +423,3 @@ func TestQuickRawMatchesFutilityOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCoarseTSFlipTimestampBit(t *testing.T) {
-	c := NewCoarseTS(64, 1)
-	if c.Lines() != 64 {
-		t.Fatalf("Lines = %d, want 64", c.Lines())
-	}
-	c.OnInsert(0, 0, Context{})
-	c.OnHit(0, 0, Context{}) // tag = current
-	before := c.Distance(0, 0)
-	c.FlipTimestampBit(0, 7)
-	after := c.Distance(0, 0)
-	if after == before {
-		t.Fatalf("flip did not change the distance: %d", after)
-	}
-	// Flipping bit 7 moves the mod-256 distance by exactly 128.
-	if diff := (after + 256 - before) % 256; diff != 128 {
-		t.Fatalf("distance moved by %d, want 128", diff)
-	}
-	// Flipping back restores the original distance.
-	c.FlipTimestampBit(0, 7)
-	if got := c.Distance(0, 0); got != before {
-		t.Fatalf("double flip distance = %d, want %d", got, before)
-	}
-	// A flipped dead tag is overwritten when its line is filled.
-	c.FlipTimestampBit(1, 0)
-	c.OnInsert(1, 0, Context{})
-	if got := c.Distance(1, 0); got != 0 {
-		t.Fatalf("fresh line after a dead-tag flip has distance %d, want 0", got)
-	}
-	for _, bad := range []func(){
-		func() { c.FlipTimestampBit(-1, 0) },
-		func() { c.FlipTimestampBit(64, 0) },
-		func() { c.FlipTimestampBit(0, 8) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("out-of-range flip did not panic")
-				}
-			}()
-			bad()
-		}()
-	}
-}

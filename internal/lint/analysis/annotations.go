@@ -356,7 +356,7 @@ func (a *Annotations) parseStructField(u *Unit, ts *ast.TypeSpec, st *ast.Struct
 			}
 		case "allocfree":
 			// Accept any field whose type is (or names) a function type:
-			// `f func()` and `f CandidateFilter` are both callable boundaries.
+			// `f func()` and `f DecisionObserver` are both callable boundaries.
 			ft := u.Info.TypeOf(field.Type)
 			if ft == nil {
 				continue

@@ -55,11 +55,10 @@ func (r ThreadResult) MissRate() float64 {
 // pass; results are for first passes only — the standard multiprogrammed
 // methodology.
 type Multicore struct {
-	cache     *core.Cache
-	traces    []*trace.Trace
-	results   []ThreadResult
-	warmFrac  float64
-	stepLimit uint64
+	cache    *core.Cache
+	traces   []*trace.Trace
+	results  []ThreadResult
+	warmFrac float64
 }
 
 // NewMulticore builds a simulation of len(traces) threads; thread i maps to
@@ -95,15 +94,6 @@ func (m *Multicore) SetWarmup(frac float64) {
 	}
 	m.warmFrac = frac
 }
-
-// SetStepLimit installs a deterministic watchdog: Run panics after n
-// simulated accesses. Zero (the default) means no limit. Unlike a
-// wall-clock timeout, the bound is part of the seeded simulation — a run
-// that trips it trips at the same access on every machine — so it is the
-// right guard against livelock bugs (e.g. a thread mix that never lets a
-// first pass finish). Only fsim's -maxsteps arms it: no fstables
-// experiment sets a step limit.
-func (m *Multicore) SetStepLimit(n uint64) { m.stepLimit = n }
 
 // threadState is the per-thread replay cursor.
 type threadState struct {
@@ -154,15 +144,9 @@ func (m *Multicore) Run() []ThreadResult {
 	}
 	heap.Init(&q)
 	remaining := len(m.traces)
-	var memFree, steps uint64
+	var memFree uint64
 
 	for remaining > 0 {
-		if m.stepLimit > 0 {
-			if steps >= m.stepLimit {
-				panicf("step limit %d exceeded with %d first passes unfinished", m.stepLimit, remaining)
-			}
-			steps++
-		}
 		ts := q[0]
 		tr := m.traces[ts.id]
 		a := tr.Accesses[ts.pos]

@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"fmt"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -356,37 +354,5 @@ func TestWarmupValidation(t *testing.T) {
 			}()
 			m.SetWarmup(f)
 		}()
-	}
-}
-
-func TestStepLimitTripsDeterministically(t *testing.T) {
-	mk := func(limit uint64) (panicked string) {
-		rng := xrand.New(9)
-		tr := &trace.Trace{Accesses: make([]trace.Access, 2000)}
-		for j := range tr.Accesses {
-			tr.Accesses[j] = trace.Access{Addr: rng.Uint64() % 512, Gap: rng.Uint32() % 8}
-		}
-		m := NewMulticore(buildCache(1, 1024), []*trace.Trace{tr})
-		m.SetStepLimit(limit)
-		defer func() {
-			if r := recover(); r != nil {
-				panicked = fmt.Sprint(r)
-			}
-		}()
-		m.Run()
-		return ""
-	}
-	if msg := mk(0); msg != "" {
-		t.Fatalf("no limit panicked: %s", msg)
-	}
-	if msg := mk(1 << 20); msg != "" {
-		t.Fatalf("generous limit panicked: %s", msg)
-	}
-	first := mk(100)
-	if !strings.Contains(first, "sim: step limit 100 exceeded") {
-		t.Fatalf("tight limit panic = %q", first)
-	}
-	if second := mk(100); second != first {
-		t.Fatalf("step-limit panic not deterministic:\n%q\n%q", first, second)
 	}
 }

@@ -13,30 +13,10 @@ import (
 	"math/bits"
 )
 
-// SplitMix64 is a tiny splittable generator. It is primarily used to seed
-// other generators and to derive independent streams from a single
-// experiment seed, but its output quality is good enough to use directly.
-type SplitMix64 struct {
-	state uint64
-}
-
-// NewSplitMix64 returns a generator seeded with seed.
-func NewSplitMix64(seed uint64) *SplitMix64 {
-	return &SplitMix64{state: seed}
-}
-
-// Next returns the next 64-bit value in the sequence.
-func (s *SplitMix64) Next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Mix64 is a stateless mixing function (one SplitMix64 step). It is useful
-// for deriving per-index seeds: Mix64(seed ^ index) yields well-separated
-// streams for nearby indices.
+// Mix64 is one step of the SplitMix64 generator as a stateless function:
+// the k-th SplitMix64 output from seed s is Mix64(s + (k−1)·0x9e3779b97f4a7c15).
+// It is useful for deriving per-index seeds: Mix64(seed ^ index) yields
+// well-separated streams for nearby indices.
 func Mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -51,11 +31,14 @@ type Rand struct {
 	s0, s1, s2, s3 uint64
 }
 
-// New returns a Rand seeded from seed via SplitMix64, as recommended by the
-// xoshiro authors (never seed xoshiro state directly with correlated bits).
+// New returns a Rand seeded from seed's first four SplitMix64 outputs, as
+// recommended by the xoshiro authors (never seed xoshiro state directly with
+// correlated bits).
 func New(seed uint64) *Rand {
-	sm := NewSplitMix64(seed)
-	r := &Rand{s0: sm.Next(), s1: sm.Next(), s2: sm.Next(), s3: sm.Next()}
+	const gamma = 0x9e3779b97f4a7c15 // SplitMix64's increment
+	x1 := seed + gamma
+	x2 := x1 + gamma
+	r := &Rand{s0: Mix64(seed), s1: Mix64(x1), s2: Mix64(x2), s3: Mix64(x2 + gamma)}
 	if r.s0|r.s1|r.s2|r.s3 == 0 {
 		r.s0 = 1 // all-zero state is the one forbidden state
 	}

