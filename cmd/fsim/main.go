@@ -41,7 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		scheme   = fs.String("scheme", "fs", "partitioning scheme: fs|pf|prism|vantage|cqvp|unmanaged|fullassoc")
+		scheme   = fs.String("scheme", "fs", "partitioning scheme: fs|pf|prism|vantage|cqvp|unmanaged|fullassoc|waypart")
 		array    = fs.String("array", "setassoc-16", "cache array: setassoc-16|random-16|fullyassoc|directmapped|zcache-z4/52|skew-8")
 		rank     = fs.String("rank", "coarse-lru", "futility ranking: coarse-lru|lru|lfu|opt")
 		lines    = fs.Int("lines", 65536, "L2 size in 64B lines")

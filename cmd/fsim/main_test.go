@@ -198,6 +198,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-array", "random-16", "-lines", "0", "-targets", "0,0,0,0"}, "fsim: array random-16 needs at least 16 lines, not 0"},
 		{[]string{"-array", "zcache-z4/52", "-lines", "3000"}, "fsim: array zcache-z4/52 needs a power-of-two line count, not 3000"},
 		{[]string{"-scheme", "waypart", "-array", "skew-8"}, "fsim: waypart requires the 16-way set-associative array"},
+		{[]string{"-scheme", "vantage", "-array", "fullyassoc"}, "fsim: array fullyassoc needs scheme fs, fs-fixed, pf, fullassoc or unmanaged, not vantage"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {

@@ -4,9 +4,10 @@
 //
 // Four organizations are provided:
 //
-//   - SetAssoc: conventional set-associative array with XOR-based or H3
-//     indexing (the evaluated L2 is 16-way set-associative with XOR-based
-//     indexing, Table II). One way is the direct-mapped array (R=1).
+//   - SetAssoc: conventional set-associative array with H3 indexing. Table
+//     II's L2 is 16-way set-associative with hashed indexing; an H3 index
+//     keeps the aligned synthetic address spaces from resonating with the
+//     set count. One way is the direct-mapped array (R=1).
 //   - ZCache: a zcache with replacement-candidate walks and line relocation.
 //     A one-level walk is the skew-associative array: one hash function per
 //     way, one candidate per way, no relocation.
@@ -24,7 +25,6 @@ package cachearray
 
 import (
 	"fmt"
-	"math/bits"
 
 	"fscache/internal/hashing"
 	"fscache/internal/stats"
@@ -97,57 +97,52 @@ func checkPow2(n int, what string) {
 	}
 }
 
-// IndexKind selects the set-index hash for SetAssoc arrays.
+// IndexKind selects the set-index hash for SetAssoc arrays. IndexH3 is the
+// only one.
 type IndexKind int
 
-// Index kinds.
-const (
-	// IndexXOR is conventional XOR-folded indexing (Table II's L2).
-	IndexXOR IndexKind = iota
-	// IndexH3 uses one H3 universal hash function.
-	IndexH3
-)
+// IndexH3 indexes sets with one H3 universal hash function.
+const IndexH3 IndexKind = 1
 
 // SetAssoc is a conventional set-associative array.
 type SetAssoc struct {
-	ways    int
-	sets    int
-	setBits uint // log2(sets), what IndexXOR folds to
-	addrs   []uint64
-	valid   lineBits
-	kind    IndexKind
-	h3      *hashing.H3
+	ways  int
+	sets  int
+	addrs []uint64
+	valid lineBits
+	h3    *hashing.H3
 
 	// lastAddr and lastSet memoize set for the address indexed last, so
 	// that Candidates and Install reuse Lookup's hash. The zero value is
-	// right: both indexes map address 0 to set 0 (H3 is linear).
+	// right: H3 maps address 0 to set 0 (it is linear).
 	lastAddr uint64
 	lastSet  int
 }
 
 // NewSetAssoc builds an array of lines = sets×ways lines. lines and ways
-// must be powers of two with ways ≤ lines.
+// must be powers of two with ways ≤ lines, and kind IndexH3.
 func NewSetAssoc(lines, ways int, kind IndexKind, seed uint64) *SetAssoc {
-	a := newSetAssoc(lines, ways, kind)
-	if kind == IndexH3 {
-		a.h3 = hashing.NewH3(seed, a.sets)
+	if kind != IndexH3 {
+		panicf("unknown index kind %d", kind)
 	}
+	a := newSetAssoc(lines, ways)
+	a.h3 = hashing.NewH3(seed, a.sets)
 	return a
 }
 
-// NewSetAssocH3 builds an IndexH3 array that indexes with h instead of a
+// NewSetAssocH3 builds an array that indexes with h instead of a
 // function of its own: an address's set is the low log2(lines/ways) bits of
 // h.Hash(addr), so h must map onto at least lines/ways buckets. An H3 onto
 // more buckets agrees in those bits with the one NewSetAssoc would build from
 // its seed, so arrays sharing h are the banks of one larger array, each told
 // apart by the bits above its own (internal/shardcache).
 func NewSetAssocH3(lines, ways int, h *hashing.H3) *SetAssoc {
-	a := newSetAssoc(lines, ways, IndexH3)
+	a := newSetAssoc(lines, ways)
 	a.h3 = h
 	return a
 }
 
-func newSetAssoc(lines, ways int, kind IndexKind) *SetAssoc {
+func newSetAssoc(lines, ways int) *SetAssoc {
 	checkPow2(lines, "lines")
 	checkPow2(ways, "ways")
 	if ways > lines {
@@ -155,12 +150,10 @@ func newSetAssoc(lines, ways int, kind IndexKind) *SetAssoc {
 	}
 	sets := lines / ways
 	return &SetAssoc{
-		ways:    ways,
-		sets:    sets,
-		setBits: uint(bits.TrailingZeros(uint(sets))),
-		addrs:   make([]uint64, lines),
-		valid:   newLineBits(lines),
-		kind:    kind,
+		ways:  ways,
+		sets:  sets,
+		addrs: make([]uint64, lines),
+		valid: newLineBits(lines),
 	}
 }
 
@@ -183,18 +176,12 @@ func (a *SetAssoc) set(addr uint64) int {
 //
 //fs:allocfree
 func (a *SetAssoc) Hashed(addr, hash uint64) {
-	if a.kind != IndexH3 {
-		panic("cachearray: Hashed on an array that does not index with H3")
-	}
 	a.lastAddr, a.lastSet = addr, int(hash)&(a.sets-1)
 }
 
 func (a *SetAssoc) index(addr uint64) int {
-	if a.kind == IndexH3 {
-		stats.CountH3()
-		return int(a.h3.Hash(addr)) & (a.sets - 1) // a no-op unless h3 is shared
-	}
-	return int(hashing.FoldBits(addr, a.setBits))
+	stats.CountH3()
+	return int(a.h3.Hash(addr)) & (a.sets - 1) // a no-op unless h3 is shared
 }
 
 // Lookup implements Array.

@@ -62,7 +62,7 @@ type namedArray struct {
 // is identical on every run.
 func arrays(lines int) []namedArray {
 	return []namedArray{
-		{"setassoc-xor", NewSetAssoc(lines, 4, IndexXOR, 1)},
+		{"setassoc-h3-16", NewSetAssoc(lines, 16, IndexH3, 1)},
 		{"setassoc-h3", NewSetAssoc(lines, 4, IndexH3, 2)},
 		{"direct", NewSetAssoc(lines, 1, IndexH3, 3)},
 		{"skew", NewZCache(lines, 4, 1, 4)},
@@ -167,8 +167,8 @@ func TestCandidateCounts(t *testing.T) {
 		a    Array
 		want int
 	}{
-		{NewSetAssoc(lines, 16, IndexXOR, 1), 16},
-		{NewSetAssoc(lines, 1, IndexXOR, 1), 1},
+		{NewSetAssoc(lines, 16, IndexH3, 1), 16},
+		{NewSetAssoc(lines, 1, IndexH3, 1), 1},
 		{NewZCache(lines, 4, 1, 1), 4},
 		{NewRandom(lines, 16, 1), 16},
 		{NewFullyAssoc(lines), lines},
@@ -205,7 +205,7 @@ func TestCandidatesContainInstallTarget(t *testing.T) {
 }
 
 func TestSetAssocVictimOutsideSetPanics(t *testing.T) {
-	a := NewSetAssoc(64, 4, IndexXOR, 1)
+	a := NewSetAssoc(64, 4, IndexH3, 1)
 	set := a.Candidates(1, nil)[0] / 4
 	other := (set + 1) % (64 / 4)
 	defer func() {
@@ -486,10 +486,11 @@ func TestZCacheVictimNotCandidatePanics(t *testing.T) {
 
 func TestConstructorValidation(t *testing.T) {
 	cases := []func(){
-		func() { NewSetAssoc(100, 4, IndexXOR, 1) }, // non-pow2 lines
-		func() { NewSetAssoc(64, 3, IndexXOR, 1) },  // non-pow2 ways
-		func() { NewSetAssoc(4, 8, IndexXOR, 1) },   // ways > lines
-		func() { NewZCache(64, 128, 1, 1) },         // ways > lines
+		func() { NewSetAssoc(100, 4, IndexH3, 1) }, // non-pow2 lines
+		func() { NewSetAssoc(64, 3, IndexH3, 1) },  // non-pow2 ways
+		func() { NewSetAssoc(4, 8, IndexH3, 1) },   // ways > lines
+		func() { NewSetAssoc(64, 4, 0, 1) },        // unknown index kind
+		func() { NewZCache(64, 128, 1, 1) },        // ways > lines
 		func() { NewRandom(0, 1, 1) },
 		func() { NewRandom(16, 0, 1) },
 		func() { NewRandom(16, 32, 1) },

@@ -11,9 +11,9 @@ import (
 
 // TestCounted pins the H3 evaluations of each array's share of an access,
 // counted by the fscount build. An array hashes an address once per access
-// and remembers it: an IndexH3 array's set index costs one evaluation a miss
-// (Lookup's, which Candidates and Install's set check reuse) and none under
-// IndexXOR; a zcache evaluates every way of an address in one table pass, so
+// and remembers it: a set-associative array's set index costs one evaluation
+// a miss (Lookup's, which Candidates and Install's set check reuse) and one a
+// hit; a zcache evaluates every way of an address in one table pass, so
 // a one-level zcache, the skew-associative array, costs one a miss or a hit
 // in any way, and a Z4/52 miss on a full array 17: Lookup's pass, which the
 // walk's roots reuse, and one per resident the walk expands (4 + 12).
@@ -22,7 +22,6 @@ import (
 func TestCounted(t *testing.T) {
 	const lines, ways, addr, other = 1024, 8, 0x5eed, 0xfeed
 	h3 := NewSetAssoc(lines, 16, IndexH3, 1)
-	xor := NewSetAssoc(lines, 16, IndexXOR, 1)
 	skew := NewZCache(lines, ways, 1, 1)
 	z52, zaddr := fullZ52(t, lines)
 	// miss installs addr in its last candidate, so a later hit on a
@@ -44,7 +43,6 @@ func TestCounted(t *testing.T) {
 	}{
 		{"SetAssocH3Miss", 1, nil, miss(h3, addr)},
 		{"SetAssocH3Hit", 1, func() { h3.Lookup(other) }, func() { h3.Lookup(addr) }},
-		{"SetAssocXORMiss", 0, nil, miss(xor, addr)},
 		{"OneLevelZCacheMiss", 1, nil, miss(skew, addr)},
 		{"OneLevelZCacheHitInLastWay", 1, func() { skew.Lookup(other) }, func() { skew.Lookup(addr) }},
 		{"Z4_52MissOnFullArray", 17, nil, miss(z52, zaddr)},

@@ -24,7 +24,7 @@ func TestCheckInvariantsDetects(t *testing.T) {
 	)
 	build := func(kind int) *Cache {
 		cfg := Config{
-			Array:  cachearray.NewSetAssoc(lines, 4, cachearray.IndexXOR, 1),
+			Array:  cachearray.NewSetAssoc(lines, 4, cachearray.IndexH3, 1),
 			Ranker: futility.NewCoarseTS(lines, parts),
 			Scheme: NewFSFeedback(parts, FSFeedbackConfig{}),
 			Parts:  parts,

@@ -103,7 +103,7 @@ func TestNewRejectsCoarseReference(t *testing.T) {
 		}
 	}()
 	core.New(core.Config{
-		Array:     cachearray.NewSetAssoc(64, 4, cachearray.IndexXOR, 1),
+		Array:     cachearray.NewSetAssoc(64, 4, cachearray.IndexH3, 1),
 		Ranker:    futility.NewCoarseTS(64, 1),
 		Reference: futility.NewCoarseTS(64, 1),
 		Scheme:    core.NewFSFeedback(1, core.FSFeedbackConfig{}),

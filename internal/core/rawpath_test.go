@@ -151,7 +151,7 @@ func TestRawOnlyNeedsEveryCondition(t *testing.T) {
 		{"fullpath(fs)+lru", lru, nil, func() Scheme { return FullPath{fs()} }, false, false},
 	} {
 		cfg := Config{
-			Array:  cachearray.NewSetAssoc(lines, 4, cachearray.IndexXOR, 1),
+			Array:  cachearray.NewSetAssoc(lines, 4, cachearray.IndexH3, 1),
 			Ranker: tc.ranker(),
 			Scheme: tc.scheme(),
 			Parts:  parts,
@@ -166,20 +166,29 @@ func TestRawOnlyNeedsEveryCondition(t *testing.T) {
 	}
 }
 
-// lyingArray installs a different address of the same set (over 16 sets the
-// XOR fold cancels bits 0 and 4) where Access will look for the one it asked
-// for, so the landing line is valid and only its address gives the lie away.
-type lyingArray struct{ *cachearray.SetAssoc }
+// lyingArray installs a different address of the same set where Access will
+// look for the one it asked for: flip is a nonzero address of set 0, so
+// addr^flip shares addr's set (H3 is linear). The landing line is valid and
+// only its address gives the lie away.
+type lyingArray struct {
+	*cachearray.SetAssoc
+	flip uint64
+}
 
 func (a lyingArray) Install(addr uint64, victim int, moves []cachearray.Move) []cachearray.Move {
-	return a.SetAssoc.Install(addr^0x11, victim, moves)
+	return a.SetAssoc.Install(addr^a.flip, victim, moves)
 }
 
 // The landing-line rule replaced a second Lookup, so the array is no longer
 // asked where the address went; Access must still notice when it went nowhere.
 func TestAccessPanicsWhenInstallLies(t *testing.T) {
+	arr := cachearray.NewSetAssoc(64, 4, cachearray.IndexH3, 1)
+	flip := uint64(1)
+	for arr.Candidates(flip, nil)[0] != 0 {
+		flip++
+	}
 	c := New(Config{
-		Array:  lyingArray{cachearray.NewSetAssoc(64, 4, cachearray.IndexXOR, 1)},
+		Array:  lyingArray{arr, flip},
 		Ranker: futility.NewExactLRU(64, 1),
 		Scheme: NewFSFeedback(1, FSFeedbackConfig{}),
 		Parts:  1,

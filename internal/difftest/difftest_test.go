@@ -102,7 +102,8 @@ func TestVantageScenariosDemote(t *testing.T) {
 			continue
 		}
 		seen++
-		c, _, _ := buildFast(s, nil)
+		b, _ := buildFast(s, nil)
+		c := b.Cache
 		for _, op := range s.Ops {
 			switch op.Kind {
 			case OpResize:
@@ -157,6 +158,7 @@ func TestInjectedBugCaught(t *testing.T) {
 	if caught < 30 {
 		t.Fatalf("injected off-by-one caught in only %d/50 scenarios", caught)
 	}
+	t.Logf("injected off-by-one caught in %d/50 scenarios", caught)
 }
 
 // TestScenarioCodecRoundTrip pins the byte format: encoding a normalized

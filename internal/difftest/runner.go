@@ -59,7 +59,8 @@ func RunScenario(s *Scenario, opt Options) (div *Divergence) {
 			div = &Divergence{Step: len(s.Ops) - 1, Field: "panic", Fast: fmt.Sprint(r), Oracle: "n/a"}
 		}
 	}()
-	fast, alphas, fb := buildFast(s, opt.WrapRanker)
+	b, alphas := buildFast(s, opt.WrapRanker)
+	fast, fb := b.Cache, b.FSFeedback
 	ora := buildOracle(s)
 	for i, op := range s.Ops {
 		switch op.Kind {

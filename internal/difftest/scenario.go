@@ -7,6 +7,16 @@
 // experiment cells, the differential harness pins the semantics everywhere
 // the scenario generator can reach.
 //
+// A scenario's cache is an experiments.CacheSpec: the system under test is
+// assembled by CacheSpec.Config, as experiments.Build assembles every
+// experiment's cache, and the oracle gets a second array instance from the
+// same spec. The arrays checked are the experiments' six organizations at
+// 64–256 lines (direct-mapped, 16-way H3 set-associative at 8 and 16 ways,
+// skew-8, the Z4/52 zcache, random candidates at R = 8, fully associative);
+// the rankings exact LRU, exact LFU and coarse LRU; the schemes FS with
+// fixed factors, FS with feedback and Vantage. The PF, CQVP, Unmanaged,
+// PriSM and WayPart schemes and the OPT ranker are not checked here.
+//
 // A scenario is fully described by a compact byte string (see FromBytes),
 // which makes two consumers share one format: the seeded generator and the
 // fuzz target over core.Cache (FuzzAccess), whose seed directory
@@ -20,49 +30,50 @@ import (
 	"strings"
 
 	"fscache/internal/baselines"
-	"fscache/internal/cachearray"
 	"fscache/internal/core"
+	"fscache/internal/experiments"
 	"fscache/internal/futility"
 	"fscache/internal/oracle"
-	"fscache/internal/xrand"
 )
 
-// ArrayKind enumerates the array organizations scenarios may use.
+// ArrayKind indexes arrays, the array organizations scenarios run.
 type ArrayKind int
 
-// Array kinds. The order is part of the byte format; append only.
+// arrays are the experiments' array organizations, each with the
+// experiments.CacheSpec Ways a scenario runs it at (0: the organization's
+// own) and the name that labels reports and corpus seed files: setassoc-h3
+// is the experiments' setassoc-16, skew their skew-8, zcache their
+// zcache-z4/52. The order is part of the byte format; append only.
+var arrays = [...]struct {
+	name string
+	kind experiments.ArrayKind
+	ways int
+}{
+	{"directmapped", experiments.ArrayDirect, 0},
+	{"setassoc-h3-8", experiments.Array16Way, 8},
+	{"setassoc-h3", experiments.Array16Way, 0},
+	{"skew", experiments.ArraySkew8, 0},
+	{"zcache", experiments.ArrayZ4, 0},
+	{"random", experiments.ArrayRandom16, 8},
+	{"fullyassoc", experiments.ArrayFullyAssc, 0},
+}
+
+// The kinds normalize and the shrinker name, and the count.
 const (
-	ArrayDirectMapped ArrayKind = iota
-	ArraySetAssocXOR
-	ArraySetAssocH3
-	ArraySkew
-	ArrayZCache
-	ArrayRandom
-	ArrayFullyAssoc
-	numArrayKinds
+	directMapped  ArrayKind = 0
+	setAssoc8     ArrayKind = 1
+	fullyAssoc    ArrayKind = 6
+	numArrayKinds           = ArrayKind(len(arrays))
 )
 
 // String implements fmt.Stringer.
-func (k ArrayKind) String() string {
-	switch k {
-	case ArrayDirectMapped:
-		return "directmapped"
-	case ArraySetAssocXOR:
-		return "setassoc-xor"
-	case ArraySetAssocH3:
-		return "setassoc-h3"
-	case ArraySkew:
-		return "skew"
-	case ArrayZCache:
-		return "zcache"
-	case ArrayRandom:
-		return "random"
-	case ArrayFullyAssoc:
-		return "fullyassoc"
-	default:
-		return "array(?)"
-	}
-}
+func (k ArrayKind) String() string { return arrays[k].name }
+
+// The experiments' counterparts of the oracle's rankings and schemes.
+var (
+	ranks   = [...]futility.Kind{oracle.LRU: futility.LRU, oracle.LFU: futility.LFU, oracle.CoarseLRU: futility.CoarseLRU}
+	schemes = [...]experiments.SchemeName{oracle.Fixed: experiments.SchemeFSFixed, oracle.Feedback: experiments.SchemeFS, oracle.Vantage: experiments.SchemeVantage}
+)
 
 // OpKind enumerates scenario operations.
 type OpKind int
@@ -126,15 +137,6 @@ type Scenario struct {
 
 // Lines returns the cache size in lines.
 func (s *Scenario) Lines() int { return 64 << (s.LinesCode % 3) }
-
-// TotalParts returns the controller's partition count: the application
-// partitions, plus Vantage's unmanaged pseudo-partition.
-func (s *Scenario) TotalParts() int {
-	if s.Scheme == oracle.Vantage {
-		return s.Parts + 1
-	}
-	return s.Parts
-}
 
 // Targets returns the target vector both models install for weights w: the
 // plain weight split over the whole cache for the FS schemes, or — for
@@ -239,11 +241,11 @@ func (s *Scenario) normalize() {
 		if s.Ranking == oracle.CoarseLRU {
 			s.Ranking = oracle.LRU
 		}
-		if s.Array == ArrayFullyAssoc {
-			s.Array = ArraySetAssocXOR
+		if s.Array == fullyAssoc {
+			s.Array = setAssoc8
 		}
 	}
-	if s.Ranking == oracle.CoarseLRU && s.Array == ArrayFullyAssoc {
+	if s.Ranking == oracle.CoarseLRU && s.Array == fullyAssoc {
 		s.Ranking = oracle.LRU
 	}
 	for len(s.InitW) < s.Parts {
@@ -408,98 +410,58 @@ func ToBytes(s *Scenario) []byte {
 	return b
 }
 
-// buildArray constructs one array instance for the scenario. It is called
-// twice per run — once for the system under test, once for the oracle — so
-// the two sides see identical candidate streams without sharing state.
-func buildArray(s *Scenario) cachearray.Array {
-	lines := s.Lines()
-	seed := xrand.Mix64(0xa11a7 ^ uint64(s.ArraySeed))
-	switch s.Array {
-	case ArrayDirectMapped:
-		return cachearray.NewSetAssoc(lines, 1, cachearray.IndexXOR, seed)
-	case ArraySetAssocXOR:
-		return cachearray.NewSetAssoc(lines, 8, cachearray.IndexXOR, seed)
-	case ArraySetAssocH3:
-		return cachearray.NewSetAssoc(lines, 8, cachearray.IndexH3, seed)
-	case ArraySkew:
-		return cachearray.NewZCache(lines, 4, 1, seed)
-	case ArrayZCache:
-		return cachearray.NewZCache(lines, 4, 2, seed)
-	case ArrayRandom:
-		return cachearray.NewRandom(lines, 8, seed)
-	case ArrayFullyAssoc:
-		return cachearray.NewFullyAssoc(lines)
-	default:
-		panic("difftest: unknown array kind")
-	}
-}
-
-// rankerKind maps the oracle's ranking enum onto the production ranker kind.
-func rankerKind(r oracle.Ranking) futility.Kind {
-	switch r {
-	case oracle.LRU:
-		return futility.LRU
-	case oracle.LFU:
-		return futility.LFU
-	case oracle.CoarseLRU:
-		return futility.CoarseLRU
-	default:
-		panic("difftest: unknown ranking")
+// spec is the experiments' cache spec of the scenario's configuration.
+func (s *Scenario) spec() experiments.CacheSpec {
+	a := arrays[s.Array]
+	return experiments.CacheSpec{
+		Lines:  s.Lines(),
+		Array:  a.kind,
+		Ways:   a.ways,
+		Rank:   ranks[s.Ranking],
+		Scheme: schemes[s.Scheme],
+		Parts:  s.Parts,
+		Seed:   uint64(s.ArraySeed),
+		Feedback: core.FSFeedbackConfig{
+			Interval: s.Interval(),
+			Delta:    s.Delta(),
+			AlphaMax: s.AlphaMax(),
+		},
 	}
 }
 
 // alphasView is the slice of live scaling factors both FS schemes expose.
 type alphasView interface{ Alphas() []float64 }
 
-// buildFast constructs the system under test from a scenario. wrap, when
-// non-nil, decorates the decision ranker (used by the harness self-test to
-// prove injected bugs are caught).
-func buildFast(s *Scenario, wrap func(futility.Ranker) futility.Ranker) (*core.Cache, alphasView, *core.FSFeedback) {
-	lines := s.Lines()
-	parts := s.TotalParts()
-	ranker := futility.New(rankerKind(s.Ranking), lines, parts, xrand.Mix64(0x5eed^uint64(s.ArraySeed)))
+// buildFast assembles the system under test from the scenario's spec, as
+// experiments.Build does. wrap, when non-nil, decorates the decision ranker
+// (used by the harness self-test to prove injected bugs are caught). The
+// alphas view is nil under Vantage.
+func buildFast(s *Scenario, wrap func(futility.Ranker) futility.Ranker) (*experiments.Built, alphasView) {
+	cfg, b := s.spec().Config()
 	if wrap != nil {
-		ranker = wrap(ranker)
+		cfg.Ranker = wrap(cfg.Ranker)
 	}
-	var ref futility.Ranker
-	if s.Ranking == oracle.CoarseLRU {
-		ref = futility.NewExactLRU(lines, parts)
+	b.Cache = core.New(cfg)
+	b.Cache.SetTargets(s.Targets(s.InitW))
+	switch {
+	case b.FSFixed != nil:
+		b.FSFixed.SetAlphas(s.Alphas())
+		return b, b.FSFixed
+	case b.FSFeedback != nil:
+		return b, b.FSFeedback
 	}
-	cfg := core.Config{
-		Array:     buildArray(s),
-		Ranker:    ranker,
-		Reference: ref,
-		Parts:     parts,
-	}
-	var av alphasView
-	var fb *core.FSFeedback
-	switch s.Scheme {
-	case oracle.Fixed:
-		fs := core.NewFSFixed(parts)
-		fs.SetAlphas(s.Alphas())
-		cfg.Scheme = fs
-		av = fs
-	case oracle.Vantage:
-		cfg.Scheme = baselines.NewVantage(parts)
-	default:
-		fb = core.NewFSFeedback(parts, core.FSFeedbackConfig{
-			Interval: s.Interval(),
-			Delta:    s.Delta(),
-			AlphaMax: s.AlphaMax(),
-		})
-		cfg.Scheme = fb
-		av = fb
-	}
-	c := core.New(cfg)
-	c.SetTargets(s.Targets(s.InitW))
-	return c, av, fb
+	return b, nil
 }
 
-// buildOracle constructs the reference model from the same scenario.
+// buildOracle constructs the reference model from the same scenario. Its
+// array is a second instance the spec assembles, built alike but sharing
+// nothing with the system under test's, so the two sides see identical
+// candidate streams; the rest of the spec's parts go unused.
 func buildOracle(s *Scenario) *oracle.Cache {
+	parts, _ := s.spec().Config()
 	cfg := oracle.Config{
-		Array:   buildArray(s),
-		Parts:   s.TotalParts(),
+		Array:   parts.Array,
+		Parts:   parts.Parts,
 		Ranking: s.Ranking,
 		Scheme:  s.Scheme,
 	}

@@ -71,7 +71,7 @@ func Shrink(s *Scenario, opt Options) (*Scenario, *Divergence) {
 				break
 			}
 		}
-		for _, k := range []ArrayKind{ArrayDirectMapped, ArraySetAssocXOR} {
+		for _, k := range []ArrayKind{directMapped, setAssoc8} {
 			if cur.Array != k {
 				simplify(func(c *Scenario) { c.Array = k })
 			}

@@ -43,7 +43,7 @@ func AblationFS(scale Scale) AblationFSResult {
 		scheme SchemeName
 		rank   futility.Kind
 	}{
-		{"fs-analytic(exact)", "fs-fixed", futility.LRU},
+		{"fs-analytic(exact)", SchemeFSFixed, futility.LRU},
 		{"fs-feedback(coarse)", SchemeFS, futility.CoarseLRU},
 	} {
 		b, d, _ := insertionCell{
@@ -122,13 +122,13 @@ func runAblationRCase(scale Scale, scheme SchemeName, parts, r int) (aef, occ fl
 		targets[i] = scale.AnalyticLines / parts
 	}
 	return runEvenCell(scale, CacheSpec{
-		Lines:   scale.AnalyticLines,
-		Array:   ArrayRandom16,
-		RandomR: r,
-		Rank:    futility.CoarseLRU,
-		Scheme:  scheme,
-		Parts:   parts,
-		Seed:    seedStream(scale.Seed, "ablr-build"),
+		Lines:  scale.AnalyticLines,
+		Array:  ArrayRandom16,
+		Ways:   r,
+		Rank:   futility.CoarseLRU,
+		Scheme: scheme,
+		Parts:  parts,
+		Seed:   seedStream(scale.Seed, "ablr-build"),
 	}, targets, "ablr", "ablr-drv")
 }
 

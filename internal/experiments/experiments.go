@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 
 	"fscache/internal/alloc"
@@ -93,6 +94,9 @@ type SchemeName string
 const (
 	// SchemeFS is feedback-based Futility Scaling (§V).
 	SchemeFS SchemeName = "fs"
+	// SchemeFSFixed is Futility Scaling with fixed scaling factors (§IV),
+	// installed through Built.FSFixed.
+	SchemeFSFixed SchemeName = "fs-fixed"
 	// SchemePF is Partitioning-First (Algorithm 1).
 	SchemePF SchemeName = "pf"
 	// SchemePriSM is probabilistic shared-cache management.
@@ -131,15 +135,13 @@ const (
 type CacheSpec struct {
 	Lines int
 	Array ArrayKind
-	// Ways overrides the associativity of Array16Way (default 16; scenario
-	// specs choose their own associativity).
-	Ways int
-	// RandomR overrides the candidate count of ArrayRandom16 (default 16).
-	RandomR int
-	Rank    futility.Kind
-	Scheme  SchemeName
-	Parts   int // application partitions
-	Seed    uint64
+	// Ways overrides the candidates per eviction of Array16Way (its
+	// associativity) and ArrayRandom16 (its R); default 16.
+	Ways   int
+	Rank   futility.Kind
+	Scheme SchemeName
+	Parts  int // application partitions
+	Seed   uint64
 	// Feedback overrides SchemeFS's controller for sensitivity studies;
 	// zero fields keep the defaults.
 	Feedback core.FSFeedbackConfig
@@ -148,7 +150,7 @@ type CacheSpec struct {
 // Built is the assembled cache plus scheme handles experiments may need.
 type Built struct {
 	Cache *core.Cache
-	// FSFixed is non-nil when the scheme is fs-fixed (set via WithAlphas).
+	// FSFixed is non-nil for SchemeFSFixed (set its factors with SetAlphas).
 	FSFixed *core.FSFixed
 	// FSFeedback is non-nil for SchemeFS.
 	FSFeedback *core.FSFeedback
@@ -191,11 +193,12 @@ func (b *Built) SetCacheTargets(targets []int) []int {
 	return targets
 }
 
-// Check returns what Build panics on: an unknown scheme or array, or a line
-// count the array cannot take. Commands report it as a usage error.
+// Check returns what Build panics on: an unknown scheme or array, a line
+// count the array cannot take, or an array the scheme cannot drive. Commands
+// report it as a usage error.
 func (spec CacheSpec) Check() error {
 	switch spec.Scheme {
-	case SchemeFS, SchemePF, SchemePriSM, SchemeVantage, SchemeCQVP, SchemeUnmanaged, SchemeFullAssoc, SchemeWayPart, "fs-fixed":
+	case SchemeFS, SchemePF, SchemePriSM, SchemeVantage, SchemeCQVP, SchemeUnmanaged, SchemeFullAssoc, SchemeWayPart, SchemeFSFixed:
 	default:
 		return fmt.Errorf("unknown scheme %q", spec.Scheme)
 	}
@@ -212,19 +215,23 @@ func (spec CacheSpec) Check() error {
 		return fmt.Errorf("array %s needs a power-of-two line count, not %d", spec.Array, spec.Lines)
 	case spec.Scheme == SchemeWayPart && (spec.Array != Array16Way || ways != 16):
 		return fmt.Errorf("waypart requires the 16-way set-associative array")
+	case spec.Array == ArrayFullyAssc && !slices.Contains(fullSelectors, spec.Scheme):
+		return fmt.Errorf("array fullyassoc needs scheme fs, fs-fixed, pf, fullassoc or unmanaged, not %s", spec.Scheme)
 	}
 	return nil
 }
+
+// fullSelectors are the schemes that build a core.FullSelector, the
+// only ones core.New lets decide over a fully-associative array.
+var fullSelectors = []SchemeName{SchemeFS, SchemeFSFixed, SchemePF, SchemeFullAssoc, SchemeUnmanaged}
 
 // ways returns the ways of spec's array (random-16: its candidates), the
 // fewest lines it takes, or 0 for an unknown array. All but random-16 and
 // fullyassoc index power-of-two sets.
 func (spec CacheSpec) ways() int {
 	switch spec.Array {
-	case Array16Way:
+	case Array16Way, ArrayRandom16:
 		return cmp.Or(spec.Ways, 16)
-	case ArrayRandom16:
-		return cmp.Or(spec.RandomR, 16)
 	case ArrayFullyAssc, ArrayDirect:
 		return 1
 	case ArrayZ4:
@@ -237,6 +244,16 @@ func (spec CacheSpec) ways() int {
 
 // Build assembles the cache. It panics on what Check reports.
 func Build(spec CacheSpec) *Built {
+	cfg, b := spec.Config()
+	b.Cache = core.New(cfg)
+	return b
+}
+
+// Config assembles the parts of spec's cache: the configuration core.New
+// builds it from, and the scheme and ranker handles Build returns, Cache
+// still nil. Every call assembles fresh parts that share no state with
+// another call's. It panics on what Check reports.
+func (spec CacheSpec) Config() (core.Config, *Built) {
 	if err := spec.Check(); err != nil {
 		panicf("%v", err)
 	}
@@ -278,7 +295,7 @@ func Build(spec CacheSpec) *Built {
 		scheme = baselines.NewUnmanaged()
 	case SchemeWayPart:
 		scheme = baselines.NewWayPart(parts, 16)
-	case "fs-fixed":
+	case SchemeFSFixed:
 		fs := core.NewFSFixed(parts)
 		b.FSFixed = fs
 		scheme = fs
@@ -315,14 +332,13 @@ func Build(spec CacheSpec) *Built {
 		ref = futility.New(rk, spec.Lines, total, xrand.Mix64(spec.Seed^0x4ef))
 	}
 
-	b.Cache = core.New(core.Config{
+	return core.Config{
 		Array:     arr,
 		Ranker:    ranker,
 		Reference: ref,
 		Scheme:    scheme,
 		Parts:     total,
-	})
-	return b
+	}, b
 }
 
 // insertionCell is one run of the paper's insertion-rate control (§IV-C):

@@ -74,6 +74,7 @@ func TestBuildPanicsOnCheck(t *testing.T) {
 		{Lines: 1000, Array: Array16Way, Scheme: SchemeFS, Parts: 2},
 		{Lines: 8, Array: ArrayRandom16, Scheme: SchemePF, Parts: 2},
 		{Lines: 32, Array: Array16Way, Ways: 8, Scheme: SchemeWayPart, Parts: 2},
+		{Lines: 1024, Array: ArrayFullyAssc, Rank: futility.LRU, Scheme: SchemeVantage, Parts: 2},
 	} {
 		err := spec.Check()
 		if err == nil {

@@ -36,7 +36,7 @@ func Fig4(scale Scale) Fig4Result {
 	insert := []float64{0.5, 0.5}
 	for _, s1 := range []float64{0.9, 0.6} {
 		sizes := []float64{s1, 1 - s1}
-		for _, scheme := range []SchemeName{"fs-fixed", SchemePF} {
+		for _, scheme := range []SchemeName{SchemeFSFixed, SchemePF} {
 			res.Rows = append(res.Rows, runFig4Case(scale, scheme, insert, sizes)...)
 		}
 	}

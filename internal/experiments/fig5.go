@@ -37,7 +37,7 @@ type Fig5Result struct {
 func Fig5(scale Scale) Fig5Result {
 	res := Fig5Result{Scale: scale}
 	for _, i1 := range []float64{0.9, 0.5} {
-		for _, scheme := range []SchemeName{"fs-fixed", SchemePF} {
+		for _, scheme := range []SchemeName{SchemeFSFixed, SchemePF} {
 			res.Rows = append(res.Rows, runFig5Case(scale, scheme, i1))
 		}
 	}

@@ -1,8 +1,9 @@
 // Package hashing provides the hash functions used to index cache arrays.
 //
 // The paper's analysis assumes caches "indexed by good random hash functions"
-// (§III-B, §IV-A); its evaluated L2 uses XOR-based indexing [19] and its
-// analytical cache uses uniform random candidates. A zcache (and the
+// (§III-B, §IV-A); its evaluated L2 uses XOR-based indexing [19], for which
+// set-associative arrays here use H3 (DESIGN.md §4), and its analytical
+// cache uses uniform random candidates. A zcache (and the
 // skew-associative array, its one-level walk) additionally needs a *family*
 // of independent hash functions, one per way. We provide:
 //
@@ -10,8 +11,6 @@
 //     row masks), as used by the zcache work the paper builds on.
 //   - Family: W members of H3 evaluated together, every member's index
 //     packed into one table entry, so a zcache hashes an address once.
-//   - FoldBits: simple XOR folding of a line address into an index, the
-//     "XOR-based indexing" baseline.
 //
 // H3 is defined by its masks (h3Masks) — output bit i is the parity of key
 // AND masks[i] — and evaluated from byte-sliced tables built from them once,
@@ -219,21 +218,6 @@ func log2(n int, what string) uint {
 		panic("hashing: " + what + " must be a positive power of two")
 	}
 	return uint(bits.TrailingZeros(uint(n)))
-}
-
-// FoldBits XOR-folds a 64-bit line address into [0, 1<<width). This models
-// conventional XOR-based set indexing: cheap, and good enough to spread
-// strided access patterns across sets.
-func FoldBits(key uint64, width uint) uint64 {
-	if width == 0 {
-		return 0
-	}
-	var out uint64
-	for key != 0 {
-		out ^= key & (1<<width - 1)
-		key >>= width
-	}
-	return out
 }
 
 // ShardShift returns the shift that takes a set index to its shard when

@@ -3,7 +3,6 @@ package hashing
 import (
 	"fmt"
 	"testing"
-	"testing/quick"
 	"unsafe"
 
 	"fscache/internal/xrand"
@@ -279,29 +278,6 @@ func TestFamilyIndependence(t *testing.T) {
 	}
 }
 
-func TestFoldRangeAndDeterminism(t *testing.T) {
-	f := func(key uint64) bool {
-		v := FoldBits(key, 12)
-		return v < 4096 && v == FoldBits(key, 12)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFoldSpreadsSequential(t *testing.T) {
-	// Sequential line addresses must hit distinct sets until wraparound —
-	// folding preserves low bits for keys < buckets.
-	seen := map[uint64]bool{}
-	for i := uint64(0); i < 1024; i++ {
-		v := FoldBits(i, 10)
-		if seen[v] {
-			t.Fatalf("fold collision within one period at %d", i)
-		}
-		seen[v] = true
-	}
-}
-
 // tooManyBuckets is 2^33 where int holds it: one past the width of a table
 // entry (and 0, as invalid, where it does not).
 var tooManyBuckets = func() int { n := 1; return n << 33 }()
@@ -373,15 +349,4 @@ func TestH3SingleBucket(t *testing.T) {
 			t.Fatal("single-bucket hash must return 0")
 		}
 	}
-	if FoldBits(12345, 0) != 0 {
-		t.Fatal("single-bucket fold must return 0")
-	}
-}
-
-func BenchmarkFold(b *testing.B) {
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += FoldBits(uint64(i)*0x9e3779b97f4a7c15, 13)
-	}
-	benchSink = sink
 }

@@ -150,7 +150,7 @@ func TestBuildL2TraceValidation(t *testing.T) {
 func buildCache(parts, lines int) *core.Cache {
 	fs := core.NewFSFeedback(parts, core.FSFeedbackConfig{})
 	c := core.New(core.Config{
-		Array:  cachearray.NewSetAssoc(lines, 16, cachearray.IndexXOR, 1),
+		Array:  cachearray.NewSetAssoc(lines, 16, cachearray.IndexH3, 1),
 		Ranker: futility.NewCoarseTS(lines, parts),
 		Scheme: fs,
 		Parts:  parts,
