@@ -75,6 +75,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(2, err)
 	}
+	if experiments.SchemeName(*scheme) == experiments.SchemeFSFixed { // Check accepts it
+		return fail(2, errors.New("scheme fs-fixed needs scaling factors, which fsim cannot set: use fs"))
+	}
 	spec := experiments.CacheSpec{
 		Lines:  *lines,
 		Array:  experiments.ArrayKind(*array),

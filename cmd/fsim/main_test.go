@@ -192,6 +192,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-targets", "1,2,3"}, `fsim: targets "1,2,3": want 4 numbers`},
 		{[]string{"-l1", "256"}, "flag provided but not defined: -l1"},
 		{[]string{"-scheme", "bogus"}, `fsim: unknown scheme "bogus"`},
+		{[]string{"-scheme", "fs-fixed"}, "fsim: scheme fs-fixed needs scaling factors, which fsim cannot set: use fs"},
 		{[]string{"-array", "bogus"}, `fsim: unknown array "bogus"`},
 		{[]string{"-lines", "1000"}, "fsim: array setassoc-16 needs a power-of-two line count, not 1000"},
 		{[]string{"-lines", "8"}, "fsim: array setassoc-16 needs at least 16 lines, not 8"},
@@ -210,6 +211,30 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%q: printed a report:\n%s", tc.args, stdout.String())
+		}
+	}
+}
+
+// Every scheme -scheme's help lists runs, and fs-fixed, which fsim rejects,
+// is not listed.
+func TestSchemeHelpListsAcceptedSchemes(t *testing.T) {
+	var help bytes.Buffer
+	if code := run([]string{"-h"}, &help, &help); code != 0 {
+		t.Fatalf("-h: exit %d", code)
+	}
+	_, list, ok := strings.Cut(help.String(), "partitioning scheme: ")
+	if !ok {
+		t.Fatalf("no scheme list in the help:\n%s", help.String())
+	}
+	list, _, _ = strings.Cut(list, " ")
+	for _, scheme := range strings.Split(list, "|") {
+		if scheme == "fs-fixed" {
+			t.Error("the help lists fs-fixed")
+		}
+		var stdout, stderr bytes.Buffer
+		args := []string{"-scheme", scheme, "-lines", "1024", "-accesses", "200", "-benchmarks", "mcf,lbm"}
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Errorf("-scheme %s: exit %d\n%s", scheme, code, stderr.String())
 		}
 	}
 }

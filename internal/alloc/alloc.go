@@ -92,8 +92,6 @@ type Allocator struct {
 	prev *Curves
 	//fs:guardedby mu
 	log []Decision
-	//fs:guardedby mu
-	dropped uint64
 }
 
 // New builds an Allocator. It panics on non-positive Parts/Lines, on an
@@ -211,11 +209,12 @@ func (a *Allocator) Epoch() int {
 }
 
 // Log returns a copy of the retained decision log (oldest first) and the
-// count of older entries dropped by the logCap bound.
+// count of older entries the logCap bound dropped. The log gains one entry
+// an epoch, so that count is the closed epochs it no longer holds.
 func (a *Allocator) Log() ([]Decision, uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]Decision(nil), a.log...), a.dropped
+	return append([]Decision(nil), a.log...), uint64(a.epoch - len(a.log))
 }
 
 // Flush forces an epoch boundary now (e.g. at end of stream) at the last
@@ -266,10 +265,8 @@ func (a *Allocator) closeEpochLocked() {
 		Drift:      div > driftThreshold,
 		MissRatio:  aggregateMissRatio(cv, a.targets),
 	}
-	if len(a.log) >= logCap {
-		drop := len(a.log) - logCap + 1
-		a.log = append(a.log[:0], a.log[drop:]...)
-		a.dropped += uint64(drop)
+	if len(a.log) == logCap {
+		a.log = append(a.log[:0], a.log[1:]...)
 	}
 	a.log = append(a.log, d)
 

@@ -34,11 +34,11 @@ type Config struct {
 // histBuckets is the eviction-futility histogram resolution.
 const histBuckets = 64
 
-// PartStats aggregates per-partition measurements.
+// PartStats aggregates per-partition measurements. Misses is also the
+// partition's insertion count: every miss installs its address exactly once.
 type PartStats struct {
 	Hits        uint64
 	Misses      uint64
-	Insertions  uint64
 	Evictions   uint64
 	Demotions   uint64
 	ForcedEvict uint64
@@ -141,9 +141,11 @@ type Cache struct {
 	sizes   []int
 	targets []int
 
-	seq      uint64
-	accesses uint64
-	pstats   []PartStats
+	// seq numbers the accesses from 1; statsFrom is its value at the last
+	// ResetStats, so Accesses is seq − statsFrom.
+	seq       uint64
+	statsFrom uint64
+	pstats    []PartStats
 
 	candBuf   []Candidate
 	worstBuf  []Candidate
@@ -252,8 +254,8 @@ func (c *Cache) Parts() int { return c.parts }
 // Stats returns the per-partition statistics (live; do not mutate).
 func (c *Cache) Stats(part int) *PartStats { return &c.pstats[part] }
 
-// Accesses returns the total access count.
-func (c *Cache) Accesses() uint64 { return c.accesses }
+// Accesses returns the access count since the last ResetStats.
+func (c *Cache) Accesses() uint64 { return c.seq - c.statsFrom }
 
 // Resident reports whether the array line holds an address. The per-line
 // partition code is the pipeline's one record of residency: the rankers keep
@@ -263,11 +265,12 @@ func (c *Cache) Resident(line int) bool { return c.meta.At(int32(line)) != noLin
 // MeanOccupancy returns the partition's time-averaged size in lines,
 // sampled at every access.
 func (c *Cache) MeanOccupancy(part int) float64 {
-	if c.accesses == 0 {
+	n := c.Accesses()
+	if n == 0 {
 		return 0
 	}
-	c.creditOccupancy(part, c.accesses)
-	return float64(c.pstats[part].occupancySum) / float64(c.accesses)
+	c.creditOccupancy(part, n)
+	return float64(c.pstats[part].occupancySum) / float64(n)
 }
 
 // ResetStats clears all measurement state (hit/miss counters, eviction
@@ -276,7 +279,7 @@ func (c *Cache) MeanOccupancy(part int) float64 {
 // distributions exclude the fill phase.
 func (c *Cache) ResetStats() {
 	c.resetPartStats()
-	c.accesses = 0
+	c.statsFrom = c.seq
 }
 
 // resetPartStats zeroes every partition's statistics, with an empty
@@ -357,7 +360,6 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 		panicPartRange(part)
 	}
 	c.seq++
-	c.accesses++
 	ctx := futility.Context{Seq: c.seq, NextUse: nextUse}
 
 	if line := c.array.Lookup(addr); line >= 0 {
@@ -462,7 +464,6 @@ func (c *Cache) Access(addr uint64, part int, nextUse int64) AccessResult {
 	if c.ref != nil {
 		c.ref.OnInsert(line, part, ctx)
 	}
-	c.pstats[part].Insertions++
 	if c.counter != nil {
 		c.counter.OnInsert(part)
 	}
@@ -614,7 +615,7 @@ func (c *Cache) creditOccupancy(p int, through uint64) {
 //
 //fs:allocfree
 func (c *Cache) resize(p, d int) {
-	c.creditOccupancy(p, c.accesses-1)
+	c.creditOccupancy(p, c.Accesses()-1)
 	c.sizes[p] += d
 }
 

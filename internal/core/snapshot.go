@@ -38,11 +38,11 @@ type Snapshot struct {
 // the call and works on the returned value afterwards.
 func (c *Cache) StatsSnapshot() Snapshot {
 	s := Snapshot{
-		Accesses: c.accesses,
+		Accesses: c.Accesses(),
 		Parts:    make([]PartSnapshot, c.parts),
 	}
 	for p := 0; p < c.parts; p++ {
-		c.creditOccupancy(p, c.accesses)
+		c.creditOccupancy(p, s.Accesses)
 		ps := PartSnapshot{
 			PartStats:     c.pstats[p],
 			Size:          c.sizes[p],
@@ -69,7 +69,6 @@ func (s *Snapshot) Merge(other Snapshot) {
 		a, b := &s.Parts[p], &other.Parts[p]
 		a.Hits += b.Hits
 		a.Misses += b.Misses
-		a.Insertions += b.Insertions
 		a.Evictions += b.Evictions
 		a.Demotions += b.Demotions
 		a.ForcedEvict += b.ForcedEvict
@@ -94,8 +93,8 @@ func (s Snapshot) String() string {
 	fmt.Fprintf(&b, "accesses=%d parts=%d\n", s.Accesses, len(s.Parts))
 	for p := range s.Parts {
 		ps := &s.Parts[p]
-		fmt.Fprintf(&b, "part %d: hits=%d misses=%d ins=%d ev=%d dem=%d forced=%d size=%d target=%d occsum=%d",
-			p, ps.Hits, ps.Misses, ps.Insertions, ps.Evictions, ps.Demotions,
+		fmt.Fprintf(&b, "part %d: hits=%d misses=%d ev=%d dem=%d forced=%d size=%d target=%d occsum=%d",
+			p, ps.Hits, ps.Misses, ps.Evictions, ps.Demotions,
 			ps.ForcedEvict, ps.Size, ps.Target, ps.OccupancySum)
 		fmt.Fprintf(&b, " efsum=%x efhist=%v\n", ps.EvictFutility.Sum(), ps.EvictFutility.Counts())
 	}

@@ -18,8 +18,7 @@ func TestStatsSnapshotIsDeepCopy(t *testing.T) {
 	for p := 0; p < 2; p++ {
 		st := c.Stats(p)
 		ps := &snap.Parts[p]
-		if ps.Hits != st.Hits || ps.Misses != st.Misses ||
-			ps.Insertions != st.Insertions || ps.Evictions != st.Evictions ||
+		if ps.Hits != st.Hits || ps.Misses != st.Misses || ps.Evictions != st.Evictions ||
 			ps.Demotions != st.Demotions || ps.ForcedEvict != st.ForcedEvict {
 			t.Fatalf("part %d: snapshot counters %+v != live %+v", p, ps, st)
 		}

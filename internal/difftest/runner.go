@@ -132,7 +132,6 @@ func compare(step int, fr core.AccessResult, or oracle.Result, fast *core.Cache,
 		}{
 			{"hits", st.Hits, ora.Hits(p)},
 			{"misses", st.Misses, ora.Misses(p)},
-			{"insertions", st.Insertions, ora.Insertions(p)},
 			{"evictions", st.Evictions, ora.Evictions(p)},
 			{"demotions", st.Demotions, ora.Demotions(p)},
 			{"forced", st.ForcedEvict, ora.ForcedEvictions(p)},

@@ -184,7 +184,7 @@ type Cache struct {
 	sizes   []int
 	targets []int
 
-	hits, misses, insertions, evictions, demotions, forced []uint64
+	hits, misses, evictions, demotions, forced []uint64
 }
 
 // New builds an oracle cache. It panics on inconsistent configuration, like
@@ -209,34 +209,33 @@ func New(cfg Config) *Cache {
 	}
 	n := cfg.Array.Lines()
 	o := &Cache{
-		arr:        cfg.Array,
-		parts:      cfg.Parts,
-		kind:       cfg.Ranking,
-		scheme:     cfg.Scheme,
-		part:       make([]int, n),
-		owner:      make([]int, n),
-		lastSeq:    make([]uint64, n),
-		freq:       make([]uint64, n),
-		ticket:     make([]uint64, n),
-		tag:        make([]uint8, n),
-		current:    make([]uint8, cfg.Parts),
-		counter:    make([]uint64, cfg.Parts),
-		rankSize:   make([]int, cfg.Parts),
-		alphas:     make([]float64, cfg.Parts),
-		ins:        make([]int, cfg.Parts),
-		evs:        make([]int, cfg.Parts),
-		interval:   cfg.Interval,
-		delta:      cfg.Delta,
-		alphaMax:   cfg.AlphaMax,
-		sizes:      make([]int, cfg.Parts),
-		targets:    make([]int, cfg.Parts),
-		hits:       make([]uint64, cfg.Parts),
-		misses:     make([]uint64, cfg.Parts),
-		insertions: make([]uint64, cfg.Parts),
-		evictions:  make([]uint64, cfg.Parts),
-		demotions:  make([]uint64, cfg.Parts),
-		forced:     make([]uint64, cfg.Parts),
-		unmanaged:  -1,
+		arr:       cfg.Array,
+		parts:     cfg.Parts,
+		kind:      cfg.Ranking,
+		scheme:    cfg.Scheme,
+		part:      make([]int, n),
+		owner:     make([]int, n),
+		lastSeq:   make([]uint64, n),
+		freq:      make([]uint64, n),
+		ticket:    make([]uint64, n),
+		tag:       make([]uint8, n),
+		current:   make([]uint8, cfg.Parts),
+		counter:   make([]uint64, cfg.Parts),
+		rankSize:  make([]int, cfg.Parts),
+		alphas:    make([]float64, cfg.Parts),
+		ins:       make([]int, cfg.Parts),
+		evs:       make([]int, cfg.Parts),
+		interval:  cfg.Interval,
+		delta:     cfg.Delta,
+		alphaMax:  cfg.AlphaMax,
+		sizes:     make([]int, cfg.Parts),
+		targets:   make([]int, cfg.Parts),
+		hits:      make([]uint64, cfg.Parts),
+		misses:    make([]uint64, cfg.Parts),
+		evictions: make([]uint64, cfg.Parts),
+		demotions: make([]uint64, cfg.Parts),
+		forced:    make([]uint64, cfg.Parts),
+		unmanaged: -1,
 	}
 	for i := range o.part {
 		o.part[i] = -1
@@ -328,9 +327,6 @@ func (o *Cache) Hits(part int) uint64 { return o.hits[part] }
 // Misses returns the partition's miss count.
 func (o *Cache) Misses(part int) uint64 { return o.misses[part] }
 
-// Insertions returns the partition's insertion count.
-func (o *Cache) Insertions(part int) uint64 { return o.insertions[part] }
-
 // Evictions returns the partition's eviction count.
 func (o *Cache) Evictions(part int) uint64 { return o.evictions[part] }
 
@@ -416,7 +412,6 @@ func (o *Cache) Access(addr uint64, part int) Result {
 	o.owner[line] = part
 	o.insertLine(line, part)
 	o.sizes[part]++
-	o.insertions[part]++
 	o.onInsert(part)
 	return res
 }

@@ -184,7 +184,7 @@ func encodeServerScript(writes [][]Request) []byte {
 // frames over an in-memory connection, one client write at a time, against
 // serverModel. Every response must match the model's; after each write's
 // responses are in, the store must pass its audit, hold exactly the model's
-// entries, and the engine's targets must sum to its lines. The seed corpus
+// entries and count their bytes as the model does, and the engine's targets must sum to its lines. The seed corpus
 // is TestServerAgainstModel's first bursts.
 func FuzzServerRun(f *testing.F) {
 	cfg := testConfig()

@@ -93,30 +93,33 @@ func sameResponse(got, want Response) bool {
 }
 
 // diff reports how the quiescent server's state differs from the model's
-// ("" when it does not): engine access count, then the store line by line.
+// ("" when it does not): engine access count, the store line by line, then
+// the store's entry and byte counts.
 func (m *serverModel) diff(s *Server) string {
 	if got, want := s.engine.Snapshot().Accesses, m.eng.Snapshot().Accesses; got != want {
 		return fmt.Sprintf("engine performed %d accesses, model %d", got, want)
 	}
-	n := 0
-	for g := range s.store.stripes {
-		h, st := s.engine.LockStripe(g), &s.store.stripes[g]
-		for i, key := range st.key {
-			if len(key) == 0 {
+	for g, lines := range s.store.stripes {
+		h := s.engine.LockStripe(g)
+		for i, e := range lines {
+			if len(e.key) == 0 {
 				continue
 			}
-			n++
-			line, val := g*len(st.key)+i, st.val[i]
-			if w, ok := m.m[hashKey(key)]; !ok || w.key != string(key) || !bytes.Equal(w.val, val) || w.line != line {
+			line := g*len(lines) + i
+			if w, ok := m.m[hashKey(e.key)]; !ok || w.key != string(e.key) || !bytes.Equal(w.val, e.val) || w.line != line {
 				h.Unlock()
 				return fmt.Sprintf("store line %d holds %q = %q, model has %q = %q at line %d (present %v)",
-					line, key, val, w.key, w.val, w.line, ok)
+					line, e.key, e.val, w.key, w.val, w.line, ok)
 			}
 		}
 		h.Unlock()
 	}
-	if n != len(m.m) {
-		return fmt.Sprintf("store holds %d entries, model %d", n, len(m.m))
+	var size int64
+	for _, w := range m.m {
+		size += int64(len(w.key) + len(w.val))
+	}
+	if n, b := s.store.Stats(); n != len(m.m) || b != size {
+		return fmt.Sprintf("store holds %d entries of %d bytes, model %d of %d", n, b, len(m.m), size)
 	}
 	return ""
 }

@@ -21,18 +21,16 @@ import (
 // bytes. DESIGN.md §14 has the buffer rule.
 type store struct {
 	eng     *shardcache.Engine
-	stripes []storeStripe
+	stripes [][]entry // [g][l] is engine stripe g's line l, under g's lock
 }
 
-// storeStripe is the store's share of one engine stripe's lines; the stripe's
-// lock guards it. A line is empty when its key is: wire keys are never empty
-// (the server rejects them before the store), and an empty line keeps its
-// buffers at length zero. A DEL empties the line but leaves the engine's
-// resident, to age out under its partition's replacement pressure.
-type storeStripe struct {
-	key, val [][]byte
-	entries  int
-	bytes    int64
+// entry is one line's wire key and value. A line is empty when its key is:
+// wire keys are never empty (the server rejects them before the store), and
+// an empty line keeps its buffers at length zero. A DEL empties the line but
+// leaves the engine's resident, to age out under its partition's replacement
+// pressure.
+type entry struct {
+	key, val []byte
 }
 
 // fits reports whether buf holds n bytes while wasting under a fifth of
@@ -52,9 +50,9 @@ func refill(buf, src []byte) []byte {
 
 func newStore(e *shardcache.Engine) *store {
 	n := e.Stripes()
-	s := &store{eng: e, stripes: make([]storeStripe, n)}
+	s := &store{eng: e, stripes: make([][]entry, n)}
 	for g := range s.stripes {
-		s.stripes[g] = storeStripe{key: make([][]byte, e.Lines()/n), val: make([][]byte, e.Lines()/n)}
+		s.stripes[g] = make([]entry, e.Lines()/n)
 	}
 	return s
 }
@@ -78,14 +76,14 @@ func hashKey(key []byte) uint64 {
 // stripe addr routes to. Unless stale, a GET that finds the bytes also
 // accesses the engine for part: under the one lock it always hits.
 func (s *store) Get(h shardcache.Locked, addr uint64, part int, key, dst []byte, stale bool) ([]byte, bool) {
-	st, l := &s.stripes[h.Stripe()], h.Lookup(addr)
-	if l < 0 || !bytes.Equal(st.key[l], key) {
+	lines, l := s.stripes[h.Stripe()], h.Lookup(addr)
+	if l < 0 || !bytes.Equal(lines[l].key, key) {
 		return dst, false
 	}
 	if !stale && !h.Access(addr, part).Hit {
 		panic("server: store bytes at a line the engine does not hold")
 	}
-	return append(dst, st.val[l]...), true
+	return append(dst, lines[l].val...), true
 }
 
 // Set accesses the engine for addr and part under h, the held stripe addr
@@ -95,34 +93,33 @@ func (s *store) Get(h shardcache.Locked, addr uint64, part int, key, dst []byte,
 // access's result.
 func (s *store) Set(h shardcache.Locked, addr uint64, part int, key, val []byte) core.AccessResult {
 	res := h.Access(addr, part)
-	st, l := &s.stripes[h.Stripe()], res.Line
-	if len(st.key[l]) == 0 {
-		st.entries++
-	}
-	st.bytes += int64(len(key) + len(val) - len(st.key[l]) - len(st.val[l]))
-	st.key[l], st.val[l] = refill(st.key[l], key), refill(st.val[l], val)
+	e := &s.stripes[h.Stripe()][res.Line]
+	e.key, e.val = refill(e.key, key), refill(e.val, val)
 	return res
 }
 
 // Delete drops addr's bytes under h, the held stripe addr routes to, keeping
 // the line's buffers, and reports whether an entry existed.
 func (s *store) Delete(h shardcache.Locked, addr uint64) bool {
-	st, l := &s.stripes[h.Stripe()], h.Lookup(addr)
-	ok := l >= 0 && len(st.key[l]) > 0
+	lines, l := s.stripes[h.Stripe()], h.Lookup(addr)
+	ok := l >= 0 && len(lines[l].key) > 0
 	if ok {
-		st.entries--
-		st.bytes -= int64(len(st.key[l]) + len(st.val[l]))
-		st.key[l], st.val[l] = st.key[l][:0], st.val[l][:0]
+		lines[l] = entry{lines[l].key[:0], lines[l].val[:0]}
 	}
 	return ok
 }
 
-// Stats returns the entry and byte totals across stripes.
+// Stats counts the non-empty lines and the key and value bytes they hold,
+// one stripe lock at a time.
 func (s *store) Stats() (entries int, bytes int64) {
-	for g := range s.stripes {
+	for g, lines := range s.stripes {
 		h := s.eng.LockStripe(g)
-		entries += s.stripes[g].entries
-		bytes += s.stripes[g].bytes
+		for _, e := range lines {
+			if len(e.key) > 0 {
+				entries++
+				bytes += int64(len(e.key) + len(e.val))
+			}
+		}
 		h.Unlock()
 	}
 	return entries, bytes

@@ -78,13 +78,13 @@ func del(s *store, addr uint64) bool {
 }
 
 // CheckInvariants audits the store one stripe lock at a time: every
-// non-empty line is a line whose engine line holds the address of its key,
-// and the entry and byte counters match a recount. Every store operation
-// keeps both, so it may run while other goroutines use the store.
+// non-empty line is a line whose engine line holds the address of its key.
+// Every store operation keeps that, so it may run while other goroutines use
+// the store.
 func (s *store) CheckInvariants() error {
-	for g := range s.stripes {
+	for g, lines := range s.stripes {
 		h := s.eng.LockStripe(g)
-		err := s.stripes[g].audit(h)
+		err := audit(h, lines)
 		h.Unlock()
 		if err != nil {
 			return fmt.Errorf("server: store stripe %d: %w", g, err)
@@ -93,22 +93,15 @@ func (s *store) CheckInvariants() error {
 	return nil
 }
 
-// audit is CheckInvariants for the stripe h holds.
-func (st *storeStripe) audit(h shardcache.Locked) error {
-	entries, bytes := 0, int64(0)
-	for l, k := range st.key {
-		if len(k) == 0 {
+// audit is CheckInvariants for lines, the stripe h holds.
+func audit(h shardcache.Locked, lines []entry) error {
+	for l, e := range lines {
+		if len(e.key) == 0 {
 			continue
 		}
-		entries++
-		bytes += int64(len(k) + len(st.val[l]))
-		if el := h.Lookup(hashKey(k)); el != l {
-			return fmt.Errorf("line %d holds %q, whose address the engine holds at line %d", l, k, el)
+		if el := h.Lookup(hashKey(e.key)); el != l {
+			return fmt.Errorf("line %d holds %q, whose address the engine holds at line %d", l, e.key, el)
 		}
-	}
-	if entries != st.entries || bytes != st.bytes {
-		return fmt.Errorf("counters say %d entries of %d bytes, lines hold %d of %d",
-			st.entries, st.bytes, entries, bytes)
 	}
 	return nil
 }
@@ -120,10 +113,10 @@ func checkStore(t *testing.T, s *store) {
 	if err := s.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
-	for g := range s.stripes {
-		h, st := s.eng.LockStripe(g), &s.stripes[g]
-		for i, k := range st.key {
-			if v := st.val[i]; len(k) > 0 && (!fits(k, len(k)) || !fits(v, len(v))) {
+	for g, lines := range s.stripes {
+		h := s.eng.LockStripe(g)
+		for i, e := range lines {
+			if k, v := e.key, e.val; len(k) > 0 && (!fits(k, len(k)) || !fits(v, len(v))) {
 				t.Errorf("stripe %d line %d: %d-byte key in %d bytes, %d-byte value in %d bytes",
 					g, i, len(k), cap(k), len(v), cap(v))
 			}
@@ -135,11 +128,11 @@ func checkStore(t *testing.T, s *store) {
 // storedKeys returns the id of every key the store holds.
 func storedKeys(s *store, ids map[string]int) []int {
 	var stored []int
-	for g := range s.stripes {
+	for g, lines := range s.stripes {
 		h := s.eng.LockStripe(g)
-		for _, k := range s.stripes[g].key {
-			if len(k) > 0 {
-				stored = append(stored, ids[string(k)])
+		for _, e := range lines {
+			if len(e.key) > 0 {
+				stored = append(stored, ids[string(e.key)])
 			}
 		}
 		h.Unlock()

@@ -284,11 +284,11 @@ func TestConcurrentStress(t *testing.T) {
 				snap := e.Snapshot()
 				// Merged counters must always be internally consistent even
 				// mid-flight: a partition's evictions can never exceed its
-				// insertions.
+				// insertions, which are its misses.
 				for p := range snap.Parts {
-					if snap.Parts[p].Evictions > snap.Parts[p].Insertions {
-						t.Errorf("snapshot part %d: %d evictions > %d insertions",
-							p, snap.Parts[p].Evictions, snap.Parts[p].Insertions)
+					if snap.Parts[p].Evictions > snap.Parts[p].Misses {
+						t.Errorf("snapshot part %d: %d evictions > %d misses",
+							p, snap.Parts[p].Evictions, snap.Parts[p].Misses)
 						return
 					}
 				}

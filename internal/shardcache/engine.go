@@ -338,8 +338,9 @@ func (e *Engine) Targets() []int {
 // kept only because the benchmark harness (bench/layers.go) times it.
 func (e *Engine) Rebalance() { e.accesses() }
 
-// accesses sums the stripes' access counts, one stripe lock at a time.
-// core.Cache never resets its count, so the sum never falls.
+// accesses sums the stripes' access counts, one stripe lock at a time. No
+// engine path resets a stripe's statistics (core.Cache.ResetStats), so the
+// sum never falls.
 func (e *Engine) accesses() (n uint64) {
 	for _, st := range e.stripes {
 		stats.CountLock()

@@ -1,8 +1,11 @@
 package shardcache
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"fscache/internal/core"
 
 	"fscache/internal/alloc"
 	"fscache/internal/xrand"
@@ -35,6 +38,60 @@ func (s *flipSource) PollTargets(uint64) ([]int, bool) {
 		return s.a, true
 	}
 	return s.b, true
+}
+
+// countSource records the access count of its latest poll and offers no
+// targets.
+type countSource struct{ last atomic.Uint64 }
+
+func (s *countSource) PollTargets(accesses uint64) ([]int, bool) {
+	s.last.Store(accesses)
+	return nil, false
+}
+
+// The count a rebalancer polls its source with is every access issued
+// through the engine, whichever of Access, Batch.Access or Batch.Each issued
+// it.
+func TestRebalancerCountsEveryAccessPath(t *testing.T) {
+	e := New(testConfig(4))
+	e.SetTargets(testTargets())
+	rng := xrand.New(21)
+	reqs := make([]Access, 64)
+	next := func() []Access {
+		for i := range reqs {
+			reqs[i] = Access{Addr: rng.Uint64() % 8192, Part: i % 3}
+		}
+		return reqs
+	}
+	var issued uint64
+	for i := 0; i < 500; i++ {
+		e.Access(rng.Uint64()%8192, i%3)
+		issued++
+	}
+	b := e.NewBatch()
+	results := make([]core.AccessResult, len(reqs))
+	for i := 0; i < 20; i++ {
+		b.Access(next(), results)
+		issued += uint64(len(reqs))
+		b.Each(next(), func(h Locked, j int32) { h.Access(reqs[j].Addr, reqs[j].Part) })
+		issued += uint64(len(reqs))
+	}
+
+	src := &countSource{}
+	r := e.StartRebalancerSource(time.Millisecond, src)
+	//fslint:ignore determinism rebalancer test: bounded wall-clock wait for the ticker-driven poll
+	deadline := time.Now().Add(2 * time.Second)
+	//fslint:ignore determinism rebalancer test: bounded wall-clock wait for the ticker-driven poll
+	for r.Rebalances() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	r.Stop()
+	if r.Rebalances() == 0 {
+		t.Fatal("the rebalancer never polled its source")
+	}
+	if got := src.last.Load(); got != issued {
+		t.Fatalf("rebalancer polled with %d accesses, %d issued", got, issued)
+	}
 }
 
 // A rebalancer with a target source must install polled targets on its next
